@@ -1,14 +1,10 @@
 // Command hssim runs a peripheral as a standalone simulator process
 // behind the HardSnap remote protocol — the paper's "self-contained
 // simulator with a remote interface" (Fig. 3, A.2). A virtual machine
-// (or any client of internal/remote) connects over TCP and performs
-// register reads/writes, IRQ sampling and clock advancement.
-//
-// Both protocol generations are served on the same port: v3 clients
-// (remote.Connect) get the full target surface — batched register
-// ops, pipelining, wire snapshots with digest negotiation and worker
-// spawning — while classic v2 clients (remote.NewClient) keep
-// speaking one-op-per-frame against the hosted peripheral.
+// (remote.Connect) attaches over TCP and gets the full target surface
+// through the one wire protocol: batched register reads/writes, IRQ
+// sampling and clock advancement, pipelining, wire snapshots with
+// digest negotiation and worker spawning.
 //
 // Usage:
 //
@@ -26,7 +22,6 @@ import (
 	"syscall"
 
 	"hardsnap/internal/buildinfo"
-	"hardsnap/internal/bus"
 	"hardsnap/internal/remote"
 	"hardsnap/internal/sim"
 	"hardsnap/internal/target"
@@ -111,15 +106,6 @@ func main() {
 	}
 }
 
-// advPort couples a register port with whole-target clock advancement
-// for the protocol's advance opcode.
-type advPort struct {
-	bus.Port
-	tgt *target.Target
-}
-
-func (p *advPort) Advance(n uint64) error { return p.tgt.Advance(n) }
-
 func run(periphName, source, top, listen string, fpga bool, sched target.FaultSchedule) error {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -159,20 +145,22 @@ func serveOn(ln net.Listener, periphName, source, top string, fpga bool, sched t
 	if err != nil {
 		return err
 	}
-	port, err := tgt.Port("dev0")
-	if err != nil {
-		return err
-	}
 	fmt.Printf("hssim: hosting %s on %s (%s target, %d state bits)\n",
 		describe(cfg), ln.Addr(), tgt.Kind(), tgt.StateBits())
 	srv := remote.NewServer(tgt)
-	srv.SetLegacyPort(&advPort{Port: port, tgt: tgt})
 	var wrap func(net.Conn) net.Conn
 	if sched != (target.FaultSchedule{}) {
 		fmt.Printf("hssim: fault injection armed (seed %d, drop %.2f, corrupt %.2f, jitter %v)\n",
 			sched.Seed, sched.DropRate, sched.CorruptRate, sched.LatencyJitter)
+		// Each accepted connection draws from its own seed: a client
+		// recovers from a desynchronized stream by redialing, and would
+		// otherwise meet the same fault at the same frame forever. The
+		// accept loop calls wrap from one goroutine.
+		next := sched
 		wrap = func(conn net.Conn) net.Conn {
-			return target.NewFaultConn(conn, sched)
+			fc := target.NewFaultConn(conn, next)
+			next.Seed++
+			return fc
 		}
 	}
 	return srv.ListenAndServeWith(ln, wrap)

@@ -115,7 +115,7 @@ func All() []Experiment {
 		{"E13", "solver optimization stack: effort and throughput with the stack on vs off", E13},
 		{"E14", "crash-safe exploration: journal overhead, chaos recovery, kill + resume", E14},
 		{"E15", "exploration as a service: farm identity and warm-pool admission", E15},
-		{"E16", "RTL engine: interpreter vs compiled bytecode vs event-driven activation", E16},
+		{"E16", "RTL engine: interpreter vs compiled bytecode with event-driven activation", E16},
 		{"E17", "distributed exploration: N-node fan-out over the snapshot + solver fabric", E17},
 		{"E18", "hybrid fuzzing: parallel-worker throughput, crash identity, time-to-bug", E18},
 	}

@@ -170,7 +170,7 @@ func e16Explore(interp bool) (string, error) {
 }
 
 // E16 regenerates the RTL-engine study: cycles/sec of the interpreter
-// vs compiled bytecode vs compiled+activation on a busy-logic design
+// vs the compiled, event-driven bytecode engine on a busy-logic design
 // and a mostly-quiescent SoC, gated on the issue's speedup floors
 // (>=5x busy, >=20x quiescent) and on cycle-exact + fingerprint
 // identity. The gates make `make bench-sim` a regression tripwire: a
@@ -179,16 +179,12 @@ func e16Explore(interp bool) (string, error) {
 func E16() (*Table, error) {
 	t := &Table{
 		ID:      "E16",
-		Title:   "RTL engine: interpreter vs compiled bytecode vs event-driven activation",
+		Title:   "RTL engine: interpreter vs compiled bytecode with event-driven activation",
 		Columns: []string{"workload", "engine", "cycles/sec", "speedup"},
 	}
 
 	const busyCycles = 150_000
 	busyInterp, err := e16Busy(sim.EngineInterp, busyCycles)
-	if err != nil {
-		return nil, err
-	}
-	busyFull, err := e16Busy(sim.EngineCompiledFull, busyCycles)
 	if err != nil {
 		return nil, err
 	}
@@ -211,13 +207,11 @@ func E16() (*Table, error) {
 		t.AddRow(workload, engine, fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.1fx", rate/base))
 	}
 	row("busy-logic", "interpreter", busyInterp, busyInterp)
-	row("busy-logic", "compiled (no activation)", busyFull, busyInterp)
 	row("busy-logic", "compiled + activation", busyComp, busyInterp)
 	row("quiescent SoC (5 periphs)", "interpreter", quietInterp, quietInterp)
 	row("quiescent SoC (5 periphs)", "compiled + activation", quietComp, quietInterp)
 
 	t.AddMetric("busy_interp", busyInterp, "cycles/sec")
-	t.AddMetric("busy_compiled_full", busyFull, "cycles/sec")
 	t.AddMetric("busy_compiled", busyComp, "cycles/sec")
 	t.AddMetric("busy_speedup", busyComp/busyInterp, "x")
 	t.AddMetric("quiet_interp", quietInterp, "cycles/sec")

@@ -353,10 +353,9 @@ type NodeReport struct {
 	// discovered locally and offered to it.
 	SolverCache solver.CacheStats
 	// SnapBytesShipped is the snapshot state bytes this node actually
-	// sent the driver (subtree-result bug snapshots; delta frames in
-	// shared-fabric mode). SnapBytesFull is what a fabric-less
-	// transfer of the same records would have cost — the difference
-	// is the digest-peering savings the E17 gate measures.
+	// sent the driver (bug-snapshot delta frames). SnapBytesFull is
+	// what a fabric-less transfer of the same records would have cost —
+	// the ratio is the digest-peering savings the E17 gate measures.
 	SnapBytesShipped uint64
 	SnapBytesFull    uint64
 }

@@ -50,12 +50,6 @@ type Request struct {
 	// exactly — the proof that a bare subtree index is a complete
 	// work description.
 	Frontier *core.FrontierID `json:"frontier,omitempty"`
-	// Shared selects the shared snapshot fabric (prepare): subtree
-	// results detach their bug snapshots and ship content digests;
-	// the driver fetches each unique digest once. When false, results
-	// carry full state bytes inline (the independent-cache baseline
-	// E17 compares against).
-	Shared bool `json:"shared,omitempty"`
 	// Subtree is the seed index to run (run).
 	Subtree int `json:"subtree"`
 	// Solver carries the fabric delta the node imports before
@@ -70,8 +64,8 @@ type Request struct {
 	Full bool `json:"full,omitempty"`
 }
 
-// BugRef names one detached bug snapshot in a shared-fabric run
-// response: the record travels as a digest, not as state bytes.
+// BugRef names one detached bug snapshot in a run response: the
+// record travels as a digest, not as state bytes.
 type BugRef struct {
 	// State is the buggy symbolic state's ID (the bug-snapshot map
 	// key the driver re-attaches under).
@@ -103,14 +97,12 @@ type Response struct {
 	Token string `json:"token,omitempty"`
 	// Frontier is the node's own seed-phase outcome (prepare).
 	Frontier *core.FrontierID `json:"frontier,omitempty"`
-	// Result is the encoded core.SubtreeResult (run). In shared mode
-	// its bug snapshots are detached and listed in Bugs instead.
+	// Result is the encoded core.SubtreeResult (run). Its bug
+	// snapshots are detached and listed in Bugs instead.
 	Result []byte `json:"result,omitempty"`
-	// Bugs lists the detached bug snapshots (run, shared mode).
+	// Bugs lists the detached bug snapshots (run); the driver fetches
+	// each unique digest once.
 	Bugs []BugRef `json:"bugs,omitempty"`
-	// SnapBytes is the bug-snapshot bytes carried inline inside
-	// Result (run, independent mode; zero in shared mode).
-	SnapBytes uint64 `json:"snap_bytes,omitempty"`
 	// Solver carries verdicts this node discovered since its last
 	// response, for the driver to relay (run).
 	Solver []solver.WireEntry `json:"solver,omitempty"`

@@ -24,10 +24,6 @@ type Options struct {
 	// Dial overrides the connection factory (tests inject latency
 	// with remote.NewLatencyConn); nil dials plain TCP.
 	Dial func(addr string) (net.Conn, error)
-	// Independent disables both fabrics: results carry full snapshot
-	// state inline and solver verdicts are not relayed. This is the
-	// E17 baseline; production runs leave it false.
-	Independent bool
 	// SlotsPerNode is the number of subtrees a node runs
 	// concurrently (0 = the job's worker count).
 	SlotsPerNode int
@@ -136,7 +132,6 @@ type driver struct {
 	f      *core.Frontier
 	log    *core.CampaignLog
 	relay  *relay
-	shared bool
 	events chan<- campaign.Event
 	total  int
 
@@ -254,7 +249,6 @@ func Run(ctx context.Context, job campaign.Job, opts Options) (*campaign.Result,
 		f:       f,
 		log:     clog,
 		relay:   newRelay(f.SolverCache()),
-		shared:  !opts.Independent,
 		events:  opts.Events,
 		total:   f.NumSeeds(),
 		results: make(map[int]*core.SubtreeResult),
@@ -304,7 +298,7 @@ func Run(ctx context.Context, job campaign.Job, opts Options) (*campaign.Result,
 		prepWG.Add(1)
 		go func(addr string) {
 			defer prepWG.Done()
-			n, err := d.connectNode(job, addr, dial, opts.Independent)
+			n, err := d.connectNode(job, addr, dial)
 			if err != nil {
 				prepMu.Lock()
 				prepErrs = append(prepErrs, err)
@@ -469,7 +463,6 @@ type node struct {
 	addr   string
 	token  string
 	job    campaign.Job
-	shared bool
 	report *core.NodeReport
 }
 
@@ -501,13 +494,12 @@ func (nc *nodeConn) roundTrip(req Request) (Response, error) {
 
 // connectNode dials addr and prepares the campaign, validating that
 // the node's independently computed frontier matches the driver's.
-func (d *driver) connectNode(job campaign.Job, addr string, dial func(string) (net.Conn, error), independent bool) (*node, error) {
+func (d *driver) connectNode(job campaign.Job, addr string, dial func(string) (net.Conn, error)) (*node, error) {
 	shipped := job
 	shipped.Nodes = nil
 	n := &node{
 		addr:   addr,
 		job:    shipped,
-		shared: !independent,
 		report: &core.NodeReport{Node: addr},
 	}
 	nc, err := dialNode(addr, dial)
@@ -527,7 +519,6 @@ func (n *node) prepare(d *driver, nc *nodeConn) error {
 		Op:       "prepare",
 		Job:      &n.job,
 		Frontier: &id,
-		Shared:   n.shared,
 	})
 	if err != nil {
 		return fmt.Errorf("dist: node %s: prepare: %w", n.addr, err)
@@ -632,7 +623,7 @@ func (n *node) slotLoop(d *driver, dial func(string) (net.Conn, error), dead fun
 
 // runSubtree executes one remote subtree: ship the solver-fabric
 // delta, run, ingest the returned verdicts, and re-attach bug
-// snapshots (fetched over the digest fabric in shared mode).
+// snapshots (fetched over the digest fabric).
 func (n *node) runSubtree(d *driver, nc *nodeConn, idx int) (*core.SubtreeResult, error) {
 	resp, err := nc.roundTrip(Request{
 		Op:      "run",
@@ -651,10 +642,6 @@ func (n *node) runSubtree(d *driver, nc *nodeConn, idx int) (*core.SubtreeResult
 		return nil, fmt.Errorf("node %s: corrupt result: %w", n.addr, err)
 	}
 	d.relay.offer(resp.Solver)
-	d.mu.Lock()
-	n.report.SnapBytesShipped += resp.SnapBytes
-	n.report.SnapBytesFull += resp.SnapBytes
-	d.mu.Unlock()
 	for _, ref := range resp.Bugs {
 		rec, shipped, err := d.fetchRecord(n, nc, ref)
 		if err != nil {

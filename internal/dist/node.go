@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 
-	"hardsnap/internal/campaign"
 	"hardsnap/internal/core"
 	"hardsnap/internal/snapshot"
 )
@@ -43,8 +42,7 @@ type Server struct {
 // records this node holds, and which peripheral chunks have already
 // been shipped (those cross the wire as digests forever after).
 type nodeCampaign struct {
-	f      *core.Frontier
-	shared bool
+	f *core.Frontier
 
 	mu     sync.Mutex
 	cursor int
@@ -183,17 +181,6 @@ func (s *Server) campaign(token string) (*nodeCampaign, bool) {
 	return c, ok
 }
 
-// token names a campaign: the job identity plus the fabric mode (the
-// same job in shared and independent mode keeps separate bug/chunk
-// ledgers).
-func token(job campaign.Job, shared bool) string {
-	t := job.Fingerprint()
-	if shared {
-		t += "+shared"
-	}
-	return t
-}
-
 // prepare re-runs the seed phase for the job and validates the
 // resulting frontier against the driver's. Preparing an
 // already-resident campaign is idempotent (it just re-validates), so
@@ -205,7 +192,8 @@ func (s *Server) prepare(req Request) Response {
 	job := *req.Job
 	// A node must not recursively fan out, whatever the driver sent.
 	job.Nodes = nil
-	tok := token(job, req.Shared)
+	// The job identity names the campaign.
+	tok := job.Fingerprint()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,10 +227,9 @@ func (s *Server) prepare(req Request) Response {
 			id.Seeds, id.SeedsHash, req.Frontier.Seeds, req.Frontier.SeedsHash)}
 	}
 	c := &nodeCampaign{
-		f:      f,
-		shared: req.Shared,
-		bugs:   make(map[string]*snapshot.Record),
-		sent:   make(map[snapshot.Digest]bool),
+		f:    f,
+		bugs: make(map[string]*snapshot.Record),
+		sent: make(map[snapshot.Digest]bool),
 	}
 	// Pre-seed the shipped-chunk ledger with every peripheral chunk
 	// reachable from the seed snapshots: the FrontierID proved both
@@ -267,8 +254,8 @@ func (s *Server) prepare(req Request) Response {
 
 // run executes one subtree. The request piggybacks the solver-fabric
 // delta (imported before execution); the response piggybacks the
-// verdicts this node discovered since its previous response and — in
-// shared mode — the detached bug snapshots as content digests.
+// verdicts this node discovered since its previous response and the
+// detached bug snapshots as content digests.
 func (s *Server) run(req Request) Response {
 	c, ok := s.campaign(req.Token)
 	if !ok {
@@ -285,31 +272,19 @@ func (s *Server) run(req Request) Response {
 		return Response{Error: fmt.Sprintf("run: subtree %d: %v", req.Subtree, err)}
 	}
 	resp := Response{OK: true}
-	snaps := res.TakeBugSnapshots()
-	if c.shared {
-		for id, rec := range snaps {
-			d := snapshot.DigestRecord(rec)
-			hexd := fmt.Sprintf("%x", d[:])
-			full, err := snapshot.Encode(rec)
-			if err != nil {
-				return Response{Error: fmt.Sprintf("run: encode bug snapshot: %v", err)}
-			}
-			c.mu.Lock()
-			c.bugs[hexd] = rec
-			c.mu.Unlock()
-			resp.Bugs = append(resp.Bugs, BugRef{State: id, Digest: hexd, Bytes: uint64(len(full))})
+	for id, rec := range res.TakeBugSnapshots() {
+		d := snapshot.DigestRecord(rec)
+		hexd := fmt.Sprintf("%x", d[:])
+		full, err := snapshot.Encode(rec)
+		if err != nil {
+			return Response{Error: fmt.Sprintf("run: encode bug snapshot: %v", err)}
 		}
-		sort.Slice(resp.Bugs, func(i, j int) bool { return resp.Bugs[i].State < resp.Bugs[j].State })
-	} else {
-		for id, rec := range snaps {
-			full, err := snapshot.Encode(rec)
-			if err != nil {
-				return Response{Error: fmt.Sprintf("run: encode bug snapshot: %v", err)}
-			}
-			resp.SnapBytes += uint64(len(full))
-			res.PutBugSnapshot(id, rec)
-		}
+		c.mu.Lock()
+		c.bugs[hexd] = rec
+		c.mu.Unlock()
+		resp.Bugs = append(resp.Bugs, BugRef{State: id, Digest: hexd, Bytes: uint64(len(full))})
 	}
+	sort.Slice(resp.Bugs, func(i, j int) bool { return resp.Bugs[i].State < resp.Bugs[j].State })
 	data, err := res.Encode()
 	if err != nil {
 		return Response{Error: fmt.Sprintf("run: encode result: %v", err)}

@@ -1,200 +1,269 @@
 package remote
 
+// Error and link-failure paths of the wire protocol, from both ends:
+// what the server does with malformed or truncated input, and what the
+// client does with a peer that misbehaves.
+
 import (
-	"encoding/binary"
-	"io"
+	"bytes"
+	"errors"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"hardsnap/internal/bus"
 	"hardsnap/internal/target"
+	"hardsnap/internal/vtime"
 )
 
-// servePair is pipePair but it also reports Serve's return value.
-func servePair(t *testing.T, port bus.Port) (net.Conn, <-chan error) {
+// serveRaw runs a server for tg on one end of a pipe and returns the
+// other end plus ServeConn's eventual return value.
+func serveRaw(t *testing.T, tg *target.Target) (net.Conn, <-chan error) {
 	t.Helper()
 	cConn, sConn := net.Pipe()
 	errc := make(chan error, 1)
-	go func() {
-		errc <- Serve(sConn, port)
-	}()
-	t.Cleanup(func() {
-		cConn.Close()
-		sConn.Close()
-	})
+	go func() { errc <- NewServer(tg).ServeConn(sConn) }()
+	t.Cleanup(func() { cConn.Close(); sConn.Close() })
 	return cConn, errc
 }
 
-// errPort fails every operation with a typed target error.
-type errPort struct{ err error }
-
-func (p *errPort) ReadReg(uint32) (uint32, error) { return 0, p.err }
-func (p *errPort) WriteReg(uint32, uint32) error  { return p.err }
-func (p *errPort) IRQLevel() (bool, error)        { return false, p.err }
-
-func rawRequest(op byte, offset, value uint32) []byte {
-	req := make([]byte, reqLen)
-	req[0] = op
-	binary.LittleEndian.PutUint32(req[1:5], offset)
-	binary.LittleEndian.PutUint32(req[5:9], value)
-	req[9] = crc8(req[:9])
-	return req
+// scriptedPeer completes the hello handshake like a server hosting one
+// gpio would, then hands every later request frame to respond — a
+// stand-in for a peer that answers wrongly. It returns the connected
+// client.
+func scriptedPeer(t *testing.T, respond func(conn net.Conn, seq uint32)) *TargetClient {
+	t.Helper()
+	cConn, sConn := net.Pipe()
+	t.Cleanup(func() { cConn.Close(); sConn.Close() })
+	go func() {
+		_, seq, _, err := readFrame(sConn)
+		if err != nil {
+			return
+		}
+		info, err := gobEncode(helloInfo{Token: 1, Kind: "sim", Name: "scripted", Periphs: []string{"gpio0"}})
+		if err != nil {
+			return
+		}
+		ok := respMeta{status: vstatusOK}
+		if writeFrame(sConn, kResp, seq, ok.encode(info)) != nil {
+			return
+		}
+		for {
+			_, seq, _, err := readFrame(sConn)
+			if err != nil {
+				return
+			}
+			respond(sConn, seq)
+		}
+	}()
+	c, err := Connect(cConn, &vtime.Clock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
-func readResponse(t *testing.T, conn io.Reader) (byte, uint32) {
-	t.Helper()
-	var resp [respLen]byte
-	if _, err := io.ReadFull(conn, resp[:]); err != nil {
-		t.Fatalf("read response: %v", err)
+// TestRemoteErrorPropagation: a failing op whose result the caller is
+// waiting on (a read, as opposed to a queued write) returns the typed
+// error directly, and the link stays usable.
+func TestRemoteErrorPropagation(t *testing.T) {
+	c := v3Pipe(t, newV3Target(t))
+	_, err := (&clientPort{c: c, idx: 99}).ReadReg(0)
+	if !target.IsFatal(err) {
+		t.Fatalf("read of a missing peripheral: %v, want fatal class", err)
 	}
-	if crc8(resp[:respLen-1]) != resp[respLen-1] {
-		t.Fatalf("response CRC mismatch")
+	if err := c.Ping(); err != nil {
+		t.Fatalf("link dead after error: %v", err)
 	}
-	return resp[0], binary.LittleEndian.Uint32(resp[1:5])
+}
+
+func TestClientBrokenLink(t *testing.T) {
+	cConn, sConn := net.Pipe()
+	sConn.Close()
+	cConn.Close()
+	if _, err := Connect(cConn, nil); err == nil {
+		t.Fatal("handshake on a closed link must fail")
+	}
 }
 
 func TestServeUnknownOpcode(t *testing.T) {
-	_, p := newGPIOTarget(t)
-	conn, _ := servePair(t, p)
-
-	if _, err := conn.Write(rawRequest(99, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	status, class := readResponse(t, conn)
-	if status != statusErr {
-		t.Fatalf("unknown opcode: status %d, want statusErr", status)
-	}
-	if target.ErrorClass(class) != target.Fatal {
-		t.Fatalf("unknown opcode class %d, want fatal", class)
+	c := v3Pipe(t, newV3Target(t))
+	c.enqueue(batchOp{op: 99})
+	if err := c.flush(); !target.IsFatal(err) {
+		t.Fatalf("unknown batch op: %v, want fatal class", err)
 	}
 	// The link survives a protocol error.
-	if _, err := conn.Write(rawRequest(opPing, 0, pingMagic)); err != nil {
-		t.Fatal(err)
-	}
-	if status, echo := readResponse(t, conn); status != statusOK || echo != pingMagic {
-		t.Fatalf("ping after error: status %d echo %#x", status, echo)
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after error: %v", err)
 	}
 }
 
-func TestServeBadRequestCRC(t *testing.T) {
-	_, p := newGPIOTarget(t)
-	conn, _ := servePair(t, p)
+// batchFrame builds the wire bytes of one sequenced kBatch frame.
+func batchFrame(t *testing.T, seq uint32, ops ...batchOp) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, kBatch, seq, encodeBatch(ops)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
-	req := rawRequest(opWrite, 0, 0xBEEF)
-	req[5] ^= 0x40 // corrupt the payload, keep the stale CRC
-	if _, err := conn.Write(req); err != nil {
+func TestServeBadRequestCRC(t *testing.T) {
+	tg := newV3Target(t)
+	conn, _ := serveRaw(t, tg)
+	if _, err := Connect(conn, nil); err != nil {
 		t.Fatal(err)
 	}
-	if status, _ := readResponse(t, conn); status != statusBadFrame {
-		t.Fatalf("corrupt request: status %d, want statusBadFrame", status)
+	exchange := func(frame []byte) respMeta {
+		t.Helper()
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		kind, seq, payload, err := readFrame(conn)
+		if err != nil || kind != kResp || seq != 1 {
+			t.Fatalf("response: kind %#x seq %d err %v", kind, seq, err)
+		}
+		m, _, err := decodeMeta(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	// The corrupted write must not have been applied.
-	if _, err := conn.Write(rawRequest(opRead, 0, 0)); err != nil {
+	good := batchFrame(t, 1, batchOp{op: bWrite, offset: 0, value: 0xBEEF})
+	bad := append([]byte(nil), good...)
+	bad[v3HdrLen+4] ^= 0x40 // corrupt the payload, keep the stale CRC
+	if m := exchange(bad); m.status != vstatusBadFrame {
+		t.Fatalf("corrupt request: status %d, want vstatusBadFrame", m.status)
+	}
+	// The corrupted write must not have been applied, and its sequence
+	// number is still free for the retransmission.
+	gpio, err := tg.Port("gpio0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if status, v := readResponse(t, conn); status != statusOK || v != 0 {
-		t.Fatalf("read after rejected write: status %d value %#x", status, v)
+	if v, err := gpio.ReadReg(0); err != nil || v != 0 {
+		t.Fatalf("rejected write reached the hardware: %#x, %v", v, err)
+	}
+	if m := exchange(good); m.status != vstatusOK {
+		t.Fatalf("retransmission: status %d, want vstatusOK", m.status)
+	}
+	if v, err := gpio.ReadReg(0); err != nil || v != 0xBEEF {
+		t.Fatalf("retransmitted write: %#x, %v", v, err)
 	}
 }
 
 func TestServeTruncatedRequest(t *testing.T) {
-	_, p := newGPIOTarget(t)
-	conn, errc := servePair(t, p)
-
-	// Half a frame, then a clean close: the server must report the
+	conn, errc := serveRaw(t, newV3Target(t))
+	// Half a header, then a clean close: the server must report the
 	// truncation instead of masking it as a clean shutdown.
-	if _, err := conn.Write(rawRequest(opRead, 0, 0)[:4]); err != nil {
+	if _, err := conn.Write(batchFrame(t, 1)[:4]); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
 	err := <-errc
 	if err == nil {
-		t.Fatal("Serve must fail on a truncated request")
+		t.Fatal("ServeConn must fail on a truncated header")
 	}
 	if !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("Serve error %q, want truncation", err)
+		t.Fatalf("ServeConn error %q, want truncation", err)
 	}
 }
 
+// TestServeCleanCloseReturnsNil covers the two clean endings that
+// involve no frame at all: the peer leaves before saying hello, and the
+// server's own end is closed under a blocked read (listener shutdown).
 func TestServeCleanCloseReturnsNil(t *testing.T) {
-	_, p := newGPIOTarget(t)
-	conn, errc := servePair(t, p)
-
-	if _, err := conn.Write(rawRequest(opPing, 0, pingMagic)); err != nil {
-		t.Fatal(err)
-	}
-	readResponse(t, conn)
+	conn, errc := serveRaw(t, newV3Target(t))
 	conn.Close()
 	if err := <-errc; err != nil {
-		t.Fatalf("clean close: Serve returned %v", err)
+		t.Fatalf("peer left before hello: ServeConn returned %v", err)
+	}
+
+	cConn, sConn := net.Pipe()
+	defer cConn.Close()
+	errc2 := make(chan error, 1)
+	srv := NewServer(newV3Target(t))
+	go func() { errc2 <- srv.ServeConn(sConn) }()
+	if _, err := Connect(cConn, nil); err != nil {
+		t.Fatal(err)
+	}
+	sConn.Close()
+	if err := <-errc2; err != nil {
+		t.Fatalf("local close: ServeConn returned %v", err)
 	}
 }
 
+// TestStatusErrClassPropagation: a vstatusErr response carries the
+// target error class to the caller, and non-transient classes are
+// never retried.
 func TestStatusErrClassPropagation(t *testing.T) {
 	cases := []struct {
 		name  string
-		err   error
+		call  func(c *TargetClient) error
 		check func(error) bool
 	}{
-		{"integrity", &target.Error{Class: target.Integrity, Op: "x", Err: io.ErrShortBuffer}, target.IsIntegrity},
-		{"fatal", &target.Error{Class: target.Fatal, Op: "x", Err: io.ErrShortBuffer}, target.IsFatal},
+		{"integrity", func(c *TargetClient) error {
+			return c.fetchInto([][32]byte{{1}}) // no such chunk
+		}, target.IsIntegrity},
+		{"fatal", func(c *TargetClient) error {
+			_, err := c.roundTrip(kRestore, []byte("not gob"))
+			return err
+		}, target.IsFatal},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			conn, _ := servePair(t, &errPort{err: tc.err})
-			client := NewClient(conn)
+			c := v3Pipe(t, newV3Target(t))
 			// Generous retries: fatal/integrity errors must not be
 			// retried, only transient ones.
-			client.MaxRetries = 5
-			client.Backoff = time.Microsecond
-			_, err := client.ReadReg(0)
+			c.MaxRetries = 5
+			c.Backoff = time.Microsecond
+			err := tc.call(c)
 			if err == nil {
-				t.Fatal("errPort read must fail")
+				t.Fatal("call must fail")
 			}
 			if !tc.check(err) {
 				t.Fatalf("error %v lost its %s class", err, tc.name)
 			}
-			if client.Retries() != 0 {
-				t.Fatalf("%d retries on a non-transient error", client.Retries())
+			if r := c.WireStats().Retransmits; r != 0 {
+				t.Fatalf("%d retransmits on a non-transient error", r)
+			}
+			if err := c.Ping(); err != nil {
+				t.Fatalf("link dead after error response: %v", err)
 			}
 		})
 	}
 }
 
+// TestClientRetriesTransientStatus: a peer that rejects every
+// transmission exhausts exactly the retry budget, and the failure keeps
+// its transient class.
 func TestClientRetriesTransientStatus(t *testing.T) {
-	conn, _ := servePair(t, &errPort{
-		err: &target.Error{Class: target.Transient, Op: "x", Err: io.ErrShortBuffer},
+	c := scriptedPeer(t, func(conn net.Conn, seq uint32) {
+		m := respMeta{status: vstatusBadFrame}
+		_ = writeFrame(conn, kResp, seq, m.encode(nil))
 	})
-	client := NewClient(conn)
-	client.MaxRetries = 3
-	client.Backoff = time.Microsecond
-	_, err := client.ReadReg(0)
+	c.MaxRetries = 3
+	c.Backoff = time.Microsecond
+	err := c.Ping()
 	if err == nil {
-		t.Fatal("read must fail when every attempt is transient")
+		t.Fatal("ping must fail when every attempt is rejected")
 	}
 	if !target.IsTransient(err) {
 		t.Fatalf("exhausted retries lost transient class: %v", err)
 	}
-	if client.Retries() != 3 {
-		t.Fatalf("retries %d, want 3", client.Retries())
+	if r := c.WireStats().Retransmits; r != 3 {
+		t.Fatalf("retransmits %d, want 3", r)
 	}
 }
 
 func TestClientTruncatedResponse(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	t.Cleanup(func() { cConn.Close(); sConn.Close() })
-	go func() {
-		var req [reqLen]byte
-		if _, err := io.ReadFull(sConn, req[:]); err != nil {
-			return
-		}
-		sConn.Write([]byte{statusOK, 0x12}) // 2 of 6 bytes
-		sConn.Close()
-	}()
-	client := NewClient(cConn)
-	_, err := client.ReadReg(0)
+	c := scriptedPeer(t, func(conn net.Conn, seq uint32) {
+		_, _ = conn.Write([]byte{kResp, 0x12}) // 2 of 10 header bytes
+		conn.Close()
+	})
+	err := c.Ping()
 	if err == nil {
 		t.Fatal("truncated response must fail")
 	}
@@ -204,21 +273,12 @@ func TestClientTruncatedResponse(t *testing.T) {
 }
 
 func TestPingEchoMismatch(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	t.Cleanup(func() { cConn.Close(); sConn.Close() })
-	go func() {
-		var req [reqLen]byte
-		if _, err := io.ReadFull(sConn, req[:]); err != nil {
-			return
-		}
-		var resp [respLen]byte
-		resp[0] = statusOK
-		binary.LittleEndian.PutUint32(resp[1:5], 0xDEAD) // wrong echo
-		resp[respLen-1] = crc8(resp[:respLen-1])
-		sConn.Write(resp[:])
-	}()
-	client := NewClient(cConn)
-	err := client.Ping()
+	c := scriptedPeer(t, func(conn net.Conn, seq uint32) {
+		m := respMeta{status: vstatusOK}
+		body := encodeBatchResults([]byte{opStatusOK}, []uint64{0xDEAD}) // wrong echo
+		_ = writeFrame(conn, kResp, seq, m.encode(body))
+	})
+	err := c.Ping()
 	if err == nil {
 		t.Fatal("ping with a wrong echo must fail")
 	}
@@ -227,29 +287,37 @@ func TestPingEchoMismatch(t *testing.T) {
 	}
 }
 
+// TestClientRetryUnderFaultyLink drops frames on a link with no Dial:
+// recovery is retransmission on the same connection only, and the
+// server's duplicate suppression keeps every advance exactly-once.
 func TestClientRetryUnderFaultyLink(t *testing.T) {
-	tg, p := newGPIOTarget(t)
-	cConn, sConn := net.Pipe()
-	go func() { _ = Serve(sConn, &targetPort{Port: p, tg: tg}) }()
-	t.Cleanup(func() { cConn.Close(); sConn.Close() })
+	tg := newV3Target(t)
+	conn, _ := serveRaw(t, tg)
+	c, err := Connect(conn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Armed after the handshake, which has no deadline to detect a
+	// dropped hello with.
+	c.conn = target.NewFaultConn(conn, target.FaultSchedule{Seed: 42, DropRate: 0.25})
+	c.Timeout = 50 * time.Millisecond
+	c.MaxRetries = 25
+	c.Backoff = 100 * time.Microsecond
+	c.BackoffMax = time.Millisecond
 
-	faulty := target.NewFaultConn(cConn, target.FaultSchedule{
-		Seed:        42,
-		DropRate:    0.25,
-		CorruptRate: 0.15,
-	})
-	client := NewClient(faulty)
-	client.Timeout = 50 * time.Millisecond
-	client.MaxRetries = 25
-	client.Backoff = 100 * time.Microsecond
-	client.BackoffMax = time.Millisecond
-
-	const ops = 20
-	for i := 0; i < ops; i++ {
-		if err := client.WriteReg(0x00, uint32(i)); err != nil {
+	gpio, err := c.Port("gpio0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 20
+	for i := 0; i < steps; i++ {
+		if err := gpio.WriteReg(0x00, uint32(i)); err != nil {
 			t.Fatalf("write %d under faults: %v", i, err)
 		}
-		v, err := client.ReadReg(0x00)
+		if err := c.Advance(1); err != nil {
+			t.Fatalf("advance %d under faults: %v", i, err)
+		}
+		v, err := gpio.ReadReg(0x00)
 		if err != nil {
 			t.Fatalf("read %d under faults: %v", i, err)
 		}
@@ -257,82 +325,100 @@ func TestClientRetryUnderFaultyLink(t *testing.T) {
 			t.Fatalf("readback %d got %#x", i, v)
 		}
 	}
-	r := client.Retries()
-	if r == 0 {
-		t.Fatal("fault schedule injected nothing; retries stayed 0")
+	ws := c.WireStats()
+	if ws.Retransmits == 0 {
+		t.Fatal("fault schedule injected nothing; retransmits stayed 0")
 	}
-	if r > ops*2*25 {
-		t.Fatalf("retries %d exceed the per-transaction bound", r)
+	if ws.Reconnects != 0 {
+		t.Fatalf("%d reconnects without a Dial function", ws.Reconnects)
 	}
-	t.Logf("%d transactions, %d retries", ops*2, r)
+	if cyc := tg.Stats().Cycles; cyc != steps {
+		t.Fatalf("cycles %d, want %d (duplicated or lost advances)", cyc, steps)
+	}
 }
 
+// TestClientRedial: redials that fail with a transport error burn
+// retry budget instead of surfacing, and the session resumes on the
+// first one that succeeds.
 func TestClientRedial(t *testing.T) {
-	tg, p := newGPIOTarget(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	c, dial := v3TCP(t, newV3Target(t))
+	c.MaxRetries = 5
+	c.Backoff = 100 * time.Microsecond
+	var dials atomic.Int32
+	c.Dial = func() (net.Conn, error) {
+		if dials.Add(1) <= 2 {
+			return nil, errors.New("connection refused")
+		}
+		return dial()
+	}
+	gpio, err := c.Port("gpio0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = ListenAndServe(ln, &targetPort{Port: p, tg: tg})
-	}()
-
-	dial := func() (io.ReadWriter, error) {
-		return net.Dial("tcp", ln.Addr().String())
-	}
-	first, err := dial()
-	if err != nil {
+	if err := gpio.WriteReg(0x00, 0xA5); err != nil {
 		t.Fatal(err)
 	}
-	client := NewClient(first)
-	client.Timeout = time.Second
-	client.MaxRetries = 5
-	client.Backoff = time.Millisecond
-	client.Redial = dial
-
-	if err := client.WriteReg(0x00, 0xA5); err != nil {
+	if err := c.flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Sever the link under the client; the next transaction must
-	// reconnect transparently.
-	first.(net.Conn).Close()
-	v, err := client.ReadReg(0x00)
+	if err := c.SeverLink(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := gpio.ReadReg(0x00)
 	if err != nil {
 		t.Fatalf("read after reconnect: %v", err)
 	}
 	if v != 0xA5 {
 		t.Fatalf("state lost across reconnect: %#x", v)
 	}
-	if client.Retries() == 0 {
-		t.Fatal("reconnect should have counted a retry")
+	if n := dials.Load(); n != 3 {
+		t.Fatalf("%d dials, want 2 refused + 1 accepted", n)
 	}
-	client.conn.(net.Conn).Close()
-	ln.Close()
-	<-done
+	if r := c.WireStats().Reconnects; r != 1 {
+		t.Fatalf("reconnects %d, want 1", r)
+	}
+}
+
+// eofSignalConn reports when the server side has read the peer's close.
+type eofSignalConn struct {
+	net.Conn
+	once sync.Once
+	eof  chan struct{}
+}
+
+func (c *eofSignalConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		c.once.Do(func() { close(c.eof) })
+	}
+	return n, err
 }
 
 func TestListenAndServeSurfacesConnErrors(t *testing.T) {
-	_, p := newGPIOTarget(t)
+	srv := NewServer(newV3Target(t))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	eof := make(chan struct{})
 	errc := make(chan error, 1)
-	go func() { errc <- ListenAndServe(ln, p) }()
+	go func() {
+		errc <- srv.ListenAndServeWith(ln, func(conn net.Conn) net.Conn {
+			return &eofSignalConn{Conn: conn, eof: eof}
+		})
+	}()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(rawRequest(opRead, 0, 0)[:3]); err != nil {
+	if _, err := conn.Write(batchFrame(t, 1)[:3]); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
-	// Give the serve loop a moment to observe the truncation, then
-	// shut the listener down.
-	time.Sleep(50 * time.Millisecond)
+	// Shut the listener down only once the serve loop has observed the
+	// truncation; closing earlier would race it into a clean shutdown.
+	<-eof
 	ln.Close()
 	got := <-errc
 	if got == nil {

@@ -40,17 +40,14 @@ type session struct {
 	respOrder   []uint32
 }
 
-// Server speaks protocol v3 (and, for single-port compatibility, v2)
-// against a hosted target. It is safe for concurrent connections:
-// each worker client spawned over the wire gets its own session and
-// target clone, and the peripheral-chunk cache shared across sessions
-// is what makes digest negotiation effective — a chunk any session
-// has seen never crosses the wire again.
+// Server speaks protocol v3 against a hosted target. It is safe for
+// concurrent connections: each worker client spawned over the wire
+// gets its own session and target clone, and the peripheral-chunk
+// cache shared across sessions is what makes digest negotiation
+// effective — a chunk any session has seen never crosses the wire
+// again.
 type Server struct {
 	root *target.Target
-	// legacy, when set, answers v2 single-op frames on the same
-	// connections (hssim compatibility for old clients).
-	legacy bus.Port
 
 	mu       sync.Mutex
 	sessions map[uint32]*session
@@ -123,10 +120,6 @@ func (s *Server) evictChunksLocked() {
 		s.evictions++
 	}
 }
-
-// SetLegacyPort arms v2 compatibility: frames with a v2 opcode byte
-// are answered against this port, so pre-v3 clients keep working.
-func (s *Server) SetLegacyPort(p bus.Port) { s.legacy = p }
 
 func (s *Server) newSession(tgt *target.Target) (uint32, *session) {
 	sess := &session{
@@ -408,8 +401,7 @@ func (s *Server) applyFetch(sess *session, payload []byte) []byte {
 // applyRestore handles kRestore (chunks nil) and kPush: it banks any
 // uploaded chunks, then either reports the digests still missing or —
 // when every named chunk is resident — assembles the state and
-// applies it in the requested mode. A push without Entries only
-// populates the cache (the stop-and-wait v2-emulation path).
+// applies it in the requested mode.
 func (s *Server) applyRestore(sess *session, mode byte, entries []chunkRef, chunks []wireChunk) []byte {
 	// pinned holds this frame's uploads for the assembly below, so a
 	// concurrent eviction (another session pushing past the cap)
@@ -430,14 +422,6 @@ func (s *Server) applyRestore(sess *session, mode byte, entries []chunkRef, chun
 		}
 		pinned[c.Digest] = hw
 		s.cacheChunk(c.Digest, hw)
-	}
-	if entries == nil {
-		// Cache-only push.
-		body, err := gobEncode(restoreResp{})
-		if err != nil {
-			return sess.errPayload(err)
-		}
-		return sess.okPayload(body, false)
 	}
 	st := make(target.State, len(entries))
 	var missing [][32]byte
@@ -496,33 +480,15 @@ func (s *Server) applySpawn(sess *session, payload []byte) []byte {
 }
 
 // ServeConn answers protocol frames on one connection until it
-// closes. v2 single-op frames are dispatched against the legacy port;
-// v3 frames must open with kHello (new session on the root target) or
-// kAttach (resume after redial). A clean close between frames returns
-// nil; truncation mid-frame or header corruption is a real error.
+// closes. The first frame must be kHello (new session on the root
+// target) or kAttach (resume after redial). A clean close between
+// frames returns nil; truncation mid-frame or header corruption — the
+// stream is desynchronized, before a hello as much as after one — is a
+// real error and ends the connection.
 func (s *Server) ServeConn(conn io.ReadWriter) error {
 	var sess *session
-	var first [1]byte
 	for {
-		if _, err := io.ReadFull(conn, first[:]); err != nil {
-			switch {
-			case err == io.EOF:
-				return nil
-			case errors.Is(err, net.ErrClosed), errors.Is(err, io.ErrClosedPipe):
-				return nil
-			default:
-				return fmt.Errorf("remote: read frame: %w", err)
-			}
-		}
-		if first[0] < v3Min {
-			if err := s.serveV2Frame(conn, first[0]); err != nil {
-				return err
-			}
-			continue
-		}
-		var hdr [v3HdrLen]byte
-		hdr[0] = first[0]
-		kind, seq, payload, err := readFrameRest(conn, &hdr, 1)
+		kind, seq, payload, err := readFrame(conn)
 		switch {
 		case err == nil:
 		case errors.Is(err, errPayloadCRC):
@@ -530,9 +496,15 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			// unit so the client retransmits it as a unit.
 			m := respMeta{status: vstatusBadFrame}
 			if sess != nil {
-				if sm, merr := sess.meta(vstatusBadFrame, false); merr == nil {
+				// The session may already be live on a newer
+				// connection (the client redialed while this one still
+				// had frames buffered), so its target is read under the
+				// session lock like everywhere else.
+				sess.mu.Lock()
+				sm, merr := sess.meta(vstatusBadFrame, false)
+				sess.mu.Unlock()
+				if merr == nil {
 					m = sm
-					m.status = vstatusBadFrame
 				}
 			}
 			if werr := writeFrame(conn, kResp, seq, m.encode(nil)); werr != nil {
@@ -540,24 +512,9 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			}
 			continue
 		case errors.Is(err, errHdrCRC):
-			if sess == nil {
-				// No v3 session on this conn yet, so this may equally
-				// well be a corrupted v2 request (both are 10 bytes):
-				// answer it as one — handleV2's own CRC check turns
-				// it into statusBadFrame and the v2 client
-				// retransmits. After a v3 hello, header corruption
-				// means desync and the connection must die.
-				port := s.legacy
-				if port == nil {
-					port = unsupportedPort{}
-				}
-				resp := handleV2(hdr, port)
-				if _, werr := conn.Write(resp[:]); werr != nil {
-					return fmt.Errorf("remote: write response: %w", werr)
-				}
-				continue
-			}
 			return err
+		case err == io.EOF:
+			return nil
 		case err == io.ErrUnexpectedEOF:
 			return fmt.Errorf("remote: truncated v3 frame: %w", err)
 		case errors.Is(err, net.ErrClosed), errors.Is(err, io.ErrClosedPipe):
@@ -628,39 +585,6 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		}
 	}
 }
-
-// serveV2Frame answers one v2 request whose opcode byte is already
-// consumed.
-func (s *Server) serveV2Frame(conn io.ReadWriter, opcode byte) error {
-	var req [reqLen]byte
-	req[0] = opcode
-	if _, err := io.ReadFull(conn, req[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("remote: truncated request: %w", err)
-	}
-	port := s.legacy
-	if port == nil {
-		port = unsupportedPort{}
-	}
-	resp := handleV2(req, port)
-	if _, err := conn.Write(resp[:]); err != nil {
-		return fmt.Errorf("remote: write response: %w", err)
-	}
-	return nil
-}
-
-// unsupportedPort rejects v2 traffic on servers without a legacy
-// port.
-type unsupportedPort struct{}
-
-func (unsupportedPort) ReadReg(uint32) (uint32, error) { return 0, errNoLegacy }
-func (unsupportedPort) WriteReg(uint32, uint32) error  { return errNoLegacy }
-func (unsupportedPort) IRQLevel() (bool, error)        { return false, errNoLegacy }
-
-var errNoLegacy = &target.Error{Class: target.Fatal, Op: "remote",
-	Err: errors.New("server has no v2 legacy port")}
 
 // ListenAndServe accepts connections and serves each in its own
 // goroutine (spawned worker clients need concurrent sessions). It

@@ -111,28 +111,26 @@ type sentFrame struct {
 // clock, IRQ levels, pending violation count) is mirrored client-side
 // so the engine's bookkeeping reads cost no round trips.
 //
-// Like the v2 client it is not safe for concurrent use; the VM
-// serializes hardware access. Workers spawned via SpawnWorker get
-// their own connection and session and may run concurrently with the
-// parent.
+// It is not safe for concurrent use; the VM serializes hardware
+// access, matching the single memory bus of the modeled SoC. Workers
+// spawned via SpawnWorker get their own connection and session and may
+// run concurrently with the parent.
 type TargetClient struct {
 	conn  io.ReadWriter
 	clock *vtime.Clock
 
-	// Timeout, MaxRetries, Backoff, BackoffMax, Dial mirror the v2
-	// client's per-transaction reliability knobs; Dial (when set)
-	// re-establishes the link and re-attaches the session after a
-	// transport error.
+	// Timeout is the per-frame deadline, applied when the connection
+	// supports deadlines (any net.Conn); zero disables. MaxRetries
+	// bounds the window retransmissions and redials per drained
+	// response; 0 fails on the first error. Backoff is the initial
+	// delay between retries, doubled each time up to BackoffMax (zero
+	// values take 200µs / 50ms). Dial, when set, re-establishes the
+	// link and re-attaches the session after a transport error.
 	Timeout    time.Duration
 	MaxRetries int
 	Backoff    time.Duration
 	BackoffMax time.Duration
 	Dial       func() (net.Conn, error)
-	// Legacy degrades the client to protocol-v2 behavior over v3
-	// frames — one op per frame, no mirrors, no digest negotiation,
-	// full state transfers — as the baseline leg of latency
-	// experiments.
-	Legacy bool
 	// MaxBatch caps ops per frame; MaxInflight caps pipelined frames.
 	MaxBatch    int
 	MaxInflight int
@@ -733,9 +731,6 @@ func (p *clientPort) ReadReg(offset uint32) (uint32, error) {
 
 func (p *clientPort) WriteReg(offset uint32, v uint32) error {
 	p.c.enqueue(batchOp{op: bWrite, periph: p.idx, offset: offset, value: uint64(v)})
-	if p.c.Legacy {
-		return p.c.flush()
-	}
 	if len(p.c.queue) >= p.c.maxBatch() {
 		// Ship the full batch without waiting: frames pipeline up to
 		// MaxInflight deep, so write bursts overlap link latency.
@@ -746,20 +741,18 @@ func (p *clientPort) WriteReg(offset uint32, v uint32) error {
 
 func (p *clientPort) IRQLevel() (bool, error) {
 	c := p.c
-	if !c.Legacy {
-		// A statically constant-low line needs no wire traffic at
-		// all — not even a flush of queued work.
-		if c.irqMask&(1<<uint(p.idx)) == 0 {
-			return false, nil
+	// A statically constant-low line needs no wire traffic at all —
+	// not even a flush of queued work.
+	if c.irqMask&(1<<uint(p.idx)) == 0 {
+		return false, nil
+	}
+	if !c.mirrorsFresh() {
+		if err := c.flush(); err != nil {
+			return false, err
 		}
-		if !c.mirrorsFresh() {
-			if err := c.flush(); err != nil {
-				return false, err
-			}
-		}
-		if c.irqValid {
-			return c.irqBits&(1<<uint(p.idx)) != 0, nil
-		}
+	}
+	if c.irqValid {
+		return c.irqBits&(1<<uint(p.idx)) != 0, nil
 	}
 	c.enqueue(batchOp{op: bIRQ, periph: p.idx})
 	v, err := c.flushCapture(true)
@@ -820,14 +813,11 @@ func (c *TargetClient) Advance(n uint64) error {
 	// between them, no observer can distinguish Advance(a);Advance(b)
 	// from Advance(a+b), so per-instruction clocking collapses into
 	// one wire op per burst.
-	if last := len(c.queue) - 1; !c.Legacy && last >= 0 && c.queue[last].op == bAdvance {
+	if last := len(c.queue) - 1; last >= 0 && c.queue[last].op == bAdvance {
 		c.queue[last].value += n
 		return nil
 	}
 	c.enqueue(batchOp{op: bAdvance, value: n})
-	if c.Legacy {
-		return c.flush()
-	}
 	if len(c.queue) >= c.maxBatch() {
 		return c.asyncFlush()
 	}
@@ -854,14 +844,8 @@ func (c *TargetClient) Ping() error {
 	return nil
 }
 
-// Generation mirrors the remote mutation generation. In legacy mode
-// the counter moves on every call, which disables all generation-
-// proven snapshot skips — the honest protocol-v2 cost model.
+// Generation mirrors the remote mutation generation.
 func (c *TargetClient) Generation() uint64 {
-	if c.Legacy {
-		c.genPoison++
-		return c.gen + c.genPoison
-	}
 	if !c.mirrorsFresh() {
 		if err := c.flush(); err != nil {
 			// Poisoning the generation makes every skip proof fail
@@ -890,7 +874,7 @@ func (c *TargetClient) AnchorSeq() uint64 {
 func (c *TargetClient) TakeViolations() []target.Violation {
 	// Without registered hardware assertions the target can never
 	// produce a violation: answer locally, without even flushing.
-	if !c.Legacy && !c.hasAssertions {
+	if !c.hasAssertions {
 		return nil
 	}
 	if !c.mirrorsFresh() {
@@ -899,7 +883,7 @@ func (c *TargetClient) TakeViolations() []target.Violation {
 			return nil
 		}
 	}
-	if !c.Legacy && c.pending == 0 {
+	if c.pending == 0 {
 		return nil
 	}
 	body, err := c.roundTrip(kViolations, nil)
@@ -967,9 +951,6 @@ func (c *TargetClient) Save() (target.State, error) {
 	if err := gobDecode(body, &offer); err != nil {
 		return nil, &target.Error{Class: target.Transient, Op: "remote", Err: err}
 	}
-	if c.Legacy {
-		return c.fetchAll(offer.Entries)
-	}
 	st := make(target.State, len(offer.Entries))
 	var missing [][32]byte
 	seen := make(map[snapshot.Digest]bool)
@@ -1035,38 +1016,6 @@ func (c *TargetClient) fetchInto(digests [][32]byte) error {
 	return nil
 }
 
-// fetchAll is the legacy save path: every chunk crosses the wire in
-// its own stop-and-wait frame, cache or no cache.
-func (c *TargetClient) fetchAll(entries []chunkRef) (target.State, error) {
-	st := make(target.State, len(entries))
-	for _, e := range entries {
-		payload, err := gobEncode(fetchReq{Digests: [][32]byte{e.Digest}})
-		if err != nil {
-			return nil, err
-		}
-		body, err := c.roundTrip(kFetch, payload)
-		if err != nil {
-			return nil, err
-		}
-		var resp fetchResp
-		if err := gobDecode(body, &resp); err != nil {
-			return nil, &target.Error{Class: target.Transient, Op: "remote", Err: err}
-		}
-		if len(resp.Chunks) != 1 {
-			return nil, &target.Error{Class: target.Integrity, Op: "remote",
-				Err: fmt.Errorf("expected 1 chunk, got %d", len(resp.Chunks))}
-		}
-		hw := &sim.HWState{}
-		if err := gobDecode(resp.Chunks[0].Data, hw); err != nil {
-			return nil, &target.Error{Class: target.Integrity, Op: "remote", Err: err}
-		}
-		c.wire.bytesReceived.Add(uint64(len(resp.Chunks[0].Data)))
-		c.chunks.put(e.Digest, hw)
-		st[e.Name] = hw
-	}
-	return st, nil
-}
-
 // stateEntries names a state's chunks by content digest in a
 // deterministic order, caching the chunks locally (the state is about
 // to be live on both ends).
@@ -1100,9 +1049,6 @@ func (c *TargetClient) applyRemote(s target.State, mode byte) (restoreResp, erro
 		return restoreResp{}, err
 	}
 	entries, byDigest := c.stateEntries(s)
-	if c.Legacy {
-		return c.applyLegacy(entries, byDigest, mode)
-	}
 	payload, err := gobEncode(restoreReq{Mode: mode, Entries: entries})
 	if err != nil {
 		return restoreResp{}, err
@@ -1179,38 +1125,6 @@ func (c *TargetClient) applyRemote(s target.State, mode byte) (restoreResp, erro
 // the client can re-send them.
 const maxPushRounds = 4
 
-// applyLegacy pushes every chunk in its own frame, then applies — the
-// v2-era full-transfer cost.
-func (c *TargetClient) applyLegacy(entries []chunkRef, byDigest map[snapshot.Digest]*sim.HWState, mode byte) (restoreResp, error) {
-	for _, e := range entries {
-		data, err := gobEncode(byDigest[e.Digest])
-		if err != nil {
-			return restoreResp{}, err
-		}
-		payload, err := gobEncode(pushReq{Mode: mode, Chunks: []wireChunk{{Digest: e.Digest, Data: data}}})
-		if err != nil {
-			return restoreResp{}, err
-		}
-		if _, err := c.roundTrip(kPush, payload); err != nil {
-			return restoreResp{}, err
-		}
-		c.wire.bytesSent.Add(uint64(len(data)))
-	}
-	payload, err := gobEncode(restoreReq{Mode: mode, Entries: entries})
-	if err != nil {
-		return restoreResp{}, err
-	}
-	body, err := c.roundTrip(kRestore, payload)
-	if err != nil {
-		return restoreResp{}, err
-	}
-	var resp restoreResp
-	if err := gobDecode(body, &resp); err != nil {
-		return restoreResp{}, &target.Error{Class: target.Transient, Op: "remote", Err: err}
-	}
-	return resp, nil
-}
-
 // Restore loads a full state into the remote hardware.
 func (c *TargetClient) Restore(s target.State) error {
 	resp, err := c.applyRemote(s, modeRestore)
@@ -1229,9 +1143,6 @@ func (c *TargetClient) Restore(s target.State) error {
 // caller falls back to Restore — which then moves zero bytes, since
 // the negotiation just populated both chunk caches.
 func (c *TargetClient) RestoreDelta(s target.State) (bool, error) {
-	if c.Legacy {
-		return false, nil
-	}
 	resp, err := c.applyRemote(s, modeDelta)
 	if err != nil {
 		return false, err
@@ -1289,7 +1200,6 @@ func (c *TargetClient) SpawnWorker(name string, clock *vtime.Clock, stream int) 
 		Backoff:     c.Backoff,
 		BackoffMax:  c.BackoffMax,
 		Dial:        c.Dial,
-		Legacy:      c.Legacy,
 		MaxBatch:    c.MaxBatch,
 		MaxInflight: c.MaxInflight,
 		store:       c.store,

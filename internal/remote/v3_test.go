@@ -1,7 +1,7 @@
 package remote
 
 import (
-	"io"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -13,7 +13,7 @@ import (
 	"hardsnap/internal/vtime"
 )
 
-func newV3Target(t *testing.T) *target.Target {
+func newV3Target(t testing.TB) *target.Target {
 	t.Helper()
 	tg, err := target.NewSimulator("remote-sim", &vtime.Clock{}, []target.PeriphConfig{
 		{Name: "gpio0", Periph: "gpio"},
@@ -111,6 +111,85 @@ func engineStep(t *testing.T, c *TargetClient, i uint32) {
 	c.TakeViolations()
 }
 
+func TestRemoteReadWrite(t *testing.T) {
+	c := v3Pipe(t, newV3Target(t))
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	gpio, err := c.Port("gpio0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gpio.WriteReg(0x00, 0xBEEF); err != nil {
+		t.Fatal(err)
+	}
+	v, err := gpio.ReadReg(0x00)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 0xBEEF {
+		t.Fatalf("remote readback %#x", v)
+	}
+	if _, err := c.Port("nope"); err == nil {
+		t.Fatal("unknown peripheral name must be rejected client-side")
+	}
+}
+
+func TestRemoteIRQAndAdvance(t *testing.T) {
+	tg, err := target.NewSimulator("sim", &vtime.Clock{}, []target.PeriphConfig{
+		{Name: "timer0", Periph: "timer"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := v3Pipe(t, tg)
+	timer, err := c.Port("timer0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := timer.WriteReg(0x00, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := timer.WriteReg(0x08, 3); err != nil {
+		t.Fatal(err)
+	}
+	level, err := timer.IRQLevel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if level {
+		t.Fatal("irq too early")
+	}
+	if err := c.Advance(10); err != nil {
+		t.Fatal(err)
+	}
+	level, err = timer.IRQLevel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !level {
+		t.Fatal("irq not raised after remote advance")
+	}
+}
+
+func TestRemoteOverTCP(t *testing.T) {
+	c, _ := v3TCP(t, newV3Target(t))
+	gpio, err := c.Port("gpio0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gpio.WriteReg(0x08, 0xFF); err != nil {
+		t.Fatal(err)
+	}
+	v, err := gpio.ReadReg(0x08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 0xFF {
+		t.Fatalf("tcp readback %#x", v)
+	}
+}
+
 func TestV3BatchCoalescing(t *testing.T) {
 	tg := newV3Target(t)
 	c := v3Pipe(t, tg)
@@ -168,27 +247,18 @@ func TestV3BatchCoalescing(t *testing.T) {
 	}
 }
 
-func TestV3StepFrameBudgetVsLegacy(t *testing.T) {
+// TestV3StepFrameBudget: a scheduling step's hardware traffic (bus
+// writes, advance, IRQ sweep, violation check) costs at most one frame.
+func TestV3StepFrameBudget(t *testing.T) {
 	const steps = 20
-	run := func(legacy bool) uint64 {
-		tg := newV3Target(t)
-		c := v3Pipe(t, tg)
-		c.Legacy = legacy
-		base := c.WireStats().Frames
-		for i := 0; i < steps; i++ {
-			engineStep(t, c, uint32(i))
-		}
-		return c.WireStats().Frames - base
+	c := v3Pipe(t, newV3Target(t))
+	base := c.WireStats().Frames
+	for i := 0; i < steps; i++ {
+		engineStep(t, c, uint32(i))
 	}
-	v3 := run(false)
-	legacy := run(true)
-	if v3 > steps {
-		t.Fatalf("v3 used %d frames for %d steps, want ≤ 1/step", v3, steps)
+	if got := c.WireStats().Frames - base; got > steps {
+		t.Fatalf("%d frames for %d steps, want ≤ 1/step", got, steps)
 	}
-	if legacy < 5*v3 {
-		t.Fatalf("legacy %d frames vs v3 %d: expected ≥5x reduction", legacy, v3)
-	}
-	t.Logf("frames for %d steps: legacy=%d v3=%d (%.1fx)", steps, legacy, v3, float64(legacy)/float64(v3))
 }
 
 func TestV3SaveRestoreDigestNegotiation(t *testing.T) {
@@ -318,34 +388,6 @@ func TestV3RestoreDelta(t *testing.T) {
 	if tg.Stats().DeltaRestores == 0 {
 		t.Fatal("server target did not use the incremental path")
 	}
-}
-
-func TestV3LegacyDisablesDeltaAndDedup(t *testing.T) {
-	tg := newV3Target(t)
-	c := v3Pipe(t, tg)
-	c.Legacy = true
-	st, err := c.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.WireStats().StateBytesReceived; got == 0 {
-		t.Fatal("legacy save must transfer every chunk")
-	}
-	if did, err := c.RestoreDelta(st); err != nil || did {
-		t.Fatalf("legacy RestoreDelta = (%v, %v), want (false, nil)", did, err)
-	}
-	pre := c.WireStats()
-	if err := c.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if d := c.WireStats().StateBytesSent - pre.StateBytesSent; d == 0 {
-		t.Fatal("legacy restore must re-send every chunk")
-	}
-	g1 := c.Generation()
-	if g2 := c.Generation(); g2 == g1 {
-		t.Fatal("legacy generation must move every call (no skip proofs)")
-	}
-	_ = tg
 }
 
 func TestV3SpawnWorkerIsolation(t *testing.T) {
@@ -783,9 +825,6 @@ func TestServeConnV3HeaderCorruptionDesyncs(t *testing.T) {
 	go func() { errc <- srv.ServeConn(sConn) }()
 	t.Cleanup(func() { cConn.Close(); sConn.Close() })
 
-	// Establish a v3 session first: before the hello, a bad header is
-	// indistinguishable from a corrupted v2 request and is answered
-	// with a v2 bad-frame status instead of killing the link.
 	done := make(chan error, 1)
 	go func() {
 		if _, err := Connect(cConn, &vtime.Clock{}); err != nil {
@@ -802,118 +841,64 @@ func TestServeConnV3HeaderCorruptionDesyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := <-errc
-	if err == nil {
-		t.Fatal("header corruption must kill the connection")
-	}
-	if !strings.Contains(err.Error(), "header") {
-		t.Fatalf("error %q, want header corruption", err)
+	if !errors.Is(err, errHdrCRC) {
+		t.Fatalf("ServeConn returned %v, want the header-corruption error", err)
 	}
 }
 
-func TestServeConnV3PreHelloHeaderCorruptionAnswersV2(t *testing.T) {
-	// Before any v3 traffic the 10 bytes of a corrupted header may
-	// just as well be a corrupted v2 request; the server must answer
-	// statusBadFrame (v2) and keep the connection alive.
-	tg := newV3Target(t)
+// flipHeaderOnce flips one bit in the header of the first frame
+// written, as a noisy link would.
+type flipHeaderOnce struct {
+	net.Conn
+	done bool
+}
+
+func (c *flipHeaderOnce) Write(p []byte) (int, error) {
+	if c.done || len(p) < v3HdrLen {
+		return c.Conn.Write(p)
+	}
+	c.done = true
+	q := append([]byte(nil), p...)
+	q[2] ^= 0x10 // a sequence-number byte: the header CRC no longer matches
+	return c.Conn.Write(q)
+}
+
+// TestServeConnV3PreHelloHeaderCorruptionFailsFast: a hello whose
+// header is corrupted in flight desynchronizes the stream exactly like
+// a later frame would. The server must end the connection with the
+// header error, and Connect — which has no deadline at handshake time —
+// must see the close and fail instead of waiting for an answer that
+// cannot be framed.
+func TestServeConnV3PreHelloHeaderCorruptionFailsFast(t *testing.T) {
 	cConn, sConn := net.Pipe()
-	srv := NewServer(tg)
+	srv := NewServer(newV3Target(t))
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ServeConn(sConn) }()
+	go func() {
+		err := srv.ServeConn(sConn)
+		sConn.Close() // what ListenAndServe does when ServeConn returns
+		errc <- err
+	}()
 	t.Cleanup(func() { cConn.Close(); sConn.Close() })
 
+	connected := make(chan error, 1)
 	go func() {
-		hdr := make([]byte, v3HdrLen)
-		hdr[0] = kBatch // >= v3Min, so it parses as a v3 header
-		hdr[9] = crc8(hdr[:9]) ^ 0xFF
-		if _, err := cConn.Write(hdr); err != nil {
-			t.Error(err)
-		}
+		_, err := Connect(&flipHeaderOnce{Conn: cConn}, nil)
+		connected <- err
 	}()
-	var resp [respLen]byte
-	if _, err := io.ReadFull(cConn, resp[:]); err != nil {
-		t.Fatal(err)
-	}
-	if resp[0] != statusBadFrame {
-		t.Fatalf("status %d, want v2 statusBadFrame", resp[0])
-	}
-	// The link survives: a clean v3 hello must still work.
-	done := make(chan error, 1)
-	go func() {
-		c, err := Connect(cConn, &vtime.Clock{})
+	select {
+	case err := <-connected:
 		if err == nil {
-			err = c.Ping()
+			t.Fatal("Connect succeeded through a corrupted hello header")
 		}
-		done <- err
-	}()
-	if err := <-done; err != nil {
-		t.Fatal(err)
+		var te *transportError
+		if !errors.As(err, &te) {
+			t.Fatalf("Connect error %v (%T), want a transport error", err, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Connect hung on a corrupted hello header")
 	}
-	cConn.Close()
-	if err := <-errc; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-}
-
-func TestV3LegacyV2ClientCompat(t *testing.T) {
-	// A v2 client keeps working against a v3 server with a legacy
-	// port armed, even interleaved with v3 sessions on other conns.
-	tg := newV3Target(t)
-	p, err := tg.Port("gpio0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(tg)
-	srv.SetLegacyPort(&targetPort{Port: p, tg: tg})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.ListenAndServe(ln)
-	}()
-	t.Cleanup(func() { ln.Close(); <-done })
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	v2 := NewClient(conn)
-	if err := v2.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.WriteReg(0x00, 0xEE); err != nil {
-		t.Fatal(err)
-	}
-	v, err := v2.ReadReg(0x00)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0xEE {
-		t.Fatalf("v2-over-v3-server readback %#x", v)
-	}
-
-	conn3, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn3.Close()
-	c3, err := Connect(conn3, &vtime.Clock{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpio, err := c3.Port("gpio0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err = gpio.ReadReg(0x00)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0xEE {
-		t.Fatalf("v3 session sees %#x, want the v2 client's write", v)
+	if err := <-errc; !errors.Is(err, errHdrCRC) {
+		t.Fatalf("ServeConn returned %v, want the header-corruption error", err)
 	}
 }
 

@@ -1,20 +1,23 @@
-// Protocol v3: batched, pipelined frames with wire-level snapshot
-// transfer.
+// Package remote implements the remote interface through which the
+// symbolic virtual machine reaches out-of-process hardware targets. In
+// the paper this role is played by a shared-memory channel (simulator
+// target) and a USB 3.0 low-latency debugger (FPGA target); here any
+// net.Conn works, including net.Pipe for in-process use and TCP
+// sockets for genuine out-of-process targets.
 //
-// Where v2 pays one blocking 10-byte-request / 6-byte-response round
-// trip per register operation, v3 moves *frames*: one CRC-framed
-// request carries a whole vector of register ops plus the clock
-// advance of an engine step, and one response frame carries every
-// result plus piggybacked target telemetry (mutation generation,
-// anchor sequence, virtual clock, IRQ levels, pending violation
-// count), so the common scheduling loop costs one round trip instead
-// of five. Sequence numbers let the client keep several frames in
-// flight over a high-latency link (go-back-N retransmission, server-
-// side duplicate suppression with a response cache), and snapshot
-// opcodes move Save/Restore/RestoreDelta state as digest-negotiated,
-// length-prefixed, checksummed peripheral chunks: the sender offers
-// sha256 content addresses first and only the chunks the receiver
-// does not already hold cross the wire.
+// The protocol moves batched, pipelined *frames* with wire-level
+// snapshot transfer: one CRC-framed request carries a whole vector of
+// register ops plus the clock advance of an engine step, and one
+// response frame carries every result plus piggybacked target
+// telemetry (mutation generation, anchor sequence, virtual clock, IRQ
+// levels, pending violation count), so the common scheduling loop
+// costs one round trip. Sequence numbers let the client keep several
+// frames in flight over a high-latency link (go-back-N retransmission,
+// server-side duplicate suppression with a response cache), and
+// snapshot opcodes move Save/Restore/RestoreDelta state as digest-
+// negotiated, length-prefixed, checksummed peripheral chunks: the
+// sender offers sha256 content addresses first and only the chunks the
+// receiver does not already hold cross the wire.
 //
 // Frame layout (all integers little-endian):
 //
@@ -27,8 +30,10 @@
 // with vstatusBadFrame and the frame — never partially applied — is
 // retransmitted as a unit.
 //
-// v3 kinds start at 0x10; bytes below that are v2 opcodes, so one
-// server port can speak both protocols (see Server).
+// This is the third wire generation and the only one served. Its
+// predecessor (one blocking 10-byte request / 6-byte response round
+// trip per register operation) was deleted in PR 12; the numbers it
+// produced survive as recorded constants in experiment E12.
 package remote
 
 import (
@@ -40,12 +45,57 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"hardsnap/internal/target"
 )
+
+// crc8 folds an IEEE CRC-32 into one byte: enough to catch the
+// single-bit and burst corruption a flaky link produces.
+func crc8(b []byte) byte {
+	s := crc32.ChecksumIEEE(b)
+	return byte(s) ^ byte(s>>8) ^ byte(s>>16) ^ byte(s>>24)
+}
+
+// deadliner is the deadline surface of net.Conn; the client uses it
+// when the transport provides it.
+type deadliner interface {
+	SetDeadline(t time.Time) error
+}
+
+// transportError marks errors from the conn itself (as opposed to
+// protocol-level transient errors), so the retry loop knows when a
+// redial is worthwhile.
+type transportError struct{ err error }
+
+func (e *transportError) Error() string { return e.err.Error() }
+func (e *transportError) Unwrap() error { return e.err }
+
+// retryable reports whether a transaction failure is worth
+// retransmitting: transport errors (timeouts, drops, broken links)
+// and protocol-transient errors are; target-side fatal/integrity
+// errors are not.
+func retryable(err error) bool {
+	var te *transportError
+	if errors.As(err, &te) {
+		return true
+	}
+	return target.IsTransient(err)
+}
+
+// errorClass maps a target-side operation error onto the wire.
+func errorClass(err error) target.ErrorClass {
+	var te *target.Error
+	if errors.As(err, &te) {
+		return te.Class
+	}
+	return target.Fatal
+}
+
+// pingMagic is the echo payload of a bPing op ("HSRP").
+const pingMagic = 0x48535250
 
 // v3 frame kinds.
 const (
-	v3Min = 0x10 // first v3 kind; lower bytes are v2 opcodes
-
 	kHello      = 0x10 // establish a new session on the root target
 	kAttach     = 0x11 // re-attach an existing session after a redial
 	kBatch      = 0x12 // vectored register ops + advance
@@ -118,16 +168,14 @@ func writeFrame(w io.Writer, kind byte, seq uint32, payload []byte) error {
 	return err
 }
 
-// readFrameRest completes a v3 frame whose header is partially read
-// (hdr[:have] already hold bytes from the stream). It returns the
-// kind, sequence number and payload; errPayloadCRC means the frame
-// was framed correctly but its payload is corrupt (seq is valid and
-// the stream is still in sync), errHdrCRC means the stream is lost.
-func readFrameRest(r io.Reader, hdr *[v3HdrLen]byte, have int) (kind byte, seq uint32, payload []byte, err error) {
-	if _, err = io.ReadFull(r, hdr[have:]); err != nil {
-		if err == io.EOF && have > 0 {
-			err = io.ErrUnexpectedEOF
-		}
+// readFrame reads one whole v3 frame. It returns the kind, sequence
+// number and payload; errPayloadCRC means the frame was framed
+// correctly but its payload is corrupt (seq is valid and the stream is
+// still in sync), errHdrCRC means the stream is lost. io.EOF is
+// returned only when the stream ends cleanly between frames.
+func readFrame(r io.Reader) (kind byte, seq uint32, payload []byte, err error) {
+	var hdr [v3HdrLen]byte
+	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
 	if crc8(hdr[:9]) != hdr[9] {
@@ -153,15 +201,9 @@ func readFrameRest(r io.Reader, hdr *[v3HdrLen]byte, have int) (kind byte, seq u
 	return kind, seq, payload, nil
 }
 
-// readFrame reads one whole v3 frame.
-func readFrame(r io.Reader) (kind byte, seq uint32, payload []byte, err error) {
-	var hdr [v3HdrLen]byte
-	return readFrameRest(r, &hdr, 0)
-}
-
 // respMeta is the telemetry header piggybacked on every response
-// frame. It is what eliminates most of v2's round trips: after any
-// flush the client answers Generation, AnchorSeq, IRQ sampling,
+// frame. It is what keeps a scheduling step at one round trip: after
+// any flush the client answers Generation, AnchorSeq, IRQ sampling,
 // violation checks and virtual-clock reads from this mirror instead
 // of issuing dedicated requests.
 type respMeta struct {
@@ -371,9 +413,8 @@ type restoreReq struct {
 	Entries []chunkRef
 }
 
-// pushReq uploads chunks. With Entries set it also applies the
-// restore; with Entries nil it only populates the receiver's cache
-// (the v2-emulation stop-and-wait path).
+// pushReq is a restoreReq that also uploads the chunks the server
+// reported missing.
 type pushReq struct {
 	Mode    byte
 	Entries []chunkRef

@@ -10,12 +10,11 @@ type Stats struct {
 	SeqRuns  uint64 // sequential blocks executed
 }
 
-// Engine executes a compiled Program against a shared rtl.State. With
-// activation enabled (the default), Settle and RunSeq only execute
-// nodes whose inputs changed since their last run; external writers
-// (pokes, restores, register commits) report changes via
-// MarkSignal/MarkMemory. With activation disabled every node runs on
-// every call — the compiled-only baseline E16 measures.
+// Engine executes a compiled Program against a shared rtl.State.
+// Scheduling is event-driven: Settle and RunSeq only execute nodes
+// whose inputs changed since their last run; external writers (pokes,
+// restores, register commits) report changes via
+// MarkSignal/MarkMemory.
 //
 // The engine mutates the state exactly as the interpreter would: comb
 // stores apply immediately in topological order, sequential stores
@@ -26,7 +25,6 @@ type Engine struct {
 
 	stack []uint64
 
-	activation  bool
 	combPending []bool
 	combLive    int
 	seqPending  []bool
@@ -37,12 +35,11 @@ type Engine struct {
 
 // NewEngine binds a program to a state. All nodes start pending, so
 // the first Settle reproduces the interpreter's initial full sweep.
-func NewEngine(p *Program, st *rtl.State, activation bool) *Engine {
+func NewEngine(p *Program, st *rtl.State) *Engine {
 	e := &Engine{
 		p:           p,
 		st:          st,
 		stack:       make([]uint64, p.stackMax),
-		activation:  activation,
 		combPending: make([]bool, len(p.combs)),
 		seqPending:  make([]bool, len(p.seqs)),
 		combLive:    len(p.combs),
@@ -59,9 +56,6 @@ func NewEngine(p *Program, st *rtl.State, activation bool) *Engine {
 
 // Stats returns the work counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// Activation reports whether event-driven scheduling is enabled.
-func (e *Engine) Activation() bool { return e.activation }
 
 func (e *Engine) wakeComb(i int) {
 	if !e.combPending[i] {
@@ -85,9 +79,6 @@ func (e *Engine) wakeSeq(i int) {
 // -1 for external writers; the driver skip avoids a node endlessly
 // re-waking itself through its own full-width output.
 func (e *Engine) touchSig(id, self int) {
-	if !e.activation {
-		return
-	}
 	for _, j := range e.p.sigCombReaders[id] {
 		e.wakeComb(int(j))
 	}
@@ -104,9 +95,6 @@ func (e *Engine) touchSig(id, self int) {
 // overwritten on the next settle exactly as the interpreter's
 // unconditional sweep would overwrite it.
 func (e *Engine) touchMem(id int) {
-	if !e.activation {
-		return
-	}
 	for _, j := range e.p.memCombReaders[id] {
 		e.wakeComb(int(j))
 	}
@@ -135,13 +123,6 @@ func (e *Engine) MarkMemory(id int) { e.touchMem(id) }
 // would also first see the change).
 func (e *Engine) Settle() {
 	e.stats.Settles++
-	if !e.activation {
-		for i := range e.p.combs {
-			e.exec(e.p.combs[i], nil, i)
-		}
-		e.stats.CombRuns += uint64(len(e.p.combs))
-		return
-	}
 	if e.combLive == 0 {
 		return
 	}
@@ -162,25 +143,18 @@ func (e *Engine) Settle() {
 // writes it emitted then — and those were already committed, making
 // them no-ops the change-detecting commit loop would not re-mark.
 func (e *Engine) RunSeq(buf *[]rtl.Write) {
-	if e.activation {
-		if e.seqLive == 0 {
-			return
-		}
-		for i := range e.seqPending {
-			if !e.seqPending[i] {
-				continue
-			}
-			e.seqPending[i] = false
-			e.seqLive--
-			e.exec(e.p.seqs[i], buf, -1)
-			e.stats.SeqRuns++
-		}
+	if e.seqLive == 0 {
 		return
 	}
-	for i := range e.p.seqs {
+	for i := range e.seqPending {
+		if !e.seqPending[i] {
+			continue
+		}
+		e.seqPending[i] = false
+		e.seqLive--
 		e.exec(e.p.seqs[i], buf, -1)
+		e.stats.SeqRuns++
 	}
-	e.stats.SeqRuns += uint64(len(e.p.seqs))
 }
 
 // exec interprets one node's ops. The loop has no allocation, no map

@@ -596,6 +596,3 @@ func BenchmarkBusyInterp(b *testing.B)    { benchSim(b, busyBenchSrc, "busy", En
 func BenchmarkBusyCompiled(b *testing.B)  { benchSim(b, busyBenchSrc, "busy", EngineCompiled) }
 func BenchmarkQuietInterp(b *testing.B)   { benchSim(b, counterSrc, "counter", EngineInterp) }
 func BenchmarkQuietCompiled(b *testing.B) { benchSim(b, counterSrc, "counter", EngineCompiled) }
-func BenchmarkQuietCompiledFull(b *testing.B) {
-	benchSim(b, counterSrc, "counter", EngineCompiledFull)
-}

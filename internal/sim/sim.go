@@ -32,9 +32,6 @@ const (
 	// EngineCompiled requires bytecode; construction fails if the
 	// design cannot be compiled.
 	EngineCompiled
-	// EngineCompiledFull is bytecode with activation disabled (every
-	// node runs every cycle) — the ablation baseline E16 measures.
-	EngineCompiledFull
 	// EngineInterp forces the AST interpreter.
 	EngineInterp
 )
@@ -46,8 +43,6 @@ func (k EngineKind) String() string {
 		return "auto"
 	case EngineCompiled:
 		return "compiled"
-	case EngineCompiledFull:
-		return "compiled-full"
 	case EngineInterp:
 		return "interp"
 	}
@@ -115,15 +110,15 @@ func NewEngine(d *rtl.Design, kind EngineKind) (*Simulator, error) {
 	switch kind {
 	case EngineAuto:
 		if prog, err := bc.Compile(d); err == nil {
-			s.eng = bc.NewEngine(prog, s.state, true)
+			s.eng = bc.NewEngine(prog, s.state)
 			s.kind = EngineCompiled
 		}
-	case EngineCompiled, EngineCompiledFull:
+	case EngineCompiled:
 		prog, err := bc.Compile(d)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		s.eng = bc.NewEngine(prog, s.state, kind == EngineCompiled)
+		s.eng = bc.NewEngine(prog, s.state)
 		s.kind = kind
 	case EngineInterp:
 	default:

@@ -135,7 +135,7 @@ func (p *FaultPort) IRQLevel() (bool, error) {
 }
 
 // Advance forwards clock advancement when the wrapped port supports
-// it (same contract as remote.Advancer).
+// it.
 func (p *FaultPort) Advance(n uint64) error {
 	if err := p.fault(); err != nil {
 		return err
