@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos loc bench-smoke bench-json bench-scale bench-remote bench-solver bench-sim bench-dist bench-fuzz
+.PHONY: check fmt vet build test race chaos loc bench bench-compare bench-smoke bench-json bench-scale bench-remote bench-solver bench-sim bench-dist bench-fuzz
 
 # Full gate: formatting, static checks, build, tests, race detector on
 # the concurrency-sensitive packages, chaos/recovery identity matrix.
@@ -49,6 +49,17 @@ chaos:
 loc:
 	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l | xargs echo "non-test Go lines:"
 	@find . -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l | xargs echo "test Go lines:    "
+
+# bench runs the repository's performance benchmark (benchmark/README.md):
+# every workload of BENCHMARK.json, end-to-end and per-layer metrics,
+# report written where .gitignore already covers it. bench-compare
+# applies each metric's bound to two such reports and fails on "worse":
+#   make bench-compare A=before.json B=after.json
+bench:
+	$(GO) run ./benchmark -out .bench_build/run.json
+
+bench-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # bench-smoke runs every Benchmark* exactly once so benchmarks cannot
 # silently rot without anyone noticing.

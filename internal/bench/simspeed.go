@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"crypto/aes"
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"hardsnap/internal/core"
+	"hardsnap/internal/periph"
 	"hardsnap/internal/rtl"
+	"hardsnap/internal/rtl/bc"
 	"hardsnap/internal/sim"
 	"hardsnap/internal/target"
 	"hardsnap/internal/verilog"
@@ -110,6 +114,72 @@ func e16Quiet(interp bool, cycles int) (float64, error) {
 	return float64(cycles) / time.Since(start).Seconds(), nil
 }
 
+// e16AES measures case-heavy cycles/sec: the corpus aes128 (20 S-box
+// instances, a 256-label case each) encrypting back-to-back blocks
+// through the target's register port, so the logic never goes idle.
+// The last ciphertext is checked against crypto/aes.
+func e16AES(interp bool, blocks int) (float64, error) {
+	tgt, err := target.NewSimulator("e16", &vtime.Clock{},
+		[]target.PeriphConfig{{Name: "aes0", Periph: "aes128", Interp: interp}})
+	if err != nil {
+		return 0, err
+	}
+	port, err := tgt.Port("aes0")
+	if err != nil {
+		return 0, err
+	}
+	key := [16]byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}
+	var pt, got, want [16]byte
+	start := time.Now()
+	for b := 0; b < blocks; b++ {
+		pt = got // chain blocks so the data keeps changing
+		for i := uint32(0); i < 4; i++ {
+			if err := port.WriteReg(0x10+4*i, binary.BigEndian.Uint32(key[4*i:])); err != nil {
+				return 0, err
+			}
+			if err := port.WriteReg(0x20+4*i, binary.BigEndian.Uint32(pt[4*i:])); err != nil {
+				return 0, err
+			}
+		}
+		if err := port.WriteReg(0x00, 1); err != nil {
+			return 0, err
+		}
+		for polls := 0; ; polls++ {
+			status, err := port.ReadReg(0x04)
+			if err != nil {
+				return 0, err
+			}
+			if status&2 != 0 {
+				break
+			}
+			if polls > 64 {
+				return 0, fmt.Errorf("aes128 never finished")
+			}
+			if err := tgt.Advance(1); err != nil {
+				return 0, err
+			}
+		}
+		for i := uint32(0); i < 4; i++ {
+			v, err := port.ReadReg(0x30 + 4*i)
+			if err != nil {
+				return 0, err
+			}
+			binary.BigEndian.PutUint32(got[4*i:], v)
+		}
+	}
+	wall := time.Since(start).Seconds()
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		return 0, err
+	}
+	block.Encrypt(want[:], pt[:])
+	if got != want {
+		return 0, fmt.Errorf("aes128 ciphertext %x, crypto/aes says %x", got, want)
+	}
+	ts := tgt.Stats()
+	return float64(ts.Cycles+ts.IOOps) / wall, nil
+}
+
 // e16Differential steps the busy design on both engines side by side
 // and asserts cycle-exact snapshot identity.
 func e16Differential(cycles int) error {
@@ -203,6 +273,18 @@ func E16() (*Table, error) {
 		return nil, err
 	}
 
+	// No gate on the case-heavy row: it reports where case dispatch
+	// stands, the floors above stay the regression tripwire.
+	const aesBlocks = 1_500
+	aesInterp, err := e16AES(true, aesBlocks/10)
+	if err != nil {
+		return nil, err
+	}
+	aesComp, err := e16AES(false, aesBlocks)
+	if err != nil {
+		return nil, err
+	}
+
 	row := func(workload, engine string, rate, base float64) {
 		t.AddRow(workload, engine, fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.1fx", rate/base))
 	}
@@ -210,6 +292,8 @@ func E16() (*Table, error) {
 	row("busy-logic", "compiled + activation", busyComp, busyInterp)
 	row("quiescent SoC (5 periphs)", "interpreter", quietInterp, quietInterp)
 	row("quiescent SoC (5 periphs)", "compiled + activation", quietComp, quietInterp)
+	row("aes128 (case-heavy)", "interpreter", aesInterp, aesInterp)
+	row("aes128 (case-heavy)", "compiled + activation", aesComp, aesInterp)
 
 	t.AddMetric("busy_interp", busyInterp, "cycles/sec")
 	t.AddMetric("busy_compiled", busyComp, "cycles/sec")
@@ -217,6 +301,8 @@ func E16() (*Table, error) {
 	t.AddMetric("quiet_interp", quietInterp, "cycles/sec")
 	t.AddMetric("quiet_compiled", quietComp, "cycles/sec")
 	t.AddMetric("quiet_speedup", quietComp/quietInterp, "x")
+	t.AddMetric("aes_interp", aesInterp, "cycles/sec")
+	t.AddMetric("aes_compiled", aesComp, "cycles/sec")
 
 	// Gate 1: speedup floors.
 	if s := busyComp / busyInterp; s < 5 {
@@ -248,6 +334,17 @@ func E16() (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("fingerprint gate: E11-style exploration identical on both engines (%s)", fpInterp[:12]))
+	aesDesign, _, err := periph.Build("aes128", nil, false)
+	if err != nil {
+		return nil, err
+	}
+	aesProg, err := bc.Compile(aesDesign)
+	if err != nil {
+		return nil, err
+	}
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("aes128 compiles to %d comb ops + %d seq ops, %d case statements lowered to jump tables",
+			aesProg.NumCombOps(), aesProg.NumSeqOps(), aesProg.NumCaseTables()))
 	t.Notes = append(t.Notes,
 		"wall-clock rates; virtual-time results are engine-independent by construction")
 	return t, nil

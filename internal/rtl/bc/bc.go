@@ -74,6 +74,8 @@ const (
 	opJz                    // if pop==0 { pc = a }
 	opCaseEq                // lab=pop; if lab==tos { pc = a }
 
+	opCaseTable // t=caseTables[a]; if tos<len(t) && t[tos]>=0 { pc = t[tos] }
+
 	opStore      // v=pop; Vals[a] = (Vals[a]&^val)|(v&val)
 	opStoreBit   // idx=pop,v=pop; if idx<b { merge bit idx of Vals[a] }
 	opStoreRange // v=pop; Vals[a] = (Vals[a]&^val)|((v<<b)&val)
@@ -115,6 +117,11 @@ type Program struct {
 	memCombWriters [][]int32
 	memSeqTouch    [][]int32
 
+	// caseTables holds one jump table per table-lowered case
+	// statement, indexed by opCaseTable's operand: entry v is the pc of
+	// the body the subject value v selects, -1 where no label lists v.
+	caseTables [][]int32
+
 	// stackMax is the deepest value stack any node needs.
 	stackMax int
 }
@@ -139,3 +146,7 @@ func (p *Program) NumSeqOps() int {
 	}
 	return n
 }
+
+// NumCaseTables reports how many case statements were lowered to a
+// jump table instead of a compare chain.
+func (p *Program) NumCaseTables() int { return len(p.caseTables) }

@@ -1,6 +1,7 @@
 package bc
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -152,5 +153,166 @@ endmodule`)
 	}
 	if got := e.Stats().Settles; got != 7 {
 		t.Fatalf("Settles counter %d, want 7", got)
+	}
+}
+
+func countOps(p *Program, code opcode) int {
+	n := 0
+	for _, nodes := range [][][]op{p.combs, p.seqs} {
+		for _, ops := range nodes {
+			for _, o := range ops {
+				if o.code == code {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestCaseLowering pins both case dispatches against hand-computed
+// outcomes: which cases get a jump table, which keep the compare
+// chain, and that the table preserves first-match priority, the
+// later-default rule and the no-match fall-through.
+func TestCaseLowering(t *testing.T) {
+	const noMatch = 0xEE // y's value when no body runs
+	cases := []struct {
+		name, body     string
+		tables, chains int // opCaseTable / opCaseEq ops expected
+		want           map[uint64]uint64
+	}{
+		{name: "duplicate label: first item wins", tables: 1, body: `
+      3: y = 8'd1;
+      3, 4: y = 8'd2;
+      4: y = 8'd3;`,
+			want: map[uint64]uint64{3: 1, 4: 2}},
+		{name: "hole and out-of-table subject take the default", tables: 1, body: `
+      0: y = 8'd1;
+      6: y = 8'd2;
+      default: y = 8'd9;`,
+			want: map[uint64]uint64{0: 1, 3: 9, 6: 2, 7: 9, 0xFFFF: 9}},
+		{name: "hole and out-of-table subject without default run nothing", tables: 1, body: `
+      0: y = 8'd1;
+      6: y = 8'd2;`,
+			want: map[uint64]uint64{0: 1, 3: noMatch, 6: 2, 7: noMatch, 0xFFFF: noMatch}},
+		{name: "later default wins, wherever it stands", tables: 1, body: `
+      default: y = 8'd7;
+      1: y = 8'd1;
+      default: y = 8'd8;
+      2: y = 8'd2;`,
+			want: map[uint64]uint64{0: 8, 1: 1, 2: 2, 5: 8}},
+		{name: "localparam, sized and unsized labels share one table", tables: 1, body: `
+      P: y = 8'd1;
+      16'h0005: y = 8'd2;
+      4'd9, 10: y = 8'd3;`,
+			want: map[uint64]uint64{5: 1, 9: 3, 10: 3, 11: noMatch}},
+		{name: "largest label below the cap", tables: 1, body: `
+      1023: y = 8'd1;
+      default: y = 8'd9;`,
+			want: map[uint64]uint64{1023: 1, 1022: 9, 1024: 9}},
+		{name: "signal label keeps the chain", chains: 3, body: `
+      1: y = 8'd1;
+      k, 2: y = 8'd2;
+      default: y = 8'd9;`,
+			want: map[uint64]uint64{1: 1, 2: 2, 0x21: 2, 3: 9}},
+		{name: "expression label keeps the chain", chains: 2, body: `
+      1: y = 8'd1;
+      P + 1: y = 8'd2;`,
+			want: map[uint64]uint64{1: 1, 6: 2, 5: noMatch}},
+		{name: "label at the cap keeps the chain", chains: 2, body: `
+      1: y = 8'd1;
+      1024: y = 8'd2;`,
+			want: map[uint64]uint64{1: 1, 1024: 2, 1023: noMatch}},
+		{name: "default-only case has nothing to dispatch", body: `
+      default: y = 8'd9;`,
+			want: map[uint64]uint64{0: 9, 77: 9}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := elaborate(t, `
+module m(input wire [15:0] s, input wire [7:0] k, output reg [7:0] y);
+  localparam P = 5;
+  always @(*) begin
+    y = 8'hEE;
+    case (s)`+tc.body+`
+    endcase
+  end
+endmodule`)
+			p, err := Compile(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.NumCaseTables(); got != tc.tables || countOps(p, opCaseTable) != tc.tables {
+				t.Fatalf("%d tables, %d opCaseTable ops, want %d of each", got, countOps(p, opCaseTable), tc.tables)
+			}
+			if got := countOps(p, opCaseEq); got != tc.chains {
+				t.Fatalf("%d opCaseEq ops, want %d", got, tc.chains)
+			}
+			st := rtl.NewState(d)
+			e := NewEngine(p, st)
+			s, _ := d.SignalByName("s")
+			k, _ := d.SignalByName("k")
+			y, _ := d.SignalByName("y")
+			st.Vals[k.ID] = 0x21
+			for subj, want := range tc.want {
+				st.Vals[s.ID] = subj
+				e.MarkSignal(s.ID)
+				e.Settle()
+				if got := st.Vals[y.ID]; got != want {
+					t.Errorf("s=%#x: y=%#x, want %#x", subj, got, want)
+				}
+				// The interpreter is the oracle the expectations were
+				// written from; keep the two pinned to each other.
+				ist := rtl.NewState(d)
+				ist.Vals[s.ID], ist.Vals[k.ID] = subj, 0x21
+				if err := d.Combs[0].ExecComb(ist); err != nil {
+					t.Fatal(err)
+				}
+				if ist.Vals[y.ID] != want {
+					t.Errorf("s=%#x: interpreter y=%#x, want %#x", subj, ist.Vals[y.ID], want)
+				}
+			}
+		})
+	}
+}
+
+// TestCaseTableAllocationBounded: custom peripheral sources come from
+// outside the program (periph.BuildCustom), so a huge label must cost
+// what its text costs, not a table as long as its value.
+func TestCaseTableAllocationBounded(t *testing.T) {
+	d := elaborate(t, `
+module m(input wire [31:0] s, output reg [7:0] y);
+  always @(*) begin
+    y = 8'd0;
+    case (s)
+      32'hFFFF_FFF0: y = 8'd1;
+      2: y = 8'd2;
+    endcase
+  end
+endmodule`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := Compile(d)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumCaseTables() != 0 || countOps(p, opCaseEq) != 2 {
+		t.Fatalf("%d tables, %d opCaseEq ops, want the 2-compare chain", p.NumCaseTables(), countOps(p, opCaseEq))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("Compile allocated %d bytes for a two-label case", got)
+	}
+	st := rtl.NewState(d)
+	e := NewEngine(p, st)
+	s, _ := d.SignalByName("s")
+	y, _ := d.SignalByName("y")
+	for subj, want := range map[uint64]uint64{0xFFFFFFF0: 1, 2: 2, 3: 0} {
+		st.Vals[s.ID] = subj
+		e.MarkSignal(s.ID)
+		e.Settle()
+		if got := st.Vals[y.ID]; got != want {
+			t.Errorf("s=%#x: y=%d, want %d", subj, got, want)
+		}
 	}
 }

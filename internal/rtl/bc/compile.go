@@ -40,7 +40,7 @@ func Compile(d *rtl.Design) (*Program, error) {
 	}
 	p.combs = make([][]op, 0, len(d.Combs))
 	for i, node := range d.Combs {
-		c := newComp(node.Scope, false)
+		c := newComp(p, node.Scope, false)
 		var err error
 		if node.Assign != nil {
 			err = c.assign(node.Assign.LHS, node.Assign.RHS)
@@ -81,7 +81,7 @@ func Compile(d *rtl.Design) (*Program, error) {
 	seqSigWriter := make(map[int]int)
 	seqMemWriter := make(map[int]int)
 	for i, b := range d.Seqs {
-		c := newComp(b.Scope, true)
+		c := newComp(p, b.Scope, true)
 		if err := c.stmt(b.Body); err != nil {
 			return nil, fmt.Errorf("bc: seq block %d: %w", i, err)
 		}
@@ -129,6 +129,7 @@ func Compile(d *rtl.Design) (*Program, error) {
 
 // comp compiles one comb node or sequential block.
 type comp struct {
+	prog  *Program // owner of the case tables this node's ops index
 	scope *rtl.Scope
 	seq   bool // nonblocking store opcodes
 	ops   []op
@@ -144,8 +145,9 @@ type comp struct {
 	memWrites map[int]struct{}
 }
 
-func newComp(scope *rtl.Scope, seq bool) *comp {
+func newComp(p *Program, scope *rtl.Scope, seq bool) *comp {
 	return &comp{
+		prog:      p,
 		scope:     scope,
 		seq:       seq,
 		reads:     make(map[int]struct{}),
@@ -222,23 +224,111 @@ func (c *comp) stmt(s verilog.Stmt) error {
 	return fmt.Errorf("cannot compile statement %T", s)
 }
 
-// caseStmt lays out a case as: subject eval, then all label
-// comparisons (first match jumps to its body, preserving the
-// interpreter's first-match-in-item-order priority), fallthrough jump
-// to the default, then the bodies; each body pops the subject first.
-// Labels are pure expressions, so evaluating them eagerly (where the
-// interpreter stops at the first match) cannot change the outcome.
+// maxCaseTable bounds a case jump table's length: a case whose largest
+// label is at or above it keeps the compare chain, so what Compile
+// allocates stays proportional to the source, not to a label's value
+// (custom peripheral sources come from outside the program). 1024
+// covers every corpus peripheral: 8-bit address decodes and the
+// 256-entry AES S-box.
+const maxCaseTable = 1024
+
+// numberVal is the value EvalExpr computes for a literal.
+func numberVal(n *verilog.Number) uint64 {
+	if n.Width != 0 {
+		return n.Value & maskOf(n.Width)
+	}
+	return n.Value
+}
+
+// constLabel returns a case label's value when no run-time state can
+// change it: a literal, or an identifier expr would resolve to a
+// parameter (signals shadow parameters there, so they do here).
+func (c *comp) constLabel(x verilog.Expr) (uint64, bool) {
+	switch v := x.(type) {
+	case *verilog.Number:
+		return numberVal(v), true
+	case *verilog.Ident:
+		if _, isSig := c.scope.Signal(v.Name); !isSig {
+			return c.scope.Param(v.Name)
+		}
+	}
+	return 0, false
+}
+
+// caseTable builds the jump table of a case whose labels are all
+// compile-time constants below maxCaseTable, or returns nil when the
+// case must keep the compare chain. Entry v holds the ordinal (among
+// labelled items) of the first item listing v — the interpreter's
+// first-match-in-item-order priority, so a duplicate label in a later
+// item is dead exactly as it is there — and -1 where no item does.
+// Labels are collected before anything is allocated, so an over-cap
+// label costs O(labels), never O(label value).
+func (c *comp) caseTable(v *verilog.Case) []int32 {
+	type label struct {
+		val  uint64
+		item int32
+	}
+	var labels []label
+	var size uint64
+	item := int32(0)
+	for _, it := range v.Items {
+		if it.Labels == nil {
+			continue
+		}
+		for _, l := range it.Labels {
+			val, ok := c.constLabel(l)
+			if !ok || val >= maxCaseTable {
+				return nil
+			}
+			labels = append(labels, label{val, item})
+			if val >= size {
+				size = val + 1
+			}
+		}
+		item++
+	}
+	if labels == nil {
+		return nil
+	}
+	table := make([]int32, size)
+	for i := range table {
+		table[i] = -1
+	}
+	for _, l := range labels {
+		if table[l.val] < 0 {
+			table[l.val] = l.item
+		}
+	}
+	return table
+}
+
+// caseStmt lays out a case as: subject eval, then the dispatch (first
+// match jumps to its body, preserving the interpreter's
+// first-match-in-item-order priority), fallthrough jump to the
+// default, then the bodies; each body pops the subject first. The
+// dispatch is one opCaseTable when caseTable can build one, otherwise
+// a compare per label. Labels are pure expressions, so evaluating them
+// eagerly (where the interpreter stops at the first match) cannot
+// change the outcome.
 func (c *comp) caseStmt(v *verilog.Case) error {
 	if err := c.expr(v.Subject); err != nil {
 		return err
 	}
 	entry := c.cur // depth with the subject on the stack
+	table := c.caseTable(v)
+	if table != nil {
+		c.emit(op{code: opCaseTable, a: int32(len(c.prog.caseTables))})
+		c.prog.caseTables = append(c.prog.caseTables, table)
+	}
 	var matches [][]int
 	var deflt verilog.Stmt
 	for _, item := range v.Items {
 		if item.Labels == nil {
 			// Like the interpreter, a later default wins.
 			deflt = item.Body
+			continue
+		}
+		if table != nil {
 			continue
 		}
 		var js []int
@@ -252,16 +342,18 @@ func (c *comp) caseStmt(v *verilog.Case) error {
 		matches = append(matches, js)
 	}
 	toDefault := c.emit(op{code: opJmp})
+	var bodies []int32 // pc of each labelled item's body, in item order
 	var ends []int
-	mi := 0
 	for _, item := range v.Items {
 		if item.Labels == nil {
 			continue
 		}
-		for _, j := range matches[mi] {
-			c.patch(j)
+		if table == nil {
+			for _, j := range matches[len(bodies)] {
+				c.patch(j)
+			}
 		}
-		mi++
+		bodies = append(bodies, int32(len(c.ops)))
 		c.cur = entry
 		c.emit(op{code: opPop})
 		c.pop(1)
@@ -269,6 +361,11 @@ func (c *comp) caseStmt(v *verilog.Case) error {
 			return err
 		}
 		ends = append(ends, c.emit(op{code: opJmp}))
+	}
+	for i, item := range table {
+		if item >= 0 {
+			table[i] = bodies[item]
+		}
 	}
 	c.patch(toDefault)
 	c.cur = entry
@@ -307,11 +404,7 @@ var binOps = map[string]struct {
 func (c *comp) expr(x verilog.Expr) error {
 	switch v := x.(type) {
 	case *verilog.Number:
-		val := v.Value
-		if v.Width != 0 {
-			val &= maskOf(v.Width)
-		}
-		c.emit(op{code: opConst, val: val})
+		c.emit(op{code: opConst, val: numberVal(v)})
 		c.push()
 		return nil
 

@@ -309,6 +309,11 @@ func (e *Engine) exec(ops []op, buf *[]rtl.Write, self int) {
 			if stack[sp] == stack[sp-1] {
 				pc = int(o.a)
 			}
+		case opCaseTable:
+			t := e.p.caseTables[o.a]
+			if v := stack[sp-1]; v < uint64(len(t)) && t[v] >= 0 {
+				pc = int(t[v])
+			}
 
 		case opStore:
 			sp--

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/aes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 
 	"hardsnap/internal/periph"
 	"hardsnap/internal/rtl"
+	"hardsnap/internal/rtl/bc"
 	"hardsnap/internal/verilog"
 )
 
@@ -186,6 +189,77 @@ func (g *netlistGen) expr(sigs []gsig, depth int) string {
 	}
 }
 
+// caseLabel emits one constant label. Most are small so they collide
+// with each other (duplicates across items) and with narrow subjects;
+// sized, unsized, over-wide (masked by their own width), wider than
+// any narrow subject, and the module's localparam all appear.
+func (g *netlistGen) caseLabel() string {
+	switch g.r.Intn(8) {
+	case 0:
+		return "LP"
+	case 1:
+		return fmt.Sprintf("10'd%d", g.r.Intn(1024))
+	case 2:
+		return fmt.Sprintf("3'd%d", g.r.Intn(16))
+	case 3:
+		return fmt.Sprintf("8'h%x", g.r.Intn(16))
+	default:
+		return fmt.Sprintf("%d", g.r.Intn(16))
+	}
+}
+
+// caseStmt emits a case of 1-12 items with 1-3 labels each and the
+// default absent, first, in the middle or last; body emits one item's
+// statement. One case in five carries a label only the compare chain
+// can take (a signal, or a constant past any table), so both
+// dispatches of the compiled engine stay under the fuzzer.
+func (g *netlistGen) caseStmt(sigs []gsig, body func() string) string {
+	// Narrow subjects make the small labels hit; a free expression
+	// keeps wide and computed subjects covered.
+	subj := g.expr(sigs, 1)
+	if g.r.Intn(3) != 0 {
+		s := sigs[g.r.Intn(len(sigs))]
+		hi := g.r.Intn(4)
+		if hi >= int(s.width) {
+			hi = int(s.width) - 1
+		}
+		subj = fmt.Sprintf("%s[%d:0]", s.name, hi)
+	}
+	nitems := 1 + g.r.Intn(12)
+	chainAt := -1
+	if g.r.Intn(5) == 0 {
+		chainAt = g.r.Intn(nitems)
+	}
+	defaultAt := -1
+	if g.r.Intn(4) != 0 {
+		defaultAt = g.r.Intn(nitems + 1)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "case (%s)\n", subj)
+	for i := 0; i <= nitems; i++ {
+		if i == defaultAt {
+			fmt.Fprintf(&b, "default: %s\n", body())
+		}
+		if i == nitems {
+			break
+		}
+		labels := make([]string, 1+g.r.Intn(3))
+		for j := range labels {
+			labels[j] = g.caseLabel()
+		}
+		if i == chainAt {
+			if g.r.Intn(2) == 0 {
+				labels[0] = sigs[g.r.Intn(len(sigs))].name
+			} else {
+				labels[0] = "32'hFFFF_FFF0"
+			}
+		}
+		fmt.Fprintf(&b, "%s: %s\n", strings.Join(labels, ", "), body())
+	}
+	b.WriteString("endcase")
+	return b.String()
+}
+
 // seqStmt emits one statement of a sequential block that may write
 // only the given registers (single-writer discipline) and optionally
 // the memory.
@@ -202,14 +276,7 @@ func (g *netlistGen) seqStmt(owned []gsig, mem bool, depth int) string {
 		return fmt.Sprintf("%s <= %s;", tgt.name, g.expr(sigs, 2))
 	case 1:
 		if depth > 0 {
-			var b strings.Builder
-			fmt.Fprintf(&b, "case (%s)\n", g.expr(sigs, 1))
-			for i := 0; i < 2; i++ {
-				fmt.Fprintf(&b, "%d: %s\n", g.r.Intn(8), g.seqStmt(owned, mem, 0))
-			}
-			fmt.Fprintf(&b, "default: %s\n", g.seqStmt(owned, mem, 0))
-			b.WriteString("endcase")
-			return b.String()
+			return g.caseStmt(sigs, func() string { return g.seqStmt(owned, mem, 0) })
 		}
 		return fmt.Sprintf("%s <= %s;", tgt.name, g.expr(sigs, 2))
 	case 2: // bit write
@@ -235,7 +302,8 @@ func (g *netlistGen) seqStmt(owned []gsig, mem bool, depth int) string {
 
 // generate builds one random module. Layout: a few inputs, registers
 // split across two always @(posedge) blocks (one of which may also
-// own the memory), levelized assigns, and one always @(*) block.
+// own the memory), levelized assigns, and one always @(*) block that
+// ends in a case.
 func (g *netlistGen) generate() string {
 	var b strings.Builder
 	b.WriteString("module fz (\n  input wire clk")
@@ -246,6 +314,7 @@ func (g *netlistGen) generate() string {
 		fmt.Fprintf(&b, ",\n  input wire [%d:0] in%d", w-1, i)
 	}
 	b.WriteString("\n);\n")
+	fmt.Fprintf(&b, "  localparam LP = %d;\n", g.r.Intn(16))
 	nreg := 2 + g.r.Intn(4)
 	for i := 0; i < nreg; i++ {
 		w := g.width()
@@ -274,8 +343,9 @@ func (g *netlistGen) generate() string {
 	cw := g.width()
 	fmt.Fprintf(&b, "  reg [%d:0] c0;\n", cw-1)
 	sigs := g.readable(nwire)
-	fmt.Fprintf(&b, "  always @(*) begin\n    if (%s) c0 = %s;\n    else c0 = %s;\n  end\n",
-		g.expr(sigs, 1), g.expr(sigs, 2), g.expr(sigs, 2))
+	fmt.Fprintf(&b, "  always @(*) begin\n    if (%s) c0 = %s;\n    else c0 = %s;\n    %s\n  end\n",
+		g.expr(sigs, 1), g.expr(sigs, 2), g.expr(sigs, 2),
+		g.caseStmt(sigs, func() string { return fmt.Sprintf("c0 = %s;", g.expr(sigs, 2)) }))
 
 	// Two seq blocks, registers split between them; the second owns
 	// the memory when present.
@@ -301,11 +371,19 @@ func TestDifferentialFuzz(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
+	tabled := 0 // designs with at least one table-lowered case
 	for seed := 0; seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		g := &netlistGen{r: r}
 		src := g.generate()
 		si, sc := buildEngines(t, src, "fz")
+		prog, err := bc.Compile(sc.design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.NumCaseTables() > 0 {
+			tabled++
+		}
 		ctx := func(c int, what string) string {
 			return fmt.Sprintf("seed %d cycle %d after %s\n%s", seed, c, what, src)
 		}
@@ -393,6 +471,12 @@ func TestDifferentialFuzz(t *testing.T) {
 		}
 		sameState(t, si, sc, ctx(99, "restore"))
 	}
+	// The generator must keep reaching the jump-table dispatch, or
+	// this test silently stops covering it.
+	if tabled*3 < seeds {
+		t.Fatalf("only %d of %d designs compiled a case to a table", tabled, seeds)
+	}
+	t.Logf("%d of %d designs have a table-lowered case", tabled, seeds)
 }
 
 // TestQuickExprEquivalence is the testing/quick property: for random
@@ -596,3 +680,85 @@ func BenchmarkBusyInterp(b *testing.B)    { benchSim(b, busyBenchSrc, "busy", En
 func BenchmarkBusyCompiled(b *testing.B)  { benchSim(b, busyBenchSrc, "busy", EngineCompiled) }
 func BenchmarkQuietInterp(b *testing.B)   { benchSim(b, counterSrc, "counter", EngineInterp) }
 func BenchmarkQuietCompiled(b *testing.B) { benchSim(b, counterSrc, "counter", EngineCompiled) }
+
+// benchAESBlock encrypts one block per iteration on the corpus aes128,
+// driven through its bus pins the way target's register port drives it
+// (key, plaintext, start, poll status, read ciphertext). The design is
+// case-heavy — 20 S-box instances, a 256-label case each — so this row
+// moves with case dispatch where the busy row does not. The last
+// ciphertext is checked against crypto/aes once per run.
+func benchAESBlock(b *testing.B, kind EngineKind) {
+	b.Helper()
+	d, _, err := periph.Build("aes128", nil, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewEngine(d, kind)
+	if err != nil {
+		b.Fatal(err)
+	}
+	step := func() {
+		if err := s.StepCycle(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	write := func(addr, val uint32) {
+		s.SetInput("sel", 1)
+		s.SetInput("wen", 1)
+		s.SetInput("addr", uint64(addr))
+		s.SetInput("wdata", uint64(val))
+		step()
+		s.SetInput("sel", 0)
+		s.SetInput("wen", 0)
+	}
+	read := func(addr uint32) uint32 {
+		s.SetInput("sel", 1)
+		s.SetInput("addr", uint64(addr))
+		if err := s.EvalComb(); err != nil {
+			b.Fatal(err)
+		}
+		v, err := s.Peek("rdata")
+		if err != nil {
+			b.Fatal(err)
+		}
+		step()
+		s.SetInput("sel", 0)
+		return uint32(v)
+	}
+	s.SetInput("rst", 1)
+	step()
+	s.SetInput("rst", 0)
+
+	key := [16]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f}
+	var pt, got, want [16]byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pt = got // chain blocks so every iteration sees fresh data
+		for w := uint32(0); w < 4; w++ {
+			write(0x10+4*w, binary.BigEndian.Uint32(key[4*w:]))
+			write(0x20+4*w, binary.BigEndian.Uint32(pt[4*w:]))
+		}
+		write(0x00, 1)
+		for polls := 0; read(0x04)&2 == 0; polls++ {
+			if polls > 64 {
+				b.Fatal("aes128 never finished")
+			}
+			step()
+		}
+		for w := uint32(0); w < 4; w++ {
+			binary.BigEndian.PutUint32(got[4*w:], read(0x30+4*w))
+		}
+	}
+	b.StopTimer()
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		b.Fatal(err)
+	}
+	block.Encrypt(want[:], pt[:])
+	if got != want {
+		b.Fatalf("ciphertext %x, crypto/aes says %x", got, want)
+	}
+}
+
+func BenchmarkAESBlockInterp(b *testing.B)   { benchAESBlock(b, EngineInterp) }
+func BenchmarkAESBlockCompiled(b *testing.B) { benchAESBlock(b, EngineCompiled) }

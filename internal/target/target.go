@@ -620,7 +620,10 @@ func (t *Target) Save() (State, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.lastGood = st.Clone()
+	if t.standby != nil {
+		// Same skip as Restore: nobody reads lastGood without a standby.
+		t.lastGood = st.Clone()
+	}
 	t.journal = nil
 	t.journalFull = false
 	t.reanchor(false)

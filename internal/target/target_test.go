@@ -310,6 +310,60 @@ func TestFailoverToStandby(t *testing.T) {
 	}
 }
 
+// TestFailoverAfterStandbyArmedLate pins the invariant that lets Save
+// and Restore skip the lastGood clone while no standby is armed:
+// SetStandby re-snapshots on arming, so a standby armed after saves
+// and writes still replays from the state the hardware is in, not
+// from a stale or power-on anchor.
+func TestFailoverAfterStandbyArmedLate(t *testing.T) {
+	clock := &vtime.Clock{}
+	periphs := []PeriphConfig{{Name: "gpio0", Periph: "gpio"}}
+	fp := newFPGA(t, clock, false, periphs...)
+	p, _ := fp.Port("gpio0")
+
+	// Unarmed history: a save, then a write that post-dates it.
+	if err := p.WriteReg(0x08, 0xF0); err != nil { // dir
+		t.Fatal(err)
+	}
+	if _, err := fp.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteReg(0x00, 0x11); err != nil { // out
+		t.Fatal(err)
+	}
+
+	if err := fp.SetStandby(newSim(t, clock, periphs...)); err != nil {
+		t.Fatal(err)
+	}
+	// No save after arming: the failover anchor is whatever SetStandby
+	// captured. One journaled write, then the link dies for good.
+	fp.InjectFaults(FaultSchedule{Seed: 1, FailAfter: 1})
+	if err := p.WriteReg(0x00, 0x22); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteReg(0x00, 0x33); err != nil {
+		t.Fatalf("write across failover: %v", err)
+	}
+	if st := fp.Stats(); st.Failovers != 1 || fp.Kind() != KindSimulator {
+		t.Fatalf("failovers %d kind %q, want 1 failover onto the simulator", st.Failovers, fp.Kind())
+	}
+	for _, reg := range []struct {
+		addr, want uint32
+		what       string
+	}{
+		{0x08, 0xF0, "dir, written before the unarmed save"},
+		{0x00, 0x33, "out, written across the failover"},
+	} {
+		v, err := p.ReadReg(reg.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != reg.want {
+			t.Fatalf("%s: %#x after failover, want %#x", reg.what, v, reg.want)
+		}
+	}
+}
+
 func TestPersistentFailureWithoutStandby(t *testing.T) {
 	clock := &vtime.Clock{}
 	fp := newFPGA(t, clock, false)
