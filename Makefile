@@ -35,11 +35,14 @@ race:
 # chaos runs the crash-safety identity matrix under the race detector:
 # deterministic failure injection (panic/kill/hang/sever), journal
 # resume (process death, torn tails, mismatched configs) and mid-run
-# remote link failover. Every test asserts byte-identical results
-# (bugs, paths AND virtual time) against an undisturbed run, on fixed
-# chaos seeds so failures reproduce.
+# remote link failover — for local workers and, through the same
+# supervisor, for dist nodes (node death with and without a survivor,
+# driver death + resume, the seed-drain journal). Every test asserts
+# byte-identical results (bugs, paths AND virtual time) against an
+# undisturbed run, on fixed chaos seeds so failures reproduce.
 chaos:
 	$(GO) test -race ./internal/core -run 'Chaos|Resume|Journal'
+	$(GO) test -race ./internal/dist -run 'NodeDeath|JournalResume|SeedDrain|Chaos'
 	$(GO) test -race ./internal/remote -run 'Failover|SeverLink|RecoverRetry'
 	$(GO) test -race ./internal/journal
 

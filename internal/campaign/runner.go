@@ -121,8 +121,9 @@ type RunOptions struct {
 // stateless and safe for concurrent use.
 type Runner struct{}
 
-// emit sends without ever blocking the run.
-func emit(ch chan<- Event, ev Event) {
+// Emit sends ev without ever blocking the run: an event the consumer
+// is not ready for is dropped, and a nil channel takes nothing.
+func Emit(ch chan<- Event, ev Event) {
 	if ch == nil {
 		return
 	}
@@ -132,57 +133,28 @@ func emit(ch chan<- Event, ev Event) {
 	}
 }
 
-// Run executes the job to completion (or interruption). On
-// interruption it returns core.ErrInterrupted with the journal — if
-// any — flushed for resume. The returned Result is the authoritative
-// outcome; the event stream is best-effort.
-func (Runner) Run(ctx context.Context, job Job, opts RunOptions) (*Result, error) {
-	setup, err := job.SetupConfig()
-	if err != nil {
-		return nil, err
+// ProgressHook adapts an event channel to core.Config.Progress (nil
+// for a nil channel, keeping the engine hook-free).
+func ProgressHook(events chan<- Event) func(core.ProgressEvent) {
+	if events == nil {
+		return nil
 	}
-	setup.Target = opts.Target
-	setup.Engine.JournalPath = opts.Journal
-	setup.Engine.Resume = opts.Resume
-	if opts.Events != nil {
-		events := opts.Events
-		setup.Engine.Progress = func(p core.ProgressEvent) {
-			emit(events, Event{
-				Kind:         EventProgress,
-				Instructions: p.Instructions,
-				SubtreesDone: p.SubtreesDone,
-				Subtrees:     p.Subtrees,
-			})
-		}
+	return func(p core.ProgressEvent) {
+		Emit(events, Event{
+			Kind:         EventProgress,
+			Instructions: p.Instructions,
+			SubtreesDone: p.SubtreesDone,
+			Subtrees:     p.Subtrees,
+		})
 	}
+}
 
-	analysis, err := core.Setup(setup)
-	if err != nil {
-		return nil, err
-	}
-	kind := "none"
-	if analysis.Target != nil {
-		kind = analysis.Target.Kind()
-	} else if opts.Target != nil {
-		kind = opts.Target.Kind()
-	}
-	var soc []string
-	if analysis.Router != nil {
-		for i, r := range analysis.Router.Regions() {
-			soc = append(soc, fmt.Sprintf("%-10s @ %#x (irq %d)", r.Name, analysis.PeriphBase(i), r.IRQ))
-		}
-	}
-	emit(opts.Events, Event{Kind: EventStarted, Target: kind, SoC: soc})
-
-	rep, err := analysis.Engine.RunContext(ctx)
-	if errors.Is(err, core.ErrInterrupted) {
-		emit(opts.Events, Event{Kind: EventInterrupted})
-		return nil, err
-	}
-	if err != nil {
-		return nil, err
-	}
-
+// NewResult turns a finished run's report into its Result — bug
+// events, crash reports under reportDir (when set) and the completed
+// event included. Every way of running a job (Runner.Run, the
+// distributed driver) ends here, so where a job ran cannot change what
+// is reported about it.
+func NewResult(job Job, analysis *core.Analysis, rep *core.Report, events chan<- Event, reportDir string) (*Result, error) {
 	res := &Result{
 		Fingerprint:     core.Fingerprint(rep),
 		JobFingerprint:  job.Fingerprint(),
@@ -202,16 +174,16 @@ func (Runner) Run(ctx context.Context, job Job, opts RunOptions) (*Result, error
 			Model:  st.Model,
 		}
 		res.Bugs = append(res.Bugs, bug)
-		emit(opts.Events, Event{Kind: EventBug, Bug: &bug})
+		Emit(events, Event{Kind: EventBug, Bug: &bug})
 	}
-	if opts.ReportDir != "" && len(res.Bugs) > 0 {
-		n, err := analysis.WriteCrashReports(opts.ReportDir, rep)
+	if reportDir != "" && len(res.Bugs) > 0 {
+		n, err := analysis.WriteCrashReports(reportDir, rep)
 		if err != nil {
 			return nil, err
 		}
 		res.CrashReports = n
 	}
-	emit(opts.Events, Event{
+	Emit(events, Event{
 		Kind:        EventCompleted,
 		Paths:       res.Paths,
 		Bugs:        len(res.Bugs),
@@ -219,4 +191,48 @@ func (Runner) Run(ctx context.Context, job Job, opts RunOptions) (*Result, error
 		Fingerprint: res.Fingerprint,
 	})
 	return res, nil
+}
+
+// Run executes the job to completion (or interruption). On
+// interruption it returns core.ErrInterrupted with the journal — if
+// any — flushed for resume. The returned Result is the authoritative
+// outcome; the event stream is best-effort.
+func (Runner) Run(ctx context.Context, job Job, opts RunOptions) (*Result, error) {
+	setup, err := job.SetupConfig()
+	if err != nil {
+		return nil, err
+	}
+	setup.Target = opts.Target
+	setup.Engine.JournalPath = opts.Journal
+	setup.Engine.Resume = opts.Resume
+	setup.Engine.Progress = ProgressHook(opts.Events)
+
+	analysis, err := core.Setup(setup)
+	if err != nil {
+		return nil, err
+	}
+	kind := "none"
+	if analysis.Target != nil {
+		kind = analysis.Target.Kind()
+	} else if opts.Target != nil {
+		kind = opts.Target.Kind()
+	}
+	var soc []string
+	if analysis.Router != nil {
+		for i, r := range analysis.Router.Regions() {
+			soc = append(soc, fmt.Sprintf("%-10s @ %#x (irq %d)", r.Name, analysis.PeriphBase(i), r.IRQ))
+		}
+	}
+	Emit(opts.Events, Event{Kind: EventStarted, Target: kind, SoC: soc})
+
+	rep, err := analysis.Engine.RunContext(ctx)
+	if errors.Is(err, core.ErrInterrupted) {
+		Emit(opts.Events, Event{Kind: EventInterrupted})
+		return nil, err
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	return NewResult(job, analysis, rep, opts.Events, opts.ReportDir)
 }

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -233,6 +234,168 @@ func (r subtreeRec) result() (*subtreeResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// campaignLog is the one writer of campaign journals: the supervisor
+// appends every completed subtree through it, whichever kind of
+// executor ran the subtree. A log with a nil writer (journaling off)
+// accepts every call and writes nothing, so callers carry no
+// journaling branches. Not safe for concurrent use; the supervisor
+// calls it under its own lock.
+type campaignLog struct {
+	jw           *journal.Writer
+	syncEvery    int
+	compactEvery int
+	sinceSync    int
+	sinceCompact int
+	// wall is the host time spent in appendSubtree and finish
+	// (RecoveryStats.JournalWall).
+	wall time.Duration
+}
+
+// openCampaignLog opens the run's journal: Config.Resume continues the
+// loaded campaign's file (after proving it is this campaign), else
+// Config.JournalPath starts a fresh one with the header and the full
+// pending frontier, else journaling is off.
+func openCampaignLog(cfg *Config, hdr campaignHeader) (*campaignLog, error) {
+	l := &campaignLog{syncEvery: cfg.journalSyncEvery(), compactEvery: cfg.journalCompactEvery()}
+	switch {
+	case cfg.Resume != nil:
+		if err := cfg.Resume.validate(hdr); err != nil {
+			return nil, err
+		}
+		// Keep appending to the same journal: the campaign's history
+		// stays in one file across any number of resumes.
+		jw, _, err := journal.AppendTo(cfg.Resume.Path)
+		if err != nil {
+			return nil, err
+		}
+		l.jw = jw
+	case cfg.JournalPath != "":
+		jw, err := journal.Create(cfg.JournalPath)
+		if err != nil {
+			return nil, err
+		}
+		l.jw = jw
+		payload, err := gobEncode(hdr)
+		if err == nil {
+			err = jw.Append(recCampaign, payload)
+		}
+		if err == nil {
+			_, err = l.appendFrontier(make([]bool, hdr.Seeds))
+		}
+		if err == nil {
+			err = jw.Sync()
+		}
+		if err != nil {
+			jw.Close()
+			return nil, err
+		}
+	}
+	return l, nil
+}
+
+// appendFrontier journals the subtree indexes not yet completed and
+// returns the record it wrote.
+func (l *campaignLog) appendFrontier(completed []bool) (journal.Record, error) {
+	var rec frontierRec
+	for idx, done := range completed {
+		if !done {
+			rec.Pending = append(rec.Pending, idx)
+		}
+	}
+	payload, err := gobEncode(rec)
+	if err != nil {
+		return journal.Record{}, err
+	}
+	return journal.Record{Kind: recFrontier, Payload: payload}, l.jw.Append(recFrontier, payload)
+}
+
+// appendSubtree journals one completed subtree plus a fresh frontier
+// record (completed already counts it). Completions are
+// group-committed: the journal is fsynced every syncEvery completions
+// (and with the last subtree, at the campaign's end and on
+// interruption), so a hard crash re-explores at most the last few
+// subtrees — re-exploration is deterministic, so the resumed result
+// is identical either way. Every compactEvery completions the journal
+// is compacted: superseded frontier records are dropped in an atomic
+// rewrite.
+func (l *campaignLog) appendSubtree(idx int, res *subtreeResult, completed []bool) error {
+	if l.jw == nil {
+		return nil
+	}
+	start := time.Now()
+	defer func() { l.wall += time.Since(start) }()
+	rec, err := newSubtreeRec(idx, res)
+	if err != nil {
+		return err
+	}
+	payload, err := gobEncode(rec)
+	if err != nil {
+		return err
+	}
+	if err := l.jw.Append(recSubtree, payload); err != nil {
+		return err
+	}
+	frontier, err := l.appendFrontier(completed)
+	if err != nil {
+		return err
+	}
+	if l.sinceSync++; l.sinceSync >= l.syncEvery || !slices.Contains(completed, false) {
+		l.sinceSync = 0
+		if err := l.jw.Sync(); err != nil {
+			return err
+		}
+	}
+	if l.sinceCompact++; l.sinceCompact >= l.compactEvery {
+		l.sinceCompact = 0
+		return l.jw.Compact(func(rs []journal.Record) []journal.Record {
+			kept := rs[:0]
+			for _, r := range rs {
+				if r.Kind != recFrontier {
+					kept = append(kept, r)
+				}
+			}
+			return append(kept, frontier)
+		})
+	}
+	return nil
+}
+
+// finish marks the campaign complete (resuming it becomes an error)
+// and syncs.
+func (l *campaignLog) finish() error {
+	if l.jw == nil {
+		return nil
+	}
+	start := time.Now()
+	defer func() { l.wall += time.Since(start) }()
+	if err := l.jw.Append(recComplete, nil); err != nil {
+		return err
+	}
+	return l.jw.Sync()
+}
+
+// sync flushes the journal before an interrupted run returns, so the
+// campaign is resumable.
+func (l *campaignLog) sync() {
+	if l.jw != nil {
+		l.jw.Sync()
+	}
+}
+
+func (l *campaignLog) close() {
+	if l.jw != nil {
+		l.jw.Close()
+	}
+}
+
+// stats reports journal output (zero with journaling off).
+func (l *campaignLog) stats() journal.Stats {
+	if l.jw == nil {
+		return journal.Stats{}
+	}
+	return l.jw.Stats()
 }
 
 func gobEncode(v any) ([]byte, error) {

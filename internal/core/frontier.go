@@ -1,10 +1,12 @@
-// Frontier decomposition: the exported seam between the parallel
-// engine and external subtree drivers — most importantly the
-// distributed driver in internal/dist, which fans the same fan-out
-// seeds this file produces out to remote nodes instead of local
-// goroutines.
+// Frontier decomposition: the outcome of the deterministic seed phase
+// and the one place a subtree is executed from. Frontier.Run (see
+// parallel.go) schedules the fan-out seeds this file produces over
+// whatever worker slots it is given; a local parallel run passes
+// LocalSlots, the distributed driver in internal/dist passes slots
+// that forward a seed index to a remote node, which answers it with
+// Frontier.RunSubtree on a frontier of its own.
 //
-// The seam exists because of one load-bearing property, established in
+// That works because of one load-bearing property, established in
 // PR 3 and exploited by PR 6's resume: the serial seed phase is a
 // deterministic, cheap-to-re-run function of the job, and every
 // subtree result is a pure function of its seed index. A remote node
@@ -22,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"hardsnap/internal/journal"
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/solver"
 	"hardsnap/internal/symexec"
@@ -82,7 +83,12 @@ func (e *Engine) Frontier(ctx context.Context) (*Frontier, error) {
 	if err := e.loop(func() bool { return len(e.active) >= fanout }); err != nil {
 		return nil, err
 	}
-	f := &Frontier{e: e, start: start}
+	// The header's run identity is known before the seeds are: a run
+	// that ends inside the seed phase journals it too.
+	f := &Frontier{e: e, start: start, hdr: campaignHeader{
+		Fingerprint: e.cfg.runFingerprint(),
+		Workers:     e.cfg.Workers,
+	}}
 	if len(e.active) == 0 || e.stats.Instructions >= e.cfg.MaxInstructions || e.budgetExhausted() {
 		f.done = e.finalize(start)
 		return f, nil
@@ -125,27 +131,17 @@ func (e *Engine) Frontier(ctx context.Context) (*Frontier, error) {
 	if e.cfg.MaxSolverQueries > 0 {
 		f.solverBudget = e.cfg.MaxSolverQueries - uint64(e.exec.Solver.Stats.Queries)
 	}
-	f.hdr = campaignHeader{
-		Fingerprint:      e.cfg.runFingerprint(),
-		Workers:          e.cfg.Workers,
-		Seeds:            len(f.seeds),
-		SeedsHash:        seedsHash(f.seeds),
-		SeedMaxID:        f.seedMaxID,
-		SeedFinished:     len(e.finished),
-		SeedInstructions: e.stats.Instructions,
-	}
+	f.hdr.Seeds = len(f.seeds)
+	f.hdr.SeedsHash = seedsHash(f.seeds)
+	f.hdr.SeedMaxID = f.seedMaxID
+	f.hdr.SeedFinished = len(e.finished)
+	f.hdr.SeedInstructions = e.stats.Instructions
 	return f, nil
 }
 
 // Done returns the completed report when the run finished inside the
 // seed phase (nil otherwise: the frontier has seeds to run).
 func (f *Frontier) Done() *Report { return f.done }
-
-// NumSeeds is the fan-out width (0 when Done is non-nil).
-func (f *Frontier) NumSeeds() int { return len(f.seeds) }
-
-// SeedVirtualTime is the virtual time the serial seed phase consumed.
-func (f *Frontier) SeedVirtualTime() time.Duration { return f.seedVT }
 
 // SolverCache exposes the run's shared memoized solver cache — the
 // unit the distributed solver fabric replicates across nodes (see
@@ -374,24 +370,6 @@ func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *workerRig, h
 	return res, nil
 }
 
-// Merge combines the seed-phase prefix with the given subtree results
-// in seed order and prices the run with the deterministic greedy
-// virtual-worker schedule (width Config.Workers — NOT the number of
-// hosts that physically ran the subtrees, which is why an N-node
-// distributed run reports byte-identical virtual time to a 1-node
-// run). Missing results are skipped; call it once with every subtree
-// completed for a full report.
-func (f *Frontier) Merge(results []*SubtreeResult) *Report {
-	rs := make([]*subtreeResult, len(f.seeds))
-	for _, r := range results {
-		if r == nil || r.idx < 0 || r.idx >= len(rs) {
-			continue
-		}
-		rs[r.idx] = r.res
-	}
-	return f.e.merge(f.start, f.seedVT, f.e.cfg.Workers, rs)
-}
-
 // SubtreeResult is one completed subtree's portable contribution to
 // the merge: finished paths (report-relevant projection only), timing
 // and traffic deltas, and — under Config.KeepBugSnapshots — the
@@ -453,190 +431,4 @@ func (r *SubtreeResult) PutBugSnapshot(stateID uint64, rec *snapshot.Record) {
 		r.res.bugSnaps = make(map[uint64]*snapshot.Record)
 	}
 	r.res.bugSnaps[stateID] = rec
-}
-
-// CampaignLog is PR 6's crash-safe campaign journal exposed to
-// external frontier drivers: the distributed driver appends every
-// completed subtree so a killed driver process resumes instead of
-// restarting. Same record kinds, group-commit and compaction policy
-// as the in-process supervisor's journal — LoadCampaign reads both.
-type CampaignLog struct {
-	f *Frontier
-
-	mu           sync.Mutex
-	jw           *journal.Writer
-	completed    []bool
-	sinceSync    int
-	sinceCompact int
-}
-
-// NewCampaignLog creates a campaign journal at path and writes the
-// frontier's header. With an empty path it returns a no-op log (every
-// method is safe to call), so callers need no journaling branches.
-func (f *Frontier) NewCampaignLog(path string) (*CampaignLog, error) {
-	l := &CampaignLog{f: f, completed: make([]bool, len(f.seeds))}
-	if path == "" {
-		return l, nil
-	}
-	jw, err := journal.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	hdr, err := gobEncode(f.hdr)
-	if err == nil {
-		err = jw.Append(recCampaign, hdr)
-	}
-	if err == nil {
-		err = jw.Append(recFrontier, mustFrontierRec(nil, len(f.seeds)))
-	}
-	if err == nil {
-		err = jw.Sync()
-	}
-	if err != nil {
-		jw.Close()
-		return nil, err
-	}
-	l.jw = jw
-	return l, nil
-}
-
-// ResumeCampaignLog validates a loaded campaign against this frontier
-// (same configuration fingerprint, same deterministic seed phase) and
-// continues appending to its journal. It returns the journaled
-// subtree results, already completed, so the driver only runs what is
-// left.
-func (f *Frontier) ResumeCampaignLog(cam *Campaign) (*CampaignLog, []*SubtreeResult, error) {
-	if err := cam.validate(f.hdr); err != nil {
-		return nil, nil, err
-	}
-	l := &CampaignLog{f: f, completed: make([]bool, len(f.seeds))}
-	var done []*SubtreeResult
-	for idx, res := range cam.Results {
-		if idx < 0 || idx >= len(f.seeds) || l.completed[idx] {
-			continue
-		}
-		l.completed[idx] = true
-		done = append(done, &SubtreeResult{idx: idx, res: res})
-	}
-	jw, _, err := journal.AppendTo(cam.Path)
-	if err != nil {
-		return nil, nil, err
-	}
-	l.jw = jw
-	return l, done, nil
-}
-
-func mustFrontierRec(completed []bool, seeds int) []byte {
-	var pending []int
-	for idx := 0; idx < seeds; idx++ {
-		if completed == nil || !completed[idx] {
-			pending = append(pending, idx)
-		}
-	}
-	payload, err := gobEncode(frontierRec{Pending: pending})
-	if err != nil {
-		// frontierRec is a []int; gob encoding it cannot fail.
-		panic(err)
-	}
-	return payload
-}
-
-// Append journals one completed subtree plus a fresh frontier record,
-// with the supervisor's group-commit and compaction policy.
-func (l *CampaignLog) Append(r *SubtreeResult) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if r.idx >= 0 && r.idx < len(l.completed) {
-		if l.completed[r.idx] {
-			return nil // first-wins: a replayed subtree is identical
-		}
-		l.completed[r.idx] = true
-	}
-	if l.jw == nil {
-		return nil
-	}
-	rec, err := newSubtreeRec(r.idx, r.res)
-	if err != nil {
-		return err
-	}
-	payload, err := gobEncode(rec)
-	if err != nil {
-		return err
-	}
-	if err := l.jw.Append(recSubtree, payload); err != nil {
-		return err
-	}
-	if err := l.jw.Append(recFrontier, mustFrontierRec(l.completed, len(l.completed))); err != nil {
-		return err
-	}
-	remaining := 0
-	for _, c := range l.completed {
-		if !c {
-			remaining++
-		}
-	}
-	if l.sinceSync++; l.sinceSync >= l.f.e.cfg.journalSyncEvery() || remaining == 0 {
-		l.sinceSync = 0
-		if err := l.jw.Sync(); err != nil {
-			return err
-		}
-	}
-	if l.sinceCompact++; l.sinceCompact >= l.f.e.cfg.journalCompactEvery() {
-		l.sinceCompact = 0
-		return l.jw.Compact(func(rs []journal.Record) []journal.Record {
-			kept := rs[:0]
-			for _, rec := range rs {
-				if rec.Kind != recFrontier {
-					kept = append(kept, rec)
-				}
-			}
-			return append(kept, journal.Record{Kind: recFrontier, Payload: mustFrontierRec(l.completed, len(l.completed))})
-		})
-	}
-	return nil
-}
-
-// Finish marks the campaign complete (resuming it becomes an error)
-// and syncs.
-func (l *CampaignLog) Finish() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.jw == nil {
-		return nil
-	}
-	if err := l.jw.Append(recComplete, nil); err != nil {
-		return err
-	}
-	return l.jw.Sync()
-}
-
-// Sync flushes the journal (used before an interrupted driver exits,
-// so the campaign is resumable).
-func (l *CampaignLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.jw == nil {
-		return nil
-	}
-	return l.jw.Sync()
-}
-
-// Stats reports journal record/byte counts (zero for a no-op log).
-func (l *CampaignLog) Stats() (records, bytes uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.jw == nil {
-		return 0, 0
-	}
-	st := l.jw.Stats()
-	return st.Records, st.Bytes
-}
-
-// Close closes the journal file.
-func (l *CampaignLog) Close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.jw != nil {
-		l.jw.Close()
-	}
 }

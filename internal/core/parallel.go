@@ -29,16 +29,22 @@
 //     N-target rack takes, independent of the racy physical claim
 //     order. Per-worker traffic columns come from the same schedule.
 //
-// The fan-out runs under a supervisor (see supervisor below): worker
-// panics are recovered, stalled workers are deposed by a heartbeat
-// monitor, in-flight subtrees are requeued and absorbed by surviving
-// workers or by bounded-backoff replacement workers re-seeded from
-// the content-addressed snapshot store, and — when journaling is
-// enabled — every completed subtree is appended to the campaign
-// journal so a killed process can resume. Because every subtree
-// result is a pure function of its seed index, recovery replays are
-// byte-identical to first attempts, and a chaos-ridden run merges to
-// exactly the undisturbed report.
+// The fan-out runs under a supervisor (see supervisor below), and it
+// is the only subtree scheduler in the repo: Frontier.Run takes the
+// worker slots as an argument, so the same queue, completion
+// tracking, recovery policy and journal serve a rack of local rigs
+// (LocalSlots, what runParallel passes) and a fleet of remote nodes
+// (internal/dist passes slots whose executors forward the seed index
+// over a connection). Worker panics are recovered, stalled local
+// workers are deposed by a heartbeat monitor, in-flight subtrees are
+// requeued and absorbed by surviving workers or by bounded-backoff
+// replacement generations — a fresh rig re-seeded from the
+// content-addressed snapshot store, or a redialed connection — and,
+// when journaling is enabled, every completed subtree is appended to
+// the campaign journal so a killed process can resume. Because every
+// subtree result is a pure function of its seed index, recovery
+// replays are byte-identical to first attempts, and a chaos-ridden
+// run merges to exactly the undisturbed report.
 //
 // Determinism contract: for a fixed seed and a run that completes
 // within budget, an N-worker run produces the same bug set, path
@@ -58,12 +64,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hardsnap/internal/bus"
-	"hardsnap/internal/journal"
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
 	"hardsnap/internal/target"
@@ -150,60 +156,78 @@ func addStats(dst *Stats, s Stats) {
 	dst.HWViolations += s.HWViolations
 }
 
-// runParallel is the Workers > 1 entry point (dispatched from Run).
-// The seed phase and per-subtree execution live in frontier.go — the
-// same seams the distributed driver (internal/dist) uses — and this
-// function is the local composition: frontier + supervisor + merge.
+// runParallel is the Workers > 1 entry point (dispatched from Run):
+// the frontier's seed phase, then the supervised fan-out over
+// Config.Workers local rigs. The distributed driver (internal/dist)
+// makes the same Frontier.Run call with node-connection slots.
 func (e *Engine) runParallel(ctx context.Context) (*Report, error) {
 	f, err := e.Frontier(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if f.done != nil {
-		// The tree drained (or the budget died) before the fan-out
-		// width was reached: the serial result is the result.
-		if err := e.journalSerialDrain(); err != nil {
-			return nil, err
-		}
-		return f.done, nil
-	}
+	return f.Run(ctx, f.LocalSlots(e.cfg.Workers), nil)
+}
 
-	sup, err := e.newSupervisor(ctx, f)
+// Executor is where one worker's subtrees execute: it explores fan-out
+// seed idx to completion (attempt counts earlier failed tries at idx,
+// 0 for the first) and returns the result. The supervisor does not
+// care whether that happens on a local rig or across a connection to
+// another machine; by the purity contract the result is the same.
+// A returned error (or a panic) requeues the subtree and retires the
+// executor: whatever it ran on is no longer trusted.
+type Executor func(ctx context.Context, idx, attempt int) (*SubtreeResult, error)
+
+// Slot builds the Executor for one generation of one worker position.
+// The supervisor calls it once when the run starts and again for every
+// replacement it spawns after the previous generation failed, so a
+// Slot is where a fresh rig is spawned or a dead connection redialed.
+// ctx lives exactly as long as the generation: resources the executor
+// holds are released when it is cancelled.
+type Slot func(ctx context.Context, w *Worker) (Executor, error)
+
+// Worker identifies the generation a Slot is building for.
+type Worker struct {
+	// Slot is the worker position, an index into the run's slot list
+	// (fallback slots follow the primary ones).
+	Slot int
+	// Gen is 0 for the worker the run started with and n for the n-th
+	// replacement spawned campaign-wide.
+	Gen int
+
+	sup *supervisor
+	// beat is the progress counter the heartbeat monitor watches. Only
+	// local-rig executors register one; a worker without it is never
+	// deposed.
+	beat *atomic.Uint64
+}
+
+// Run drives the fan-out to completion on the given worker slots and
+// returns the merged report: one supervisor (work queue, first-wins
+// completion, bounded requeue and replacement, heartbeat monitor,
+// chaos die gate) and one campaign journal writer, whoever executes
+// the subtrees. The fallback slots stay idle unless every primary
+// worker has failed past the restart budget with work remaining —
+// the point where a run without fallback fails. Journaling, resume,
+// progress and chaos come from the engine's Config as in any parallel
+// run. When the seed phase already finished the run, Run journals
+// that and returns Done.
+func (f *Frontier) Run(ctx context.Context, slots, fallback []Slot) (*Report, error) {
+	sup, err := newSupervisor(ctx, f, slots, fallback)
 	if err != nil {
 		return nil, err
 	}
 	if err := sup.run(); err != nil {
 		return nil, err
 	}
-	rep := e.merge(f.start, f.seedVT, e.cfg.Workers, sup.results)
+	if f.done != nil {
+		// The tree drained (or the budget died) before the fan-out
+		// width was reached: the serial result is the result.
+		return f.done, nil
+	}
+	rep := f.e.merge(f.start, f.seedVT, f.e.cfg.Workers, sup.results)
 	rep.Recovery = sup.recovery()
 	return rep, nil
-}
-
-// journalSerialDrain records a campaign that finished inside the seed
-// phase: the journal still gets a header and a completion record, so
-// a resume attempt reports "already complete" instead of confusion.
-func (e *Engine) journalSerialDrain() error {
-	if e.cfg.JournalPath == "" || e.cfg.Resume != nil {
-		return nil
-	}
-	jw, err := journal.Create(e.cfg.JournalPath)
-	if err != nil {
-		return err
-	}
-	defer jw.Close()
-	hdr, err := gobEncode(campaignHeader{
-		Fingerprint: e.cfg.runFingerprint(),
-		Workers:     e.cfg.Workers,
-	})
-	if err != nil {
-		return err
-	}
-	if err := jw.Append(recCampaign, hdr); err != nil {
-		return err
-	}
-	return jw.Append(recComplete, nil)
 }
 
 // errDeposed marks a worker cancelled by the heartbeat monitor while
@@ -250,11 +274,49 @@ func (e *Engine) buildRig(name string, stream int) (*workerRig, error) {
 	return &workerRig{tgt: wtgt, router: wrouter, snaps: NewSnapshotManager(e.snaps, wtgt, wrouter)}, nil
 }
 
+// LocalSlots returns n slots whose executors run subtrees on private
+// rigs spawned from the engine's own target: what a local parallel
+// run uses for all of its workers and a distributed run for its
+// fallback. Each generation spawns a fresh rig; its executor feeds the
+// heartbeat monitor and is where ChaosSchedule step events land.
+func (f *Frontier) LocalSlots(n int) []Slot {
+	slots := make([]Slot, n)
+	for i := range slots {
+		slots[i] = f.localSlot
+	}
+	return slots
+}
+
+func (f *Frontier) localSlot(ctx context.Context, w *Worker) (Executor, error) {
+	name := ""
+	if f.e.tgt != nil {
+		name = fmt.Sprintf("%s-w%d", f.e.tgt.Name(), w.Slot)
+		if w.Gen > 0 {
+			name = fmt.Sprintf("%s-r%d", name, w.Gen)
+		}
+	}
+	f.spawnMu.Lock()
+	rig, err := f.e.buildRig(name, w.Slot)
+	f.spawnMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	w.beat = new(atomic.Uint64)
+	return func(wctx context.Context, idx, attempt int) (*SubtreeResult, error) {
+		res, err := f.runSubtreeOn(wctx, idx, rig, w.stepHook(wctx, idx, attempt, rig))
+		if err != nil {
+			return nil, err
+		}
+		return &SubtreeResult{idx: idx, res: res}, nil
+	}, nil
+}
+
 // workerSlot is the supervisor's handle on one worker position. The
 // cancel/beat pair belongs to the slot's *current* generation; a
 // replacement re-registers, so a deposed zombie's late heartbeats are
 // no longer watched.
 type workerSlot struct {
+	build  Slot
 	cancel func()
 	beat   *atomic.Uint64
 	busy   bool
@@ -286,20 +348,26 @@ type supervisor struct {
 	fatal          error
 	interrupted    bool
 	rec            RecoveryStats
-	jw             *journal.Writer
-	sinceCompact   int
-	sinceSync      int
+	log            *campaignLog
 	slots          []*workerSlot
+	primary        int // slots[:primary] start with the run, the rest are the fallback
 
 	wg    sync.WaitGroup
 	monWG sync.WaitGroup
 }
 
-func (e *Engine) newSupervisor(ctx context.Context, f *Frontier) (*supervisor, error) {
+func newSupervisor(ctx context.Context, f *Frontier, slots, fallback []Slot) (*supervisor, error) {
 	seeds := f.seeds
+	if len(seeds) > 0 && len(slots) == 0 {
+		return nil, errors.New("core: parallel run needs at least one worker slot")
+	}
+	log, err := openCampaignLog(&f.e.cfg, f.hdr)
+	if err != nil {
+		return nil, err
+	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &supervisor{
-		e: e, f: f, ctx: sctx, cancel: cancel,
+		e: f.e, f: f, ctx: sctx, cancel: cancel,
 		seeds:     seeds,
 		work:      make(chan int, len(seeds)),
 		workDone:  make(chan struct{}),
@@ -308,20 +376,13 @@ func (e *Engine) newSupervisor(ctx context.Context, f *Frontier) (*supervisor, e
 		completed: make([]bool, len(seeds)),
 		attempts:  make([]int, len(seeds)),
 		remaining: len(seeds),
-		slots:     make([]*workerSlot, e.cfg.Workers),
+		log:       log,
+		primary:   len(slots),
 	}
-	for i := range s.slots {
-		s.slots[i] = &workerSlot{}
+	for _, build := range slices.Concat(slots, fallback) {
+		s.slots = append(s.slots, &workerSlot{build: build})
 	}
-
-	header := f.hdr
-	switch {
-	case e.cfg.Resume != nil:
-		cam := e.cfg.Resume
-		if err := cam.validate(header); err != nil {
-			cancel()
-			return nil, err
-		}
+	if cam := f.e.cfg.Resume; cam != nil {
 		for idx, res := range cam.Results {
 			if idx < 0 || idx >= len(seeds) || s.completed[idx] {
 				continue
@@ -330,36 +391,6 @@ func (e *Engine) newSupervisor(ctx context.Context, f *Frontier) (*supervisor, e
 			s.completed[idx] = true
 			s.remaining--
 			s.rec.ResumedSubtrees++
-		}
-		// Keep appending to the same journal: the campaign's history
-		// stays in one file across any number of resumes.
-		jw, _, err := journal.AppendTo(cam.Path)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.jw = jw
-	case e.cfg.JournalPath != "":
-		jw, err := journal.Create(e.cfg.JournalPath)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.jw = jw
-		hdr, err := gobEncode(header)
-		if err == nil {
-			err = jw.Append(recCampaign, hdr)
-		}
-		if err == nil {
-			err = s.appendFrontierLocked()
-		}
-		if err == nil {
-			err = jw.Sync()
-		}
-		if err != nil {
-			jw.Close()
-			cancel()
-			return nil, err
 		}
 	}
 	return s, nil
@@ -370,13 +401,13 @@ func (e *Engine) newSupervisor(ctx context.Context, f *Frontier) (*supervisor, e
 // record on success, synced partial history otherwise.
 func (s *supervisor) run() error {
 	defer s.cancel()
-	defer s.closeJournal()
+	defer s.log.close()
 	// Attempts run on adopted snapshot references; the seeds' original
 	// references are dropped by Frontier.Close once no attempt can
-	// start anymore (runParallel defers it past this return).
+	// start anymore (the caller defers it past this return).
 	if s.remaining == 0 {
 		close(s.workDone)
-		return s.finishJournal()
+		return s.log.finish()
 	}
 	for idx := range s.seeds {
 		if !s.completed[idx] {
@@ -384,12 +415,8 @@ func (s *supervisor) run() error {
 		}
 	}
 	s.mu.Lock()
-	s.liveWorkers = s.e.cfg.Workers
+	s.startWorkersLocked(0, s.primary)
 	s.mu.Unlock()
-	for w := 0; w < s.e.cfg.Workers; w++ {
-		s.wg.Add(1)
-		go s.workerMain(w, 0, time.Time{})
-	}
 	if s.e.cfg.HeartbeatInterval > 0 {
 		s.monWG.Add(1)
 		go s.monitor()
@@ -405,12 +432,19 @@ func (s *supervisor) run() error {
 		return fatal
 	}
 	if interrupted || s.ctx.Err() != nil {
-		if s.jw != nil {
-			s.jw.Sync()
-		}
+		s.log.sync()
 		return ErrInterrupted
 	}
-	return s.finishJournal()
+	return s.log.finish()
+}
+
+// startWorkersLocked launches generation 0 of slots[from:to].
+func (s *supervisor) startWorkersLocked(from, to int) {
+	s.liveWorkers += to - from
+	for slot := from; slot < to; slot++ {
+		s.wg.Add(1)
+		go s.workerMain(slot, 0, time.Time{})
+	}
 }
 
 // recovery snapshots the recovery counters (after run returns).
@@ -418,74 +452,40 @@ func (s *supervisor) recovery() RecoveryStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec := s.rec
-	if s.jw != nil {
-		st := s.jw.Stats()
-		rec.JournalRecords = st.Records
-		rec.JournalBytes = st.Bytes
-	}
+	st := s.log.stats()
+	rec.JournalRecords = st.Records
+	rec.JournalBytes = st.Bytes
+	rec.JournalWall = s.log.wall
 	return rec
 }
 
-func (s *supervisor) finishJournal() error {
-	if s.jw == nil {
-		return nil
-	}
-	jstart := time.Now()
-	defer func() {
-		s.mu.Lock()
-		s.rec.JournalWall += time.Since(jstart)
-		s.mu.Unlock()
-	}()
-	if err := s.jw.Append(recComplete, nil); err != nil {
-		return err
-	}
-	return s.jw.Sync()
-}
-
-func (s *supervisor) closeJournal() {
-	if s.jw != nil {
-		s.jw.Close()
-	}
-}
-
-// workerMain is one worker generation: register in the slot, build a
-// rig, drain subtrees, and hand the exit to the supervisor (which
-// decides whether a replacement is due).
+// workerMain is one worker generation: build the slot's executor,
+// register in the slot, drain subtrees, and hand the exit to the
+// supervisor (which decides whether a replacement is due).
 func (s *supervisor) workerMain(slot, gen int, since time.Time) {
 	defer s.wg.Done()
 	wctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
-	beat := new(atomic.Uint64)
-	s.mu.Lock()
-	s.slots[slot].cancel = cancel
-	s.slots[slot].beat = beat
-	s.slots[slot].busy = false
-	s.mu.Unlock()
-	err := s.workerLoop(slot, gen, wctx, beat, since)
+	err := s.workerLoop(slot, gen, wctx, cancel, since)
 	s.workerExited(slot, err)
 }
 
-func (s *supervisor) workerLoop(slot, gen int, wctx context.Context, beat *atomic.Uint64, since time.Time) error {
-	name := ""
-	if s.e.tgt != nil {
-		name = fmt.Sprintf("%s-w%d", s.e.tgt.Name(), slot)
-		if gen > 0 {
-			name = fmt.Sprintf("%s-r%d", name, gen)
-		}
-	}
-	s.f.spawnMu.Lock()
-	rig, err := s.e.buildRig(name, slot)
-	s.f.spawnMu.Unlock()
+func (s *supervisor) workerLoop(slot, gen int, wctx context.Context, cancel func(), since time.Time) error {
+	w := &Worker{Slot: slot, Gen: gen, sup: s}
+	exec, err := s.slots[slot].build(wctx, w)
 	if err != nil {
 		return err
 	}
+	s.mu.Lock()
+	s.slots[slot].cancel = cancel
+	s.slots[slot].beat = w.beat
+	s.slots[slot].busy = false
 	if !since.IsZero() {
-		// Replacement worker: backoff + rig rebuild is the recovery
-		// latency E14 measures.
-		s.mu.Lock()
+		// Replacement worker: backoff + executor rebuild is the
+		// recovery latency E14 measures.
 		s.rec.RecoveryWall += time.Since(since)
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
 	for {
 		select {
 		case <-wctx.Done():
@@ -500,7 +500,7 @@ func (s *supervisor) workerLoop(slot, gen int, wctx context.Context, beat *atomi
 			if !ok {
 				continue // completed by a zombie while queued
 			}
-			res, rerr := s.runGuarded(wctx, idx, attempt, rig, beat)
+			res, rerr := runGuarded(wctx, exec, idx, attempt)
 			s.setBusy(slot, false)
 			if rerr == nil {
 				s.complete(idx, attempt, res)
@@ -509,9 +509,9 @@ func (s *supervisor) workerLoop(slot, gen int, wctx context.Context, beat *atomi
 			if s.ctx.Err() != nil {
 				return nil // shutdown mid-subtree: leave it pending
 			}
-			// Requeue the subtree for someone with a clean rig, then
-			// retire: this rig saw a failure mid-exploration and its
-			// hardware state cannot be trusted.
+			// Requeue the subtree for someone with a clean executor,
+			// then retire: this one saw a failure mid-exploration and
+			// its hardware state (or its link) cannot be trusted.
 			s.requeue(idx, rerr)
 			return rerr
 		}
@@ -545,14 +545,20 @@ func (p panicError) Unwrap() error { return p.err }
 // runGuarded runs one subtree attempt with panic recovery: a panic
 // anywhere in the engine, executor or target stack becomes an
 // ordinary requeue-and-retire failure instead of killing the process.
-func (s *supervisor) runGuarded(wctx context.Context, idx, attempt int, rig *workerRig, beat *atomic.Uint64) (res *subtreeResult, err error) {
+func runGuarded(wctx context.Context, exec Executor, idx, attempt int) (res *subtreeResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, panicError{fmt.Errorf("core: subtree %d: panic: %v", idx, p)}
 		}
 	}()
-	res, err = s.runSubtree(wctx, idx, attempt, rig, beat)
-	return
+	r, err := exec(wctx, idx, attempt)
+	if err != nil {
+		return nil, err
+	}
+	if r.idx != idx {
+		return nil, fmt.Errorf("core: subtree %d: executor returned subtree %d", idx, r.idx)
+	}
+	return r.res, nil
 }
 
 // complete records a finished subtree, first-wins: a deposed zombie
@@ -571,20 +577,16 @@ func (s *supervisor) complete(idx, attempt int, res *subtreeResult) {
 	s.remaining--
 	s.freshCompleted++
 	if attempt > 0 {
-		// The subtree's original rig failed; this completion happened
-		// on a fresh one re-seeded from the shared snapshot store.
+		// The subtree's original executor failed; this completion
+		// happened on a fresh one re-seeded from the shared snapshot
+		// store (or on another node's own copy of the frontier).
 		s.rec.FailoverEvents++
 	}
-	if s.jw != nil {
-		jstart := time.Now()
-		err := s.appendSubtreeLocked(idx, res)
-		s.rec.JournalWall += time.Since(jstart)
-		if err != nil && s.fatal == nil {
-			s.fatal = fmt.Errorf("core: campaign journal: %w", err)
-			s.mu.Unlock()
-			s.cancel()
-			return
-		}
+	if err := s.log.appendSubtree(idx, res, s.completed); err != nil && s.fatal == nil {
+		s.fatal = fmt.Errorf("core: campaign journal: %w", err)
+		s.mu.Unlock()
+		s.cancel()
+		return
 	}
 	chaos := s.e.cfg.Chaos
 	die := chaos != nil && chaos.DieAfterSubtrees > 0 &&
@@ -604,71 +606,6 @@ func (s *supervisor) complete(idx, attempt int, res *subtreeResult) {
 	if done {
 		close(s.workDone)
 	}
-}
-
-// appendSubtreeLocked journals one completed subtree plus a fresh
-// frontier record. Completions are group-committed: the journal is
-// fsynced every syncEvery completions (and at the campaign's end and
-// on interruption), so a hard crash re-explores at most the last few
-// subtrees — re-exploration is deterministic, so the resumed result
-// is identical either way. Every compactEvery completions the journal
-// is compacted: superseded frontier records are dropped in an atomic
-// rewrite.
-func (s *supervisor) appendSubtreeLocked(idx int, res *subtreeResult) error {
-	rec, err := newSubtreeRec(idx, res)
-	if err != nil {
-		return err
-	}
-	payload, err := gobEncode(rec)
-	if err != nil {
-		return err
-	}
-	if err := s.jw.Append(recSubtree, payload); err != nil {
-		return err
-	}
-	if err := s.appendFrontierLocked(); err != nil {
-		return err
-	}
-	if s.sinceSync++; s.sinceSync >= s.e.cfg.journalSyncEvery() || s.remaining == 0 {
-		s.sinceSync = 0
-		if err := s.jw.Sync(); err != nil {
-			return err
-		}
-	}
-	if s.sinceCompact++; s.sinceCompact >= s.e.cfg.journalCompactEvery() {
-		s.sinceCompact = 0
-		return s.jw.Compact(func(rs []journal.Record) []journal.Record {
-			kept := rs[:0]
-			for _, r := range rs {
-				if r.Kind != recFrontier {
-					kept = append(kept, r)
-				}
-			}
-			if fp, err := gobEncode(frontierRec{Pending: s.pendingLocked()}); err == nil {
-				kept = append(kept, journal.Record{Kind: recFrontier, Payload: fp})
-			}
-			return kept
-		})
-	}
-	return nil
-}
-
-func (s *supervisor) pendingLocked() []int {
-	var pending []int
-	for idx := range s.seeds {
-		if !s.completed[idx] {
-			pending = append(pending, idx)
-		}
-	}
-	return pending
-}
-
-func (s *supervisor) appendFrontierLocked() error {
-	fp, err := gobEncode(frontierRec{Pending: s.pendingLocked()})
-	if err != nil {
-		return err
-	}
-	return s.jw.Append(recFrontier, fp)
 }
 
 // requeue returns a failed subtree to the queue (bounded attempts),
@@ -701,7 +638,7 @@ func (s *supervisor) requeue(idx int, err error) {
 // clean exits (drained queue, shutdown) pass; failures spawn a
 // bounded-backoff replacement while the restart budget lasts; past
 // the budget the survivors absorb the queue, and if none remain the
-// campaign fails.
+// fallback slots start — or, without any, the campaign fails.
 func (s *supervisor) workerExited(slot int, err error) {
 	s.mu.Lock()
 	s.liveWorkers--
@@ -711,6 +648,16 @@ func (s *supervisor) workerExited(slot int, err error) {
 	}
 	if s.restarts >= s.e.cfg.MaxWorkerRestarts {
 		if s.liveWorkers == 0 && s.remaining > 0 {
+			if from := s.primary; from < len(s.slots) {
+				// Nobody is left to absorb the queue: the fallback
+				// slots take over, once, with a restart budget of
+				// their own (the spent one was the primary fleet's).
+				s.primary = len(s.slots)
+				s.restarts = 0
+				s.startWorkersLocked(from, len(s.slots))
+				s.mu.Unlock()
+				return
+			}
 			s.fatal = fmt.Errorf("core: worker restart budget exhausted (%d): %w", s.restarts, err)
 			s.mu.Unlock()
 			s.cancel()
@@ -790,18 +737,12 @@ func (s *supervisor) monitor() {
 	}
 }
 
-// runSubtree explores one fan-out seed to completion on the rig's
-// private hardware (see Frontier.runSubtreeOn for the purity
-// contract), wiring in this attempt's heartbeat/chaos step hook.
-func (s *supervisor) runSubtree(wctx context.Context, idx, attempt int, rig *workerRig, beat *atomic.Uint64) (*subtreeResult, error) {
-	return s.f.runSubtreeOn(wctx, idx, rig, s.stepHookFor(wctx, idx, attempt, rig, beat))
-}
-
-// stepHookFor builds the per-step seam for one subtree attempt:
-// heartbeat progress (lock-free atomic) plus scheduled chaos events.
-// Returns nil when neither is configured, keeping undisturbed runs
-// hook-free.
-func (s *supervisor) stepHookFor(wctx context.Context, idx, attempt int, rig *workerRig, beat *atomic.Uint64) func() error {
+// stepHook builds the per-step seam for one subtree attempt on a local
+// rig: heartbeat progress (lock-free atomic) plus scheduled chaos
+// events. Returns nil when neither is configured, keeping undisturbed
+// runs hook-free.
+func (w *Worker) stepHook(wctx context.Context, idx, attempt int, rig *workerRig) func() error {
+	s := w.sup
 	heartbeat := s.e.cfg.HeartbeatInterval > 0
 	ev, at := s.e.cfg.Chaos.plan(idx, attempt)
 	if !heartbeat && ev == chaosNone {
@@ -810,7 +751,7 @@ func (s *supervisor) stepHookFor(wctx context.Context, idx, attempt int, rig *wo
 	var step uint64
 	return func() error {
 		if heartbeat {
-			beat.Add(1)
+			w.beat.Add(1)
 		}
 		if ev == chaosNone {
 			return nil

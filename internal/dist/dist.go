@@ -15,7 +15,15 @@
 // byte-identical frontier. From then on a subtree handoff is a bare
 // index: zero symbolic state and zero snapshot bytes on the wire.
 //
-// Determinism: the driver merges subtree results with the same
+// Scheduling: there is none of its own. Run hands core.Frontier.Run —
+// the supervisor of every parallel run — one slot per node connection
+// and the driver's local rigs as the fallback; queueing, requeue and
+// replacement after a node death, journaling, resume and interruption
+// are that supervisor's (see core/parallel.go). This package supplies
+// what is particular to a node: the connection, the two fabrics and
+// the per-node accounting (driver.go), and the node side (node.go).
+//
+// Determinism: subtree results merge with the same
 // deterministic seed-order schedule (width core.Config.Workers, NOT
 // the node count) a single-machine run uses, so an N-node run's
 // bugs, paths and virtual time are byte-identical to a 1-node run's.

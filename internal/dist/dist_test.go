@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -205,74 +206,135 @@ func TestDistSharedFabricSavesBytes(t *testing.T) {
 	}
 }
 
+// killOnFirstRun arms victim to die mid-subtree: its first run op
+// reports on the returned channel, a watcher then closes the node, and
+// every run op it has accepted stays in flight until the node's
+// context is cancelled — so the driver always loses work to the death,
+// whatever the scheduling.
+func killOnFirstRun(t *testing.T, victim *Server) <-chan struct{} {
+	t.Helper()
+	hit := make(chan struct{})
+	var once sync.Once
+	victim.testBeforeRun = func(int) {
+		once.Do(func() { close(hit) })
+		<-victim.ctx.Done()
+	}
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		<-hit
+		victim.Close()
+	}()
+	t.Cleanup(func() {
+		once.Do(func() { close(hit) })
+		<-closed
+	})
+	return hit
+}
+
 // TestDistNodeDeath is the node-churn chaos gate: a node killed while
-// running a subtree must not perturb the outcome — the driver requeues
-// the in-flight index onto survivors and the merged result stays
-// fingerprint-identical to an undisturbed single-machine run.
+// running a subtree must not perturb the outcome — the supervisor
+// requeues the in-flight index onto survivors and the merged result
+// stays fingerprint-identical to an undisturbed single-machine run.
 func TestDistNodeDeath(t *testing.T) {
 	job := distJob(2)
 	want := runLocal(t, job)
 
 	addrs, srvs := startNodes(t, 2)
-	victim := srvs[1]
-	var once sync.Once
-	killed := make(chan struct{})
-	victim.testBeforeRun = func(int) {
-		once.Do(func() { close(killed) })
-		// Give Close a moment to land mid-subtree.
-		time.Sleep(5 * time.Millisecond)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-killed
-		victim.Close()
-	}()
+	hit := killOnFirstRun(t, srvs[1])
+	// The survivor holds its first subtrees until the victim has one
+	// too, so it cannot drain the queue before the kill matters.
+	srvs[0].testBeforeRun = func(int) { <-hit }
 
 	got, err := Run(context.Background(), job, Options{Nodes: addrs, SlotsPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-done
 	assertSameOutcome(t, want, got)
 
-	var reconnectsOrDeath bool
-	for _, nr := range got.Report.Nodes {
-		if nr.Node == addrs[1] && nr.Subtrees < got.Paths {
-			reconnectsOrDeath = true
-		}
+	rec := got.Report.Recovery
+	if rec.Requeues < 1 {
+		t.Errorf("node died with a subtree in flight but nothing was requeued: %+v", rec)
 	}
-	if !reconnectsOrDeath {
-		t.Log("victim completed everything before the kill landed (timing); outcome still verified identical")
+	for _, nr := range got.Report.Nodes {
+		if nr.Node == "local" {
+			t.Errorf("local fallback ran %d subtrees while a node was alive", nr.Subtrees)
+		}
 	}
 }
 
-// TestDistJournalResume kills the driver (context cancel) mid-campaign
-// and resumes from the journal: the completed subtrees replay from
-// disk, only the remainder re-runs, and the final result is identical
-// to an undisturbed run.
+// TestDistNodeDeathLocalFallback kills the only node. The supervisor
+// spends its restart budget redialing, then starts the driver's local
+// executors, which finish the campaign through seeded panics of their
+// own: chaos seed 4 panics subtrees 2, 4, 6 and 7 (0 and 1 were in
+// flight on the node, so their retries are exempt), more than the two
+// fallback workers could take without the restart budget the fallback
+// fleet gets for itself. With NoLocalFallback the same death fails the
+// campaign instead.
+func TestDistNodeDeathLocalFallback(t *testing.T) {
+	job := distJob(2)
+	want := runLocal(t, job)
+	job.Chaos = &core.ChaosSchedule{Seed: 4, PanicRate: 0.3}
+
+	addrs, srvs := startNodes(t, 1)
+	killOnFirstRun(t, srvs[0])
+	got, err := Run(context.Background(), job, Options{Nodes: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameOutcome(t, want, got)
+	rec := got.Report.Recovery
+	if rec.Requeues == 0 || rec.WorkerRestarts == 0 || rec.PanicsRecovered < 2 {
+		t.Errorf("recovery counters = %+v, want requeues, restarts and >= 2 recovered panics", rec)
+	}
+	local := 0
+	for _, nr := range got.Report.Nodes {
+		if nr.Node == "local" {
+			local = nr.Subtrees
+		}
+	}
+	if local == 0 {
+		t.Error("no subtree ran on the local fallback after the only node died")
+	}
+
+	addrs, srvs = startNodes(t, 1)
+	killOnFirstRun(t, srvs[0])
+	if _, err := Run(context.Background(), job, Options{Nodes: addrs, NoLocalFallback: true}); err == nil {
+		t.Fatal("campaign survived the death of its only node with local fallback disabled")
+	}
+}
+
+// TestDistChaosIdentity is the dist row of core's TestChaosIdentity:
+// with no node attached every subtree runs on the driver's local
+// executors, and seeded panics on them are recovered by the shared
+// supervisor to the undisturbed fingerprint.
+func TestDistChaosIdentity(t *testing.T) {
+	job := distJob(2)
+	want := runLocal(t, job)
+	job.Chaos = &core.ChaosSchedule{Seed: 1, PanicRate: 0.3}
+	got, err := Run(context.Background(), job, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameOutcome(t, want, got)
+	if rec := got.Report.Recovery; rec.PanicsRecovered == 0 || rec.FailoverEvents == 0 {
+		t.Errorf("chaos injected nothing: %+v", rec)
+	}
+}
+
+// TestDistJournalResume kills the driver (simulated process death after
+// four subtree completions) mid-campaign and resumes from the journal:
+// the completed subtrees replay from disk, only the remainder re-runs,
+// and the final result is identical to an undisturbed run.
 func TestDistJournalResume(t *testing.T) {
 	job := distJob(2)
 	want := runLocal(t, job)
 	jpath := filepath.Join(t.TempDir(), "dist.journal")
 
 	addrs, _ := startNodes(t, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	events := make(chan campaign.Event, 256)
-	go func() {
-		for ev := range events {
-			if ev.Kind == campaign.EventProgress && ev.SubtreesDone >= 4 {
-				cancel()
-				return
-			}
-		}
-	}()
-	_, err := Run(ctx, job, Options{Nodes: addrs, Journal: jpath, Events: events})
-	cancel()
-	if err == nil {
-		t.Skip("campaign finished before the cancel landed; resume path not exercised")
-	}
-	if err != core.ErrInterrupted {
+	dying := job
+	dying.Chaos = &core.ChaosSchedule{DieAfterSubtrees: 4}
+	if _, err := Run(context.Background(), dying, Options{Nodes: addrs, Journal: jpath}); err != core.ErrInterrupted {
 		t.Fatalf("interrupted run: err = %v, want ErrInterrupted", err)
 	}
 
@@ -283,8 +345,8 @@ func TestDistJournalResume(t *testing.T) {
 	if cam.Complete {
 		t.Fatal("journal claims complete after an interrupted run")
 	}
-	if len(cam.Results) == 0 {
-		t.Fatal("journal holds no completed subtrees; cancel landed before any finished")
+	if len(cam.Results) < 4 {
+		t.Fatalf("journal holds %d completed subtrees, want >= 4", len(cam.Results))
 	}
 
 	addrs2, _ := startNodes(t, 2)
@@ -293,6 +355,9 @@ func TestDistJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameOutcome(t, want, got)
+	if n := got.Report.Recovery.ResumedSubtrees; n != len(cam.Results) {
+		t.Errorf("resumed %d subtrees from the journal, want %d", n, len(cam.Results))
+	}
 
 	cam2, err := core.LoadCampaign(jpath)
 	if err != nil {
@@ -300,6 +365,66 @@ func TestDistJournalResume(t *testing.T) {
 	}
 	if !cam2.Complete {
 		t.Error("journal not marked complete after resumed run finished")
+	}
+}
+
+// TestDistSeedDrainJournal pins the journal of a campaign that finishes
+// inside the seed phase: written by the same writer as every other
+// campaign journal, it carries the run fingerprint and a completion
+// record, so resuming it is refused. (The driver's own copy of the
+// writer used to leave an empty fingerprint and no completion record,
+// a header any other seed-draining job validated against.)
+func TestDistSeedDrainJournal(t *testing.T) {
+	job := campaign.Job{
+		Firmware: `
+_start:
+		li r1, 0x100
+		addi r2, r0, 1
+		addi r3, r0, 1
+		ecall 1
+		lbu r4, 0(r1)
+		andi r4, r4, 1
+		beq r4, r0, even
+		halt
+even:
+		halt
+`,
+		Searcher: "bfs",
+		Workers:  2,
+	}
+	jpath := filepath.Join(t.TempDir(), "drain.journal")
+	addrs, _ := startNodes(t, 2)
+	res, err := Run(context.Background(), job, Options{Nodes: addrs, Journal: jpath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Paths != 2 || len(res.Report.Workers) != 0 {
+		t.Fatalf("paths = %d, worker rows = %d; want a 2-path run that never fanned out", res.Paths, len(res.Report.Workers))
+	}
+
+	// The same job journaled by the single-machine runner is the
+	// reference for what the header must say.
+	lpath := filepath.Join(t.TempDir(), "local.journal")
+	if _, err := (campaign.Runner{}).Run(context.Background(), job, campaign.RunOptions{Journal: lpath}); err != nil {
+		t.Fatal(err)
+	}
+	local, err := core.LoadCampaign(lpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam, err := core.LoadCampaign(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cam.Complete {
+		t.Error("seed-drained campaign not marked complete")
+	}
+	if cam.Header.Fingerprint == "" || cam.Header.Fingerprint != local.Header.Fingerprint {
+		t.Errorf("header fingerprint = %q, want the run fingerprint %q", cam.Header.Fingerprint, local.Header.Fingerprint)
+	}
+	_, err = Run(context.Background(), job, Options{Nodes: addrs, Resume: cam})
+	if err == nil || !strings.Contains(err.Error(), "already complete") {
+		t.Fatalf("resume of a complete campaign: err = %v, want an already-complete refusal", err)
 	}
 }
 

@@ -1,3 +1,7 @@
+// The driver side of a distributed run: Run, the node-connection slots
+// it passes to core.Frontier.Run, and the driver ends of the solver and
+// snapshot fabrics. No work queue lives here; see the package comment.
+
 package dist
 
 import (
@@ -6,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -27,28 +30,18 @@ type Options struct {
 	// SlotsPerNode is the number of subtrees a node runs
 	// concurrently (0 = the job's worker count).
 	SlotsPerNode int
-	// Journal / Resume reuse the crash-safe campaign journal: the
-	// driver journals every subtree completion exactly like a local
-	// parallel run, so a killed driver resumes with LoadCampaign.
+	// Journal / Resume are the crash-safe campaign journal of any
+	// parallel run (core.Config.JournalPath / Resume): a killed driver
+	// resumes with LoadCampaign.
 	Journal string
 	Resume  *core.Campaign
-	// NoLocalFallback fails the campaign when every node dies
-	// instead of finishing the backlog on the driver.
+	// NoLocalFallback fails the campaign when no node is left to run
+	// on instead of finishing the backlog on the driver's own rigs.
 	NoLocalFallback bool
 	// Events receives typed progress events (never blocking).
 	Events chan<- campaign.Event
 	// ReportDir receives per-bug crash reports.
 	ReportDir string
-}
-
-func emit(ch chan<- campaign.Event, ev campaign.Event) {
-	if ch == nil {
-		return
-	}
-	select {
-	case ch <- ev:
-	default:
-	}
 }
 
 // relay is the driver's solver-fabric hub: a deduplicated ledger of
@@ -125,78 +118,19 @@ func (r *relay) offer(entries []solver.WireEntry) {
 	r.cache.Import(fresh)
 }
 
-// driver owns the work queue and the merged fabric state of one
-// distributed campaign.
+// driver holds the fabric state of one distributed campaign: the
+// solver relay, the fetched bug records and the per-node reports.
+// Scheduling is not its business — the subtrees run under the same
+// supervisor as a local parallel run (core.Frontier.Run); the driver
+// only supplies the slots whose executors reach a node.
 type driver struct {
-	ctx    context.Context
-	f      *core.Frontier
-	log    *core.CampaignLog
-	relay  *relay
-	events chan<- campaign.Event
-	total  int
+	f     *core.Frontier
+	relay *relay
+	dial  func(addr string) (net.Conn, error)
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	pending   []int
-	inflight  int
-	results   map[int]*core.SubtreeResult
-	liveNodes int
-	failed    error
-	fetched   map[string]*snapshot.Record
-	reports   []*core.NodeReport
-	nodes     []*node
-}
-
-// claim hands out the next subtree index. Local claims (the driver's
-// fallback executor) stand aside while any node is alive, so remote
-// capacity is used first and the E17 speedup measures the nodes.
-func (d *driver) claim(local bool) (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if d.failed != nil || d.ctx.Err() != nil {
-			return 0, false
-		}
-		if len(d.pending) > 0 && (!local || d.liveNodes == 0) {
-			idx := d.pending[0]
-			d.pending = d.pending[1:]
-			d.inflight++
-			return idx, true
-		}
-		if d.inflight == 0 && len(d.pending) == 0 {
-			return 0, false
-		}
-		d.cond.Wait()
-	}
-}
-
-func (d *driver) complete(res *core.SubtreeResult) error {
-	d.mu.Lock()
-	d.results[res.Index()] = res
-	d.inflight--
-	done, total := len(d.results), d.total
-	err := d.log.Append(res)
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	emit(d.events, campaign.Event{Kind: campaign.EventProgress, SubtreesDone: done, Subtrees: total})
-	return err
-}
-
-func (d *driver) requeue(idx int) {
-	d.mu.Lock()
-	d.pending = append(d.pending, idx)
-	d.inflight--
-	d.cond.Broadcast()
-	d.mu.Unlock()
-}
-
-func (d *driver) fail(err error) {
-	d.mu.Lock()
-	if d.failed == nil {
-		d.failed = err
-	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
+	mu      sync.Mutex
+	fetched map[string]*snapshot.Record
+	nodes   []*node
 }
 
 // Run executes the job across opts.Nodes and returns the same result
@@ -209,6 +143,9 @@ func Run(ctx context.Context, job campaign.Job, opts Options) (*campaign.Result,
 	if err != nil {
 		return nil, err
 	}
+	setup.Engine.JournalPath = opts.Journal
+	setup.Engine.Resume = opts.Resume
+	setup.Engine.Progress = campaign.ProgressHook(opts.Events)
 	analysis, err := core.Setup(setup)
 	if err != nil {
 		return nil, err
@@ -217,7 +154,7 @@ func Run(ctx context.Context, job campaign.Job, opts Options) (*campaign.Result,
 	if analysis.Target != nil {
 		kind = analysis.Target.Kind()
 	}
-	emit(opts.Events, campaign.Event{Kind: campaign.EventStarted, Target: kind})
+	campaign.Emit(opts.Events, campaign.Event{Kind: campaign.EventStarted, Target: kind})
 
 	f, err := analysis.Engine.Frontier(ctx)
 	if err != nil {
@@ -225,64 +162,22 @@ func Run(ctx context.Context, job campaign.Job, opts Options) (*campaign.Result,
 	}
 	defer f.Close()
 
-	var (
-		clog    *core.CampaignLog
-		resumed []*core.SubtreeResult
-	)
-	if opts.Resume != nil {
-		clog, resumed, err = f.ResumeCampaignLog(opts.Resume)
-	} else {
-		clog, err = f.NewCampaignLog(opts.Journal)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer clog.Close()
-
-	if rep := f.Done(); rep != nil {
-		// The seed phase finished every path; nothing to distribute.
-		return finish(job, analysis, rep, opts)
-	}
-
 	d := &driver{
-		ctx:     ctx,
 		f:       f,
-		log:     clog,
 		relay:   newRelay(f.SolverCache()),
-		events:  opts.Events,
-		total:   f.NumSeeds(),
-		results: make(map[int]*core.SubtreeResult),
+		dial:    opts.Dial,
 		fetched: make(map[string]*snapshot.Record),
 	}
-	d.cond = sync.NewCond(&d.mu)
-	have := make(map[int]bool, len(resumed))
-	for _, r := range resumed {
-		d.results[r.Index()] = r
-		have[r.Index()] = true
-	}
-	for i := 0; i < f.NumSeeds(); i++ {
-		if !have[i] {
-			d.pending = append(d.pending, i)
-		}
-	}
-
-	slots := opts.SlotsPerNode
-	if slots <= 0 {
-		slots = setup.Engine.Workers
-	}
-	if slots <= 0 {
-		slots = 1
-	}
-	dial := opts.Dial
-	if dial == nil {
-		dial = func(addr string) (net.Conn, error) {
+	if d.dial == nil {
+		d.dial = func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 10*time.Second)
 		}
 	}
-
-	// Wake anyone blocked in claim when the context dies.
-	stopWake := context.AfterFunc(ctx, func() { d.cond.Broadcast() })
-	defer stopWake()
+	workers := setup.Engine.Workers // >= 1: Job.SetupConfig resolved the default
+	perNode := opts.SlotsPerNode
+	if perNode <= 0 {
+		perNode = workers
+	}
 
 	// Everything before this point — setup, assembly, the driver's own
 	// seed phase — is identical however many nodes are attached; the
@@ -290,93 +185,55 @@ func Run(ctx context.Context, job campaign.Job, opts Options) (*campaign.Result,
 	// through the last subtree result.
 	exploreStart := time.Now()
 
-	var wg sync.WaitGroup
-	var prepErrs []error
-	var prepMu sync.Mutex
-	var prepWG sync.WaitGroup
-	for _, addr := range opts.Nodes {
-		prepWG.Add(1)
-		go func(addr string) {
-			defer prepWG.Done()
-			n, err := d.connectNode(job, addr, dial)
-			if err != nil {
-				prepMu.Lock()
-				prepErrs = append(prepErrs, err)
-				prepMu.Unlock()
-				return
+	// Remote workers run the fan-out; the driver's own rigs are the
+	// fallback the supervisor starts once no remote worker is left —
+	// or the whole fleet when there is no node to begin with. A run
+	// that finished inside the seed phase connects to nobody.
+	var slots, fallback []core.Slot
+	local := &core.NodeReport{Node: "local"}
+	if f.Done() == nil {
+		if err := d.connectNodes(job, opts.Nodes); len(d.nodes) == 0 && opts.NoLocalFallback {
+			return nil, fmt.Errorf("dist: no node reachable and local fallback disabled: %v", err)
+		}
+		for _, n := range d.nodes {
+			for i := 0; i < perNode; i++ {
+				slots = append(slots, n.slot(d))
 			}
-			d.mu.Lock()
-			d.liveNodes++
-			d.reports = append(d.reports, n.report)
-			d.nodes = append(d.nodes, n)
-			d.mu.Unlock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				n.work(d, slots, dial)
-			}()
-		}(addr)
+		}
+		if !opts.NoLocalFallback {
+			fallback = d.localSlots(local, workers)
+		}
+		if len(slots) == 0 {
+			slots, fallback = fallback, nil
+		}
 	}
-	prepWG.Wait()
-	if d.liveNodesNow() == 0 && opts.NoLocalFallback {
-		return nil, fmt.Errorf("dist: no node reachable and local fallback disabled: %v", errors.Join(prepErrs...))
-	}
-
-	localRep := &core.NodeReport{Node: "local"}
-	if !opts.NoLocalFallback {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.localWork(localRep)
-		}()
-	}
-	wg.Wait()
+	rep, err := f.Run(ctx, slots, fallback)
 	exploreWall := time.Since(exploreStart)
+	if errors.Is(err, core.ErrInterrupted) {
+		campaign.Emit(opts.Events, campaign.Event{Kind: campaign.EventInterrupted})
+	}
+	if err != nil {
+		return nil, err
+	}
 
 	var statsWG sync.WaitGroup
 	for _, n := range d.nodes {
 		statsWG.Add(1)
 		go func(n *node) {
 			defer statsWG.Done()
-			n.harvestStats(d, dial)
+			n.harvestStats(d)
 		}(n)
 	}
 	statsWG.Wait()
-
-	if err := ctx.Err(); err != nil {
-		_ = clog.Sync()
-		emit(opts.Events, campaign.Event{Kind: campaign.EventInterrupted})
-		return nil, core.ErrInterrupted
+	for _, n := range d.nodes {
+		rep.Nodes = append(rep.Nodes, *n.report)
 	}
-	d.mu.Lock()
-	ferr := d.failed
-	d.mu.Unlock()
-	if ferr != nil {
-		_ = clog.Sync()
-		return nil, ferr
+	if local.Subtrees > 0 {
+		local.SolverCache = f.SolverCache().Stats()
+		rep.Nodes = append(rep.Nodes, *local)
 	}
 
-	rs := make([]*core.SubtreeResult, 0, len(d.results))
-	for _, r := range d.results {
-		rs = append(rs, r)
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Index() < rs[j].Index() })
-	if len(rs) != d.total {
-		return nil, fmt.Errorf("dist: campaign incomplete: %d/%d subtrees", len(rs), d.total)
-	}
-	if err := clog.Finish(); err != nil {
-		return nil, err
-	}
-
-	rep := f.Merge(rs)
-	if localRep.Subtrees > 0 {
-		localRep.SolverCache = f.SolverCache().Stats()
-		d.reports = append(d.reports, localRep)
-	}
-	for _, nr := range d.reports {
-		rep.Nodes = append(rep.Nodes, *nr)
-	}
-	res, err := finish(job, analysis, rep, opts)
+	res, err := campaign.NewResult(job, analysis, rep, opts.Events, opts.ReportDir)
 	if err != nil {
 		return nil, err
 	}
@@ -384,78 +241,35 @@ func Run(ctx context.Context, job campaign.Job, opts Options) (*campaign.Result,
 	return res, nil
 }
 
-func (d *driver) liveNodesNow() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.liveNodes
-}
-
-// localWork is the driver's fallback executor: it claims work only
-// while no node is alive (at campaign start with zero configured
-// nodes, or after every node died).
-func (d *driver) localWork(report *core.NodeReport) {
-	for {
-		idx, ok := d.claim(true)
-		if !ok {
-			return
-		}
-		res, err := d.f.RunSubtree(d.ctx, idx)
-		if err != nil {
-			if d.ctx.Err() != nil {
-				d.requeue(idx)
-				return
+// localSlots wraps n of the frontier's local-rig slots so the subtrees
+// they complete are counted in the "local" node report.
+func (d *driver) localSlots(report *core.NodeReport, n int) []core.Slot {
+	slots := d.f.LocalSlots(n)
+	for i, build := range slots {
+		slots[i] = func(ctx context.Context, w *core.Worker) (core.Executor, error) {
+			exec, err := build(ctx, w)
+			if err != nil {
+				return nil, err
 			}
-			d.requeue(idx)
-			d.fail(fmt.Errorf("dist: local subtree %d: %w", idx, err))
-			return
-		}
-		report.Subtrees++
-		report.Paths += res.PathCount()
-		report.VirtualTime += res.VirtualTime()
-		if err := d.complete(res); err != nil {
-			d.fail(fmt.Errorf("dist: journal: %w", err))
-			return
+			return func(ctx context.Context, idx, attempt int) (*core.SubtreeResult, error) {
+				res, err := exec(ctx, idx, attempt)
+				if err == nil {
+					d.count(report, res)
+				}
+				return res, err
+			}, nil
 		}
 	}
+	return slots
 }
 
-func finish(job campaign.Job, analysis *core.Analysis, rep *core.Report, opts Options) (*campaign.Result, error) {
-	res := &campaign.Result{
-		Fingerprint:     core.Fingerprint(rep),
-		JobFingerprint:  job.Fingerprint(),
-		Paths:           len(rep.Finished),
-		Instructions:    rep.Stats.Instructions,
-		SolverQueries:   rep.Solver.Queries,
-		VirtualTime:     rep.VirtualTime,
-		SeedVirtualTime: rep.SeedVirtualTime,
-		Workers:         len(rep.Workers),
-		Report:          rep,
-	}
-	for _, st := range rep.Bugs() {
-		bug := campaign.Bug{
-			Status: fmt.Sprintf("%v", st.Status),
-			PC:     st.PC,
-			Steps:  st.Steps,
-			Model:  st.Model,
-		}
-		res.Bugs = append(res.Bugs, bug)
-		emit(opts.Events, campaign.Event{Kind: campaign.EventBug, Bug: &bug})
-	}
-	if opts.ReportDir != "" && len(res.Bugs) > 0 {
-		n, err := analysis.WriteCrashReports(opts.ReportDir, rep)
-		if err != nil {
-			return nil, err
-		}
-		res.CrashReports = n
-	}
-	emit(opts.Events, campaign.Event{
-		Kind:        campaign.EventCompleted,
-		Paths:       res.Paths,
-		Bugs:        len(res.Bugs),
-		VirtualTime: res.VirtualTime,
-		Fingerprint: res.Fingerprint,
-	})
-	return res, nil
+// count credits one finished subtree to a node report.
+func (d *driver) count(report *core.NodeReport, res *core.SubtreeResult) {
+	d.mu.Lock()
+	report.Subtrees++
+	report.Paths += res.PathCount()
+	report.VirtualTime += res.VirtualTime()
+	d.mu.Unlock()
 }
 
 // node is the driver's handle on one remote worker.
@@ -492,25 +306,37 @@ func (nc *nodeConn) roundTrip(req Request) (Response, error) {
 	return resp, nil
 }
 
-// connectNode dials addr and prepares the campaign, validating that
-// the node's independently computed frontier matches the driver's.
-func (d *driver) connectNode(job campaign.Job, addr string, dial func(string) (net.Conn, error)) (*node, error) {
-	shipped := job
-	shipped.Nodes = nil
-	n := &node{
-		addr:   addr,
-		job:    shipped,
-		report: &core.NodeReport{Node: addr},
+// connectNodes prepares the campaign on every address in parallel and
+// keeps the nodes that answered, in address order; the error joins the
+// failures of the others.
+func (d *driver) connectNodes(job campaign.Job, addrs []string) error {
+	job.Nodes = nil // a node must not recursively fan out
+	nodes := make([]*node, len(addrs))
+	errs := make([]error, len(addrs))
+	var wg sync.WaitGroup
+	for i, addr := range addrs {
+		wg.Add(1)
+		go func(i int, addr string) {
+			defer wg.Done()
+			n := &node{addr: addr, job: job, report: &core.NodeReport{Node: addr}}
+			nc, err := dialNode(addr, d.dial)
+			if err != nil {
+				errs[i] = fmt.Errorf("dist: node %s: %w", addr, err)
+				return
+			}
+			defer nc.c.Close()
+			if errs[i] = n.prepare(d, nc); errs[i] == nil {
+				nodes[i] = n
+			}
+		}(i, addr)
 	}
-	nc, err := dialNode(addr, dial)
-	if err != nil {
-		return nil, fmt.Errorf("dist: node %s: %w", addr, err)
+	wg.Wait()
+	for _, n := range nodes {
+		if n != nil {
+			d.nodes = append(d.nodes, n)
+		}
 	}
-	defer nc.c.Close()
-	if err := n.prepare(d, nc); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return errors.Join(errs...)
 }
 
 func (n *node) prepare(d *driver, nc *nodeConn) error {
@@ -530,94 +356,48 @@ func (n *node) prepare(d *driver, nc *nodeConn) error {
 	return nil
 }
 
-// work runs the node's slot loops until the queue drains or the node
-// dies. Node death (connection failure that one redial cannot cure)
-// requeues the in-flight subtree and retires the node; the work moves
-// to surviving nodes or the driver's local fallback.
-func (n *node) work(d *driver, slots int, dial func(string) (net.Conn, error)) {
-	var wg sync.WaitGroup
-	var once sync.Once
-	dead := func() {
-		once.Do(func() {
+// slot is one work slot on the node: each generation owns a connection
+// and runs subtrees over it. A dead connection surfaces as an executor
+// error, so the supervisor requeues the subtree and, within its
+// restart budget, spawns a replacement generation — which redials and
+// prepares again (a restarted node has lost the campaign). The
+// connection closes with the generation's context, which also unblocks
+// a round trip in flight when the run is cancelled.
+func (n *node) slot(d *driver) core.Slot {
+	return func(ctx context.Context, w *core.Worker) (core.Executor, error) {
+		nc, err := dialNode(n.addr, d.dial)
+		if err != nil {
+			return nil, fmt.Errorf("dist: node %s: %w", n.addr, err)
+		}
+		context.AfterFunc(ctx, func() { nc.c.Close() })
+		if w.Gen > 0 {
+			if err := n.prepare(d, nc); err != nil {
+				return nil, err
+			}
 			d.mu.Lock()
-			d.liveNodes--
-			d.cond.Broadcast()
+			n.report.Reconnects++
 			d.mu.Unlock()
-		})
+		}
+		return func(_ context.Context, idx, _ int) (*core.SubtreeResult, error) {
+			res, err := n.runSubtree(d, nc, idx)
+			if err == nil {
+				d.count(n.report, res)
+			}
+			return res, err
+		}, nil
 	}
-	for s := 0; s < slots; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n.slotLoop(d, dial, dead)
-		}()
-	}
-	wg.Wait()
-	dead() // clean exit: the node is done, not dead, but no longer live
 }
 
 // harvestStats collects the node-side cache stats for the per-node
 // report. Pure bookkeeping, run after the exploration clock stops.
-func (n *node) harvestStats(d *driver, dial func(string) (net.Conn, error)) {
-	nc, err := dialNode(n.addr, dial)
+func (n *node) harvestStats(d *driver) {
+	nc, err := dialNode(n.addr, d.dial)
 	if err != nil {
 		return
 	}
 	defer nc.c.Close()
 	if resp, err := nc.roundTrip(Request{Op: "stats", Token: n.token}); err == nil && resp.Status != nil {
-		d.mu.Lock()
 		n.report.SolverCache = resp.Status.Solver
-		d.mu.Unlock()
-	}
-}
-
-func (n *node) slotLoop(d *driver, dial func(string) (net.Conn, error), dead func()) {
-	nc, err := dialNode(n.addr, dial)
-	if err != nil {
-		dead()
-		return
-	}
-	defer func() { nc.c.Close() }()
-	for {
-		idx, ok := d.claim(false)
-		if !ok {
-			return
-		}
-		res, err := n.runSubtree(d, nc, idx)
-		if err != nil {
-			// One redial may cure a dropped connection; the subtree
-			// is pure in its index, so re-running it is safe.
-			nc.c.Close()
-			nc2, derr := dialNode(n.addr, dial)
-			if derr == nil {
-				if perr := n.prepare(d, nc2); perr == nil {
-					d.mu.Lock()
-					n.report.Reconnects++
-					d.mu.Unlock()
-					nc = nc2
-					res, err = n.runSubtree(d, nc, idx)
-				} else {
-					nc2.c.Close()
-					err = perr
-				}
-			} else {
-				err = derr
-			}
-			if err != nil {
-				d.requeue(idx)
-				dead()
-				return
-			}
-		}
-		d.mu.Lock()
-		n.report.Subtrees++
-		n.report.Paths += res.PathCount()
-		n.report.VirtualTime += res.VirtualTime()
-		d.mu.Unlock()
-		if err := d.complete(res); err != nil {
-			d.fail(fmt.Errorf("dist: journal: %w", err))
-			return
-		}
 	}
 }
 

@@ -222,8 +222,9 @@ func (b *Builder) UDiv(x, y *Term) *Term {
 	if y.IsConst() && y.val == 1 {
 		return x
 	}
-	// Strength-reduce division by a power of two to a logical shift.
-	if y.IsConst() && y.val&(y.val-1) == 0 {
+	// Strength-reduce division by a power of two to a logical shift
+	// (zero passes the bit test but is not one: x / 0 stays a UDiv).
+	if y.IsConst() && y.val != 0 && y.val&(y.val-1) == 0 {
 		return b.Lshr(x, b.Const(uint64(bits.TrailingZeros64(y.val)), x.Width()))
 	}
 	return b.binary(OpUDiv, x, y, x.width)

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hardsnap/internal/testseed"
 )
 
 func TestConstFolding(t *testing.T) {
@@ -179,7 +181,7 @@ func TestEvalMatchesSimplify(t *testing.T) {
 		}
 		return Eval(term, a) == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, testseed.Quick(t, 2000)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -344,8 +346,50 @@ func TestSimplifierSoundness(t *testing.T) {
 		}
 		return Eval(term, a) == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+	if err := quick.Check(f, testseed.Quick(t, 3000)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDivisionRules checks every UDiv/URem builder rule at the divisor
+// edges against Eval of the unsimplified node: for each width and each
+// constant divisor in {0, 1, a power of two, all-ones}, the folded term
+// must evaluate like the raw operator, with x symbolic and with x
+// constant. Zero is the row that matters: it passes the power-of-two
+// bit test, and UDiv once strength-reduced x/0 to x>>0 = x where
+// SMT-LIB (and Eval, and the VM's divu) say all-ones.
+func TestDivisionRules(t *testing.T) {
+	ops := []struct {
+		name  string
+		op    Op
+		build func(b *Builder, x, y *Term) *Term
+	}{
+		{"udiv", OpUDiv, (*Builder).UDiv},
+		{"urem", OpURem, (*Builder).URem},
+	}
+	for _, w := range []uint{1, 8, 32, 64} {
+		b := NewBuilder()
+		x := b.Var("x", w)
+		top := uint64(1) << (w - 1)
+		divisors := []uint64{0, 1, top, 2 & Mask(w), Mask(w)}
+		samples := []uint64{0, 1, top, Mask(w), 0xA5A5A5A5A5A5A5A5 & Mask(w)}
+		for _, o := range ops {
+			for _, d := range divisors {
+				y := b.Const(d, w)
+				raw := b.binary(o.op, x, y, uint8(w))
+				sym := o.build(b, x, y)
+				for _, xv := range samples {
+					a := Assignment{"x": xv}
+					want := Eval(raw, a)
+					if got := Eval(sym, a); got != want {
+						t.Errorf("w=%d %s(x, %#x) at x=%#x: folded to %v = %#x, want %#x", w, o.name, d, xv, sym, got, want)
+					}
+					if got := Eval(o.build(b, b.Const(xv, w), y), nil); got != want {
+						t.Errorf("w=%d %s(%#x, %#x) = %#x, want %#x", w, o.name, xv, d, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hardsnap/internal/testseed"
 	"hardsnap/internal/vm"
 )
 
@@ -162,7 +163,7 @@ func TestMinimizePreservesUnionSignature(t *testing.T) {
 		}
 		return UnionSignature(min) == UnionSignature(entries)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,8 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+
+	"hardsnap/internal/testseed"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -89,7 +91,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		got, err := Decode(w)
 		return err == nil && got == in
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, testseed.Quick(t, 2000)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -179,7 +181,7 @@ func TestExpandLIQuick(t *testing.T) {
 		}
 		return regs[3] == v
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+	if err := quick.Check(f, testseed.Quick(t, 5000)); err != nil {
 		t.Fatal(err)
 	}
 }

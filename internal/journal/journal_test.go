@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"hardsnap/internal/testseed"
 )
 
 func tmpJournal(t *testing.T) string {
@@ -209,7 +211,7 @@ func TestCorruptionRecovery(t *testing.T) {
 		}
 		return len(res.Records) < 6 == res.Truncated
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, testseed.Quick(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

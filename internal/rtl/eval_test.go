@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hardsnap/internal/testseed"
 	"hardsnap/internal/verilog"
 )
 
@@ -247,7 +248,7 @@ func TestEvalQuickArith(t *testing.T) {
 		return g(add) == uint64(av+bv) && g(sub) == uint64(av-bv) &&
 			g(and) == uint64(av&bv) && g(or) == uint64(av|bv)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, testseed.Quick(t, 2000)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"hardsnap/internal/periph"
 	"hardsnap/internal/rtl"
 	"hardsnap/internal/rtl/bc"
+	"hardsnap/internal/testseed"
 	"hardsnap/internal/verilog"
 )
 
@@ -519,7 +520,7 @@ endmodule
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"hardsnap/internal/rtl"
+	"hardsnap/internal/testseed"
 	"hardsnap/internal/verilog"
 )
 
@@ -266,7 +267,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, testseed.Quick(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"hardsnap/internal/sim"
 	"hardsnap/internal/target"
+	"hardsnap/internal/testseed"
 )
 
 func record(val uint64) Record {
@@ -254,7 +255,7 @@ func TestQuickDigestDeterminism(t *testing.T) {
 		}
 		return DigestRecord(back) == d1
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testseed.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -279,7 +280,7 @@ func TestQuickDedupSoundness(t *testing.T) {
 		// Distinct digests must mean distinct content.
 		return !reflect.DeepEqual(ra, rb)
 	}
-	cfg := &quick.Config{MaxCount: 200}
+	cfg := testseed.Quick(t, 200)
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +373,7 @@ func TestDecodeRejectsMutatedFrames(t *testing.T) {
 		_, err := Decode(flip)
 		return target.IsIntegrity(err)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testseed.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

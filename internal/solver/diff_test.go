@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"hardsnap/internal/expr"
+	"hardsnap/internal/testseed"
 )
 
 // chooser abstracts the random source so the same constraint generator
@@ -203,8 +204,19 @@ func TestDifferentialRandom(t *testing.T) {
 	}
 }
 
+// udivZeroSeeds are TestDifferentialQuick seeds that used to fail: each
+// generates a bvudiv whose divisor is (or is concretized to) zero, which
+// expr.Builder.UDiv folded to x instead of all-ones.
+var udivZeroSeeds = []uint64{
+	0x6d1324d91249aff3,
+	0xa67cde2c873d73d4,
+	0xefa814c88f7e28f7,
+	0x8c9ef71fde689a86,
+}
+
 // TestDifferentialQuick is the testing/quick flavor: any uint64 seed
-// must produce agreement across a batch of queries.
+// must produce agreement across a batch of queries. The regression
+// seeds run first, then quick's own draw from the repo's fixed source.
 func TestDifferentialQuick(t *testing.T) {
 	prop := func(seed uint64) bool {
 		b := expr.NewBuilder()
@@ -221,7 +233,12 @@ func TestDifferentialQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	for _, seed := range udivZeroSeeds {
+		if !prop(seed) {
+			t.Fatalf("regression seed %#x", seed)
+		}
+	}
+	if err := quick.Check(prop, testseed.Quick(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hardsnap/internal/expr"
+	"hardsnap/internal/testseed"
 )
 
 func checkSat(t *testing.T, s *Solver, cs []*expr.Term) expr.Assignment {
@@ -347,7 +348,7 @@ func TestQuickModelsSatisfy(t *testing.T) {
 		}
 		return res == Unsat
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, testseed.Quick(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
