@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos loc bench bench-compare bench-smoke bench-json bench-scale bench-remote bench-solver bench-sim bench-dist bench-fuzz
+.PHONY: check fmt vet build test race chaos fuzz-smoke loc bench bench-compare bench-smoke bench-json bench-scale bench-remote bench-solver bench-sim bench-dist bench-fuzz
 
 # Full gate: formatting, static checks, build, tests, race detector on
-# the concurrency-sensitive packages, chaos/recovery identity matrix.
-check: fmt vet build test race chaos
+# the concurrency-sensitive packages, chaos/recovery identity matrix,
+# ten seconds of native fuzzing per decoder-facing target.
+check: fmt vet build test race chaos fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -45,6 +46,13 @@ chaos:
 	$(GO) test -race ./internal/dist -run 'NodeDeath|JournalResume|SeedDrain|Chaos'
 	$(GO) test -race ./internal/remote -run 'Failover|SeverLink|RecoverRetry'
 	$(GO) test -race ./internal/journal
+
+# fuzz-smoke gives each native fuzz target ten seconds beyond its seed
+# corpus (which `go test` already runs): the wire server's frame and
+# snapshot-body decoders, and the solver against its reference.
+fuzz-smoke:
+	$(GO) test ./internal/remote -run '^$$' -fuzz FuzzServeConn -fuzztime 10s
+	$(GO) test ./internal/solver -run '^$$' -fuzz FuzzDifferential -fuzztime 10s
 
 # loc prints the repo's Go line counts, non-test and test separately,
 # benchmark/ excluded (it measures the repo, it is not the repo). The

@@ -34,17 +34,17 @@ func v3PipeSrv(t *testing.T) (*TargetClient, *Server) {
 	return c, srv
 }
 
-func dropChunk(srv *Server, d snapshot.Digest) bool {
-	srv.cmu.Lock()
-	defer srv.cmu.Unlock()
-	ent, ok := srv.chunks[d]
-	if !ok {
-		return false
+func dropChunk(srv *Server, d snapshot.Digest) bool { return srv.chunks.drop(d) }
+
+// drop evicts one digest by hand, as cache pressure would.
+func (c *chunkLRU) drop(d snapshot.Digest) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.m[d]
+	if ok {
+		c.remove(el)
 	}
-	srv.chunkLRU.Remove(ent.elem)
-	delete(srv.chunks, d)
-	srv.evictions++
-	return true
+	return ok
 }
 
 // TestChunkCapLRU exercises the server-side cache bound: shrinking

@@ -182,7 +182,7 @@ func TestRecoverRetryFatalShortCircuit(t *testing.T) {
 				}
 				m := respMeta{status: vstatusErr}
 				body := append([]byte{byte(target.Fatal)}, "design mismatch"...)
-				_ = writeFrame(conn, kResp, seq, m.encode(body))
+				_ = writeFrame(conn, kResp, seq, respPayload(m, body))
 			}(conn)
 		}
 	}()

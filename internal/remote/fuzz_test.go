@@ -7,6 +7,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"hardsnap/internal/sim"
+	"hardsnap/internal/snapshot"
 )
 
 // maxReadReader records the largest buffer the server ever asked it to
@@ -42,7 +45,7 @@ func FuzzServeConn(f *testing.F) {
 		f.Fatal(err)
 	}
 	hello := frame(kHello, 0, helloPayload)
-	batch := frame(kBatch, 1, encodeBatch([]batchOp{
+	batch := frame(kBatch, 1, appendBatch(nil, []batchOp{
 		{op: bWrite, offset: 0, value: 0xBEEF},
 		{op: bAdvance, value: 3},
 		{op: bRead, offset: 0},
@@ -70,6 +73,28 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(cat(hello, frame(0x1E, 1, nil)))            // unknown kind after hello
 	f.Add(frame(kHello, 0, []byte("not a hello")))    // hello that does not decode
 	f.Add([]byte{})
+
+	// Snapshot frames: valid, truncated and count-corrupted bodies.
+	hw := &sim.HWState{Regs: map[string]uint64{"out": 0x5A}}
+	refs := []chunkRef{{Name: "gpio0", Digest: snapshot.HWDigest(hw)}}
+	restoreBody := appendRefs([]byte{modeRestore}, refs)
+	pushBody, _ := appendChunk(appendU32(append([]byte(nil), restoreBody...), 1), refs[0].Digest, hw)
+	save := frame(kSave, 1, nil)
+	for _, c := range []struct {
+		kind  byte
+		body  []byte
+		count int // offset of the body's first count field
+	}{
+		{kFetch, appendDigests(nil, []snapshot.Digest{refs[0].Digest}), 0},
+		{kRestore, restoreBody, 1},
+		{kPush, pushBody, 1},
+	} {
+		huge := append([]byte(nil), c.body...)
+		binary.LittleEndian.PutUint32(huge[c.count:], 0xFFFFFFFF)
+		f.Add(cat(hello, save, frame(c.kind, 2, c.body)))
+		f.Add(cat(hello, save, frame(c.kind, 2, c.body[:len(c.body)/2])))
+		f.Add(cat(hello, save, frame(c.kind, 2, huge)))
+	}
 
 	tg := newV3Target(f)
 	f.Fuzz(func(t *testing.T, in []byte) {

@@ -6,6 +6,7 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"hardsnap/internal/snapshot"
 	"hardsnap/internal/target"
 	"hardsnap/internal/vtime"
 )
@@ -47,7 +49,7 @@ func scriptedPeer(t *testing.T, respond func(conn net.Conn, seq uint32)) *Target
 			return
 		}
 		ok := respMeta{status: vstatusOK}
-		if writeFrame(sConn, kResp, seq, ok.encode(info)) != nil {
+		if writeFrame(sConn, kResp, seq, respPayload(ok, info)) != nil {
 			return
 		}
 		for {
@@ -63,6 +65,23 @@ func scriptedPeer(t *testing.T, respond func(conn net.Conn, seq uint32)) *Target
 		t.Fatal(err)
 	}
 	return c
+}
+
+// respPayload is a response payload: telemetry header, then body.
+func respPayload(m respMeta, body []byte) []byte { return append(m.append(nil), body...) }
+
+// appendBatchResults packs per-op results as a batch response body.
+func appendBatchResults(b []byte, status []byte, values []uint64) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(status)))
+	for i := range status {
+		b = binary.LittleEndian.AppendUint64(append(b, status[i]), values[i])
+	}
+	return b
+}
+
+// rawBody hands roundTrip a ready-made request payload.
+func rawBody(p []byte) func([]byte) []byte {
+	return func(b []byte) []byte { return append(b, p...) }
 }
 
 // TestRemoteErrorPropagation: a failing op whose result the caller is
@@ -104,7 +123,7 @@ func TestServeUnknownOpcode(t *testing.T) {
 func batchFrame(t *testing.T, seq uint32, ops ...batchOp) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, kBatch, seq, encodeBatch(ops)); err != nil {
+	if err := writeFrame(&buf, kBatch, seq, appendBatch(nil, ops)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -205,10 +224,11 @@ func TestStatusErrClassPropagation(t *testing.T) {
 		check func(error) bool
 	}{
 		{"integrity", func(c *TargetClient) error {
-			return c.fetchInto([][32]byte{{1}}) // no such chunk
+			_, err := c.roundTrip(kFetch, rawBody(appendDigests(nil, []snapshot.Digest{{1}}))) // no such chunk
+			return err
 		}, target.IsIntegrity},
 		{"fatal", func(c *TargetClient) error {
-			_, err := c.roundTrip(kRestore, []byte("not gob"))
+			_, err := c.roundTrip(kRestore, rawBody([]byte("not a restore body")))
 			return err
 		}, target.IsFatal},
 	}
@@ -242,7 +262,7 @@ func TestStatusErrClassPropagation(t *testing.T) {
 func TestClientRetriesTransientStatus(t *testing.T) {
 	c := scriptedPeer(t, func(conn net.Conn, seq uint32) {
 		m := respMeta{status: vstatusBadFrame}
-		_ = writeFrame(conn, kResp, seq, m.encode(nil))
+		_ = writeFrame(conn, kResp, seq, respPayload(m, nil))
 	})
 	c.MaxRetries = 3
 	c.Backoff = time.Microsecond
@@ -275,8 +295,8 @@ func TestClientTruncatedResponse(t *testing.T) {
 func TestPingEchoMismatch(t *testing.T) {
 	c := scriptedPeer(t, func(conn net.Conn, seq uint32) {
 		m := respMeta{status: vstatusOK}
-		body := encodeBatchResults([]byte{opStatusOK}, []uint64{0xDEAD}) // wrong echo
-		_ = writeFrame(conn, kResp, seq, m.encode(body))
+		body := appendBatchResults(nil, []byte{opStatusOK}, []uint64{0xDEAD}) // wrong echo
+		_ = writeFrame(conn, kResp, seq, respPayload(m, body))
 	})
 	err := c.Ping()
 	if err == nil {

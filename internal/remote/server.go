@@ -2,7 +2,7 @@ package remote
 
 import (
 	"bytes"
-	"container/list"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -53,11 +53,7 @@ type Server struct {
 	sessions map[uint32]*session
 	nextTok  uint32
 
-	cmu       sync.Mutex
-	chunks    map[snapshot.Digest]*chunkEnt
-	chunkLRU  *list.List // front = most recently used
-	chunkCap  int        // max resident chunks; <=0 means unbounded
-	evictions uint64
+	chunks *chunkLRU
 
 	// testBeforePush, when set (tests only), runs in the kPush
 	// dispatch path — the window where a concurrent eviction races an
@@ -65,25 +61,12 @@ type Server struct {
 	testBeforePush func()
 }
 
-// chunkEnt is one resident peripheral chunk plus its LRU handle.
-type chunkEnt struct {
-	hw   *sim.HWState
-	elem *list.Element // value: snapshot.Digest
-}
-
-// DefaultChunkCap bounds the server's shared peripheral-chunk cache.
-// A chunk is a few hundred bytes gob-encoded, so the default costs a
-// few MiB at worst while still covering any realistic working set.
-const DefaultChunkCap = 1 << 14
-
 // NewServer hosts a target behind protocol v3.
 func NewServer(root *target.Target) *Server {
 	return &Server{
 		root:     root,
 		sessions: make(map[uint32]*session),
-		chunks:   make(map[snapshot.Digest]*chunkEnt),
-		chunkLRU: list.New(),
-		chunkCap: DefaultChunkCap,
+		chunks:   newChunkLRU(DefaultChunkCap),
 	}
 }
 
@@ -92,34 +75,10 @@ func NewServer(root *target.Target) *Server {
 // chunks immediately. Eviction is safe mid-negotiation: a client
 // whose offered digest was evicted between kRestore and kPush sees it
 // re-listed in Missing and re-uploads it as a delta (see applyRemote).
-func (s *Server) SetChunkCap(n int) {
-	s.cmu.Lock()
-	s.chunkCap = n
-	s.evictChunksLocked()
-	s.cmu.Unlock()
-}
+func (s *Server) SetChunkCap(n int) { s.chunks.setCap(n) }
 
 // ChunkStats reports the chunk cache's residency and eviction count.
-func (s *Server) ChunkStats() (entries int, evictions uint64) {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	return len(s.chunks), s.evictions
-}
-
-func (s *Server) evictChunksLocked() {
-	if s.chunkCap <= 0 {
-		return
-	}
-	for len(s.chunks) > s.chunkCap {
-		back := s.chunkLRU.Back()
-		if back == nil {
-			return
-		}
-		s.chunkLRU.Remove(back)
-		delete(s.chunks, back.Value.(snapshot.Digest))
-		s.evictions++
-	}
-}
+func (s *Server) ChunkStats() (entries int, evictions uint64) { return s.chunks.stats() }
 
 func (s *Server) newSession(tgt *target.Target) (uint32, *session) {
 	sess := &session{
@@ -143,31 +102,7 @@ func (s *Server) newSession(tgt *target.Target) (uint32, *session) {
 	return tok, sess
 }
 
-func (s *Server) cacheChunk(d snapshot.Digest, hw *sim.HWState) {
-	s.cmu.Lock()
-	if ent, ok := s.chunks[d]; ok {
-		s.chunkLRU.MoveToFront(ent.elem)
-	} else {
-		s.chunks[d] = &chunkEnt{hw: hw, elem: s.chunkLRU.PushFront(d)}
-		s.evictChunksLocked()
-	}
-	s.cmu.Unlock()
-}
-
-func (s *Server) chunk(d snapshot.Digest) (*sim.HWState, bool) {
-	s.cmu.Lock()
-	ent, ok := s.chunks[d]
-	if ok {
-		s.chunkLRU.MoveToFront(ent.elem)
-	}
-	s.cmu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return ent.hw, true
-}
-
-// gobEncode serializes a control-frame body.
+// gobEncode serializes a session-frame body (never a snapshot one).
 func gobEncode(v interface{}) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -207,32 +142,40 @@ func (sess *session) meta(status byte, sampleIRQ bool) (respMeta, error) {
 	return m, nil
 }
 
-// errPayload builds a vstatusErr response: meta + class(1) + message.
-func (sess *session) errPayload(err error) []byte {
-	class := errorClass(err)
-	m, _ := sess.meta(vstatusErr, false)
-	m.status = vstatusErr // meta() may have been rebuilt without it
-	body := append([]byte{byte(class)}, []byte(err.Error())...)
-	return m.encode(body)
+// respFrame starts the response frame to request seq, header and
+// telemetry, in a fresh buffer sized for a body of about bodyLen bytes.
+// The handler appends its body and seals the frame; the sealed bytes are
+// what is written and what the retransmission cache keeps.
+func (sess *session) respFrame(seq uint32, status byte, bodyLen int) []byte {
+	m, _ := sess.meta(status, false) // cannot fail without IRQ sampling
+	return m.append(beginFrame(make([]byte, 0, v3HdrLen+respMetaLen+bodyLen+v3TrailerLen), kResp, seq))
 }
 
-func (sess *session) okPayload(body []byte, sampleIRQ bool) []byte {
-	m, err := sess.meta(vstatusOK, sampleIRQ)
+// errFrame builds a vstatusErr response: meta + class(1) + message.
+func (sess *session) errFrame(seq uint32, err error) []byte {
+	msg := err.Error()
+	b := append(sess.respFrame(seq, vstatusErr, 1+len(msg)), byte(errorClass(err)))
+	return endFrame(append(b, msg...))
+}
+
+// gobFrame answers a session frame with a gob-encoded body.
+func (sess *session) gobFrame(seq uint32, v interface{}) []byte {
+	body, err := gobEncode(v)
 	if err != nil {
-		return sess.errPayload(err)
+		return sess.errFrame(seq, err)
 	}
-	return m.encode(body)
+	return endFrame(append(sess.respFrame(seq, vstatusOK, len(body)), body...))
 }
 
-// helloPayload answers kHello/kAttach/kSpawn with session info.
-func (s *Server) helloPayload(tok uint32, sess *session) []byte {
+// helloFrame answers kHello/kAttach/kSpawn with session info.
+func (s *Server) helloFrame(seq, tok uint32, sess *session) []byte {
 	var irqMask uint64
 	for i, name := range sess.periphs {
 		if i < 64 && sess.tgt.IRQWired(name) {
 			irqMask |= 1 << uint(i)
 		}
 	}
-	body, err := gobEncode(helloInfo{
+	return sess.gobFrame(seq, helloInfo{
 		Token:         tok,
 		Kind:          sess.tgt.Kind(),
 		Name:          sess.tgt.Name(),
@@ -242,74 +185,66 @@ func (s *Server) helloPayload(tok uint32, sess *session) []byte {
 		IRQMask:       irqMask,
 		HasAssertions: sess.tgt.HasAssertions(),
 	})
-	if err != nil {
-		return sess.errPayload(err)
-	}
-	return sess.okPayload(body, false)
 }
 
 // apply executes one sequenced v3 frame against the session and
-// returns the full response payload. The caller holds sess.mu and has
+// returns the sealed response frame. The caller holds sess.mu and has
 // already done duplicate suppression.
-func (s *Server) apply(sess *session, kind byte, payload []byte) []byte {
+func (s *Server) apply(sess *session, kind byte, seq uint32, payload []byte) []byte {
 	switch kind {
 	case kBatch:
-		return s.applyBatch(sess, payload)
+		return s.applyBatch(sess, seq, payload)
 	case kSave:
-		return s.applySave(sess)
+		return s.applySave(sess, seq)
 	case kFetch:
-		return s.applyFetch(sess, payload)
-	case kRestore:
-		var req restoreReq
-		if err := gobDecode(payload, &req); err != nil {
-			return sess.errPayload(fatalErr(err))
+		return s.applyFetch(sess, seq, payload)
+	case kRestore, kPush:
+		mode, refs, chunks, err := decodeRestoreReq(payload, kind == kPush)
+		if err != nil {
+			return sess.errFrame(seq, fatalErr(err))
 		}
-		return s.applyRestore(sess, req.Mode, req.Entries, nil)
-	case kPush:
-		var req pushReq
-		if err := gobDecode(payload, &req); err != nil {
-			return sess.errPayload(fatalErr(err))
-		}
-		if s.testBeforePush != nil {
+		if kind == kPush && s.testBeforePush != nil {
 			s.testBeforePush()
 		}
-		return s.applyRestore(sess, req.Mode, req.Entries, req.Chunks)
+		return s.applyRestore(sess, seq, mode, refs, chunks)
 	case kSpawn:
-		return s.applySpawn(sess, payload)
+		return s.applySpawn(sess, seq, payload)
 	case kStats:
-		body, err := gobEncode(sess.tgt.Stats())
-		if err != nil {
-			return sess.errPayload(err)
-		}
-		return sess.okPayload(body, false)
+		return sess.gobFrame(seq, sess.tgt.Stats())
 	case kViolations:
-		body, err := gobEncode(sess.tgt.TakeViolations())
-		if err != nil {
-			return sess.errPayload(err)
-		}
-		return sess.okPayload(body, false)
+		return sess.gobFrame(seq, sess.tgt.TakeViolations())
 	default:
-		return sess.errPayload(fatalErr(fmt.Errorf("unknown v3 frame kind %#x", kind)))
+		return sess.errFrame(seq, fatalErr(fmt.Errorf("unknown v3 frame kind %#x", kind)))
 	}
 }
 
+// The wire's typed errors, by class.
 func fatalErr(err error) error {
 	return &target.Error{Class: target.Fatal, Op: "remote", Err: err}
 }
 
-func (s *Server) applyBatch(sess *session, payload []byte) []byte {
-	ops, err := decodeBatch(payload)
+func transientErr(err error) error {
+	return &target.Error{Class: target.Transient, Op: "remote", Err: err}
+}
+
+func integrityErr(format string, args ...any) error {
+	return &target.Error{Class: target.Integrity, Op: "remote", Err: fmt.Errorf(format, args...)}
+}
+
+func (s *Server) applyBatch(sess *session, seq uint32, payload []byte) []byte {
+	n, err := batchCount(payload, batchOpLen)
 	if err != nil {
-		return sess.errPayload(fatalErr(err))
+		return sess.errFrame(seq, fatalErr(err))
 	}
-	status := make([]byte, len(ops))
-	values := make([]uint64, len(ops))
+	res := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+batchResultLen*n), uint16(n))
 	failed := false
-	for i, op := range ops {
+	for p := payload[2:]; len(p) > 0; p = p[batchOpLen:] {
+		op := batchOp{op: p[0], periph: p[1], offset: binary.LittleEndian.Uint32(p[2:6]), value: binary.LittleEndian.Uint64(p[6:14])}
 		if failed {
-			status[i] = opSkipped
+			res = binary.LittleEndian.AppendUint64(append(res, opSkipped), 0)
 			continue
 		}
+		var value uint64
 		var opErr error
 		switch op.op {
 		case bRead, bWrite, bIRQ:
@@ -322,87 +257,87 @@ func (s *Server) applyBatch(sess *session, payload []byte) []byte {
 			case bRead:
 				var v uint32
 				v, opErr = port.ReadReg(op.offset)
-				values[i] = uint64(v)
+				value = uint64(v)
 			case bWrite:
 				opErr = port.WriteReg(op.offset, uint32(op.value))
 			case bIRQ:
 				var level bool
 				level, opErr = port.IRQLevel()
 				if level {
-					values[i] = 1
+					value = 1
 				}
 			}
 		case bAdvance:
 			opErr = sess.tgt.Advance(op.value)
 		case bPing:
-			values[i] = op.value
+			value = op.value
 		case bReset:
 			opErr = sess.tgt.Reset()
 		default:
 			opErr = fatalErr(fmt.Errorf("unknown batch op %d", op.op))
 		}
+		status := byte(opStatusOK)
 		if opErr != nil {
-			status[i] = byte(errorClass(opErr))
+			status = byte(errorClass(opErr))
 			failed = true
 		}
+		res = binary.LittleEndian.AppendUint64(append(res, status), value)
 	}
-	return sess.okPayload(encodeBatchResults(status, values), true)
+	m, err := sess.meta(vstatusOK, true)
+	if err != nil {
+		return sess.errFrame(seq, err)
+	}
+	b := beginFrame(make([]byte, 0, v3HdrLen+respMetaLen+len(res)+v3TrailerLen), kResp, seq)
+	return endFrame(append(m.append(b), res...))
 }
 
 // applySave saves the session target's state and answers with the
-// per-peripheral content digests; the state itself stays server-side
-// until the client fetches the chunks it does not already hold.
-func (s *Server) applySave(sess *session) []byte {
+// per-peripheral content digests, inlining the chunks this save made
+// resident (no client can hold them yet); everything else stays
+// server-side unless the client asks (kFetch).
+func (s *Server) applySave(sess *session, seq uint32) []byte {
 	st, err := sess.tgt.Save()
 	if err != nil {
-		return sess.errPayload(err)
+		return sess.errFrame(seq, err)
 	}
-	offer := saveOffer{Entries: make([]chunkRef, 0, len(sess.periphs))}
-	for _, name := range sess.periphs {
+	refs := make([]chunkRef, len(sess.periphs))
+	var fresh []int // indices into refs of the chunks new to the cache
+	for i, name := range sess.periphs {
 		hw := st[name]
-		d := snapshot.HWDigest(hw)
-		if hw != nil {
-			s.cacheChunk(d, hw)
+		refs[i] = chunkRef{Name: name, Digest: snapshot.HWDigest(hw)}
+		if hw != nil && s.chunks.put(refs[i].Digest, hw) {
+			fresh = append(fresh, i)
 		}
-		offer.Entries = append(offer.Entries, chunkRef{Name: name, Digest: d})
 	}
-	body, err := gobEncode(offer)
-	if err != nil {
-		return sess.errPayload(err)
+	b := appendRefs(sess.respFrame(seq, vstatusOK, 64*len(refs)+256*len(fresh)), refs)
+	b = appendU32(b, len(fresh))
+	for _, i := range fresh {
+		b, _ = appendChunk(b, refs[i].Digest, st[refs[i].Name])
 	}
-	return sess.okPayload(body, false)
+	return endFrame(b)
 }
 
-func (s *Server) applyFetch(sess *session, payload []byte) []byte {
-	var req fetchReq
-	if err := gobDecode(payload, &req); err != nil {
-		return sess.errPayload(fatalErr(err))
-	}
-	resp := fetchResp{}
-	for _, d := range req.Digests {
-		hw, ok := s.chunk(d)
-		if !ok {
-			return sess.errPayload(&target.Error{Class: target.Integrity, Op: "remote",
-				Err: fmt.Errorf("fetch of unknown chunk %x", d[:8])})
-		}
-		data, err := gobEncode(hw)
-		if err != nil {
-			return sess.errPayload(err)
-		}
-		resp.Chunks = append(resp.Chunks, wireChunk{Digest: d, Data: data})
-	}
-	body, err := gobEncode(resp)
+func (s *Server) applyFetch(sess *session, seq uint32, payload []byte) []byte {
+	digests, err := decodeFetchReq(payload)
 	if err != nil {
-		return sess.errPayload(err)
+		return sess.errFrame(seq, fatalErr(err))
 	}
-	return sess.okPayload(body, false)
+	b := appendU32(sess.respFrame(seq, vstatusOK, 256*len(digests)), len(digests))
+	for _, d := range digests {
+		hw, ok := s.chunks.get(d)
+		if !ok {
+			return sess.errFrame(seq, integrityErr("fetch of unknown chunk %x", d[:8]))
+		}
+		b, _ = appendChunk(b, d, hw)
+	}
+	return endFrame(b)
 }
 
 // applyRestore handles kRestore (chunks nil) and kPush: it banks any
 // uploaded chunks, then either reports the digests still missing or —
 // when every named chunk is resident — assembles the state and
 // applies it in the requested mode.
-func (s *Server) applyRestore(sess *session, mode byte, entries []chunkRef, chunks []wireChunk) []byte {
+func (s *Server) applyRestore(sess *session, seq uint32, mode byte, refs []chunkRef, chunks []wireChunk) []byte {
 	// pinned holds this frame's uploads for the assembly below, so a
 	// concurrent eviction (another session pushing past the cap)
 	// cannot unbank a chunk between its arrival and its use. Chunks
@@ -410,73 +345,54 @@ func (s *Server) applyRestore(sess *session, mode byte, entries []chunkRef, chun
 	// be evicted mid-negotiation; those come back in Missing and the
 	// client re-uploads them next round.
 	pinned := make(map[snapshot.Digest]*sim.HWState, len(chunks))
-	for _, c := range chunks {
-		hw := &sim.HWState{}
-		if err := gobDecode(c.Data, hw); err != nil {
-			return sess.errPayload(&target.Error{Class: target.Integrity, Op: "remote",
-				Err: fmt.Errorf("pushed chunk %x: %v", c.Digest[:8], err)})
-		}
-		if got := snapshot.HWDigest(hw); got != snapshot.Digest(c.Digest) {
-			return sess.errPayload(&target.Error{Class: target.Integrity, Op: "remote",
-				Err: fmt.Errorf("pushed chunk digest mismatch (%x != %x)", got[:8], c.Digest[:8])})
-		}
-		pinned[c.Digest] = hw
-		s.cacheChunk(c.Digest, hw)
+	if _, err := s.chunks.bank(chunks, pinned, "pushed"); err != nil {
+		return sess.errFrame(seq, err)
 	}
-	st := make(target.State, len(entries))
-	var missing [][32]byte
-	for _, e := range entries {
-		hw, ok := pinned[snapshot.Digest(e.Digest)]
+	st := make(target.State, len(refs))
+	var resp restoreResp
+	for _, e := range refs {
+		hw, ok := pinned[e.Digest]
 		if !ok {
-			hw, ok = s.chunk(e.Digest)
+			hw, ok = s.chunks.get(e.Digest)
 		}
 		if !ok {
-			missing = append(missing, e.Digest)
+			resp.Missing = append(resp.Missing, e.Digest)
 			continue
 		}
 		st[e.Name] = hw
 	}
-	if len(missing) > 0 {
-		body, err := gobEncode(restoreResp{Missing: missing})
-		if err != nil {
-			return sess.errPayload(err)
+	if len(resp.Missing) == 0 {
+		resp.Applied = true
+		var err error
+		switch mode {
+		case modeRestore:
+			err = sess.tgt.Restore(st)
+		case modeDelta:
+			resp.DidDelta, err = sess.tgt.RestoreDelta(st)
+			resp.Applied = resp.DidDelta
+		case modeAdopt:
+			err = sess.tgt.AdoptState(st)
+		default:
+			err = fatalErr(fmt.Errorf("unknown restore mode %d", mode))
 		}
-		return sess.okPayload(body, false)
+		if err != nil {
+			return sess.errFrame(seq, err)
+		}
 	}
-	resp := restoreResp{Applied: true}
-	var err error
-	switch mode {
-	case modeRestore:
-		err = sess.tgt.Restore(st)
-	case modeDelta:
-		resp.DidDelta, err = sess.tgt.RestoreDelta(st)
-		resp.Applied = resp.DidDelta
-	case modeAdopt:
-		err = sess.tgt.AdoptState(st)
-	default:
-		err = fatalErr(fmt.Errorf("unknown restore mode %d", mode))
-	}
-	if err != nil {
-		return sess.errPayload(err)
-	}
-	body, gerr := gobEncode(resp)
-	if gerr != nil {
-		return sess.errPayload(gerr)
-	}
-	return sess.okPayload(body, false)
+	return endFrame(appendRestoreResp(sess.respFrame(seq, vstatusOK, 5+digestLen*len(resp.Missing)), resp))
 }
 
-func (s *Server) applySpawn(sess *session, payload []byte) []byte {
+func (s *Server) applySpawn(sess *session, seq uint32, payload []byte) []byte {
 	var req spawnReq
 	if err := gobDecode(payload, &req); err != nil {
-		return sess.errPayload(fatalErr(err))
+		return sess.errFrame(seq, fatalErr(err))
 	}
 	nt, err := sess.tgt.Spawn(req.Name, &vtime.Clock{}, req.Stream)
 	if err != nil {
-		return sess.errPayload(err)
+		return sess.errFrame(seq, err)
 	}
 	tok, nsess := s.newSession(nt)
-	return s.helloPayload(tok, nsess)
+	return s.helloFrame(seq, tok, nsess)
 }
 
 // ServeConn answers protocol frames on one connection until it
@@ -489,28 +405,24 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 	var sess *session
 	for {
 		kind, seq, payload, err := readFrame(conn)
+		var resp []byte // the sealed response frame
 		switch {
 		case err == nil:
 		case errors.Is(err, errPayloadCRC):
 			// Framing survived: stay in sync, reject the frame as a
 			// unit so the client retransmits it as a unit.
-			m := respMeta{status: vstatusBadFrame}
 			if sess != nil {
 				// The session may already be live on a newer
 				// connection (the client redialed while this one still
 				// had frames buffered), so its target is read under the
 				// session lock like everywhere else.
 				sess.mu.Lock()
-				sm, merr := sess.meta(vstatusBadFrame, false)
+				resp = endFrame(sess.respFrame(seq, vstatusBadFrame, 0))
 				sess.mu.Unlock()
-				if merr == nil {
-					m = sm
-				}
+			} else {
+				m := respMeta{status: vstatusBadFrame}
+				resp = endFrame(m.append(beginFrame(nil, kResp, seq)))
 			}
-			if werr := writeFrame(conn, kResp, seq, m.encode(nil)); werr != nil {
-				return fmt.Errorf("remote: write response: %w", werr)
-			}
-			continue
 		case errors.Is(err, errHdrCRC):
 			return err
 		case err == io.EOF:
@@ -523,9 +435,9 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			return fmt.Errorf("remote: read frame: %w", err)
 		}
 
-		var resp []byte
-		switch kind {
-		case kHello, kAttach:
+		switch {
+		case resp != nil: // rejected above
+		case kind == kHello || kind == kAttach:
 			var req helloReq
 			if derr := gobDecode(payload, &req); derr != nil || req.Magic != helloMagic {
 				return fmt.Errorf("remote: bad hello frame")
@@ -533,7 +445,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			if kind == kHello {
 				tok, ns := s.newSession(s.root)
 				sess = ns
-				resp = s.helloPayload(tok, sess)
+				resp = s.helloFrame(seq, tok, sess)
 			} else {
 				s.mu.Lock()
 				ns, ok := s.sessions[req.Token]
@@ -543,13 +455,12 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 				}
 				sess = ns
 				sess.mu.Lock()
-				resp = s.helloPayload(req.Token, sess)
+				resp = s.helloFrame(seq, req.Token, sess)
 				sess.mu.Unlock()
 			}
+		case sess == nil:
+			return fmt.Errorf("remote: v3 frame %#x before hello", kind)
 		default:
-			if sess == nil {
-				return fmt.Errorf("remote: v3 frame %#x before hello", kind)
-			}
 			sess.mu.Lock()
 			switch {
 			case seq <= sess.lastApplied:
@@ -559,17 +470,13 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 				if cached, ok := sess.respCache[seq]; ok {
 					resp = cached
 				} else {
-					m, _ := sess.meta(vstatusOutOfOrder, false)
-					m.status = vstatusOutOfOrder
-					resp = m.encode(nil)
+					resp = endFrame(sess.respFrame(seq, vstatusOutOfOrder, 0))
 				}
 			case seq != sess.lastApplied+1:
 				// A predecessor was lost: refuse, client goes back.
-				m, _ := sess.meta(vstatusOutOfOrder, false)
-				m.status = vstatusOutOfOrder
-				resp = m.encode(nil)
+				resp = endFrame(sess.respFrame(seq, vstatusOutOfOrder, 0))
 			default:
-				resp = s.apply(sess, kind, payload)
+				resp = s.apply(sess, kind, seq, payload)
 				sess.lastApplied = seq
 				sess.respCache[seq] = resp
 				sess.respOrder = append(sess.respOrder, seq)
@@ -580,7 +487,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			}
 			sess.mu.Unlock()
 		}
-		if err := writeFrame(conn, kResp, seq, resp); err != nil {
+		if _, err := conn.Write(resp); err != nil {
 			return fmt.Errorf("remote: write response: %w", err)
 		}
 	}

@@ -1,12 +1,11 @@
 package remote
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,39 +57,14 @@ func (w *wireStats) snapshot() ClientStats {
 	}
 }
 
-// chunkCache maps content digests to peripheral states the client has
-// already seen, shared across spawned workers.
-type chunkCache struct {
-	mu sync.Mutex
-	m  map[snapshot.Digest]*sim.HWState
-}
-
-func newChunkCache() *chunkCache {
-	return &chunkCache{m: make(map[snapshot.Digest]*sim.HWState)}
-}
-
-func (cc *chunkCache) get(d snapshot.Digest) (*sim.HWState, bool) {
-	cc.mu.Lock()
-	hw, ok := cc.m[d]
-	cc.mu.Unlock()
-	return hw, ok
-}
-
-func (cc *chunkCache) put(d snapshot.Digest, hw *sim.HWState) {
-	cc.mu.Lock()
-	if _, ok := cc.m[d]; !ok {
-		cc.m[d] = hw
-	}
-	cc.mu.Unlock()
-}
-
-// sentFrame is one unacknowledged v3 request. background marks the
+// sentFrame is one unacknowledged v3 request. wire is the sealed
+// frame, built once and retransmitted as is. background marks the
 // batch frames flushed from the op queue, whose per-op errors are
 // deferred to the flush result rather than any single caller.
 type sentFrame struct {
 	kind       byte
 	seq        uint32
-	payload    []byte
+	wire       []byte
 	background bool
 
 	done bool
@@ -164,9 +138,13 @@ type TargetClient struct {
 	pending    uint32
 	statsCache target.Stats
 
-	store  *snapshot.Store
-	chunks *chunkCache
+	// chunks is shared with the workers this client spawns.
+	chunks *chunkLRU
 	wire   *wireStats
+
+	// spare holds the buffers of acknowledged request frames, for the
+	// next ones to be built in.
+	spare [][]byte
 
 	// jitterState is the backoff-jitter LCG state (lazily seeded).
 	jitterState uint64
@@ -186,7 +164,7 @@ func Connect(conn io.ReadWriter, clock *vtime.Clock) (*TargetClient, error) {
 		clock:       clock,
 		MaxBatch:    64,
 		MaxInflight: 8,
-		chunks:      newChunkCache(),
+		chunks:      newChunkLRU(DefaultChunkCap),
 		wire:        &wireStats{},
 	}
 	info, err := c.handshake(kHello, 0)
@@ -211,11 +189,6 @@ func (c *TargetClient) applyInfo(info helloInfo) {
 	}
 	c.nextSeq = info.LastApplied
 }
-
-// BindStore lets digest negotiation satisfy snapshot transfers from a
-// content-addressed store the client side already holds (the engine's
-// snapshot store), in addition to the client's own chunk cache.
-func (c *TargetClient) BindStore(s *snapshot.Store) { c.store = s }
 
 // WireStats snapshots the wire-level counters (shared with spawned
 // workers).
@@ -255,7 +228,7 @@ func (c *TargetClient) setDeadline() func() {
 func (c *TargetClient) xmit(f *sentFrame) error {
 	restore := c.setDeadline()
 	defer restore()
-	if err := writeFrame(c.conn, f.kind, f.seq, f.payload); err != nil {
+	if _, err := c.conn.Write(f.wire); err != nil {
 		return &transportError{fmt.Errorf("remote: send frame %d: %w", f.seq, err)}
 	}
 	c.wire.frames.Add(1)
@@ -324,8 +297,7 @@ func (c *TargetClient) consume(m respMeta) {
 
 func decodeWireErr(body []byte) error {
 	if len(body) < 1 {
-		return &target.Error{Class: target.Fatal, Op: "remote",
-			Err: errors.New("malformed error response")}
+		return fatalErr(errors.New("malformed error response"))
 	}
 	class := target.ErrorClass(body[0])
 	switch class {
@@ -339,8 +311,7 @@ func decodeWireErr(body []byte) error {
 // errProtoRetry marks a server rejection (vstatusBadFrame /
 // vstatusOutOfOrder) that is cured by retransmitting the go-back-N
 // window as a unit.
-var errProtoRetry = &target.Error{Class: target.Transient, Op: "remote",
-	Err: errors.New("server rejected frame; window retransmit needed")}
+var errProtoRetry = transientErr(errors.New("server rejected frame; window retransmit needed"))
 
 // recoverLink redials, re-attaches the session and retransmits every
 // in-flight frame. The server's duplicate suppression guarantees
@@ -425,14 +396,15 @@ func (c *TargetClient) recoverRetry(lastErr error) error {
 	}
 	var te *transportError
 	if errors.As(lastErr, &te) {
-		return &target.Error{Class: target.Transient, Op: "remote", Err: te.err}
+		return transientErr(te.err)
 	}
 	return lastErr
 }
 
 // sendSeq transmits a sequenced frame, draining the pipeline when the
-// window is full.
-func (c *TargetClient) sendSeq(kind byte, payload []byte, background bool) (*sentFrame, error) {
+// window is full. The frame is built once, in a buffer recycled from an
+// acknowledged one: body, when non-nil, appends the payload in place.
+func (c *TargetClient) sendSeq(kind byte, body func(b []byte) []byte, background bool) (*sentFrame, error) {
 	maxInflight := c.MaxInflight
 	if maxInflight <= 0 {
 		maxInflight = 1
@@ -442,8 +414,15 @@ func (c *TargetClient) sendSeq(kind byte, payload []byte, background bool) (*sen
 			return nil, err
 		}
 	}
+	var b []byte
+	if n := len(c.spare); n > 0 {
+		b, c.spare = c.spare[n-1], c.spare[:n-1]
+	}
 	c.nextSeq++
-	f := &sentFrame{kind: kind, seq: c.nextSeq, payload: payload, background: background}
+	if b = beginFrame(b, kind, c.nextSeq); body != nil {
+		b = body(b)
+	}
+	f := &sentFrame{kind: kind, seq: c.nextSeq, wire: endFrame(b), background: background}
 	c.inflight = append(c.inflight, f)
 	if err := c.xmit(f); err != nil {
 		if rerr := c.recoverRetry(err); rerr != nil {
@@ -501,7 +480,7 @@ func (c *TargetClient) drainOne() error {
 	}
 	var te *transportError
 	if errors.As(lastErr, &te) {
-		return &target.Error{Class: target.Transient, Op: "remote", Err: te.err}
+		return transientErr(te.err)
 	}
 	return lastErr
 }
@@ -548,6 +527,7 @@ func (c *TargetClient) readOne() error {
 		}
 		c.consume(m)
 		c.inflight = c.inflight[1:]
+		c.spare = append(c.spare, head.wire) // acknowledged: never retransmitted
 		head.done = true
 		head.body = body
 		switch {
@@ -565,11 +545,12 @@ func (c *TargetClient) readOne() error {
 
 // checkBatchErr surfaces the first failed op of a batch response.
 func checkBatchErr(body []byte) error {
-	status, _, err := decodeBatchResults(body)
+	n, err := batchCount(body, batchResultLen)
 	if err != nil {
-		return &target.Error{Class: target.Transient, Op: "remote", Err: err}
+		return transientErr(err)
 	}
-	for _, st := range status {
+	for i := 0; i < n; i++ {
+		st := body[2+batchResultLen*i]
 		if st == opStatusOK || st == opSkipped {
 			continue
 		}
@@ -608,7 +589,7 @@ func (c *TargetClient) sendQueued(capture bool) (*sentFrame, int, error) {
 		ops := c.queue[:n:n]
 		c.queue = c.queue[n:]
 		last := len(c.queue) == 0
-		f, err := c.sendSeq(kBatch, encodeBatch(ops), !(capture && last))
+		f, err := c.sendSeq(kBatch, func(b []byte) []byte { return appendBatch(b, ops) }, !(capture && last))
 		if err != nil {
 			c.queue = nil
 			return nil, 0, err
@@ -663,11 +644,12 @@ func (c *TargetClient) flushCapture(capture bool) (uint64, error) {
 		if capFrame.err != nil {
 			return 0, capFrame.err
 		}
-		_, values, derr := decodeBatchResults(capFrame.body)
-		if derr != nil {
-			return 0, &target.Error{Class: target.Transient, Op: "remote", Err: derr}
+		// readOne already checked the body's framing (checkBatchErr).
+		at := 2 + batchResultLen*capIdx
+		if at+batchResultLen > len(capFrame.body) {
+			return 0, transientErr(fmt.Errorf("remote: batch response has no result for op %d", capIdx))
 		}
-		return values[capIdx], err
+		return binary.LittleEndian.Uint64(capFrame.body[at+1:]), err
 	}
 	return 0, err
 }
@@ -686,13 +668,13 @@ func (c *TargetClient) stashErr(err error) {
 	}
 }
 
-// roundTrip flushes pending work, sends one control frame and waits
-// for its response body.
-func (c *TargetClient) roundTrip(kind byte, payload []byte) ([]byte, error) {
+// roundTrip flushes pending work, sends one control frame (body as in
+// sendSeq) and waits for its response body.
+func (c *TargetClient) roundTrip(kind byte, body func(b []byte) []byte) ([]byte, error) {
 	if err := c.flush(); err != nil {
 		return nil, err
 	}
-	f, err := c.sendSeq(kind, payload, false)
+	f, err := c.sendSeq(kind, body, false)
 	if err != nil {
 		return nil, err
 	}
@@ -838,8 +820,7 @@ func (c *TargetClient) Ping() error {
 		return err
 	}
 	if v != pingMagic {
-		return &target.Error{Class: target.Transient, Op: "remote",
-			Err: fmt.Errorf("bad ping echo %#x", v)}
+		return transientErr(fmt.Errorf("bad ping echo %#x", v))
 	}
 	return nil
 }
@@ -893,7 +874,7 @@ func (c *TargetClient) TakeViolations() []target.Violation {
 	}
 	var vs []target.Violation
 	if err := gobDecode(body, &vs); err != nil {
-		c.stashErr(&target.Error{Class: target.Transient, Op: "remote", Err: err})
+		c.stashErr(transientErr(err))
 		return nil
 	}
 	return vs
@@ -924,107 +905,73 @@ func (c *TargetClient) SetRetryPolicy(p target.RetryPolicy) {
 
 // --- snapshot transfer ----------------------------------------------
 
-// lookupChunk finds a peripheral state by content digest in the
-// client cache or the bound snapshot store.
-func (c *TargetClient) lookupChunk(d snapshot.Digest) (*sim.HWState, bool) {
-	if hw, ok := c.chunks.get(d); ok {
-		return hw, true
-	}
-	if c.store != nil {
-		if hw, ok := c.store.PeriphByDigest(d); ok {
-			return hw, true
-		}
-	}
-	return nil, false
-}
-
 // Save captures the remote state. The server answers with content
-// digests; only chunks neither the client cache nor the bound store
-// already holds are fetched, so a save of previously seen content
-// moves zero state bytes.
+// digests and inlines the chunks that were new to its cache; a chunk
+// the client cache already holds moves zero state bytes, and only a
+// chunk that is neither inlined nor cached costs a kFetch round trip.
 func (c *TargetClient) Save() (target.State, error) {
 	body, err := c.roundTrip(kSave, nil)
 	if err != nil {
 		return nil, err
 	}
-	var offer saveOffer
-	if err := gobDecode(body, &offer); err != nil {
-		return nil, &target.Error{Class: target.Transient, Op: "remote", Err: err}
+	refs, inline, err := decodeSaveOffer(body)
+	if err != nil {
+		return nil, transientErr(err)
 	}
-	st := make(target.State, len(offer.Entries))
-	var missing [][32]byte
-	seen := make(map[snapshot.Digest]bool)
-	for _, e := range offer.Entries {
-		d := snapshot.Digest(e.Digest)
-		if hw, ok := c.lookupChunk(d); ok {
+	// got maps the digests whose bytes cross the wire for this save to
+	// their states; nil marks one already asked for.
+	got := make(map[snapshot.Digest]*sim.HWState, len(inline))
+	n, err := c.chunks.bank(inline, got, "inlined")
+	c.wire.bytesReceived.Add(uint64(n))
+	if err != nil {
+		return nil, err
+	}
+	st := make(target.State, len(refs))
+	var missing []snapshot.Digest
+	for _, e := range refs {
+		if hw, ok := got[e.Digest]; ok {
+			if hw != nil {
+				st[e.Name] = hw
+			}
+		} else if hw, ok := c.chunks.get(e.Digest); ok {
 			st[e.Name] = hw
 			c.wire.chunksSkipped.Add(1)
-			continue
-		}
-		if !seen[d] {
-			seen[d] = true
+		} else {
+			got[e.Digest] = nil
 			missing = append(missing, e.Digest)
 		}
 	}
 	if len(missing) > 0 {
-		if err := c.fetchInto(missing); err != nil {
+		body, err := c.roundTrip(kFetch, func(b []byte) []byte { return appendDigests(b, missing) })
+		if err != nil {
 			return nil, err
 		}
-		for _, e := range offer.Entries {
+		chunks, err := decodeFetchResp(body)
+		if err != nil {
+			return nil, transientErr(err)
+		}
+		n, err := c.chunks.bank(chunks, got, "fetched")
+		c.wire.bytesReceived.Add(uint64(n))
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range refs {
 			if st[e.Name] != nil {
 				continue
 			}
-			hw, ok := c.lookupChunk(snapshot.Digest(e.Digest))
-			if !ok {
-				return nil, &target.Error{Class: target.Integrity, Op: "remote",
-					Err: fmt.Errorf("server did not return chunk for %s", e.Name)}
+			if st[e.Name] = got[e.Digest]; st[e.Name] == nil {
+				return nil, integrityErr("server did not return chunk for %s", e.Name)
 			}
-			st[e.Name] = hw
 		}
 	}
 	return st, nil
-}
-
-// fetchInto transfers the named chunks into the client cache,
-// verifying each against its content digest.
-func (c *TargetClient) fetchInto(digests [][32]byte) error {
-	payload, err := gobEncode(fetchReq{Digests: digests})
-	if err != nil {
-		return err
-	}
-	body, err := c.roundTrip(kFetch, payload)
-	if err != nil {
-		return err
-	}
-	var resp fetchResp
-	if err := gobDecode(body, &resp); err != nil {
-		return &target.Error{Class: target.Transient, Op: "remote", Err: err}
-	}
-	for _, ch := range resp.Chunks {
-		hw := &sim.HWState{}
-		if err := gobDecode(ch.Data, hw); err != nil {
-			return &target.Error{Class: target.Integrity, Op: "remote",
-				Err: fmt.Errorf("fetched chunk %x: %v", ch.Digest[:8], err)}
-		}
-		if got := snapshot.HWDigest(hw); got != snapshot.Digest(ch.Digest) {
-			return &target.Error{Class: target.Integrity, Op: "remote",
-				Err: fmt.Errorf("fetched chunk digest mismatch (%x != %x)", got[:8], ch.Digest[:8])}
-		}
-		c.wire.bytesReceived.Add(uint64(len(ch.Data)))
-		c.chunks.put(ch.Digest, hw)
-	}
-	return nil
 }
 
 // stateEntries names a state's chunks by content digest in a
 // deterministic order, caching the chunks locally (the state is about
 // to be live on both ends).
 func (c *TargetClient) stateEntries(s target.State) ([]chunkRef, map[snapshot.Digest]*sim.HWState) {
-	names := make([]string, 0, len(s))
-	for name := range s {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedNames(s)
 	entries := make([]chunkRef, 0, len(names))
 	byDigest := make(map[snapshot.Digest]*sim.HWState, len(names))
 	for _, name := range names {
@@ -1049,17 +996,15 @@ func (c *TargetClient) applyRemote(s target.State, mode byte) (restoreResp, erro
 		return restoreResp{}, err
 	}
 	entries, byDigest := c.stateEntries(s)
-	payload, err := gobEncode(restoreReq{Mode: mode, Entries: entries})
+	body, err := c.roundTrip(kRestore, func(b []byte) []byte {
+		return appendRefs(append(b, mode), entries)
+	})
 	if err != nil {
 		return restoreResp{}, err
 	}
-	body, err := c.roundTrip(kRestore, payload)
+	resp, err := decodeRestoreResp(body)
 	if err != nil {
-		return restoreResp{}, err
-	}
-	var resp restoreResp
-	if err := gobDecode(body, &resp); err != nil {
-		return restoreResp{}, &target.Error{Class: target.Transient, Op: "remote", Err: err}
+		return restoreResp{}, transientErr(err)
 	}
 	c.wire.chunksSkipped.Add(uint64(len(entries) - len(resp.Missing)))
 	// Delta-upload loop: push what the server reported missing, then
@@ -1072,49 +1017,39 @@ func (c *TargetClient) applyRemote(s target.State, mode byte) (restoreResp, erro
 	// pressure the restore lands once a single frame carries every
 	// chunk the cache cannot be trusted to keep — the cumulative set
 	// grows monotonically toward that, bounded by the state itself.
-	need := make(map[[32]byte]bool)
+	need := make(map[snapshot.Digest]bool)
+	var push []snapshot.Digest
 	for round := 0; len(resp.Missing) > 0; round++ {
 		if round == maxPushRounds {
-			return restoreResp{}, &target.Error{Class: target.Integrity, Op: "remote",
-				Err: fmt.Errorf("restore did not converge after %d push rounds (%d chunks still missing)",
-					maxPushRounds, len(resp.Missing))}
+			return restoreResp{}, integrityErr("restore did not converge after %d push rounds (%d chunks still missing)",
+				maxPushRounds, len(resp.Missing))
 		}
 		for _, d := range resp.Missing {
-			need[d] = true
-		}
-		push := pushReq{Mode: mode, Entries: entries}
-		var sent uint64
-		added := make(map[[32]byte]bool, len(need))
-		for _, e := range entries {
-			if !need[e.Digest] || added[e.Digest] {
+			if need[d] {
 				continue
 			}
-			added[e.Digest] = true
-			d := e.Digest
-			hw, ok := byDigest[d]
-			if !ok {
-				return restoreResp{}, &target.Error{Class: target.Integrity, Op: "remote",
-					Err: fmt.Errorf("server asked for unknown chunk %x", d[:8])}
+			if _, ok := byDigest[d]; !ok {
+				return restoreResp{}, integrityErr("server asked for unknown chunk %x", d[:8])
 			}
-			data, err := gobEncode(hw)
-			if err != nil {
-				return restoreResp{}, err
-			}
-			sent += uint64(len(data))
-			push.Chunks = append(push.Chunks, wireChunk{Digest: d, Data: data})
+			need[d] = true
+			push = append(push, d)
 		}
-		payload, err = gobEncode(push)
+		var sent int
+		body, err = c.roundTrip(kPush, func(b []byte) []byte {
+			b = appendU32(appendRefs(append(b, mode), entries), len(push))
+			for _, d := range push {
+				var n int
+				b, n = appendChunk(b, d, byDigest[d])
+				sent += n
+			}
+			return b
+		})
 		if err != nil {
 			return restoreResp{}, err
 		}
-		body, err = c.roundTrip(kPush, payload)
-		if err != nil {
-			return restoreResp{}, err
-		}
-		c.wire.bytesSent.Add(sent)
-		resp = restoreResp{}
-		if err := gobDecode(body, &resp); err != nil {
-			return restoreResp{}, &target.Error{Class: target.Transient, Op: "remote", Err: err}
+		c.wire.bytesSent.Add(uint64(sent))
+		if resp, err = decodeRestoreResp(body); err != nil {
+			return restoreResp{}, transientErr(err)
 		}
 	}
 	return resp, nil
@@ -1132,8 +1067,7 @@ func (c *TargetClient) Restore(s target.State) error {
 		return err
 	}
 	if !resp.Applied {
-		return &target.Error{Class: target.Integrity, Op: "remote",
-			Err: errors.New("server did not apply restore")}
+		return integrityErr("server did not apply restore")
 	}
 	return nil
 }
@@ -1158,8 +1092,7 @@ func (c *TargetClient) AdoptState(s target.State) error {
 		return err
 	}
 	if !resp.Applied {
-		return &target.Error{Class: target.Integrity, Op: "remote",
-			Err: errors.New("server did not adopt state")}
+		return integrityErr("server did not adopt state")
 	}
 	return nil
 }
@@ -1169,25 +1102,23 @@ func (c *TargetClient) AdoptState(s target.State) error {
 // the clone's session. Requires Dial.
 func (c *TargetClient) SpawnWorker(name string, clock *vtime.Clock, stream int) (target.Interface, error) {
 	if c.Dial == nil {
-		return nil, &target.Error{Class: target.Fatal, Op: "remote",
-			Err: errors.New("SpawnWorker requires a Dial function")}
+		return nil, fatalErr(errors.New("SpawnWorker requires a Dial function"))
 	}
 	payload, err := gobEncode(spawnReq{Name: name, Stream: stream})
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.roundTrip(kSpawn, payload)
+	body, err := c.roundTrip(kSpawn, func(b []byte) []byte { return append(b, payload...) })
 	if err != nil {
 		return nil, err
 	}
 	var info helloInfo
 	if err := gobDecode(body, &info); err != nil {
-		return nil, &target.Error{Class: target.Transient, Op: "remote", Err: err}
+		return nil, transientErr(err)
 	}
 	conn, err := c.Dial()
 	if err != nil {
-		return nil, &target.Error{Class: target.Transient, Op: "remote",
-			Err: fmt.Errorf("spawn dial: %w", err)}
+		return nil, transientErr(fmt.Errorf("spawn dial: %w", err))
 	}
 	if clock == nil {
 		clock = &vtime.Clock{}
@@ -1202,7 +1133,6 @@ func (c *TargetClient) SpawnWorker(name string, clock *vtime.Clock, stream int) 
 		Dial:        c.Dial,
 		MaxBatch:    c.MaxBatch,
 		MaxInflight: c.MaxInflight,
-		store:       c.store,
 		chunks:      c.chunks,
 		wire:        c.wire,
 	}

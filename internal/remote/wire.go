@@ -30,6 +30,37 @@
 // with vstatusBadFrame and the frame — never partially applied — is
 // retransmitted as a unit.
 //
+// The snapshot frames cross the wire on every context switch, so their
+// bodies are fixed layouts written and read in place (codec.go): every
+// count and length is 32 bits, a name is len(4) bytes, and names are
+// written sorted so equal states encode to equal bytes.
+//
+//	ref:      name digest(32)
+//	chunk:    digest(32) len(4) state[len]
+//	state:    nregs(4) {name value(8)}*
+//	          nmems(4) {name depth(4) word(8)*}*
+//	          ninputs(4) {name value(8)}*
+//
+//	kSave     request: empty
+//	          response: nrefs(4) ref* nchunks(4) chunk*
+//	kFetch    request: ndigests(4) digest(32)*
+//	          response: nchunks(4) chunk*
+//	kRestore  request: mode(1) nrefs(4) ref*
+//	kPush     request: mode(1) nrefs(4) ref* nchunks(4) chunk*
+//	          response to both: flags(1) nmissing(4) digest(32)*
+//	          (flags bit 0 applied, bit 1 served as a delta)
+//
+// Inline on save: a kSave response carries the bytes of exactly those
+// chunks the server's cache did not hold before this save. Content new
+// to the server cannot be in any client's cache, so the kFetch that
+// would follow is known in advance; kFetch remains for a client-side
+// miss (an evicted chunk, or content another client saved first). A
+// decoder checks every count against the bytes left before it sizes
+// anything by it, rejects trailing bytes, and checks each chunk against
+// the digest it travelled under. The frames a session sends once or a
+// handful of times — hello, attach, spawn, stats, violations — carry
+// gob-encoded structs instead.
+//
 // This is the third wire generation and the only one served. Its
 // predecessor (one blocking 10-byte request / 6-byte response round
 // trip per register operation) was deleted in PR 12; the numbers it
@@ -144,8 +175,10 @@ const (
 	batchOpLen = 14
 )
 
-// helloMagic identifies a v3 hello payload ("HSR3").
-const helloMagic = 0x48535233
+// helloMagic identifies a v3 hello payload ("HS3b": v3 with binary
+// snapshot bodies). A peer built before the snapshot bodies left gob
+// sends "HSR3" and is refused at hello, not at its first kSave.
+const helloMagic = 0x48533362
 
 // errHdrCRC marks an unrecoverable header corruption: the stream is
 // desynchronized and the connection must be abandoned.
@@ -155,16 +188,28 @@ var errHdrCRC = errors.New("remote: corrupted v3 frame header (bad CRC)")
 // survived, so the server stays in sync and rejects just this frame.
 var errPayloadCRC = errors.New("remote: corrupted v3 frame payload (bad CRC)")
 
-// writeFrame emits one v3 frame.
-func writeFrame(w io.Writer, kind byte, seq uint32, payload []byte) error {
-	buf := make([]byte, v3HdrLen+len(payload)+v3TrailerLen)
-	buf[0] = kind
+// beginFrame starts a frame in buf's storage: the header, length and
+// CRC still blank. The caller appends the payload in place and seals
+// it with endFrame, so a frame is assembled once, in the buffer it is
+// written (and retransmitted) from.
+func beginFrame(buf []byte, kind byte, seq uint32) []byte {
+	buf = append(buf[:0], kind, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(buf[1:5], seq)
+	return buf
+}
+
+// endFrame fills in the payload length, header CRC-8 and payload CRC-32.
+func endFrame(buf []byte) []byte {
+	payload := buf[v3HdrLen:]
 	binary.LittleEndian.PutUint32(buf[5:9], uint32(len(payload)))
 	buf[9] = crc8(buf[:9])
-	copy(buf[v3HdrLen:], payload)
-	binary.LittleEndian.PutUint32(buf[v3HdrLen+len(payload):], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(buf)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+}
+
+// writeFrame emits one v3 frame around a ready-made payload (the
+// handshake and tests; sequenced traffic builds its frames in place).
+func writeFrame(w io.Writer, kind byte, seq uint32, payload []byte) error {
+	_, err := w.Write(endFrame(append(beginFrame(nil, kind, seq), payload...)))
 	return err
 }
 
@@ -224,18 +269,15 @@ type respMeta struct {
 
 const respMetaLen = 1 + 1 + 8 + 8 + 8 + 8 + 8 + 4
 
-func (m *respMeta) encode(body []byte) []byte {
-	out := make([]byte, respMetaLen+len(body))
-	out[0] = m.status
-	out[1] = m.flags
-	binary.LittleEndian.PutUint64(out[2:10], m.gen)
-	binary.LittleEndian.PutUint64(out[10:18], m.anchorSeq)
-	binary.LittleEndian.PutUint64(out[18:26], uint64(m.serverNow))
-	binary.LittleEndian.PutUint64(out[26:34], m.cycles)
-	binary.LittleEndian.PutUint64(out[34:42], m.irqBits)
-	binary.LittleEndian.PutUint32(out[42:46], m.pending)
-	copy(out[respMetaLen:], body)
-	return out
+// append adds the telemetry header to a frame under construction.
+func (m *respMeta) append(b []byte) []byte {
+	b = append(b, m.status, m.flags)
+	b = binary.LittleEndian.AppendUint64(b, m.gen)
+	b = binary.LittleEndian.AppendUint64(b, m.anchorSeq)
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.serverNow))
+	b = binary.LittleEndian.AppendUint64(b, m.cycles)
+	b = binary.LittleEndian.AppendUint64(b, m.irqBits)
+	return binary.LittleEndian.AppendUint32(b, m.pending)
 }
 
 func decodeMeta(p []byte) (respMeta, []byte, error) {
@@ -262,89 +304,43 @@ type batchOp struct {
 	value  uint64
 }
 
-// encodeBatch packs ops into a kBatch payload:
+// appendBatch packs ops as a kBatch payload:
 // count(2) then per op: op(1) periph(1) offset(4) value(8).
-func encodeBatch(ops []batchOp) []byte {
-	out := make([]byte, 2+len(ops)*batchOpLen)
-	binary.LittleEndian.PutUint16(out[0:2], uint16(len(ops)))
-	off := 2
+func appendBatch(b []byte, ops []batchOp) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(ops)))
 	for _, op := range ops {
-		out[off] = op.op
-		out[off+1] = op.periph
-		binary.LittleEndian.PutUint32(out[off+2:off+6], op.offset)
-		binary.LittleEndian.PutUint64(out[off+6:off+14], op.value)
-		off += batchOpLen
+		b = append(b, op.op, op.periph)
+		b = binary.LittleEndian.AppendUint32(b, op.offset)
+		b = binary.LittleEndian.AppendUint64(b, op.value)
 	}
-	return out
+	return b
 }
 
-func decodeBatch(p []byte) ([]batchOp, error) {
+// batchCount checks the framing of a batch body — count(2), then count
+// entries of size bytes each — and returns the count; entry i starts at
+// p[2+i*size].
+func batchCount(p []byte, size int) (int, error) {
 	if len(p) < 2 {
-		return nil, fmt.Errorf("remote: short batch payload")
+		return 0, fmt.Errorf("remote: short batch body")
 	}
 	n := int(binary.LittleEndian.Uint16(p[0:2]))
-	if len(p) != 2+n*batchOpLen {
-		return nil, fmt.Errorf("remote: batch payload length %d does not match %d ops", len(p), n)
+	if len(p) != 2+n*size {
+		return 0, fmt.Errorf("remote: batch body length %d does not match %d entries", len(p), n)
 	}
-	ops := make([]batchOp, n)
-	off := 2
-	for i := range ops {
-		ops[i] = batchOp{
-			op:     p[off],
-			periph: p[off+1],
-			offset: binary.LittleEndian.Uint32(p[off+2 : off+6]),
-			value:  binary.LittleEndian.Uint64(p[off+6 : off+14]),
-		}
-		off += batchOpLen
-	}
-	return ops, nil
+	return n, nil
 }
 
-// Per-op result statuses in a batch response body. Values 1..3 carry
+// Per-op result statuses in a batch response body (count(2), then per
+// op status(1) value(8)). Values 1..3 carry
 // a target.ErrorClass; opSkipped marks ops after the first failure.
 const (
 	opStatusOK = 0
 	opSkipped  = 0xFF
+	// batchResultLen is the wire size of one result: status(1) value(8).
+	batchResultLen = 9
 )
 
-// encodeBatchResults packs per-op results: count(2) then per op:
-// status(1) value(8).
-func encodeBatchResults(status []byte, values []uint64) []byte {
-	out := make([]byte, 2+len(status)*9)
-	binary.LittleEndian.PutUint16(out[0:2], uint16(len(status)))
-	off := 2
-	for i := range status {
-		out[off] = status[i]
-		binary.LittleEndian.PutUint64(out[off+1:off+9], values[i])
-		off += 9
-	}
-	return out
-}
-
-func decodeBatchResults(p []byte) (status []byte, values []uint64, err error) {
-	if len(p) < 2 {
-		return nil, nil, fmt.Errorf("remote: short batch result")
-	}
-	n := int(binary.LittleEndian.Uint16(p[0:2]))
-	if len(p) != 2+n*9 {
-		return nil, nil, fmt.Errorf("remote: batch result length %d does not match %d ops", len(p), n)
-	}
-	status = make([]byte, n)
-	values = make([]uint64, n)
-	off := 2
-	for i := 0; i < n; i++ {
-		status[i] = p[off]
-		values[i] = binary.LittleEndian.Uint64(p[off+1 : off+9])
-		off += 9
-	}
-	return status, values, nil
-}
-
-// --- gob-framed control payloads -----------------------------------
-//
-// Control frames (session setup, snapshot negotiation, stats,
-// violations) are rare relative to batch frames; their payloads are
-// gob-encoded structs under the same CRC framing.
+// --- gob-framed session payloads -----------------------------------
 
 // helloReq opens (kHello) or resumes (kAttach) a session.
 type helloReq struct {
@@ -369,67 +365,6 @@ type helloInfo struct {
 	// assertions; without them it can never produce violations, so
 	// clients answer TakeViolations locally.
 	HasAssertions bool
-}
-
-// chunkRef names one peripheral's state by content address.
-type chunkRef struct {
-	Name   string
-	Digest [32]byte
-}
-
-// wireChunk carries one peripheral state chunk. Data is the gob
-// encoding of the *sim.HWState (length-prefixed by the gob slice
-// encoding, checksummed by the frame CRC).
-type wireChunk struct {
-	Digest [32]byte
-	Data   []byte
-}
-
-// saveOffer is the kSave response: the digests of the freshly saved
-// state, for the client to fetch only what it lacks.
-type saveOffer struct {
-	Entries []chunkRef
-}
-
-// fetchReq asks for chunks by digest; fetchResp returns them.
-type fetchReq struct {
-	Digests [][32]byte
-}
-type fetchResp struct {
-	Chunks []wireChunk
-}
-
-// Restore modes.
-const (
-	modeRestore = 0
-	modeDelta   = 1
-	modeAdopt   = 2
-)
-
-// restoreReq offers a state to restore by digest; the server lists
-// the chunks it lacks, or applies directly when it holds everything.
-type restoreReq struct {
-	Mode    byte
-	Entries []chunkRef
-}
-
-// pushReq is a restoreReq that also uploads the chunks the server
-// reported missing.
-type pushReq struct {
-	Mode    byte
-	Entries []chunkRef
-	Chunks  []wireChunk
-}
-
-// restoreResp answers kRestore and kPush.
-type restoreResp struct {
-	// Missing lists digests the server lacks; the client must push
-	// them. Empty when Applied.
-	Missing [][32]byte
-	// Applied reports the state reached the hardware.
-	Applied bool
-	// DidDelta reports the incremental dirty-only path served it.
-	DidDelta bool
 }
 
 // spawnReq asks the session's target for a worker clone; the response
