@@ -49,10 +49,12 @@ chaos:
 
 # fuzz-smoke gives each native fuzz target ten seconds beyond its seed
 # corpus (which `go test` already runs): the wire server's frame and
-# snapshot-body decoders, and the solver against its reference.
+# snapshot-body decoders, the solver against its reference, and the
+# vm's dirty-page restore against a full copy.
 fuzz-smoke:
 	$(GO) test ./internal/remote -run '^$$' -fuzz FuzzServeConn -fuzztime 10s
 	$(GO) test ./internal/solver -run '^$$' -fuzz FuzzDifferential -fuzztime 10s
+	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzDirtyRestore -fuzztime 10s
 
 # loc prints the repo's Go line counts, non-test and test separately,
 # benchmark/ excluded (it measures the repo, it is not the repo). The
@@ -66,6 +68,9 @@ loc:
 # report written where .gitignore already covers it. bench-compare
 # applies each metric's bound to two such reports and fails on "worse":
 #   make bench-compare A=before.json B=after.json
+# The repo root keeps one report per PR that claims a gain, with its
+# parent's next to it (BENCH_<pr>.json), so the claim can be re-read:
+#   make bench-compare A=BENCH_18.json B=BENCH_19.json
 bench:
 	$(GO) run ./benchmark -out .bench_build/run.json
 

@@ -253,3 +253,27 @@ func TestSnapshotResetUsesDeltaRestores(t *testing.T) {
 			full, res.DeltaRestores)
 	}
 }
+
+// TestWildPointerIsAFaultCrash: a load through a pointer at the very
+// top of the address space (0xFFFFFFFE, 4 bytes) is recorded as a
+// fault crash bucket. It used to wrap past the RAM range check and
+// panic the worker, killing the campaign.
+func TestWildPointerIsAFaultCrash(t *testing.T) {
+	prog := assemble(t, `
+_start:
+		ecall 6
+		li r1, 0x800
+		addi r2, r0, 4
+		addi r3, r0, 1
+		ecall 1
+		lw r1, -2(r0)
+		halt
+`)
+	res, err := Run(Config{Program: prog, Reset: ResetSnapshot, MaxExecs: 20, InputLen: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Crashes) != 1 || res.Crashes[0].Stop != vm.StopFault {
+		t.Fatalf("crashes %+v, want one fault bucket", res.Crashes)
+	}
+}

@@ -107,8 +107,13 @@ func (w *worker) concolicAttempt(s *branchSite) error {
 		defer w.cpu.SetMMIO(w.router)
 	}
 	// The concolic start state mirrors the concrete machine right
-	// after reset, before any input is consumed.
-	pre := w.cpu.Snapshot()
+	// after reset, before any input is consumed. Under snapshot reset
+	// that machine is w.cpuSnap itself; only the other strategies (and
+	// the exec before the hint) pay for a fresh RAM image.
+	pre := w.cpuSnap
+	if pre == nil {
+		pre = w.cpu.Snapshot()
+	}
 	if _, _, err := w.execOne(); err != nil {
 		return err
 	}

@@ -342,10 +342,12 @@ func (e *Executor) fault(st *State, format string, args ...any) {
 	st.Err = &vm.FaultError{PC: st.PC, Msg: fmt.Sprintf(format, args...)}
 }
 
-// inMMIO reports whether the address window belongs to hardware.
+// inMMIO reports whether the address window belongs to hardware. The
+// sum is taken in uint64 so an access past the top of the address
+// space cannot wrap into the window (same rule as vm.CPU).
 func (e *Executor) inMMIO(addr uint32, size uint32) bool {
 	c := e.cfg.VM
-	return addr >= c.MMIOBase && addr-c.MMIOBase+size <= c.MMIOSize
+	return addr >= c.MMIOBase && uint64(addr-c.MMIOBase)+uint64(size) <= uint64(c.MMIOSize)
 }
 
 // ServePendingInterrupt dispatches one pending IRQ if the state can

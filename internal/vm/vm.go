@@ -104,9 +104,18 @@ type CPU struct {
 	InHandler  bool
 	IRQEnabled bool
 
+	// Mem is RAM. Read it freely; store only through WriteMem, Load and
+	// Reset, which keep the dirty-page tracking below in step.
 	Mem  []byte
 	cfg  Config
 	mmio MMIO
+
+	// anchor is the snapshot RAM equals outside the touched pages (nil:
+	// no tracking, RestoreSnapshot copies everything). dirty holds one
+	// bit per page stored to since; touched lists those pages.
+	anchor  *Snapshot
+	dirty   []uint64
+	touched []uint32
 
 	pending uint32 // bitmask of pending IRQ lines
 
@@ -158,6 +167,7 @@ func (c *CPU) Load(p *asm.Program) error {
 		return errors.New("vm: program does not fit in RAM")
 	}
 	copy(c.Mem[off:], p.Code)
+	c.markDirty(uint32(off), uint32(len(p.Code)))
 	c.PC = p.Entry
 	return nil
 }
@@ -165,9 +175,8 @@ func (c *CPU) Load(p *asm.Program) error {
 // Reset returns the CPU to its power-on state, clearing RAM,
 // registers and stop state. The MMIO device is not touched.
 func (c *CPU) Reset() {
-	for i := range c.Mem {
-		c.Mem[i] = 0
-	}
+	clear(c.Mem)
+	c.anchor = nil
 	c.Regs = [isa.NumRegs]uint32{}
 	c.PC = 0
 	c.EPC = 0
@@ -193,12 +202,14 @@ func (c *CPU) PendingIRQs() uint32 { return c.pending }
 // SetPendingIRQs restores the pending bitmask (for snapshotting).
 func (c *CPU) SetPendingIRQs(v uint32) { c.pending = v }
 
+// The window checks add in uint64: in uint32 an access that runs past
+// the top of the address space wraps to a small offset and passes.
 func (c *CPU) inRAM(addr uint32, size uint32) bool {
-	return addr >= c.cfg.RAMBase && addr-c.cfg.RAMBase+size <= c.cfg.RAMSize
+	return addr >= c.cfg.RAMBase && uint64(addr-c.cfg.RAMBase)+uint64(size) <= uint64(c.cfg.RAMSize)
 }
 
 func (c *CPU) inMMIO(addr uint32, size uint32) bool {
-	return addr >= c.cfg.MMIOBase && addr-c.cfg.MMIOBase+size <= c.cfg.MMIOSize
+	return addr >= c.cfg.MMIOBase && uint64(addr-c.cfg.MMIOBase)+uint64(size) <= uint64(c.cfg.MMIOSize)
 }
 
 // ReadMem performs a data load of size bytes (1, 2 or 4).
@@ -227,6 +238,7 @@ func (c *CPU) WriteMem(addr uint32, size int, val uint32) error {
 		for i := 0; i < size; i++ {
 			c.Mem[off+uint32(i)] = byte(val >> (8 * uint(i)))
 		}
+		c.markDirty(off, uint32(size))
 		return nil
 	}
 	if c.inMMIO(addr, uint32(size)) {

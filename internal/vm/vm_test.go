@@ -441,8 +441,57 @@ func TestSnapshotIsolation(t *testing.T) {
 		halt
 	`)
 	snap := cpu.Snapshot()
-	cpu.Mem[0x500] = 0xAA
+	if err := cpu.WriteMem(0x500, 1, 0xAA); err != nil {
+		t.Fatal(err)
+	}
 	if snap.Mem[0x500] == 0xAA {
 		t.Fatal("snapshot aliases live memory")
+	}
+}
+
+// TestAccessAtTopOfAddressSpace covers the last 8 addresses: an access
+// that runs past 0xFFFFFFFF must fault, never wrap into a window. With
+// RAM at 0 (the default) that wrap used to pass the range check and
+// index Mem with the wild address.
+func TestAccessAtTopOfAddressSpace(t *testing.T) {
+	const top = 0xFFFF0000
+	layouts := []struct {
+		name   string
+		cfg    Config
+		mapped bool // the last 64 KiB are RAM or MMIO
+		ram    bool
+	}{
+		{"ram-at-0", Config{}, false, false},
+		{"ram-at-top", Config{RAMBase: top, RAMSize: 1 << 16}, true, true},
+		{"mmio-at-top", Config{MMIOBase: top, MMIOSize: 1 << 16}, true, false},
+	}
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			cpu := New(l.cfg, &fakeMMIO{})
+			if l.ram {
+				// Every 4-byte window over 0x04 bytes decodes (add r0, ...).
+				for a := uint32(0xFFFFFFF0); a != 0; a++ {
+					if err := cpu.WriteMem(a, 1, 0x04); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for addr := uint32(0xFFFFFFF8); addr != 0; addr++ {
+				for _, size := range []int{1, 2, 4} {
+					fits := l.mapped && uint64(addr)+uint64(size) <= 1<<32
+					if _, err := cpu.ReadMem(addr, size); (err == nil) != fits {
+						t.Errorf("load  %#x size %d: err %v, fits %v", addr, size, err, fits)
+					}
+					if err := cpu.WriteMem(addr, size, 0x04040404); (err == nil) != fits {
+						t.Errorf("store %#x size %d: err %v, fits %v", addr, size, err, fits)
+					}
+				}
+				cpu.Stop, cpu.Fault, cpu.PC = StopNone, nil, addr
+				fits := l.ram && uint64(addr)+4 <= 1<<32
+				if ok := cpu.Step(); ok != fits || (cpu.Stop == StopFault) == fits {
+					t.Errorf("fetch %#x: stepped %v, stop %v (%v), fits %v", addr, ok, cpu.Stop, cpu.Fault, fits)
+				}
+			}
+		})
 	}
 }
