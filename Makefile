@@ -49,10 +49,12 @@ chaos:
 
 # fuzz-smoke gives each native fuzz target ten seconds beyond its seed
 # corpus (which `go test` already runs): the wire server's frame and
-# snapshot-body decoders, the solver against its reference, and the
+# snapshot-body decoders, the snapshot record decoder (disk, journal
+# and dist delta frames), the solver against its reference, and the
 # vm's dirty-page restore against a full copy.
 fuzz-smoke:
 	$(GO) test ./internal/remote -run '^$$' -fuzz FuzzServeConn -fuzztime 10s
+	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/solver -run '^$$' -fuzz FuzzDifferential -fuzztime 10s
 	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzDirtyRestore -fuzztime 10s
 

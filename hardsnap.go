@@ -30,6 +30,7 @@ import (
 	"hardsnap/internal/fuzz"
 	"hardsnap/internal/periph"
 	"hardsnap/internal/scanchain"
+	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
 	"hardsnap/internal/target"
 	"hardsnap/internal/verilog"
@@ -148,13 +149,20 @@ var (
 )
 
 // EncodeHWState serializes a hardware snapshot with an integrity
-// header (magic, version, length, CRC-32).
-func EncodeHWState(s HWState) ([]byte, error) { return target.EncodeState(s) }
+// header (magic, version, length, CRC-32): a snapshot record with no
+// IRQ edge levels.
+func EncodeHWState(s HWState) ([]byte, error) { return snapshot.Encode(&snapshot.Record{HW: s}) }
 
 // DecodeHWState validates and deserializes a snapshot produced by
 // EncodeHWState; truncated or corrupted data is rejected with an
 // integrity error.
-func DecodeHWState(data []byte) (HWState, error) { return target.DecodeState(data) }
+func DecodeHWState(data []byte) (HWState, error) {
+	rec, err := snapshot.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return rec.HW, nil
+}
 
 // Peripheral corpus.
 type (

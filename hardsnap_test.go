@@ -1,6 +1,7 @@
 package hardsnap_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -117,5 +118,64 @@ ok:
 	}
 	if res.Execs != 500 {
 		t.Fatalf("execs: %d", res.Execs)
+	}
+}
+
+// TestEncodeDecodeHWState round-trips a saved target state through the
+// facade's byte form and checks that every corruption mode — payload
+// bit, truncation, short header, magic, version — is an integrity
+// error, never a decoded state.
+func TestEncodeDecodeHWState(t *testing.T) {
+	analysis, err := hardsnap.Setup(hardsnap.SetupConfig{
+		Firmware:    "_start:\n\t\thalt",
+		Peripherals: []hardsnap.PeriphConfig{{Name: "gpio0", Periph: "gpio"}, {Name: "aes0", Periph: "aes128"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, err := analysis.Target.Port("gpio0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := port.WriteReg(0x00, 0x5A5A); err != nil {
+		t.Fatal(err)
+	}
+	st, err := analysis.Target.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := hardsnap.EncodeHWState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := hardsnap.DecodeHWState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, got) {
+		t.Fatal("encode/decode round trip diverged")
+	}
+	if err := analysis.Target.Restore(got); err != nil {
+		t.Fatalf("restore of the decoded state: %v", err)
+	}
+
+	mutate := func(at int, v byte) []byte {
+		out := append([]byte(nil), blob...)
+		out[at] ^= v
+		return out
+	}
+	for name, bad := range map[string][]byte{
+		"payload bit":      mutate(len(blob)-1, 0x01),
+		"truncation":       blob[:len(blob)-3],
+		"truncated header": blob[:5],
+		"empty":            nil,
+		"magic":            mutate(0, 0xFF),
+		"version":          mutate(4, 0x0A),
+		"length":           mutate(5, 0x01),
+		"crc":              mutate(9, 0x01),
+	} {
+		if st, err := hardsnap.DecodeHWState(bad); st != nil || !hardsnap.IsIntegrity(err) {
+			t.Errorf("%s: DecodeHWState = %v, %v; want an integrity error", name, st, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
 	"hardsnap/internal/target"
 )
@@ -156,14 +157,14 @@ func TestCorruptedSnapshotRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := target.EncodeState(st)
+	blob, err := snapshot.Encode(&snapshot.Record{HW: st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip one payload bit in transit: the restore path must reject
 	// the snapshot with an integrity error, not apply garbage.
 	blob[len(blob)-1] ^= 0x10
-	if _, err := target.DecodeState(blob); !target.IsIntegrity(err) {
+	if _, err := snapshot.Decode(blob); !target.IsIntegrity(err) {
 		t.Fatalf("corrupted snapshot decode: %v, want integrity error", err)
 	}
 	bad := st.Clone()

@@ -80,8 +80,8 @@ type BugRef struct {
 	State uint64 `json:"state"`
 	// Digest is the record's content address, hex.
 	Digest string `json:"digest"`
-	// Bytes is the full snapshot.Encode size — what shipping this
-	// record inline would have cost (the E17 savings baseline).
+	// Bytes is the size of the record encoded with nothing omitted —
+	// what shipping it inline would have cost (the E17 savings baseline).
 	Bytes uint64 `json:"bytes"`
 }
 

@@ -444,51 +444,37 @@ func (n *node) runSubtree(d *driver, nc *nodeConn, idx int) (*core.SubtreeResult
 // driver's store no longer resolves a referenced chunk.
 func (d *driver) fetchRecord(n *node, nc *nodeConn, ref BugRef) (*snapshot.Record, uint64, error) {
 	d.mu.Lock()
-	if rec, ok := d.fetched[ref.Digest]; ok {
-		d.mu.Unlock()
+	rec, ok := d.fetched[ref.Digest]
+	d.mu.Unlock()
+	if ok {
 		return rec, 0, nil
 	}
-	d.mu.Unlock()
-
 	var shipped uint64
-	fetch := func(full bool) (*snapshot.Record, error) {
+	// A delta first; if the node's ledger said we hold a chunk we can
+	// no longer resolve (evicted since), again with everything inline.
+	for _, full := range []bool{false, true} {
 		resp, err := nc.roundTrip(Request{Op: "fetch", Token: n.token, Digest: ref.Digest, Full: full})
 		if err != nil {
-			return nil, err
+			return nil, shipped, err
 		}
 		if !resp.OK {
-			return nil, fmt.Errorf("node %s: %s", n.addr, resp.Error)
+			return nil, shipped, fmt.Errorf("node %s: %s", n.addr, resp.Error)
 		}
 		shipped += uint64(len(resp.Data))
 		rec, missing, err := snapshot.DecodeDelta(resp.Data, d.f.Store().PeriphByDigest)
 		if err != nil {
-			return nil, fmt.Errorf("node %s: fetch %s: %w", n.addr, ref.Digest, err)
+			return nil, shipped, fmt.Errorf("node %s: fetch %s: %w", n.addr, ref.Digest, err)
 		}
 		if len(missing) > 0 {
-			return nil, nil // caller retries full
+			continue
 		}
-		return rec, nil
+		// Intern the record so its chunks resolve future delta frames,
+		// and pin it in the fetched cache for digest-level dedup.
+		d.f.Store().Put(*rec)
+		d.mu.Lock()
+		d.fetched[ref.Digest] = rec
+		d.mu.Unlock()
+		return rec, shipped, nil
 	}
-	rec, err := fetch(false)
-	if err != nil {
-		return nil, shipped, err
-	}
-	if rec == nil {
-		// The node's ledger said we hold a chunk we could not
-		// resolve (evicted since): re-fetch with everything inline.
-		rec, err = fetch(true)
-		if err != nil {
-			return nil, shipped, err
-		}
-		if rec == nil {
-			return nil, shipped, fmt.Errorf("node %s: fetch %s: full frame still unresolved", n.addr, ref.Digest)
-		}
-	}
-	// Intern the record so its chunks resolve future delta frames,
-	// and pin it in the fetched cache for digest-level dedup.
-	d.f.Store().Put(*rec)
-	d.mu.Lock()
-	d.fetched[ref.Digest] = rec
-	d.mu.Unlock()
-	return rec, shipped, nil
+	return nil, shipped, fmt.Errorf("node %s: fetch %s: full frame still unresolved", n.addr, ref.Digest)
 }

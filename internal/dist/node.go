@@ -275,14 +275,10 @@ func (s *Server) run(req Request) Response {
 	for id, rec := range res.TakeBugSnapshots() {
 		d := snapshot.DigestRecord(rec)
 		hexd := fmt.Sprintf("%x", d[:])
-		full, err := snapshot.Encode(rec)
-		if err != nil {
-			return Response{Error: fmt.Sprintf("run: encode bug snapshot: %v", err)}
-		}
 		c.mu.Lock()
 		c.bugs[hexd] = rec
 		c.mu.Unlock()
-		resp.Bugs = append(resp.Bugs, BugRef{State: id, Digest: hexd, Bytes: uint64(len(full))})
+		resp.Bugs = append(resp.Bugs, BugRef{State: id, Digest: hexd, Bytes: uint64(len(snapshot.EncodeDelta(rec, nil)))})
 	}
 	sort.Slice(resp.Bugs, func(i, j int) bool { return resp.Bugs[i].State < resp.Bugs[j].State })
 	data, err := res.Encode()
@@ -312,14 +308,7 @@ func (s *Server) fetch(req Request) Response {
 	if !ok {
 		return Response{Error: fmt.Sprintf("fetch: unknown digest %s", req.Digest)}
 	}
-	var have func(snapshot.Digest) bool
-	if !req.Full {
-		have = func(d snapshot.Digest) bool { return c.sent[d] }
-	}
-	frame, _, _, err := snapshot.EncodeDelta(rec, have)
-	if err != nil {
-		return Response{Error: fmt.Sprintf("fetch: %v", err)}
-	}
+	frame := snapshot.EncodeDelta(rec, func(d snapshot.Digest) bool { return c.sent[d] && !req.Full })
 	for _, hw := range rec.HW {
 		c.sent[snapshot.HWDigest(hw)] = true
 	}

@@ -75,7 +75,7 @@ func BenchmarkChunkCodec(b *testing.B) {
 		b.ReportAllocs()
 		var got *sim.HWState
 		for i := 0; i < b.N; i++ {
-			if got, err = decodeChunk(ch); err != nil {
+			if got, err = snapshot.DecodeChunk(ch.Data, ch.Digest); err != nil {
 				b.Fatal(err)
 			}
 		}

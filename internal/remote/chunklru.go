@@ -65,7 +65,7 @@ func (c *chunkLRU) put(d snapshot.Digest, hw *sim.HWState) bool {
 func (c *chunkLRU) bank(chunks []wireChunk, into map[snapshot.Digest]*sim.HWState, how string) (int, error) {
 	n := 0
 	for _, ch := range chunks {
-		hw, err := decodeChunk(ch)
+		hw, err := snapshot.DecodeChunk(ch.Data, ch.Digest)
 		if err != nil {
 			return n, integrityErr("%s chunk %x: %v", how, ch.Digest[:8], err)
 		}

@@ -93,7 +93,7 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		hw := randHW(rand.New(rand.NewSource(seed)))
 		ch := encodeChunk(hw)
-		got, err := decodeChunk(ch)
+		got, err := snapshot.DecodeChunk(ch.Data, ch.Digest)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -108,7 +108,7 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A nil state travels as the empty one.
-	if got, err := decodeChunk(encodeChunk(nil)); err != nil || !reflect.DeepEqual(got, shape(&sim.HWState{})) {
+	if got, err := snapshot.DecodeChunk(encodeChunk(nil).Data, snapshot.HWDigest(nil)); err != nil || !reflect.DeepEqual(got, shape(&sim.HWState{})) {
 		t.Fatalf("nil state: %+v, %v", got, err)
 	}
 }
@@ -134,7 +134,7 @@ func TestSnapshotBodiesHostileInput(t *testing.T) {
 	hwB := &sim.HWState{Regs: map[string]uint64{"count": 7}, Mems: map[string][]uint64{"fifo": {1, 2, 3}, "": nil}}
 	refs := []chunkRef{{Name: "gpio0", Digest: snapshot.HWDigest(hwA)}, {Name: "timer0", Digest: snapshot.HWDigest(hwB)}}
 	withChunks := func(b []byte) []byte {
-		b = appendU32(b, 2)
+		b = snapshot.AppendU32(b, 2)
 		b, _ = appendChunk(b, refs[0].Digest, hwA)
 		b, _ = appendChunk(b, refs[1].Digest, hwB)
 		return b
@@ -171,7 +171,7 @@ func TestSnapshotBodiesHostileInput(t *testing.T) {
 			return err
 		}},
 		{"chunk", encodeChunk(hwB).Data, []int{0, 4}, func(p []byte) error {
-			_, err := decodeChunk(wireChunk{Digest: refs[1].Digest, Data: p})
+			_, err := snapshot.DecodeChunk(p, refs[1].Digest)
 			return err
 		}},
 	}
@@ -186,7 +186,7 @@ func TestSnapshotBodiesHostileInput(t *testing.T) {
 				if mustFail && err == nil {
 					t.Fatalf("%s: accepted", what)
 				}
-				if err != nil && !strings.HasPrefix(err.Error(), "remote: ") {
+				if err != nil && !strings.HasPrefix(err.Error(), "snapshot: ") {
 					t.Fatalf("%s: untyped error %v", what, err)
 				}
 			}
@@ -214,7 +214,7 @@ func TestSnapshotBodiesHostileInput(t *testing.T) {
 	ch := encodeChunk(hwB)
 	ch.Data = append([]byte(nil), ch.Data...)
 	ch.Data[4+4+len("count")] ^= 1 // a bit of the register's value: still well-formed
-	if _, err := decodeChunk(ch); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+	if _, err := snapshot.DecodeChunk(ch.Data, ch.Digest); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("chunk with foreign content: %v, want a digest mismatch", err)
 	}
 }
@@ -312,7 +312,7 @@ func TestSnapshotChunkIntegrityTyped(t *testing.T) {
 	t.Run("pushed", func(t *testing.T) {
 		c, srv := v3PipeSrv(t)
 		_, err := c.roundTrip(kPush, func(b []byte) []byte {
-			b = appendU32(appendRefs(append(b, modeRestore), []chunkRef{{Name: "gpio0", Digest: lie}}), 1)
+			b = snapshot.AppendU32(appendRefs(append(b, modeRestore), []chunkRef{{Name: "gpio0", Digest: lie}}), 1)
 			b, _ = appendChunk(b, lie, hw)
 			return b
 		})
@@ -325,7 +325,7 @@ func TestSnapshotChunkIntegrityTyped(t *testing.T) {
 	})
 	t.Run("inlined", func(t *testing.T) {
 		c := scriptedPeer(t, func(conn net.Conn, seq uint32) {
-			body := appendU32(appendRefs(nil, []chunkRef{{Name: "gpio0", Digest: lie}}), 1)
+			body := snapshot.AppendU32(appendRefs(nil, []chunkRef{{Name: "gpio0", Digest: lie}}), 1)
 			body, _ = appendChunk(body, lie, hw)
 			_ = writeFrame(conn, kResp, seq, respPayload(respMeta{status: vstatusOK}, body))
 		})
@@ -338,7 +338,7 @@ func TestSnapshotChunkIntegrityTyped(t *testing.T) {
 	})
 	t.Run("malformed offer", func(t *testing.T) {
 		c := scriptedPeer(t, func(conn net.Conn, seq uint32) {
-			body := appendU32(nil, 0xFFFFFFFF)
+			body := snapshot.AppendU32(nil, 0xFFFFFFFF)
 			_ = writeFrame(conn, kResp, seq, respPayload(respMeta{status: vstatusOK}, body))
 		})
 		if _, err := c.Save(); !target.IsTransient(err) {
@@ -348,31 +348,33 @@ func TestSnapshotChunkIntegrityTyped(t *testing.T) {
 }
 
 // TestServeConnRefusesOldHello: a peer built before the snapshot
-// bodies left gob announces the old magic; it is refused at hello —
-// typed error, connection ended, no session, nothing answered — rather
-// than mis-decoded at its first kSave.
+// bodies left gob ("HSR3"), or before chunks were addressed by the hash
+// of their state bytes ("HS3b"), announces its magic; it is refused at
+// hello — typed error, connection ended, no session, nothing answered —
+// rather than mis-decoded at its first kSave.
 func TestServeConnRefusesOldHello(t *testing.T) {
-	const oldMagic = 0x48535233 // "HSR3"
-	srv := NewServer(newV3Target(t))
-	hello, err := gobEncode(helloReq{Magic: oldMagic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var in, out bytes.Buffer
-	if err := writeFrame(&in, kHello, 0, hello); err != nil {
-		t.Fatal(err)
-	}
-	err = srv.ServeConn(struct {
-		io.Reader
-		io.Writer
-	}{&in, &out})
-	if err == nil || !strings.Contains(err.Error(), "remote: bad hello frame") {
-		t.Fatalf("ServeConn returned %v, want the bad-hello error", err)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("server answered an old-magic hello with %d bytes", out.Len())
-	}
-	if len(srv.sessions) != 0 {
-		t.Fatalf("old-magic hello created %d sessions", len(srv.sessions))
+	for _, oldMagic := range []uint32{0x48535233, 0x48533362} {
+		srv := NewServer(newV3Target(t))
+		hello, err := gobEncode(helloReq{Magic: oldMagic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in, out bytes.Buffer
+		if err := writeFrame(&in, kHello, 0, hello); err != nil {
+			t.Fatal(err)
+		}
+		err = srv.ServeConn(struct {
+			io.Reader
+			io.Writer
+		}{&in, &out})
+		if err == nil || !strings.Contains(err.Error(), "remote: bad hello frame") {
+			t.Fatalf("magic %#x: ServeConn returned %v, want the bad-hello error", oldMagic, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("server answered an old-magic hello with %d bytes", out.Len())
+		}
+		if len(srv.sessions) != 0 {
+			t.Fatalf("old-magic hello created %d sessions", len(srv.sessions))
+		}
 	}
 }

@@ -78,7 +78,7 @@ func FuzzServeConn(f *testing.F) {
 	hw := &sim.HWState{Regs: map[string]uint64{"out": 0x5A}}
 	refs := []chunkRef{{Name: "gpio0", Digest: snapshot.HWDigest(hw)}}
 	restoreBody := appendRefs([]byte{modeRestore}, refs)
-	pushBody, _ := appendChunk(appendU32(append([]byte(nil), restoreBody...), 1), refs[0].Digest, hw)
+	pushBody, _ := appendChunk(snapshot.AppendU32(append([]byte(nil), restoreBody...), 1), refs[0].Digest, hw)
 	save := frame(kSave, 1, nil)
 	for _, c := range []struct {
 		kind  byte

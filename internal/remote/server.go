@@ -310,7 +310,7 @@ func (s *Server) applySave(sess *session, seq uint32) []byte {
 		}
 	}
 	b := appendRefs(sess.respFrame(seq, vstatusOK, 64*len(refs)+256*len(fresh)), refs)
-	b = appendU32(b, len(fresh))
+	b = snapshot.AppendU32(b, len(fresh))
 	for _, i := range fresh {
 		b, _ = appendChunk(b, refs[i].Digest, st[refs[i].Name])
 	}
@@ -322,7 +322,7 @@ func (s *Server) applyFetch(sess *session, seq uint32, payload []byte) []byte {
 	if err != nil {
 		return sess.errFrame(seq, fatalErr(err))
 	}
-	b := appendU32(sess.respFrame(seq, vstatusOK, 256*len(digests)), len(digests))
+	b := snapshot.AppendU32(sess.respFrame(seq, vstatusOK, 256*len(digests)), len(digests))
 	for _, d := range digests {
 		hw, ok := s.chunks.get(d)
 		if !ok {

@@ -971,7 +971,7 @@ func (c *TargetClient) Save() (target.State, error) {
 // deterministic order, caching the chunks locally (the state is about
 // to be live on both ends).
 func (c *TargetClient) stateEntries(s target.State) ([]chunkRef, map[snapshot.Digest]*sim.HWState) {
-	names := sortedNames(s)
+	names := snapshot.SortedNames(s)
 	entries := make([]chunkRef, 0, len(names))
 	byDigest := make(map[snapshot.Digest]*sim.HWState, len(names))
 	for _, name := range names {
@@ -1036,7 +1036,7 @@ func (c *TargetClient) applyRemote(s target.State, mode byte) (restoreResp, erro
 		}
 		var sent int
 		body, err = c.roundTrip(kPush, func(b []byte) []byte {
-			b = appendU32(appendRefs(append(b, mode), entries), len(push))
+			b = snapshot.AppendU32(appendRefs(append(b, mode), entries), len(push))
 			for _, d := range push {
 				var n int
 				b, n = appendChunk(b, d, byDigest[d])

@@ -32,14 +32,12 @@
 //
 // The snapshot frames cross the wire on every context switch, so their
 // bodies are fixed layouts written and read in place (codec.go): every
-// count and length is 32 bits, a name is len(4) bytes, and names are
-// written sorted so equal states encode to equal bytes.
+// count and length is 32 bits and a name is len(4) bytes. A chunk's
+// state bytes are the canonical peripheral-state encoding described in
+// the internal/snapshot package comment.
 //
 //	ref:      name digest(32)
 //	chunk:    digest(32) len(4) state[len]
-//	state:    nregs(4) {name value(8)}*
-//	          nmems(4) {name depth(4) word(8)*}*
-//	          ninputs(4) {name value(8)}*
 //
 //	kSave     request: empty
 //	          response: nrefs(4) ref* nchunks(4) chunk*
@@ -56,10 +54,10 @@
 // would follow is known in advance; kFetch remains for a client-side
 // miss (an evicted chunk, or content another client saved first). A
 // decoder checks every count against the bytes left before it sizes
-// anything by it, rejects trailing bytes, and checks each chunk against
-// the digest it travelled under. The frames a session sends once or a
-// handful of times — hello, attach, spawn, stats, violations — carry
-// gob-encoded structs instead.
+// anything by it, rejects trailing bytes, and checks each chunk's bytes
+// against the digest they travelled under. The frames a session sends
+// once or a handful of times — hello, attach, spawn, stats, violations
+// — carry gob-encoded structs instead.
 //
 // This is the third wire generation and the only one served. Its
 // predecessor (one blocking 10-byte request / 6-byte response round
@@ -175,10 +173,13 @@ const (
 	batchOpLen = 14
 )
 
-// helloMagic identifies a v3 hello payload ("HS3b": v3 with binary
-// snapshot bodies). A peer built before the snapshot bodies left gob
-// sends "HSR3" and is refused at hello, not at its first kSave.
-const helloMagic = 0x48533362
+// helloMagic identifies a v3 hello payload ("HS3c": v3 with binary
+// snapshot bodies and chunks addressed by the SHA-256 of their state
+// bytes). The digest function is part of the protocol: a peer built
+// with the earlier one sends "HS3b" (and one from before the snapshot
+// bodies left gob "HSR3"), and is refused at hello, not at its first
+// chunk's digest check.
+const helloMagic = 0x48533363
 
 // errHdrCRC marks an unrecoverable header corruption: the stream is
 // desynchronized and the connection must be abandoned.

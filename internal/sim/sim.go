@@ -13,6 +13,8 @@ package sim
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"hardsnap/internal/rtl"
@@ -379,6 +381,23 @@ type HWState struct {
 	Inputs map[string]uint64   `json:"inputs"`
 }
 
+// Clone deep-copies the state. A nil state is the empty one, here as
+// in Restore and in the state's byte form (internal/snapshot).
+func (hw *HWState) Clone() *HWState {
+	if hw == nil {
+		return &HWState{}
+	}
+	c := &HWState{
+		Regs:   maps.Clone(hw.Regs),
+		Mems:   make(map[string][]uint64, len(hw.Mems)),
+		Inputs: maps.Clone(hw.Inputs),
+	}
+	for name, words := range hw.Mems {
+		c.Mems[name] = slices.Clone(words)
+	}
+	return c
+}
+
 // Snapshot captures the full hardware state.
 func (s *Simulator) Snapshot() *HWState {
 	hw := &HWState{
@@ -407,6 +426,9 @@ func (s *Simulator) Snapshot() *HWState {
 // design are reported as an error (they indicate a design mismatch);
 // registers of this design missing from the snapshot are reset to 0.
 func (s *Simulator) Restore(hw *HWState) error {
+	if hw == nil {
+		hw = &HWState{}
+	}
 	for _, sig := range s.design.Signals {
 		if sig.IsReg {
 			if v := hw.Regs[sig.Name] & widthMask(sig.Width); s.state.Vals[sig.ID] != v {
@@ -469,6 +491,9 @@ func (s *Simulator) Restore(hw *HWState) error {
 // anchor value, so rewriting it would be a no-op. Dirty tracking is
 // re-anchored on success.
 func (s *Simulator) RestoreDirty(hw *HWState) (uint, error) {
+	if hw == nil {
+		hw = &HWState{}
+	}
 	var bits uint
 	for id := range s.dirtySigs {
 		sig := s.design.Signals[id]

@@ -1,0 +1,365 @@
+package snapshot
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"sort"
+
+	"hardsnap/internal/sim"
+	"hardsnap/internal/target"
+)
+
+const digestLen = len(Digest{})
+
+// SortedNames returns m's keys in the order every encoder writes them.
+func SortedNames[V any](m map[string]V) []string {
+	return appendSorted(make([]string, 0, len(m)), m)
+}
+
+func appendSorted[V any](names []string, m map[string]V) []string {
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// AppendU32 appends a count or length.
+func AppendU32(b []byte, v int) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
+
+// AppendName appends a length-prefixed name.
+func AppendName(b []byte, s string) []byte { return append(AppendU32(b, len(s)), s...) }
+
+// AppendChunk appends one peripheral state as len(4) state[len], a nil
+// state as the empty one. The state bytes are canonical — equal states
+// yield equal bytes — and are what HWDigest hashes.
+func AppendChunk(b []byte, hw *sim.HWState) []byte {
+	if hw == nil {
+		hw = &sim.HWState{}
+	}
+	at := len(b)
+	b = append(b, 0, 0, 0, 0)
+	var stack [64]string // the usual register file sorts without allocating
+	names := appendSorted(stack[:0], hw.Regs)
+	b = AppendU32(b, len(names))
+	for _, name := range names {
+		b = binary.LittleEndian.AppendUint64(AppendName(b, name), hw.Regs[name])
+	}
+	names = appendSorted(names[:0], hw.Mems)
+	b = AppendU32(b, len(names))
+	for _, name := range names {
+		words := hw.Mems[name]
+		b = AppendU32(AppendName(b, name), len(words))
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+	}
+	names = appendSorted(names[:0], hw.Inputs)
+	b = AppendU32(b, len(names))
+	for _, name := range names {
+		b = binary.LittleEndian.AppendUint64(AppendName(b, name), hw.Inputs[name])
+	}
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
+}
+
+// HWDigest content-addresses one peripheral's state: the SHA-256 of
+// its state bytes. The store's intern pool is keyed by it and the
+// remote protocol and the dist fabric negotiate by it, so a chunk
+// either end already holds never crosses a wire again.
+func HWDigest(hw *sim.HWState) Digest {
+	var stack [2048]byte
+	return sha256.Sum256(AppendChunk(stack[:0], hw)[4:])
+}
+
+// Reader is a bounds-checked cursor over one encoded body. The first
+// failure sticks and empties the cursor, so a decoder reads straight
+// through and checks once, at End.
+type Reader struct {
+	p   []byte
+	err error
+}
+
+// NewReader starts a cursor at the head of p.
+func NewReader(p []byte) *Reader { return &Reader{p: p} }
+
+func (r *Reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("snapshot: "+format, args...)
+	}
+	r.p = nil
+}
+
+// take consumes n bytes. Past the end it fails and yields zeros: n is
+// then a fixed field width, since count vets every variable length.
+func (r *Reader) take(n int) []byte {
+	if n > len(r.p) {
+		r.fail("truncated body (%d bytes wanted, %d left)", n, len(r.p))
+		return make([]byte, n)
+	}
+	b := r.p[:n]
+	r.p = r.p[n:]
+	return b
+}
+
+func (r *Reader) U8() byte    { return r.take(1)[0] }
+func (r *Reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
+
+// flag reads a byte that may only be 0 or 1.
+func (r *Reader) flag(what string) bool {
+	v := r.U8()
+	if v > 1 {
+		r.fail("%s %d", what, v)
+	}
+	return v == 1
+}
+
+// count reads an element count and refuses one whose elements, at
+// least min bytes each, cannot fit in the bytes left — before the
+// caller allocates anything sized by it.
+func (r *Reader) count(min int) int {
+	n := binary.LittleEndian.Uint32(r.take(4))
+	if uint64(n)*uint64(min) > uint64(len(r.p)) {
+		r.fail("count %d exceeds the %d bytes left", n, len(r.p))
+		return 0
+	}
+	return int(n)
+}
+
+func (r *Reader) Name() string { return string(r.take(r.count(1))) }
+
+func (r *Reader) Digest() (d Digest) {
+	copy(d[:], r.take(digestLen))
+	return d
+}
+
+// Chunk reads the len(4) state[len] AppendChunk wrote; the bytes alias
+// the body and are for DecodeChunk.
+func (r *Reader) Chunk() []byte { return r.take(r.count(1)) }
+
+// List reads a count and that many elements, each at least min bytes,
+// stopping at the first failure.
+func List[T any](r *Reader, min int, elem func() T) []T {
+	out := make([]T, r.count(min))
+	for i := 0; i < len(out) && r.err == nil; i++ {
+		out[i] = elem()
+	}
+	return out
+}
+
+// End reports the first failure, or bytes left over after the body.
+func (r *Reader) End() error {
+	if r.err == nil && len(r.p) != 0 {
+		r.fail("%d trailing bytes after body", len(r.p))
+	}
+	return r.err
+}
+
+// ascending reads the next name of a sorted sequence and refuses one
+// that does not sort after prev: a state has one encoding, so the
+// bytes that passed the digest check are the bytes it re-encodes to.
+func (r *Reader) ascending(i int, prev string) string {
+	name := r.Name()
+	if i > 0 && name <= prev {
+		r.fail("name %q out of order", name)
+	}
+	return name
+}
+
+func (r *Reader) vals() map[string]uint64 {
+	n := r.count(4 + 8)
+	m := make(map[string]uint64, n)
+	name := ""
+	for i := 0; i < n && r.err == nil; i++ {
+		name = r.ascending(i, name)
+		m[name] = r.u64()
+	}
+	return m
+}
+
+// DecodeChunk parses one chunk's state bytes and checks them against
+// the content address they travelled under. Every state that arrives
+// as bytes — from disk, the remote wire or a dist node — passes
+// through here before it is stored, cached or applied.
+func DecodeChunk(state []byte, want Digest) (*sim.HWState, error) {
+	r := Reader{p: state}
+	hw := &sim.HWState{Regs: r.vals()}
+	n := r.count(4 + 4)
+	hw.Mems = make(map[string][]uint64, n)
+	name := ""
+	for i := 0; i < n && r.err == nil; i++ {
+		name = r.ascending(i, name)
+		words := make([]uint64, r.count(8))
+		for j := range words {
+			words[j] = r.u64() // cannot fail: count vetted the total
+		}
+		hw.Mems[name] = words
+	}
+	hw.Inputs = r.vals()
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	if got := Digest(sha256.Sum256(state)); got != want {
+		return nil, fmt.Errorf("snapshot: chunk digest mismatch (%x != %x)", got[:8], want[:8])
+	}
+	return hw, nil
+}
+
+// Record framing: magic(4) version(1) length(4) crc32(4) payload.
+// Persisted and fetched records feed restores, so truncation and
+// corruption must be detected before any bit reaches the hardware.
+// Versions 1 and 2 were the gob record and gob delta payloads.
+const (
+	recMagic   = 0x48535352 // "HSSR"
+	recVersion = 3
+	recHdrLen  = 4 + 1 + 4 + 4
+)
+
+// appendPayload appends rec's payload. have (nil: omit nothing) is
+// asked once per peripheral, in name order, whether to omit its chunk;
+// the chunk is encoded and hashed either way, so the digests have sees
+// are the record's content addresses.
+func appendPayload(b []byte, rec *Record, have func(Digest) bool) []byte {
+	b = AppendU32(b, len(rec.IRQEdges))
+	for _, e := range rec.IRQEdges {
+		if e {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	names := SortedNames(rec.HW)
+	b = AppendU32(b, len(names))
+	for _, name := range names {
+		b = AppendName(b, name)
+		at := len(b)
+		b = append(b, make([]byte, digestLen+1)...)
+		b = AppendChunk(b, rec.HW[name])
+		d := Digest(sha256.Sum256(b[at+digestLen+1+4:]))
+		copy(b[at:], d[:])
+		if have != nil && have(d) {
+			b = b[:at+digestLen+1]
+		} else {
+			b[at+digestLen] = 1
+		}
+	}
+	return b
+}
+
+// address content-addresses rec and each of its peripherals (in name
+// order) in one walk.
+func address(rec *Record) (d Digest, periphs []Digest) {
+	periphs = make([]Digest, 0, len(rec.HW))
+	var stack [2048]byte
+	d = sha256.Sum256(appendPayload(stack[:0], rec, func(pd Digest) bool {
+		periphs = append(periphs, pd)
+		return true
+	}))
+	return d, periphs
+}
+
+// DigestRecord computes the content address of a record: the SHA-256
+// of its payload with every chunk omitted, that is of the IRQ edge
+// levels and each peripheral's name and HWDigest.
+func DigestRecord(rec *Record) Digest {
+	d, _ := address(rec)
+	return d
+}
+
+// Encode serializes a record in full. The error is always nil.
+func Encode(rec *Record) ([]byte, error) {
+	return EncodeDelta(rec, nil), nil
+}
+
+// EncodeDelta serializes rec, omitting the chunks of peripherals for
+// which have returns true: the receiver resolves those by digest. A
+// full record is the delta that omits nothing (nil have).
+func EncodeDelta(rec *Record, have func(Digest) bool) []byte {
+	b := appendPayload(make([]byte, recHdrLen, 1024), rec, have)
+	p := b[recHdrLen:]
+	binary.LittleEndian.PutUint32(b[0:4], recMagic)
+	b[4] = recVersion
+	binary.LittleEndian.PutUint32(b[5:9], uint32(len(p)))
+	binary.LittleEndian.PutUint32(b[9:13], crc32.ChecksumIEEE(p))
+	return b
+}
+
+func integrityErr(format string, args ...any) error {
+	return &target.Error{Class: target.Integrity, Op: "snapshot: decode",
+		Err: fmt.Errorf(format, args...)}
+}
+
+// Decode validates and deserializes a self-contained record. Truncated
+// or corrupted data, and a record with chunks omitted, is rejected
+// with a typed integrity error rather than decoded into a wrong
+// hardware state.
+func Decode(data []byte) (*Record, error) {
+	rec, missing, err := DecodeDelta(data, nil)
+	if err == nil && len(missing) > 0 {
+		err = integrityErr("record omits %d chunks and nothing resolves them", len(missing))
+	}
+	return rec, err
+}
+
+// DecodeDelta validates and deserializes a record, resolving omitted
+// chunks through resolve (typically Store.PeriphByDigest; nil resolves
+// nothing). Chunks that fail to resolve — the sender believed the
+// receiver held them, but an eviction raced the negotiation — are
+// returned in missing with a nil record, and the caller falls back to
+// a full fetch. Inlined chunks are digest-verified before use.
+func DecodeDelta(data []byte, resolve func(Digest) (*sim.HWState, bool)) (rec *Record, missing []Digest, err error) {
+	if len(data) < recHdrLen {
+		return nil, nil, integrityErr("truncated header: %d bytes", len(data))
+	}
+	if magic := binary.LittleEndian.Uint32(data[0:4]); magic != recMagic {
+		return nil, nil, integrityErr("bad magic %#x", magic)
+	}
+	if data[4] != recVersion {
+		return nil, nil, integrityErr("unsupported version %d", data[4])
+	}
+	payload := data[recHdrLen:]
+	if n := binary.LittleEndian.Uint32(data[5:9]); uint64(n) != uint64(len(payload)) {
+		return nil, nil, integrityErr("length mismatch: header says %d bytes, got %d", n, len(payload))
+	}
+	if sum, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(data[9:13]); sum != want {
+		return nil, nil, integrityErr("checksum mismatch (%#x != %#x)", sum, want)
+	}
+	r := Reader{p: payload}
+	rec = &Record{IRQEdges: List(&r, 1, func() bool { return r.flag("irq edge level") })}
+	n := r.count(4 + digestLen + 1)
+	rec.HW = make(target.State, n)
+	name := ""
+	for i := 0; i < n; i++ {
+		name = r.ascending(i, name)
+		d, inline := r.Digest(), r.flag("inline flag")
+		var state []byte
+		if inline {
+			state = r.Chunk()
+		}
+		if r.err != nil {
+			break
+		}
+		var hw *sim.HWState
+		if inline {
+			var err error
+			if hw, err = DecodeChunk(state, d); err != nil {
+				return nil, nil, integrityErr("peripheral %q: %v", name, err)
+			}
+		} else if resolve != nil {
+			hw, _ = resolve(d)
+		}
+		if hw == nil {
+			missing = append(missing, d)
+		}
+		rec.HW[name] = hw
+	}
+	if err := r.End(); err != nil {
+		return nil, nil, integrityErr("%v", err)
+	}
+	if len(missing) > 0 {
+		return nil, missing, nil
+	}
+	return rec, nil, nil
+}

@@ -1,7 +1,9 @@
 // Package snapshot implements HardSnap's snapshotting controller
 // bookkeeping: a content-addressed store of complete hardware states,
-// with binary serialization for persistence (crash reports, offline
-// root-cause analysis).
+// and the one byte form a hardware snapshot has anywhere outside the
+// process (codec.go): crash reports and journal records on disk, the
+// chunks of the remote wire, the delta frames of the dist fabric, and
+// the preimage of every content address.
 //
 // The store is copy-on-write all the way down. Each stored record is
 // keyed by a digest of its serialized state: identical states — the
@@ -15,17 +17,40 @@
 // changed peripherals occupy new memory). Immutability is what makes
 // the sharing safe and removes the defensive clone on Get: callers
 // receive the canonical record and must not mutate it.
+//
+// Byte layout (all integers little-endian, every count and length 32
+// bits, a name is len(4) bytes, names written in ascending order so
+// equal states encode to equal bytes):
+//
+//	state:    nregs(4) {name value(8)}*
+//	          nmems(4) {name depth(4) word(8)*}*
+//	          ninputs(4) {name value(8)}*
+//	chunk:    len(4) state[len]
+//	record:   magic(4)="HSSR" version(1)=3 len(4) crc32(4) payload[len]
+//	payload:  nedges(4) level(1)*
+//	          nperiphs(4) {name digest(32) inline(1) [chunk if inline]}*
+//
+// HWDigest, a peripheral's content address, is the SHA-256 of its
+// state bytes; a received chunk is therefore verified by hashing the
+// bytes it arrived as. A record whose peripherals are all inline is
+// self-contained (Encode); one that omits the chunks its receiver is
+// known to hold is a delta (EncodeDelta), resolved by digest on
+// arrival. DigestRecord, a record's content address, is the SHA-256 of
+// its payload with every chunk omitted. crc32 is IEEE over the payload.
+//
+// A decoder checks the header (magic, version, exact length, CRC)
+// before it reads the payload, checks every count against the bytes
+// left before it sizes anything by it, refuses names out of order,
+// levels and flags other than 0 and 1 and trailing bytes, and checks
+// each inline chunk against the digest it travelled under. Whatever it
+// refuses is a typed integrity error (target.IsIntegrity). Versions 1
+// and 2 were gob payloads and are refused like any unknown version.
 package snapshot
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,9 +62,9 @@ import (
 // (the engine uses 0 as its "no snapshot" sentinel).
 type ID uint64
 
-// Digest is the content address of a record: a SHA-256 over a
-// deterministic serialization of the hardware state and IRQ edge
-// levels. Equal digests imply bit-identical restored states.
+// Digest is a content address: of a record (DigestRecord) or of one
+// peripheral's state (HWDigest). Equal digests imply bit-identical
+// restored states.
 type Digest [sha256.Size]byte
 
 // Record is one stored hardware snapshot plus controller-side
@@ -49,102 +74,6 @@ type Record struct {
 	// IRQEdges preserves the bus edge-detector levels so restored
 	// states do not see spurious interrupt edges.
 	IRQEdges []bool
-}
-
-// DigestRecord computes the content address of a record. The
-// serialization is deterministic (map keys visited in sorted order,
-// lengths as separators), so the same state always hashes the same.
-func DigestRecord(rec *Record) Digest {
-	h := sha256.New()
-	names := make([]string, 0, len(rec.HW))
-	for name := range rec.HW {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var scratch [8]byte
-	for _, name := range names {
-		writeStr(h, name, &scratch)
-		d := digestHW(rec.HW[name])
-		h.Write(d[:])
-	}
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(rec.IRQEdges)))
-	h.Write(scratch[:])
-	for _, e := range rec.IRQEdges {
-		if e {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	var d Digest
-	h.Sum(d[:0])
-	return d
-}
-
-// HWDigest content-addresses one peripheral's state: the per-chunk
-// digest the store's intern pool is keyed by. The remote protocol's
-// digest negotiation uses the same addresses, so a chunk the store
-// already interned never crosses the wire again.
-func HWDigest(hw *sim.HWState) Digest { return digestHW(hw) }
-
-// digestHW content-addresses one peripheral's state.
-func digestHW(hw *sim.HWState) Digest {
-	h := sha256.New()
-	var scratch [8]byte
-	if hw == nil {
-		hw = &sim.HWState{}
-	}
-	regs := sortedKeys(hw.Regs)
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(regs)))
-	h.Write(scratch[:])
-	for _, name := range regs {
-		writeStr(h, name, &scratch)
-		binary.LittleEndian.PutUint64(scratch[:], hw.Regs[name])
-		h.Write(scratch[:])
-	}
-	mems := make([]string, 0, len(hw.Mems))
-	for name := range hw.Mems {
-		mems = append(mems, name)
-	}
-	sort.Strings(mems)
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(mems)))
-	h.Write(scratch[:])
-	for _, name := range mems {
-		writeStr(h, name, &scratch)
-		words := hw.Mems[name]
-		binary.LittleEndian.PutUint64(scratch[:], uint64(len(words)))
-		h.Write(scratch[:])
-		for _, w := range words {
-			binary.LittleEndian.PutUint64(scratch[:], w)
-			h.Write(scratch[:])
-		}
-	}
-	inputs := sortedKeys(hw.Inputs)
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(inputs)))
-	h.Write(scratch[:])
-	for _, name := range inputs {
-		writeStr(h, name, &scratch)
-		binary.LittleEndian.PutUint64(scratch[:], hw.Inputs[name])
-		h.Write(scratch[:])
-	}
-	var d Digest
-	h.Sum(d[:0])
-	return d
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func writeStr(h interface{ Write([]byte) (int, error) }, s string, scratch *[8]byte) {
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(s)))
-	h.Write(scratch[:])
-	h.Write([]byte(s))
 }
 
 // hwBytes approximates the in-memory footprint of one peripheral
@@ -380,9 +309,9 @@ func (s *Store) bumpLive() {
 // increment, no copy). The caller keeps ownership of rec; the store
 // never aliases caller memory.
 func (s *Store) Put(rec Record) ID {
-	d := DigestRecord(&rec)
+	d, periphs := address(&rec)
 	s.cmu.Lock()
-	s.attach(d, &rec)
+	s.attach(d, periphs, &rec)
 	s.cmu.Unlock()
 	id := ID(s.next.Add(1))
 	st := s.stripe(id)
@@ -402,7 +331,7 @@ func (s *Store) Update(id ID, rec Record) error {
 	if id == 0 {
 		return fmt.Errorf("snapshot: update of the zero (no-snapshot) id")
 	}
-	d := DigestRecord(&rec)
+	d, periphs := address(&rec)
 	st := s.stripe(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -420,7 +349,7 @@ func (s *Store) Update(id ID, rec Record) error {
 		return nil
 	}
 	s.cmu.Lock()
-	s.attach(d, &rec)
+	s.attach(d, periphs, &rec)
 	s.detach(old)
 	s.cmu.Unlock()
 	st.ids[id] = d
@@ -620,38 +549,31 @@ func (s *Store) Stats() Stats {
 }
 
 // attach resolves d to a live entry, creating one from rec (with
-// per-peripheral interning) if needed, and takes a reference. Caller
-// holds cmu for writing.
-func (s *Store) attach(d Digest, rec *Record) {
+// per-peripheral interning) if needed, and takes a reference. d and
+// periphs are address(rec)'s. Caller holds cmu for writing.
+func (s *Store) attach(d Digest, periphs []Digest, rec *Record) {
 	if ent, ok := s.entries[d]; ok {
 		s.ref(ent)
 		s.dedupHits.Add(1)
 		s.bytesShared.Add(ent.bytes)
 		return
 	}
-	names := make([]string, 0, len(rec.HW))
-	for name := range rec.HW {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	hw := make(target.State, len(names))
-	periphs := make([]Digest, 0, len(names))
+	hw := make(target.State, len(periphs))
 	var total uint64
-	for _, name := range names {
-		pd := digestHW(rec.HW[name])
+	for i, name := range SortedNames(rec.HW) {
+		pd := periphs[i]
 		pe, ok := s.pool[pd]
 		if ok {
 			pe.refs++
 			s.periphShared.Add(1)
 			s.bytesShared.Add(hwBytes(pe.hw))
 		} else {
-			pe = &poolEntry{hw: cloneHW(rec.HW[name]), refs: 1}
+			pe = &poolEntry{hw: rec.HW[name].Clone(), refs: 1}
 			s.pool[pd] = pe
 			s.periphStored.Add(1)
 			s.bytesStored.Add(hwBytes(pe.hw))
 		}
 		hw[name] = pe.hw
-		periphs = append(periphs, pd)
 		total += hwBytes(pe.hw)
 	}
 	s.entries[d] = &entry{
@@ -677,82 +599,4 @@ func (s *Store) detach(d Digest) {
 		return
 	}
 	s.retire(ent)
-}
-
-func cloneHW(hw *sim.HWState) *sim.HWState {
-	c := &sim.HWState{
-		Regs:   make(map[string]uint64, len(hw.Regs)),
-		Mems:   make(map[string][]uint64, len(hw.Mems)),
-		Inputs: make(map[string]uint64, len(hw.Inputs)),
-	}
-	for k, v := range hw.Regs {
-		c.Regs[k] = v
-	}
-	for k, v := range hw.Mems {
-		c.Mems[k] = append([]uint64(nil), v...)
-	}
-	for k, v := range hw.Inputs {
-		c.Inputs[k] = v
-	}
-	return c
-}
-
-// Serialized record framing: magic(4) version(1) length(4) crc32(4)
-// payload. Persisted snapshots feed restores, so truncation and
-// corruption must be detected before any bit reaches the hardware.
-const (
-	recMagic   = 0x48535352 // "HSSR"
-	recVersion = 1
-	recHdrLen  = 4 + 1 + 4 + 4
-)
-
-// Encode serializes a record for persistence with an integrity header
-// (magic, version, payload length, CRC-32).
-func Encode(rec *Record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("snapshot: encode: %w", err)
-	}
-	p := buf.Bytes()
-	out := make([]byte, recHdrLen+len(p))
-	binary.LittleEndian.PutUint32(out[0:4], recMagic)
-	out[4] = recVersion
-	binary.LittleEndian.PutUint32(out[5:9], uint32(len(p)))
-	binary.LittleEndian.PutUint32(out[9:13], crc32.ChecksumIEEE(p))
-	copy(out[recHdrLen:], p)
-	return out, nil
-}
-
-func integrityErr(format string, args ...interface{}) error {
-	return &target.Error{Class: target.Integrity, Op: "snapshot: decode",
-		Err: fmt.Errorf(format, args...)}
-}
-
-// Decode validates and deserializes a record produced by Encode.
-// Truncated or corrupted data is rejected with a typed integrity
-// error rather than decoded into a wrong hardware state.
-func Decode(data []byte) (*Record, error) {
-	if len(data) < recHdrLen {
-		return nil, integrityErr("truncated header: %d bytes", len(data))
-	}
-	if binary.LittleEndian.Uint32(data[0:4]) != recMagic {
-		return nil, integrityErr("bad magic %#x", binary.LittleEndian.Uint32(data[0:4]))
-	}
-	if data[4] != recVersion {
-		return nil, integrityErr("unsupported version %d", data[4])
-	}
-	n := binary.LittleEndian.Uint32(data[5:9])
-	payload := data[recHdrLen:]
-	if uint32(len(payload)) != n {
-		return nil, integrityErr("length mismatch: header says %d bytes, got %d", n, len(payload))
-	}
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(data[9:13]) {
-		return nil, integrityErr("checksum mismatch (%#x != %#x)",
-			sum, binary.LittleEndian.Uint32(data[9:13]))
-	}
-	var rec Record
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return nil, integrityErr("%v", err)
-	}
-	return &rec, nil
 }

@@ -236,7 +236,7 @@ func genRecord(rnd *rand.Rand) Record {
 
 // Property: the digest is deterministic — recomputing it over a deep
 // copy (different map iteration order, different allocations) always
-// matches, and gob round-tripping preserves it.
+// matches, and an Encode/Decode round trip preserves it.
 func TestQuickDigestDeterminism(t *testing.T) {
 	f := func(seed int64) bool {
 		rec := genRecord(rand.New(rand.NewSource(seed)))

@@ -3,7 +3,6 @@ package target
 import (
 	"fmt"
 
-	"hardsnap/internal/sim"
 	"hardsnap/internal/vtime"
 )
 
@@ -92,11 +91,7 @@ func (t *Target) AdoptState(s State) error {
 		return err
 	}
 	for _, inst := range t.order {
-		hw := s[inst.cfg.Name]
-		if hw == nil {
-			hw = &sim.HWState{}
-		}
-		if err := inst.sim.Restore(hw); err != nil {
+		if err := inst.sim.Restore(s[inst.cfg.Name]); err != nil {
 			return integrityf("adopt "+inst.cfg.Name, "%v", err)
 		}
 	}

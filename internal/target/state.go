@@ -1,18 +1,13 @@
 package target
 
-import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"hash/crc32"
-
-	"hardsnap/internal/sim"
-)
+import "hardsnap/internal/sim"
 
 // State is a portable whole-target hardware snapshot: one complete
 // peripheral state per instance name. It transfers between any two
 // targets hosting the same peripheral set (simulator <-> FPGA), which
 // is both the paper's E7 multi-target mechanism and the failover path.
+// Its byte form (persistence, wire, content address) belongs to
+// internal/snapshot.
 type State map[string]*sim.HWState
 
 // Clone deep-copies the state.
@@ -22,77 +17,7 @@ func (s State) Clone() State {
 	}
 	c := make(State, len(s))
 	for name, hw := range s {
-		n := &sim.HWState{
-			Regs:   make(map[string]uint64, len(hw.Regs)),
-			Mems:   make(map[string][]uint64, len(hw.Mems)),
-			Inputs: make(map[string]uint64, len(hw.Inputs)),
-		}
-		for k, v := range hw.Regs {
-			n.Regs[k] = v
-		}
-		for k, v := range hw.Mems {
-			n.Mems[k] = append([]uint64(nil), v...)
-		}
-		for k, v := range hw.Inputs {
-			n.Inputs[k] = v
-		}
-		c[name] = n
+		c[name] = hw.Clone()
 	}
 	return c
-}
-
-// Serialized snapshot framing: magic(4) version(1) length(4) crc32(4)
-// payload. The length and checksum make truncation and corruption
-// detectable before any byte reaches the hardware (tentpole of the
-// paper's consistency argument: a bad restore must be rejected, not
-// silently applied).
-const (
-	stateMagic   = 0x48535354 // "HSST"
-	stateVersion = 1
-	stateHdrLen  = 4 + 1 + 4 + 4
-)
-
-// EncodeState serializes a state with an integrity header
-// (magic, version, payload length, CRC-32).
-func EncodeState(s State) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
-		return nil, fatalf("encode state", "%v", err)
-	}
-	p := payload.Bytes()
-	out := make([]byte, stateHdrLen+len(p))
-	binary.LittleEndian.PutUint32(out[0:4], stateMagic)
-	out[4] = stateVersion
-	binary.LittleEndian.PutUint32(out[5:9], uint32(len(p)))
-	binary.LittleEndian.PutUint32(out[9:13], crc32.ChecksumIEEE(p))
-	copy(out[stateHdrLen:], p)
-	return out, nil
-}
-
-// DecodeState validates and deserializes a state produced by
-// EncodeState. Truncated or corrupted data yields an integrity error.
-func DecodeState(data []byte) (State, error) {
-	if len(data) < stateHdrLen {
-		return nil, integrityf("decode state", "truncated header: %d bytes", len(data))
-	}
-	if binary.LittleEndian.Uint32(data[0:4]) != stateMagic {
-		return nil, integrityf("decode state", "bad magic %#x", binary.LittleEndian.Uint32(data[0:4]))
-	}
-	if data[4] != stateVersion {
-		return nil, integrityf("decode state", "unsupported version %d", data[4])
-	}
-	n := binary.LittleEndian.Uint32(data[5:9])
-	payload := data[stateHdrLen:]
-	if uint32(len(payload)) != n {
-		return nil, integrityf("decode state", "length mismatch: header says %d bytes, got %d", n, len(payload))
-	}
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(data[9:13]) {
-		return nil, integrityf("decode state", "checksum mismatch (%#x != %#x)",
-			sum, binary.LittleEndian.Uint32(data[9:13]))
-	}
-	var s State
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
-		return nil, integrityf("decode state", "%v", err)
-	}
-	return s, nil
 }

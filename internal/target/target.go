@@ -781,11 +781,7 @@ func (t *Target) execAdvance(n uint64) error {
 func (t *Target) execReset() error {
 	t.clock.Advance(t.costs.Cycle)
 	for _, inst := range t.order {
-		hw := t.powerOn[inst.cfg.Name]
-		if hw == nil {
-			hw = &sim.HWState{}
-		}
-		if err := inst.sim.Restore(hw); err != nil {
+		if err := inst.sim.Restore(t.powerOn[inst.cfg.Name]); err != nil {
 			return fatalf("reset", "%s: %v", inst.cfg.Name, err)
 		}
 	}
@@ -874,11 +870,7 @@ func (t *Target) applyState(s State) error {
 	} else {
 		t.clock.Advance(t.costs.SnapshotCost(t.StateBits()))
 		for _, inst := range t.order {
-			hw := s[inst.cfg.Name]
-			if hw == nil {
-				hw = &sim.HWState{}
-			}
-			if err := inst.sim.Restore(hw); err != nil {
+			if err := inst.sim.Restore(s[inst.cfg.Name]); err != nil {
 				return integrityf("restore "+inst.cfg.Name, "%v", err)
 			}
 		}
@@ -896,11 +888,7 @@ func (t *Target) applyDelta(s State) error {
 	before := t.clock.Now()
 	var bits uint
 	for _, inst := range t.order {
-		hw := s[inst.cfg.Name]
-		if hw == nil {
-			hw = &sim.HWState{}
-		}
-		n, err := inst.sim.RestoreDirty(hw)
+		n, err := inst.sim.RestoreDirty(s[inst.cfg.Name])
 		if err != nil {
 			return integrityf("restore-delta "+inst.cfg.Name, "%v", err)
 		}

