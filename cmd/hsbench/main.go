@@ -117,6 +117,9 @@ func run(opts runOpts) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
+		if err := table.CheckFloors(); err != nil {
+			return err
+		}
 		if opts.jsonOut {
 			metrics = append(metrics, table.Metrics...)
 			continue

@@ -25,6 +25,33 @@ type Table struct {
 	// by `hsbench -json` so metric trajectories can be recorded
 	// across revisions.
 	Metrics []Metric
+	// Floors are the host-time speedups the experiment promises. They
+	// ride on the table instead of failing Run because a wall-clock
+	// ratio depends on machine load: cmd/hsbench (the bench-* make
+	// targets) enforces them with CheckFloors, the test suite checks
+	// only what Run gates itself — deterministic quantities.
+	Floors []Floor
+}
+
+// Floor is one measured host-time ratio and the minimum it must reach.
+type Floor struct {
+	What     string
+	Got, Min float64
+}
+
+// AddFloor records a host-time ratio for CheckFloors.
+func (t *Table) AddFloor(what string, got, min float64) {
+	t.Floors = append(t.Floors, Floor{What: what, Got: got, Min: min})
+}
+
+// CheckFloors reports the first floor the run missed.
+func (t *Table) CheckFloors() error {
+	for _, f := range t.Floors {
+		if f.Got < f.Min {
+			return fmt.Errorf("%s gate: %s %.1fx, want >= %.0fx", t.ID, f.What, f.Got, f.Min)
+		}
+	}
+	return nil
 }
 
 // Metric is one machine-readable measurement of an experiment.

@@ -212,15 +212,11 @@ func (Runner) Run(ctx context.Context, job Job, opts RunOptions) (*Result, error
 		return nil, err
 	}
 	kind := "none"
-	if analysis.Target != nil {
-		kind = analysis.Target.Kind()
-	} else if opts.Target != nil {
-		kind = opts.Target.Kind()
-	}
 	var soc []string
-	if analysis.Router != nil {
-		for i, r := range analysis.Router.Regions() {
-			soc = append(soc, fmt.Sprintf("%-10s @ %#x (irq %d)", r.Name, analysis.PeriphBase(i), r.IRQ))
+	if rig := analysis.Rig; rig.Target != nil {
+		kind = rig.Target.Kind()
+		for _, r := range rig.Router.Regions() {
+			soc = append(soc, fmt.Sprintf("%-10s @ %#x (irq %d)", r.Name, r.Base, r.IRQ))
 		}
 	}
 	Emit(opts.Events, Event{Kind: EventStarted, Target: kind, SoC: soc})

@@ -413,12 +413,13 @@ func gobDecode(data []byte, v any) error {
 // runFingerprint hashes the configuration knobs that shape a
 // campaign's outcome. The searcher contributes its type (searchers
 // are stateless strategies); the program itself is pinned by the
-// seed-phase hash in the campaign header.
+// seed-phase hash in the campaign header. maxs= and cpi= print what
+// used to be options, so journals written then still validate.
 func (c *Config) runFingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "mode=%d searcher=%T maxi=%d maxs=%d cpi=%d workers=%d bugsnaps=%v maxvt=%d maxq=%d",
-		c.Mode, c.Searcher, c.MaxInstructions, c.MaxStates,
-		c.CyclesPerInstruction, c.Workers, c.KeepBugSnapshots,
+		c.Mode, c.Searcher, c.MaxInstructions, MaxStates,
+		uint64(CyclesPerInstruction), c.Workers, c.KeepBugSnapshots,
 		c.MaxVirtualTime, c.MaxSolverQueries)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -30,11 +30,10 @@ import (
 	"runtime"
 	"time"
 
-	"hardsnap/internal/bus"
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/solver"
 	"hardsnap/internal/symexec"
-	"hardsnap/internal/target"
+	"hardsnap/internal/vm"
 	"hardsnap/internal/vtime"
 )
 
@@ -81,13 +80,6 @@ type Config struct {
 	// MaxInstructions bounds the total retired instructions (0 =
 	// 10M).
 	MaxInstructions uint64
-	// MaxStates bounds the active state set; further forks are killed
-	// with StatusBudget (0 = 4096).
-	MaxStates int
-	// CyclesPerInstruction advances the hardware clock per retired
-	// firmware instruction (default 1), keeping peripherals running
-	// concurrently with software.
-	CyclesPerInstruction uint64
 	// KeepBugSnapshots retains the hardware snapshot of every state
 	// that terminated in a bug (abort / assertion failure), for crash
 	// reports and offline root-cause analysis.
@@ -105,11 +97,6 @@ type Config struct {
 	// of the run's identity: a different decomposition packs the
 	// deterministic merge schedule differently.
 	SeedFanout int
-	// SolverCacheSize bounds the shared memoized solver cache in
-	// entries (0 = solver.DefaultCacheCapacity). The cache is always
-	// on: verdicts are deterministic, so memoization never changes
-	// results, only skips repeated identical queries.
-	SolverCacheSize int
 	// Nodes lists remote distributed-exploration workers
 	// (host:port). The engine itself ignores it — the CLI routes a
 	// run with Nodes set through the internal/dist driver, which fans
@@ -156,14 +143,10 @@ type Config struct {
 	Chaos *ChaosSchedule
 	// HeartbeatInterval enables worker death detection on parallel
 	// runs: a monitor samples per-worker progress every interval and
-	// deposes workers that stall for HeartbeatTimeout (default 20×
-	// the interval). Zero disables the monitor (panics and returned
-	// errors are still supervised).
+	// deposes workers that stall for heartbeatTimeoutFactor intervals.
+	// Zero disables the monitor (panics and returned errors are still
+	// supervised).
 	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	// MaxSubtreeRetries bounds recovery attempts per subtree before
-	// the campaign fails (default 3).
-	MaxSubtreeRetries int
 	// MaxWorkerRestarts bounds replacement-worker spawns per campaign
 	// (default 2×Workers).
 	MaxWorkerRestarts int
@@ -188,6 +171,19 @@ type ProgressEvent struct {
 	Subtrees     int
 }
 
+// Fixed engine policy.
+const (
+	// MaxStates bounds the active state set; further forks are killed
+	// with StatusBudget.
+	MaxStates = 4096
+	// maxSubtreeRetries bounds recovery attempts per subtree before
+	// the campaign fails.
+	maxSubtreeRetries = 3
+	// heartbeatTimeoutFactor is how many HeartbeatIntervals a worker
+	// may stall before the monitor deposes it.
+	heartbeatTimeoutFactor = 20
+)
+
 // AutoWorkers returns the worker count a "use all CPUs" configuration
 // should ask for (GOMAXPROCS).
 func AutoWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -202,12 +198,6 @@ func (c *Config) setDefaults() {
 	if c.MaxInstructions == 0 {
 		c.MaxInstructions = 10_000_000
 	}
-	if c.MaxStates == 0 {
-		c.MaxStates = 4096
-	}
-	if c.CyclesPerInstruction == 0 {
-		c.CyclesPerInstruction = 1
-	}
 	if c.Resume != nil && c.Resume.Header.Workers > 1 {
 		// Resuming adopts the journaled worker count: the merge
 		// schedule (and so the reported virtual time) depends on it.
@@ -216,18 +206,12 @@ func (c *Config) setDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.MaxSubtreeRetries == 0 {
-		c.MaxSubtreeRetries = 3
-	}
 	if c.MaxWorkerRestarts == 0 {
 		c.MaxWorkerRestarts = 2 * c.Workers
 	}
 	if c.Chaos != nil && c.Chaos.HangRate > 0 && c.HeartbeatInterval == 0 {
 		// Hung workers are only detectable via heartbeats.
 		c.HeartbeatInterval = 5 * time.Millisecond
-	}
-	if c.HeartbeatInterval > 0 && c.HeartbeatTimeout == 0 {
-		c.HeartbeatTimeout = 20 * c.HeartbeatInterval
 	}
 }
 
@@ -385,13 +369,10 @@ func (r *Report) CountStatus(s symexec.Status) int {
 
 // Engine drives one analysis.
 type Engine struct {
-	cfg     Config
-	exec    *symexec.Executor
-	tgt     target.Interface
-	router  *bus.Router
-	snaps   *snapshot.Store
-	snapman *SnapshotManager
-	clock   *vtime.Clock
+	cfg   Config
+	exec  *symexec.Executor
+	rig   *Rig
+	snaps *snapshot.Store
 
 	active   []*symexec.State
 	finished []*symexec.State
@@ -439,65 +420,30 @@ type ioRecord struct {
 	cyclesBefore uint64
 }
 
-// New builds an engine. tgt is any execution vehicle implementing
-// target.Interface — an in-process *target.Target or a remote
-// protocol-v3 client. tgt and router may both be nil for
-// software-only firmware; otherwise both must be set and the router's
-// ports must come from tgt.
-func New(cfg Config, exec *symexec.Executor, tgt target.Interface, router *bus.Router) (*Engine, error) {
-	return newEngine(cfg, exec, tgt, router, nil, nil)
-}
-
-// newEngine is New plus injection points for the parallel layer: a
-// shared snapshot store (cross-worker structural sharing) and a
-// pre-built snapshot manager (reused across one worker's subtrees so
-// generation-proven skips survive subtree boundaries).
-func newEngine(cfg Config, exec *symexec.Executor, tgt target.Interface, router *bus.Router,
-	snaps *snapshot.Store, snapman *SnapshotManager) (*Engine, error) {
+// New builds an engine over a wired rig. A parallel worker's engines
+// are all built over the one rig Spawn gave it, so its snapshot
+// manager's generation-proven skips survive subtree boundaries and its
+// store is the run's shared one.
+func New(cfg Config, exec *symexec.Executor, rig *Rig) *Engine {
 	cfg.setDefaults()
-	// Normalize a typed-nil *target.Target handed in through the
-	// interface, so every `tgt != nil` guard below stays honest.
-	if t, ok := tgt.(*target.Target); ok && t == nil {
-		tgt = nil
-	}
-	if (tgt == nil) != (router == nil) {
-		return nil, errors.New("core: target and router must be provided together")
-	}
-	if snaps == nil {
-		snaps = snapshot.NewStore()
-	}
-	e := &Engine{
-		cfg:    cfg,
-		exec:   exec,
-		tgt:    tgt,
-		router: router,
-		snaps:  snaps,
-	}
-	if tgt != nil {
-		e.clock = tgt.Clock()
-		if snapman == nil {
-			snapman = NewSnapshotManager(e.snaps, tgt, router)
-		}
-		e.snapman = snapman
+	e := &Engine{cfg: cfg, exec: exec, rig: rig}
+	if rig.Snaps != nil {
+		e.snaps = rig.Snaps.Store()
 	} else {
-		e.clock = &vtime.Clock{}
+		e.snaps = snapshot.NewStore()
 	}
 	if exec.Solver.Cache == nil {
-		exec.Solver.Cache = solver.NewCache(cfg.SolverCacheSize)
+		// The cache is always on: verdicts are deterministic, so
+		// memoization never changes results, only skips repeated
+		// identical queries.
+		exec.Solver.Cache = solver.NewCache(solver.DefaultCacheCapacity)
 	}
 	exec.SetMMIO(e)
-	return e, nil
+	return e
 }
-
-// Clock exposes the engine's virtual clock.
-func (e *Engine) Clock() *vtime.Clock { return e.clock }
 
 // Snapshots exposes the snapshot store (diagnostics).
 func (e *Engine) Snapshots() *snapshot.Store { return e.snaps }
-
-// SnapshotManager exposes the copy-on-write snapshot seam, nil when
-// no hardware is attached.
-func (e *Engine) SnapshotManager() *SnapshotManager { return e.snapman }
 
 // BugSnapshot returns the retained hardware snapshot of a buggy state
 // (requires Config.KeepBugSnapshots).
@@ -516,10 +462,10 @@ var _ symexec.MMIOHandler = (*Engine)(nil)
 // guarantees the live hardware belongs to st (the context switch
 // happened at selection time).
 func (e *Engine) Read(st *symexec.State, addr uint32) (uint32, error) {
-	if e.router == nil {
+	if e.rig.Router == nil {
 		return 0, errors.New("core: no hardware attached")
 	}
-	v, err := e.router.ReadMMIO(addr, 4)
+	v, err := e.rig.Router.ReadMMIO(addr, 4)
 	if err == nil {
 		e.record(st, ioRecord{addr: addr, val: v})
 	}
@@ -528,10 +474,10 @@ func (e *Engine) Read(st *symexec.State, addr uint32) (uint32, error) {
 
 // Write implements the hardware boundary for the executor.
 func (e *Engine) Write(st *symexec.State, addr uint32, val uint32) error {
-	if e.router == nil {
+	if e.rig.Router == nil {
 		return errors.New("core: no hardware attached")
 	}
-	err := e.router.WriteMMIO(addr, 4, val)
+	err := e.rig.Router.WriteMMIO(addr, 4, val)
 	if err == nil {
 		e.record(st, ioRecord{write: true, addr: addr, val: val})
 	}
@@ -544,7 +490,7 @@ func (e *Engine) record(st *symexec.State, rec ioRecord) {
 	if e.cfg.Mode != ModeRecordReplay || e.replayActive {
 		return
 	}
-	cycles := e.tgt.Stats().Cycles
+	cycles := e.rig.Target.Stats().Cycles
 	rec.cyclesBefore = cycles - e.lastIOCycles
 	e.lastIOCycles = cycles
 	if e.ioLogs == nil {
@@ -558,24 +504,24 @@ func (e *Engine) record(st *symexec.State, rec ioRecord) {
 // Replayed reads are compared against the recording; divergence is
 // counted (the approach's inherent fragility).
 func (e *Engine) replayLog(st *symexec.State) error {
-	if err := e.tgt.Reset(); err != nil {
+	if err := e.rig.Target.Reset(); err != nil {
 		return err
 	}
-	e.router.ResetIRQEdges(nil)
+	e.rig.Router.ResetIRQEdges(nil)
 	e.replayActive = true
 	defer func() { e.replayActive = false }()
 	for _, rec := range e.ioLogs[st.ID] {
 		if rec.cyclesBefore > 0 {
-			if err := e.tgt.Advance(rec.cyclesBefore); err != nil {
+			if err := e.rig.Target.Advance(rec.cyclesBefore); err != nil {
 				return err
 			}
 		}
 		if rec.write {
-			if err := e.router.WriteMMIO(rec.addr, 4, rec.val); err != nil {
+			if err := e.rig.Router.WriteMMIO(rec.addr, 4, rec.val); err != nil {
 				return err
 			}
 		} else {
-			v, err := e.router.ReadMMIO(rec.addr, 4)
+			v, err := e.rig.Router.ReadMMIO(rec.addr, 4)
 			if err != nil {
 				return err
 			}
@@ -584,11 +530,11 @@ func (e *Engine) replayLog(st *symexec.State) error {
 			}
 		}
 		e.stats.ReplayedIO++
-		if _, err := e.router.RisingIRQs(); err != nil {
+		if _, err := e.rig.Router.RisingIRQs(); err != nil {
 			return err
 		}
 	}
-	e.lastIOCycles = e.tgt.Stats().Cycles
+	e.lastIOCycles = e.rig.Target.Stats().Cycles
 	return nil
 }
 
@@ -596,7 +542,7 @@ func (e *Engine) replayLog(st *symexec.State) error {
 // slot (UpdateState of Algorithm 1). The manager skips the hardware
 // traffic entirely when the state is already in sync.
 func (e *Engine) saveCurrent(st *symexec.State) error {
-	id, err := e.snapman.Sync(snapshot.ID(st.HWSnapshot))
+	id, err := e.rig.Snaps.Sync(snapshot.ID(st.HWSnapshot))
 	if err != nil {
 		return err
 	}
@@ -610,7 +556,7 @@ func (e *Engine) saveCurrent(st *symexec.State) error {
 // only happens for the initial state, which keeps the power-on
 // hardware.
 func (e *Engine) restoreFor(st *symexec.State) error {
-	if err := e.snapman.Restore(snapshot.ID(st.HWSnapshot)); err != nil {
+	if err := e.rig.Snaps.Restore(snapshot.ID(st.HWSnapshot)); err != nil {
 		return fmt.Errorf("core: state %d: %w", st.ID, err)
 	}
 	return nil
@@ -619,7 +565,7 @@ func (e *Engine) restoreFor(st *symexec.State) error {
 // contextSwitch implements lines 5-9 of Algorithm 1 for the selected
 // state.
 func (e *Engine) contextSwitch(next *symexec.State) error {
-	if e.tgt == nil || e.previous == next {
+	if e.rig.Target == nil || e.previous == next {
 		return nil
 	}
 	switch e.cfg.Mode {
@@ -647,9 +593,9 @@ func (e *Engine) contextSwitch(next *symexec.State) error {
 		if err := e.restoreFor(next); err != nil {
 			return err
 		}
-		e.clock.Advance(vtime.RebootTime)
+		e.rig.Clock.Advance(vtime.RebootTime)
 		replay := time.Duration(next.Steps) * vtime.VMInstruction
-		e.clock.Advance(replay)
+		e.rig.Clock.Advance(replay)
 		e.stats.Reboots++
 		e.stats.ReplayedInstructions += next.Steps
 
@@ -696,13 +642,13 @@ func (e *Engine) finish(st *symexec.State) {
 	e.removeActive(st)
 	e.finished = append(e.finished, st)
 	e.stats.PathsCompleted++
-	if e.cfg.KeepBugSnapshots && e.tgt != nil && e.previous == st &&
+	if e.cfg.KeepBugSnapshots && e.rig.Target != nil && e.previous == st &&
 		(st.Status == symexec.StatusAborted || st.Status == symexec.StatusAssertFail) {
 		// The live hardware still belongs to this state: capture it
 		// for the crash report. When the state's snapshot is already
 		// current this reuses the stored record instead of a second
 		// full save.
-		if rec, err := e.snapman.LiveRecord(); err == nil {
+		if rec, err := e.rig.Snaps.LiveRecord(); err == nil {
 			if e.bugSnaps == nil {
 				e.bugSnaps = make(map[uint64]*snapshot.Record)
 			}
@@ -745,7 +691,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Report, error) {
 	if e.cfg.JournalPath != "" || e.cfg.Resume != nil {
 		return nil, errors.New("core: campaign journaling requires Workers > 1")
 	}
-	start := e.clock.Now()
+	start := e.rig.Clock.Now()
 	e.vtStart = start
 	e.initActive()
 	if err := e.loop(nil); err != nil {
@@ -778,7 +724,7 @@ func (e *Engine) seedIOLog(id uint64, log []ioRecord) {
 // Checked between scheduling iterations, so a run can overshoot a
 // budget by at most one step's worth of work.
 func (e *Engine) budgetExhausted() bool {
-	if e.cfg.MaxVirtualTime > 0 && e.clock.Now()-e.vtStart >= e.cfg.MaxVirtualTime {
+	if e.cfg.MaxVirtualTime > 0 && e.rig.Clock.Now()-e.vtStart >= e.cfg.MaxVirtualTime {
 		return true
 	}
 	if e.cfg.MaxSolverQueries > 0 && uint64(e.exec.Solver.Stats.Queries) >= e.cfg.MaxSolverQueries {
@@ -846,30 +792,30 @@ func (e *Engine) step() error {
 		return fmt.Errorf("core: step state %d: %w", st.ID, err)
 	}
 	e.stats.Instructions++
-	e.clock.Advance(vtime.VMInstruction)
+	e.rig.Clock.Advance(vtime.VMInstruction)
 
 	// Fork bookkeeping: each new state receives its own private
 	// hardware snapshot taken now (the fork point), per Section
 	// IV-B.
 	for _, f := range forks {
 		switch {
-		case e.tgt != nil && (e.cfg.Mode == ModeHardSnap || e.cfg.Mode == ModeNaiveReboot):
+		case e.rig.Target != nil && (e.cfg.Mode == ModeHardSnap || e.cfg.Mode == ModeNaiveReboot):
 			// Capture dedups against the live content: forking off
 			// untouched hardware is a refcount++, not a second
 			// scan-out.
-			id, err := e.snapman.Capture()
+			id, err := e.rig.Snaps.Capture()
 			if err != nil {
 				return fmt.Errorf("core: snapshot at fork: %w", err)
 			}
 			f.HWSnapshot = symexec.SnapshotID(id)
-		case e.tgt != nil && e.cfg.Mode == ModeRecordReplay:
+		case e.rig.Target != nil && e.cfg.Mode == ModeRecordReplay:
 			// The child inherits the parent's interaction log.
 			if e.ioLogs == nil {
 				e.ioLogs = make(map[uint64][]ioRecord)
 			}
 			e.ioLogs[f.ID] = append([]ioRecord(nil), e.ioLogs[st.ID]...)
 		}
-		if len(e.active) >= e.cfg.MaxStates {
+		if len(e.active) >= MaxStates {
 			f.Status = symexec.StatusBudget
 			e.finished = append(e.finished, f)
 			continue
@@ -877,31 +823,32 @@ func (e *Engine) step() error {
 		e.active = append(e.active, f)
 	}
 
-	// Let the peripherals run concurrently with software, then
-	// deliver any rising interrupts to the running state.
-	if e.tgt != nil && st.Status == symexec.StatusRunning {
-		if err := e.tgt.Advance(e.cfg.CyclesPerInstruction); err != nil {
-			return err
-		}
-		irqs, err := e.router.RisingIRQs()
-		if err != nil {
-			return err
-		}
-		for _, n := range irqs {
-			st.IRQPending |= 1 << uint(n)
-		}
-	}
-
-	// Hardware property violations terminate the path that caused
-	// them, carrying the violation detail and an input model.
-	if e.tgt != nil {
-		if violations := e.tgt.TakeViolations(); len(violations) > 0 && st.Status == symexec.StatusRunning {
-			st.Status = symexec.StatusAssertFail
-			st.Err = fmt.Errorf("core: %s", violations[0])
-			if model, ok := e.exec.ModelFor(st); ok {
-				st.Model = model
+	// Let the peripherals run concurrently with software, deliver any
+	// rising interrupts to the running state, then check hardware
+	// properties: a violation terminates the path that caused it,
+	// carrying the violation detail and an input model. A path that
+	// stopped on its own is not ticked, but leaves no violation behind
+	// for the next state either.
+	if e.rig.Target != nil {
+		if st.Status == symexec.StatusRunning {
+			var buf [vm.NumIRQs]int
+			irqs, violations, err := e.rig.Tick(buf[:0])
+			if err != nil {
+				return err
 			}
-			e.stats.HWViolations += len(violations)
+			for _, n := range irqs {
+				st.IRQPending |= 1 << uint(n)
+			}
+			if len(violations) > 0 {
+				st.Status = symexec.StatusAssertFail
+				st.Err = fmt.Errorf("core: %s", violations[0])
+				if model, ok := e.exec.ModelFor(st); ok {
+					st.Model = model
+				}
+				e.stats.HWViolations += len(violations)
+			}
+		} else {
+			e.rig.Target.TakeViolations()
 		}
 	}
 
@@ -914,12 +861,12 @@ func (e *Engine) step() error {
 // finalize marks budget-exhausted leftovers, releases their
 // snapshots, and assembles the report.
 func (e *Engine) finalize(start time.Duration) *Report {
-	if e.router != nil {
+	if e.rig.Router != nil {
 		// Drain any coalescing ports so the clock and the target
 		// counters below reflect every queued operation. A flush
 		// failure here cannot change the verdicts (the run already
 		// completed); it only leaves the final counters short.
-		_ = e.router.Flush()
+		_ = e.rig.Router.Flush()
 	}
 	for _, st := range e.active {
 		if st.Status == symexec.StatusRunning {
@@ -935,14 +882,14 @@ func (e *Engine) finalize(start time.Duration) *Report {
 	rep := &Report{
 		Finished:    e.finished,
 		Stats:       e.stats,
-		VirtualTime: e.clock.Now() - start,
+		VirtualTime: e.rig.Clock.Now() - start,
 		Exec:        e.exec.Stats,
 		Solver:      e.exec.Solver.Stats,
 	}
-	if e.tgt != nil {
-		ts := e.tgt.Stats()
+	if e.rig.Target != nil {
+		ts := e.rig.Target.Stats()
 		rep.Snapshots = SnapshotTraffic{
-			Manager:       e.snapman.Stats(),
+			Manager:       e.rig.Snaps.Stats(),
 			Store:         e.snaps.Stats(),
 			HWSaves:       ts.Snapshots,
 			HWRestores:    ts.Restores,

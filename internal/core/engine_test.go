@@ -401,12 +401,11 @@ func TestRecordReplayLogLifecycle(t *testing.T) {
 	}
 }
 
-func TestHardwareAssertionFindsMisuse(t *testing.T) {
-	// The firmware writes an input-derived value to the GPIO; a
-	// hardware property forbids the value 0xBAD. Symbolic execution
-	// plus the HW assertion finds the exact input that misuses the
-	// peripheral — the paper's "test vectors to test hardware".
-	a, rep := run(t, SetupConfig{
+// forbiddenValueSetup is a hardware-property bug: the firmware writes
+// an input-derived value to the GPIO; a hardware property forbids the
+// value 0xBAD, which only the 0xAD command programs.
+func forbiddenValueSetup() SetupConfig {
+	return SetupConfig{
 		Firmware: `
 _start:
 		li r1, 0x100
@@ -433,7 +432,14 @@ out:
 			{Periph: "gpio0", Name: "forbidden-value", Expr: "out != 32'hBAD"},
 		},
 		Engine: Config{MaxInstructions: 200000},
-	})
+	}
+}
+
+func TestHardwareAssertionFindsMisuse(t *testing.T) {
+	// Symbolic execution plus the HW assertion finds the exact input
+	// that misuses the peripheral — the paper's "test vectors to test
+	// hardware".
+	a, rep := run(t, forbiddenValueSetup())
 	if rep.Stats.HWViolations == 0 {
 		t.Fatal("hardware violation not detected")
 	}

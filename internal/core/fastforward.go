@@ -5,7 +5,6 @@ import (
 
 	"hardsnap/internal/isa"
 	"hardsnap/internal/vm"
-	"hardsnap/internal/vtime"
 )
 
 // FastForwardResult describes the hand-off point of a fast-forward
@@ -63,7 +62,7 @@ func (a *Analysis) FastForward(maxSteps uint64) (*FastForwardResult, error) {
 	if maxSteps == 0 {
 		maxSteps = 10_000_000
 	}
-	cpu := vm.New(a.Exec.Config().VM, a.Router)
+	cpu := a.Rig.NewCPU(a.Exec.Config().VM)
 	if err := cpu.Load(a.Program); err != nil {
 		return nil, err
 	}
@@ -81,39 +80,25 @@ func (a *Analysis) FastForward(maxSteps uint64) (*FastForwardResult, error) {
 		return false
 	}
 
-	var steps uint64
-	for stop == 0 && cpu.Stop == vm.StopNone && steps < maxSteps {
-		if !cpu.Step() {
-			break
-		}
-		steps++
-		a.Clock.Advance(vtime.NativeInstruction)
-		if a.Target != nil {
-			if err := a.Target.Advance(a.Engine.cfg.CyclesPerInstruction); err != nil {
-				return nil, err
-			}
-			irqs, err := a.Router.RisingIRQs()
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range irqs {
-				cpu.RaiseIRQ(n)
-			}
-		}
+	steps, _, err := a.Rig.RunConcrete(cpu, maxSteps, func() bool { return stop != 0 })
+	if err != nil {
+		return nil, err
 	}
 
 	res := &FastForwardResult{Instructions: steps}
 	switch {
+	case cpu.Stop != vm.StopNone:
+		// Halted, crashed or violated a hardware property (possibly on
+		// the very cycle the hand-off ecall retired).
+		res.Reached = FFTerminated
+		res.PC = cpu.PC
+		return res, nil
 	case stop == FFSnapshotHint:
 		res.Reached = FFSnapshotHint
 	case stop == FFMakeSymbolic:
 		// Leave the ecall for the symbolic engine to re-execute.
 		cpu.PC -= 4
 		res.Reached = FFMakeSymbolic
-	case cpu.Stop != vm.StopNone:
-		res.Reached = FFTerminated
-		res.PC = cpu.PC
-		return res, nil
 	default:
 		res.Reached = FFBudget
 		res.PC = cpu.PC

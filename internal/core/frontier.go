@@ -55,7 +55,7 @@ type Frontier struct {
 	spawnMu sync.Mutex
 
 	mu     sync.Mutex
-	free   []*workerRig
+	free   []*Rig
 	rigSeq int
 	closed bool
 }
@@ -75,11 +75,11 @@ func (e *Engine) Frontier(ctx context.Context) (*Frontier, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ErrInterrupted
 	}
-	start := e.clock.Now()
+	start := e.rig.Clock.Now()
 	e.vtStart = start
 	e.initActive()
 
-	fanout := seedFanout(e.cfg.SeedFanout, e.cfg.Workers, e.cfg.MaxStates)
+	fanout := seedFanout(e.cfg.SeedFanout, e.cfg.Workers)
 	if err := e.loop(func() bool { return len(e.active) >= fanout }); err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func (e *Engine) Frontier(ctx context.Context) (*Frontier, error) {
 	// Make every seed self-contained. The live hardware still belongs
 	// to the last-scheduled state; in snapshotting modes its slot must
 	// be synced before anyone else restores over the hardware.
-	if e.tgt != nil && e.previous != nil &&
+	if e.rig.Target != nil && e.previous != nil &&
 		(e.cfg.Mode == ModeHardSnap || e.cfg.Mode == ModeNaiveReboot) {
 		if err := e.saveCurrent(e.previous); err != nil {
 			return nil, fmt.Errorf("core: fan-out sync: %w", err)
@@ -106,13 +106,13 @@ func (e *Engine) Frontier(ctx context.Context) (*Frontier, error) {
 	// Naive-shared has no per-state snapshots: capture the live state
 	// once (an honest one-time transfer charge) and seed every worker
 	// clone with it.
-	if e.tgt != nil && e.cfg.Mode == ModeNaiveShared {
+	if e.rig.Target != nil && e.cfg.Mode == ModeNaiveShared {
 		var err error
-		f.liveHW, err = e.tgt.Save()
+		f.liveHW, err = e.rig.Target.Save()
 		if err != nil {
 			return nil, fmt.Errorf("core: fan-out save: %w", err)
 		}
-		f.liveEdges = e.router.IRQEdgeState()
+		f.liveEdges = e.rig.Router.IRQEdgeState()
 	}
 
 	f.seeds = e.active
@@ -120,7 +120,7 @@ func (e *Engine) Frontier(ctx context.Context) (*Frontier, error) {
 	e.previous = nil
 	f.budget = e.cfg.MaxInstructions - e.stats.Instructions
 	f.seedMaxID = e.exec.NextID()
-	f.seedVT = e.clock.Now() - start
+	f.seedVT = e.rig.Clock.Now() - start
 	// Like the instruction budget, each subtree independently gets
 	// what is left of the virtual-time and solver-query budgets after
 	// the seed phase (budgetExhausted above guarantees both are
@@ -231,7 +231,7 @@ func (f *Frontier) Close() {
 // acquireRig pops a pooled rig or builds a fresh one. Rigs are
 // returned by releaseRig only after a successful subtree; a rig whose
 // subtree failed is discarded (its hardware state cannot be trusted).
-func (f *Frontier) acquireRig() (*workerRig, error) {
+func (f *Frontier) acquireRig() (*Rig, error) {
 	f.mu.Lock()
 	if n := len(f.free); n > 0 {
 		rig := f.free[n-1]
@@ -243,17 +243,24 @@ func (f *Frontier) acquireRig() (*workerRig, error) {
 	seq := f.rigSeq
 	f.mu.Unlock()
 
-	name := ""
-	if f.e.tgt != nil {
-		name = fmt.Sprintf("%s-n%d", f.e.tgt.Name(), seq)
-	}
-	f.spawnMu.Lock()
-	rig, err := f.e.buildRig(name, seq)
-	f.spawnMu.Unlock()
-	return rig, err
+	return f.spawnRig(fmt.Sprintf("-n%d", seq), seq)
 }
 
-func (f *Frontier) releaseRig(rig *workerRig) {
+// spawnRig clones the engine's rig for one worker, named after the
+// primary vehicle plus suffix. A rig that saw its worker fail is
+// never reused — replacement workers spawn a fresh one and re-seed
+// from the content-addressed snapshots.
+func (f *Frontier) spawnRig(suffix string, stream int) (*Rig, error) {
+	name := ""
+	if t := f.e.rig.Target; t != nil {
+		name = t.Name() + suffix
+	}
+	f.spawnMu.Lock()
+	defer f.spawnMu.Unlock()
+	return f.e.rig.Spawn(name, stream)
+}
+
+func (f *Frontier) releaseRig(rig *Rig) {
 	f.mu.Lock()
 	f.free = append(f.free, rig)
 	f.mu.Unlock()
@@ -287,7 +294,7 @@ func (f *Frontier) RunSubtree(ctx context.Context, idx int) (*SubtreeResult, err
 // number or host, so a subtree's result is a pure function of the
 // seed and recovery replays (local or on another node) are
 // byte-identical.
-func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *workerRig, hook func() error) (*subtreeResult, error) {
+func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *Rig, hook func() error) (*subtreeResult, error) {
 	e := f.e
 	// The attempt runs a verbatim clone of the seed bound to its own
 	// snapshot reference: a failed attempt mutates and releases only
@@ -319,53 +326,48 @@ func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *workerRig, h
 	wcfg.Chaos = nil
 	wexec := e.exec.Spawn(f.seedMaxID + uint64(idx+1)*subtreeIDStride)
 
-	if rig.tgt != nil {
+	if rig.Target != nil {
 		// Re-arm fault injection with a per-subtree stream so fault
 		// sequences do not depend on which worker claimed the subtree.
-		if sched, ok := e.tgt.FaultSchedule(); ok {
-			rig.tgt.InjectFaults(sched.Derive(idx))
+		if sched, ok := e.rig.Target.FaultSchedule(); ok {
+			rig.Target.InjectFaults(sched.Derive(idx))
 		}
-	}
-	if rig.snaps != nil {
 		// Subtree boundary: drop the rig's generation/anchor knowledge
 		// so this subtree's first restore is a full one regardless of
 		// what ran on the rig before — its snapshot traffic, and hence
 		// its virtual time, stays a pure function of the subtree.
-		rig.snaps.Forget()
+		rig.Snaps.Forget()
 	}
 
-	weng, err := newEngine(wcfg, wexec, rig.tgt, rig.router, e.snaps, rig.snaps)
-	if err != nil {
-		return nil, err
-	}
-	if e.cfg.Mode == ModeRecordReplay && e.tgt != nil {
+	weng := New(wcfg, wexec, rig)
+	if e.cfg.Mode == ModeRecordReplay && e.rig.Target != nil {
 		weng.seedIOLog(seed.ID, e.ioLogs[seed.ID])
 	}
-	if e.cfg.Mode == ModeNaiveShared && rig.tgt != nil {
+	if e.cfg.Mode == ModeNaiveShared && rig.Target != nil {
 		// Every subtree starts from the fan-out live state, mimicking
 		// "everyone shares the hardware as of the fork".
-		if err := rig.tgt.AdoptState(f.liveHW); err != nil {
+		if err := rig.Target.AdoptState(f.liveHW); err != nil {
 			return nil, err
 		}
-		rig.router.ResetIRQEdges(f.liveEdges)
+		rig.Router.ResetIRQEdges(f.liveEdges)
 	}
 	weng.SetInitialState(seed)
 	weng.stepHook = hook
 
 	var beforeTgt target.Stats
 	var beforeMan SnapManagerStats
-	if rig.tgt != nil {
-		beforeTgt = rig.tgt.Stats()
-		beforeMan = rig.snaps.Stats()
+	if rig.Target != nil {
+		beforeTgt = rig.Target.Stats()
+		beforeMan = rig.Snaps.Stats()
 	}
 	rep, err := weng.RunContext(wctx)
 	if err != nil {
 		return nil, err
 	}
 	res := &subtreeResult{rep: rep, vt: rep.VirtualTime, bugSnaps: weng.bugSnaps}
-	if rig.tgt != nil {
-		res.tgt = subTargetStats(rig.tgt.Stats(), beforeTgt)
-		res.man = subManStats(rig.snaps.Stats(), beforeMan)
+	if rig.Target != nil {
+		res.tgt = subTargetStats(rig.Target.Stats(), beforeTgt)
+		res.man = subManStats(rig.Snaps.Stats(), beforeMan)
 	}
 	return res, nil
 }

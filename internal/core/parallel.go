@@ -69,11 +69,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hardsnap/internal/bus"
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
 	"hardsnap/internal/target"
-	"hardsnap/internal/vtime"
 )
 
 // subtreeIDStride separates the state-ID ranges of sibling subtrees:
@@ -85,13 +83,13 @@ const subtreeIDStride = uint64(1) << 32
 // workers so work stealing can balance uneven subtree sizes.
 const seedsPerWorker = 4
 
-func seedFanout(override, workers, maxStates int) int {
+func seedFanout(override, workers int) int {
 	f := workers * seedsPerWorker
 	if override > 0 {
 		f = override
 	}
-	if f > maxStates {
-		f = maxStates
+	if f > MaxStates {
+		f = MaxStates
 	}
 	if f < workers {
 		f = workers
@@ -234,46 +232,6 @@ func (f *Frontier) Run(ctx context.Context, slots, fallback []Slot) (*Report, er
 // the campaign is still live (as opposed to a whole-run shutdown).
 var errDeposed = errors.New("core: worker deposed by heartbeat monitor")
 
-// workerRig is one worker's private execution vehicle: a spawned
-// target clone, its bus router and its snapshot manager over the
-// shared store. A rig that saw its worker fail is never reused —
-// replacement workers build a fresh one and re-seed from the
-// content-addressed snapshots.
-type workerRig struct {
-	tgt    target.Interface
-	router *bus.Router
-	snaps  *SnapshotManager
-}
-
-// buildRig spawns the rig for one worker slot. stream derives the
-// target's fault-injection stream (per-subtree re-arming in
-// runSubtree keeps results claim-order independent regardless).
-func (e *Engine) buildRig(name string, stream int) (*workerRig, error) {
-	if e.tgt == nil {
-		return &workerRig{}, nil
-	}
-	clock := &vtime.Clock{}
-	wtgt, err := e.tgt.SpawnWorker(name, clock, stream)
-	if err != nil {
-		return nil, fmt.Errorf("core: spawn %s: %w", name, err)
-	}
-	regions := e.router.Regions()
-	for i := range regions {
-		port, err := wtgt.Port(regions[i].Name)
-		if err != nil {
-			return nil, fmt.Errorf("core: spawn %s: %w", name, err)
-		}
-		regions[i].Port = port
-	}
-	wrouter, err := bus.NewRouter(regions)
-	if err != nil {
-		return nil, fmt.Errorf("core: spawn %s: %w", name, err)
-	}
-	// One manager per rig, shared across its subtrees, so
-	// generation-proven skips survive subtree boundaries.
-	return &workerRig{tgt: wtgt, router: wrouter, snaps: NewSnapshotManager(e.snaps, wtgt, wrouter)}, nil
-}
-
 // LocalSlots returns n slots whose executors run subtrees on private
 // rigs spawned from the engine's own target: what a local parallel
 // run uses for all of its workers and a distributed run for its
@@ -288,16 +246,11 @@ func (f *Frontier) LocalSlots(n int) []Slot {
 }
 
 func (f *Frontier) localSlot(ctx context.Context, w *Worker) (Executor, error) {
-	name := ""
-	if f.e.tgt != nil {
-		name = fmt.Sprintf("%s-w%d", f.e.tgt.Name(), w.Slot)
-		if w.Gen > 0 {
-			name = fmt.Sprintf("%s-r%d", name, w.Gen)
-		}
+	suffix := fmt.Sprintf("-w%d", w.Slot)
+	if w.Gen > 0 {
+		suffix = fmt.Sprintf("%s-r%d", suffix, w.Gen)
 	}
-	f.spawnMu.Lock()
-	rig, err := f.e.buildRig(name, w.Slot)
-	f.spawnMu.Unlock()
+	rig, err := f.spawnRig(suffix, w.Slot)
 	if err != nil {
 		return nil, err
 	}
@@ -624,7 +577,7 @@ func (s *supervisor) requeue(idx int, err error) {
 	if errors.As(err, &pe) {
 		s.rec.PanicsRecovered++
 	}
-	if s.attempts[idx] > s.e.cfg.MaxSubtreeRetries {
+	if s.attempts[idx] > maxSubtreeRetries {
 		s.fatal = fmt.Errorf("core: subtree %d failed after %d attempts: %w", idx, s.attempts[idx], err)
 		s.mu.Unlock()
 		s.cancel()
@@ -688,14 +641,14 @@ func (s *supervisor) workerExited(slot int, err error) {
 
 // monitor is the heartbeat watchdog: it samples each busy slot's
 // progress counter every HeartbeatInterval and deposes (cancels) a
-// worker whose counter stalls for HeartbeatTimeout. Deposition flows
-// through the ordinary failure path: the worker's subtree errors out
-// with ErrInterrupted, gets requeued, and the retirement spawns a
-// replacement.
+// worker whose counter stalls for heartbeatTimeoutFactor intervals.
+// Deposition flows through the ordinary failure path: the worker's
+// subtree errors out with ErrInterrupted, gets requeued, and the
+// retirement spawns a replacement.
 func (s *supervisor) monitor() {
 	defer s.monWG.Done()
 	interval := s.e.cfg.HeartbeatInterval
-	timeout := s.e.cfg.HeartbeatTimeout
+	timeout := heartbeatTimeoutFactor * interval
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	type watch struct {
@@ -741,7 +694,7 @@ func (s *supervisor) monitor() {
 // rig: heartbeat progress (lock-free atomic) plus scheduled chaos
 // events. Returns nil when neither is configured, keeping undisturbed
 // runs hook-free.
-func (w *Worker) stepHook(wctx context.Context, idx, attempt int, rig *workerRig) func() error {
+func (w *Worker) stepHook(wctx context.Context, idx, attempt int, rig *Rig) func() error {
 	s := w.sup
 	heartbeat := s.e.cfg.HeartbeatInterval > 0
 	ev, at := s.e.cfg.Chaos.plan(idx, attempt)
@@ -771,7 +724,7 @@ func (w *Worker) stepHook(wctx context.Context, idx, attempt int, rig *workerRig
 			<-wctx.Done()
 			return ErrInterrupted
 		case chaosSever:
-			if sev, ok := rig.tgt.(linkSeverer); ok {
+			if sev, ok := rig.Target.(linkSeverer); ok {
 				_ = sev.SeverLink()
 				s.mu.Lock()
 				s.rec.FailoverEvents++
@@ -850,9 +803,9 @@ func (e *Engine) merge(start, seedVT time.Duration, workers int, results []*subt
 	rep.VirtualTime = seedVT + makespan
 	rep.Workers = wreps
 
-	if e.tgt != nil {
-		ts := e.tgt.Stats() // primary target: seed-phase traffic
-		man := e.snapman.Stats()
+	if e.rig.Target != nil {
+		ts := e.rig.Target.Stats() // primary target: seed-phase traffic
+		man := e.rig.Snaps.Stats()
 		rep.Snapshots = SnapshotTraffic{
 			Manager: SnapManagerStats{
 				Saves:           man.Saves + manSum.Saves,

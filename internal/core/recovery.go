@@ -29,7 +29,7 @@ type RecoveryStats struct {
 	// PanicsRecovered counts worker panics absorbed by the supervisor.
 	PanicsRecovered uint64
 	// HeartbeatDeaths counts workers deposed because their heartbeat
-	// stalled past Config.HeartbeatTimeout.
+	// stalled past the heartbeat timeout.
 	HeartbeatDeaths uint64
 	// FailoverEvents counts recoveries where exploration continued on a
 	// re-established vehicle: a subtree re-seeded onto a fresh rig
@@ -76,9 +76,6 @@ type ChaosSchedule struct {
 	// its target link mid-run. Only meaningful for targets that
 	// support link severing (remote clients); otherwise a no-op.
 	SeverRate float64
-	// MeanSteps centers the step at which the event fires (default
-	// 40): events land mid-subtree, after real work has happened.
-	MeanSteps uint64
 	// DieAfterSubtrees, when > 0, simulates whole-process death
 	// (SIGKILL) after that many subtree completions in this process:
 	// the run stops with ErrInterrupted, leaving exactly the journal a
@@ -87,6 +84,10 @@ type ChaosSchedule struct {
 }
 
 type chaosEvent int
+
+// chaosMeanSteps centers the subtree step at which an event fires:
+// events land mid-subtree, after real work has happened.
+const chaosMeanSteps = 40
 
 const (
 	chaosNone chaosEvent = iota
@@ -105,11 +106,7 @@ func (c *ChaosSchedule) plan(idx, attempt int) (chaosEvent, uint64) {
 	}
 	rng := rand.New(rand.NewSource(c.Seed<<20 ^ int64(idx)*2654435761))
 	u := rng.Float64()
-	mean := c.MeanSteps
-	if mean == 0 {
-		mean = 40
-	}
-	at := 1 + uint64(rng.Int63n(int64(2*mean)))
+	at := 1 + uint64(rng.Int63n(2*chaosMeanSteps))
 	switch {
 	case u < c.PanicRate:
 		return chaosPanic, at

@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 
-	"hardsnap/internal/bus"
 	"hardsnap/internal/isa"
+	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
-	"hardsnap/internal/target"
 	"hardsnap/internal/vm"
-	"hardsnap/internal/vtime"
 )
 
 // ReplayResult is the outcome of concretely re-executing a symbolic
@@ -22,6 +20,11 @@ type ReplayResult struct {
 	Console []byte
 	// Vector is the injected test vector (per make-symbolic tag).
 	Vector map[uint32][]byte
+	// Instructions retired (the stopping one included), hardware
+	// Cycles run alongside them and IRQs delivered to the CPU.
+	Instructions uint64
+	Cycles       uint64
+	IRQs         int
 	// Reproduced reports whether the concrete outcome matches the
 	// symbolic state's status (crash reproduction succeeded).
 	Reproduced bool
@@ -57,46 +60,17 @@ func (a *Analysis) Replay(st *symexec.State) (*ReplayResult, error) {
 }
 
 // ReplayVector re-executes an explicit test vector concretely and
-// compares the outcome against the symbolic state's status.
+// compares the outcome against the symbolic state's status. The
+// replay rig carries the analysis' hardware assertions, so a
+// hardware-property bug reproduces as vm.StopAssertFail.
 func (a *Analysis) ReplayVector(st *symexec.State, vector map[uint32][]byte) (*ReplayResult, error) {
-	clock := &vtime.Clock{}
-	var tgt *target.Target
-	var router *bus.Router
-	var err error
-	if len(a.config.Peripherals) > 0 {
-		if a.config.FPGA {
-			tgt, err = target.NewFPGA("replay-fpga", clock, a.config.Peripherals, a.config.Readback)
-		} else {
-			tgt, err = target.NewSimulator("replay-sim", clock, a.config.Peripherals)
-		}
-		if err != nil {
-			return nil, err
-		}
+	cfg := a.config
+	cfg.Target = nil
+	rig, err := NewRig("replay", &cfg, snapshot.NewStore())
+	if err != nil {
+		return nil, err
 	}
-
-	cpu := vm.New(a.Exec.Config().VM, nil)
-	if tgt != nil {
-		mmioBase := a.Exec.Config().VM.MMIOBase
-		regions := make([]bus.Region, 0, len(a.config.Peripherals))
-		for i, pc := range a.config.Peripherals {
-			port, err := tgt.Port(pc.Name)
-			if err != nil {
-				return nil, err
-			}
-			regions = append(regions, bus.Region{
-				Name: pc.Name,
-				Base: mmioBase + uint32(i)*PeriphRegionSize,
-				Size: PeriphRegionSize,
-				IRQ:  i,
-				Port: port,
-			})
-		}
-		router, err = bus.NewRouter(regions)
-		if err != nil {
-			return nil, err
-		}
-		cpu = vm.New(a.Exec.Config().VM, router)
-	}
+	cpu := rig.NewCPU(a.Exec.Config().VM)
 	if err := cpu.Load(a.Program); err != nil {
 		return nil, err
 	}
@@ -104,50 +78,28 @@ func (a *Analysis) ReplayVector(st *symexec.State, vector map[uint32][]byte) (*R
 		if service != isa.EcallMakeSymbolic {
 			return false
 		}
-		addr, length, tag := c.Regs[1], c.Regs[2], c.Regs[3]
-		buf := vector[tag]
-		for i := uint32(0); i < length; i++ {
-			var b byte
-			if int(i) < len(buf) {
-				b = buf[i]
-			}
-			if err := c.WriteMem(addr+i, 1, uint32(b)); err != nil {
-				c.Stop = vm.StopFault
-				c.Fault = err
-				return true
-			}
-		}
+		c.FillInput(vector[c.Regs[3]])
 		return true
 	}
 
-	budget := st.Steps*4 + 10_000
-	var steps uint64
-	for cpu.Stop == vm.StopNone && steps < budget {
-		if !cpu.Step() {
-			break
-		}
-		steps++
-		if tgt != nil {
-			if err := tgt.Advance(1); err != nil {
-				return nil, err
-			}
-			irqs, err := router.RisingIRQs()
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range irqs {
-				cpu.RaiseIRQ(n)
-			}
-		}
+	_, irqs, err := rig.RunConcrete(cpu, st.Steps*4+10_000, nil)
+	if err != nil {
+		return nil, err
 	}
 	if cpu.Stop == vm.StopNone {
 		cpu.Stop = vm.StopBudget
 	}
-	return &ReplayResult{
-		Stop:       cpu.Stop,
-		PC:         cpu.PC,
-		Console:    append([]byte(nil), cpu.Console...),
-		Vector:     vector,
-		Reproduced: statusMatches(st.Status, cpu.Stop),
-	}, nil
+	res := &ReplayResult{
+		Stop:         cpu.Stop,
+		PC:           cpu.PC,
+		Console:      append([]byte(nil), cpu.Console...),
+		Vector:       vector,
+		Instructions: cpu.Cycles,
+		IRQs:         irqs,
+		Reproduced:   statusMatches(st.Status, cpu.Stop),
+	}
+	if rig.Target != nil {
+		res.Cycles = rig.Target.Stats().Cycles
+	}
+	return res, nil
 }

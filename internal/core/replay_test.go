@@ -56,9 +56,19 @@ safe:
 
 func TestReplayAllPathsWithHardware(t *testing.T) {
 	// Every finished path of a hardware-coupled analysis must replay
-	// concretely to the same outcome.
-	a, rep := run(t, SetupConfig{
-		Firmware: `
+	// concretely to the same outcome, whatever vehicle and RTL engine
+	// the analysis (and so its replay rig) is configured with.
+	for _, tc := range []struct {
+		name         string
+		fpga, interp bool
+	}{
+		{name: "simulator"},
+		{name: "fpga-scan", fpga: true},
+		{name: "interp", interp: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, rep := run(t, SetupConfig{
+				Firmware: `
 _start:
 		li r8, 0x40000000
 		li r1, 0x100
@@ -75,24 +85,66 @@ _start:
 other:
 		halt
 		`,
-		Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}},
-		Exec:        symexec.Config{Policy: symexec.ConcretizeAll},
-		Engine:      Config{MaxInstructions: 100000},
-	})
-	if len(rep.Finished) < 2 {
-		t.Fatalf("paths: %d", len(rep.Finished))
+				Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}},
+				FPGA:        tc.fpga,
+				Interp:      tc.interp,
+				Exec:        symexec.Config{Policy: symexec.ConcretizeAll},
+				Engine:      Config{MaxInstructions: 100000},
+			})
+			if len(rep.Finished) < 2 {
+				t.Fatalf("paths: %d", len(rep.Finished))
+			}
+			for _, st := range rep.Finished {
+				if st.Status != symexec.StatusHalted && st.Status != symexec.StatusAborted {
+					continue
+				}
+				res, err := a.Replay(st)
+				if err != nil {
+					t.Fatalf("replay state %d: %v", st.ID, err)
+				}
+				if !res.Reproduced {
+					t.Fatalf("state %d (%v) not reproduced: concrete %v at %#x",
+						st.ID, st.Status, res.Stop, res.PC)
+				}
+			}
+		})
 	}
+}
+
+func TestReplayReproducesHardwarePropertyBug(t *testing.T) {
+	// The replay rig carries the analysis' hardware assertions: the
+	// violation that ended the symbolic path ends the concrete run.
+	a, rep := run(t, forbiddenValueSetup())
+	var hit *symexec.State
 	for _, st := range rep.Finished {
-		if st.Status != symexec.StatusHalted && st.Status != symexec.StatusAborted {
+		if st.Status == symexec.StatusAssertFail {
+			hit = st
+		}
+	}
+	if hit == nil {
+		t.Fatal("no path flagged for the violation")
+	}
+	res, err := a.Replay(hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Reproduced || res.Stop != vm.StopAssertFail {
+		t.Fatalf("hardware-property bug not reproduced: concrete stop %v at %#x", res.Stop, res.PC)
+	}
+	if in := res.Vector[1]; len(in) != 1 || in[0] != 0xAD {
+		t.Fatalf("vector %v, want the 0xAD command", in)
+	}
+	// The other paths never violate the property and replay to a halt.
+	for _, st := range rep.Finished {
+		if st.Status != symexec.StatusHalted {
 			continue
 		}
 		res, err := a.Replay(st)
 		if err != nil {
-			t.Fatalf("replay state %d: %v", st.ID, err)
+			t.Fatal(err)
 		}
 		if !res.Reproduced {
-			t.Fatalf("state %d (%v) not reproduced: concrete %v at %#x",
-				st.ID, st.Status, res.Stop, res.PC)
+			t.Fatalf("state %d: clean path replayed to %v", st.ID, res.Stop)
 		}
 	}
 }

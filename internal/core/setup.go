@@ -4,15 +4,11 @@ import (
 	"fmt"
 
 	"hardsnap/internal/asm"
-	"hardsnap/internal/bus"
+	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
 	"hardsnap/internal/target"
 	"hardsnap/internal/vtime"
 )
-
-// PeriphRegionSize is the MMIO window each peripheral instance
-// occupies in the default address map.
-const PeriphRegionSize = 0x100
 
 // SetupConfig assembles a complete analysis: firmware, SoC peripherals
 // and engine/executor parameters.
@@ -49,22 +45,18 @@ type SetupConfig struct {
 	Engine Config
 }
 
-// Analysis bundles the wired-up components of one run.
+// Analysis bundles the wired-up components of one run. Target (nil
+// for software-only firmware and for a vehicle that is not in
+// process) and Clock are the rig's.
 type Analysis struct {
 	Engine  *Engine
+	Rig     *Rig
 	Target  *target.Target
-	Router  *bus.Router
 	Exec    *symexec.Executor
 	Program *asm.Program
 	Clock   *vtime.Clock
 
 	config SetupConfig
-}
-
-// PeriphBase returns the MMIO base address of the i-th peripheral in
-// the default map.
-func (a *Analysis) PeriphBase(i int) uint32 {
-	return a.Exec.Config().VM.MMIOBase + uint32(i)*PeriphRegionSize
 }
 
 // Setup assembles the firmware, builds the target and bus, and wires
@@ -79,97 +71,21 @@ func Setup(cfg SetupConfig) (*Analysis, error) {
 
 // SetupProgram is Setup for a pre-assembled program.
 func SetupProgram(cfg SetupConfig, prog *asm.Program) (*Analysis, error) {
-	clock := &vtime.Clock{}
-
-	var tgt *target.Target
-	var router *bus.Router
-	if cfg.Target != nil || len(cfg.Peripherals) > 0 {
-		var err error
-		vehicle := cfg.Target
-		if vehicle == nil {
-			periphs := cfg.Peripherals
-			if cfg.Interp {
-				periphs = make([]target.PeriphConfig, len(cfg.Peripherals))
-				copy(periphs, cfg.Peripherals)
-				for i := range periphs {
-					periphs[i].Interp = true
-				}
-			}
-			if cfg.FPGA {
-				tgt, err = target.NewFPGA("fpga0", clock, periphs, cfg.Readback)
-			} else {
-				tgt, err = target.NewSimulator("sim0", clock, periphs)
-			}
-			if err != nil {
-				return nil, err
-			}
-			vehicle = tgt
-		} else {
-			if lt, ok := vehicle.(*target.Target); ok {
-				tgt = lt
-			} else if len(cfg.HWAssertions) > 0 {
-				return nil, fmt.Errorf("core: hardware assertions require a local target")
-			}
-			clock = vehicle.Clock()
-		}
-		exec0, err := symexec.New(cfg.Exec, prog, nil)
-		if err != nil {
-			return nil, err
-		}
-		mmioBase := exec0.Config().VM.MMIOBase
-		regions := make([]bus.Region, 0, len(cfg.Peripherals))
-		for i, pc := range cfg.Peripherals {
-			port, err := vehicle.Port(pc.Name)
-			if err != nil {
-				return nil, err
-			}
-			regions = append(regions, bus.Region{
-				Name: pc.Name,
-				Base: mmioBase + uint32(i)*PeriphRegionSize,
-				Size: PeriphRegionSize,
-				IRQ:  i,
-				Port: port,
-			})
-		}
-		router, err = bus.NewRouter(regions)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range cfg.HWAssertions {
-			if err := tgt.AddAssertion(a); err != nil {
-				return nil, err
-			}
-		}
-		eng, err := New(cfg.Engine, exec0, vehicle, router)
-		if err != nil {
-			return nil, err
-		}
-		// The engine owns the clock from the target; align our local
-		// reference.
-		return &Analysis{
-			Engine:  eng,
-			Target:  tgt,
-			Router:  router,
-			Exec:    exec0,
-			Program: prog,
-			Clock:   clock,
-			config:  cfg,
-		}, nil
+	rig, err := NewRig("soc0", &cfg, snapshot.NewStore())
+	if err != nil {
+		return nil, err
 	}
-
 	exec0, err := symexec.New(cfg.Exec, prog, nil)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := New(cfg.Engine, exec0, nil, nil)
-	if err != nil {
-		return nil, err
-	}
 	return &Analysis{
-		Engine:  eng,
+		Engine:  New(cfg.Engine, exec0, rig),
+		Target:  rig.local,
 		Exec:    exec0,
 		Program: prog,
-		Clock:   eng.Clock(),
+		Clock:   rig.Clock,
+		Rig:     rig,
 		config:  cfg,
 	}, nil
 }

@@ -680,32 +680,6 @@ func (b *Builder) Ite(cond, x, y *Term) *Term {
 	return b.intern(&Term{op: OpIte, width: x.width, args: []*Term{cond, x, y}})
 }
 
-// BoolToBV widens a width-1 term to w bits (0 or 1).
-func (b *Builder) BoolToBV(x *Term, w uint) *Term {
-	return b.ZExt(x, w)
-}
-
-// AndBool returns the conjunction of two width-1 terms.
-func (b *Builder) AndBool(x, y *Term) *Term { return b.And(x, y) }
-
-// OrBool returns the disjunction of two width-1 terms.
-func (b *Builder) OrBool(x, y *Term) *Term { return b.Or(x, y) }
-
-// NumTerms reports the number of distinct interned terms; useful for
-// tests and diagnostics.
-func (b *Builder) NumTerms() int {
-	n := 0
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.Lock()
-		for _, bucket := range s.table {
-			n += len(bucket)
-		}
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // VarSet returns the distinct variables reachable from t, sorted by
 // name. The result is memoized per interned term; because terms are
 // hash-consed, the amortized cost is O(1) per reused node, which is
@@ -760,6 +734,3 @@ func mergeVarSets(a, c []*Term) []*Term {
 	out = append(out, c[j:]...)
 	return out
 }
-
-// PopCount64 is re-exported for cost heuristics.
-func PopCount64(v uint64) int { return bits.OnesCount64(v) }

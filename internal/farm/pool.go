@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"hardsnap/internal/campaign"
+	"hardsnap/internal/core"
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/target"
-	"hardsnap/internal/vtime"
 )
 
 // PoolStats counts pool traffic. Latencies are cumulative wall time,
@@ -88,19 +88,19 @@ type Lease struct {
 	pt   *pooledTarget
 }
 
-// buildRig elaborates a fresh target for the job.
+// buildRig elaborates a fresh target for the job's rig key. Only the
+// vehicle is pooled: the job's own setup wires it (core.NewRig with
+// the target injected) once it is leased.
 func (p *Pool) buildRig(job campaign.Job, name string) (*pooledTarget, error) {
-	clock := &vtime.Clock{}
-	var tgt *target.Target
-	var err error
-	if job.FPGA {
-		tgt, err = target.NewFPGA(name, clock, job.Peripherals, job.Readback)
-	} else {
-		tgt, err = target.NewSimulator(name, clock, job.Peripherals)
-	}
+	rig, err := core.NewRig(name, &core.SetupConfig{
+		Peripherals: job.Peripherals,
+		FPGA:        job.FPGA,
+		Readback:    job.Readback,
+	}, p.store)
 	if err != nil {
 		return nil, err
 	}
+	tgt := rig.Target.(*target.Target)
 	rec := snapshot.Record{HW: tgt.PowerOnState()}
 	boot := snapshot.DigestRecord(&rec)
 	id := p.store.Put(rec)
@@ -171,35 +171,6 @@ func (p *Pool) refill(key string, job campaign.Job) {
 			}
 			p.idle[key] = append(p.idle[key], pt)
 		}()
-	}
-}
-
-// Prewarm synchronously builds warm targets for the job's rig key
-// until the pool holds n (capped at the pool size).
-func (p *Pool) Prewarm(job campaign.Job, n int) error {
-	if len(job.Peripherals) == 0 {
-		return nil
-	}
-	if n > p.size {
-		n = p.size
-	}
-	key := job.RigKey()
-	for {
-		p.mu.Lock()
-		if p.closed || len(p.idle[key]) >= n {
-			p.mu.Unlock()
-			return nil
-		}
-		p.seq++
-		name := fmt.Sprintf("rig-%d", p.seq)
-		p.mu.Unlock()
-		pt, err := p.buildRig(job, name)
-		if err != nil {
-			return err
-		}
-		p.mu.Lock()
-		p.idle[key] = append(p.idle[key], pt)
-		p.mu.Unlock()
 	}
 }
 

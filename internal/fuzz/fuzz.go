@@ -100,9 +100,6 @@ type Config struct {
 	// FrontierK is the per-branch execution count before a one-sided
 	// branch is escalated to the solver (default 8).
 	FrontierK int
-	// ConcolicMaxSteps bounds each concolic replay (default
-	// MaxStepsPerExec).
-	ConcolicMaxSteps int
 	// SolverConflicts bounds each flip query (0 = unlimited).
 	SolverConflicts int64
 
@@ -114,11 +111,12 @@ type Config struct {
 	CorpusDir string
 
 	// Stats, when set, receives a live one-line status every
-	// StatsEvery executions (default 100).
+	// statsEvery executions.
 	Stats io.Writer
-	// StatsEvery is the stats-line period in executions.
-	StatsEvery int
 }
+
+// statsEvery is the stats-line period in executions.
+const statsEvery = 100
 
 func (cfg *Config) withDefaults() Config {
 	c := *cfg
@@ -139,12 +137,6 @@ func (cfg *Config) withDefaults() Config {
 	}
 	if c.FrontierK <= 0 {
 		c.FrontierK = 8
-	}
-	if c.ConcolicMaxSteps <= 0 {
-		c.ConcolicMaxSteps = int(c.MaxStepsPerExec)
-	}
-	if c.StatsEvery <= 0 {
-		c.StatsEvery = 100
 	}
 	return c
 }
@@ -304,9 +296,9 @@ func Run(cfg Config) (*Result, error) {
 		}(i, w, q)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fuzz: worker %d: %w", i, err)
 		}
 	}
 
@@ -328,12 +320,12 @@ func Run(cfg Config) (*Result, error) {
 			res.VirtTime = w.elapsed
 		}
 		res.ResetTime += w.resetTime
-		if w.tgt != nil {
-			ts := w.tgt.Stats()
+		if w.rig.Target != nil {
+			ts := w.rig.Target.Stats()
 			res.HWSnapshotBytes += ts.SnapshotBytes
 			res.HWRestores += ts.Restores
 			res.DeltaRestores += ts.DeltaRestores
-			ms := w.snapman.Stats()
+			ms := w.rig.Snaps.Stats()
 			res.RestoresSkipped += ms.RestoresSkipped
 			res.SavesSkipped += ms.SavesSkipped
 		}
@@ -350,14 +342,14 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// emitStats writes the live status line (rate-limited by StatsEvery
+// emitStats writes the live status line (rate-limited by statsEvery
 // at the call sites).
 func (c *campaign) emitStats(w *worker) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
 	execs := c.execs.Load()
 	var eps float64
-	if secs := (w.clock.Now() - w.start).Seconds(); secs > 0 {
+	if secs := (w.rig.Clock.Now() - w.start).Seconds(); secs > 0 {
 		eps = float64(execs) / secs
 	}
 	fmt.Fprintf(c.cfg.Stats, "fuzz: execs=%d edges=%d corpus=%d crashes=%d solved=%d execs/vsec=%.0f\n",

@@ -101,10 +101,10 @@ func (w *worker) concolicAttempt(s *branchSite) error {
 	}
 	w.setInput(s.repr)
 	var rec *mmioRecorder
-	if w.router != nil {
-		rec = &mmioRecorder{inner: w.router}
+	if w.rig.Router != nil {
+		rec = &mmioRecorder{inner: w.rig.Router}
 		w.cpu.SetMMIO(rec)
-		defer w.cpu.SetMMIO(w.router)
+		defer w.cpu.SetMMIO(w.rig.Router)
 	}
 	// The concolic start state mirrors the concrete machine right
 	// after reset, before any input is consumed. Under snapshot reset
@@ -146,13 +146,13 @@ func (w *worker) concolicAttempt(s *branchSite) error {
 	if err != nil {
 		return err
 	}
-	res, err := w.symex.RunConcolic(st, symexec.ConcolicInput{Default: s.repr}, w.cfg.ConcolicMaxSteps)
+	res, err := w.symex.RunConcolic(st, symexec.ConcolicInput{Default: s.repr}, int(w.cfg.MaxStepsPerExec))
 	if err != nil {
 		return err
 	}
 	// The replay interprets the same instructions the hardware-driven
 	// engine would; charge it the same virtual-time rate.
-	w.clock.Advance(time.Duration(res.Steps) * vtime.VMInstruction)
+	w.rig.Clock.Advance(time.Duration(res.Steps) * vtime.VMInstruction)
 
 	// Step 3: find the frontier branch in the trace and flip it
 	// toward the unseen side.

@@ -17,6 +17,17 @@ func mustAssembleFuzz(tb testing.TB, src string) *asm.Program {
 	return p
 }
 
+// testCampaign is the shared state Run would build around cfg.
+func testCampaign(cfg Config) *campaign {
+	return &campaign{
+		cfg:     cfg.withDefaults(),
+		store:   snapshot.NewStore(),
+		global:  &Global{},
+		corpus:  NewCorpus(),
+		crashes: newCrashBook(nil),
+	}
+}
+
 // benchWorker builds a warmed-up single worker over the given
 // firmware: snapshot captured, corpus primed, a few hundred
 // iterations executed so admissions have tapered off and the loop is
@@ -32,20 +43,12 @@ func benchWorker(tb testing.TB, src string, periphs []target.PeriphConfig, input
 		InputLen:    inputLen,
 		Seed:        1,
 	}
-	cfg = cfg.withDefaults()
-	c := &campaign{
-		cfg:     cfg,
-		store:   snapshot.NewStore(),
-		global:  &Global{},
-		corpus:  NewCorpus(),
-		crashes: newCrashBook(nil),
-	}
-	w, err := newWorker(0, c)
+	w, err := newWorker(0, testCampaign(cfg))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if w.tgt != nil {
-		if w.powerOn, err = w.snapman.Capture(); err != nil {
+	if w.rig.Target != nil {
+		if w.powerOn, err = w.rig.Snaps.Capture(); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -5,12 +5,10 @@ import (
 	"math/rand"
 	"time"
 
-	"hardsnap/internal/bus"
 	"hardsnap/internal/core"
 	"hardsnap/internal/isa"
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
-	"hardsnap/internal/target"
 	"hardsnap/internal/vm"
 	"hardsnap/internal/vtime"
 )
@@ -57,12 +55,10 @@ type worker struct {
 	cfg *Config
 	rng *rand.Rand
 
-	cpu    *vm.CPU
-	tgt    *target.Target
-	router *bus.Router
-	clock  *vtime.Clock
-
-	snapman *core.SnapshotManager
+	cpu *vm.CPU
+	// rig is the worker's private machine (core.NewRig); its Target
+	// is nil for software-only firmware.
+	rig *core.Rig
 
 	// cov is the per-exec coverage bitmap (64 KiB, allocated once
 	// with the worker).
@@ -72,11 +68,6 @@ type worker struct {
 	// picks. Both are preallocated at InputLen.
 	input   []byte
 	scratch []byte
-	// irqBuf backs per-instruction IRQ sampling.
-	irqBuf [8]int
-	// sampleIRQs is false when no peripheral can drive its line, so
-	// the loop skips sampling entirely.
-	sampleIRQs bool
 
 	// execSeq numbers this worker's executions (for lastHit dedup).
 	execSeq int
@@ -108,67 +99,24 @@ type worker struct {
 
 func newWorker(id int, c *campaign) (*worker, error) {
 	cfg := &c.cfg
-	clock := &vtime.Clock{}
-	var tgt *target.Target
-	var router *bus.Router
-	var err error
-	if len(cfg.Peripherals) > 0 {
-		name := fmt.Sprintf("fuzz%d", id)
-		if cfg.FPGA {
-			tgt, err = target.NewFPGA(name, clock, cfg.Peripherals, false)
-		} else {
-			tgt, err = target.NewSimulator(name, clock, cfg.Peripherals)
-		}
-		if err != nil {
-			return nil, err
-		}
+	rig, err := core.NewRig("fuzz", &core.SetupConfig{Peripherals: cfg.Peripherals, FPGA: cfg.FPGA}, c.store)
+	if err != nil {
+		return nil, err
 	}
-
-	cpu := vm.New(vm.Config{}, nil)
-	sampleIRQs := false
-	if tgt != nil {
-		regions := make([]bus.Region, 0, len(cfg.Peripherals))
-		for i, pc := range cfg.Peripherals {
-			p, err := tgt.Port(pc.Name)
-			if err != nil {
-				return nil, err
-			}
-			regions = append(regions, bus.Region{
-				Name: pc.Name,
-				Base: cpu.Config().MMIOBase + uint32(i)*0x100,
-				Size: 0x100,
-				IRQ:  i,
-				Port: p,
-			})
-			if tgt.IRQWired(pc.Name) {
-				sampleIRQs = true
-			}
-		}
-		router, err = bus.NewRouter(regions)
-		if err != nil {
-			return nil, err
-		}
-		cpu = vm.New(vm.Config{}, router)
-	}
+	cpu := rig.NewCPU(vm.Config{})
 	if err := cpu.Load(cfg.Program); err != nil {
 		return nil, err
 	}
 
 	w := &worker{
-		id:         id,
-		c:          c,
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9E3779B9)),
-		cpu:        cpu,
-		tgt:        tgt,
-		router:     router,
-		clock:      clock,
-		input:      make([]byte, cfg.InputLen),
-		scratch:    make([]byte, cfg.InputLen),
-		sampleIRQs: sampleIRQs,
-	}
-	if tgt != nil {
-		w.snapman = core.NewSnapshotManager(c.store, tgt, router)
+		id:      id,
+		c:       c,
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9E3779B9)),
+		cpu:     cpu,
+		rig:     rig,
+		input:   make([]byte, cfg.InputLen),
+		scratch: make([]byte, cfg.InputLen),
 	}
 	if cfg.Hybrid {
 		w.decodeBranchSites()
@@ -178,18 +126,7 @@ func newWorker(id int, c *campaign) (*worker, error) {
 	cpu.OnEcall = func(cp *vm.CPU, service int32) bool {
 		switch service {
 		case isa.EcallMakeSymbolic:
-			addr, length := cp.Regs[1], cp.Regs[2]
-			for i := uint32(0); i < length; i++ {
-				var b byte
-				if int(i) < len(w.input) {
-					b = w.input[i]
-				}
-				if err := cp.WriteMem(addr+i, 1, uint32(b)); err != nil {
-					cp.Stop = vm.StopFault
-					cp.Fault = err
-					return true
-				}
-			}
+			cp.FillInput(w.input)
 			return true
 		case isa.EcallSnapshotHint:
 			if cfg.Reset == ResetSnapshot && w.cpuSnap == nil {
@@ -236,9 +173,9 @@ func (w *worker) decodeBranchSites() {
 
 // run executes this worker's share of the campaign.
 func (w *worker) run(quota int) error {
-	if w.tgt != nil {
+	if w.rig.Target != nil {
 		var err error
-		w.powerOn, err = w.snapman.Capture()
+		w.powerOn, err = w.rig.Snaps.Capture()
 		if err != nil {
 			return err
 		}
@@ -250,13 +187,13 @@ func (w *worker) run(quota int) error {
 		return err
 	}
 
-	w.start = w.clock.Now()
+	w.start = w.rig.Clock.Now()
 	for i := 0; i < quota && !w.c.stopped(); i++ {
 		if err := w.fuzzOne(); err != nil {
 			return err
 		}
 	}
-	w.elapsed = w.clock.Now() - w.start
+	w.elapsed = w.rig.Clock.Now() - w.start
 	return nil
 }
 
@@ -317,7 +254,7 @@ func (w *worker) fuzzOne() error {
 	execIdx := int(w.c.execs.Add(1)) - 1
 	w.afterExec(stop, pc, false)
 
-	if w.cfg.Stats != nil && (execIdx+1)%w.cfg.StatsEvery == 0 {
+	if w.cfg.Stats != nil && (execIdx+1)%statsEvery == 0 {
 		w.c.emitStats(w)
 	}
 	return nil
@@ -331,7 +268,7 @@ func (w *worker) afterExec(stop vm.StopReason, pc uint32, seeding bool) {
 	case vm.StopAbort, vm.StopAssertFail, vm.StopFault:
 		exec := int(w.c.execs.Load())
 		if w.c.crashes.record(w.input, stop, pc, exec) {
-			w.c.noteFirstCrash(w.clock.Now() - w.start)
+			w.c.noteFirstCrash(w.rig.Clock.Now() - w.start)
 			if w.cfg.StopAtFirstCrash {
 				w.c.stopFlag.Store(true)
 			}
@@ -355,8 +292,8 @@ func (w *worker) afterExec(stop vm.StopReason, pc uint32, seeding bool) {
 
 // reset restores the inter-execution state per the strategy.
 func (w *worker) reset() error {
-	before := w.clock.Now()
-	defer func() { w.resetTime += w.clock.Now() - before }()
+	before := w.rig.Clock.Now()
+	defer func() { w.resetTime += w.rig.Clock.Now() - before }()
 
 	switch w.cfg.Reset {
 	case ResetNone:
@@ -372,12 +309,12 @@ func (w *worker) reset() error {
 		if err := w.cpu.Load(w.cfg.Program); err != nil {
 			return err
 		}
-		if w.tgt != nil {
-			if err := w.snapman.Restore(w.powerOn); err != nil {
+		if w.rig.Target != nil {
+			if err := w.rig.Snaps.Restore(w.powerOn); err != nil {
 				return err
 			}
 		}
-		w.clock.Advance(vtime.RebootTime)
+		w.rig.Clock.Advance(vtime.RebootTime)
 		return nil
 
 	case ResetSnapshot:
@@ -390,8 +327,8 @@ func (w *worker) reset() error {
 			return nil
 		}
 		w.cpu.RestoreSnapshot(w.cpuSnap)
-		if w.tgt != nil && w.hwSnap != 0 {
-			if err := w.snapman.Restore(w.hwSnap); err != nil {
+		if w.rig.Target != nil && w.hwSnap != 0 {
+			if err := w.rig.Snaps.Restore(w.hwSnap); err != nil {
 				return err
 			}
 		}
@@ -402,8 +339,8 @@ func (w *worker) reset() error {
 
 func (w *worker) captureSnapshot() {
 	w.cpuSnap = w.cpu.Snapshot()
-	if w.tgt != nil {
-		if id, err := w.snapman.Capture(); err == nil {
+	if w.rig.Target != nil {
+		if id, err := w.rig.Snaps.Capture(); err == nil {
 			w.hwSnap = id
 		}
 	}
@@ -415,18 +352,20 @@ func (w *worker) captureSnapshot() {
 func (w *worker) execOne() (stop vm.StopReason, crashPC uint32, err error) {
 	w.execSeq++
 	w.irqsThisExec = 0
-	cpu := w.cpu
+	cpu, rig, clock := w.cpu, w.rig, w.rig.Clock
+	hw := rig.Target != nil
 	trackBranches := w.branchIdx != nil
 	base := w.cfg.Program.Base
 	progWords := uint32(len(w.branchIdx))
 	var steps uint64
+	var irqBuf [vm.NumIRQs]int
 	for cpu.Stop == vm.StopNone && steps < w.cfg.MaxStepsPerExec {
 		pcBefore := cpu.PC
 		if !cpu.Step() {
 			break
 		}
 		steps++
-		w.clock.Advance(vtime.VMInstruction)
+		clock.Advance(vtime.VMInstruction)
 		w.cov.Edge(cpu.PC)
 		if trackBranches {
 			if off := (pcBefore - base) >> 2; off < progWords {
@@ -435,19 +374,16 @@ func (w *worker) execOne() (stop vm.StopReason, crashPC uint32, err error) {
 				}
 			}
 		}
-		if w.tgt != nil {
-			if err := w.tgt.Advance(1); err != nil {
+		if hw {
+			// Fuzz campaigns register no hardware properties, so the
+			// tick's violation list is always empty here.
+			irqs, _, err := rig.Tick(irqBuf[:0])
+			if err != nil {
 				return 0, 0, err
 			}
-			if w.sampleIRQs {
-				irqs, err := w.router.RisingIRQsInto(w.irqBuf[:0])
-				if err != nil {
-					return 0, 0, err
-				}
-				for _, n := range irqs {
-					cpu.RaiseIRQ(n)
-					w.irqsThisExec++
-				}
+			for _, n := range irqs {
+				cpu.RaiseIRQ(n)
+				w.irqsThisExec++
 			}
 		}
 	}

@@ -898,9 +898,6 @@ func (c *TargetClient) SetRetryPolicy(p target.RetryPolicy) {
 	if p.Backoff > 0 {
 		c.Backoff = p.Backoff
 	}
-	if p.MaxBackoff > 0 {
-		c.BackoffMax = p.MaxBackoff
-	}
 }
 
 // --- snapshot transfer ----------------------------------------------

@@ -35,22 +35,14 @@ type Options struct {
 	// Exclude lists register or memory names to leave out of the chain
 	// (the paper's "limit the instrumentation to a sub-component").
 	Exclude []string
-	// EnableName, InName, OutName override the default port names
-	// scan_enable / scan_in / scan_out.
-	EnableName, InName, OutName string
 }
 
-func (o *Options) setDefaults() {
-	if o.EnableName == "" {
-		o.EnableName = "scan_enable"
-	}
-	if o.InName == "" {
-		o.InName = "scan_in"
-	}
-	if o.OutName == "" {
-		o.OutName = "scan_out"
-	}
-}
+// The scan ports every instrumented module gains.
+const (
+	enableName = "scan_enable"
+	inName     = "scan_in"
+	outName    = "scan_out"
+)
 
 // ElementKind distinguishes chain element types.
 type ElementKind int
@@ -113,7 +105,6 @@ func (r *Report) Overhead() float64 {
 // every module it instantiates. The file is modified in place; reports
 // are keyed by module name.
 func InstrumentAll(file *verilog.SourceFile, top string, opts Options) (map[string]*Report, error) {
-	opts.setDefaults()
 	reports := make(map[string]*Report)
 	if err := instrumentRec(file, top, opts, reports); err != nil {
 		return nil, err
@@ -124,7 +115,6 @@ func InstrumentAll(file *verilog.SourceFile, top string, opts Options) (map[stri
 // Instrument instruments a single module in place (children must
 // already be instrumented or absent).
 func Instrument(file *verilog.SourceFile, name string, opts Options) (*Report, error) {
-	opts.setDefaults()
 	mod := file.FindModule(name)
 	if mod == nil {
 		return nil, fmt.Errorf("scanchain: module %q not found", name)
@@ -275,13 +265,13 @@ func instrumentModule(file *verilog.SourceFile, mod *verilog.Module, opts Option
 			if child == nil {
 				return nil, fmt.Errorf("scanchain: module %s instantiates unknown %q", mod.Name, it.ModuleName)
 			}
-			if !hasPort(child, opts.InName) {
+			if !hasPort(child, inName) {
 				continue // child not instrumented (e.g. stateless)
 			}
 			if excluded[it.Name] {
 				// Excluded children still need their scan inputs tied off.
-				it.Conns[opts.EnableName] = &verilog.Number{Value: 0, Width: 1, Text: "1'b0"}
-				it.Conns[opts.InName] = &verilog.Number{Value: 0, Width: 1, Text: "1'b0"}
+				it.Conns[enableName] = &verilog.Number{Value: 0, Width: 1, Text: "1'b0"}
+				it.Conns[inName] = &verilog.Number{Value: 0, Width: 1, Text: "1'b0"}
 				continue
 			}
 			elements = append(elements, element{kind: KindInstance, name: it.Name, inst: it})
@@ -289,19 +279,19 @@ func instrumentModule(file *verilog.SourceFile, mod *verilog.Module, opts Option
 	}
 
 	// Add scan ports.
-	if hasPort(mod, opts.InName) {
+	if hasPort(mod, inName) {
 		return nil, fmt.Errorf("scanchain: module %s is already instrumented", mod.Name)
 	}
 	mod.Ports = append(mod.Ports,
-		&verilog.Port{Dir: verilog.DirInput, Name: opts.EnableName},
-		&verilog.Port{Dir: verilog.DirInput, Name: opts.InName},
-		&verilog.Port{Dir: verilog.DirOutput, Name: opts.OutName},
+		&verilog.Port{Dir: verilog.DirInput, Name: enableName},
+		&verilog.Port{Dir: verilog.DirInput, Name: inName},
+		&verilog.Port{Dir: verilog.DirOutput, Name: outName},
 	)
 
 	report := &Report{Module: mod.Name}
 
 	// Build the chain.
-	prev := verilog.Expr(&verilog.Ident{Name: opts.InName})
+	prev := verilog.Expr(&verilog.Ident{Name: inName})
 	shiftStmts := make(map[*verilog.AlwaysFF][]verilog.Stmt)
 	for i := range elements {
 		el := &elements[i]
@@ -325,14 +315,14 @@ func instrumentModule(file *verilog.SourceFile, mod *verilog.Module, opts Option
 			report.Elements = append(report.Elements, Element{Name: el.name, Kind: KindMemory, Bits: el.bits, Width: el.width, Depth: el.depth})
 
 		case KindInstance:
-			outWire := el.inst.Name + "_" + opts.OutName
+			outWire := el.inst.Name + "_" + outName
 			// wire <inst>_scan_out;
 			mod.Items = append(mod.Items, &verilog.NetDecl{
 				Names: []verilog.DeclName{{Name: outWire}},
 			})
-			el.inst.Conns[opts.EnableName] = &verilog.Ident{Name: opts.EnableName}
-			el.inst.Conns[opts.InName] = prev
-			el.inst.Conns[opts.OutName] = &verilog.Ident{Name: outWire}
+			el.inst.Conns[enableName] = &verilog.Ident{Name: enableName}
+			el.inst.Conns[inName] = prev
+			el.inst.Conns[outName] = &verilog.Ident{Name: outWire}
 			prev = &verilog.Ident{Name: outWire}
 			report.Elements = append(report.Elements, Element{Name: el.name, Kind: KindInstance, Module: el.inst.ModuleName})
 		}
@@ -341,7 +331,7 @@ func instrumentModule(file *verilog.SourceFile, mod *verilog.Module, opts Option
 	// scan_out follows the last element (or scan_in for stateless
 	// modules, making the module a transparent chain segment).
 	mod.Items = append(mod.Items, &verilog.Assign{
-		LHS: &verilog.Ident{Name: opts.OutName},
+		LHS: &verilog.Ident{Name: outName},
 		RHS: prev,
 	})
 
@@ -356,7 +346,7 @@ func instrumentModule(file *verilog.SourceFile, mod *verilog.Module, opts Option
 			continue
 		}
 		ff.Body = &verilog.If{
-			Cond: &verilog.Ident{Name: opts.EnableName},
+			Cond: &verilog.Ident{Name: enableName},
 			Then: &verilog.Block{Stmts: shifts},
 			Else: ff.Body,
 		}

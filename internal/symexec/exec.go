@@ -95,7 +95,7 @@ type Executor struct {
 // New builds an executor for a loaded program. mmio may be nil for
 // pure-software firmware.
 func New(cfg Config, prog *asm.Program, mmio MMIOHandler) (*Executor, error) {
-	cfg.VM = normalizeVMConfig(cfg.VM)
+	cfg.VM = cfg.VM.WithDefaults()
 	if cfg.Policy == 0 {
 		cfg.Policy = ConcretizeOne
 	}
@@ -121,11 +121,6 @@ func New(cfg Config, prog *asm.Program, mmio MMIOHandler) (*Executor, error) {
 		e.Solver.Opts = solver.DefaultOptions()
 	}
 	return e, nil
-}
-
-func normalizeVMConfig(c vm.Config) vm.Config {
-	probe := vm.New(c, nil)
-	return probe.Config()
 }
 
 // Config returns the executor's normalized configuration.
@@ -357,7 +352,7 @@ func (e *Executor) ServePendingInterrupt(st *State) error {
 	if st.Status != StatusRunning || st.InHandler || st.IRQPending == 0 {
 		return nil
 	}
-	for n := 0; n < e.cfg.VM.NumIRQs; n++ {
+	for n := 0; n < vm.NumIRQs; n++ {
 		if st.IRQPending&(1<<uint(n)) == 0 {
 			continue
 		}

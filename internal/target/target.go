@@ -92,16 +92,14 @@ type RetryPolicy struct {
 	// MaxRetries is the number of consecutive transient failures
 	// tolerated between health checks (default 4).
 	MaxRetries int
-	// Backoff is the initial retry delay, doubled per retry
-	// (default vtime.LinkRetryBackoff).
+	// Backoff is the initial retry delay, doubled per retry up to
+	// vtime.LinkRetryBackoffMax (default vtime.LinkRetryBackoff).
 	Backoff time.Duration
-	// MaxBackoff caps the exponential growth
-	// (default vtime.LinkRetryBackoffMax).
-	MaxBackoff time.Duration
-	// HealthPings is how many pings the health check sends before
-	// declaring the link persistently down (default 3).
-	HealthPings int
 }
+
+// healthPings is how many pings the health check sends before
+// declaring the link persistently down.
+const healthPings = 3
 
 func (p RetryPolicy) norm() RetryPolicy {
 	if p.MaxRetries <= 0 {
@@ -109,12 +107,6 @@ func (p RetryPolicy) norm() RetryPolicy {
 	}
 	if p.Backoff <= 0 {
 		p.Backoff = vtime.LinkRetryBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = vtime.LinkRetryBackoffMax
-	}
-	if p.HealthPings <= 0 {
-		p.HealthPings = 3
 	}
 	return p
 }
@@ -455,17 +447,14 @@ func (t *Target) linkOp(op string, rec *journalOp, fn func() error) error {
 		if consecutive <= pol.MaxRetries {
 			t.stats.Retries++
 			t.clock.Advance(backoff)
-			if backoff < pol.MaxBackoff {
-				backoff *= 2
-				if backoff > pol.MaxBackoff {
-					backoff = pol.MaxBackoff
-				}
+			if backoff < vtime.LinkRetryBackoffMax {
+				backoff = min(2*backoff, vtime.LinkRetryBackoffMax)
 			}
 			continue
 		}
 		// Retry budget exhausted: probe the link before deciding the
 		// failure is persistent.
-		if t.healthy(pol) {
+		if t.healthy() {
 			// Fault storm on a live link: keep retrying at capped
 			// backoff.
 			consecutive = 0
@@ -480,11 +469,11 @@ func (t *Target) linkOp(op string, rec *journalOp, fn func() error) error {
 }
 
 // healthy probes the link with pings; any echo proves it alive.
-func (t *Target) healthy(pol RetryPolicy) bool {
+func (t *Target) healthy() bool {
 	if t.faults == nil {
 		return true
 	}
-	for i := 0; i < pol.HealthPings; i++ {
+	for i := 0; i < healthPings; i++ {
 		t.clock.Advance(t.costs.IORoundTrip)
 		if err := t.faults.op(t.clock); err == nil {
 			return true

@@ -254,6 +254,3 @@ func exprString(e Expr) string {
 	}
 	return "?"
 }
-
-// ExprString renders an expression (exported for diagnostics).
-func ExprString(e Expr) string { return exprString(e) }

@@ -172,7 +172,7 @@ func checkTracking(c *CPU) string {
 // and on one whose every restore is a full copy, and returns a
 // description of the first divergence ("" if none).
 func runDirtyOps(tb testing.TB, cfg Config, ops []byte) string {
-	cfg.setDefaults()
+	cfg = cfg.WithDefaults()
 	prog := dirtyProgram(tb, cfg)
 	fast, ref := New(cfg, nil), New(cfg, nil)
 	for _, c := range []*CPU{fast, ref} {

@@ -72,11 +72,14 @@ type Config struct {
 	// VectorBase is the interrupt vector table: the handler for IRQ n
 	// is the address stored at VectorBase + 4n. Default 0x0000_0FC0.
 	VectorBase uint32
-	// NumIRQs is the number of interrupt lines. Default 8.
-	NumIRQs int
 }
 
-func (c *Config) setDefaults() {
+// NumIRQs is the number of interrupt lines.
+const NumIRQs = 8
+
+// WithDefaults returns the layout with every zero field replaced by
+// its default.
+func (c Config) WithDefaults() Config {
 	if c.RAMSize == 0 {
 		c.RAMSize = 1 << 20
 	}
@@ -89,9 +92,7 @@ func (c *Config) setDefaults() {
 	if c.VectorBase == 0 {
 		c.VectorBase = 0x00000FC0
 	}
-	if c.NumIRQs == 0 {
-		c.NumIRQs = 8
-	}
+	return c
 }
 
 // CPU is a concrete HS32 machine instance.
@@ -138,7 +139,7 @@ type CPU struct {
 // New creates a CPU with the given layout and MMIO handler (which may
 // be nil if the firmware never touches the MMIO window).
 func New(cfg Config, mmio MMIO) *CPU {
-	cfg.setDefaults()
+	cfg = cfg.WithDefaults()
 	return &CPU{
 		Mem:        make([]byte, cfg.RAMSize),
 		cfg:        cfg,
@@ -149,10 +150,6 @@ func New(cfg Config, mmio MMIO) *CPU {
 
 // Config returns the machine layout.
 func (c *CPU) Config() Config { return c.cfg }
-
-// MMIODevice returns the bus the CPU currently forwards device
-// accesses to (nil if none is attached).
-func (c *CPU) MMIODevice() MMIO { return c.mmio }
 
 // SetMMIO swaps the bus the CPU forwards device accesses to. The
 // hybrid fuzzer uses it to interpose a recording shim around the
@@ -191,16 +188,13 @@ func (c *CPU) Reset() {
 
 // RaiseIRQ marks interrupt line n pending.
 func (c *CPU) RaiseIRQ(n int) {
-	if n >= 0 && n < c.cfg.NumIRQs {
+	if n >= 0 && n < NumIRQs {
 		c.pending |= 1 << uint(n)
 	}
 }
 
 // PendingIRQs returns the pending bitmask (for snapshotting).
 func (c *CPU) PendingIRQs() uint32 { return c.pending }
-
-// SetPendingIRQs restores the pending bitmask (for snapshotting).
-func (c *CPU) SetPendingIRQs(v uint32) { c.pending = v }
 
 // The window checks add in uint64: in uint32 an access that runs past
 // the top of the address space wraps to a small offset and passes.
@@ -250,6 +244,25 @@ func (c *CPU) WriteMem(addr uint32, size int, val uint32) error {
 	return &FaultError{PC: c.PC, Addr: addr, Msg: "store outside mapped memory"}
 }
 
+// FillInput serves a make-symbolic ecall concretely: it stores input,
+// zero-padded to the requested length, into the buffer the call names
+// (r1 = address, r2 = length), byte by byte as the firmware's own
+// stores would. A bad address faults the CPU.
+func (c *CPU) FillInput(input []byte) {
+	addr, length := c.Regs[1], c.Regs[2]
+	for i := uint32(0); i < length; i++ {
+		var b byte
+		if int(i) < len(input) {
+			b = input[i]
+		}
+		if err := c.WriteMem(addr+i, 1, uint32(b)); err != nil {
+			c.Stop = StopFault
+			c.Fault = err
+			return
+		}
+	}
+}
+
 func (c *CPU) fetch() (isa.Inst, error) {
 	if !c.inRAM(c.PC, 4) {
 		return isa.Inst{}, &FaultError{PC: c.PC, Addr: c.PC, Msg: "instruction fetch outside RAM"}
@@ -279,7 +292,7 @@ func (c *CPU) checkIRQ() error {
 	if !c.IRQEnabled || c.InHandler || c.pending == 0 {
 		return nil
 	}
-	for n := 0; n < c.cfg.NumIRQs; n++ {
+	for n := 0; n < NumIRQs; n++ {
 		if c.pending&(1<<uint(n)) == 0 {
 			continue
 		}
