@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos fuzz-smoke loc bench bench-compare bench-smoke bench-json bench-scale bench-remote bench-solver bench-sim bench-dist bench-fuzz
+.PHONY: check fmt vet build test race chaos fuzz-smoke examples loc bench bench-compare bench-smoke bench-json bench-scale bench-remote bench-solver bench-sim bench-dist bench-fuzz
 
 # Full gate: formatting, static checks, build, tests, race detector on
 # the concurrency-sensitive packages, chaos/recovery identity matrix,
-# ten seconds of native fuzzing per decoder-facing target.
-check: fmt vet build test race chaos fuzz-smoke
+# ten seconds of native fuzzing per decoder-facing target, every
+# example program run to completion.
+check: fmt vet build test race chaos fuzz-smoke examples
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -50,13 +51,26 @@ chaos:
 # fuzz-smoke gives each native fuzz target ten seconds beyond its seed
 # corpus (which `go test` already runs): the wire server's frame and
 # snapshot-body decoders, the snapshot record decoder (disk, journal
-# and dist delta frames), the solver against its reference, and the
-# vm's dirty-page restore against a full copy.
+# and dist delta frames), the journal's frame scanner and the campaign
+# loader behind it (gob payloads), the solver against its reference,
+# and the vm's dirty-page restore against a full copy.
 fuzz-smoke:
 	$(GO) test ./internal/remote -run '^$$' -fuzz FuzzServeConn -fuzztime 10s
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
+	$(GO) test ./internal/journal -run '^$$' -fuzz FuzzScan -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoadCampaign -fuzztime 10s
 	$(GO) test ./internal/solver -run '^$$' -fuzz FuzzDifferential -fuzztime 10s
 	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzDirtyRestore -fuzztime 10s
+
+# examples runs every examples/* program; each checks its own outcome
+# and exits non-zero on a miss. They run from a temp directory so that
+# what they write (hwproperty.vcd) is not left in the tree.
+examples:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for d in examples/*/; do \
+		name="$$(basename "$$d")"; echo "examples/$$name"; \
+		$(GO) build -o "$$tmp/$$name" "./$$d" && (cd "$$tmp" && "./$$name" >/dev/null) || exit 1; \
+	done
 
 # loc prints the repo's Go line counts, non-test and test separately,
 # benchmark/ excluded (it measures the repo, it is not the repo). The

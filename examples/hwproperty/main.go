@@ -136,6 +136,11 @@ func hardssnapSetup() hardsnap.SetupConfig {
 		Peripherals: []hardsnap.PeriphConfig{
 			{Name: "timer0", Periph: "timer"},
 		},
+		// The reload written to the timer is symbolic. Enumerate every
+		// value it can take at the hardware boundary (255 of them: the
+		// 0xFF command never reaches the write) instead of the default
+		// one, or the zero that violates the property is never tried.
+		Exec: hardsnap.ExecConfig{Policy: hardsnap.ConcretizeAll, MaxValues: 300},
 		HWAssertions: []hardsnap.HWAssertion{
 			// The motor must never be configured with a zero reload
 			// while auto-reload is on: VALUE would wrap every cycle.

@@ -87,7 +87,7 @@ func E14() (*Table, error) {
 
 	// Leg 1: journaling overhead. Identity is asserted; the cost is
 	// measured directly — the supervisor times every journal encode,
-	// append, fsync and compaction (Recovery.JournalWall) — because an
+	// append and fsync (Recovery.JournalWall) — because an
 	// A/B wall-clock comparison cannot resolve a cost this small above
 	// host scheduling noise.
 	jpath := filepath.Join(dir, "overhead.hsj")

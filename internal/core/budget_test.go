@@ -1,7 +1,6 @@
 package core
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -102,76 +101,5 @@ func TestBudgetsInFingerprint(t *testing.T) {
 	}
 	if base.runFingerprint() == q.runFingerprint() {
 		t.Error("MaxSolverQueries not in run fingerprint")
-	}
-}
-
-// TestJournalIntervalResolution pins the zero-value contract: 0 keeps
-// the defaults, negatives mean every completion.
-func TestJournalIntervalResolution(t *testing.T) {
-	for _, tc := range []struct {
-		set, syncWant, compactWant int
-	}{
-		{0, syncEvery, compactEvery},
-		{-1, 1, 1},
-		{7, 7, 7},
-	} {
-		c := Config{JournalSyncEvery: tc.set, JournalCompactEvery: tc.set}
-		if got := c.journalSyncEvery(); got != tc.syncWant {
-			t.Errorf("JournalSyncEvery=%d: sync interval %d, want %d", tc.set, got, tc.syncWant)
-		}
-		if got := c.journalCompactEvery(); got != tc.compactWant {
-			t.Errorf("JournalCompactEvery=%d: compact interval %d, want %d", tc.set, got, tc.compactWant)
-		}
-	}
-}
-
-// TestJournalIntervalIdentity: sync/compaction cadence is a
-// durability knob, never a results knob — an every-completion
-// journaled campaign fingerprints identically to the default cadence,
-// and its journal still resumes.
-func TestJournalIntervalIdentity(t *testing.T) {
-	_, clean := run(t, chaosSetup(nil, "", nil, symexec.BFS{}))
-	want := Fingerprint(clean)
-
-	jpath := filepath.Join(t.TempDir(), "campaign.hsj")
-	setup := chaosSetup(nil, jpath, nil, symexec.BFS{})
-	setup.Engine.JournalSyncEvery = -1
-	setup.Engine.JournalCompactEvery = -1
-	_, rep := run(t, setup)
-	if got := Fingerprint(rep); got != want {
-		t.Fatalf("eager-journal run diverged: %s vs %s", got, want)
-	}
-
-	cam, err := LoadCampaign(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cam.Complete {
-		t.Fatal("journal not marked complete")
-	}
-
-	// Kill an eager-journal campaign mid-run and resume it: the
-	// every-completion cadence must leave a resumable journal too.
-	jpath2 := filepath.Join(t.TempDir(), "killed.hsj")
-	killed := chaosSetup(&ChaosSchedule{DieAfterSubtrees: 3}, jpath2, nil, symexec.BFS{})
-	killed.Engine.JournalSyncEvery = -1
-	killed.Engine.JournalCompactEvery = -1
-	a, err := Setup(killed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Engine.Run(); err == nil {
-		t.Fatal("chaos kill did not interrupt the run")
-	}
-	cam2, err := LoadCampaign(jpath2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := chaosSetup(nil, jpath2, cam2, symexec.BFS{})
-	resumed.Engine.JournalSyncEvery = -1
-	resumed.Engine.JournalCompactEvery = -1
-	_, rep2 := run(t, resumed)
-	if got := Fingerprint(rep2); got != want {
-		t.Fatalf("resume of eager journal diverged: %s vs %s", got, want)
 	}
 }

@@ -13,12 +13,12 @@
 //
 // Record kinds:
 //
-//	recCampaign  one per journal, first record: config fingerprint,
-//	             worker count, seed-phase identity (seeds hash).
-//	recFrontier  the pending subtree indexes; superseded records are
-//	             dropped by periodic compaction.
-//	recSubtree   one completed subtree: its portable paths, virtual
-//	             time and traffic deltas.
+//	recCampaign  one per journal, first record: the campaign's
+//	             FrontierID (run fingerprint, worker count, seed-phase
+//	             outcome, seed hardware digests).
+//	recSubtree   one completed subtree: a SubtreeResult in its gob
+//	             form. Pending work is the header's seed count minus
+//	             these.
 //	recComplete  the campaign finished; resuming it is an error.
 package core
 
@@ -29,33 +29,28 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"hardsnap/internal/expr"
 	"hardsnap/internal/journal"
-	"hardsnap/internal/snapshot"
-	"hardsnap/internal/solver"
 	"hardsnap/internal/symexec"
-	"hardsnap/internal/target"
 )
 
-// Journal record kinds (journal.Record.Kind).
+// Journal record kinds (journal.Record.Kind). Kinds 1 to 3 belong to
+// journals written before the header became a FrontierID and are never
+// reused: LoadCampaign tells such a journal by its first record's kind.
 const (
-	recCampaign byte = 1
-	recFrontier byte = 2
-	recSubtree  byte = 3
 	recComplete byte = 4
+	recCampaign byte = 5
+	recSubtree  byte = 6
 )
 
-// compactEvery is how many subtree completions pass between journal
-// compactions (each completion appends a fresh frontier record; the
-// compaction drops the superseded ones). Compaction rewrites and
-// fsyncs the whole file, so it runs rarely: frontier records are tens
-// of bytes and the rewrite only pays off once many are superseded.
-const compactEvery = 64
+// ErrCampaignVersion reports a campaign journal whose records are not
+// in the format this build writes. It cannot be resumed; the run has to
+// start over.
+var ErrCampaignVersion = errors.New("campaign journal was written in another format version and cannot be resumed; start the run over")
 
 // syncEvery is the group-commit interval: how many subtree
 // completions are appended between journal fsyncs. A crash between
@@ -64,53 +59,6 @@ const compactEvery = 64
 // so the interval trades only resume latency for per-completion
 // fsync cost (measured in E14).
 const syncEvery = 4
-
-// journalSyncEvery resolves Config.JournalSyncEvery against the
-// default group-commit interval: 0 keeps syncEvery, negative values
-// fsync after every completion.
-func (c *Config) journalSyncEvery() int {
-	switch {
-	case c.JournalSyncEvery > 0:
-		return c.JournalSyncEvery
-	case c.JournalSyncEvery < 0:
-		return 1
-	}
-	return syncEvery
-}
-
-// journalCompactEvery resolves Config.JournalCompactEvery the same
-// way against the default compaction threshold.
-func (c *Config) journalCompactEvery() int {
-	switch {
-	case c.JournalCompactEvery > 0:
-		return c.JournalCompactEvery
-	case c.JournalCompactEvery < 0:
-		return 1
-	}
-	return compactEvery
-}
-
-// campaignHeader identifies a campaign so a resume can prove it is
-// continuing the same run it would otherwise restart.
-type campaignHeader struct {
-	// Fingerprint hashes the run configuration (mode, searcher type,
-	// budgets, worker count).
-	Fingerprint string
-	Workers     int
-	// Seeds / SeedsHash / SeedMaxID / SeedFinished / SeedInstructions
-	// pin the outcome of the deterministic seed phase: a resume re-runs
-	// it and must land on exactly this frontier.
-	Seeds            int
-	SeedsHash        string
-	SeedMaxID        uint64
-	SeedFinished     int
-	SeedInstructions uint64
-}
-
-// frontierRec lists the subtree indexes still pending.
-type frontierRec struct {
-	Pending []int
-}
 
 // portablePath is the journal-serializable projection of a finished
 // symexec.State: everything the report, the bug listing and the
@@ -124,9 +72,28 @@ type portablePath struct {
 	Status    symexec.Status
 	Steps     uint64
 	Console   []byte
-	Model     expr.Assignment
+	Model     []modelVar
 	SymInputs []symexec.SymInput
 	ErrMsg    string
+}
+
+// modelVar is one binding of a path's model. The portable form lists
+// them in name order instead of carrying the map: gob writes a map in
+// iteration order and, decoding, sizes it from a length field it never
+// checks against its input, whereas a slice encodes the same value to
+// the same bytes and cannot outgrow the bytes behind it.
+type modelVar struct {
+	Name  string
+	Value uint64
+}
+
+func sortedModel(m expr.Assignment) []modelVar {
+	vars := make([]modelVar, 0, len(m))
+	for name, v := range m {
+		vars = append(vars, modelVar{name, v})
+	}
+	sort.Slice(vars, func(i, j int) bool { return vars[i].Name < vars[j].Name })
+	return vars
 }
 
 func toPortable(st *symexec.State) portablePath {
@@ -137,7 +104,7 @@ func toPortable(st *symexec.State) portablePath {
 		Status:    st.Status,
 		Steps:     st.Steps,
 		Console:   st.Console,
-		Model:     st.Model,
+		Model:     sortedModel(st.Model),
 		SymInputs: st.SymInputs,
 	}
 	if st.Err != nil {
@@ -154,86 +121,18 @@ func (p portablePath) state() *symexec.State {
 		Status:    p.Status,
 		Steps:     p.Steps,
 		Console:   p.Console,
-		Model:     p.Model,
 		SymInputs: p.SymInputs,
+	}
+	if len(p.Model) > 0 {
+		st.Model = make(expr.Assignment, len(p.Model))
+		for _, v := range p.Model {
+			st.Model[v.Name] = v.Value
+		}
 	}
 	if p.ErrMsg != "" {
 		st.Err = errors.New(p.ErrMsg)
 	}
 	return st
-}
-
-// subtreeRec is one completed subtree's full contribution to the
-// merge, in journal-portable form.
-type subtreeRec struct {
-	Idx    int
-	VT     time.Duration
-	Paths  []portablePath
-	Stats  Stats
-	Exec   symexec.Stats
-	Solver solver.Stats
-	Tgt    target.Stats
-	Man    SnapManagerStats
-	// BugSnaps carries snapshot.Encode'd hardware snapshots of buggy
-	// states (Config.KeepBugSnapshots), keyed by state ID.
-	BugSnaps map[uint64][]byte
-}
-
-func newSubtreeRec(idx int, res *subtreeResult) (subtreeRec, error) {
-	rec := subtreeRec{
-		Idx:    idx,
-		VT:     res.vt,
-		Stats:  res.rep.Stats,
-		Exec:   res.rep.Exec,
-		Solver: res.rep.Solver,
-		Tgt:    res.tgt,
-		Man:    res.man,
-	}
-	rec.Paths = make([]portablePath, len(res.rep.Finished))
-	for i, st := range res.rep.Finished {
-		rec.Paths[i] = toPortable(st)
-	}
-	if len(res.bugSnaps) > 0 {
-		rec.BugSnaps = make(map[uint64][]byte, len(res.bugSnaps))
-		for id, snap := range res.bugSnaps {
-			data, err := snapshot.Encode(snap)
-			if err != nil {
-				return subtreeRec{}, fmt.Errorf("core: journal bug snapshot %d: %w", id, err)
-			}
-			rec.BugSnaps[id] = data
-		}
-	}
-	return rec, nil
-}
-
-func (r subtreeRec) result() (*subtreeResult, error) {
-	states := make([]*symexec.State, len(r.Paths))
-	for i, p := range r.Paths {
-		states[i] = p.state()
-	}
-	res := &subtreeResult{
-		rep: &Report{
-			Finished:    states,
-			Stats:       r.Stats,
-			VirtualTime: r.VT,
-			Exec:        r.Exec,
-			Solver:      r.Solver,
-		},
-		vt:  r.VT,
-		tgt: r.Tgt,
-		man: r.Man,
-	}
-	if len(r.BugSnaps) > 0 {
-		res.bugSnaps = make(map[uint64]*snapshot.Record, len(r.BugSnaps))
-		for id, data := range r.BugSnaps {
-			snap, err := snapshot.Decode(data)
-			if err != nil {
-				return nil, fmt.Errorf("core: journaled bug snapshot %d: %w", id, err)
-			}
-			res.bugSnaps[id] = snap
-		}
-	}
-	return res, nil
 }
 
 // campaignLog is the one writer of campaign journals: the supervisor
@@ -243,11 +142,8 @@ func (r subtreeRec) result() (*subtreeResult, error) {
 // journaling branches. Not safe for concurrent use; the supervisor
 // calls it under its own lock.
 type campaignLog struct {
-	jw           *journal.Writer
-	syncEvery    int
-	compactEvery int
-	sinceSync    int
-	sinceCompact int
+	jw        *journal.Writer
+	sinceSync int
 	// wall is the host time spent in appendSubtree and finish
 	// (RecoveryStats.JournalWall).
 	wall time.Duration
@@ -255,13 +151,13 @@ type campaignLog struct {
 
 // openCampaignLog opens the run's journal: Config.Resume continues the
 // loaded campaign's file (after proving it is this campaign), else
-// Config.JournalPath starts a fresh one with the header and the full
-// pending frontier, else journaling is off.
-func openCampaignLog(cfg *Config, hdr campaignHeader) (*campaignLog, error) {
-	l := &campaignLog{syncEvery: cfg.journalSyncEvery(), compactEvery: cfg.journalCompactEvery()}
+// Config.JournalPath starts a fresh one with the header, else
+// journaling is off.
+func openCampaignLog(cfg *Config, id FrontierID) (*campaignLog, error) {
+	l := &campaignLog{}
 	switch {
 	case cfg.Resume != nil:
-		if err := cfg.Resume.validate(hdr); err != nil {
+		if err := cfg.Resume.validate(id); err != nil {
 			return nil, err
 		}
 		// Keep appending to the same journal: the campaign's history
@@ -277,12 +173,9 @@ func openCampaignLog(cfg *Config, hdr campaignHeader) (*campaignLog, error) {
 			return nil, err
 		}
 		l.jw = jw
-		payload, err := gobEncode(hdr)
+		payload, err := gobEncode(id)
 		if err == nil {
 			err = jw.Append(recCampaign, payload)
-		}
-		if err == nil {
-			_, err = l.appendFrontier(make([]bool, hdr.Seeds))
 		}
 		if err == nil {
 			err = jw.Sync()
@@ -295,69 +188,28 @@ func openCampaignLog(cfg *Config, hdr campaignHeader) (*campaignLog, error) {
 	return l, nil
 }
 
-// appendFrontier journals the subtree indexes not yet completed and
-// returns the record it wrote.
-func (l *campaignLog) appendFrontier(completed []bool) (journal.Record, error) {
-	var rec frontierRec
-	for idx, done := range completed {
-		if !done {
-			rec.Pending = append(rec.Pending, idx)
-		}
-	}
-	payload, err := gobEncode(rec)
-	if err != nil {
-		return journal.Record{}, err
-	}
-	return journal.Record{Kind: recFrontier, Payload: payload}, l.jw.Append(recFrontier, payload)
-}
-
-// appendSubtree journals one completed subtree plus a fresh frontier
-// record (completed already counts it). Completions are
-// group-committed: the journal is fsynced every syncEvery completions
-// (and with the last subtree, at the campaign's end and on
-// interruption), so a hard crash re-explores at most the last few
-// subtrees — re-exploration is deterministic, so the resumed result
-// is identical either way. Every compactEvery completions the journal
-// is compacted: superseded frontier records are dropped in an atomic
-// rewrite.
-func (l *campaignLog) appendSubtree(idx int, res *subtreeResult, completed []bool) error {
+// appendSubtree journals one completed subtree; last says it was the
+// campaign's final one. Completions are group-committed: the journal
+// is fsynced every syncEvery completions (and with the last subtree,
+// at the campaign's end and on interruption), so a hard crash
+// re-explores at most the last few subtrees — re-exploration is
+// deterministic, so the resumed result is identical either way.
+func (l *campaignLog) appendSubtree(res *SubtreeResult, last bool) error {
 	if l.jw == nil {
 		return nil
 	}
 	start := time.Now()
 	defer func() { l.wall += time.Since(start) }()
-	rec, err := newSubtreeRec(idx, res)
-	if err != nil {
-		return err
-	}
-	payload, err := gobEncode(rec)
+	payload, err := res.Encode()
 	if err != nil {
 		return err
 	}
 	if err := l.jw.Append(recSubtree, payload); err != nil {
 		return err
 	}
-	frontier, err := l.appendFrontier(completed)
-	if err != nil {
-		return err
-	}
-	if l.sinceSync++; l.sinceSync >= l.syncEvery || !slices.Contains(completed, false) {
+	if l.sinceSync++; l.sinceSync >= syncEvery || last {
 		l.sinceSync = 0
-		if err := l.jw.Sync(); err != nil {
-			return err
-		}
-	}
-	if l.sinceCompact++; l.sinceCompact >= l.compactEvery {
-		l.sinceCompact = 0
-		return l.jw.Compact(func(rs []journal.Record) []journal.Record {
-			kept := rs[:0]
-			for _, r := range rs {
-				if r.Kind != recFrontier {
-					kept = append(kept, r)
-				}
-			}
-			return append(kept, frontier)
-		})
+		return l.jw.Sync()
 	}
 	return nil
 }
@@ -413,8 +265,9 @@ func gobDecode(data []byte, v any) error {
 // runFingerprint hashes the configuration knobs that shape a
 // campaign's outcome. The searcher contributes its type (searchers
 // are stateless strategies); the program itself is pinned by the
-// seed-phase hash in the campaign header. maxs= and cpi= print what
-// used to be options, so journals written then still validate.
+// seed-phase hash in the campaign header. maxs= and cpi= are build
+// constants that shape the outcome as the options do: a journal from a
+// build with other values must not resume.
 func (c *Config) runFingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "mode=%d searcher=%T maxi=%d maxs=%d cpi=%d workers=%d bugsnaps=%v maxvt=%d maxq=%d",
@@ -457,13 +310,8 @@ func Fingerprint(rep *Report) string {
 func pathLine(st *symexec.State) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d %d %#x %d %d %q", st.ID, st.Parent, st.PC, st.Status, st.Steps, st.Console)
-	keys := make([]string, 0, len(st.Model))
-	for k := range st.Model {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%d", k, st.Model[k])
+	for _, v := range sortedModel(st.Model) {
+		fmt.Fprintf(&b, " %s=%d", v.Name, v.Value)
 	}
 	for _, in := range st.SymInputs {
 		fmt.Fprintf(&b, " sym(%d,%#x,%d)", in.Tag, in.Addr, in.Len)
@@ -476,10 +324,12 @@ func pathLine(st *symexec.State) string {
 // killed mid-append): the intact prefix is used and Truncated is set.
 type Campaign struct {
 	// Path is the journal file; a resumed run keeps appending to it.
-	Path   string
-	Header campaignHeader
+	Path string
+	// Header identifies the campaign: a resume re-runs the seed phase
+	// and must land on exactly this frontier.
+	Header FrontierID
 	// Results holds the journaled completed subtrees by seed index.
-	Results map[int]*subtreeResult
+	Results map[int]*SubtreeResult
 	// Complete reports the campaign already finished.
 	Complete bool
 	// Truncated reports the journal had a torn or corrupted tail that
@@ -488,7 +338,8 @@ type Campaign struct {
 }
 
 // LoadCampaign reads a campaign journal written by a run with
-// Config.JournalPath set.
+// Config.JournalPath set. A journal in another format version fails
+// with ErrCampaignVersion.
 func LoadCampaign(path string) (*Campaign, error) {
 	scan, err := journal.Scan(path)
 	if err != nil {
@@ -496,14 +347,14 @@ func LoadCampaign(path string) (*Campaign, error) {
 	}
 	cam := &Campaign{
 		Path:      path,
-		Results:   make(map[int]*subtreeResult),
+		Results:   make(map[int]*SubtreeResult),
 		Truncated: scan.Truncated,
 	}
 	if len(scan.Records) == 0 {
 		return nil, fmt.Errorf("core: %s: journal holds no campaign header (killed before fan-out; restart the run)", path)
 	}
 	if scan.Records[0].Kind != recCampaign {
-		return nil, fmt.Errorf("core: %s: first journal record is kind %d, want campaign header", path, scan.Records[0].Kind)
+		return nil, fmt.Errorf("core: %s: %w (first record is kind %d)", path, ErrCampaignVersion, scan.Records[0].Kind)
 	}
 	if err := gobDecode(scan.Records[0].Payload, &cam.Header); err != nil {
 		return nil, fmt.Errorf("core: %s: campaign header: %w", path, err)
@@ -511,18 +362,11 @@ func LoadCampaign(path string) (*Campaign, error) {
 	for _, r := range scan.Records[1:] {
 		switch r.Kind {
 		case recSubtree:
-			var rec subtreeRec
-			if err := gobDecode(r.Payload, &rec); err != nil {
-				return nil, fmt.Errorf("core: %s: subtree record: %w", path, err)
-			}
-			res, err := rec.result()
+			res, err := DecodeSubtreeResult(r.Payload)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("core: %s: %w", path, err)
 			}
-			cam.Results[rec.Idx] = res
-		case recFrontier:
-			// Informational; pending work is derived as seeds minus
-			// completed subtrees.
+			cam.Results[res.Index] = res
 		case recComplete:
 			cam.Complete = true
 		case recCampaign:
@@ -532,22 +376,17 @@ func LoadCampaign(path string) (*Campaign, error) {
 	return cam, nil
 }
 
-// validate proves the loaded campaign matches the run being resumed:
-// same configuration fingerprint and the same deterministic seed
-// phase. A mismatch means the journal belongs to a different program,
-// configuration or seed — resuming it would merge unrelated results.
-func (c *Campaign) validate(h campaignHeader) error {
+// validate proves the loaded campaign is the run being resumed: same
+// configuration fingerprint, same deterministic seed phase, same seed
+// hardware. A mismatch means the journal belongs to a different
+// program, configuration, seed or platform — resuming it would merge
+// unrelated results.
+func (c *Campaign) validate(id FrontierID) error {
 	if c.Complete {
 		return fmt.Errorf("core: %s: campaign is already complete", c.Path)
 	}
-	if c.Header.Fingerprint != h.Fingerprint {
-		return fmt.Errorf("core: %s: resume rejected: configuration fingerprint mismatch", c.Path)
-	}
-	if c.Header.Seeds != h.Seeds || c.Header.SeedsHash != h.SeedsHash ||
-		c.Header.SeedMaxID != h.SeedMaxID ||
-		c.Header.SeedFinished != h.SeedFinished ||
-		c.Header.SeedInstructions != h.SeedInstructions {
-		return fmt.Errorf("core: %s: resume rejected: seed phase diverged from the journaled campaign", c.Path)
+	if !c.Header.Equal(id) {
+		return fmt.Errorf("core: %s: resume rejected: this run's configuration, seed phase or seed hardware is not the journaled campaign's", c.Path)
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -233,8 +235,57 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Engine.Run(); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
-		t.Fatalf("mismatched resume: err = %v, want fingerprint refusal", err)
+	if _, err := a.Engine.Run(); err == nil || !strings.Contains(err.Error(), "resume rejected") {
+		t.Fatalf("mismatched resume: err = %v, want identity refusal", err)
+	}
+}
+
+// TestResumeRefusesDifferentSeedHardware: the same firmware explored
+// over another peripheral behind the same region reaches the same
+// software seeds (the seed phase ends before the first MMIO access), so
+// everything the header pinned before it carried the seed hardware
+// digests matches — and the journal's subtree results, computed against
+// a gpio, would merge into a run over a timer.
+func TestResumeRefusesDifferentSeedHardware(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "campaign.hsj")
+	a, err := Setup(chaosSetup(&ChaosSchedule{DieAfterSubtrees: 3}, jpath, nil, symexec.BFS{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Engine.Run(); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	cam, err := LoadCampaign(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	other := chaosSetup(nil, "", cam, symexec.BFS{})
+	other.Peripherals = []target.PeriphConfig{{Name: "gpio0", Periph: "timer"}}
+	a, err = Setup(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := a.Engine.Frontier(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.ID()
+	f.Close()
+	if reflect.DeepEqual(id.SeedSnapshots, cam.Header.SeedSnapshots) {
+		t.Fatal("both peripherals snapshot to the same digests: the test proves nothing")
+	}
+	id.SeedSnapshots = cam.Header.SeedSnapshots
+	if !id.Equal(cam.Header) {
+		t.Fatalf("the two runs differ in more than seed hardware:\n%+v\n%+v", id, cam.Header)
+	}
+
+	a, err = Setup(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Engine.Run(); err == nil || !strings.Contains(err.Error(), "resume rejected") {
+		t.Fatalf("resume over different seed hardware: err = %v, want refusal", err)
 	}
 }
 

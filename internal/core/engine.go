@@ -123,16 +123,6 @@ type Config struct {
 	// campaign progress to an append-only crash-safe journal so a
 	// killed run can be continued with Resume. See campaign.go.
 	JournalPath string
-	// JournalSyncEvery overrides the journal group-commit interval:
-	// how many subtree completions pass between fsyncs (0 keeps the
-	// default of 4; values < 0 sync every completion). A crash between
-	// syncs re-explores at most the journal-lost subtrees on resume.
-	JournalSyncEvery int
-	// JournalCompactEvery overrides how many completions pass between
-	// atomic journal compactions that drop superseded frontier
-	// records (0 keeps the default of 64; values < 0 compact on every
-	// completion).
-	JournalCompactEvery int
 	// Resume continues a journaled campaign (LoadCampaign): the seed
 	// phase is re-run and validated against the journal header, then
 	// completed subtrees are replayed from the journal instead of
@@ -234,6 +224,18 @@ type Stats struct {
 	HWViolations int
 }
 
+// Add folds o into s.
+func (s *Stats) Add(o Stats) {
+	s.Instructions += o.Instructions
+	s.ContextSwitches += o.ContextSwitches
+	s.Reboots += o.Reboots
+	s.PathsCompleted += o.PathsCompleted
+	s.ReplayedInstructions += o.ReplayedInstructions
+	s.ReplayedIO += o.ReplayedIO
+	s.ReplayDivergences += o.ReplayDivergences
+	s.HWViolations += o.HWViolations
+}
+
 // SnapshotTraffic summarizes what the copy-on-write snapshot pipeline
 // actually moved during a run.
 type SnapshotTraffic struct {
@@ -251,6 +253,29 @@ type SnapshotTraffic struct {
 	BytesMoved uint64
 	// SnapshotTime is the virtual time spent moving state.
 	SnapshotTime time.Duration
+}
+
+// Add folds o's counters into t. Store is a reading of the run's one
+// shared store, not a count of this run's work: t keeps its own.
+func (t *SnapshotTraffic) Add(o SnapshotTraffic) {
+	t.Manager.Add(o.Manager)
+	t.HWSaves += o.HWSaves
+	t.HWRestores += o.HWRestores
+	t.DeltaRestores += o.DeltaRestores
+	t.BytesMoved += o.BytesMoved
+	t.SnapshotTime += o.SnapshotTime
+}
+
+// since returns the traffic counted after the reading base was taken
+// (Store stays t's reading).
+func (t SnapshotTraffic) since(base SnapshotTraffic) SnapshotTraffic {
+	t.Manager = t.Manager.since(base.Manager)
+	t.HWSaves -= base.HWSaves
+	t.HWRestores -= base.HWRestores
+	t.DeltaRestores -= base.DeltaRestores
+	t.BytesMoved -= base.BytesMoved
+	t.SnapshotTime -= base.SnapshotTime
+	return t
 }
 
 // WorkerReport breaks one parallel worker's share of the run out of
@@ -275,28 +300,23 @@ type WorkerReport struct {
 	SnapshotTime  time.Duration
 }
 
-// Report is the outcome of a Run.
-type Report struct {
-	Finished []*symexec.State
-	Stats    Stats
+// Tally is the part of a Report that adds: what a run — or one
+// subtree of a parallel run — executed, asked the solver and moved
+// over the target link. A parallel run's Report is the seed phase's
+// tally plus one per subtree (see Report.Add), and a subtree's tally is
+// what the campaign journal and the distributed wire carry.
+type Tally struct {
+	Stats Stats
 	// VirtualTime is the total virtual time consumed. For parallel
 	// runs this is the seed-phase time plus the makespan of the
 	// deterministic worker schedule: the time an N-worker platform
 	// rack would have taken, not the sum over workers.
 	VirtualTime time.Duration
-	// SeedVirtualTime is the serial seed-phase prefix of VirtualTime
-	// (zero for serial runs).
-	SeedVirtualTime time.Duration
 	// Snapshots is the snapshot-traffic breakdown (zero without
 	// hardware attached). For parallel runs, hardware counters sum
 	// over the primary and every worker target, and Store reflects
 	// the shared store.
 	Snapshots SnapshotTraffic
-	// Workers is the per-worker breakdown (nil for serial runs).
-	Workers []WorkerReport
-	// SolverCache reports the memoized solver service: hits are
-	// queries some earlier identical path condition already paid for.
-	SolverCache solver.CacheStats
 	// Exec is the symbolic executor's activity (instructions, forks,
 	// solver calls, undecided queries), summed over all workers.
 	Exec symexec.Stats
@@ -304,6 +324,32 @@ type Report struct {
 	// stage counters (slices, model hits, rewrites, incremental
 	// reuses), summed over all workers.
 	Solver solver.Stats
+}
+
+// Add folds o into t. Virtual time adds like the rest (the sum is the
+// serial work); the parallel merge replaces it with its schedule's
+// makespan.
+func (t *Tally) Add(o Tally) {
+	t.Stats.Add(o.Stats)
+	t.VirtualTime += o.VirtualTime
+	t.Snapshots.Add(o.Snapshots)
+	t.Exec.Add(o.Exec)
+	t.Solver.Add(o.Solver)
+}
+
+// Report is the outcome of a Run, and of every subtree of a parallel
+// one.
+type Report struct {
+	Finished []*symexec.State
+	Tally
+	// SeedVirtualTime is the serial seed-phase prefix of VirtualTime
+	// (zero for serial runs).
+	SeedVirtualTime time.Duration
+	// Workers is the per-worker breakdown (nil for serial runs).
+	Workers []WorkerReport
+	// SolverCache reports the memoized solver service: hits are
+	// queries some earlier identical path condition already paid for.
+	SolverCache solver.CacheStats
 	// Recovery summarizes supervision and crash-recovery activity
 	// (all zero for an undisturbed serial run).
 	Recovery RecoveryStats
@@ -313,6 +359,12 @@ type Report struct {
 	// where work physically ran; the merged results above are
 	// node-count-invariant.
 	Nodes []NodeReport
+}
+
+// Add appends o's finished paths and folds its tally in.
+func (r *Report) Add(o *Report) {
+	r.Finished = append(r.Finished, o.Finished...)
+	r.Tally.Add(o.Tally)
 }
 
 // NodeReport is one distributed node's share of a run: what it
@@ -397,6 +449,10 @@ type Engine struct {
 	vtStart time.Duration
 	// progressAt is the instruction count of the last Progress sample.
 	progressAt uint64
+	// trafficBase is the rig's snapshot-traffic reading when this run
+	// began: zero for a top-level run, set by runSubtreeOn for a subtree
+	// on a rig that has run others.
+	trafficBase SnapshotTraffic
 
 	// ctx cancels the run (checked between scheduling iterations, a
 	// few dozen steps apart to stay off the hot path); stepHook is the
@@ -879,27 +935,42 @@ func (e *Engine) finalize(start time.Duration) *Report {
 	}
 	e.active = nil
 
+	return e.report(e.rig.Clock.Now() - start)
+}
+
+// report assembles the engine's own outcome so far, vt being the
+// virtual time it is charged.
+func (e *Engine) report(vt time.Duration) *Report {
 	rep := &Report{
-		Finished:    e.finished,
-		Stats:       e.stats,
-		VirtualTime: e.rig.Clock.Now() - start,
-		Exec:        e.exec.Stats,
-		Solver:      e.exec.Solver.Stats,
-	}
-	if e.rig.Target != nil {
-		ts := e.rig.Target.Stats()
-		rep.Snapshots = SnapshotTraffic{
-			Manager:       e.rig.Snaps.Stats(),
-			Store:         e.snaps.Stats(),
-			HWSaves:       ts.Snapshots,
-			HWRestores:    ts.Restores,
-			DeltaRestores: ts.DeltaRestores,
-			BytesMoved:    ts.SnapshotBytes,
-			SnapshotTime:  ts.SnapshotTime,
-		}
+		Finished: e.finished,
+		Tally: Tally{
+			Stats:       e.stats,
+			VirtualTime: vt,
+			Snapshots:   e.traffic(),
+			Exec:        e.exec.Stats,
+			Solver:      e.exec.Solver.Stats,
+		},
 	}
 	if e.exec.Solver.Cache != nil {
 		rep.SolverCache = e.exec.Solver.Cache.Stats()
 	}
 	return rep
+}
+
+// traffic reads what the snapshot pipeline moved since trafficBase
+// (zero without hardware attached).
+func (e *Engine) traffic() SnapshotTraffic {
+	if e.rig.Target == nil {
+		return SnapshotTraffic{}
+	}
+	ts := e.rig.Target.Stats()
+	return SnapshotTraffic{
+		Manager:       e.rig.Snaps.Stats(),
+		Store:         e.snaps.Stats(),
+		HWSaves:       ts.Snapshots,
+		HWRestores:    ts.Restores,
+		DeltaRestores: ts.DeltaRestores,
+		BytesMoved:    ts.SnapshotBytes,
+		SnapshotTime:  ts.SnapshotTime,
+	}.since(e.trafficBase)
 }

@@ -21,6 +21,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -44,9 +45,8 @@ type Frontier struct {
 	solverBudget uint64
 	liveHW       target.State
 	liveEdges    []bool
-	start        time.Duration
 	seedVT       time.Duration
-	hdr          campaignHeader
+	id           FrontierID
 	done         *Report
 
 	// spawnMu serializes rig building: worker spawns go through the
@@ -83,9 +83,9 @@ func (e *Engine) Frontier(ctx context.Context) (*Frontier, error) {
 	if err := e.loop(func() bool { return len(e.active) >= fanout }); err != nil {
 		return nil, err
 	}
-	// The header's run identity is known before the seeds are: a run
-	// that ends inside the seed phase journals it too.
-	f := &Frontier{e: e, start: start, hdr: campaignHeader{
+	// The run half of the identity is known before the seeds are: a
+	// run that ends inside the seed phase journals it too.
+	f := &Frontier{e: e, id: FrontierID{
 		Fingerprint: e.cfg.runFingerprint(),
 		Workers:     e.cfg.Workers,
 	}}
@@ -131,11 +131,19 @@ func (e *Engine) Frontier(ctx context.Context) (*Frontier, error) {
 	if e.cfg.MaxSolverQueries > 0 {
 		f.solverBudget = e.cfg.MaxSolverQueries - uint64(e.exec.Solver.Stats.Queries)
 	}
-	f.hdr.Seeds = len(f.seeds)
-	f.hdr.SeedsHash = seedsHash(f.seeds)
-	f.hdr.SeedMaxID = f.seedMaxID
-	f.hdr.SeedFinished = len(e.finished)
-	f.hdr.SeedInstructions = e.stats.Instructions
+	f.id.Seeds = len(f.seeds)
+	f.id.SeedsHash = seedsHash(f.seeds)
+	f.id.SeedMaxID = f.seedMaxID
+	f.id.SeedFinished = len(e.finished)
+	f.id.SeedInstructions = e.stats.Instructions
+	f.id.SeedSnapshots = make([]string, len(f.seeds))
+	for i, st := range f.seeds {
+		if sid := snapshot.ID(st.HWSnapshot); sid != 0 {
+			if d, ok := e.snaps.DigestOf(sid); ok {
+				f.id.SeedSnapshots[i] = fmt.Sprintf("%x", d)
+			}
+		}
+	}
 	return f, nil
 }
 
@@ -160,7 +168,9 @@ func (f *Frontier) Store() *snapshot.Store { return f.e.snaps }
 // and a remote node) that compute equal FrontierIDs from the same job
 // hold byte-identical frontiers — seed states AND seed hardware — so
 // subtree work can be handed off as a bare index with zero state
-// bytes on the wire.
+// bytes on the wire. It is also the campaign journal's header record:
+// a resume proves with the same Equal that it re-ran into the campaign
+// it is about to continue.
 type FrontierID struct {
 	Fingerprint      string   `json:"fingerprint"`
 	Workers          int      `json:"workers"`
@@ -173,28 +183,7 @@ type FrontierID struct {
 }
 
 // ID returns the frontier's identity.
-func (f *Frontier) ID() FrontierID {
-	id := FrontierID{
-		Fingerprint:      f.hdr.Fingerprint,
-		Workers:          f.hdr.Workers,
-		Seeds:            f.hdr.Seeds,
-		SeedsHash:        f.hdr.SeedsHash,
-		SeedMaxID:        f.hdr.SeedMaxID,
-		SeedFinished:     f.hdr.SeedFinished,
-		SeedInstructions: f.hdr.SeedInstructions,
-	}
-	if len(f.seeds) > 0 {
-		id.SeedSnapshots = make([]string, len(f.seeds))
-		for i, st := range f.seeds {
-			if sid := snapshot.ID(st.HWSnapshot); sid != 0 {
-				if d, ok := f.e.snaps.DigestOf(sid); ok {
-					id.SeedSnapshots[i] = fmt.Sprintf("%x", d)
-				}
-			}
-		}
-	}
-	return id
-}
+func (f *Frontier) ID() FrontierID { return f.id }
 
 // Equal reports whether two frontier identities match exactly.
 func (a FrontierID) Equal(b FrontierID) bool {
@@ -283,18 +272,18 @@ func (f *Frontier) RunSubtree(ctx context.Context, idx int) (*SubtreeResult, err
 		return nil, err
 	}
 	f.releaseRig(rig)
-	return &SubtreeResult{idx: idx, res: res}, nil
+	return res, nil
 }
 
 // runSubtreeOn explores one fan-out seed to completion on the given
-// rig's private hardware and returns its contribution as deltas.
+// rig's private hardware and returns its own contribution.
 // Everything that shapes the outcome is derived from the subtree
 // index — forked searcher stream, state-ID stripe, fault PRNG
 // stream — never from the physical worker, claim order, attempt
 // number or host, so a subtree's result is a pure function of the
 // seed and recovery replays (local or on another node) are
 // byte-identical.
-func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *Rig, hook func() error) (*subtreeResult, error) {
+func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *Rig, hook func() error) (*SubtreeResult, error) {
 	e := f.e
 	// The attempt runs a verbatim clone of the seed bound to its own
 	// snapshot reference: a failed attempt mutates and releases only
@@ -354,83 +343,89 @@ func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *Rig, hook fu
 	weng.SetInitialState(seed)
 	weng.stepHook = hook
 
-	var beforeTgt target.Stats
-	var beforeMan SnapManagerStats
-	if rig.Target != nil {
-		beforeTgt = rig.Target.Stats()
-		beforeMan = rig.Snaps.Stats()
-	}
+	// The rig's counters carry every subtree it ran before: the report
+	// counts this one's traffic from here.
+	weng.trafficBase = weng.traffic()
 	rep, err := weng.RunContext(wctx)
 	if err != nil {
 		return nil, err
 	}
-	res := &subtreeResult{rep: rep, vt: rep.VirtualTime, bugSnaps: weng.bugSnaps}
-	if rig.Target != nil {
-		res.tgt = subTargetStats(rig.Target.Stats(), beforeTgt)
-		res.man = subManStats(rig.Snaps.Stats(), beforeMan)
-	}
-	return res, nil
+	// The store and the solver cache are the whole run's, so a reading
+	// taken mid-run depends on what other workers did meanwhile: not a
+	// function of the subtree, and the merge reads both once at the end.
+	rep.Snapshots.Store, rep.SolverCache = snapshot.Stats{}, solver.CacheStats{}
+	return &SubtreeResult{Index: idx, Report: rep, BugSnaps: weng.bugSnaps}, nil
 }
 
-// SubtreeResult is one completed subtree's portable contribution to
-// the merge: finished paths (report-relevant projection only), timing
-// and traffic deltas, and — under Config.KeepBugSnapshots — the
-// retained hardware snapshots of buggy states. It round-trips through
-// Encode/DecodeSubtreeResult (the same gob record the campaign
-// journal uses), which is how it crosses the distributed wire.
+// SubtreeResult is one completed subtree's contribution to the merge:
+// its own Report and — under Config.KeepBugSnapshots — the retained
+// hardware snapshots of buggy states, keyed by state ID. The
+// distributed fabric detaches BugSnaps on the node side (the wire
+// carries their digests) and re-attaches the fetched records on the
+// driver's before merging.
 type SubtreeResult struct {
-	idx int
-	res *subtreeResult
+	// Index is the subtree's seed index.
+	Index    int
+	Report   *Report
+	BugSnaps map[uint64]*snapshot.Record
 }
 
-// Index is the subtree's seed index.
-func (r *SubtreeResult) Index() int { return r.idx }
+// subtreeWire is SubtreeResult's gob form, the campaign journal's
+// subtree record and the distributed wire's result: the report's tally
+// as it is, its paths in their portable projection, bug snapshots in
+// the snapshot record byte form and in state-ID order (a slice for the
+// reasons modelVar gives).
+type subtreeWire struct {
+	Index    int
+	Tally    Tally
+	Paths    []portablePath
+	BugSnaps []bugSnapWire
+}
 
-// VirtualTime is the subtree's virtual-time contribution.
-func (r *SubtreeResult) VirtualTime() time.Duration { return r.res.vt }
+type bugSnapWire struct {
+	State  uint64
+	Record []byte
+}
 
-// PathCount is the number of finished paths the subtree produced.
-func (r *SubtreeResult) PathCount() int { return len(r.res.rep.Finished) }
-
-// Encode serializes the result (gob, the campaign-journal record
-// format). Bug snapshots, when present, are encoded inline.
+// Encode serializes the result.
 func (r *SubtreeResult) Encode() ([]byte, error) {
-	rec, err := newSubtreeRec(r.idx, r.res)
-	if err != nil {
-		return nil, err
+	w := subtreeWire{Index: r.Index, Tally: r.Report.Tally}
+	w.Paths = make([]portablePath, len(r.Report.Finished))
+	for i, st := range r.Report.Finished {
+		w.Paths[i] = toPortable(st)
 	}
-	return gobEncode(rec)
+	for id, snap := range r.BugSnaps {
+		data, err := snapshot.Encode(snap)
+		if err != nil {
+			return nil, fmt.Errorf("core: subtree %d: bug snapshot %d: %w", r.Index, id, err)
+		}
+		w.BugSnaps = append(w.BugSnaps, bugSnapWire{id, data})
+	}
+	sort.Slice(w.BugSnaps, func(i, j int) bool { return w.BugSnaps[i].State < w.BugSnaps[j].State })
+	return gobEncode(w)
 }
 
-// DecodeSubtreeResult parses an Encode'd subtree result.
+// DecodeSubtreeResult parses an Encode'd subtree result. Its BugSnaps
+// map is never nil, so a receiver can attach records to it.
 func DecodeSubtreeResult(data []byte) (*SubtreeResult, error) {
-	var rec subtreeRec
-	if err := gobDecode(data, &rec); err != nil {
+	var w subtreeWire
+	if err := gobDecode(data, &w); err != nil {
 		return nil, fmt.Errorf("core: subtree result: %w", err)
 	}
-	res, err := rec.result()
-	if err != nil {
-		return nil, err
+	r := &SubtreeResult{
+		Index:    w.Index,
+		Report:   &Report{Tally: w.Tally, Finished: make([]*symexec.State, len(w.Paths))},
+		BugSnaps: make(map[uint64]*snapshot.Record, len(w.BugSnaps)),
 	}
-	return &SubtreeResult{idx: rec.Idx, res: res}, nil
-}
-
-// TakeBugSnapshots detaches and returns the retained bug snapshots
-// keyed by state ID (nil when none). The distributed fabric uses this
-// on the node side: the snapshots stay in the node's content-addressed
-// cache, the wire carries their digests, and the driver re-attaches
-// fetched records with PutBugSnapshot.
-func (r *SubtreeResult) TakeBugSnapshots() map[uint64]*snapshot.Record {
-	m := r.res.bugSnaps
-	r.res.bugSnaps = nil
-	return m
-}
-
-// PutBugSnapshot re-attaches a bug snapshot (fetched from the fabric)
-// to the result before merging.
-func (r *SubtreeResult) PutBugSnapshot(stateID uint64, rec *snapshot.Record) {
-	if r.res.bugSnaps == nil {
-		r.res.bugSnaps = make(map[uint64]*snapshot.Record)
+	for i, p := range w.Paths {
+		r.Report.Finished[i] = p.state()
 	}
-	r.res.bugSnaps[stateID] = rec
+	for _, b := range w.BugSnaps {
+		snap, err := snapshot.Decode(b.Record)
+		if err != nil {
+			return nil, fmt.Errorf("core: subtree %d: bug snapshot %d: %w", w.Index, b.State, err)
+		}
+		r.BugSnaps[b.State] = snap
+	}
+	return r, nil
 }

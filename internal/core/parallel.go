@@ -71,7 +71,6 @@ import (
 
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
-	"hardsnap/internal/target"
 )
 
 // subtreeIDStride separates the state-ID ranges of sibling subtrees:
@@ -95,63 +94,6 @@ func seedFanout(override, workers int) int {
 		f = workers
 	}
 	return f
-}
-
-// subtreeResult is what one completed subtree contributes to the
-// merge, with traffic counters already turned into per-subtree deltas.
-type subtreeResult struct {
-	rep      *Report
-	vt       time.Duration
-	tgt      target.Stats
-	man      SnapManagerStats
-	bugSnaps map[uint64]*snapshot.Record
-}
-
-func subTargetStats(after, before target.Stats) target.Stats {
-	return target.Stats{
-		Cycles:         after.Cycles - before.Cycles,
-		IOOps:          after.IOOps - before.IOOps,
-		Snapshots:      after.Snapshots - before.Snapshots,
-		Restores:       after.Restores - before.Restores,
-		SnapshotTime:   after.SnapshotTime - before.SnapshotTime,
-		SnapshotBytes:  after.SnapshotBytes - before.SnapshotBytes,
-		DeltaRestores:  after.DeltaRestores - before.DeltaRestores,
-		Retries:        after.Retries - before.Retries,
-		FaultsInjected: after.FaultsInjected - before.FaultsInjected,
-	}
-}
-
-func subManStats(after, before SnapManagerStats) SnapManagerStats {
-	return SnapManagerStats{
-		Saves:           after.Saves - before.Saves,
-		Restores:        after.Restores - before.Restores,
-		SavesSkipped:    after.SavesSkipped - before.SavesSkipped,
-		RestoresSkipped: after.RestoresSkipped - before.RestoresSkipped,
-		DeltaRestores:   after.DeltaRestores - before.DeltaRestores,
-	}
-}
-
-func addTargetStats(dst *target.Stats, s target.Stats) {
-	dst.Cycles += s.Cycles
-	dst.IOOps += s.IOOps
-	dst.Snapshots += s.Snapshots
-	dst.Restores += s.Restores
-	dst.SnapshotTime += s.SnapshotTime
-	dst.SnapshotBytes += s.SnapshotBytes
-	dst.DeltaRestores += s.DeltaRestores
-	dst.Retries += s.Retries
-	dst.FaultsInjected += s.FaultsInjected
-}
-
-func addStats(dst *Stats, s Stats) {
-	dst.Instructions += s.Instructions
-	dst.ContextSwitches += s.ContextSwitches
-	dst.Reboots += s.Reboots
-	dst.PathsCompleted += s.PathsCompleted
-	dst.ReplayedInstructions += s.ReplayedInstructions
-	dst.ReplayedIO += s.ReplayedIO
-	dst.ReplayDivergences += s.ReplayDivergences
-	dst.HWViolations += s.HWViolations
 }
 
 // runParallel is the Workers > 1 entry point (dispatched from Run):
@@ -223,7 +165,7 @@ func (f *Frontier) Run(ctx context.Context, slots, fallback []Slot) (*Report, er
 		// width was reached: the serial result is the result.
 		return f.done, nil
 	}
-	rep := f.e.merge(f.start, f.seedVT, f.e.cfg.Workers, sup.results)
+	rep := f.e.merge(f.seedVT, f.e.cfg.Workers, sup.results)
 	rep.Recovery = sup.recovery()
 	return rep, nil
 }
@@ -256,11 +198,7 @@ func (f *Frontier) localSlot(ctx context.Context, w *Worker) (Executor, error) {
 	}
 	w.beat = new(atomic.Uint64)
 	return func(wctx context.Context, idx, attempt int) (*SubtreeResult, error) {
-		res, err := f.runSubtreeOn(wctx, idx, rig, w.stepHook(wctx, idx, attempt, rig))
-		if err != nil {
-			return nil, err
-		}
-		return &SubtreeResult{idx: idx, res: res}, nil
+		return f.runSubtreeOn(wctx, idx, rig, w.stepHook(wctx, idx, attempt, rig))
 	}, nil
 }
 
@@ -291,7 +229,7 @@ type supervisor struct {
 	monStop  chan struct{}
 
 	mu             sync.Mutex
-	results        []*subtreeResult
+	results        []*SubtreeResult
 	completed      []bool
 	attempts       []int
 	remaining      int
@@ -314,7 +252,7 @@ func newSupervisor(ctx context.Context, f *Frontier, slots, fallback []Slot) (*s
 	if len(seeds) > 0 && len(slots) == 0 {
 		return nil, errors.New("core: parallel run needs at least one worker slot")
 	}
-	log, err := openCampaignLog(&f.e.cfg, f.hdr)
+	log, err := openCampaignLog(&f.e.cfg, f.id)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +263,7 @@ func newSupervisor(ctx context.Context, f *Frontier, slots, fallback []Slot) (*s
 		work:      make(chan int, len(seeds)),
 		workDone:  make(chan struct{}),
 		monStop:   make(chan struct{}),
-		results:   make([]*subtreeResult, len(seeds)),
+		results:   make([]*SubtreeResult, len(seeds)),
 		completed: make([]bool, len(seeds)),
 		attempts:  make([]int, len(seeds)),
 		remaining: len(seeds),
@@ -498,20 +436,20 @@ func (p panicError) Unwrap() error { return p.err }
 // runGuarded runs one subtree attempt with panic recovery: a panic
 // anywhere in the engine, executor or target stack becomes an
 // ordinary requeue-and-retire failure instead of killing the process.
-func runGuarded(wctx context.Context, exec Executor, idx, attempt int) (res *subtreeResult, err error) {
+func runGuarded(wctx context.Context, exec Executor, idx, attempt int) (res *SubtreeResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, panicError{fmt.Errorf("core: subtree %d: panic: %v", idx, p)}
 		}
 	}()
-	r, err := exec(wctx, idx, attempt)
+	res, err = exec(wctx, idx, attempt)
 	if err != nil {
 		return nil, err
 	}
-	if r.idx != idx {
-		return nil, fmt.Errorf("core: subtree %d: executor returned subtree %d", idx, r.idx)
+	if res.Index != idx {
+		return nil, fmt.Errorf("core: subtree %d: executor returned subtree %d", idx, res.Index)
 	}
-	return r.res, nil
+	return res, nil
 }
 
 // complete records a finished subtree, first-wins: a deposed zombie
@@ -519,7 +457,7 @@ func runGuarded(wctx context.Context, exec Executor, idx, attempt int) (res *sub
 // are identical by the purity contract), and only the first recording
 // counts. Journals the result, tracks the chaos die gate, and closes
 // the campaign when the last subtree lands.
-func (s *supervisor) complete(idx, attempt int, res *subtreeResult) {
+func (s *supervisor) complete(idx, attempt int, res *SubtreeResult) {
 	s.mu.Lock()
 	if s.completed[idx] {
 		s.mu.Unlock()
@@ -535,7 +473,7 @@ func (s *supervisor) complete(idx, attempt int, res *subtreeResult) {
 		// store (or on another node's own copy of the frontier).
 		s.rec.FailoverEvents++
 	}
-	if err := s.log.appendSubtree(idx, res, s.completed); err != nil && s.fatal == nil {
+	if err := s.log.appendSubtree(res, s.remaining == 0); err != nil && s.fatal == nil {
 		s.fatal = fmt.Errorf("core: campaign journal: %w", err)
 		s.mu.Unlock()
 		s.cancel()
@@ -739,55 +677,38 @@ func (w *Worker) stepHook(wctx context.Context, idx, attempt int, rig *Rig) func
 // seed order, and prices the run with a deterministic greedy schedule
 // (longest-prefix list scheduling: each subtree goes to the currently
 // least-loaded virtual worker, ties to the lowest index).
-func (e *Engine) merge(start, seedVT time.Duration, workers int, results []*subtreeResult) *Report {
-	rep := &Report{
-		Finished:        append([]*symexec.State(nil), e.finished...),
-		Stats:           e.stats,
-		SeedVirtualTime: seedVT,
-		// Seed phase ran on the primary executor; subtree executors are
-		// spawned fresh, so their report stats are pure deltas.
-		Exec:   e.exec.Stats,
-		Solver: e.exec.Solver.Stats,
-	}
+func (e *Engine) merge(seedVT time.Duration, workers int, results []*SubtreeResult) *Report {
+	// The seed phase ran on the primary executor and target; subtree
+	// executors are spawned fresh and subtree traffic is counted from
+	// the subtree boundary, so every result below is a pure addend.
+	rep := e.report(seedVT)
+	rep.SeedVirtualTime = seedVT
 	wreps := make([]WorkerReport, workers)
-	loads := make([]time.Duration, workers)
 	for i := range wreps {
 		wreps[i].Worker = i
 	}
-	var manSum SnapManagerStats
-	var tgtSum target.Stats
 	for _, res := range results {
 		if res == nil {
 			continue
 		}
 		best := 0
 		for w := 1; w < workers; w++ {
-			if loads[w] < loads[best] {
+			if wreps[w].VirtualTime < wreps[best].VirtualTime {
 				best = w
 			}
 		}
-		loads[best] += res.vt
-		wr := &wreps[best]
+		wr, sub := &wreps[best], res.Report
 		wr.Subtrees++
-		wr.Paths += len(res.rep.Finished)
-		wr.VirtualTime += res.vt
-		wr.HWSaves += res.tgt.Snapshots
-		wr.HWRestores += res.tgt.Restores
-		wr.DeltaRestores += res.tgt.DeltaRestores
-		wr.BytesMoved += res.tgt.SnapshotBytes
-		wr.SnapshotTime += res.tgt.SnapshotTime
+		wr.Paths += len(sub.Finished)
+		wr.VirtualTime += sub.VirtualTime
+		wr.HWSaves += sub.Snapshots.HWSaves
+		wr.HWRestores += sub.Snapshots.HWRestores
+		wr.DeltaRestores += sub.Snapshots.DeltaRestores
+		wr.BytesMoved += sub.Snapshots.BytesMoved
+		wr.SnapshotTime += sub.Snapshots.SnapshotTime
 
-		rep.Finished = append(rep.Finished, res.rep.Finished...)
-		addStats(&rep.Stats, res.rep.Stats)
-		rep.Exec.Add(res.rep.Exec)
-		rep.Solver.Add(res.rep.Solver)
-		manSum.Saves += res.man.Saves
-		manSum.Restores += res.man.Restores
-		manSum.SavesSkipped += res.man.SavesSkipped
-		manSum.RestoresSkipped += res.man.RestoresSkipped
-		manSum.DeltaRestores += res.man.DeltaRestores
-		addTargetStats(&tgtSum, res.tgt)
-		for id, snap := range res.bugSnaps {
+		rep.Add(sub)
+		for id, snap := range res.BugSnaps {
 			if e.bugSnaps == nil {
 				e.bugSnaps = make(map[uint64]*snapshot.Record)
 			}
@@ -795,36 +716,11 @@ func (e *Engine) merge(start, seedVT time.Duration, workers int, results []*subt
 		}
 	}
 	makespan := time.Duration(0)
-	for _, l := range loads {
-		if l > makespan {
-			makespan = l
-		}
+	for _, wr := range wreps {
+		makespan = max(makespan, wr.VirtualTime)
 	}
 	rep.VirtualTime = seedVT + makespan
 	rep.Workers = wreps
-
-	if e.rig.Target != nil {
-		ts := e.rig.Target.Stats() // primary target: seed-phase traffic
-		man := e.rig.Snaps.Stats()
-		rep.Snapshots = SnapshotTraffic{
-			Manager: SnapManagerStats{
-				Saves:           man.Saves + manSum.Saves,
-				Restores:        man.Restores + manSum.Restores,
-				SavesSkipped:    man.SavesSkipped + manSum.SavesSkipped,
-				RestoresSkipped: man.RestoresSkipped + manSum.RestoresSkipped,
-				DeltaRestores:   man.DeltaRestores + manSum.DeltaRestores,
-			},
-			Store:         e.snaps.Stats(),
-			HWSaves:       ts.Snapshots + tgtSum.Snapshots,
-			HWRestores:    ts.Restores + tgtSum.Restores,
-			DeltaRestores: ts.DeltaRestores + tgtSum.DeltaRestores,
-			BytesMoved:    ts.SnapshotBytes + tgtSum.SnapshotBytes,
-			SnapshotTime:  ts.SnapshotTime + tgtSum.SnapshotTime,
-		}
-	}
-	if e.exec.Solver.Cache != nil {
-		rep.SolverCache = e.exec.Solver.Cache.Stats()
-	}
 	e.finished = rep.Finished
 	return rep
 }

@@ -41,8 +41,8 @@ type RecoveryStats struct {
 	// JournalRecords / JournalBytes measure campaign journal output.
 	JournalRecords uint64
 	JournalBytes   uint64
-	// JournalWall is the host time spent encoding, appending, syncing
-	// and compacting the campaign journal — the direct measurement
+	// JournalWall is the host time spent encoding, appending and
+	// syncing the campaign journal — the direct measurement
 	// behind E14's overhead figure (wall-clock A/B can't resolve a
 	// cost this small above host noise).
 	JournalWall time.Duration

@@ -267,8 +267,8 @@ func (d *driver) localSlots(report *core.NodeReport, n int) []core.Slot {
 func (d *driver) count(report *core.NodeReport, res *core.SubtreeResult) {
 	d.mu.Lock()
 	report.Subtrees++
-	report.Paths += res.PathCount()
-	report.VirtualTime += res.VirtualTime()
+	report.Paths += len(res.Report.Finished)
+	report.VirtualTime += res.Report.VirtualTime
 	d.mu.Unlock()
 }
 
@@ -431,7 +431,7 @@ func (n *node) runSubtree(d *driver, nc *nodeConn, idx int) (*core.SubtreeResult
 		n.report.SnapBytesShipped += shipped
 		n.report.SnapBytesFull += ref.Bytes
 		d.mu.Unlock()
-		res.PutBugSnapshot(ref.State, rec)
+		res.BugSnaps[ref.State] = rec
 	}
 	return res, nil
 }

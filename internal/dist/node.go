@@ -272,7 +272,7 @@ func (s *Server) run(req Request) Response {
 		return Response{Error: fmt.Sprintf("run: subtree %d: %v", req.Subtree, err)}
 	}
 	resp := Response{OK: true}
-	for id, rec := range res.TakeBugSnapshots() {
+	for id, rec := range res.BugSnaps {
 		d := snapshot.DigestRecord(rec)
 		hexd := fmt.Sprintf("%x", d[:])
 		c.mu.Lock()
@@ -281,6 +281,8 @@ func (s *Server) run(req Request) Response {
 		resp.Bugs = append(resp.Bugs, BugRef{State: id, Digest: hexd, Bytes: uint64(len(snapshot.EncodeDelta(rec, nil)))})
 	}
 	sort.Slice(resp.Bugs, func(i, j int) bool { return resp.Bugs[i].State < resp.Bugs[j].State })
+	// The records stay in this node's cache; the result travels without.
+	res.BugSnaps = nil
 	data, err := res.Encode()
 	if err != nil {
 		return Response{Error: fmt.Sprintf("run: encode result: %v", err)}

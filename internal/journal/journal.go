@@ -1,7 +1,7 @@
 // Package journal implements the crash-safe campaign log that makes
 // exploration state as durable as the hardware snapshots it indexes:
 // an append-only file of CRC-framed records with scan-side corruption
-// recovery and atomic compaction.
+// recovery.
 //
 // The framing borrows the idioms of the remote protocol (internal/
 // remote): every record is length-prefixed and checksummed, so a
@@ -20,16 +20,15 @@
 //
 // crc is a CRC-32 (IEEE) over kind, len and payload together, so a
 // corrupted length field fails the checksum rather than framing the
-// reader into garbage. len is bounded (maxPayload) so a torn length
-// cannot drive an unbounded allocation.
+// reader into garbage. len is bounded (maxPayload, and by what is left
+// of the file) so a torn length cannot drive an unbounded allocation.
 //
 // Appends are written with a single Write call — the kernel makes a
 // same-file write of a record-sized buffer effectively atomic with
 // respect to a crash of this process (a machine-level power cut still
 // degrades safely: the tail record fails its CRC and is truncated
 // away). Sync flushes to stable storage at the caller's chosen
-// boundaries; Compact rewrites the whole file through a temp file +
-// rename, so a crash mid-compaction leaves the original intact.
+// boundaries.
 package journal
 
 import (
@@ -39,7 +38,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // magic identifies a journal file ("HSJ1").
@@ -61,10 +59,6 @@ var ErrNotJournal = errors.New("journal: not a journal file (bad magic)")
 type Record struct {
 	Kind    byte
 	Payload []byte
-}
-
-func (r Record) wireSize() int64 {
-	return int64(hdrLen + len(r.Payload) + trailerLen)
 }
 
 func encodeRecord(r Record) []byte {
@@ -103,8 +97,19 @@ func Scan(path string) (*ScanResult, error) {
 }
 
 func scanFile(f *os.File) (*ScanResult, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return scan(f, fi.Size())
+}
+
+// scan walks size bytes of journal from r. size bounds every record
+// before its buffer is allocated, so a corrupted length field costs no
+// more memory than the file has bytes.
+func scan(r io.Reader, size int64) (*ScanResult, error) {
 	var m [4]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
+	if _, err := io.ReadFull(r, m[:]); err != nil {
 		return nil, ErrNotJournal
 	}
 	if m != magic {
@@ -113,7 +118,7 @@ func scanFile(f *os.File) (*ScanResult, error) {
 	res := &ScanResult{GoodBytes: int64(len(magic))}
 	var hdr [hdrLen]byte
 	for {
-		_, err := io.ReadFull(f, hdr[:])
+		_, err := io.ReadFull(r, hdr[:])
 		if err == io.EOF {
 			return res, nil // clean end of journal
 		}
@@ -122,13 +127,13 @@ func scanFile(f *os.File) (*ScanResult, error) {
 			return res, nil
 		}
 		n := binary.LittleEndian.Uint32(hdr[1:5])
-		if n > maxPayload {
-			res.Truncated = true // corrupted length
+		if n > maxPayload || int64(n) > size-res.GoodBytes-hdrLen-trailerLen {
+			res.Truncated = true // corrupted length, or a torn payload
 			return res, nil
 		}
 		body := make([]byte, int(n)+trailerLen)
-		if _, err := io.ReadFull(f, body); err != nil {
-			res.Truncated = true // torn payload or trailer
+		if _, err := io.ReadFull(r, body); err != nil {
+			res.Truncated = true // the file shrank under the scan
 			return res, nil
 		}
 		crc := crc32.NewIEEE()
@@ -149,10 +154,6 @@ type Stats struct {
 	// intact records it adopted when opened with AppendTo.
 	Records uint64
 	Bytes   uint64
-	// Compactions counts atomic rewrites; CompactedAway counts records
-	// dropped by them.
-	Compactions   uint64
-	CompactedAway uint64
 }
 
 // Writer appends records to a journal file. It is not safe for
@@ -160,7 +161,6 @@ type Stats struct {
 // its supervisor lock).
 type Writer struct {
 	f     *os.File
-	path  string
 	stats Stats
 }
 
@@ -174,7 +174,7 @@ func Create(path string) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, path: path, stats: Stats{Bytes: uint64(len(magic))}}, nil
+	return &Writer{f: f, stats: Stats{Bytes: uint64(len(magic))}}, nil
 }
 
 // AppendTo opens an existing journal for appending. The tail is
@@ -202,14 +202,11 @@ func AppendTo(path string) (*Writer, *ScanResult, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	w := &Writer{f: f, path: path}
+	w := &Writer{f: f}
 	w.stats.Records = uint64(len(res.Records))
 	w.stats.Bytes = uint64(res.GoodBytes)
 	return w, res, nil
 }
-
-// Path returns the journal's file path.
-func (w *Writer) Path() string { return w.path }
 
 // Stats returns a copy of the writer's counters.
 func (w *Writer) Stats() Stats { return w.stats }
@@ -242,93 +239,4 @@ func (w *Writer) Close() error {
 	}
 	w.f = nil
 	return err
-}
-
-// compactFailpoint, when set (tests only), is invoked between
-// compaction stages: "written" after the kept records are in the temp
-// file, "synced" after the temp file is synced and closed, just
-// before the rename. Returning an error aborts the compaction at that
-// exact point the way a crash would — the temp file stays behind and
-// the original journal is untouched.
-var compactFailpoint func(stage string) error
-
-func failpoint(stage string) error {
-	if compactFailpoint == nil {
-		return nil
-	}
-	return compactFailpoint(stage)
-}
-
-// Compact atomically rewrites the journal to hold exactly the records
-// keep returns, given every intact record currently in the file. The
-// rewrite goes through a temp file in the same directory, is synced,
-// and replaces the journal with rename — a crash at any point leaves
-// either the old or the new file, never a hybrid. The writer continues
-// on the compacted file.
-func (w *Writer) Compact(keep func([]Record) []Record) error {
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	res, err := Scan(w.path)
-	if err != nil {
-		return err
-	}
-	kept := keep(res.Records)
-
-	dir, base := filepath.Split(w.path)
-	tmp, err := os.CreateTemp(dir, base+".compact-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(magic[:]); err != nil {
-		return fail(err)
-	}
-	bytes := uint64(len(magic))
-	for _, r := range kept {
-		buf := encodeRecord(r)
-		if _, err := tmp.Write(buf); err != nil {
-			return fail(err)
-		}
-		bytes += uint64(len(buf))
-	}
-	if err := failpoint("written"); err != nil {
-		tmp.Close() // simulated crash: the temp file stays behind
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := failpoint("synced"); err != nil {
-		return err // simulated crash between sync and rename
-	}
-	if err := os.Rename(tmpName, w.path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	// Reopen the compacted file for further appends.
-	f, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return err
-	}
-	old := w.f
-	w.f = f
-	old.Close()
-	w.stats.Compactions++
-	w.stats.CompactedAway += uint64(len(res.Records) - len(kept))
-	w.stats.Records = uint64(len(kept))
-	w.stats.Bytes = bytes
-	return nil
 }

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -258,58 +257,6 @@ func TestAppendToTruncatesTornTail(t *testing.T) {
 	}
 	if final.Records[3].Kind != 9 || string(final.Records[3].Payload) != "after-crash" {
 		t.Fatalf("tail record: %+v", final.Records[3])
-	}
-}
-
-func TestCompact(t *testing.T) {
-	path := tmpJournal(t)
-	w := mustCreate(t, path)
-	appendN(t, w, 9)
-	// Keep only kind-1 records.
-	if err := w.Compact(func(rs []Record) []Record {
-		var out []Record
-		for _, r := range rs {
-			if r.Kind == 1 {
-				out = append(out, r)
-			}
-		}
-		return out
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The writer keeps working on the compacted file.
-	if err := w.Append(7, []byte("post-compact")); err != nil {
-		t.Fatal(err)
-	}
-	st := w.Stats()
-	if st.Compactions != 1 || st.CompactedAway != 6 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Scan(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truncated || len(res.Records) != 4 {
-		t.Fatalf("compacted scan: %d records (truncated=%v)", len(res.Records), res.Truncated)
-	}
-	for _, r := range res.Records[:3] {
-		if r.Kind != 1 {
-			t.Fatalf("kept record kind %d, want 1", r.Kind)
-		}
-	}
-	if !bytes.Equal(res.Records[3].Payload, []byte("post-compact")) {
-		t.Fatalf("post-compact record: %+v", res.Records[3])
-	}
-	// No temp droppings left behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries, want just the journal", len(entries))
 	}
 }
 
