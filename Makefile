@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos fuzz-smoke examples loc bench bench-compare bench-smoke bench-json bench-scale bench-remote bench-solver bench-sim bench-dist bench-fuzz
+.PHONY: check fmt vet build test race chaos fuzz-smoke examples loc bench bench-compare bench-smoke bench-json
 
 # Full gate: formatting, static checks, build, tests, race detector on
 # the concurrency-sensitive packages, chaos/recovery identity matrix,
@@ -53,7 +53,8 @@ chaos:
 # snapshot-body decoders, the snapshot record decoder (disk, journal
 # and dist delta frames), the journal's frame scanner and the campaign
 # loader behind it (gob payloads), the solver against its reference,
-# and the vm's dirty-page restore against a full copy.
+# the vm's dirty-page restore against a full copy, and the two readers
+# of user files: the Verilog parser and the assembler.
 fuzz-smoke:
 	$(GO) test ./internal/remote -run '^$$' -fuzz FuzzServeConn -fuzztime 10s
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
@@ -61,6 +62,8 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoadCampaign -fuzztime 10s
 	$(GO) test ./internal/solver -run '^$$' -fuzz FuzzDifferential -fuzztime 10s
 	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzDirtyRestore -fuzztime 10s
+	$(GO) test ./internal/verilog -run '^$$' -fuzz FuzzParse -fuzztime 10s
+	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 
 # examples runs every examples/* program; each checks its own outcome
 # and exits non-zero on a miss. They run from a temp directory so that
@@ -102,61 +105,3 @@ bench-smoke:
 # recording BENCH_*.json trajectories across revisions.
 bench-json:
 	$(GO) run ./cmd/hsbench -json
-
-# bench-scale exercises the parallel exploration engine under the race
-# detector at 1 and 4 workers (E11 checks that both worker counts find
-# identical path counts and bug sets).
-bench-scale:
-	$(GO) run -race ./cmd/hsbench -workers 1 e11
-	$(GO) run -race ./cmd/hsbench -workers 4 e11
-
-# bench-remote runs the remote-protocol latency experiment (E12) on a
-# zero-latency loopback and with 500µs one-way injected latency. The
-# experiment gates itself, on deterministic quantities only: paths and
-# bugs equal to the local leg, v3 virtual time equal to local, v3
-# within its recorded frame and state-byte budgets, and >=5x fewer
-# frames than the recorded row of the deleted one-op-per-frame v2
-# protocol. No wall-clock gate, so it is safe in CI.
-bench-remote:
-	$(GO) run ./cmd/hsbench -latency 0 e12
-	$(GO) run ./cmd/hsbench -latency 500us e12
-
-# bench-sim runs the RTL-engine study (E16). The experiment gates
-# itself on cycle-exact differential identity and an unchanged
-# exploration fingerprint; its host-time floors (>=5x
-# compiled-vs-interpreter on busy logic, >=20x on a quiescent SoC,
-# where event-driven activation skips idle logic) ride on the table and
-# hsbench enforces them — so this target fails on any engine semantics
-# or performance regression, while `go test ./...` gates on the
-# deterministic half only. E15's and E17's wall-clock floors work the
-# same way.
-bench-sim:
-	$(GO) run ./cmd/hsbench e16
-
-# bench-dist runs the distributed-exploration study (E17) over
-# loopback TCP with 500µs one-way injected latency per side. The
-# experiment gates itself: every leg's fingerprint byte-identical to
-# the standalone runner and >=5x fewer snapshot bytes on the wire over
-# the digest fabric than the same run's bug records would have cost
-# inline (the driver totals both sides from one cold 3-node leg);
-# hsbench enforces the table's floor of >=2x paths/sec with 3 warm
-# nodes vs 1.
-bench-dist:
-	$(GO) run ./cmd/hsbench e17
-
-# bench-fuzz runs the hybrid-fuzzing study (E18). The experiment
-# gates itself: >=10x execs per virtual second with parallel workers
-# vs the frozen map-based reference fuzzer, identical deduplicated
-# crash buckets in single-worker fixed-seed mode, and the hybrid
-# concolic loop beating both fuzz-only and symexec-only to a
-# magic-guarded bug — so this target fails on any fuzzer throughput
-# or fidelity regression.
-bench-fuzz:
-	$(GO) run ./cmd/hsbench e18
-
-# bench-solver A/B-tests the solver optimization stack (E13): the
-# experiment itself gates on identical paths/bugs/virtual times with
-# the stack on vs off and on a >=2x SAT-effort reduction on the
-# exploration workloads.
-bench-solver:
-	$(GO) run ./cmd/hsbench -json e13

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"hardsnap"
-	"hardsnap/internal/bench"
 	"hardsnap/internal/core"
 	"hardsnap/internal/expr"
 	"hardsnap/internal/fuzz"
@@ -347,55 +346,6 @@ _start:
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Step(st); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// --- experiment table validation -----------------------------------
-
-// TestExperimentsRegenerate runs every experiment end-to-end and
-// checks the shape properties the paper's conclusions rest on.
-func TestExperimentsRegenerate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments take ~1 minute; skipped in -short mode")
-	}
-	tables := make(map[string]*bench.Table)
-	for _, e := range bench.All() {
-		tbl, err := e.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		tables[e.ID] = tbl
-		t.Logf("\n%s", tbl)
-	}
-
-	// E1: per-method ordering scan < readback < CRIU for every corpus
-	// member is visible in the rendered rows; spot check row count.
-	if len(tables["E1"].Rows) != 4 {
-		t.Errorf("E1 rows: %d", len(tables["E1"].Rows))
-	}
-	// E2: last row must be won by readback (crossover exists).
-	e2 := tables["E2"].Rows
-	if e2[len(e2)-1][3] != "readback" || e2[0][3] != "scan" {
-		t.Errorf("E2 crossover shape broken: %v", e2)
-	}
-	// E5: hardsnap consistent, shared corrupted.
-	for _, row := range tables["E5"].Rows {
-		switch row[0] {
-		case "hardsnap", "naive-reboot":
-			if row[3] != "consistent" {
-				t.Errorf("E5: %s should be consistent", row[0])
-			}
-		case "naive-shared":
-			if row[3] != "CORRUPTED" {
-				t.Errorf("E5: naive-shared should corrupt")
-			}
-		}
-	}
-	// E7: every transfer scenario must match.
-	for _, row := range tables["E7"].Rows {
-		if row[2] != "YES" {
-			t.Errorf("E7: %s mismatch", row[0])
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command hsbench regenerates the paper's evaluation tables and
-// figures (experiments E1-E18; see DESIGN.md for the experiment
-// index).
+// figures (experiments E1-E10 and E4b; see DESIGN.md for the
+// experiment index).
 //
 // Usage:
 //
@@ -10,9 +10,7 @@
 //	hsbench -json e4   # machine-readable metrics (JSON array)
 //
 // Profiling: -cpuprofile and -memprofile write pprof profiles of the
-// selected experiments (inspect with `go tool pprof`). -latency sets
-// the injected one-way link latency of the remote-protocol experiment
-// (E12).
+// selected experiments (inspect with `go tool pprof`).
 package main
 
 import (
@@ -22,24 +20,18 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"hardsnap/internal/bench"
 	"hardsnap/internal/buildinfo"
-	"hardsnap/internal/sim"
 )
 
 // runOpts carries the CLI configuration into run.
 type runOpts struct {
-	list        bool
-	jsonOut     bool
-	interp      bool
-	workers     int
-	fuzzWorkers int
-	latency     time.Duration
-	cpuProfile  string
-	memProfile  string
-	args        []string
+	list       bool
+	jsonOut    bool
+	cpuProfile string
+	memProfile string
+	args       []string
 }
 
 func main() {
@@ -47,14 +39,6 @@ func main() {
 	flag.BoolVar(&opts.list, "list", false, "list experiments and exit")
 	flag.BoolVar(&opts.jsonOut, "json", false,
 		"emit machine-readable metrics as a JSON array of {experiment, metric, value, unit}")
-	flag.BoolVar(&opts.interp, "interp", false,
-		"run every experiment on the interpreter RTL engine instead of compiled bytecode")
-	flag.IntVar(&opts.workers, "workers", 0,
-		"cap the worker counts swept by the scaling experiment (E11); 0 keeps the default sweep")
-	flag.IntVar(&opts.fuzzWorkers, "fuzz-workers", 0,
-		"parallel fuzz workers for the hybrid-fuzzing experiment (E18); 0 keeps the default")
-	flag.DurationVar(&opts.latency, "latency", -1,
-		"injected one-way link latency of the remote-protocol experiment (E12), e.g. 500us; negative keeps the default")
 	flag.StringVar(&opts.cpuProfile, "cpuprofile", "",
 		"write a CPU profile of the selected experiments to this file")
 	flag.StringVar(&opts.memProfile, "memprofile", "",
@@ -73,12 +57,6 @@ func main() {
 }
 
 func run(opts runOpts) error {
-	if opts.interp {
-		sim.SetDefaultEngine(sim.EngineInterp)
-	}
-	bench.SetMaxWorkers(opts.workers)
-	bench.SetFuzzWorkers(opts.fuzzWorkers)
-	bench.SetRemoteLatency(opts.latency)
 	if opts.list {
 		for _, e := range bench.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
@@ -116,9 +94,6 @@ func run(opts runOpts) error {
 		table, err := e.Run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		if err := table.CheckFloors(); err != nil {
-			return err
 		}
 		if opts.jsonOut {
 			metrics = append(metrics, table.Metrics...)

@@ -7,34 +7,26 @@ import (
 )
 
 func TestRunList(t *testing.T) {
-	if err := run(runOpts{list: true, latency: -1}); err != nil {
+	if err := run(runOpts{list: true}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSelected(t *testing.T) {
 	// E5 is the fastest experiment.
-	if err := run(runOpts{latency: -1, args: []string{"e5"}}); err != nil {
+	if err := run(runOpts{args: []string{"e5"}}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunJSON(t *testing.T) {
-	if err := run(runOpts{jsonOut: true, latency: -1, args: []string{"e5"}}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunScaling(t *testing.T) {
-	// The scaling experiment capped at 2 workers, JSON mode: must emit
-	// worker and solver-cache metrics.
-	if err := run(runOpts{jsonOut: true, workers: 2, latency: -1, args: []string{"e11"}}); err != nil {
+	if err := run(runOpts{jsonOut: true, args: []string{"e5"}}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknown(t *testing.T) {
-	if err := run(runOpts{latency: -1, args: []string{"e99"}}); err == nil {
+	if err := run(runOpts{args: []string{"e99"}}); err == nil {
 		t.Fatal("unknown experiment must fail")
 	}
 }
@@ -45,7 +37,6 @@ func TestRunProfiles(t *testing.T) {
 	mem := filepath.Join(dir, "mem.pprof")
 	err := run(runOpts{
 		jsonOut:    true,
-		latency:    -1,
 		cpuProfile: cpu,
 		memProfile: mem,
 		args:       []string{"e5"},

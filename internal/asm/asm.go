@@ -23,6 +23,7 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -42,6 +43,11 @@ type Program struct {
 	// Symbols maps every label to its address.
 	Symbols map[string]uint32
 }
+
+// MaxImage is the largest image Assemble lays out, the HS32 default RAM
+// size: a `.space`, `.align` or `.org` reaching past it is an error, not
+// an allocation.
+const MaxImage = 1 << 20
 
 // Error describes an assembly failure with its source line.
 type Error struct {
@@ -90,18 +96,21 @@ func Assemble(src string, base uint32) (*Program, error) {
 		}
 		st.addr = pc
 		st.size = size
+		end := uint64(pc) + uint64(size)
 		if st.mnem == ".org" {
 			target, perr := parseUint(st.args[0])
 			if perr != nil {
 				return nil, &Error{st.line, perr.Error()}
 			}
-			if uint32(target) < pc {
+			if target < uint64(pc) {
 				return nil, &Error{st.line, fmt.Sprintf(".org %#x moves backwards from %#x", target, pc)}
 			}
-			pc = uint32(target)
-			continue
+			end = target
 		}
-		pc += size
+		if end-uint64(base) > MaxImage || end > math.MaxUint32 {
+			return nil, &Error{st.line, fmt.Sprintf("image exceeds %#x bytes from base %#x", MaxImage, base)}
+		}
+		pc = uint32(end)
 	}
 
 	// Pass 2: emit.
@@ -232,22 +241,28 @@ func sizeOf(st *statement, pc, base uint32) (uint32, error) {
 		return uint32(2 * len(st.args)), nil
 	case ".byte":
 		return uint32(len(st.args)), nil
-	case ".space":
+	case ".space", ".align":
+		if len(st.args) != 1 {
+			return 0, &Error{st.line, st.mnem + " needs one argument"}
+		}
 		n, err := parseUint(st.args[0])
 		if err != nil {
 			return 0, &Error{st.line, err.Error()}
 		}
-		return uint32(n), nil
-	case ".align":
-		n, err := parseUint(st.args[0])
-		if err != nil {
-			return 0, &Error{st.line, err.Error()}
+		if n > MaxImage {
+			return 0, &Error{st.line, fmt.Sprintf("%s %#x exceeds the %#x-byte image limit", st.mnem, n, MaxImage)}
+		}
+		if st.mnem == ".space" {
+			return uint32(n), nil
 		}
 		if n == 0 || n&(n-1) != 0 {
 			return 0, &Error{st.line, ".align argument must be a power of two"}
 		}
 		return uint32((n - uint64(pc)%n) % n), nil
 	case ".asciz":
+		if len(st.args) != 1 {
+			return 0, &Error{st.line, ".asciz needs one argument"}
+		}
 		s, err := parseString(st.args[0])
 		if err != nil {
 			return 0, &Error{st.line, err.Error()}

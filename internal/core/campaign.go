@@ -57,7 +57,7 @@ var ErrCampaignVersion = errors.New("campaign journal was written in another for
 // syncs re-explores at most syncEvery-1 journal-lost subtrees on
 // resume; deterministic re-exploration makes the result identical,
 // so the interval trades only resume latency for per-completion
-// fsync cost (measured in E14).
+// fsync cost.
 const syncEvery = 4
 
 // portablePath is the journal-serializable projection of a finished

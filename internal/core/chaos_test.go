@@ -38,7 +38,9 @@ func chaosSetup(chaos *ChaosSchedule, journalPath string, resume *Campaign, sear
 // TestChaosIdentity is the tentpole identity gate: runs riddled with
 // seeded worker panics and kills must report byte-identical bugs,
 // paths and virtual time to the undisturbed run — recovery replays
-// subtrees, it never invents or loses results.
+// subtrees, it never invents or loses results. The engine axis runs
+// one schedule on the interpreter RTL engine: the engine may change
+// only how fast hardware is simulated, never the fingerprint.
 func TestChaosIdentity(t *testing.T) {
 	_, clean := run(t, chaosSetup(nil, "", nil, symexec.BFS{}))
 	want := Fingerprint(clean)
@@ -46,24 +48,29 @@ func TestChaosIdentity(t *testing.T) {
 		t.Fatalf("clean bugs: %d, want 1", len(clean.Bugs()))
 	}
 
-	for _, seed := range []int64{1, 7, 13} {
-		chaos := &ChaosSchedule{Seed: seed, PanicRate: 0.3, KillRate: 0.3}
-		_, rep := run(t, chaosSetup(chaos, "", nil, symexec.BFS{}))
+	for _, tc := range []struct {
+		seed   int64
+		interp bool
+	}{{seed: 1}, {seed: 7}, {seed: 13}, {seed: 7, interp: true}} {
+		chaos := &ChaosSchedule{Seed: tc.seed, PanicRate: 0.3, KillRate: 0.3}
+		setup := chaosSetup(chaos, "", nil, symexec.BFS{})
+		setup.Interp = tc.interp
+		_, rep := run(t, setup)
 		if got := Fingerprint(rep); got != want {
-			t.Errorf("seed %d: chaos run diverged from clean run:\nclean: %s\nchaos: %s\npaths %d vs %d, vt %v vs %v",
-				seed, want, got, len(clean.Finished), len(rep.Finished),
+			t.Errorf("seed %d interp=%v: chaos run diverged from clean run:\nclean: %s\nchaos: %s\npaths %d vs %d, vt %v vs %v",
+				tc.seed, tc.interp, want, got, len(clean.Finished), len(rep.Finished),
 				clean.VirtualTime, rep.VirtualTime)
 		}
 		rec := rep.Recovery
 		if rec.Requeues == 0 || rec.WorkerRestarts == 0 {
 			t.Errorf("seed %d: chaos injected nothing (requeues=%d restarts=%d) — schedule too tame to prove anything",
-				seed, rec.Requeues, rec.WorkerRestarts)
+				tc.seed, rec.Requeues, rec.WorkerRestarts)
 		}
 		if rec.PanicsRecovered == 0 {
-			t.Errorf("seed %d: no panics recovered: %+v", seed, rec)
+			t.Errorf("seed %d: no panics recovered: %+v", tc.seed, rec)
 		}
 		if rec.FailoverEvents == 0 {
-			t.Errorf("seed %d: no failover events recorded: %+v", seed, rec)
+			t.Errorf("seed %d: no failover events recorded: %+v", tc.seed, rec)
 		}
 	}
 }

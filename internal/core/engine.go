@@ -128,8 +128,8 @@ type Config struct {
 	// completed subtrees are replayed from the journal instead of
 	// re-explored. Implies the journaled worker count.
 	Resume *Campaign
-	// Chaos injects deterministic failures into a parallel run (tests
-	// and the E14 experiment); nil injects nothing.
+	// Chaos injects deterministic failures into a parallel run
+	// (tests); nil injects nothing.
 	Chaos *ChaosSchedule
 	// HeartbeatInterval enables worker death detection on parallel
 	// runs: a monitor samples per-worker progress every interval and
@@ -391,7 +391,7 @@ type NodeReport struct {
 	// SnapBytesShipped is the snapshot state bytes this node actually
 	// sent the driver (bug-snapshot delta frames). SnapBytesFull is
 	// what a fabric-less transfer of the same records would have cost —
-	// the ratio is the digest-peering savings the E17 gate measures.
+	// the ratio is the digest-peering savings.
 	SnapBytesShipped uint64
 	SnapBytesFull    uint64
 }
@@ -802,8 +802,7 @@ func (e *Engine) loop(stop func() bool) error {
 		if e.ctx != nil {
 			// Cancellation is checked every 64 iterations: responsive
 			// enough for interrupts and worker deposition, cheap enough
-			// to keep off the per-instruction budget (E14's overhead
-			// gate covers this path).
+			// to keep off the per-instruction budget.
 			if e.ctxSteps++; e.ctxSteps&63 == 0 {
 				if e.ctx.Err() != nil {
 					return ErrInterrupted

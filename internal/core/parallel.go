@@ -373,7 +373,7 @@ func (s *supervisor) workerLoop(slot, gen int, wctx context.Context, cancel func
 	s.slots[slot].busy = false
 	if !since.IsZero() {
 		// Replacement worker: backoff + executor rebuild is the
-		// recovery latency E14 measures.
+		// recovery latency.
 		s.rec.RecoveryWall += time.Since(since)
 	}
 	s.mu.Unlock()

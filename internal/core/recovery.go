@@ -1,6 +1,6 @@
 // Crash-safety primitives for parallel exploration: the recovery
 // counters threaded through Report, and the deterministic chaos
-// schedule the tests and E14 use to prove the supervision machinery
+// schedule the tests use to prove the supervision machinery
 // preserves results under fire.
 package core
 
@@ -42,9 +42,9 @@ type RecoveryStats struct {
 	JournalRecords uint64
 	JournalBytes   uint64
 	// JournalWall is the host time spent encoding, appending and
-	// syncing the campaign journal — the direct measurement
-	// behind E14's overhead figure (wall-clock A/B can't resolve a
-	// cost this small above host noise).
+	// syncing the campaign journal — the direct measurement of its
+	// overhead (wall-clock A/B can't resolve a cost this small above
+	// host noise).
 	JournalWall time.Duration
 	// RecoveryWall is the real (host) time spent waiting out restart
 	// backoff and rebuilding replacement rigs. It is wall time, not

@@ -31,7 +31,7 @@ type SetupConfig struct {
 	FPGA bool
 	// Interp forces the interpreter RTL engine on every locally built
 	// peripheral instead of the compiled-bytecode default. Used for
-	// debugging and the E16 differential runs; results are
+	// debugging and the engine-identity tests; results are
 	// bit-identical either way, only speed differs.
 	Interp bool
 	// Readback selects the readback snapshot method on the FPGA.

@@ -81,7 +81,7 @@ type BugRef struct {
 	// Digest is the record's content address, hex.
 	Digest string `json:"digest"`
 	// Bytes is the size of the record encoded with nothing omitted —
-	// what shipping it inline would have cost (the E17 savings baseline).
+	// what shipping it inline would have cost (the savings baseline).
 	Bytes uint64 `json:"bytes"`
 }
 

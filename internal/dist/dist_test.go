@@ -178,7 +178,7 @@ func TestDistZeroNodes(t *testing.T) {
 }
 
 // TestDistSharedFabricSavesBytes checks that the digest fabric ships
-// less than half the snapshot bytes that inlining every bug record in
+// at most a fifth of the snapshot bytes that inlining every bug record in
 // its result would have cost. The inline cost is not re-measured by a
 // second run: every BugRef carries its record's full encoded size and
 // the driver totals them as SnapBytesFull.
@@ -201,8 +201,8 @@ func TestDistSharedFabricSavesBytes(t *testing.T) {
 		t.Fatal("run shipped zero snapshot bytes; expected bug snapshots on the wire")
 	}
 	t.Logf("snapshot bytes: shipped=%d, full-equivalent=%d", shipped, full)
-	if shipped*2 >= full {
-		t.Errorf("fabric shipped %d bytes, want < half of the inline cost %d", shipped, full)
+	if shipped*5 > full {
+		t.Errorf("fabric shipped %d bytes, want at most a fifth of the inline cost %d", shipped, full)
 	}
 }
 

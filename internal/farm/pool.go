@@ -19,7 +19,7 @@ import (
 
 // PoolStats counts pool traffic. Latencies are cumulative wall time,
 // so WarmNS/WarmHits is the mean warm admission latency (compare to
-// ColdNS/ColdBuilds — the E15 gate).
+// ColdNS/ColdBuilds).
 type PoolStats struct {
 	WarmHits   uint64 `json:"warm_hits"`
 	ColdBuilds uint64 `json:"cold_builds"`

@@ -133,7 +133,7 @@ func BenchmarkFuzzExec(b *testing.B) {
 }
 
 // BenchmarkFuzzExecHardware is the same loop with a CRC peripheral on
-// a simulator target in the loop — the E18 configuration.
+// a simulator target in the loop — the fuzz-hw configuration.
 func BenchmarkFuzzExecHardware(b *testing.B) {
 	w := benchWorker(b, hwFirmware, []target.PeriphConfig{{Name: "crc0", Periph: "crc32"}}, 2)
 	b.ReportAllocs()

@@ -19,10 +19,10 @@ import (
 // map-based single-worker fuzzer, frozen here verbatim when the
 // package was rebuilt around the bitmap hot loop. It is the
 // differential oracle for the rewrite (the same role the reference
-// interpreter plays for the compiled RTL engine): E18's identity gate
-// runs both fuzzers over the same firmware and requires the same
-// deduplicated crash-bucket set, and the throughput gate measures the
-// new loop against this one. Do not optimize or otherwise modify it.
+// interpreter plays for the compiled RTL engine):
+// TestSingleWorkerMatchesReferenceCrashSet runs both fuzzers over the
+// same firmware and requires the same deduplicated crash-bucket set.
+// Do not optimize or otherwise modify it.
 func RunReference(cfg Config) (*Result, error) {
 	if cfg.Program == nil {
 		return nil, errors.New("fuzz: no program")

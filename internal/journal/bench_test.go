@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// e14RecordSize is the mean subtree-record payload of an E14 run (16
-// subtrees of the 64-path scaling firmware): what the campaign layer
-// appends per completed subtree.
-const e14RecordSize = 1598
+// subtreeRecordSize is the mean subtree-record payload of a 4-worker
+// run of the 64-path scaling firmware (16 subtrees): what the campaign
+// layer appends per completed subtree.
+const subtreeRecordSize = 1598
 
 // BenchmarkAppendSync is the journal's durable write: frame, append and
 // fsync one subtree-sized record. The campaign layer group-commits (one
@@ -19,8 +19,8 @@ func BenchmarkAppendSync(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer w.Close()
-	payload := make([]byte, e14RecordSize)
-	b.SetBytes(e14RecordSize)
+	payload := make([]byte, subtreeRecordSize)
+	b.SetBytes(subtreeRecordSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -60,24 +60,14 @@ loop:
 		halt
 `
 
-// remoteRun drives a two-worker parallel campaign against a fresh v3
-// server over real TCP (no latency model: retransmitted frames must
-// not change virtual time, and the identity assertions include vt).
-func remoteRun(t *testing.T, chaos *core.ChaosSchedule) (*core.Report, ClientStats) {
+// campaign runs the two-worker parallel campaign every test here
+// shares, against tgt, or in process when tgt is nil.
+func campaign(t *testing.T, tgt target.Interface, chaos *core.ChaosSchedule) *core.Report {
 	t.Helper()
-	tg, err := target.NewSimulator("remote-sim", &vtime.Clock{}, []target.PeriphConfig{
-		{Name: "gpio0", Periph: "gpio"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := v3TCP(t, tg)
-	c.MaxRetries = 8
-	c.Backoff = 200 * time.Microsecond
 	a, err := core.Setup(core.SetupConfig{
 		Firmware:    failoverFirmware,
 		Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}},
-		Target:      c,
+		Target:      tgt,
 		Engine: core.Config{
 			Mode:              core.ModeHardSnap,
 			Searcher:          symexec.BFS{},
@@ -94,16 +84,47 @@ func remoteRun(t *testing.T, chaos *core.ChaosSchedule) (*core.Report, ClientSta
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep
+}
+
+// remoteRun drives the campaign against a fresh v3 server over real
+// TCP (no latency model: retransmitted frames must not change virtual
+// time, and the identity assertions include vt).
+func remoteRun(t *testing.T, chaos *core.ChaosSchedule) (*core.Report, ClientStats) {
+	t.Helper()
+	tg, err := target.NewSimulator("remote-sim", &vtime.Clock{}, []target.PeriphConfig{
+		{Name: "gpio0", Periph: "gpio"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := v3TCP(t, tg)
+	c.MaxRetries = 8
+	c.Backoff = 200 * time.Microsecond
+	rep := campaign(t, c, chaos)
 	return rep, c.WireStats()
 }
 
-// TestParallelRemoteFailoverIdentity severs every subtree's link
-// mid-run; the campaign must finish with exactly the undisturbed
-// run's bugs, paths and virtual time, having actually reconnected.
+// TestParallelRemoteFailoverIdentity is the wire's identity chain. The
+// undisturbed v3 run must match the in-process run's bugs, paths and
+// virtual time within its recorded frame and state-byte budget (both
+// deterministic, so growth is a protocol regression). A run with every
+// subtree's link severed mid-run must then match the undisturbed one,
+// having actually reconnected.
 func TestParallelRemoteFailoverIdentity(t *testing.T) {
-	clean, _ := remoteRun(t, nil)
+	const maxFrames, maxStateBytes = 88, 308
+	local := campaign(t, nil, nil)
+	clean, cws := remoteRun(t, nil)
 	if len(clean.Bugs()) != 1 {
 		t.Fatalf("clean remote bugs: %d, want 1", len(clean.Bugs()))
+	}
+	if got, want := core.Fingerprint(clean), core.Fingerprint(local); got != want {
+		t.Errorf("remote run diverged from in-process run:\nlocal:  %s\nremote: %s\npaths %d vs %d, vt %v vs %v",
+			want, got, len(local.Finished), len(clean.Finished), local.VirtualTime, clean.VirtualTime)
+	}
+	if state := cws.StateBytesSent + cws.StateBytesReceived; cws.Frames > maxFrames || state > maxStateBytes {
+		t.Errorf("wire moved %d frames / %d state bytes, budget %d / %d",
+			cws.Frames, state, maxFrames, maxStateBytes)
 	}
 
 	rep, ws := remoteRun(t, &core.ChaosSchedule{Seed: 3, SeverRate: 1})

@@ -61,8 +61,7 @@
 //
 // This is the third wire generation and the only one served. Its
 // predecessor (one blocking 10-byte request / 6-byte response round
-// trip per register operation) was deleted in PR 12; the numbers it
-// produced survive as recorded constants in experiment E12.
+// trip per register operation) is deleted.
 package remote
 
 import (

@@ -2,8 +2,7 @@ package bc
 
 import "hardsnap/internal/rtl"
 
-// Stats counts engine work, for the E16 experiment's activation-rate
-// reporting.
+// Stats counts engine work, for activation-rate reporting.
 type Stats struct {
 	Settles  uint64 // Settle calls
 	CombRuns uint64 // comb nodes executed

@@ -51,8 +51,9 @@ func (k EngineKind) String() string {
 	return "?"
 }
 
-// defaultEngine is the process-wide engine used by New; hsbench's
-// -interp flag flips it for A/B runs.
+// defaultEngine is the process-wide engine used by New; hssim's
+// -interp flag and the experiment harness's engine-identity test flip
+// it for A/B runs.
 var defaultEngine atomic.Int32
 
 // SetDefaultEngine changes the engine New uses.

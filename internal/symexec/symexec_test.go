@@ -677,9 +677,15 @@ _start:
 
 // TestSolverOptPreservesExploration: the full optimization stack and
 // plain solving must explore identical trees (same statuses, same
-// PCs), with the stack's stage counters actually moving.
+// PCs), with the stack's stage counters actually moving. On the magic
+// chain — running-sum compares whose path conditions form one growing
+// slice — the stack must also at least halve SAT effort (conflicts +
+// propagations).
 func TestSolverOptPreservesExploration(t *testing.T) {
-	src := `
+	for _, tc := range []struct {
+		name, src    string
+		minEffortCut int64
+	}{{name: "threshold", src: `
 _start:
 	li r1, 0x100
 	addi r2, r0, 3
@@ -700,30 +706,64 @@ low:
 	abort
 out:
 	halt
-`
-	run := func(disable bool) (*Executor, []*State) {
-		e, err := New(Config{DisableSolverOpt: disable}, mustAssemble(t, src), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, exploreWith(t, e)
-	}
-	eOn, on := run(false)
-	eOff, off := run(true)
-	if len(on) != len(off) {
-		t.Fatalf("path counts differ: on=%d off=%d", len(on), len(off))
-	}
-	for _, status := range []Status{StatusHalted, StatusAborted, StatusInfeasible, StatusUnknown} {
-		if countStatus(on, status) != countStatus(off, status) {
-			t.Fatalf("status %v count differs: on=%d off=%d",
-				status, countStatus(on, status), countStatus(off, status))
-		}
-	}
-	st := eOn.Solver.Stats
-	if st.Rewrites == 0 && st.Sliced == 0 && st.ModelHits == 0 && st.IncrementalReuses == 0 {
-		t.Fatalf("optimization stack never fired: %+v", st)
-	}
-	if off := eOff.Solver.Stats; off.Rewrites != 0 || off.Sliced != 0 || off.ModelHits != 0 || off.IncrementalReuses != 0 {
-		t.Fatalf("disabled stack moved counters: %+v", off)
+`}, {name: "magic-chain", minEffortCut: 2, src: `
+_start:
+	li r1, 0x100
+	addi r2, r0, 4
+	addi r3, r0, 1
+	ecall 1
+	addi r7, r0, 0
+	lbu r4, 0(r1)
+	add r7, r7, r4
+	addi r5, r0, 0x41
+	bne r7, r5, out
+	lbu r4, 1(r1)
+	add r7, r7, r4
+	addi r5, r0, 0x83
+	bne r7, r5, out
+	lbu r4, 2(r1)
+	add r7, r7, r4
+	addi r5, r0, 0xC6
+	bne r7, r5, out
+	lbu r4, 3(r1)
+	add r7, r7, r4
+	addi r5, r0, 0x10A
+	bne r7, r5, out
+	abort
+out:
+	halt
+`}} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(disable bool) (*Executor, []*State) {
+				e, err := New(Config{DisableSolverOpt: disable}, mustAssemble(t, tc.src), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e, exploreWith(t, e)
+			}
+			eOn, on := run(false)
+			eOff, off := run(true)
+			if len(on) != len(off) {
+				t.Fatalf("path counts differ: on=%d off=%d", len(on), len(off))
+			}
+			for _, status := range []Status{StatusHalted, StatusAborted, StatusInfeasible, StatusUnknown} {
+				if countStatus(on, status) != countStatus(off, status) {
+					t.Fatalf("status %v count differs: on=%d off=%d",
+						status, countStatus(on, status), countStatus(off, status))
+				}
+			}
+			st := eOn.Solver.Stats
+			if st.Rewrites == 0 && st.Sliced == 0 && st.ModelHits == 0 && st.IncrementalReuses == 0 {
+				t.Fatalf("optimization stack never fired: %+v", st)
+			}
+			offSt := eOff.Solver.Stats
+			if offSt.Rewrites != 0 || offSt.Sliced != 0 || offSt.ModelHits != 0 || offSt.IncrementalReuses != 0 {
+				t.Fatalf("disabled stack moved counters: %+v", offSt)
+			}
+			effortOn, effortOff := st.Conflicts+st.Propagations, offSt.Conflicts+offSt.Propagations
+			if tc.minEffortCut > 0 && effortOff < tc.minEffortCut*effortOn {
+				t.Fatalf("stack cut SAT effort %d -> %d, want at least %dx", effortOff, effortOn, tc.minEffortCut)
+			}
+		})
 	}
 }

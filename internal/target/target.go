@@ -267,7 +267,7 @@ func buildPeriph(cfg PeriphConfig, instrument bool) (*periphInst, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := sim.EngineAuto
+	engine := sim.DefaultEngine()
 	if cfg.Interp {
 		engine = sim.EngineInterp
 	}

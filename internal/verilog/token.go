@@ -58,16 +58,6 @@ var punctuations = []string{
 	"=", "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">",
 }
 
-type lexError struct {
-	line int
-	col  int
-	msg  string
-}
-
-func (e *lexError) Error() string {
-	return fmt.Sprintf("verilog: %d:%d: %s", e.line, e.col, e.msg)
-}
-
 type lexer struct {
 	src  string
 	pos  int
@@ -80,7 +70,7 @@ func newLexer(src string) *lexer {
 }
 
 func (l *lexer) errorf(format string, args ...any) error {
-	return &lexError{line: l.line, col: l.col, msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (l *lexer) peekByte() byte {
