@@ -39,13 +39,18 @@ race:
 # resume (process death, torn tails, mismatched configs) and mid-run
 # remote link failover — for local workers and, through the same
 # supervisor, for dist nodes (node death with and without a survivor,
-# driver death + resume, the seed-drain journal). Every test asserts
-# byte-identical results (bugs, paths AND virtual time) against an
-# undisturbed run, on fixed chaos seeds so failures reproduce.
+# driver death + resume, the seed-drain journal) — plus both link
+# fault layers: the in-process link's seeded faults, retry, health
+# check and standby failover, and the wire's exactly-once retransmit
+# and redial under FaultConn. Every test asserts byte-identical results
+# (bugs, paths AND virtual time) against an undisturbed run, or a
+# pinned one, on fixed seeds so failures reproduce.
 chaos:
-	$(GO) test -race ./internal/core -run 'Chaos|Resume|Journal'
+	$(GO) test -race ./internal/core -run 'Chaos|Resume|Journal|Faulty|Failover'
 	$(GO) test -race ./internal/dist -run 'NodeDeath|JournalResume|SeedDrain|Chaos'
-	$(GO) test -race ./internal/remote -run 'Failover|SeverLink|RecoverRetry'
+	$(GO) test -race ./internal/target -run 'Fault|Failover|Standby'
+	$(GO) test -race ./internal/remote -run 'Failover|SeverLink|RecoverRetry|Retransmitted|UnderFaultyLink|ClientRetry|Redial'
+	$(GO) test -race ./cmd/hssim -run FaultInjection
 	$(GO) test -race ./internal/journal
 
 # fuzz-smoke gives each native fuzz target ten seconds beyond its seed

@@ -128,9 +128,6 @@ func TestServeWithFaultInjection(t *testing.T) {
 		return net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
 	}
 	c.Timeout = 100 * time.Millisecond
-	c.MaxRetries = 30
-	c.Backoff = 200 * time.Microsecond
-	c.BackoffMax = 2 * time.Millisecond
 	port, err := c.Port("dev0")
 	if err != nil {
 		t.Fatal(err)

@@ -121,13 +121,14 @@ type (
 // Transfer moves the hardware state between targets (FPGA <-> sim).
 func Transfer(from, to *Target) error { return target.Transfer(from, to) }
 
-// Target robustness: fault injection, retry and failover.
+// Target robustness: a fault schedule armed on a Target's link
+// (Target.InjectFaults), absorbed by a fixed retry policy (4 retries,
+// doubling backoff), a health check and failover to a standby
+// (Target.SetStandby).
 type (
 	// FaultSchedule deterministically describes link misbehavior
 	// (dropped frames, corruption, jitter, permanent death).
 	FaultSchedule = target.FaultSchedule
-	// RetryPolicy bounds transient-fault retries on a target link.
-	RetryPolicy = target.RetryPolicy
 	// TargetStats are cumulative target-side counters (cycles, IO,
 	// snapshots, retries, failovers).
 	TargetStats = target.Stats

@@ -173,3 +173,48 @@ func TestCorruptedSnapshotRejected(t *testing.T) {
 		t.Fatalf("mismatched snapshot restore: %v, want integrity error", err)
 	}
 }
+
+// TestFaultyLinkParallelStreams: with workers, each subtree runs on the
+// fault stream derived from its index, not from the worker that claimed
+// it, so a faulty parallel run reproduces itself exactly (paths, bugs,
+// virtual time) and finds what the clean run finds.
+func TestFaultyLinkParallelStreams(t *testing.T) {
+	parallel := func(sched target.FaultSchedule) *Report {
+		t.Helper()
+		a, err := Setup(SetupConfig{
+			Firmware:    scalingFirmware,
+			Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}},
+			FPGA:        true,
+			Engine: Config{
+				Mode:            ModeHardSnap,
+				Searcher:        symexec.BFS{},
+				MaxInstructions: 1_000_000,
+				Workers:         3,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Target.InjectFaults(sched)
+		rep, err := a.Engine.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	clean := parallel(target.FaultSchedule{})
+	sched := target.FaultSchedule{Seed: 5, DropRate: 0.1, CorruptRate: 0.05}
+	first, second := parallel(sched), parallel(sched)
+	if a, b := Fingerprint(first), Fingerprint(second); a != b {
+		t.Fatalf("faulty parallel runs diverged: vt %v vs %v", first.VirtualTime, second.VirtualTime)
+	}
+	if a, b := pathSignatures(clean), pathSignatures(first); !equalStrings(a, b) {
+		t.Fatalf("faulty link changed the paths:\nclean:  %v\nfaulty: %v", a, b)
+	}
+	if a, b := bugSignatures(clean), bugSignatures(first); !equalStrings(a, b) {
+		t.Fatalf("faulty link changed the bugs:\nclean:  %v\nfaulty: %v", a, b)
+	}
+	if first.VirtualTime <= clean.VirtualTime {
+		t.Fatalf("faulty run (%v) should be slower than clean (%v)", first.VirtualTime, clean.VirtualTime)
+	}
+}

@@ -316,11 +316,7 @@ func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *Rig, hook fu
 	wexec := e.exec.Spawn(f.seedMaxID + uint64(idx+1)*subtreeIDStride)
 
 	if rig.Target != nil {
-		// Re-arm fault injection with a per-subtree stream so fault
-		// sequences do not depend on which worker claimed the subtree.
-		if sched, ok := e.rig.Target.FaultSchedule(); ok {
-			rig.Target.InjectFaults(sched.Derive(idx))
-		}
+		rig.rearmFaults(e.rig, idx)
 		// Subtree boundary: drop the rig's generation/anchor knowledge
 		// so this subtree's first restore is a full one regardless of
 		// what ran on the rig before — its snapshot traffic, and hence

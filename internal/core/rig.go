@@ -120,6 +120,19 @@ func (r *Rig) Spawn(name string, stream int) (*Rig, error) {
 	return w, nil
 }
 
+// rearmFaults arms the fault schedule of parent's in-process vehicle
+// on this rig's, on the PRNG stream derived from stream, so a fault
+// sequence depends on the stream and not on which rig runs it. Only an
+// in-process link has a schedule; a remote one is a no-op.
+func (r *Rig) rearmFaults(parent *Rig, stream int) {
+	if r.local == nil || parent.local == nil {
+		return
+	}
+	if sched, ok := parent.local.FaultSchedule(); ok {
+		r.local.InjectFaults(sched.Derive(stream))
+	}
+}
+
 // softwareRig is the machine of software-only firmware: a clock.
 func softwareRig() *Rig {
 	r := &Rig{}

@@ -92,8 +92,7 @@ type NodeStatus struct {
 	// Solver is the campaign's node-side solver cache (Imported =
 	// fabric entries adopted, Published = local discoveries offered).
 	Solver solver.CacheStats `json:"solver"`
-	// Store is the campaign engine's snapshot store, including the
-	// retention tier counters.
+	// Store is the counters of the campaign engine's snapshot store.
 	Store snapshot.Stats `json:"store"`
 }
 

@@ -282,9 +282,9 @@ type node struct {
 
 // conn is one slot's connection to a node.
 type nodeConn struct {
-	c   net.Conn
-	dec *json.Decoder
-	enc *json.Encoder
+	c    net.Conn
+	msgs *campaign.MessageReader
+	enc  *json.Encoder
 }
 
 func dialNode(addr string, dial func(string) (net.Conn, error)) (*nodeConn, error) {
@@ -292,7 +292,7 @@ func dialNode(addr string, dial func(string) (net.Conn, error)) (*nodeConn, erro
 	if err != nil {
 		return nil, err
 	}
-	return &nodeConn{c: c, dec: json.NewDecoder(c), enc: json.NewEncoder(c)}, nil
+	return &nodeConn{c: c, msgs: campaign.NewMessageReader(c), enc: json.NewEncoder(c)}, nil
 }
 
 func (nc *nodeConn) roundTrip(req Request) (Response, error) {
@@ -300,7 +300,7 @@ func (nc *nodeConn) roundTrip(req Request) (Response, error) {
 		return Response{}, err
 	}
 	var resp Response
-	if err := nc.dec.Decode(&resp); err != nil {
+	if err := nc.msgs.Read(&resp); err != nil {
 		return Response{}, err
 	}
 	return resp, nil

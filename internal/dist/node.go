@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"hardsnap/internal/campaign"
 	"hardsnap/internal/core"
 	"hardsnap/internal/snapshot"
 )
@@ -136,11 +137,11 @@ func (s *Server) Close() {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	dec := json.NewDecoder(conn)
+	msgs := campaign.NewMessageReader(conn)
 	enc := json.NewEncoder(conn)
 	for {
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := msgs.Read(&req); err != nil {
 			if !errors.Is(err, io.EOF) {
 				_ = enc.Encode(Response{Error: fmt.Sprintf("bad request: %v", err)})
 			}

@@ -14,7 +14,7 @@ import (
 type Client struct {
 	conn net.Conn
 	enc  *json.Encoder
-	dec  *json.Decoder
+	msgs *campaign.MessageReader
 }
 
 // Dial connects to a farm server.
@@ -23,7 +23,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}, nil
+	return &Client{conn: conn, enc: json.NewEncoder(conn), msgs: campaign.NewMessageReader(conn)}, nil
 }
 
 // Close drops the connection.
@@ -34,7 +34,7 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 		return Response{}, err
 	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.msgs.Read(&resp); err != nil {
 		return Response{}, err
 	}
 	if resp.Error != "" {
@@ -106,7 +106,7 @@ func (c *Client) Stream(id string, fn func(campaign.Event)) error {
 	}
 	for {
 		var resp Response
-		if err := c.dec.Decode(&resp); err != nil {
+		if err := c.msgs.Read(&resp); err != nil {
 			return err
 		}
 		if resp.Error != "" {

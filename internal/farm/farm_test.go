@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -472,5 +473,56 @@ func TestServerProtocol(t *testing.T) {
 	}
 	if err := c.Cancel(id); err == nil {
 		t.Error("cancelling a finished job must fail")
+	}
+}
+
+// TestServerDropsOversizedRequest: a request one byte past
+// campaign.MaxMessage is refused and its connection dropped, and the
+// server goes on serving other connections.
+func TestServerDropsOversizedRequest(t *testing.T) {
+	f := newFarm(t, Config{StateDir: t.TempDir(), Tenants: map[string]Budget{"acme": {}}})
+	srv := NewServer(f)
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		// {"op":"aaa…"} with MaxMessage+1 bytes before its newline. The
+		// write fails once the server has dropped the connection.
+		const pre, post = `{"op":"`, "\"}\n"
+		body := strings.Repeat("a", campaign.MaxMessage+1-len(pre)-len(post)+1)
+		_, _ = conn.Write([]byte(pre + body + post))
+	}()
+	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	msgs := campaign.NewMessageReader(conn)
+	var resp Response
+	if err := msgs.Read(&resp); err == nil {
+		// The refusal may beat the close to the client, or be lost to a
+		// reset when the server closes with the request unread.
+		if !strings.Contains(resp.Error, "exceeds") {
+			t.Fatalf("oversized request answered %.80q, want a refusal", resp.Error)
+		}
+		err = msgs.Read(&resp)
+		if err == nil {
+			t.Fatal("connection still open after the refusal")
+		}
+	} else if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server kept reading the oversized request")
+	}
+
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Tenants(); err != nil {
+		t.Fatalf("server stopped serving after an oversized request: %v", err)
 	}
 }

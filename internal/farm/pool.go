@@ -28,7 +28,7 @@ type PoolStats struct {
 	WarmNS     int64  `json:"warm_ns"`
 	ColdNS     int64  `json:"cold_ns"`
 	// Store reports the content-addressed boot-image store backing
-	// the pool, including the retention tier's eviction counters.
+	// the pool: puts, dedup hits and shared bytes.
 	Store snapshot.Stats `json:"store"`
 }
 
@@ -220,11 +220,6 @@ func (p *Pool) Stats() PoolStats {
 	st.Store = p.store.Stats()
 	return st
 }
-
-// SetRetention bounds the boot-image store's retention tier (see
-// snapshot.Store.SetRetention): released boot images stay resident up
-// to maxBytes so a re-acquired rig key can re-seed without a rebuild.
-func (p *Pool) SetRetention(maxBytes uint64) { p.store.SetRetention(maxBytes) }
 
 // Close stops refilling and waits for in-flight background builds.
 func (p *Pool) Close() {

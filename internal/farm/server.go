@@ -126,11 +126,11 @@ func (s *Server) Close() {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	dec := json.NewDecoder(conn)
+	msgs := campaign.NewMessageReader(conn)
 	enc := json.NewEncoder(conn)
 	for {
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := msgs.Read(&req); err != nil {
 			if !errors.Is(err, io.EOF) {
 				_ = enc.Encode(Response{Error: fmt.Sprintf("bad request: %v", err)})
 			}
@@ -165,7 +165,7 @@ func (s *Server) handle(req Request) Response {
 		if req.Op == "status" {
 			// status is the lightweight poll: strip the result body
 			// but piggyback the pool/store counters so a monitoring
-			// loop sees retention pressure without a second op.
+			// loop sees pool pressure without a second op.
 			info.Result = nil
 			st := s.farm.PoolStats()
 			return Response{OK: true, ID: info.ID, Job: &info, Pool: &st}

@@ -17,11 +17,10 @@ const DefaultChunkCap = 1 << 14
 // its cap most recently used entries. Both ends of the wire keep one: a
 // miss after an eviction only costs the transfer the cache had saved.
 type chunkLRU struct {
-	mu        sync.Mutex
-	m         map[snapshot.Digest]*list.Element // value: *chunkEnt
-	order     *list.List                        // front = most recently used
-	cap       int                               // max resident chunks; <=0 means unbounded
-	evictions uint64
+	mu    sync.Mutex
+	m     map[snapshot.Digest]*list.Element // value: *chunkEnt
+	order *list.List                        // front = most recently used
+	cap   int                               // max resident chunks; <=0 means unbounded
 }
 
 type chunkEnt struct {
@@ -76,20 +75,6 @@ func (c *chunkLRU) bank(chunks []wireChunk, into map[snapshot.Digest]*sim.HWStat
 	return n, nil
 }
 
-// setCap changes the bound (<=0 removes it), evicting down to it.
-func (c *chunkLRU) setCap(n int) {
-	c.mu.Lock()
-	c.cap = n
-	c.evictLocked()
-	c.mu.Unlock()
-}
-
-func (c *chunkLRU) stats() (entries int, evictions uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m), c.evictions
-}
-
 func (c *chunkLRU) evictLocked() {
 	for c.cap > 0 && len(c.m) > c.cap {
 		c.remove(c.order.Back())
@@ -99,5 +84,4 @@ func (c *chunkLRU) evictLocked() {
 func (c *chunkLRU) remove(el *list.Element) {
 	c.order.Remove(el)
 	delete(c.m, el.Value.(*chunkEnt).d)
-	c.evictions++
 }

@@ -224,7 +224,7 @@ func TestSnapshotBodiesHostileInput(t *testing.T) {
 // only the fallback for a chunk the client cache lost. ChunksSkipped
 // counts exactly the chunks whose bytes did not cross the wire.
 func TestV3SaveInlinesNewChunks(t *testing.T) {
-	c, srv := v3PipeSrv(t)
+	c, srv := v3PipeSrv(t, DefaultChunkCap)
 	gpio, err := c.Port("gpio0")
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestV3SaveInlinesNewChunks(t *testing.T) {
 	if snapshot.DigestRecord(&snapshot.Record{HW: st}) != snapshot.DigestRecord(&snapshot.Record{HW: st1}) {
 		t.Fatal("save through kFetch returned different content")
 	}
-	if n, _ := srv.ChunkStats(); n != 3 {
+	if n := srv.chunks.resident(); n != 3 {
 		t.Fatalf("server holds %d chunks, want 3 (timer0, two gpio0 values)", n)
 	}
 }
@@ -280,7 +280,7 @@ func TestV3SaveInlinesNewChunks(t *testing.T) {
 // TestClientChunkCacheBounded: the client cache evicts like the
 // server's instead of pinning every state a session ever saw.
 func TestClientChunkCacheBounded(t *testing.T) {
-	c, _ := v3PipeSrv(t)
+	c, _ := v3PipeSrv(t, DefaultChunkCap)
 	if c.chunks.cap != DefaultChunkCap {
 		t.Fatalf("client chunk cap %d, want DefaultChunkCap", c.chunks.cap)
 	}
@@ -289,16 +289,24 @@ func TestClientChunkCacheBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var first snapshot.Digest
 	for i := uint32(0); i < 20; i++ {
 		if err := gpio.WriteReg(0x00, i); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Save(); err != nil {
+		st, err := c.Save()
+		if err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			first = snapshot.HWDigest(st["gpio0"])
+		}
 	}
-	if n, ev := c.chunks.stats(); n != 4 || ev == 0 {
-		t.Fatalf("client cache: %d resident, %d evictions; want 4 resident and some evictions", n, ev)
+	if n := c.chunks.resident(); n != 4 {
+		t.Fatalf("client cache: %d resident, want 4", n)
+	}
+	if _, ok := c.chunks.get(first); ok {
+		t.Fatal("client cache kept the least recently used chunk")
 	}
 }
 
@@ -310,7 +318,7 @@ func TestSnapshotChunkIntegrityTyped(t *testing.T) {
 	lie := snapshot.HWDigest(&sim.HWState{Regs: map[string]uint64{"out": 2}})
 
 	t.Run("pushed", func(t *testing.T) {
-		c, srv := v3PipeSrv(t)
+		c, srv := v3PipeSrv(t, DefaultChunkCap)
 		_, err := c.roundTrip(kPush, func(b []byte) []byte {
 			b = snapshot.AppendU32(appendRefs(append(b, modeRestore), []chunkRef{{Name: "gpio0", Digest: lie}}), 1)
 			b, _ = appendChunk(b, lie, hw)

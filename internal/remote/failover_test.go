@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hardsnap/internal/core"
 	"hardsnap/internal/symexec"
@@ -99,8 +98,6 @@ func remoteRun(t *testing.T, chaos *core.ChaosSchedule) (*core.Report, ClientSta
 		t.Fatal(err)
 	}
 	c, _ := v3TCP(t, tg)
-	c.MaxRetries = 8
-	c.Backoff = 200 * time.Microsecond
 	rep := campaign(t, c, chaos)
 	return rep, c.WireStats()
 }
@@ -146,8 +143,6 @@ func TestParallelRemoteFailoverIdentity(t *testing.T) {
 func TestSeverLinkRecovers(t *testing.T) {
 	tg := newV3Target(t)
 	c, _ := v3TCP(t, tg)
-	c.MaxRetries = 8
-	c.Backoff = 200 * time.Microsecond
 	gpio, err := c.Port("gpio0")
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +174,6 @@ func TestSeverLinkRecovers(t *testing.T) {
 func TestRecoverRetryFatalShortCircuit(t *testing.T) {
 	tg := newV3Target(t)
 	c, _ := v3TCP(t, tg)
-	c.MaxRetries = 8
-	c.Backoff = 200 * time.Microsecond
 
 	// A stand-in server that answers every attach with a fatal,
 	// typed rejection (as a real server does for a design mismatch).

@@ -235,10 +235,8 @@ func TestStatusErrClassPropagation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := v3Pipe(t, newV3Target(t))
-			// Generous retries: fatal/integrity errors must not be
-			// retried, only transient ones.
-			c.MaxRetries = 5
-			c.Backoff = time.Microsecond
+			// The client retries transient errors; fatal and integrity
+			// ones must not be retried.
 			err := tc.call(c)
 			if err == nil {
 				t.Fatal("call must fail")
@@ -264,8 +262,6 @@ func TestClientRetriesTransientStatus(t *testing.T) {
 		m := respMeta{status: vstatusBadFrame}
 		_ = writeFrame(conn, kResp, seq, respPayload(m, nil))
 	})
-	c.MaxRetries = 3
-	c.Backoff = time.Microsecond
 	err := c.Ping()
 	if err == nil {
 		t.Fatal("ping must fail when every attempt is rejected")
@@ -273,8 +269,8 @@ func TestClientRetriesTransientStatus(t *testing.T) {
 	if !target.IsTransient(err) {
 		t.Fatalf("exhausted retries lost transient class: %v", err)
 	}
-	if r := c.WireStats().Retransmits; r != 3 {
-		t.Fatalf("retransmits %d, want 3", r)
+	if r := c.WireStats().Retransmits; r != maxRetries {
+		t.Fatalf("retransmits %d, want %d", r, maxRetries)
 	}
 }
 
@@ -321,9 +317,6 @@ func TestClientRetryUnderFaultyLink(t *testing.T) {
 	// dropped hello with.
 	c.conn = target.NewFaultConn(conn, target.FaultSchedule{Seed: 42, DropRate: 0.25})
 	c.Timeout = 50 * time.Millisecond
-	c.MaxRetries = 25
-	c.Backoff = 100 * time.Microsecond
-	c.BackoffMax = time.Millisecond
 
 	gpio, err := c.Port("gpio0")
 	if err != nil {
@@ -362,8 +355,6 @@ func TestClientRetryUnderFaultyLink(t *testing.T) {
 // first one that succeeds.
 func TestClientRedial(t *testing.T) {
 	c, dial := v3TCP(t, newV3Target(t))
-	c.MaxRetries = 5
-	c.Backoff = 100 * time.Microsecond
 	var dials atomic.Int32
 	c.Dial = func() (net.Conn, error) {
 		if dials.Add(1) <= 2 {

@@ -70,16 +70,6 @@ func NewServer(root *target.Target) *Server {
 	}
 }
 
-// SetChunkCap bounds the shared chunk cache to n resident chunks
-// (<=0 removes the bound). Shrinking evicts least-recently-used
-// chunks immediately. Eviction is safe mid-negotiation: a client
-// whose offered digest was evicted between kRestore and kPush sees it
-// re-listed in Missing and re-uploads it as a delta (see applyRemote).
-func (s *Server) SetChunkCap(n int) { s.chunks.setCap(n) }
-
-// ChunkStats reports the chunk cache's residency and eviction count.
-func (s *Server) ChunkStats() (entries int, evictions uint64) { return s.chunks.stats() }
-
 func (s *Server) newSession(tgt *target.Target) (uint32, *session) {
 	sess := &session{
 		tgt:       tgt,

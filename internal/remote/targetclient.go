@@ -72,6 +72,19 @@ type sentFrame struct {
 	err  error
 }
 
+// The link policy every client runs with. maxBatch caps the ops of one
+// batch frame and maxInflight the frames pipelined unacknowledged.
+// maxRetries bounds the window retransmissions and redials spent on one
+// drained response; the delay between them starts at retryBackoff and
+// doubles up to retryBackoffMax.
+const (
+	maxBatch        = 64
+	maxInflight     = 8
+	maxRetries      = 4
+	retryBackoff    = 200 * time.Microsecond
+	retryBackoffMax = 50 * time.Millisecond
+)
+
 // TargetClient speaks protocol v3 and exposes the remote target
 // behind the full target.Interface, so the engine — scheduler,
 // snapshot manager, parallel worker fan-out — runs against remote
@@ -94,20 +107,11 @@ type TargetClient struct {
 	clock *vtime.Clock
 
 	// Timeout is the per-frame deadline, applied when the connection
-	// supports deadlines (any net.Conn); zero disables. MaxRetries
-	// bounds the window retransmissions and redials per drained
-	// response; 0 fails on the first error. Backoff is the initial
-	// delay between retries, doubled each time up to BackoffMax (zero
-	// values take 200µs / 50ms). Dial, when set, re-establishes the
-	// link and re-attaches the session after a transport error.
-	Timeout    time.Duration
-	MaxRetries int
-	Backoff    time.Duration
-	BackoffMax time.Duration
-	Dial       func() (net.Conn, error)
-	// MaxBatch caps ops per frame; MaxInflight caps pipelined frames.
-	MaxBatch    int
-	MaxInflight int
+	// supports deadlines (any net.Conn); zero disables. Dial, when set,
+	// re-establishes the link and re-attaches the session after a
+	// transport error.
+	Timeout time.Duration
+	Dial    func() (net.Conn, error)
 
 	token     uint32
 	name      string
@@ -160,12 +164,10 @@ func Connect(conn io.ReadWriter, clock *vtime.Clock) (*TargetClient, error) {
 		clock = &vtime.Clock{}
 	}
 	c := &TargetClient{
-		conn:        conn,
-		clock:       clock,
-		MaxBatch:    64,
-		MaxInflight: 8,
-		chunks:      newChunkLRU(DefaultChunkCap),
-		wire:        &wireStats{},
+		conn:   conn,
+		clock:  clock,
+		chunks: newChunkLRU(DefaultChunkCap),
+		wire:   &wireStats{},
 	}
 	info, err := c.handshake(kHello, 0)
 	if err != nil {
@@ -346,18 +348,6 @@ func (c *TargetClient) retransmitAll() error {
 	return nil
 }
 
-func (c *TargetClient) backoffs() (time.Duration, time.Duration) {
-	backoff := c.Backoff
-	if backoff <= 0 {
-		backoff = 200 * time.Microsecond
-	}
-	backoffMax := c.BackoffMax
-	if backoffMax <= 0 {
-		backoffMax = 50 * time.Millisecond
-	}
-	return backoff, backoffMax
-}
-
 // jittered spreads a backoff delay over [d/2, d): clients that lost
 // the same server redial desynchronized instead of hammering it in
 // lockstep. The PRNG is a client-local LCG — jitter shapes host-side
@@ -374,41 +364,29 @@ func (c *TargetClient) jittered(d time.Duration) time.Duration {
 	return time.Duration(span + (c.jitterState>>33)%span)
 }
 
-// recoverRetry drives recoverLink under the retry budget after a
-// send-side transport failure. Fatal and integrity errors from the
-// server (a rejected session token, a mismatched design) short-
-// circuit the loop: no amount of redialing cures them.
-func (c *TargetClient) recoverRetry(lastErr error) error {
-	backoff, backoffMax := c.backoffs()
-	for attempt := 1; attempt <= c.MaxRetries; attempt++ {
+// retry spends the retry budget on a failure: while err is retryable
+// it backs off and runs step, at most maxRetries times. Fatal and
+// integrity errors (a rejected session token, a mismatched design)
+// end the loop at once: no amount of retrying cures them. A transport
+// failure that outlives the budget surfaces as a transient error.
+func (c *TargetClient) retry(err error, step func(last error) error) error {
+	backoff := retryBackoff
+	for attempt := 1; err != nil && retryable(err) && attempt <= maxRetries; attempt++ {
 		time.Sleep(c.jittered(backoff))
-		if backoff < backoffMax {
-			backoff = min(backoff*2, backoffMax)
-		}
-		if err := c.recoverLink(); err == nil {
-			return nil
-		} else {
-			lastErr = err
-			if !retryable(err) {
-				return err
-			}
-		}
+		backoff = min(backoff*2, retryBackoffMax)
+		err = step(err)
 	}
 	var te *transportError
-	if errors.As(lastErr, &te) {
+	if errors.As(err, &te) {
 		return transientErr(te.err)
 	}
-	return lastErr
+	return err
 }
 
 // sendSeq transmits a sequenced frame, draining the pipeline when the
 // window is full. The frame is built once, in a buffer recycled from an
 // acknowledged one: body, when non-nil, appends the payload in place.
 func (c *TargetClient) sendSeq(kind byte, body func(b []byte) []byte, background bool) (*sentFrame, error) {
-	maxInflight := c.MaxInflight
-	if maxInflight <= 0 {
-		maxInflight = 1
-	}
 	for len(c.inflight) >= maxInflight {
 		if err := c.drainOne(); err != nil {
 			return nil, err
@@ -425,8 +403,10 @@ func (c *TargetClient) sendSeq(kind byte, body func(b []byte) []byte, background
 	f := &sentFrame{kind: kind, seq: c.nextSeq, wire: endFrame(b), background: background}
 	c.inflight = append(c.inflight, f)
 	if err := c.xmit(f); err != nil {
-		if rerr := c.recoverRetry(err); rerr != nil {
-			return nil, rerr
+		// A send-side transport failure: redial, which retransmits the
+		// window, this frame included.
+		if err := c.retry(err, func(error) error { return c.recoverLink() }); err != nil {
+			return nil, err
 		}
 	}
 	return f, nil
@@ -436,53 +416,19 @@ func (c *TargetClient) sendSeq(kind byte, body func(b []byte) []byte, background
 // transient faults with backoff, redial and go-back-N window
 // retransmission.
 func (c *TargetClient) drainOne() error {
-	backoff, backoffMax := c.backoffs()
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.jittered(backoff))
-			if backoff < backoffMax {
-				backoff = min(backoff*2, backoffMax)
-			}
-			var te *transportError
-			if errors.As(lastErr, &te) && c.Dial != nil {
-				if err := c.recoverLink(); err != nil {
-					lastErr = err
-					if !retryable(err) {
-						// The server refused the session outright;
-						// retrying cannot cure a fatal rejection.
-						return err
-					}
-					if attempt >= c.MaxRetries {
-						break
-					}
-					continue
-				}
-			} else if err := c.retransmitAll(); err != nil {
-				lastErr = err
-				if attempt >= c.MaxRetries {
-					break
-				}
-				continue
-			}
+	return c.retry(c.readOne(), func(last error) error {
+		var te *transportError
+		var err error
+		if errors.As(last, &te) && c.Dial != nil {
+			err = c.recoverLink()
+		} else {
+			err = c.retransmitAll()
 		}
-		err := c.readOne()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retryable(err) {
+		if err != nil {
 			return err
 		}
-		if attempt >= c.MaxRetries {
-			break
-		}
-	}
-	var te *transportError
-	if errors.As(lastErr, &te) {
-		return transientErr(te.err)
-	}
-	return lastErr
+		return c.readOne()
+	})
 }
 
 // readOne reads responses until the head-of-window frame is resolved.
@@ -570,13 +516,6 @@ func (c *TargetClient) enqueue(op batchOp) {
 	c.queue = append(c.queue, op)
 }
 
-func (c *TargetClient) maxBatch() int {
-	if c.MaxBatch <= 0 || c.MaxBatch > 0xFFFF {
-		return 64
-	}
-	return c.MaxBatch
-}
-
 // sendQueued packs the op queue into pipelined batch frames. When
 // capture is set the last frame is marked foreground and returned
 // (with the index of its last op) so the caller can decode a result
@@ -585,7 +524,7 @@ func (c *TargetClient) sendQueued(capture bool) (*sentFrame, int, error) {
 	var capFrame *sentFrame
 	capIdx := 0
 	for len(c.queue) > 0 {
-		n := min(len(c.queue), c.maxBatch())
+		n := min(len(c.queue), maxBatch)
 		ops := c.queue[:n:n]
 		c.queue = c.queue[n:]
 		last := len(c.queue) == 0
@@ -604,7 +543,7 @@ func (c *TargetClient) sendQueued(capture bool) (*sentFrame, int, error) {
 }
 
 // asyncFlush ships the op queue without waiting for responses: frames
-// pipeline up to MaxInflight deep (sendSeq blocks on a full window),
+// pipeline up to maxInflight deep (sendSeq blocks on a full window),
 // which is what hides link latency under bursts of queued writes and
 // advances. Response errors are deferred to the next synchronous
 // flush, exactly like the queued ops' own errors.
@@ -713,9 +652,9 @@ func (p *clientPort) ReadReg(offset uint32) (uint32, error) {
 
 func (p *clientPort) WriteReg(offset uint32, v uint32) error {
 	p.c.enqueue(batchOp{op: bWrite, periph: p.idx, offset: offset, value: uint64(v)})
-	if len(p.c.queue) >= p.c.maxBatch() {
+	if len(p.c.queue) >= maxBatch {
 		// Ship the full batch without waiting: frames pipeline up to
-		// MaxInflight deep, so write bursts overlap link latency.
+		// maxInflight deep, so write bursts overlap link latency.
 		return p.c.asyncFlush()
 	}
 	return nil
@@ -800,7 +739,7 @@ func (c *TargetClient) Advance(n uint64) error {
 		return nil
 	}
 	c.enqueue(batchOp{op: bAdvance, value: n})
-	if len(c.queue) >= c.maxBatch() {
+	if len(c.queue) >= maxBatch {
 		return c.asyncFlush()
 	}
 	return nil
@@ -878,26 +817,6 @@ func (c *TargetClient) TakeViolations() []target.Violation {
 		return nil
 	}
 	return vs
-}
-
-// InjectFaults is a no-op on a remote target: link faults are the
-// transport's domain (wrap the connection, e.g. target.NewFaultConn).
-func (c *TargetClient) InjectFaults(target.FaultSchedule) {}
-
-// FaultSchedule reports that no client-side schedule is active.
-func (c *TargetClient) FaultSchedule() (target.FaultSchedule, bool) {
-	return target.FaultSchedule{}, false
-}
-
-// SetRetryPolicy maps the target-layer retry policy onto the wire
-// client's knobs.
-func (c *TargetClient) SetRetryPolicy(p target.RetryPolicy) {
-	if p.MaxRetries > 0 {
-		c.MaxRetries = p.MaxRetries
-	}
-	if p.Backoff > 0 {
-		c.Backoff = p.Backoff
-	}
 }
 
 // --- snapshot transfer ----------------------------------------------
@@ -1121,17 +1040,12 @@ func (c *TargetClient) SpawnWorker(name string, clock *vtime.Clock, stream int) 
 		clock = &vtime.Clock{}
 	}
 	w := &TargetClient{
-		conn:        conn,
-		clock:       clock,
-		Timeout:     c.Timeout,
-		MaxRetries:  c.MaxRetries,
-		Backoff:     c.Backoff,
-		BackoffMax:  c.BackoffMax,
-		Dial:        c.Dial,
-		MaxBatch:    c.MaxBatch,
-		MaxInflight: c.MaxInflight,
-		chunks:      c.chunks,
-		wire:        c.wire,
+		conn:    conn,
+		clock:   clock,
+		Timeout: c.Timeout,
+		Dial:    c.Dial,
+		chunks:  c.chunks,
+		wire:    c.wire,
 	}
 	winfo, err := w.handshake(kAttach, info.Token)
 	if err != nil {

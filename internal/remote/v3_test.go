@@ -461,58 +461,60 @@ func TestV3SpawnWorkerIsolation(t *testing.T) {
 	}
 }
 
+// TestV3PipeliningHidesLatency: a burst of full batch frames overlaps
+// the link's latency. With both directions delayed, stop-and-wait costs
+// at least one round trip per frame, so finishing under that bound
+// proves frames were in flight together.
 func TestV3PipeliningHidesLatency(t *testing.T) {
 	const (
-		frames  = 12
-		oneWay  = 2 * time.Millisecond
-		perStep = 4 // ops per frame with MaxBatch pinned below
+		frames = 12
+		oneWay = 2 * time.Millisecond
 	)
-	run := func(inflight int) time.Duration {
-		tg := newV3Target(t)
-		srv := NewServer(tg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_ = srv.ListenAndServe(ln)
-		}()
-		defer func() { ln.Close(); <-done }()
-		raw, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn := NewLatencyConn(raw, oneWay)
-		defer conn.Close()
-		c, err := Connect(conn, &vtime.Clock{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.MaxBatch = perStep
-		c.MaxInflight = inflight
-		gpio, err := c.Port("gpio0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		for i := 0; i < frames*perStep; i++ {
-			if err := gpio.WriteReg(0x00, uint32(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.flush(); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
+	tg := newV3Target(t)
+	srv := NewServer(tg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	stopAndWait := run(1)
-	pipelined := run(8)
-	if pipelined >= stopAndWait {
-		t.Fatalf("pipelining did not help: inflight=8 took %v, inflight=1 took %v", pipelined, stopAndWait)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.ListenAndServeWith(ln, func(conn net.Conn) net.Conn { return NewLatencyConn(conn, oneWay) })
+	}()
+	defer func() { ln.Close(); <-done }()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("%d frames over a %v one-way link: stop-and-wait %v, pipelined %v", frames, oneWay, stopAndWait, pipelined)
+	conn := NewLatencyConn(raw, oneWay)
+	defer conn.Close()
+	c, err := Connect(conn, &vtime.Clock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpio, err := c.Port("gpio0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := c.WireStats().Frames
+	start := time.Now()
+	for i := 0; i < frames*maxBatch; i++ {
+		if err := gpio.WriteReg(0x00, uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.flush(); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	if n := c.WireStats().Frames - pre; n != frames {
+		t.Fatalf("%d writes took %d frames, want %d", frames*maxBatch, n, frames)
+	}
+	stopAndWait := frames * 2 * oneWay
+	if took >= stopAndWait {
+		t.Fatalf("pipelining did not help: %d frames took %v, stop-and-wait bound %v", frames, took, stopAndWait)
+	}
+	t.Logf("%d frames over a %v one-way link: %v, stop-and-wait bound %v", frames, oneWay, took, stopAndWait)
 }
 
 // corruptNthConn flips a payload byte of the nth written frame.
@@ -572,9 +574,6 @@ func TestV3CorruptedBatchRetransmittedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.MaxRetries = 3
-	c.Backoff = 100 * time.Microsecond
-
 	gpio, err := c.Port("gpio0")
 	if err != nil {
 		t.Fatal(err)
@@ -623,8 +622,6 @@ func TestV3DroppedBatchRetransmittedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Timeout = 50 * time.Millisecond
-	c.MaxRetries = 3
-	c.Backoff = 100 * time.Microsecond
 
 	gpio, err := c.Port("gpio0")
 	if err != nil {
@@ -695,9 +692,6 @@ func TestV3UnderFaultyLink(t *testing.T) {
 	}
 	c.Dial = dial
 	c.Timeout = 100 * time.Millisecond
-	c.MaxRetries = 25
-	c.Backoff = 200 * time.Microsecond
-	c.BackoffMax = 2 * time.Millisecond
 
 	gpio, err := c.Port("gpio0")
 	if err != nil {

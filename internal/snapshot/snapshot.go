@@ -48,7 +48,6 @@
 package snapshot
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -105,9 +104,6 @@ type entry struct {
 	periphs []Digest
 	refs    int
 	bytes   uint64
-	// elem is the entry's position in the retained-tier LRU list while
-	// refs == 0 and retention is enabled (nil when live or untracked).
-	elem *list.Element
 }
 
 // Stats are cumulative store-side counters.
@@ -135,14 +131,6 @@ type Stats struct {
 	BytesShared uint64
 	// BytesMaterialized is the cumulative bytes handed out by Get.
 	BytesMaterialized uint64
-	// Evictions / EvictedBytes count retained (refcount-zero) records
-	// dropped by the retention tier's LRU when the byte cap binds;
-	// live records are never evicted. Retained / RetainedBytes are the
-	// tier's current occupancy.
-	Evictions     uint64
-	EvictedBytes  uint64
-	Retained      int
-	RetainedBytes uint64
 }
 
 // idStripeCount is the number of independently locked ID-table
@@ -175,19 +163,6 @@ type Store struct {
 	entries map[Digest]*entry
 	pool    map[Digest]*poolEntry
 
-	// Retention tier (all guarded by cmu): with retainMax > 0, records
-	// whose last reference is released are kept — still
-	// content-addressable by Adopt/RecordByDigest/PeriphByDigest — up
-	// to retainMax bytes, evicted least-recently-retired first. This
-	// is what lets a long-running farm node seed peers with any digest
-	// it has *ever* held, while bounding its memory. retainMax == 0
-	// (the default) deletes at refcount zero, the historical behavior.
-	retainMax     uint64
-	retainedBytes uint64
-	lru           *list.List // of Digest, front = most recently retired
-	evictions     uint64
-	evictedBytes  uint64
-
 	puts              atomic.Uint64
 	gets              atomic.Uint64
 	releases          atomic.Uint64
@@ -206,7 +181,6 @@ func NewStore() *Store {
 	s := &Store{
 		entries: make(map[Digest]*entry),
 		pool:    make(map[Digest]*poolEntry),
-		lru:     list.New(),
 	}
 	for i := range s.stripes {
 		s.stripes[i].ids = make(map[ID]Digest)
@@ -214,68 +188,8 @@ func NewStore() *Store {
 	return s
 }
 
-// SetRetention sets the retention tier's byte cap: records whose last
-// reference goes are retained (and stay addressable by digest) up to
-// maxBytes total, then evicted least-recently-retired first. Live
-// records never count against the cap and are never evicted. Setting
-// 0 disables retention and flushes the tier. Safe to call at any
-// point in a store's life.
-func (s *Store) SetRetention(maxBytes uint64) {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	s.retainMax = maxBytes
-	s.evictOverCap()
-}
-
-// ref takes a reference on an entry, pulling it out of the retained
-// tier if its refcount was zero. Caller holds cmu for writing.
-func (s *Store) ref(ent *entry) {
-	if ent.refs == 0 && ent.elem != nil {
-		s.lru.Remove(ent.elem)
-		ent.elem = nil
-		s.retainedBytes -= ent.bytes
-	}
-	ent.refs++
-}
-
-// retire handles an entry whose refcount reached zero: retained (LRU
-// front) when retention is enabled, deleted otherwise. Caller holds
-// cmu for writing.
-func (s *Store) retire(ent *entry) {
-	if s.retainMax == 0 {
-		s.drop(ent)
-		return
-	}
-	ent.elem = s.lru.PushFront(ent.digest)
-	s.retainedBytes += ent.bytes
-	s.evictOverCap()
-}
-
-// evictOverCap drops least-recently-retired entries until the tier
-// fits the cap. Caller holds cmu for writing.
-func (s *Store) evictOverCap() {
-	for s.retainedBytes > s.retainMax {
-		back := s.lru.Back()
-		if back == nil {
-			return
-		}
-		d := back.Value.(Digest)
-		ent, ok := s.entries[d]
-		if !ok {
-			s.lru.Remove(back)
-			continue
-		}
-		s.lru.Remove(back)
-		ent.elem = nil
-		s.retainedBytes -= ent.bytes
-		s.drop(ent)
-		s.evictions++
-		s.evictedBytes += ent.bytes
-	}
-}
-
-// drop removes a dead entry and its pool references for real. Caller
-// holds cmu for writing.
+// drop removes a dead entry and its pool references. Caller holds cmu
+// for writing.
 func (s *Store) drop(ent *entry) {
 	delete(s.entries, ent.digest)
 	for _, pd := range ent.periphs {
@@ -382,7 +296,7 @@ func (s *Store) UpdateToDigest(id ID, d Digest) bool {
 	bytes := ent.bytes
 	same := old == d
 	if !same {
-		s.ref(ent)
+		ent.refs++
 		s.detach(old)
 	}
 	s.cmu.Unlock()
@@ -455,7 +369,7 @@ func (s *Store) Adopt(d Digest) (ID, bool) {
 		s.cmu.Unlock()
 		return 0, false
 	}
-	s.ref(ent)
+	ent.refs++
 	bytes := ent.bytes
 	s.cmu.Unlock()
 	id := ID(s.next.Add(1))
@@ -524,17 +438,7 @@ func (s *Store) Entries() int {
 
 // Stats returns a copy of the cumulative counters.
 func (s *Store) Stats() Stats {
-	s.cmu.RLock()
-	evictions := s.evictions
-	evictedBytes := s.evictedBytes
-	retained := s.lru.Len()
-	retainedBytes := s.retainedBytes
-	s.cmu.RUnlock()
 	return Stats{
-		Evictions:         evictions,
-		EvictedBytes:      evictedBytes,
-		Retained:          retained,
-		RetainedBytes:     retainedBytes,
 		Puts:              s.puts.Load(),
 		Gets:              s.gets.Load(),
 		Releases:          s.releases.Load(),
@@ -553,7 +457,7 @@ func (s *Store) Stats() Stats {
 // periphs are address(rec)'s. Caller holds cmu for writing.
 func (s *Store) attach(d Digest, periphs []Digest, rec *Record) {
 	if ent, ok := s.entries[d]; ok {
-		s.ref(ent)
+		ent.refs++
 		s.dedupHits.Add(1)
 		s.bytesShared.Add(ent.bytes)
 		return
@@ -586,9 +490,8 @@ func (s *Store) attach(d Digest, periphs []Digest, rec *Record) {
 }
 
 // detach drops one reference from the entry at d. When the last
-// reference goes the entry is retained (retention tier enabled) or
-// freed along with its pooled peripheral states. Caller holds cmu for
-// writing.
+// reference goes the entry is freed along with its pooled peripheral
+// states. Caller holds cmu for writing.
 func (s *Store) detach(d Digest) {
 	ent, ok := s.entries[d]
 	if !ok {
@@ -598,5 +501,5 @@ func (s *Store) detach(d Digest) {
 	if ent.refs > 0 {
 		return
 	}
-	s.retire(ent)
+	s.drop(ent)
 }

@@ -37,7 +37,6 @@ func (t *Target) Spawn(name string, clock *vtime.Clock, stream int) (*Target, er
 	if err != nil {
 		return nil, fmt.Errorf("target %s: spawn: %w", t.name, err)
 	}
-	nt.retry = t.retry
 	for _, a := range t.asserts {
 		if err := nt.AddAssertion(a); err != nil {
 			return nil, fmt.Errorf("target %s: spawn: %w", t.name, err)
@@ -56,20 +55,6 @@ func (t *Target) Spawn(name string, clock *vtime.Clock, stream int) (*Target, er
 func (s FaultSchedule) Derive(stream int) FaultSchedule {
 	s.Seed += int64(stream+1) * spawnSeedMix
 	return s
-}
-
-// FaultSchedule returns the armed fault schedule, if any.
-func (t *Target) FaultSchedule() (FaultSchedule, bool) {
-	if t.faults == nil {
-		return FaultSchedule{}, false
-	}
-	return t.faults.sched, true
-}
-
-// Clone is Spawn with the parent's name suffixed by the stream
-// number; the common case when fanning out worker targets.
-func (t *Target) Clone(stream int) (*Target, error) {
-	return t.Spawn(fmt.Sprintf("%s-w%d", t.name, stream), &vtime.Clock{}, stream)
 }
 
 // PowerOnState returns a deep copy of the target's power-on hardware

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"hardsnap/internal/bus"
 	"hardsnap/internal/vtime"
 )
 
@@ -41,8 +40,9 @@ type FaultSchedule struct {
 
 func (s FaultSchedule) active() bool { return s != FaultSchedule{} }
 
-// injector applies a FaultSchedule to in-process target links,
-// charging delays to the virtual clock.
+// injector draws a FaultSchedule's verdicts, one per link
+// transaction. Both injection layers share it: the in-process link
+// charges the delays to the virtual clock, FaultConn sleeps them.
 type injector struct {
 	sched FaultSchedule
 	rng   *rand.Rand
@@ -53,97 +53,62 @@ func newInjector(s FaultSchedule) *injector {
 	return &injector{sched: s, rng: rand.New(rand.NewSource(s.Seed))}
 }
 
-// op models one link transaction: it charges jitter/stall latency and
-// returns a transient error if the transaction is lost. Faults fire
-// before the operation reaches the hardware, so a retried operation
-// applies exactly once.
-func (in *injector) op(clock *vtime.Clock) error {
+// verdict is what the schedule does to one transaction.
+type verdict uint8
+
+const (
+	deliver verdict = iota
+	linkDown
+	drop
+	corrupt
+)
+
+// next consumes one scheduled transaction of n bytes (0 when the
+// transaction has no byte form): its verdict, the jitter and stall
+// delay it suffers, and for a corrupted one of n > 0 bytes the bit to
+// flip (-1 otherwise). The PRNG draw order — jitter, drop, corrupt,
+// bit — is the determinism contract: the same seed reproduces the same
+// faults.
+func (in *injector) next(n int) (v verdict, delay time.Duration, bit int) {
 	in.ops++
 	if in.sched.LatencyJitter > 0 {
-		clock.Advance(time.Duration(in.rng.Int63n(int64(in.sched.LatencyJitter))))
+		delay = time.Duration(in.rng.Int63n(int64(in.sched.LatencyJitter)))
 	}
 	if in.sched.StallEvery > 0 && in.sched.StallTime > 0 && in.ops%in.sched.StallEvery == 0 {
-		clock.Advance(in.sched.StallTime)
+		delay += in.sched.StallTime
 	}
-	if in.sched.FailAfter > 0 && in.ops > in.sched.FailAfter {
+	switch {
+	case in.sched.FailAfter > 0 && in.ops > in.sched.FailAfter:
+		return linkDown, delay, -1
+	case in.sched.DropRate > 0 && in.rng.Float64() < in.sched.DropRate:
+		return drop, delay, -1
+	case in.sched.CorruptRate > 0 && in.rng.Float64() < in.sched.CorruptRate:
+		if n > 0 {
+			return corrupt, delay, in.rng.Intn(n * 8)
+		}
+		return corrupt, delay, -1
+	}
+	return deliver, delay, -1
+}
+
+// op models one in-process link transaction: it charges the delay, and
+// a lost transaction's timeout, to clock and returns a transient error
+// if the transaction is lost. Faults fire before the operation reaches
+// the hardware, so a retried operation applies exactly once.
+func (in *injector) op(clock *vtime.Clock) error {
+	v, delay, _ := in.next(0)
+	clock.Advance(delay)
+	switch v {
+	case linkDown:
 		clock.Advance(vtime.LinkTimeout)
 		return transientf("link", "request timed out (link down)")
-	}
-	if in.sched.DropRate > 0 && in.rng.Float64() < in.sched.DropRate {
+	case drop:
 		clock.Advance(vtime.LinkTimeout)
 		return transientf("link", "dropped frame (timeout)")
-	}
-	if in.sched.CorruptRate > 0 && in.rng.Float64() < in.sched.CorruptRate {
+	case corrupt:
 		return transientf("link", "corrupted frame (bad CRC)")
 	}
 	return nil
-}
-
-// FaultPort wraps a bus.Port with deterministic fault injection: lost
-// transactions surface as transient typed errors, latency is charged
-// to the virtual clock when one is attached (or slept in real time
-// otherwise). It lets any port-level consumer — the remote server,
-// a custom harness — be tested against a misbehaving link.
-type FaultPort struct {
-	inner bus.Port
-	clock *vtime.Clock
-	inj   *injector
-}
-
-// NewFaultPort wraps port. clock may be nil, in which case injected
-// latency is slept in real time instead of charged virtually.
-func NewFaultPort(port bus.Port, clock *vtime.Clock, sched FaultSchedule) *FaultPort {
-	return &FaultPort{inner: port, clock: clock, inj: newInjector(sched)}
-}
-
-var _ bus.Port = (*FaultPort)(nil)
-
-func (p *FaultPort) fault() error {
-	if p.clock != nil {
-		return p.inj.op(p.clock)
-	}
-	var c vtime.Clock
-	err := p.inj.op(&c)
-	if d := c.Now(); d > 0 {
-		time.Sleep(d)
-	}
-	return err
-}
-
-// ReadReg reads through the faulty link.
-func (p *FaultPort) ReadReg(offset uint32) (uint32, error) {
-	if err := p.fault(); err != nil {
-		return 0, err
-	}
-	return p.inner.ReadReg(offset)
-}
-
-// WriteReg writes through the faulty link.
-func (p *FaultPort) WriteReg(offset uint32, v uint32) error {
-	if err := p.fault(); err != nil {
-		return err
-	}
-	return p.inner.WriteReg(offset, v)
-}
-
-// IRQLevel samples the interrupt line through the faulty link.
-func (p *FaultPort) IRQLevel() (bool, error) {
-	if err := p.fault(); err != nil {
-		return false, err
-	}
-	return p.inner.IRQLevel()
-}
-
-// Advance forwards clock advancement when the wrapped port supports
-// it.
-func (p *FaultPort) Advance(n uint64) error {
-	if err := p.fault(); err != nil {
-		return err
-	}
-	if adv, ok := p.inner.(interface{ Advance(uint64) error }); ok {
-		return adv.Advance(n)
-	}
-	return fatalf("advance", "wrapped port does not support advance")
 }
 
 // FaultConn wraps a net.Conn with deterministic frame-level fault
@@ -166,42 +131,26 @@ func NewFaultConn(conn net.Conn, sched FaultSchedule) *FaultConn {
 	return &FaultConn{Conn: conn, inj: newInjector(sched)}
 }
 
-// decide consumes one scheduled transaction: (drop, corruptAt) where
-// corruptAt < 0 means no corruption.
-func (c *FaultConn) decide(n int) (dead, drop bool, corruptAt int) {
+// decide consumes one scheduled transaction of n bytes, sleeping its
+// delay.
+func (c *FaultConn) decide(n int) (verdict, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in := c.inj
-	in.ops++
-	corruptAt = -1
-	if in.sched.LatencyJitter > 0 {
-		time.Sleep(time.Duration(in.rng.Int63n(int64(in.sched.LatencyJitter))))
-	}
-	if in.sched.StallEvery > 0 && in.sched.StallTime > 0 && in.ops%in.sched.StallEvery == 0 {
-		time.Sleep(in.sched.StallTime)
-	}
-	if in.sched.FailAfter > 0 && in.ops > in.sched.FailAfter {
-		return true, false, -1
-	}
-	if in.sched.DropRate > 0 && in.rng.Float64() < in.sched.DropRate {
-		return false, true, -1
-	}
-	if in.sched.CorruptRate > 0 && in.rng.Float64() < in.sched.CorruptRate && n > 0 {
-		return false, false, in.rng.Intn(n * 8)
-	}
-	return false, false, -1
+	v, delay, bit := c.inj.next(n)
+	time.Sleep(delay)
+	return v, bit
 }
 
 // Write sends one frame, possibly dropping or corrupting it.
 func (c *FaultConn) Write(b []byte) (int, error) {
-	dead, drop, corrupt := c.decide(len(b))
-	if dead || drop {
+	v, bit := c.decide(len(b))
+	if v == linkDown || v == drop {
 		// Swallow the frame: the peer's read times out.
 		return len(b), nil
 	}
-	if corrupt >= 0 {
+	if bit >= 0 {
 		mut := append([]byte(nil), b...)
-		mut[corrupt/8] ^= 1 << uint(corrupt%8)
+		mut[bit/8] ^= 1 << uint(bit%8)
 		_, err := c.Conn.Write(mut)
 		return len(b), err
 	}
@@ -216,9 +165,8 @@ func (c *FaultConn) Read(b []byte) (int, error) {
 	if err != nil || n == 0 {
 		return n, err
 	}
-	_, _, corrupt := c.decide(n)
-	if corrupt >= 0 && corrupt/8 < n {
-		b[corrupt/8] ^= 1 << uint(corrupt%8)
+	if _, bit := c.decide(n); bit >= 0 {
+		b[bit/8] ^= 1 << uint(bit%8)
 	}
 	return n, err
 }

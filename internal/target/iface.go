@@ -17,6 +17,9 @@ import (
 // dirty tracking (AnchorSeq advances), Generation moves iff hardware
 // state changed value, RestoreDelta returns (false, nil) when no
 // incremental path exists and the caller must fall back to Restore.
+// Fault injection is not part of it: a schedule belongs to the link it
+// disturbs, so the in-process link is armed on *Target
+// (InjectFaults) and the wire by wrapping its connection (FaultConn).
 type Interface interface {
 	// Identity and plumbing.
 	Name() string
@@ -39,10 +42,7 @@ type Interface interface {
 	RestoreDelta(s State) (bool, error)
 	AdoptState(s State) error
 
-	// Robustness and worker fan-out.
-	InjectFaults(s FaultSchedule)
-	SetRetryPolicy(p RetryPolicy)
-	FaultSchedule() (FaultSchedule, bool)
+	// Worker fan-out.
 	SpawnWorker(name string, clock *vtime.Clock, stream int) (Interface, error)
 }
 

@@ -1,20 +1,20 @@
 package target
 
-// Recycle wipes the target back to the state a fresh build comes up
-// in, so a pool can hand it to the next job without paying the
-// elaboration cost of Spawn: the hardware is restored to the power-on
-// snapshot, assertions, violations, fault injection, retry policy,
-// standby wiring and the failover journal are cleared, the cumulative
-// stats are zeroed and the clock rewinds to zero. The mutation
-// generation and anchor sequence keep counting — they only ever
-// prove identity within one run, and each run anchors afresh.
-//
 // LiveState returns a cost-free deep copy of the current hardware
 // state, without charging snapshot virtual time or touching the
 // stats: orchestration-level bookkeeping (the pool's post-recycle
 // integrity check), not an analysis operation.
 func (t *Target) LiveState() State { return t.snapshotRaw() }
 
+// Recycle wipes the target back to the state a fresh build comes up
+// in, so a pool can hand it to the next job without paying the
+// elaboration cost of Spawn. The hardware returns to the power-on
+// snapshot; assertions, violations, the fault schedule, the standby
+// and the failover journal are cleared; the stats are zeroed and the
+// clock rewinds to zero. The mutation generation and anchor sequence
+// keep counting: they only ever prove identity within one run, and
+// each run anchors afresh.
+//
 // Recycle fails only if the target is dead (an unrecoverable link or
 // integrity failure); a dead target must be discarded, not pooled.
 func (t *Target) Recycle() error {
@@ -31,7 +31,6 @@ func (t *Target) Recycle() error {
 	t.asserts = nil
 	t.violations = nil
 	t.faults = nil
-	t.retry = RetryPolicy{}
 	t.standby = nil
 	t.journal = nil
 	t.journalFull = false

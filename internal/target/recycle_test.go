@@ -29,7 +29,6 @@ func TestRecyclePristine(t *testing.T) {
 		t.Fatal(err)
 	}
 	tgt.InjectFaults(FaultSchedule{Seed: 9, LatencyJitter: time.Millisecond})
-	tgt.SetRetryPolicy(RetryPolicy{MaxRetries: 9})
 	port, err := tgt.Port("g")
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +70,6 @@ func TestRecyclePristine(t *testing.T) {
 	}
 	if tgt.faults != nil {
 		t.Fatal("fault injection survived recycle")
-	}
-	if tgt.retry != (RetryPolicy{}) {
-		t.Fatal("retry policy survived recycle")
 	}
 	if tgt.journal != nil || tgt.journalFull {
 		t.Fatal("failover journal survived recycle")

@@ -86,30 +86,15 @@ type Stats struct {
 	Failovers uint64
 }
 
-// RetryPolicy bounds how hard the target fights transient link
-// faults before declaring the link dead. Zero fields take defaults.
-type RetryPolicy struct {
-	// MaxRetries is the number of consecutive transient failures
-	// tolerated between health checks (default 4).
-	MaxRetries int
-	// Backoff is the initial retry delay, doubled per retry up to
-	// vtime.LinkRetryBackoffMax (default vtime.LinkRetryBackoff).
-	Backoff time.Duration
-}
+// linkRetries is how many consecutive transient link failures the
+// target absorbs between health checks. The retry delay starts at
+// vtime.LinkRetryBackoff and doubles per retry up to
+// vtime.LinkRetryBackoffMax.
+const linkRetries = 4
 
 // healthPings is how many pings the health check sends before
 // declaring the link persistently down.
 const healthPings = 3
-
-func (p RetryPolicy) norm() RetryPolicy {
-	if p.MaxRetries <= 0 {
-		p.MaxRetries = 4
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = vtime.LinkRetryBackoff
-	}
-	return p
-}
 
 // journalOp is one replayable hardware interaction since the last
 // consistent snapshot; the journal makes failover exact.
@@ -180,7 +165,6 @@ type Target struct {
 
 	// Robustness state.
 	faults      *injector
-	retry       RetryPolicy
 	standby     *Target
 	journal     []journalOp
 	journalFull bool
@@ -387,8 +371,13 @@ func (t *Target) InjectFaults(s FaultSchedule) {
 	t.faults = newInjector(s)
 }
 
-// SetRetryPolicy replaces the transient-fault retry policy.
-func (t *Target) SetRetryPolicy(p RetryPolicy) { t.retry = p }
+// FaultSchedule returns the armed fault schedule, if any.
+func (t *Target) FaultSchedule() (FaultSchedule, bool) {
+	if t.faults == nil {
+		return FaultSchedule{}, false
+	}
+	return t.faults.sched, true
+}
 
 // port is a handle bound to the target by instance name, so it stays
 // valid across a backend failover.
@@ -419,8 +408,7 @@ func (t *Target) linkOp(op string, rec *journalOp, fn func() error) error {
 	if t.dead {
 		return fatalf(op, "target %s is dead after an unrecoverable failure", t.name)
 	}
-	pol := t.retry.norm()
-	backoff := pol.Backoff
+	backoff := vtime.LinkRetryBackoff
 	consecutive := 0
 	for {
 		var err error
@@ -444,12 +432,10 @@ func (t *Target) linkOp(op string, rec *journalOp, fn func() error) error {
 			return err
 		}
 		consecutive++
-		if consecutive <= pol.MaxRetries {
+		if consecutive <= linkRetries {
 			t.stats.Retries++
 			t.clock.Advance(backoff)
-			if backoff < vtime.LinkRetryBackoffMax {
-				backoff = min(2*backoff, vtime.LinkRetryBackoffMax)
-			}
+			backoff = min(2*backoff, vtime.LinkRetryBackoffMax)
 			continue
 		}
 		// Retry budget exhausted: probe the link before deciding the
