@@ -39,8 +39,10 @@ race:
 # resume (process death, torn tails, mismatched configs) and mid-run
 # remote link failover — for local workers and, through the same
 # supervisor, for dist nodes (node death with and without a survivor,
-# driver death + resume, the seed-drain journal) — plus both link
-# fault layers: the in-process link's seeded faults, retry, health
+# driver death + resume, the seed-drain journal) — the farm's
+# restart-and-resume and standalone-identity gates (the farm server
+# shuts down through the connection layer the dist node uses), plus
+# both link fault layers: the in-process link's seeded faults, retry, health
 # check and standby failover, and the wire's exactly-once retransmit
 # and redial under FaultConn. Every test asserts byte-identical results
 # (bugs, paths AND virtual time) against an undisturbed run, or a
@@ -48,6 +50,7 @@ race:
 chaos:
 	$(GO) test -race ./internal/core -run 'Chaos|Resume|Journal|Faulty|Failover'
 	$(GO) test -race ./internal/dist -run 'NodeDeath|JournalResume|SeedDrain|Chaos'
+	$(GO) test -race ./internal/farm -run 'RestartResume|Identity'
 	$(GO) test -race ./internal/target -run 'Fault|Failover|Standby'
 	$(GO) test -race ./internal/remote -run 'Failover|SeverLink|RecoverRetry|Retransmitted|UnderFaultyLink|ClientRetry|Redial'
 	$(GO) test -race ./cmd/hssim -run FaultInjection

@@ -222,9 +222,6 @@ func run(ctx context.Context, opts runOpts) (int, error) {
 		}
 		return runFarm(ctx, opts, job)
 	}
-	if opts.Nodes != "" {
-		job.Nodes = strings.Split(opts.Nodes, ",")
-	}
 
 	var cam *core.Campaign
 	journalPath := opts.Journal
@@ -262,26 +259,19 @@ func run(ctx context.Context, opts runOpts) (int, error) {
 			}
 		}
 	}()
-	var res *campaign.Result
-	if len(job.Nodes) > 0 {
-		// Distributed run: the dist driver fans subtrees out to the
-		// remote nodes over the snapshot + solver-cache fabric and
-		// merges to the same deterministic report a local run yields.
-		res, err = dist.Run(ctx, job, dist.Options{
-			Nodes:     job.Nodes,
-			Journal:   opts.Journal,
-			Resume:    cam,
-			Events:    events,
-			ReportDir: opts.ReportDir,
-		})
-	} else {
-		res, err = campaign.Runner{}.Run(ctx, job, campaign.RunOptions{
-			Journal:   opts.Journal,
-			Resume:    cam,
-			Events:    events,
-			ReportDir: opts.ReportDir,
-		})
+	runOpts := campaign.RunOptions{
+		Journal:   opts.Journal,
+		Resume:    cam,
+		Events:    events,
+		ReportDir: opts.ReportDir,
 	}
+	if opts.Nodes != "" {
+		// The subtrees run on the remote nodes over the snapshot +
+		// solver-cache fabric; the merged report is the one a local run
+		// yields.
+		runOpts.Fanout = dist.Fanout(strings.Split(opts.Nodes, ","))
+	}
+	res, err := campaign.Runner{}.Run(ctx, job, runOpts)
 	close(events)
 	<-printed
 	if errors.Is(err, core.ErrInterrupted) {

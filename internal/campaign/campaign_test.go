@@ -271,3 +271,21 @@ func TestRunnerJournalResume(t *testing.T) {
 		t.Fatal("resume re-explored everything instead of replaying the journal")
 	}
 }
+
+// TestRunnerRefusesTargetWithFanout: a pre-built target runs the whole
+// job on one vehicle, so it cannot be combined with a node fan-out.
+func TestRunnerRefusesTargetWithFanout(t *testing.T) {
+	pooled, err := target.NewSimulator("pool0", &vtime.Clock{},
+		[]target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanout := func(context.Context, Job, *core.Frontier) (*core.Report, error) {
+		t.Fatal("fan-out ran beside a pre-built target")
+		return nil, nil
+	}
+	if _, err := (Runner{}).Run(context.Background(), gpioJob(fanoutFirmware, 2),
+		RunOptions{Target: pooled, Fanout: fanout}); err == nil {
+		t.Fatal("runner accepted a pre-built target together with a fan-out")
+	}
+}

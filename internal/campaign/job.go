@@ -1,11 +1,21 @@
 // Package campaign turns one exploration run into a first-class,
 // serializable object: a Job describes everything the analysis needs
 // (firmware, peripherals, consistency mode, search strategy,
-// budgets), a Runner executes it — locally or on a pooled target —
-// streaming typed progress events, and a Result carries the
-// wire-friendly outcome. The hardsnap CLI compiles its flags into a
-// Job; the farm accepts Jobs over the network and schedules them
-// across tenants.
+// budgets), a Runner executes it streaming typed progress events, and
+// a Result carries the wire-friendly outcome.
+//
+// Runner.Run is the only path from a Job to a Result. Where the job
+// runs is not part of the Job: RunOptions says it — local rigs by
+// default, a pre-built (pooled or remote) target, or a node fan-out
+// that internal/dist builds from node addresses — and none of it
+// changes the Result's fingerprint. The hardsnap CLI compiles its
+// flags into a Job; the farm accepts Jobs over the network and
+// schedules them across tenants.
+//
+// The farm and dist wire protocols are newline-delimited JSON over one
+// connection layer kept here: Conn on both ends, ConnServer's accept
+// loop and connection registry on the serving one, and MessageReader's
+// bound on every message read.
 package campaign
 
 import (
@@ -69,11 +79,6 @@ type Job struct {
 	// KeepBugSnapshots retains per-bug hardware snapshots for crash
 	// reports.
 	KeepBugSnapshots bool `json:"keep_bug_snapshots,omitempty"`
-	// Nodes lists remote dist workers (host:port) for distributed
-	// exploration. The dist driver clears it before shipping the job
-	// to a node (a node must not recursively fan out), so the job a
-	// node validates is the single-machine spec.
-	Nodes []string `json:"nodes,omitempty"`
 
 	// Chaos injects deterministic failures (tests only; deliberately
 	// not serialized, so a persisted job resumes undisturbed).
@@ -196,7 +201,6 @@ func (j Job) SetupConfig() (core.SetupConfig, error) {
 			MaxVirtualTime:   j.MaxVirtualTime,
 			MaxSolverQueries: j.MaxSolverQueries,
 			KeepBugSnapshots: j.KeepBugSnapshots,
-			Nodes:            j.Nodes,
 			Chaos:            j.Chaos,
 		},
 	}, nil

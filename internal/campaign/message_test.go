@@ -3,6 +3,7 @@ package campaign
 import (
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
 )
@@ -98,5 +99,53 @@ func TestMessageReaderFraming(t *testing.T) {
 	}
 	if err := NewMessageReader(strings.NewReader("\n")).Read(&m); !errors.Is(err, io.EOF) {
 		t.Fatalf("close between messages: %v, want io.EOF", err)
+	}
+}
+
+// TestConnServerClose: the shared connection layer answers round trips,
+// and Close drops idle clients, waits for their handlers and makes
+// Serve return nil — also for a Serve that starts after Close.
+func TestConnServerClose(t *testing.T) {
+	srv := NewConnServer(func(c *Conn) {
+		for {
+			var m struct{ Op string }
+			if c.Receive(&m) != nil || c.Send(m) != nil {
+				return
+			}
+		}
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var echo struct{ Op string }
+	if err := c.RoundTrip(struct{ Op string }{"ping"}, &echo); err != nil || echo.Op != "ping" {
+		t.Fatalf("round trip: %q, %v", echo.Op, err)
+	}
+	srv.Close()
+	if err := c.Receive(&echo); err == nil {
+		t.Fatal("idle client still connected after Close")
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve after Close: %v, want nil", err)
+	}
+
+	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(ln2); err != nil {
+		t.Fatalf("Serve on a closed server: %v, want nil", err)
+	}
+	if _, err := net.Dial("tcp", ln2.Addr().String()); err == nil {
+		t.Fatal("a closed server left its new listener open")
 	}
 }

@@ -83,21 +83,23 @@ type Result struct {
 	// CrashReports is the number of per-bug reports written to
 	// RunOptions.ReportDir.
 	CrashReports int `json:"crash_reports,omitempty"`
-	// ExploreWall is the wall-clock time of the distributed
-	// exploration phase — node connection through last subtree
-	// result, excluding the driver's local setup, seed phase, and
-	// merge (zero for non-distributed runs). The throughput
-	// denominator for node-scaling comparisons.
-	ExploreWall time.Duration `json:"explore_wall,omitempty"`
 
 	// Report is the full in-process report (not serialized).
 	Report *core.Report `json:"-"`
 }
 
 // RunOptions are the run-level concerns layered onto a Job: where to
-// journal, what to resume, which pre-built target to run on, and
-// where to stream progress.
+// journal, what to resume, which pre-built target or which nodes to
+// run on, and where to stream progress. None of them changes the
+// Result's Fingerprint.
 type RunOptions struct {
+	// Fanout, when set, runs the job's fan-out subtrees somewhere other
+	// than the local rigs (internal/dist builds one from node
+	// addresses): the runner sets the job up and runs the seed phase,
+	// hands the frontier to Fanout, and reports the merged report it
+	// returns like any other. The runner closes the frontier after
+	// Fanout returns. Exclusive with Target.
+	Fanout func(ctx context.Context, job Job, f *core.Frontier) (*core.Report, error)
 	// Journal enables crash-safe campaign journaling to this path
 	// (parallel jobs only, like the CLI flag).
 	Journal string
@@ -121,9 +123,9 @@ type RunOptions struct {
 // stateless and safe for concurrent use.
 type Runner struct{}
 
-// Emit sends ev without ever blocking the run: an event the consumer
+// emit sends ev without ever blocking the run: an event the consumer
 // is not ready for is dropped, and a nil channel takes nothing.
-func Emit(ch chan<- Event, ev Event) {
+func emit(ch chan<- Event, ev Event) {
 	if ch == nil {
 		return
 	}
@@ -133,14 +135,14 @@ func Emit(ch chan<- Event, ev Event) {
 	}
 }
 
-// ProgressHook adapts an event channel to core.Config.Progress (nil
+// progressHook adapts an event channel to core.Config.Progress (nil
 // for a nil channel, keeping the engine hook-free).
-func ProgressHook(events chan<- Event) func(core.ProgressEvent) {
+func progressHook(events chan<- Event) func(core.ProgressEvent) {
 	if events == nil {
 		return nil
 	}
 	return func(p core.ProgressEvent) {
-		Emit(events, Event{
+		emit(events, Event{
 			Kind:         EventProgress,
 			Instructions: p.Instructions,
 			SubtreesDone: p.SubtreesDone,
@@ -149,12 +151,10 @@ func ProgressHook(events chan<- Event) func(core.ProgressEvent) {
 	}
 }
 
-// NewResult turns a finished run's report into its Result — bug
+// newResult turns a finished run's report into its Result — bug
 // events, crash reports under reportDir (when set) and the completed
-// event included. Every way of running a job (Runner.Run, the
-// distributed driver) ends here, so where a job ran cannot change what
-// is reported about it.
-func NewResult(job Job, analysis *core.Analysis, rep *core.Report, events chan<- Event, reportDir string) (*Result, error) {
+// event included.
+func newResult(job Job, analysis *core.Analysis, rep *core.Report, events chan<- Event, reportDir string) (*Result, error) {
 	res := &Result{
 		Fingerprint:     core.Fingerprint(rep),
 		JobFingerprint:  job.Fingerprint(),
@@ -174,7 +174,7 @@ func NewResult(job Job, analysis *core.Analysis, rep *core.Report, events chan<-
 			Model:  st.Model,
 		}
 		res.Bugs = append(res.Bugs, bug)
-		Emit(events, Event{Kind: EventBug, Bug: &bug})
+		emit(events, Event{Kind: EventBug, Bug: &bug})
 	}
 	if reportDir != "" && len(res.Bugs) > 0 {
 		n, err := analysis.WriteCrashReports(reportDir, rep)
@@ -183,7 +183,7 @@ func NewResult(job Job, analysis *core.Analysis, rep *core.Report, events chan<-
 		}
 		res.CrashReports = n
 	}
-	Emit(events, Event{
+	emit(events, Event{
 		Kind:        EventCompleted,
 		Paths:       res.Paths,
 		Bugs:        len(res.Bugs),
@@ -198,6 +198,9 @@ func NewResult(job Job, analysis *core.Analysis, rep *core.Report, events chan<-
 // any — flushed for resume. The returned Result is the authoritative
 // outcome; the event stream is best-effort.
 func (Runner) Run(ctx context.Context, job Job, opts RunOptions) (*Result, error) {
+	if opts.Target != nil && opts.Fanout != nil {
+		return nil, errors.New("campaign: a pre-built target and a node fan-out are exclusive")
+	}
 	setup, err := job.SetupConfig()
 	if err != nil {
 		return nil, err
@@ -205,7 +208,7 @@ func (Runner) Run(ctx context.Context, job Job, opts RunOptions) (*Result, error
 	setup.Target = opts.Target
 	setup.Engine.JournalPath = opts.Journal
 	setup.Engine.Resume = opts.Resume
-	setup.Engine.Progress = ProgressHook(opts.Events)
+	setup.Engine.Progress = progressHook(opts.Events)
 
 	analysis, err := core.Setup(setup)
 	if err != nil {
@@ -219,16 +222,25 @@ func (Runner) Run(ctx context.Context, job Job, opts RunOptions) (*Result, error
 			soc = append(soc, fmt.Sprintf("%-10s @ %#x (irq %d)", r.Name, r.Base, r.IRQ))
 		}
 	}
-	Emit(opts.Events, Event{Kind: EventStarted, Target: kind, SoC: soc})
+	emit(opts.Events, Event{Kind: EventStarted, Target: kind, SoC: soc})
 
-	rep, err := analysis.Engine.RunContext(ctx)
+	var rep *core.Report
+	if opts.Fanout == nil {
+		rep, err = analysis.Engine.RunContext(ctx)
+	} else {
+		var f *core.Frontier
+		if f, err = analysis.Engine.Frontier(ctx); err == nil {
+			defer f.Close()
+			rep, err = opts.Fanout(ctx, job, f)
+		}
+	}
 	if errors.Is(err, core.ErrInterrupted) {
-		Emit(opts.Events, Event{Kind: EventInterrupted})
+		emit(opts.Events, Event{Kind: EventInterrupted})
 		return nil, err
 	}
 	if err != nil {
 		return nil, err
 	}
 
-	return NewResult(job, analysis, rep, opts.Events, opts.ReportDir)
+	return newResult(job, analysis, rep, opts.Events, opts.ReportDir)
 }

@@ -54,7 +54,7 @@ func TestChaosIdentity(t *testing.T) {
 	}{{seed: 1}, {seed: 7}, {seed: 13}, {seed: 7, interp: true}} {
 		chaos := &ChaosSchedule{Seed: tc.seed, PanicRate: 0.3, KillRate: 0.3}
 		setup := chaosSetup(chaos, "", nil, symexec.BFS{})
-		setup.Interp = tc.interp
+		setup.Peripherals[0].Interp = tc.interp
 		_, rep := run(t, setup)
 		if got := Fingerprint(rep); got != want {
 			t.Errorf("seed %d interp=%v: chaos run diverged from clean run:\nclean: %s\nchaos: %s\npaths %d vs %d, vt %v vs %v",

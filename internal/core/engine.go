@@ -97,14 +97,6 @@ type Config struct {
 	// of the run's identity: a different decomposition packs the
 	// deterministic merge schedule differently.
 	SeedFanout int
-	// Nodes lists remote distributed-exploration workers
-	// (host:port). The engine itself ignores it — the CLI routes a
-	// run with Nodes set through the internal/dist driver, which fans
-	// subtrees out over these hosts. Deliberately excluded from the
-	// run fingerprint: an N-node run is byte-identical to a 1-node
-	// run by construction, so where subtrees execute is not part of
-	// the run's identity.
-	Nodes []string
 
 	// MaxVirtualTime bounds the virtual time a run may consume (0 =
 	// unlimited): the run stops at the next scheduling boundary once
@@ -354,7 +346,7 @@ type Report struct {
 	// (all zero for an undisturbed serial run).
 	Recovery RecoveryStats
 	// Nodes is the per-node breakdown of a distributed run (nil
-	// otherwise), filled in by the internal/dist driver after the
+	// otherwise), filled in by the internal/dist fan-out after the
 	// deterministic merge. Like WorkerReport rows it is commentary on
 	// where work physically ran; the merged results above are
 	// node-count-invariant.

@@ -85,9 +85,8 @@ _start:
 other:
 		halt
 		`,
-				Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}},
+				Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio", Interp: tc.interp}},
 				FPGA:        tc.fpga,
-				Interp:      tc.interp,
 				Exec:        symexec.Config{Policy: symexec.ConcretizeAll},
 				Engine:      Config{MaxInstructions: 100000},
 			})

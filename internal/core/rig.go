@@ -45,7 +45,7 @@ type Rig struct {
 
 // NewRig wires the machine cfg describes. The vehicle is cfg.Target
 // when injected, otherwise a simulator or FPGA target called name
-// built from cfg.Peripherals (FPGA, Readback, Interp); peripheral i
+// built from cfg.Peripherals (FPGA, Readback); peripheral i
 // is mapped at MMIOBase + i*PeriphRegionSize with IRQ line i, and
 // cfg.HWAssertions are registered on the vehicle. store backs the
 // snapshot manager.
@@ -61,19 +61,11 @@ func NewRig(name string, cfg *SetupConfig, store *snapshot.Store) (*Rig, error) 
 		if len(cfg.Peripherals) == 0 {
 			return softwareRig(), nil
 		}
-		periphs := cfg.Peripherals
-		if cfg.Interp {
-			periphs = make([]target.PeriphConfig, len(cfg.Peripherals))
-			copy(periphs, cfg.Peripherals)
-			for i := range periphs {
-				periphs[i].Interp = true
-			}
-		}
 		var err error
 		if cfg.FPGA {
-			local, err = target.NewFPGA(name, &vtime.Clock{}, periphs, cfg.Readback)
+			local, err = target.NewFPGA(name, &vtime.Clock{}, cfg.Peripherals, cfg.Readback)
 		} else {
-			local, err = target.NewSimulator(name, &vtime.Clock{}, periphs)
+			local, err = target.NewSimulator(name, &vtime.Clock{}, cfg.Peripherals)
 		}
 		if err != nil {
 			return nil, err

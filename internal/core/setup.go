@@ -29,11 +29,6 @@ type SetupConfig struct {
 	Target target.Interface
 	// FPGA selects the FPGA target instead of the simulator.
 	FPGA bool
-	// Interp forces the interpreter RTL engine on every locally built
-	// peripheral instead of the compiled-bytecode default. Used for
-	// debugging and the engine-identity tests; results are
-	// bit-identical either way, only speed differs.
-	Interp bool
 	// Readback selects the readback snapshot method on the FPGA.
 	Readback bool
 	// HWAssertions are hardware properties checked every cycle

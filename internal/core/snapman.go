@@ -37,18 +37,14 @@ type SnapshotManager struct {
 
 	// live tracks what the hardware currently holds: the digest of
 	// the last state saved from or restored to it, valid while the
-	// target generation still equals liveGen.
+	// target generation still equals liveGen. That save or restore
+	// also re-anchored the target's dirty tracking on the same record,
+	// at anchor sequence anchorSeq: a delta restore is sound only
+	// against that record, and only while the sequence has not moved.
 	liveValid  bool
 	liveDigest snapshot.Digest
 	liveGen    uint64
-
-	// anchor tracks the record the target's dirty tracking is
-	// relative to (last Save/Restore), identified by content digest
-	// and the target's anchor sequence number; a delta restore is
-	// sound only against this exact record.
-	anchorValid  bool
-	anchorDigest snapshot.Digest
-	anchorSeq    uint64
+	anchorSeq  uint64
 
 	stats SnapManagerStats
 }
@@ -106,10 +102,7 @@ func (m *SnapshotManager) Store() *snapshot.Store { return m.store }
 // traffic — and therefore its virtual time — is a pure function of
 // the subtree itself, never of which subtrees happened to run on the
 // same rig before it (claim order is racy; reported time must not be).
-func (m *SnapshotManager) Forget() {
-	m.liveValid = false
-	m.anchorValid = false
-}
+func (m *SnapshotManager) Forget() { m.liveValid = false }
 
 // Stats returns a copy of the manager's counters.
 func (m *SnapshotManager) Stats() SnapManagerStats { return m.stats }
@@ -120,15 +113,12 @@ func (m *SnapshotManager) liveCurrent() bool {
 	return m.liveValid && m.tgt.Generation() == m.liveGen
 }
 
+// setLive records that the hardware holds, and its dirty tracking is
+// anchored on, the record with digest d.
 func (m *SnapshotManager) setLive(d snapshot.Digest) {
 	m.liveValid = true
 	m.liveDigest = d
 	m.liveGen = m.tgt.Generation()
-}
-
-func (m *SnapshotManager) setAnchor(d snapshot.Digest) {
-	m.anchorValid = true
-	m.anchorDigest = d
 	m.anchorSeq = m.tgt.AnchorSeq()
 }
 
@@ -160,7 +150,6 @@ func (m *SnapshotManager) Capture() (snapshot.ID, error) {
 	id := m.store.Put(rec)
 	d, _ := m.store.DigestOf(id)
 	m.setLive(d)
-	m.setAnchor(d)
 	return id, nil
 }
 
@@ -193,7 +182,6 @@ func (m *SnapshotManager) Sync(id snapshot.ID) (snapshot.ID, error) {
 	}
 	d, _ := m.store.DigestOf(id)
 	m.setLive(d)
-	m.setAnchor(d)
 	return id, nil
 }
 
@@ -224,7 +212,7 @@ func (m *SnapshotManager) Restore(id snapshot.ID) error {
 		return fmt.Errorf("core: restore of missing snapshot %d", id)
 	}
 	restored := false
-	if m.anchorValid && d == m.anchorDigest && m.tgt.AnchorSeq() == m.anchorSeq {
+	if m.liveValid && d == m.liveDigest && m.tgt.AnchorSeq() == m.anchorSeq {
 		// Restoring the exact record the dirty tracking is anchored
 		// on: only elements touched since then need writing back.
 		did, err := m.tgt.RestoreDelta(rec.HW)
@@ -244,7 +232,6 @@ func (m *SnapshotManager) Restore(id snapshot.ID) error {
 	m.stats.Restores++
 	m.router.ResetIRQEdges(rec.IRQEdges)
 	m.setLive(d)
-	m.setAnchor(d)
 	return nil
 }
 
@@ -268,6 +255,5 @@ func (m *SnapshotManager) LiveRecord() (*snapshot.Record, error) {
 	}
 	d := snapshot.DigestRecord(&rec)
 	m.setLive(d)
-	m.setAnchor(d)
 	return &rec, nil
 }

@@ -1,9 +1,12 @@
-// Package dist is the distributed exploration driver: it fans the
-// fan-out subtrees of one campaign out to N remote nodes, each an
-// independent process with its own pre-warmed targets, over two
-// shared fabrics — a farm-wide snapshot cache (content digests cross
-// the wire, state bytes only when a digest is unknown) and a
-// farm-wide memoized solver cache (verdicts discovered anywhere are
+// Package dist is distributed exploration: Fanout is the
+// campaign.RunOptions.Fanout that sends the fan-out subtrees of one
+// campaign to N remote nodes, each an independent process with its
+// own pre-warmed targets, and Server is such a node. campaign.Runner
+// does everything else a run does — setup, seed phase, events, result
+// — exactly as for a local run. The nodes share two fabrics: a
+// snapshot fabric (a bug record crosses the wire once per driver, and
+// the chunks it shares with the seed snapshots cross as digests) and
+// a farm-wide memoized solver cache (verdicts discovered anywhere are
 // relayed everywhere).
 //
 // The design rests on the frontier purity property (see
@@ -15,7 +18,7 @@
 // byte-identical frontier. From then on a subtree handoff is a bare
 // index: zero symbolic state and zero snapshot bytes on the wire.
 //
-// Scheduling: there is none of its own. Run hands core.Frontier.Run —
+// Scheduling: there is none of its own. Fanout hands core.Frontier.Run —
 // the supervisor of every parallel run — one slot per node connection
 // and the driver's local rigs as the fallback; queueing, requeue and
 // replacement after a node death, journaling, resume and interruption
@@ -33,7 +36,8 @@
 // only wall-clock effort, never outcomes.
 //
 // The wire protocol is line-delimited JSON over TCP, one Request per
-// Response, same idiom as internal/farm.
+// Response, on the connection layer internal/farm uses too
+// (campaign.Conn and campaign.ConnServer).
 package dist
 
 import (
@@ -50,8 +54,7 @@ type Request struct {
 	Op string `json:"op"`
 	// Token names a prepared campaign (all ops but prepare).
 	Token string `json:"token,omitempty"`
-	// Job is the campaign spec (prepare). The driver clears
-	// Job.Nodes first: a node must not recursively fan out.
+	// Job is the campaign spec (prepare).
 	Job *campaign.Job `json:"job,omitempty"`
 	// Frontier is the driver's frontier identity (prepare). The node
 	// refuses the campaign unless its own seed phase reproduces it
@@ -66,10 +69,6 @@ type Request struct {
 	Solver []solver.WireEntry `json:"solver,omitempty"`
 	// Digest names a bug snapshot record to fetch, hex (fetch).
 	Digest string `json:"digest,omitempty"`
-	// Full forces every peripheral chunk inline (fetch): the driver's
-	// fallback when it failed to resolve a delta frame because its
-	// own store evicted a chunk the node believed it held.
-	Full bool `json:"full,omitempty"`
 }
 
 // BugRef names one detached bug snapshot in a run response: the
@@ -113,8 +112,8 @@ type Response struct {
 	// Solver carries verdicts this node discovered since its last
 	// response, for the driver to relay (run).
 	Solver []solver.WireEntry `json:"solver,omitempty"`
-	// Data is a snapshot delta frame (fetch): chunks the node already
-	// shipped this driver are referenced by digest only.
+	// Data is a snapshot delta frame (fetch): the seed snapshots'
+	// chunks are referenced by digest only.
 	Data []byte `json:"data,omitempty"`
 	// Status answers the stats op.
 	Status *NodeStatus `json:"status,omitempty"`

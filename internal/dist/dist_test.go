@@ -2,12 +2,10 @@ package dist
 
 import (
 	"context"
-	"net"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hardsnap/internal/campaign"
 	"hardsnap/internal/core"
@@ -78,8 +76,8 @@ func distJob(workers int) campaign.Job {
 			// A deep register file the firmware never touches: its
 			// chunk is identical across every bug snapshot, so the
 			// digest fabric ships it zero times (both sides hold it
-			// from the seed phase) while independent mode pays for it
-			// in every result.
+			// from the seed phase) while shipping each record inline
+			// would pay for it in every result.
 			{Name: "rf0", Periph: "regfile", Params: map[string]uint64{"DEPTH": 256}},
 		},
 		Searcher:         "bfs",
@@ -105,6 +103,13 @@ func startNodes(t *testing.T, n int) ([]string, []*Server) {
 		srvs[i] = srv
 	}
 	return addrs, srvs
+}
+
+// runNodes runs job through campaign.Runner with its subtrees fanned
+// out to the dist nodes at addrs (none: the driver's own rigs).
+func runNodes(job campaign.Job, addrs []string, opts campaign.RunOptions) (*campaign.Result, error) {
+	opts.Fanout = Fanout(addrs)
+	return campaign.Runner{}.Run(context.Background(), job, opts)
 }
 
 func runLocal(t *testing.T, job campaign.Job) *campaign.Result {
@@ -140,7 +145,7 @@ func TestDistMatchesLocal(t *testing.T) {
 	want := runLocal(t, job)
 
 	addrs, _ := startNodes(t, 3)
-	got, err := Run(context.Background(), job, Options{Nodes: addrs, SlotsPerNode: 2})
+	got, err := runNodes(job, addrs, campaign.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +169,48 @@ func TestDistMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestDistStartedEventCarriesSoC: a distributed run announces the SoC
+// layout exactly as a local run of the job does.
+func TestDistStartedEventCarriesSoC(t *testing.T) {
+	started := func(addrs []string, fanout bool) campaign.Event {
+		t.Helper()
+		events := make(chan campaign.Event, 256)
+		opts := campaign.RunOptions{Events: events}
+		var err error
+		if fanout {
+			_, err = runNodes(distJob(2), addrs, opts)
+		} else {
+			_, err = campaign.Runner{}.Run(context.Background(), distJob(2), opts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		close(events)
+		for ev := range events {
+			if ev.Kind == campaign.EventStarted {
+				return ev
+			}
+		}
+		t.Fatal("no started event")
+		return campaign.Event{}
+	}
+	addrs, _ := startNodes(t, 1)
+	want, got := started(nil, false), started(addrs, true)
+	if len(want.SoC) != 2 {
+		t.Fatalf("local SoC lines = %q, want one per peripheral", want.SoC)
+	}
+	if got.Target != want.Target || strings.Join(got.SoC, "\n") != strings.Join(want.SoC, "\n") {
+		t.Errorf("distributed started event = %s %q, want %s %q", got.Target, got.SoC, want.Target, want.SoC)
+	}
+}
+
 // TestDistZeroNodes exercises the local fallback executor: with no
 // nodes configured the driver runs the whole campaign itself and still
 // matches the single-machine runner.
 func TestDistZeroNodes(t *testing.T) {
 	job := distJob(2)
 	want := runLocal(t, job)
-	got, err := Run(context.Background(), job, Options{})
+	got, err := runNodes(job, nil, campaign.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +227,7 @@ func TestDistSharedFabricSavesBytes(t *testing.T) {
 	want := runLocal(t, job)
 
 	addrs, _ := startNodes(t, 2)
-	res, err := Run(context.Background(), job, Options{Nodes: addrs, SlotsPerNode: 2})
+	res, err := runNodes(job, addrs, campaign.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +240,40 @@ func TestDistSharedFabricSavesBytes(t *testing.T) {
 	if shipped == 0 {
 		t.Fatal("run shipped zero snapshot bytes; expected bug snapshots on the wire")
 	}
-	t.Logf("snapshot bytes: shipped=%d, full-equivalent=%d", shipped, full)
+	t.Logf("snapshot bytes: shipped=%d, full-equivalent=%d (%.1fx)", shipped, full, float64(full)/float64(shipped))
 	if shipped*5 > full {
 		t.Errorf("fabric shipped %d bytes, want at most a fifth of the inline cost %d", shipped, full)
+	}
+}
+
+// TestDistSecondDriverShipsNoMore runs one job twice against the same
+// node. The campaign stays resident on the node between the two
+// drivers, but the second driver holds none of the chunks the first was
+// sent, so a delta frame may reference only the seed snapshots' chunks:
+// the second run ships no more snapshot bytes than the first. (One node,
+// so every bug record of both runs is fetched from the same campaign.)
+func TestDistSecondDriverShipsNoMore(t *testing.T) {
+	job := distJob(2)
+	addrs, _ := startNodes(t, 1)
+	shipped := func() uint64 {
+		t.Helper()
+		res, err := runNodes(job, addrs, campaign.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n uint64
+		for _, nr := range res.Report.Nodes {
+			n += nr.SnapBytesShipped
+		}
+		return n
+	}
+	first := shipped()
+	second := shipped()
+	if first == 0 {
+		t.Fatal("first driver fetched no snapshot bytes")
+	}
+	if second > first {
+		t.Errorf("second driver shipped %d snapshot bytes, first %d", second, first)
 	}
 }
 
@@ -246,7 +317,7 @@ func TestDistNodeDeath(t *testing.T) {
 	// too, so it cannot drain the queue before the kill matters.
 	srvs[0].testBeforeRun = func(int) { <-hit }
 
-	got, err := Run(context.Background(), job, Options{Nodes: addrs, SlotsPerNode: 2})
+	got, err := runNodes(job, addrs, campaign.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +340,7 @@ func TestDistNodeDeath(t *testing.T) {
 // own: chaos seed 4 panics subtrees 2, 4, 6 and 7 (0 and 1 were in
 // flight on the node, so their retries are exempt), more than the two
 // fallback workers could take without the restart budget the fallback
-// fleet gets for itself. With NoLocalFallback the same death fails the
-// campaign instead.
+// fleet gets for itself.
 func TestDistNodeDeathLocalFallback(t *testing.T) {
 	job := distJob(2)
 	want := runLocal(t, job)
@@ -278,7 +348,7 @@ func TestDistNodeDeathLocalFallback(t *testing.T) {
 
 	addrs, srvs := startNodes(t, 1)
 	killOnFirstRun(t, srvs[0])
-	got, err := Run(context.Background(), job, Options{Nodes: addrs})
+	got, err := runNodes(job, addrs, campaign.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +366,6 @@ func TestDistNodeDeathLocalFallback(t *testing.T) {
 	if local == 0 {
 		t.Error("no subtree ran on the local fallback after the only node died")
 	}
-
-	addrs, srvs = startNodes(t, 1)
-	killOnFirstRun(t, srvs[0])
-	if _, err := Run(context.Background(), job, Options{Nodes: addrs, NoLocalFallback: true}); err == nil {
-		t.Fatal("campaign survived the death of its only node with local fallback disabled")
-	}
 }
 
 // TestDistChaosIdentity is the dist row of core's TestChaosIdentity:
@@ -312,7 +376,7 @@ func TestDistChaosIdentity(t *testing.T) {
 	job := distJob(2)
 	want := runLocal(t, job)
 	job.Chaos = &core.ChaosSchedule{Seed: 1, PanicRate: 0.3}
-	got, err := Run(context.Background(), job, Options{})
+	got, err := runNodes(job, nil, campaign.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +398,7 @@ func TestDistJournalResume(t *testing.T) {
 	addrs, _ := startNodes(t, 2)
 	dying := job
 	dying.Chaos = &core.ChaosSchedule{DieAfterSubtrees: 4}
-	if _, err := Run(context.Background(), dying, Options{Nodes: addrs, Journal: jpath}); err != core.ErrInterrupted {
+	if _, err := runNodes(dying, addrs, campaign.RunOptions{Journal: jpath}); err != core.ErrInterrupted {
 		t.Fatalf("interrupted run: err = %v, want ErrInterrupted", err)
 	}
 
@@ -350,7 +414,7 @@ func TestDistJournalResume(t *testing.T) {
 	}
 
 	addrs2, _ := startNodes(t, 2)
-	got, err := Run(context.Background(), job, Options{Nodes: addrs2, Resume: cam})
+	got, err := runNodes(job, addrs2, campaign.RunOptions{Resume: cam})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +458,7 @@ even:
 	}
 	jpath := filepath.Join(t.TempDir(), "drain.journal")
 	addrs, _ := startNodes(t, 2)
-	res, err := Run(context.Background(), job, Options{Nodes: addrs, Journal: jpath})
+	res, err := runNodes(job, addrs, campaign.RunOptions{Journal: jpath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +486,7 @@ even:
 	if cam.Header.Fingerprint == "" || cam.Header.Fingerprint != local.Header.Fingerprint {
 		t.Errorf("header fingerprint = %q, want the run fingerprint %q", cam.Header.Fingerprint, local.Header.Fingerprint)
 	}
-	_, err = Run(context.Background(), job, Options{Nodes: addrs, Resume: cam})
+	_, err = runNodes(job, addrs, campaign.RunOptions{Resume: cam})
 	if err == nil || !strings.Contains(err.Error(), "already complete") {
 		t.Fatalf("resume of a complete campaign: err = %v, want an already-complete refusal", err)
 	}
@@ -451,15 +515,13 @@ func TestDistFrontierMismatch(t *testing.T) {
 	id := f.ID()
 	id.SeedsHash = "deadbeef"
 
-	nc, err := dialNode(addrs[0], func(addr string) (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, 5*time.Second)
-	})
+	nc, err := campaign.Dial(addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.c.Close()
-	resp, err := nc.roundTrip(Request{Op: "prepare", Job: &job, Frontier: &id})
-	if err != nil {
+	defer nc.Close()
+	var resp Response
+	if err := nc.RoundTrip(Request{Op: "prepare", Job: &job, Frontier: &id}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.OK {

@@ -1,48 +1,20 @@
-// The driver side of a distributed run: Run, the node-connection slots
-// it passes to core.Frontier.Run, and the driver ends of the solver and
-// snapshot fabrics. No work queue lives here; see the package comment.
+// The driver side of a distributed run: Fanout, the node-connection
+// slots it passes to core.Frontier.Run, and the driver ends of the
+// solver and snapshot fabrics. No work queue lives here; see the
+// package comment.
 
 package dist
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"hardsnap/internal/campaign"
 	"hardsnap/internal/core"
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/solver"
 )
-
-// Options parameterize a distributed run.
-type Options struct {
-	// Nodes are the worker addresses (host:port). Empty runs the
-	// whole campaign locally (the driver is its own node).
-	Nodes []string
-	// Dial overrides the connection factory (tests inject latency
-	// with remote.NewLatencyConn); nil dials plain TCP.
-	Dial func(addr string) (net.Conn, error)
-	// SlotsPerNode is the number of subtrees a node runs
-	// concurrently (0 = the job's worker count).
-	SlotsPerNode int
-	// Journal / Resume are the crash-safe campaign journal of any
-	// parallel run (core.Config.JournalPath / Resume): a killed driver
-	// resumes with LoadCampaign.
-	Journal string
-	Resume  *core.Campaign
-	// NoLocalFallback fails the campaign when no node is left to run
-	// on instead of finishing the backlog on the driver's own rigs.
-	NoLocalFallback bool
-	// Events receives typed progress events (never blocking).
-	Events chan<- campaign.Event
-	// ReportDir receives per-bug crash reports.
-	ReportDir string
-}
 
 // relay is the driver's solver-fabric hub: a deduplicated ledger of
 // every verdict discovered anywhere (driver seed phase, local
@@ -126,92 +98,49 @@ func (r *relay) offer(entries []solver.WireEntry) {
 type driver struct {
 	f     *core.Frontier
 	relay *relay
-	dial  func(addr string) (net.Conn, error)
 
 	mu      sync.Mutex
 	fetched map[string]*snapshot.Record
 	nodes   []*node
 }
 
-// Run executes the job across opts.Nodes and returns the same result
-// a single-machine run of the job would: the merge is the
+// Fanout returns the campaign.RunOptions.Fanout that runs a frontier's
+// subtrees on the dist nodes at addrs, job.Workers at a time per node,
+// with the driver's own rigs as the fallback once no node is left — or
+// as the whole fleet when none is reachable. The merge is the
 // deterministic seed-order schedule of width job.Workers, so bugs,
-// paths and virtual time are byte-identical regardless of node count
-// (core.Fingerprint is the regression gate).
-func Run(ctx context.Context, job campaign.Job, opts Options) (*campaign.Result, error) {
-	setup, err := job.SetupConfig()
-	if err != nil {
-		return nil, err
-	}
-	setup.Engine.JournalPath = opts.Journal
-	setup.Engine.Resume = opts.Resume
-	setup.Engine.Progress = campaign.ProgressHook(opts.Events)
-	analysis, err := core.Setup(setup)
-	if err != nil {
-		return nil, err
-	}
-	kind := "none"
-	if analysis.Target != nil {
-		kind = analysis.Target.Kind()
-	}
-	campaign.Emit(opts.Events, campaign.Event{Kind: campaign.EventStarted, Target: kind})
-
-	f, err := analysis.Engine.Frontier(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
-	d := &driver{
-		f:       f,
-		relay:   newRelay(f.SolverCache()),
-		dial:    opts.Dial,
-		fetched: make(map[string]*snapshot.Record),
-	}
-	if d.dial == nil {
-		d.dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 10*time.Second)
+// paths and virtual time are byte-identical to a single-machine run of
+// the job regardless of node count (core.Fingerprint is the regression
+// gate).
+func Fanout(addrs []string) func(context.Context, campaign.Job, *core.Frontier) (*core.Report, error) {
+	return func(ctx context.Context, job campaign.Job, f *core.Frontier) (*core.Report, error) {
+		d := &driver{
+			f:       f,
+			relay:   newRelay(f.SolverCache()),
+			fetched: make(map[string]*snapshot.Record),
 		}
+		return d.run(ctx, job, addrs)
 	}
-	workers := setup.Engine.Workers // >= 1: Job.SetupConfig resolved the default
-	perNode := opts.SlotsPerNode
-	if perNode <= 0 {
-		perNode = workers
-	}
+}
 
-	// Everything before this point — setup, assembly, the driver's own
-	// seed phase — is identical however many nodes are attached; the
-	// exploration clock covers only the fan-out: node connection
-	// through the last subtree result.
-	exploreStart := time.Now()
-
-	// Remote workers run the fan-out; the driver's own rigs are the
-	// fallback the supervisor starts once no remote worker is left —
-	// or the whole fleet when there is no node to begin with. A run
-	// that finished inside the seed phase connects to nobody.
+func (d *driver) run(ctx context.Context, job campaign.Job, addrs []string) (*core.Report, error) {
+	workers := d.f.ID().Workers
+	// A run that finished inside the seed phase connects to nobody.
 	var slots, fallback []core.Slot
 	local := &core.NodeReport{Node: "local"}
-	if f.Done() == nil {
-		if err := d.connectNodes(job, opts.Nodes); len(d.nodes) == 0 && opts.NoLocalFallback {
-			return nil, fmt.Errorf("dist: no node reachable and local fallback disabled: %v", err)
-		}
+	if d.f.Done() == nil {
+		d.connectNodes(job, addrs)
 		for _, n := range d.nodes {
-			for i := 0; i < perNode; i++ {
+			for i := 0; i < workers; i++ {
 				slots = append(slots, n.slot(d))
 			}
 		}
-		if !opts.NoLocalFallback {
-			fallback = d.localSlots(local, workers)
-		}
+		fallback = d.localSlots(local, workers)
 		if len(slots) == 0 {
 			slots, fallback = fallback, nil
 		}
 	}
-	rep, err := f.Run(ctx, slots, fallback)
-	exploreWall := time.Since(exploreStart)
-	if errors.Is(err, core.ErrInterrupted) {
-		campaign.Emit(opts.Events, campaign.Event{Kind: campaign.EventInterrupted})
-	}
+	rep, err := d.f.Run(ctx, slots, fallback)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +150,7 @@ func Run(ctx context.Context, job campaign.Job, opts Options) (*campaign.Result,
 		statsWG.Add(1)
 		go func(n *node) {
 			defer statsWG.Done()
-			n.harvestStats(d)
+			n.harvestStats()
 		}(n)
 	}
 	statsWG.Wait()
@@ -229,16 +158,10 @@ func Run(ctx context.Context, job campaign.Job, opts Options) (*campaign.Result,
 		rep.Nodes = append(rep.Nodes, *n.report)
 	}
 	if local.Subtrees > 0 {
-		local.SolverCache = f.SolverCache().Stats()
+		local.SolverCache = d.f.SolverCache().Stats()
 		rep.Nodes = append(rep.Nodes, *local)
 	}
-
-	res, err := campaign.NewResult(job, analysis, rep, opts.Events, opts.ReportDir)
-	if err != nil {
-		return nil, err
-	}
-	res.ExploreWall = exploreWall
-	return res, nil
+	return rep, nil
 }
 
 // localSlots wraps n of the frontier's local-rig slots so the subtrees
@@ -280,52 +203,22 @@ type node struct {
 	report *core.NodeReport
 }
 
-// conn is one slot's connection to a node.
-type nodeConn struct {
-	c    net.Conn
-	msgs *campaign.MessageReader
-	enc  *json.Encoder
-}
-
-func dialNode(addr string, dial func(string) (net.Conn, error)) (*nodeConn, error) {
-	c, err := dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &nodeConn{c: c, msgs: campaign.NewMessageReader(c), enc: json.NewEncoder(c)}, nil
-}
-
-func (nc *nodeConn) roundTrip(req Request) (Response, error) {
-	if err := nc.enc.Encode(req); err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := nc.msgs.Read(&resp); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
-}
-
 // connectNodes prepares the campaign on every address in parallel and
-// keeps the nodes that answered, in address order; the error joins the
-// failures of the others.
-func (d *driver) connectNodes(job campaign.Job, addrs []string) error {
-	job.Nodes = nil // a node must not recursively fan out
+// keeps the nodes that answered, in address order.
+func (d *driver) connectNodes(job campaign.Job, addrs []string) {
 	nodes := make([]*node, len(addrs))
-	errs := make([]error, len(addrs))
 	var wg sync.WaitGroup
 	for i, addr := range addrs {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
 			n := &node{addr: addr, job: job, report: &core.NodeReport{Node: addr}}
-			nc, err := dialNode(addr, d.dial)
+			nc, err := campaign.Dial(addr)
 			if err != nil {
-				errs[i] = fmt.Errorf("dist: node %s: %w", addr, err)
 				return
 			}
-			defer nc.c.Close()
-			if errs[i] = n.prepare(d, nc); errs[i] == nil {
+			defer nc.Close()
+			if n.prepare(d, nc) == nil {
 				nodes[i] = n
 			}
 		}(i, addr)
@@ -336,17 +229,12 @@ func (d *driver) connectNodes(job campaign.Job, addrs []string) error {
 			d.nodes = append(d.nodes, n)
 		}
 	}
-	return errors.Join(errs...)
 }
 
-func (n *node) prepare(d *driver, nc *nodeConn) error {
+func (n *node) prepare(d *driver, nc *campaign.Conn) error {
 	id := d.f.ID()
-	resp, err := nc.roundTrip(Request{
-		Op:       "prepare",
-		Job:      &n.job,
-		Frontier: &id,
-	})
-	if err != nil {
+	var resp Response
+	if err := nc.RoundTrip(Request{Op: "prepare", Job: &n.job, Frontier: &id}, &resp); err != nil {
 		return fmt.Errorf("dist: node %s: prepare: %w", n.addr, err)
 	}
 	if !resp.OK {
@@ -365,11 +253,11 @@ func (n *node) prepare(d *driver, nc *nodeConn) error {
 // a round trip in flight when the run is cancelled.
 func (n *node) slot(d *driver) core.Slot {
 	return func(ctx context.Context, w *core.Worker) (core.Executor, error) {
-		nc, err := dialNode(n.addr, d.dial)
+		nc, err := campaign.Dial(n.addr)
 		if err != nil {
 			return nil, fmt.Errorf("dist: node %s: %w", n.addr, err)
 		}
-		context.AfterFunc(ctx, func() { nc.c.Close() })
+		context.AfterFunc(ctx, func() { nc.Close() })
 		if w.Gen > 0 {
 			if err := n.prepare(d, nc); err != nil {
 				return nil, err
@@ -389,14 +277,15 @@ func (n *node) slot(d *driver) core.Slot {
 }
 
 // harvestStats collects the node-side cache stats for the per-node
-// report. Pure bookkeeping, run after the exploration clock stops.
-func (n *node) harvestStats(d *driver) {
-	nc, err := dialNode(n.addr, d.dial)
+// report.
+func (n *node) harvestStats() {
+	nc, err := campaign.Dial(n.addr)
 	if err != nil {
 		return
 	}
-	defer nc.c.Close()
-	if resp, err := nc.roundTrip(Request{Op: "stats", Token: n.token}); err == nil && resp.Status != nil {
+	defer nc.Close()
+	var resp Response
+	if nc.RoundTrip(Request{Op: "stats", Token: n.token}, &resp) == nil && resp.Status != nil {
 		n.report.SolverCache = resp.Status.Solver
 	}
 }
@@ -404,13 +293,14 @@ func (n *node) harvestStats(d *driver) {
 // runSubtree executes one remote subtree: ship the solver-fabric
 // delta, run, ingest the returned verdicts, and re-attach bug
 // snapshots (fetched over the digest fabric).
-func (n *node) runSubtree(d *driver, nc *nodeConn, idx int) (*core.SubtreeResult, error) {
-	resp, err := nc.roundTrip(Request{
+func (n *node) runSubtree(d *driver, nc *campaign.Conn, idx int) (*core.SubtreeResult, error) {
+	var resp Response
+	err := nc.RoundTrip(Request{
 		Op:      "run",
 		Token:   n.token,
 		Subtree: idx,
 		Solver:  d.relay.delta(n.addr),
-	})
+	}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -437,44 +327,34 @@ func (n *node) runSubtree(d *driver, nc *nodeConn, idx int) (*core.SubtreeResult
 }
 
 // fetchRecord materializes one bug snapshot from the fabric. A digest
-// any node already shipped is served from the driver's cache with
-// zero wire bytes; otherwise a delta frame crosses (chunks the node
-// ledger knows the driver holds arrive as digests and resolve against
-// the driver's store), with a full re-fetch as the fallback when the
-// driver's store no longer resolves a referenced chunk.
-func (d *driver) fetchRecord(n *node, nc *nodeConn, ref BugRef) (*snapshot.Record, uint64, error) {
+// any node already shipped is served from the driver's cache with zero
+// wire bytes; otherwise one delta frame crosses, in which the chunks
+// of the seed snapshots arrive as digests — the FrontierID proved the
+// driver's store holds them until the frontier closes — and every
+// other chunk inline.
+func (d *driver) fetchRecord(n *node, nc *campaign.Conn, ref BugRef) (*snapshot.Record, uint64, error) {
 	d.mu.Lock()
 	rec, ok := d.fetched[ref.Digest]
 	d.mu.Unlock()
 	if ok {
 		return rec, 0, nil
 	}
-	var shipped uint64
-	// A delta first; if the node's ledger said we hold a chunk we can
-	// no longer resolve (evicted since), again with everything inline.
-	for _, full := range []bool{false, true} {
-		resp, err := nc.roundTrip(Request{Op: "fetch", Token: n.token, Digest: ref.Digest, Full: full})
-		if err != nil {
-			return nil, shipped, err
-		}
-		if !resp.OK {
-			return nil, shipped, fmt.Errorf("node %s: %s", n.addr, resp.Error)
-		}
-		shipped += uint64(len(resp.Data))
-		rec, missing, err := snapshot.DecodeDelta(resp.Data, d.f.Store().PeriphByDigest)
-		if err != nil {
-			return nil, shipped, fmt.Errorf("node %s: fetch %s: %w", n.addr, ref.Digest, err)
-		}
-		if len(missing) > 0 {
-			continue
-		}
-		// Intern the record so its chunks resolve future delta frames,
-		// and pin it in the fetched cache for digest-level dedup.
-		d.f.Store().Put(*rec)
-		d.mu.Lock()
-		d.fetched[ref.Digest] = rec
-		d.mu.Unlock()
-		return rec, shipped, nil
+	var resp Response
+	if err := nc.RoundTrip(Request{Op: "fetch", Token: n.token, Digest: ref.Digest}, &resp); err != nil {
+		return nil, 0, err
 	}
-	return nil, shipped, fmt.Errorf("node %s: fetch %s: full frame still unresolved", n.addr, ref.Digest)
+	if !resp.OK {
+		return nil, 0, fmt.Errorf("node %s: %s", n.addr, resp.Error)
+	}
+	rec, missing, err := snapshot.DecodeDelta(resp.Data, d.f.Store().PeriphByDigest)
+	if err == nil && len(missing) > 0 {
+		err = fmt.Errorf("%d chunks match no seed snapshot", len(missing))
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("node %s: fetch %s: %w", n.addr, ref.Digest, err)
+	}
+	d.mu.Lock()
+	d.fetched[ref.Digest] = rec
+	d.mu.Unlock()
+	return rec, uint64(len(resp.Data)), nil
 }

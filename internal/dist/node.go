@@ -3,11 +3,9 @@ package dist
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sort"
 	"sync"
 
@@ -21,17 +19,15 @@ import (
 // subtrees by bare index, and serves bug-snapshot content over the
 // digest-peering fabric. One Server typically fronts one machine's
 // worth of targets; concurrent connections (the driver opens one per
-// work slot) share prepared campaigns.
+// work slot) share prepared campaigns. Serve and ListenAndServe are
+// the shared connection layer's.
 type Server struct {
+	*campaign.ConnServer
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	mu        sync.Mutex
 	campaigns map[string]*nodeCampaign
-	ln        net.Listener
-	conns     map[net.Conn]struct{}
-	closed    bool
-	wg        sync.WaitGroup
 
 	// testBeforeRun, when set, observes every run op before the
 	// subtree executes (tests inject node death here).
@@ -40,94 +36,34 @@ type Server struct {
 
 // nodeCampaign is one prepared frontier plus the node-side fabric
 // state: which solver entries the driver has been offered, which bug
-// records this node holds, and which peripheral chunks have already
-// been shipped (those cross the wire as digests forever after).
+// records this node holds, and the peripheral chunks of the seed
+// snapshots, which cross the wire as digests.
 type nodeCampaign struct {
-	f *core.Frontier
+	f    *core.Frontier
+	seed map[snapshot.Digest]bool
 
 	mu     sync.Mutex
 	cursor int
 	bugs   map[string]*snapshot.Record
-	sent   map[snapshot.Digest]bool
 }
 
 // NewServer returns an idle node.
 func NewServer() *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		ctx:       ctx,
 		cancel:    cancel,
 		campaigns: make(map[string]*nodeCampaign),
-		conns:     make(map[net.Conn]struct{}),
 	}
-}
-
-// Serve accepts driver connections until Close; it returns nil after
-// a clean Close.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// ListenAndServe listens on addr (":0" picks a port) and serves in
-// the background, returning the bound address.
-func (s *Server) ListenAndServe(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go s.Serve(ln) //nolint:errcheck — Serve only errors after Close
-	return ln.Addr(), nil
+	s.ConnServer = campaign.NewConnServer(s.serveConn)
+	return s
 }
 
 // Close cancels in-flight subtrees, drops connections and releases
 // every prepared campaign.
 func (s *Server) Close() {
 	s.cancel()
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.ln = nil
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
+	s.ConnServer.Close()
 	s.mu.Lock()
 	for tok, c := range s.campaigns {
 		c.f.Close()
@@ -136,18 +72,16 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	msgs := campaign.NewMessageReader(conn)
-	enc := json.NewEncoder(conn)
+func (s *Server) serveConn(c *campaign.Conn) {
 	for {
 		var req Request
-		if err := msgs.Read(&req); err != nil {
+		if err := c.Receive(&req); err != nil {
 			if !errors.Is(err, io.EOF) {
-				_ = enc.Encode(Response{Error: fmt.Sprintf("bad request: %v", err)})
+				_ = c.Send(Response{Error: fmt.Sprintf("bad request: %v", err)})
 			}
 			return
 		}
-		if err := enc.Encode(s.handle(req)); err != nil {
+		if err := c.Send(s.handle(req)); err != nil {
 			return
 		}
 	}
@@ -191,14 +125,12 @@ func (s *Server) prepare(req Request) Response {
 		return Response{Error: "prepare: missing job or frontier"}
 	}
 	job := *req.Job
-	// A node must not recursively fan out, whatever the driver sent.
-	job.Nodes = nil
 	// The job identity names the campaign.
 	tok := job.Fingerprint()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.ctx.Err() != nil {
 		return Response{Error: "prepare: node is shutting down"}
 	}
 	if c, ok := s.campaigns[tok]; ok {
@@ -229,15 +161,15 @@ func (s *Server) prepare(req Request) Response {
 	}
 	c := &nodeCampaign{
 		f:    f,
+		seed: make(map[snapshot.Digest]bool),
 		bugs: make(map[string]*snapshot.Record),
-		sent: make(map[snapshot.Digest]bool),
 	}
-	// Pre-seed the shipped-chunk ledger with every peripheral chunk
-	// reachable from the seed snapshots: the FrontierID proved both
-	// sides ran the same seed phase, so the driver's store holds these
-	// chunks too — peripheral state a subtree never touched can cross
-	// the wire as a digest from the very first fetch. (If the driver
-	// has since evicted one, its Full re-fetch fallback recovers.)
+	// The FrontierID proved both sides ran the same seed phase, so the
+	// driver's store holds every peripheral chunk of the seed snapshots
+	// until it closes its frontier, and this node's until it releases
+	// the campaign: peripheral state a subtree never touched crosses the
+	// wire as a digest. No other chunk is assumed on the driver, whatever
+	// an earlier fetch shipped — it may have gone to another driver.
 	for _, hexd := range id.SeedSnapshots {
 		var d snapshot.Digest
 		if _, err := hex.Decode(d[:], []byte(hexd)); err != nil {
@@ -245,7 +177,7 @@ func (s *Server) prepare(req Request) Response {
 		}
 		if rec, ok := f.Store().RecordByDigest(d); ok {
 			for _, hw := range rec.HW {
-				c.sent[snapshot.HWDigest(hw)] = true
+				c.seed[snapshot.HWDigest(hw)] = true
 			}
 		}
 	}
@@ -296,26 +228,20 @@ func (s *Server) run(req Request) Response {
 }
 
 // fetch serves one bug record over the digest-peering fabric:
-// peripheral chunks already shipped to this driver are referenced by
-// digest, everything else travels inline (and is then marked
-// shipped). Full fetches bypass the ledger — the driver's recovery
-// path when its own store no longer resolves a referenced digest.
+// peripheral chunks of the seed snapshots are referenced by digest,
+// everything else travels inline.
 func (s *Server) fetch(req Request) Response {
 	c, ok := s.campaign(req.Token)
 	if !ok {
 		return Response{Error: fmt.Sprintf("fetch: unknown campaign %q", req.Token)}
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	rec, ok := c.bugs[req.Digest]
+	c.mu.Unlock()
 	if !ok {
 		return Response{Error: fmt.Sprintf("fetch: unknown digest %s", req.Digest)}
 	}
-	frame := snapshot.EncodeDelta(rec, func(d snapshot.Digest) bool { return c.sent[d] && !req.Full })
-	for _, hw := range rec.HW {
-		c.sent[snapshot.HWDigest(hw)] = true
-	}
-	return Response{OK: true, Data: frame}
+	return Response{OK: true, Data: snapshot.EncodeDelta(rec, func(d snapshot.Digest) bool { return c.seed[d] })}
 }
 
 func (s *Server) stats(req Request) Response {

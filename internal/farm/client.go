@@ -1,9 +1,7 @@
 package farm
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
 	"time"
 
 	"hardsnap/internal/campaign"
@@ -11,30 +9,23 @@ import (
 
 // Client speaks the farm's line-JSON protocol. It is not safe for
 // concurrent use; open one client per goroutine.
-type Client struct {
-	conn net.Conn
-	enc  *json.Encoder
-	msgs *campaign.MessageReader
-}
+type Client struct{ conn *campaign.Conn }
 
 // Dial connects to a farm server.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := campaign.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, enc: json.NewEncoder(conn), msgs: campaign.NewMessageReader(conn)}, nil
+	return &Client{conn: conn}, nil
 }
 
 // Close drops the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
 func (c *Client) roundTrip(req Request) (Response, error) {
-	if err := c.enc.Encode(req); err != nil {
-		return Response{}, err
-	}
 	var resp Response
-	if err := c.msgs.Read(&resp); err != nil {
+	if err := c.conn.RoundTrip(req, &resp); err != nil {
 		return Response{}, err
 	}
 	if resp.Error != "" {
@@ -101,12 +92,12 @@ func (c *Client) PoolStats() (PoolStats, error) {
 // the job reaches a terminal state. It consumes the connection: use
 // a dedicated client.
 func (c *Client) Stream(id string, fn func(campaign.Event)) error {
-	if err := c.enc.Encode(Request{Op: "stream", ID: id}); err != nil {
+	if err := c.conn.Send(Request{Op: "stream", ID: id}); err != nil {
 		return err
 	}
 	for {
 		var resp Response
-		if err := c.msgs.Read(&resp); err != nil {
+		if err := c.conn.Receive(&resp); err != nil {
 			return err
 		}
 		if resp.Error != "" {

@@ -1,20 +1,16 @@
 package farm
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"sync"
 
 	"hardsnap/internal/campaign"
 )
 
-// The wire protocol is line-delimited JSON over TCP: each request is
-// one Request object, each reply one Response object. Encoding uses
-// json.Encoder/Decoder streams rather than line scanners, so
-// firmware blobs are not subject to any line-length limit. A
+// The wire protocol is line-delimited JSON over TCP (campaign.Conn):
+// each request is one Request object, each reply one Response object,
+// at most campaign.MaxMessage bytes each. A
 // connection carries any number of sequential requests; a stream
 // request turns the connection into a one-way event feed terminated
 // by a final done Response.
@@ -49,98 +45,35 @@ type Response struct {
 	Pool    *PoolStats    `json:"pool,omitempty"`
 }
 
-// Server exposes a Farm over TCP.
+// Server exposes a Farm over TCP. Serve, ListenAndServe and Close are
+// the shared connection layer's; Close leaves the farm itself to its
+// owner.
 type Server struct {
+	*campaign.ConnServer
 	farm *Farm
-
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{}
-	wg    sync.WaitGroup
 }
 
 // NewServer wraps the farm; call Serve to accept clients.
 func NewServer(f *Farm) *Server {
-	return &Server{farm: f, conns: make(map[net.Conn]struct{})}
+	s := &Server{farm: f}
+	s.ConnServer = campaign.NewConnServer(s.serveConn)
+	return s
 }
 
-// Serve accepts connections on ln until Close. It returns nil after
-// Close shuts the listener down.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.ln == nil
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// ListenAndServe listens on addr and serves; the returned address is
-// useful with ":0".
-func (s *Server) ListenAndServe(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go s.Serve(ln) //nolint:errcheck — Serve only errors after Close
-	return ln.Addr(), nil
-}
-
-// Close stops accepting, drops live connections and waits for
-// handlers. The farm itself is closed by its owner.
-func (s *Server) Close() {
-	s.mu.Lock()
-	ln := s.ln
-	s.ln = nil
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	msgs := campaign.NewMessageReader(conn)
-	enc := json.NewEncoder(conn)
+func (s *Server) serveConn(c *campaign.Conn) {
 	for {
 		var req Request
-		if err := msgs.Read(&req); err != nil {
+		if err := c.Receive(&req); err != nil {
 			if !errors.Is(err, io.EOF) {
-				_ = enc.Encode(Response{Error: fmt.Sprintf("bad request: %v", err)})
+				_ = c.Send(Response{Error: fmt.Sprintf("bad request: %v", err)})
 			}
 			return
 		}
 		if req.Op == "stream" {
-			s.stream(enc, req.ID)
+			s.stream(c, req.ID)
 			return // a stream consumes the rest of the connection
 		}
-		if err := enc.Encode(s.handle(req)); err != nil {
+		if err := c.Send(s.handle(req)); err != nil {
 			return
 		}
 	}
@@ -185,17 +118,17 @@ func (s *Server) handle(req Request) Response {
 	return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 }
 
-func (s *Server) stream(enc *json.Encoder, id string) {
+func (s *Server) stream(c *campaign.Conn, id string) {
 	ch, ok := s.farm.Subscribe(id)
 	if !ok {
-		_ = enc.Encode(Response{Error: fmt.Sprintf("unknown job %q", id)})
+		_ = c.Send(Response{Error: fmt.Sprintf("unknown job %q", id)})
 		return
 	}
 	for ev := range ch {
 		ev := ev
-		if err := enc.Encode(Response{OK: true, Event: &ev}); err != nil {
+		if err := c.Send(Response{OK: true, Event: &ev}); err != nil {
 			return
 		}
 	}
-	_ = enc.Encode(Response{OK: true, Done: true})
+	_ = c.Send(Response{OK: true, Done: true})
 }

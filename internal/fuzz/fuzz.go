@@ -100,8 +100,6 @@ type Config struct {
 	// FrontierK is the per-branch execution count before a one-sided
 	// branch is escalated to the solver (default 8).
 	FrontierK int
-	// SolverConflicts bounds each flip query (0 = unlimited).
-	SolverConflicts int64
 
 	// CorpusDir, when set, persists the corpus across campaigns:
 	// queue inputs are loaded as seeds at startup and the

@@ -128,10 +128,7 @@ func (w *worker) concolicAttempt(s *branchSite) error {
 
 	// Step 2: concolic replay.
 	if w.symex == nil {
-		ex, err := symexec.New(symexec.Config{
-			VM:              w.cpu.Config(),
-			SolverConflicts: w.cfg.SolverConflicts,
-		}, w.cfg.Program, nil)
+		ex, err := symexec.New(symexec.Config{VM: w.cpu.Config()}, w.cfg.Program, nil)
 		if err != nil {
 			return err
 		}
