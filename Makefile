@@ -42,19 +42,31 @@ race:
 # driver death + resume, the seed-drain journal) — the farm's
 # restart-and-resume and standalone-identity gates (the farm server
 # shuts down through the connection layer the dist node uses), plus
-# both link fault layers: the in-process link's seeded faults, retry, health
-# check and standby failover, and the wire's exactly-once retransmit
-# and redial under FaultConn. Every test asserts byte-identical results
-# (bugs, paths AND virtual time) against an undisturbed run, or a
-# pinned one, on fixed seeds so failures reproduce.
+# both link fault layers: the in-process link's seeded faults, retry,
+# health check and dead-link fatal error, and the wire's exactly-once
+# retransmit and redial under FaultConn. Every test asserts
+# byte-identical results (bugs, paths AND virtual time) against an
+# undisturbed run, or a pinned one, on fixed seeds so failures
+# reproduce.
 chaos:
-	$(GO) test -race ./internal/core -run 'Chaos|Resume|Journal|Faulty|Failover'
-	$(GO) test -race ./internal/dist -run 'NodeDeath|JournalResume|SeedDrain|Chaos'
-	$(GO) test -race ./internal/farm -run 'RestartResume|Identity'
-	$(GO) test -race ./internal/target -run 'Fault|Failover|Standby'
-	$(GO) test -race ./internal/remote -run 'Failover|SeverLink|RecoverRetry|Retransmitted|UnderFaultyLink|ClientRetry|Redial'
-	$(GO) test -race ./cmd/hssim -run FaultInjection
+	$(call chaos_run,./internal/core,Chaos|Resume|Journal|Faulty|DeadLink)
+	$(call chaos_run,./internal/dist,NodeDeath|JournalResume|SeedDrain|Chaos)
+	$(call chaos_run,./internal/farm,RestartResume|Identity)
+	$(call chaos_run,./internal/target,Fault|PersistentLink|DeltaRestoreEquivalence)
+	$(call chaos_run,./internal/remote,Failover|SeverLink|RecoverRetry|Retransmitted|UnderFaultyLink|ClientRetry|Redial)
+	$(call chaos_run,./cmd/hssim,FaultInjection)
 	$(GO) test -race ./internal/journal
+
+# chaos_run runs package $(1)'s tests matching $(2) under the race
+# detector. `go test -run` passes silently when nothing matches, so
+# each |-separated alternative of $(2) must first name a test in $(1).
+define chaos_run
+	@for alt in $$(echo '$(2)' | tr '|' ' '); do \
+		$(GO) test -list "$$alt" $(1) | grep -q '^Test' || \
+			{ echo "chaos: -run '$$alt' matches no test in $(1)"; exit 1; }; \
+	done
+	$(GO) test -race $(1) -run '$(2)'
+endef
 
 # fuzz-smoke gives each native fuzz target ten seconds beyond its seed
 # corpus (which `go test` already runs): the wire server's frame and

@@ -123,14 +123,14 @@ func Transfer(from, to *Target) error { return target.Transfer(from, to) }
 
 // Target robustness: a fault schedule armed on a Target's link
 // (Target.InjectFaults), absorbed by a fixed retry policy (4 retries,
-// doubling backoff), a health check and failover to a standby
-// (Target.SetStandby).
+// doubling backoff) and a health check; a link that fails the check
+// leaves the target dead, and every operation on it fails fatally.
 type (
 	// FaultSchedule deterministically describes link misbehavior
 	// (dropped frames, corruption, jitter, permanent death).
 	FaultSchedule = target.FaultSchedule
 	// TargetStats are cumulative target-side counters (cycles, IO,
-	// snapshots, retries, failovers).
+	// snapshots, retries, injected faults).
 	TargetStats = target.Stats
 	// TargetError is a typed target failure carrying its class
 	// (transient, fatal, integrity).

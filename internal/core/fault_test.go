@@ -115,33 +115,40 @@ func TestFaultyLinkSameBugReports(t *testing.T) {
 	}
 }
 
-func TestFailoverMidRun(t *testing.T) {
-	fa, rep := fpgaRun(t, ModeHardSnap, func(a *Analysis) {
-		sb, err := target.NewSimulator("standby", a.Clock, []target.PeriphConfig{
-			{Name: "gpio0", Periph: "gpio"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Target.SetStandby(sb); err != nil {
-			t.Fatal(err)
-		}
-		// The FPGA link dies for good 20 transactions into the run:
-		// the analysis must migrate to the simulator and finish.
-		a.Target.InjectFaults(target.FaultSchedule{Seed: 3, FailAfter: 20})
+// TestDeadLinkFailsRun pins what a persistent link failure does to a
+// running analysis: the FPGA link dies for good 20 transactions in,
+// the health check fails, and the target is dead. The fatal error
+// ends the whole run, not one path: Engine.Run returns it (here from
+// the per-step IRQ sample) and no report.
+func TestDeadLinkFailsRun(t *testing.T) {
+	a, err := Setup(SetupConfig{
+		Firmware:    consistencyFirmware,
+		Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}},
+		FPGA:        true,
+		Engine: Config{
+			Mode:            ModeHardSnap,
+			Searcher:        &symexec.RoundRobin{},
+			MaxInstructions: 100000,
+		},
 	})
-	st := fa.Target.Stats()
-	if st.Failovers != 1 {
-		t.Fatalf("failovers %d, want 1", st.Failovers)
+	if err != nil {
+		t.Fatalf("setup: %v", err)
 	}
-	if fa.Target.Kind() != target.KindSimulator {
-		t.Fatalf("kind after failover %q", fa.Target.Kind())
+	a.Target.InjectFaults(target.FaultSchedule{Seed: 3, FailAfter: 20})
+	rep, err := a.Engine.Run()
+	if !target.IsFatal(err) {
+		t.Fatalf("run error %v, want a fatal link failure", err)
 	}
-	if n := len(rep.Bugs()); n != 0 {
-		t.Fatalf("failover changed the findings: %d bugs", n)
+	if rep != nil {
+		t.Fatalf("failed run returned a report: %+v", rep.Stats)
 	}
-	if rep.CountStatus(symexec.StatusHalted) != 2 {
-		t.Fatalf("paths after failover: %+v", rep.Stats)
+	if a.Target.Kind() != target.KindFPGA {
+		t.Fatalf("kind after link death %q", a.Target.Kind())
+	}
+	want := target.Stats{Cycles: 10, Snapshots: 1, SnapshotTime: 61280 * time.Nanosecond,
+		SnapshotBytes: 8, Retries: 4, FaultsInjected: 8}
+	if st := a.Target.Stats(); st != want {
+		t.Fatalf("target stats %+v, want %+v", st, want)
 	}
 }
 

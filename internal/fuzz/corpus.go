@@ -13,19 +13,11 @@ import (
 	"hardsnap/internal/vm"
 )
 
-// CovPair is one (edge index, bucket class) observation; a corpus
-// entry carries the sorted pairs of the execution that admitted it so
-// minimization can reason about coverage without re-executing.
-type CovPair struct {
-	Idx uint32
-	Cls uint8
-}
-
-// Entry is one corpus input with the coverage that earned its place.
+// Entry is one corpus input with the coverage signature that earned
+// its place.
 type Entry struct {
-	Data  []byte
-	Sig   uint64
-	Pairs []CovPair
+	Data []byte
+	Sig  uint64
 	// Solved marks seeds injected by the concolic feedback loop.
 	Solved bool
 }
@@ -47,7 +39,7 @@ func NewCorpus() *Corpus {
 
 // Add admits data under the given coverage signature unless an entry
 // with the same signature exists. The data slice is copied.
-func (c *Corpus) Add(data []byte, sig uint64, pairs []CovPair, solved bool) bool {
+func (c *Corpus) Add(data []byte, sig uint64, solved bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.sigs[sig] {
@@ -57,7 +49,6 @@ func (c *Corpus) Add(data []byte, sig uint64, pairs []CovPair, solved bool) bool
 	c.entries = append(c.entries, &Entry{
 		Data:   append([]byte(nil), data...),
 		Sig:    sig,
-		Pairs:  pairs,
 		Solved: solved,
 	})
 	return true
@@ -89,84 +80,6 @@ func (c *Corpus) Entries() []*Entry {
 	out := make([]*Entry, len(c.entries))
 	copy(out, c.entries)
 	return out
-}
-
-// UnionSignature digests the union coverage of a set of entries: the
-// FNV-1a hash over ascending edge indices with their OR-ed bucket
-// bits. This is the corpus-level coverage identity that minimization
-// must preserve.
-func UnionSignature(entries []*Entry) uint64 {
-	union := make(map[uint32]uint8)
-	for _, e := range entries {
-		for _, p := range e.Pairs {
-			union[p.Idx] |= p.Cls
-		}
-	}
-	idxs := make([]uint32, 0, len(union))
-	for idx := range union {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	h := uint64(fnvOffset)
-	for _, idx := range idxs {
-		h = fnvPair(h, idx, union[idx])
-	}
-	return h
-}
-
-// Minimize returns a greedy minimal subset of entries whose union
-// coverage equals the full set's: repeatedly keep the entry covering
-// the most still-uncovered (edge, bucket-bit) pairs until everything
-// is covered. The loop runs until no uncovered bits remain, so the
-// union signature is preserved by construction.
-func Minimize(entries []*Entry) []*Entry {
-	want := make(map[uint32]uint8)
-	for _, e := range entries {
-		for _, p := range e.Pairs {
-			want[p.Idx] |= p.Cls
-		}
-	}
-	covered := make(map[uint32]uint8)
-	remaining := 0
-	for _, bits := range want {
-		remaining += popcount8(bits)
-	}
-	var kept []*Entry
-	used := make([]bool, len(entries))
-	for remaining > 0 {
-		best, bestGain := -1, 0
-		for i, e := range entries {
-			if used[i] {
-				continue
-			}
-			gain := 0
-			for _, p := range e.Pairs {
-				gain += popcount8(p.Cls &^ covered[p.Idx])
-			}
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best < 0 {
-			break // nothing adds coverage (shouldn't happen)
-		}
-		used[best] = true
-		kept = append(kept, entries[best])
-		for _, p := range entries[best].Pairs {
-			fresh := p.Cls &^ covered[p.Idx]
-			covered[p.Idx] |= p.Cls
-			remaining -= popcount8(fresh)
-		}
-	}
-	return kept
-}
-
-func popcount8(b uint8) int {
-	n := 0
-	for ; b != 0; b &= b - 1 {
-		n++
-	}
-	return n
 }
 
 // CrashKey buckets crashing inputs: two crashes at the same PC with

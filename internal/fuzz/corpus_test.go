@@ -5,21 +5,19 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"testing/quick"
 
-	"hardsnap/internal/testseed"
 	"hardsnap/internal/vm"
 )
 
 func TestCorpusDedupBySignature(t *testing.T) {
 	c := NewCorpus()
-	if !c.Add([]byte{1, 2}, 0xAB, nil, false) {
+	if !c.Add([]byte{1, 2}, 0xAB, false) {
 		t.Fatal("first add rejected")
 	}
-	if c.Add([]byte{3, 4}, 0xAB, nil, false) {
+	if c.Add([]byte{3, 4}, 0xAB, false) {
 		t.Fatal("duplicate signature admitted")
 	}
-	if !c.Add([]byte{3, 4}, 0xCD, nil, false) {
+	if !c.Add([]byte{3, 4}, 0xCD, false) {
 		t.Fatal("new signature rejected")
 	}
 	if c.Len() != 2 {
@@ -29,7 +27,7 @@ func TestCorpusDedupBySignature(t *testing.T) {
 
 func TestCorpusPickIntoNoAlloc(t *testing.T) {
 	c := NewCorpus()
-	c.Add([]byte{1, 2, 3, 4}, 1, nil, false)
+	c.Add([]byte{1, 2, 3, 4}, 1, false)
 	rng := rand.New(rand.NewSource(1))
 	dst := make([]byte, 4)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -43,8 +41,8 @@ func TestCorpusPickIntoNoAlloc(t *testing.T) {
 func TestCorpusPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	entries := []*Entry{
-		{Data: []byte{0xDE, 0xAD}, Sig: 0x1111, Pairs: []CovPair{{Idx: 5, Cls: 1}}},
-		{Data: []byte{0xBE, 0xEF}, Sig: 0x2222, Pairs: []CovPair{{Idx: 9, Cls: 2}}},
+		{Data: []byte{0xDE, 0xAD}, Sig: 0x1111},
+		{Data: []byte{0xBE, 0xEF}, Sig: 0x2222},
 	}
 	crashes := []Crash{
 		{Input: []byte{0xA5, 0x00}, Stop: vm.StopAbort, PC: 0x140, Exec: 3, Count: 2},
@@ -127,59 +125,6 @@ func TestCrashBookDedup(t *testing.T) {
 	}
 	if crashes[0].Count != 2 || crashes[0].Input[0] != 1 {
 		t.Fatalf("first bucket %+v", crashes[0])
-	}
-}
-
-// randomEntries derives a corpus from a quick-check seed: a handful
-// of entries with random coverage pairs drawn from a small index
-// space so entries overlap (the interesting minimization case).
-func randomEntries(seed int64) []*Entry {
-	rng := rand.New(rand.NewSource(seed))
-	n := 1 + rng.Intn(20)
-	entries := make([]*Entry, n)
-	for i := range entries {
-		np := 1 + rng.Intn(12)
-		pairs := make([]CovPair, 0, np)
-		for j := 0; j < np; j++ {
-			pairs = append(pairs, CovPair{
-				Idx: uint32(rng.Intn(64)),
-				Cls: 1 << uint(rng.Intn(8)),
-			})
-		}
-		entries[i] = &Entry{Data: []byte{byte(i)}, Sig: uint64(i), Pairs: pairs}
-	}
-	return entries
-}
-
-// TestMinimizePreservesUnionSignature is the satellite property: at
-// any seed, the greedily minimized corpus covers exactly the same
-// (edge, bucket-bit) union as the full corpus.
-func TestMinimizePreservesUnionSignature(t *testing.T) {
-	prop := func(seed int64) bool {
-		entries := randomEntries(seed)
-		min := Minimize(entries)
-		if len(min) > len(entries) {
-			return false
-		}
-		return UnionSignature(min) == UnionSignature(entries)
-	}
-	if err := quick.Check(prop, testseed.Quick(t, 200)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinimizeDropsRedundantEntries(t *testing.T) {
-	entries := []*Entry{
-		{Data: []byte{0}, Pairs: []CovPair{{Idx: 1, Cls: 1}}},
-		{Data: []byte{1}, Pairs: []CovPair{{Idx: 1, Cls: 1}}}, // redundant
-		{Data: []byte{2}, Pairs: []CovPair{{Idx: 1, Cls: 1}, {Idx: 2, Cls: 1}}},
-	}
-	min := Minimize(entries)
-	if len(min) != 1 {
-		t.Fatalf("minimized to %d entries, want 1", len(min))
-	}
-	if min[0].Data[0] != 2 {
-		t.Fatal("greedy pick should take the superset entry")
 	}
 }
 

@@ -153,16 +153,6 @@ func (b *Bitmap) Signature() uint64 {
 	return h
 }
 
-// Pairs appends the execution's (index, class) pairs to buf in
-// ascending index order. Called only on corpus admission (rare), so
-// it may allocate.
-func (b *Bitmap) Pairs(buf []CovPair) []CovPair {
-	b.forEach(func(idx uint32, cls uint8) {
-		buf = append(buf, CovPair{Idx: idx, Cls: cls})
-	})
-	return buf
-}
-
 // covStripes is the global-map lock striping factor: 64 stripes of
 // 1 KiB each keep cross-worker merge contention negligible while the
 // per-merge lock count stays tiny (touched lists are sorted, so each

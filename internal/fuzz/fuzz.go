@@ -85,8 +85,6 @@ type Config struct {
 	// Seed makes the campaign deterministic (per worker; runs with
 	// Workers <= 1 are byte-for-byte reproducible).
 	Seed int64
-	// StopAtFirstCrash ends the campaign at the first crash.
-	StopAtFirstCrash bool
 
 	// Workers is the number of parallel fuzz workers, each with a
 	// privately spawned target sharing the global coverage map,
@@ -94,12 +92,9 @@ type Config struct {
 	Workers int
 
 	// Hybrid enables the concolic feedback loop: frontier branches
-	// whose far side stays uncovered after FrontierK executions are
+	// whose far side stays uncovered after frontierK executions are
 	// replayed concolically and the uncovered side is solved for.
 	Hybrid bool
-	// FrontierK is the per-branch execution count before a one-sided
-	// branch is escalated to the solver (default 8).
-	FrontierK int
 
 	// CorpusDir, when set, persists the corpus across campaigns:
 	// queue inputs are loaded as seeds at startup and the
@@ -115,6 +110,10 @@ type Config struct {
 
 // statsEvery is the stats-line period in executions.
 const statsEvery = 100
+
+// frontierK is the per-branch execution count before a one-sided
+// branch is escalated to the solver.
+const frontierK = 8
 
 func (cfg *Config) withDefaults() Config {
 	c := *cfg
@@ -133,9 +132,6 @@ func (cfg *Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.FrontierK <= 0 {
-		c.FrontierK = 8
-	}
 	return c
 }
 
@@ -146,8 +142,7 @@ type Crash struct {
 	Stop  vm.StopReason
 	PC    uint32
 	Exec  int
-	// Count is the number of executions that landed in this bucket
-	// (zero when produced by RunReference, which predates bucketing).
+	// Count is the number of executions that landed in this bucket.
 	Count int
 }
 
@@ -211,7 +206,6 @@ type campaign struct {
 	corpus  *Corpus
 	crashes *crashBook
 
-	stopFlag     atomic.Bool
 	execs        atomic.Int64
 	firstCrashNS atomic.Int64 // earliest worker vtime of first crash; 0 = none
 
@@ -220,8 +214,6 @@ type campaign struct {
 
 	statsMu sync.Mutex
 }
-
-func (c *campaign) stopped() bool { return c.stopFlag.Load() }
 
 // noteFirstCrash records the finding worker's virtual time, keeping
 // the minimum across workers.

@@ -126,14 +126,13 @@ ok:
 func TestFuzzWithHardware(t *testing.T) {
 	prog := assemble(t, hwFirmware)
 	res, err := Run(Config{
-		Program:          prog,
-		Peripherals:      []target.PeriphConfig{{Name: "crc0", Periph: "crc32"}},
-		Reset:            ResetSnapshot,
-		MaxExecs:         2000,
-		InputLen:         2,
-		Seeds:            [][]byte{{0xA4, 0x00}},
-		Seed:             3,
-		StopAtFirstCrash: true,
+		Program:     prog,
+		Peripherals: []target.PeriphConfig{{Name: "crc0", Periph: "crc32"}},
+		Reset:       ResetSnapshot,
+		MaxExecs:    2000,
+		InputLen:    2,
+		Seeds:       [][]byte{{0xA4, 0x00}},
+		Seed:        3,
 	})
 	if err != nil {
 		t.Fatal(err)

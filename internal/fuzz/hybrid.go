@@ -12,7 +12,7 @@ import (
 
 // updateFrontier runs after each execution in hybrid mode: every
 // branch site this exec reached that is still one-sided accumulates a
-// hit, remembers the reaching input, and — once FrontierK mutations
+// hit, remembers the reaching input, and — once frontierK mutations
 // failed to flip it — is escalated to the concolic loop.
 func (w *worker) updateFrontier() {
 	for i := 0; i < w.nHit; i++ {
@@ -25,7 +25,7 @@ func (w *worker) updateFrontier() {
 			s.hasRepr = true
 		}
 		s.hits++
-		if s.hits >= w.cfg.FrontierK && !s.attempted {
+		if s.hits >= frontierK && !s.attempted {
 			s.attempted = true
 			if err := w.concolicAttempt(s); err != nil {
 				// Concolic failures (replay divergence, solver give-up)

@@ -19,7 +19,7 @@ var interestingBytes = [...]byte{0x00, 0xFF, 0x7F, 0x80, 0x41, 0x0A}
 
 // branchSite is one statically-decoded conditional branch, tracked
 // per worker for frontier detection: a site whose far side stays
-// uncovered after FrontierK executions that reach it becomes a
+// uncovered after frontierK executions that reach it becomes a
 // concolic candidate.
 type branchSite struct {
 	pc      uint32
@@ -188,7 +188,7 @@ func (w *worker) run(quota int) error {
 	}
 
 	w.start = w.rig.Clock.Now()
-	for i := 0; i < quota && !w.c.stopped(); i++ {
+	for i := 0; i < quota; i++ {
 		if err := w.fuzzOne(); err != nil {
 			return err
 		}
@@ -198,9 +198,8 @@ func (w *worker) run(quota int) error {
 }
 
 // runSeeds executes the zero input plus configured seeds so their
-// coverage primes the corpus (the reference fuzzer admits seeds
-// blindly; executing them keeps admission uniform and records their
-// coverage pairs for minimization).
+// coverage primes the corpus (executing them keeps admission uniform:
+// every entry is keyed by the coverage signature it earned).
 func (w *worker) runSeeds() error {
 	seeds := make([][]byte, 0, 1+len(w.cfg.Seeds))
 	seeds = append(seeds, make([]byte, w.cfg.InputLen))
@@ -269,18 +268,15 @@ func (w *worker) afterExec(stop vm.StopReason, pc uint32, seeding bool) {
 		exec := int(w.c.execs.Load())
 		if w.c.crashes.record(w.input, stop, pc, exec) {
 			w.c.noteFirstCrash(w.rig.Clock.Now() - w.start)
-			if w.cfg.StopAtFirstCrash {
-				w.c.stopFlag.Store(true)
-			}
 		}
 	}
 
 	sig := w.cov.Signature()
 	_, newBits := w.c.global.Merge(&w.cov)
 	if newBits || seeding {
-		// Admission is rare; allocating the coverage pairs and the
-		// corpus copy here is off the hot path by construction.
-		w.c.corpus.Add(w.input, sig, w.cov.Pairs(nil), w.curSolved)
+		// Admission is rare; allocating the corpus copy here is off
+		// the hot path by construction.
+		w.c.corpus.Add(w.input, sig, w.curSolved)
 	}
 
 	if w.cfg.Hybrid && !seeding {

@@ -16,14 +16,13 @@ const spawnSeedMix = int64(-7046029254386353131) // 0x9E3779B97F4A7C15 as int64
 // rebuilt from the original configuration so the clone comes up in
 // exactly the parent's power-on state (peripheral construction and
 // the power-on reset pulse are deterministic). The clone keeps its
-// own mutation generation, anchor, journal and violation list, and
-// charges virtual time to the given clock.
+// own mutation generation, anchor and violation list, and charges
+// virtual time to the given clock.
 //
 // If the parent has fault injection armed, the clone gets a fresh
 // PRNG stream derived from the parent seed and the stream number, so
 // parallel fault runs are reproducible per worker without the clones
-// observing correlated fault sequences. Standby targets and journal
-// state are deliberately not inherited: a spawned worker target that
+// observing correlated fault sequences. A spawned worker target that
 // dies fails its worker's subtree, which the merge layer reports.
 func (t *Target) Spawn(name string, clock *vtime.Clock, stream int) (*Target, error) {
 	if clock == nil {
@@ -80,7 +79,6 @@ func (t *Target) AdoptState(s State) error {
 			return integrityf("adopt "+inst.cfg.Name, "%v", err)
 		}
 	}
-	t.lastGood = s.Clone()
 	t.reanchor(true)
 	return nil
 }

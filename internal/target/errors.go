@@ -21,8 +21,8 @@ const (
 	// the link CRC, timeout) are expected on a physical link and are
 	// absorbed by retry with backoff; they never carry state.
 	Transient ErrorClass = iota + 1
-	// Fatal faults (dead link with no failover, protocol misuse,
-	// RTL evaluation failure) terminate the affected analysis path.
+	// Fatal faults (dead link, protocol misuse, RTL evaluation
+	// failure) are never retried: the operation that hit one fails.
 	Fatal
 	// Integrity faults mark snapshot data that failed validation
 	// (bad checksum, truncation, unknown state names): applying it

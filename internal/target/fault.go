@@ -34,7 +34,7 @@ type FaultSchedule struct {
 	StallTime time.Duration
 	// FailAfter, when non-zero, kills the link permanently after
 	// that many transactions: every later one times out. This is the
-	// persistent-failure scenario that triggers target failover.
+	// persistent-failure scenario that leaves the target dead.
 	FailAfter uint64
 }
 

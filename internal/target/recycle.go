@@ -9,9 +9,8 @@ func (t *Target) LiveState() State { return t.snapshotRaw() }
 // Recycle wipes the target back to the state a fresh build comes up
 // in, so a pool can hand it to the next job without paying the
 // elaboration cost of Spawn. The hardware returns to the power-on
-// snapshot; assertions, violations, the fault schedule, the standby
-// and the failover journal are cleared; the stats are zeroed and the
-// clock rewinds to zero. The mutation generation and anchor sequence
+// snapshot; assertions, violations and the fault schedule are
+// cleared; the stats are zeroed and the clock rewinds to zero. The mutation generation and anchor sequence
 // keep counting: they only ever prove identity within one run, and
 // each run anchors afresh.
 //
@@ -31,10 +30,6 @@ func (t *Target) Recycle() error {
 	t.asserts = nil
 	t.violations = nil
 	t.faults = nil
-	t.standby = nil
-	t.journal = nil
-	t.journalFull = false
-	t.lastGood = t.powerOn.Clone()
 	t.stats = Stats{}
 	t.reanchor(true)
 	t.clock.Reset()

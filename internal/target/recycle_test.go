@@ -71,12 +71,6 @@ func TestRecyclePristine(t *testing.T) {
 	if tgt.faults != nil {
 		t.Fatal("fault injection survived recycle")
 	}
-	if tgt.journal != nil || tgt.journalFull {
-		t.Fatal("failover journal survived recycle")
-	}
-	if !reflect.DeepEqual(tgt.lastGood, tgt.powerOn) {
-		t.Fatal("failover anchor not rewound to power-on")
-	}
 
 	// And it still works: same observable behavior as a fresh target.
 	fresh, err := NewSimulator("fresh", &vtime.Clock{}, []PeriphConfig{

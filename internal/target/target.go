@@ -16,12 +16,10 @@
 //
 // Robustness is first-class: every link operation passes through a
 // deterministic fault injector (FaultSchedule), transient faults are
-// absorbed by bounded exponential-backoff retries, a ping-based
-// health check detects persistent link death, and an orchestrator
-// failover (SetStandby) transparently moves the analysis to a
-// simulator target by restoring the last consistent snapshot and
-// replaying the operation journal — the paper's E7 transfer mechanism
-// used as a recovery path.
+// absorbed by bounded exponential-backoff retries, and a ping-based
+// health check detects persistent link death, after which the target
+// is dead and every operation fails with a fatal error. Transfer moves
+// the complete hardware state between targets (the paper's E7).
 package target
 
 import (
@@ -82,8 +80,6 @@ type Stats struct {
 	Retries uint64
 	// FaultsInjected counts faults the schedule fired.
 	FaultsInjected uint64
-	// Failovers counts transparent transfers to the standby target.
-	Failovers uint64
 }
 
 // linkRetries is how many consecutive transient link failures the
@@ -95,28 +91,6 @@ const linkRetries = 4
 // healthPings is how many pings the health check sends before
 // declaring the link persistently down.
 const healthPings = 3
-
-// journalOp is one replayable hardware interaction since the last
-// consistent snapshot; the journal makes failover exact.
-type jop uint8
-
-const (
-	jWrite jop = iota + 1
-	jRead
-	jAdvance
-)
-
-type journalOp struct {
-	op     jop
-	periph string
-	addr   uint32
-	val    uint32
-	n      uint64
-}
-
-// journalCap bounds failover memory; overflowing disables failover
-// until the next snapshot re-anchors the journal.
-const journalCap = 1 << 15
 
 // periphInst is one peripheral hosted on a target.
 type periphInst struct {
@@ -158,19 +132,15 @@ type Target struct {
 	// manager skip save/restore traffic entirely.
 	gen uint64
 	// anchorSeq counts re-anchorings of dirty tracking (every Save,
-	// Restore, Reset, delta restore or failover). A delta restore is
-	// only sound against the record captured at the current anchor;
-	// callers compare this sequence to detect a stale anchor.
+	// Restore, Reset or delta restore). A delta restore is only sound
+	// against the record captured at the current anchor; callers
+	// compare this sequence to detect a stale anchor.
 	anchorSeq uint64
 
 	// Robustness state.
-	faults      *injector
-	standby     *Target
-	journal     []journalOp
-	journalFull bool
-	lastGood    State
-	powerOn     State
-	dead        bool
+	faults  *injector
+	powerOn State
+	dead    bool
 }
 
 // NewSimulator builds a simulator target hosting the peripherals:
@@ -221,7 +191,6 @@ func build(name, kind string, clock *vtime.Clock, periphs []PeriphConfig, costs 
 		t.order = append(t.order, inst)
 	}
 	t.powerOn = t.snapshotRaw()
-	t.lastGood = t.powerOn.Clone()
 	return t, nil
 }
 
@@ -294,8 +263,7 @@ func buildPeriph(cfg PeriphConfig, instrument bool) (*periphInst, error) {
 // Name returns the target's instance name.
 func (t *Target) Name() string { return t.name }
 
-// Kind reports the execution vehicle ("simulator" or "fpga"); after
-// a failover it reports the adopted backend.
+// Kind reports the execution vehicle ("simulator" or "fpga").
 func (t *Target) Kind() string { return t.kind }
 
 // Clock returns the virtual clock all costs are charged to.
@@ -379,32 +347,32 @@ func (t *Target) FaultSchedule() (FaultSchedule, bool) {
 	return t.faults.sched, true
 }
 
-// port is a handle bound to the target by instance name, so it stays
-// valid across a backend failover.
+// port is a handle bound to one hosted peripheral instance.
 type port struct {
 	t    *Target
-	name string
+	inst *periphInst
 }
 
 var _ bus.Port = (*port)(nil)
 
-func (p *port) ReadReg(offset uint32) (uint32, error)  { return p.t.readReg(p.name, offset) }
-func (p *port) WriteReg(offset uint32, v uint32) error { return p.t.writeReg(p.name, offset, v) }
-func (p *port) IRQLevel() (bool, error)                { return p.t.irqLevel(p.name) }
+func (p *port) ReadReg(offset uint32) (uint32, error)  { return p.t.readReg(p.inst, offset) }
+func (p *port) WriteReg(offset uint32, v uint32) error { return p.t.writeReg(p.inst, offset, v) }
+func (p *port) IRQLevel() (bool, error)                { return p.t.irqLevel(p.inst) }
 
 // Port returns the register port of a hosted peripheral.
 func (t *Target) Port(name string) (bus.Port, error) {
-	if _, ok := t.periphs[name]; !ok {
+	inst, ok := t.periphs[name]
+	if !ok {
 		return nil, fmt.Errorf("target %s: no peripheral %q", t.name, name)
 	}
-	return &port{t: t, name: name}, nil
+	return &port{t: t, inst: inst}, nil
 }
 
 // linkOp runs one link transaction with fault injection, bounded
-// exponential-backoff retry, health checking and failover. rec, when
-// non-nil, is journaled after success so the op can be replayed onto
-// a standby target.
-func (t *Target) linkOp(op string, rec *journalOp, fn func() error) error {
+// exponential-backoff retry and health checking. A link that fails
+// the health check is persistently down: the target is dead and the
+// caller receives a fatal error.
+func (t *Target) linkOp(op string, fn func() error) error {
 	if t.dead {
 		return fatalf(op, "target %s is dead after an unrecoverable failure", t.name)
 	}
@@ -423,9 +391,6 @@ func (t *Target) linkOp(op string, rec *journalOp, fn func() error) error {
 			err = fn()
 		}
 		if err == nil {
-			if rec != nil {
-				t.journalAppend(*rec)
-			}
 			return nil
 		}
 		if !IsTransient(err) {
@@ -446,11 +411,8 @@ func (t *Target) linkOp(op string, rec *journalOp, fn func() error) error {
 			consecutive = 0
 			continue
 		}
-		if ferr := t.failover(op, err); ferr != nil {
-			return ferr
-		}
-		// Loop re-runs fn against the adopted (fault-free) backend.
-		consecutive = 0
+		t.dead = true
+		return fatalf(op, "target %s: persistent link failure: %v", t.name, err)
 	}
 }
 
@@ -469,78 +431,59 @@ func (t *Target) healthy() bool {
 	return false
 }
 
-func (t *Target) journalAppend(j journalOp) {
-	if t.standby == nil || t.journalFull {
-		return
-	}
-	if len(t.journal) >= journalCap {
-		t.journal = nil
-		t.journalFull = true
-		return
-	}
-	t.journal = append(t.journal, j)
-}
-
-// fastLink reports whether link operations may skip the retry/
-// failover machinery entirely: no fault injection armed, no standby
-// to journal for, and the link alive. On this path linkOp would run
-// the operation exactly once and journal nothing, so calling the
-// backend directly is behaviorally identical — and free of the
-// closure and journal-record allocations linkOp's bookkeeping costs
-// per call, which matters when a fuzzing hot loop advances the
-// hardware once per retired instruction.
+// fastLink reports whether link operations may skip the retry
+// machinery entirely: no fault injection armed and the link alive. On
+// this path linkOp would run the operation exactly once, so calling
+// the backend directly is behaviorally identical — and free of the
+// closure allocation linkOp costs per call, which matters when a
+// fuzzing hot loop advances the hardware once per retired instruction.
 func (t *Target) fastLink() bool {
-	return !t.dead && t.faults == nil && t.standby == nil
+	return !t.dead && t.faults == nil
 }
 
 // readReg forwards a register read over the link.
-func (t *Target) readReg(name string, offset uint32) (uint32, error) {
+func (t *Target) readReg(inst *periphInst, offset uint32) (uint32, error) {
 	if t.fastLink() {
-		return t.execRead(name, offset)
+		return t.execRead(inst, offset)
 	}
 	var v uint32
-	err := t.linkOp("read "+name, &journalOp{op: jRead, periph: name, addr: offset}, func() error {
+	err := t.linkOp("read "+inst.cfg.Name, func() error {
 		var err error
-		v, err = t.execRead(name, offset)
+		v, err = t.execRead(inst, offset)
 		return err
 	})
 	return v, err
 }
 
 // writeReg forwards a register write over the link.
-func (t *Target) writeReg(name string, offset uint32, v uint32) error {
+func (t *Target) writeReg(inst *periphInst, offset uint32, v uint32) error {
 	if t.fastLink() {
-		return t.execWrite(name, offset, v)
+		return t.execWrite(inst, offset, v)
 	}
-	return t.linkOp("write "+name, &journalOp{op: jWrite, periph: name, addr: offset, val: v}, func() error {
-		return t.execWrite(name, offset, v)
+	return t.linkOp("write "+inst.cfg.Name, func() error {
+		return t.execWrite(inst, offset, v)
 	})
 }
 
 // irqLevel samples the interrupt line. The line is a dedicated
-// sideband wire: sampling is free of virtual time and never journaled
-// (it carries no state).
-func (t *Target) irqLevel(name string) (bool, error) {
+// sideband wire: sampling is free of virtual time.
+func (t *Target) irqLevel(inst *periphInst) (bool, error) {
 	if t.fastLink() {
-		return t.execIRQLevel(name)
+		return execIRQLevel(inst)
 	}
 	var level bool
-	err := t.linkOp("irq "+name, nil, func() error {
+	err := t.linkOp("irq "+inst.cfg.Name, func() error {
 		var err error
-		level, err = t.execIRQLevel(name)
+		level, err = execIRQLevel(inst)
 		return err
 	})
 	return level, err
 }
 
-func (t *Target) execIRQLevel(name string) (bool, error) {
-	inst, ok := t.periphs[name]
-	if !ok {
-		return false, fatalf("irq", "no peripheral %q", name)
-	}
+func execIRQLevel(inst *periphInst) (bool, error) {
 	v, err := inst.sim.Peek(bus.SigIRQ)
 	if err != nil {
-		return false, fatalf("irq "+name, "%v", err)
+		return false, fatalf("irq "+inst.cfg.Name, "%v", err)
 	}
 	return v != 0, nil
 }
@@ -573,21 +516,18 @@ func (t *Target) IRQWired(name string) bool {
 
 // Advance runs every hosted peripheral n clock cycles.
 func (t *Target) Advance(n uint64) error {
-	return t.linkOp("advance", &journalOp{op: jAdvance, n: n}, func() error {
-		return t.execAdvance(n)
-	})
+	return t.linkOp("advance", func() error { return t.execAdvance(n) })
 }
 
-// Save captures the complete hardware state. On success the snapshot
-// becomes the failover anchor (last consistent state) and the op
-// journal restarts from it.
+// Save captures the complete hardware state. On success the saved
+// state becomes the delta-restore anchor.
 func (t *Target) Save() (State, error) {
 	// Fold pending mutations into the generation before the backend
 	// runs, so they are not conflated with the scan rotation's
 	// transient (net-identity) bit movement absorbed by reanchor.
 	t.Generation()
 	var st State
-	err := t.linkOp("save", nil, func() error {
+	err := t.linkOp("save", func() error {
 		var err error
 		st, err = t.saveBackend()
 		return err
@@ -595,12 +535,6 @@ func (t *Target) Save() (State, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.standby != nil {
-		// Same skip as Restore: nobody reads lastGood without a standby.
-		t.lastGood = st.Clone()
-	}
-	t.journal = nil
-	t.journalFull = false
 	t.reanchor(false)
 	return st, nil
 }
@@ -613,19 +547,10 @@ func (t *Target) Restore(s State) error {
 	if err := t.validateState(s); err != nil {
 		return err
 	}
-	err := t.linkOp("restore", nil, func() error { return t.applyState(s) })
+	err := t.linkOp("restore", func() error { return t.applyState(s) })
 	if err != nil {
 		return err
 	}
-	if t.standby != nil {
-		// lastGood is only ever read by failover, which needs an armed
-		// standby; arming one later re-snapshots (see Standby), so with
-		// no standby the deep clone is skipped — it would otherwise be
-		// the only allocation on a fuzzer's per-exec reset path.
-		t.lastGood = s.Clone()
-	}
-	t.journal = nil
-	t.journalFull = false
 	t.reanchor(true)
 	return nil
 }
@@ -635,29 +560,21 @@ func (t *Target) Restore(s State) error {
 // Reset), charging the incremental-restore cost instead of the full
 // freeze+copy. It returns (false, nil) — caller must fall back to
 // Restore — when the target has no physical delta path: scan-chain
-// and readback FPGAs always move the whole fabric, and a target with
-// an armed fault injector or standby must go through the journaled
-// full path so failover replay stays exact.
+// and readback FPGAs always move the whole fabric.
 //
 // Correctness precondition (checked by the snapshot manager, not
 // here): s must be the state captured at the current AnchorSeq —
 // every clean element already holds its value from s.
 func (t *Target) RestoreDelta(s State) (bool, error) {
-	if t.kind != KindSimulator || t.scan || t.faults != nil || t.standby != nil {
+	if t.kind != KindSimulator || t.scan {
 		return false, nil
 	}
 	if err := t.validateState(s); err != nil {
 		return true, err
 	}
-	if err := t.linkOp("restore-delta", nil, func() error { return t.applyDelta(s) }); err != nil {
+	if err := t.linkOp("restore-delta", func() error { return t.applyDelta(s) }); err != nil {
 		return true, err
 	}
-	// No lastGood update: the guard above already excludes targets
-	// with a standby armed, and only failover (which requires one)
-	// ever reads it. Cloning here would allocate on every delta
-	// restore — the fuzzer's per-exec reset.
-	t.journal = nil
-	t.journalFull = false
 	t.reanchor(true)
 	return true, nil
 }
@@ -665,13 +582,10 @@ func (t *Target) RestoreDelta(s State) (bool, error) {
 // Reset performs a warm reset: every peripheral returns to its
 // power-on (zero) state without paying a platform reboot.
 func (t *Target) Reset() error {
-	err := t.linkOp("reset", nil, func() error { return t.execReset() })
+	err := t.linkOp("reset", t.execReset)
 	if err != nil {
 		return err
 	}
-	t.lastGood = t.powerOn.Clone()
-	t.journal = nil
-	t.journalFull = false
 	t.reanchor(true)
 	return nil
 }
@@ -703,16 +617,12 @@ func (t *Target) Simulator(periphName string) (*sim.Simulator, error) {
 
 // --- raw backend operations (no fault injection, no retry) ---
 
-func (t *Target) execRead(name string, offset uint32) (uint32, error) {
-	inst, ok := t.periphs[name]
-	if !ok {
-		return 0, fatalf("read", "no peripheral %q", name)
-	}
+func (t *Target) execRead(inst *periphInst, offset uint32) (uint32, error) {
 	t.clock.Advance(t.costs.IORoundTrip + t.costs.Cycle)
 	t.stats.IOOps++
 	v, err := inst.busRead(offset)
 	if err != nil {
-		return 0, fatalf("read "+name, "%v", err)
+		return 0, fatalf("read "+inst.cfg.Name, "%v", err)
 	}
 	if err := t.checkAssertions(inst); err != nil {
 		return 0, err
@@ -720,15 +630,11 @@ func (t *Target) execRead(name string, offset uint32) (uint32, error) {
 	return v, nil
 }
 
-func (t *Target) execWrite(name string, offset uint32, v uint32) error {
-	inst, ok := t.periphs[name]
-	if !ok {
-		return fatalf("write", "no peripheral %q", name)
-	}
+func (t *Target) execWrite(inst *periphInst, offset uint32, v uint32) error {
 	t.clock.Advance(t.costs.IORoundTrip + t.costs.Cycle)
 	t.stats.IOOps++
 	if err := inst.busWrite(offset, v); err != nil {
-		return fatalf("write "+name, "%v", err)
+		return fatalf("write "+inst.cfg.Name, "%v", err)
 	}
 	return t.checkAssertions(inst)
 }

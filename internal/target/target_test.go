@@ -265,114 +265,10 @@ func TestDeterministicFaultRuns(t *testing.T) {
 	}
 }
 
-func TestFailoverToStandby(t *testing.T) {
-	clock := &vtime.Clock{}
-	periphs := []PeriphConfig{
-		{Name: "gpio0", Periph: "gpio"},
-		{Name: "timer0", Periph: "timer"},
-	}
-	fp := newFPGA(t, clock, false, periphs...)
-	sb := newSim(t, clock, periphs...)
-	if err := fp.SetStandby(sb); err != nil {
-		t.Fatal(err)
-	}
-
-	p, _ := fp.Port("gpio0")
-	if err := p.WriteReg(0x00, 0x11); err != nil {
-		t.Fatal(err)
-	}
-	// The link now survives exactly one more transaction, then dies
-	// permanently — the persistent-failure scenario.
-	fp.InjectFaults(FaultSchedule{Seed: 1, FailAfter: 1})
-	if err := p.WriteReg(0x00, 0x22); err != nil {
-		t.Fatal(err)
-	}
-	// This one exhausts retries, fails the health check and triggers
-	// the transparent failover; the caller just sees success.
-	if err := p.WriteReg(0x00, 0x33); err != nil {
-		t.Fatalf("write across failover: %v", err)
-	}
-
-	if fp.Kind() != KindSimulator {
-		t.Fatalf("kind after failover %q", fp.Kind())
-	}
-	st := fp.Stats()
-	if st.Failovers != 1 {
-		t.Fatalf("failovers %d, want 1", st.Failovers)
-	}
-	if st.Retries == 0 {
-		t.Fatal("failover without any retries")
-	}
-	// The journal replay must have reproduced the pre-failure writes;
-	// the port handle stays valid on the adopted backend.
-	v, err := p.ReadReg(0x00)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0x33 {
-		t.Fatalf("post-failover state %#x, want 0x33", v)
-	}
-	// The adopted backend has full visibility.
-	if _, err := fp.Peek("gpio0", "out"); err != nil {
-		t.Fatalf("peek after failover: %v", err)
-	}
-}
-
-// TestFailoverAfterStandbyArmedLate pins the invariant that lets Save
-// and Restore skip the lastGood clone while no standby is armed:
-// SetStandby re-snapshots on arming, so a standby armed after saves
-// and writes still replays from the state the hardware is in, not
-// from a stale or power-on anchor.
-func TestFailoverAfterStandbyArmedLate(t *testing.T) {
-	clock := &vtime.Clock{}
-	periphs := []PeriphConfig{{Name: "gpio0", Periph: "gpio"}}
-	fp := newFPGA(t, clock, false, periphs...)
-	p, _ := fp.Port("gpio0")
-
-	// Unarmed history: a save, then a write that post-dates it.
-	if err := p.WriteReg(0x08, 0xF0); err != nil { // dir
-		t.Fatal(err)
-	}
-	if _, err := fp.Save(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.WriteReg(0x00, 0x11); err != nil { // out
-		t.Fatal(err)
-	}
-
-	if err := fp.SetStandby(newSim(t, clock, periphs...)); err != nil {
-		t.Fatal(err)
-	}
-	// No save after arming: the failover anchor is whatever SetStandby
-	// captured. One journaled write, then the link dies for good.
-	fp.InjectFaults(FaultSchedule{Seed: 1, FailAfter: 1})
-	if err := p.WriteReg(0x00, 0x22); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.WriteReg(0x00, 0x33); err != nil {
-		t.Fatalf("write across failover: %v", err)
-	}
-	if st := fp.Stats(); st.Failovers != 1 || fp.Kind() != KindSimulator {
-		t.Fatalf("failovers %d kind %q, want 1 failover onto the simulator", st.Failovers, fp.Kind())
-	}
-	for _, reg := range []struct {
-		addr, want uint32
-		what       string
-	}{
-		{0x08, 0xF0, "dir, written before the unarmed save"},
-		{0x00, 0x33, "out, written across the failover"},
-	} {
-		v, err := p.ReadReg(reg.addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != reg.want {
-			t.Fatalf("%s: %#x after failover, want %#x", reg.what, v, reg.want)
-		}
-	}
-}
-
-func TestPersistentFailureWithoutStandby(t *testing.T) {
+// TestPersistentLinkFailureIsFatal: a link that fails its health
+// check leaves the target dead on the vehicle it was built on, and
+// every later operation fails at once with a fatal error.
+func TestPersistentLinkFailureIsFatal(t *testing.T) {
 	clock := &vtime.Clock{}
 	fp := newFPGA(t, clock, false)
 	fp.InjectFaults(FaultSchedule{Seed: 1, FailAfter: 1})
@@ -382,12 +278,15 @@ func TestPersistentFailureWithoutStandby(t *testing.T) {
 	}
 	err := p.WriteReg(0x00, 0x22)
 	if err == nil {
-		t.Fatal("write on a dead link with no standby must fail")
+		t.Fatal("write on a dead link must fail")
 	}
 	if !IsFatal(err) {
 		t.Fatalf("error %v, want fatal class", err)
 	}
-	// Only this path dies; further use reports the death immediately.
+	if fp.Kind() != KindFPGA {
+		t.Fatalf("kind after link death %q, want %q", fp.Kind(), KindFPGA)
+	}
+	// Further use reports the death immediately.
 	if _, err := p.ReadReg(0x00); err == nil || !IsFatal(err) {
 		t.Fatalf("dead target accepted an op: %v", err)
 	}
