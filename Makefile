@@ -109,7 +109,7 @@ loc:
 #   make bench-compare A=before.json B=after.json
 # The repo root keeps one report per PR that claims a gain, with its
 # parent's next to it (BENCH_<pr>.json), so the claim can be re-read:
-#   make bench-compare A=BENCH_18.json B=BENCH_19.json
+#   make bench-compare A=BENCH_30.json B=BENCH_31.json
 bench:
 	$(GO) run ./benchmark -out .bench_build/run.json
 

@@ -73,7 +73,9 @@ type Job struct {
 	SeedFanout int `json:"seed_fanout,omitempty"`
 	// MaxVirtualTime / MaxSolverQueries bound the run (0 =
 	// unlimited). The farm clamps these to the submitting tenant's
-	// remaining budget.
+	// remaining budget. A symbolic fork costs one solver query, so a
+	// query budget (a tenant's quota included) admits about one fork
+	// per query, twice what asking about both sides would.
 	MaxVirtualTime   time.Duration `json:"max_virtual_time,omitempty"`
 	MaxSolverQueries uint64        `json:"max_solver_queries,omitempty"`
 	// KeepBugSnapshots retains per-bug hardware snapshots for crash

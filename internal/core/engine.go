@@ -107,8 +107,10 @@ type Config struct {
 	MaxVirtualTime time.Duration
 	// MaxSolverQueries bounds the total solver queries issued (0 =
 	// unlimited), checked at scheduling boundaries; the farm's
-	// per-tenant solver quotas ride on it. The parallel caveat of
-	// MaxVirtualTime applies.
+	// per-tenant solver quotas ride on it. A fork costs one query (the
+	// state's witness decides the other side), so a budget admits about
+	// one fork per query, twice what asking about both sides would. The
+	// parallel caveat of MaxVirtualTime applies.
 	MaxSolverQueries uint64
 
 	// JournalPath, when set on a parallel run (Workers > 1), records

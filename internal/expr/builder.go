@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 )
@@ -50,6 +51,10 @@ func (b *Builder) intern(t *Term) *Term {
 		if c.equalShallow(t) {
 			return c
 		}
+	}
+	t.tree = 1
+	for _, a := range t.args {
+		t.tree += min(a.tree, math.MaxUint32-t.tree)
 	}
 	s.table[h] = append(s.table[h], t)
 	return t

@@ -8,94 +8,140 @@ type Assignment map[string]uint64
 
 // Eval evaluates t under the given assignment. Unassigned variables
 // evaluate to zero, which matches the solver's completion of partial
-// models.
+// models. Shared subterms of a large term are evaluated once, so the
+// cost is linear in the size of the term DAG; callers on a hot path
+// keep an Evaluator instead, which reuses its memo across calls.
 func Eval(t *Term, a Assignment) uint64 {
+	var ev Evaluator
+	return ev.Eval(t, a)
+}
+
+// Evaluator evaluates terms like Eval. Subterms whose tree unfolding
+// has more than memoTree nodes are memoized within one call, so shared
+// subterms of a large DAG are evaluated once; smaller ones are cheaper
+// to recompute than to look up. The memo storage is kept between calls,
+// so a long-lived Evaluator does not allocate in the steady state. The
+// zero value is ready to use; an Evaluator is not safe for concurrent
+// use.
+type Evaluator struct {
+	memo    map[*Term]uint64
+	touched []*Term
+}
+
+// memoTree bounds the recomputation an unmemoized subterm can cost.
+const memoTree = 64
+
+// Eval evaluates t under a (see the package-level Eval).
+func (ev *Evaluator) Eval(t *Term, a Assignment) uint64 {
+	v := ev.eval(t, a)
+	// Forget only what this call stored: clearing the whole map would
+	// cost its peak capacity on every later call.
+	for _, k := range ev.touched {
+		delete(ev.memo, k)
+	}
+	ev.touched = ev.touched[:0]
+	return v
+}
+
+func (ev *Evaluator) eval(t *Term, a Assignment) uint64 {
 	switch t.op {
 	case OpConst:
 		return t.val
 	case OpVar:
 		return a[t.name] & Mask(t.Width())
 	}
+	shared := t.tree > memoTree
+	if shared {
+		if v, ok := ev.memo[t]; ok {
+			return v
+		}
+	}
+	// Operands are evaluated eagerly, ite's untaken arm included: terms
+	// are pure, and one call per node is what keeps small terms cheap.
+	var x, y, z uint64
+	x = ev.eval(t.args[0], a)
+	if len(t.args) > 1 {
+		y = ev.eval(t.args[1], a)
+	}
+	if len(t.args) > 2 {
+		z = ev.eval(t.args[2], a)
+	}
 	w := t.Width()
+	var v uint64
 	switch t.op {
 	case OpAdd:
-		return (Eval(t.args[0], a) + Eval(t.args[1], a)) & Mask(w)
+		v = (x + y) & Mask(w)
 	case OpSub:
-		return (Eval(t.args[0], a) - Eval(t.args[1], a)) & Mask(w)
+		v = (x - y) & Mask(w)
 	case OpMul:
-		return (Eval(t.args[0], a) * Eval(t.args[1], a)) & Mask(w)
+		v = (x * y) & Mask(w)
 	case OpUDiv:
-		y := Eval(t.args[1], a)
-		if y == 0 {
-			return Mask(w)
+		v = Mask(w)
+		if y != 0 {
+			v = x / y
 		}
-		return Eval(t.args[0], a) / y
 	case OpURem:
-		y := Eval(t.args[1], a)
-		if y == 0 {
-			return Eval(t.args[0], a)
+		v = x
+		if y != 0 {
+			v = x % y
 		}
-		return Eval(t.args[0], a) % y
 	case OpAnd:
-		return Eval(t.args[0], a) & Eval(t.args[1], a)
+		v = x & y
 	case OpOr:
-		return Eval(t.args[0], a) | Eval(t.args[1], a)
+		v = x | y
 	case OpXor:
-		return Eval(t.args[0], a) ^ Eval(t.args[1], a)
+		v = x ^ y
 	case OpNot:
-		return ^Eval(t.args[0], a) & Mask(w)
+		v = ^x & Mask(w)
 	case OpNeg:
-		return (-Eval(t.args[0], a)) & Mask(w)
+		v = (-x) & Mask(w)
 	case OpShl:
-		sh := Eval(t.args[1], a)
-		if sh >= uint64(w) {
-			return 0
+		if y < uint64(w) {
+			v = (x << y) & Mask(w)
 		}
-		return (Eval(t.args[0], a) << sh) & Mask(w)
 	case OpLshr:
-		sh := Eval(t.args[1], a)
-		if sh >= uint64(w) {
-			return 0
+		if y < uint64(w) {
+			v = x >> y
 		}
-		return Eval(t.args[0], a) >> sh
 	case OpAshr:
-		x := int64(SignExtend(Eval(t.args[0], a), t.args[0].Width()))
-		sh := Eval(t.args[1], a)
-		if sh >= uint64(t.args[0].Width()) {
-			sh = uint64(t.args[0].Width()) - 1
-		}
-		return uint64(x>>sh) & Mask(w)
+		xw := t.args[0].Width()
+		v = uint64(int64(SignExtend(x, xw))>>min(y, uint64(xw)-1)) & Mask(w)
 	case OpEq:
-		return b2u(Eval(t.args[0], a) == Eval(t.args[1], a))
+		v = b2u(x == y)
 	case OpNe:
-		return b2u(Eval(t.args[0], a) != Eval(t.args[1], a))
+		v = b2u(x != y)
 	case OpUlt:
-		return b2u(Eval(t.args[0], a) < Eval(t.args[1], a))
+		v = b2u(x < y)
 	case OpUle:
-		return b2u(Eval(t.args[0], a) <= Eval(t.args[1], a))
+		v = b2u(x <= y)
 	case OpSlt:
-		x := int64(SignExtend(Eval(t.args[0], a), t.args[0].Width()))
-		y := int64(SignExtend(Eval(t.args[1], a), t.args[1].Width()))
-		return b2u(x < y)
+		v = b2u(int64(SignExtend(x, t.args[0].Width())) < int64(SignExtend(y, t.args[1].Width())))
 	case OpSle:
-		x := int64(SignExtend(Eval(t.args[0], a), t.args[0].Width()))
-		y := int64(SignExtend(Eval(t.args[1], a), t.args[1].Width()))
-		return b2u(x <= y)
+		v = b2u(int64(SignExtend(x, t.args[0].Width())) <= int64(SignExtend(y, t.args[1].Width())))
 	case OpConcat:
-		return (Eval(t.args[0], a)<<t.args[1].Width() | Eval(t.args[1], a)) & Mask(w)
+		v = (x<<t.args[1].Width() | y) & Mask(w)
 	case OpExtract:
-		return (Eval(t.args[0], a) >> t.lo) & Mask(w)
+		v = (x >> t.lo) & Mask(w)
 	case OpZExt:
-		return Eval(t.args[0], a)
+		v = x
 	case OpSExt:
-		return SignExtend(Eval(t.args[0], a), t.args[0].Width()) & Mask(w)
+		v = SignExtend(x, t.args[0].Width()) & Mask(w)
 	case OpIte:
-		if Eval(t.args[0], a) != 0 {
-			return Eval(t.args[1], a)
+		v = z
+		if x != 0 {
+			v = y
 		}
-		return Eval(t.args[2], a)
+	default:
+		panic(fmt.Sprintf("expr: eval of unknown op %v", t.op))
 	}
-	panic(fmt.Sprintf("expr: eval of unknown op %v", t.op))
+	if shared {
+		if ev.memo == nil {
+			ev.memo = make(map[*Term]uint64)
+		}
+		ev.memo[t] = v
+		ev.touched = append(ev.touched, t)
+	}
+	return v
 }
 
 func b2u(v bool) uint64 {
@@ -105,46 +151,11 @@ func b2u(v bool) uint64 {
 	return 0
 }
 
-// Substitute replaces variables in t according to sub, rebuilding the
-// term in b. Variables absent from sub are kept.
-func Substitute(b *Builder, t *Term, sub map[string]*Term) *Term {
-	cache := make(map[*Term]*Term)
-	return substitute(b, t, sub, cache)
-}
-
-func substitute(b *Builder, t *Term, sub map[string]*Term, cache map[*Term]*Term) *Term {
-	if r, ok := cache[t]; ok {
-		return r
-	}
-	var r *Term
-	switch t.op {
-	case OpConst:
-		r = b.Const(t.val, t.Width())
-	case OpVar:
-		if s, ok := sub[t.name]; ok {
-			if s.Width() != t.Width() {
-				panic(fmt.Sprintf("expr: substitution width mismatch for %q", t.name))
-			}
-			r = s
-		} else {
-			r = b.Var(t.name, t.Width())
-		}
-	default:
-		args := make([]*Term, len(t.args))
-		for i, a := range t.args {
-			args[i] = substitute(b, a, sub, cache)
-		}
-		r = b.rebuild(t, args)
-	}
-	cache[t] = r
-	return r
-}
-
 // Replace returns t with every occurrence of the subterm old replaced
-// by repl, rebuilding through b so the result re-simplifies. It is the
-// term-level analogue of Substitute, used by the solver's
-// constraint-implied concretization (an equality `old = c` in the path
-// condition licenses replacing old by c everywhere else).
+// by repl, rebuilding through b so the result re-simplifies. The
+// solver's constraint-implied concretization uses it (an equality
+// `old = c` in the path condition licenses replacing old by c
+// everywhere else).
 func Replace(b *Builder, t, old, repl *Term) *Term {
 	if old.Width() != repl.Width() {
 		panic("expr: replacement width mismatch")

@@ -88,6 +88,7 @@ func (o Op) String() string {
 type Term struct {
 	op    Op
 	width uint8
+	tree  uint32 // node count of the tree unfolding, saturating (see Evaluator)
 	val   uint64 // constant value (OpConst) — always masked to width
 	name  string // variable name (OpVar)
 	lo    uint8  // extract low bit (OpExtract)
@@ -188,20 +189,4 @@ func Vars(t *Term, seen map[*Term]bool, out []*Term) []*Term {
 		out = Vars(a, seen, out)
 	}
 	return out
-}
-
-// ContainsVar reports whether any variable occurs in t.
-func ContainsVar(t *Term) bool {
-	if t.op == OpVar {
-		return true
-	}
-	if t.op == OpConst {
-		return false
-	}
-	for _, a := range t.args {
-		if ContainsVar(a) {
-			return true
-		}
-	}
-	return false
 }

@@ -426,11 +426,11 @@ func TestEnumerateVerdicts(t *testing.T) {
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(3, 8))}
 
-	vals, final := s.Enumerate(b, cs, x, 10)
+	vals, _, final := s.Enumerate(b, cs, x, 10)
 	if len(vals) != 3 || final != Unsat {
 		t.Fatalf("exhaustive enumeration: %d values, final=%v; want 3, unsat", len(vals), final)
 	}
-	vals, final = s.Enumerate(b, cs, x, 2)
+	vals, _, final = s.Enumerate(b, cs, x, 2)
 	if len(vals) != 2 || final != Sat {
 		t.Fatalf("capped enumeration: %d values, final=%v; want 2, sat", len(vals), final)
 	}

@@ -22,7 +22,7 @@ func (s *Solver) tryRecentModels(cs []*expr.Term) (expr.Assignment, bool) {
 		m := s.recent[i]
 		ok := true
 		for _, c := range cs {
-			if expr.Eval(c, m) == 0 {
+			if s.eval.Eval(c, m) == 0 {
 				ok = false
 				break
 			}

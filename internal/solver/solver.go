@@ -76,6 +76,9 @@ type Solver struct {
 
 	// Fallback var-set memo when no Builder is attached.
 	localVars map[*expr.Term][]*expr.Term
+
+	// eval decides model reuse and enumerated values.
+	eval expr.Evaluator
 }
 
 // Stats reports cumulative solver effort and, per optimization stage,
@@ -308,53 +311,34 @@ func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assign
 	return Unknown, nil, ErrBudget
 }
 
-// MustValue returns a concrete value for term t consistent with the
-// constraints. It is used by the concretization policy. The boolean
-// reports whether a value was found (false means the path is
-// infeasible or the budget ran out).
-func (s *Solver) MustValue(constraints []*expr.Term, t *expr.Term) (uint64, bool) {
+// Enumerate lists up to max distinct concrete values of t under the
+// constraints, by iteratively blocking found values (the
+// completeness-oriented concretization policy from the paper), with
+// models[i] the model of the query that produced vals[i]: it satisfies
+// the constraints and evaluates t to vals[i]. A constant t needs no
+// query; its single value comes with a nil model. The verdict is Unsat
+// when the value space was exhausted (the list is complete), Sat when
+// the enumeration stopped at max (more values may exist), and Unknown
+// when the conflict budget ran out, so callers can tell "no value
+// exists" apart from "the solver gave up". Thanks to the incremental
+// context, each blocking query re-uses all previously blasted
+// constraints and only the newest blocking constraint is new work.
+func (s *Solver) Enumerate(b *expr.Builder, constraints []*expr.Term, t *expr.Term, max int) (vals []uint64, models []expr.Assignment, final Result) {
 	if v, ok := t.Const(); ok {
-		return v, true
+		return []uint64{v}, []expr.Assignment{nil}, Sat
 	}
-	res, m, _ := s.Check(constraints)
-	if res != Sat {
-		return 0, false
-	}
-	return expr.Eval(t, m), true
-}
-
-// Values enumerates up to max distinct concrete values of t under the
-// constraints, by iteratively blocking found values. It is the
-// completeness-oriented concretization policy from the paper.
-func (s *Solver) Values(b *expr.Builder, constraints []*expr.Term, t *expr.Term, max int) []uint64 {
-	vals, _ := s.Enumerate(b, constraints, t, max)
-	return vals
-}
-
-// Enumerate is Values with an explicit terminating verdict: Unsat when
-// the value space was exhausted (the list is complete), Sat when the
-// enumeration stopped at max (more values may exist), and Unknown when
-// the conflict budget ran out. Callers use the verdict to tell "no
-// value exists" apart from "the solver gave up", which Values conflates.
-// Thanks to the incremental context, each blocking query re-uses all
-// previously blasted constraints and only the newest blocking
-// constraint is new work.
-func (s *Solver) Enumerate(b *expr.Builder, constraints []*expr.Term, t *expr.Term, max int) ([]uint64, Result) {
-	if v, ok := t.Const(); ok {
-		return []uint64{v}, Sat
-	}
-	var out []uint64
 	cs := append([]*expr.Term{}, constraints...)
-	final := Sat
-	for len(out) < max {
+	final = Sat
+	for len(vals) < max {
 		res, m, _ := s.Check(cs)
 		if res != Sat {
 			final = res
 			break
 		}
-		v := expr.Eval(t, m)
-		out = append(out, v)
+		v := s.eval.Eval(t, m)
+		vals = append(vals, v)
+		models = append(models, m)
 		cs = append(cs, b.Ne(t, b.Const(v, t.Width())))
 	}
-	return out, final
+	return vals, models, final
 }

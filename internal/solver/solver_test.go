@@ -221,17 +221,20 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 }
 
-func TestValuesEnumeration(t *testing.T) {
+// TestEnumerateValues: every enumerated value is distinct and in
+// range, and comes with a model that satisfies the constraints and
+// evaluates the term to that value.
+func TestEnumerateValues(t *testing.T) {
 	b := expr.NewBuilder()
 	s := New(0)
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(3, 8))}
-	vals := s.Values(b, cs, x, 10)
-	if len(vals) != 3 {
-		t.Fatalf("got %d values, want 3: %v", len(vals), vals)
+	vals, models, _ := s.Enumerate(b, cs, x, 10)
+	if len(vals) != 3 || len(models) != 3 {
+		t.Fatalf("got %d values and %d models, want 3 each: %v", len(vals), len(models), vals)
 	}
 	seen := map[uint64]bool{}
-	for _, v := range vals {
+	for i, v := range vals {
 		if v >= 3 {
 			t.Fatalf("value %d out of range", v)
 		}
@@ -239,20 +242,9 @@ func TestValuesEnumeration(t *testing.T) {
 			t.Fatalf("duplicate value %d", v)
 		}
 		seen[v] = true
-	}
-}
-
-func TestMustValue(t *testing.T) {
-	b := expr.NewBuilder()
-	s := New(0)
-	x := b.Var("x", 8)
-	v, ok := s.MustValue([]*expr.Term{b.Eq(x, b.Const(99, 8))}, x)
-	if !ok || v != 99 {
-		t.Fatalf("got %d/%v, want 99/true", v, ok)
-	}
-	_, ok = s.MustValue([]*expr.Term{b.Bool(false)}, x)
-	if ok {
-		t.Fatal("infeasible constraints must not produce a value")
+		if expr.Eval(cs[0], models[i]) != 1 || expr.Eval(x, models[i]) != v {
+			t.Fatalf("model %v does not produce value %d under the constraints", models[i], v)
+		}
 	}
 }
 

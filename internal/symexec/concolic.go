@@ -71,6 +71,9 @@ func (e *Executor) RunConcolic(st *State, in ConcolicInput, maxSteps int) (*Conc
 	}
 	e.concolic = ctx
 	defer func() { e.concolic = nil }()
+	// The replay's constraints follow the concrete input, not a solver
+	// model, so the state keeps no witness.
+	st.Witness = nil
 
 	steps := 0
 	for st.Status == StatusRunning && steps < maxSteps {

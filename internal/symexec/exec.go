@@ -45,7 +45,8 @@ type Config struct {
 	// DisableSolverOpt turns off the solver's query-optimization stack
 	// (rewrite/slicing/model-reuse/incremental SAT), reverting to plain
 	// whole-query solving. Used as the escape hatch for differential
-	// testing and A/B benchmarking.
+	// testing and A/B benchmarking. A state's witness (State.Witness)
+	// is evaluation in the executor, not a solver stage, and stays on.
 	DisableSolverOpt bool
 }
 
@@ -88,6 +89,10 @@ type Executor struct {
 	// assignment (see concolic.go). No forks and no solver calls
 	// happen in this mode.
 	concolic *concolicCtx
+
+	// eval evaluates branch conditions under state witnesses and terms
+	// under concolic inputs.
+	eval expr.Evaluator
 
 	Stats Stats
 }
@@ -201,10 +206,11 @@ func (e *Executor) TestVector(st *State) (map[uint32][]byte, bool) {
 func (e *Executor) InitialState() *State {
 	e.nextID++
 	st := &State{
-		ID:     e.nextID,
-		PC:     e.prog.Entry,
-		Mem:    NewMemory(e.cfg.VM.RAMBase, e.image),
-		Status: StatusRunning,
+		ID:      e.nextID,
+		PC:      e.prog.Entry,
+		Mem:     NewMemory(e.cfg.VM.RAMBase, e.image),
+		Status:  StatusRunning,
+		Witness: expr.Assignment{},
 	}
 	zero := e.B.Const(0, 32)
 	for i := range st.Regs {
@@ -233,6 +239,7 @@ func (e *Executor) StateFromConcrete(pc uint32, regs [isa.NumRegs]uint32, mem []
 		EPC:        epc,
 		InHandler:  inHandler,
 		IRQPending: pending,
+		Witness:    expr.Assignment{},
 	}
 	for i := range st.Regs {
 		st.Regs[i] = e.B.Const(uint64(regs[i]), 32)
@@ -268,6 +275,16 @@ func (e *Executor) check(st *State, extra ...*expr.Term) (solver.Result, expr.As
 	return res, model
 }
 
+// decide is check with the state's witness consulted first: when the
+// witness satisfies cond, the extended path condition is Sat with the
+// witness as its model and no query runs.
+func (e *Executor) decide(st *State, cond *expr.Term) (solver.Result, expr.Assignment) {
+	if st.Witness != nil && e.eval.Eval(cond, st.Witness) != 0 {
+		return solver.Sat, st.Witness
+	}
+	return e.check(st, cond)
+}
+
 // markUnknown parks a state whose path condition the solver could not
 // decide within budget.
 func (e *Executor) markUnknown(st *State) {
@@ -301,7 +318,7 @@ func (e *Executor) concretize(st *State, t *expr.Term, forks *[]*State) (uint32,
 		// anyway, so an over-permissive path condition costs at most a
 		// wasted seed while an over-constrained one hides solutions.
 		e.Stats.Concretized++
-		return uint32(expr.Eval(t, c.assign)), nil
+		return uint32(e.eval.Eval(t, c.assign)), nil
 	}
 	e.Stats.Concretized++
 	max := 1
@@ -312,7 +329,7 @@ func (e *Executor) concretize(st *State, t *expr.Term, forks *[]*State) (uint32,
 	// incremental context re-blasts nothing between them); count the
 	// queries it actually ran, not a guess from the value count.
 	before := e.Solver.Stats.Queries
-	vals, final := e.Solver.Enumerate(e.B, st.Constraints, t, max)
+	vals, models, final := e.Solver.Enumerate(e.B, st.Constraints, t, max)
 	e.Stats.SolverCalls += uint64(e.Solver.Stats.Queries - before)
 	if len(vals) == 0 {
 		if final == solver.Unknown {
@@ -323,12 +340,14 @@ func (e *Executor) concretize(st *State, t *expr.Term, forks *[]*State) (uint32,
 		}
 		return 0, nil
 	}
-	for _, v := range vals[1:] {
+	for i := 1; i < len(vals); i++ {
 		sib := e.fork(st)
-		sib.AddConstraint(e.B.Eq(t, e.B.Const(v, t.Width())))
+		sib.AddConstraint(e.B.Eq(t, e.B.Const(vals[i], t.Width())))
+		sib.Witness = models[i]
 		*forks = append(*forks, sib)
 	}
 	st.AddConstraint(e.B.Eq(t, e.B.Const(vals[0], t.Width())))
+	st.Witness = models[0]
 	return uint32(vals[0]), nil
 }
 
@@ -477,7 +496,7 @@ func (e *Executor) Step(st *State) ([]*State, error) {
 		if c := e.concolic; c != nil {
 			// Concolic replay: follow the side the concrete input takes,
 			// record the branch so the far side can be solved for later.
-			tv := expr.Eval(taken, c.assign) != 0
+			tv := e.eval.Eval(taken, c.assign) != 0
 			c.trace = append(c.trace, ConcolicBranch{
 				PC:        st.PC,
 				Cond:      taken,
@@ -493,8 +512,10 @@ func (e *Executor) Step(st *State) ([]*State, error) {
 			break
 		}
 		// Symbolic branch: the fork point of the paper's Algorithm 1.
-		resT, _ := e.check(st, taken)
-		resF, _ := e.check(st, b.NotBool(taken))
+		// The witness satisfies exactly one side, so only the other
+		// side is a solver query.
+		resT, modelT := e.decide(st, taken)
+		resF, modelF := e.decide(st, b.NotBool(taken))
 		if resT == solver.Unknown || resF == solver.Unknown {
 			// The budget ran out before the branch was decided; park the
 			// state instead of guessing a side (either guess could both
@@ -507,15 +528,19 @@ func (e *Executor) Step(st *State) ([]*State, error) {
 		case satT && satF:
 			sib := e.fork(st)
 			sib.AddConstraint(b.NotBool(taken))
+			sib.Witness = modelF
 			sib.PC = st.PC + 4
 			forks = append(forks, sib)
 			st.AddConstraint(taken)
+			st.Witness = modelT
 			next = st.PC + uint32(in.Imm)
 		case satT:
 			st.AddConstraint(taken)
+			st.Witness = modelT
 			next = st.PC + uint32(in.Imm)
 		case satF:
 			st.AddConstraint(b.NotBool(taken))
+			st.Witness = modelF
 		default:
 			st.Status = StatusInfeasible
 			return forks, nil
@@ -690,7 +715,7 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 	case isa.EcallAssert:
 		cond := b.Ne(st.Regs[1], b.Const(0, 32))
 		if c := e.concolic; c != nil {
-			if expr.Eval(cond, c.assign) == 0 {
+			if e.eval.Eval(cond, c.assign) == 0 {
 				st.Status = StatusAssertFail
 				st.Model = c.assign
 				return true, nil
@@ -710,8 +735,10 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 			}
 			return false, nil
 		}
+		// The failing side's model is reported, so it is always queried;
+		// the passing side may be decided by the witness.
 		resFail, failModel := e.check(st, b.NotBool(cond))
-		resPass, _ := e.check(st, cond)
+		resPass, passModel := e.decide(st, cond)
 		if resFail == solver.Unknown || resPass == solver.Unknown {
 			e.markUnknown(st)
 			return true, nil
@@ -719,6 +746,7 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 		if resFail == solver.Sat {
 			fail := e.fork(st)
 			fail.AddConstraint(b.NotBool(cond))
+			fail.Witness = failModel
 			fail.Status = StatusAssertFail
 			fail.Model = failModel
 			*forks = append(*forks, fail)
@@ -728,12 +756,13 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 			return true, nil
 		}
 		st.AddConstraint(cond)
+		st.Witness = passModel
 		return false, nil
 
 	case isa.EcallAssume:
 		cond := b.Ne(st.Regs[1], b.Const(0, 32))
 		if c := e.concolic; c != nil {
-			if expr.Eval(cond, c.assign) == 0 {
+			if e.eval.Eval(cond, c.assign) == 0 {
 				st.Status = StatusInfeasible
 				return true, nil
 			}
@@ -749,7 +778,8 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 			}
 			return false, nil
 		}
-		switch res, _ := e.check(st, cond); res {
+		res, model := e.decide(st, cond)
+		switch res {
 		case solver.Unknown:
 			e.markUnknown(st)
 			return true, nil
@@ -758,6 +788,7 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 			return true, nil
 		}
 		st.AddConstraint(cond)
+		st.Witness = model
 		return false, nil
 
 	case isa.EcallMakeSymbolic:

@@ -78,6 +78,15 @@ type State struct {
 	// Constraints is the path condition (conjunction of width-1
 	// terms).
 	Constraints []*expr.Term
+	// Witness is an assignment under which every term in Constraints
+	// evaluates to 1 (unassigned variables read as 0, so an empty path
+	// condition is witnessed by an empty map). Each new constraint keeps
+	// it if it already satisfies the constraint and otherwise replaces
+	// it with the solver model that admitted the constraint. At a
+	// symbolic branch it decides one side without a solver query. Nil
+	// means no witness is known (concolic replay). The map is shared by
+	// forks and clones and is never mutated in place.
+	Witness expr.Assignment
 
 	// HWSnapshot binds this state to its private hardware state.
 	HWSnapshot SnapshotID
@@ -123,6 +132,7 @@ func (st *State) Fork(newID uint64) *State {
 		IRQPending: st.IRQPending,
 		Status:     st.Status,
 		Steps:      st.Steps,
+		Witness:    st.Witness,
 	}
 	c.Constraints = make([]*expr.Term, len(st.Constraints), len(st.Constraints)+1)
 	copy(c.Constraints, st.Constraints)
@@ -154,7 +164,8 @@ func (st *State) Clone() *State {
 	return &c
 }
 
-// AddConstraint conjoins a path constraint.
+// AddConstraint conjoins a path constraint. The caller sets Witness
+// to match.
 func (st *State) AddConstraint(c *expr.Term) {
 	st.Constraints = append(st.Constraints, c)
 }

@@ -22,7 +22,7 @@ func explore(t *testing.T, src string, cfg Config) []*State {
 	return exploreWith(t, e)
 }
 
-func exploreWith(t *testing.T, e *Executor) []*State {
+func exploreWith(t testing.TB, e *Executor) []*State {
 	t.Helper()
 	active := []*State{e.InitialState()}
 	var finished []*State
