@@ -90,8 +90,32 @@ type Simulator struct {
 	// ID) and memories (by memory ID, whole-array granularity) have
 	// changed since the last ClearDirty — the basis for delta
 	// restores.
-	dirtySigs map[int]struct{}
-	dirtyMems map[int]struct{}
+	dirtySigs idSet
+	dirtyMems idSet
+}
+
+// idSet is a set of element IDs: one membership flag per ID plus the
+// members in insertion order, so adding is a flag test, and clearing
+// and walking cost the number of members, not the number of IDs.
+type idSet struct {
+	in  []bool
+	ids []int
+}
+
+func newIDSet(n int) idSet { return idSet{in: make([]bool, n)} }
+
+func (d *idSet) add(id int) {
+	if !d.in[id] {
+		d.in[id] = true
+		d.ids = append(d.ids, id)
+	}
+}
+
+func (d *idSet) clear() {
+	for _, id := range d.ids {
+		d.in[id] = false
+	}
+	d.ids = d.ids[:0]
 }
 
 // New creates a simulator with zero-initialized state (the FPGA-like
@@ -107,8 +131,8 @@ func NewEngine(d *rtl.Design, kind EngineKind) (*Simulator, error) {
 		design:    d,
 		state:     rtl.NewState(d),
 		kind:      EngineInterp,
-		dirtySigs: make(map[int]struct{}),
-		dirtyMems: make(map[int]struct{}),
+		dirtySigs: newIDSet(len(d.Signals)),
+		dirtyMems: newIDSet(len(d.Memories)),
 	}
 	switch kind {
 	case EngineAuto:
@@ -155,18 +179,18 @@ func (s *Simulator) Gen() uint64 { return s.gen }
 // ClearDirty re-anchors dirty tracking: the current state becomes the
 // reference against which DirtyBits and RestoreDirty operate.
 func (s *Simulator) ClearDirty() {
-	clear(s.dirtySigs)
-	clear(s.dirtyMems)
+	s.dirtySigs.clear()
+	s.dirtyMems.clear()
 }
 
 // DirtyBits returns the number of state bits touched since the last
 // ClearDirty (memories count whole-array when any element changed).
 func (s *Simulator) DirtyBits() uint {
 	var n uint
-	for id := range s.dirtySigs {
+	for _, id := range s.dirtySigs.ids {
 		n += s.design.Signals[id].Width
 	}
-	for id := range s.dirtyMems {
+	for _, id := range s.dirtyMems.ids {
 		m := s.design.Memories[id]
 		n += m.Depth * m.Width
 	}
@@ -185,13 +209,13 @@ func widthMask(w uint) uint64 {
 // markSig records a value change of a snapshot-relevant signal.
 func (s *Simulator) markSig(id int) {
 	s.gen++
-	s.dirtySigs[id] = struct{}{}
+	s.dirtySigs.add(id)
 }
 
 // markMem records a value change inside a memory.
 func (s *Simulator) markMem(id int) {
 	s.gen++
-	s.dirtyMems[id] = struct{}{}
+	s.dirtyMems.add(id)
 }
 
 // Design returns the simulated design.
@@ -200,44 +224,55 @@ func (s *Simulator) Design() *rtl.Design { return s.design }
 // Cycles returns the number of clock cycles executed.
 func (s *Simulator) Cycles() uint64 { return s.cycles }
 
-// SetInput drives a top-level input. The value is truncated to the
-// input's width — the same truncation rtl.Write.Apply performs — so
-// over-wide drives cannot leave junk above the width in State.Vals
-// (which Snapshot captures, making semantically identical states hash
-// differently).
+// SetInput drives a top-level input by name: one lookup, then
+// SetInputID.
 func (s *Simulator) SetInput(name string, v uint64) error {
 	sig, ok := s.design.SignalByName(name)
 	if !ok || !sig.IsInput {
 		return fmt.Errorf("sim: no input named %q", name)
 	}
-	v &= widthMask(sig.Width)
-	if s.state.Vals[sig.ID] != v {
-		s.markSig(sig.ID)
-		s.state.Vals[sig.ID] = v
-		if s.eng != nil {
-			s.eng.MarkSignal(sig.ID)
-		}
-	}
+	s.SetInputID(sig.ID, v)
 	return nil
 }
 
-// Peek reads any signal by hierarchical name.
+// SetInputID drives the top-level input with signal ID id, which the
+// caller resolved once (Design().SignalByName). The value is truncated
+// to the input's width — the same truncation rtl.Write.Apply performs
+// — so over-wide drives cannot leave junk above the width in
+// State.Vals (which Snapshot captures, making semantically identical
+// states hash differently).
+func (s *Simulator) SetInputID(id int, v uint64) {
+	s.write(s.design.Signals[id], v)
+}
+
+// Peek reads any signal by hierarchical name: one lookup, then PeekID.
 func (s *Simulator) Peek(name string) (uint64, error) {
 	sig, ok := s.design.SignalByName(name)
 	if !ok {
 		return 0, fmt.Errorf("sim: no signal named %q", name)
 	}
-	return s.state.Vals[sig.ID], nil
+	return s.PeekID(sig.ID), nil
 }
+
+// PeekID reads the signal with ID id.
+func (s *Simulator) PeekID(id int) uint64 { return s.state.Vals[id] }
 
 // Poke writes any signal by hierarchical name (full controllability).
 // Poking a non-register is transient: the next comb settle overwrites
-// it. The value is truncated to the signal's width (see SetInput).
+// it. The value is truncated to the signal's width (see SetInputID).
 func (s *Simulator) Poke(name string, v uint64) error {
 	sig, ok := s.design.SignalByName(name)
 	if !ok {
 		return fmt.Errorf("sim: no signal named %q", name)
 	}
+	s.write(sig, v)
+	return nil
+}
+
+// write stores v, truncated to the signal's width, with change
+// detection: a changed register or input is dirtied, and any change
+// wakes the nodes sensitive to the signal.
+func (s *Simulator) write(sig *rtl.Signal, v uint64) {
 	v &= widthMask(sig.Width)
 	if s.state.Vals[sig.ID] != v {
 		if sig.IsReg || sig.IsInput {
@@ -248,7 +283,6 @@ func (s *Simulator) Poke(name string, v uint64) error {
 			s.eng.MarkSignal(sig.ID)
 		}
 	}
-	return nil
 }
 
 // PeekMem reads one memory element.
@@ -432,13 +466,7 @@ func (s *Simulator) Restore(hw *HWState) error {
 	}
 	for _, sig := range s.design.Signals {
 		if sig.IsReg {
-			if v := hw.Regs[sig.Name] & widthMask(sig.Width); s.state.Vals[sig.ID] != v {
-				s.markSig(sig.ID)
-				s.state.Vals[sig.ID] = v
-				if s.eng != nil {
-					s.eng.MarkSignal(sig.ID)
-				}
-			}
+			s.write(sig, hw.Regs[sig.Name])
 		}
 	}
 	for name := range hw.Regs {
@@ -470,14 +498,7 @@ func (s *Simulator) Restore(hw *HWState) error {
 	}
 	for _, in := range s.design.Inputs {
 		if v, ok := hw.Inputs[in.Name]; ok {
-			v &= widthMask(in.Width)
-			if s.state.Vals[in.ID] != v {
-				s.markSig(in.ID)
-				s.state.Vals[in.ID] = v
-				if s.eng != nil {
-					s.eng.MarkSignal(in.ID)
-				}
-			}
+			s.write(in, v)
 		}
 	}
 	return s.EvalComb()
@@ -496,7 +517,7 @@ func (s *Simulator) RestoreDirty(hw *HWState) (uint, error) {
 		hw = &HWState{}
 	}
 	var bits uint
-	for id := range s.dirtySigs {
+	for _, id := range s.dirtySigs.ids {
 		sig := s.design.Signals[id]
 		switch {
 		case sig.IsReg:
@@ -516,7 +537,7 @@ func (s *Simulator) RestoreDirty(hw *HWState) (uint, error) {
 		}
 		bits += sig.Width
 	}
-	for id := range s.dirtyMems {
+	for _, id := range s.dirtyMems.ids {
 		m := s.design.Memories[id]
 		src := hw.Mems[m.Name]
 		dst := s.state.Mems[id]

@@ -102,9 +102,10 @@ type periphInst struct {
 	// conservatively assumed wired). Remote clients use it to answer
 	// IRQ polls for constant-low lines without a round trip.
 	irqWired bool
-	// layout maps scan-chain bit positions to named state (scan-mode
-	// FPGA only).
-	layout  []scanchain.BitRef
+	// pins is the register port, resolved to signal IDs at build.
+	pins pins
+	// scan is the resolved scan chain (scan-mode FPGA only).
+	scan    *scanPort
 	asserts []*compiledAssert
 	// genBase is the simulator mutation generation last folded into
 	// the target generation (see Target.Generation).
@@ -229,35 +230,80 @@ func buildPeriph(cfg PeriphConfig, instrument bool) (*periphInst, error) {
 		return nil, err
 	}
 	inst := &periphInst{cfg: cfg, design: d, sim: s, irqWired: irqWired}
-	// Power-on reset pulse: registers with non-zero reset values
-	// (baud divisors, state machines) come up initialized, exactly
-	// like the physical platform asserting its reset line at boot.
-	if sig, ok := d.SignalByName(bus.SigRst); ok && sig.IsInput {
-		if err := s.SetInput(bus.SigRst, 1); err != nil {
-			return nil, err
-		}
-		if err := s.StepCycle(); err != nil {
-			return nil, fmt.Errorf("peripheral %s: power-on reset: %w", cfg.Name, err)
-		}
-		if err := s.SetInput(bus.SigRst, 0); err != nil {
-			return nil, err
-		}
-		if err := s.EvalComb(); err != nil {
-			return nil, fmt.Errorf("peripheral %s: power-on reset: %w", cfg.Name, err)
-		}
-	}
+	var layout []scanchain.BitRef
 	if instrument {
-		layout, err := scanchain.Layout(reports, top)
-		if err != nil {
+		if layout, err = scanchain.Layout(reports, top); err != nil {
 			return nil, err
 		}
 		if uint(len(layout)) != d.StateBits() {
 			return nil, fmt.Errorf("peripheral %s: scan chain covers %d of %d state bits",
 				cfg.Name, len(layout), d.StateBits())
 		}
-		inst.layout = layout
+	}
+	if err := inst.resolve(layout, instrument); err != nil {
+		return nil, err
+	}
+	// Power-on reset pulse: registers with non-zero reset values
+	// (baud divisors, state machines) come up initialized, exactly
+	// like the physical platform asserting its reset line at boot.
+	if sig, ok := d.SignalByName(bus.SigRst); ok && sig.IsInput {
+		s.SetInputID(sig.ID, 1)
+		if err := s.StepCycle(); err != nil {
+			return nil, fmt.Errorf("peripheral %s: power-on reset: %w", cfg.Name, err)
+		}
+		s.SetInputID(sig.ID, 0)
+		if err := s.EvalComb(); err != nil {
+			return nil, fmt.Errorf("peripheral %s: power-on reset: %w", cfg.Name, err)
+		}
 	}
 	return inst, nil
+}
+
+// resolve binds the pins the target drives, and on a scan FPGA the
+// scan chain, to simulator IDs. A pin or chain position the design
+// does not hold fails the build with an error naming the peripheral
+// and the signal, instead of failing every MMIO access or scan shift.
+func (inst *periphInst) resolve(layout []scanchain.BitRef, scan bool) error {
+	p := &inst.pins
+	err := bindPins(inst.design, "register port",
+		pin{bus.SigSel, true, &p.sel}, pin{bus.SigWen, true, &p.wen},
+		pin{bus.SigAddr, true, &p.addr}, pin{bus.SigWData, true, &p.wdata},
+		pin{bus.SigRData, false, &p.rdata}, pin{bus.SigIRQ, false, &p.irq})
+	if err == nil && scan {
+		inst.scan, err = resolveScan(inst.design, layout)
+	}
+	if err != nil {
+		return fmt.Errorf("peripheral %s: %w", inst.cfg.Name, err)
+	}
+	return nil
+}
+
+// pins are the signal IDs of a peripheral's register port.
+type pins struct {
+	sel, wen, addr, wdata, rdata, irq int
+}
+
+// pin is a top-level signal the target drives (an input) or samples,
+// and where its resolved signal ID goes.
+type pin struct {
+	name  string
+	input bool
+	id    *int
+}
+
+// bindPins resolves the pins of one port of d to signal IDs.
+func bindPins(d *rtl.Design, port string, ps ...pin) error {
+	for _, p := range ps {
+		sig, ok := d.SignalByName(p.name)
+		switch {
+		case !ok:
+			return fmt.Errorf("%s: no signal %q", port, p.name)
+		case p.input && !sig.IsInput:
+			return fmt.Errorf("%s: %q is not an input", port, p.name)
+		}
+		*p.id = sig.ID
+	}
+	return nil
 }
 
 // Name returns the target's instance name.
@@ -469,23 +515,18 @@ func (t *Target) writeReg(inst *periphInst, offset uint32, v uint32) error {
 // sideband wire: sampling is free of virtual time.
 func (t *Target) irqLevel(inst *periphInst) (bool, error) {
 	if t.fastLink() {
-		return execIRQLevel(inst)
+		return execIRQLevel(inst), nil
 	}
 	var level bool
 	err := t.linkOp("irq "+inst.cfg.Name, func() error {
-		var err error
-		level, err = execIRQLevel(inst)
-		return err
+		level = execIRQLevel(inst)
+		return nil
 	})
 	return level, err
 }
 
-func execIRQLevel(inst *periphInst) (bool, error) {
-	v, err := inst.sim.Peek(bus.SigIRQ)
-	if err != nil {
-		return false, fatalf("irq "+inst.cfg.Name, "%v", err)
-	}
-	return v != 0, nil
+func execIRQLevel(inst *periphInst) bool {
+	return inst.sim.PeekID(inst.pins.irq) != 0
 }
 
 // HasAssertions reports whether any hardware assertion is registered.
@@ -786,56 +827,34 @@ func (t *Target) applyDelta(s State) error {
 // --- register-port bus transactions (single-cycle convention) ---
 
 func (inst *periphInst) busWrite(addr, val uint32) error {
-	s := inst.sim
-	if err := driveAll(s,
-		in{bus.SigSel, 1}, in{bus.SigWen, 1},
-		in{bus.SigAddr, uint64(addr)}, in{bus.SigWData, uint64(val)}); err != nil {
-		return err
-	}
+	s, p := inst.sim, &inst.pins
+	s.SetInputID(p.sel, 1)
+	s.SetInputID(p.wen, 1)
+	s.SetInputID(p.addr, uint64(addr))
+	s.SetInputID(p.wdata, uint64(val))
 	if err := s.StepCycle(); err != nil {
 		return err
 	}
-	if err := driveAll(s, in{bus.SigSel, 0}, in{bus.SigWen, 0}); err != nil {
-		return err
-	}
+	s.SetInputID(p.sel, 0)
+	s.SetInputID(p.wen, 0)
 	return s.EvalComb()
 }
 
 func (inst *periphInst) busRead(addr uint32) (uint32, error) {
-	s := inst.sim
-	if err := driveAll(s,
-		in{bus.SigSel, 1}, in{bus.SigWen, 0}, in{bus.SigAddr, uint64(addr)}); err != nil {
-		return 0, err
-	}
+	s, p := inst.sim, &inst.pins
+	s.SetInputID(p.sel, 1)
+	s.SetInputID(p.wen, 0)
+	s.SetInputID(p.addr, uint64(addr))
 	if err := s.EvalComb(); err != nil {
 		return 0, err
 	}
-	v, err := s.Peek(bus.SigRData)
-	if err != nil {
-		return 0, err
-	}
+	v := s.PeekID(p.rdata)
 	if err := s.StepCycle(); err != nil {
 		return 0, err
 	}
-	if err := s.SetInput(bus.SigSel, 0); err != nil {
-		return 0, err
-	}
+	s.SetInputID(p.sel, 0)
 	if err := s.EvalComb(); err != nil {
 		return 0, err
 	}
 	return uint32(v), nil
-}
-
-type in struct {
-	name string
-	val  uint64
-}
-
-func driveAll(s *sim.Simulator, ins ...in) error {
-	for _, i := range ins {
-		if err := s.SetInput(i.name, i.val); err != nil {
-			return err
-		}
-	}
-	return nil
 }
