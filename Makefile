@@ -74,7 +74,8 @@ endef
 # and dist delta frames), the journal's frame scanner and the campaign
 # loader behind it (gob payloads), the solver against its reference,
 # the vm's dirty-page restore against a full copy, the simulator's
-# dirty-list restore against a full Restore, and the two readers
+# dirty-list restore against a full Restore, the compiled RTL engine
+# against the interpreter on generated netlists, and the two readers
 # of user files: the Verilog parser and the assembler.
 fuzz-smoke:
 	$(GO) test ./internal/remote -run '^$$' -fuzz FuzzServeConn -fuzztime 10s
@@ -84,6 +85,7 @@ fuzz-smoke:
 	$(GO) test ./internal/solver -run '^$$' -fuzz FuzzDifferential -fuzztime 10s
 	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzDirtyRestore -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSimDirtyRestore -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCompiledMatchesInterp -fuzztime 10s
 	$(GO) test ./internal/verilog -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 
@@ -111,7 +113,7 @@ loc:
 #   make bench-compare A=before.json B=after.json
 # The repo root keeps one report per PR that claims a gain, with its
 # parent's next to it (BENCH_<pr>.json), so the claim can be re-read:
-#   make bench-compare A=BENCH_31.json B=BENCH_32.json
+#   make bench-compare A=BENCH_32.json B=BENCH_33.json
 bench:
 	$(GO) run ./benchmark -out .bench_build/run.json
 

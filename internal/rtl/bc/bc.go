@@ -1,6 +1,6 @@
-// Package bc compiles an elaborated rtl.Design into compact stack
-// bytecode and runs it with event-driven activation — the Verilator
-// move applied to this repo's netlist interpreter.
+// Package bc compiles an elaborated rtl.Design into operand-fused
+// stack bytecode and runs it with event-driven activation — the
+// Verilator move applied to this repo's netlist interpreter.
 //
 // The compiler (Compile) lowers every comb node and sequential block
 // into a flat []op. All the work rtl.EvalExpr redoes on every visit —
@@ -11,6 +11,14 @@
 // Anything the interpreter would reject at runtime (reversed part
 // selects, unknown identifiers, unsupported lvalues) the compiler
 // rejects up front, so a Program that compiled cannot fail to run.
+//
+// A signal or constant operand does not get an op of its own when the
+// op consuming it has a fused form: a binary operator whose right
+// operand is a signal (L-form) or a literal or parameter (K-form), a
+// part or constant bit select of a signal, a concat part that is a
+// signal, a signal bit, a signal part select or a literal, and an if
+// on a bare signal each read the operand inside the consuming op.
+// Every other shape keeps the stack form.
 //
 // The engine (Engine) adds sensitivity-list activation on top: from
 // each node's read/write sets the compiler builds per-signal and
@@ -35,7 +43,8 @@ type opcode uint8
 
 // Expression opcodes operate on the value stack; store opcodes pop
 // operands and write signal/memory state (comb, immediate) or append
-// rtl.Write records (sequential, nonblocking).
+// rtl.Write records (sequential, nonblocking). rmask(b) is the result
+// mask ^0>>b: b holds 64 minus the result width.
 const (
 	opConst   opcode = iota // push val
 	opLoad                  // push Vals[a] & val
@@ -70,43 +79,80 @@ const (
 	opRepeat                // tos = a copies of tos&val, each shifted by b
 	opDup                   // push tos
 	opPop                   // pop
-	opJmp                   // pc = a
-	opJz                    // if pop==0 { pc = a }
-	opCaseEq                // lab=pop; if lab==tos { pc = a }
+	opJmp                   // pc = b
+	opJz                    // if pop==0 { pc = b }
+	opCaseEq                // lab=pop; if lab==tos { pc = b }
 
-	opCaseTable // t=caseTables[a]; if tos<len(t) && t[tos]>=0 { pc = t[tos] }
+	opCaseTable // v=pop; t=caseTables[a]; if v<len(t) && t[v]>=0 { pc = t[v] }
+
+	// Fused signal reads; a is the signal ID.
+	opLoadRange  // push Vals[a]>>b & val (b = lo < width, val = part mask & signal mask>>b)
+	opLoadBit    // push Vals[a]>>b & 1 (b < width)
+	opJzL        // if Vals[a]&val == 0 { pc = b }
+	opCaseTableL // v=Vals[a]&val; t=caseTables[b]; if v<len(t) && t[v]>=0 { pc = t[v] }
+
+	// L-forms: y = Vals[a]&val, the right operand an opLoad would push.
+	opAddL // tos = (tos+y) & rmask(b)
+	opSubL // tos = (tos-y) & rmask(b)
+	opAndL // tos = tos&y
+	opOrL  // tos = (tos|y) & rmask(b)
+	opXorL // tos = (tos^y) & rmask(b)
+	opEqL  // tos = tos==y
+	opNeL  // tos = tos!=y
+
+	// K-forms: y = val, the right operand an opConst would push.
+	opAddK // tos = (tos+y) & rmask(b)
+	opSubK // tos = (tos-y) & rmask(b)
+	opAndK // tos = tos&y
+	opOrK  // tos = (tos|y) & rmask(b)
+	opXorK // tos = (tos^y) & rmask(b)
+	opEqK  // tos = tos==y
+	opNeK  // tos = tos!=y
+	opShlK // tos = (tos<<y) & rmask(b) (y < 64)
+	opShrK // tos = tos>>y (y < 64)
+
+	// Fused concat parts, appended below tos: a 1-bit part for
+	// opConcatBit, a b-bit one otherwise.
+	opConcatL     // tos = tos<<b | Vals[a]&val (val = signal mask)
+	opConcatBit   // tos = tos<<1 | Vals[a]>>b&1 (b < width)
+	opConcatRange // tos = tos<<b | Vals[a]>>c & val (c = lo < width, val as opLoadRange)
+	opConcatK     // tos = tos<<b | val (val = literal & part mask)
 
 	opStore      // v=pop; Vals[a] = (Vals[a]&^val)|(v&val)
 	opStoreBit   // idx=pop,v=pop; if idx<b { merge bit idx of Vals[a] }
 	opStoreRange // v=pop; Vals[a] = (Vals[a]&^val)|((v<<b)&val)
 	opStoreMem   // idx=pop,v=pop; if idx<b { Mems[a][idx] = v&val }
 
-	opNBStore      // v=pop; append Write{Sig:a, Mask:val, Val:v&val}
-	opNBStoreBit   // idx=pop,v=pop; if idx<b { append Write{Sig:a, Mask:1<<idx, Val:(v&1)<<idx} }
-	opNBStoreRange // v=pop; append Write{Sig:a, Mask:val, Val:(v<<b)&val}
-	opNBStoreMem   // idx=pop,v=pop; append Write{Mem:a, Idx:idx, Val:v} (unmasked, like assignTo)
+	opNBStore      // v=pop; append Write{ID:a, Mask:val, Val:v&val}
+	opNBStoreBit   // idx=pop,v=pop; if idx<b { append Write{ID:a, Mask:1<<idx, Val:(v&1)<<idx} }
+	opNBStoreRange // v=pop; append Write{ID:a, Mask:val, Val:(v<<b)&val}
+	opNBStoreMem   // idx=pop,v=pop; append Write{ID:a, Mem, Mask:val, Idx:idx, Val:v} (unmasked, like assignTo)
 )
 
-// op is one bytecode instruction. Operand meaning depends on the
-// opcode: a is a signal/memory ID, jump target, part-select shift or
-// repeat count; b is a width, depth or shift; val is a constant or a
-// precomputed mask.
+// op is one bytecode instruction, 24 bytes. Operand meaning depends on
+// the opcode: a is a signal/memory ID, case table or repeat count; b
+// is a width, depth, shift, bit index, result-mask shift or jump
+// target; c is the low bit of a fused concat part select; val is a
+// constant or a precomputed mask.
 type op struct {
 	code opcode
 	a    int32
 	b    int32
+	c    int32
 	val  uint64
 }
+
+// rmask returns the result mask an L- or K-form carries in b: the
+// w low bits set, for b = 64-w.
+func rmask(b int32) uint64 { return ^uint64(0) >> (uint32(b) & 63) }
 
 // Program is a compiled design: one op sequence per comb node (in the
 // design's topological order) and per sequential block, plus the
 // fanout lists the activation engine seeds worklists from.
 type Program struct {
-	design  *rtl.Design
-	combs   [][]op
-	seqs    [][]op
-	signals []*rtl.Signal
-	mems    []*rtl.Memory
+	design *rtl.Design
+	combs  [][]op
+	seqs   [][]op
 
 	// Fanout lists, indexed by signal/memory ID. Each holds node
 	// indexes in ascending order (built by one pass over the nodes).
@@ -129,24 +175,38 @@ type Program struct {
 // Design returns the design this program was compiled from.
 func (p *Program) Design() *rtl.Design { return p.design }
 
-// NumCombOps and NumSeqOps report total instruction counts, for
-// reporting compile results in experiments.
-func (p *Program) NumCombOps() int {
-	n := 0
-	for _, ops := range p.combs {
-		n += len(ops)
+// families names the operand-fused op families and the case jump
+// table, for Census.
+var families = map[opcode]string{
+	opCaseTable: "case-table", opCaseTableL: "case-signal",
+	opLoadRange: "load-range", opLoadBit: "load-bit", opJzL: "jz-signal",
+	opAddL: "binary-signal", opSubL: "binary-signal", opAndL: "binary-signal",
+	opOrL: "binary-signal", opXorL: "binary-signal", opEqL: "binary-signal", opNeL: "binary-signal",
+	opAddK: "binary-const", opSubK: "binary-const", opAndK: "binary-const",
+	opOrK: "binary-const", opXorK: "binary-const", opEqK: "binary-const", opNeK: "binary-const",
+	opShlK: "binary-const", opShrK: "binary-const",
+	opConcatL: "concat-signal", opConcatBit: "concat-bit",
+	opConcatRange: "concat-range", opConcatK: "concat-literal",
+}
+
+// Census counts the program's ops of each operand-fused family, and
+// its case dispatches through a table with a computed subject, by
+// family name; every family is
+// present, with 0 when the program has none. A differential test uses
+// it to show its generator reaches every fused form.
+func (p *Program) Census() map[string]int {
+	n := map[string]int{}
+	for _, f := range families {
+		n[f] = 0
+	}
+	for _, nodes := range [][][]op{p.combs, p.seqs} {
+		for _, ops := range nodes {
+			for _, o := range ops {
+				if f, ok := families[o.code]; ok {
+					n[f]++
+				}
+			}
+		}
 	}
 	return n
 }
-
-func (p *Program) NumSeqOps() int {
-	n := 0
-	for _, ops := range p.seqs {
-		n += len(ops)
-	}
-	return n
-}
-
-// NumCaseTables reports how many case statements were lowered to a
-// jump table instead of a compare chain.
-func (p *Program) NumCaseTables() int { return len(p.caseTables) }

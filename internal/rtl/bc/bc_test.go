@@ -1,9 +1,12 @@
 package bc
 
 import (
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hardsnap/internal/rtl"
 	"hardsnap/internal/verilog"
@@ -178,7 +181,7 @@ func TestCaseLowering(t *testing.T) {
 	const noMatch = 0xEE // y's value when no body runs
 	cases := []struct {
 		name, body     string
-		tables, chains int // opCaseTable / opCaseEq ops expected
+		tables, chains int // opCaseTableL / opCaseEq ops expected
 		want           map[uint64]uint64
 	}{
 		{name: "duplicate label: first item wins", tables: 1, body: `
@@ -242,8 +245,10 @@ endmodule`)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := p.NumCaseTables(); got != tc.tables || countOps(p, opCaseTable) != tc.tables {
-				t.Fatalf("%d tables, %d opCaseTable ops, want %d of each", got, countOps(p, opCaseTable), tc.tables)
+			// The subject is the bare signal s, read in place by the
+			// table dispatch.
+			if got := len(p.caseTables); got != tc.tables || countOps(p, opCaseTableL) != tc.tables {
+				t.Fatalf("%d tables, %d opCaseTableL ops, want %d of each", got, countOps(p, opCaseTableL), tc.tables)
 			}
 			if got := countOps(p, opCaseEq); got != tc.chains {
 				t.Fatalf("%d opCaseEq ops, want %d", got, tc.chains)
@@ -297,8 +302,8 @@ endmodule`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumCaseTables() != 0 || countOps(p, opCaseEq) != 2 {
-		t.Fatalf("%d tables, %d opCaseEq ops, want the 2-compare chain", p.NumCaseTables(), countOps(p, opCaseEq))
+	if len(p.caseTables) != 0 || countOps(p, opCaseEq) != 2 {
+		t.Fatalf("%d tables, %d opCaseEq ops, want the 2-compare chain", len(p.caseTables), countOps(p, opCaseEq))
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("Compile allocated %d bytes for a two-label case", got)
@@ -314,5 +319,93 @@ endmodule`)
 		if got := st.Vals[y.ID]; got != want {
 			t.Errorf("s=%#x: y=%d, want %d", subj, got, want)
 		}
+	}
+}
+
+// opcodes lists a compiled node's opcodes in order.
+func opcodes(ops []op) []opcode {
+	out := make([]opcode, len(ops))
+	for i, o := range ops {
+		out[i] = o.code
+	}
+	return out
+}
+
+// TestFusedShapes pins the compiled shape of each operand-fused form —
+// the scan chain's shift first — and checks each against the
+// interpreter over a spread of register and input values.
+func TestFusedShapes(t *testing.T) {
+	cases := []struct {
+		name, stmt string
+		want       []opcode
+	}{
+		{"scan shift", "r <= {r[6:0], p[7]};", []opcode{opLoadRange, opConcatBit, opNBStore}},
+		{"part select of a signal", "r <= w[11:4];", []opcode{opLoadRange, opNBStore}},
+		{"part select past the width is 0", "r <= p[9:8];", []opcode{opConst, opNBStore}},
+		{"constant bit select", "r <= p[LP];", []opcode{opLoadBit, opNBStore}},
+		{"bit select past the width is 0", "r <= p[8];", []opcode{opConst, opNBStore}},
+		{"bit select past 64 is 0", "r <= p[70];", []opcode{opConst, opNBStore}},
+		{"signal right operands", "r <= (((((p ^ q) & w) | q) + p) - w) == q;",
+			[]opcode{opLoad, opXorL, opAndL, opOrL, opAddL, opSubL, opEqL, opNBStore}},
+		{"signal right operand of !=", "r <= p != w;", []opcode{opLoad, opNeL, opNBStore}},
+		{"literal and parameter right operands", "r <= ((((((p ^ 8'h5a) & LP) | 3) + 4'd9) - 1) << 2) >> LP;",
+			[]opcode{opLoad, opXorK, opAndK, opOrK, opAddK, opSubK, opShlK, opShrK, opNBStore}},
+		{"constant compares", "r <= {p == 8'd7, q != LP};", []opcode{opLoad, opEqK, opLoad, opNeK, opConcat, opNBStore}},
+		{"shift by 64 or more keeps the stack form", "r <= p << 64;", []opcode{opLoad, opConst, opShl, opNBStore}},
+		{"operators without a fused form keep the stack form", "r <= p * q;", []opcode{opLoad, opLoad, opMul, opNBStore}},
+		{"concat of fused parts", "r <= {q[1:0], p, 3'b101, w[2], w[3:1], w[50]};",
+			[]opcode{opLoadRange, opConcatL, opConcatK, opConcatBit, opConcatRange, opConcatK, opNBStore}},
+		{"literal first part is folded and masked", "r <= {4'hff, q[3:0]};", []opcode{opConst, opConcatRange, opNBStore}},
+		{"unmasked first part is masked", "r <= {(LP & p), q[3:0]};", []opcode{opConst, opAndL, opRange, opConcatRange, opNBStore}},
+		{"signal condition", "if (q) r <= p; else r <= w[7:0];",
+			[]opcode{opJzL, opLoad, opNBStore, opJmp, opLoadRange, opNBStore}},
+		{"computed condition keeps the stack form", "if (q[0]) r <= p;", []opcode{opLoadBit, opJz, opLoad, opNBStore}},
+		{"signal case subject", "case (q) 0: r <= p; 1: r <= w[7:0]; endcase",
+			[]opcode{opCaseTableL, opJmp, opLoad, opNBStore, opJmp, opLoadRange, opNBStore, opJmp}},
+		{"computed case subject", "case (q ^ p) 0: r <= p; endcase",
+			[]opcode{opLoad, opXorL, opCaseTable, opJmp, opLoad, opNBStore, opJmp}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := elaborate(t, `
+module m(input wire clk, input wire [7:0] p, input wire [3:0] q, input wire [47:0] w, output reg [7:0] r);
+  localparam LP = 3;
+  always @(posedge clk) `+tc.stmt+`
+endmodule`)
+			prog, err := Compile(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := opcodes(prog.seqs[0]); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("compiled %v, want %v", got, tc.want)
+			}
+			st := rtl.NewState(d)
+			e := NewEngine(prog, st)
+			ist := rtl.NewState(d)
+			r := rand.New(rand.NewSource(1))
+			for i := 0; i < 200; i++ {
+				for _, sig := range d.Signals {
+					v := r.Uint64() & (1<<sig.Width - 1)
+					st.Vals[sig.ID], ist.Vals[sig.ID] = v, v
+					e.MarkSignal(sig.ID)
+				}
+				var got, want []rtl.Write
+				e.RunSeq(&got)
+				if err := d.Seqs[0].ExecSeq(ist, &want); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("state %v: compiled writes %+v, interpreter %+v", ist.Vals, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestOpSize pins the instruction at 24 bytes: every operand form
+// fits in three int32s and one uint64.
+func TestOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(op{}); n != 24 {
+		t.Fatalf("op is %d bytes, want 24", n)
 	}
 }

@@ -26,8 +26,6 @@ func maskOf(w uint) uint64 {
 func Compile(d *rtl.Design) (*Program, error) {
 	p := &Program{
 		design:         d,
-		signals:        d.Signals,
-		mems:           d.Memories,
 		sigCombReaders: make([][]int32, len(d.Signals)),
 		sigCombDriver:  make([]int32, len(d.Signals)),
 		sigSeqTouch:    make([][]int32, len(d.Signals)),
@@ -172,7 +170,44 @@ func (c *comp) push() {
 func (c *comp) pop(n int) { c.cur -= n }
 
 // patch sets the jump target of instruction i to the next emitted op.
-func (c *comp) patch(i int) { c.ops[i].a = int32(len(c.ops)) }
+func (c *comp) patch(i int) { c.ops[i].b = int32(len(c.ops)) }
+
+// read records that the node reads sig: a fused operand enters the
+// read set exactly as an opLoad of it would, so activation fanout
+// does not depend on how the operand was emitted.
+func (c *comp) read(sig *rtl.Signal) { c.reads[sig.ID] = struct{}{} }
+
+// signal resolves x when it is a bare signal name.
+func (c *comp) signal(x verilog.Expr) (*rtl.Signal, bool) {
+	if id, ok := x.(*verilog.Ident); ok {
+		return c.scope.Signal(id.Name)
+	}
+	return nil, false
+}
+
+// maskShift is the b operand of an L- or K-form whose result is
+// masked to w bits: rmask(maskShift(w)) == maskOf(w).
+func maskShift(w uint) int32 {
+	if w >= 64 {
+		return 0
+	}
+	return int32(64 - w)
+}
+
+// jumpIfZero emits the conditional jump of an if or a ternary and
+// returns its index for patch. A bare signal is tested in place
+// (opJzL); any other condition is evaluated onto the stack (opJz).
+func (c *comp) jumpIfZero(cond verilog.Expr) (int, error) {
+	if sig, ok := c.signal(cond); ok {
+		c.read(sig)
+		return c.emit(op{code: opJzL, a: int32(sig.ID), val: maskOf(sig.Width)}), nil
+	}
+	if err := c.expr(cond); err != nil {
+		return 0, err
+	}
+	c.pop(1)
+	return c.emit(op{code: opJz}), nil
+}
 
 func (c *comp) assign(lhs, rhs verilog.Expr) error {
 	if err := c.expr(rhs); err != nil {
@@ -192,11 +227,10 @@ func (c *comp) stmt(s verilog.Stmt) error {
 		return nil
 
 	case *verilog.If:
-		if err := c.expr(v.Cond); err != nil {
+		jz, err := c.jumpIfZero(v.Cond)
+		if err != nil {
 			return err
 		}
-		jz := c.emit(op{code: opJz})
-		c.pop(1)
 		if err := c.stmt(v.Then); err != nil {
 			return err
 		}
@@ -240,10 +274,10 @@ func numberVal(n *verilog.Number) uint64 {
 	return n.Value
 }
 
-// constLabel returns a case label's value when no run-time state can
-// change it: a literal, or an identifier expr would resolve to a
-// parameter (signals shadow parameters there, so they do here).
-func (c *comp) constLabel(x verilog.Expr) (uint64, bool) {
+// constant returns the value EvalExpr computes for x when no run-time
+// state can change it: a literal, or an identifier expr would resolve
+// to a parameter (signals shadow parameters there, so they do here).
+func (c *comp) constant(x verilog.Expr) (uint64, bool) {
 	switch v := x.(type) {
 	case *verilog.Number:
 		return numberVal(v), true
@@ -276,7 +310,7 @@ func (c *comp) caseTable(v *verilog.Case) []int32 {
 			continue
 		}
 		for _, l := range it.Labels {
-			val, ok := c.constLabel(l)
+			val, ok := c.constant(l)
 			if !ok || val >= maxCaseTable {
 				return nil
 			}
@@ -302,24 +336,34 @@ func (c *comp) caseTable(v *verilog.Case) []int32 {
 	return table
 }
 
-// caseStmt lays out a case as: subject eval, then the dispatch (first
-// match jumps to its body, preserving the interpreter's
-// first-match-in-item-order priority), fallthrough jump to the
-// default, then the bodies; each body pops the subject first. The
-// dispatch is one opCaseTable when caseTable can build one, otherwise
-// a compare per label. Labels are pure expressions, so evaluating them
-// eagerly (where the interpreter stops at the first match) cannot
+// caseStmt lays out a case as: the dispatch (first match jumps to its
+// body, preserving the interpreter's first-match-in-item-order
+// priority), fallthrough jump to the default, then the bodies. The
+// dispatch is one table op when caseTable can build one: it consumes
+// the subject, which it reads in place when the subject is a bare
+// signal (opCaseTableL) and pops otherwise (opCaseTable). Without a
+// table the subject stays on the stack for a compare per label, and
+// each body pops it first. Labels are pure expressions, so evaluating
+// them eagerly (where the interpreter stops at the first match) cannot
 // change the outcome.
 func (c *comp) caseStmt(v *verilog.Case) error {
-	if err := c.expr(v.Subject); err != nil {
-		return err
-	}
-	entry := c.cur // depth with the subject on the stack
 	table := c.caseTable(v)
+	if sig, ok := c.signal(v.Subject); ok && table != nil {
+		c.read(sig)
+		c.emit(op{code: opCaseTableL, a: int32(sig.ID), b: int32(len(c.prog.caseTables)), val: maskOf(sig.Width)})
+	} else {
+		if err := c.expr(v.Subject); err != nil {
+			return err
+		}
+		if table != nil {
+			c.emit(op{code: opCaseTable, a: int32(len(c.prog.caseTables))})
+			c.pop(1)
+		}
+	}
 	if table != nil {
-		c.emit(op{code: opCaseTable, a: int32(len(c.prog.caseTables))})
 		c.prog.caseTables = append(c.prog.caseTables, table)
 	}
+	entry := c.cur // depth at each body, the subject still on the stack for a chain
 	var matches [][]int
 	var deflt verilog.Stmt
 	for _, item := range v.Items {
@@ -355,8 +399,7 @@ func (c *comp) caseStmt(v *verilog.Case) error {
 		}
 		bodies = append(bodies, int32(len(c.ops)))
 		c.cur = entry
-		c.emit(op{code: opPop})
-		c.pop(1)
+		c.popSubject(table)
 		if err := c.stmt(item.Body); err != nil {
 			return err
 		}
@@ -369,8 +412,7 @@ func (c *comp) caseStmt(v *verilog.Case) error {
 	}
 	c.patch(toDefault)
 	c.cur = entry
-	c.emit(op{code: opPop})
-	c.pop(1)
+	c.popSubject(table)
 	if deflt != nil {
 		if err := c.stmt(deflt); err != nil {
 			return err
@@ -382,26 +424,206 @@ func (c *comp) caseStmt(v *verilog.Case) error {
 	return nil
 }
 
-// binOp maps a binary operator to its opcode and whether the result
-// is masked to the width of the whole expression.
+// popSubject starts a case body or the default: it drops the subject
+// a compare chain left on the stack; a table dispatch has consumed it.
+func (c *comp) popSubject(table []int32) {
+	if table == nil {
+		c.emit(op{code: opPop})
+		c.pop(1)
+	}
+}
+
+// binOps maps a binary operator to its stack opcode, whether the
+// result is masked to the width of the whole expression, and its L-
+// and K-forms (0, which is opConst and never a fused form, where the
+// operator has none).
 var binOps = map[string]struct {
 	code   opcode
 	masked bool
+	l, k   opcode
 }{
-	"+": {opAdd, true}, "-": {opSub, true}, "*": {opMul, true},
-	"/": {opDiv, true}, "%": {opMod, true},
-	"&": {opAnd, false}, "|": {opOr, true}, "^": {opXor, true},
-	"&&": {opLogAnd, false}, "||": {opLogOr, false},
-	"==": {opEq, false}, "!=": {opNe, false},
-	"<": {opLt, false}, "<=": {opLe, false},
-	">": {opGt, false}, ">=": {opGe, false},
-	"<<": {opShl, true}, ">>": {opShr, false},
+	"+":  {opAdd, true, opAddL, opAddK},
+	"-":  {opSub, true, opSubL, opSubK},
+	"*":  {opMul, true, 0, 0},
+	"/":  {opDiv, true, 0, 0},
+	"%":  {opMod, true, 0, 0},
+	"&":  {opAnd, false, opAndL, opAndK},
+	"|":  {opOr, true, opOrL, opOrK},
+	"^":  {opXor, true, opXorL, opXorK},
+	"&&": {opLogAnd, false, 0, 0},
+	"||": {opLogOr, false, 0, 0},
+	"==": {opEq, false, opEqL, opEqK},
+	"!=": {opNe, false, opNeL, opNeK},
+	"<":  {opLt, false, 0, 0},
+	"<=": {opLe, false, 0, 0},
+	">":  {opGt, false, 0, 0},
+	">=": {opGe, false, 0, 0},
+	"<<": {opShl, true, 0, opShlK},
+	">>": {opShr, false, 0, opShrK},
+}
+
+// fusedBinary emits x = X op Y as an L- or K-form when Y is a signal
+// or a constant the operator has a form for, with X already on the
+// stack, and reports whether it did. A constant shift count of 64 or
+// more keeps the stack form, which yields 0 for it.
+func (c *comp) fusedBinary(x *verilog.Binary) (bool, error) {
+	spec, ok := binOps[x.Op]
+	if !ok {
+		return false, nil
+	}
+	o := op{}
+	if sig, isSig := c.signal(x.Y); isSig && spec.l != 0 {
+		c.read(sig)
+		o = op{code: spec.l, a: int32(sig.ID), val: maskOf(sig.Width)}
+	} else if k, isConst := c.constant(x.Y); isConst && spec.k != 0 &&
+		(k < 64 || (spec.k != opShlK && spec.k != opShrK)) {
+		o = op{code: spec.k, val: k}
+	} else {
+		return false, nil
+	}
+	w, err := rtl.WidthOf(x, c.scope)
+	if err != nil {
+		return false, err
+	}
+	o.b = maskShift(w)
+	c.emit(o)
+	return true, nil
+}
+
+// partSelect resolves the constant bounds of x[hi:lo], rejecting what
+// EvalExpr rejects.
+func (c *comp) partSelect(v *verilog.RangeSel) (hi, lo uint64, err error) {
+	if hi, err = rtl.ConstEval(v.MSB, c.scope); err != nil {
+		return 0, 0, err
+	}
+	if lo, err = rtl.ConstEval(v.LSB, c.scope); err != nil {
+		return 0, 0, err
+	}
+	if hi < lo || hi-lo+1 > 64 {
+		return 0, 0, fmt.Errorf("bad part select [%d:%d]", hi, lo)
+	}
+	return hi, lo, nil
+}
+
+// sigSelect is a constant part or bit select of a signal, resolved to
+// the one read Vals[sig]>>lo & mask. For sig[hi:lo] the mask folds
+// the signal's: (v&m)>>lo & r is v>>lo & (r & m>>lo); for sig[k] it is
+// 1, since (v&m)>>k & 1 is v>>k & 1 below the width. A select at or
+// past the width has mask 0: it is the constant 0.
+type sigSelect struct {
+	sig   *rtl.Signal
+	lo    uint64
+	mask  uint64
+	width uint // of the select
+	bit   bool // sig[k]
+}
+
+// selectOf resolves x when it is a constant part or bit select of a
+// signal, entering the signal in the read set, and reports whether it
+// is one.
+func (c *comp) selectOf(x verilog.Expr) (sigSelect, bool, error) {
+	switch v := x.(type) {
+	case *verilog.Index:
+		sig, isSig := c.signal(v.X)
+		k, isConst := c.constant(v.Idx)
+		if !isSig || !isConst {
+			return sigSelect{}, false, nil
+		}
+		c.read(sig)
+		s := sigSelect{sig: sig, lo: k, width: 1, bit: true}
+		if k < uint64(sig.Width) {
+			s.mask = 1
+		}
+		return s, true, nil
+	case *verilog.RangeSel:
+		sig, ok := c.signal(v.X)
+		if !ok {
+			return sigSelect{}, false, nil
+		}
+		hi, lo, err := c.partSelect(v)
+		if err != nil {
+			return sigSelect{}, false, err
+		}
+		c.read(sig)
+		w := uint(hi-lo) + 1
+		return sigSelect{sig: sig, lo: lo, mask: maskOf(w) & (maskOf(sig.Width) >> lo), width: w}, true, nil
+	}
+	return sigSelect{}, false, nil
+}
+
+// load is the op that pushes the select.
+func (s sigSelect) load() op {
+	switch {
+	case s.mask == 0:
+		return op{code: opConst}
+	case s.bit:
+		return op{code: opLoadBit, a: int32(s.sig.ID), b: int32(s.lo)}
+	}
+	return op{code: opLoadRange, a: int32(s.sig.ID), b: int32(s.lo), val: s.mask}
+}
+
+// concat is the op that appends the select as a concat part.
+func (s sigSelect) concat() op {
+	switch {
+	case s.mask == 0:
+		return op{code: opConcatK, b: int32(s.width)}
+	case s.bit:
+		return op{code: opConcatBit, a: int32(s.sig.ID), b: int32(s.lo)}
+	}
+	return op{code: opConcatRange, a: int32(s.sig.ID), b: int32(s.width), c: int32(s.lo), val: s.mask}
+}
+
+// concatPart emits one concat part after the first as a fused op when
+// it is a constant, a signal or a constant select of a signal, and
+// reports whether it did.
+func (c *comp) concatPart(part verilog.Expr) (bool, error) {
+	if k, ok := c.constant(part); ok {
+		w, err := rtl.WidthOf(part, c.scope)
+		if err != nil {
+			return false, err
+		}
+		c.emit(op{code: opConcatK, b: int32(w), val: k & maskOf(w)})
+		return true, nil
+	}
+	if sig, ok := c.signal(part); ok {
+		c.read(sig)
+		c.emit(op{code: opConcatL, a: int32(sig.ID), b: int32(sig.Width), val: maskOf(sig.Width)})
+		return true, nil
+	}
+	s, ok, err := c.selectOf(part)
+	if ok {
+		c.emit(s.concat())
+	}
+	return ok, err
+}
+
+// fits reports whether the value x's ops push always fits in
+// WidthOf(x) bits, so a concat's first part needs no mask: every
+// masked operator, selects, reductions and comparisons, and a signal.
+func (c *comp) fits(x verilog.Expr) bool {
+	switch v := x.(type) {
+	case *verilog.Ident:
+		_, isSig := c.scope.Signal(v.Name)
+		return isSig
+	case *verilog.RangeSel, *verilog.Index, *verilog.Concat, *verilog.Repeat, *verilog.Unary:
+		return true
+	case *verilog.Binary:
+		return v.Op != "&" && v.Op != ">>"
+	}
+	return false
 }
 
 // expr emits ops that push the expression's value; net stack effect
 // is exactly +1. Every WidthOf the interpreter would perform at eval
 // time happens here, so sizing errors become compile errors.
 func (c *comp) expr(x verilog.Expr) error {
+	if s, ok, err := c.selectOf(x); ok || err != nil {
+		if ok {
+			c.emit(s.load())
+			c.push()
+		}
+		return err
+	}
 	switch v := x.(type) {
 	case *verilog.Number:
 		c.emit(op{code: opConst, val: numberVal(v)})
@@ -456,6 +678,9 @@ func (c *comp) expr(x verilog.Expr) error {
 		if err := c.expr(v.X); err != nil {
 			return err
 		}
+		if fused, err := c.fusedBinary(v); fused || err != nil {
+			return err
+		}
 		if err := c.expr(v.Y); err != nil {
 			return err
 		}
@@ -478,11 +703,10 @@ func (c *comp) expr(x verilog.Expr) error {
 		return nil
 
 	case *verilog.Ternary:
-		if err := c.expr(v.Cond); err != nil {
+		jz, err := c.jumpIfZero(v.Cond)
+		if err != nil {
 			return err
 		}
-		jz := c.emit(op{code: opJz})
-		c.pop(1)
 		d := c.cur
 		if err := c.expr(v.Then); err != nil {
 			return err
@@ -521,16 +745,9 @@ func (c *comp) expr(x verilog.Expr) error {
 		if err := c.expr(v.X); err != nil {
 			return err
 		}
-		hi, err := rtl.ConstEval(v.MSB, c.scope)
+		hi, lo, err := c.partSelect(v)
 		if err != nil {
 			return err
-		}
-		lo, err := rtl.ConstEval(v.LSB, c.scope)
-		if err != nil {
-			return err
-		}
-		if hi < lo || hi-lo+1 > 64 {
-			return fmt.Errorf("bad part select [%d:%d]", hi, lo)
 		}
 		sh := lo
 		if sh > 64 {
@@ -540,17 +757,43 @@ func (c *comp) expr(x verilog.Expr) error {
 		return nil
 
 	case *verilog.Concat:
-		// Seed with 0 so the first part is masked into it exactly as
-		// the interpreter's out<<pw | pv&mask(pw) fold does.
-		c.emit(op{code: opConst})
-		c.push()
-		for _, part := range v.Parts {
+		// The interpreter folds out<<pw | pv&mask(pw) from out = 0, so
+		// the first part is just pv&mask(pw): no seed, and a mask only
+		// when the part's value can exceed its width.
+		if len(v.Parts) == 0 {
+			c.emit(op{code: opConst})
+			c.push()
+			return nil
+		}
+		for i, part := range v.Parts {
+			if i > 0 {
+				if fused, err := c.concatPart(part); fused || err != nil {
+					if err != nil {
+						return err
+					}
+					continue
+				}
+			} else if k, ok := c.constant(part); ok {
+				w, err := rtl.WidthOf(part, c.scope)
+				if err != nil {
+					return err
+				}
+				c.emit(op{code: opConst, val: k & maskOf(w)})
+				c.push()
+				continue
+			}
 			if err := c.expr(part); err != nil {
 				return err
 			}
 			w, err := rtl.WidthOf(part, c.scope)
 			if err != nil {
 				return err
+			}
+			if i == 0 {
+				if !c.fits(part) {
+					c.emit(op{code: opRange, val: maskOf(w)})
+				}
+				continue
 			}
 			c.emit(op{code: opConcat, b: int32(w), val: maskOf(w)})
 			c.pop(1)

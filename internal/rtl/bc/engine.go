@@ -158,7 +158,9 @@ func (e *Engine) RunSeq(buf *[]rtl.Write) {
 
 // exec interprets one node's ops. The loop has no allocation, no map
 // lookups and no error paths: the compiler resolved or rejected
-// everything that could fail.
+// everything that could fail. A shift masked with 63 has an operand
+// the compiler proved below 64; the mask only spares the check Go
+// emits for larger counts.
 func (e *Engine) exec(ops []op, buf *[]rtl.Write, self int) {
 	vals := e.st.Vals
 	mems := e.st.Mems
@@ -297,22 +299,82 @@ func (e *Engine) exec(ops []op, buf *[]rtl.Write, self int) {
 		case opPop:
 			sp--
 		case opJmp:
-			pc = int(o.a)
+			pc = int(o.b)
 		case opJz:
 			sp--
 			if stack[sp] == 0 {
-				pc = int(o.a)
+				pc = int(o.b)
 			}
 		case opCaseEq:
 			sp--
 			if stack[sp] == stack[sp-1] {
-				pc = int(o.a)
+				pc = int(o.b)
 			}
 		case opCaseTable:
+			sp--
 			t := e.p.caseTables[o.a]
-			if v := stack[sp-1]; v < uint64(len(t)) && t[v] >= 0 {
+			if v := stack[sp]; v < uint64(len(t)) && t[v] >= 0 {
 				pc = int(t[v])
 			}
+		case opCaseTableL:
+			t := e.p.caseTables[o.b]
+			if v := vals[o.a] & o.val; v < uint64(len(t)) && t[v] >= 0 {
+				pc = int(t[v])
+			}
+
+		case opLoadRange:
+			stack[sp] = vals[o.a] >> (uint(o.b) & 63) & o.val
+			sp++
+		case opLoadBit:
+			stack[sp] = vals[o.a] >> (uint(o.b) & 63) & 1
+			sp++
+		case opJzL:
+			if vals[o.a]&o.val == 0 {
+				pc = int(o.b)
+			}
+
+		case opAddL:
+			stack[sp-1] = (stack[sp-1] + vals[o.a]&o.val) & rmask(o.b)
+		case opSubL:
+			stack[sp-1] = (stack[sp-1] - vals[o.a]&o.val) & rmask(o.b)
+		case opAndL:
+			stack[sp-1] &= vals[o.a] & o.val
+		case opOrL:
+			stack[sp-1] = (stack[sp-1] | vals[o.a]&o.val) & rmask(o.b)
+		case opXorL:
+			stack[sp-1] = (stack[sp-1] ^ vals[o.a]&o.val) & rmask(o.b)
+		case opEqL:
+			stack[sp-1] = b2u(stack[sp-1] == vals[o.a]&o.val)
+		case opNeL:
+			stack[sp-1] = b2u(stack[sp-1] != vals[o.a]&o.val)
+
+		case opAddK:
+			stack[sp-1] = (stack[sp-1] + o.val) & rmask(o.b)
+		case opSubK:
+			stack[sp-1] = (stack[sp-1] - o.val) & rmask(o.b)
+		case opAndK:
+			stack[sp-1] &= o.val
+		case opOrK:
+			stack[sp-1] = (stack[sp-1] | o.val) & rmask(o.b)
+		case opXorK:
+			stack[sp-1] = (stack[sp-1] ^ o.val) & rmask(o.b)
+		case opEqK:
+			stack[sp-1] = b2u(stack[sp-1] == o.val)
+		case opNeK:
+			stack[sp-1] = b2u(stack[sp-1] != o.val)
+		case opShlK:
+			stack[sp-1] = (stack[sp-1] << (o.val & 63)) & rmask(o.b)
+		case opShrK:
+			stack[sp-1] >>= o.val & 63
+
+		case opConcatL:
+			stack[sp-1] = stack[sp-1]<<uint(o.b) | vals[o.a]&o.val
+		case opConcatBit:
+			stack[sp-1] = stack[sp-1]<<1 | vals[o.a]>>(uint(o.b)&63)&1
+		case opConcatRange:
+			stack[sp-1] = stack[sp-1]<<uint(o.b) | vals[o.a]>>(uint(o.c)&63)&o.val
+		case opConcatK:
+			stack[sp-1] = stack[sp-1]<<uint(o.b) | o.val
 
 		case opStore:
 			sp--
@@ -355,19 +417,19 @@ func (e *Engine) exec(ops []op, buf *[]rtl.Write, self int) {
 
 		case opNBStore:
 			sp--
-			*buf = append(*buf, rtl.Write{Sig: e.p.signals[o.a], Mask: o.val, Val: stack[sp] & o.val})
+			*buf = append(*buf, rtl.Write{ID: o.a, Mask: o.val, Val: stack[sp] & o.val})
 		case opNBStoreBit:
 			sp -= 2
 			idx := stack[sp+1]
 			if idx < uint64(o.b) {
-				*buf = append(*buf, rtl.Write{Sig: e.p.signals[o.a], Mask: 1 << idx, Val: (stack[sp] & 1) << idx})
+				*buf = append(*buf, rtl.Write{ID: o.a, Mask: 1 << idx, Val: (stack[sp] & 1) << idx})
 			}
 		case opNBStoreRange:
 			sp--
-			*buf = append(*buf, rtl.Write{Sig: e.p.signals[o.a], Mask: o.val, Val: (stack[sp] << uint(o.b)) & o.val})
+			*buf = append(*buf, rtl.Write{ID: o.a, Mask: o.val, Val: (stack[sp] << uint(o.b)) & o.val})
 		case opNBStoreMem:
 			sp -= 2
-			*buf = append(*buf, rtl.Write{Mem: e.p.mems[o.a], Idx: stack[sp+1], Val: stack[sp]})
+			*buf = append(*buf, rtl.Write{ID: o.a, Mem: true, Mask: o.val, Idx: stack[sp+1], Val: stack[sp]})
 		}
 	}
 }

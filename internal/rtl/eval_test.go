@@ -182,19 +182,19 @@ func TestWriteApplyMasking(t *testing.T) {
 	d, _, st := buildEvalEnv(t)
 	sig, _ := d.SignalByName("q")
 	st.Vals[sig.ID] = 0xFFFF
-	w := Write{Sig: sig, Mask: 0x00F0, Val: 0x0050}
+	w := Write{ID: int32(sig.ID), Mask: 0x00F0, Val: 0x0050}
 	w.Apply(st)
 	if st.Vals[sig.ID] != 0xFF5F {
 		t.Fatalf("partial write: %#x", st.Vals[sig.ID])
 	}
 	m, _ := d.MemoryByName("mem")
-	mw := Write{Mem: m, Idx: 3, Val: 0x1FF} // masked to 8 bits
+	mw := Write{ID: int32(m.ID), Mem: true, Mask: 0xFF, Idx: 3, Val: 0x1FF} // masked to 8 bits
 	mw.Apply(st)
 	if st.Mems[m.ID][3] != 0xFF {
 		t.Fatalf("mem write: %#x", st.Mems[m.ID][3])
 	}
 	// Out-of-range memory writes are dropped.
-	oob := Write{Mem: m, Idx: 99, Val: 1}
+	oob := Write{ID: int32(m.ID), Mem: true, Mask: 0xFF, Idx: 99, Val: 1}
 	oob.Apply(st)
 }
 

@@ -7,27 +7,30 @@ import (
 )
 
 // Write is one pending assignment produced by executing a statement.
-// Register writes carry a bit mask so partial (bit/part-select)
-// assignments merge correctly; memory writes target one element.
+// It names its target by ID, not by pointer, so a buffer of writes
+// holds no pointers for the garbage collector to track. A register
+// write carries the bits it replaces in Mask, so partial (bit or
+// part-select) assignments merge correctly; a memory write targets
+// element Idx and carries the memory's word mask.
 type Write struct {
-	Sig  *Signal
+	ID   int32 // Signal.ID, or Memory.ID when Mem is set
+	Mem  bool
 	Mask uint64
 	Val  uint64
-
-	Mem *Memory
-	Idx uint64
+	Idx  uint64
 }
 
-// Apply commits the write to the state.
+// Apply commits the write to the state. A memory write past the end
+// of the memory is dropped.
 func (w *Write) Apply(st *State) {
-	if w.Mem != nil {
-		if w.Idx < uint64(w.Mem.Depth) {
-			st.Mems[w.Mem.ID][w.Idx] = w.Val & mask(w.Mem.Width)
+	if w.Mem {
+		if m := st.Mems[w.ID]; w.Idx < uint64(len(m)) {
+			m[w.Idx] = w.Val & w.Mask
 		}
 		return
 	}
-	old := st.Vals[w.Sig.ID]
-	st.Vals[w.Sig.ID] = (old &^ w.Mask) | (w.Val & w.Mask)
+	old := st.Vals[w.ID]
+	st.Vals[w.ID] = (old &^ w.Mask) | (w.Val & w.Mask)
 }
 
 // ExecComb executes a combinational node against the state, applying
@@ -121,7 +124,7 @@ func assignTo(lhs verilog.Expr, rhs uint64, scope *Scope, st *State, emit func(W
 		if !ok {
 			return fmt.Errorf("rtl: unknown lvalue %q", v.Name)
 		}
-		emit(Write{Sig: sig, Mask: mask(sig.Width), Val: rhs & mask(sig.Width)})
+		emit(Write{ID: int32(sig.ID), Mask: mask(sig.Width), Val: rhs & mask(sig.Width)})
 		return nil
 
 	case *verilog.Index:
@@ -134,7 +137,7 @@ func assignTo(lhs verilog.Expr, rhs uint64, scope *Scope, st *State, emit func(W
 			return err
 		}
 		if mem, isMem := scope.memories[base.Name]; isMem {
-			emit(Write{Mem: mem, Idx: idx, Val: rhs})
+			emit(Write{ID: int32(mem.ID), Mem: true, Mask: mask(mem.Width), Idx: idx, Val: rhs})
 			return nil
 		}
 		sig, ok := scope.signals[base.Name]
@@ -144,7 +147,7 @@ func assignTo(lhs verilog.Expr, rhs uint64, scope *Scope, st *State, emit func(W
 		if idx >= uint64(sig.Width) {
 			return nil // out-of-range bit write is dropped
 		}
-		emit(Write{Sig: sig, Mask: 1 << idx, Val: (rhs & 1) << idx})
+		emit(Write{ID: int32(sig.ID), Mask: 1 << idx, Val: (rhs & 1) << idx})
 		return nil
 
 	case *verilog.RangeSel:
@@ -168,7 +171,7 @@ func assignTo(lhs verilog.Expr, rhs uint64, scope *Scope, st *State, emit func(W
 			return fmt.Errorf("rtl: part-select [%d:%d] out of range of %s", hi, lo, sig.Name)
 		}
 		w := uint(hi-lo) + 1
-		emit(Write{Sig: sig, Mask: mask(w) << lo, Val: (rhs & mask(w)) << lo})
+		emit(Write{ID: int32(sig.ID), Mask: mask(w) << lo, Val: (rhs & mask(w)) << lo})
 		return nil
 
 	case *verilog.Concat:

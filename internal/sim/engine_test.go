@@ -129,27 +129,75 @@ func (g *netlistGen) readable(nwires int) []gsig {
 	return out
 }
 
+// literal emits a constant and its width: a sized literal (its value
+// often wider than its width), the module's localparam, or an unsized
+// literal, 32 bits wide but now and then holding a wider value.
+func (g *netlistGen) literal() (string, uint) {
+	switch g.r.Intn(5) {
+	case 0, 1:
+		w := uint(1 + g.r.Intn(64))
+		return fmt.Sprintf("%d'h%x", w, g.r.Uint64()), w
+	case 2:
+		return "LP", 32
+	case 3:
+		return fmt.Sprintf("%d", g.r.Uint64()>>uint(g.r.Intn(64))), 32
+	default:
+		return fmt.Sprintf("%d", g.r.Uint32()>>uint(g.r.Intn(16))), 32
+	}
+}
+
+// bitIndex emits a constant bit index into s: mostly in range, one in
+// four at or past the width (past 64 too), where the select reads 0.
+func (g *netlistGen) bitIndex(s gsig) int {
+	if g.r.Intn(4) == 0 {
+		return int(s.width) + g.r.Intn(70)
+	}
+	return g.r.Intn(int(s.width))
+}
+
+// partSelect emits a constant part select within s's width, and its
+// width.
+func (g *netlistGen) partSelect(s gsig) (string, uint) {
+	lo := g.r.Intn(int(s.width))
+	hi := lo + g.r.Intn(int(s.width)-lo)
+	return fmt.Sprintf("%s[%d:%d]", s.name, hi, lo), uint(hi-lo) + 1
+}
+
+// concatPart emits one concat part and its width: a signal, a
+// constant part or bit select of one, or a literal.
+func (g *netlistGen) concatPart(sigs []gsig) (string, uint) {
+	s := sigs[g.r.Intn(len(sigs))]
+	switch g.r.Intn(5) {
+	case 0:
+		return g.partSelect(s)
+	case 1:
+		return fmt.Sprintf("%s[%d]", s.name, g.bitIndex(s)), 1
+	case 2:
+		return g.literal()
+	default:
+		return s.name, s.width
+	}
+}
+
 // expr emits a random expression over the given signals, depth-bounded.
 func (g *netlistGen) expr(sigs []gsig, depth int) string {
 	if depth <= 0 || g.r.Intn(4) == 0 {
 		// Leaf: signal, literal, or constrained select.
+		if g.r.Intn(5) < 2 {
+			lit, _ := g.literal()
+			return lit
+		}
+		s := sigs[g.r.Intn(len(sigs))]
 		switch g.r.Intn(5) {
 		case 0:
-			return fmt.Sprintf("%d'h%x", 1+g.r.Intn(64), g.r.Uint64())
-		case 1:
-			return fmt.Sprintf("%d", g.r.Uint32()>>uint(g.r.Intn(16)))
+			sel, _ := g.partSelect(s)
+			return sel
+		case 1: // dynamic bit select
+			return fmt.Sprintf("%s[%s]", s.name, sigs[g.r.Intn(len(sigs))].name)
+		case 2:
+			return fmt.Sprintf("%s[%d]", s.name, g.bitIndex(s))
 		default:
-			s := sigs[g.r.Intn(len(sigs))]
-			switch g.r.Intn(4) {
-			case 0: // constant part select within width
-				lo := g.r.Intn(int(s.width))
-				hi := lo + g.r.Intn(int(s.width)-lo)
-				return fmt.Sprintf("%s[%d:%d]", s.name, hi, lo)
-			case 1: // dynamic bit select
-				return fmt.Sprintf("%s[%s]", s.name, sigs[g.r.Intn(len(sigs))].name)
-			default:
-				return s.name
-			}
+			return s.name
 		}
 	}
 	switch g.r.Intn(8) {
@@ -159,20 +207,31 @@ func (g *netlistGen) expr(sigs []gsig, depth int) string {
 	case 1, 2, 3:
 		op := []string{"+", "-", "*", "/", "%", "&", "|", "^", "&&", "||",
 			"==", "!=", "<", "<=", ">", ">=", "<<", ">>"}[g.r.Intn(18)]
-		return fmt.Sprintf("(%s %s %s)", g.expr(sigs, depth-1), op, g.expr(sigs, depth-1))
+		// The right operand is a bare signal or a constant about half
+		// the time, the shapes the compiler fuses into the operator.
+		var y string
+		switch g.r.Intn(4) {
+		case 0:
+			y = sigs[g.r.Intn(len(sigs))].name
+		case 1:
+			y, _ = g.literal()
+		default:
+			y = g.expr(sigs, depth-1)
+		}
+		return fmt.Sprintf("(%s %s %s)", g.expr(sigs, depth-1), op, y)
 	case 4:
 		return fmt.Sprintf("(%s ? %s : %s)",
 			g.expr(sigs, depth-1), g.expr(sigs, depth-1), g.expr(sigs, depth-1))
-	case 5: // concat of narrow signals, total <= 64
+	case 5: // concat of up to three narrow parts, total <= 64
 		var parts []string
 		var total uint
 		for i := 0; i < 3; i++ {
-			s := sigs[g.r.Intn(len(sigs))]
-			if total+s.width > 64 {
+			part, w := g.concatPart(sigs)
+			if total+w > 64 {
 				continue
 			}
-			total += s.width
-			parts = append(parts, s.name)
+			total += w
+			parts = append(parts, part)
 		}
 		if parts == nil {
 			return sigs[g.r.Intn(len(sigs))].name
@@ -216,10 +275,16 @@ func (g *netlistGen) caseLabel() string {
 // dispatches of the compiled engine stay under the fuzzer.
 func (g *netlistGen) caseStmt(sigs []gsig, body func() string) string {
 	// Narrow subjects make the small labels hit; a free expression
-	// keeps wide and computed subjects covered.
-	subj := g.expr(sigs, 1)
-	if g.r.Intn(3) != 0 {
-		s := sigs[g.r.Intn(len(sigs))]
+	// keeps wide and computed subjects covered, and a bare signal the
+	// dispatch that reads its subject in place.
+	s := sigs[g.r.Intn(len(sigs))]
+	var subj string
+	switch g.r.Intn(3) {
+	case 0:
+		subj = g.expr(sigs, 1)
+	case 1:
+		subj = s.name
+	default:
 		hi := g.r.Intn(4)
 		if hi >= int(s.width) {
 			hi = int(s.width) - 1
@@ -270,8 +335,12 @@ func (g *netlistGen) seqStmt(owned []gsig, mem bool, depth int) string {
 	switch g.r.Intn(7) {
 	case 0:
 		if depth > 0 {
+			cond := g.expr(sigs, 1)
+			if g.r.Intn(2) == 0 {
+				cond = sigs[g.r.Intn(len(sigs))].name
+			}
 			return fmt.Sprintf("if (%s) begin\n%s\n%s\nend else begin\n%s\nend",
-				g.expr(sigs, 1), g.seqStmt(owned, mem, depth-1),
+				cond, g.seqStmt(owned, mem, depth-1),
 				g.seqStmt(owned, mem, depth-1), g.seqStmt(owned, mem, depth-1))
 		}
 		return fmt.Sprintf("%s <= %s;", tgt.name, g.expr(sigs, 2))
@@ -372,7 +441,7 @@ func TestDifferentialFuzz(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	tabled := 0 // designs with at least one table-lowered case
+	reached := map[string]int{} // per bc.Program.Census family: designs with one or more
 	for seed := 0; seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		g := &netlistGen{r: r}
@@ -382,8 +451,8 @@ func TestDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prog.NumCaseTables() > 0 {
-			tabled++
+		for f, n := range prog.Census() {
+			reached[f] += min(n, 1)
 		}
 		ctx := func(c int, what string) string {
 			return fmt.Sprintf("seed %d cycle %d after %s\n%s", seed, c, what, src)
@@ -472,12 +541,128 @@ func TestDifferentialFuzz(t *testing.T) {
 		}
 		sameState(t, si, sc, ctx(99, "restore"))
 	}
-	// The generator must keep reaching the jump-table dispatch, or
-	// this test silently stops covering it.
-	if tabled*3 < seeds {
-		t.Fatalf("only %d of %d designs compiled a case to a table", tabled, seeds)
+	// The generator must keep reaching the jump-table dispatch and
+	// every operand-fused op family, or this test silently stops
+	// covering them.
+	for f, n := range reached {
+		if n*3 < seeds {
+			t.Errorf("only %d of %d designs compiled a %s op", n, seeds, f)
+		}
 	}
-	t.Logf("%d of %d designs have a table-lowered case", tabled, seeds)
+	t.Logf("designs per compiled family (of %d): %v", seeds, reached)
+}
+
+// Script ops of FuzzCompiledMatchesInterp. Operands follow the op
+// byte; a value is the next eight bytes, little-endian, zero-padded
+// where the script ends.
+const (
+	xInput    = iota // i, value: drive input i
+	xPoke            // i, value: poke register i
+	xPokeWire        // i, value: poke wire i
+	xPokeMem         // i, value: poke memory element i
+	xStep            // n: n%4+1 clock cycles
+	xAnchor          // snapshot the anchor and clear the dirty sets
+	xRestore         // restore the anchor through the dirty lists
+	numXOps
+)
+
+// FuzzCompiledMatchesInterp is TestDifferentialFuzz as a native fuzz
+// target: seed picks a netlistGen design and script drives both
+// engines side by side — input drives, register, wire and memory
+// pokes, clock cycles, anchors and dirty restores — asserting
+// identical signal values, memory contents, generation and dirty
+// footprint after every operation.
+func FuzzCompiledMatchesInterp(f *testing.F) {
+	f.Add(int64(0), []byte{xStep, 3})
+	f.Add(int64(3), []byte{xInput, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, xStep, 1, xAnchor, xStep, 2, xRestore})
+	f.Add(int64(11), []byte{xPoke, 1, 7, 0, 0, 0, 0, 0, 0, 0, xStep, 0, xPokeMem, 3, 9, 9, xStep, 3, xPokeWire, 0, 1, xStep, 0})
+	f.Add(int64(42), []byte{xAnchor, xInput, 1, 0x5a, xStep, 3, xPoke, 0, 0xff, xStep, 1, xRestore, xStep, 3})
+	// A wide result of an XOR with a wide literal reaches the state:
+	// dropping a K-form's result mask fails here.
+	f.Add(int64(174), []byte{xStep, 0})
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		g := &netlistGen{r: rand.New(rand.NewSource(seed))}
+		src := g.generate()
+		si, sc := buildEngines(t, src, "fz")
+		pos := 0
+		next := func() byte {
+			if pos >= len(script) {
+				return 0
+			}
+			pos++
+			return script[pos-1]
+		}
+		value := func() uint64 {
+			var v uint64
+			for i := 0; i < 8; i++ {
+				v |= uint64(next()) << (8 * i)
+			}
+			return v
+		}
+		both := func(what string, fn func(s *Simulator) error) {
+			t.Helper()
+			if err := fn(si); err != nil {
+				t.Fatalf("interp %s: %v\n%s", what, err, src)
+			}
+			if err := fn(sc); err != nil {
+				t.Fatalf("compiled %s: %v\n%s", what, err, src)
+			}
+		}
+		anchor := si.Snapshot()
+		for step := 0; pos < len(script); step++ {
+			var what string
+			switch op := next() % numXOps; op {
+			case xInput:
+				in, v := g.inputs[int(next())%len(g.inputs)], value()
+				what = "drive " + in.name
+				both(what, func(s *Simulator) error { return s.SetInput(in.name, v) })
+			case xPoke, xPokeWire:
+				sigs := g.regs
+				if op == xPokeWire {
+					sigs = g.wires
+				}
+				tg, v := sigs[int(next())%len(sigs)], value()
+				what = "poke " + tg.name
+				both(what, func(s *Simulator) error { return s.Poke(tg.name, v) })
+			case xPokeMem:
+				idx, v := uint(next()), value()
+				if g.memName == "" {
+					continue
+				}
+				idx %= g.memD
+				what = fmt.Sprintf("poke %s[%d]", g.memName, idx)
+				both(what, func(s *Simulator) error { return s.PokeMem(g.memName, idx, v) })
+			case xStep:
+				n := int(next())%4 + 1
+				what = fmt.Sprintf("%d cycles", n)
+				for i := 0; i < n; i++ {
+					both(what, func(s *Simulator) error { return s.StepCycle() })
+				}
+			case xAnchor:
+				what = "anchor"
+				si.ClearDirty()
+				sc.ClearDirty()
+				anchor = si.Snapshot()
+				if !reflect.DeepEqual(anchor, sc.Snapshot()) {
+					t.Fatalf("step %d: anchor snapshots differ\n%s", step, src)
+				}
+			case xRestore:
+				what = "restore-dirty"
+				bi, err := si.RestoreDirty(anchor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bc2, err := sc.RestoreDirty(anchor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bi != bc2 {
+					t.Fatalf("step %d: restore bits interp=%d compiled=%d\n%s", step, bi, bc2, src)
+				}
+			}
+			sameState(t, si, sc, fmt.Sprintf("seed %d step %d after %s\n%s", seed, step, what, src))
+		}
+	})
 }
 
 // TestQuickExprEquivalence is the testing/quick property: for random
@@ -496,6 +681,7 @@ module ex (
   input wire [%d:0] c,
   output wire [63:0] y
 );
+  localparam LP = 5;
   assign y = %s;
 endmodule
 `, wa-1, wb-1, wc-1, g.expr(g.inputs, 4))

@@ -376,20 +376,18 @@ func (s *Simulator) StepCycle() error {
 func (s *Simulator) commitWrites() {
 	for i := range s.writeBuf {
 		w := &s.writeBuf[i]
-		if w.Mem != nil {
-			if w.Idx < uint64(w.Mem.Depth) && s.state.Mems[w.Mem.ID][w.Idx] != w.Val&widthMask(w.Mem.Width) {
-				s.markMem(w.Mem.ID)
+		id := int(w.ID)
+		if w.Mem {
+			if m := s.state.Mems[id]; w.Idx < uint64(len(m)) && m[w.Idx] != w.Val&w.Mask {
+				s.markMem(id)
 				if s.eng != nil {
-					s.eng.MarkMemory(w.Mem.ID)
+					s.eng.MarkMemory(id)
 				}
 			}
-		} else {
-			old := s.state.Vals[w.Sig.ID]
-			if (old&^w.Mask)|(w.Val&w.Mask) != old {
-				s.markSig(w.Sig.ID)
-				if s.eng != nil {
-					s.eng.MarkSignal(w.Sig.ID)
-				}
+		} else if old := s.state.Vals[id]; (old&^w.Mask)|(w.Val&w.Mask) != old {
+			s.markSig(id)
+			if s.eng != nil {
+				s.eng.MarkSignal(id)
 			}
 		}
 		w.Apply(s.state)
