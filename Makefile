@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos fuzz-smoke examples loc bench bench-compare bench-smoke bench-json
+.PHONY: check fmt vet build test reach race chaos fuzz-smoke examples loc bench bench-compare bench-smoke bench-json
 
-# Full gate: formatting, static checks, build, tests, race detector on
-# the concurrency-sensitive packages, chaos/recovery identity matrix,
-# ten seconds of native fuzzing per decoder-facing target, every
-# example program run to completion.
-check: fmt vet build test race chaos fuzz-smoke examples
+# Full gate: formatting, static checks, build, tests, every non-test
+# function reached by a shipped binary, race detector on the
+# concurrency-sensitive packages, chaos/recovery identity matrix, ten
+# seconds of native fuzzing per decoder-facing target, every example
+# program run to completion.
+check: fmt vet build test reach race chaos fuzz-smoke examples
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -22,6 +23,16 @@ build:
 
 test:
 	$(GO) test ./...
+
+# reach fails on any function declared in a non-test file outside
+# benchmark/ that no shipped binary (cmd/*, examples/*) links, unless
+# reach_allow.txt names it with one of the reasons reach_test.go
+# accepts; it also fails on an allowlist entry that matches nothing
+# unreached. The gate builds twelve binaries, so it sits behind a build
+# tag rather than in `go test ./...`. -v prints which unreached
+# functions benchmark/ keeps alive.
+reach:
+	$(GO) test -tags hardsnapreach -run '^TestReach$$' -v .
 
 # The race gate covers every concurrency-sensitive package, including
 # the v3 batching/pipelining layer (internal/remote: client send
@@ -78,16 +89,26 @@ endef
 # against the interpreter on generated netlists, and the two readers
 # of user files: the Verilog parser and the assembler.
 fuzz-smoke:
-	$(GO) test ./internal/remote -run '^$$' -fuzz FuzzServeConn -fuzztime 10s
-	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
-	$(GO) test ./internal/journal -run '^$$' -fuzz FuzzScan -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoadCampaign -fuzztime 10s
-	$(GO) test ./internal/solver -run '^$$' -fuzz FuzzDifferential -fuzztime 10s
-	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzDirtyRestore -fuzztime 10s
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSimDirtyRestore -fuzztime 10s
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCompiledMatchesInterp -fuzztime 10s
-	$(GO) test ./internal/verilog -run '^$$' -fuzz FuzzParse -fuzztime 10s
-	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
+	$(call fuzz_run,./internal/remote,FuzzServeConn)
+	$(call fuzz_run,./internal/snapshot,FuzzDecodeRecord)
+	$(call fuzz_run,./internal/journal,FuzzScan)
+	$(call fuzz_run,./internal/core,FuzzLoadCampaign)
+	$(call fuzz_run,./internal/solver,FuzzDifferential)
+	$(call fuzz_run,./internal/vm,FuzzDirtyRestore)
+	$(call fuzz_run,./internal/sim,FuzzSimDirtyRestore)
+	$(call fuzz_run,./internal/sim,FuzzCompiledMatchesInterp)
+	$(call fuzz_run,./internal/verilog,FuzzParse)
+	$(call fuzz_run,./internal/asm,FuzzAssemble)
+
+# fuzz_run fuzzes target $(2) of package $(1) for ten seconds. `go test
+# -fuzz` passes silently when the name matches no target, so the name
+# must first list as a Fuzz function of $(1); the pattern is anchored
+# so a later FuzzScanX cannot make FuzzScan ambiguous.
+define fuzz_run
+	@$(GO) test -list '^$(2)$$' $(1) | grep -x '$(2)' | grep -q '^Fuzz' || \
+		{ echo "fuzz-smoke: no fuzz target $(2) in $(1)"; exit 1; }
+	$(GO) test $(1) -run '^$$' -fuzz '^$(2)$$' -fuzztime 10s
+endef
 
 # examples runs every examples/* program; each checks its own outcome
 # and exits non-zero on a miss. They run from a temp directory so that

@@ -118,7 +118,9 @@ func run() error {
 	port.WriteReg(0x00, reload)
 	port.WriteReg(0x08, 5)
 	tgt.Advance(8)
-	detach()
+	if err := detach(); err != nil {
+		return err
+	}
 
 	expired, _ := tgt.Peek("timer0", "expired")
 	fmt.Printf("concrete replay: reload=%d, expired after 8 cycles: %v\n", reload, expired != 0)

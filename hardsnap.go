@@ -12,9 +12,7 @@
 //   - four consistency modes (HardSnap, naive-reboot, naive-shared,
 //     record-replay) reproducing the paper's Fig. 1 and related work;
 //   - two hardware targets (software simulator with full visibility,
-//     FPGA model with scan-chain or readback snapshotting) with
-//     cross-target state transfer;
-//   - a scan-chain instrumentation toolchain for Verilog sources;
+//     FPGA model with scan-chain or readback snapshotting);
 //   - hardware property assertions (Verilog expressions over
 //     peripheral internals, checked every cycle) for detecting
 //     peripheral misuse with solver-generated test vectors;
@@ -28,12 +26,8 @@ import (
 	"hardsnap/internal/asm"
 	"hardsnap/internal/core"
 	"hardsnap/internal/fuzz"
-	"hardsnap/internal/periph"
-	"hardsnap/internal/scanchain"
-	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
 	"hardsnap/internal/target"
-	"hardsnap/internal/verilog"
 	"hardsnap/internal/vm"
 )
 
@@ -97,12 +91,6 @@ const (
 	StatusFault      = symexec.StatusFault
 )
 
-// NewCoverageSearcher returns a coverage-guided searcher.
-func NewCoverageSearcher() Searcher { return symexec.NewCoverage() }
-
-// NewRandomSearcher returns a seeded random searcher.
-func NewRandomSearcher(seed int64) Searcher { return symexec.NewRandom(seed) }
-
 // Hardware targets.
 type (
 	// PeriphConfig selects one peripheral instance for a target.
@@ -117,9 +105,6 @@ type (
 	// Violation reports one failed hardware assertion.
 	Violation = target.Violation
 )
-
-// Transfer moves the hardware state between targets (FPGA <-> sim).
-func Transfer(from, to *Target) error { return target.Transfer(from, to) }
 
 // Target robustness: a fault schedule armed on a Target's link
 // (Target.InjectFaults), absorbed by a fixed retry policy (4 retries,
@@ -137,65 +122,9 @@ type (
 	TargetError = target.Error
 )
 
-// Error classification helpers for target and remote failures.
-var (
-	// IsTransient reports a retry-worthy fault (dropped or corrupted
-	// frame, timeout).
-	IsTransient = target.IsTransient
-	// IsFatal reports an unrecoverable failure (dead target, protocol
-	// violation).
-	IsFatal = target.IsFatal
-	// IsIntegrity reports corrupted or mismatched snapshot data.
-	IsIntegrity = target.IsIntegrity
-)
-
-// EncodeHWState serializes a hardware snapshot with an integrity
-// header (magic, version, length, CRC-32): a snapshot record with no
-// IRQ edge levels.
-func EncodeHWState(s HWState) ([]byte, error) { return snapshot.Encode(&snapshot.Record{HW: s}) }
-
-// DecodeHWState validates and deserializes a snapshot produced by
-// EncodeHWState; truncated or corrupted data is rejected with an
-// integrity error.
-func DecodeHWState(data []byte) (HWState, error) {
-	rec, err := snapshot.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return rec.HW, nil
-}
-
-// Peripheral corpus.
-type (
-	// PeriphSpec describes a corpus peripheral.
-	PeriphSpec = periph.Spec
-)
-
-// Peripherals lists the built-in peripheral corpus.
-func Peripherals() []PeriphSpec { return periph.All() }
-
-// Scan-chain instrumentation.
-type (
-	// InstrumentOptions configures the scan-chain pass.
-	InstrumentOptions = scanchain.Options
-	// InstrumentReport summarizes instrumentation of one module.
-	InstrumentReport = scanchain.Report
-)
-
-// InstrumentVerilog parses Verilog source, inserts a scan chain into
-// the module hierarchy rooted at top, and returns the instrumented
-// source plus per-module reports.
-func InstrumentVerilog(src, top string, opts InstrumentOptions) (string, map[string]*InstrumentReport, error) {
-	f, err := verilog.Parse(src)
-	if err != nil {
-		return "", nil, err
-	}
-	reports, err := scanchain.InstrumentAll(f, top, opts)
-	if err != nil {
-		return "", nil, err
-	}
-	return verilog.Print(f), reports, nil
-}
+// IsTransient reports a retry-worthy target or remote fault (dropped
+// or corrupted frame, timeout).
+var IsTransient = target.IsTransient
 
 // Assembler.
 type (

@@ -113,8 +113,9 @@ func Assemble(src string, base uint32) (*Program, error) {
 		pc = uint32(end)
 	}
 
-	// Pass 2: emit.
-	a := &assembler{symbols: symbols, base: base}
+	// Pass 2: emit, into an image sized by pass 1 so a large `.space`
+	// or `.org` costs one allocation instead of repeated regrowth.
+	a := &assembler{symbols: symbols, base: base, out: make([]byte, 0, pc-base)}
 	for i := range stmts {
 		st := &stmts[i]
 		if st.mnem == "" {

@@ -57,9 +57,10 @@ func FuzzAssemble(f *testing.F) {
 	for _, s := range firmwareSeeds(f) {
 		f.Add(s)
 	}
-	// Regression seeds: a bare directive indexed a missing argument, and
-	// a far `.org` or large `.space` allocated gigabytes.
-	for _, s := range []string{".space", ".align", ".asciz", ".org 0xFFFFFFF0\nnop\n", ".space 0x7FFFFFFF\n"} {
+	// Regression seeds: a bare directive indexed a missing argument, a
+	// far `.org` or large `.space` allocated gigabytes, and a `.space`
+	// just under MaxImage regrew the image past the allocation bound.
+	for _, s := range []string{".space", ".align", ".asciz", ".org 0xFFFFFFF0\nnop\n", ".space 0x7FFFFFFF\n", ".spACe 0XF0000"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

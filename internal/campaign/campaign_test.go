@@ -92,6 +92,7 @@ func TestJobDefaultsAndValidate(t *testing.T) {
 		{Firmware: "halt", Searcher: "psychic"},
 		{Firmware: "halt", Concretize: "some"},
 		{Firmware: "halt", Workers: -1},
+		{Firmware: "halt", SeedFanout: -1},
 		{Firmware: "halt", FPGA: true,
 			Assertions: []target.HWAssertion{{Periph: "g", Name: "a", Expr: "1"}}},
 	} {

@@ -126,6 +126,9 @@ func (j Job) Validate() error {
 	if j.Workers < 0 {
 		return fmt.Errorf("campaign: workers must be >= 0, got %d", j.Workers)
 	}
+	if j.SeedFanout < 0 {
+		return fmt.Errorf("campaign: seed fan-out must be >= 0, got %d", j.SeedFanout)
+	}
 	if len(j.Assertions) > 0 && j.FPGA {
 		return fmt.Errorf("campaign: hardware assertions need the simulator target")
 	}

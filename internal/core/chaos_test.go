@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,9 +11,20 @@ import (
 	"testing"
 	"time"
 
+	"hardsnap/internal/sim"
 	"hardsnap/internal/symexec"
 	"hardsnap/internal/target"
 )
+
+// useEngine makes every simulator built until the test ends run on
+// kind, through the process default that hssim -interp sets. No test
+// in this package runs in parallel, so the switch cannot leak into
+// another test.
+func useEngine(t *testing.T, kind sim.EngineKind) {
+	prev := sim.DefaultEngine()
+	sim.SetDefaultEngine(kind)
+	t.Cleanup(func() { sim.SetDefaultEngine(prev) })
+}
 
 // chaosSetup builds the standard crash-safety workload: the 64-path
 // scaling firmware on 4 workers (16 fan-out subtrees), hardsnap mode.
@@ -52,26 +64,29 @@ func TestChaosIdentity(t *testing.T) {
 		seed   int64
 		interp bool
 	}{{seed: 1}, {seed: 7}, {seed: 13}, {seed: 7, interp: true}} {
-		chaos := &ChaosSchedule{Seed: tc.seed, PanicRate: 0.3, KillRate: 0.3}
-		setup := chaosSetup(chaos, "", nil, symexec.BFS{})
-		setup.Peripherals[0].Interp = tc.interp
-		_, rep := run(t, setup)
-		if got := Fingerprint(rep); got != want {
-			t.Errorf("seed %d interp=%v: chaos run diverged from clean run:\nclean: %s\nchaos: %s\npaths %d vs %d, vt %v vs %v",
-				tc.seed, tc.interp, want, got, len(clean.Finished), len(rep.Finished),
-				clean.VirtualTime, rep.VirtualTime)
-		}
-		rec := rep.Recovery
-		if rec.Requeues == 0 || rec.WorkerRestarts == 0 {
-			t.Errorf("seed %d: chaos injected nothing (requeues=%d restarts=%d) — schedule too tame to prove anything",
-				tc.seed, rec.Requeues, rec.WorkerRestarts)
-		}
-		if rec.PanicsRecovered == 0 {
-			t.Errorf("seed %d: no panics recovered: %+v", tc.seed, rec)
-		}
-		if rec.FailoverEvents == 0 {
-			t.Errorf("seed %d: no failover events recorded: %+v", tc.seed, rec)
-		}
+		t.Run(fmt.Sprintf("seed=%d,interp=%v", tc.seed, tc.interp), func(t *testing.T) {
+			if tc.interp {
+				useEngine(t, sim.EngineInterp)
+			}
+			chaos := &ChaosSchedule{Seed: tc.seed, PanicRate: 0.3, KillRate: 0.3}
+			_, rep := run(t, chaosSetup(chaos, "", nil, symexec.BFS{}))
+			if got := Fingerprint(rep); got != want {
+				t.Errorf("chaos run diverged from clean run:\nclean: %s\nchaos: %s\npaths %d vs %d, vt %v vs %v",
+					want, got, len(clean.Finished), len(rep.Finished),
+					clean.VirtualTime, rep.VirtualTime)
+			}
+			rec := rep.Recovery
+			if rec.Requeues == 0 || rec.WorkerRestarts == 0 {
+				t.Errorf("chaos injected nothing (requeues=%d restarts=%d) — schedule too tame to prove anything",
+					rec.Requeues, rec.WorkerRestarts)
+			}
+			if rec.PanicsRecovered == 0 {
+				t.Errorf("no panics recovered: %+v", rec)
+			}
+			if rec.FailoverEvents == 0 {
+				t.Errorf("no failover events recorded: %+v", rec)
+			}
+		})
 	}
 }
 

@@ -492,9 +492,6 @@ func New(cfg Config, exec *symexec.Executor, rig *Rig) *Engine {
 	return e
 }
 
-// Snapshots exposes the snapshot store (diagnostics).
-func (e *Engine) Snapshots() *snapshot.Store { return e.snaps }
-
 // BugSnapshot returns the retained hardware snapshot of a buggy state
 // (requires Config.KeepBugSnapshots).
 func (e *Engine) BugSnapshot(stateID uint64) (*snapshot.Record, bool) {

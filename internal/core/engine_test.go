@@ -301,7 +301,7 @@ func TestSnapshotLifecycle(t *testing.T) {
 	if rep.CountStatus(symexec.StatusHalted) != 2 {
 		t.Fatal("run incomplete")
 	}
-	if live := a.Engine.Snapshots().Live(); live != 0 {
+	if live := liveSnapshots(a.Engine); live != 0 {
 		t.Fatalf("leaked %d snapshots", live)
 	}
 }

@@ -36,21 +36,6 @@ const (
 	FFBudget
 )
 
-// String names the stop reason.
-func (s FastForwardStop) String() string {
-	switch s {
-	case FFSnapshotHint:
-		return "snapshot-hint"
-	case FFMakeSymbolic:
-		return "make-symbolic"
-	case FFTerminated:
-		return "terminated"
-	case FFBudget:
-		return "budget"
-	}
-	return "?"
-}
-
 // FastForward executes the firmware concretely — at near-native cost
 // (vtime.NativeInstruction per instruction) against the live hardware
 // — until the first snapshot hint (`ecall 6`) or make-symbolic

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -136,7 +137,7 @@ func TestDeadLinkFailsRun(t *testing.T) {
 	}
 	a.Target.InjectFaults(target.FaultSchedule{Seed: 3, FailAfter: 20})
 	rep, err := a.Engine.Run()
-	if !target.IsFatal(err) {
+	if target.Classify(err) != target.Fatal {
 		t.Fatalf("run error %v, want a fatal link failure", err)
 	}
 	if rep != nil {
@@ -168,15 +169,26 @@ func TestCorruptedSnapshotRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Intact, the bytes decode to the saved state, which restores.
+	rec, err := snapshot.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.HW, st) {
+		t.Fatal("encode/decode round trip diverged")
+	}
+	if err := a.Target.Restore(rec.HW); err != nil {
+		t.Fatalf("restore of the decoded state: %v", err)
+	}
 	// Flip one payload bit in transit: the restore path must reject
 	// the snapshot with an integrity error, not apply garbage.
 	blob[len(blob)-1] ^= 0x10
-	if _, err := snapshot.Decode(blob); !target.IsIntegrity(err) {
+	if _, err := snapshot.Decode(blob); target.Classify(err) != target.Integrity {
 		t.Fatalf("corrupted snapshot decode: %v, want integrity error", err)
 	}
 	bad := st.Clone()
 	bad["gpio0"].Regs["phantom_register"] = 1
-	if err := a.Target.Restore(bad); !target.IsIntegrity(err) {
+	if err := a.Target.Restore(bad); target.Classify(err) != target.Integrity {
 		t.Fatalf("mismatched snapshot restore: %v, want integrity error", err)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"hardsnap/internal/sim"
 	"hardsnap/internal/snapshot"
-
 	"hardsnap/internal/symexec"
 	"hardsnap/internal/target"
 	"hardsnap/internal/vm"
@@ -67,6 +67,9 @@ func TestReplayAllPathsWithHardware(t *testing.T) {
 		{name: "interp", interp: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.interp {
+				useEngine(t, sim.EngineInterp)
+			}
 			a, rep := run(t, SetupConfig{
 				Firmware: `
 _start:
@@ -85,7 +88,7 @@ _start:
 other:
 		halt
 		`,
-				Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio", Interp: tc.interp}},
+				Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}},
 				FPGA:        tc.fpga,
 				Exec:        symexec.Config{Policy: symexec.ConcretizeAll},
 				Engine:      Config{MaxInstructions: 100000},

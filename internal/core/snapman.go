@@ -235,9 +235,6 @@ func (m *SnapshotManager) Restore(id snapshot.ID) error {
 	return nil
 }
 
-// Release drops one snapshot reference.
-func (m *SnapshotManager) Release(id snapshot.ID) { m.store.Release(id) }
-
 // LiveRecord returns a record of the current hardware state without
 // allocating a store ID (crash reports). When the hardware is
 // untouched since the last save/restore and that content is still

@@ -2,7 +2,6 @@ package farm
 
 import (
 	"fmt"
-	"time"
 
 	"hardsnap/internal/campaign"
 )
@@ -43,15 +42,6 @@ func (c *Client) Submit(tenant string, job campaign.Job) (string, error) {
 	return resp.ID, nil
 }
 
-// Status fetches a job's lifecycle state (without the result body).
-func (c *Client) Status(id string) (JobInfo, error) {
-	resp, err := c.roundTrip(Request{Op: "status", ID: id})
-	if err != nil {
-		return JobInfo{}, err
-	}
-	return *resp.Job, nil
-}
-
 // Results fetches a job's state including its full result.
 func (c *Client) Results(id string) (JobInfo, error) {
 	resp, err := c.roundTrip(Request{Op: "results", ID: id})
@@ -65,27 +55,6 @@ func (c *Client) Results(id string) (JobInfo, error) {
 func (c *Client) Cancel(id string) error {
 	_, err := c.roundTrip(Request{Op: "cancel", ID: id})
 	return err
-}
-
-// Tenants fetches every tenant's budget accounting.
-func (c *Client) Tenants() ([]TenantUsage, error) {
-	resp, err := c.roundTrip(Request{Op: "tenants"})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Tenants, nil
-}
-
-// PoolStats fetches the warm-pool counters.
-func (c *Client) PoolStats() (PoolStats, error) {
-	resp, err := c.roundTrip(Request{Op: "pool"})
-	if err != nil {
-		return PoolStats{}, err
-	}
-	if resp.Pool == nil {
-		return PoolStats{}, fmt.Errorf("farm: empty pool response")
-	}
-	return *resp.Pool, nil
 }
 
 // Stream consumes the job's event feed, invoking fn per event, until
@@ -109,24 +78,5 @@ func (c *Client) Stream(id string, fn func(campaign.Event)) error {
 		if resp.Event != nil && fn != nil {
 			fn(*resp.Event)
 		}
-	}
-}
-
-// WaitJob polls status until the job is terminal, then fetches the
-// full result. The interval bounds polling frequency (default
-// 10ms).
-func (c *Client) WaitJob(id string, interval time.Duration) (JobInfo, error) {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	for {
-		info, err := c.Status(id)
-		if err != nil {
-			return JobInfo{}, err
-		}
-		if info.Status.terminal() {
-			return c.Results(id)
-		}
-		time.Sleep(interval)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -23,18 +22,6 @@ type Budget struct {
 	VirtualTime time.Duration `json:"virtual_time,omitempty"`
 	// SolverQueries is the total solver queries the tenant may issue.
 	SolverQueries uint64 `json:"solver_queries,omitempty"`
-}
-
-// TenantUsage is the wire form of one tenant's accounting.
-type TenantUsage struct {
-	Name   string `json:"name"`
-	Budget Budget `json:"budget"`
-	// Used counts completed-job consumption; Reserved is held by
-	// running jobs (their clamped worst case).
-	UsedVirtualTime     time.Duration `json:"used_virtual_time"`
-	UsedSolverQueries   uint64        `json:"used_solver_queries"`
-	ReservedVirtualTime time.Duration `json:"reserved_virtual_time"`
-	Jobs                int           `json:"jobs"`
 }
 
 // JobStatus is a job's lifecycle state.
@@ -509,45 +496,6 @@ func (f *Farm) Job(id string) (JobInfo, bool) {
 		ID: js.id, Tenant: js.tenant, Status: js.status,
 		Warm: js.warm, Error: js.err, Result: js.result,
 	}, true
-}
-
-// Tenants returns every tenant's usage, sorted by name.
-func (f *Farm) Tenants() []TenantUsage {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]TenantUsage, 0, len(f.tenants))
-	for _, t := range f.tenants {
-		out = append(out, TenantUsage{
-			Name: t.name, Budget: t.budget,
-			UsedVirtualTime: t.usedVT, UsedSolverQueries: t.usedQ,
-			ReservedVirtualTime: t.reserved, Jobs: t.jobs,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// PoolStats exposes the warm-pool counters.
-func (f *Farm) PoolStats() PoolStats { return f.pool.Stats() }
-
-// Wait blocks until the job reaches a terminal state (test and
-// client convenience).
-func (f *Farm) Wait(id string) (JobInfo, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for {
-		js, ok := f.jobs[id]
-		if !ok {
-			return JobInfo{}, fmt.Errorf("%w: %s", ErrUnknownJob, id)
-		}
-		if js.status.terminal() {
-			return JobInfo{
-				ID: js.id, Tenant: js.tenant, Status: js.status,
-				Warm: js.warm, Error: js.err, Result: js.result,
-			}, nil
-		}
-		f.cond.Wait()
-	}
 }
 
 // Close cancels running jobs, stops the scheduler and waits for

@@ -91,13 +91,28 @@ func mustSubmit(t *testing.T, f *Farm, tenant string, job campaign.Job) string {
 	return id
 }
 
+// mustWait blocks until the job is terminal: its event feed closes
+// then, as the server's stream op relies on.
 func mustWait(t *testing.T, f *Farm, id string) JobInfo {
 	t.Helper()
-	info, err := f.Wait(id)
-	if err != nil {
-		t.Fatal(err)
+	events, ok := f.Subscribe(id)
+	if !ok {
+		t.Fatalf("unknown job %s", id)
+	}
+	for range events {
+	}
+	info, _ := f.Job(id)
+	if !info.Status.terminal() {
+		t.Fatalf("job %s: event feed closed at status %s", id, info.Status)
 	}
 	return info
+}
+
+// tenantUsage reads a tenant's budget accounting under the farm lock.
+func tenantUsage(f *Farm, name string) tenantState {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return *f.tenants[name]
 }
 
 // waitStatus polls until the job reaches the wanted (non-terminal)
@@ -162,8 +177,10 @@ func TestFarmIdentity(t *testing.T) {
 	if info2.Result.Fingerprint != want.Fingerprint {
 		t.Fatalf("warm run diverged: %s vs %s", info2.Result.Fingerprint, want.Fingerprint)
 	}
-	st := f.PoolStats()
-	if st.ColdBuilds == 0 || st.WarmHits == 0 || st.Recycled == 0 {
+	f.pool.mu.Lock()
+	st := f.pool.stats
+	f.pool.mu.Unlock()
+	if st.coldBuilds == 0 || st.warmHits == 0 || st.recycled == 0 {
 		t.Errorf("pool stats show no warm cycle: %+v", st)
 	}
 }
@@ -211,25 +228,26 @@ func TestFarmMultiTenantBudgets(t *testing.T) {
 		}
 	}
 	slack := clean.VirtualTime / 10
-	for _, u := range f.Tenants() {
-		if u.ReservedVirtualTime != 0 {
-			t.Errorf("tenant %s still holds reservations: %v", u.Name, u.ReservedVirtualTime)
+	for _, name := range []string{"alpha", "beta", "gamma"} {
+		u := tenantUsage(f, name)
+		if u.reserved != 0 || u.reservedQ != 0 {
+			t.Errorf("tenant %s still holds reservations: %v, %d queries", u.name, u.reserved, u.reservedQ)
 		}
-		if u.Budget.VirtualTime == 0 {
+		if u.budget.VirtualTime == 0 {
 			// The unlimited tenant must have run all three jobs in full.
-			if u.UsedVirtualTime < 3*clean.VirtualTime {
-				t.Errorf("unlimited tenant clipped: %v < %v", u.UsedVirtualTime, 3*clean.VirtualTime)
+			if u.usedVT < 3*clean.VirtualTime {
+				t.Errorf("unlimited tenant clipped: %v < %v", u.usedVT, 3*clean.VirtualTime)
 			}
 			continue
 		}
-		if u.UsedVirtualTime > u.Budget.VirtualTime+slack {
+		if u.usedVT > u.budget.VirtualTime+slack {
 			t.Errorf("tenant %s overshot its budget: used %v of %v",
-				u.Name, u.UsedVirtualTime, u.Budget.VirtualTime)
+				u.name, u.usedVT, u.budget.VirtualTime)
 		}
 		// The cap must actually have clipped work, not just been set.
-		if u.UsedVirtualTime < u.Budget.VirtualTime {
+		if u.usedVT < u.budget.VirtualTime {
 			t.Errorf("tenant %s never reached its budget: used %v of %v",
-				u.Name, u.UsedVirtualTime, u.Budget.VirtualTime)
+				u.name, u.usedVT, u.budget.VirtualTime)
 		}
 	}
 }
@@ -343,8 +361,7 @@ func TestFarmRestartResume(t *testing.T) {
 	// And the accounting survives yet another restart.
 	f.Close()
 	f2 := newFarm(t, Config{StateDir: dir, Tenants: map[string]Budget{"acme": {}}})
-	u := f2.Tenants()
-	if len(u) != 1 || u[0].UsedVirtualTime == 0 || u[0].Jobs != 2 {
+	if u := tenantUsage(f2, "acme"); u.usedVT == 0 || u.jobs != 2 {
 		t.Errorf("tenant accounting lost across restart: %+v", u)
 	}
 	info2, ok := f2.Job("deadbeef")
@@ -394,7 +411,7 @@ func TestFarmCancelAndErrors(t *testing.T) {
 }
 
 // TestServerProtocol drives the whole stack over TCP: submit,
-// stream, results, tenants, pool, and the error paths.
+// stream, results, cancel, and the error paths.
 func TestServerProtocol(t *testing.T) {
 	f := newFarm(t, Config{
 		StateDir: t.TempDir(),
@@ -441,7 +458,8 @@ func TestServerProtocol(t *testing.T) {
 		}
 	}
 
-	info, err := c.WaitJob(id, time.Millisecond)
+	// The stream ended, so the job is terminal.
+	info, err := c.Results(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,20 +473,13 @@ func TestServerProtocol(t *testing.T) {
 		t.Fatalf("bugs over the wire: %d", len(info.Result.Bugs))
 	}
 
-	tens, err := c.Tenants()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tens) != 1 || tens[0].Name != "acme" || tens[0].UsedVirtualTime == 0 {
-		t.Errorf("tenants over the wire: %+v", tens)
-	}
-	if _, err := c.PoolStats(); err != nil {
-		t.Fatal(err)
+	if u := tenantUsage(f, "acme"); u.usedVT == 0 || u.jobs != 1 {
+		t.Errorf("tenant accounting after a job over the wire: %+v", u)
 	}
 	if _, err := c.Submit("ghost", job); err == nil {
 		t.Error("unknown tenant accepted over the wire")
 	}
-	if _, err := c.Status("nope"); err == nil {
+	if _, err := c.Results("nope"); err == nil {
 		t.Error("unknown job served over the wire")
 	}
 	if err := c.Cancel(id); err == nil {
@@ -522,7 +533,7 @@ func TestServerDropsOversizedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Tenants(); err != nil {
+	if _, err := c.Results("nope"); err == nil || !strings.Contains(err.Error(), "unknown job") {
 		t.Fatalf("server stopped serving after an oversized request: %v", err)
 	}
 }

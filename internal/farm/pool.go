@@ -9,7 +9,6 @@ package farm
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"hardsnap/internal/campaign"
 	"hardsnap/internal/core"
@@ -17,19 +16,12 @@ import (
 	"hardsnap/internal/target"
 )
 
-// PoolStats counts pool traffic. Latencies are cumulative wall time,
-// so WarmNS/WarmHits is the mean warm admission latency (compare to
-// ColdNS/ColdBuilds).
-type PoolStats struct {
-	WarmHits   uint64 `json:"warm_hits"`
-	ColdBuilds uint64 `json:"cold_builds"`
-	Recycled   uint64 `json:"recycled"`
-	Discarded  uint64 `json:"discarded"`
-	WarmNS     int64  `json:"warm_ns"`
-	ColdNS     int64  `json:"cold_ns"`
-	// Store reports the content-addressed boot-image store backing
-	// the pool: puts, dedup hits and shared bytes.
-	Store snapshot.Stats `json:"store"`
+// poolStats counts pool traffic: admissions served warm, cold
+// builds, and leases that came back recycled into the idle set.
+type poolStats struct {
+	warmHits   uint64
+	coldBuilds uint64
+	recycled   uint64
 }
 
 // pooledTarget is one idle warm rig plus the content address of its
@@ -58,7 +50,7 @@ type Pool struct {
 	out     map[string]int // leased targets per key (they come back recycled)
 	seq     int
 	closed  bool
-	stats   PoolStats
+	stats   poolStats
 
 	wg sync.WaitGroup
 }
@@ -116,15 +108,13 @@ func (p *Pool) Acquire(job campaign.Job) (*Lease, error) {
 		return &Lease{pool: p}, nil
 	}
 	key := job.RigKey()
-	start := time.Now()
 
 	p.mu.Lock()
 	if q := p.idle[key]; len(q) > 0 {
 		pt := q[len(q)-1]
 		p.idle[key] = q[:len(q)-1]
 		p.out[key]++
-		p.stats.WarmHits++
-		p.stats.WarmNS += int64(time.Since(start))
+		p.stats.warmHits++
 		p.mu.Unlock()
 		p.refill(key, job)
 		return &Lease{Target: pt.tgt, Warm: true, pool: p, key: key, pt: pt}, nil
@@ -139,8 +129,7 @@ func (p *Pool) Acquire(job campaign.Job) (*Lease, error) {
 	}
 	p.mu.Lock()
 	p.out[key]++
-	p.stats.ColdBuilds++
-	p.stats.ColdNS += int64(time.Since(start))
+	p.stats.coldBuilds++
 	p.mu.Unlock()
 	p.refill(key, job)
 	return &Lease{Target: pt.tgt, pool: p, key: key, pt: pt}, nil
@@ -196,11 +185,10 @@ func (l *Lease) Release() {
 	defer p.mu.Unlock()
 	p.out[l.key]--
 	if p.closed || len(p.idle[l.key]) >= p.size {
-		p.stats.Discarded++
 		p.store.Release(l.pt.bootID)
 		return
 	}
-	p.stats.Recycled++
+	p.stats.recycled++
 	p.idle[l.key] = append(p.idle[l.key], l.pt)
 }
 
@@ -208,17 +196,7 @@ func (p *Pool) discard(l *Lease) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.out[l.key]--
-	p.stats.Discarded++
 	p.store.Release(l.pt.bootID)
-}
-
-// Stats returns a snapshot of the pool counters.
-func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	st := p.stats
-	p.mu.Unlock()
-	st.Store = p.store.Stats()
-	return st
 }
 
 // Close stops refilling and waits for in-flight background builds.

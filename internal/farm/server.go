@@ -17,14 +17,13 @@ import (
 
 // Request is one client → server message.
 type Request struct {
-	// Op selects the operation: submit | status | results | stream |
-	// cancel | tenants | pool.
+	// Op selects the operation: submit | results | stream | cancel.
 	Op string `json:"op"`
 	// Tenant authenticates the submitter (submit).
 	Tenant string `json:"tenant,omitempty"`
 	// Job is the campaign spec (submit).
 	Job *campaign.Job `json:"job,omitempty"`
-	// ID names an existing job (status / results / stream / cancel).
+	// ID names an existing job (results / stream / cancel).
 	ID string `json:"id,omitempty"`
 }
 
@@ -34,15 +33,12 @@ type Response struct {
 	Error string `json:"error,omitempty"`
 	// ID echoes the job ID (submit).
 	ID string `json:"id,omitempty"`
-	// Job carries job state (status / results).
+	// Job carries job state (results).
 	Job *JobInfo `json:"job,omitempty"`
 	// Event is one streamed progress event (stream).
 	Event *campaign.Event `json:"event,omitempty"`
 	// Done terminates a stream.
 	Done bool `json:"done,omitempty"`
-	// Tenants / Pool carry introspection payloads.
-	Tenants []TenantUsage `json:"tenants,omitempty"`
-	Pool    *PoolStats    `json:"pool,omitempty"`
 }
 
 // Server exposes a Farm over TCP. Serve, ListenAndServe and Close are
@@ -90,18 +86,10 @@ func (s *Server) handle(req Request) Response {
 			return Response{Error: err.Error()}
 		}
 		return Response{OK: true, ID: id}
-	case "status", "results":
+	case "results":
 		info, ok := s.farm.Job(req.ID)
 		if !ok {
 			return Response{Error: fmt.Sprintf("unknown job %q", req.ID)}
-		}
-		if req.Op == "status" {
-			// status is the lightweight poll: strip the result body
-			// but piggyback the pool/store counters so a monitoring
-			// loop sees pool pressure without a second op.
-			info.Result = nil
-			st := s.farm.PoolStats()
-			return Response{OK: true, ID: info.ID, Job: &info, Pool: &st}
 		}
 		return Response{OK: true, ID: info.ID, Job: &info}
 	case "cancel":
@@ -109,11 +97,6 @@ func (s *Server) handle(req Request) Response {
 			return Response{Error: err.Error()}
 		}
 		return Response{OK: true, ID: req.ID}
-	case "tenants":
-		return Response{OK: true, Tenants: s.farm.Tenants()}
-	case "pool":
-		st := s.farm.PoolStats()
-		return Response{OK: true, Pool: &st}
 	}
 	return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 }

@@ -146,9 +146,6 @@ type Crash struct {
 	Count int
 }
 
-// Key returns the crash's dedup bucket.
-func (c *Crash) Key() CrashKey { return CrashKey{PC: c.PC, Stop: c.Stop} }
-
 // Result summarizes a campaign.
 type Result struct {
 	Execs int

@@ -235,7 +235,7 @@ func TestSingleWorkerMatchesReferenceCrashSet(t *testing.T) {
 	}
 	newBuckets := make(map[CrashKey]bool)
 	for _, c := range res.Crashes {
-		newBuckets[c.Key()] = true
+		newBuckets[CrashKey{PC: c.PC, Stop: c.Stop}] = true
 	}
 	if len(referenceCrashSet) != len(newBuckets) {
 		t.Fatalf("crash buckets differ: ref %v vs new %v", referenceCrashSet, newBuckets)

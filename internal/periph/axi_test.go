@@ -9,6 +9,172 @@ import (
 	"hardsnap/internal/verilog"
 )
 
+// AXIAdapterSource is an AXI4-Lite slave front-end that translates the
+// five AXI channels (AW, W, B, AR, R) into HardSnap's single-cycle
+// register-port convention. It is the test-level demonstration of the
+// paper's modularity claim that "the remote interface and the memory
+// bus abstraction can be easily replaced": any corpus peripheral can
+// be wrapped behind a genuine valid/ready handshake interface without
+// touching its RTL. Nothing shipped uses it.
+//
+// Protocol subset: 32-bit data, 8-bit addresses, no WSTRB (full-word
+// writes), no protection bits, responses always OKAY. Write address
+// and data may arrive in either order; the register write fires once
+// both are latched.
+const AXIAdapterSource = `
+module axi2reg (
+  input wire clk,
+  input wire rst,
+
+  // AXI4-Lite slave interface.
+  input wire awvalid,
+  output wire awready,
+  input wire [7:0] awaddr,
+
+  input wire wvalid,
+  output wire wready,
+  input wire [31:0] wdata_in,
+
+  output reg bvalid,
+  input wire bready,
+
+  input wire arvalid,
+  output wire arready,
+  input wire [7:0] araddr,
+
+  output reg rvalid,
+  input wire rready,
+  output reg [31:0] rdata_out,
+
+  // Register-port master side (connect to a peripheral).
+  output reg sel,
+  output reg wen,
+  output reg [7:0] addr,
+  output reg [31:0] wdata,
+  input wire [31:0] rdata
+);
+  // Write channel state.
+  reg aw_got;
+  reg w_got;
+  reg [7:0] aw_addr_l;
+  reg [31:0] w_data_l;
+
+  assign awready = !aw_got && !bvalid;
+  assign wready = !w_got && !bvalid;
+  assign arready = !rvalid && !sel;
+
+  always @(posedge clk) begin
+    if (rst) begin
+      aw_got <= 0;
+      w_got <= 0;
+      aw_addr_l <= 0;
+      w_data_l <= 0;
+      bvalid <= 0;
+      rvalid <= 0;
+      rdata_out <= 0;
+      sel <= 0;
+      wen <= 0;
+      addr <= 0;
+      wdata <= 0;
+    end else begin
+      // The register port idles after one pulse; read data is
+      // captured at the pulse and only then presented on R (so a
+      // same-cycle RREADY can never sample stale data).
+      if (sel) begin
+        if (!wen) begin
+          rdata_out <= rdata;
+          rvalid <= 1;
+        end
+        sel <= 0;
+        wen <= 0;
+      end
+
+      // Latch write address/data beats.
+      if (awvalid && awready) begin
+        aw_got <= 1;
+        aw_addr_l <= awaddr;
+      end
+      if (wvalid && wready) begin
+        w_got <= 1;
+        w_data_l <= wdata_in;
+      end
+
+      // Both beats present: issue the register write, raise B.
+      if (aw_got && w_got && !bvalid) begin
+        sel <= 1;
+        wen <= 1;
+        addr <= aw_addr_l;
+        wdata <= w_data_l;
+        bvalid <= 1;
+        aw_got <= 0;
+        w_got <= 0;
+      end
+      if (bvalid && bready)
+        bvalid <= 0;
+
+      // Read: one-pulse register read; R is raised by the capture
+      // branch above.
+      if (arvalid && arready) begin
+        sel <= 1;
+        wen <= 0;
+        addr <= araddr;
+      end
+      if (rvalid && rready && !sel)
+        rvalid <= 0;
+    end
+  end
+endmodule
+`
+
+// AXIWrap returns Verilog for `top` wrapped behind the AXI4-Lite
+// adapter, exposing the AXI channels at the boundary plus the wrapped
+// peripheral's irq.
+func AXIWrap(periphSource, periphTop string) string {
+	return AXIAdapterSource + periphSource + `
+module ` + periphTop + `_axi (
+  input wire clk,
+  input wire rst,
+  input wire awvalid,
+  output wire awready,
+  input wire [7:0] awaddr,
+  input wire wvalid,
+  output wire wready,
+  input wire [31:0] wdata_in,
+  output wire bvalid,
+  input wire bready,
+  input wire arvalid,
+  output wire arready,
+  input wire [7:0] araddr,
+  output wire rvalid,
+  input wire rready,
+  output wire [31:0] rdata_out,
+  output wire irq
+);
+  wire p_sel;
+  wire p_wen;
+  wire [7:0] p_addr;
+  wire [31:0] p_wdata;
+  wire [31:0] p_rdata;
+
+  axi2reg u_axi (
+    .clk(clk), .rst(rst),
+    .awvalid(awvalid), .awready(awready), .awaddr(awaddr),
+    .wvalid(wvalid), .wready(wready), .wdata_in(wdata_in),
+    .bvalid(bvalid), .bready(bready),
+    .arvalid(arvalid), .arready(arready), .araddr(araddr),
+    .rvalid(rvalid), .rready(rready), .rdata_out(rdata_out),
+    .sel(p_sel), .wen(p_wen), .addr(p_addr), .wdata(p_wdata), .rdata(p_rdata)
+  );
+
+  ` + periphTop + ` u_dev (
+    .clk(clk), .rst(rst),
+    .sel(p_sel), .wen(p_wen), .addr(p_addr), .wdata(p_wdata),
+    .rdata(p_rdata), .irq(irq)
+  );
+endmodule
+`
+}
+
 // axiDev drives the AXI4-Lite wrapper with proper valid/ready
 // handshakes (bounded waits so protocol bugs fail fast).
 type axiDev struct {

@@ -85,7 +85,7 @@ func (d *dev) irq() bool {
 }
 
 func TestCorpusBuilds(t *testing.T) {
-	for _, spec := range All() {
+	for _, spec := range registry {
 		t.Run(spec.Name, func(t *testing.T) {
 			d, reports, err := Build(spec.Name, spec.Params, true)
 			if err != nil {
@@ -531,7 +531,7 @@ func TestSPIScanInstrumentable(t *testing.T) {
 // prints, re-parses and re-prints identically (printer stability over
 // real-world-sized designs).
 func TestCorpusSourceRoundTrip(t *testing.T) {
-	for _, spec := range All() {
+	for _, spec := range registry {
 		t.Run(spec.Name, func(t *testing.T) {
 			f1, err := verilog.Parse(spec.Source())
 			if err != nil {

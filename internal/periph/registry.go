@@ -80,13 +80,6 @@ var registry = []Spec{
 	},
 }
 
-// All returns the peripheral corpus in complexity order.
-func All() []Spec {
-	out := make([]Spec, len(registry))
-	copy(out, registry)
-	return out
-}
-
 // Lookup finds a peripheral by name.
 func Lookup(name string) (Spec, bool) {
 	for _, s := range registry {

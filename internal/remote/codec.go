@@ -90,24 +90,10 @@ func readChunks(r *snapshot.Reader) []wireChunk {
 	return snapshot.List(r, digestLen+4, func() wireChunk { return wireChunk{Digest: r.Digest(), Data: r.Chunk()} })
 }
 
-// decodeSaveOffer reads a kSave response: the saved state by digest,
-// plus the chunks the server inlined.
-func decodeSaveOffer(p []byte) ([]chunkRef, []wireChunk, error) {
-	r := snapshot.NewReader(p)
-	refs, inline := readRefs(r), readChunks(r)
-	return refs, inline, r.End()
-}
-
 func decodeFetchReq(p []byte) ([]snapshot.Digest, error) {
 	r := snapshot.NewReader(p)
 	ds := readDigests(r)
 	return ds, r.End()
-}
-
-func decodeFetchResp(p []byte) ([]wireChunk, error) {
-	r := snapshot.NewReader(p)
-	chunks := readChunks(r)
-	return chunks, r.End()
 }
 
 // decodeRestoreReq reads a kRestore request, or a kPush one (which
@@ -119,11 +105,4 @@ func decodeRestoreReq(p []byte, push bool) (mode byte, refs []chunkRef, chunks [
 		chunks = readChunks(r)
 	}
 	return mode, refs, chunks, r.End()
-}
-
-func decodeRestoreResp(p []byte) (restoreResp, error) {
-	r := snapshot.NewReader(p)
-	flags := r.U8()
-	resp := restoreResp{Applied: flags&1 != 0, DidDelta: flags&2 != 0, Missing: readDigests(r)}
-	return resp, r.End()
 }

@@ -324,7 +324,7 @@ func TestSnapshotChunkIntegrityTyped(t *testing.T) {
 			b, _ = appendChunk(b, lie, hw)
 			return b
 		})
-		if !target.IsIntegrity(err) {
+		if target.Classify(err) != target.Integrity {
 			t.Fatalf("push of a mislabelled chunk: %v, want integrity class", err)
 		}
 		if _, ok := srv.chunks.get(lie); ok {
@@ -337,7 +337,7 @@ func TestSnapshotChunkIntegrityTyped(t *testing.T) {
 			body, _ = appendChunk(body, lie, hw)
 			_ = writeFrame(conn, kResp, seq, respPayload(respMeta{status: vstatusOK}, body))
 		})
-		if _, err := c.Save(); !target.IsIntegrity(err) {
+		if _, err := c.Save(); target.Classify(err) != target.Integrity {
 			t.Fatalf("save with a mislabelled inline chunk: %v, want integrity class", err)
 		}
 		if _, ok := c.chunks.get(lie); ok {

@@ -90,7 +90,7 @@ func rawBody(p []byte) func([]byte) []byte {
 func TestRemoteErrorPropagation(t *testing.T) {
 	c := v3Pipe(t, newV3Target(t))
 	_, err := (&clientPort{c: c, idx: 99}).ReadReg(0)
-	if !target.IsFatal(err) {
+	if target.Classify(err) != target.Fatal {
 		t.Fatalf("read of a missing peripheral: %v, want fatal class", err)
 	}
 	if err := c.Ping(); err != nil {
@@ -110,7 +110,7 @@ func TestClientBrokenLink(t *testing.T) {
 func TestServeUnknownOpcode(t *testing.T) {
 	c := v3Pipe(t, newV3Target(t))
 	c.enqueue(batchOp{op: 99})
-	if err := c.flush(); !target.IsFatal(err) {
+	if err := c.flush(); target.Classify(err) != target.Fatal {
 		t.Fatalf("unknown batch op: %v, want fatal class", err)
 	}
 	// The link survives a protocol error.
@@ -221,16 +221,16 @@ func TestStatusErrClassPropagation(t *testing.T) {
 	cases := []struct {
 		name  string
 		call  func(c *TargetClient) error
-		check func(error) bool
+		class target.ErrorClass
 	}{
 		{"integrity", func(c *TargetClient) error {
 			_, err := c.roundTrip(kFetch, rawBody(appendDigests(nil, []snapshot.Digest{{1}}))) // no such chunk
 			return err
-		}, target.IsIntegrity},
+		}, target.Integrity},
 		{"fatal", func(c *TargetClient) error {
 			_, err := c.roundTrip(kRestore, rawBody([]byte("not a restore body")))
 			return err
-		}, target.IsFatal},
+		}, target.Fatal},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -241,7 +241,7 @@ func TestStatusErrClassPropagation(t *testing.T) {
 			if err == nil {
 				t.Fatal("call must fail")
 			}
-			if !tc.check(err) {
+			if target.Classify(err) != tc.class {
 				t.Fatalf("error %v lost its %s class", err, tc.name)
 			}
 			if r := c.WireStats().Retransmits; r != 0 {

@@ -144,7 +144,7 @@ func (sess *session) respFrame(seq uint32, status byte, bodyLen int) []byte {
 // errFrame builds a vstatusErr response: meta + class(1) + message.
 func (sess *session) errFrame(seq uint32, err error) []byte {
 	msg := err.Error()
-	b := append(sess.respFrame(seq, vstatusErr, 1+len(msg)), byte(errorClass(err)))
+	b := append(sess.respFrame(seq, vstatusErr, 1+len(msg)), byte(target.Classify(err)))
 	return endFrame(append(b, msg...))
 }
 
@@ -268,7 +268,7 @@ func (s *Server) applyBatch(sess *session, seq uint32, payload []byte) []byte {
 		}
 		status := byte(opStatusOK)
 		if opErr != nil {
-			status = byte(errorClass(opErr))
+			status = byte(target.Classify(opErr))
 			failed = true
 		}
 		res = binary.LittleEndian.AppendUint64(append(res, status), value)

@@ -1054,3 +1054,85 @@ func (c *TargetClient) SpawnWorker(name string, clock *vtime.Clock, stream int) 
 	w.applyInfo(winfo)
 	return w, nil
 }
+
+// The client's halves of the wire and snapshot-body formats laid out
+// in wire.go and codec.go: the server encodes what these decode and
+// decodes what these encode.
+
+// transportError marks errors from the conn itself (as opposed to
+// protocol-level transient errors), so the retry loop knows when a
+// redial is worthwhile.
+type transportError struct{ err error }
+
+func (e *transportError) Error() string { return e.err.Error() }
+func (e *transportError) Unwrap() error { return e.err }
+
+// retryable reports whether a transaction failure is worth
+// retransmitting: transport errors (timeouts, drops, broken links)
+// and protocol-transient errors are; target-side fatal/integrity
+// errors are not.
+func retryable(err error) bool {
+	var te *transportError
+	if errors.As(err, &te) {
+		return true
+	}
+	return target.IsTransient(err)
+}
+
+// writeFrame emits one v3 frame around a ready-made payload (the
+// handshake and tests; sequenced traffic builds its frames in place).
+func writeFrame(w io.Writer, kind byte, seq uint32, payload []byte) error {
+	_, err := w.Write(endFrame(append(beginFrame(nil, kind, seq), payload...)))
+	return err
+}
+
+// decodeMeta splits a response payload into its telemetry header
+// and body.
+func decodeMeta(p []byte) (respMeta, []byte, error) {
+	if len(p) < respMetaLen {
+		return respMeta{}, nil, fmt.Errorf("remote: short v3 response (%d bytes)", len(p))
+	}
+	return respMeta{
+		status:    p[0],
+		flags:     p[1],
+		gen:       binary.LittleEndian.Uint64(p[2:10]),
+		anchorSeq: binary.LittleEndian.Uint64(p[10:18]),
+		serverNow: int64(binary.LittleEndian.Uint64(p[18:26])),
+		cycles:    binary.LittleEndian.Uint64(p[26:34]),
+		irqBits:   binary.LittleEndian.Uint64(p[34:42]),
+		pending:   binary.LittleEndian.Uint32(p[42:46]),
+	}, p[respMetaLen:], nil
+}
+
+// appendBatch packs ops as a kBatch payload:
+// count(2) then per op: op(1) periph(1) offset(4) value(8).
+func appendBatch(b []byte, ops []batchOp) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(ops)))
+	for _, op := range ops {
+		b = append(b, op.op, op.periph)
+		b = binary.LittleEndian.AppendUint32(b, op.offset)
+		b = binary.LittleEndian.AppendUint64(b, op.value)
+	}
+	return b
+}
+
+// decodeSaveOffer reads a kSave response: the saved state by digest,
+// plus the chunks the server inlined.
+func decodeSaveOffer(p []byte) ([]chunkRef, []wireChunk, error) {
+	r := snapshot.NewReader(p)
+	refs, inline := readRefs(r), readChunks(r)
+	return refs, inline, r.End()
+}
+
+func decodeFetchResp(p []byte) ([]wireChunk, error) {
+	r := snapshot.NewReader(p)
+	chunks := readChunks(r)
+	return chunks, r.End()
+}
+
+func decodeRestoreResp(p []byte) (restoreResp, error) {
+	r := snapshot.NewReader(p)
+	flags := r.U8()
+	resp := restoreResp{Applied: flags&1 != 0, DidDelta: flags&2 != 0, Missing: readDigests(r)}
+	return resp, r.End()
+}

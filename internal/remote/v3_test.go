@@ -479,14 +479,14 @@ func TestV3PipeliningHidesLatency(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = srv.ListenAndServeWith(ln, func(conn net.Conn) net.Conn { return NewLatencyConn(conn, oneWay) })
+		_ = srv.ListenAndServeWith(ln, func(conn net.Conn) net.Conn { return newLatencyConn(conn, oneWay) })
 	}()
 	defer func() { ln.Close(); <-done }()
 	raw, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := NewLatencyConn(raw, oneWay)
+	conn := newLatencyConn(raw, oneWay)
 	defer conn.Close()
 	c, err := Connect(conn, &vtime.Clock{})
 	if err != nil {
@@ -757,7 +757,7 @@ func TestServeConnV3UnknownKindAfterHello(t *testing.T) {
 	if f.err == nil {
 		t.Fatal("unknown kind must produce an error response")
 	}
-	if !target.IsFatal(f.err) {
+	if target.Classify(f.err) != target.Fatal {
 		t.Fatalf("unknown kind error %v, want fatal class", f.err)
 	}
 	if err := c.Ping(); err != nil {
@@ -907,7 +907,7 @@ func TestV3DeferredWriteErrorSurfacesAtFlush(t *testing.T) {
 	if err == nil {
 		t.Fatal("flush must surface the deferred write error")
 	}
-	if !target.IsFatal(err) {
+	if target.Classify(err) != target.Fatal {
 		t.Fatalf("deferred error %v lost its fatal class", err)
 	}
 	// The failed batch never poisons later traffic.

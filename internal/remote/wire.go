@@ -70,11 +70,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"net"
-	"sync"
 	"time"
-
-	"hardsnap/internal/target"
 )
 
 // crc8 folds an IEEE CRC-32 into one byte: enough to catch the
@@ -88,35 +84,6 @@ func crc8(b []byte) byte {
 // when the transport provides it.
 type deadliner interface {
 	SetDeadline(t time.Time) error
-}
-
-// transportError marks errors from the conn itself (as opposed to
-// protocol-level transient errors), so the retry loop knows when a
-// redial is worthwhile.
-type transportError struct{ err error }
-
-func (e *transportError) Error() string { return e.err.Error() }
-func (e *transportError) Unwrap() error { return e.err }
-
-// retryable reports whether a transaction failure is worth
-// retransmitting: transport errors (timeouts, drops, broken links)
-// and protocol-transient errors are; target-side fatal/integrity
-// errors are not.
-func retryable(err error) bool {
-	var te *transportError
-	if errors.As(err, &te) {
-		return true
-	}
-	return target.IsTransient(err)
-}
-
-// errorClass maps a target-side operation error onto the wire.
-func errorClass(err error) target.ErrorClass {
-	var te *target.Error
-	if errors.As(err, &te) {
-		return te.Class
-	}
-	return target.Fatal
 }
 
 // pingMagic is the echo payload of a bPing op ("HSRP").
@@ -206,13 +173,6 @@ func endFrame(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 }
 
-// writeFrame emits one v3 frame around a ready-made payload (the
-// handshake and tests; sequenced traffic builds its frames in place).
-func writeFrame(w io.Writer, kind byte, seq uint32, payload []byte) error {
-	_, err := w.Write(endFrame(append(beginFrame(nil, kind, seq), payload...)))
-	return err
-}
-
 // readFrame reads one whole v3 frame. It returns the kind, sequence
 // number and payload; errPayloadCRC means the frame was framed
 // correctly but its payload is corrupt (seq is valid and the stream is
@@ -280,40 +240,12 @@ func (m *respMeta) append(b []byte) []byte {
 	return binary.LittleEndian.AppendUint32(b, m.pending)
 }
 
-func decodeMeta(p []byte) (respMeta, []byte, error) {
-	if len(p) < respMetaLen {
-		return respMeta{}, nil, fmt.Errorf("remote: short v3 response (%d bytes)", len(p))
-	}
-	return respMeta{
-		status:    p[0],
-		flags:     p[1],
-		gen:       binary.LittleEndian.Uint64(p[2:10]),
-		anchorSeq: binary.LittleEndian.Uint64(p[10:18]),
-		serverNow: int64(binary.LittleEndian.Uint64(p[18:26])),
-		cycles:    binary.LittleEndian.Uint64(p[26:34]),
-		irqBits:   binary.LittleEndian.Uint64(p[34:42]),
-		pending:   binary.LittleEndian.Uint32(p[42:46]),
-	}, p[respMetaLen:], nil
-}
-
 // batchOp is one vectored register operation.
 type batchOp struct {
 	op     byte
 	periph byte
 	offset uint32
 	value  uint64
-}
-
-// appendBatch packs ops as a kBatch payload:
-// count(2) then per op: op(1) periph(1) offset(4) value(8).
-func appendBatch(b []byte, ops []batchOp) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(ops)))
-	for _, op := range ops {
-		b = append(b, op.op, op.periph)
-		b = binary.LittleEndian.AppendUint32(b, op.offset)
-		b = binary.LittleEndian.AppendUint64(b, op.value)
-	}
-	return b
 }
 
 // batchCount checks the framing of a batch body — count(2), then count
@@ -372,85 +304,4 @@ type helloInfo struct {
 type spawnReq struct {
 	Name   string
 	Stream int
-}
-
-// --- latency injection ---------------------------------------------
-
-// latencyConn delays every Write by a fixed one-way latency without
-// blocking the writer: writes are timestamped into a queue and a pump
-// goroutine delivers them in order when due. This models link
-// *latency* (the quantity pipelining hides), not throughput; wrapping
-// both endpoints of a connection with delay d gives a round-trip time
-// of 2d.
-type latencyConn struct {
-	net.Conn
-	delay time.Duration
-	ch    chan delayed
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	werr  error
-	open  bool
-}
-
-type delayed struct {
-	data []byte
-	due  time.Time
-}
-
-// NewLatencyConn wraps a connection so each Write is delivered after
-// the given one-way delay. The bench harness uses it to reproduce the
-// paper's USB-debugger link latency on an in-process socket.
-func NewLatencyConn(c net.Conn, delay time.Duration) net.Conn {
-	if delay <= 0 {
-		return c
-	}
-	l := &latencyConn{Conn: c, delay: delay, ch: make(chan delayed, 1024), open: true}
-	l.wg.Add(1)
-	go l.pump()
-	return l
-}
-
-func (l *latencyConn) pump() {
-	defer l.wg.Done()
-	for d := range l.ch {
-		if wait := time.Until(d.due); wait > 0 {
-			time.Sleep(wait)
-		}
-		if _, err := l.Conn.Write(d.data); err != nil {
-			l.mu.Lock()
-			if l.werr == nil {
-				l.werr = err
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
-func (l *latencyConn) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	if !l.open {
-		l.mu.Unlock()
-		return 0, net.ErrClosed
-	}
-	if err := l.werr; err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-	l.mu.Unlock()
-	buf := append([]byte(nil), p...)
-	l.ch <- delayed{data: buf, due: time.Now().Add(l.delay)}
-	return len(p), nil
-}
-
-func (l *latencyConn) Close() error {
-	l.mu.Lock()
-	if !l.open {
-		l.mu.Unlock()
-		return nil
-	}
-	l.open = false
-	l.mu.Unlock()
-	close(l.ch)
-	l.wg.Wait() // deliver queued writes before closing the stream
-	return l.Conn.Close()
 }

@@ -36,8 +36,6 @@
 // rejected so the caller can fall back to the interpreter.
 package bc
 
-import "hardsnap/internal/rtl"
-
 // opcode selects the operation of one bytecode instruction.
 type opcode uint8
 
@@ -150,9 +148,8 @@ func rmask(b int32) uint64 { return ^uint64(0) >> (uint32(b) & 63) }
 // design's topological order) and per sequential block, plus the
 // fanout lists the activation engine seeds worklists from.
 type Program struct {
-	design *rtl.Design
-	combs  [][]op
-	seqs   [][]op
+	combs [][]op
+	seqs  [][]op
 
 	// Fanout lists, indexed by signal/memory ID. Each holds node
 	// indexes in ascending order (built by one pass over the nodes).
@@ -170,43 +167,4 @@ type Program struct {
 
 	// stackMax is the deepest value stack any node needs.
 	stackMax int
-}
-
-// Design returns the design this program was compiled from.
-func (p *Program) Design() *rtl.Design { return p.design }
-
-// families names the operand-fused op families and the case jump
-// table, for Census.
-var families = map[opcode]string{
-	opCaseTable: "case-table", opCaseTableL: "case-signal",
-	opLoadRange: "load-range", opLoadBit: "load-bit", opJzL: "jz-signal",
-	opAddL: "binary-signal", opSubL: "binary-signal", opAndL: "binary-signal",
-	opOrL: "binary-signal", opXorL: "binary-signal", opEqL: "binary-signal", opNeL: "binary-signal",
-	opAddK: "binary-const", opSubK: "binary-const", opAndK: "binary-const",
-	opOrK: "binary-const", opXorK: "binary-const", opEqK: "binary-const", opNeK: "binary-const",
-	opShlK: "binary-const", opShrK: "binary-const",
-	opConcatL: "concat-signal", opConcatBit: "concat-bit",
-	opConcatRange: "concat-range", opConcatK: "concat-literal",
-}
-
-// Census counts the program's ops of each operand-fused family, and
-// its case dispatches through a table with a computed subject, by
-// family name; every family is
-// present, with 0 when the program has none. A differential test uses
-// it to show its generator reaches every fused form.
-func (p *Program) Census() map[string]int {
-	n := map[string]int{}
-	for _, f := range families {
-		n[f] = 0
-	}
-	for _, nodes := range [][][]op{p.combs, p.seqs} {
-		for _, ops := range nodes {
-			for _, o := range ops {
-				if f, ok := families[o.code]; ok {
-					n[f]++
-				}
-			}
-		}
-	}
-	return n
 }

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"hardsnap/internal/rtl"
+	"hardsnap/internal/testseed"
 	"hardsnap/internal/verilog"
 )
 
@@ -400,6 +401,69 @@ endmodule`)
 			}
 		})
 	}
+}
+
+// families names the operand-fused op families and the case jump
+// table dispatches, for census.
+var families = map[opcode]string{
+	opCaseTable: "case-table", opCaseTableL: "case-signal",
+	opLoadRange: "load-range", opLoadBit: "load-bit", opJzL: "jz-signal",
+	opAddL: "binary-signal", opSubL: "binary-signal", opAndL: "binary-signal",
+	opOrL: "binary-signal", opXorL: "binary-signal", opEqL: "binary-signal", opNeL: "binary-signal",
+	opAddK: "binary-const", opSubK: "binary-const", opAndK: "binary-const",
+	opOrK: "binary-const", opXorK: "binary-const", opEqK: "binary-const", opNeK: "binary-const",
+	opShlK: "binary-const", opShrK: "binary-const",
+	opConcatL: "concat-signal", opConcatBit: "concat-bit",
+	opConcatRange: "concat-range", opConcatK: "concat-literal",
+}
+
+// TestGeneratedNetlistsReachFusedForms guards the differential tests
+// in internal/sim (TestDifferentialFuzz, FuzzCompiledMatchesInterp):
+// the testseed.Netlist designs they run on both engines, seeds 0-59,
+// must each keep compiling the case jump table and every operand-fused
+// op family in at least a third of the designs, or those tests
+// silently stop checking them against the interpreter.
+func TestGeneratedNetlistsReachFusedForms(t *testing.T) {
+	const seeds = 60
+	reached := map[string]int{} // per family: designs with one or more
+	for _, f := range families {
+		reached[f] = 0
+	}
+	for seed := 0; seed < seeds; seed++ {
+		g := &testseed.Netlist{R: rand.New(rand.NewSource(int64(seed)))}
+		src := g.Generate()
+		f, err := verilog.Parse(src)
+		if err != nil {
+			t.Fatalf("seed %d: parse: %v", seed, err)
+		}
+		d, err := rtl.Elaborate(f, "fz", nil)
+		if err != nil {
+			t.Fatalf("seed %d: elaborate: %v", seed, err)
+		}
+		prog, err := Compile(d)
+		if err != nil {
+			t.Fatalf("seed %d: compile: %v\n%s", seed, err, src)
+		}
+		in := map[string]bool{}
+		for _, nodes := range [][][]op{prog.combs, prog.seqs} {
+			for _, ops := range nodes {
+				for _, o := range ops {
+					if f, ok := families[o.code]; ok {
+						in[f] = true
+					}
+				}
+			}
+		}
+		for f := range in {
+			reached[f]++
+		}
+	}
+	for f, n := range reached {
+		if n*3 < seeds {
+			t.Errorf("only %d of %d designs compiled a %s op", n, seeds, f)
+		}
+	}
+	t.Logf("designs per compiled family (of %d): %v", seeds, reached)
 }
 
 // TestOpSize pins the instruction at 24 bytes: every operand form

@@ -25,7 +25,6 @@ func maskOf(w uint) uint64 {
 // Callers fall back to the interpreter on error.
 func Compile(d *rtl.Design) (*Program, error) {
 	p := &Program{
-		design:         d,
 		sigCombReaders: make([][]int32, len(d.Signals)),
 		sigCombDriver:  make([]int32, len(d.Signals)),
 		sigSeqTouch:    make([][]int32, len(d.Signals)),

@@ -291,20 +291,6 @@ func NewState(d *Design) *State {
 	return st
 }
 
-// Clone deep-copies the state.
-func (s *State) Clone() *State {
-	c := &State{
-		Vals: make([]uint64, len(s.Vals)),
-		Mems: make([][]uint64, len(s.Mems)),
-	}
-	copy(c.Vals, s.Vals)
-	for i, m := range s.Mems {
-		c.Mems[i] = make([]uint64, len(m))
-		copy(c.Mems[i], m)
-	}
-	return c
-}
-
 // EvalExpr evaluates an expression against the state. Values are
 // masked to each subexpression's width.
 func EvalExpr(x verilog.Expr, scope *Scope, st *State) (uint64, error) {

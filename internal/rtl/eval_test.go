@@ -164,20 +164,6 @@ func TestEvalExprErrors(t *testing.T) {
 	}
 }
 
-func TestStateClone(t *testing.T) {
-	d, _, st := buildEvalEnv(t)
-	setSig(t, d, st, "a", 42)
-	m, _ := d.MemoryByName("mem")
-	st.Mems[m.ID][1] = 7
-	c := st.Clone()
-	setSig(t, d, st, "a", 1)
-	st.Mems[m.ID][1] = 9
-	sig, _ := d.SignalByName("a")
-	if c.Vals[sig.ID] != 42 || c.Mems[m.ID][1] != 7 {
-		t.Fatal("clone aliases original")
-	}
-}
-
 func TestWriteApplyMasking(t *testing.T) {
 	d, _, st := buildEvalEnv(t)
 	sig, _ := d.SignalByName("q")

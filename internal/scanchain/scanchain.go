@@ -112,16 +112,6 @@ func InstrumentAll(file *verilog.SourceFile, top string, opts Options) (map[stri
 	return reports, nil
 }
 
-// Instrument instruments a single module in place (children must
-// already be instrumented or absent).
-func Instrument(file *verilog.SourceFile, name string, opts Options) (*Report, error) {
-	mod := file.FindModule(name)
-	if mod == nil {
-		return nil, fmt.Errorf("scanchain: module %q not found", name)
-	}
-	return instrumentModule(file, mod, opts)
-}
-
 func instrumentRec(file *verilog.SourceFile, name string, opts Options, reports map[string]*Report) error {
 	if _, done := reports[name]; done {
 		return nil

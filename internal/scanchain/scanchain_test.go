@@ -29,6 +29,13 @@ module counter (
 endmodule
 `
 
+// instrument instruments one leaf module through InstrumentAll and
+// returns its report.
+func instrument(f *verilog.SourceFile, top string, opts Options) (*Report, error) {
+	reports, err := InstrumentAll(f, top, opts)
+	return reports[top], err
+}
+
 func mustParse(t *testing.T, src string) *verilog.SourceFile {
 	t.Helper()
 	f, err := verilog.Parse(src)
@@ -53,7 +60,7 @@ func buildSim(t *testing.T, f *verilog.SourceFile, top string) *sim.Simulator {
 
 func TestInstrumentAddsPorts(t *testing.T) {
 	f := mustParse(t, counterSrc)
-	r, err := Instrument(f, "counter", Options{})
+	r, err := instrument(f, "counter", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func TestInstrumentAddsPorts(t *testing.T) {
 
 func TestInstrumentedStillParsesAndElaborates(t *testing.T) {
 	f := mustParse(t, counterSrc)
-	if _, err := Instrument(f, "counter", Options{}); err != nil {
+	if _, err := instrument(f, "counter", Options{}); err != nil {
 		t.Fatal(err)
 	}
 	text := verilog.Print(f)
@@ -93,7 +100,7 @@ func TestNormalOperationUnaffected(t *testing.T) {
 	plain := buildSim(t, mustParse(t, counterSrc), "counter")
 
 	f := mustParse(t, counterSrc)
-	if _, err := Instrument(f, "counter", Options{}); err != nil {
+	if _, err := instrument(f, "counter", Options{}); err != nil {
 		t.Fatal(err)
 	}
 	inst := buildSim(t, f, "counter")
@@ -135,7 +142,7 @@ func scanCycle(t *testing.T, s *sim.Simulator, in uint64) uint64 {
 
 func TestScanSaveRestore(t *testing.T) {
 	f := mustParse(t, counterSrc)
-	r, err := Instrument(f, "counter", Options{})
+	r, err := instrument(f, "counter", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +213,7 @@ endmodule
 
 func TestScanThroughMemory(t *testing.T) {
 	f := mustParse(t, fifoSrc)
-	r, err := Instrument(f, "sfifo", Options{})
+	r, err := instrument(f, "sfifo", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +323,7 @@ func TestHierarchicalDaisyChain(t *testing.T) {
 
 func TestExclusion(t *testing.T) {
 	f := mustParse(t, counterSrc)
-	r, err := Instrument(f, "counter", Options{Exclude: []string{"flags"}})
+	r, err := instrument(f, "counter", Options{Exclude: []string{"flags"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,10 +334,10 @@ func TestExclusion(t *testing.T) {
 
 func TestDoubleInstrumentRejected(t *testing.T) {
 	f := mustParse(t, counterSrc)
-	if _, err := Instrument(f, "counter", Options{}); err != nil {
+	if _, err := instrument(f, "counter", Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Instrument(f, "counter", Options{}); err == nil ||
+	if _, err := instrument(f, "counter", Options{}); err == nil ||
 		!strings.Contains(err.Error(), "already instrumented") {
 		t.Fatalf("want already-instrumented error, got %v", err)
 	}
@@ -352,7 +359,7 @@ module regfile #(parameter DEPTH = 4) (
 endmodule
 `
 	f := mustParse(t, src)
-	r, err := Instrument(f, "regfile", Options{Params: map[string]uint64{"DEPTH": 16}})
+	r, err := instrument(f, "regfile", Options{Params: map[string]uint64{"DEPTH": 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@
 //
 // Because simulated state is ordinary process memory, the simulator
 // offers the full-visibility/full-controllability interface the paper
-// attributes to the simulator target: any register or memory can be
-// read and written between cycles, and complete hardware snapshots are
-// cheap deep copies.
+// attributes to the simulator target: any signal can be read between
+// cycles, any register or memory set by a restore, and complete
+// hardware snapshots are cheap deep copies.
 package sim
 
 import (
@@ -69,11 +69,10 @@ type Simulator struct {
 	cycles uint64
 
 	// eng is the compiled bytecode engine, nil when interpreting. It
-	// shares s.state, so Peek/Poke/Snapshot/EvalAssertion observe the
-	// same values either way; external state changes must be reported
-	// to it so event-driven activation re-runs affected nodes.
-	eng  *bc.Engine
-	kind EngineKind
+	// shares s.state, so Peek/Snapshot/EvalAssertion observe the same
+	// values either way; external state changes must be reported to it
+	// so event-driven activation re-runs affected nodes.
+	eng *bc.Engine
 
 	// OnCycle, when set, is invoked after each completed cycle with
 	// the cycle number; used by the tracer.
@@ -130,7 +129,6 @@ func NewEngine(d *rtl.Design, kind EngineKind) (*Simulator, error) {
 	s := &Simulator{
 		design:    d,
 		state:     rtl.NewState(d),
-		kind:      EngineInterp,
 		dirtySigs: newIDSet(len(d.Signals)),
 		dirtyMems: newIDSet(len(d.Memories)),
 	}
@@ -138,7 +136,6 @@ func NewEngine(d *rtl.Design, kind EngineKind) (*Simulator, error) {
 	case EngineAuto:
 		if prog, err := bc.Compile(d); err == nil {
 			s.eng = bc.NewEngine(prog, s.state)
-			s.kind = EngineCompiled
 		}
 	case EngineCompiled:
 		prog, err := bc.Compile(d)
@@ -146,7 +143,6 @@ func NewEngine(d *rtl.Design, kind EngineKind) (*Simulator, error) {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		s.eng = bc.NewEngine(prog, s.state)
-		s.kind = kind
 	case EngineInterp:
 	default:
 		return nil, fmt.Errorf("sim: unknown engine kind %d", kind)
@@ -156,10 +152,6 @@ func NewEngine(d *rtl.Design, kind EngineKind) (*Simulator, error) {
 	}
 	return s, nil
 }
-
-// Engine reports which engine this simulator actually runs
-// (EngineAuto resolves to EngineCompiled or EngineInterp).
-func (s *Simulator) Engine() EngineKind { return s.kind }
 
 // EngineStats returns the compiled engine's work counters; ok is
 // false when interpreting.
@@ -177,24 +169,10 @@ func (s *Simulator) EngineStats() (bc.Stats, bool) {
 func (s *Simulator) Gen() uint64 { return s.gen }
 
 // ClearDirty re-anchors dirty tracking: the current state becomes the
-// reference against which DirtyBits and RestoreDirty operate.
+// reference against which RestoreDirty operates.
 func (s *Simulator) ClearDirty() {
 	s.dirtySigs.clear()
 	s.dirtyMems.clear()
-}
-
-// DirtyBits returns the number of state bits touched since the last
-// ClearDirty (memories count whole-array when any element changed).
-func (s *Simulator) DirtyBits() uint {
-	var n uint
-	for _, id := range s.dirtySigs.ids {
-		n += s.design.Signals[id].Width
-	}
-	for _, id := range s.dirtyMems.ids {
-		m := s.design.Memories[id]
-		n += m.Depth * m.Width
-	}
-	return n
 }
 
 // widthMask is the value mask of a w-bit element (mirrors the
@@ -220,9 +198,6 @@ func (s *Simulator) markMem(id int) {
 
 // Design returns the simulated design.
 func (s *Simulator) Design() *rtl.Design { return s.design }
-
-// Cycles returns the number of clock cycles executed.
-func (s *Simulator) Cycles() uint64 { return s.cycles }
 
 // SetInput drives a top-level input by name: one lookup, then
 // SetInputID.
@@ -257,18 +232,6 @@ func (s *Simulator) Peek(name string) (uint64, error) {
 // PeekID reads the signal with ID id.
 func (s *Simulator) PeekID(id int) uint64 { return s.state.Vals[id] }
 
-// Poke writes any signal by hierarchical name (full controllability).
-// Poking a non-register is transient: the next comb settle overwrites
-// it. The value is truncated to the signal's width (see SetInputID).
-func (s *Simulator) Poke(name string, v uint64) error {
-	sig, ok := s.design.SignalByName(name)
-	if !ok {
-		return fmt.Errorf("sim: no signal named %q", name)
-	}
-	s.write(sig, v)
-	return nil
-}
-
 // write stores v, truncated to the signal's width, with change
 // detection: a changed register or input is dirtied, and any change
 // wakes the nodes sensitive to the signal.
@@ -283,38 +246,6 @@ func (s *Simulator) write(sig *rtl.Signal, v uint64) {
 			s.eng.MarkSignal(sig.ID)
 		}
 	}
-}
-
-// PeekMem reads one memory element.
-func (s *Simulator) PeekMem(name string, idx uint) (uint64, error) {
-	m, ok := s.design.MemoryByName(name)
-	if !ok {
-		return 0, fmt.Errorf("sim: no memory named %q", name)
-	}
-	if idx >= m.Depth {
-		return 0, fmt.Errorf("sim: index %d out of range of %s", idx, name)
-	}
-	return s.state.Mems[m.ID][idx], nil
-}
-
-// PokeMem writes one memory element.
-func (s *Simulator) PokeMem(name string, idx uint, v uint64) error {
-	m, ok := s.design.MemoryByName(name)
-	if !ok {
-		return fmt.Errorf("sim: no memory named %q", name)
-	}
-	if idx >= m.Depth {
-		return fmt.Errorf("sim: index %d out of range of %s", idx, name)
-	}
-	v &= widthMask(m.Width)
-	if s.state.Mems[m.ID][idx] != v {
-		s.markMem(m.ID)
-		s.state.Mems[m.ID][idx] = v
-		if s.eng != nil {
-			s.eng.MarkMemory(m.ID)
-		}
-	}
-	return nil
 }
 
 // EvalAssertion evaluates a property expression against the current
@@ -562,6 +493,3 @@ func (s *Simulator) RestoreDirty(hw *HWState) (uint, error) {
 	}
 	return bits, nil
 }
-
-// StateBits returns the number of snapshot-relevant state bits.
-func (s *Simulator) StateBits() uint { return s.design.StateBits() }

@@ -77,8 +77,8 @@ func TestCounterCounts(t *testing.T) {
 	if v, _ := s.Peek("count"); v != 10 {
 		t.Fatalf("count after disable = %d", v)
 	}
-	if s.Cycles() != 16 {
-		t.Fatalf("cycles = %d", s.Cycles())
+	if s.cycles != 16 {
+		t.Fatalf("cycles = %d", s.cycles)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		}
 		if len(omit) > 0 {
 			// A record with chunks omitted is not self-contained.
-			if _, err := Decode(delta); !target.IsIntegrity(err) {
+			if _, err := Decode(delta); target.Classify(err) != target.Integrity {
 				t.Logf("seed %d: Decode of a delta: %v", seed, err)
 				return false
 			}
@@ -111,10 +111,10 @@ func TestDecodeRejectsGobVersions(t *testing.T) {
 	}
 	for _, version := range []byte{1, 2} {
 		frame := seal(version, data[recHdrLen:])
-		if rec, err := Decode(frame); rec != nil || !target.IsIntegrity(err) {
+		if rec, err := Decode(frame); rec != nil || target.Classify(err) != target.Integrity {
 			t.Fatalf("version %d: Decode = %v, %v; want an integrity error", version, rec, err)
 		}
-		if rec, _, err := DecodeDelta(frame, nil); rec != nil || !target.IsIntegrity(err) {
+		if rec, _, err := DecodeDelta(frame, nil); rec != nil || target.Classify(err) != target.Integrity {
 			t.Fatalf("version %d: DecodeDelta = %v, %v; want an integrity error", version, rec, err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 		t.Fatalf("hand-built canonical payload refused: %v", err)
 	}
 	for name, p := range cases {
-		if rec, err := Decode(seal(recVersion, p)); rec != nil || !target.IsIntegrity(err) {
+		if rec, err := Decode(seal(recVersion, p)); rec != nil || target.Classify(err) != target.Integrity {
 			t.Errorf("%s: Decode = %v, %v; want an integrity error", name, rec, err)
 		}
 	}
@@ -226,7 +226,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(data), got, bound)
 		}
 		for _, err := range []error{err, derr} {
-			if err != nil && !target.IsIntegrity(err) {
+			if err != nil && target.Classify(err) != target.Integrity {
 				t.Fatalf("untyped error %v (%T)", err, err)
 			}
 		}

@@ -66,10 +66,10 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	if live := s.Live(); live != 0 {
+	if live := s.live.Load(); live != 0 {
 		t.Fatalf("leaked %d live references", live)
 	}
-	if n := s.Entries(); n != 0 {
+	if n := len(s.entries); n != 0 {
 		t.Fatalf("leaked %d entries", n)
 	}
 	if len(s.pool) != 0 {
@@ -119,7 +119,7 @@ func TestStoreConcurrentSharedDigest(t *testing.T) {
 		t.Fatal("root entry died while referenced")
 	}
 	s.Release(root)
-	if s.Live() != 0 || s.Entries() != 0 {
-		t.Fatalf("leak: live=%d entries=%d", s.Live(), s.Entries())
+	if s.live.Load() != 0 || len(s.entries) != 0 {
+		t.Fatalf("leak: live=%d entries=%d", s.live.Load(), len(s.entries))
 	}
 }

@@ -43,7 +43,7 @@
 // left before it sizes anything by it, refuses names out of order,
 // levels and flags other than 0 and 1 and trailing bytes, and checks
 // each inline chunk against the digest it travelled under. Whatever it
-// refuses is a typed integrity error (target.IsIntegrity). Versions 1
+// refuses is a typed integrity error (class target.Integrity). Versions 1
 // and 2 were gob payloads and are refused like any unknown version.
 package snapshot
 
@@ -421,19 +421,6 @@ func (s *Store) RecordByDigest(d Digest) (*Record, bool) {
 		return nil, false
 	}
 	return ent.rec, true
-}
-
-// Live returns the number of live snapshot references.
-func (s *Store) Live() int {
-	return int(s.live.Load())
-}
-
-// Entries returns the number of distinct stored records (≤ Live when
-// dedup collapsed references).
-func (s *Store) Entries() int {
-	s.cmu.RLock()
-	defer s.cmu.RUnlock()
-	return len(s.entries)
 }
 
 // Stats returns a copy of the cumulative counters.

@@ -34,11 +34,11 @@ func TestPutGetRelease(t *testing.T) {
 	if !ok || rec.HW["p0"].Regs["r"] != 42 {
 		t.Fatalf("get: %v %v", rec, ok)
 	}
-	if s.Live() != 1 {
-		t.Fatalf("live %d", s.Live())
+	if s.live.Load() != 1 {
+		t.Fatalf("live %d", s.live.Load())
 	}
 	s.Release(id)
-	if s.Live() != 0 {
+	if s.live.Load() != 0 {
 		t.Fatal("release failed")
 	}
 	if _, ok := s.Get(id); ok {
@@ -92,8 +92,8 @@ func TestUpdateSameContentIsDedup(t *testing.T) {
 	if st.DedupHits == 0 {
 		t.Fatal("identical update must count as a dedup hit")
 	}
-	if s.Entries() != 1 {
-		t.Fatalf("entries %d, want 1", s.Entries())
+	if len(s.entries) != 1 {
+		t.Fatalf("entries %d, want 1", len(s.entries))
 	}
 }
 
@@ -118,8 +118,8 @@ func TestDedupSharesOneEntry(t *testing.T) {
 	if a == b {
 		t.Fatal("ids must stay unique")
 	}
-	if s.Live() != 2 || s.Entries() != 1 {
-		t.Fatalf("live %d entries %d, want 2/1", s.Live(), s.Entries())
+	if s.live.Load() != 2 || len(s.entries) != 1 {
+		t.Fatalf("live %d entries %d, want 2/1", s.live.Load(), len(s.entries))
 	}
 	ra, _ := s.Get(a)
 	rb, _ := s.Get(b)
@@ -135,7 +135,7 @@ func TestDedupSharesOneEntry(t *testing.T) {
 		t.Fatal("entry died with refs outstanding")
 	}
 	s.Release(b)
-	if s.Entries() != 0 {
+	if len(s.entries) != 0 {
 		t.Fatal("entry leaked after last release")
 	}
 }
@@ -359,7 +359,7 @@ func TestDecodeRejectsMutatedFrames(t *testing.T) {
 			if rec != nil {
 				t.Fatalf("mutated frame decoded: %+v", rec)
 			}
-			if !target.IsIntegrity(err) {
+			if target.Classify(err) != target.Integrity {
 				t.Fatalf("flip at %d (%s): %v, want typed integrity error", tc.off, tc.name, err)
 			}
 		})
@@ -371,7 +371,7 @@ func TestDecodeRejectsMutatedFrames(t *testing.T) {
 		i := recHdrLen + int(off)%(len(data)-recHdrLen)
 		flip[i] ^= 1 << (bit % 8)
 		_, err := Decode(flip)
-		return target.IsIntegrity(err)
+		return target.Classify(err) == target.Integrity
 	}
 	if err := quick.Check(f, testseed.Quick(t, 0)); err != nil {
 		t.Fatal(err)
@@ -387,21 +387,25 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 	flip := append([]byte(nil), data...)
 	flip[len(flip)-1] ^= 0x04
-	if _, err := Decode(flip); !target.IsIntegrity(err) {
+	if _, err := Decode(flip); target.Classify(err) != target.Integrity {
 		t.Fatalf("bit flip: %v, want integrity error", err)
 	}
 
-	if _, err := Decode(data[:len(data)-5]); !target.IsIntegrity(err) {
+	if _, err := Decode(data[:len(data)-5]); target.Classify(err) != target.Integrity {
 		t.Fatalf("truncation: %v, want integrity error", err)
 	}
 
-	if _, err := Decode(data[:3]); !target.IsIntegrity(err) {
+	if _, err := Decode(data[:3]); target.Classify(err) != target.Integrity {
 		t.Fatalf("truncated header: %v, want integrity error", err)
+	}
+
+	if _, err := Decode(nil); target.Classify(err) != target.Integrity {
+		t.Fatalf("empty: %v, want integrity error", err)
 	}
 
 	ver := append([]byte(nil), data...)
 	ver[4] = 0xEE
-	if _, err := Decode(ver); !target.IsIntegrity(err) {
+	if _, err := Decode(ver); target.Classify(err) != target.Integrity {
 		t.Fatalf("bad version: %v, want integrity error", err)
 	}
 }

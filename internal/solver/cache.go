@@ -77,17 +77,6 @@ type CacheStats struct {
 	Published int64
 }
 
-// Add accumulates s into the receiver (per-node aggregation in
-// distributed reports).
-func (s *CacheStats) Add(o CacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
-	s.Imported += o.Imported
-	s.Published += o.Published
-}
-
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
 func (s CacheStats) HitRate() float64 {
 	total := s.Hits + s.Misses

@@ -202,9 +202,6 @@ func (m *Memory) InRange(addr uint32, size uint32) bool {
 	return addr >= m.base && addr-m.base+size <= uint32(len(m.backing))
 }
 
-// OverlaySize returns the number of overlaid bytes (diagnostics).
-func (m *Memory) OverlaySize() int { return len(m.overlay) }
-
 // LoadByte returns the 8-bit term at addr.
 func (m *Memory) LoadByte(b *expr.Builder, addr uint32) (*expr.Term, error) {
 	if !m.InRange(addr, 1) {

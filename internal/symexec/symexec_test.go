@@ -526,8 +526,8 @@ loop:
 	if len(finished) != 1 || finished[0].Status != StatusHalted {
 		t.Fatalf("status: %v", finished[0].Status)
 	}
-	if finished[0].Mem.OverlaySize() != 50 {
-		t.Fatalf("overlay size %d, want 50", finished[0].Mem.OverlaySize())
+	if n := len(finished[0].Mem.overlay); n != 50 {
+		t.Fatalf("overlay size %d, want 50", n)
 	}
 }
 

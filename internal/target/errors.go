@@ -58,7 +58,12 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.Err }
 
-func classify(err error) ErrorClass {
+// Classify returns err's class: the Class of the first *Error in its
+// chain, Fatal for any other error, and 0 for nil.
+func Classify(err error) ErrorClass {
+	if err == nil {
+		return 0
+	}
 	var te *Error
 	if errors.As(err, &te) {
 		return te.Class
@@ -67,13 +72,7 @@ func classify(err error) ErrorClass {
 }
 
 // IsTransient reports whether err is a transient (retryable) fault.
-func IsTransient(err error) bool { return err != nil && classify(err) == Transient }
-
-// IsFatal reports whether err is a fatal (path-terminating) fault.
-func IsFatal(err error) bool { return err != nil && classify(err) == Fatal }
-
-// IsIntegrity reports whether err marks rejected snapshot data.
-func IsIntegrity(err error) bool { return err != nil && classify(err) == Integrity }
+func IsTransient(err error) bool { return Classify(err) == Transient }
 
 func transientf(op, format string, args ...any) error {
 	return &Error{Class: Transient, Op: op, Err: fmt.Errorf(format, args...)}

@@ -15,6 +15,16 @@ import (
 	"hardsnap/internal/vtime"
 )
 
+// useEngine makes every simulator built until the test ends run on
+// kind, through the process default that hssim -interp sets. No test
+// in this package runs in parallel, so the switch cannot leak into
+// another test.
+func useEngine(t *testing.T, kind sim.EngineKind) {
+	prev := sim.DefaultEngine()
+	sim.SetDefaultEngine(kind)
+	t.Cleanup(func() { sim.SetDefaultEngine(prev) })
+}
+
 // TestQuickScanSaveMatchesFabric checks the ID-resolved shift loop
 // against a name-free oracle, the simulator's own state: on every
 // corpus peripheral and under both RTL engines, after any register
@@ -25,11 +35,14 @@ func TestQuickScanSaveMatchesFabric(t *testing.T) {
 	for _, kind := range []string{"gpio", "timer", "crc32", "uart", "spi", "aes128", "regfile"} {
 		for _, engine := range []sim.EngineKind{sim.EngineCompiled, sim.EngineInterp} {
 			t.Run(kind+"/"+engine.String(), func(t *testing.T) {
-				tg := newFPGA(t, &vtime.Clock{}, false, PeriphConfig{Name: "p0", Periph: kind, Interp: engine == sim.EngineInterp})
+				useEngine(t, engine)
+				tg := newFPGA(t, &vtime.Clock{}, false, PeriphConfig{Name: "p0", Periph: kind})
 				inst := tg.order[0]
-				if inst.sim.Engine() != engine {
-					t.Fatalf("engine %v, want %v", inst.sim.Engine(), engine)
+				if _, compiled := inst.sim.EngineStats(); compiled != (engine == sim.EngineCompiled) {
+					t.Fatalf("simulator compiled=%v, want engine %v", compiled, engine)
 				}
+				var clocks uint64
+				inst.sim.OnCycle = func(uint64) { clocks++ }
 				chain := uint64(inst.design.StateBits())
 				port, err := tg.Port("p0")
 				if err != nil {
@@ -52,13 +65,13 @@ func TestQuickScanSaveMatchesFabric(t *testing.T) {
 						t.Error(err)
 						return false
 					}
-					before := inst.sim.Cycles()
+					before := clocks
 					saved, err := tg.Save()
 					if err != nil {
 						t.Error(err)
 						return false
 					}
-					if got := inst.sim.Cycles() - before; got != chain {
+					if got := clocks - before; got != chain {
 						t.Errorf("scan save clocked %d cycles, chain is %d bits", got, chain)
 						return false
 					}
@@ -70,12 +83,12 @@ func TestQuickScanSaveMatchesFabric(t *testing.T) {
 						t.Error(err)
 						return false
 					}
-					before = inst.sim.Cycles()
+					before = clocks
 					if err := tg.Restore(saved); err != nil {
 						t.Error(err)
 						return false
 					}
-					if got := inst.sim.Cycles() - before; got != chain {
+					if got := clocks - before; got != chain {
 						t.Errorf("scan restore clocked %d cycles, chain is %d bits", got, chain)
 						return false
 					}

@@ -53,9 +53,6 @@ type PeriphConfig struct {
 	Top string
 	// Params overrides module parameters.
 	Params map[string]uint64
-	// Interp forces the interpreter RTL engine instead of the
-	// compiled-bytecode default (debugging / differential runs).
-	Interp bool
 }
 
 // Stats are cumulative target-side counters.
@@ -221,11 +218,7 @@ func buildPeriph(cfg PeriphConfig, instrument bool) (*periphInst, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := sim.DefaultEngine()
-	if cfg.Interp {
-		engine = sim.EngineInterp
-	}
-	s, err := sim.NewEngine(d, engine)
+	s, err := sim.New(d)
 	if err != nil {
 		return nil, err
 	}

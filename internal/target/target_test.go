@@ -280,14 +280,14 @@ func TestPersistentLinkFailureIsFatal(t *testing.T) {
 	if err == nil {
 		t.Fatal("write on a dead link must fail")
 	}
-	if !IsFatal(err) {
+	if Classify(err) != Fatal {
 		t.Fatalf("error %v, want fatal class", err)
 	}
 	if fp.Kind() != KindFPGA {
 		t.Fatalf("kind after link death %q, want %q", fp.Kind(), KindFPGA)
 	}
 	// Further use reports the death immediately.
-	if _, err := p.ReadReg(0x00); err == nil || !IsFatal(err) {
+	if _, err := p.ReadReg(0x00); err == nil || Classify(err) != Fatal {
 		t.Fatalf("dead target accepted an op: %v", err)
 	}
 }
@@ -303,17 +303,17 @@ func TestRestoreRejectsCorruptedState(t *testing.T) {
 
 	unknown := st.Clone()
 	unknown["bogus"] = &sim.HWState{}
-	if err := tg.Restore(unknown); !IsIntegrity(err) {
+	if err := tg.Restore(unknown); Classify(err) != Integrity {
 		t.Fatalf("unknown peripheral: %v, want integrity error", err)
 	}
 
 	badReg := st.Clone()
 	badReg["gpio0"].Regs["no_such_register"] = 7
-	if err := tg.Restore(badReg); !IsIntegrity(err) {
+	if err := tg.Restore(badReg); Classify(err) != Integrity {
 		t.Fatalf("unknown register: %v, want integrity error", err)
 	}
 
-	if err := tg.Restore(nil); !IsIntegrity(err) {
+	if err := tg.Restore(nil); Classify(err) != Integrity {
 		t.Fatalf("nil state: %v, want integrity error", err)
 	}
 

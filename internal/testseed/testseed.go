@@ -3,7 +3,8 @@
 // which makes a tier-1 failure depend on when the suite ran; every
 // quick.Check in the repo takes its Config from here instead, so a run
 // draws the same cases every time. Randomised search belongs to the
-// native Fuzz* targets.
+// native Fuzz* targets. Netlist is the seeded random Verilog generator
+// the RTL engine tests share.
 package testseed
 
 import (

@@ -74,8 +74,8 @@ func vcdID(i int) string {
 
 // Attach writes the VCD header, dumps initial values and hooks the
 // simulator so every subsequent cycle is recorded. It returns a
-// detach function.
-func (v *VCD) Attach() func() {
+// detach function, which reports the first write error, if any.
+func (v *VCD) Attach() func() error {
 	v.header()
 	v.dumpAll()
 	prev := v.sim.OnCycle
@@ -85,11 +85,11 @@ func (v *VCD) Attach() func() {
 		}
 		v.cycle(cycle)
 	}
-	return func() { v.sim.OnCycle = prev }
+	return func() error {
+		v.sim.OnCycle = prev
+		return v.err
+	}
 }
-
-// Err returns the first write error, if any.
-func (v *VCD) Err() error { return v.err }
 
 func (v *VCD) printf(format string, args ...any) {
 	if v.err != nil {

@@ -53,8 +53,7 @@ func TestVCDOutput(t *testing.T) {
 	if err := s.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	detach()
-	if err := v.Err(); err != nil {
+	if err := detach(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -14,10 +14,13 @@ import (
 // with a *verilog.ParseError, and must not allocate beyond a small
 // multiple of its input.
 func FuzzParse(f *testing.F) {
-	for _, spec := range periph.All() {
+	for _, name := range []string{"gpio", "timer", "crc32", "uart", "spi", "aes128", "regfile"} {
+		spec, ok := periph.Lookup(name)
+		if !ok {
+			f.Fatalf("no corpus peripheral %q", name)
+		}
 		f.Add(spec.Source())
 	}
-	f.Add(periph.AXIAdapterSource)
 	f.Fuzz(func(t *testing.T, src string) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

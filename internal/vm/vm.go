@@ -482,22 +482,6 @@ func (c *CPU) Step() bool {
 	return true
 }
 
-// Run executes until the CPU stops or maxInstructions retire (0 means
-// unlimited). It returns the stop reason.
-func (c *CPU) Run(maxInstructions uint64) StopReason {
-	start := c.Cycles
-	for c.Stop == StopNone {
-		if maxInstructions > 0 && c.Cycles-start >= maxInstructions {
-			c.Stop = StopBudget
-			break
-		}
-		if !c.Step() {
-			break
-		}
-	}
-	return c.Stop
-}
-
 // Shift semantics match the symbolic expression layer (and SMT-LIB):
 // amounts >= 32 produce 0 (or all sign bits for arithmetic shifts).
 func shl(v, sh uint32) uint32 {

@@ -18,8 +18,16 @@ func run(t *testing.T, src string) *CPU {
 	if err := cpu.Load(p); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	cpu.Run(100000)
+	runToStop(cpu)
 	return cpu
+}
+
+// runToStop steps the CPU until it stops, giving up after 100k
+// instructions (the stop reason is then still StopNone).
+func runToStop(cpu *CPU) StopReason {
+	for i := 0; i < 100000 && cpu.Step(); i++ {
+	}
+	return cpu.Stop
 }
 
 func TestArithmeticProgram(t *testing.T) {
@@ -188,20 +196,6 @@ func TestFaults(t *testing.T) {
 	})
 }
 
-func TestBudget(t *testing.T) {
-	p, err := asm.Assemble("loop: j loop", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu := New(Config{}, nil)
-	if err := cpu.Load(p); err != nil {
-		t.Fatal(err)
-	}
-	if got := cpu.Run(100); got != StopBudget {
-		t.Fatalf("stop %v, want budget", got)
-	}
-}
-
 // fakeMMIO is a trivial device: reads return the register address,
 // writes are recorded.
 type fakeMMIO struct {
@@ -236,7 +230,7 @@ func TestMMIOForwarding(t *testing.T) {
 	if err := cpu.Load(p); err != nil {
 		t.Fatal(err)
 	}
-	if got := cpu.Run(0); got != StopHalt {
+	if got := runToStop(cpu); got != StopHalt {
 		t.Fatalf("stop %v (fault %v)", got, cpu.Fault)
 	}
 	if cpu.Regs[2] != 0x10 {
@@ -275,7 +269,7 @@ handler:
 		cpu.Step()
 	}
 	cpu.RaiseIRQ(2)
-	if got := cpu.Run(1000); got != StopHalt {
+	if got := runToStop(cpu); got != StopHalt {
 		t.Fatalf("stop %v (fault %v, pc %#x)", got, cpu.Fault, cpu.PC)
 	}
 	if cpu.Regs[5] != 1 {
@@ -324,7 +318,7 @@ handler:
 	if cpu.PendingIRQs() != 2 {
 		t.Fatalf("pending %#x, want IRQ1 still pending", cpu.PendingIRQs())
 	}
-	if got := cpu.Run(1000); got != StopHalt {
+	if got := runToStop(cpu); got != StopHalt {
 		t.Fatalf("stop %v", got)
 	}
 	if cpu.Regs[5] != 2 {
@@ -363,7 +357,7 @@ func TestOnEcallHook(t *testing.T) {
 		}
 		return false
 	}
-	cpu.Run(0)
+	runToStop(cpu)
 	if !called {
 		t.Fatal("OnEcall hook not invoked")
 	}
