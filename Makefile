@@ -46,25 +46,25 @@ race:
 	$(GO) test -race ./cmd/hssim ./internal/remote ./internal/target ./internal/core ./internal/snapshot ./internal/solver ./internal/expr ./internal/symexec ./internal/campaign ./internal/farm ./internal/dist ./internal/fuzz
 
 # chaos runs the crash-safety identity matrix under the race detector:
-# deterministic failure injection (panic/kill/hang/sever), journal
-# resume (process death, torn tails, mismatched configs) and mid-run
-# remote link failover — for local workers and, through the same
-# supervisor, for dist nodes (node death with and without a survivor,
-# driver death + resume, the seed-drain journal) — the farm's
-# restart-and-resume and standalone-identity gates (the farm server
-# shuts down through the connection layer the dist node uses), plus
-# both link fault layers: the in-process link's seeded faults, retry,
-# health check and dead-link fatal error, and the wire's exactly-once
-# retransmit and redial under FaultConn. Every test asserts
+# deterministic failure injection (panic/kill/sever), journal resume
+# (process death, torn tails, mismatched configs) and mid-run remote
+# link failover — for local workers and, through the same supervisor,
+# for dist nodes (node death with and without a survivor, driver death
+# + resume, the seed-drain journal) — the farm's restart-and-resume
+# and standalone-identity gates (the farm server shuts down through the
+# connection layer the dist node uses), the target's delta-restore
+# equivalence, plus the one link that can fail, the wire: exactly-once
+# retransmit and redial under FaultConn, and a wire that stays dead
+# failing the run with a transient error. Every test asserts
 # byte-identical results (bugs, paths AND virtual time) against an
 # undisturbed run, or a pinned one, on fixed seeds so failures
 # reproduce.
 chaos:
-	$(call chaos_run,./internal/core,Chaos|Resume|Journal|Faulty|DeadLink)
+	$(call chaos_run,./internal/core,Chaos|Resume|Journal)
 	$(call chaos_run,./internal/dist,NodeDeath|JournalResume|SeedDrain|Chaos)
 	$(call chaos_run,./internal/farm,RestartResume|Identity)
-	$(call chaos_run,./internal/target,Fault|PersistentLink|DeltaRestoreEquivalence)
-	$(call chaos_run,./internal/remote,Failover|SeverLink|RecoverRetry|Retransmitted|UnderFaultyLink|ClientRetry|Redial)
+	$(call chaos_run,./internal/target,DeltaRestoreEquivalence)
+	$(call chaos_run,./internal/remote,Failover|SeverLink|RecoverRetry|Retransmitted|UnderFaultyLink|ClientRetry|Redial|DeadWire)
 	$(call chaos_run,./cmd/hssim,FaultInjection)
 	$(GO) test -race ./internal/journal
 

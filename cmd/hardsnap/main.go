@@ -386,10 +386,10 @@ func printResult(res *campaign.Result, opts runOpts, journalPath string) int {
 	}
 	rec := rep.Recovery
 	if rec.WorkerRestarts > 0 || rec.Requeues > 0 || rec.FailoverEvents > 0 ||
-		rec.PanicsRecovered > 0 || rec.HeartbeatDeaths > 0 || rec.ResumedSubtrees > 0 {
-		fmt.Printf("recovery: %d worker restart(s), %d requeue(s), %d panic(s) recovered, %d heartbeat death(s), %d failover(s), %d resumed subtree(s), recovery wall %v\n",
+		rec.PanicsRecovered > 0 || rec.ResumedSubtrees > 0 {
+		fmt.Printf("recovery: %d worker restart(s), %d requeue(s), %d panic(s) recovered, %d failover(s), %d resumed subtree(s), recovery wall %v\n",
 			rec.WorkerRestarts, rec.Requeues, rec.PanicsRecovered,
-			rec.HeartbeatDeaths, rec.FailoverEvents, rec.ResumedSubtrees,
+			rec.FailoverEvents, rec.ResumedSubtrees,
 			rec.RecoveryWall.Round(time.Microsecond))
 	}
 	if rec.JournalRecords > 0 {

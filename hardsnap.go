@@ -106,25 +106,18 @@ type (
 	Violation = target.Violation
 )
 
-// Target robustness: a fault schedule armed on a Target's link
-// (Target.InjectFaults), absorbed by a fixed retry policy (4 retries,
-// doubling backoff) and a health check; a link that fails the check
-// leaves the target dead, and every operation on it fails fatally.
+// Target accounting and failures. An in-process target calls its
+// backend directly; the only link that can lose a transaction is the
+// wire to a remote target (cmd/hssim), whose client retransmits and
+// redials on its own.
 type (
-	// FaultSchedule deterministically describes link misbehavior
-	// (dropped frames, corruption, jitter, permanent death).
-	FaultSchedule = target.FaultSchedule
 	// TargetStats are cumulative target-side counters (cycles, IO,
-	// snapshots, retries, injected faults).
+	// snapshots, restores, bytes moved).
 	TargetStats = target.Stats
 	// TargetError is a typed target failure carrying its class
 	// (transient, fatal, integrity).
 	TargetError = target.Error
 )
-
-// IsTransient reports a retry-worthy target or remote fault (dropped
-// or corrupted frame, timeout).
-var IsTransient = target.IsTransient
 
 // Assembler.
 type (

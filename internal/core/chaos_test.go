@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"hardsnap/internal/sim"
 	"hardsnap/internal/symexec"
@@ -87,28 +86,6 @@ func TestChaosIdentity(t *testing.T) {
 				t.Errorf("no failover events recorded: %+v", rec)
 			}
 		})
-	}
-}
-
-// TestChaosHangDeposition: workers that silently stop making progress
-// are deposed by the heartbeat monitor and their subtrees recovered,
-// again with result identity.
-func TestChaosHangDeposition(t *testing.T) {
-	_, clean := run(t, chaosSetup(nil, "", nil, symexec.BFS{}))
-
-	setup := chaosSetup(&ChaosSchedule{Seed: 5, HangRate: 0.5}, "", nil, symexec.BFS{})
-	setup.Engine.HeartbeatInterval = 2 * time.Millisecond
-	_, rep := run(t, setup)
-
-	if got, want := Fingerprint(rep), Fingerprint(clean); got != want {
-		t.Errorf("hang-chaos run diverged from clean run (paths %d vs %d, vt %v vs %v)",
-			len(rep.Finished), len(clean.Finished), rep.VirtualTime, clean.VirtualTime)
-	}
-	if rep.Recovery.HeartbeatDeaths == 0 {
-		t.Errorf("no heartbeat depositions: %+v", rep.Recovery)
-	}
-	if rep.Recovery.Requeues == 0 || rep.Recovery.WorkerRestarts == 0 {
-		t.Errorf("hung subtrees not recovered: %+v", rep.Recovery)
 	}
 }
 

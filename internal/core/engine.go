@@ -125,12 +125,6 @@ type Config struct {
 	// Chaos injects deterministic failures into a parallel run
 	// (tests); nil injects nothing.
 	Chaos *ChaosSchedule
-	// HeartbeatInterval enables worker death detection on parallel
-	// runs: a monitor samples per-worker progress every interval and
-	// deposes workers that stall for heartbeatTimeoutFactor intervals.
-	// Zero disables the monitor (panics and returned errors are still
-	// supervised).
-	HeartbeatInterval time.Duration
 	// MaxWorkerRestarts bounds replacement-worker spawns per campaign
 	// (default 2×Workers).
 	MaxWorkerRestarts int
@@ -163,9 +157,6 @@ const (
 	// maxSubtreeRetries bounds recovery attempts per subtree before
 	// the campaign fails.
 	maxSubtreeRetries = 3
-	// heartbeatTimeoutFactor is how many HeartbeatIntervals a worker
-	// may stall before the monitor deposes it.
-	heartbeatTimeoutFactor = 20
 )
 
 // AutoWorkers returns the worker count a "use all CPUs" configuration
@@ -192,10 +183,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MaxWorkerRestarts == 0 {
 		c.MaxWorkerRestarts = 2 * c.Workers
-	}
-	if c.Chaos != nil && c.Chaos.HangRate > 0 && c.HeartbeatInterval == 0 {
-		// Hung workers are only detectable via heartbeats.
-		c.HeartbeatInterval = 5 * time.Millisecond
 	}
 }
 
@@ -450,8 +437,8 @@ type Engine struct {
 
 	// ctx cancels the run (checked between scheduling iterations, a
 	// few dozen steps apart to stay off the hot path); stepHook is the
-	// parallel supervisor's per-step seam for heartbeats and chaos
-	// injection. ctxSteps counts iterations between ctx checks.
+	// parallel supervisor's per-step seam for chaos injection.
+	// ctxSteps counts iterations between ctx checks.
 	ctx      context.Context
 	ctxSteps int
 	stepHook func() error
@@ -792,7 +779,7 @@ func (e *Engine) loop(stop func() bool) error {
 		}
 		if e.ctx != nil {
 			// Cancellation is checked every 64 iterations: responsive
-			// enough for interrupts and worker deposition, cheap enough
+			// enough for interrupts and run shutdown, cheap enough
 			// to keep off the per-instruction budget.
 			if e.ctxSteps++; e.ctxSteps&63 == 0 {
 				if e.ctx.Err() != nil {

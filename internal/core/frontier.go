@@ -232,21 +232,21 @@ func (f *Frontier) acquireRig() (*Rig, error) {
 	seq := f.rigSeq
 	f.mu.Unlock()
 
-	return f.spawnRig(fmt.Sprintf("-n%d", seq), seq)
+	return f.spawnRig(fmt.Sprintf("-n%d", seq))
 }
 
 // spawnRig clones the engine's rig for one worker, named after the
 // primary vehicle plus suffix. A rig that saw its worker fail is
 // never reused — replacement workers spawn a fresh one and re-seed
 // from the content-addressed snapshots.
-func (f *Frontier) spawnRig(suffix string, stream int) (*Rig, error) {
+func (f *Frontier) spawnRig(suffix string) (*Rig, error) {
 	name := ""
 	if t := f.e.rig.Target; t != nil {
 		name = t.Name() + suffix
 	}
 	f.spawnMu.Lock()
 	defer f.spawnMu.Unlock()
-	return f.e.rig.Spawn(name, stream)
+	return f.e.rig.Spawn(name)
 }
 
 func (f *Frontier) releaseRig(rig *Rig) {
@@ -278,17 +278,15 @@ func (f *Frontier) RunSubtree(ctx context.Context, idx int) (*SubtreeResult, err
 // runSubtreeOn explores one fan-out seed to completion on the given
 // rig's private hardware and returns its own contribution.
 // Everything that shapes the outcome is derived from the subtree
-// index — forked searcher stream, state-ID stripe, fault PRNG
-// stream — never from the physical worker, claim order, attempt
-// number or host, so a subtree's result is a pure function of the
-// seed and recovery replays (local or on another node) are
-// byte-identical.
+// index — forked searcher stream, state-ID stripe — never from the
+// physical worker, claim order, attempt number or host, so a subtree's
+// result is a pure function of the seed and recovery replays (local or
+// on another node) are byte-identical.
 func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *Rig, hook func() error) (*SubtreeResult, error) {
 	e := f.e
 	// The attempt runs a verbatim clone of the seed bound to its own
 	// snapshot reference: a failed attempt mutates and releases only
-	// its copy, leaving the original pristine for the next attempt (or
-	// for a concurrent attempt by a deposed zombie's replacement).
+	// its copy, leaving the original pristine for the next attempt.
 	src := f.seeds[idx]
 	seed := src.Clone()
 	if orig := snapshot.ID(src.HWSnapshot); orig != 0 {
@@ -316,7 +314,6 @@ func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *Rig, hook fu
 	wexec := e.exec.Spawn(f.seedMaxID + uint64(idx+1)*subtreeIDStride)
 
 	if rig.Target != nil {
-		rig.rearmFaults(e.rig, idx)
 		// Subtree boundary: drop the rig's generation/anchor knowledge
 		// so this subtree's first restore is a full one regardless of
 		// what ran on the rig before — its snapshot traffic, and hence

@@ -12,10 +12,10 @@
 //     global Searcher's Select is ever called, per its contract.
 //  2. Fan-out. Each surviving active state becomes a subtree seed.
 //     Every worker owns a spawned clone of the primary target (same
-//     power-on state, derived fault streams), its own bus router and
-//     SnapshotManager, and pulls seed indexes from a shared queue —
-//     work stealing: fast workers drain more subtrees. Per subtree,
-//     the worker builds a private engine around a spawned executor
+//     power-on state), its own bus router and SnapshotManager, and
+//     pulls seed indexes from a shared queue — work stealing: fast
+//     workers drain more subtrees. Per subtree, the worker builds a
+//     private engine around a spawned executor
 //     (shared concurrency-safe term Builder, shared memoized solver
 //     cache, private Solver, collision-free state-ID stripe) and a
 //     forked searcher, then runs the ordinary serial loop to
@@ -35,13 +35,13 @@
 // tracking, recovery policy and journal serve a rack of local rigs
 // (LocalSlots, what runParallel passes) and a fleet of remote nodes
 // (internal/dist passes slots whose executors forward the seed index
-// over a connection). Worker panics are recovered, stalled local
-// workers are deposed by a heartbeat monitor, in-flight subtrees are
-// requeued and absorbed by surviving workers or by bounded-backoff
-// replacement generations — a fresh rig re-seeded from the
-// content-addressed snapshot store, or a redialed connection — and,
-// when journaling is enabled, every completed subtree is appended to
-// the campaign journal so a killed process can resume. Because every
+// over a connection). Worker panics are recovered, and a failed
+// worker's in-flight subtree is requeued and absorbed by surviving
+// workers or by bounded-backoff replacement generations — a fresh rig
+// re-seeded from the content-addressed snapshot store, or a redialed
+// connection — and, when journaling is enabled, every completed
+// subtree is appended to the campaign journal so a killed process can
+// resume. Because every
 // subtree result is a pure function of its seed index, recovery
 // replays are byte-identical to first attempts, and a chaos-ridden
 // run merges to exactly the undisturbed report.
@@ -66,7 +66,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hardsnap/internal/snapshot"
@@ -136,17 +135,12 @@ type Worker struct {
 	Gen int
 
 	sup *supervisor
-	// beat is the progress counter the heartbeat monitor watches. Only
-	// local-rig executors register one; a worker without it is never
-	// deposed.
-	beat *atomic.Uint64
 }
 
 // Run drives the fan-out to completion on the given worker slots and
-// returns the merged report: one supervisor (work queue, first-wins
-// completion, bounded requeue and replacement, heartbeat monitor,
-// chaos die gate) and one campaign journal writer, whoever executes
-// the subtrees. The fallback slots stay idle unless every primary
+// returns the merged report: one supervisor (work queue, completion
+// tracking, bounded requeue and replacement, chaos die gate) and one
+// campaign journal writer, whoever executes the subtrees. The fallback slots stay idle unless every primary
 // worker has failed past the restart budget with work remaining —
 // the point where a run without fallback fails. Journaling, resume,
 // progress and chaos come from the engine's Config as in any parallel
@@ -170,15 +164,11 @@ func (f *Frontier) Run(ctx context.Context, slots, fallback []Slot) (*Report, er
 	return rep, nil
 }
 
-// errDeposed marks a worker cancelled by the heartbeat monitor while
-// the campaign is still live (as opposed to a whole-run shutdown).
-var errDeposed = errors.New("core: worker deposed by heartbeat monitor")
-
 // LocalSlots returns n slots whose executors run subtrees on private
 // rigs spawned from the engine's own target: what a local parallel
 // run uses for all of its workers and a distributed run for its
-// fallback. Each generation spawns a fresh rig; its executor feeds the
-// heartbeat monitor and is where ChaosSchedule step events land.
+// fallback. Each generation spawns a fresh rig; its executor is where
+// ChaosSchedule step events land.
 func (f *Frontier) LocalSlots(n int) []Slot {
 	slots := make([]Slot, n)
 	for i := range slots {
@@ -192,31 +182,18 @@ func (f *Frontier) localSlot(ctx context.Context, w *Worker) (Executor, error) {
 	if w.Gen > 0 {
 		suffix = fmt.Sprintf("%s-r%d", suffix, w.Gen)
 	}
-	rig, err := f.spawnRig(suffix, w.Slot)
+	rig, err := f.spawnRig(suffix)
 	if err != nil {
 		return nil, err
 	}
-	w.beat = new(atomic.Uint64)
 	return func(wctx context.Context, idx, attempt int) (*SubtreeResult, error) {
-		return f.runSubtreeOn(wctx, idx, rig, w.stepHook(wctx, idx, attempt, rig))
+		return f.runSubtreeOn(wctx, idx, rig, w.stepHook(idx, attempt, rig))
 	}, nil
 }
 
-// workerSlot is the supervisor's handle on one worker position. The
-// cancel/beat pair belongs to the slot's *current* generation; a
-// replacement re-registers, so a deposed zombie's late heartbeats are
-// no longer watched.
-type workerSlot struct {
-	build  Slot
-	cancel func()
-	beat   *atomic.Uint64
-	busy   bool
-}
-
-// supervisor owns the fan-out: the work queue, first-wins completion
-// tracking, requeue and replacement policy, the heartbeat monitor and
-// the campaign journal. All mutable campaign state is guarded by mu;
-// heartbeats are lock-free atomics (they fire every engine step).
+// supervisor owns the fan-out: the work queue, completion tracking,
+// requeue and replacement policy, and the campaign journal. All
+// mutable campaign state is guarded by mu.
 type supervisor struct {
 	e      *Engine
 	f      *Frontier
@@ -226,7 +203,6 @@ type supervisor struct {
 
 	work     chan int      // pending subtree indexes (cap = len(seeds))
 	workDone chan struct{} // closed when every subtree has completed
-	monStop  chan struct{}
 
 	mu             sync.Mutex
 	results        []*SubtreeResult
@@ -240,11 +216,10 @@ type supervisor struct {
 	interrupted    bool
 	rec            RecoveryStats
 	log            *campaignLog
-	slots          []*workerSlot
+	slots          []Slot
 	primary        int // slots[:primary] start with the run, the rest are the fallback
 
-	wg    sync.WaitGroup
-	monWG sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 func newSupervisor(ctx context.Context, f *Frontier, slots, fallback []Slot) (*supervisor, error) {
@@ -262,16 +237,13 @@ func newSupervisor(ctx context.Context, f *Frontier, slots, fallback []Slot) (*s
 		seeds:     seeds,
 		work:      make(chan int, len(seeds)),
 		workDone:  make(chan struct{}),
-		monStop:   make(chan struct{}),
 		results:   make([]*SubtreeResult, len(seeds)),
 		completed: make([]bool, len(seeds)),
 		attempts:  make([]int, len(seeds)),
 		remaining: len(seeds),
 		log:       log,
+		slots:     slices.Concat(slots, fallback),
 		primary:   len(slots),
-	}
-	for _, build := range slices.Concat(slots, fallback) {
-		s.slots = append(s.slots, &workerSlot{build: build})
 	}
 	if cam := f.e.cfg.Resume; cam != nil {
 		for idx, res := range cam.Results {
@@ -308,13 +280,7 @@ func (s *supervisor) run() error {
 	s.mu.Lock()
 	s.startWorkersLocked(0, s.primary)
 	s.mu.Unlock()
-	if s.e.cfg.HeartbeatInterval > 0 {
-		s.monWG.Add(1)
-		go s.monitor()
-	}
 	s.wg.Wait()
-	close(s.monStop)
-	s.monWG.Wait()
 
 	s.mu.Lock()
 	fatal, interrupted := s.fatal, s.interrupted
@@ -351,48 +317,39 @@ func (s *supervisor) recovery() RecoveryStats {
 }
 
 // workerMain is one worker generation: build the slot's executor,
-// register in the slot, drain subtrees, and hand the exit to the
-// supervisor (which decides whether a replacement is due).
+// drain subtrees, and hand the exit to the supervisor (which decides
+// whether a replacement is due).
 func (s *supervisor) workerMain(slot, gen int, since time.Time) {
 	defer s.wg.Done()
 	wctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
-	err := s.workerLoop(slot, gen, wctx, cancel, since)
+	err := s.workerLoop(slot, gen, wctx, since)
 	s.workerExited(slot, err)
 }
 
-func (s *supervisor) workerLoop(slot, gen int, wctx context.Context, cancel func(), since time.Time) error {
-	w := &Worker{Slot: slot, Gen: gen, sup: s}
-	exec, err := s.slots[slot].build(wctx, w)
+func (s *supervisor) workerLoop(slot, gen int, wctx context.Context, since time.Time) error {
+	exec, err := s.slots[slot](wctx, &Worker{Slot: slot, Gen: gen, sup: s})
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.slots[slot].cancel = cancel
-	s.slots[slot].beat = w.beat
-	s.slots[slot].busy = false
 	if !since.IsZero() {
 		// Replacement worker: backoff + executor rebuild is the
 		// recovery latency.
+		s.mu.Lock()
 		s.rec.RecoveryWall += time.Since(since)
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	for {
 		select {
 		case <-wctx.Done():
-			if s.ctx.Err() != nil {
-				return nil // whole-run shutdown
-			}
-			return errDeposed
+			return nil // whole-run shutdown
 		case <-s.workDone:
 			return nil
 		case idx := <-s.work:
-			attempt, ok := s.claim(slot, idx)
-			if !ok {
-				continue // completed by a zombie while queued
-			}
+			s.mu.Lock()
+			attempt := s.attempts[idx]
+			s.mu.Unlock()
 			res, rerr := runGuarded(wctx, exec, idx, attempt)
-			s.setBusy(slot, false)
 			if rerr == nil {
 				s.complete(idx, attempt, res)
 				continue
@@ -407,24 +364,6 @@ func (s *supervisor) workerLoop(slot, gen int, wctx context.Context, cancel func
 			return rerr
 		}
 	}
-}
-
-// claim marks the slot busy on idx and returns the attempt number
-// (false if the subtree was already completed by a zombie worker).
-func (s *supervisor) claim(slot, idx int) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.completed[idx] {
-		return 0, false
-	}
-	s.slots[slot].busy = true
-	return s.attempts[idx], true
-}
-
-func (s *supervisor) setBusy(slot int, busy bool) {
-	s.mu.Lock()
-	s.slots[slot].busy = busy
-	s.mu.Unlock()
 }
 
 // panicError wraps a recovered worker panic so requeue can count it.
@@ -452,11 +391,11 @@ func runGuarded(wctx context.Context, exec Executor, idx, attempt int) (res *Sub
 	return res, nil
 }
 
-// complete records a finished subtree, first-wins: a deposed zombie
-// and its replacement may both finish the same subtree (their results
-// are identical by the purity contract), and only the first recording
-// counts. Journals the result, tracks the chaos die gate, and closes
-// the campaign when the last subtree lands.
+// complete records a finished subtree, journals the result, tracks
+// the chaos die gate, and closes the campaign when the last subtree
+// lands. A subtree is requeued only after its attempt returned, so it
+// is in flight on at most one worker; the completed check keeps a
+// result from being counted twice if that ever breaks.
 func (s *supervisor) complete(idx, attempt int, res *SubtreeResult) {
 	s.mu.Lock()
 	if s.completed[idx] {
@@ -577,76 +516,17 @@ func (s *supervisor) workerExited(slot int, err error) {
 	}()
 }
 
-// monitor is the heartbeat watchdog: it samples each busy slot's
-// progress counter every HeartbeatInterval and deposes (cancels) a
-// worker whose counter stalls for heartbeatTimeoutFactor intervals.
-// Deposition flows through the ordinary failure path: the worker's
-// subtree errors out with ErrInterrupted, gets requeued, and the
-// retirement spawns a replacement.
-func (s *supervisor) monitor() {
-	defer s.monWG.Done()
-	interval := s.e.cfg.HeartbeatInterval
-	timeout := heartbeatTimeoutFactor * interval
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	type watch struct {
-		last  uint64
-		stale time.Duration
-	}
-	states := make([]watch, len(s.slots))
-	for {
-		select {
-		case <-s.monStop:
-			return
-		case <-s.ctx.Done():
-			return
-		case <-ticker.C:
-			for i := range s.slots {
-				s.mu.Lock()
-				sl := s.slots[i]
-				cancel, beat, busy := sl.cancel, sl.beat, sl.busy
-				s.mu.Unlock()
-				if beat == nil || !busy {
-					states[i] = watch{}
-					continue
-				}
-				b := beat.Load()
-				if b != states[i].last {
-					states[i] = watch{last: b}
-					continue
-				}
-				states[i].stale += interval
-				if states[i].stale >= timeout {
-					states[i] = watch{last: b}
-					s.mu.Lock()
-					s.rec.HeartbeatDeaths++
-					s.mu.Unlock()
-					cancel()
-				}
-			}
-		}
-	}
-}
-
 // stepHook builds the per-step seam for one subtree attempt on a local
-// rig: heartbeat progress (lock-free atomic) plus scheduled chaos
-// events. Returns nil when neither is configured, keeping undisturbed
-// runs hook-free.
-func (w *Worker) stepHook(wctx context.Context, idx, attempt int, rig *Rig) func() error {
+// rig: the attempt's scheduled chaos event. Returns nil when none is
+// planned, keeping undisturbed runs hook-free.
+func (w *Worker) stepHook(idx, attempt int, rig *Rig) func() error {
 	s := w.sup
-	heartbeat := s.e.cfg.HeartbeatInterval > 0
 	ev, at := s.e.cfg.Chaos.plan(idx, attempt)
-	if !heartbeat && ev == chaosNone {
+	if ev == chaosNone {
 		return nil
 	}
 	var step uint64
 	return func() error {
-		if heartbeat {
-			w.beat.Add(1)
-		}
-		if ev == chaosNone {
-			return nil
-		}
 		if step++; step != at {
 			return nil
 		}
@@ -655,12 +535,6 @@ func (w *Worker) stepHook(wctx context.Context, idx, attempt int, rig *Rig) func
 			panic(fmt.Sprintf("chaos: injected panic in subtree %d", idx))
 		case chaosKill:
 			return fmt.Errorf("chaos: injected worker kill in subtree %d", idx)
-		case chaosHang:
-			// Stop making progress until the heartbeat monitor deposes
-			// this worker (blocking on the worker context means the
-			// goroutine always terminates — no leak).
-			<-wctx.Done()
-			return ErrInterrupted
 		case chaosSever:
 			if sev, ok := rig.Target.(linkSeverer); ok {
 				_ = sev.SeverLink()

@@ -21,16 +21,13 @@ var ErrInterrupted = errors.New("core: run interrupted")
 // the journal counters when journaling is enabled).
 type RecoveryStats struct {
 	// WorkerRestarts counts replacement workers spawned after a worker
-	// died (panic, fatal target error, heartbeat deposition).
+	// died (panic or returned error).
 	WorkerRestarts uint64
 	// Requeues counts in-flight subtrees returned to the work queue
 	// after their worker failed.
 	Requeues uint64
 	// PanicsRecovered counts worker panics absorbed by the supervisor.
 	PanicsRecovered uint64
-	// HeartbeatDeaths counts workers deposed because their heartbeat
-	// stalled past the heartbeat timeout.
-	HeartbeatDeaths uint64
 	// FailoverEvents counts recoveries where exploration continued on a
 	// re-established vehicle: a subtree re-seeded onto a fresh rig
 	// after its original failed, or a severed remote link redialed.
@@ -68,10 +65,6 @@ type ChaosSchedule struct {
 	// KillRate is the probability a subtree's first attempt dies with
 	// a fatal worker error (exercises requeue + replacement spawn).
 	KillRate float64
-	// HangRate is the probability a subtree's first attempt stops
-	// making progress (exercises heartbeat deposition; requires
-	// Config.HeartbeatInterval, defaulted when this rate is set).
-	HangRate float64
 	// SeverRate is the probability a subtree's first attempt severs
 	// its target link mid-run. Only meaningful for targets that
 	// support link severing (remote clients); otherwise a no-op.
@@ -93,7 +86,6 @@ const (
 	chaosNone chaosEvent = iota
 	chaosPanic
 	chaosKill
-	chaosHang
 	chaosSever
 )
 
@@ -112,9 +104,7 @@ func (c *ChaosSchedule) plan(idx, attempt int) (chaosEvent, uint64) {
 		return chaosPanic, at
 	case u < c.PanicRate+c.KillRate:
 		return chaosKill, at
-	case u < c.PanicRate+c.KillRate+c.HangRate:
-		return chaosHang, at
-	case u < c.PanicRate+c.KillRate+c.HangRate+c.SeverRate:
+	case u < c.PanicRate+c.KillRate+c.SeverRate:
 		return chaosSever, at
 	}
 	return chaosNone, 0

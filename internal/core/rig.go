@@ -94,14 +94,13 @@ func NewRig(name string, cfg *SetupConfig, store *snapshot.Store) (*Rig, error) 
 }
 
 // Spawn clones the rig for a worker: a private vehicle spawned from
-// this one (stream derives its fault-injection stream), the same
-// memory map over the clone's ports, and a snapshot manager of its
-// own over the shared store.
-func (r *Rig) Spawn(name string, stream int) (*Rig, error) {
+// this one, the same memory map over the clone's ports, and a snapshot
+// manager of its own over the shared store.
+func (r *Rig) Spawn(name string) (*Rig, error) {
 	if r.Target == nil {
 		return softwareRig(), nil
 	}
-	wtgt, err := r.Target.SpawnWorker(name, &vtime.Clock{}, stream)
+	wtgt, err := r.Target.SpawnWorker(name, &vtime.Clock{}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: spawn %s: %w", name, err)
 	}
@@ -110,19 +109,6 @@ func (r *Rig) Spawn(name string, stream int) (*Rig, error) {
 		return nil, fmt.Errorf("core: spawn %s: %w", name, err)
 	}
 	return w, nil
-}
-
-// rearmFaults arms the fault schedule of parent's in-process vehicle
-// on this rig's, on the PRNG stream derived from stream, so a fault
-// sequence depends on the stream and not on which rig runs it. Only an
-// in-process link has a schedule; a remote one is a no-op.
-func (r *Rig) rearmFaults(parent *Rig, stream int) {
-	if r.local == nil || parent.local == nil {
-		return
-	}
-	if sched, ok := parent.local.FaultSchedule(); ok {
-		r.local.InjectFaults(sched.Derive(stream))
-	}
 }
 
 // softwareRig is the machine of software-only firmware: a clock.
@@ -169,19 +155,12 @@ func (r *Rig) NewCPU(cfg vm.Config) *vm.CPU {
 // (the caller's buffer, so a hot loop allocates nothing) for the
 // caller to deliver, then drain the hardware-property violations the
 // instruction and those cycles produced. Requires a vehicle.
-//
-// Sampling is skipped when no line can rise, unless a fault stream is
-// armed: an armed stream draws on every poll, and those draws are
-// part of the run's identity.
+// Sampling is skipped when no line can rise.
 func (r *Rig) Tick(irqs []int) ([]int, []target.Violation, error) {
 	if err := r.Target.Advance(CyclesPerInstruction); err != nil {
 		return nil, nil, err
 	}
-	sample := r.irqWired
-	if !sample {
-		_, sample = r.local.FaultSchedule()
-	}
-	if sample {
+	if r.irqWired {
 		var err error
 		if irqs, err = r.Router.RisingIRQsInto(irqs); err != nil {
 			return nil, nil, err

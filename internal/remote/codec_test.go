@@ -349,7 +349,7 @@ func TestSnapshotChunkIntegrityTyped(t *testing.T) {
 			body := snapshot.AppendU32(nil, 0xFFFFFFFF)
 			_ = writeFrame(conn, kResp, seq, respPayload(respMeta{status: vstatusOK}, body))
 		})
-		if _, err := c.Save(); !target.IsTransient(err) {
+		if _, err := c.Save(); target.Classify(err) != target.Transient {
 			t.Fatalf("save with a malformed offer: %v, want transient class", err)
 		}
 	})

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hardsnap/internal/core"
 	"hardsnap/internal/symexec"
@@ -138,6 +139,42 @@ func TestParallelRemoteFailoverIdentity(t *testing.T) {
 	}
 }
 
+// TestDeadWireFailsRun pins what a wire that dies for good does to an
+// exploration: the link goes silent 20 frames in, the client spends
+// its retry budget retransmitting into it, and the exhausted budget
+// surfaces as a transient error that ends the whole run, not one
+// path: Engine.Run returns it and no report.
+func TestDeadWireFailsRun(t *testing.T) {
+	conn, _ := serveRaw(t, newV3Target(t))
+	c, err := Connect(conn, &vtime.Clock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Armed after the handshake, as in TestClientRetryUnderFaultyLink.
+	c.conn = target.NewFaultConn(conn, target.FaultSchedule{Seed: 3, FailAfter: 20})
+	c.Timeout = 20 * time.Millisecond
+	a, err := core.Setup(core.SetupConfig{
+		Firmware:    failoverFirmware,
+		Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}},
+		Target:      c,
+		Engine: core.Config{
+			Mode:            core.ModeHardSnap,
+			Searcher:        symexec.BFS{},
+			MaxInstructions: 1_000_000,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.Engine.Run()
+	if target.Classify(err) != target.Transient {
+		t.Fatalf("run error %v, want a transient wire failure", err)
+	}
+	if rep != nil {
+		t.Fatalf("failed run returned a report: %+v", rep.Stats)
+	}
+}
+
 // TestSeverLinkRecovers: a severed client transparently redials,
 // re-attaches its session and finishes the operation in flight.
 func TestSeverLinkRecovers(t *testing.T) {
@@ -217,7 +254,7 @@ func TestRecoverRetryFatalShortCircuit(t *testing.T) {
 	if err == nil {
 		t.Fatal("read succeeded against a fatally rejecting server")
 	}
-	if target.IsTransient(err) {
+	if target.Classify(err) == target.Transient {
 		t.Fatalf("fatal rejection surfaced as transient: %v", err)
 	}
 	if !strings.Contains(err.Error(), "design mismatch") {

@@ -266,7 +266,7 @@ func TestClientRetriesTransientStatus(t *testing.T) {
 	if err == nil {
 		t.Fatal("ping must fail when every attempt is rejected")
 	}
-	if !target.IsTransient(err) {
+	if target.Classify(err) != target.Transient {
 		t.Fatalf("exhausted retries lost transient class: %v", err)
 	}
 	if r := c.WireStats().Retransmits; r != maxRetries {
@@ -283,7 +283,7 @@ func TestClientTruncatedResponse(t *testing.T) {
 	if err == nil {
 		t.Fatal("truncated response must fail")
 	}
-	if !target.IsTransient(err) {
+	if target.Classify(err) != target.Transient {
 		t.Fatalf("link failure should classify transient (retry-worthy): %v", err)
 	}
 }
@@ -298,7 +298,7 @@ func TestPingEchoMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("ping with a wrong echo must fail")
 	}
-	if !target.IsTransient(err) {
+	if target.Classify(err) != target.Transient {
 		t.Fatalf("echo mismatch should classify transient: %v", err)
 	}
 }

@@ -377,7 +377,7 @@ func (s *Server) applySpawn(sess *session, seq uint32, payload []byte) []byte {
 	if err := gobDecode(payload, &req); err != nil {
 		return sess.errFrame(seq, fatalErr(err))
 	}
-	nt, err := sess.tgt.Spawn(req.Name, &vtime.Clock{}, req.Stream)
+	nt, err := sess.tgt.Spawn(req.Name, &vtime.Clock{})
 	if err != nil {
 		return sess.errFrame(seq, err)
 	}

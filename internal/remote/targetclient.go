@@ -1016,11 +1016,11 @@ func (c *TargetClient) AdoptState(s target.State) error {
 // SpawnWorker clones the remote target server-side and connects a new
 // client (over its own connection, so workers run concurrently) to
 // the clone's session. Requires Dial.
-func (c *TargetClient) SpawnWorker(name string, clock *vtime.Clock, stream int) (target.Interface, error) {
+func (c *TargetClient) SpawnWorker(name string, clock *vtime.Clock, _ int) (target.Interface, error) {
 	if c.Dial == nil {
 		return nil, fatalErr(errors.New("SpawnWorker requires a Dial function"))
 	}
-	payload, err := gobEncode(spawnReq{Name: name, Stream: stream})
+	payload, err := gobEncode(spawnReq{Name: name})
 	if err != nil {
 		return nil, err
 	}
@@ -1076,7 +1076,7 @@ func retryable(err error) bool {
 	if errors.As(err, &te) {
 		return true
 	}
-	return target.IsTransient(err)
+	return target.Classify(err) == target.Transient
 }
 
 // writeFrame emits one v3 frame around a ready-made payload (the

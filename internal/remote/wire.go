@@ -302,6 +302,5 @@ type helloInfo struct {
 // spawnReq asks the session's target for a worker clone; the response
 // is a helloInfo for the new session.
 type spawnReq struct {
-	Name   string
-	Stream int
+	Name string
 }

@@ -3,7 +3,6 @@ package target
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"hardsnap/internal/vtime"
 )
@@ -30,7 +29,7 @@ func TestSpawnPowerOnIdentical(t *testing.T) {
 	if err := port.WriteReg(0, 0xAB); err != nil {
 		t.Fatal(err)
 	}
-	clone, err := parent.Spawn("w0", &vtime.Clock{}, 0)
+	clone, err := parent.Spawn("w0", &vtime.Clock{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func TestSpawnAdoptState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := parent.Spawn("w0", &vtime.Clock{}, 0)
+	clone, err := parent.Spawn("w0", &vtime.Clock{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,43 +81,5 @@ func TestSpawnAdoptState(t *testing.T) {
 	}
 	if v != 0x77 {
 		t.Fatalf("adopted state not applied: %#x", v)
-	}
-}
-
-// TestSpawnFaultStreams checks that sibling clones get decorrelated
-// but reproducible fault PRNG streams: same stream number → same
-// derived seed, different stream numbers → different seeds.
-func TestSpawnFaultStreams(t *testing.T) {
-	parent := spawnParent(t)
-	parent.InjectFaults(FaultSchedule{
-		Seed:          42,
-		LatencyJitter: 3 * time.Millisecond,
-	})
-	c0a, err := parent.Spawn("a", &vtime.Clock{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0b, err := parent.Spawn("b", &vtime.Clock{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := parent.Spawn("c", &vtime.Clock{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c0a.faults == nil || c1.faults == nil {
-		t.Fatal("clones must inherit fault injection")
-	}
-	if c0a.faults.sched.Seed != c0b.faults.sched.Seed {
-		t.Fatal("same stream must derive the same seed (reproducibility)")
-	}
-	if c0a.faults.sched.Seed == c1.faults.sched.Seed {
-		t.Fatal("distinct streams must derive distinct seeds")
-	}
-	if c0a.faults.sched.Seed == parent.faults.sched.Seed {
-		t.Fatal("clone must not reuse the parent's stream")
-	}
-	if c0a.faults.sched.LatencyJitter != parent.faults.sched.LatencyJitter {
-		t.Fatal("non-seed schedule fields must be inherited")
 	}
 }

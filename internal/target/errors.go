@@ -18,11 +18,13 @@ type ErrorClass int
 
 const (
 	// Transient faults (dropped frame, corrupted frame detected by
-	// the link CRC, timeout) are expected on a physical link and are
-	// absorbed by retry with backoff; they never carry state.
+	// the link CRC, timeout) are expected on the wire to a remote
+	// target and are absorbed by the client's retransmit and redial;
+	// they never carry state. One that outlives the retry budget
+	// reaches the caller.
 	Transient ErrorClass = iota + 1
-	// Fatal faults (dead link, protocol misuse, RTL evaluation
-	// failure) are never retried: the operation that hit one fails.
+	// Fatal faults (protocol misuse, RTL evaluation failure) are
+	// never retried: the operation that hit one fails.
 	Fatal
 	// Integrity faults mark snapshot data that failed validation
 	// (bad checksum, truncation, unknown state names): applying it
@@ -69,13 +71,6 @@ func Classify(err error) ErrorClass {
 		return te.Class
 	}
 	return Fatal
-}
-
-// IsTransient reports whether err is a transient (retryable) fault.
-func IsTransient(err error) bool { return Classify(err) == Transient }
-
-func transientf(op, format string, args ...any) error {
-	return &Error{Class: Transient, Op: op, Err: fmt.Errorf(format, args...)}
 }
 
 func fatalf(op, format string, args ...any) error {

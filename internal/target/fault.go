@@ -5,8 +5,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"hardsnap/internal/vtime"
 )
 
 // FaultSchedule is a deterministic, seedable description of link
@@ -33,16 +31,14 @@ type FaultSchedule struct {
 	// StallTime is the duration of each stall.
 	StallTime time.Duration
 	// FailAfter, when non-zero, kills the link permanently after
-	// that many transactions: every later one times out. This is the
-	// persistent-failure scenario that leaves the target dead.
+	// that many transactions: every later one times out. A client
+	// on such a link spends its retry budget and fails the operation
+	// with a transient error.
 	FailAfter uint64
 }
 
-func (s FaultSchedule) active() bool { return s != FaultSchedule{} }
-
 // injector draws a FaultSchedule's verdicts, one per link
-// transaction. Both injection layers share it: the in-process link
-// charges the delays to the virtual clock, FaultConn sleeps them.
+// transaction, for FaultConn.
 type injector struct {
 	sched FaultSchedule
 	rng   *rand.Rand
@@ -89,26 +85,6 @@ func (in *injector) next(n int) (v verdict, delay time.Duration, bit int) {
 		return corrupt, delay, -1
 	}
 	return deliver, delay, -1
-}
-
-// op models one in-process link transaction: it charges the delay, and
-// a lost transaction's timeout, to clock and returns a transient error
-// if the transaction is lost. Faults fire before the operation reaches
-// the hardware, so a retried operation applies exactly once.
-func (in *injector) op(clock *vtime.Clock) error {
-	v, delay, _ := in.next(0)
-	clock.Advance(delay)
-	switch v {
-	case linkDown:
-		clock.Advance(vtime.LinkTimeout)
-		return transientf("link", "request timed out (link down)")
-	case drop:
-		clock.Advance(vtime.LinkTimeout)
-		return transientf("link", "dropped frame (timeout)")
-	case corrupt:
-		return transientf("link", "corrupted frame (bad CRC)")
-	}
-	return nil
 }
 
 // FaultConn wraps a net.Conn with deterministic frame-level fault

@@ -17,9 +17,8 @@ import (
 // dirty tracking (AnchorSeq advances), Generation moves iff hardware
 // state changed value, RestoreDelta returns (false, nil) when no
 // incremental path exists and the caller must fall back to Restore.
-// Fault injection is not part of it: a schedule belongs to the link it
-// disturbs, so the in-process link is armed on *Target
-// (InjectFaults) and the wire by wrapping its connection (FaultConn).
+// Fault injection is not part of it: the one link that can fail is the
+// wire, disturbed by wrapping its connection (FaultConn).
 type Interface interface {
 	// Identity and plumbing.
 	Name() string
@@ -42,7 +41,8 @@ type Interface interface {
 	RestoreDelta(s State) (bool, error)
 	AdoptState(s State) error
 
-	// Worker fan-out.
+	// Worker fan-out. stream is unused: no implementation derives
+	// anything from it.
 	SpawnWorker(name string, clock *vtime.Clock, stream int) (Interface, error)
 }
 
@@ -50,8 +50,8 @@ var _ Interface = (*Target)(nil)
 
 // SpawnWorker is Spawn behind the Interface: it exists because Spawn
 // predates the interface and returns the concrete *Target.
-func (t *Target) SpawnWorker(name string, clock *vtime.Clock, stream int) (Interface, error) {
-	nt, err := t.Spawn(name, clock, stream)
+func (t *Target) SpawnWorker(name string, clock *vtime.Clock, _ int) (Interface, error) {
+	nt, err := t.Spawn(name, clock)
 	if err != nil {
 		return nil, err
 	}

@@ -9,17 +9,14 @@ func (t *Target) LiveState() State { return t.snapshotRaw() }
 // Recycle wipes the target back to the state a fresh build comes up
 // in, so a pool can hand it to the next job without paying the
 // elaboration cost of Spawn. The hardware returns to the power-on
-// snapshot; assertions, violations and the fault schedule are
-// cleared; the stats are zeroed and the clock rewinds to zero. The mutation generation and anchor sequence
-// keep counting: they only ever prove identity within one run, and
-// each run anchors afresh.
+// snapshot; assertions and violations are cleared; the stats are
+// zeroed and the clock rewinds to zero. The mutation generation and
+// anchor sequence keep counting: they only ever prove identity within
+// one run, and each run anchors afresh.
 //
-// Recycle fails only if the target is dead (an unrecoverable link or
-// integrity failure); a dead target must be discarded, not pooled.
+// Recycle fails only if the power-on snapshot no longer loads (an
+// integrity failure); such a target must be discarded, not pooled.
 func (t *Target) Recycle() error {
-	if t.dead {
-		return fatalf("recycle", "target %s is dead after an unrecoverable failure", t.name)
-	}
 	for _, inst := range t.order {
 		hw := t.powerOn[inst.cfg.Name]
 		if err := inst.sim.Restore(hw); err != nil {
@@ -29,7 +26,6 @@ func (t *Target) Recycle() error {
 	}
 	t.asserts = nil
 	t.violations = nil
-	t.faults = nil
 	t.stats = Stats{}
 	t.reanchor(true)
 	t.clock.Reset()

@@ -3,15 +3,13 @@ package target
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"hardsnap/internal/vtime"
 )
 
 // TestRecyclePristine: a heavily used target, recycled, must be
 // indistinguishable from a fresh build — power-on hardware state,
-// zero clock, zero stats, no assertions, no violations, no fault
-// injection.
+// zero clock, zero stats, no assertions, no violations.
 func TestRecyclePristine(t *testing.T) {
 	clock := &vtime.Clock{}
 	tgt, err := NewSimulator("pool0", clock, []PeriphConfig{
@@ -22,13 +20,12 @@ func TestRecyclePristine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Use it hard: assertion, MMIO traffic, cycles, snapshots, faults.
+	// Use it hard: assertion, MMIO traffic, cycles, snapshots.
 	if err := tgt.AddAssertion(HWAssertion{
 		Name: "never", Periph: "g", Expr: "out != out",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tgt.InjectFaults(FaultSchedule{Seed: 9, LatencyJitter: time.Millisecond})
 	port, err := tgt.Port("g")
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +65,6 @@ func TestRecyclePristine(t *testing.T) {
 	if len(tgt.TakeViolations()) != 0 {
 		t.Fatal("violations survived recycle")
 	}
-	if tgt.faults != nil {
-		t.Fatal("fault injection survived recycle")
-	}
 
 	// And it still works: same observable behavior as a fresh target.
 	fresh, err := NewSimulator("fresh", &vtime.Clock{}, []PeriphConfig{
@@ -102,17 +96,5 @@ func TestRecyclePristine(t *testing.T) {
 		if a.Clock().Now() != b.Clock().Now() {
 			t.Fatalf("virtual time diverged: %v vs %v", a.Clock().Now(), b.Clock().Now())
 		}
-	}
-}
-
-// TestRecycleDeadTarget: dead targets must be discarded, not pooled.
-func TestRecycleDeadTarget(t *testing.T) {
-	tgt, err := NewSimulator("d", &vtime.Clock{}, []PeriphConfig{{Name: "g", Periph: "gpio"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt.dead = true
-	if err := tgt.Recycle(); err == nil {
-		t.Fatal("recycling a dead target must fail")
 	}
 }

@@ -14,12 +14,12 @@
 //     readback, and every MMIO access pays the debugger-link round
 //     trip.
 //
-// Robustness is first-class: every link operation passes through a
-// deterministic fault injector (FaultSchedule), transient faults are
-// absorbed by bounded exponential-backoff retries, and a ping-based
-// health check detects persistent link death, after which the target
-// is dead and every operation fails with a fatal error. Transfer moves
-// the complete hardware state between targets (the paper's E7).
+// An in-process target calls its backend directly: nothing between
+// the analysis and the RTL can lose a transaction. The one link that
+// can fail is the wire to an out-of-process target (internal/remote),
+// which FaultConn disturbs and the remote client's retransmit and
+// redial recover. Transfer moves the complete hardware state between
+// targets (the paper's E7).
 package target
 
 import (
@@ -73,21 +73,7 @@ type Stats struct {
 	// DeltaRestores counts restores served by the incremental
 	// dirty-only path instead of a full state load.
 	DeltaRestores uint64
-	// Retries counts transient link faults absorbed by retry.
-	Retries uint64
-	// FaultsInjected counts faults the schedule fired.
-	FaultsInjected uint64
 }
-
-// linkRetries is how many consecutive transient link failures the
-// target absorbs between health checks. The retry delay starts at
-// vtime.LinkRetryBackoff and doubles per retry up to
-// vtime.LinkRetryBackoffMax.
-const linkRetries = 4
-
-// healthPings is how many pings the health check sends before
-// declaring the link persistently down.
-const healthPings = 3
 
 // periphInst is one peripheral hosted on a target.
 type periphInst struct {
@@ -135,10 +121,7 @@ type Target struct {
 	// compare this sequence to detect a stale anchor.
 	anchorSeq uint64
 
-	// Robustness state.
-	faults  *injector
 	powerOn State
-	dead    bool
 }
 
 // NewSimulator builds a simulator target hosting the peripherals:
@@ -368,24 +351,6 @@ func (t *Target) reanchor(mutated bool) {
 	t.anchorSeq++
 }
 
-// InjectFaults arms a deterministic fault schedule on the target's
-// link. A zero schedule disarms injection.
-func (t *Target) InjectFaults(s FaultSchedule) {
-	if !s.active() {
-		t.faults = nil
-		return
-	}
-	t.faults = newInjector(s)
-}
-
-// FaultSchedule returns the armed fault schedule, if any.
-func (t *Target) FaultSchedule() (FaultSchedule, bool) {
-	if t.faults == nil {
-		return FaultSchedule{}, false
-	}
-	return t.faults.sched, true
-}
-
 // port is a handle bound to one hosted peripheral instance.
 type port struct {
 	t    *Target
@@ -394,9 +359,37 @@ type port struct {
 
 var _ bus.Port = (*port)(nil)
 
-func (p *port) ReadReg(offset uint32) (uint32, error)  { return p.t.readReg(p.inst, offset) }
-func (p *port) WriteReg(offset uint32, v uint32) error { return p.t.writeReg(p.inst, offset, v) }
-func (p *port) IRQLevel() (bool, error)                { return p.t.irqLevel(p.inst) }
+// ReadReg forwards a register read: one link round trip and one bus
+// cycle.
+func (p *port) ReadReg(offset uint32) (uint32, error) {
+	t, inst := p.t, p.inst
+	t.clock.Advance(t.costs.IORoundTrip + t.costs.Cycle)
+	t.stats.IOOps++
+	v, err := inst.busRead(offset)
+	if err != nil {
+		return 0, fatalf("read "+inst.cfg.Name, "%v", err)
+	}
+	if err := t.checkAssertions(inst); err != nil {
+		return 0, err
+	}
+	return v, nil
+}
+
+// WriteReg forwards a register write: one link round trip and one bus
+// cycle.
+func (p *port) WriteReg(offset uint32, v uint32) error {
+	t, inst := p.t, p.inst
+	t.clock.Advance(t.costs.IORoundTrip + t.costs.Cycle)
+	t.stats.IOOps++
+	if err := inst.busWrite(offset, v); err != nil {
+		return fatalf("write "+inst.cfg.Name, "%v", err)
+	}
+	return t.checkAssertions(inst)
+}
+
+// IRQLevel samples the interrupt line. The line is a dedicated
+// sideband wire: sampling is free of virtual time.
+func (p *port) IRQLevel() (bool, error) { return p.inst.sim.PeekID(p.inst.pins.irq) != 0, nil }
 
 // Port returns the register port of a hosted peripheral.
 func (t *Target) Port(name string) (bus.Port, error) {
@@ -405,121 +398,6 @@ func (t *Target) Port(name string) (bus.Port, error) {
 		return nil, fmt.Errorf("target %s: no peripheral %q", t.name, name)
 	}
 	return &port{t: t, inst: inst}, nil
-}
-
-// linkOp runs one link transaction with fault injection, bounded
-// exponential-backoff retry and health checking. A link that fails
-// the health check is persistently down: the target is dead and the
-// caller receives a fatal error.
-func (t *Target) linkOp(op string, fn func() error) error {
-	if t.dead {
-		return fatalf(op, "target %s is dead after an unrecoverable failure", t.name)
-	}
-	backoff := vtime.LinkRetryBackoff
-	consecutive := 0
-	for {
-		var err error
-		if t.faults != nil {
-			if err = t.faults.op(t.clock); err != nil {
-				t.stats.FaultsInjected++
-			}
-		}
-		if err == nil {
-			// Faults fire before the operation reaches the hardware,
-			// so a retried operation applies exactly once.
-			err = fn()
-		}
-		if err == nil {
-			return nil
-		}
-		if !IsTransient(err) {
-			return err
-		}
-		consecutive++
-		if consecutive <= linkRetries {
-			t.stats.Retries++
-			t.clock.Advance(backoff)
-			backoff = min(2*backoff, vtime.LinkRetryBackoffMax)
-			continue
-		}
-		// Retry budget exhausted: probe the link before deciding the
-		// failure is persistent.
-		if t.healthy() {
-			// Fault storm on a live link: keep retrying at capped
-			// backoff.
-			consecutive = 0
-			continue
-		}
-		t.dead = true
-		return fatalf(op, "target %s: persistent link failure: %v", t.name, err)
-	}
-}
-
-// healthy probes the link with pings; any echo proves it alive.
-func (t *Target) healthy() bool {
-	if t.faults == nil {
-		return true
-	}
-	for i := 0; i < healthPings; i++ {
-		t.clock.Advance(t.costs.IORoundTrip)
-		if err := t.faults.op(t.clock); err == nil {
-			return true
-		}
-		t.stats.FaultsInjected++
-	}
-	return false
-}
-
-// fastLink reports whether link operations may skip the retry
-// machinery entirely: no fault injection armed and the link alive. On
-// this path linkOp would run the operation exactly once, so calling
-// the backend directly is behaviorally identical — and free of the
-// closure allocation linkOp costs per call, which matters when a
-// fuzzing hot loop advances the hardware once per retired instruction.
-func (t *Target) fastLink() bool {
-	return !t.dead && t.faults == nil
-}
-
-// readReg forwards a register read over the link.
-func (t *Target) readReg(inst *periphInst, offset uint32) (uint32, error) {
-	if t.fastLink() {
-		return t.execRead(inst, offset)
-	}
-	var v uint32
-	err := t.linkOp("read "+inst.cfg.Name, func() error {
-		var err error
-		v, err = t.execRead(inst, offset)
-		return err
-	})
-	return v, err
-}
-
-// writeReg forwards a register write over the link.
-func (t *Target) writeReg(inst *periphInst, offset uint32, v uint32) error {
-	if t.fastLink() {
-		return t.execWrite(inst, offset, v)
-	}
-	return t.linkOp("write "+inst.cfg.Name, func() error {
-		return t.execWrite(inst, offset, v)
-	})
-}
-
-// irqLevel samples the interrupt line. The line is a dedicated
-// sideband wire: sampling is free of virtual time.
-func (t *Target) irqLevel(inst *periphInst) (bool, error) {
-	if t.fastLink() {
-		return execIRQLevel(inst), nil
-	}
-	var level bool
-	err := t.linkOp("irq "+inst.cfg.Name, func() error {
-		level = execIRQLevel(inst)
-		return nil
-	})
-	return level, err
-}
-
-func execIRQLevel(inst *periphInst) bool {
-	return inst.sim.PeekID(inst.pins.irq) != 0
 }
 
 // HasAssertions reports whether any hardware assertion is registered.
@@ -550,7 +428,23 @@ func (t *Target) IRQWired(name string) bool {
 
 // Advance runs every hosted peripheral n clock cycles.
 func (t *Target) Advance(n uint64) error {
-	return t.linkOp("advance", func() error { return t.execAdvance(n) })
+	t.clock.Advance(time.Duration(n) * t.costs.Cycle)
+	for i := uint64(0); i < n; i++ {
+		for _, inst := range t.order {
+			if err := inst.sim.StepCycle(); err != nil {
+				return fatalf("advance", "%s: %v", inst.cfg.Name, err)
+			}
+		}
+		t.stats.Cycles++
+		for _, inst := range t.order {
+			if len(inst.asserts) > 0 {
+				if err := t.checkAssertions(inst); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Save captures the complete hardware state. On success the saved
@@ -560,12 +454,7 @@ func (t *Target) Save() (State, error) {
 	// runs, so they are not conflated with the scan rotation's
 	// transient (net-identity) bit movement absorbed by reanchor.
 	t.Generation()
-	var st State
-	err := t.linkOp("save", func() error {
-		var err error
-		st, err = t.saveBackend()
-		return err
-	})
+	st, err := t.saveBackend()
 	if err != nil {
 		return nil, err
 	}
@@ -581,8 +470,7 @@ func (t *Target) Restore(s State) error {
 	if err := t.validateState(s); err != nil {
 		return err
 	}
-	err := t.linkOp("restore", func() error { return t.applyState(s) })
-	if err != nil {
+	if err := t.applyState(s); err != nil {
 		return err
 	}
 	t.reanchor(true)
@@ -606,7 +494,7 @@ func (t *Target) RestoreDelta(s State) (bool, error) {
 	if err := t.validateState(s); err != nil {
 		return true, err
 	}
-	if err := t.linkOp("restore-delta", func() error { return t.applyDelta(s) }); err != nil {
+	if err := t.applyDelta(s); err != nil {
 		return true, err
 	}
 	t.reanchor(true)
@@ -616,9 +504,11 @@ func (t *Target) RestoreDelta(s State) (bool, error) {
 // Reset performs a warm reset: every peripheral returns to its
 // power-on (zero) state without paying a platform reboot.
 func (t *Target) Reset() error {
-	err := t.linkOp("reset", t.execReset)
-	if err != nil {
-		return err
+	t.clock.Advance(t.costs.Cycle)
+	for _, inst := range t.order {
+		if err := inst.sim.Restore(t.powerOn[inst.cfg.Name]); err != nil {
+			return fatalf("reset", "%s: %v", inst.cfg.Name, err)
+		}
 	}
 	t.reanchor(true)
 	return nil
@@ -647,60 +537,6 @@ func (t *Target) Simulator(periphName string) (*sim.Simulator, error) {
 		return nil, fmt.Errorf("target %s: no peripheral %q", t.name, periphName)
 	}
 	return inst.sim, nil
-}
-
-// --- raw backend operations (no fault injection, no retry) ---
-
-func (t *Target) execRead(inst *periphInst, offset uint32) (uint32, error) {
-	t.clock.Advance(t.costs.IORoundTrip + t.costs.Cycle)
-	t.stats.IOOps++
-	v, err := inst.busRead(offset)
-	if err != nil {
-		return 0, fatalf("read "+inst.cfg.Name, "%v", err)
-	}
-	if err := t.checkAssertions(inst); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-func (t *Target) execWrite(inst *periphInst, offset uint32, v uint32) error {
-	t.clock.Advance(t.costs.IORoundTrip + t.costs.Cycle)
-	t.stats.IOOps++
-	if err := inst.busWrite(offset, v); err != nil {
-		return fatalf("write "+inst.cfg.Name, "%v", err)
-	}
-	return t.checkAssertions(inst)
-}
-
-func (t *Target) execAdvance(n uint64) error {
-	t.clock.Advance(time.Duration(n) * t.costs.Cycle)
-	for i := uint64(0); i < n; i++ {
-		for _, inst := range t.order {
-			if err := inst.sim.StepCycle(); err != nil {
-				return fatalf("advance", "%s: %v", inst.cfg.Name, err)
-			}
-		}
-		t.stats.Cycles++
-		for _, inst := range t.order {
-			if len(inst.asserts) > 0 {
-				if err := t.checkAssertions(inst); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func (t *Target) execReset() error {
-	t.clock.Advance(t.costs.Cycle)
-	for _, inst := range t.order {
-		if err := inst.sim.Restore(t.powerOn[inst.cfg.Name]); err != nil {
-			return fatalf("reset", "%s: %v", inst.cfg.Name, err)
-		}
-	}
-	return nil
 }
 
 // snapshotRaw copies the full state directly (no cost charged): the

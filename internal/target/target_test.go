@@ -3,7 +3,6 @@ package target
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"hardsnap/internal/sim"
 	"hardsnap/internal/vtime"
@@ -209,86 +208,6 @@ func TestAssertionViolation(t *testing.T) {
 
 	if err := tg.AddAssertion(HWAssertion{Periph: "gpio0", Name: "bad", Expr: "no_such_sig == 0"}); err == nil {
 		t.Fatal("assertion on unknown signal must fail at add time")
-	}
-}
-
-func TestDeterministicFaultRuns(t *testing.T) {
-	sched := FaultSchedule{
-		Seed:          99,
-		DropRate:      0.35,
-		CorruptRate:   0.1,
-		LatencyJitter: 10 * time.Microsecond,
-		StallEvery:    3,
-		StallTime:     time.Millisecond,
-	}
-	run := func() (time.Duration, Stats, uint32) {
-		clock := &vtime.Clock{}
-		tg := newFPGA(t, clock, false)
-		tg.InjectFaults(sched)
-		p, _ := tg.Port("gpio0")
-		for i := 0; i < 10; i++ {
-			if err := p.WriteReg(0x00, uint32(i)); err != nil {
-				t.Fatalf("write %d: %v", i, err)
-			}
-			if _, err := p.ReadReg(0x00); err != nil {
-				t.Fatalf("read %d: %v", i, err)
-			}
-		}
-		if err := tg.Advance(5); err != nil {
-			t.Fatal(err)
-		}
-		v, _ := p.ReadReg(0x00)
-		return clock.Now(), tg.Stats(), v
-	}
-	t1, s1, v1 := run()
-	t2, s2, v2 := run()
-	if t1 != t2 {
-		t.Fatalf("virtual time diverged: %v vs %v", t1, t2)
-	}
-	if s1 != s2 {
-		t.Fatalf("stats diverged:\n%+v\n%+v", s1, s2)
-	}
-	if v1 != v2 || v1 != 9 {
-		t.Fatalf("final values %#x / %#x, want 9", v1, v2)
-	}
-	if s1.Retries == 0 || s1.FaultsInjected == 0 {
-		t.Fatalf("schedule injected nothing: %+v", s1)
-	}
-	// Pinned: the seed's faults, the retry policy (linkRetries, the
-	// backoff doubling from vtime.LinkRetryBackoff) and the health
-	// check together fix the virtual time and counters to the
-	// nanosecond. Any change to the draw order or the policy moves them.
-	const wantVT = 44449342 * time.Nanosecond
-	want := Stats{Cycles: 5, IOOps: 21, Retries: 14, FaultsInjected: 15}
-	if t1 != wantVT || s1 != want {
-		t.Fatalf("fault run moved: vt %v, stats %+v; want vt %v, stats %+v", t1, s1, wantVT, want)
-	}
-}
-
-// TestPersistentLinkFailureIsFatal: a link that fails its health
-// check leaves the target dead on the vehicle it was built on, and
-// every later operation fails at once with a fatal error.
-func TestPersistentLinkFailureIsFatal(t *testing.T) {
-	clock := &vtime.Clock{}
-	fp := newFPGA(t, clock, false)
-	fp.InjectFaults(FaultSchedule{Seed: 1, FailAfter: 1})
-	p, _ := fp.Port("gpio0")
-	if err := p.WriteReg(0x00, 0x11); err != nil {
-		t.Fatal(err)
-	}
-	err := p.WriteReg(0x00, 0x22)
-	if err == nil {
-		t.Fatal("write on a dead link must fail")
-	}
-	if Classify(err) != Fatal {
-		t.Fatalf("error %v, want fatal class", err)
-	}
-	if fp.Kind() != KindFPGA {
-		t.Fatalf("kind after link death %q, want %q", fp.Kind(), KindFPGA)
-	}
-	// Further use reports the death immediately.
-	if _, err := p.ReadReg(0x00); err == nil || Classify(err) != Fatal {
-		t.Fatalf("dead target accepted an op: %v", err)
 	}
 }
 

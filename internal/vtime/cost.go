@@ -53,17 +53,6 @@ const (
 	// fast-forwarding concretely (near-native speed, ~50 MIPS) —
 	// the "Fast Forwarding" capability of Table I.
 	NativeInstruction = 20 * time.Nanosecond
-
-	// LinkTimeout is the per-transaction deadline on a target link:
-	// the time wasted waiting for a response that never arrives when
-	// a frame is dropped (USB 3.0 bulk-transfer timeout scale).
-	LinkTimeout = 2 * time.Millisecond
-
-	// LinkRetryBackoff is the initial delay before retransmitting
-	// after a transient link fault; each retry doubles it up to
-	// LinkRetryBackoffMax.
-	LinkRetryBackoff    = 50 * time.Microsecond
-	LinkRetryBackoffMax = 5 * time.Millisecond
 )
 
 // SimCosts returns the simulator target's cost table.
