@@ -58,7 +58,6 @@ type runOpts struct {
 	MaxInstr  uint64
 	Workers   int
 	Fanout    int
-	SolverOpt string
 	Verbose   bool
 	ReportDir string
 	// Journal enables campaign journaling to this path; Resume
@@ -100,7 +99,6 @@ func main() {
 	flag.Uint64Var(&opts.MaxInstr, "max-instructions", 2_000_000, "total instruction budget")
 	flag.IntVar(&opts.Workers, "workers", 1, "parallel exploration workers (0 = one per CPU)")
 	flag.IntVar(&opts.Fanout, "seed-fanout", 0, "seed-phase fan-out width (0 = workers x 4); deeper queues help -nodes runs hide link latency")
-	flag.StringVar(&opts.SolverOpt, "solver-opt", "on", "solver query-optimization stack (rewrite/slice/reuse/incremental): on | off")
 	flag.BoolVar(&opts.Verbose, "v", false, "print per-path detail")
 	flag.StringVar(&opts.ReportDir, "report", "", "write per-bug crash reports (test vector, model, hardware snapshot) to this directory")
 	flag.StringVar(&opts.Journal, "journal", "", "journal the parallel campaign to this file (crash-safe; resume with -resume)")
@@ -174,9 +172,6 @@ func buildJob(opts runOpts) (campaign.Job, error) {
 	if err != nil {
 		return campaign.Job{}, err
 	}
-	if opts.SolverOpt != "on" && opts.SolverOpt != "off" {
-		return campaign.Job{}, fmt.Errorf("-solver-opt must be on or off, got %q", opts.SolverOpt)
-	}
 	workers := opts.Workers
 	if workers < 0 {
 		return campaign.Job{}, fmt.Errorf("-workers must be >= 0, got %d", workers)
@@ -193,7 +188,6 @@ func buildJob(opts runOpts) (campaign.Job, error) {
 		FPGA:             opts.FPGA,
 		Readback:         opts.Readback,
 		Concretize:       opts.Policy,
-		DisableSolverOpt: opts.SolverOpt == "off",
 		MaxInstructions:  opts.MaxInstr,
 		Workers:          workers,
 		SeedFanout:       opts.Fanout,
@@ -360,9 +354,9 @@ func printResult(res *campaign.Result, opts runOpts, journalPath string) int {
 	fmt.Printf("\npaths: %d  instructions: %d  context switches: %d  virtual time: %v\n",
 		len(rep.Finished), rep.Stats.Instructions, rep.Stats.ContextSwitches,
 		rep.VirtualTime.Round(time.Microsecond))
-	fmt.Printf("solver: %d queries in %v  (sliced %d, model hits %d, rewrites %d, incremental reuses %d, unknowns %d)\n",
+	fmt.Printf("solver: %d queries in %v  (sliced %d, model hits %d, incremental reuses %d, unknowns %d)\n",
 		rep.Solver.Queries, time.Duration(rep.Solver.WallNS).Round(time.Microsecond),
-		rep.Solver.Sliced, rep.Solver.ModelHits, rep.Solver.Rewrites,
+		rep.Solver.Sliced, rep.Solver.ModelHits,
 		rep.Solver.IncrementalReuses, rep.Exec.SolverUnknowns)
 	if len(rep.Workers) > 0 {
 		fmt.Printf("parallel: %d workers, seed phase %v, solver cache %.0f%% hit (%d/%d)\n",

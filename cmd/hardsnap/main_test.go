@@ -38,13 +38,12 @@ func writeFirmware(t *testing.T, fw string) string {
 // override fields per case.
 func baseOpts(src string) runOpts {
 	return runOpts{
-		Mode:      "hardsnap",
-		Searcher:  "dfs",
-		Policy:    "one",
-		MaxInstr:  100000,
-		Workers:   1,
-		SolverOpt: "on",
-		Args:      []string{src},
+		Mode:     "hardsnap",
+		Searcher: "dfs",
+		Policy:   "one",
+		MaxInstr: 100000,
+		Workers:  1,
+		Args:     []string{src},
 	}
 }
 
@@ -69,7 +68,6 @@ func TestRunFindsBug(t *testing.T) {
 		opts.FPGA = true
 		opts.Policy = "all"
 		opts.Workers = 4
-		opts.SolverOpt = "off"
 		code, err := run(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
@@ -149,9 +147,6 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := bad(func(o *runOpts) { o.Policy = "bogus" }); err == nil {
 		t.Fatal("bad policy must fail")
-	}
-	if err := bad(func(o *runOpts) { o.SolverOpt = "bogus" }); err == nil {
-		t.Fatal("bad solver-opt must fail")
 	}
 	if err := bad(func(o *runOpts) { o.Journal = "j.hsj" }); err == nil {
 		t.Fatal("-journal with one worker must fail")

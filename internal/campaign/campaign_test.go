@@ -124,6 +124,23 @@ func TestJobFingerprint(t *testing.T) {
 	}
 }
 
+// TestJobFingerprintPinned pins one job's fingerprint to a fixed hex:
+// journals and the farm key work by it, so dropping an omitempty field
+// or renaming a JSON tag must not move the identity of existing jobs.
+func TestJobFingerprintPinned(t *testing.T) {
+	j := Job{
+		Firmware:    "movi r1, 1\nhalt\n",
+		Peripherals: []target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}},
+		Searcher:    "bfs",
+		Concretize:  "all",
+		Workers:     2,
+	}
+	const want = "dd8308c2a413803de93946e350e8f9c49ac9e95e41879a1e11131bbf029433cc"
+	if got := j.Fingerprint(); got != want {
+		t.Fatalf("fingerprint moved: got %s, want %s", got, want)
+	}
+}
+
 func TestRigKey(t *testing.T) {
 	a := gpioJob(buggyFirmware, 1)
 	b := gpioJob(fanoutFirmware, 4)

@@ -58,8 +58,6 @@ type Job struct {
 	// Concretize is the boundary concretization policy: one | all
 	// (default one).
 	Concretize string `json:"concretize,omitempty"`
-	// DisableSolverOpt turns the solver query-optimization stack off.
-	DisableSolverOpt bool `json:"disable_solver_opt,omitempty"`
 	// MaxInstructions bounds retired instructions (default 2M, the
 	// CLI's historical default).
 	MaxInstructions uint64 `json:"max_instructions,omitempty"`
@@ -196,7 +194,7 @@ func (j Job) SetupConfig() (core.SetupConfig, error) {
 		FPGA:         j.FPGA,
 		Readback:     j.Readback,
 		HWAssertions: j.Assertions,
-		Exec:         symexec.Config{Policy: pol, DisableSolverOpt: j.DisableSolverOpt},
+		Exec:         symexec.Config{Policy: pol},
 		Engine: core.Config{
 			Mode:             mode,
 			Searcher:         searcher,

@@ -301,9 +301,9 @@ type Tally struct {
 	// Exec is the symbolic executor's activity (instructions, forks,
 	// solver calls, undecided queries), summed over all workers.
 	Exec symexec.Stats
-	// Solver is the constraint solver's effort and per-optimization-
-	// stage counters (slices, model hits, rewrites, incremental
-	// reuses), summed over all workers.
+	// Solver is the constraint solver's effort and per-stage counters
+	// (slices, model hits, incremental reuses), summed over all
+	// workers.
 	Solver solver.Stats
 }
 

@@ -355,17 +355,6 @@ func (b *Builder) Not(x *Term) *Term {
 	return b.intern(&Term{op: OpNot, width: x.width, args: []*Term{x}})
 }
 
-// Neg returns -x (two's complement).
-func (b *Builder) Neg(x *Term) *Term {
-	if x.IsConst() {
-		return b.Const(-x.val, x.Width())
-	}
-	if x.op == OpNeg {
-		return x.args[0]
-	}
-	return b.intern(&Term{op: OpNeg, width: x.width, args: []*Term{x}})
-}
-
 // Shl returns x << y. Shift amounts >= width yield zero.
 func (b *Builder) Shl(x, y *Term) *Term {
 	sameWidth(x, y)
@@ -446,8 +435,6 @@ func (b *Builder) Eq(x, y *Term) *Term {
 			}
 		case OpNot:
 			return b.Eq(x.args[0], b.Const(^y.val, x.Width()))
-		case OpNeg:
-			return b.Eq(x.args[0], b.Const(-y.val, x.Width()))
 		case OpZExt:
 			// zext(x) = c is false when c overflows x, else narrows.
 			if y.val&^Mask(x.args[0].Width()) != 0 {
@@ -655,34 +642,6 @@ func (b *Builder) SExt(x *Term, w uint) *Term {
 		return b.Const(SignExtend(x.val, x.Width()), w)
 	}
 	return b.intern(&Term{op: OpSExt, width: cw, args: []*Term{x}})
-}
-
-// Ite returns (if cond then x else y); cond must have width 1.
-func (b *Builder) Ite(cond, x, y *Term) *Term {
-	if cond.Width() != 1 {
-		panic("expr: ite condition must have width 1")
-	}
-	sameWidth(x, y)
-	if c, ok := cond.Const(); ok {
-		if c != 0 {
-			return x
-		}
-		return y
-	}
-	if x == y {
-		return x
-	}
-	// ite(c, 1, 0) is just the condition widened; ite(c, 0, 1) its
-	// negation.
-	if x.IsConst() && y.IsConst() {
-		if x.val == 1 && y.val == 0 {
-			return b.ZExt(cond, x.Width())
-		}
-		if x.val == 0 && y.val == 1 {
-			return b.ZExt(b.Not(cond), x.Width())
-		}
-	}
-	return b.intern(&Term{op: OpIte, width: x.width, args: []*Term{cond, x, y}})
 }
 
 // VarSet returns the distinct variables reachable from t, sorted by

@@ -56,15 +56,10 @@ func (ev *Evaluator) eval(t *Term, a Assignment) uint64 {
 			return v
 		}
 	}
-	// Operands are evaluated eagerly, ite's untaken arm included: terms
-	// are pure, and one call per node is what keeps small terms cheap.
-	var x, y, z uint64
-	x = ev.eval(t.args[0], a)
+	x := ev.eval(t.args[0], a)
+	var y uint64
 	if len(t.args) > 1 {
 		y = ev.eval(t.args[1], a)
-	}
-	if len(t.args) > 2 {
-		z = ev.eval(t.args[2], a)
 	}
 	w := t.Width()
 	var v uint64
@@ -93,8 +88,6 @@ func (ev *Evaluator) eval(t *Term, a Assignment) uint64 {
 		v = x ^ y
 	case OpNot:
 		v = ^x & Mask(w)
-	case OpNeg:
-		v = (-x) & Mask(w)
 	case OpShl:
 		if y < uint64(w) {
 			v = (x << y) & Mask(w)
@@ -126,11 +119,6 @@ func (ev *Evaluator) eval(t *Term, a Assignment) uint64 {
 		v = x
 	case OpSExt:
 		v = SignExtend(x, t.args[0].Width()) & Mask(w)
-	case OpIte:
-		v = z
-		if x != 0 {
-			v = y
-		}
 	default:
 		panic(fmt.Sprintf("expr: eval of unknown op %v", t.op))
 	}
@@ -149,97 +137,4 @@ func b2u(v bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// Replace returns t with every occurrence of the subterm old replaced
-// by repl, rebuilding through b so the result re-simplifies. The
-// solver's constraint-implied concretization uses it (an equality
-// `old = c` in the path condition licenses replacing old by c
-// everywhere else).
-func Replace(b *Builder, t, old, repl *Term) *Term {
-	if old.Width() != repl.Width() {
-		panic("expr: replacement width mismatch")
-	}
-	cache := make(map[*Term]*Term)
-	var rec func(*Term) *Term
-	rec = func(t *Term) *Term {
-		if t == old {
-			return repl
-		}
-		if t.op == OpConst || t.op == OpVar {
-			return t
-		}
-		if r, ok := cache[t]; ok {
-			return r
-		}
-		args := make([]*Term, len(t.args))
-		changed := false
-		for i, a := range t.args {
-			args[i] = rec(a)
-			if args[i] != a {
-				changed = true
-			}
-		}
-		r := t
-		if changed {
-			r = b.rebuild(t, args)
-		}
-		cache[t] = r
-		return r
-	}
-	return rec(t)
-}
-
-func (b *Builder) rebuild(t *Term, args []*Term) *Term {
-	switch t.op {
-	case OpAdd:
-		return b.Add(args[0], args[1])
-	case OpSub:
-		return b.Sub(args[0], args[1])
-	case OpMul:
-		return b.Mul(args[0], args[1])
-	case OpUDiv:
-		return b.UDiv(args[0], args[1])
-	case OpURem:
-		return b.URem(args[0], args[1])
-	case OpAnd:
-		return b.And(args[0], args[1])
-	case OpOr:
-		return b.Or(args[0], args[1])
-	case OpXor:
-		return b.Xor(args[0], args[1])
-	case OpNot:
-		return b.Not(args[0])
-	case OpNeg:
-		return b.Neg(args[0])
-	case OpShl:
-		return b.Shl(args[0], args[1])
-	case OpLshr:
-		return b.Lshr(args[0], args[1])
-	case OpAshr:
-		return b.Ashr(args[0], args[1])
-	case OpEq:
-		return b.Eq(args[0], args[1])
-	case OpNe:
-		return b.Ne(args[0], args[1])
-	case OpUlt:
-		return b.Ult(args[0], args[1])
-	case OpUle:
-		return b.Ule(args[0], args[1])
-	case OpSlt:
-		return b.Slt(args[0], args[1])
-	case OpSle:
-		return b.Sle(args[0], args[1])
-	case OpConcat:
-		return b.Concat(args[0], args[1])
-	case OpExtract:
-		return b.Extract(args[0], uint(t.lo), t.Width())
-	case OpZExt:
-		return b.ZExt(args[0], t.Width())
-	case OpSExt:
-		return b.SExt(args[0], t.Width())
-	case OpIte:
-		return b.Ite(args[0], args[1], args[2])
-	}
-	panic(fmt.Sprintf("expr: rebuild of unknown op %v", t.op))
 }

@@ -28,7 +28,7 @@ const (
 	OpOr
 	OpXor
 	OpNot
-	OpNeg
+	_ // retired; later values keep their numbers (cache keys hash them)
 	OpShl
 	OpLshr
 	OpAshr
@@ -42,7 +42,6 @@ const (
 	OpExtract
 	OpZExt
 	OpSExt
-	OpIte
 )
 
 var opNames = map[Op]string{
@@ -57,7 +56,6 @@ var opNames = map[Op]string{
 	OpOr:      "bvor",
 	OpXor:     "bvxor",
 	OpNot:     "bvnot",
-	OpNeg:     "bvneg",
 	OpShl:     "bvshl",
 	OpLshr:    "bvlshr",
 	OpAshr:    "bvashr",
@@ -71,7 +69,6 @@ var opNames = map[Op]string{
 	OpExtract: "extract",
 	OpZExt:    "zext",
 	OpSExt:    "sext",
-	OpIte:     "ite",
 }
 
 // String returns the SMT-LIB-style mnemonic for the operator.
@@ -172,21 +169,4 @@ func SignExtend(v uint64, w uint) uint64 {
 		return v | ^Mask(w)
 	}
 	return v & Mask(w)
-}
-
-// Vars appends the distinct variables reachable from t to out and
-// returns the extended slice. The seen map tracks visited terms and may
-// be shared across calls to accumulate variables of several terms.
-func Vars(t *Term, seen map[*Term]bool, out []*Term) []*Term {
-	if seen[t] {
-		return out
-	}
-	seen[t] = true
-	if t.op == OpVar {
-		return append(out, t)
-	}
-	for _, a := range t.args {
-		out = Vars(a, seen, out)
-	}
-	return out
 }

@@ -126,21 +126,6 @@ func (b *blaster) adder(x, y []lit, cin lit) []lit {
 	return out
 }
 
-func (b *blaster) negate(x []lit) []lit {
-	inv := make([]lit, len(x))
-	for i, l := range x {
-		inv[i] = l.not()
-	}
-	one := make([]lit, len(x))
-	for i := range one {
-		one[i] = litFalse
-	}
-	if len(one) > 0 {
-		one[0] = litTrue
-	}
-	return b.adder(inv, one, litFalse)
-}
-
 func constBits(v uint64, w int) []lit {
 	out := make([]lit, w)
 	for i := 0; i < w; i++ {
@@ -380,8 +365,6 @@ func (b *blaster) blastUncached(t *expr.Term) []lit {
 			out[i] = x[i].not()
 		}
 		return out
-	case expr.OpNeg:
-		return b.negate(b.blast(args[0]))
 	case expr.OpShl:
 		return b.shifter(b.blast(args[0]), b.blast(args[1]), 0)
 	case expr.OpLshr:
@@ -429,20 +412,8 @@ func (b *blaster) blastUncached(t *expr.Term) []lit {
 			out[i] = sign
 		}
 		return out
-	case expr.OpIte:
-		sel := b.blast(args[0])[0]
-		return b.mux(sel, b.blast(args[1]), b.blast(args[2]))
 	}
 	panic(fmt.Sprintf("solver: cannot blast op %v", t.Op()))
-}
-
-// assertTrue adds the constraint that width-1 term t is 1.
-func (b *blaster) assertTrue(t *expr.Term) {
-	if t.Width() != 1 {
-		panic("solver: assertTrue on non-boolean term")
-	}
-	l := b.blast(t)[0]
-	b.s.addClause([]lit{l})
 }
 
 // model extracts concrete values for all blasted variables from a

@@ -47,7 +47,7 @@ func TestCacheKeyCanonical(t *testing.T) {
 func TestSolverCacheHit(t *testing.T) {
 	b := expr.NewBuilder()
 	cache := NewCache(0)
-	s1 := New(0)
+	s1 := New(b, 0)
 	s1.Cache = cache
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(10, 8))}
@@ -61,7 +61,7 @@ func TestSolverCacheHit(t *testing.T) {
 	}
 
 	// Second solver sharing the cache gets a hit with the same model.
-	s2 := New(0)
+	s2 := New(b, 0)
 	s2.Cache = cache
 	res2, model2, err := s2.Check(cs)
 	if err != nil || res2 != Sat {
@@ -119,7 +119,7 @@ func TestCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := New(0)
+			s := New(b, 0)
 			s.Cache = cache
 			for i := 0; i < 50; i++ {
 				v := uint64(i % 10)

@@ -69,9 +69,12 @@ func genTerm(c chooser, b *expr.Builder, vars []*expr.Term, w uint, depth int) *
 	case 9:
 		return b.Not(x)
 	case 10:
-		return b.Neg(x)
+		return b.Sub(b.Const(0, w), x)
 	default:
-		return b.Ite(genBool(c, b, vars, depth-1), x, y)
+		// if-then-else as a select mask: all ones when the condition
+		// holds, all zeros otherwise.
+		m := b.SExt(genBool(c, b, vars, depth-1), w)
+		return b.Or(b.And(x, m), b.And(y, b.Not(m)))
 	}
 }
 
@@ -125,21 +128,35 @@ func varPool(b *expr.Builder, w uint) []*expr.Term {
 	return vars
 }
 
-// diffOne runs one query on the plain reference solver and the
-// (long-lived) optimized solver and cross-checks the verdicts and both
-// models. The optimized solver is reused across queries on purpose: the
-// model-reuse ring, unsat-core list and incremental context only have
-// state to corrupt from the second query on.
-func diffOne(t errorSink, b *expr.Builder, opt *Solver, cs []*expr.Term) bool {
-	plain := New(0)
-	pres, pm, perr := plain.Check(cs)
-	ores, om, oerr := opt.Check(cs)
-	if perr != nil || oerr != nil {
-		t.Errorf("unexpected error: plain=%v opt=%v", perr, oerr)
+// plainCheck is the reference oracle: every constraint blasted into
+// one fresh SAT instance and solved once, with no slicing, cache, model
+// reuse or incremental state.
+func plainCheck(cs []*expr.Term) (Result, expr.Assignment) {
+	core := newSAT()
+	bl := newBlaster(core)
+	for _, c := range cs {
+		core.addClause([]lit{bl.blast(c)[0]})
+	}
+	if core.solveAssuming(nil) != satSat {
+		return Unsat, nil
+	}
+	return Sat, bl.model()
+}
+
+// diffOne runs one query on the plain oracle and the (long-lived)
+// pipeline solver and cross-checks the verdicts and both models. The
+// solver is reused across queries on purpose: the model-reuse ring and
+// the incremental context only have state to corrupt from the second
+// query on.
+func diffOne(t errorSink, opt *Solver, cs []*expr.Term) bool {
+	pres, pm := plainCheck(cs)
+	ores, om, err := opt.Check(cs)
+	if err != nil {
+		t.Errorf("unexpected error: %v", err)
 		return false
 	}
 	if pres != ores {
-		t.Errorf("verdict mismatch: plain=%v optimized=%v on %v", pres, ores, cs)
+		t.Errorf("verdict mismatch: plain=%v pipeline=%v on %v", pres, ores, cs)
 		return false
 	}
 	if pres == Sat {
@@ -149,7 +166,7 @@ func diffOne(t errorSink, b *expr.Builder, opt *Solver, cs []*expr.Term) bool {
 				return false
 			}
 			if expr.Eval(c, om) != 1 {
-				t.Errorf("optimized model %v does not satisfy %v", om, c)
+				t.Errorf("pipeline model %v does not satisfy %v", om, c)
 				return false
 			}
 		}
@@ -162,39 +179,24 @@ type errorSink interface {
 	Errorf(format string, args ...any)
 }
 
-// optionCombos is every stage in isolation plus the full stack, so a
-// verdict divergence is attributable to one stage.
-func optionCombos() map[string]Options {
-	return map[string]Options{
-		"rewrite":     {Rewrite: true},
-		"slicing":     {Slicing: true},
-		"model-reuse": {ModelReuse: true},
-		"incremental": {Incremental: true},
-		"full":        DefaultOptions(),
-		"full+cache":  DefaultOptions(),
-	}
-}
-
-// TestDifferentialRandom cross-checks the optimized pipeline against
-// plain whole-query solving on seeded random conjunctions, per stage
-// and for the whole stack.
+// TestDifferentialRandom cross-checks the pipeline against the plain
+// oracle on seeded random conjunctions, without and with a verdict
+// cache.
 func TestDifferentialRandom(t *testing.T) {
-	for name, opts := range optionCombos() {
-		opts := opts
+	for name, cached := range map[string]bool{"full": false, "full+cache": true} {
+		cached := cached
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < 20; seed++ {
 				b := expr.NewBuilder()
 				vars := varPool(b, 4)
-				opt := New(0)
-				opt.Builder = b
-				opt.Opts = opts
-				if name == "full+cache" {
+				opt := New(b, 0)
+				if cached {
 					opt.Cache = NewCache(0)
 				}
 				c := randChooser{rand.New(rand.NewSource(seed))}
 				for q := 0; q < 25; q++ {
-					diffOne(t, b, opt, genQuery(c, b, vars))
+					diffOne(t, opt, genQuery(c, b, vars))
 					if t.Failed() {
 						t.Fatalf("seed %d query %d", seed, q)
 					}
@@ -221,13 +223,11 @@ func TestDifferentialQuick(t *testing.T) {
 	prop := func(seed uint64) bool {
 		b := expr.NewBuilder()
 		vars := varPool(b, 4)
-		opt := New(0)
-		opt.Builder = b
-		opt.Opts = DefaultOptions()
+		opt := New(b, 0)
 		opt.Cache = NewCache(0)
 		c := randChooser{rand.New(rand.NewSource(int64(seed)))}
 		for q := 0; q < 10; q++ {
-			if !diffOne(t, b, opt, genQuery(c, b, vars)) {
+			if !diffOne(t, opt, genQuery(c, b, vars)) {
 				return false
 			}
 		}
@@ -253,13 +253,11 @@ func FuzzDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := expr.NewBuilder()
 		vars := varPool(b, 4)
-		opt := New(0)
-		opt.Builder = b
-		opt.Opts = DefaultOptions()
+		opt := New(b, 0)
 		opt.Cache = NewCache(0)
 		c := &byteChooser{data: data}
 		for q := 0; q < 4 && c.i < len(data); q++ {
-			diffOne(t, b, opt, genQuery(c, b, vars))
+			diffOne(t, opt, genQuery(c, b, vars))
 		}
 	})
 }
@@ -270,8 +268,7 @@ func FuzzDifferential(f *testing.F) {
 // and genuinely independent groups must split.
 func TestSlicingSharedVariableChains(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
-	s.Builder = b
+	s := New(b, 0)
 	x, y, z, w := b.Var("x", 8), b.Var("y", 8), b.Var("z", 8), b.Var("w", 8)
 	c := func(v uint64) *expr.Term { return b.Const(v, 8) }
 
@@ -305,9 +302,7 @@ func TestSlicingSharedVariableChains(t *testing.T) {
 
 	// Verdict-level regression: a chain that is unsatisfiable only
 	// through its shared variable must not be split apart.
-	s2 := New(0)
-	s2.Builder = b
-	s2.Opts = DefaultOptions()
+	s2 := New(b, 0)
 	res, _, err := s2.Check([]*expr.Term{
 		b.Eq(x, y), b.Eq(y, z), b.Eq(z, c(5)), b.Ne(x, c(5)),
 	})
@@ -329,9 +324,7 @@ func TestSlicingSharedVariableChains(t *testing.T) {
 // answers it without solving.
 func TestModelReuseHit(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
-	s.Builder = b
-	s.Opts = Options{ModelReuse: true}
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	if _, m := mustSat(t, s, []*expr.Term{b.Eq(x, b.Const(7, 8))}); m["x"] != 7 {
 		t.Fatalf("x=%d, want 7", m["x"])
@@ -344,36 +337,20 @@ func TestModelReuseHit(t *testing.T) {
 	}
 }
 
-// TestUnsatCoreReuse: a remembered unsatisfiable set answers any
-// superset query.
-func TestUnsatCoreReuse(t *testing.T) {
-	b := expr.NewBuilder()
-	s := New(0)
-	s.Builder = b
-	s.Opts = Options{ModelReuse: true}
-	x, y := b.Var("x", 8), b.Var("y", 8)
-	core := []*expr.Term{b.Ult(x, b.Const(3, 8)), b.Ult(b.Const(5, 8), x)}
-	mustUnsat(t, s, core)
-	before := s.Stats.UnsatCoreHits
-	mustUnsat(t, s, append([]*expr.Term{b.Eq(y, b.Const(1, 8))}, core...))
-	if s.Stats.UnsatCoreHits != before+1 {
-		t.Fatalf("UnsatCoreHits=%d, want %d", s.Stats.UnsatCoreHits, before+1)
-	}
-}
-
 // TestIncrementalReuse: growing path-condition queries re-use guards
 // instead of re-blasting, and verdicts stay correct after many
-// interleaved Sat/Unsat queries on one context.
+// interleaved Sat/Unsat queries on one context. Each query blocks the
+// models found so far, so the recent-model ring cannot answer it and
+// the context must.
 func TestIncrementalReuse(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
-	s.Builder = b
-	s.Opts = Options{Incremental: true}
+	s := New(b, 0)
 	x := b.Var("x", 16)
 	var cs []*expr.Term
 	for i := 0; i < 6; i++ {
 		cs = append(cs, b.Ult(b.Const(uint64(i*3), 16), x))
-		mustSat(t, s, cs)
+		_, m := mustSat(t, s, cs)
+		cs = append(cs, b.Ne(x, b.Const(m["x"], 16)))
 	}
 	if s.Stats.IncrementalReuses == 0 {
 		t.Fatal("growing queries never re-used a guard")
@@ -387,9 +364,7 @@ func TestIncrementalReuse(t *testing.T) {
 // solver recovers on the next (cheap) query.
 func TestIncrementalBudget(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(1)
-	s.Builder = b
-	s.Opts = DefaultOptions()
+	s := New(b, 1)
 	x, y := b.Var("x", 24), b.Var("y", 24)
 	hard := []*expr.Term{b.Eq(b.Mul(x, y), b.Const(0x7FFFFF, 24)), b.Ult(b.Const(1, 24), x), b.Ult(b.Const(1, 24), y)}
 	res, _, err := s.Check(hard)
@@ -399,38 +374,19 @@ func TestIncrementalBudget(t *testing.T) {
 	mustSat(t, s, []*expr.Term{b.Eq(x, b.Const(5, 24))})
 }
 
-// TestZeroValueSolverIsPlain: the zero-value Solver must behave as the
-// unoptimized oracle (no stage counters move).
-func TestZeroValueSolverIsPlain(t *testing.T) {
-	b := expr.NewBuilder()
-	s := New(0)
-	x := b.Var("x", 8)
-	mustSat(t, s, []*expr.Term{b.Ult(x, b.Const(9, 8)), b.Ult(b.Const(2, 8), x)})
-	mustSat(t, s, []*expr.Term{b.Ult(x, b.Const(9, 8)), b.Ult(b.Const(2, 8), x)})
-	st := s.Stats
-	if st.Sliced != 0 || st.ModelHits != 0 || st.UnsatCoreHits != 0 || st.Rewrites != 0 || st.IncrementalReuses != 0 {
-		t.Fatalf("zero-value solver moved optimization counters: %+v", st)
-	}
-	if st.WallNS <= 0 || st.Queries != 2 {
-		t.Fatalf("wall/query accounting broken: %+v", st)
-	}
-}
-
 // TestEnumerateVerdicts: Enumerate distinguishes exhaustion (Unsat)
 // from stopping at max (Sat) from budget exhaustion (Unknown).
 func TestEnumerateVerdicts(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
-	s.Builder = b
-	s.Opts = DefaultOptions()
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(3, 8))}
 
-	vals, _, final := s.Enumerate(b, cs, x, 10)
+	vals, _, final := s.Enumerate(cs, x, 10)
 	if len(vals) != 3 || final != Unsat {
 		t.Fatalf("exhaustive enumeration: %d values, final=%v; want 3, unsat", len(vals), final)
 	}
-	vals, _, final = s.Enumerate(b, cs, x, 2)
+	vals, _, final = s.Enumerate(cs, x, 2)
 	if len(vals) != 2 || final != Sat {
 		t.Fatalf("capped enumeration: %d values, final=%v; want 2, sat", len(vals), final)
 	}
@@ -443,8 +399,9 @@ func TestEnumerateVerdicts(t *testing.T) {
 	}
 }
 
-// TestRewriteEquivalence: specific shapes the rewriter targets keep
-// their verdicts and models.
+// TestRewriteEquivalence: shapes a canonicalizing rewrite would target
+// (implied constants, collapsing and conflicting bounds, conjunctions)
+// keep the oracle's verdicts and yield valid models.
 func TestRewriteEquivalence(t *testing.T) {
 	b := expr.NewBuilder()
 	x, y := b.Var("x", 8), b.Var("y", 8)
@@ -462,10 +419,7 @@ func TestRewriteEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := New(0)
-			opt.Builder = b
-			opt.Opts = DefaultOptions()
-			diffOne(t, b, opt, tc.cs)
+			diffOne(t, New(b, 0), tc.cs)
 		})
 	}
 }
@@ -501,13 +455,12 @@ func mustUnsat(t *testing.T, s *Solver, cs []*expr.Term) {
 // TestStatsAdd: the field-wise merge used by core's parallel report.
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Queries: 1, SatAnswers: 2, UnsatAnswers: 3, CacheHits: 4, Conflicts: 5,
-		Propagations: 6, Sliced: 7, ModelHits: 8, UnsatCoreHits: 9, Rewrites: 10,
-		IncrementalReuses: 11, WallNS: 12}
+		Propagations: 6, Sliced: 7, ModelHits: 8, IncrementalReuses: 9, WallNS: 10}
 	b := a
 	b.Add(a)
 	want := fmt.Sprintf("%+v", Stats{Queries: 2, SatAnswers: 4, UnsatAnswers: 6, CacheHits: 8,
-		Conflicts: 10, Propagations: 12, Sliced: 14, ModelHits: 16, UnsatCoreHits: 18,
-		Rewrites: 20, IncrementalReuses: 22, WallNS: 24})
+		Conflicts: 10, Propagations: 12, Sliced: 14, ModelHits: 16, IncrementalReuses: 18,
+		WallNS: 20})
 	if got := fmt.Sprintf("%+v", b); got != want {
 		t.Fatalf("Add: got %s, want %s", got, want)
 	}

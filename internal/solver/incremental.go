@@ -78,24 +78,3 @@ func (s *Solver) solveIncremental(cs []*expr.Term) (satResult, expr.Assignment) 
 	}
 	return res, m
 }
-
-// solveFresh decides the conjunction in a throwaway SAT instance —
-// plain whole-query blasting, used when Incremental is off and as the
-// differential tests' reference behavior.
-func (s *Solver) solveFresh(cs []*expr.Term) (satResult, expr.Assignment) {
-	core := newSAT()
-	if s.MaxConflicts > 0 {
-		core.maxConflicts = s.MaxConflicts
-	}
-	bl := newBlaster(core)
-	for _, c := range cs {
-		bl.assertTrue(c)
-	}
-	res := core.solve()
-	s.Stats.Conflicts += core.conflicts
-	s.Stats.Propagations += core.propagations
-	if res == satSat {
-		return satSat, bl.model()
-	}
-	return res, nil
-}

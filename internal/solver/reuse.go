@@ -2,17 +2,9 @@ package solver
 
 import "hardsnap/internal/expr"
 
-// Counterexample/model-reuse bounds. The recent-model ring answers Sat
-// by evaluation instead of solving; the unsat-core list answers Unsat
-// when a remembered unsatisfiable set is a subset of the query (a
-// superset of an unsatisfiable conjunction is unsatisfiable). Both are
-// per-Solver and hold interned term pointers, so membership is pointer
-// equality.
-const (
-	maxRecentModels = 8
-	maxUnsatCores   = 64
-	maxCoreSize     = 16
-)
+// maxRecentModels bounds the counterexample-reuse ring, which answers
+// Sat by evaluation instead of solving. The ring is per-Solver.
+const maxRecentModels = 8
 
 // tryRecentModels returns a cached model that satisfies every
 // constraint, newest first. Any hit is a genuine model — validity is
@@ -50,45 +42,6 @@ func (s *Solver) rememberModel(m expr.Assignment) {
 	}
 }
 
-// coveredByUnsatCore reports whether a remembered unsat core is a
-// subset of cs (pointer identity on interned terms).
-func (s *Solver) coveredByUnsatCore(cs []*expr.Term) bool {
-	if len(s.cores) == 0 {
-		return false
-	}
-	set := make(map[*expr.Term]bool, len(cs))
-	for _, c := range cs {
-		set[c] = true
-	}
-	for i := len(s.cores) - 1; i >= 0; i-- {
-		sub := true
-		for _, t := range s.cores[i] {
-			if !set[t] {
-				sub = false
-				break
-			}
-		}
-		if sub {
-			return true
-		}
-	}
-	return false
-}
-
-// rememberUnsatCore records an unsatisfiable constraint set. Large sets
-// are skipped — they are unlikely to recur as subsets and make every
-// subset check slower.
-func (s *Solver) rememberUnsatCore(cs []*expr.Term) {
-	if len(cs) == 0 || len(cs) > maxCoreSize {
-		return
-	}
-	core := append([]*expr.Term(nil), cs...)
-	s.cores = append(s.cores, core)
-	if len(s.cores) > maxUnsatCores {
-		s.cores = s.cores[len(s.cores)-maxUnsatCores:]
-	}
-}
-
 // restrictModel projects m onto the variables of cs, defaulting
 // missing variables to zero. Slice models must be restricted before
 // they are merged: an incremental context's model also assigns
@@ -97,7 +50,7 @@ func (s *Solver) rememberUnsatCore(cs []*expr.Term) {
 func (s *Solver) restrictModel(cs []*expr.Term, m expr.Assignment) expr.Assignment {
 	out := make(expr.Assignment)
 	for _, c := range cs {
-		for _, v := range s.varSet(c) {
+		for _, v := range s.Builder.VarSet(c) {
 			if val, ok := m[v.Name()]; ok {
 				out[v.Name()] = val
 			} else {

@@ -77,7 +77,7 @@ type sat struct {
 	ok       bool
 
 	conflicts    int64
-	maxConflicts int64
+	maxConflicts int64 // < 0: unbounded
 	propagations int64
 
 	seen       []bool
@@ -427,11 +427,6 @@ const (
 	satUnsat
 	satUnknown
 )
-
-// solve runs the CDCL loop. maxConflicts < 0 means unbounded.
-func (s *sat) solve() satResult {
-	return s.solveAssuming(nil)
-}
 
 // solveAssuming runs the CDCL loop with the given literals as
 // assumptions: they are forced as the first decisions (MiniSat-style),

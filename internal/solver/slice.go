@@ -1,29 +1,6 @@
 package solver
 
-import (
-	"sort"
-
-	"hardsnap/internal/expr"
-)
-
-// varSet returns the variables of t, sorted by name. With a Builder the
-// set is memoized on the hash-consed DAG (O(1) per reused node); without
-// one a per-solver memo is kept so repeated constraints stay cheap.
-func (s *Solver) varSet(t *expr.Term) []*expr.Term {
-	if s.Builder != nil {
-		return s.Builder.VarSet(t)
-	}
-	if v, ok := s.localVars[t]; ok {
-		return v
-	}
-	vars := expr.Vars(t, make(map[*expr.Term]bool), nil)
-	sort.Slice(vars, func(i, j int) bool { return vars[i].Name() < vars[j].Name() })
-	if s.localVars == nil {
-		s.localVars = make(map[*expr.Term][]*expr.Term)
-	}
-	s.localVars[t] = vars
-	return vars
-}
+import "hardsnap/internal/expr"
 
 // partition splits a conjunction into its connected components
 // ("independence slices"): constraints end up in the same slice iff
@@ -55,7 +32,7 @@ func (s *Solver) partition(cs []*expr.Term) [][]*expr.Term {
 	}
 	owner := make(map[*expr.Term]int)
 	for i, c := range cs {
-		for _, v := range s.varSet(c) {
+		for _, v := range s.Builder.VarSet(c) {
 			if j, ok := owner[v]; ok {
 				union(j, i)
 			} else {

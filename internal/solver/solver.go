@@ -36,10 +36,11 @@ var ErrBudget = errors.New("solver: conflict budget exhausted")
 
 var errNotBoolean = errors.New("solver: constraint is not boolean")
 
-// Solver decides conjunctions of width-1 bitvector terms. The zero
-// value is ready to use with an unlimited conflict budget and plain
-// whole-query solving; set Opts (and Builder) to enable the
-// query-optimization stack.
+// Solver decides conjunctions of width-1 bitvector terms through one
+// fixed pipeline, KLEE's solver chain: independence slicing, a
+// per-slice verdict cache, the recent-model ring, then incremental
+// assumption-based SAT. Every stage preserves verdicts; only effort and
+// the particular model returned depend on the solver's history.
 type Solver struct {
 	// MaxConflicts bounds the CDCL search per query; <= 0 means
 	// unlimited.
@@ -48,34 +49,25 @@ type Solver struct {
 	// Cache, when non-nil, memoizes definite verdicts across queries
 	// (and, when shared, across solvers — see Cache). The Solver
 	// itself remains single-goroutine; only the Cache is safe to
-	// share. With slicing enabled the cache is also consulted per
-	// slice, so verdicts start hitting across branches that share
-	// constraint subsets, not only across identical paths.
+	// share. The cache is also consulted per slice, so verdicts hit
+	// across branches that share constraint subsets, not only across
+	// identical paths.
 	Cache *Cache
 
 	// Builder is the expression builder the constraints were created
-	// with. It is required by the Rewrite stage (which constructs
-	// terms) and used for O(1) memoized var-sets by slicing; the
-	// Incremental stage also needs it as a signal that term pointers
-	// are stable across queries.
+	// with: slicing reads its memoized var-sets, and the incremental
+	// context relies on its interning to keep term pointers stable
+	// across queries.
 	Builder *expr.Builder
-
-	// Opts selects the optimization stages; the zero value is plain
-	// whole-query blasting.
-	Opts Options
 
 	// Stats accumulates across queries.
 	Stats Stats
 
-	// Counterexample-reuse state (single-goroutine, like the Solver).
+	// Counterexample-reuse ring (single-goroutine, like the Solver).
 	recent []expr.Assignment
-	cores  [][]*expr.Term
 
 	// Incremental assumption-based context.
 	ctx *incContext
-
-	// Fallback var-set memo when no Builder is attached.
-	localVars map[*expr.Term][]*expr.Term
 
 	// eval decides model reuse and enumerated values.
 	eval expr.Evaluator
@@ -98,12 +90,6 @@ type Stats struct {
 	// ModelHits counts Sat answers obtained by replaying a recent
 	// model instead of solving.
 	ModelHits int64
-	// UnsatCoreHits counts Unsat answers obtained because a
-	// remembered unsat core was a subset of the query.
-	UnsatCoreHits int64
-	// Rewrites counts constraints simplified, split, or dropped by the
-	// canonicalizing rewrite pass.
-	Rewrites int64
 	// IncrementalReuses counts constraints that were already guarded
 	// in the incremental context (no new blasting needed).
 	IncrementalReuses int64
@@ -121,26 +107,22 @@ func (s *Stats) Add(o Stats) {
 	s.Propagations += o.Propagations
 	s.Sliced += o.Sliced
 	s.ModelHits += o.ModelHits
-	s.UnsatCoreHits += o.UnsatCoreHits
-	s.Rewrites += o.Rewrites
 	s.IncrementalReuses += o.IncrementalReuses
 	s.WallNS += o.WallNS
 }
 
-// New returns a Solver with the given conflict budget (<= 0 for
-// unlimited).
-func New(maxConflicts int64) *Solver {
-	return &Solver{MaxConflicts: maxConflicts}
+// New returns a Solver for constraints built with b, with the given
+// conflict budget (<= 0 for unlimited).
+func New(b *expr.Builder, maxConflicts int64) *Solver {
+	return &Solver{Builder: b, MaxConflicts: maxConflicts}
 }
 
 // Check decides whether the conjunction of the given width-1 terms is
 // satisfiable. On Sat it returns a model assigning every variable that
 // occurs in the constraints. On Unknown it returns ErrBudget.
 //
-// The query runs through the optimization pipeline selected by Opts:
-// rewrite → slice → per-slice cache/model-reuse → (incremental) SAT.
-// Every stage preserves verdicts, so enabling stages changes effort
-// and possibly which model is returned, never satisfiability.
+// The query runs through the pipeline slice → per-slice cache →
+// recent-model ring → incremental SAT.
 func (s *Solver) Check(constraints []*expr.Term) (Result, expr.Assignment, error) {
 	start := time.Now()
 	s.Stats.Queries++
@@ -186,35 +168,12 @@ func (s *Solver) check(constraints []*expr.Term) (Result, expr.Assignment, error
 		}
 	}
 
-	cs, changed := constraints, false
-	if s.Opts.Rewrite && s.Builder != nil {
-		var verdict Result
-		cs, verdict, changed = s.rewrite(constraints)
-		if verdict == Unsat {
-			if haveKey {
-				s.Cache.Store(key, Unsat, nil)
-			}
-			return Unsat, nil, nil
-		}
-		if len(cs) == 0 {
-			model := expr.Assignment{}
-			if haveKey {
-				s.Cache.Store(key, Sat, model)
-			}
-			return Sat, model, nil
-		}
-	}
-
-	var slices [][]*expr.Term
-	if s.Opts.Slicing {
-		slices = s.partition(cs)
-		s.Stats.Sliced += int64(len(slices) - 1)
-	} else {
-		slices = [][]*expr.Term{cs}
-	}
-	// Per-slice verdicts are worth caching only when the slice key can
-	// differ from the whole-query key (which already missed).
-	subCache := haveKey && (changed || len(slices) > 1)
+	slices := s.partition(constraints)
+	s.Stats.Sliced += int64(len(slices) - 1)
+	// Per-slice verdicts are worth caching only when there is more
+	// than one slice: a lone slice's key is the whole-query key, which
+	// already missed.
+	subCache := haveKey && len(slices) > 1
 
 	model := expr.Assignment{}
 	for _, sl := range slices {
@@ -242,8 +201,8 @@ func (s *Solver) check(constraints []*expr.Term) (Result, expr.Assignment, error
 }
 
 // checkSlice decides one independence slice: per-slice cache, then
-// counterexample reuse, then SAT (incremental context or a fresh
-// instance). Sat models are restricted to the slice's variables.
+// counterexample reuse, then the incremental SAT context. Sat models
+// are restricted to the slice's variables.
 func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assignment, error) {
 	var live []*expr.Term
 	for _, c := range sl {
@@ -268,31 +227,16 @@ func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assign
 		}
 	}
 
-	if s.Opts.ModelReuse {
-		if m, ok := s.tryRecentModels(live); ok {
-			s.Stats.ModelHits++
-			m = s.restrictModel(live, m)
-			if useCache {
-				s.Cache.Store(key, Sat, m)
-			}
-			return Sat, m, nil
+	if m, ok := s.tryRecentModels(live); ok {
+		s.Stats.ModelHits++
+		m = s.restrictModel(live, m)
+		if useCache {
+			s.Cache.Store(key, Sat, m)
 		}
-		if s.coveredByUnsatCore(live) {
-			s.Stats.UnsatCoreHits++
-			if useCache {
-				s.Cache.Store(key, Unsat, nil)
-			}
-			return Unsat, nil, nil
-		}
+		return Sat, m, nil
 	}
 
-	var res satResult
-	var m expr.Assignment
-	if s.Opts.Incremental && s.Builder != nil {
-		res, m = s.solveIncremental(live)
-	} else {
-		res, m = s.solveFresh(live)
-	}
+	res, m := s.solveIncremental(live)
 	switch res {
 	case satSat:
 		m = s.restrictModel(live, m)
@@ -305,7 +249,6 @@ func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assign
 		if useCache {
 			s.Cache.Store(key, Unsat, nil)
 		}
-		s.rememberUnsatCore(live)
 		return Unsat, nil, nil
 	}
 	return Unknown, nil, ErrBudget
@@ -323,7 +266,7 @@ func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assign
 // exists" apart from "the solver gave up". Thanks to the incremental
 // context, each blocking query re-uses all previously blasted
 // constraints and only the newest blocking constraint is new work.
-func (s *Solver) Enumerate(b *expr.Builder, constraints []*expr.Term, t *expr.Term, max int) (vals []uint64, models []expr.Assignment, final Result) {
+func (s *Solver) Enumerate(constraints []*expr.Term, t *expr.Term, max int) (vals []uint64, models []expr.Assignment, final Result) {
 	if v, ok := t.Const(); ok {
 		return []uint64{v}, []expr.Assignment{nil}, Sat
 	}
@@ -338,7 +281,7 @@ func (s *Solver) Enumerate(b *expr.Builder, constraints []*expr.Term, t *expr.Te
 		v := s.eval.Eval(t, m)
 		vals = append(vals, v)
 		models = append(models, m)
-		cs = append(cs, b.Ne(t, b.Const(v, t.Width())))
+		cs = append(cs, s.Builder.Ne(t, s.Builder.Const(v, t.Width())))
 	}
 	return vals, models, final
 }

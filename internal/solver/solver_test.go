@@ -39,7 +39,7 @@ func checkUnsat(t *testing.T, s *Solver, cs []*expr.Term) {
 
 func TestTrivial(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	checkSat(t, s, nil)
 	checkSat(t, s, []*expr.Term{b.Bool(true)})
 	checkUnsat(t, s, []*expr.Term{b.Bool(false)})
@@ -47,7 +47,7 @@ func TestTrivial(t *testing.T) {
 
 func TestSimpleEquation(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	// x + 3 == 10  ->  x == 7
 	m := checkSat(t, s, []*expr.Term{b.Eq(b.Add(x, b.Const(3, 8)), b.Const(10, 8))})
@@ -58,7 +58,7 @@ func TestSimpleEquation(t *testing.T) {
 
 func TestContradiction(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	checkUnsat(t, s, []*expr.Term{
 		b.Eq(x, b.Const(1, 8)),
@@ -68,7 +68,7 @@ func TestContradiction(t *testing.T) {
 
 func TestUnsignedComparison(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	m := checkSat(t, s, []*expr.Term{
 		b.Ult(b.Const(250, 8), x),
@@ -85,7 +85,7 @@ func TestUnsignedComparison(t *testing.T) {
 
 func TestSignedComparison(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	m := checkSat(t, s, []*expr.Term{
 		b.Slt(x, b.Const(0, 8)),
@@ -99,7 +99,7 @@ func TestSignedComparison(t *testing.T) {
 
 func TestMultiplication(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 	// x * y == 35, x > 1, y > 1 -> {5,7}
@@ -117,7 +117,7 @@ func TestMultiplication(t *testing.T) {
 
 func TestDivision(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	// x / 7 == 5 and x % 7 == 3 -> x == 38
 	m := checkSat(t, s, []*expr.Term{
@@ -131,7 +131,7 @@ func TestDivision(t *testing.T) {
 
 func TestDivisionByZeroSemantics(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 	// y == 0 and x / y == x_div -> x_div must be 0xFF
@@ -148,7 +148,7 @@ func TestDivisionByZeroSemantics(t *testing.T) {
 
 func TestShifts(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	sh := b.Var("sh", 8)
 	m := checkSat(t, s, []*expr.Term{
@@ -168,7 +168,7 @@ func TestShifts(t *testing.T) {
 
 func TestAshrSymbolic(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	// x >> 4 (arith) == 0xFF implies sign bit set.
 	m := checkSat(t, s, []*expr.Term{
@@ -181,7 +181,7 @@ func TestAshrSymbolic(t *testing.T) {
 
 func TestConcatExtract(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	hi := b.Var("hi", 8)
 	lo := b.Var("lo", 8)
 	word := b.Concat(hi, lo)
@@ -193,20 +193,9 @@ func TestConcatExtract(t *testing.T) {
 	}
 }
 
-func TestIte(t *testing.T) {
-	b := expr.NewBuilder()
-	s := New(0)
-	c := b.Var("c", 1)
-	x := b.Ite(c, b.Const(10, 8), b.Const(20, 8))
-	m := checkSat(t, s, []*expr.Term{b.Eq(x, b.Const(20, 8))})
-	if m["c"] != 0 {
-		t.Fatalf("c = %d, want 0", m["c"])
-	}
-}
-
 func TestBudgetExhaustion(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(1) // one conflict allowed
+	s := New(b, 1) // one conflict allowed
 	// A moderately hard instance: multiplication inversion.
 	x := b.Var("x", 32)
 	y := b.Var("y", 32)
@@ -226,10 +215,10 @@ func TestBudgetExhaustion(t *testing.T) {
 // evaluates the term to that value.
 func TestEnumerateValues(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(3, 8))}
-	vals, models, _ := s.Enumerate(b, cs, x, 10)
+	vals, models, _ := s.Enumerate(cs, x, 10)
 	if len(vals) != 3 || len(models) != 3 {
 		t.Fatalf("got %d values and %d models, want 3 each: %v", len(vals), len(models), vals)
 	}
@@ -289,7 +278,7 @@ func TestExhaustiveSmallWidth(t *testing.T) {
 						}
 					}
 				}
-				s := New(0)
+				s := New(b, 0)
 				cs := []*expr.Term{b.Eq(term, b.Const(target, 4))}
 				res, m, err := s.Check(cs)
 				if err != nil {
@@ -312,7 +301,7 @@ func TestExhaustiveSmallWidth(t *testing.T) {
 func TestQuickModelsSatisfy(t *testing.T) {
 	f := func(av, bv uint16, sel uint8) bool {
 		b := expr.NewBuilder()
-		s := New(0)
+		s := New(b, 0)
 		x := b.Var("x", 16)
 		y := b.Var("y", 16)
 		var c1, c2 *expr.Term
@@ -347,7 +336,7 @@ func TestQuickModelsSatisfy(t *testing.T) {
 
 func Test32BitArithmetic(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 32)
 	// Classic: find x with (x ^ 0xDEADBEEF) + 0x1111 == 0xCAFEBABE
 	m := checkSat(t, s, []*expr.Term{
@@ -361,7 +350,7 @@ func Test32BitArithmetic(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(0)
+	s := New(b, 0)
 	x := b.Var("x", 8)
 	checkSat(t, s, []*expr.Term{b.Eq(x, b.Const(5, 8))})
 	checkUnsat(t, s, []*expr.Term{b.Bool(false)})

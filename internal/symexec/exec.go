@@ -42,12 +42,6 @@ type Config struct {
 	MaxValues int
 	// SolverConflicts bounds each solver query (0 = unlimited).
 	SolverConflicts int64
-	// DisableSolverOpt turns off the solver's query-optimization stack
-	// (rewrite/slicing/model-reuse/incremental SAT), reverting to plain
-	// whole-query solving. Used as the escape hatch for differential
-	// testing and A/B benchmarking. A state's witness (State.Witness)
-	// is evaluation in the executor, not a solver stage, and stays on.
-	DisableSolverOpt bool
 }
 
 // Stats counts executor activity.
@@ -113,17 +107,14 @@ func New(cfg Config, prog *asm.Program, mmio MMIOHandler) (*Executor, error) {
 		return nil, fmt.Errorf("symexec: program does not fit in RAM")
 	}
 	copy(image[off:], prog.Code)
+	b := expr.NewBuilder()
 	e := &Executor{
-		B:      expr.NewBuilder(),
-		Solver: solver.New(cfg.SolverConflicts),
+		B:      b,
+		Solver: solver.New(b, cfg.SolverConflicts),
 		cfg:    cfg,
 		mmio:   mmio,
 		image:  image,
 		prog:   prog,
-	}
-	e.Solver.Builder = e.B
-	if !cfg.DisableSolverOpt {
-		e.Solver.Opts = solver.DefaultOptions()
 	}
 	return e, nil
 }
@@ -146,15 +137,13 @@ func (e *Executor) NextID() uint64 { return e.nextID }
 func (e *Executor) Spawn(idBase uint64) *Executor {
 	ne := &Executor{
 		B:      e.B,
-		Solver: solver.New(e.cfg.SolverConflicts),
+		Solver: solver.New(e.B, e.cfg.SolverConflicts),
 		cfg:    e.cfg,
 		image:  e.image,
 		prog:   e.prog,
 		nextID: idBase,
 	}
 	ne.Solver.Cache = e.Solver.Cache
-	ne.Solver.Builder = e.B
-	ne.Solver.Opts = e.Solver.Opts
 	return ne
 }
 
@@ -329,7 +318,7 @@ func (e *Executor) concretize(st *State, t *expr.Term, forks *[]*State) (uint32,
 	// incremental context re-blasts nothing between them); count the
 	// queries it actually ran, not a guess from the value count.
 	before := e.Solver.Stats.Queries
-	vals, models, final := e.Solver.Enumerate(e.B, st.Constraints, t, max)
+	vals, models, final := e.Solver.Enumerate(st.Constraints, t, max)
 	e.Stats.SolverCalls += uint64(e.Solver.Stats.Queries - before)
 	if len(vals) == 0 {
 		if final == solver.Unknown {
