@@ -41,9 +41,12 @@ reach:
 # fuzzer (internal/fuzz: N workers over a lock-striped coverage map
 # and a shared corpus). cmd/hssim rides along because its
 # fault-injection test is the one place a redialing client meets a
-# server whose old connection is still draining.
+# server whose old connection is still draining; cmd/hardsnap because
+# its -farm test runs a farm server, a stream and a cancel watchdog on
+# separate goroutines; cmd/hsfarm because its server test shuts a
+# listening farm down from another goroutine.
 race:
-	$(GO) test -race ./cmd/hssim ./internal/remote ./internal/target ./internal/core ./internal/snapshot ./internal/solver ./internal/expr ./internal/symexec ./internal/campaign ./internal/farm ./internal/dist ./internal/fuzz
+	$(GO) test -race ./cmd/hssim ./cmd/hardsnap ./cmd/hsfarm ./internal/remote ./internal/target ./internal/core ./internal/snapshot ./internal/solver ./internal/expr ./internal/symexec ./internal/campaign ./internal/farm ./internal/dist ./internal/fuzz
 
 # chaos runs the crash-safety identity matrix under the race detector:
 # deterministic failure injection (panic/kill/sever), journal resume

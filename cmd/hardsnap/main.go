@@ -477,12 +477,12 @@ func runFarm(ctx context.Context, opts runOpts, job campaign.Job) (int, error) {
 	switch info.Status {
 	case farm.StatusDone:
 		res := info.Result
+		if res == nil {
+			return 0, fmt.Errorf("farm job %s is done but the reply carries no result", id)
+		}
 		fmt.Printf("\npaths: %d  instructions: %d  solver queries: %d  virtual time: %v\n",
 			res.Paths, res.Instructions, res.SolverQueries, res.VirtualTime.Round(time.Microsecond))
 		fmt.Printf("fingerprint: %s\n", res.Fingerprint)
-		if info.Warm {
-			fmt.Println("admission: warm (pooled target)")
-		}
 		if len(res.Bugs) > 0 {
 			return 2, nil
 		}

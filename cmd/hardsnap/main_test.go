@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"hardsnap/internal/campaign"
 	"hardsnap/internal/core"
 	"hardsnap/internal/farm"
 	"hardsnap/internal/target"
@@ -215,5 +216,40 @@ func TestRunFarmMode(t *testing.T) {
 	opts.Tenant = "ghost"
 	if _, err := run(context.Background(), opts); err == nil {
 		t.Fatal("unknown tenant must fail")
+	}
+}
+
+// TestRunFarmModeResultlessReply: a server that reports a job done
+// but sends no result makes -farm mode fail with an error instead of
+// dereferencing the missing result.
+func TestRunFarmModeResultlessReply(t *testing.T) {
+	srv := campaign.NewConnServer(func(c *campaign.Conn) {
+		var req farm.Request
+		for c.Receive(&req) == nil {
+			resp := farm.Response{OK: true}
+			switch req.Op {
+			case "submit":
+				resp.ID = "0123abcd"
+			case "stream":
+				resp.Done = true
+			case "results":
+				resp.Job = &farm.JobInfo{ID: req.ID, Tenant: "default", Status: farm.StatusDone}
+			}
+			if c.Send(resp) != nil {
+				return
+			}
+		}
+	})
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+
+	opts := baseOpts(writeFirmware(t, buggyFirmware))
+	opts.Farm = addr.String()
+	opts.Tenant = "default"
+	if code, err := run(context.Background(), opts); err == nil {
+		t.Fatalf("done reply without a result accepted (exit %d)", code)
 	}
 }

@@ -1,9 +1,9 @@
 // Command hsfarm serves exploration campaigns to multiple tenants: a
 // TCP server around internal/farm that schedules submitted jobs
 // fairly across tenants, enforces per-tenant virtual-time and
-// solver-query budgets, admits jobs from a pool of pre-warmed
-// targets, and journals parallel campaigns so a killed server resumes
-// them on restart.
+// solver-query budgets, builds each job its own rig exactly as a
+// standalone run does, and journals parallel campaigns so a killed
+// server resumes them on restart.
 //
 // Usage:
 //
@@ -67,7 +67,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7333", "TCP address to serve the farm protocol on")
 	state := flag.String("state", "", "directory for job state and campaign journals (empty = no restart recovery)")
 	slots := flag.Int("jobs", 2, "concurrently running jobs")
-	pool := flag.Int("pool", 2, "pre-warmed targets per rig kind (negative disables pooling)")
 	distMode := flag.Bool("dist", false, "serve the distributed-exploration worker protocol instead of the farm scheduler (pair with hardsnap -nodes)")
 	tenants := tenantFlag{}
 	flag.Var(tenants, "tenant", "declare a tenant NAME[:VIRTUAL-TIME[:SOLVER-QUERIES]] (repeatable; omitted budgets are unlimited)")
@@ -95,7 +94,6 @@ func main() {
 	if err := run(ctx, farm.Config{
 		StateDir: *state,
 		Slots:    *slots,
-		PoolSize: *pool,
 		Tenants:  tenants,
 	}, *listen); err != nil {
 		fmt.Fprintln(os.Stderr, "hsfarm:", err)
@@ -118,8 +116,8 @@ func run(ctx context.Context, cfg farm.Config, listen string) error {
 	for name := range cfg.Tenants {
 		names = append(names, name)
 	}
-	fmt.Printf("hsfarm: serving %d tenant(s) %v on %s (state %q, %d slots, pool %d)\n",
-		len(names), names, addr, cfg.StateDir, cfg.Slots, cfg.PoolSize)
+	fmt.Printf("hsfarm: serving %d tenant(s) %v on %s (state %q, %d slots)\n",
+		len(names), names, addr, cfg.StateDir, cfg.Slots)
 
 	<-ctx.Done()
 	fmt.Fprintln(os.Stderr, "hsfarm: shutting down; journaled jobs resume on restart")

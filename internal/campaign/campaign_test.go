@@ -8,7 +8,6 @@ import (
 
 	"hardsnap/internal/core"
 	"hardsnap/internal/target"
-	"hardsnap/internal/vtime"
 )
 
 // buggyFirmware crashes only on input 0x42 (two paths, one bug).
@@ -102,6 +101,23 @@ func TestJobDefaultsAndValidate(t *testing.T) {
 	}
 }
 
+// TestJobValidateWorkersBound: each worker slot starts a goroutine
+// and spawns a rig, and the seed phase never yields more than
+// core.MaxStates subtrees, so a job over the wire may not ask for
+// more workers than that. Validate only; no such job is run.
+func TestJobValidateWorkersBound(t *testing.T) {
+	for _, w := range []int{0, 1, core.MaxStates} {
+		if err := (Job{Firmware: "halt", Workers: w}).Validate(); err != nil {
+			t.Errorf("workers=%d rejected: %v", w, err)
+		}
+	}
+	for _, w := range []int{core.MaxStates + 1, 1 << 30} {
+		if err := (Job{Firmware: "halt", Workers: w}).Validate(); err == nil {
+			t.Errorf("workers=%d accepted", w)
+		}
+	}
+}
+
 func TestJobFingerprint(t *testing.T) {
 	implicit := Job{Firmware: "halt"}
 	explicit := Job{
@@ -138,20 +154,6 @@ func TestJobFingerprintPinned(t *testing.T) {
 	const want = "dd8308c2a413803de93946e350e8f9c49ac9e95e41879a1e11131bbf029433cc"
 	if got := j.Fingerprint(); got != want {
 		t.Fatalf("fingerprint moved: got %s, want %s", got, want)
-	}
-}
-
-func TestRigKey(t *testing.T) {
-	a := gpioJob(buggyFirmware, 1)
-	b := gpioJob(fanoutFirmware, 4)
-	b.Searcher = "dfs"
-	if a.RigKey() != b.RigKey() {
-		t.Fatal("same peripherals must share a rig key")
-	}
-	c := a
-	c.FPGA = true
-	if c.RigKey() == a.RigKey() {
-		t.Fatal("FPGA job must not share the simulator rig key")
 	}
 }
 
@@ -214,45 +216,6 @@ func TestRunnerMatchesDirectSetup(t *testing.T) {
 	}
 }
 
-// TestRunnerPooledTargetIdentity: running on an injected pre-built
-// target (the pool's warm path) must be result-identical to letting
-// Setup build the target, including with hardware assertions armed.
-func TestRunnerPooledTargetIdentity(t *testing.T) {
-	job := gpioJob(fanoutFirmware, 4)
-	job.Assertions = []target.HWAssertion{
-		{Periph: "gpio0", Name: "sticky", Expr: "out == out"},
-	}
-	cold, err := Runner{}.Run(context.Background(), job, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pooled, err := target.NewSimulator("pool0", &vtime.Clock{},
-		[]target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Runner{}.Run(context.Background(), job, RunOptions{Target: pooled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Fingerprint != cold.Fingerprint {
-		t.Fatalf("pooled run diverged: %s vs %s", warm.Fingerprint, cold.Fingerprint)
-	}
-
-	// Recycle and run again: a reused pool slot must stay identical.
-	if err := pooled.Recycle(); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Runner{}.Run(context.Background(), job, RunOptions{Target: pooled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Fingerprint != cold.Fingerprint {
-		t.Fatalf("recycled run diverged: %s vs %s", again.Fingerprint, cold.Fingerprint)
-	}
-}
-
 // TestRunnerJournalResume: kill a journaled job mid-campaign (chaos
 // die gate), then resume it through the Runner and land on the clean
 // fingerprint.
@@ -287,23 +250,5 @@ func TestRunnerJournalResume(t *testing.T) {
 	}
 	if resumed.Report.Recovery.ResumedSubtrees == 0 {
 		t.Fatal("resume re-explored everything instead of replaying the journal")
-	}
-}
-
-// TestRunnerRefusesTargetWithFanout: a pre-built target runs the whole
-// job on one vehicle, so it cannot be combined with a node fan-out.
-func TestRunnerRefusesTargetWithFanout(t *testing.T) {
-	pooled, err := target.NewSimulator("pool0", &vtime.Clock{},
-		[]target.PeriphConfig{{Name: "gpio0", Periph: "gpio"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fanout := func(context.Context, Job, *core.Frontier) (*core.Report, error) {
-		t.Fatal("fan-out ran beside a pre-built target")
-		return nil, nil
-	}
-	if _, err := (Runner{}).Run(context.Background(), gpioJob(fanoutFirmware, 2),
-		RunOptions{Target: pooled, Fanout: fanout}); err == nil {
-		t.Fatal("runner accepted a pre-built target together with a fan-out")
 	}
 }

@@ -4,12 +4,12 @@
 // budgets), a Runner executes it streaming typed progress events, and
 // a Result carries the wire-friendly outcome.
 //
-// Runner.Run is the only path from a Job to a Result. Where the job
-// runs is not part of the Job: RunOptions says it — local rigs by
-// default, a pre-built (pooled or remote) target, or a node fan-out
-// that internal/dist builds from node addresses — and none of it
-// changes the Result's fingerprint. The hardsnap CLI compiles its
-// flags into a Job; the farm accepts Jobs over the network and
+// Runner.Run is the only path from a Job to a Result, and core.Setup
+// the only path from a Job to a rig. Where the fan-out runs is not
+// part of the Job: RunOptions says it — local rigs by default, or a
+// node fan-out that internal/dist builds from node addresses — and
+// neither changes the Result's fingerprint. The hardsnap CLI compiles
+// its flags into a Job; the farm accepts Jobs over the network and
 // schedules them across tenants.
 //
 // The farm and dist wire protocols are newline-delimited JSON over one
@@ -63,7 +63,9 @@ type Job struct {
 	MaxInstructions uint64 `json:"max_instructions,omitempty"`
 	// Workers is the exploration worker count (default 1; negative is
 	// invalid — resolve "all CPUs" with core.AutoWorkers before
-	// building the job, so the spec stays machine-independent).
+	// building the job, so the spec stays machine-independent). At
+	// most core.MaxStates: the seed phase never yields more subtrees,
+	// so further workers would only sit idle.
 	Workers int `json:"workers,omitempty"`
 	// SeedFanout overrides the seed-phase fan-out width (0 = Workers
 	// x 4; see core.Config.SeedFanout). Part of the job identity: the
@@ -121,8 +123,8 @@ func (j Job) Validate() error {
 	if j.Concretize != "one" && j.Concretize != "all" {
 		return fmt.Errorf("campaign: unknown concretization policy %q", j.Concretize)
 	}
-	if j.Workers < 0 {
-		return fmt.Errorf("campaign: workers must be >= 0, got %d", j.Workers)
+	if j.Workers < 0 || j.Workers > core.MaxStates {
+		return fmt.Errorf("campaign: workers must be in [0, %d], got %d", core.MaxStates, j.Workers)
 	}
 	if j.SeedFanout < 0 {
 		return fmt.Errorf("campaign: seed fan-out must be >= 0, got %d", j.SeedFanout)
@@ -151,25 +153,9 @@ func (j Job) Fingerprint() string {
 	return fmt.Sprintf("%x", sha256.Sum256(data))
 }
 
-// RigKey hashes only the fields that shape the execution vehicle —
-// peripherals, target kind, snapshot method. Jobs with equal RigKeys
-// can run on the same pooled target.
-func (j Job) RigKey() string {
-	spec := struct {
-		Periphs  []target.PeriphConfig
-		FPGA     bool
-		Readback bool
-	}{j.Peripherals, j.FPGA, j.Readback}
-	data, err := json.Marshal(spec)
-	if err != nil {
-		panic(err)
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(data))
-}
-
 // SetupConfig compiles the job into the core setup. Run-level
-// concerns (journal path, resume state, injected target) are layered
-// on by the Runner.
+// concerns (journal path, resume state, progress) are layered on by
+// the Runner.
 func (j Job) SetupConfig() (core.SetupConfig, error) {
 	if err := j.Validate(); err != nil {
 		return core.SetupConfig{}, err

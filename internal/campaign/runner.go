@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hardsnap/internal/core"
-	"hardsnap/internal/target"
 )
 
 // EventKind labels a progress event.
@@ -89,16 +88,15 @@ type Result struct {
 }
 
 // RunOptions are the run-level concerns layered onto a Job: where to
-// journal, what to resume, which pre-built target or which nodes to
-// run on, and where to stream progress. None of them changes the
-// Result's Fingerprint.
+// journal, what to resume, which nodes to fan out to, and where to
+// stream progress. None of them changes the Result's Fingerprint.
 type RunOptions struct {
 	// Fanout, when set, runs the job's fan-out subtrees somewhere other
 	// than the local rigs (internal/dist builds one from node
 	// addresses): the runner sets the job up and runs the seed phase,
 	// hands the frontier to Fanout, and reports the merged report it
 	// returns like any other. The runner closes the frontier after
-	// Fanout returns. Exclusive with Target.
+	// Fanout returns.
 	Fanout func(ctx context.Context, job Job, f *core.Frontier) (*core.Report, error)
 	// Journal enables crash-safe campaign journaling to this path
 	// (parallel jobs only, like the CLI flag).
@@ -106,10 +104,6 @@ type RunOptions struct {
 	// Resume continues a journaled campaign; the journal keeps
 	// growing at its own path.
 	Resume *core.Campaign
-	// Target, when set, is a pre-built execution vehicle (a pooled
-	// target or a remote client); the job's FPGA/Readback knobs are
-	// ignored in favor of whatever the vehicle is.
-	Target target.Interface
 	// Events receives typed progress events. Sends never block: an
 	// event the consumer is not ready for is dropped. The channel is
 	// not closed by the runner.
@@ -198,14 +192,10 @@ func newResult(job Job, analysis *core.Analysis, rep *core.Report, events chan<-
 // any — flushed for resume. The returned Result is the authoritative
 // outcome; the event stream is best-effort.
 func (Runner) Run(ctx context.Context, job Job, opts RunOptions) (*Result, error) {
-	if opts.Target != nil && opts.Fanout != nil {
-		return nil, errors.New("campaign: a pre-built target and a node fan-out are exclusive")
-	}
 	setup, err := job.SetupConfig()
 	if err != nil {
 		return nil, err
 	}
-	setup.Target = opts.Target
 	setup.Engine.JournalPath = opts.Journal
 	setup.Engine.Resume = opts.Resume
 	setup.Engine.Progress = progressHook(opts.Events)

@@ -41,7 +41,7 @@ func TestCorruptedSnapshotRejected(t *testing.T) {
 	if _, err := snapshot.Decode(blob); target.Classify(err) != target.Integrity {
 		t.Fatalf("corrupted snapshot decode: %v, want integrity error", err)
 	}
-	bad := st.Clone()
+	bad := rec.HW // decoded, so a deep copy of st
 	bad["gpio0"].Regs["phantom_register"] = 1
 	if err := a.Target.Restore(bad); target.Classify(err) != target.Integrity {
 		t.Fatalf("mismatched snapshot restore: %v, want integrity error", err)

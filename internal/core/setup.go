@@ -21,8 +21,8 @@ type SetupConfig struct {
 	// IRQ line i.
 	Peripherals []target.PeriphConfig
 	// Target, when set, is a pre-built execution vehicle — a
-	// remote.TargetClient or a pooled *target.Target — used instead of
-	// constructing a local simulator/FPGA. Peripherals then only lay
+	// remote.TargetClient or a *target.Target the caller built — used
+	// instead of constructing a local simulator/FPGA. Peripherals then only lay
 	// out the bus regions and must name ports the target exposes, in
 	// the target's index order. HWAssertions require the vehicle to be
 	// a concrete *target.Target.

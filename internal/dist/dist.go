@@ -1,7 +1,8 @@
 // Package dist is distributed exploration: Fanout is the
 // campaign.RunOptions.Fanout that sends the fan-out subtrees of one
-// campaign to N remote nodes, each an independent process with its
-// own pre-warmed targets, and Server is such a node. campaign.Runner
+// campaign to N remote nodes, each an independent process that builds
+// its own rigs (core.Setup, as a local run does), and Server is such a
+// node. campaign.Runner
 // does everything else a run does — setup, seed phase, events, result
 // — exactly as for a local run. The nodes share two fabrics: a
 // snapshot fabric (a bug record crosses the wire once per driver, and

@@ -48,6 +48,9 @@ func (c *Client) Results(id string) (JobInfo, error) {
 	if err != nil {
 		return JobInfo{}, err
 	}
+	if resp.Job == nil {
+		return JobInfo{}, fmt.Errorf("farm: results for %s: reply carries no job", id)
+	}
 	return *resp.Job, nil
 }
 

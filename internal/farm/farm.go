@@ -1,3 +1,9 @@
+// Package farm runs exploration campaigns as a service: a
+// multi-tenant scheduler with per-tenant virtual-time and
+// solver-query budgets, per-job crash-safe journals that survive
+// server restarts, and a line-delimited JSON TCP protocol (server.go /
+// client.go). Each job builds its own rig, exactly as a standalone
+// run does, so no job ever sees another job's hardware state.
 package farm
 
 import (
@@ -42,11 +48,9 @@ func (s JobStatus) terminal() bool {
 
 // JobInfo is the wire form of one job's state.
 type JobInfo struct {
-	ID     string    `json:"id"`
-	Tenant string    `json:"tenant"`
-	Status JobStatus `json:"status"`
-	// Warm reports whether admission was served from the warm pool.
-	Warm   bool             `json:"warm,omitempty"`
+	ID     string           `json:"id"`
+	Tenant string           `json:"tenant"`
+	Status JobStatus        `json:"status"`
 	Error  string           `json:"error,omitempty"`
 	Result *campaign.Result `json:"result,omitempty"`
 }
@@ -57,7 +61,6 @@ type jobState struct {
 	tenant  string
 	job     campaign.Job
 	status  JobStatus
-	warm    bool
 	err     string
 	result  *campaign.Result
 	resume  *core.Campaign // journaled progress recovered at startup
@@ -104,19 +107,15 @@ type Config struct {
 	StateDir string
 	// Slots bounds concurrently running jobs (default 2).
 	Slots int
-	// PoolSize is the warm-target count per rig key (default 2;
-	// negative disables pre-warming).
-	PoolSize int
 	// Tenants declares the known tenants and their budgets. Unknown
 	// tenants are rejected at submit.
 	Tenants map[string]Budget
 }
 
 // Farm schedules campaign jobs across tenants with fair-share
-// ordering and budget enforcement, running them on pooled targets.
+// ordering and budget enforcement.
 type Farm struct {
-	cfg  Config
-	pool *Pool
+	cfg Config
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -145,12 +144,8 @@ func New(cfg Config) (*Farm, error) {
 	if cfg.Slots <= 0 {
 		cfg.Slots = 2
 	}
-	if cfg.PoolSize == 0 {
-		cfg.PoolSize = 2
-	}
 	f := &Farm{
 		cfg:     cfg,
-		pool:    NewPool(cfg.PoolSize),
 		tenants: make(map[string]*tenantState),
 		jobs:    make(map[string]*jobState),
 	}
@@ -188,7 +183,8 @@ func newJobID() string {
 }
 
 // Submit validates and enqueues a job for the tenant, returning the
-// job ID.
+// job ID. With a StateDir, a job whose state file cannot be written
+// is refused: it would not survive a restart.
 func (f *Farm) Submit(tenantName string, job campaign.Job) (string, error) {
 	if err := job.Validate(); err != nil {
 		return "", err
@@ -216,10 +212,12 @@ func (f *Farm) Submit(tenantName string, job campaign.Job) (string, error) {
 		job:    job,
 		status: StatusQueued,
 	}
+	if err := f.persistLocked(js); err != nil {
+		return "", err
+	}
 	f.jobs[js.id] = js
 	f.queue = append(f.queue, js.id)
 	ten.jobs++
-	f.persistLocked(js)
 	f.cond.Signal()
 	return js.id, nil
 }
@@ -311,7 +309,7 @@ func (f *Farm) startLocked(js *jobState) {
 	js.cancel = cancel
 	js.status = StatusRunning
 	f.running++
-	f.persistLocked(js)
+	_ = f.persistLocked(js) // best-effort past Submit
 	f.wg.Add(1)
 	go f.runJob(ctx, js, run, resVT, resQ)
 }
@@ -329,24 +327,15 @@ func (f *Farm) runJob(ctx context.Context, js *jobState, run campaign.Job, resVT
 	}()
 
 	opts := campaign.RunOptions{Events: events}
-	var res *campaign.Result
-	lease, err := f.pool.Acquire(run)
-	if err == nil {
-		opts.Target = lease.Target
-		f.mu.Lock()
-		js.warm = lease.Warm
-		f.mu.Unlock()
-		if run.Workers > 1 {
-			opts.Journal = f.journalPath(js.id)
-			if js.resume != nil {
-				opts.Resume = js.resume
-				opts.Journal = ""
-				js.resume = nil
-			}
+	if run.Workers > 1 {
+		opts.Journal = f.journalPath(js.id)
+		if js.resume != nil {
+			opts.Resume = js.resume
+			opts.Journal = ""
+			js.resume = nil
 		}
-		res, err = campaign.Runner{}.Run(ctx, run, opts)
-		lease.Release()
 	}
+	res, err := campaign.Runner{}.Run(ctx, run, opts)
 	// Drain the event feed before settling: settle closes subscriber
 	// channels, and every event must reach them first.
 	close(events)
@@ -384,7 +373,7 @@ func (f *Farm) settle(js *jobState, res *campaign.Result, err error, resVT time.
 		js.status = StatusFailed
 		js.err = err.Error()
 	}
-	f.persistLocked(js)
+	_ = f.persistLocked(js) // best-effort past Submit
 	f.closeSubsLocked(js)
 	f.reapLocked()
 	f.cond.Broadcast()
@@ -406,7 +395,7 @@ func (f *Farm) reapLocked() {
 		f.dequeueLocked(id)
 		js.status = StatusFailed
 		js.err = fmt.Sprintf("%v: %s", ErrBudgetExhausted, js.tenant)
-		f.persistLocked(js)
+		_ = f.persistLocked(js) // best-effort past Submit
 		f.closeSubsLocked(js)
 	}
 }
@@ -469,7 +458,7 @@ func (f *Farm) Cancel(id string) error {
 		f.dequeueLocked(id)
 		js.status = StatusCancelled
 		js.err = "cancelled while queued"
-		f.persistLocked(js)
+		_ = f.persistLocked(js) // best-effort past Submit
 		f.closeSubsLocked(js)
 		f.mu.Unlock()
 		return nil
@@ -494,7 +483,7 @@ func (f *Farm) Job(id string) (JobInfo, bool) {
 	}
 	return JobInfo{
 		ID: js.id, Tenant: js.tenant, Status: js.status,
-		Warm: js.warm, Error: js.err, Result: js.result,
+		Error: js.err, Result: js.result,
 	}, true
 }
 
@@ -516,7 +505,6 @@ func (f *Farm) Close() {
 		c()
 	}
 	f.wg.Wait()
-	f.pool.Close()
 }
 
 func (f *Farm) journalPath(id string) string {

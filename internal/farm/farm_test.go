@@ -144,8 +144,8 @@ func standaloneResult(t *testing.T, job campaign.Job) *campaign.Result {
 	return res
 }
 
-// TestFarmIdentity: a job run by the farm — cold admission, then a
-// recycled warm target — reports the exact standalone fingerprint.
+// TestFarmIdentity: two back-to-back jobs on the same rig, each
+// built afresh by the farm, report the exact standalone fingerprint.
 func TestFarmIdentity(t *testing.T) {
 	job := testJob(4)
 	want := standaloneResult(t, job)
@@ -153,35 +153,36 @@ func TestFarmIdentity(t *testing.T) {
 	f := newFarm(t, Config{
 		StateDir: t.TempDir(),
 		Tenants:  map[string]Budget{"acme": {}},
-		PoolSize: 1,
 	})
-	info1 := mustWait(t, f, mustSubmit(t, f, "acme", job))
-	if info1.Status != StatusDone {
-		t.Fatalf("job 1: %s (%s)", info1.Status, info1.Error)
+	for n := 1; n <= 2; n++ {
+		info := mustWait(t, f, mustSubmit(t, f, "acme", job))
+		if info.Status != StatusDone {
+			t.Fatalf("job %d: %s (%s)", n, info.Status, info.Error)
+		}
+		if info.Result.Fingerprint != want.Fingerprint {
+			t.Fatalf("job %d diverged from standalone:\nfarm:       %s\nstandalone: %s",
+				n, info.Result.Fingerprint, want.Fingerprint)
+		}
 	}
-	if info1.Result.Fingerprint != want.Fingerprint {
-		t.Fatalf("farm run diverged from standalone:\nfarm:       %s\nstandalone: %s",
-			info1.Result.Fingerprint, want.Fingerprint)
-	}
+}
 
-	// Same rig again: the first job's recycled target (or a background
-	// refill) is idle by the time it settled, so admission must be
-	// warm — and stay result-identical.
-	info2 := mustWait(t, f, mustSubmit(t, f, "acme", job))
-	if info2.Status != StatusDone {
-		t.Fatalf("job 2: %s (%s)", info2.Status, info2.Error)
+// TestSubmitRefusesUnpersistableJob: with a StateDir the farm
+// promises restart recovery, so a job whose state file cannot be
+// written is refused and nothing is enqueued.
+func TestSubmitRefusesUnpersistableJob(t *testing.T) {
+	dir := t.TempDir()
+	f := newFarm(t, Config{StateDir: dir, Tenants: map[string]Budget{"acme": {}}})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
 	}
-	if !info2.Warm {
-		t.Error("second same-rig job was not served from the warm pool")
+	if id, err := f.Submit("acme", testJob(1)); err == nil {
+		t.Fatalf("job %s accepted with an unwritable state dir", id)
 	}
-	if info2.Result.Fingerprint != want.Fingerprint {
-		t.Fatalf("warm run diverged: %s vs %s", info2.Result.Fingerprint, want.Fingerprint)
-	}
-	f.pool.mu.Lock()
-	st := f.pool.stats
-	f.pool.mu.Unlock()
-	if st.coldBuilds == 0 || st.warmHits == 0 || st.recycled == 0 {
-		t.Errorf("pool stats show no warm cycle: %+v", st)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.jobs) != 0 || len(f.queue) != 0 || f.tenants["acme"].jobs != 0 {
+		t.Fatalf("refused job left state behind: %d jobs, %d queued, %d tenant jobs",
+			len(f.jobs), len(f.queue), f.tenants["acme"].jobs)
 	}
 }
 
@@ -381,6 +382,58 @@ func writeState(t *testing.T, dir string, pj persistedJob) {
 	}
 }
 
+// TestRecoverParentStateFile: a finished job's state file as an older
+// farm wrote it, with the "warm" field its pooled admission recorded,
+// still recovers and serves its result.
+func TestRecoverParentStateFile(t *testing.T) {
+	dir := t.TempDir()
+	job, err := json.Marshal(testJob(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := `{
+  "id": "0123abcd",
+  "tenant": "acme",
+  "job": ` + string(job) + `,
+  "status": "done",
+  "warm": true,
+  "result": {
+    "fingerprint": "f00d",
+    "job_fingerprint": "` + testJob(1).Fingerprint() + `",
+    "paths": 64,
+    "instructions": 1234,
+    "solver_queries": 63,
+    "virtual_time": 5000000
+  }
+}`
+	if err := os.WriteFile(filepath.Join(dir, "job-0123abcd.json"), []byte(state), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := newFarm(t, Config{StateDir: dir, Tenants: map[string]Budget{"acme": {}}})
+	if u := tenantUsage(f, "acme"); u.usedVT != 5*time.Millisecond || u.usedQ != 63 || u.jobs != 1 {
+		t.Errorf("recovered accounting: %+v", u)
+	}
+	srv := NewServer(f)
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	info, err := c.Results("0123abcd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Status != StatusDone || info.Result == nil ||
+		info.Result.Fingerprint != "f00d" || info.Result.Paths != 64 {
+		t.Fatalf("recovered job: %+v", info)
+	}
+}
+
 // TestFarmCancelAndErrors covers the unhappy paths.
 func TestFarmCancelAndErrors(t *testing.T) {
 	f := newFarm(t, Config{
@@ -416,7 +469,6 @@ func TestServerProtocol(t *testing.T) {
 	f := newFarm(t, Config{
 		StateDir: t.TempDir(),
 		Tenants:  map[string]Budget{"acme": {}},
-		PoolSize: 1,
 	})
 	srv := NewServer(f)
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
@@ -535,5 +587,31 @@ func TestServerDropsOversizedRequest(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Results("nope"); err == nil || !strings.Contains(err.Error(), "unknown job") {
 		t.Fatalf("server stopped serving after an oversized request: %v", err)
+	}
+}
+
+// TestClientRejectsReplyWithoutJob: a results reply that says ok but
+// carries no job is an error at the client, not a nil dereference.
+func TestClientRejectsReplyWithoutJob(t *testing.T) {
+	srv := campaign.NewConnServer(func(c *campaign.Conn) {
+		var req Request
+		for c.Receive(&req) == nil {
+			if c.Send(Response{OK: true}) != nil {
+				return
+			}
+		}
+	})
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if info, err := c.Results("0123abcd"); err == nil {
+		t.Fatalf("ok reply without a job served as %+v", info)
 	}
 }

@@ -20,7 +20,6 @@ type persistedJob struct {
 	Tenant string           `json:"tenant"`
 	Job    campaign.Job     `json:"job"`
 	Status JobStatus        `json:"status"`
-	Warm   bool             `json:"warm,omitempty"`
 	Error  string           `json:"error,omitempty"`
 	Result *campaign.Result `json:"result,omitempty"`
 }
@@ -30,28 +29,31 @@ func (f *Farm) statePath(id string) string {
 }
 
 // persistLocked writes the job's state file atomically (temp +
-// rename). Persistence is best-effort durability, never a scheduling
-// dependency: an unwritable StateDir degrades restart recovery, not
-// the running farm — but the error is kept on the job so clients see
-// it.
-func (f *Farm) persistLocked(js *jobState) {
+// rename). Submit refuses a job whose first write fails; every later
+// transition is best-effort durability, never a scheduling
+// dependency: an unwritable StateDir then degrades restart recovery,
+// not the running farm, and callers drop the error.
+func (f *Farm) persistLocked(js *jobState) error {
 	if f.cfg.StateDir == "" {
-		return
+		return nil
 	}
 	pj := persistedJob{
 		ID: js.id, Tenant: js.tenant, Job: js.job,
-		Status: js.status, Warm: js.warm, Error: js.err, Result: js.result,
+		Status: js.status, Error: js.err, Result: js.result,
 	}
 	data, err := json.MarshalIndent(pj, "", "  ")
 	if err != nil {
-		return
+		return fmt.Errorf("farm: persist job %s: %w", js.id, err)
 	}
 	path := f.statePath(js.id)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
+		return fmt.Errorf("farm: persist job %s: %w", js.id, err)
 	}
-	_ = os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("farm: persist job %s: %w", js.id, err)
+	}
+	return nil
 }
 
 // recover rebuilds the farm from StateDir: terminal jobs are
@@ -83,7 +85,7 @@ func (f *Farm) recover() error {
 		}
 		js := &jobState{
 			id: pj.ID, tenant: pj.Tenant, job: pj.Job,
-			status: pj.Status, warm: pj.Warm, err: pj.Error, result: pj.Result,
+			status: pj.Status, err: pj.Error, result: pj.Result,
 		}
 		ten, ok := f.tenants[js.tenant]
 		if !ok {

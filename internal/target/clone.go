@@ -33,12 +33,6 @@ func (t *Target) Spawn(name string, clock *vtime.Clock) (*Target, error) {
 	return nt, nil
 }
 
-// PowerOnState returns a deep copy of the target's power-on hardware
-// state (the state every Spawn comes up in).
-func (t *Target) PowerOnState() State {
-	return t.powerOn.Clone()
-}
-
 // AdoptState applies a hardware state to the target without charging
 // snapshot-transfer virtual time or touching the restore counters:
 // the worker fan-out uses it to seed a freshly spawned clone with the

@@ -33,7 +33,7 @@ func TestSpawnPowerOnIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(clone.snapshotRaw(), parent.PowerOnState()) {
+	if !reflect.DeepEqual(clone.snapshotRaw(), parent.powerOn) {
 		t.Fatal("spawned clone does not match parent power-on state")
 	}
 	// Clone is independent: writing it must not touch the parent.

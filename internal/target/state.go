@@ -9,15 +9,3 @@ import "hardsnap/internal/sim"
 // Its byte form (persistence, wire, content address) belongs to
 // internal/snapshot.
 type State map[string]*sim.HWState
-
-// Clone deep-copies the state.
-func (s State) Clone() State {
-	if s == nil {
-		return nil
-	}
-	c := make(State, len(s))
-	for name, hw := range s {
-		c[name] = hw.Clone()
-	}
-	return c
-}

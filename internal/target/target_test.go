@@ -242,6 +242,19 @@ func TestRestoreRejectsCorruptedState(t *testing.T) {
 	}
 }
 
+// Clone deep-copies the state. Only tests copy a whole State: the
+// snapshot store and the targets copy one peripheral at a time.
+func (s State) Clone() State {
+	if s == nil {
+		return nil
+	}
+	c := make(State, len(s))
+	for name, hw := range s {
+		c[name] = hw.Clone()
+	}
+	return c
+}
+
 func TestStateClone(t *testing.T) {
 	tg := newSim(t, &vtime.Clock{})
 	p, _ := tg.Port("gpio0")

@@ -30,9 +30,6 @@ func (c *Clock) Advance(d time.Duration) {
 	c.now += d
 }
 
-// Reset rewinds the clock to zero.
-func (c *Clock) Reset() { c.now = 0 }
-
 // Costs describes the per-operation virtual-time charges of one
 // hardware target.
 type Costs struct {

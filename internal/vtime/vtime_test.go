@@ -15,10 +15,6 @@ func TestClock(t *testing.T) {
 	if c.Now() != 5*time.Millisecond {
 		t.Fatalf("now %v", c.Now())
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestNegativeAdvancePanics(t *testing.T) {
