@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt vet build test reach race chaos fuzz-smoke examples loc bench bench-compare bench-smoke bench-json
+.PHONY: check fmt vet build test reach audit race chaos fuzz-smoke examples loc bench bench-compare bench-smoke bench-json
 
 # Full gate: formatting, static checks, build, tests, every non-test
 # function reached by a shipped binary, race detector on the
 # concurrency-sensitive packages, chaos/recovery identity matrix, ten
 # seconds of native fuzzing per decoder-facing target, every example
-# program run to completion.
-check: fmt vet build test reach race chaos fuzz-smoke examples
+# program run to completion, and the scan-copy audit.
+check: fmt vet build test reach audit race chaos fuzz-smoke examples
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -33,6 +33,15 @@ test:
 # functions benchmark/ keeps alive.
 reach:
 	$(GO) test -tags hardsnapreach -run '^TestReach$$' -v .
+
+# audit runs the packages that drive scan-FPGA targets with the
+# hardsnapaudit build tag: every scan save or restore served as a state
+# copy (a peripheral whose shift scanchain.ProveShift proved) is re-run
+# as the netlist shift on a shadow simulator, and any difference in
+# registers, memories, inputs, outputs or the saved state fails the
+# operation. Default builds compile the check out.
+audit:
+	$(GO) test -tags hardsnapaudit ./internal/target ./internal/core ./internal/bench
 
 # The race gate covers every concurrency-sensitive package, including
 # the v3 batching/pipelining layer (internal/remote: client send
@@ -137,7 +146,7 @@ loc:
 #   make bench-compare A=before.json B=after.json
 # The repo root keeps one report per PR that claims a gain, with its
 # parent's next to it (BENCH_<pr>.json), so the claim can be re-read:
-#   make bench-compare A=BENCH_32.json B=BENCH_33.json
+#   make bench-compare A=BENCH_38.json B=BENCH_39.json
 bench:
 	$(GO) run ./benchmark -out .bench_build/run.json
 

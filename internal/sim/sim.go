@@ -79,6 +79,8 @@ type Simulator struct {
 	OnCycle func(cycle uint64)
 
 	writeBuf []rtl.Write
+	// nregs counts the design's registers, to size Snapshot's map.
+	nregs int
 
 	// gen counts observed mutations of snapshot-relevant state
 	// (registers, memories, input pins). It only moves when a value
@@ -131,6 +133,7 @@ func NewEngine(d *rtl.Design, kind EngineKind) (*Simulator, error) {
 		state:     rtl.NewState(d),
 		dirtySigs: newIDSet(len(d.Signals)),
 		dirtyMems: newIDSet(len(d.Memories)),
+		nregs:     len(d.Regs()),
 	}
 	switch kind {
 	case EngineAuto:
@@ -365,7 +368,7 @@ func (hw *HWState) Clone() *HWState {
 // Snapshot captures the full hardware state.
 func (s *Simulator) Snapshot() *HWState {
 	hw := &HWState{
-		Regs:   make(map[string]uint64),
+		Regs:   make(map[string]uint64, s.nregs),
 		Mems:   make(map[string][]uint64, len(s.design.Memories)),
 		Inputs: make(map[string]uint64, len(s.design.Inputs)),
 	}

@@ -2,20 +2,33 @@ package target
 
 import (
 	"fmt"
+	"reflect"
 
 	"hardsnap/internal/rtl"
 	"hardsnap/internal/scanchain"
 	"hardsnap/internal/sim"
+	"hardsnap/internal/vtime"
 )
 
 // Scan-chain snapshotting: the FPGA target's state leaves and enters
-// the fabric one bit per scan-clock edge through the chain the
-// instrumentation pass stitched into the design. Nothing is modeled:
-// the bits below are produced by actually clocking the instrumented
-// RTL in scan mode, so the linear-in-flops cost the paper measures
-// (E2) is emergent from the real chain length. Pins and chain
-// positions are resolved to simulator IDs when the peripheral is
-// built, so one shifted bit costs one clock of the netlist.
+// the fabric through the chain the instrumentation pass stitched into
+// the design, one bit per scan-clock edge, and every save or restore
+// is charged that shift's cost, so the linear-in-flops cost the paper
+// measures (E2) follows from the real chain length. How the host
+// moves the bits is decided per peripheral when it is built:
+//
+//   - When scanchain.ProveShift shows that one clock of the
+//     instrumented netlist in scan mode is exactly a shift of the
+//     chain, a save or restore copies the state (sim.Snapshot and
+//     sim.Restore), leaving what a full rotation or shift-in would.
+//   - Otherwise the instrumented RTL is clocked in scan mode, one
+//     netlist cycle per chain bit. This netlist shift is also the
+//     test oracle of the copy, and under the hardsnapaudit build tag
+//     it re-runs every copy on a shadow simulator (see audit).
+//
+// Pins and chain positions are resolved to simulator IDs when the
+// peripheral is built, so one shifted bit costs one clock of the
+// netlist.
 
 const (
 	sigScanEnable = "scan_enable"
@@ -36,6 +49,10 @@ type scanPort struct {
 	regs []*rtl.Signal
 	vals []uint64
 	mems [][]uint64
+	// proof is why one scan-mode clock is not known to shift the
+	// chain (scanchain.ProveShift); nil when it is, and then a save
+	// or restore copies the state instead of clocking the netlist.
+	proof error
 }
 
 // chainBit is one scan-chain position: bit of register id, or of word
@@ -78,13 +95,99 @@ func resolveScan(d *rtl.Design, layout []scanchain.BitRef) (*scanPort, error) {
 		}
 		sc.chain[len(layout)-1-k] = c
 	}
+	sc.proof = scanchain.ProveShift(d, layout)
 	return sc, nil
 }
 
-// scanSave shifts the whole chain out non-destructively: each bit
+// scanSave reads a peripheral's state out through its scan chain,
+// charging the rotation's cost. A proven chain's rotation ends where
+// it began, so the state is copied directly.
+func (t *Target) scanSave(inst *periphInst) (*sim.HWState, error) {
+	if inst.scan.proof != nil {
+		return t.shiftSave(inst)
+	}
+	t.clock.Advance(t.costs.SnapshotCost(uint(len(inst.scan.chain))))
+	hw := inst.sim.Snapshot()
+	// The copy moved no pin, so only the scan pins need driving low.
+	if err := inst.exitScanMode(nil); err != nil {
+		return nil, err
+	}
+	return hw, t.audit(inst, hw, hw, nil)
+}
+
+// scanRestore loads a peripheral's state through its scan chain,
+// charging the shift's cost. A proven chain is written directly:
+// sim.Restore zero-fills what hw lacks and masks each value to its
+// width, as shifting hw in does.
+func (t *Target) scanRestore(inst *periphInst, hw *sim.HWState) error {
+	if inst.scan.proof != nil {
+		return t.shiftRestore(inst, hw)
+	}
+	var before *sim.HWState
+	if scanAudit {
+		before = inst.sim.Snapshot()
+	}
+	if hw == nil {
+		hw = &sim.HWState{}
+	}
+	t.clock.Advance(t.costs.SnapshotCost(uint(len(inst.scan.chain))))
+	if err := inst.sim.Restore(hw); err != nil {
+		return fatalf("scan restore "+inst.cfg.Name, "%v", err)
+	}
+	// sim.Restore drove the functional pins already.
+	if err := inst.exitScanMode(nil); err != nil {
+		return err
+	}
+	return t.audit(inst, before, nil, hw)
+}
+
+// audit re-runs a copied save or restore as the netlist shift, on a
+// shadow simulator started from the state before, and fails if the
+// two end apart: in a register, memory word, input or output, or in
+// the saved state. Only builds with the hardsnapaudit tag run it.
+func (t *Target) audit(inst *periphInst, before, saved, restored *sim.HWState) error {
+	if !scanAudit {
+		return nil
+	}
+	fail := func(format string, args ...any) error {
+		return fatalf("scan audit "+inst.cfg.Name, format, args...)
+	}
+	shadow, err := sim.New(inst.design)
+	if err == nil {
+		err = shadow.Restore(before)
+	}
+	if err != nil {
+		return fail("shadow simulator: %v", err)
+	}
+	sh := *inst
+	sh.sim = shadow
+	oracle := &Target{clock: &vtime.Clock{}, costs: t.costs}
+	if restored == nil {
+		got, err := oracle.shiftSave(&sh)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got, saved) {
+			return fail("copied save %v, netlist shift saved %v", saved, got)
+		}
+	} else if err := oracle.shiftRestore(&sh, restored); err != nil {
+		return err
+	}
+	if want, got := shadow.Snapshot(), inst.sim.Snapshot(); !reflect.DeepEqual(got, want) {
+		return fail("copy left %v, netlist shift left %v", got, want)
+	}
+	for _, o := range inst.design.Outputs {
+		if want, got := shadow.PeekID(o.ID), inst.sim.PeekID(o.ID); got != want {
+			return fail("output %s is %#x after the copy, %#x after the netlist shift", o.Name, got, want)
+		}
+	}
+	return nil
+}
+
+// shiftSave shifts the whole chain out non-destructively: each bit
 // captured at scan_out is fed straight back into scan_in, so after a
 // full rotation the fabric state is unchanged.
-func (t *Target) scanSave(inst *periphInst) (*sim.HWState, error) {
+func (t *Target) shiftSave(inst *periphInst) (*sim.HWState, error) {
 	s, d, sc := inst.sim, inst.design, inst.scan
 
 	// The debugger drives the pins, so it knows their levels without
@@ -137,10 +240,10 @@ func (t *Target) scanSave(inst *periphInst) (*sim.HWState, error) {
 	return hw, nil
 }
 
-// scanRestore shifts a snapshot into the chain, bit for the last
+// shiftRestore shifts a snapshot into the chain, bit for the last
 // layout position first (the capture order), destroying whatever
 // state the fabric held.
-func (t *Target) scanRestore(inst *periphInst, hw *sim.HWState) error {
+func (t *Target) shiftRestore(inst *periphInst, hw *sim.HWState) error {
 	s, d, sc := inst.sim, inst.design, inst.scan
 	if hw == nil {
 		hw = &sim.HWState{}
@@ -173,8 +276,9 @@ func (t *Target) scanRestore(inst *periphInst, hw *sim.HWState) error {
 	return inst.exitScanMode(hw.Inputs)
 }
 
-// exitScanMode leaves scan mode and re-drives functional pin levels,
-// then settles combinational logic.
+// exitScanMode leaves scan mode and re-drives the functional pins
+// named in inputs (with nil, all keep their levels), then settles
+// combinational logic.
 func (inst *periphInst) exitScanMode(inputs map[string]uint64) error {
 	s, sc := inst.sim, inst.scan
 	s.SetInputID(sc.enable, 0)

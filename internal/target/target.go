@@ -9,10 +9,10 @@
 //     visibility (Peek, VCD tracing via Simulator(), hardware
 //     assertions) and CRIU-like structured-copy snapshots;
 //   - the FPGA target executes the same RTL opaquely: state leaves
-//     the fabric only through a real scan chain (bit-by-bit shifting
-//     through the instrumented design) or through full-fabric
-//     readback, and every MMIO access pays the debugger-link round
-//     trip.
+//     the fabric only through the inserted scan chain (charged one
+//     scan clock per chain bit, and copied once the chain is proven
+//     a shift register; see fpga.go) or through full-fabric readback,
+//     and every MMIO access pays the debugger-link round trip.
 //
 // An in-process target calls its backend directly: nothing between
 // the analysis and the RTL can lose a transaction. The one link that
@@ -99,7 +99,7 @@ type periphInst struct {
 type Target struct {
 	name  string
 	kind  string
-	scan  bool // FPGA snapshots via real scan-chain shifting
+	scan  bool // FPGA snapshots through the scan chain
 	clock *vtime.Clock
 	costs vtime.Costs
 
@@ -131,9 +131,8 @@ func NewSimulator(name string, clock *vtime.Clock, periphs []PeriphConfig) (*Tar
 }
 
 // NewFPGA builds an FPGA target hosting the peripherals. Snapshots
-// use the inserted scan chain (real bit shifting through the
-// instrumented design) or, when readback is set, the fixed-cost
-// full-fabric readback path.
+// use the inserted scan chain, charged per chain bit (fpga.go), or,
+// when readback is set, the fixed-cost full-fabric readback path.
 func NewFPGA(name string, clock *vtime.Clock, periphs []PeriphConfig, readback bool) (*Target, error) {
 	costs := vtime.FPGAScanCosts()
 	if readback {
