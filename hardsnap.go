@@ -97,7 +97,7 @@ type (
 	PeriphConfig = target.PeriphConfig
 	// Target hosts peripherals on one execution vehicle.
 	Target = target.Target
-	// HWState is a portable whole-target snapshot.
+	// HWState is a whole-target snapshot: one state per peripheral instance name.
 	HWState = target.State
 	// HWAssertion is a hardware property (Verilog expression over
 	// peripheral signals) checked every cycle on the simulator target.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"hardsnap/internal/sim"
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/target"
 )
@@ -42,7 +44,10 @@ func TestCorruptedSnapshotRejected(t *testing.T) {
 		t.Fatalf("corrupted snapshot decode: %v, want integrity error", err)
 	}
 	bad := rec.HW // decoded, so a deep copy of st
-	bad["gpio0"].Regs["phantom_register"] = 1
+	l := *bad["gpio0"].Layout()
+	l.Regs = append(slices.Clone(l.Regs), "phantom_register")
+	slices.Sort(l.Regs)
+	bad["gpio0"] = sim.NewHWState(&l, nil)
 	if err := a.Target.Restore(bad); target.Classify(err) != target.Integrity {
 		t.Fatalf("mismatched snapshot restore: %v, want integrity error", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -281,8 +282,9 @@ ok:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.HW["gpio0"].Regs["out"] != 0x77 {
-		t.Fatalf("hardware snapshot: %v", rec.HW["gpio0"].Regs)
+	hw := rec.HW["gpio0"]
+	if out := slices.Index(hw.Layout().Regs, "out"); out < 0 || hw.Vals()[out] != 0x77 {
+		t.Fatalf("hardware snapshot: %v = %#x", hw.Layout().Regs, hw.Vals())
 	}
 
 	// And the vector replays to the same crash.

@@ -57,10 +57,14 @@ func genResult(rnd *rand.Rand) *SubtreeResult {
 		r.Report.Finished = append(r.Report.Finished, st)
 	}
 	for n := rnd.Intn(3); n > 0; n-- {
-		hw := &sim.HWState{Regs: map[string]uint64{"value": rnd.Uint64(), "ctrl": rnd.Uint64()}}
+		l := &sim.Layout{Regs: []string{"ctrl", "value"}}
+		value, ctrl := rnd.Uint64(), rnd.Uint64()
+		vals := []uint64{ctrl, value}
 		if rnd.Intn(2) == 0 {
-			hw.Mems = map[string][]uint64{"fifo": {rnd.Uint64(), rnd.Uint64()}}
+			l.Mems, l.Depths = []string{"fifo"}, []int{2}
+			vals = append(vals, rnd.Uint64(), rnd.Uint64())
 		}
+		hw := sim.NewHWState(l, vals)
 		if r.BugSnaps == nil {
 			r.BugSnaps = make(map[uint64]*snapshot.Record)
 		}

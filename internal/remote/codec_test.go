@@ -23,7 +23,7 @@ import (
 	"hardsnap/internal/testseed"
 )
 
-// randHW draws one peripheral state: nil and empty maps, zero-length
+// randHW draws one peripheral state: empty sections, zero-length
 // and deep memories, empty and long names.
 func randHW(r *rand.Rand) *sim.HWState {
 	name := func() string {
@@ -47,9 +47,10 @@ func randHW(r *rand.Rand) *sim.HWState {
 		}
 		return m
 	}
-	hw := &sim.HWState{Regs: vals(), Inputs: vals()}
+	regs, inputs := vals(), vals()
+	var mems map[string][]uint64
 	if r.Intn(4) > 0 {
-		hw.Mems = make(map[string][]uint64)
+		mems = make(map[string][]uint64)
 		for i := r.Intn(4); i > 0; i-- {
 			var words []uint64
 			switch r.Intn(3) {
@@ -61,26 +62,29 @@ func randHW(r *rand.Rand) *sim.HWState {
 					words[j] = r.Uint64()
 				}
 			}
-			hw.Mems[name()] = words
+			mems[name()] = words
 		}
 	}
-	return hw
+	return hwState(regs, mems, inputs)
 }
 
-// shape maps nil maps and slices to empty ones: the wire (like the
-// content digest) does not tell them apart, and decodes to empty.
-func shape(hw *sim.HWState) *sim.HWState {
-	out := &sim.HWState{Regs: map[string]uint64{}, Mems: map[string][]uint64{}, Inputs: map[string]uint64{}}
-	for k, v := range hw.Regs {
-		out.Regs[k] = v
+// hwState builds a peripheral state from name-keyed values, laid out
+// as snapshot.DecodeChunk lays out the state it reads.
+func hwState(regs map[string]uint64, mems map[string][]uint64, inputs map[string]uint64) *sim.HWState {
+	l := &sim.Layout{Regs: snapshot.SortedNames(regs), Mems: snapshot.SortedNames(mems), Inputs: snapshot.SortedNames(inputs)}
+	l.Depths = make([]int, len(l.Mems))
+	var vals []uint64
+	for _, name := range l.Regs {
+		vals = append(vals, regs[name])
 	}
-	for k, v := range hw.Mems {
-		out.Mems[k] = append([]uint64{}, v...)
+	for i, name := range l.Mems {
+		l.Depths[i] = len(mems[name])
+		vals = append(vals, mems[name]...)
 	}
-	for k, v := range hw.Inputs {
-		out.Inputs[k] = v
+	for _, name := range l.Inputs {
+		vals = append(vals, inputs[name])
 	}
-	return out
+	return sim.NewHWState(l, vals)
 }
 
 func encodeChunk(hw *sim.HWState) wireChunk {
@@ -98,17 +102,15 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		// shape(hw) is an equal state built in another map order: it
-		// must encode to the same bytes.
-		return reflect.DeepEqual(got, shape(hw)) &&
+		return reflect.DeepEqual(got, hw) &&
 			snapshot.HWDigest(got) == ch.Digest &&
-			bytes.Equal(encodeChunk(shape(hw)).Data, ch.Data)
+			bytes.Equal(encodeChunk(got).Data, ch.Data)
 	}
 	if err := quick.Check(prop, testseed.Quick(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 	// A nil state travels as the empty one.
-	if got, err := snapshot.DecodeChunk(encodeChunk(nil).Data, snapshot.HWDigest(nil)); err != nil || !reflect.DeepEqual(got, shape(&sim.HWState{})) {
+	if got, err := snapshot.DecodeChunk(encodeChunk(nil).Data, snapshot.HWDigest(nil)); err != nil || !reflect.DeepEqual(got, hwState(nil, nil, nil)) {
 		t.Fatalf("nil state: %+v, %v", got, err)
 	}
 }
@@ -130,8 +132,8 @@ func allocated(f func()) uint64 {
 // counts are checked against the bytes left before anything is sized
 // by them.
 func TestSnapshotBodiesHostileInput(t *testing.T) {
-	hwA := &sim.HWState{Regs: map[string]uint64{"out": 0xAA, "dir": 1}, Mems: map[string][]uint64{}, Inputs: map[string]uint64{"in": 3}}
-	hwB := &sim.HWState{Regs: map[string]uint64{"count": 7}, Mems: map[string][]uint64{"fifo": {1, 2, 3}, "": nil}}
+	hwA := hwState(map[string]uint64{"out": 0xAA, "dir": 1}, nil, map[string]uint64{"in": 3})
+	hwB := hwState(map[string]uint64{"count": 7}, map[string][]uint64{"fifo": {1, 2, 3}, "": nil}, nil)
 	refs := []chunkRef{{Name: "gpio0", Digest: snapshot.HWDigest(hwA)}, {Name: "timer0", Digest: snapshot.HWDigest(hwB)}}
 	withChunks := func(b []byte) []byte {
 		b = snapshot.AppendU32(b, 2)
@@ -314,8 +316,8 @@ func TestClientChunkCacheBounded(t *testing.T) {
 // digest is an integrity error on whichever end receives it, and is
 // neither cached nor applied.
 func TestSnapshotChunkIntegrityTyped(t *testing.T) {
-	hw := &sim.HWState{Regs: map[string]uint64{"out": 1}}
-	lie := snapshot.HWDigest(&sim.HWState{Regs: map[string]uint64{"out": 2}})
+	hw := hwState(map[string]uint64{"out": 1}, nil, nil)
+	lie := snapshot.HWDigest(hwState(map[string]uint64{"out": 2}, nil, nil))
 
 	t.Run("pushed", func(t *testing.T) {
 		c, srv := v3PipeSrv(t, DefaultChunkCap)

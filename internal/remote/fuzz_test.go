@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"hardsnap/internal/sim"
 	"hardsnap/internal/snapshot"
 )
 
@@ -75,7 +74,7 @@ func FuzzServeConn(f *testing.F) {
 	f.Add([]byte{})
 
 	// Snapshot frames: valid, truncated and count-corrupted bodies.
-	hw := &sim.HWState{Regs: map[string]uint64{"out": 0x5A}}
+	hw := hwState(map[string]uint64{"out": 0x5A}, nil, nil)
 	refs := []chunkRef{{Name: "gpio0", Digest: snapshot.HWDigest(hw)}}
 	restoreBody := appendRefs([]byte{modeRestore}, refs)
 	pushBody, _ := appendChunk(snapshot.AppendU32(append([]byte(nil), restoreBody...), 1), refs[0].Digest, hw)

@@ -38,26 +38,25 @@ func TestSymStepMatchesEngines(t *testing.T) {
 			r := testseed.Quick(t, 64).Rand
 			var ev expr.Evaluator
 			for n := 0; n < 64; n++ {
-				hw := &sim.HWState{Regs: map[string]uint64{}, Mems: map[string][]uint64{}, Inputs: map[string]uint64{}}
+				l := engines[sim.EngineInterp].Layout()
+				hw := sim.NewHWState(l, nil)
+				vals := hw.Vals()
 				a := expr.Assignment{}
 				for _, sig := range d.Signals {
 					v := r.Uint64() & expr.Mask(sig.Width)
 					switch {
 					case sig == en:
-						hw.Inputs[sig.Name] = 1
-					case sig.IsInput:
-						hw.Inputs[sig.Name], a[sig.Name] = v, v
-					case sig.IsReg:
-						hw.Regs[sig.Name], a[sig.Name] = v, v
+						vals[statePos(l, sig.Name)] = 1
+					case sig.IsInput || sig.IsReg:
+						vals[statePos(l, sig.Name)], a[sig.Name] = v, v
 					}
 				}
 				for _, m := range d.Memories {
-					words := make([]uint64, m.Depth)
-					for i := range words {
-						words[i] = r.Uint64() & expr.Mask(m.Width)
-						a[fmt.Sprintf("%s[%d]", m.Name, i)] = words[i]
+					p := statePos(l, m.Name)
+					for i := range m.Depth {
+						vals[p+int(i)] = r.Uint64() & expr.Mask(m.Width)
+						a[fmt.Sprintf("%s[%d]", m.Name, i)] = vals[p+int(i)]
 					}
-					hw.Mems[m.Name] = words
 				}
 				for k, s := range engines {
 					if err := s.Restore(hw); err != nil {
@@ -66,14 +65,14 @@ func TestSymStepMatchesEngines(t *testing.T) {
 					if err := s.StepCycle(); err != nil {
 						t.Fatal(err)
 					}
-					got := s.Snapshot()
+					got := s.Snapshot().Vals()
 					for _, sig := range d.Regs() {
 						next, err := cyc.Next(sig.ID)
 						if err != nil {
 							t.Fatalf("%s: %v", sig.Name, err)
 						}
-						if want := ev.Eval(next, a); got.Regs[sig.Name] != want {
-							t.Fatalf("state %d, %v engine: %s = %#x, symbolic step gives %#x", n, k, sig.Name, got.Regs[sig.Name], want)
+						if p := statePos(l, sig.Name); got[p] != ev.Eval(next, a) {
+							t.Fatalf("state %d, %v engine: %s = %#x, symbolic step gives %#x", n, k, sig.Name, got[p], ev.Eval(next, a))
 						}
 					}
 					for _, m := range d.Memories {
@@ -82,8 +81,8 @@ func TestSymStepMatchesEngines(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s[%d]: %v", m.Name, i, err)
 							}
-							if want := ev.Eval(next, a); got.Mems[m.Name][i] != want {
-								t.Fatalf("state %d, %v engine: %s[%d] = %#x, symbolic step gives %#x", n, k, m.Name, i, got.Mems[m.Name][i], want)
+							if p := statePos(l, m.Name); got[p+int(i)] != ev.Eval(next, a) {
+								t.Fatalf("state %d, %v engine: %s[%d] = %#x, symbolic step gives %#x", n, k, m.Name, i, got[p+int(i)], ev.Eval(next, a))
 							}
 						}
 					}
@@ -91,4 +90,29 @@ func TestSymStepMatchesEngines(t *testing.T) {
 			}
 		})
 	}
+}
+
+// statePos is the vector position of the named register or input of
+// layout l, or of word 0 of the named memory.
+func statePos(l *sim.Layout, name string) int {
+	n := 0
+	for _, r := range l.Regs {
+		if r == name {
+			return n
+		}
+		n++
+	}
+	for i, m := range l.Mems {
+		if m == name {
+			return n
+		}
+		n += l.Depths[i]
+	}
+	for _, in := range l.Inputs {
+		if in == name {
+			return n
+		}
+		n++
+	}
+	panic("no state element " + name)
 }

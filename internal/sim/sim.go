@@ -8,13 +8,14 @@
 // offers the full-visibility/full-controllability interface the paper
 // attributes to the simulator target: any signal can be read between
 // cycles, any register or memory set by a restore, and complete
-// hardware snapshots are cheap deep copies.
+// hardware snapshots are cheap copies: a snapshot (HWState) is a value
+// vector in the design's Layout, and a state of another layout is
+// refused before any bit moves. Names are read only where a state
+// leaves the process or crosses between builds, and in error text.
 package sim
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"sync/atomic"
 
 	"hardsnap/internal/rtl"
@@ -79,8 +80,15 @@ type Simulator struct {
 	OnCycle func(cycle uint64)
 
 	writeBuf []rtl.Write
-	// nregs counts the design's registers, to size Snapshot's map.
-	nregs int
+
+	// layout is the shape of every state Snapshot returns and Restore
+	// accepts; sigs (registers, inputs) and mems are its elements, at
+	// vector positions pos (by signal ID) and memPos (by memory ID).
+	layout *Layout
+	sigs   []*rtl.Signal
+	mems   []*rtl.Memory
+	pos    []int
+	memPos []int
 
 	// gen counts observed mutations of snapshot-relevant state
 	// (registers, memories, input pins). It only moves when a value
@@ -133,8 +141,8 @@ func NewEngine(d *rtl.Design, kind EngineKind) (*Simulator, error) {
 		state:     rtl.NewState(d),
 		dirtySigs: newIDSet(len(d.Signals)),
 		dirtyMems: newIDSet(len(d.Memories)),
-		nregs:     len(d.Regs()),
 	}
+	s.buildLayout()
 	switch kind {
 	case EngineAuto:
 		if prog, err := bc.Compile(d); err == nil {
@@ -336,163 +344,4 @@ func (s *Simulator) Run(n uint64) error {
 		}
 	}
 	return nil
-}
-
-// HWState is a complete, portable hardware snapshot: every register
-// and memory element by hierarchical name, plus top-level input pins.
-// Name-keyed state transfers between different executions of the same
-// peripheral (e.g. simulator target and FPGA target).
-type HWState struct {
-	Regs   map[string]uint64   `json:"regs"`
-	Mems   map[string][]uint64 `json:"mems"`
-	Inputs map[string]uint64   `json:"inputs"`
-}
-
-// Clone deep-copies the state. A nil state is the empty one, here as
-// in Restore and in the state's byte form (internal/snapshot).
-func (hw *HWState) Clone() *HWState {
-	if hw == nil {
-		return &HWState{}
-	}
-	c := &HWState{
-		Regs:   maps.Clone(hw.Regs),
-		Mems:   make(map[string][]uint64, len(hw.Mems)),
-		Inputs: maps.Clone(hw.Inputs),
-	}
-	for name, words := range hw.Mems {
-		c.Mems[name] = slices.Clone(words)
-	}
-	return c
-}
-
-// Snapshot captures the full hardware state.
-func (s *Simulator) Snapshot() *HWState {
-	hw := &HWState{
-		Regs:   make(map[string]uint64, s.nregs),
-		Mems:   make(map[string][]uint64, len(s.design.Memories)),
-		Inputs: make(map[string]uint64, len(s.design.Inputs)),
-	}
-	for _, sig := range s.design.Signals {
-		if sig.IsReg {
-			hw.Regs[sig.Name] = s.state.Vals[sig.ID]
-		}
-	}
-	for _, m := range s.design.Memories {
-		vals := make([]uint64, m.Depth)
-		copy(vals, s.state.Mems[m.ID])
-		hw.Mems[m.Name] = vals
-	}
-	for _, in := range s.design.Inputs {
-		hw.Inputs[in.Name] = s.state.Vals[in.ID]
-	}
-	return hw
-}
-
-// Restore overwrites the hardware state from a snapshot and re-settles
-// combinational logic. Snapshot entries that do not exist in this
-// design are reported as an error (they indicate a design mismatch);
-// registers of this design missing from the snapshot are reset to 0.
-func (s *Simulator) Restore(hw *HWState) error {
-	if hw == nil {
-		hw = &HWState{}
-	}
-	for _, sig := range s.design.Signals {
-		if sig.IsReg {
-			s.write(sig, hw.Regs[sig.Name])
-		}
-	}
-	for name := range hw.Regs {
-		if sig, ok := s.design.SignalByName(name); !ok || !sig.IsReg {
-			return fmt.Errorf("sim: snapshot register %q does not exist in design", name)
-		}
-	}
-	for _, m := range s.design.Memories {
-		src := hw.Mems[m.Name]
-		dst := s.state.Mems[m.ID]
-		for i := range dst {
-			v := uint64(0)
-			if i < len(src) {
-				v = src[i] & widthMask(m.Width)
-			}
-			if dst[i] != v {
-				s.markMem(m.ID)
-				dst[i] = v
-				if s.eng != nil {
-					s.eng.MarkMemory(m.ID)
-				}
-			}
-		}
-	}
-	for name := range hw.Mems {
-		if _, ok := s.design.MemoryByName(name); !ok {
-			return fmt.Errorf("sim: snapshot memory %q does not exist in design", name)
-		}
-	}
-	for _, in := range s.design.Inputs {
-		if v, ok := hw.Inputs[in.Name]; ok {
-			s.write(in, v)
-		}
-	}
-	return s.EvalComb()
-}
-
-// RestoreDirty overwrites only the registers, memories and inputs
-// marked dirty since the last ClearDirty, reading their reference
-// values from hw. It is equivalent to Restore(hw) — and returns the
-// number of state bits written back — ONLY under the caller-guaranteed
-// precondition that hw equals the state that was live at the last
-// ClearDirty (the anchor): every clean element already holds its
-// anchor value, so rewriting it would be a no-op. Dirty tracking is
-// re-anchored on success.
-func (s *Simulator) RestoreDirty(hw *HWState) (uint, error) {
-	if hw == nil {
-		hw = &HWState{}
-	}
-	var bits uint
-	for _, id := range s.dirtySigs.ids {
-		sig := s.design.Signals[id]
-		switch {
-		case sig.IsReg:
-			// Same missing-entry semantics as Restore: absent
-			// registers reset to 0.
-			s.state.Vals[id] = hw.Regs[sig.Name] & widthMask(sig.Width)
-		case sig.IsInput:
-			// Absent inputs keep their current value, as in Restore.
-			if v, ok := hw.Inputs[sig.Name]; ok {
-				s.state.Vals[id] = v & widthMask(sig.Width)
-			}
-		}
-		// Written blind (no old-value compare), so conservatively
-		// wake everything sensitive to the signal.
-		if s.eng != nil {
-			s.eng.MarkSignal(id)
-		}
-		bits += sig.Width
-	}
-	for _, id := range s.dirtyMems.ids {
-		m := s.design.Memories[id]
-		src := hw.Mems[m.Name]
-		dst := s.state.Mems[id]
-		for i := range dst {
-			if i < len(src) {
-				dst[i] = src[i] & widthMask(m.Width)
-			} else {
-				dst[i] = 0
-			}
-		}
-		if s.eng != nil {
-			s.eng.MarkMemory(id)
-		}
-		bits += m.Depth * m.Width
-	}
-	if bits > 0 {
-		// Preserve the invariant "gen unchanged ⟹ state unchanged"
-		// for observers that sampled Gen before this restore.
-		s.gen++
-	}
-	s.ClearDirty()
-	if err := s.EvalComb(); err != nil {
-		return bits, err
-	}
-	return bits, nil
 }

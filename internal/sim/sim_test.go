@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -250,34 +253,47 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			return false
 		}
 		snap2 := s.Snapshot()
-		if len(snap1.Regs) != len(snap2.Regs) {
-			return false
-		}
-		for k, v := range snap1.Regs {
-			if snap2.Regs[k] != v {
-				return false
-			}
-		}
-		for k, v := range snap1.Mems {
-			for i := range v {
-				if snap2.Mems[k][i] != v[i] {
-					return false
-				}
-			}
-		}
-		return true
+		return snap2.Layout() == snap1.Layout() && slices.Equal(snap2.Vals(), snap1.Vals())
 	}
 	if err := quick.Check(f, testseed.Quick(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRestoreRejectsForeignState: a state of another layout (a
+// register or input more or less, a memory of another depth) is
+// refused before any bit moves: the live state and its mutation
+// generation are untouched.
 func TestRestoreRejectsForeignState(t *testing.T) {
 	s := build(t, counterSrc, "counter")
-	snap := s.Snapshot()
-	snap.Regs["ghost.reg"] = 1
-	if err := s.Restore(snap); err == nil {
-		t.Fatal("restore with unknown register must fail")
+	l := s.Layout()
+	ghost := *l
+	ghost.Regs = append(slices.Clone(l.Regs), "ghost.reg")
+	slices.Sort(ghost.Regs)
+	noInput := *l
+	noInput.Inputs = l.Inputs[1:]
+	fifo := build(t, fifoSrc, "fifo").Layout()
+	short := *fifo
+	short.Depths = []int{fifo.Depths[0] - 1}
+
+	if err := s.Poke("count", 200); err != nil {
+		t.Fatal(err)
+	}
+	before, gen := s.Snapshot(), s.Gen()
+	for _, foreign := range []*HWState{NewHWState(&ghost, nil), NewHWState(&noInput, nil), NewHWState(&short, nil), nil} {
+		if err := s.Restore(foreign); err == nil {
+			t.Fatalf("restore of a state of layout %+v must fail", foreign.Layout())
+		}
+		if _, err := s.RestoreDirty(foreign); err == nil {
+			t.Fatalf("dirty restore of a state of layout %+v must fail", foreign.Layout())
+		}
+		if got := s.Snapshot(); !reflect.DeepEqual(got, before) || s.Gen() != gen {
+			t.Fatalf("refused restore moved the state %v -> %v (gen %d -> %d)", before.Vals(), got.Vals(), gen, s.Gen())
+		}
+	}
+	if err := build(t, fifoSrc, "fifo").Restore(NewHWState(&short, nil)); err == nil ||
+		!strings.Contains(err.Error(), `of [15] words, design holds ["mem"] of [16]`) {
+		t.Fatalf("short memory: %v", err)
 	}
 }
 

@@ -77,15 +77,11 @@ func BenchmarkStorePutMiss(b *testing.B) {
 	for _, periph := range benchPeriphs {
 		b.Run(periph, func(b *testing.B) {
 			rec := benchRecord(b, periph)
-			hw := rec.HW["p0"]
-			var reg string
-			for reg = range hw.Regs {
-				break
-			}
+			reg := &rec.HW["p0"].Vals()[0]
 			s := NewStore()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				hw.Regs[reg] = uint64(i)
+				*reg = uint64(i)
 				s.Release(s.Put(*rec))
 			}
 			if st := s.Stats(); st.DedupHits != 0 {

@@ -15,10 +15,7 @@ const digestLen = len(Digest{})
 
 // SortedNames returns m's keys in the order every encoder writes them.
 func SortedNames[V any](m map[string]V) []string {
-	return appendSorted(make([]string, 0, len(m)), m)
-}
-
-func appendSorted[V any](names []string, m map[string]V) []string {
+	names := make([]string, 0, len(m))
 	for name := range m {
 		names = append(names, name)
 	}
@@ -34,32 +31,28 @@ func AppendName(b []byte, s string) []byte { return append(AppendU32(b, len(s)),
 
 // AppendChunk appends one peripheral state as len(4) state[len], a nil
 // state as the empty one. The state bytes are canonical — equal states
-// yield equal bytes — and are what HWDigest hashes.
+// yield equal bytes — and are what HWDigest hashes: the names come from
+// the state's layout, which lists each section sorted.
 func AppendChunk(b []byte, hw *sim.HWState) []byte {
-	if hw == nil {
-		hw = &sim.HWState{}
-	}
+	l, v := hw.Layout(), hw.Vals()
 	at := len(b)
 	b = append(b, 0, 0, 0, 0)
-	var stack [64]string // the usual register file sorts without allocating
-	names := appendSorted(stack[:0], hw.Regs)
-	b = AppendU32(b, len(names))
-	for _, name := range names {
-		b = binary.LittleEndian.AppendUint64(AppendName(b, name), hw.Regs[name])
+	b = AppendU32(b, len(l.Regs))
+	for i, name := range l.Regs {
+		b = binary.LittleEndian.AppendUint64(AppendName(b, name), v[i])
 	}
-	names = appendSorted(names[:0], hw.Mems)
-	b = AppendU32(b, len(names))
-	for _, name := range names {
-		words := hw.Mems[name]
-		b = AppendU32(AppendName(b, name), len(words))
-		for _, w := range words {
+	v = v[len(l.Regs):]
+	b = AppendU32(b, len(l.Mems))
+	for i, name := range l.Mems {
+		b = AppendU32(AppendName(b, name), l.Depths[i])
+		for _, w := range v[:l.Depths[i]] {
 			b = binary.LittleEndian.AppendUint64(b, w)
 		}
+		v = v[l.Depths[i]:]
 	}
-	names = appendSorted(names[:0], hw.Inputs)
-	b = AppendU32(b, len(names))
-	for _, name := range names {
-		b = binary.LittleEndian.AppendUint64(AppendName(b, name), hw.Inputs[name])
+	b = AppendU32(b, len(l.Inputs))
+	for i, name := range l.Inputs {
+		b = binary.LittleEndian.AppendUint64(AppendName(b, name), v[i])
 	}
 	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	return b
@@ -168,43 +161,43 @@ func (r *Reader) ascending(i int, prev string) string {
 	return name
 }
 
-func (r *Reader) vals() map[string]uint64 {
-	n := r.count(4 + 8)
-	m := make(map[string]uint64, n)
-	name := ""
-	for i := 0; i < n && r.err == nil; i++ {
-		name = r.ascending(i, name)
-		m[name] = r.u64()
+// vals reads a section of named values, appending the values to vals.
+func (r *Reader) vals(vals []uint64) ([]string, []uint64) {
+	names := make([]string, r.count(4+8))
+	for i := 0; i < len(names) && r.err == nil; i++ {
+		names[i] = r.ascending(i, names[max(i-1, 0)])
+		vals = append(vals, r.u64())
 	}
-	return m
+	return names, vals
 }
 
 // DecodeChunk parses one chunk's state bytes and checks them against
 // the content address they travelled under. Every state that arrives
 // as bytes — from disk, the remote wire or a dist node — passes
-// through here before it is stored, cached or applied.
+// through here before it is stored, cached or applied. The state's
+// layout is built from the names it carries.
 func DecodeChunk(state []byte, want Digest) (*sim.HWState, error) {
 	r := Reader{p: state}
-	hw := &sim.HWState{Regs: r.vals()}
-	n := r.count(4 + 4)
-	hw.Mems = make(map[string][]uint64, n)
-	name := ""
-	for i := 0; i < n && r.err == nil; i++ {
-		name = r.ascending(i, name)
-		words := make([]uint64, r.count(8))
-		for j := range words {
-			words[j] = r.u64() // cannot fail: count vetted the total
+	l := &sim.Layout{}
+	var vals []uint64
+	l.Regs, vals = r.vals(vals)
+	l.Mems = make([]string, r.count(4+4))
+	l.Depths = make([]int, len(l.Mems))
+	for i := 0; i < len(l.Mems) && r.err == nil; i++ {
+		l.Mems[i] = r.ascending(i, l.Mems[max(i-1, 0)])
+		l.Depths[i] = r.count(8)
+		for range l.Depths[i] {
+			vals = append(vals, r.u64()) // cannot fail: count vetted the total
 		}
-		hw.Mems[name] = words
 	}
-	hw.Inputs = r.vals()
+	l.Inputs, vals = r.vals(vals)
 	if err := r.End(); err != nil {
 		return nil, err
 	}
 	if got := Digest(sha256.Sum256(state)); got != want {
 		return nil, fmt.Errorf("snapshot: chunk digest mismatch (%x != %x)", got[:8], want[:8])
 	}
-	return hw, nil
+	return sim.NewHWState(l, vals), nil
 }
 
 // Record framing: magic(4) version(1) length(4) crc32(4) payload.

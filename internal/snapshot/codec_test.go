@@ -126,7 +126,7 @@ func TestDecodeRejectsGobVersions(t *testing.T) {
 // is an integrity error, so the bytes a digest vouches for are the
 // only bytes its state has.
 func TestDecodeRejectsNonCanonical(t *testing.T) {
-	hw := &sim.HWState{Regs: map[string]uint64{"a": 1, "b": 2}}
+	hw := hwState(map[string]uint64{"a": 1, "b": 2}, nil, nil)
 	entry := func(b []byte, name string, d Digest, hw *sim.HWState) []byte {
 		return AppendChunk(append(append(AppendName(b, name), d[:]...), 1), hw)
 	}

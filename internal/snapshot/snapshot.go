@@ -18,6 +18,11 @@
 // the sharing safe and removes the defensive clone on Get: callers
 // receive the canonical record and must not mutate it.
 //
+// In memory a peripheral state is a sim.HWState: a value vector in the
+// order of its sim.Layout, whose names are sorted as the byte form
+// writes them, so the encoder walks layout and vector once. The decoder
+// builds each state a layout of its own from the names it reads.
+//
 // Byte layout (all integers little-endian, every count and length 32
 // bits, a name is len(4) bytes, names written in ascending order so
 // equal states encode to equal bytes):
@@ -75,18 +80,9 @@ type Record struct {
 	IRQEdges []bool
 }
 
-// hwBytes approximates the in-memory footprint of one peripheral
-// state (value words only; names are interned by Go anyway).
-func hwBytes(hw *sim.HWState) uint64 {
-	if hw == nil {
-		return 0
-	}
-	n := uint64(len(hw.Regs)+len(hw.Inputs)) * 8
-	for _, words := range hw.Mems {
-		n += uint64(len(words)) * 8
-	}
-	return n
-}
+// hwBytes is the in-memory footprint of one peripheral state: its
+// value vector (the names live in its layout).
+func hwBytes(hw *sim.HWState) uint64 { return uint64(len(hw.Vals())) * 8 }
 
 // poolEntry is one interned peripheral state, shared by every record
 // that contains it.

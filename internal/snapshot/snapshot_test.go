@@ -11,14 +11,60 @@ import (
 	"hardsnap/internal/testseed"
 )
 
+// hwState builds a peripheral state from name-keyed values, laid out
+// as DecodeChunk lays out the state it reads.
+func hwState(regs map[string]uint64, mems map[string][]uint64, inputs map[string]uint64) *sim.HWState {
+	l := &sim.Layout{Regs: SortedNames(regs), Mems: SortedNames(mems), Inputs: SortedNames(inputs)}
+	l.Depths = make([]int, len(l.Mems))
+	var vals []uint64
+	for _, name := range l.Regs {
+		vals = append(vals, regs[name])
+	}
+	for i, name := range l.Mems {
+		l.Depths[i] = len(mems[name])
+		vals = append(vals, mems[name]...)
+	}
+	for _, name := range l.Inputs {
+		vals = append(vals, inputs[name])
+	}
+	return sim.NewHWState(l, vals)
+}
+
+// at points at word i of the named element of hw (i is 0 for a
+// register or input).
+func at(hw *sim.HWState, name string, i int) *uint64 {
+	return &hw.Vals()[statePos(hw.Layout(), name)+i]
+}
+
+// statePos is the vector position of the named register or input of
+// layout l, or of word 0 of the named memory.
+func statePos(l *sim.Layout, name string) int {
+	n := 0
+	for _, r := range l.Regs {
+		if r == name {
+			return n
+		}
+		n++
+	}
+	for i, m := range l.Mems {
+		if m == name {
+			return n
+		}
+		n += l.Depths[i]
+	}
+	for _, in := range l.Inputs {
+		if in == name {
+			return n
+		}
+		n++
+	}
+	panic("no state element " + name)
+}
+
 func record(val uint64) Record {
 	return Record{
 		HW: target.State{
-			"p0": &sim.HWState{
-				Regs:   map[string]uint64{"r": val},
-				Mems:   map[string][]uint64{"m": {1, 2, val}},
-				Inputs: map[string]uint64{"clk": 0},
-			},
+			"p0": hwState(map[string]uint64{"r": val}, map[string][]uint64{"m": {1, 2, val}}, map[string]uint64{"clk": 0}),
 		},
 		IRQEdges: []bool{true, false},
 	}
@@ -31,7 +77,7 @@ func TestPutGetRelease(t *testing.T) {
 		t.Fatal("id must be nonzero")
 	}
 	rec, ok := s.Get(id)
-	if !ok || rec.HW["p0"].Regs["r"] != 42 {
+	if !ok || *at(rec.HW["p0"], "r", 0) != 42 {
 		t.Fatalf("get: %v %v", rec, ok)
 	}
 	if s.live.Load() != 1 {
@@ -74,7 +120,7 @@ func TestUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, _ := s.Get(id)
-	if rec.HW["p0"].Regs["r"] != 2 {
+	if *at(rec.HW["p0"], "r", 0) != 2 {
 		t.Fatal("update not visible")
 	}
 	if err := s.Update(999, record(3)); err == nil {
@@ -102,11 +148,11 @@ func TestPutIsolatesCallerMemory(t *testing.T) {
 	rec := record(5)
 	id := s.Put(rec)
 	// Mutating the caller's record must not affect the stored copy.
-	rec.HW["p0"].Regs["r"] = 99
-	rec.HW["p0"].Mems["m"][0] = 77
+	*at(rec.HW["p0"], "r", 0) = 99
+	*at(rec.HW["p0"], "m", 0) = 77
 	rec.IRQEdges[0] = false
 	got, _ := s.Get(id)
-	if got.HW["p0"].Regs["r"] != 5 || got.HW["p0"].Mems["m"][0] != 1 || !got.IRQEdges[0] {
+	if *at(got.HW["p0"], "r", 0) != 5 || *at(got.HW["p0"], "m", 0) != 1 || !got.IRQEdges[0] {
 		t.Fatal("store aliases caller memory")
 	}
 }
@@ -145,8 +191,8 @@ func TestPeripheralSharing(t *testing.T) {
 	// unchanged peripheral's state structurally.
 	mk := func(v uint64) Record {
 		return Record{HW: target.State{
-			"same": &sim.HWState{Regs: map[string]uint64{"r": 1}},
-			"diff": &sim.HWState{Regs: map[string]uint64{"r": v}},
+			"same": hwState(map[string]uint64{"r": 1}, nil, nil),
+			"diff": hwState(map[string]uint64{"r": v}, nil, nil),
 		}}
 	}
 	s := NewStore()
@@ -179,7 +225,7 @@ func TestAdopt(t *testing.T) {
 	}
 	s.Release(id)
 	rec, ok := s.Get(child)
-	if !ok || rec.HW["p0"].Regs["r"] != 3 {
+	if !ok || *at(rec.HW["p0"], "r", 0) != 3 {
 		t.Fatal("adopted reference lost content")
 	}
 	if _, ok := s.Adopt(Digest{}); ok {
@@ -207,25 +253,21 @@ func genRecord(rnd *rand.Rand) Record {
 	hw := target.State{}
 	for p := 0; p < 1+rnd.Intn(3); p++ {
 		name := string(rune('a' + p))
-		st := &sim.HWState{
-			Regs:   map[string]uint64{},
-			Mems:   map[string][]uint64{},
-			Inputs: map[string]uint64{},
-		}
+		regs, mems, inputs := map[string]uint64{}, map[string][]uint64{}, map[string]uint64{}
 		for r := 0; r < rnd.Intn(4); r++ {
-			st.Regs[string(rune('r'+r))] = rnd.Uint64()
+			regs[string(rune('r'+r))] = rnd.Uint64()
 		}
 		for m := 0; m < rnd.Intn(2); m++ {
 			words := make([]uint64, 1+rnd.Intn(4))
 			for i := range words {
 				words[i] = rnd.Uint64()
 			}
-			st.Mems[string(rune('m'+m))] = words
+			mems[string(rune('m'+m))] = words
 		}
 		for i := 0; i < rnd.Intn(2); i++ {
-			st.Inputs[string(rune('i'+i))] = rnd.Uint64()
+			inputs[string(rune('i'+i))] = rnd.Uint64()
 		}
-		hw[name] = st
+		hw[name] = hwState(regs, mems, inputs)
 	}
 	edges := make([]bool, rnd.Intn(4))
 	for i := range edges {
@@ -306,7 +348,7 @@ func TestEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.HW["p0"].Regs["r"] != 123 || back.HW["p0"].Mems["m"][2] != 123 {
+	if *at(back.HW["p0"], "r", 0) != 123 || *at(back.HW["p0"], "m", 2) != 123 {
 		t.Fatalf("round trip: %+v", back.HW["p0"])
 	}
 	if len(back.IRQEdges) != 2 || !back.IRQEdges[0] {

@@ -37,65 +37,69 @@ const (
 )
 
 // scanPort is one peripheral's scan chain as the debugger drives it:
-// the three scan pins and the chain in shift order, as simulator IDs.
+// the three scan pins and the chain in shift order, as simulator IDs
+// and state-vector positions.
 type scanPort struct {
 	enable, in, out int
 	// chain lists the state bits in the order they leave scan_out
-	// (and enter scan_in on restore): the reverse of the layout,
-	// whose last position drives scan_out.
+	// (and enter scan_in on restore): the reverse of the chain
+	// layout, whose last position drives scan_out.
 	chain []chainBit
-	// regs are the design's registers; vals (by signal ID) and mems
-	// (by memory ID) are the per-shift scratch of one save or restore.
-	regs []*rtl.Signal
-	vals []uint64
-	mems [][]uint64
+	// inputs are the signal IDs of the input pins, in the order of
+	// the input section of the simulator's state vector.
+	inputs []int
 	// proof is why one scan-mode clock is not known to shift the
 	// chain (scanchain.ProveShift); nil when it is, and then a save
 	// or restore copies the state instead of clocking the netlist.
 	proof error
 }
 
-// chainBit is one scan-chain position: bit of register id, or of word
-// of memory id when mem is set.
+// chainBit is one scan-chain position: bit of the state-vector word
+// at pos (a register, or one word of a memory).
 type chainBit struct {
-	id   int
-	word uint
-	bit  uint
-	mem  bool
+	pos int
+	bit uint
 }
 
-// resolveScan binds the scan pins and every layout position of d to
-// simulator IDs. Any name the design does not hold is an error naming
-// it, so a mismatched build fails here, not on the first shift.
-func resolveScan(d *rtl.Design, layout []scanchain.BitRef) (*scanPort, error) {
-	sc := &scanPort{
-		regs:  d.Regs(),
-		vals:  make([]uint64, len(d.Signals)),
-		mems:  make([][]uint64, len(d.Memories)),
-		chain: make([]chainBit, len(layout)),
-	}
+// resolveScan binds the scan pins of d to simulator IDs, and every
+// position of the chain layout refs to a bit of the state vector of
+// layout l. Any name the design does not hold is an error naming it,
+// so a mismatched build fails here, not on the first shift.
+func resolveScan(d *rtl.Design, l *sim.Layout, refs []scanchain.BitRef) (*scanPort, error) {
+	sc := &scanPort{chain: make([]chainBit, len(refs))}
 	if err := bindPins(d, "scan port",
 		pin{sigScanEnable, true, &sc.enable}, pin{sigScanIn, true, &sc.in}, pin{sigScanOut, false, &sc.out}); err != nil {
 		return nil, err
 	}
-	for k, ref := range layout {
-		c := chainBit{word: ref.Index, bit: ref.Bit, mem: ref.IsMem}
+	pos, n := make(map[string]int), 0
+	for _, name := range l.Regs {
+		pos[name], n = n, n+1
+	}
+	for i, name := range l.Mems {
+		pos[name], n = n, n+l.Depths[i]
+	}
+	for _, name := range l.Inputs {
+		sig, _ := d.SignalByName(name)
+		sc.inputs = append(sc.inputs, sig.ID)
+	}
+	for k, ref := range refs {
+		c := chainBit{bit: ref.Bit}
 		if ref.IsMem {
 			m, ok := d.MemoryByName(ref.Name)
 			if !ok || ref.Index >= m.Depth || ref.Bit >= m.Width {
 				return nil, fmt.Errorf("scan chain: no memory bit %s[%d][%d]", ref.Name, ref.Index, ref.Bit)
 			}
-			c.id = m.ID
+			c.pos = pos[ref.Name] + int(ref.Index)
 		} else {
 			sig, ok := d.SignalByName(ref.Name)
 			if !ok || !sig.IsReg || ref.Bit >= sig.Width {
 				return nil, fmt.Errorf("scan chain: no register bit %s[%d]", ref.Name, ref.Bit)
 			}
-			c.id = sig.ID
+			c.pos = pos[ref.Name]
 		}
-		sc.chain[len(layout)-1-k] = c
+		sc.chain[len(refs)-1-k] = c
 	}
-	sc.proof = scanchain.ProveShift(d, layout)
+	sc.proof = scanchain.ProveShift(d, refs)
 	return sc, nil
 }
 
@@ -117,8 +121,7 @@ func (t *Target) scanSave(inst *periphInst) (*sim.HWState, error) {
 
 // scanRestore loads a peripheral's state through its scan chain,
 // charging the shift's cost. A proven chain is written directly:
-// sim.Restore zero-fills what hw lacks and masks each value to its
-// width, as shifting hw in does.
+// sim.Restore masks each value to its width, as shifting hw in does.
 func (t *Target) scanRestore(inst *periphInst, hw *sim.HWState) error {
 	if inst.scan.proof != nil {
 		return t.shiftRestore(inst, hw)
@@ -126,9 +129,6 @@ func (t *Target) scanRestore(inst *periphInst, hw *sim.HWState) error {
 	var before *sim.HWState
 	if scanAudit {
 		before = inst.sim.Snapshot()
-	}
-	if hw == nil {
-		hw = &sim.HWState{}
 	}
 	t.clock.Advance(t.costs.SnapshotCost(uint(len(inst.scan.chain))))
 	if err := inst.sim.Restore(hw); err != nil {
@@ -188,18 +188,13 @@ func (t *Target) audit(inst *periphInst, before, saved, restored *sim.HWState) e
 // captured at scan_out is fed straight back into scan_in, so after a
 // full rotation the fabric state is unchanged.
 func (t *Target) shiftSave(inst *periphInst) (*sim.HWState, error) {
-	s, d, sc := inst.sim, inst.design, inst.scan
-
+	s, sc := inst.sim, inst.scan
 	// The debugger drives the pins, so it knows their levels without
-	// fabric visibility.
-	inputs := make(map[string]uint64, len(d.Inputs))
-	for _, in := range d.Inputs {
-		inputs[in.Name] = s.PeekID(in.ID)
-	}
-	clear(sc.vals)
-	for _, m := range d.Memories {
-		sc.mems[m.ID] = make([]uint64, m.Depth)
-	}
+	// fabric visibility; the registers and memory words are cleared
+	// and rebuilt from scan_out.
+	hw := s.Snapshot()
+	vals := hw.Vals()
+	clear(vals[:len(vals)-len(sc.inputs)])
 
 	t.clock.Advance(t.costs.SnapshotFixed) // scan command setup
 	s.SetInputID(sc.enable, 1)
@@ -213,28 +208,9 @@ func (t *Target) shiftSave(inst *periphInst) (*sim.HWState, error) {
 			return nil, fatalf("scan save "+inst.cfg.Name, "%v", err)
 		}
 		t.clock.Advance(t.costs.SnapshotPerBit)
-		if b != 0 {
-			if c.mem {
-				sc.mems[c.id][c.word] |= 1 << c.bit
-			} else {
-				sc.vals[c.id] |= 1 << c.bit
-			}
-		}
+		vals[c.pos] |= b << c.bit
 	}
-
-	hw := &sim.HWState{
-		Regs:   make(map[string]uint64, len(sc.regs)),
-		Mems:   make(map[string][]uint64, len(d.Memories)),
-		Inputs: inputs,
-	}
-	for _, sig := range sc.regs {
-		hw.Regs[sig.Name] = sc.vals[sig.ID]
-	}
-	for _, m := range d.Memories {
-		hw.Mems[m.Name] = sc.mems[m.ID]
-	}
-	clear(sc.mems)
-	if err := inst.exitScanMode(inputs); err != nil {
+	if err := inst.exitScanMode(nil); err != nil {
 		return nil, err
 	}
 	return hw, nil
@@ -244,51 +220,30 @@ func (t *Target) shiftSave(inst *periphInst) (*sim.HWState, error) {
 // layout position first (the capture order), destroying whatever
 // state the fabric held.
 func (t *Target) shiftRestore(inst *periphInst, hw *sim.HWState) error {
-	s, d, sc := inst.sim, inst.design, inst.scan
-	if hw == nil {
-		hw = &sim.HWState{}
-	}
-	for _, sig := range sc.regs {
-		sc.vals[sig.ID] = hw.Regs[sig.Name]
-	}
-	for _, m := range d.Memories {
-		sc.mems[m.ID] = hw.Mems[m.Name]
-	}
-	defer clear(sc.mems)
-
+	s, sc := inst.sim, inst.scan
+	vals := hw.Vals()
 	t.clock.Advance(t.costs.SnapshotFixed)
 	s.SetInputID(sc.enable, 1)
 	for _, c := range sc.chain {
-		var b uint64
-		if c.mem {
-			if words := sc.mems[c.id]; c.word < uint(len(words)) {
-				b = (words[c.word] >> c.bit) & 1
-			}
-		} else {
-			b = (sc.vals[c.id] >> c.bit) & 1
-		}
-		s.SetInputID(sc.in, b)
+		s.SetInputID(sc.in, vals[c.pos]>>c.bit&1)
 		if err := s.StepCycle(); err != nil {
 			return fatalf("scan restore "+inst.cfg.Name, "%v", err)
 		}
 		t.clock.Advance(t.costs.SnapshotPerBit)
 	}
-	return inst.exitScanMode(hw.Inputs)
+	return inst.exitScanMode(vals[len(vals)-len(sc.inputs):])
 }
 
-// exitScanMode leaves scan mode and re-drives the functional pins
-// named in inputs (with nil, all keep their levels), then settles
-// combinational logic.
-func (inst *periphInst) exitScanMode(inputs map[string]uint64) error {
+// exitScanMode leaves scan mode and re-drives the functional pins to
+// inputs, one level per input pin in state-vector order (with nil,
+// all keep their levels), then settles combinational logic.
+func (inst *periphInst) exitScanMode(inputs []uint64) error {
 	s, sc := inst.sim, inst.scan
 	s.SetInputID(sc.enable, 0)
 	s.SetInputID(sc.in, 0)
-	for _, in := range inst.design.Inputs {
-		if in.ID == sc.enable || in.ID == sc.in {
-			continue
-		}
-		if v, ok := inputs[in.Name]; ok {
-			s.SetInputID(in.ID, v)
+	for i, id := range sc.inputs {
+		if inputs != nil && id != sc.enable && id != sc.in {
+			s.SetInputID(id, inputs[i])
 		}
 	}
 	if err := s.EvalComb(); err != nil {

@@ -247,8 +247,12 @@ func TestUnresolvableScanChainFailsAtBuild(t *testing.T) {
 		{"bit past the width", scanned, edit(func(r *scanchain.BitRef) { r.Bit = 8 }), "no register bit r[8]"},
 		{"unknown memory", scanned, edit(func(r *scanchain.BitRef) { r.IsMem = true }), "no memory bit r[0][3]"},
 	} {
-		inst := &periphInst{cfg: PeriphConfig{Name: "dev0"}, design: tc.design}
-		err := inst.resolve(tc.layout, true)
+		s, err := sim.New(tc.design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := &periphInst{cfg: PeriphConfig{Name: "dev0"}, design: tc.design, sim: s}
+		err = inst.resolve(tc.layout, true)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: %v", tc.name, err)

@@ -245,7 +245,7 @@ func (inst *periphInst) resolve(layout []scanchain.BitRef, scan bool) error {
 		pin{bus.SigAddr, true, &p.addr}, pin{bus.SigWData, true, &p.wdata},
 		pin{bus.SigRData, false, &p.rdata}, pin{bus.SigIRQ, false, &p.irq})
 	if err == nil && scan {
-		inst.scan, err = resolveScan(inst.design, layout)
+		inst.scan, err = resolveScan(inst.design, inst.sim.Layout(), layout)
 	}
 	if err != nil {
 		return fmt.Errorf("peripheral %s: %w", inst.cfg.Name, err)
@@ -573,36 +573,20 @@ func (t *Target) saveBackend() (State, error) {
 	return st, nil
 }
 
+// validateState refuses, before any bit moves, a state that does not
+// hold exactly the hosted peripherals, each in its simulator's layout.
 func (t *Target) validateState(s State) error {
-	if s == nil {
-		return integrityf("restore", "nil state")
-	}
-	for name, hw := range s {
-		inst, ok := t.periphs[name]
-		if !ok {
-			return integrityf("restore", "snapshot names unknown peripheral %q", name)
-		}
+	for _, inst := range t.order {
+		hw := s[inst.cfg.Name]
 		if hw == nil {
-			return integrityf("restore", "nil state for peripheral %q", name)
+			return integrityf("restore", "state has no peripheral %q", inst.cfg.Name)
 		}
-		d := inst.design
-		for rn := range hw.Regs {
-			if sig, ok := d.SignalByName(rn); !ok || !sig.IsReg {
-				return integrityf("restore", "peripheral %s: register %q does not exist in design", name, rn)
-			}
+		if err := inst.sim.Layout().Check(hw.Layout()); err != nil {
+			return integrityf("restore", "peripheral %s: %v", inst.cfg.Name, err)
 		}
-		for mn, words := range hw.Mems {
-			m, ok := d.MemoryByName(mn)
-			if !ok {
-				return integrityf("restore", "peripheral %s: memory %q does not exist in design", name, mn)
-			}
-			if uint(len(words)) > m.Depth {
-				return integrityf("restore", "peripheral %s: memory %q has %d words, design holds %d",
-					name, mn, len(words), m.Depth)
-			}
-		}
-		// Unknown input names are tolerated: state transfers between
-		// scan-instrumented and plain builds of the same design.
+	}
+	if len(s) != len(t.order) {
+		return integrityf("restore", "state holds %d peripherals, target hosts %d", len(s), len(t.order))
 	}
 	return nil
 }

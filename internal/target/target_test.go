@@ -2,7 +2,10 @@ package target
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"hardsnap/internal/sim"
 	"hardsnap/internal/vtime"
@@ -137,32 +140,88 @@ func TestFPGAReadbackSnapshotCost(t *testing.T) {
 	}
 }
 
-func TestTransferFPGAToSimulator(t *testing.T) {
-	clock := &vtime.Clock{}
-	periphs := []PeriphConfig{
-		{Name: "gpio0", Periph: "gpio"},
-		{Name: "timer0", Periph: "timer"},
-	}
-	fp := newFPGA(t, clock, false, periphs...)
-	sm := newSim(t, clock, periphs...)
+// corpus lists the corpus peripherals.
+var corpus = []string{"gpio", "timer", "crc32", "uart", "spi", "aes128", "regfile"}
 
-	fpPort, _ := fp.Port("gpio0")
-	fpPort.WriteReg(0x00, 0xFEED)
-	if err := fp.Advance(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := Transfer(fp, sm); err != nil {
-		t.Fatal(err)
-	}
-	smPort, _ := sm.Port("gpio0")
-	v, err := smPort.ReadReg(0x00)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0xFEED {
-		t.Fatalf("transferred state readback %#x", v)
+// transferTime is the virtual time one Transfer of a corpus peripheral
+// charges, scan FPGA to simulator or back: the scan save or restore
+// plus the simulator's restore.
+var transferTime = map[string]time.Duration{
+	"gpio": 20061408, "timer": 20061496, "crc32": 20060968, "uart": 20063410,
+	"spi": 20061254, "aes128": 20074234, "regfile": 20071616,
+}
+
+// TestTransferFPGAToSimulator moves every corpus peripheral from a
+// scan FPGA to a simulator and back, from a state in which every
+// register and memory word (the uart FIFO included) holds a value of
+// its own. The destination must hold every register and memory word
+// of the source and the same functional pin levels, the FPGA's scan
+// pins must be low, and the transfer charges the pinned virtual time.
+func TestTransferFPGAToSimulator(t *testing.T) {
+	for _, kind := range corpus {
+		want := transferTime[kind]
+		for _, toSim := range []bool{true, false} {
+			clock := &vtime.Clock{}
+			cfg := PeriphConfig{Name: "p0", Periph: kind}
+			fp, sm := newFPGA(t, clock, false, cfg), newSim(t, clock, cfg)
+			from, to := fp, sm
+			if !toSim {
+				from, to = sm, fp
+			}
+			st, err := from.Save()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range st["p0"].Vals()[:stateWords(st["p0"])] {
+				st["p0"].Vals()[i] = 0x9E3779B97F4A7C15 * uint64(i+1)
+			}
+			if err := from.Restore(st); err != nil {
+				t.Fatal(err)
+			}
+			p, _ := from.Port("p0")
+			for off := uint32(0); off < 4; off++ {
+				if err := p.WriteReg(off*4, 0x5A+off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := from.Advance(9); err != nil {
+				t.Fatal(err)
+			}
+
+			before := clock.Now()
+			if err := Transfer(from, to); err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			if got := clock.Now() - before; got != want {
+				t.Errorf("%s to %s: transfer took %v of virtual time, want %v", kind, to.Kind(), got, want)
+			}
+			src, dst := from.snapshotRaw()["p0"], to.snapshotRaw()["p0"]
+			sl, dl := src.Layout(), dst.Layout()
+			if !slices.Equal(sl.Regs, dl.Regs) || !slices.Equal(sl.Mems, dl.Mems) || !slices.Equal(sl.Depths, dl.Depths) {
+				t.Fatalf("%s: the builds hold different registers or memories", kind)
+			}
+			n := stateWords(src)
+			if sv, dv := src.Vals()[:n], dst.Vals()[:n]; !slices.Equal(sv, dv) {
+				t.Errorf("%s to %s: registers and memory words %#x, source holds %#x", kind, to.Kind(), dv, sv)
+			}
+			for i, name := range dl.Inputs {
+				if j, ok := slices.BinarySearch(sl.Inputs, name); ok && dst.Vals()[n+i] != src.Vals()[n+j] {
+					t.Errorf("%s to %s: input %s is %#x, source drives %#x", kind, to.Kind(), name, dst.Vals()[n+i], src.Vals()[n+j])
+				}
+			}
+			inst := fp.order[0]
+			for _, id := range []int{inst.scan.enable, inst.scan.in} {
+				if v := inst.sim.PeekID(id); v != 0 {
+					t.Errorf("%s to %s: scan pin %s is %d", kind, to.Kind(), inst.design.Signals[id].Name, v)
+				}
+			}
+		}
 	}
 }
+
+// stateWords counts the registers and memory words of hw: its vector
+// without the input pins.
+func stateWords(hw *sim.HWState) int { return len(hw.Vals()) - len(hw.Layout().Inputs) }
 
 func TestFPGANoVisibility(t *testing.T) {
 	tg := newFPGA(t, &vtime.Clock{}, false)
@@ -226,8 +285,9 @@ func TestRestoreRejectsCorruptedState(t *testing.T) {
 		t.Fatalf("unknown peripheral: %v, want integrity error", err)
 	}
 
-	badReg := st.Clone()
-	badReg["gpio0"].Regs["no_such_register"] = 7
+	l := *st["gpio0"].Layout()
+	l.Regs = append(slices.Clone(l.Regs), "no_such_register")
+	badReg := State{"gpio0": sim.NewHWState(&l, nil)}
 	if err := tg.Restore(badReg); Classify(err) != Integrity {
 		t.Fatalf("unknown register: %v, want integrity error", err)
 	}
@@ -261,12 +321,12 @@ func TestStateClone(t *testing.T) {
 	p.WriteReg(0x00, 0x10)
 	st, _ := tg.Save()
 	c := st.Clone()
-	c["gpio0"].Regs["out"] = 0xFFFF
-	if st["gpio0"].Regs["out"] == 0xFFFF {
+	c["gpio0"].Vals()[0] ^= 0xFFFF
+	if slices.Equal(st["gpio0"].Vals(), c["gpio0"].Vals()) {
 		t.Fatal("Clone aliases the original")
 	}
 	// A nil entry clones as the empty state it encodes and hashes as.
-	if hw := (State{"p": nil}).Clone()["p"]; hw == nil || len(hw.Regs)+len(hw.Mems)+len(hw.Inputs) != 0 {
+	if hw := (State{"p": nil}).Clone()["p"]; hw == nil || len(hw.Vals()) != 0 || hw.Layout().Len() != 0 {
 		t.Fatalf("nil entry cloned as %+v", hw)
 	}
 }
@@ -291,5 +351,88 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 	got, _ := tg.Peek("uart0", "bauddiv")
 	if got != div {
 		t.Fatalf("bauddiv after warm reset %d, want %d", got, div)
+	}
+}
+
+// TestRestoreRefusesPartialState: a state must cover every hosted
+// peripheral. An empty state, or one that leaves a peripheral out or
+// nil, is an integrity error on every restore path, and the hardware
+// keeps its state: nothing is reset to zero (the uart's bauddiv is 8
+// at power-on), and no peripheral the state does hold is written.
+func TestRestoreRefusesPartialState(t *testing.T) {
+	tg := newSim(t, &vtime.Clock{}, PeriphConfig{Name: "gpio0", Periph: "gpio"}, PeriphConfig{Name: "uart0", Periph: "uart"})
+	p, _ := tg.Port("gpio0")
+	if err := p.WriteReg(0x00, 0x42); err != nil {
+		t.Fatal(err)
+	}
+	st, err := tg.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteReg(0x00, 0x43); err != nil {
+		t.Fatal(err)
+	}
+	before := tg.snapshotRaw()
+	for _, op := range []struct {
+		name  string
+		apply func(State) error
+	}{
+		{"Restore", tg.Restore},
+		{"RestoreDelta", func(s State) error { _, err := tg.RestoreDelta(s); return err }},
+		{"AdoptState", tg.AdoptState},
+	} {
+		for _, partial := range []State{{}, {"gpio0": st["gpio0"]}, {"uart0": st["uart0"]}, {"gpio0": st["gpio0"], "uart0": nil}} {
+			if err := op.apply(partial); Classify(err) != Integrity {
+				t.Fatalf("%s of a state holding %v: %v, want integrity error", op.name, partial, err)
+			}
+			if after := tg.snapshotRaw(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refused %s moved the hardware", op.name)
+			}
+		}
+	}
+	if div, _ := tg.Peek("uart0", "bauddiv"); div != 8 {
+		t.Fatalf("bauddiv %d after refused restores, want 8", div)
+	}
+}
+
+// TestStateMovesAllocate gates the allocations of the simulator's
+// state moves on every corpus peripheral: a Snapshot allocates the
+// state and its vector, whatever the design, and a Restore or
+// RestoreDirty of a state of the same layout allocates nothing.
+func TestStateMovesAllocate(t *testing.T) {
+	var snap float64
+	for i, kind := range corpus {
+		tg := newSim(t, &vtime.Clock{}, PeriphConfig{Name: "p0", Periph: kind})
+		s, err := tg.Simulator("p0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tg.Advance(5); err != nil {
+			t.Fatal(err)
+		}
+		hw := s.Snapshot()
+		n := testing.AllocsPerRun(100, func() { hw = s.Snapshot() })
+		if n > 3 || i > 0 && n != snap {
+			t.Errorf("%s: Snapshot makes %v allocations, want at most 3 and %v as on %s", kind, n, snap, corpus[0])
+		}
+		snap = n
+		if n := testing.AllocsPerRun(100, func() {
+			if err := s.Restore(hw); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Restore makes %v allocations, want 0", kind, n)
+		}
+		s.ClearDirty() // hw is the live state: the anchor RestoreDirty needs
+		if n := testing.AllocsPerRun(100, func() {
+			if err := tg.Advance(1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.RestoreDirty(hw); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: RestoreDirty makes %v allocations, want 0", kind, n)
+		}
 	}
 }
