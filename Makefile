@@ -98,8 +98,9 @@ endef
 # loader behind it (gob payloads), the solver against its reference,
 # the vm's dirty-page restore against a full copy, the simulator's
 # dirty-list restore against a full Restore, the compiled RTL engine
-# against the interpreter on generated netlists, and the two readers
-# of user files: the Verilog parser and the assembler.
+# and the symbolic one-clock evaluator (rtl.SymStep) against the
+# interpreter on generated netlists, and the two readers of user files:
+# the Verilog parser and the assembler.
 fuzz-smoke:
 	$(call fuzz_run,./internal/remote,FuzzServeConn)
 	$(call fuzz_run,./internal/snapshot,FuzzDecodeRecord)
@@ -109,6 +110,7 @@ fuzz-smoke:
 	$(call fuzz_run,./internal/vm,FuzzDirtyRestore)
 	$(call fuzz_run,./internal/sim,FuzzSimDirtyRestore)
 	$(call fuzz_run,./internal/sim,FuzzCompiledMatchesInterp)
+	$(call fuzz_run,./internal/rtl,FuzzSymStepMatchesInterp)
 	$(call fuzz_run,./internal/verilog,FuzzParse)
 	$(call fuzz_run,./internal/asm,FuzzAssemble)
 

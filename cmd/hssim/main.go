@@ -23,7 +23,6 @@ import (
 
 	"hardsnap/internal/buildinfo"
 	"hardsnap/internal/remote"
-	"hardsnap/internal/sim"
 	"hardsnap/internal/target"
 	"hardsnap/internal/vtime"
 )
@@ -34,7 +33,6 @@ func main() {
 	top := flag.String("top", "", "top module of -source")
 	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address")
 	fpga := flag.Bool("fpga", false, "model the FPGA target instead of the simulator")
-	interp := flag.Bool("interp", false, "use the interpreter RTL engine instead of compiled bytecode")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	faultRate := flag.Float64("fault-rate", 0, "probability of dropping a protocol frame (half of it is also applied as bit corruption)")
@@ -45,9 +43,6 @@ func main() {
 	if *version {
 		fmt.Println(buildinfo.Version("hssim"))
 		return
-	}
-	if *interp {
-		sim.SetDefaultEngine(sim.EngineInterp)
 	}
 	// The server runs until killed, so profiles flush from a signal
 	// handler (SIGINT/SIGTERM) rather than a defer that would never

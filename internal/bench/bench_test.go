@@ -73,8 +73,8 @@ func TestExperimentsRegenerate(t *testing.T) {
 		}
 	}
 
-	defer sim.SetDefaultEngine(sim.DefaultEngine())
-	sim.SetDefaultEngine(sim.EngineInterp)
+	prev := sim.DefaultEngine.Swap(int32(sim.EngineInterp))
+	defer sim.DefaultEngine.Store(prev)
 	for _, e := range All() {
 		if e.ID == slowOnInterp {
 			continue

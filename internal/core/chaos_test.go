@@ -16,13 +16,12 @@ import (
 )
 
 // useEngine makes every simulator built until the test ends run on
-// kind, through the process default that hssim -interp sets. No test
+// kind, through the process default sim.DefaultEngine. No test
 // in this package runs in parallel, so the switch cannot leak into
 // another test.
 func useEngine(t *testing.T, kind sim.EngineKind) {
-	prev := sim.DefaultEngine()
-	sim.SetDefaultEngine(kind)
-	t.Cleanup(func() { sim.SetDefaultEngine(prev) })
+	prev := sim.DefaultEngine.Swap(int32(kind))
+	t.Cleanup(func() { sim.DefaultEngine.Store(prev) })
 }
 
 // chaosSetup builds the standard crash-safety workload: the 64-path

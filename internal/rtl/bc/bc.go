@@ -3,7 +3,7 @@
 // Verilator move applied to this repo's netlist interpreter.
 //
 // The compiler (Compile) lowers every comb node and sequential block
-// into a flat []op. All the work rtl.EvalExpr redoes on every visit —
+// into a flat []op. All the work the interpreter redoes on every visit —
 // width computation, mask construction, identifier resolution,
 // constant part-select bounds, error checking — happens once at
 // compile time; the hot loop is a typed switch over ops with a small
@@ -27,10 +27,13 @@
 // Quiescent logic costs one boolean test per settle — or nothing at
 // all when no comb node is pending.
 //
-// The interpreter remains the semantic oracle: for every construct the
-// emitted ops replicate rtl.EvalExpr / execStmt / assignTo bit for
-// bit, including division-by-zero results, out-of-range index
-// behavior, per-operator masking and nonblocking write buffering.
+// The interpreter remains the semantic oracle: it is the uint64
+// instance of rtl's Verilog walker (rtl/walk.go), and for every
+// construct the emitted ops replicate that walker bit for bit,
+// including division-by-zero results, out-of-range index behavior,
+// per-operator masking and nonblocking write buffering. Constant
+// bounds and counts come from the same folder (rtl.ConstEval,
+// rtl.PartSelect).
 // Designs the compiler cannot prove equivalent (multiple sequential
 // writers of one register, multiple comb writers of one memory) are
 // rejected so the caller can fall back to the interpreter.
@@ -124,7 +127,7 @@ const (
 	opNBStore      // v=pop; append Write{ID:a, Mask:val, Val:v&val}
 	opNBStoreBit   // idx=pop,v=pop; if idx<b { append Write{ID:a, Mask:1<<idx, Val:(v&1)<<idx} }
 	opNBStoreRange // v=pop; append Write{ID:a, Mask:val, Val:(v<<b)&val}
-	opNBStoreMem   // idx=pop,v=pop; append Write{ID:a, Mem, Mask:val, Idx:idx, Val:v} (unmasked, like assignTo)
+	opNBStoreMem   // idx=pop,v=pop; append Write{ID:a, Mem, Mask:val, Idx:idx, Val:v} (unmasked, like the interpreter)
 )
 
 // op is one bytecode instruction, 24 bytes. Operand meaning depends on

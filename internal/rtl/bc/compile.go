@@ -19,7 +19,7 @@ func maskOf(w uint) uint64 {
 // Compile lowers an elaborated design to bytecode. It returns an
 // error for any construct whose compiled form could diverge from the
 // interpreter — unknown identifiers, non-constant part-select bounds,
-// lvalue shapes assignTo rejects, or write-ordering patterns the
+// lvalue shapes the interpreter rejects, or write-ordering patterns the
 // activation engine cannot preserve (a register written by more than
 // one sequential block, a memory written by more than one comb node).
 // Callers fall back to the interpreter on error.
@@ -489,21 +489,6 @@ func (c *comp) fusedBinary(x *verilog.Binary) (bool, error) {
 	return true, nil
 }
 
-// partSelect resolves the constant bounds of x[hi:lo], rejecting what
-// EvalExpr rejects.
-func (c *comp) partSelect(v *verilog.RangeSel) (hi, lo uint64, err error) {
-	if hi, err = rtl.ConstEval(v.MSB, c.scope); err != nil {
-		return 0, 0, err
-	}
-	if lo, err = rtl.ConstEval(v.LSB, c.scope); err != nil {
-		return 0, 0, err
-	}
-	if hi < lo || hi-lo+1 > 64 {
-		return 0, 0, fmt.Errorf("bad part select [%d:%d]", hi, lo)
-	}
-	return hi, lo, nil
-}
-
 // sigSelect is a constant part or bit select of a signal, resolved to
 // the one read Vals[sig]>>lo & mask. For sig[hi:lo] the mask folds
 // the signal's: (v&m)>>lo & r is v>>lo & (r & m>>lo); for sig[k] it is
@@ -539,7 +524,7 @@ func (c *comp) selectOf(x verilog.Expr) (sigSelect, bool, error) {
 		if !ok {
 			return sigSelect{}, false, nil
 		}
-		hi, lo, err := c.partSelect(v)
+		hi, lo, err := rtl.PartSelect(v, c.scope)
 		if err != nil {
 			return sigSelect{}, false, err
 		}
@@ -613,8 +598,8 @@ func (c *comp) fits(x verilog.Expr) bool {
 }
 
 // expr emits ops that push the expression's value; net stack effect
-// is exactly +1. Every WidthOf the interpreter would perform at eval
-// time happens here, so sizing errors become compile errors.
+// is exactly +1. Every width the interpreter checks at eval time is
+// checked here, so sizing errors become compile errors.
 func (c *comp) expr(x verilog.Expr) error {
 	if s, ok, err := c.selectOf(x); ok || err != nil {
 		if ok {
@@ -687,8 +672,8 @@ func (c *comp) expr(x verilog.Expr) error {
 		if !ok {
 			return fmt.Errorf("unknown binary operator %q", v.Op)
 		}
-		// Unconditional, like EvalExpr: WidthOf runs for every
-		// operator even when the mask is unused.
+		// Unconditional, like the interpreter: the result is sized
+		// for every operator even when the mask is unused.
 		w, err := rtl.WidthOf(x, c.scope)
 		if err != nil {
 			return err
@@ -744,7 +729,7 @@ func (c *comp) expr(x verilog.Expr) error {
 		if err := c.expr(v.X); err != nil {
 			return err
 		}
-		hi, lo, err := c.partSelect(v)
+		hi, lo, err := rtl.PartSelect(v, c.scope)
 		if err != nil {
 			return err
 		}
@@ -800,7 +785,7 @@ func (c *comp) expr(x verilog.Expr) error {
 		return nil
 
 	case *verilog.Repeat:
-		n, err := rtl.ConstEval(v.Count, c.scope)
+		n, err := rtl.ConstEval(v.Count, c.scope.Param)
 		if err != nil {
 			return err
 		}
@@ -823,7 +808,7 @@ func (c *comp) expr(x verilog.Expr) error {
 }
 
 // store pops the value on top of the stack into the lvalue, mirroring
-// assignTo: full-signal writes mask to signal width, bit writes drop
+// the interpreter's assign: full-signal writes mask to signal width, bit writes drop
 // out-of-range indexes, memory writes defer masking to commit time
 // (sequential) or mask immediately (comb), part selects merge under a
 // shifted mask, concats split MSB-first.
@@ -879,26 +864,10 @@ func (c *comp) store(lhs verilog.Expr) error {
 		return nil
 
 	case *verilog.RangeSel:
-		base, ok := v.X.(*verilog.Ident)
-		if !ok {
-			return fmt.Errorf("unsupported part-select lvalue")
-		}
-		sig, ok := c.scope.Signal(base.Name)
-		if !ok {
-			return fmt.Errorf("unknown lvalue %q", base.Name)
-		}
-		hi, err := rtl.ConstEval(v.MSB, c.scope)
+		sig, lo, w, err := rtl.RangeTarget(v, c.scope)
 		if err != nil {
 			return err
 		}
-		lo, err := rtl.ConstEval(v.LSB, c.scope)
-		if err != nil {
-			return err
-		}
-		if hi < lo || hi >= uint64(sig.Width) {
-			return fmt.Errorf("part-select [%d:%d] out of range of %s", hi, lo, sig.Name)
-		}
-		w := uint(hi-lo) + 1
 		code := opStoreRange
 		if c.seq {
 			code = opNBStoreRange

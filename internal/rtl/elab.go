@@ -2,6 +2,7 @@ package rtl
 
 import (
 	"fmt"
+	"strings"
 
 	"hardsnap/internal/verilog"
 )
@@ -53,6 +54,40 @@ func (e *elaborator) errf(mod string, line int, format string, args ...any) erro
 	return &Error{Module: mod, Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
+// ModuleParams is a scope that resolves the parameters of mod and
+// nothing else. It takes them in order, header first and then body: an
+// override replaces the default of a parameter that is not local, and
+// every other value is folded over the parameters before it.
+func ModuleParams(mod *verilog.Module, overrides map[string]uint64) (*Scope, error) {
+	scope := &Scope{params: make(map[string]uint64)}
+	all := mod.Params
+	for _, item := range mod.Items {
+		if pi, ok := item.(*verilog.ParamItem); ok {
+			all = append(all[:len(all):len(all)], pi.Param)
+		}
+	}
+	for _, p := range all {
+		v, ok := overrides[p.Name]
+		if !ok || p.IsLocal {
+			var err error
+			if v, err = ConstEval(p.Value, scope.Param); err != nil {
+				return nil, &Error{Module: mod.Name, Msg: fmt.Sprintf("parameter %s: %s", p.Name, strings.TrimPrefix(err.Error(), "rtl: "))}
+			}
+		}
+		scope.params[p.Name] = v
+	}
+	return scope, nil
+}
+
+// fold evaluates a constant expression of module mod.
+func (e *elaborator) fold(x verilog.Expr, scope *Scope, mod string) (uint64, error) {
+	v, err := ConstEval(x, scope.Param)
+	if err != nil {
+		return 0, e.errf(mod, 0, "%s", strings.TrimPrefix(err.Error(), "rtl: "))
+	}
+	return v, nil
+}
+
 func (e *elaborator) newSignal(name string, width uint) *Signal {
 	s := &Signal{ID: len(e.d.Signals), Name: name, Width: width}
 	e.d.Signals = append(e.d.Signals, s)
@@ -76,12 +111,12 @@ func (e *elaborator) instantiate(mod *verilog.Module, prefix string, overrides m
 		return nil, e.errf(mod.Name, mod.Line, "hierarchy deeper than %d (recursive instantiation?)", maxHierarchyDepth)
 	}
 
-	scope := &Scope{
-		prefix:   prefix,
-		params:   make(map[string]uint64),
-		signals:  make(map[string]*Signal),
-		memories: make(map[string]*Memory),
+	scope, err := ModuleParams(mod, overrides)
+	if err != nil {
+		return nil, err
 	}
+	scope.prefix = prefix
+	scope.signals, scope.memories = make(map[string]*Signal), make(map[string]*Memory)
 	full := func(name string) string {
 		if prefix == "" {
 			return name
@@ -89,34 +124,15 @@ func (e *elaborator) instantiate(mod *verilog.Module, prefix string, overrides m
 		return prefix + "." + name
 	}
 
-	// Resolve parameters (header first, then body params) in order.
-	resolveParam := func(p *verilog.Param) error {
-		if v, ok := overrides[p.Name]; ok && !p.IsLocal {
-			scope.params[p.Name] = v
-			return nil
-		}
-		v, err := e.constEval(p.Value, scope, mod.Name)
-		if err != nil {
-			return err
-		}
-		scope.params[p.Name] = v
-		return nil
-	}
-	for _, p := range mod.Params {
-		if err := resolveParam(p); err != nil {
-			return nil, err
-		}
-	}
-
 	declWidth := func(msb, lsb verilog.Expr, line int) (uint, error) {
 		if msb == nil {
 			return 1, nil
 		}
-		hi, err := e.constEval(msb, scope, mod.Name)
+		hi, err := e.fold(msb, scope, mod.Name)
 		if err != nil {
 			return 0, err
 		}
-		lo, err := e.constEval(lsb, scope, mod.Name)
+		lo, err := e.fold(lsb, scope, mod.Name)
 		if err != nil {
 			return 0, err
 		}
@@ -157,10 +173,6 @@ func (e *elaborator) instantiate(mod *verilog.Module, prefix string, overrides m
 	// blocks can reference signals declared later).
 	for _, item := range mod.Items {
 		switch it := item.(type) {
-		case *verilog.ParamItem:
-			if err := resolveParam(it.Param); err != nil {
-				return nil, err
-			}
 		case *verilog.NetDecl:
 			w, err := declWidth(it.MSB, it.LSB, it.Line)
 			if err != nil {
@@ -177,11 +189,11 @@ func (e *elaborator) instantiate(mod *verilog.Module, prefix string, overrides m
 					if dn.Init != nil {
 						return nil, e.errf(mod.Name, it.Line, "memory %q cannot have an initializer", dn.Name)
 					}
-					hi, err := e.constEval(dn.ArrMSB, scope, mod.Name)
+					hi, err := e.fold(dn.ArrMSB, scope, mod.Name)
 					if err != nil {
 						return nil, err
 					}
-					lo, err := e.constEval(dn.ArrLSB, scope, mod.Name)
+					lo, err := e.fold(dn.ArrLSB, scope, mod.Name)
 					if err != nil {
 						return nil, err
 					}
@@ -250,7 +262,7 @@ func (e *elaborator) instantiate(mod *verilog.Module, prefix string, overrides m
 			}
 			childOverrides := make(map[string]uint64, len(it.ParamOverrides))
 			for name, expr := range it.ParamOverrides {
-				v, err := e.constEval(expr, scope, mod.Name)
+				v, err := e.fold(expr, scope, mod.Name)
 				if err != nil {
 					return nil, err
 				}

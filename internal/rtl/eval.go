@@ -2,6 +2,7 @@ package rtl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hardsnap/internal/verilog"
 )
@@ -14,101 +15,74 @@ func mask(w uint) uint64 {
 	return (uint64(1) << w) - 1
 }
 
-// constEval evaluates a parameter/width expression that must be
-// compile-time constant.
-func (e *elaborator) constEval(x verilog.Expr, scope *Scope, mod string) (uint64, error) {
+// ConstEval folds an expression of literals and the parameters param
+// resolves: the one constant folder of the module. Elaboration
+// (parameters, declared ranges, instance overrides), the scan-chain
+// pass, part-select bounds and replication counts in both engines all
+// call it, so a constant means the same everywhere. Its operators are
+// the interpreter's at 64 bits, unmasked (a shift by 64 or more is 0),
+// without && and || or the reductions; dividing by zero is an error.
+func ConstEval(x verilog.Expr, param func(string) (uint64, bool)) (uint64, error) {
 	switch v := x.(type) {
 	case *verilog.Number:
 		return v.Value, nil
 	case *verilog.Ident:
-		if p, ok := scope.params[v.Name]; ok {
+		if p, ok := param(v.Name); ok {
 			return p, nil
 		}
-		return 0, e.errf(mod, 0, "identifier %q is not a constant parameter", v.Name)
+		return 0, fmt.Errorf("rtl: identifier %q is not constant", v.Name)
 	case *verilog.Unary:
-		a, err := e.constEval(v.X, scope, mod)
+		a, err := ConstEval(v.X, param)
 		if err != nil {
 			return 0, err
 		}
 		switch v.Op {
-		case "-":
-			return -a, nil
-		case "~":
-			return ^a, nil
-		case "!":
-			if a == 0 {
-				return 1, nil
-			}
-			return 0, nil
+		case "-", "~", "!":
+			return concrete{}.unary(v.Op, a, 64), nil
 		}
-		return 0, e.errf(mod, 0, "operator %q not allowed in constant expression", v.Op)
+		return 0, fmt.Errorf("rtl: operator %q not allowed in constant expression", v.Op)
 	case *verilog.Binary:
-		a, err := e.constEval(v.X, scope, mod)
+		a, err := ConstEval(v.X, param)
 		if err != nil {
 			return 0, err
 		}
-		b, err := e.constEval(v.Y, scope, mod)
-		if err != nil {
+		b, err := ConstEval(v.Y, param)
+		_, known := binaryWidth(v.Op, 64, 64)
+		switch {
+		case err != nil:
 			return 0, err
+		case !known || v.Op == "&&" || v.Op == "||":
+			return 0, fmt.Errorf("rtl: operator %q not allowed in constant expression", v.Op)
+		case b == 0 && (v.Op == "/" || v.Op == "%"):
+			return 0, fmt.Errorf("rtl: %s by zero in constant expression", v.Op)
 		}
-		switch v.Op {
-		case "+":
-			return a + b, nil
-		case "-":
-			return a - b, nil
-		case "*":
-			return a * b, nil
-		case "/":
-			if b == 0 {
-				return 0, e.errf(mod, 0, "division by zero in constant expression")
-			}
-			return a / b, nil
-		case "%":
-			if b == 0 {
-				return 0, e.errf(mod, 0, "modulo by zero in constant expression")
-			}
-			return a % b, nil
-		case "<<":
-			if b >= 64 {
-				return 0, nil
-			}
-			return a << b, nil
-		case ">>":
-			if b >= 64 {
-				return 0, nil
-			}
-			return a >> b, nil
-		case "&":
-			return a & b, nil
-		case "|":
-			return a | b, nil
-		case "^":
-			return a ^ b, nil
-		case "==":
-			return b2u(a == b), nil
-		case "!=":
-			return b2u(a != b), nil
-		case "<":
-			return b2u(a < b), nil
-		case "<=":
-			return b2u(a <= b), nil
-		case ">":
-			return b2u(a > b), nil
-		case ">=":
-			return b2u(a >= b), nil
-		}
-		return 0, e.errf(mod, 0, "operator %q not allowed in constant expression", v.Op)
+		return concrete{}.binary(v.Op, a, b, 64), nil
 	case *verilog.Ternary:
-		c, err := e.constEval(v.Cond, scope, mod)
+		c, err := ConstEval(v.Cond, param)
 		if err != nil {
 			return 0, err
 		}
 		if c != 0 {
-			return e.constEval(v.Then, scope, mod)
+			return ConstEval(v.Then, param)
 		}
-		return e.constEval(v.Else, scope, mod)
+		return ConstEval(v.Else, param)
 	}
-	return 0, e.errf(mod, 0, "expression is not constant")
+	return 0, fmt.Errorf("rtl: expression is not constant")
+}
+
+// PartSelect folds the bounds of x[hi:lo], which must select 1 to 64
+// bits.
+func PartSelect(x *verilog.RangeSel, scope *Scope) (hi, lo uint64, err error) {
+	if hi, err = ConstEval(x.MSB, scope.Param); err != nil {
+		return 0, 0, err
+	}
+	if lo, err = ConstEval(x.LSB, scope.Param); err != nil {
+		return 0, 0, err
+	}
+	if hi < lo || hi-lo >= 64 {
+		return 0, 0, fmt.Errorf("rtl: bad part select [%d:%d]", hi, lo)
+	}
+	return hi, lo, nil
 }
 
 func b2u(v bool) uint64 {
@@ -119,159 +93,23 @@ func b2u(v bool) uint64 {
 }
 
 // WidthOf computes the bit width of an expression under the simplified
-// width rules documented in package verilog.
+// width rules documented in package verilog: the walker's width, in a
+// domain that computes nothing else.
 func WidthOf(x verilog.Expr, scope *Scope) (uint, error) {
-	switch v := x.(type) {
-	case *verilog.Number:
-		if v.Width == 0 {
-			return 32, nil
-		}
-		return v.Width, nil
-	case *verilog.Ident:
-		if s, ok := scope.signals[v.Name]; ok {
-			return s.Width, nil
-		}
-		if _, ok := scope.params[v.Name]; ok {
-			return 32, nil
-		}
-		return 0, fmt.Errorf("rtl: unknown identifier %q", v.Name)
-	case *verilog.Unary:
-		switch v.Op {
-		case "!", "&", "|", "^":
-			return 1, nil
-		}
-		return WidthOf(v.X, scope)
-	case *verilog.Binary:
-		switch v.Op {
-		case "==", "!=", "<", "<=", ">", ">=", "&&", "||":
-			return 1, nil
-		case "<<", ">>":
-			return WidthOf(v.X, scope)
-		}
-		wx, err := WidthOf(v.X, scope)
-		if err != nil {
-			return 0, err
-		}
-		wy, err := WidthOf(v.Y, scope)
-		if err != nil {
-			return 0, err
-		}
-		if wy > wx {
-			wx = wy
-		}
-		return wx, nil
-	case *verilog.Ternary:
-		wt, err := WidthOf(v.Then, scope)
-		if err != nil {
-			return 0, err
-		}
-		we, err := WidthOf(v.Else, scope)
-		if err != nil {
-			return 0, err
-		}
-		if we > wt {
-			wt = we
-		}
-		return wt, nil
-	case *verilog.Index:
-		if base, ok := v.X.(*verilog.Ident); ok {
-			if m, isMem := scope.memories[base.Name]; isMem {
-				return m.Width, nil
-			}
-		}
-		return 1, nil
-	case *verilog.RangeSel:
-		hiW, err := constOnly(v.MSB, scope)
-		if err != nil {
-			return 0, err
-		}
-		loW, err := constOnly(v.LSB, scope)
-		if err != nil {
-			return 0, err
-		}
-		if hiW < loW {
-			return 0, fmt.Errorf("rtl: reversed part-select [%d:%d]", hiW, loW)
-		}
-		w := uint(hiW-loW) + 1
-		if w > 64 {
-			return 0, fmt.Errorf("rtl: part-select width %d exceeds 64", w)
-		}
-		return w, nil
-	case *verilog.Concat:
-		var total uint
-		for _, p := range v.Parts {
-			w, err := WidthOf(p, scope)
-			if err != nil {
-				return 0, err
-			}
-			total += w
-		}
-		if total == 0 || total > 64 {
-			return 0, fmt.Errorf("rtl: concat width %d out of range", total)
-		}
-		return total, nil
-	case *verilog.Repeat:
-		n, err := constOnly(v.Count, scope)
-		if err != nil {
-			return 0, err
-		}
-		w, err := WidthOf(v.X, scope)
-		if err != nil {
-			return 0, err
-		}
-		total := uint(n) * w
-		if total == 0 || total > 64 {
-			return 0, fmt.Errorf("rtl: repeat width %d out of range", total)
-		}
-		return total, nil
+	w := walker[uint64, widths]{scope: scope}
+	_, width, err := w.eval(x)
+	if err == nil && width == 0 {
+		err = fmt.Errorf("rtl: width of %T out of range (1..64)", x)
 	}
-	return 0, fmt.Errorf("rtl: cannot size expression %T", x)
+	return width, err
 }
 
-// ConstEval evaluates an expression using only literals and
-// parameters — the same folding EvalExpr applies to part-select
-// bounds and repeat counts. The bytecode compiler (internal/rtl/bc)
-// uses it to resolve those bounds at compile time, so the two engines
-// agree bit-for-bit on every constant.
-func ConstEval(x verilog.Expr, scope *Scope) (uint64, error) {
-	return constOnly(x, scope)
-}
+// widths is WidthOf's domain: the interpreter's over no state, where
+// every signal and memory word reads 0.
+type widths struct{ concrete }
 
-// constOnly evaluates an expression using only literals and params.
-func constOnly(x verilog.Expr, scope *Scope) (uint64, error) {
-	switch v := x.(type) {
-	case *verilog.Number:
-		return v.Value, nil
-	case *verilog.Ident:
-		if p, ok := scope.params[v.Name]; ok {
-			return p, nil
-		}
-		return 0, fmt.Errorf("rtl: %q is not constant", v.Name)
-	case *verilog.Binary:
-		a, err := constOnly(v.X, scope)
-		if err != nil {
-			return 0, err
-		}
-		b, err := constOnly(v.Y, scope)
-		if err != nil {
-			return 0, err
-		}
-		switch v.Op {
-		case "+":
-			return a + b, nil
-		case "-":
-			return a - b, nil
-		case "*":
-			return a * b, nil
-		case "<<":
-			return a << (b & 63), nil
-		case ">>":
-			return a >> (b & 63), nil
-		}
-		return 0, fmt.Errorf("rtl: operator %q not constant-foldable here", v.Op)
-	}
-	return 0, fmt.Errorf("rtl: expression is not constant")
-}
+func (widths) signal(*Signal) (uint64, error)       { return 0, nil }
+func (widths) word(*Memory, uint64) (uint64, error) { return 0, nil }
 
 // State is the mutable value store a Design is evaluated against.
 type State struct {
@@ -294,206 +132,125 @@ func NewState(d *Design) *State {
 // EvalExpr evaluates an expression against the state. Values are
 // masked to each subexpression's width.
 func EvalExpr(x verilog.Expr, scope *Scope, st *State) (uint64, error) {
-	switch v := x.(type) {
-	case *verilog.Number:
-		if v.Width == 0 {
-			return v.Value, nil
-		}
-		return v.Value & mask(v.Width), nil
-
-	case *verilog.Ident:
-		if s, ok := scope.signals[v.Name]; ok {
-			return st.Vals[s.ID] & mask(s.Width), nil
-		}
-		if p, ok := scope.params[v.Name]; ok {
-			return p, nil
-		}
-		return 0, fmt.Errorf("rtl: unknown identifier %q", v.Name)
-
-	case *verilog.Unary:
-		a, err := EvalExpr(v.X, scope, st)
-		if err != nil {
-			return 0, err
-		}
-		w, err := WidthOf(v.X, scope)
-		if err != nil {
-			return 0, err
-		}
-		switch v.Op {
-		case "~":
-			return ^a & mask(w), nil
-		case "-":
-			return -a & mask(w), nil
-		case "!":
-			return b2u(a == 0), nil
-		case "&":
-			return b2u(a == mask(w)), nil
-		case "|":
-			return b2u(a != 0), nil
-		case "^":
-			p := a
-			p ^= p >> 32
-			p ^= p >> 16
-			p ^= p >> 8
-			p ^= p >> 4
-			p ^= p >> 2
-			p ^= p >> 1
-			return p & 1, nil
-		}
-		return 0, fmt.Errorf("rtl: unknown unary operator %q", v.Op)
-
-	case *verilog.Binary:
-		a, err := EvalExpr(v.X, scope, st)
-		if err != nil {
-			return 0, err
-		}
-		b, err := EvalExpr(v.Y, scope, st)
-		if err != nil {
-			return 0, err
-		}
-		w, err := WidthOf(x, scope)
-		if err != nil {
-			return 0, err
-		}
-		switch v.Op {
-		case "+":
-			return (a + b) & mask(w), nil
-		case "-":
-			return (a - b) & mask(w), nil
-		case "*":
-			return (a * b) & mask(w), nil
-		case "/":
-			if b == 0 {
-				return mask(w), nil
-			}
-			return (a / b) & mask(w), nil
-		case "%":
-			if b == 0 {
-				return a & mask(w), nil
-			}
-			return (a % b) & mask(w), nil
-		case "&":
-			return a & b, nil
-		case "|":
-			return (a | b) & mask(w), nil
-		case "^":
-			return (a ^ b) & mask(w), nil
-		case "&&":
-			return b2u(a != 0 && b != 0), nil
-		case "||":
-			return b2u(a != 0 || b != 0), nil
-		case "==":
-			return b2u(a == b), nil
-		case "!=":
-			return b2u(a != b), nil
-		case "<":
-			return b2u(a < b), nil
-		case "<=":
-			return b2u(a <= b), nil
-		case ">":
-			return b2u(a > b), nil
-		case ">=":
-			return b2u(a >= b), nil
-		case "<<":
-			if b >= 64 {
-				return 0, nil
-			}
-			return (a << b) & mask(w), nil
-		case ">>":
-			if b >= 64 {
-				return 0, nil
-			}
-			return a >> b, nil
-		}
-		return 0, fmt.Errorf("rtl: unknown binary operator %q", v.Op)
-
-	case *verilog.Ternary:
-		c, err := EvalExpr(v.Cond, scope, st)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return EvalExpr(v.Then, scope, st)
-		}
-		return EvalExpr(v.Else, scope, st)
-
-	case *verilog.Index:
-		if base, ok := v.X.(*verilog.Ident); ok {
-			if m, isMem := scope.memories[base.Name]; isMem {
-				idx, err := EvalExpr(v.Idx, scope, st)
-				if err != nil {
-					return 0, err
-				}
-				if idx >= uint64(m.Depth) {
-					return 0, nil // out-of-range reads return zero
-				}
-				return st.Mems[m.ID][idx] & mask(m.Width), nil
-			}
-		}
-		val, err := EvalExpr(v.X, scope, st)
-		if err != nil {
-			return 0, err
-		}
-		idx, err := EvalExpr(v.Idx, scope, st)
-		if err != nil {
-			return 0, err
-		}
-		if idx >= 64 {
-			return 0, nil
-		}
-		return val >> idx & 1, nil
-
-	case *verilog.RangeSel:
-		val, err := EvalExpr(v.X, scope, st)
-		if err != nil {
-			return 0, err
-		}
-		hi, err := constOnly(v.MSB, scope)
-		if err != nil {
-			return 0, err
-		}
-		lo, err := constOnly(v.LSB, scope)
-		if err != nil {
-			return 0, err
-		}
-		if hi < lo || hi-lo+1 > 64 {
-			return 0, fmt.Errorf("rtl: bad part select [%d:%d]", hi, lo)
-		}
-		return val >> lo & mask(uint(hi-lo)+1), nil
-
-	case *verilog.Concat:
-		var out uint64
-		for _, p := range v.Parts {
-			pv, err := EvalExpr(p, scope, st)
-			if err != nil {
-				return 0, err
-			}
-			pw, err := WidthOf(p, scope)
-			if err != nil {
-				return 0, err
-			}
-			out = out<<pw | (pv & mask(pw))
-		}
-		return out, nil
-
-	case *verilog.Repeat:
-		n, err := constOnly(v.Count, scope)
-		if err != nil {
-			return 0, err
-		}
-		pv, err := EvalExpr(v.X, scope, st)
-		if err != nil {
-			return 0, err
-		}
-		pw, err := WidthOf(v.X, scope)
-		if err != nil {
-			return 0, err
-		}
-		var out uint64
-		for i := uint64(0); i < n; i++ {
-			out = out<<pw | (pv & mask(pw))
-		}
-		return out, nil
-	}
-	return 0, fmt.Errorf("rtl: cannot evaluate %T", x)
+	w := walker[uint64, concrete]{scope, concrete{st: st}}
+	v, _, err := w.eval(x)
+	return v, err
 }
+
+// concrete is the interpreter's domain: every value is known, reads
+// come from the state and writes go to out, or into the state at once
+// when out is nil (a combinational node's blocking semantics).
+type concrete struct {
+	st  *State
+	out *[]Write
+}
+
+func (concrete) num(v uint64, _ uint) uint64 { return v }
+
+func (c concrete) signal(s *Signal) (uint64, error) {
+	return c.st.Vals[s.ID] & mask(s.Width), nil
+}
+
+func (c concrete) word(m *Memory, idx uint64) (uint64, error) {
+	if idx >= uint64(m.Depth) {
+		return 0, nil // out-of-range reads return zero
+	}
+	return c.st.Mems[m.ID][idx] & mask(m.Width), nil
+}
+
+func (concrete) unary(op string, a uint64, w uint) uint64 {
+	switch op {
+	case "~":
+		return ^a & mask(w)
+	case "-":
+		return -a & mask(w)
+	case "!":
+		return b2u(a == 0)
+	case "&":
+		return b2u(a == mask(w))
+	case "|":
+		return b2u(a != 0)
+	case "^":
+		return uint64(bits.OnesCount64(a) & 1)
+	}
+	panic("rtl: unknown unary operator " + op) // the walker knows every operator it passes
+}
+
+func (concrete) binary(op string, a, b uint64, w uint) uint64 {
+	switch op {
+	case "+":
+		return (a + b) & mask(w)
+	case "-":
+		return (a - b) & mask(w)
+	case "*":
+		return (a * b) & mask(w)
+	case "/":
+		if b == 0 {
+			return mask(w)
+		}
+		return (a / b) & mask(w)
+	case "%":
+		if b == 0 {
+			return a & mask(w)
+		}
+		return (a % b) & mask(w)
+	case "&":
+		return a & b
+	case "|":
+		return (a | b) & mask(w)
+	case "^":
+		return (a ^ b) & mask(w)
+	case "&&":
+		return b2u(a != 0 && b != 0)
+	case "||":
+		return b2u(a != 0 || b != 0)
+	case "==":
+		return b2u(a == b)
+	case "!=":
+		return b2u(a != b)
+	case "<":
+		return b2u(a < b)
+	case "<=":
+		return b2u(a <= b)
+	case ">":
+		return b2u(a > b)
+	case ">=":
+		return b2u(a >= b)
+	case "<<":
+		if b >= 64 {
+			return 0
+		}
+		return (a << b) & mask(w)
+	case ">>":
+		if b >= 64 {
+			return 0
+		}
+		return a >> b
+	}
+	panic("rtl: unknown binary operator " + op)
+}
+
+func (concrete) sel(a, lo uint64, w uint) uint64 { return a >> lo & mask(w) }
+
+func (concrete) bit(a, idx uint64) uint64 {
+	if idx >= 64 {
+		return 0
+	}
+	return a >> idx & 1
+}
+
+func (concrete) concat(hi, lo uint64, w uint) (uint64, error) { return hi<<w | lo&mask(w), nil }
+
+func (concrete) mux(c, t, e uint64) uint64 {
+	if c != 0 {
+		return t
+	}
+	return e
+}
+
+func (concrete) known(v uint64) (uint64, bool) { return v, true }
+
+func (concrete) fork() any                            { panic("rtl: a concrete branch is always known") }
+func (concrete) swap(any) any                         { panic("rtl: a concrete branch is always known") }
+func (concrete) join(uint64, any) error               { panic("rtl: a concrete branch is always known") }
+func (concrete) fail(_ verilog.Stmt, err error) error { return err }

@@ -1,11 +1,5 @@
 package rtl
 
-import (
-	"fmt"
-
-	"hardsnap/internal/verilog"
-)
-
 // Write is one pending assignment produced by executing a statement.
 // It names its target by ID, not by pointer, so a buffer of writes
 // holds no pointers for the garbage collector to track. A register
@@ -36,165 +30,34 @@ func (w *Write) Apply(st *State) {
 // ExecComb executes a combinational node against the state, applying
 // writes immediately (blocking semantics).
 func (c *CombNode) ExecComb(st *State) error {
-	emit := func(w Write) { w.Apply(st) }
+	w := walker[uint64, concrete]{c.Scope, concrete{st: st}}
 	if c.Assign != nil {
-		rhs, err := EvalExpr(c.Assign.RHS, c.Scope, st)
-		if err != nil {
-			return err
-		}
-		return assignTo(c.Assign.LHS, rhs, c.Scope, st, emit)
+		return w.update(nil, c.Assign.LHS, c.Assign.RHS) // concrete.fail ignores its statement
 	}
-	return execStmt(c.Block, c.Scope, st, emit)
+	return w.exec(c.Block)
 }
 
 // ExecSeq executes a sequential block, appending deferred nonblocking
 // writes to out; the caller commits them after all blocks ran.
 func (b *SeqBlock) ExecSeq(st *State, out *[]Write) error {
-	emit := func(w Write) { *out = append(*out, w) }
-	return execStmt(b.Body, b.Scope, st, emit)
+	w := walker[uint64, concrete]{b.Scope, concrete{st: st, out: out}}
+	return w.exec(b.Body)
 }
 
-func execStmt(s verilog.Stmt, scope *Scope, st *State, emit func(Write)) error {
-	switch v := s.(type) {
-	case *verilog.Block:
-		for _, sub := range v.Stmts {
-			if err := execStmt(sub, scope, st, emit); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *verilog.If:
-		c, err := EvalExpr(v.Cond, scope, st)
-		if err != nil {
-			return err
-		}
-		if c != 0 {
-			return execStmt(v.Then, scope, st, emit)
-		}
-		if v.Else != nil {
-			return execStmt(v.Else, scope, st, emit)
-		}
-		return nil
-	case *verilog.Case:
-		subj, err := EvalExpr(v.Subject, scope, st)
-		if err != nil {
-			return err
-		}
-		var deflt verilog.Stmt
-		for _, item := range v.Items {
-			if item.Labels == nil {
-				deflt = item.Body
-				continue
-			}
-			for _, l := range item.Labels {
-				lv, err := EvalExpr(l, scope, st)
-				if err != nil {
-					return err
-				}
-				if lv == subj {
-					return execStmt(item.Body, scope, st, emit)
-				}
-			}
-		}
-		if deflt != nil {
-			return execStmt(deflt, scope, st, emit)
-		}
-		return nil
-	case *verilog.NonBlocking:
-		rhs, err := EvalExpr(v.RHS, scope, st)
-		if err != nil {
-			return err
-		}
-		return assignTo(v.LHS, rhs, scope, st, emit)
-	case *verilog.Blocking:
-		rhs, err := EvalExpr(v.RHS, scope, st)
-		if err != nil {
-			return err
-		}
-		return assignTo(v.LHS, rhs, scope, st, emit)
+func (c concrete) emit(w Write) {
+	if c.out == nil {
+		w.Apply(c.st)
+		return
 	}
-	return fmt.Errorf("rtl: cannot execute statement %T", s)
+	*c.out = append(*c.out, w)
 }
 
-// assignTo resolves an lvalue and emits the corresponding write(s).
-func assignTo(lhs verilog.Expr, rhs uint64, scope *Scope, st *State, emit func(Write)) error {
-	switch v := lhs.(type) {
-	case *verilog.Ident:
-		sig, ok := scope.signals[v.Name]
-		if !ok {
-			return fmt.Errorf("rtl: unknown lvalue %q", v.Name)
-		}
-		emit(Write{ID: int32(sig.ID), Mask: mask(sig.Width), Val: rhs & mask(sig.Width)})
-		return nil
+func (c concrete) store(sig *Signal, m, v uint64) error {
+	c.emit(Write{ID: int32(sig.ID), Mask: m, Val: v & m})
+	return nil
+}
 
-	case *verilog.Index:
-		base, ok := v.X.(*verilog.Ident)
-		if !ok {
-			return fmt.Errorf("rtl: unsupported indexed lvalue")
-		}
-		idx, err := EvalExpr(v.Idx, scope, st)
-		if err != nil {
-			return err
-		}
-		if mem, isMem := scope.memories[base.Name]; isMem {
-			emit(Write{ID: int32(mem.ID), Mem: true, Mask: mask(mem.Width), Idx: idx, Val: rhs})
-			return nil
-		}
-		sig, ok := scope.signals[base.Name]
-		if !ok {
-			return fmt.Errorf("rtl: unknown lvalue %q", base.Name)
-		}
-		if idx >= uint64(sig.Width) {
-			return nil // out-of-range bit write is dropped
-		}
-		emit(Write{ID: int32(sig.ID), Mask: 1 << idx, Val: (rhs & 1) << idx})
-		return nil
-
-	case *verilog.RangeSel:
-		base, ok := v.X.(*verilog.Ident)
-		if !ok {
-			return fmt.Errorf("rtl: unsupported part-select lvalue")
-		}
-		sig, ok := scope.signals[base.Name]
-		if !ok {
-			return fmt.Errorf("rtl: unknown lvalue %q", base.Name)
-		}
-		hi, err := constOnly(v.MSB, scope)
-		if err != nil {
-			return err
-		}
-		lo, err := constOnly(v.LSB, scope)
-		if err != nil {
-			return err
-		}
-		if hi < lo || hi >= uint64(sig.Width) {
-			return fmt.Errorf("rtl: part-select [%d:%d] out of range of %s", hi, lo, sig.Name)
-		}
-		w := uint(hi-lo) + 1
-		emit(Write{ID: int32(sig.ID), Mask: mask(w) << lo, Val: (rhs & mask(w)) << lo})
-		return nil
-
-	case *verilog.Concat:
-		// MSB-first: the first part takes the most significant bits.
-		widths := make([]uint, len(v.Parts))
-		var total uint
-		for i, p := range v.Parts {
-			w, err := WidthOf(p, scope)
-			if err != nil {
-				return err
-			}
-			widths[i] = w
-			total += w
-		}
-		shift := total
-		for i, p := range v.Parts {
-			shift -= widths[i]
-			part := rhs >> shift & mask(widths[i])
-			if err := assignTo(p, part, scope, st, emit); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("rtl: unsupported lvalue %T", lhs)
+func (c concrete) storeWord(m *Memory, idx, v uint64) error {
+	c.emit(Write{ID: int32(m.ID), Mem: true, Mask: mask(m.Width), Idx: idx, Val: v})
+	return nil
 }

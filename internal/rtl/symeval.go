@@ -3,15 +3,20 @@ package rtl
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math/bits"
 
 	"hardsnap/internal/expr"
 	"hardsnap/internal/verilog"
 )
 
 // errUnsupported marks a construct the symbolic evaluator does not
-// model: everything outside the forms the scan-chain pass emits (see
-// SymStep). It means "no proof", not a fault in the design.
+// model (see SymStep). It means "no proof", not a fault in the design.
 var errUnsupported = errors.New("unsupported by the symbolic evaluator")
+
+func unsupported(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", errUnsupported, fmt.Sprintf(format, args...))
+}
 
 // SymCycle is one clock edge of a design evaluated symbolically: every
 // register, memory word and unpinned input is an expr variable, and
@@ -22,50 +27,58 @@ type SymCycle struct {
 	d *Design
 	b *expr.Builder
 
-	cur    []*expr.Term   // by signal ID: registers and inputs
-	curMem [][]*expr.Term // by memory ID and word
-
-	next    []*expr.Term // by signal ID: registers
-	nextErr []error
-	nextMem [][]*expr.Term
-	memErr  [][]error
-
-	// wires memoizes the continuous assigns read so far; drivers is
-	// the comb node driving each wire; busy guards against loops.
-	wires   map[int]*expr.Term
+	// cur is the value before the edge of each register, input and
+	// memory word, by key: a signal ID, or memKey plus the word.
+	cur    []*expr.Term
+	memKey []int // by memory ID: the key of word 0
+	// next is what the sequential blocks write, by key.
+	next map[int]symVal
+	// wires memoizes the settled wires read so far; drivers is the
+	// comb node driving each wire (the elaborator refused loops).
+	wires   map[int]symVal
 	drivers map[int]*CombNode
-	busy    map[int]bool
+	// combMem marks the memories a comb node writes: a settle
+	// rewrites them, which is not modeled. Nil until combWritten.
+	combMem map[int]bool
+}
+
+// symVal is a modeled value, or why it is not modeled.
+type symVal struct {
+	t   *expr.Term
+	err error
 }
 
 // SymStep evaluates one clock of d over fresh variables of b: a
 // register or input reads as the variable named after the signal, a
 // memory word as "<memory>[<word>]", and an input listed in pinned as
-// that constant instead. It models
+// that constant instead. It runs the interpreter's walker in the term
+// domain, so every construct the interpreter executes means the same
+// here:
 //
-//   - if, on a condition that folds to a constant;
-//   - nonblocking assigns to identifiers and to memory words at a
-//     constant index;
-//   - literals, parameters, concatenation, and bit and part selects
-//     with constant bounds;
-//   - wires driven by a continuous assign, evaluated when read.
+//   - every operator, with the interpreter's widths and masking;
+//   - if and case on any condition: a condition that folds to a
+//     constant takes one arm, any other runs every arm and merges
+//     their writes through a mux;
+//   - nonblocking assigns to registers, their bits and part selects,
+//     and to memory words at an index that folds to a constant;
+//   - wires, settled when read by running the comb node driving them
+//     with blocking semantics.
 //
-// A write the evaluator cannot model leaves its target's next value
-// as an error naming what is unsupported; every other target's next
-// value is exact. Registers and memory words no block writes keep their
-// variable.
+// What it does not model leaves only the targets of the statement
+// that needs it with an error instead of a term: a memory word read or
+// written at an index that is not constant, a value wider than 64
+// bits, a memory a comb node writes, and a wire a comb node leaves
+// holding its value from an earlier settle. Every other target's next
+// value is exact. Registers and memory words no block writes keep
+// their variable.
 func SymStep(d *Design, b *expr.Builder, pinned map[int]uint64) *SymCycle {
 	c := &SymCycle{
 		d:       d,
 		b:       b,
 		cur:     make([]*expr.Term, len(d.Signals)),
-		curMem:  make([][]*expr.Term, len(d.Memories)),
-		next:    make([]*expr.Term, len(d.Signals)),
-		nextErr: make([]error, len(d.Signals)),
-		nextMem: make([][]*expr.Term, len(d.Memories)),
-		memErr:  make([][]error, len(d.Memories)),
-		wires:   make(map[int]*expr.Term),
+		memKey:  make([]int, len(d.Memories)),
+		wires:   make(map[int]symVal),
 		drivers: make(map[int]*CombNode),
-		busy:    make(map[int]bool),
 	}
 	for _, sig := range d.Signals {
 		switch v, pin := pinned[sig.ID]; {
@@ -74,353 +87,366 @@ func SymStep(d *Design, b *expr.Builder, pinned map[int]uint64) *SymCycle {
 		case sig.IsInput || sig.IsReg:
 			c.cur[sig.ID] = b.Var(sig.Name, sig.Width)
 		}
-		c.next[sig.ID] = c.cur[sig.ID]
 	}
 	for _, m := range d.Memories {
-		words := make([]*expr.Term, m.Depth)
-		for i := range words {
-			words[i] = b.Var(fmt.Sprintf("%s[%d]", m.Name, i), m.Width)
+		c.memKey[m.ID] = len(c.cur)
+		for i := range m.Depth {
+			c.cur = append(c.cur, b.Var(fmt.Sprintf("%s[%d]", m.Name, i), m.Width))
 		}
-		c.curMem[m.ID] = words
-		c.nextMem[m.ID] = append([]*expr.Term(nil), words...)
-		c.memErr[m.ID] = make([]error, m.Depth)
 	}
 	for _, n := range d.Combs {
 		for id := range n.writes {
 			c.drivers[id] = n
 		}
 	}
+	s := &sym{c: c, env: make(map[int]symVal, len(c.cur))}
 	for _, blk := range d.Seqs {
-		c.exec(blk.Body, blk.Scope)
+		s.scope = blk.Scope
+		w := walker[*expr.Term, *sym]{scope: blk.Scope, d: s}
+		w.exec(blk.Body) // the term domain marks what fails instead of returning it
 	}
+	c.next = s.env
 	return c
 }
 
 // Cur returns the value of signal id before the edge: the variable
 // (or pinned constant) of a register or input, or the term of a wire.
 func (c *SymCycle) Cur(id int) (*expr.Term, error) {
-	return c.signal(c.d.Signals[id])
+	if t := c.cur[id]; t != nil {
+		return t, nil
+	}
+	if _, ok := c.wires[id]; !ok {
+		c.settle(c.d.Signals[id])
+	}
+	return c.wires[id].t, c.wires[id].err
 }
 
 // CurWord returns the variable of word i of memory id.
-func (c *SymCycle) CurWord(id int, i uint) *expr.Term { return c.curMem[id][i] }
+func (c *SymCycle) CurWord(id int, i uint) *expr.Term { return c.cur[c.memKey[id]+int(i)] }
 
 // Next returns the value of register id after the edge.
-func (c *SymCycle) Next(id int) (*expr.Term, error) { return c.next[id], c.nextErr[id] }
+func (c *SymCycle) Next(id int) (*expr.Term, error) { return c.after(id) }
 
 // NextWord returns the value of word i of memory id after the edge.
 func (c *SymCycle) NextWord(id int, i uint) (*expr.Term, error) {
-	return c.nextMem[id][i], c.memErr[id][i]
-}
-
-func unsupported(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", errUnsupported, fmt.Sprintf(format, args...))
-}
-
-// exec runs a sequential statement, recording each write as its
-// target's next value (nonblocking: reads see the values before the
-// edge, and a later write replaces an earlier one).
-func (c *SymCycle) exec(s verilog.Stmt, scope *Scope) {
-	switch v := s.(type) {
-	case *verilog.Block:
-		for _, sub := range v.Stmts {
-			c.exec(sub, scope)
-		}
-	case *verilog.If:
-		cond, err := c.eval(v.Cond, scope)
-		if err == nil {
-			k, ok := cond.Const()
-			switch {
-			case !ok:
-				err = unsupported("if on a condition that is not constant")
-			case k != 0:
-				c.exec(v.Then, scope)
-				return
-			case v.Else != nil:
-				c.exec(v.Else, scope)
-				return
-			default:
-				return
-			}
-		}
-		c.poison(v, scope, err)
-	case *verilog.NonBlocking:
-		rhs, err := c.eval(v.RHS, scope)
-		if err == nil {
-			err = c.assign(v.LHS, rhs, scope)
-		}
-		if err != nil {
-			c.poison(v, scope, err)
-		}
-	default:
-		c.poison(s, scope, unsupported("%s statement", stmtKind(s)))
+	if c.combWritten(id) {
+		return nil, unsupported("memory %s written by combinational logic", c.d.Memories[id].Name)
 	}
+	return c.after(c.memKey[id] + int(i))
 }
 
-// assign records rhs as the next value of a whole register or of a
-// memory word at a constant index.
-func (c *SymCycle) assign(lhs verilog.Expr, rhs *expr.Term, scope *Scope) error {
-	switch v := lhs.(type) {
-	case *verilog.Ident:
-		sig, ok := scope.signals[v.Name]
-		if !ok {
-			return fmt.Errorf("rtl: unknown lvalue %q", v.Name)
-		}
-		c.next[sig.ID], c.nextErr[sig.ID] = c.fit(rhs, sig.Width), nil
-		return nil
-	case *verilog.Index:
-		if base, ok := v.X.(*verilog.Ident); ok {
-			if m, isMem := scope.memories[base.Name]; isMem {
-				idx, err := constIndex(v.Idx, scope)
-				if err != nil {
-					return err
+// after is the value of key after the edge: what a block wrote, or
+// else its value before.
+func (c *SymCycle) after(key int) (*expr.Term, error) {
+	if v, ok := c.next[key]; ok {
+		return v.t, v.err
+	}
+	return c.cur[key], nil
+}
+
+// combWritten reports whether a comb node writes memory id.
+func (c *SymCycle) combWritten(id int) bool {
+	if c.combMem == nil {
+		c.combMem = make(map[int]bool)
+		for _, n := range c.d.Combs {
+			for _, name := range verilog.Targets(n.stmt()) {
+				if m, ok := n.Scope.memories[name]; ok {
+					c.combMem[m.ID] = true
 				}
-				if idx < uint64(m.Depth) { // a write past the end is dropped
-					c.nextMem[m.ID][idx], c.memErr[m.ID][idx] = c.fit(rhs, m.Width), nil
-				}
-				return nil
 			}
 		}
 	}
-	return unsupported("assignment to %s", exprKind(lhs))
+	return c.combMem[id]
 }
 
-// poison marks every target s writes as unmodeled.
-func (c *SymCycle) poison(s verilog.Stmt, scope *Scope, err error) {
-	var names []string
-	collectTargets(s, &names)
-	for _, name := range names {
-		if sig, ok := scope.signals[name]; ok {
-			c.next[sig.ID], c.nextErr[sig.ID] = nil, err
-		} else if m, ok := scope.memories[name]; ok {
-			clear(c.nextMem[m.ID])
-			for i := range c.memErr[m.ID] {
-				c.memErr[m.ID][i] = err
-			}
-		}
-	}
-}
-
-// collectTargets lists the base names of every lvalue in s.
-func collectTargets(s verilog.Stmt, out *[]string) {
-	var lvalue func(verilog.Expr)
-	lvalue = func(e verilog.Expr) {
-		switch x := e.(type) {
-		case *verilog.Ident:
-			*out = append(*out, x.Name)
-		case *verilog.Index:
-			lvalue(x.X)
-		case *verilog.RangeSel:
-			lvalue(x.X)
-		case *verilog.Concat:
-			for _, p := range x.Parts {
-				lvalue(p)
-			}
-		}
-	}
-	switch st := s.(type) {
-	case *verilog.Block:
-		for _, sub := range st.Stmts {
-			collectTargets(sub, out)
-		}
-	case *verilog.If:
-		collectTargets(st.Then, out)
-		if st.Else != nil {
-			collectTargets(st.Else, out)
-		}
-	case *verilog.Case:
-		for _, item := range st.Items {
-			collectTargets(item.Body, out)
-		}
-	case *verilog.NonBlocking:
-		lvalue(st.LHS)
-	case *verilog.Blocking:
-		lvalue(st.LHS)
-	}
-}
-
-// eval returns the term of x, whose width is WidthOf(x).
-func (c *SymCycle) eval(x verilog.Expr, scope *Scope) (*expr.Term, error) {
-	b := c.b
-	switch v := x.(type) {
-	case *verilog.Number:
-		w := v.Width
-		if w == 0 {
-			// Unsized: 32 bits wide, but EvalExpr keeps the whole value.
-			if w = 32; v.Value > expr.Mask(w) {
-				return nil, unsupported("unsized literal %d wider than 32 bits", v.Value)
-			}
-		}
-		if w > 64 {
-			return nil, unsupported("%d-bit literal", w)
-		}
-		return b.Const(v.Value, w), nil
-
-	case *verilog.Ident:
-		if sig, ok := scope.signals[v.Name]; ok {
-			return c.signal(sig)
-		}
-		if p, ok := scope.params[v.Name]; ok {
-			if p > expr.Mask(32) {
-				return nil, unsupported("parameter %s = %d wider than 32 bits", v.Name, p)
-			}
-			return b.Const(p, 32), nil
-		}
-		return nil, fmt.Errorf("rtl: unknown identifier %q", v.Name)
-
-	case *verilog.Index:
-		if base, ok := v.X.(*verilog.Ident); ok {
-			if m, isMem := scope.memories[base.Name]; isMem {
-				idx, err := constIndex(v.Idx, scope)
-				if err != nil {
-					return nil, err
-				}
-				if idx >= uint64(m.Depth) {
-					return b.Const(0, m.Width), nil // out-of-range reads return zero
-				}
-				return c.curMem[m.ID][idx], nil
-			}
-		}
-		val, err := c.eval(v.X, scope)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := constIndex(v.Idx, scope)
-		if err != nil {
-			return nil, err
-		}
-		if idx >= uint64(val.Width()) {
-			return b.Const(0, 1), nil
-		}
-		return b.Extract(val, uint(idx), 1), nil
-
-	case *verilog.RangeSel:
-		val, err := c.eval(v.X, scope)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := constOnly(v.MSB, scope)
-		if err != nil {
-			return nil, unsupported("part select: %v", err)
-		}
-		lo, err := constOnly(v.LSB, scope)
-		if err != nil {
-			return nil, unsupported("part select: %v", err)
-		}
-		if hi < lo || hi-lo+1 > 64 {
-			return nil, fmt.Errorf("rtl: bad part select [%d:%d]", hi, lo)
-		}
-		w := uint(hi-lo) + 1
-		if lo >= uint64(val.Width()) {
-			return b.Const(0, w), nil
-		}
-		avail := val.Width() - uint(lo)
-		if avail >= w {
-			return b.Extract(val, uint(lo), w), nil
-		}
-		return b.ZExt(b.Extract(val, uint(lo), avail), w), nil
-
-	case *verilog.Concat:
-		var out *expr.Term
-		for _, p := range v.Parts {
-			t, err := c.eval(p, scope)
-			if err != nil {
-				return nil, err
-			}
-			if out == nil {
-				out = t
-				continue
-			}
-			if out.Width()+t.Width() > 64 {
-				return nil, unsupported("concatenation wider than 64 bits")
-			}
-			out = b.Concat(out, t)
-		}
-		if out == nil {
-			return nil, unsupported("empty concatenation")
-		}
-		return out, nil
-	}
-	return nil, unsupported("%s expression", exprKind(x))
-}
-
-// signal returns the value of sig before the edge. A wire is the term
-// of its continuous assign, evaluated once.
-func (c *SymCycle) signal(sig *Signal) (*expr.Term, error) {
-	if t := c.cur[sig.ID]; t != nil {
-		return t, nil
-	}
-	if t, ok := c.wires[sig.ID]; ok {
-		return t, nil
-	}
+// settle runs the comb node driving wire sig and records the value of
+// every wire it drives.
+func (c *SymCycle) settle(sig *Signal) {
 	n := c.drivers[sig.ID]
-	if n == nil || n.Assign == nil {
-		return nil, unsupported("wire %s is not driven by a continuous assign", sig.Name)
+	if n == nil {
+		c.wires[sig.ID] = symVal{err: unsupported("wire %s has no driver", sig.Name)}
+		return
 	}
-	if lhs, ok := n.Assign.LHS.(*verilog.Ident); !ok || n.Scope.signals[lhs.Name] != sig {
-		return nil, unsupported("wire %s is driven through a select", sig.Name)
+	s := &sym{c: c, scope: n.Scope, node: n, env: make(map[int]symVal)}
+	w := walker[*expr.Term, *sym]{scope: n.Scope, d: s}
+	w.exec(n.stmt())
+	for id := range n.writes {
+		c.wires[id] = s.get(s.env, id)
 	}
-	if c.busy[sig.ID] {
-		return nil, unsupported("combinational loop through %s", sig.Name)
-	}
-	c.busy[sig.ID] = true
-	t, err := c.eval(n.Assign.RHS, n.Scope)
-	delete(c.busy, sig.ID)
-	if err != nil {
-		return nil, err
-	}
-	t = c.fit(t, sig.Width)
-	c.wires[sig.ID] = t
-	return t, nil
 }
 
-// fit truncates or zero-extends t to w bits, as an assignment does.
-func (c *SymCycle) fit(t *expr.Term, w uint) *expr.Term {
+// stmt is n as a statement: its always block, or its assign.
+func (n *CombNode) stmt() verilog.Stmt {
+	if n.Assign != nil {
+		return &verilog.Blocking{LHS: n.Assign.LHS, RHS: n.Assign.RHS}
+	}
+	return n.Block
+}
+
+// sym is the term domain: the walker's values are terms of b. A term
+// may be narrower or wider than its node's Verilog width; its zero
+// extension is the interpreter's value.
+type sym struct {
+	c     *SymCycle
+	scope *Scope
+	// node is the comb node being settled (blocking: it reads its own
+	// writes), nil in a sequential block (nonblocking: every read sees
+	// the value before the edge).
+	node *CombNode
+	env  map[int]symVal // the writes so far, by key
+}
+
+// get is the value of key in the writes env: the last write, else
+// its value before the edge in a sequential block; a wire a comb node
+// did not write holds an earlier settle, which is not modeled.
+func (s *sym) get(env map[int]symVal, key int) symVal {
+	if v, ok := env[key]; ok {
+		return v
+	}
+	if s.node != nil { // a comb node writes no memory word
+		return symVal{err: unsupported("%s keeps its value from an earlier settle", s.c.d.Signals[key].Name)}
+	}
+	return symVal{t: s.c.cur[key]}
+}
+
+// resize truncates or zero-extends t to w bits.
+func (s *sym) resize(t *expr.Term, w uint) *expr.Term {
+	if t.Width() > w {
+		return s.c.b.Extract(t, 0, w)
+	}
+	return s.c.b.ZExt(t, w)
+}
+
+// nonzero is the 1-bit term t != 0.
+func (s *sym) nonzero(t *expr.Term) *expr.Term {
+	return s.c.b.Ne(t, s.c.b.Const(0, t.Width()))
+}
+
+func (s *sym) num(v uint64, w uint) *expr.Term {
+	if v > expr.Mask(w) {
+		w = uint(bits.Len64(v))
+	}
+	return s.c.b.Const(v, w)
+}
+
+func (s *sym) signal(sig *Signal) (*expr.Term, error) {
+	if s.node != nil && s.node.writes[sig.ID] {
+		v := s.get(s.env, sig.ID)
+		return v.t, v.err
+	}
+	return s.c.Cur(sig.ID)
+}
+
+func (s *sym) word(m *Memory, idx *expr.Term) (*expr.Term, error) {
+	if s.c.combWritten(m.ID) {
+		return nil, unsupported("memory %s written by combinational logic", m.Name)
+	}
+	k, ok := idx.Const()
 	switch {
-	case t.Width() > w:
-		return c.b.Extract(t, 0, w)
-	case t.Width() < w:
-		return c.b.ZExt(t, w)
+	case !ok:
+		return nil, unsupported("index that is not constant")
+	case k >= uint64(m.Depth):
+		return s.c.b.Const(0, m.Width), nil
+	}
+	return s.c.cur[s.c.memKey[m.ID]+int(k)], nil
+}
+
+func (s *sym) unary(op string, x *expr.Term, w uint) *expr.Term {
+	b := s.c.b
+	switch op {
+	case "~":
+		return b.Not(s.resize(x, w))
+	case "-":
+		return b.Sub(b.Const(0, w), s.resize(x, w))
+	case "!":
+		return b.Eq(x, b.Const(0, x.Width()))
+	case "&":
+		wide := max(x.Width(), w)
+		return b.Eq(b.ZExt(x, wide), b.Const(mask(w), wide))
+	case "|":
+		return s.nonzero(x)
+	case "^":
+		p := b.Extract(x, 0, 1)
+		for i := uint(1); i < x.Width(); i++ {
+			p = b.Xor(p, b.Extract(x, i, 1))
+		}
+		return p
+	}
+	panic("rtl: unknown unary operator " + op)
+}
+
+// termOps are the binary operators on operands of a common width;
+// the masked ones are then cut to the result's width, as the
+// interpreter masks them.
+var termOps = map[string]struct {
+	op     func(b *expr.Builder, x, y *expr.Term) *expr.Term
+	masked bool
+}{
+	"+":  {(*expr.Builder).Add, true},
+	"-":  {(*expr.Builder).Sub, true},
+	"*":  {(*expr.Builder).Mul, true},
+	"/":  {(*expr.Builder).UDiv, true},
+	"%":  {(*expr.Builder).URem, true},
+	"&":  {(*expr.Builder).And, false},
+	"|":  {(*expr.Builder).Or, true},
+	"^":  {(*expr.Builder).Xor, true},
+	"==": {(*expr.Builder).Eq, false},
+	"!=": {(*expr.Builder).Ne, false},
+	"<":  {(*expr.Builder).Ult, false},
+	"<=": {(*expr.Builder).Ule, false},
+	">":  {func(b *expr.Builder, x, y *expr.Term) *expr.Term { return b.Ult(y, x) }, false},
+	">=": {func(b *expr.Builder, x, y *expr.Term) *expr.Term { return b.Ule(y, x) }, false},
+	"<<": {(*expr.Builder).Shl, true},
+	">>": {(*expr.Builder).Lshr, false},
+}
+
+// binary computes on both operands zero-extended to a width that holds
+// them and the result, so each operator sees the whole values the
+// interpreter does.
+func (s *sym) binary(op string, x, y *expr.Term, w uint) *expr.Term {
+	b := s.c.b
+	switch op {
+	case "&&":
+		return b.And(s.nonzero(x), s.nonzero(y))
+	case "||":
+		return b.Or(s.nonzero(x), s.nonzero(y))
+	}
+	f := termOps[op]
+	wide := max(x.Width(), y.Width(), w)
+	t := f.op(b, b.ZExt(x, wide), b.ZExt(y, wide))
+	if f.masked {
+		t = s.resize(t, w)
 	}
 	return t
 }
 
-// constIndex evaluates an index made of literals and parameters
-// exactly as EvalExpr would; an index that reads a signal is
-// unsupported.
-func constIndex(x verilog.Expr, scope *Scope) (uint64, error) {
-	if _, err := constOnly(x, scope); err != nil {
-		return 0, unsupported("index that is not constant")
+func (s *sym) sel(x *expr.Term, lo uint64, w uint) *expr.Term {
+	b := s.c.b
+	if lo >= uint64(x.Width()) {
+		return b.Const(0, w)
 	}
-	// constOnly succeeded, so x reads no signal and the empty state
-	// is never touched.
-	return EvalExpr(x, scope, &State{})
+	if avail := x.Width() - uint(lo); avail < w {
+		return b.ZExt(b.Extract(x, uint(lo), avail), w)
+	}
+	return b.Extract(x, uint(lo), w)
 }
 
-func stmtKind(s verilog.Stmt) string {
-	switch s.(type) {
-	case *verilog.Case:
-		return "case"
-	case *verilog.Blocking:
-		return "blocking"
+func (s *sym) bit(x, idx *expr.Term) *expr.Term {
+	b := s.c.b
+	if k, ok := idx.Const(); ok {
+		if k >= uint64(x.Width()) {
+			return b.Const(0, 1)
+		}
+		return b.Extract(x, uint(k), 1)
 	}
-	return fmt.Sprintf("%T", s)
+	wide := max(x.Width(), idx.Width())
+	return b.Extract(b.Lshr(b.ZExt(x, wide), b.ZExt(idx, wide)), 0, 1)
 }
 
-func exprKind(x verilog.Expr) string {
-	switch v := x.(type) {
-	case *verilog.Unary:
-		return "unary " + v.Op
-	case *verilog.Binary:
-		return "binary " + v.Op
-	case *verilog.Ternary:
-		return "conditional"
-	case *verilog.Repeat:
-		return "replication"
-	case *verilog.Index:
-		return "bit select"
-	case *verilog.RangeSel:
-		return "part select"
+func (s *sym) concat(hi, lo *expr.Term, w uint) (*expr.Term, error) {
+	if hi.Width()+w > 64 {
+		return nil, unsupported("value wider than 64 bits")
 	}
-	return fmt.Sprintf("%T", x)
+	return s.c.b.Concat(hi, s.resize(lo, w)), nil
+}
+
+// mux selects through an And/Or on the condition replicated (sign
+// extended) to the width of the arms.
+func (s *sym) mux(c, t, e *expr.Term) *expr.Term {
+	b := s.c.b
+	cond := s.nonzero(c)
+	if k, ok := cond.Const(); ok {
+		if k != 0 {
+			return t
+		}
+		return e
+	}
+	if t == e {
+		return t
+	}
+	wide := max(t.Width(), e.Width())
+	r := b.SExt(cond, wide)
+	return b.Or(b.And(r, b.ZExt(t, wide)), b.And(b.Not(r), b.ZExt(e, wide)))
+}
+
+func (s *sym) known(t *expr.Term) (uint64, bool) { return t.Const() }
+
+func (s *sym) store(sig *Signal, m, v *expr.Term) error {
+	b := s.c.b
+	m = s.resize(m, sig.Width)
+	val := b.And(s.resize(v, sig.Width), m)
+	if k, _ := m.Const(); k != mask(sig.Width) { // the other bits keep their value
+		prev := s.get(s.env, sig.ID)
+		if prev.err != nil {
+			return prev.err
+		}
+		val = b.Or(b.And(prev.t, b.Not(m)), val)
+	}
+	s.env[sig.ID] = symVal{t: val}
+	return nil
+}
+
+func (s *sym) storeWord(m *Memory, idx, v *expr.Term) error {
+	if s.node != nil {
+		return unsupported("memory %s written by combinational logic", m.Name)
+	}
+	k, ok := idx.Const()
+	if !ok {
+		return unsupported("index that is not constant")
+	}
+	if k < uint64(m.Depth) { // a write past the end is dropped
+		s.env[s.c.memKey[m.ID]+int(k)] = symVal{t: s.resize(v, m.Width)}
+	}
+	return nil
+}
+
+func (s *sym) fork() any { return maps.Clone(s.env) }
+
+func (s *sym) swap(before any) any {
+	taken := s.env
+	s.env = before.(map[int]symVal)
+	return taken
+}
+
+// join merges every target either arm wrote: the first arm's value
+// where c is non-zero, the current one elsewhere. A target unmodeled
+// in either arm is unmodeled after the branch.
+func (s *sym) join(c *expr.Term, then any) error {
+	taken := then.(map[int]symVal)
+	merge := func(key int) {
+		t, e := s.get(taken, key), s.get(s.env, key)
+		switch {
+		case t.err != nil:
+			s.env[key] = t
+		case e.err != nil:
+			s.env[key] = e
+		default:
+			s.env[key] = symVal{t: s.mux(c, t.t, e.t)}
+		}
+	}
+	for key := range taken {
+		merge(key)
+	}
+	for key := range s.env {
+		if _, ok := taken[key]; !ok {
+			merge(key)
+		}
+	}
+	return nil
+}
+
+// fail marks every target of st unmodeled: the signals it assigns,
+// and in a sequential block the memories (a comb node writing one is
+// not modeled at all, see combWritten).
+func (s *sym) fail(st verilog.Stmt, err error) error {
+	for _, name := range verilog.Targets(st) {
+		if sig, ok := s.scope.signals[name]; ok {
+			s.env[sig.ID] = symVal{err: err}
+		} else if m, ok := s.scope.memories[name]; ok && s.node == nil {
+			for i := range int(m.Depth) {
+				s.env[s.c.memKey[m.ID]+i] = symVal{err: err}
+			}
+		}
+	}
+	return nil
 }

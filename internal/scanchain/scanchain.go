@@ -21,9 +21,11 @@
 package scanchain
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
+	"hardsnap/internal/rtl"
 	"hardsnap/internal/verilog"
 )
 
@@ -158,21 +160,31 @@ func instrumentModule(file *verilog.SourceFile, mod *verilog.Module, opts Option
 	for _, n := range opts.Exclude {
 		excluded[n] = true
 	}
-	params, err := resolveParams(mod, opts.Params)
+	params, err := rtl.ModuleParams(mod, opts.Params)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scanchain: %w", err)
+	}
+	width := func(name string, msb verilog.Expr) (uint, error) {
+		if msb == nil {
+			return 1, nil
+		}
+		v, err := rtl.ConstEval(msb, params.Param)
+		if err != nil {
+			return 0, fmt.Errorf("scanchain: module %s: width of %s: %v", mod.Name, name, err)
+		}
+		return uint(v) + 1, nil
 	}
 
 	// Index declarations.
 	type declInfo struct {
-		msb, lsb verilog.Expr
-		isMem    bool
-		depth    uint
-		width    uint
+		msb   verilog.Expr
+		isMem bool
+		depth uint
+		width uint
 	}
 	decls := make(map[string]*declInfo)
 	for _, port := range mod.Ports {
-		decls[port.Name] = &declInfo{msb: port.MSB, lsb: port.LSB}
+		decls[port.Name] = &declInfo{msb: port.MSB}
 	}
 	for _, item := range mod.Items {
 		nd, ok := item.(*verilog.NetDecl)
@@ -180,32 +192,20 @@ func instrumentModule(file *verilog.SourceFile, mod *verilog.Module, opts Option
 			continue
 		}
 		for _, dn := range nd.Names {
-			info := &declInfo{msb: nd.MSB, lsb: nd.LSB}
+			info := &declInfo{msb: nd.MSB}
 			if dn.ArrMSB != nil {
 				info.isMem = true
 				// Memories are declared [0:N]; the depth bound is the
 				// larger of the two range values.
-				b1, err := constEval(dn.ArrMSB, params)
-				if err != nil {
+				b1, err := rtl.ConstEval(dn.ArrMSB, params.Param)
+				b2, err2 := rtl.ConstEval(dn.ArrLSB, params.Param)
+				if err = cmp.Or(err, err2); err != nil {
 					return nil, fmt.Errorf("scanchain: module %s: memory %s depth: %v", mod.Name, dn.Name, err)
 				}
-				b2, err := constEval(dn.ArrLSB, params)
-				if err != nil {
-					return nil, fmt.Errorf("scanchain: module %s: memory %s depth: %v", mod.Name, dn.Name, err)
+				info.depth = uint(max(b1, b2)) + 1
+				if info.width, err = width(dn.Name, nd.MSB); err != nil {
+					return nil, err
 				}
-				if b2 > b1 {
-					b1 = b2
-				}
-				info.depth = uint(b1) + 1
-				w := uint(1)
-				if nd.MSB != nil {
-					wv, err := constEval(nd.MSB, params)
-					if err != nil {
-						return nil, fmt.Errorf("scanchain: module %s: memory %s width: %v", mod.Name, dn.Name, err)
-					}
-					w = uint(wv) + 1
-				}
-				info.width = w
 			}
 			decls[dn.Name] = info
 		}
@@ -220,9 +220,7 @@ func instrumentModule(file *verilog.SourceFile, mod *verilog.Module, opts Option
 	for _, item := range mod.Items {
 		switch it := item.(type) {
 		case *verilog.AlwaysFF:
-			var names []string
-			collectSeqTargets(it.Body, &names)
-			for _, n := range names {
+			for _, n := range verilog.Targets(it.Body) {
 				if seen[n] || excluded[n] {
 					continue
 				}
@@ -237,16 +235,16 @@ func instrumentModule(file *verilog.SourceFile, mod *verilog.Module, opts Option
 						depth: info.depth, width: info.width, msb: info.msb, ff: it,
 					})
 				} else {
-					var bits uint = 1
-					if info.msb != nil {
-						wv, err := constEval(info.msb, params)
-						if err != nil {
-							return nil, fmt.Errorf("scanchain: module %s: width of %s: %v", mod.Name, n, err)
-						}
-						bits = uint(wv) + 1
+					bits, err := width(n, info.msb)
+					if err != nil {
+						return nil, err
+					}
+					msb := info.msb
+					if bits == 1 {
+						msb = nil // a [0:0] register shifts as a 1-bit one
 					}
 					elements = append(elements, element{
-						kind: KindRegister, name: n, bits: bits, msb: info.msb, ff: it,
+						kind: KindRegister, name: n, bits: bits, msb: msb, ff: it,
 					})
 				}
 			}
@@ -403,52 +401,6 @@ func wordMSB(lhs *verilog.Index, width uint) verilog.Expr {
 	}
 }
 
-// collectSeqTargets lists register/memory base names written by a
-// sequential body, in first-write order.
-func collectSeqTargets(s verilog.Stmt, out *[]string) {
-	switch st := s.(type) {
-	case *verilog.Block:
-		for _, sub := range st.Stmts {
-			collectSeqTargets(sub, out)
-		}
-	case *verilog.If:
-		collectSeqTargets(st.Then, out)
-		if st.Else != nil {
-			collectSeqTargets(st.Else, out)
-		}
-	case *verilog.Case:
-		for _, item := range st.Items {
-			collectSeqTargets(item.Body, out)
-		}
-	case *verilog.NonBlocking:
-		collectLValueBases(st.LHS, out)
-	}
-}
-
-func collectLValueBases(e verilog.Expr, out *[]string) {
-	switch x := e.(type) {
-	case *verilog.Ident:
-		appendUnique(out, x.Name)
-	case *verilog.Index:
-		collectLValueBases(x.X, out)
-	case *verilog.RangeSel:
-		collectLValueBases(x.X, out)
-	case *verilog.Concat:
-		for _, p := range x.Parts {
-			collectLValueBases(p, out)
-		}
-	}
-}
-
-func appendUnique(out *[]string, name string) {
-	for _, n := range *out {
-		if n == name {
-			return
-		}
-	}
-	*out = append(*out, name)
-}
-
 func hasPort(m *verilog.Module, name string) bool {
 	for _, p := range m.Ports {
 		if p.Name == name {
@@ -456,86 +408,4 @@ func hasPort(m *verilog.Module, name string) bool {
 		}
 	}
 	return false
-}
-
-func resolveParams(mod *verilog.Module, overrides map[string]uint64) (map[string]uint64, error) {
-	params := make(map[string]uint64)
-	resolve := func(p *verilog.Param) error {
-		if v, ok := overrides[p.Name]; ok && !p.IsLocal {
-			params[p.Name] = v
-			return nil
-		}
-		v, err := constEval(p.Value, params)
-		if err != nil {
-			return fmt.Errorf("scanchain: module %s: parameter %s: %v", mod.Name, p.Name, err)
-		}
-		params[p.Name] = v
-		return nil
-	}
-	for _, p := range mod.Params {
-		if err := resolve(p); err != nil {
-			return nil, err
-		}
-	}
-	for _, item := range mod.Items {
-		if pi, ok := item.(*verilog.ParamItem); ok {
-			if err := resolve(pi.Param); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return params, nil
-}
-
-// constEval folds a constant expression over parameter values.
-func constEval(x verilog.Expr, params map[string]uint64) (uint64, error) {
-	switch v := x.(type) {
-	case *verilog.Number:
-		return v.Value, nil
-	case *verilog.Ident:
-		if p, ok := params[v.Name]; ok {
-			return p, nil
-		}
-		return 0, fmt.Errorf("%q is not a constant", v.Name)
-	case *verilog.Unary:
-		a, err := constEval(v.X, params)
-		if err != nil {
-			return 0, err
-		}
-		switch v.Op {
-		case "-":
-			return -a, nil
-		case "~":
-			return ^a, nil
-		}
-		return 0, fmt.Errorf("operator %q not constant", v.Op)
-	case *verilog.Binary:
-		a, err := constEval(v.X, params)
-		if err != nil {
-			return 0, err
-		}
-		b, err := constEval(v.Y, params)
-		if err != nil {
-			return 0, err
-		}
-		switch v.Op {
-		case "+":
-			return a + b, nil
-		case "-":
-			return a - b, nil
-		case "*":
-			return a * b, nil
-		case "/":
-			if b == 0 {
-				return 0, fmt.Errorf("division by zero")
-			}
-			return a / b, nil
-		case "<<":
-			return a << (b & 63), nil
-		case ">>":
-			return a >> (b & 63), nil
-		}
-		return 0, fmt.Errorf("operator %q not constant", v.Op)
-	}
-	return 0, fmt.Errorf("not a constant expression")
 }

@@ -52,16 +52,10 @@ func (k EngineKind) String() string {
 	return "?"
 }
 
-// defaultEngine is the process-wide engine used by New; hssim's
-// -interp flag and the experiment harness's engine-identity test flip
-// it for A/B runs.
-var defaultEngine atomic.Int32
-
-// SetDefaultEngine changes the engine New uses.
-func SetDefaultEngine(k EngineKind) { defaultEngine.Store(int32(k)) }
-
-// DefaultEngine returns the engine New uses.
-func DefaultEngine() EngineKind { return EngineKind(defaultEngine.Load()) }
+// DefaultEngine holds the EngineKind New uses, process-wide:
+// EngineAuto unless an engine-identity test stores another kind to run
+// the same scenario on each engine. No flag or option sets it.
+var DefaultEngine atomic.Int32
 
 // Simulator drives one elaborated design instance.
 type Simulator struct {
@@ -131,7 +125,7 @@ func (d *idSet) clear() {
 // power-on state of the two-state model), with combinational logic
 // settled, using the process default engine.
 func New(d *rtl.Design) (*Simulator, error) {
-	return NewEngine(d, DefaultEngine())
+	return NewEngine(d, EngineKind(DefaultEngine.Load()))
 }
 
 // NewEngine creates a simulator with an explicit engine choice.

@@ -1,5 +1,7 @@
 package verilog
 
+import "slices"
+
 // SourceFile is a parsed Verilog file: an ordered list of modules.
 type SourceFile struct {
 	Modules []*Module
@@ -239,3 +241,44 @@ func (*Index) isExpr()    {}
 func (*RangeSel) isExpr() {}
 func (*Concat) isExpr()   {}
 func (*Repeat) isExpr()   {}
+
+// Targets lists the base name of every lvalue s assigns (the register,
+// wire or memory, not the bit or word), each once, in first-write
+// order.
+func Targets(s Stmt) []string {
+	var out []string
+	var walk func(node any) // a statement, or an lvalue
+	walk = func(node any) {
+		switch x := node.(type) {
+		case *Block:
+			for _, sub := range x.Stmts {
+				walk(sub)
+			}
+		case *If:
+			walk(x.Then)
+			walk(x.Else)
+		case *Case:
+			for _, item := range x.Items {
+				walk(item.Body)
+			}
+		case *NonBlocking:
+			walk(x.LHS)
+		case *Blocking:
+			walk(x.LHS)
+		case *Ident:
+			if !slices.Contains(out, x.Name) {
+				out = append(out, x.Name)
+			}
+		case *Index:
+			walk(x.X)
+		case *RangeSel:
+			walk(x.X)
+		case *Concat:
+			for _, p := range x.Parts {
+				walk(p)
+			}
+		}
+	}
+	walk(s)
+	return out
+}
