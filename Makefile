@@ -62,7 +62,8 @@ race:
 # (process death, torn tails, mismatched configs) and mid-run remote
 # link failover — for local workers and, through the same supervisor,
 # for dist nodes (node death with and without a survivor, driver death
-# + resume, the seed-drain journal) — the farm's restart-and-resume
+# + resume, the seed-drain journal, crash reports and the bug
+# snapshots in them identical to a local run's) — the farm's restart-and-resume
 # and standalone-identity gates (the farm server shuts down through the
 # connection layer the dist node uses), the target's delta-restore
 # equivalence, plus the one link that can fail, the wire: exactly-once
@@ -73,7 +74,7 @@ race:
 # reproduce.
 chaos:
 	$(call chaos_run,./internal/core,Chaos|Resume|Journal)
-	$(call chaos_run,./internal/dist,NodeDeath|JournalResume|SeedDrain|Chaos)
+	$(call chaos_run,./internal/dist,NodeDeath|JournalResume|SeedDrain|Chaos|CrashReports)
 	$(call chaos_run,./internal/farm,RestartResume|Identity)
 	$(call chaos_run,./internal/target,DeltaRestoreEquivalence)
 	$(call chaos_run,./internal/remote,Failover|SeverLink|RecoverRetry|Retransmitted|UnderFaultyLink|ClientRetry|Redial|DeadWire)
@@ -94,7 +95,7 @@ endef
 # fuzz-smoke gives each native fuzz target ten seconds beyond its seed
 # corpus (which `go test` already runs): the wire server's frame and
 # snapshot-body decoders, the snapshot record decoder (disk, journal
-# and dist delta frames), the journal's frame scanner and the campaign
+# and dist results), the journal's frame scanner and the campaign
 # loader behind it (gob payloads), the solver against its reference,
 # the vm's dirty-page restore against a full copy, the simulator's
 # dirty-list restore against a full Restore, the compiled RTL engine

@@ -17,11 +17,11 @@
 // resume.
 //
 // -fuzz switches from symbolic exploration to coverage-guided
-// fuzzing of the same firmware and SoC: -fuzz-workers parallel
-// workers over snapshot resets, -hybrid for the concolic feedback
-// loop, -corpus to persist the corpus and crash buckets across runs,
-// -json for a machine-readable result. Exit status 2 means crashes
-// were found.
+// fuzzing of the same firmware and SoC: -workers parallel workers
+// over snapshot resets, -hybrid for the concolic feedback loop,
+// -corpus to persist the corpus and crash buckets across runs, -json
+// for a machine-readable result. Exit status 2 means crashes were
+// found. A flag of one mode set in the other is an error.
 package main
 
 import (
@@ -75,7 +75,6 @@ type runOpts struct {
 	// fields parameterize the campaign (see internal/fuzz).
 	Fuzz         bool
 	FuzzExecs    int
-	FuzzWorkers  int
 	FuzzInputLen int
 	FuzzSeed     int64
 	Hybrid       bool
@@ -85,32 +84,48 @@ type runOpts struct {
 	Args []string
 }
 
+// defaultOpts holds every flag's default: main registers the flags
+// with these values, and a field that differs from its default is a
+// flag the user set.
+func defaultOpts() runOpts {
+	return runOpts{
+		Mode:         "hardsnap",
+		Searcher:     "dfs",
+		Policy:       "one",
+		MaxInstr:     2_000_000,
+		Workers:      1,
+		Tenant:       "default",
+		FuzzExecs:    1000,
+		FuzzInputLen: 8,
+		FuzzSeed:     1,
+	}
+}
+
 func main() {
-	var opts runOpts
+	opts := defaultOpts()
 	var periphs periphFlag
 	flag.Var(&periphs, "periph", "peripheral NAME=KIND (repeatable; kinds: gpio timer uart spi crc32 aes128 regfile)")
 	var asserts assertFlag
 	flag.Var(&asserts, "assert", "hardware property PERIPH:NAME:EXPR (repeatable, simulator target only)")
-	flag.StringVar(&opts.Mode, "mode", "hardsnap", "consistency mode: hardsnap | naive-reboot | naive-shared | record-replay")
-	flag.StringVar(&opts.Searcher, "searcher", "dfs", "state selection: dfs | bfs | round-robin | random | coverage")
+	flag.StringVar(&opts.Mode, "mode", opts.Mode, "consistency mode: hardsnap | naive-reboot | naive-shared | record-replay")
+	flag.StringVar(&opts.Searcher, "searcher", opts.Searcher, "state selection: dfs | bfs | round-robin | random | coverage")
 	flag.BoolVar(&opts.FPGA, "fpga", false, "host peripherals on the FPGA target")
 	flag.BoolVar(&opts.Readback, "readback", false, "use FPGA readback snapshots instead of the scan chain")
-	flag.StringVar(&opts.Policy, "concretize", "one", "boundary concretization policy: one | all")
-	flag.Uint64Var(&opts.MaxInstr, "max-instructions", 2_000_000, "total instruction budget")
-	flag.IntVar(&opts.Workers, "workers", 1, "parallel exploration workers (0 = one per CPU)")
+	flag.StringVar(&opts.Policy, "concretize", opts.Policy, "boundary concretization policy: one | all")
+	flag.Uint64Var(&opts.MaxInstr, "max-instructions", opts.MaxInstr, "total instruction budget")
+	flag.IntVar(&opts.Workers, "workers", opts.Workers, "parallel exploration or fuzz workers (0 = one per CPU)")
 	flag.IntVar(&opts.Fanout, "seed-fanout", 0, "seed-phase fan-out width (0 = workers x 4); deeper queues help -nodes runs hide link latency")
 	flag.BoolVar(&opts.Verbose, "v", false, "print per-path detail")
 	flag.StringVar(&opts.ReportDir, "report", "", "write per-bug crash reports (test vector, model, hardware snapshot) to this directory")
 	flag.StringVar(&opts.Journal, "journal", "", "journal the parallel campaign to this file (crash-safe; resume with -resume)")
 	flag.StringVar(&opts.Resume, "resume", "", "resume the journaled campaign at this file (workers default to the journaled count)")
 	flag.StringVar(&opts.Farm, "farm", "", "submit the campaign to the hsfarm server at this address instead of running locally")
-	flag.StringVar(&opts.Tenant, "tenant", "default", "tenant name for -farm submissions")
+	flag.StringVar(&opts.Tenant, "tenant", opts.Tenant, "tenant name for -farm submissions")
 	flag.StringVar(&opts.Nodes, "nodes", "", "distribute subtrees to these dist workers (comma-separated host:port; start each with hsfarm -dist)")
 	flag.BoolVar(&opts.Fuzz, "fuzz", false, "coverage-guided fuzzing instead of symbolic exploration")
-	flag.IntVar(&opts.FuzzExecs, "fuzz-execs", 1000, "test-case budget for -fuzz, split across workers")
-	flag.IntVar(&opts.FuzzWorkers, "fuzz-workers", 1, "parallel fuzz workers for -fuzz")
-	flag.IntVar(&opts.FuzzInputLen, "fuzz-input-len", 8, "test-case size in bytes for -fuzz")
-	flag.Int64Var(&opts.FuzzSeed, "fuzz-seed", 1, "campaign rng seed for -fuzz (single-worker runs are byte-for-byte reproducible)")
+	flag.IntVar(&opts.FuzzExecs, "fuzz-execs", opts.FuzzExecs, "test-case budget for -fuzz, split across workers")
+	flag.IntVar(&opts.FuzzInputLen, "fuzz-input-len", opts.FuzzInputLen, "test-case size in bytes for -fuzz")
+	flag.Int64Var(&opts.FuzzSeed, "fuzz-seed", opts.FuzzSeed, "campaign rng seed for -fuzz (single-worker runs are byte-for-byte reproducible)")
 	flag.BoolVar(&opts.Hybrid, "hybrid", false, "with -fuzz: solve frontier branches concolically and inject the models as seeds")
 	flag.StringVar(&opts.Corpus, "corpus", "", "with -fuzz: persist corpus + crash buckets in this directory (suppressions.txt mutes known buckets)")
 	flag.BoolVar(&opts.JSON, "json", false, "with -fuzz: emit the campaign result as JSON on stdout")
@@ -172,12 +187,9 @@ func buildJob(opts runOpts) (campaign.Job, error) {
 	if err != nil {
 		return campaign.Job{}, err
 	}
-	workers := opts.Workers
-	if workers < 0 {
-		return campaign.Job{}, fmt.Errorf("-workers must be >= 0, got %d", workers)
-	}
-	if workers == 0 {
-		workers = core.AutoWorkers()
+	workers, err := workerCount(opts)
+	if err != nil {
+		return campaign.Job{}, err
 	}
 	job := campaign.Job{
 		Firmware:         string(src),
@@ -199,7 +211,64 @@ func buildJob(opts runOpts) (campaign.Job, error) {
 	return job, nil
 }
 
+// workerCount resolves -workers: 0 is one per CPU.
+func workerCount(opts runOpts) (int, error) {
+	switch {
+	case opts.Workers < 0:
+		return 0, fmt.Errorf("-workers must be >= 0, got %d", opts.Workers)
+	case opts.Workers == 0:
+		return core.AutoWorkers(), nil
+	}
+	return opts.Workers, nil
+}
+
+// checkModeFlags refuses a flag set away from its default in the mode
+// that ignores it: the exploration flags under -fuzz, the fuzz flags
+// without it.
+func checkModeFlags(opts runOpts) error {
+	d := defaultOpts()
+	type flagSet struct {
+		name string
+		set  bool
+	}
+	explore := []flagSet{
+		{"-farm", opts.Farm != d.Farm},
+		{"-nodes", opts.Nodes != d.Nodes},
+		{"-journal", opts.Journal != d.Journal},
+		{"-resume", opts.Resume != d.Resume},
+		{"-readback", opts.Readback != d.Readback},
+		{"-assert", len(opts.Asserts) > 0},
+		{"-report", opts.ReportDir != d.ReportDir},
+		{"-mode", opts.Mode != d.Mode},
+		{"-searcher", opts.Searcher != d.Searcher},
+		{"-concretize", opts.Policy != d.Policy},
+		{"-max-instructions", opts.MaxInstr != d.MaxInstr},
+		{"-seed-fanout", opts.Fanout != d.Fanout},
+	}
+	fuzzOnly := []flagSet{
+		{"-fuzz-execs", opts.FuzzExecs != d.FuzzExecs},
+		{"-fuzz-input-len", opts.FuzzInputLen != d.FuzzInputLen},
+		{"-fuzz-seed", opts.FuzzSeed != d.FuzzSeed},
+		{"-hybrid", opts.Hybrid != d.Hybrid},
+		{"-corpus", opts.Corpus != d.Corpus},
+		{"-json", opts.JSON != d.JSON},
+	}
+	ignored, mode := fuzzOnly, "without -fuzz"
+	if opts.Fuzz {
+		ignored, mode = explore, "with -fuzz"
+	}
+	for _, f := range ignored {
+		if f.set {
+			return fmt.Errorf("%s does not apply %s", f.name, mode)
+		}
+	}
+	return nil
+}
+
 func run(ctx context.Context, opts runOpts) (int, error) {
+	if err := checkModeFlags(opts); err != nil {
+		return 0, err
+	}
 	if opts.Fuzz {
 		return runFuzz(opts)
 	}
@@ -260,9 +329,8 @@ func run(ctx context.Context, opts runOpts) (int, error) {
 		ReportDir: opts.ReportDir,
 	}
 	if opts.Nodes != "" {
-		// The subtrees run on the remote nodes over the snapshot +
-		// solver-cache fabric; the merged report is the one a local run
-		// yields.
+		// The subtrees run on the remote nodes; the merged report is
+		// the one a local run yields.
 		runOpts.Fanout = dist.Fanout(strings.Split(opts.Nodes, ","))
 	}
 	res, err := campaign.Runner{}.Run(ctx, job, runOpts)
@@ -286,11 +354,12 @@ func run(ctx context.Context, opts runOpts) (int, error) {
 // runFuzz runs the coverage-guided fuzzing mode: a local campaign
 // over the same firmware and SoC layout the exploration modes use.
 func runFuzz(opts runOpts) (int, error) {
-	if opts.Farm != "" || opts.Nodes != "" || opts.Journal != "" || opts.Resume != "" {
-		return 0, fmt.Errorf("-fuzz is a local single-process mode; -farm, -nodes, -journal and -resume do not apply")
-	}
 	if len(opts.Args) != 1 {
 		return 0, fmt.Errorf("usage: hardsnap -fuzz [flags] firmware.s")
+	}
+	workers, err := workerCount(opts)
+	if err != nil {
+		return 0, err
 	}
 	src, err := os.ReadFile(opts.Args[0])
 	if err != nil {
@@ -308,7 +377,7 @@ func runFuzz(opts runOpts) (int, error) {
 		MaxExecs:    opts.FuzzExecs,
 		InputLen:    opts.FuzzInputLen,
 		Seed:        opts.FuzzSeed,
-		Workers:     opts.FuzzWorkers,
+		Workers:     workers,
 		Hybrid:      opts.Hybrid,
 		CorpusDir:   opts.Corpus,
 	}
@@ -372,10 +441,9 @@ func printResult(res *campaign.Result, opts runOpts, journalPath string) int {
 	if len(rep.Nodes) > 0 {
 		fmt.Printf("distributed: %d node(s)\n", len(rep.Nodes))
 		for _, n := range rep.Nodes {
-			fmt.Printf("  node %-21s %d subtree(s), %d path(s), %v, %d reconnect(s), solver cache %.0f%% hit, snapshots %d B on wire (%d B full)\n",
+			fmt.Printf("  node %-21s %d subtree(s), %d path(s), %v, %d reconnect(s)\n",
 				n.Node, n.Subtrees, n.Paths, n.VirtualTime.Round(time.Microsecond),
-				n.Reconnects, 100*n.SolverCache.HitRate(),
-				n.SnapBytesShipped, n.SnapBytesFull)
+				n.Reconnects)
 		}
 	}
 	rec := rep.Recovery

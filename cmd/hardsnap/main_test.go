@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hardsnap/internal/campaign"
@@ -35,17 +38,14 @@ func writeFirmware(t *testing.T, fw string) string {
 	return src
 }
 
-// baseOpts is a valid single-worker software-only invocation; tests
-// override fields per case.
+// baseOpts is a valid single-worker software-only exploration: the
+// flag defaults with a smaller instruction budget. Tests override
+// fields per case.
 func baseOpts(src string) runOpts {
-	return runOpts{
-		Mode:     "hardsnap",
-		Searcher: "dfs",
-		Policy:   "one",
-		MaxInstr: 100000,
-		Workers:  1,
-		Args:     []string{src},
-	}
+	o := defaultOpts()
+	o.MaxInstr = 100000
+	o.Args = []string{src}
+	return o
 }
 
 func TestRunFindsBug(t *testing.T) {
@@ -158,6 +158,56 @@ func TestRunValidation(t *testing.T) {
 	if err := bad(func(o *runOpts) { o.Resume = "does-not-exist.hsj" }); err == nil {
 		t.Fatal("resume of a missing journal must fail")
 	}
+	// A flag of one mode set in the other is refused, not ignored.
+	if err := bad(func(o *runOpts) { o.JSON = true }); err == nil || !strings.Contains(err.Error(), "-json") {
+		t.Fatalf("-json without -fuzz: err = %v, want a refusal naming -json", err)
+	}
+	src := writeFirmware(t, buggyFirmware)
+	fuzzOpts := defaultOpts()
+	fuzzOpts.Fuzz = true
+	fuzzOpts.Args = []string{src}
+	withReadback := fuzzOpts
+	withReadback.FPGA, withReadback.Readback = true, true
+	if _, err := run(context.Background(), withReadback); err == nil || !strings.Contains(err.Error(), "-readback") {
+		t.Fatalf("-fuzz -readback: err = %v, want a refusal naming -readback", err)
+	}
+	// -workers sets the fuzz worker count.
+	fuzzOpts.Workers = 2
+	fuzzOpts.JSON = true
+	var code int
+	var err error
+	out := captureStdout(t, func() { code, err = run(context.Background(), fuzzOpts) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res struct{ Workers, Execs int }
+	if err := json.Unmarshal(out, &res); err != nil {
+		t.Fatalf("-fuzz -json output: %v\n%s", err, out)
+	}
+	if res.Workers != 2 || res.Execs != fuzzOpts.FuzzExecs {
+		t.Fatalf("-fuzz -workers 2 ran %d workers and %d execs (exit %d), want 2 and %d", res.Workers, res.Execs, code, fuzzOpts.FuzzExecs)
+	}
+}
+
+// captureStdout returns what f writes to os.Stdout. f must return
+// normally (no t.Fatal), so that stdout is always put back.
+func captureStdout(t *testing.T, f func()) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	f()
+	os.Stdout = saved
+	w.Close()
+	return <-out
 }
 
 func TestPeriphFlag(t *testing.T) {

@@ -13,8 +13,10 @@ import (
 )
 
 // MaxMessage caps one JSON message on a farm or dist connection, in
-// bytes without its newline. The largest messages, a job carrying
-// firmware and Verilog sources and a subtree result, stay far below it.
+// bytes without its newline. The largest messages are a job carrying
+// firmware and Verilog sources and a dist node's subtree result, whose
+// bug snapshots travel inline: the cap bounds one subtree's bug
+// records (DESIGN §14).
 const MaxMessage = 16 << 20
 
 // ErrMessageTooLarge is what MessageReader returns for a message past

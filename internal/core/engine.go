@@ -349,9 +349,8 @@ func (r *Report) Add(o *Report) {
 }
 
 // NodeReport is one distributed node's share of a run: what it
-// executed, what the fabrics moved on its behalf, and how its private
-// solver cache behaved. The driver's own fallback execution appears
-// as the node named "local".
+// executed and how often its connection had to be redialed. The
+// driver's own fallback execution appears as the node named "local".
 type NodeReport struct {
 	// Node is the worker address (host:port), or "local".
 	Node string
@@ -365,16 +364,6 @@ type NodeReport struct {
 	// dropped connection (a node that stays dead is requeued work,
 	// counted in Recovery, not here).
 	Reconnects int
-	// SolverCache is the node-side cache at campaign end: Imported
-	// entries arrived over the solver fabric, Published entries were
-	// discovered locally and offered to it.
-	SolverCache solver.CacheStats
-	// SnapBytesShipped is the snapshot state bytes this node actually
-	// sent the driver (bug-snapshot delta frames). SnapBytesFull is
-	// what a fabric-less transfer of the same records would have cost —
-	// the ratio is the digest-peering savings.
-	SnapBytesShipped uint64
-	SnapBytesFull    uint64
 }
 
 // Bugs returns the states that ended in an assertion failure or

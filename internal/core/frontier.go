@@ -151,16 +151,6 @@ func (e *Engine) Frontier(ctx context.Context) (*Frontier, error) {
 // seed phase (nil otherwise: the frontier has seeds to run).
 func (f *Frontier) Done() *Report { return f.done }
 
-// SolverCache exposes the run's shared memoized solver cache — the
-// unit the distributed solver fabric replicates across nodes (see
-// solver.Cache.DeltaSince / Import).
-func (f *Frontier) SolverCache() *solver.Cache { return f.e.exec.Solver.Cache }
-
-// Store exposes the run's content-addressed snapshot store. The
-// distributed snapshot fabric resolves delta-frame chunk digests
-// against it and adopts fetched bug records into it.
-func (f *Frontier) Store() *snapshot.Store { return f.e.snaps }
-
 // FrontierID identifies a frontier across processes: the run
 // configuration fingerprint plus the full outcome of the
 // deterministic seed phase, including the content digests of every
@@ -352,10 +342,9 @@ func (f *Frontier) runSubtreeOn(wctx context.Context, idx int, rig *Rig, hook fu
 
 // SubtreeResult is one completed subtree's contribution to the merge:
 // its own Report and — under Config.KeepBugSnapshots — the retained
-// hardware snapshots of buggy states, keyed by state ID. The
-// distributed fabric detaches BugSnaps on the node side (the wire
-// carries their digests) and re-attaches the fetched records on the
-// driver's before merging.
+// hardware snapshots of buggy states, keyed by state ID. Encode is its
+// one byte form, whichever executor ran the subtree: the journal
+// stores it and a dist node answers with it.
 type SubtreeResult struct {
 	// Index is the subtree's seed index.
 	Index    int
@@ -364,7 +353,7 @@ type SubtreeResult struct {
 }
 
 // subtreeWire is SubtreeResult's gob form, the campaign journal's
-// subtree record and the distributed wire's result: the report's tally
+// subtree record and a dist node's run answer: the report's tally
 // as it is, its paths in their portable projection, bug snapshots in
 // the snapshot record byte form and in state-ID order (a slice for the
 // reasons modelVar gives).
@@ -398,8 +387,7 @@ func (r *SubtreeResult) Encode() ([]byte, error) {
 	return gobEncode(w)
 }
 
-// DecodeSubtreeResult parses an Encode'd subtree result. Its BugSnaps
-// map is never nil, so a receiver can attach records to it.
+// DecodeSubtreeResult parses an Encode'd subtree result.
 func DecodeSubtreeResult(data []byte) (*SubtreeResult, error) {
 	var w subtreeWire
 	if err := gobDecode(data, &w); err != nil {

@@ -14,7 +14,7 @@ import (
 // WriteCrashReports materializes one directory per bug under dir:
 //
 //	bug-<id>/
-//	  report.txt    status, PC, path constraints count, console, model
+//	  report.txt    status, PC, steps, detail, console, model
 //	  vector-<tag>  raw test-case bytes per make-symbolic tag
 //	  hardware.snap serialized hardware snapshot (when retained)
 //
@@ -42,12 +42,15 @@ func (a *Analysis) WriteCrashReports(dir string, rep *Report) (int, error) {
 	return written, nil
 }
 
+// writeOneReport writes one bug's report. It reads only what a
+// subtree result's byte form carries (portablePath, bug snapshots), so
+// a report does not depend on where its subtree ran: locally, on a
+// dist node or in a resumed journal.
 func (a *Analysis) writeOneReport(dir string, bug *symexec.State) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "status: %v\n", bug.Status)
 	fmt.Fprintf(&b, "pc: %#x\n", bug.PC)
 	fmt.Fprintf(&b, "steps: %d\n", bug.Steps)
-	fmt.Fprintf(&b, "path constraints: %d\n", len(bug.Constraints))
 	if bug.Err != nil {
 		fmt.Fprintf(&b, "detail: %v\n", bug.Err)
 	}

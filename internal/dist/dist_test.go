@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -13,9 +16,9 @@ import (
 )
 
 // distFirmware branches on six symbolic bits (64 paths) and aborts on
-// every path where the low two bits are set (16 bugs) — enough bug
-// snapshots to exercise the snapshot fabric, with a large untouched
-// regfile peripheral whose chunks every bug record shares.
+// every path where the low two bits are set (16 bugs), after filling
+// the register file: every bug snapshot a node returns carries a
+// bulky, non-zero chunk that must arrive intact.
 const distFirmware = `
 _start:
 		li r9, 0x40000100  ; regfile: fill every word with a nonzero
@@ -73,11 +76,7 @@ func distJob(workers int) campaign.Job {
 		Firmware: distFirmware,
 		Peripherals: []target.PeriphConfig{
 			{Name: "gpio0", Periph: "gpio"},
-			// A deep register file the firmware never touches: its
-			// chunk is identical across every bug snapshot, so the
-			// digest fabric ships it zero times (both sides hold it
-			// from the seed phase) while shipping each record inline
-			// would pay for it in every result.
+			// A deep register file, filled before the first fork.
 			{Name: "rf0", Periph: "regfile", Params: map[string]uint64{"DEPTH": 256}},
 		},
 		Searcher:         "bfs",
@@ -217,64 +216,75 @@ func TestDistZeroNodes(t *testing.T) {
 	assertSameOutcome(t, want, got)
 }
 
-// TestDistSharedFabricSavesBytes checks that the digest fabric ships
-// at most a fifth of the snapshot bytes that inlining every bug record in
-// its result would have cost. The inline cost is not re-measured by a
-// second run: every BugRef carries its record's full encoded size and
-// the driver totals them as SnapBytesFull.
-func TestDistSharedFabricSavesBytes(t *testing.T) {
+// TestDistCrashReportsMatchLocal: the crash reports of a run whose
+// subtrees crossed the dist wire are byte-identical, file for file, to
+// those of a local run — report text, test vectors and the hardware
+// snapshots the nodes returned.
+func TestDistCrashReportsMatchLocal(t *testing.T) {
 	job := distJob(2)
-	want := runLocal(t, job)
-
-	addrs, _ := startNodes(t, 2)
-	res, err := runNodes(job, addrs, campaign.RunOptions{})
+	localDir, distDir := t.TempDir(), t.TempDir()
+	want, err := campaign.Runner{}.Run(context.Background(), job, campaign.RunOptions{ReportDir: localDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameOutcome(t, want, res)
-	var shipped, full uint64
-	for _, nr := range res.Report.Nodes {
-		shipped += nr.SnapBytesShipped
-		full += nr.SnapBytesFull
+	addrs, _ := startNodes(t, 2)
+	got, err := runNodes(job, addrs, campaign.RunOptions{ReportDir: distDir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if shipped == 0 {
-		t.Fatal("run shipped zero snapshot bytes; expected bug snapshots on the wire")
+	assertSameOutcome(t, want, got)
+	remote := 0
+	for _, nr := range got.Report.Nodes {
+		if nr.Node != "local" {
+			remote += nr.Subtrees
+		}
 	}
-	t.Logf("snapshot bytes: shipped=%d, full-equivalent=%d (%.1fx)", shipped, full, float64(full)/float64(shipped))
-	if shipped*5 > full {
-		t.Errorf("fabric shipped %d bytes, want at most a fifth of the inline cost %d", shipped, full)
+	if remote == 0 {
+		t.Fatal("no subtree ran on a node")
+	}
+	wantFiles, gotFiles := readTree(t, localDir), readTree(t, distDir)
+	snaps := 0
+	for name, data := range wantFiles {
+		if filepath.Base(name) == "hardware.snap" {
+			snaps++
+		}
+		if g, ok := gotFiles[name]; !ok {
+			t.Errorf("%s: missing from the distributed run's reports", name)
+		} else if !bytes.Equal(g, data) {
+			t.Errorf("%s differs:\n local %q\n  dist %q", name, data, g)
+		}
+	}
+	for name := range gotFiles {
+		if _, ok := wantFiles[name]; !ok {
+			t.Errorf("%s: only in the distributed run's reports", name)
+		}
+	}
+	if snaps != len(want.Bugs) || snaps == 0 {
+		t.Errorf("%d hardware snapshots for %d bugs", snaps, len(want.Bugs))
 	}
 }
 
-// TestDistSecondDriverShipsNoMore runs one job twice against the same
-// node. The campaign stays resident on the node between the two
-// drivers, but the second driver holds none of the chunks the first was
-// sent, so a delta frame may reference only the seed snapshots' chunks:
-// the second run ships no more snapshot bytes than the first. (One node,
-// so every bug record of both runs is fetched from the same campaign.)
-func TestDistSecondDriverShipsNoMore(t *testing.T) {
-	job := distJob(2)
-	addrs, _ := startNodes(t, 1)
-	shipped := func() uint64 {
-		t.Helper()
-		res, err := runNodes(job, addrs, campaign.RunOptions{})
+// readTree returns every regular file under dir by its path relative
+// to dir.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		var n uint64
-		for _, nr := range res.Report.Nodes {
-			n += nr.SnapBytesShipped
-		}
-		return n
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := shipped()
-	second := shipped()
-	if first == 0 {
-		t.Fatal("first driver fetched no snapshot bytes")
-	}
-	if second > first {
-		t.Errorf("second driver shipped %d snapshot bytes, first %d", second, first)
-	}
+	return files
 }
 
 // killOnFirstRun arms victim to die mid-subtree: its first run op

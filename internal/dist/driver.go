@@ -1,7 +1,6 @@
-// The driver side of a distributed run: Fanout, the node-connection
-// slots it passes to core.Frontier.Run, and the driver ends of the
-// solver and snapshot fabrics. No work queue lives here; see the
-// package comment.
+// The driver side of a distributed run: Fanout and the node-connection
+// slots it passes to core.Frontier.Run. No work queue lives here; see
+// the package comment.
 
 package dist
 
@@ -12,96 +11,17 @@ import (
 
 	"hardsnap/internal/campaign"
 	"hardsnap/internal/core"
-	"hardsnap/internal/snapshot"
-	"hardsnap/internal/solver"
 )
 
-// relay is the driver's solver-fabric hub: a deduplicated ledger of
-// every verdict discovered anywhere (driver seed phase, local
-// fallback subtrees, any node), with a cursor per node recording what
-// that node has already been offered. Imports into the driver's own
-// cache never re-enter the ledger (solver.Cache.Import does not log),
-// so entries cannot echo in cycles.
-type relay struct {
-	cache *solver.Cache
-
-	mu          sync.Mutex
-	seen        map[solver.CacheKey]bool
-	log         []solver.WireEntry
-	localCursor int
-	nodeCursor  map[string]int
-}
-
-func newRelay(cache *solver.Cache) *relay {
-	return &relay{
-		cache:      cache,
-		seen:       make(map[solver.CacheKey]bool),
-		nodeCursor: make(map[string]int),
-	}
-}
-
-// pullLocked drains the driver cache's own changelog into the ledger.
-func (r *relay) pullLocked() {
-	delta, cur := r.cache.DeltaSince(r.localCursor)
-	r.localCursor = cur
-	for _, e := range delta {
-		if !r.seen[e.Key] {
-			r.seen[e.Key] = true
-			r.log = append(r.log, e)
-		}
-	}
-}
-
-// delta returns the ledger entries node has not been offered yet and
-// advances its cursor. Delivery is best-effort: if the carrying
-// request fails, the entries are simply not re-sent — the fabric is a
-// performance channel, never a correctness dependency.
-func (r *relay) delta(node string) []solver.WireEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pullLocked()
-	cur := r.nodeCursor[node]
-	if cur >= len(r.log) {
-		return nil
-	}
-	out := make([]solver.WireEntry, len(r.log)-cur)
-	copy(out, r.log[cur:])
-	r.nodeCursor[node] = len(r.log)
-	return out
-}
-
-// offer ingests verdicts a node discovered: unseen entries join the
-// ledger and the driver's own cache (so local fallback work benefits
-// too).
-func (r *relay) offer(entries []solver.WireEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	r.mu.Lock()
-	fresh := entries[:0:0]
-	for _, e := range entries {
-		if !r.seen[e.Key] {
-			r.seen[e.Key] = true
-			r.log = append(r.log, e)
-			fresh = append(fresh, e)
-		}
-	}
-	r.mu.Unlock()
-	r.cache.Import(fresh)
-}
-
-// driver holds the fabric state of one distributed campaign: the
-// solver relay, the fetched bug records and the per-node reports.
+// driver holds the per-node reports of one distributed campaign.
 // Scheduling is not its business — the subtrees run under the same
 // supervisor as a local parallel run (core.Frontier.Run); the driver
 // only supplies the slots whose executors reach a node.
 type driver struct {
-	f     *core.Frontier
-	relay *relay
+	f *core.Frontier
 
-	mu      sync.Mutex
-	fetched map[string]*snapshot.Record
-	nodes   []*node
+	mu    sync.Mutex
+	nodes []*node
 }
 
 // Fanout returns the campaign.RunOptions.Fanout that runs a frontier's
@@ -114,11 +34,7 @@ type driver struct {
 // gate).
 func Fanout(addrs []string) func(context.Context, campaign.Job, *core.Frontier) (*core.Report, error) {
 	return func(ctx context.Context, job campaign.Job, f *core.Frontier) (*core.Report, error) {
-		d := &driver{
-			f:       f,
-			relay:   newRelay(f.SolverCache()),
-			fetched: make(map[string]*snapshot.Record),
-		}
+		d := &driver{f: f}
 		return d.run(ctx, job, addrs)
 	}
 }
@@ -144,21 +60,10 @@ func (d *driver) run(ctx context.Context, job campaign.Job, addrs []string) (*co
 	if err != nil {
 		return nil, err
 	}
-
-	var statsWG sync.WaitGroup
-	for _, n := range d.nodes {
-		statsWG.Add(1)
-		go func(n *node) {
-			defer statsWG.Done()
-			n.harvestStats()
-		}(n)
-	}
-	statsWG.Wait()
 	for _, n := range d.nodes {
 		rep.Nodes = append(rep.Nodes, *n.report)
 	}
 	if local.Subtrees > 0 {
-		local.SolverCache = d.f.SolverCache().Stats()
 		rep.Nodes = append(rep.Nodes, *local)
 	}
 	return rep, nil
@@ -267,7 +172,7 @@ func (n *node) slot(d *driver) core.Slot {
 			d.mu.Unlock()
 		}
 		return func(_ context.Context, idx, _ int) (*core.SubtreeResult, error) {
-			res, err := n.runSubtree(d, nc, idx)
+			res, err := n.runSubtree(nc, idx)
 			if err == nil {
 				d.count(n.report, res)
 			}
@@ -276,32 +181,11 @@ func (n *node) slot(d *driver) core.Slot {
 	}
 }
 
-// harvestStats collects the node-side cache stats for the per-node
-// report.
-func (n *node) harvestStats() {
-	nc, err := campaign.Dial(n.addr)
-	if err != nil {
-		return
-	}
-	defer nc.Close()
+// runSubtree executes one remote subtree: the node answers with the
+// subtree's encoded result, bug snapshots inline.
+func (n *node) runSubtree(nc *campaign.Conn, idx int) (*core.SubtreeResult, error) {
 	var resp Response
-	if nc.RoundTrip(Request{Op: "stats", Token: n.token}, &resp) == nil && resp.Status != nil {
-		n.report.SolverCache = resp.Status.Solver
-	}
-}
-
-// runSubtree executes one remote subtree: ship the solver-fabric
-// delta, run, ingest the returned verdicts, and re-attach bug
-// snapshots (fetched over the digest fabric).
-func (n *node) runSubtree(d *driver, nc *campaign.Conn, idx int) (*core.SubtreeResult, error) {
-	var resp Response
-	err := nc.RoundTrip(Request{
-		Op:      "run",
-		Token:   n.token,
-		Subtree: idx,
-		Solver:  d.relay.delta(n.addr),
-	}, &resp)
-	if err != nil {
+	if err := nc.RoundTrip(Request{Op: "run", Token: n.token, Subtree: idx}, &resp); err != nil {
 		return nil, err
 	}
 	if !resp.OK {
@@ -311,50 +195,5 @@ func (n *node) runSubtree(d *driver, nc *campaign.Conn, idx int) (*core.SubtreeR
 	if err != nil {
 		return nil, fmt.Errorf("node %s: corrupt result: %w", n.addr, err)
 	}
-	d.relay.offer(resp.Solver)
-	for _, ref := range resp.Bugs {
-		rec, shipped, err := d.fetchRecord(n, nc, ref)
-		if err != nil {
-			return nil, err
-		}
-		d.mu.Lock()
-		n.report.SnapBytesShipped += shipped
-		n.report.SnapBytesFull += ref.Bytes
-		d.mu.Unlock()
-		res.BugSnaps[ref.State] = rec
-	}
 	return res, nil
-}
-
-// fetchRecord materializes one bug snapshot from the fabric. A digest
-// any node already shipped is served from the driver's cache with zero
-// wire bytes; otherwise one delta frame crosses, in which the chunks
-// of the seed snapshots arrive as digests — the FrontierID proved the
-// driver's store holds them until the frontier closes — and every
-// other chunk inline.
-func (d *driver) fetchRecord(n *node, nc *campaign.Conn, ref BugRef) (*snapshot.Record, uint64, error) {
-	d.mu.Lock()
-	rec, ok := d.fetched[ref.Digest]
-	d.mu.Unlock()
-	if ok {
-		return rec, 0, nil
-	}
-	var resp Response
-	if err := nc.RoundTrip(Request{Op: "fetch", Token: n.token, Digest: ref.Digest}, &resp); err != nil {
-		return nil, 0, err
-	}
-	if !resp.OK {
-		return nil, 0, fmt.Errorf("node %s: %s", n.addr, resp.Error)
-	}
-	rec, missing, err := snapshot.DecodeDelta(resp.Data, d.f.Store().PeriphByDigest)
-	if err == nil && len(missing) > 0 {
-		err = fmt.Errorf("%d chunks match no seed snapshot", len(missing))
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("node %s: fetch %s: %w", n.addr, ref.Digest, err)
-	}
-	d.mu.Lock()
-	d.fetched[ref.Digest] = rec
-	d.mu.Unlock()
-	return rec, uint64(len(resp.Data)), nil
 }

@@ -2,22 +2,18 @@ package dist
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"hardsnap/internal/campaign"
 	"hardsnap/internal/core"
-	"hardsnap/internal/snapshot"
 )
 
 // Server is one distributed exploration node: it prepares campaigns
-// (re-running the deterministic seed phase from the job), runs
-// subtrees by bare index, and serves bug-snapshot content over the
-// digest-peering fabric. One Server typically fronts one machine's
+// (re-running the deterministic seed phase from the job) and runs
+// subtrees by bare index. One Server typically fronts one machine's
 // worth of targets; concurrent connections (the driver opens one per
 // work slot) share prepared campaigns. Serve and ListenAndServe are
 // the shared connection layer's.
@@ -26,25 +22,13 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// campaigns holds the prepared frontiers by job fingerprint.
 	mu        sync.Mutex
-	campaigns map[string]*nodeCampaign
+	campaigns map[string]*core.Frontier
 
 	// testBeforeRun, when set, observes every run op before the
 	// subtree executes (tests inject node death here).
 	testBeforeRun func(subtree int)
-}
-
-// nodeCampaign is one prepared frontier plus the node-side fabric
-// state: which solver entries the driver has been offered, which bug
-// records this node holds, and the peripheral chunks of the seed
-// snapshots, which cross the wire as digests.
-type nodeCampaign struct {
-	f    *core.Frontier
-	seed map[snapshot.Digest]bool
-
-	mu     sync.Mutex
-	cursor int
-	bugs   map[string]*snapshot.Record
 }
 
 // NewServer returns an idle node.
@@ -53,7 +37,7 @@ func NewServer() *Server {
 	s := &Server{
 		ctx:       ctx,
 		cancel:    cancel,
-		campaigns: make(map[string]*nodeCampaign),
+		campaigns: make(map[string]*core.Frontier),
 	}
 	s.ConnServer = campaign.NewConnServer(s.serveConn)
 	return s
@@ -65,8 +49,8 @@ func (s *Server) Close() {
 	s.cancel()
 	s.ConnServer.Close()
 	s.mu.Lock()
-	for tok, c := range s.campaigns {
-		c.f.Close()
+	for tok, f := range s.campaigns {
+		f.Close()
 		delete(s.campaigns, tok)
 	}
 	s.mu.Unlock()
@@ -93,14 +77,10 @@ func (s *Server) handle(req Request) Response {
 		return s.prepare(req)
 	case "run":
 		return s.run(req)
-	case "fetch":
-		return s.fetch(req)
-	case "stats":
-		return s.stats(req)
 	case "release":
 		s.mu.Lock()
-		if c, ok := s.campaigns[req.Token]; ok {
-			c.f.Close()
+		if f, ok := s.campaigns[req.Token]; ok {
+			f.Close()
 			delete(s.campaigns, req.Token)
 		}
 		s.mu.Unlock()
@@ -109,11 +89,11 @@ func (s *Server) handle(req Request) Response {
 	return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 }
 
-func (s *Server) campaign(token string) (*nodeCampaign, bool) {
+func (s *Server) campaign(token string) (*core.Frontier, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.campaigns[token]
-	return c, ok
+	f, ok := s.campaigns[token]
+	return f, ok
 }
 
 // prepare re-runs the seed phase for the job and validates the
@@ -133,8 +113,8 @@ func (s *Server) prepare(req Request) Response {
 	if s.ctx.Err() != nil {
 		return Response{Error: "prepare: node is shutting down"}
 	}
-	if c, ok := s.campaigns[tok]; ok {
-		id := c.f.ID()
+	if f, ok := s.campaigns[tok]; ok {
+		id := f.ID()
 		if !id.Equal(*req.Frontier) {
 			return Response{Error: "prepare: frontier mismatch against resident campaign"}
 		}
@@ -159,100 +139,27 @@ func (s *Server) prepare(req Request) Response {
 			"prepare: frontier mismatch (node %d seeds / hash %s, driver %d / %s) — differing binaries or corrupted job",
 			id.Seeds, id.SeedsHash, req.Frontier.Seeds, req.Frontier.SeedsHash)}
 	}
-	c := &nodeCampaign{
-		f:    f,
-		seed: make(map[snapshot.Digest]bool),
-		bugs: make(map[string]*snapshot.Record),
-	}
-	// The FrontierID proved both sides ran the same seed phase, so the
-	// driver's store holds every peripheral chunk of the seed snapshots
-	// until it closes its frontier, and this node's until it releases
-	// the campaign: peripheral state a subtree never touched crosses the
-	// wire as a digest. No other chunk is assumed on the driver, whatever
-	// an earlier fetch shipped — it may have gone to another driver.
-	for _, hexd := range id.SeedSnapshots {
-		var d snapshot.Digest
-		if _, err := hex.Decode(d[:], []byte(hexd)); err != nil {
-			continue
-		}
-		if rec, ok := f.Store().RecordByDigest(d); ok {
-			for _, hw := range rec.HW {
-				c.seed[snapshot.HWDigest(hw)] = true
-			}
-		}
-	}
-	s.campaigns[tok] = c
+	s.campaigns[tok] = f
 	return Response{OK: true, Token: tok, Frontier: &id}
 }
 
-// run executes one subtree. The request piggybacks the solver-fabric
-// delta (imported before execution); the response piggybacks the
-// verdicts this node discovered since its previous response and the
-// detached bug snapshots as content digests.
+// run executes one subtree and answers with its encoded result, bug
+// snapshots inline, as the campaign journal stores it.
 func (s *Server) run(req Request) Response {
-	c, ok := s.campaign(req.Token)
+	f, ok := s.campaign(req.Token)
 	if !ok {
 		return Response{Error: fmt.Sprintf("run: unknown campaign %q", req.Token)}
 	}
 	if s.testBeforeRun != nil {
 		s.testBeforeRun(req.Subtree)
 	}
-	if len(req.Solver) > 0 {
-		c.f.SolverCache().Import(req.Solver)
-	}
-	res, err := c.f.RunSubtree(s.ctx, req.Subtree)
+	res, err := f.RunSubtree(s.ctx, req.Subtree)
 	if err != nil {
 		return Response{Error: fmt.Sprintf("run: subtree %d: %v", req.Subtree, err)}
 	}
-	resp := Response{OK: true}
-	for id, rec := range res.BugSnaps {
-		d := snapshot.DigestRecord(rec)
-		hexd := fmt.Sprintf("%x", d[:])
-		c.mu.Lock()
-		c.bugs[hexd] = rec
-		c.mu.Unlock()
-		resp.Bugs = append(resp.Bugs, BugRef{State: id, Digest: hexd, Bytes: uint64(len(snapshot.EncodeDelta(rec, nil)))})
-	}
-	sort.Slice(resp.Bugs, func(i, j int) bool { return resp.Bugs[i].State < resp.Bugs[j].State })
-	// The records stay in this node's cache; the result travels without.
-	res.BugSnaps = nil
 	data, err := res.Encode()
 	if err != nil {
 		return Response{Error: fmt.Sprintf("run: encode result: %v", err)}
 	}
-	resp.Result = data
-	c.mu.Lock()
-	resp.Solver, c.cursor = c.f.SolverCache().DeltaSince(c.cursor)
-	c.mu.Unlock()
-	return resp
-}
-
-// fetch serves one bug record over the digest-peering fabric:
-// peripheral chunks of the seed snapshots are referenced by digest,
-// everything else travels inline.
-func (s *Server) fetch(req Request) Response {
-	c, ok := s.campaign(req.Token)
-	if !ok {
-		return Response{Error: fmt.Sprintf("fetch: unknown campaign %q", req.Token)}
-	}
-	c.mu.Lock()
-	rec, ok := c.bugs[req.Digest]
-	c.mu.Unlock()
-	if !ok {
-		return Response{Error: fmt.Sprintf("fetch: unknown digest %s", req.Digest)}
-	}
-	return Response{OK: true, Data: snapshot.EncodeDelta(rec, func(d snapshot.Digest) bool { return c.seed[d] })}
-}
-
-func (s *Server) stats(req Request) Response {
-	s.mu.Lock()
-	n := len(s.campaigns)
-	c := s.campaigns[req.Token]
-	s.mu.Unlock()
-	st := &NodeStatus{Campaigns: n}
-	if c != nil {
-		st.Solver = c.f.SolverCache().Stats()
-		st.Store = c.f.Store().Stats()
-	}
-	return Response{OK: true, Status: st}
+	return Response{OK: true, Result: data}
 }

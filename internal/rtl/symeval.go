@@ -62,7 +62,11 @@ type symVal struct {
 //   - nonblocking assigns to registers, their bits and part selects,
 //     and to memory words at an index that folds to a constant;
 //   - wires, settled when read by running the comb node driving them
-//     with blocking semantics.
+//     with blocking semantics;
+//   - a signal nothing drives (an undriven wire, or a reg no block
+//     writes), as the constant 0 it holds from power-on on both
+//     engines: it is not state, and only the test seam sim.Poke
+//     writes it.
 //
 // What it does not model leaves only the targets of the statement
 // that needs it with an error instead of a term: a memory word read or
@@ -160,11 +164,11 @@ func (c *SymCycle) combWritten(id int) bool {
 }
 
 // settle runs the comb node driving wire sig and records the value of
-// every wire it drives.
+// every wire it drives; a wire nothing drives is 0.
 func (c *SymCycle) settle(sig *Signal) {
 	n := c.drivers[sig.ID]
 	if n == nil {
-		c.wires[sig.ID] = symVal{err: unsupported("wire %s has no driver", sig.Name)}
+		c.wires[sig.ID] = symVal{t: c.b.Const(0, sig.Width)}
 		return
 	}
 	s := &sym{c: c, scope: n.Scope, node: n, env: make(map[int]symVal)}

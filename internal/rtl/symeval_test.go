@@ -70,6 +70,49 @@ func TestSymStepMatchesEngines(t *testing.T) {
 	}
 }
 
+// TestSymStepReadsUndrivenAsZero: a reg no block writes and a wire
+// nothing drives hold their power-on 0 on both engines (neither is
+// state), so a register that reads them is modeled, and its next value
+// equals one StepCycle of each engine.
+func TestSymStepReadsUndrivenAsZero(t *testing.T) {
+	const src = `module undriven (
+  input wire clk,
+  input wire [7:0] d
+);
+  reg [7:0] ghost;
+  wire [3:0] loose;
+  reg [7:0] r;
+  reg [7:0] q;
+  always @(posedge clk) begin
+    r <= d + ghost;
+    q <= {loose, r[3:0]} ^ ghost;
+  end
+endmodule
+`
+	file, err := verilog.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := rtl.Elaborate(file, "undriven", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ghost, ok := d.SignalByName("ghost"); !ok || ghost.IsReg {
+		t.Fatalf("ghost: found %v, want a signal that is not state", ok)
+	}
+	cyc := rtl.SymStep(d, expr.NewBuilder(), nil)
+	next := map[string]*expr.Term{}
+	for _, sig := range d.Regs() {
+		if next[sig.Name], err = cyc.Next(sig.ID); err != nil {
+			t.Fatalf("%s unmodeled: %v", sig.Name, err)
+		}
+	}
+	if len(next) != 2 {
+		t.Fatalf("registers %v, want r and q", next)
+	}
+	matchEngines(t, d, next, nil, testseed.Quick(t, 64).Rand, 64, sim.EngineInterp, sim.EngineCompiled)
+}
+
 // matchEngines evaluates every modeled next-value term of next (by
 // register name or "memory[word]") at states random states of d drawn
 // from r, with the pinned inputs held, and checks that one StepCycle of

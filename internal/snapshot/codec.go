@@ -60,8 +60,8 @@ func AppendChunk(b []byte, hw *sim.HWState) []byte {
 
 // HWDigest content-addresses one peripheral's state: the SHA-256 of
 // its state bytes. The store's intern pool is keyed by it and the
-// remote protocol and the dist fabric negotiate by it, so a chunk
-// either end already holds never crosses a wire again.
+// remote protocol negotiates by it, so a chunk either end of that
+// wire already holds never crosses it again.
 func HWDigest(hw *sim.HWState) Digest {
 	var stack [2048]byte
 	return sha256.Sum256(AppendChunk(stack[:0], hw)[4:])
@@ -213,7 +213,8 @@ const (
 // appendPayload appends rec's payload. have (nil: omit nothing) is
 // asked once per peripheral, in name order, whether to omit its chunk;
 // the chunk is encoded and hashed either way, so the digests have sees
-// are the record's content addresses.
+// are the record's content addresses. Only content addressing omits
+// chunks (address): an encoded record carries every chunk inline.
 func appendPayload(b []byte, rec *Record, have func(Digest) bool) []byte {
 	b = AppendU32(b, len(rec.IRQEdges))
 	for _, e := range rec.IRQEdges {
@@ -261,22 +262,16 @@ func DigestRecord(rec *Record) Digest {
 	return d
 }
 
-// Encode serializes a record in full. The error is always nil.
+// Encode serializes a record, every chunk inline. The error is always
+// nil.
 func Encode(rec *Record) ([]byte, error) {
-	return EncodeDelta(rec, nil), nil
-}
-
-// EncodeDelta serializes rec, omitting the chunks of peripherals for
-// which have returns true: the receiver resolves those by digest. A
-// full record is the delta that omits nothing (nil have).
-func EncodeDelta(rec *Record, have func(Digest) bool) []byte {
-	b := appendPayload(make([]byte, recHdrLen, 1024), rec, have)
+	b := appendPayload(make([]byte, recHdrLen, 1024), rec, nil)
 	p := b[recHdrLen:]
 	binary.LittleEndian.PutUint32(b[0:4], recMagic)
 	b[4] = recVersion
 	binary.LittleEndian.PutUint32(b[5:9], uint32(len(p)))
 	binary.LittleEndian.PutUint32(b[9:13], crc32.ChecksumIEEE(p))
-	return b
+	return b, nil
 }
 
 func integrityErr(format string, args ...any) error {
@@ -284,75 +279,50 @@ func integrityErr(format string, args ...any) error {
 		Err: fmt.Errorf(format, args...)}
 }
 
-// Decode validates and deserializes a self-contained record. Truncated
-// or corrupted data, and a record with chunks omitted, is rejected
+// Decode validates and deserializes a record. Truncated or corrupted
+// data, and a record with a chunk omitted (inline flag 0), is rejected
 // with a typed integrity error rather than decoded into a wrong
-// hardware state.
+// hardware state. Every chunk is digest-verified before use.
 func Decode(data []byte) (*Record, error) {
-	rec, missing, err := DecodeDelta(data, nil)
-	if err == nil && len(missing) > 0 {
-		err = integrityErr("record omits %d chunks and nothing resolves them", len(missing))
-	}
-	return rec, err
-}
-
-// DecodeDelta validates and deserializes a record, resolving omitted
-// chunks through resolve (typically Store.PeriphByDigest; nil resolves
-// nothing). Chunks that fail to resolve — the sender believed the
-// receiver held them, but an eviction raced the negotiation — are
-// returned in missing with a nil record, and the caller falls back to
-// a full fetch. Inlined chunks are digest-verified before use.
-func DecodeDelta(data []byte, resolve func(Digest) (*sim.HWState, bool)) (rec *Record, missing []Digest, err error) {
 	if len(data) < recHdrLen {
-		return nil, nil, integrityErr("truncated header: %d bytes", len(data))
+		return nil, integrityErr("truncated header: %d bytes", len(data))
 	}
 	if magic := binary.LittleEndian.Uint32(data[0:4]); magic != recMagic {
-		return nil, nil, integrityErr("bad magic %#x", magic)
+		return nil, integrityErr("bad magic %#x", magic)
 	}
 	if data[4] != recVersion {
-		return nil, nil, integrityErr("unsupported version %d", data[4])
+		return nil, integrityErr("unsupported version %d", data[4])
 	}
 	payload := data[recHdrLen:]
 	if n := binary.LittleEndian.Uint32(data[5:9]); uint64(n) != uint64(len(payload)) {
-		return nil, nil, integrityErr("length mismatch: header says %d bytes, got %d", n, len(payload))
+		return nil, integrityErr("length mismatch: header says %d bytes, got %d", n, len(payload))
 	}
 	if sum, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(data[9:13]); sum != want {
-		return nil, nil, integrityErr("checksum mismatch (%#x != %#x)", sum, want)
+		return nil, integrityErr("checksum mismatch (%#x != %#x)", sum, want)
 	}
 	r := Reader{p: payload}
-	rec = &Record{IRQEdges: List(&r, 1, func() bool { return r.flag("irq edge level") })}
+	rec := &Record{IRQEdges: List(&r, 1, func() bool { return r.flag("irq edge level") })}
 	n := r.count(4 + digestLen + 1)
 	rec.HW = make(target.State, n)
 	name := ""
 	for i := 0; i < n; i++ {
 		name = r.ascending(i, name)
-		d, inline := r.Digest(), r.flag("inline flag")
-		var state []byte
-		if inline {
-			state = r.Chunk()
+		d := r.Digest()
+		if !r.flag("inline flag") && r.err == nil {
+			return nil, integrityErr("peripheral %q: chunk omitted", name)
 		}
+		state := r.Chunk()
 		if r.err != nil {
 			break
 		}
-		var hw *sim.HWState
-		if inline {
-			var err error
-			if hw, err = DecodeChunk(state, d); err != nil {
-				return nil, nil, integrityErr("peripheral %q: %v", name, err)
-			}
-		} else if resolve != nil {
-			hw, _ = resolve(d)
-		}
-		if hw == nil {
-			missing = append(missing, d)
+		hw, err := DecodeChunk(state, d)
+		if err != nil {
+			return nil, integrityErr("peripheral %q: %v", name, err)
 		}
 		rec.HW[name] = hw
 	}
 	if err := r.End(); err != nil {
-		return nil, nil, integrityErr("%v", err)
+		return nil, integrityErr("%v", err)
 	}
-	if len(missing) > 0 {
-		return nil, missing, nil
-	}
-	return rec, nil, nil
+	return rec, nil
 }

@@ -1,8 +1,7 @@
 package snapshot
 
-// The one record decoder: round-trip properties over full records and
-// deltas, refusal of everything that is not the canonical encoding,
-// and a native fuzz target.
+// The one record decoder: a round-trip property, refusal of everything
+// that is not the canonical encoding, and a native fuzz target.
 
 import (
 	"bytes"
@@ -32,65 +31,21 @@ func seal(version byte, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// TestRecordRoundTripProperty: Decode(Encode(r)) is r, and for any
-// subset of chunks the sender omits and any subset of those the
-// receiver still resolves, DecodeDelta either rebuilds r or lists
-// exactly the unresolvable digests, in name order.
+// TestRecordRoundTripProperty: Decode(Encode(r)) is r.
 func TestRecordRoundTripProperty(t *testing.T) {
 	prop := func(seed int64) bool {
-		rnd := rand.New(rand.NewSource(seed))
-		rec := genRecord(rnd)
-		want := DigestRecord(&rec)
-
+		rec := genRecord(rand.New(rand.NewSource(seed)))
 		data, err := Encode(&rec)
 		if err != nil {
 			t.Logf("seed %d: encode: %v", seed, err)
 			return false
 		}
 		back, err := Decode(data)
-		if err != nil || DigestRecord(back) != want || !reflect.DeepEqual(back.HW, rec.HW) {
-			t.Logf("seed %d: full round trip: %v", seed, err)
+		if err != nil || DigestRecord(back) != DigestRecord(&rec) || !reflect.DeepEqual(back.HW, rec.HW) {
+			t.Logf("seed %d: round trip: %v", seed, err)
 			return false
 		}
-
-		omit := make(map[Digest]bool)
-		held := make(map[Digest]*sim.HWState)
-		names := SortedNames(rec.HW)
-		for _, name := range names {
-			d := HWDigest(rec.HW[name])
-			switch rnd.Intn(3) {
-			case 0:
-				omit[d] = true
-			case 1:
-				omit[d], held[d] = true, rec.HW[name]
-			}
-		}
-		var wantMissing []Digest
-		for _, name := range names {
-			if d := HWDigest(rec.HW[name]); omit[d] && held[d] == nil {
-				wantMissing = append(wantMissing, d)
-			}
-		}
-		delta := EncodeDelta(&rec, func(d Digest) bool { return omit[d] })
-		got, missing, err := DecodeDelta(delta, func(d Digest) (*sim.HWState, bool) {
-			hw, ok := held[d]
-			return hw, ok
-		})
-		if err != nil || !reflect.DeepEqual(missing, wantMissing) {
-			t.Logf("seed %d: delta: %v, missing %x, want %x", seed, err, missing, wantMissing)
-			return false
-		}
-		if len(wantMissing) > 0 {
-			return got == nil
-		}
-		if len(omit) > 0 {
-			// A record with chunks omitted is not self-contained.
-			if _, err := Decode(delta); target.Classify(err) != target.Integrity {
-				t.Logf("seed %d: Decode of a delta: %v", seed, err)
-				return false
-			}
-		}
-		return got != nil && DigestRecord(got) == want
+		return true
 	}
 	if err := quick.Check(prop, testseed.Quick(t, 300)); err != nil {
 		t.Fatal(err)
@@ -114,15 +69,13 @@ func TestDecodeRejectsGobVersions(t *testing.T) {
 		if rec, err := Decode(frame); rec != nil || target.Classify(err) != target.Integrity {
 			t.Fatalf("version %d: Decode = %v, %v; want an integrity error", version, rec, err)
 		}
-		if rec, _, err := DecodeDelta(frame, nil); rec != nil || target.Classify(err) != target.Integrity {
-			t.Fatalf("version %d: DecodeDelta = %v, %v; want an integrity error", version, rec, err)
-		}
 	}
 }
 
 // TestDecodeRejectsNonCanonical: a payload that parses but is not what
 // the encoder writes — names out of order or repeated, a level or flag
-// other than 0 and 1, a chunk under the wrong digest, trailing bytes —
+// other than 0 and 1, a chunk omitted (inline flag 0, the form only
+// DigestRecord hashes), a chunk under the wrong digest, trailing bytes —
 // is an integrity error, so the bytes a digest vouches for are the
 // only bytes its state has.
 func TestDecodeRejectsNonCanonical(t *testing.T) {
@@ -147,6 +100,12 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 		"periph repeated": payload(nil, func(b []byte) []byte {
 			return entry(entry(b, "p", d, hw), "p", d, hw)
 		}, 2),
+		"inline flag 0": payload(nil, func(b []byte) []byte {
+			return append(append(AppendName(b, "p"), d[:]...), 0)
+		}, 1),
+		"inline flag 0, chunk follows": payload(nil, func(b []byte) []byte {
+			return AppendChunk(append(append(AppendName(b, "p"), d[:]...), 0), hw)
+		}, 1),
 		"inline flag 2": payload(nil, func(b []byte) []byte {
 			return append(append(AppendName(b, "p"), d[:]...), 2)
 		}, 1),
@@ -177,23 +136,16 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 // bytes it came from.
 func FuzzDecodeRecord(f *testing.F) {
 	rnd := rand.New(rand.NewSource(testseed.Seed))
-	held := make(map[Digest]*sim.HWState)
 	for i := 0; i < 4; i++ {
 		rec := genRecord(rnd)
 		full, err := Encode(&rec)
 		if err != nil {
 			f.Fatal(err)
 		}
-		// The delta omits every other chunk; the resolver below holds
-		// the chunks of every other seed record.
-		n := 0
-		delta := EncodeDelta(&rec, func(Digest) bool { n++; return n%2 == 0 })
-		if i%2 == 0 {
-			for _, hw := range rec.HW {
-				held[HWDigest(hw)] = hw
-			}
-		}
-		for _, data := range [][]byte{full, delta} {
+		// The payload DigestRecord hashes, every chunk omitted: a
+		// frame the decoder must refuse.
+		addressed := seal(recVersion, appendPayload(nil, &rec, func(Digest) bool { return true }))
+		for _, data := range [][]byte{full, addressed} {
 			f.Add(data, false)
 			f.Add(data[recHdrLen:], true)
 			f.Add(data[:len(data)/2], false)
@@ -209,10 +161,6 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, true) // two counts of 2^32-1
 
-	resolve := func(d Digest) (*sim.HWState, bool) {
-		hw, ok := held[d]
-		return hw, ok
-	}
 	f.Fuzz(func(t *testing.T, data []byte, reseal bool) {
 		if reseal {
 			data = seal(recVersion, data)
@@ -220,29 +168,21 @@ func FuzzDecodeRecord(f *testing.F) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		rec, err := Decode(data)
-		drec, missing, derr := DecodeDelta(data, resolve)
 		runtime.ReadMemStats(&m1)
-		if got, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(2*(64*len(data)+4096)); got > bound {
+		if got, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(64*len(data)+4096); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(data), got, bound)
 		}
-		for _, err := range []error{err, derr} {
-			if err != nil && target.Classify(err) != target.Integrity {
-				t.Fatalf("untyped error %v (%T)", err, err)
-			}
+		if err != nil && target.Classify(err) != target.Integrity {
+			t.Fatalf("untyped error %v (%T)", err, err)
 		}
-		if (rec == nil) == (err == nil) || (drec != nil) != (derr == nil && missing == nil) {
-			t.Fatalf("Decode = %v, %v; DecodeDelta = %v, %x, %v", rec, err, drec, missing, derr)
+		if (rec == nil) == (err == nil) {
+			t.Fatalf("Decode = %v, %v", rec, err)
 		}
 		if rec != nil {
 			if again, _ := Encode(rec); !bytes.Equal(again, data) {
 				t.Fatalf("accepted a non-canonical encoding:\n got %x\nfrom %x", again, data)
 			}
-			if drec == nil || DigestRecord(drec) != DigestRecord(rec) {
-				t.Fatalf("DecodeDelta disagrees with Decode on a self-contained record: %v, %v", drec, derr)
-			}
-		}
-		if drec != nil {
-			for name, hw := range drec.HW {
+			for name, hw := range rec.HW {
 				if hw == nil {
 					t.Fatalf("peripheral %q decoded to nil", name)
 				}

@@ -2,8 +2,8 @@
 // bookkeeping: a content-addressed store of complete hardware states,
 // and the one byte form a hardware snapshot has anywhere outside the
 // process (codec.go): crash reports and journal records on disk, the
-// chunks of the remote wire, the delta frames of the dist fabric, and
-// the preimage of every content address.
+// bug snapshots a dist node returns, the chunks of the remote wire,
+// and the preimage of every content address.
 //
 // The store is copy-on-write all the way down. Each stored record is
 // keyed by a digest of its serialized state: identical states — the
@@ -37,19 +37,19 @@
 //
 // HWDigest, a peripheral's content address, is the SHA-256 of its
 // state bytes; a received chunk is therefore verified by hashing the
-// bytes it arrived as. A record whose peripherals are all inline is
-// self-contained (Encode); one that omits the chunks its receiver is
-// known to hold is a delta (EncodeDelta), resolved by digest on
-// arrival. DigestRecord, a record's content address, is the SHA-256 of
-// its payload with every chunk omitted. crc32 is IEEE over the payload.
+// bytes it arrived as. An encoded record carries every chunk inline
+// (inline is always 1). DigestRecord, a record's content address, is
+// the SHA-256 of its payload with every chunk omitted (inline 0, no
+// chunk). crc32 is IEEE over the payload.
 //
 // A decoder checks the header (magic, version, exact length, CRC)
 // before it reads the payload, checks every count against the bytes
 // left before it sizes anything by it, refuses names out of order,
-// levels and flags other than 0 and 1 and trailing bytes, and checks
-// each inline chunk against the digest it travelled under. Whatever it
-// refuses is a typed integrity error (class target.Integrity). Versions 1
-// and 2 were gob payloads and are refused like any unknown version.
+// levels and flags other than 0 and 1, an omitted chunk and trailing
+// bytes, and checks each chunk against the digest it travelled under.
+// Whatever it refuses is a typed integrity error (class
+// target.Integrity). Versions 1 and 2 were gob payloads and are
+// refused like any unknown version.
 package snapshot
 
 import (
@@ -390,21 +390,6 @@ func (s *Store) DigestOf(id ID) (Digest, bool) {
 	defer st.mu.RUnlock()
 	d, ok := st.ids[id]
 	return d, ok
-}
-
-// PeriphByDigest returns the interned peripheral state with the given
-// content address (see HWDigest), if any record still references it.
-// The state is shared: callers MUST NOT mutate it. The remote client
-// uses this to satisfy digest-negotiated snapshot transfers from
-// content the store already holds.
-func (s *Store) PeriphByDigest(d Digest) (*sim.HWState, bool) {
-	s.cmu.RLock()
-	defer s.cmu.RUnlock()
-	pe, ok := s.pool[d]
-	if !ok {
-		return nil, false
-	}
-	return pe.hw, true
 }
 
 // RecordByDigest returns the live record with the given content

@@ -32,6 +32,12 @@ type CacheKey [32]byte
 // identical feasibility queries; with a shared Cache each such query
 // is paid once per exploration run instead of once per state. All
 // methods are safe for concurrent use.
+//
+// A cache lives in one process: the workers of a run share it, and a
+// dist node keeps its own. Sharing cannot change results because a
+// verdict is a pure function of its key (the solver is deterministic)
+// and query budgets count hits as queries, so a hit changes only when
+// a verdict is known, never what it is.
 type Cache struct {
 	capacity int
 	shards   [cacheShards]cacheShard
@@ -44,13 +50,6 @@ type Cache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	stores    atomic.Int64
-	imported  atomic.Int64
-
-	// logMu guards the fabric changelog of locally discovered entries
-	// (see wire.go).
-	logMu sync.Mutex
-	log   []WireEntry
 }
 
 type cacheShard struct {
@@ -70,11 +69,6 @@ type CacheStats struct {
 	Misses    int64
 	Evictions int64
 	Entries   int64
-	// Imported counts entries adopted from the distributed fabric
-	// (zero outside distributed runs); Published counts locally
-	// discovered entries available to the fabric changelog.
-	Imported  int64
-	Published int64
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -108,16 +102,11 @@ func (c *Cache) Stats() CacheStats {
 		entries += int64(len(s.entries))
 		s.mu.Unlock()
 	}
-	c.logMu.Lock()
-	published := int64(len(c.log))
-	c.logMu.Unlock()
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
 		Entries:   entries,
-		Imported:  c.imported.Load(),
-		Published: published,
 	}
 }
 
@@ -204,18 +193,10 @@ func (c *Cache) Lookup(key CacheKey) (Result, expr.Assignment, bool) {
 
 // Store memoizes a definite verdict. Unknown (budget-exhausted)
 // results are never cached: a later query with a larger budget must be
-// allowed to try again. The model is copied on the way in. Locally
-// stored entries enter the fabric changelog (wire.go); use Import for
-// entries that arrived from the fabric.
+// allowed to try again. The model is copied on the way in.
 func (c *Cache) Store(key CacheKey, res Result, model expr.Assignment) {
-	c.store(key, res, model, true)
-}
-
-// store inserts an entry, returning whether it was newly inserted.
-// logIt routes locally discovered entries into the fabric changelog.
-func (c *Cache) store(key CacheKey, res Result, model expr.Assignment, logIt bool) bool {
 	if res != Sat && res != Unsat {
-		return false
+		return
 	}
 	var stored expr.Assignment
 	if model != nil {
@@ -232,7 +213,7 @@ func (c *Cache) store(key CacheKey, res Result, model expr.Assignment, logIt boo
 	s.mu.Lock()
 	if _, ok := s.entries[key]; ok {
 		s.mu.Unlock()
-		return false
+		return
 	}
 	for len(s.entries) >= perShard && len(s.order) > 0 {
 		victim := s.order[0]
@@ -245,9 +226,4 @@ func (c *Cache) store(key CacheKey, res Result, model expr.Assignment, logIt boo
 	s.entries[key] = cacheEntry{res: res, model: stored}
 	s.order = append(s.order, key)
 	s.mu.Unlock()
-	c.stores.Add(1)
-	if logIt {
-		c.logEntry(key, res, stored)
-	}
-	return true
 }
