@@ -97,11 +97,12 @@ endef
 # snapshot-body decoders, the snapshot record decoder (disk, journal
 # and dist results), the journal's frame scanner and the campaign
 # loader behind it (gob payloads), the solver against its reference,
-# the vm's dirty-page restore against a full copy, the simulator's
-# dirty-list restore against a full Restore, the compiled RTL engine
-# and the symbolic one-clock evaluator (rtl.SymStep) against the
-# interpreter on generated netlists, and the two readers of user files:
-# the Verilog parser and the assembler.
+# the vm's dirty-page restore against a full copy, the symbolic
+# executor's decoded-table fetch against the word built as terms, the
+# simulator's dirty-list restore against a full Restore, the compiled
+# RTL engine and the symbolic one-clock evaluator (rtl.SymStep) against
+# the interpreter on generated netlists, and the two readers of user
+# files: the Verilog parser and the assembler.
 fuzz-smoke:
 	$(call fuzz_run,./internal/remote,FuzzServeConn)
 	$(call fuzz_run,./internal/snapshot,FuzzDecodeRecord)
@@ -109,6 +110,7 @@ fuzz-smoke:
 	$(call fuzz_run,./internal/core,FuzzLoadCampaign)
 	$(call fuzz_run,./internal/solver,FuzzDifferential)
 	$(call fuzz_run,./internal/vm,FuzzDirtyRestore)
+	$(call fuzz_run,./internal/symexec,FuzzFetchMatchesDecode)
 	$(call fuzz_run,./internal/sim,FuzzSimDirtyRestore)
 	$(call fuzz_run,./internal/sim,FuzzCompiledMatchesInterp)
 	$(call fuzz_run,./internal/rtl,FuzzSymStepMatchesInterp)

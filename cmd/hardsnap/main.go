@@ -224,7 +224,7 @@ func workerCount(opts runOpts) (int, error) {
 
 // checkModeFlags refuses a flag set away from its default in the mode
 // that ignores it: the exploration flags under -fuzz, the fuzz flags
-// without it.
+// without it, and -tenant without -farm.
 func checkModeFlags(opts runOpts) error {
 	d := defaultOpts()
 	type flagSet struct {
@@ -261,6 +261,9 @@ func checkModeFlags(opts runOpts) error {
 		if f.set {
 			return fmt.Errorf("%s does not apply %s", f.name, mode)
 		}
+	}
+	if opts.Tenant != d.Tenant && opts.Farm == d.Farm {
+		return fmt.Errorf("-tenant applies only with -farm")
 	}
 	return nil
 }

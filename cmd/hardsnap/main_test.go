@@ -162,6 +162,9 @@ func TestRunValidation(t *testing.T) {
 	if err := bad(func(o *runOpts) { o.JSON = true }); err == nil || !strings.Contains(err.Error(), "-json") {
 		t.Fatalf("-json without -fuzz: err = %v, want a refusal naming -json", err)
 	}
+	if err := bad(func(o *runOpts) { o.Tenant = "acme" }); err == nil || !strings.Contains(err.Error(), "-tenant") {
+		t.Fatalf("-tenant without -farm: err = %v, want a refusal naming -tenant", err)
+	}
 	src := writeFirmware(t, buggyFirmware)
 	fuzzOpts := defaultOpts()
 	fuzzOpts.Fuzz = true
@@ -170,6 +173,11 @@ func TestRunValidation(t *testing.T) {
 	withReadback.FPGA, withReadback.Readback = true, true
 	if _, err := run(context.Background(), withReadback); err == nil || !strings.Contains(err.Error(), "-readback") {
 		t.Fatalf("-fuzz -readback: err = %v, want a refusal naming -readback", err)
+	}
+	withTenant := fuzzOpts
+	withTenant.Tenant = "acme"
+	if _, err := run(context.Background(), withTenant); err == nil || !strings.Contains(err.Error(), "-tenant") {
+		t.Fatalf("-fuzz -tenant: err = %v, want a refusal naming -tenant", err)
 	}
 	// -workers sets the fuzz worker count.
 	fuzzOpts.Workers = 2

@@ -41,55 +41,73 @@ func NewBuilder() *Builder {
 	return b
 }
 
-func (b *Builder) intern(t *Term) *Term {
-	h := t.computeHash()
-	t.hash = h
-	s := &b.shards[h%builderShards]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.table[h] {
-		if c.equalShallow(t) {
-			return c
-		}
-	}
-	t.tree = 1
-	for _, a := range t.args {
-		t.tree += min(a.tree, math.MaxUint32-t.tree)
-	}
-	s.table[h] = append(s.table[h], t)
-	return t
+// termKey is a term's interned identity, built on the caller's stack:
+// no constructor has more than two operands. A probe that finds an
+// existing term allocates nothing.
+type termKey struct {
+	op     Op
+	width  uint8
+	lo     uint8
+	nargs  uint8
+	val    uint64
+	name   string
+	a0, a1 *Term
 }
 
-func (t *Term) computeHash() uint64 {
+func (k *termKey) hash() uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		h ^= v
 		h *= 1099511628211
 	}
-	mix(uint64(t.op))
-	mix(uint64(t.width))
-	mix(t.val)
-	mix(uint64(t.lo))
-	for _, c := range t.name {
+	mix(uint64(k.op))
+	mix(uint64(k.width))
+	mix(k.val)
+	mix(uint64(k.lo))
+	for _, c := range k.name {
 		mix(uint64(c))
 	}
-	for _, a := range t.args {
-		mix(a.hash)
+	if k.nargs > 0 {
+		mix(k.a0.hash)
+	}
+	if k.nargs > 1 {
+		mix(k.a1.hash)
 	}
 	return h
 }
 
-func (t *Term) equalShallow(u *Term) bool {
-	if t.op != u.op || t.width != u.width || t.val != u.val ||
-		t.name != u.name || t.lo != u.lo || len(t.args) != len(u.args) {
+func (k *termKey) matches(t *Term) bool {
+	if t.op != k.op || t.width != k.width || t.val != k.val ||
+		t.name != k.name || t.lo != k.lo || len(t.args) != int(k.nargs) {
 		return false
 	}
-	for i := range t.args {
-		if t.args[i] != u.args[i] {
-			return false
+	return (k.nargs < 1 || t.args[0] == k.a0) && (k.nargs < 2 || t.args[1] == k.a1)
+}
+
+// intern returns the term k names, allocating it only if the table
+// does not hold it yet.
+func (b *Builder) intern(k termKey) *Term {
+	h := k.hash()
+	s := &b.shards[h%builderShards]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.table[h] {
+		if k.matches(c) {
+			return c
 		}
 	}
-	return true
+	t := &Term{op: k.op, width: k.width, lo: k.lo, val: k.val, name: k.name, hash: h, tree: 1}
+	switch k.nargs {
+	case 1:
+		t.args = []*Term{k.a0}
+	case 2:
+		t.args = []*Term{k.a0, k.a1}
+	}
+	for _, a := range t.args {
+		t.tree += min(a.tree, math.MaxUint32-t.tree)
+	}
+	s.table[h] = append(s.table[h], t)
+	return t
 }
 
 func checkWidth(w uint) uint8 {
@@ -102,7 +120,7 @@ func checkWidth(w uint) uint8 {
 // Const returns the w-bit constant v (masked to width).
 func (b *Builder) Const(v uint64, w uint) *Term {
 	cw := checkWidth(w)
-	return b.intern(&Term{op: OpConst, width: cw, val: v & Mask(w)})
+	return b.intern(termKey{op: OpConst, width: cw, val: v & Mask(w)})
 }
 
 // Bool returns the width-1 constant for v.
@@ -129,7 +147,7 @@ func (b *Builder) Var(name string, w uint) *Term {
 	b.varMu.Unlock()
 	// Interning dedups, so two racing declarations of the same
 	// variable resolve to the same pointer before either publishes it.
-	v := b.intern(&Term{op: OpVar, width: cw, name: name})
+	v := b.intern(termKey{op: OpVar, width: cw, name: name})
 	b.varMu.Lock()
 	b.vars[name] = v
 	b.varMu.Unlock()
@@ -143,7 +161,7 @@ func sameWidth(x, y *Term) {
 }
 
 func (b *Builder) binary(op Op, x, y *Term, w uint8) *Term {
-	return b.intern(&Term{op: op, width: w, args: []*Term{x, y}})
+	return b.intern(termKey{op: op, width: w, nargs: 2, a0: x, a1: y})
 }
 
 // Add returns x + y (modular).
@@ -352,7 +370,7 @@ func (b *Builder) Not(x *Term) *Term {
 			return b.Slt(x.args[1], x.args[0])
 		}
 	}
-	return b.intern(&Term{op: OpNot, width: x.width, args: []*Term{x}})
+	return b.intern(termKey{op: OpNot, width: x.width, nargs: 1, a0: x})
 }
 
 // Shl returns x << y. Shift amounts >= width yield zero.
@@ -575,7 +593,7 @@ func (b *Builder) Concat(hi, lo *Term) *Term {
 	if hi.IsConst() && lo.IsConst() {
 		return b.Const(hi.val<<lo.Width()|lo.val, w)
 	}
-	return b.intern(&Term{op: OpConcat, width: cw, args: []*Term{hi, lo}})
+	return b.intern(termKey{op: OpConcat, width: cw, nargs: 2, a0: hi, a1: lo})
 }
 
 // Extract returns bits [lo+w-1 : lo] of x as a w-bit term.
@@ -608,7 +626,7 @@ func (b *Builder) Extract(x *Term, lo, w uint) *Term {
 	if x.op == OpZExt && lo+w <= x.args[0].Width() {
 		return b.Extract(x.args[0], lo, w)
 	}
-	return b.intern(&Term{op: OpExtract, width: cw, lo: uint8(lo), args: []*Term{x}})
+	return b.intern(termKey{op: OpExtract, width: cw, lo: uint8(lo), nargs: 1, a0: x})
 }
 
 // ZExt zero-extends x to width w.
@@ -626,7 +644,7 @@ func (b *Builder) ZExt(x *Term, w uint) *Term {
 	if x.op == OpZExt {
 		return b.ZExt(x.args[0], w)
 	}
-	return b.intern(&Term{op: OpZExt, width: cw, args: []*Term{x}})
+	return b.intern(termKey{op: OpZExt, width: cw, nargs: 1, a0: x})
 }
 
 // SExt sign-extends x to width w.
@@ -641,7 +659,7 @@ func (b *Builder) SExt(x *Term, w uint) *Term {
 	if x.IsConst() {
 		return b.Const(SignExtend(x.val, x.Width()), w)
 	}
-	return b.intern(&Term{op: OpSExt, width: cw, args: []*Term{x}})
+	return b.intern(termKey{op: OpSExt, width: cw, nargs: 1, a0: x})
 }
 
 // VarSet returns the distinct variables reachable from t, sorted by

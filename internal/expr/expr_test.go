@@ -68,6 +68,71 @@ func TestHashConsing(t *testing.T) {
 	}
 }
 
+// TestReinternAllocatesNothing pins the intern probe: rebuilding a term
+// the Builder already holds allocates nothing, for every constructor
+// shape (no operand, one, two, and a variable name).
+func TestReinternAllocatesNothing(t *testing.T) {
+	b := NewBuilder()
+	x := b.Var("x", 32)
+	y := b.Var("y", 32)
+	b.Const(0xdead, 32)
+	b.Add(x, y)
+	b.Concat(b.Extract(x, 0, 8), b.Extract(y, 8, 8))
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"Const", func() { b.Const(0xdead, 32) }},
+		{"Var", func() { b.Var("x", 32) }},
+		{"Add", func() { b.Add(x, y) }},
+		{"Concat", func() { b.Concat(b.Extract(x, 0, 8), b.Extract(y, 8, 8)) }},
+		{"Extract", func() { b.Extract(x, 0, 8) }},
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("re-interning an existing %s: %v allocations, want 0", c.name, n)
+		}
+	}
+}
+
+// TestInternHashUnchanged checks every interned term's hash against
+// the FNV mix over the term's fields (op, width, value, extract low
+// bit, name runes, operand hashes), so the probe key hashes exactly as
+// the term it names.
+func TestInternHashUnchanged(t *testing.T) {
+	var ref func(t *Term) uint64
+	ref = func(t *Term) uint64 {
+		h := uint64(14695981039346656037)
+		mix := func(v uint64) {
+			h ^= v
+			h *= 1099511628211
+		}
+		mix(uint64(t.op))
+		mix(uint64(t.width))
+		mix(t.val)
+		mix(uint64(t.lo))
+		for _, c := range t.name {
+			mix(uint64(c))
+		}
+		for _, a := range t.args {
+			mix(ref(a))
+		}
+		return h
+	}
+	b := NewBuilder()
+	x := b.Var("x", 16)
+	y := b.Var("ÿ_y", 16)
+	terms := []*Term{
+		x, y, b.Const(0x1234, 16), b.Add(x, y), b.Not(x), b.Concat(x, y),
+		b.Extract(x, 3, 5), b.ZExt(y, 32), b.SExt(x, 24), b.Ult(x, y),
+	}
+	for _, tm := range terms {
+		if got, want := tm.hash, ref(tm); got != want {
+			t.Errorf("%v: hash %#x, want %#x", tm, got, want)
+		}
+	}
+}
+
 func TestVarWidthClashPanics(t *testing.T) {
 	b := NewBuilder()
 	b.Var("x", 32)

@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"bytes"
 	"fmt"
 
 	"hardsnap/internal/asm"
@@ -77,6 +78,10 @@ type Executor struct {
 	nextID uint64
 	symSeq int
 
+	// code is prog's code range decoded once, shared by every state
+	// whose backing is image and by every spawned worker.
+	code *codeTable
+
 	// concolic, when non-nil, switches the executor into concolic
 	// replay: every decision that would normally ask the solver is
 	// instead resolved by evaluating terms under the concrete input
@@ -115,6 +120,7 @@ func New(cfg Config, prog *asm.Program, mmio MMIOHandler) (*Executor, error) {
 		mmio:   mmio,
 		image:  image,
 		prog:   prog,
+		code:   decodeCode(prog.Base, prog.Code),
 	}
 	return e, nil
 }
@@ -129,11 +135,12 @@ func (e *Executor) NextID() uint64 { return e.nextID }
 // Spawn returns a worker executor for parallel subtree exploration.
 // The spawn shares the parent's term Builder (concurrency-safe, so
 // pointer equality keeps meaning structural equality across workers),
-// the read-only program image, and the parent solver's memo Cache —
-// but owns a private Solver (solvers are single-goroutine) and
-// allocates state IDs from idBase upward, so sibling workers can fork
-// freely without ID collisions. The MMIO handler is left nil: each
-// worker engine injects its own hardware boundary.
+// the read-only program image and its decoded code table, and the
+// parent solver's memo Cache — but owns a private Solver (solvers are
+// single-goroutine) and allocates state IDs from idBase upward, so
+// sibling workers can fork freely without ID collisions. The MMIO
+// handler is left nil: each worker engine injects its own hardware
+// boundary.
 func (e *Executor) Spawn(idBase uint64) *Executor {
 	ne := &Executor{
 		B:      e.B,
@@ -141,6 +148,7 @@ func (e *Executor) Spawn(idBase uint64) *Executor {
 		cfg:    e.cfg,
 		image:  e.image,
 		prog:   e.prog,
+		code:   e.code,
 		nextID: idBase,
 	}
 	ne.Solver.Cache = e.Solver.Cache
@@ -197,7 +205,7 @@ func (e *Executor) InitialState() *State {
 	st := &State{
 		ID:      e.nextID,
 		PC:      e.prog.Entry,
-		Mem:     NewMemory(e.cfg.VM.RAMBase, e.image),
+		Mem:     newMemory(e.cfg.VM.RAMBase, e.image, e.code),
 		Status:  StatusRunning,
 		Witness: expr.Assignment{},
 	}
@@ -211,7 +219,9 @@ func (e *Executor) InitialState() *State {
 // StateFromConcrete builds a symbolic state mirroring a concrete
 // machine (the fast-forwarding hand-off): registers become constant
 // terms and the RAM image becomes the new concrete backing. The mem
-// slice is copied.
+// slice is copied. The state shares the executor's decoded code table
+// only if the image holds the program's code bytes unchanged; otherwise
+// the image's own code range is decoded.
 func (e *Executor) StateFromConcrete(pc uint32, regs [isa.NumRegs]uint32, mem []byte,
 	epc uint32, inHandler bool, pending uint32) (*State, error) {
 	if uint32(len(mem)) != e.cfg.VM.RAMSize {
@@ -219,11 +229,17 @@ func (e *Executor) StateFromConcrete(pc uint32, regs [isa.NumRegs]uint32, mem []
 	}
 	image := make([]byte, len(mem))
 	copy(image, mem)
+	off := e.prog.Base - e.cfg.VM.RAMBase
+	code := image[off : off+uint32(len(e.prog.Code))]
+	table := e.code
+	if !bytes.Equal(code, e.prog.Code) {
+		table = decodeCode(e.prog.Base, code)
+	}
 	e.nextID++
 	st := &State{
 		ID:         e.nextID,
 		PC:         pc,
-		Mem:        NewMemory(e.cfg.VM.RAMBase, image),
+		Mem:        newMemory(e.cfg.VM.RAMBase, image, table),
 		Status:     StatusRunning,
 		EPC:        epc,
 		InHandler:  inHandler,
@@ -388,16 +404,18 @@ func (e *Executor) Step(st *State) ([]*State, error) {
 	if st.Status != StatusRunning {
 		return nil, nil
 	}
-	word, err := st.Mem.ConcreteWord(e.B, st.PC)
-	if err != nil {
-		st.Status = StatusFault
-		st.Err = err
-		return nil, nil
-	}
-	in, err := isa.Decode(word)
-	if err != nil {
-		e.fault(st, "illegal instruction %#08x", word)
-		return nil, nil
+	in, ok := st.Mem.fetchDecoded(st.PC)
+	if !ok {
+		word, err := st.Mem.ConcreteWord(e.B, st.PC)
+		if err != nil {
+			st.Status = StatusFault
+			st.Err = err
+			return nil, nil
+		}
+		if in, err = isa.Decode(word); err != nil {
+			e.fault(st, "illegal instruction %#08x", word)
+			return nil, nil
+		}
 	}
 	e.Stats.Instructions++
 	st.Steps++

@@ -8,6 +8,7 @@
 package symexec
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"hardsnap/internal/expr"
@@ -177,29 +178,37 @@ type Memory struct {
 	base    uint32
 	backing []byte // shared, read-only
 	overlay map[uint32]*expr.Term
+	// code is the backing's program code decoded once (shared,
+	// read-only). codeWritten records that some overlay byte lies in its
+	// range (overlay bytes are never removed); until then, a fetch from
+	// the range reads code instead of building the word as terms.
+	code        *codeTable
+	codeWritten bool
 }
 
-// NewMemory wraps a concrete RAM image.
-func NewMemory(base uint32, image []byte) *Memory {
+func newMemory(base uint32, image []byte, code *codeTable) *Memory {
 	return &Memory{
 		base:    base,
 		backing: image,
 		overlay: make(map[uint32]*expr.Term),
+		code:    code,
 	}
 }
 
-// Clone copies the overlay (the backing is shared).
+// Clone copies the overlay (the backing and code table are shared).
 func (m *Memory) Clone() *Memory {
 	o := make(map[uint32]*expr.Term, len(m.overlay))
 	for k, v := range m.overlay {
 		o[k] = v
 	}
-	return &Memory{base: m.base, backing: m.backing, overlay: o}
+	return &Memory{base: m.base, backing: m.backing, overlay: o, code: m.code, codeWritten: m.codeWritten}
 }
 
-// InRange reports whether [addr, addr+size) lies inside RAM.
+// InRange reports whether [addr, addr+size) lies inside RAM. The sum
+// is taken in uint64 so an access past the top of the address space
+// cannot wrap to a small offset (same rule as vm.CPU).
 func (m *Memory) InRange(addr uint32, size uint32) bool {
-	return addr >= m.base && addr-m.base+size <= uint32(len(m.backing))
+	return addr >= m.base && uint64(addr-m.base)+uint64(size) <= uint64(len(m.backing))
 }
 
 // LoadByte returns the 8-bit term at addr.
@@ -220,6 +229,9 @@ func (m *Memory) StoreByte(addr uint32, t *expr.Term) error {
 	}
 	if t.Width() != 8 {
 		return fmt.Errorf("symexec: StoreByte with width %d", t.Width())
+	}
+	if m.code.contains(addr) {
+		m.codeWritten = true
 	}
 	m.overlay[addr] = t
 	return nil
@@ -265,4 +277,42 @@ func (m *Memory) ConcreteWord(b *expr.Builder, addr uint32) (uint32, error) {
 		return 0, &vm.FaultError{Addr: addr, Msg: "fetch of symbolic memory"}
 	}
 	return uint32(v), nil
+}
+
+// fetchDecoded returns the instruction at pc from the decoded code
+// table. ok is false, and the caller falls back to ConcreteWord and
+// isa.Decode, unless pc starts a word of the table, that word is a
+// legal instruction, and no overlay byte lies in the table's range.
+func (m *Memory) fetchDecoded(pc uint32) (in isa.Inst, ok bool) {
+	c := m.code
+	if m.codeWritten || !c.contains(pc) || (pc-c.base)%4 != 0 {
+		return isa.Inst{}, false
+	}
+	in = c.insts[(pc-c.base)/4]
+	return in, in.Op.Valid()
+}
+
+// codeTable is a program's code range decoded once: insts[i] is the
+// instruction at base+4i, with a zero (invalid) Op where the word is
+// illegal. It never changes after decodeCode, so every state and
+// worker whose backing holds those bytes shares one.
+type codeTable struct {
+	base  uint32
+	insts []isa.Inst
+}
+
+// decodeCode decodes every whole word of code, which starts at base.
+func decodeCode(base uint32, code []byte) *codeTable {
+	c := &codeTable{base: base, insts: make([]isa.Inst, len(code)/4)}
+	for i := range c.insts {
+		// An illegal word decodes to the zero Inst, whose Op is invalid.
+		c.insts[i], _ = isa.Decode(binary.LittleEndian.Uint32(code[4*i:]))
+	}
+	return c
+}
+
+// contains reports whether addr lies in a word the table decodes. The
+// bound is checked in uint64, as InRange does.
+func (c *codeTable) contains(addr uint32) bool {
+	return addr >= c.base && uint64(addr-c.base) < 4*uint64(len(c.insts))
 }
