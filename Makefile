@@ -15,8 +15,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet also fails if encoding/gob is linked into any package: every byte
+# the module reads from a disk or a socket goes through the bounds-checked
+# codec of internal/snapshot, never through a decoder that reflects.
 vet:
 	$(GO) vet ./...
+	@! $(GO) list -deps ./... | grep -x 'encoding/gob' || { echo "vet: encoding/gob is linked (see above)"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -94,9 +98,10 @@ endef
 
 # fuzz-smoke gives each native fuzz target ten seconds beyond its seed
 # corpus (which `go test` already runs): the wire server's frame and
-# snapshot-body decoders, the snapshot record decoder (disk, journal
-# and dist results), the journal's frame scanner and the campaign
-# loader behind it (gob payloads), the solver against its reference,
+# body decoders, the client's session-body decoders, the snapshot
+# record decoder (disk, journal and dist results), the journal's frame
+# scanner and the campaign loader behind it (header and subtree
+# results), the solver against its reference,
 # the vm's dirty-page restore against a full copy, the symbolic
 # executor's decoded-table fetch against the word built as terms, the
 # simulator's dirty-list restore against a full Restore, the compiled
@@ -105,6 +110,7 @@ endef
 # files: the Verilog parser and the assembler.
 fuzz-smoke:
 	$(call fuzz_run,./internal/remote,FuzzServeConn)
+	$(call fuzz_run,./internal/remote,FuzzClientBodies)
 	$(call fuzz_run,./internal/snapshot,FuzzDecodeRecord)
 	$(call fuzz_run,./internal/journal,FuzzScan)
 	$(call fuzz_run,./internal/core,FuzzLoadCampaign)
@@ -149,9 +155,9 @@ loc:
 # report written where .gitignore already covers it. bench-compare
 # applies each metric's bound to two such reports and fails on "worse":
 #   make bench-compare A=before.json B=after.json
-# The repo root keeps one report per PR that claims a gain, with its
-# parent's next to it (BENCH_<pr>.json), so the claim can be re-read:
-#   make bench-compare A=BENCH_38.json B=BENCH_39.json
+# The repo root keeps one report per PR that claims a gain, with an
+# earlier one next to it (BENCH_<pr>.json), so the claim can be re-read:
+#   make bench-compare A=BENCH_42.json B=BENCH_44.json
 bench:
 	$(GO) run ./benchmark -out .bench_build/run.json
 

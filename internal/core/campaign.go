@@ -8,24 +8,23 @@
 // length is the fan-out width), proves via fingerprints that it
 // reproduced the same campaign, and then replays completed subtree
 // results from the journal instead of re-exploring them. Symbolic
-// constraint terms never need to be serialized — only the portable,
+// constraint terms never need to be serialized — only the
 // report-relevant fields of each finished path.
 //
-// Record kinds:
+// Record kinds, each payload in the internal/snapshot codec idiom
+// (fixed-width counters, canonical uvarints, length-prefixed names,
+// counts vetted against the bytes left, trailing bytes refused):
 //
 //	recCampaign  one per journal, first record: the campaign's
 //	             FrontierID (run fingerprint, worker count, seed-phase
-//	             outcome, seed hardware digests).
-//	recSubtree   one completed subtree: a SubtreeResult in its gob
-//	             form. Pending work is the header's seed count minus
-//	             these.
+//	             outcome, seed hardware digests; appendFrontierID).
+//	recSubtree   one completed subtree: SubtreeResult.Encode. Pending
+//	             work is the header's seed count minus these.
 //	recComplete  the campaign finished; resuming it is an error.
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -33,18 +32,19 @@ import (
 	"strings"
 	"time"
 
-	"hardsnap/internal/expr"
 	"hardsnap/internal/journal"
+	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
 )
 
-// Journal record kinds (journal.Record.Kind). Kinds 1 to 3 belong to
-// journals written before the header became a FrontierID and are never
-// reused: LoadCampaign tells such a journal by its first record's kind.
+// Journal record kinds (journal.Record.Kind). Retired kinds are never
+// reused, so LoadCampaign tells an older journal by its first record's
+// kind: 1 to 3 are from before the header became a FrontierID, 5 and 6
+// the gob-encoded header and subtree records.
 const (
 	recComplete byte = 4
-	recCampaign byte = 5
-	recSubtree  byte = 6
+	recCampaign byte = 7
+	recSubtree  byte = 8
 )
 
 // ErrCampaignVersion reports a campaign journal whose records are not
@@ -59,81 +59,6 @@ var ErrCampaignVersion = errors.New("campaign journal was written in another for
 // so the interval trades only resume latency for per-completion
 // fsync cost.
 const syncEvery = 4
-
-// portablePath is the journal-serializable projection of a finished
-// symexec.State: everything the report, the bug listing and the
-// identity fingerprint use. Constraint terms and memory overlays are
-// deliberately absent — they are not needed to *report* a finished
-// path, only to extend a running one.
-type portablePath struct {
-	ID        uint64
-	Parent    uint64
-	PC        uint32
-	Status    symexec.Status
-	Steps     uint64
-	Console   []byte
-	Model     []modelVar
-	SymInputs []symexec.SymInput
-	ErrMsg    string
-}
-
-// modelVar is one binding of a path's model. The portable form lists
-// them in name order instead of carrying the map: gob writes a map in
-// iteration order and, decoding, sizes it from a length field it never
-// checks against its input, whereas a slice encodes the same value to
-// the same bytes and cannot outgrow the bytes behind it.
-type modelVar struct {
-	Name  string
-	Value uint64
-}
-
-func sortedModel(m expr.Assignment) []modelVar {
-	vars := make([]modelVar, 0, len(m))
-	for name, v := range m {
-		vars = append(vars, modelVar{name, v})
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i].Name < vars[j].Name })
-	return vars
-}
-
-func toPortable(st *symexec.State) portablePath {
-	p := portablePath{
-		ID:        st.ID,
-		Parent:    st.Parent,
-		PC:        st.PC,
-		Status:    st.Status,
-		Steps:     st.Steps,
-		Console:   st.Console,
-		Model:     sortedModel(st.Model),
-		SymInputs: st.SymInputs,
-	}
-	if st.Err != nil {
-		p.ErrMsg = st.Err.Error()
-	}
-	return p
-}
-
-func (p portablePath) state() *symexec.State {
-	st := &symexec.State{
-		ID:        p.ID,
-		Parent:    p.Parent,
-		PC:        p.PC,
-		Status:    p.Status,
-		Steps:     p.Steps,
-		Console:   p.Console,
-		SymInputs: p.SymInputs,
-	}
-	if len(p.Model) > 0 {
-		st.Model = make(expr.Assignment, len(p.Model))
-		for _, v := range p.Model {
-			st.Model[v.Name] = v.Value
-		}
-	}
-	if p.ErrMsg != "" {
-		st.Err = errors.New(p.ErrMsg)
-	}
-	return st
-}
 
 // campaignLog is the one writer of campaign journals: the supervisor
 // appends every completed subtree through it, whichever kind of
@@ -173,11 +98,7 @@ func openCampaignLog(cfg *Config, id FrontierID) (*campaignLog, error) {
 			return nil, err
 		}
 		l.jw = jw
-		payload, err := gobEncode(id)
-		if err == nil {
-			err = jw.Append(recCampaign, payload)
-		}
-		if err == nil {
+		if err = jw.Append(recCampaign, appendFrontierID(nil, id)); err == nil {
 			err = jw.Sync()
 		}
 		if err != nil {
@@ -200,11 +121,7 @@ func (l *campaignLog) appendSubtree(res *SubtreeResult, last bool) error {
 	}
 	start := time.Now()
 	defer func() { l.wall += time.Since(start) }()
-	payload, err := res.Encode()
-	if err != nil {
-		return err
-	}
-	if err := l.jw.Append(recSubtree, payload); err != nil {
+	if err := l.jw.Append(recSubtree, res.Encode()); err != nil {
 		return err
 	}
 	if l.sinceSync++; l.sinceSync >= syncEvery || last {
@@ -250,16 +167,26 @@ func (l *campaignLog) stats() journal.Stats {
 	return l.jw.Stats()
 }
 
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+// appendFrontierID writes the journal's header record: the
+// fingerprint and seeds hash as names, the five counts at 8 bytes each,
+// then the seed snapshot digests as a list of names.
+func appendFrontierID(b []byte, id FrontierID) []byte {
+	b = snapshot.AppendU64(snapshot.AppendU64(snapshot.AppendName(b, id.Fingerprint), uint64(id.Workers)), uint64(id.Seeds))
+	b = snapshot.AppendU64(snapshot.AppendName(b, id.SeedsHash), id.SeedMaxID)
+	b = snapshot.AppendU64(snapshot.AppendU64(b, uint64(id.SeedFinished)), id.SeedInstructions)
+	b = snapshot.AppendU32(b, len(id.SeedSnapshots))
+	for _, d := range id.SeedSnapshots {
+		b = snapshot.AppendName(b, d)
 	}
-	return buf.Bytes(), nil
+	return b
 }
 
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+func decodeFrontierID(p []byte) (FrontierID, error) {
+	r := snapshot.NewReader(p)
+	id := FrontierID{Fingerprint: r.Name(), Workers: int(r.U64()), Seeds: int(r.U64()),
+		SeedsHash: r.Name(), SeedMaxID: r.U64(), SeedFinished: int(r.U64()), SeedInstructions: r.U64(),
+		SeedSnapshots: snapshot.List(r, 4, r.Name)}
+	return id, r.End()
 }
 
 // runFingerprint hashes the configuration knobs that shape a
@@ -310,8 +237,8 @@ func Fingerprint(rep *Report) string {
 func pathLine(st *symexec.State) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d %d %#x %d %d %q", st.ID, st.Parent, st.PC, st.Status, st.Steps, st.Console)
-	for _, v := range sortedModel(st.Model) {
-		fmt.Fprintf(&b, " %s=%d", v.Name, v.Value)
+	for _, name := range snapshot.SortedNames(st.Model) {
+		fmt.Fprintf(&b, " %s=%d", name, st.Model[name])
 	}
 	for _, in := range st.SymInputs {
 		fmt.Fprintf(&b, " sym(%d,%#x,%d)", in.Tag, in.Addr, in.Len)
@@ -356,7 +283,7 @@ func LoadCampaign(path string) (*Campaign, error) {
 	if scan.Records[0].Kind != recCampaign {
 		return nil, fmt.Errorf("core: %s: %w (first record is kind %d)", path, ErrCampaignVersion, scan.Records[0].Kind)
 	}
-	if err := gobDecode(scan.Records[0].Payload, &cam.Header); err != nil {
+	if cam.Header, err = decodeFrontierID(scan.Records[0].Payload); err != nil {
 		return nil, fmt.Errorf("core: %s: campaign header: %w", path, err)
 	}
 	for _, r := range scan.Records[1:] {

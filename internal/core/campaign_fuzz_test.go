@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -8,13 +9,14 @@ import (
 	"hardsnap/internal/symexec"
 )
 
-// FuzzLoadCampaign frames mutated gob payloads as a well-formed journal
+// FuzzLoadCampaign frames mutated payloads as a well-formed journal
 // (right magic, lengths and CRCs, so every refusal is about the payload)
 // and loads it: header, one subtree record, the same subtree record
-// again. LoadCampaign must return an error or a campaign whose every
-// result encodes again; it must not panic, and what gob allocates stays
-// bounded by its own input checks. Seeded from the records of a real
-// journaled run with bug snapshots.
+// again. LoadCampaign must return an error or a campaign whose result
+// encodes back to exactly the subtree payload (one byte form per
+// result); it must not panic, and every count is vetted against the
+// bytes left before anything is sized by it. Seeded from the records of
+// a real journaled run with bug snapshots.
 func FuzzLoadCampaign(f *testing.F) {
 	dir := f.TempDir()
 	seedPath := filepath.Join(dir, "seed.hsj")
@@ -64,8 +66,8 @@ func FuzzLoadCampaign(f *testing.F) {
 			if res.Index != idx || res.Report == nil {
 				t.Fatalf("result filed under %d: %+v", idx, res)
 			}
-			if _, err := res.Encode(); err != nil {
-				t.Fatalf("loaded result %d does not encode again: %v", idx, err)
+			if again := res.Encode(); !bytes.Equal(again, sub) {
+				t.Fatalf("loaded result %d encodes to %d other bytes than the %d it was read from", idx, len(again), len(sub))
 			}
 		}
 	})

@@ -205,18 +205,6 @@ type Stats struct {
 	HWViolations int
 }
 
-// Add folds o into s.
-func (s *Stats) Add(o Stats) {
-	s.Instructions += o.Instructions
-	s.ContextSwitches += o.ContextSwitches
-	s.Reboots += o.Reboots
-	s.PathsCompleted += o.PathsCompleted
-	s.ReplayedInstructions += o.ReplayedInstructions
-	s.ReplayedIO += o.ReplayedIO
-	s.ReplayDivergences += o.ReplayDivergences
-	s.HWViolations += o.HWViolations
-}
-
 // SnapshotTraffic summarizes what the copy-on-write snapshot pipeline
 // actually moved during a run.
 type SnapshotTraffic struct {
@@ -234,29 +222,6 @@ type SnapshotTraffic struct {
 	BytesMoved uint64
 	// SnapshotTime is the virtual time spent moving state.
 	SnapshotTime time.Duration
-}
-
-// Add folds o's counters into t. Store is a reading of the run's one
-// shared store, not a count of this run's work: t keeps its own.
-func (t *SnapshotTraffic) Add(o SnapshotTraffic) {
-	t.Manager.Add(o.Manager)
-	t.HWSaves += o.HWSaves
-	t.HWRestores += o.HWRestores
-	t.DeltaRestores += o.DeltaRestores
-	t.BytesMoved += o.BytesMoved
-	t.SnapshotTime += o.SnapshotTime
-}
-
-// since returns the traffic counted after the reading base was taken
-// (Store stays t's reading).
-func (t SnapshotTraffic) since(base SnapshotTraffic) SnapshotTraffic {
-	t.Manager = t.Manager.since(base.Manager)
-	t.HWSaves -= base.HWSaves
-	t.HWRestores -= base.HWRestores
-	t.DeltaRestores -= base.DeltaRestores
-	t.BytesMoved -= base.BytesMoved
-	t.SnapshotTime -= base.SnapshotTime
-	return t
 }
 
 // WorkerReport breaks one parallel worker's share of the run out of
@@ -310,12 +275,65 @@ type Tally struct {
 // Add folds o into t. Virtual time adds like the rest (the sum is the
 // serial work); the parallel merge replaces it with its schedule's
 // makespan.
-func (t *Tally) Add(o Tally) {
-	t.Stats.Add(o.Stats)
-	t.VirtualTime += o.VirtualTime
-	t.Snapshots.Add(o.Snapshots)
-	t.Exec.Add(o.Exec)
-	t.Solver.Add(o.Solver)
+func (t *Tally) Add(o Tally) { t.fold(&o, false) }
+
+// counters lists t's counters in their one fixed order: what Add and
+// Engine.traffic fold pairwise, and what the byte form writes, 8 bytes
+// each. Snapshots.Store is not among them: it is a
+// reading of the run's shared store, which the merge takes once.
+func (t *Tally) counters() []any {
+	s, sn, m, x, q := &t.Stats, &t.Snapshots, &t.Snapshots.Manager, &t.Exec, &t.Solver
+	return []any{
+		&s.Instructions, &s.ContextSwitches, &s.Reboots, &s.PathsCompleted,
+		&s.ReplayedInstructions, &s.ReplayedIO, &s.ReplayDivergences, &s.HWViolations,
+		&t.VirtualTime,
+		&m.Saves, &m.Restores, &m.SavesSkipped, &m.RestoresSkipped, &m.DeltaRestores,
+		&sn.HWSaves, &sn.HWRestores, &sn.DeltaRestores, &sn.BytesMoved, &sn.SnapshotTime,
+		&x.Instructions, &x.Forks, &x.SolverCalls, &x.Concretized, &x.SolverUnknowns,
+		&q.Queries, &q.SatAnswers, &q.UnsatAnswers, &q.CacheHits, &q.Conflicts,
+		&q.Propagations, &q.Sliced, &q.ModelHits, &q.IncrementalReuses, &q.WallNS,
+	}
+}
+
+// fold adds o's counters into t's, or with sub subtracts them.
+func (t *Tally) fold(o *Tally, sub bool) {
+	oc := o.counters()
+	for i, c := range t.counters() {
+		v := load(oc[i])
+		if sub {
+			v = -v
+		}
+		store(c, load(c)+v)
+	}
+}
+
+// load reads a counter of Tally.counters as the uint64 of its two's
+// complement, and store writes one back: sums and differences wrap as
+// the field's own arithmetic does.
+func load(c any) uint64 {
+	switch c := c.(type) {
+	case *uint64:
+		return *c
+	case *int64:
+		return uint64(*c)
+	case *time.Duration:
+		return uint64(*c)
+	default:
+		return uint64(*c.(*int))
+	}
+}
+
+func store(c any, v uint64) {
+	switch c := c.(type) {
+	case *uint64:
+		*c = v
+	case *int64:
+		*c = int64(v)
+	case *time.Duration:
+		*c = time.Duration(v)
+	default:
+		*c.(*int) = int(v)
+	}
 }
 
 // Report is the outcome of a Run, and of every subtree of a parallel
@@ -930,7 +948,7 @@ func (e *Engine) traffic() SnapshotTraffic {
 		return SnapshotTraffic{}
 	}
 	ts := e.rig.Target.Stats()
-	return SnapshotTraffic{
+	now := Tally{Snapshots: SnapshotTraffic{
 		Manager:       e.rig.Snaps.Stats(),
 		Store:         e.snaps.Stats(),
 		HWSaves:       ts.Snapshots,
@@ -938,5 +956,7 @@ func (e *Engine) traffic() SnapshotTraffic {
 		DeltaRestores: ts.DeltaRestores,
 		BytesMoved:    ts.SnapshotBytes,
 		SnapshotTime:  ts.SnapshotTime,
-	}.since(e.trafficBase)
+	}}
+	now.fold(&Tally{Snapshots: e.trafficBase}, true) // Store is not a counter: it stays the current reading
+	return now.Snapshots
 }

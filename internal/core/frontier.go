@@ -19,12 +19,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
+	"hardsnap/internal/expr"
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/solver"
 	"hardsnap/internal/symexec"
@@ -175,21 +180,10 @@ type FrontierID struct {
 // ID returns the frontier's identity.
 func (f *Frontier) ID() FrontierID { return f.id }
 
-// Equal reports whether two frontier identities match exactly.
+// Equal reports whether two frontier identities match exactly, field
+// for field: whether they write the same journal header.
 func (a FrontierID) Equal(b FrontierID) bool {
-	if a.Fingerprint != b.Fingerprint || a.Workers != b.Workers ||
-		a.Seeds != b.Seeds || a.SeedsHash != b.SeedsHash ||
-		a.SeedMaxID != b.SeedMaxID || a.SeedFinished != b.SeedFinished ||
-		a.SeedInstructions != b.SeedInstructions ||
-		len(a.SeedSnapshots) != len(b.SeedSnapshots) {
-		return false
-	}
-	for i := range a.SeedSnapshots {
-		if a.SeedSnapshots[i] != b.SeedSnapshots[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(appendFrontierID(nil, a), appendFrontierID(nil, b))
 }
 
 // Close releases the seeds' snapshot references. Call it once no more
@@ -352,61 +346,108 @@ type SubtreeResult struct {
 	BugSnaps map[uint64]*snapshot.Record
 }
 
-// subtreeWire is SubtreeResult's gob form, the campaign journal's
-// subtree record and a dist node's run answer: the report's tally
-// as it is, its paths in their portable projection, bug snapshots in
-// the snapshot record byte form and in state-ID order (a slice for the
-// reasons modelVar gives).
-type subtreeWire struct {
-	Index    int
-	Tally    Tally
-	Paths    []portablePath
-	BugSnaps []bugSnapWire
-}
-
-type bugSnapWire struct {
-	State  uint64
-	Record []byte
-}
-
-// Encode serializes the result.
-func (r *SubtreeResult) Encode() ([]byte, error) {
-	w := subtreeWire{Index: r.Index, Tally: r.Report.Tally}
-	w.Paths = make([]portablePath, len(r.Report.Finished))
-	for i, st := range r.Report.Finished {
-		w.Paths[i] = toPortable(st)
+// Encode serializes the result in the snapshot codec idiom: index(4),
+// the tally's counters at 8 bytes each (so a record's length does not
+// depend on what it counted), the paths, then the bug snapshots by
+// ascending state ID, each ID(8) and a record in snapshot.Encode form.
+func (r *SubtreeResult) Encode() []byte {
+	b := snapshot.AppendU32(make([]byte, 0, 512), r.Index)
+	for _, c := range r.Report.counters() {
+		b = snapshot.AppendU64(b, load(c))
 	}
-	for id, snap := range r.BugSnaps {
-		data, err := snapshot.Encode(snap)
-		if err != nil {
-			return nil, fmt.Errorf("core: subtree %d: bug snapshot %d: %w", r.Index, id, err)
-		}
-		w.BugSnaps = append(w.BugSnaps, bugSnapWire{id, data})
+	b = snapshot.AppendU32(b, len(r.Report.Finished))
+	for _, st := range r.Report.Finished {
+		b = appendPath(b, st)
 	}
-	sort.Slice(w.BugSnaps, func(i, j int) bool { return w.BugSnaps[i].State < w.BugSnaps[j].State })
-	return gobEncode(w)
+	ids := make([]uint64, 0, len(r.BugSnaps))
+	for id := range r.BugSnaps {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	b = snapshot.AppendU32(b, len(ids))
+	for _, id := range ids {
+		rec, _ := snapshot.Encode(r.BugSnaps[id])
+		b = append(snapshot.AppendU32(snapshot.AppendU64(b, id), len(rec)), rec...)
+	}
+	return b
 }
 
-// DecodeSubtreeResult parses an Encode'd subtree result.
+// DecodeSubtreeResult parses an Encode'd subtree result. Every byte
+// string it accepts is the one Encode gives for the result: bug
+// snapshot IDs must ascend, and trailing bytes are refused.
 func DecodeSubtreeResult(data []byte) (*SubtreeResult, error) {
-	var w subtreeWire
-	if err := gobDecode(data, &w); err != nil {
+	r := snapshot.NewReader(data)
+	res := &SubtreeResult{Index: int(r.U32()), Report: &Report{}}
+	for _, c := range res.Report.counters() {
+		store(c, r.U64())
+	}
+	res.Report.Finished = snapshot.List(r, minPathLen, func() *symexec.State { return readPath(r) })
+	res.BugSnaps = make(map[uint64]*snapshot.Record)
+	var id uint64
+	for i := range r.Count(8 + 4) {
+		prev := id
+		if id = r.U64(); i > 0 && id <= prev {
+			r.Fail("bug snapshot %d out of order", id)
+		}
+		rec, err := snapshot.Decode(r.Chunk())
+		if err != nil {
+			r.Fail("bug snapshot %d: %v", id, err)
+		}
+		res.BugSnaps[id] = rec
+	}
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("core: subtree result: %w", err)
 	}
-	r := &SubtreeResult{
-		Index:    w.Index,
-		Report:   &Report{Tally: w.Tally, Finished: make([]*symexec.State, len(w.Paths))},
-		BugSnaps: make(map[uint64]*snapshot.Record, len(w.BugSnaps)),
+	return res, nil
+}
+
+// minPathLen is the fewest bytes appendPath writes: one-byte ID,
+// parent, PC, status and steps, then four empty lengths.
+const minPathLen = 5 + 4*4
+
+// appendPath writes what the report, the bug listing and the identity
+// fingerprint read of a finished path: ID parent pc status(1) steps
+// console, the model in name order, the symbolic inputs and the error
+// text. Its numbers are uvarints: unlike counters they are a pure
+// function of the subtree, and they are most of a record's bytes.
+func appendPath(b []byte, st *symexec.State) []byte {
+	b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, st.ID), st.Parent), uint64(st.PC))
+	b = binary.AppendUvarint(append(b, byte(st.Status)), st.Steps)
+	b = append(snapshot.AppendU32(b, len(st.Console)), st.Console...)
+	names := snapshot.SortedNames(st.Model)
+	b = snapshot.AppendU32(b, len(names))
+	for _, name := range names {
+		b = binary.AppendUvarint(snapshot.AppendName(b, name), st.Model[name])
 	}
-	for i, p := range w.Paths {
-		r.Report.Finished[i] = p.state()
+	b = snapshot.AppendU32(b, len(st.SymInputs))
+	for _, in := range st.SymInputs {
+		b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, uint64(in.Tag)), uint64(in.Addr)), uint64(in.Len))
 	}
-	for _, b := range w.BugSnaps {
-		snap, err := snapshot.Decode(b.Record)
-		if err != nil {
-			return nil, fmt.Errorf("core: subtree %d: bug snapshot %d: %w", w.Index, b.State, err)
+	msg := ""
+	if st.Err != nil {
+		msg = st.Err.Error()
+	}
+	return snapshot.AppendName(b, msg)
+}
+
+// readPath reads what appendPath wrote. A model whose names do not
+// strictly ascend is refused, so no two encodings give one path.
+func readPath(r *snapshot.Reader) *symexec.State {
+	u64 := func() uint64 { return r.Uvarint(math.MaxUint64) }
+	u32 := func() uint32 { return uint32(r.Uvarint(math.MaxUint32)) }
+	st := &symexec.State{ID: u64(), Parent: u64(), PC: u32(), Status: symexec.Status(r.U8()),
+		Steps: u64(), Console: append([]byte(nil), r.Chunk()...)}
+	if n := r.Count(4 + 1); n > 0 {
+		st.Model = make(expr.Assignment, n)
+		name := ""
+		for i := range n {
+			name = r.Ascending(i, name)
+			st.Model[name] = u64()
 		}
-		r.BugSnaps[b.State] = snap
 	}
-	return r, nil
+	st.SymInputs = snapshot.List(r, 3, func() symexec.SymInput { return symexec.SymInput{Tag: u32(), Addr: u32(), Len: u32()} })
+	if msg := r.Name(); msg != "" {
+		st.Err = errors.New(msg)
+	}
+	return st
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"hardsnap/internal/snapshot"
@@ -43,7 +42,7 @@ func (a *Analysis) WriteCrashReports(dir string, rep *Report) (int, error) {
 }
 
 // writeOneReport writes one bug's report. It reads only what a
-// subtree result's byte form carries (portablePath, bug snapshots), so
+// subtree result's byte form carries (appendPath, bug snapshots), so
 // a report does not depend on where its subtree ran: locally, on a
 // dist node or in a resumed journal.
 func (a *Analysis) writeOneReport(dir string, bug *symexec.State) error {
@@ -58,13 +57,8 @@ func (a *Analysis) writeOneReport(dir string, bug *symexec.State) error {
 		fmt.Fprintf(&b, "console: %q\n", bug.Console)
 	}
 	if bug.Model != nil {
-		names := make([]string, 0, len(bug.Model))
-		for n := range bug.Model {
-			names = append(names, n)
-		}
-		sort.Strings(names)
 		b.WriteString("model:\n")
-		for _, n := range names {
+		for _, n := range snapshot.SortedNames(bug.Model) {
 			fmt.Fprintf(&b, "  %s = %#x\n", n, bug.Model[n])
 		}
 	}

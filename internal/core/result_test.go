@@ -1,8 +1,9 @@
 package core
 
-// A subtree's result is a Report: its gob form round-trips, its tally
-// adds up to the parallel run's, and journals that carried the older
-// result shapes are refused by name.
+// A subtree's result is a Report: its byte form round-trips and its
+// length does not depend on what it counted, its tally adds up to the
+// parallel run's, and journals that carried the older result shapes are
+// refused by record kind.
 
 import (
 	"bytes"
@@ -12,6 +13,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -25,11 +27,12 @@ import (
 	"hardsnap/internal/testseed"
 )
 
-// genResult draws a subtree result with every portable field populated
+// genResult draws a subtree result with every encoded field populated
 // at random, bug snapshots included.
 func genResult(rnd *rand.Rand) *SubtreeResult {
 	tally, _ := quick.Value(reflect.TypeOf(Tally{}), rnd)
 	r := &SubtreeResult{Index: rnd.Intn(64), Report: &Report{Tally: tally.Interface().(Tally)}}
+	r.Report.Snapshots.Store = snapshot.Stats{} // a subtree's is always zero (runSubtreeOn)
 	for i := rnd.Intn(5); i > 0; i-- {
 		st := &symexec.State{
 			ID:     rnd.Uint64(),
@@ -83,11 +86,7 @@ func genResult(rnd *rand.Rand) *SubtreeResult {
 func TestSubtreeResultRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := genResult(rand.New(rand.NewSource(seed)))
-		data, err := r.Encode()
-		if err != nil {
-			t.Logf("seed %d: encode: %v", seed, err)
-			return false
-		}
+		data := r.Encode()
 		back, err := DecodeSubtreeResult(data)
 		if err != nil {
 			t.Logf("seed %d: decode: %v", seed, err)
@@ -110,9 +109,8 @@ func TestSubtreeResultRoundTrip(t *testing.T) {
 			t.Logf("seed %d: merge differs after the round trip", seed)
 			return false
 		}
-		data2, err := back.Encode()
-		if err != nil || !bytes.Equal(data2, data) {
-			t.Logf("seed %d: re-encode: %v, %d bytes vs %d", seed, err, len(data2), len(data))
+		if data2 := back.Encode(); !bytes.Equal(data2, data) {
+			t.Logf("seed %d: re-encode: %d bytes vs %d", seed, len(data2), len(data))
 			return false
 		}
 		return true
@@ -145,7 +143,7 @@ func TestMergeEqualsSerialTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			want := a.Engine.traffic() // the seed phase's, on the primary target
+			want := Tally{Snapshots: a.Engine.traffic()} // the seed phase's, on the primary target
 
 			var mu sync.Mutex
 			own := make(map[int]SnapshotTraffic)
@@ -160,7 +158,7 @@ func TestMergeEqualsSerialTraffic(t *testing.T) {
 						res, err := exec(ctx, idx, attempt)
 						if err == nil {
 							mu.Lock()
-							want.Add(res.Report.Snapshots)
+							want.Add(Tally{Snapshots: res.Report.Snapshots})
 							own[idx] = res.Report.Snapshots
 							mu.Unlock()
 						}
@@ -175,9 +173,9 @@ func TestMergeEqualsSerialTraffic(t *testing.T) {
 			if len(own) != 16 {
 				t.Fatalf("%d subtrees ran, want 16", len(own))
 			}
-			want.Store = rep.Snapshots.Store // a reading of the shared store, not a sum
-			if rep.Snapshots != want {
-				t.Errorf("merged traffic\n  %+v\nseed phase + subtrees\n  %+v", rep.Snapshots, want)
+			want.Snapshots.Store = rep.Snapshots.Store // a reading of the shared store, not a sum
+			if rep.Snapshots != want.Snapshots {
+				t.Errorf("merged traffic\n  %+v\nseed phase + subtrees\n  %+v", rep.Snapshots, want.Snapshots)
 			}
 			if mode == ModeHardSnap && (rep.Snapshots.HWRestores == 0 || rep.Snapshots.Manager.Saves == 0) {
 				t.Errorf("no traffic to compare: %+v", rep.Snapshots)
@@ -195,31 +193,124 @@ func TestMergeEqualsSerialTraffic(t *testing.T) {
 	}
 }
 
+// TestSubtreeResultLengthFixed: a record's length does not depend on
+// the values of its counters — wall-clock solver time and
+// scheduling-dependent counts included — so two runs that explored the
+// same paths journal the same number of bytes.
+func TestSubtreeResultLengthFixed(t *testing.T) {
+	r := genResult(rand.New(rand.NewSource(1)))
+	small, huge := *r.Report, *r.Report
+	for i, c := range small.counters() {
+		store(c, 1)
+		store(huge.counters()[i], 1<<62)
+	}
+	if small.Solver.WallNS != 1 || huge.Solver.WallNS != 1<<62 {
+		t.Fatalf("WallNS %d and %d, want 1 and 1<<62", small.Solver.WallNS, huge.Solver.WallNS)
+	}
+	a := (&SubtreeResult{Index: r.Index, Report: &small, BugSnaps: r.BugSnaps}).Encode()
+	b := (&SubtreeResult{Index: r.Index, Report: &huge, BugSnaps: r.BugSnaps}).Encode()
+	if len(a) != len(b) {
+		t.Fatalf("small counters encode to %d bytes, huge ones to %d", len(a), len(b))
+	}
+}
+
+// TestTallyCountersCoverTally: Tally.counters lists every numeric field
+// of a Tally but Snapshots.Store exactly once, so Add, since and the
+// byte form cannot miss a counter added to any of its parts.
+func TestTallyCountersCoverTally(t *testing.T) {
+	var tl Tally
+	for i, c := range tl.counters() {
+		store(c, uint64(i+1))
+	}
+	seen := make(map[uint64]string)
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if f := path + "." + v.Type().Field(i).Name; f != "Tally.Snapshots.Store" {
+					walk(v.Field(i), f)
+				}
+			}
+		case reflect.Int, reflect.Int64:
+			seen[uint64(v.Int())] += " " + path
+		case reflect.Uint64:
+			seen[v.Uint()] += " " + path
+		default:
+			t.Errorf("%s: %s is not a counter type", path, v.Kind())
+		}
+	}
+	walk(reflect.ValueOf(tl), "Tally")
+	n := len(tl.counters())
+	for v, fields := range seen {
+		if v == 0 || v > uint64(n) || strings.Count(fields, " ") != 1 {
+			t.Errorf("value %d in%s: want each field set by exactly one counter", v, fields)
+		}
+	}
+	if len(seen) != n || n != 34 {
+		t.Errorf("%d fields set by %d counters, want 34", len(seen), n)
+	}
+}
+
+// TestTallyAdd: Add sums every counter field-wise — the solver's, the
+// executor's and the engine's alike — which is how a parallel run's
+// subtrees merge; the subtracting fold that takes a subtree's traffic
+// from its rig's counters undoes it and leaves Store, a reading, as it
+// was.
+func TestTallyAdd(t *testing.T) {
+	var a Tally
+	for i, c := range a.counters() {
+		store(c, uint64(i+1))
+	}
+	a.Snapshots.Store.Puts = 7
+	b := a
+	b.Add(a)
+	for i, c := range b.counters() {
+		if got := load(c); got != 2*uint64(i+1) {
+			t.Errorf("counter %d: %d after Add, want %d", i, got, 2*(i+1))
+		}
+	}
+	if b.Solver.WallNS != 2*a.Solver.WallNS || b.Stats.PathsCompleted != 2*a.Stats.PathsCompleted {
+		t.Errorf("Add: WallNS %d, PathsCompleted %d", b.Solver.WallNS, b.Stats.PathsCompleted)
+	}
+	d, want := b, a
+	d.Snapshots.Store.Puts, want.Snapshots.Store.Puts = 9, 9
+	if d.fold(&a, true); d != want {
+		t.Errorf("subtracting fold: %+v, want %+v", d, want)
+	}
+}
+
 // TestLoadCampaignRefusesOlderFormat: a journal whose first record is
-// the pre-FrontierID header kind fails at LoadCampaign with
-// ErrCampaignVersion — before any of its records is decoded into the
-// current shapes, which gob would do without complaint.
+// a retired header kind — 1, from before the header became a
+// FrontierID, or 5, the gob-encoded one — fails at LoadCampaign with
+// ErrCampaignVersion, by kind alone: the kind-5 header here carries a
+// payload the current header decoder accepts.
 func TestLoadCampaignRefusesOlderFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.hsj")
-	w, err := journal.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, err := gobEncode(struct {
-		Fingerprint string
-		Workers     int
-		Seeds       int
-	}{"f00d", 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(1, hdr); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCampaign(path); !errors.Is(err, ErrCampaignVersion) {
-		t.Fatalf("LoadCampaign of a kind-1 header: %v, want ErrCampaignVersion", err)
+	for _, c := range []struct {
+		kind    byte
+		payload []byte
+	}{
+		{1, append(snapshot.AppendName(nil, "f00d"), 4, 0, 0, 0, 16, 0, 0, 0)},
+		{5, appendFrontierID(nil, FrontierID{Fingerprint: "f00d", Workers: 4, Seeds: 16})},
+	} {
+		if _, err := decodeFrontierID(c.payload); c.kind == 5 && err != nil {
+			t.Fatalf("kind-5 payload does not decode as a header: %v", err)
+		}
+		path := filepath.Join(t.TempDir(), "old.hsj")
+		w, err := journal.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []journal.Record{{Kind: c.kind, Payload: c.payload}, {Kind: 6, Payload: []byte("gob")}} {
+			if err := w.Append(r.Kind, r.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCampaign(path); !errors.Is(err, ErrCampaignVersion) {
+			t.Fatalf("LoadCampaign of a kind-%d header: %v, want ErrCampaignVersion", c.kind, err)
+		}
 	}
 }

@@ -63,26 +63,6 @@ type SnapManagerStats struct {
 	DeltaRestores uint64
 }
 
-// Add folds o into s.
-func (s *SnapManagerStats) Add(o SnapManagerStats) {
-	s.Saves += o.Saves
-	s.Restores += o.Restores
-	s.SavesSkipped += o.SavesSkipped
-	s.RestoresSkipped += o.RestoresSkipped
-	s.DeltaRestores += o.DeltaRestores
-}
-
-// since returns the operations counted after the reading base was
-// taken.
-func (s SnapManagerStats) since(base SnapManagerStats) SnapManagerStats {
-	s.Saves -= base.Saves
-	s.Restores -= base.Restores
-	s.SavesSkipped -= base.SavesSkipped
-	s.RestoresSkipped -= base.RestoresSkipped
-	s.DeltaRestores -= base.DeltaRestores
-	return s
-}
-
 // NewSnapshotManager builds a manager over the given store, target
 // and interrupt router. The target may be remote: generation-proven
 // skips and digest checks run entirely client-side against the

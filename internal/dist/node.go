@@ -157,9 +157,5 @@ func (s *Server) run(req Request) Response {
 	if err != nil {
 		return Response{Error: fmt.Sprintf("run: subtree %d: %v", req.Subtree, err)}
 	}
-	data, err := res.Encode()
-	if err != nil {
-		return Response{Error: fmt.Sprintf("run: encode result: %v", err)}
-	}
-	return Response{OK: true, Result: data}
+	return Response{OK: true, Result: res.Encode()}
 }

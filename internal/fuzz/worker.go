@@ -143,23 +143,14 @@ func newWorker(id int, c *campaign) (*worker, error) {
 // conditional branches, building the pc-indexed side table the hot
 // loop consults without hashing or allocation.
 func (w *worker) decodeBranchSites() {
-	code := w.cfg.Program.Code
-	base := w.cfg.Program.Base
-	w.branchIdx = make([]int32, len(code)/4)
-	for i := range w.branchIdx {
+	insts := isa.DecodeProgram(w.cfg.Program.Code)
+	w.branchIdx = make([]int32, len(insts))
+	for i, in := range insts {
 		w.branchIdx[i] = -1
-	}
-	for off := 0; off+4 <= len(code); off += 4 {
-		word := uint32(code[off]) | uint32(code[off+1])<<8 |
-			uint32(code[off+2])<<16 | uint32(code[off+3])<<24
-		in, err := isa.Decode(word)
-		if err != nil {
-			continue // data word
-		}
-		switch in.Op {
+		switch in.Op { // a data word decodes to an invalid Op
 		case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-			pc := base + uint32(off)
-			w.branchIdx[off/4] = int32(len(w.sites))
+			pc := w.cfg.Program.Base + uint32(4*i)
+			w.branchIdx[i] = int32(len(w.sites))
 			w.sites = append(w.sites, branchSite{
 				pc:      pc,
 				takenPC: pc + uint32(in.Imm),

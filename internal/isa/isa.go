@@ -17,7 +17,10 @@
 // Register r0 is hardwired to zero; writes to it are discarded.
 package isa
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // NumRegs is the number of architectural registers.
 const NumRegs = 16
@@ -209,6 +212,17 @@ func Decode(w uint32) (Inst, error) {
 		in.Imm = signExt(w&imm14Mask, 14)
 	}
 	return in, nil
+}
+
+// DecodeProgram decodes every whole little-endian word of code: the
+// i-th instruction is the word at byte 4i, the zero Inst (whose Op is
+// invalid) where that word is illegal.
+func DecodeProgram(code []byte) []Inst {
+	insts := make([]Inst, len(code)/4)
+	for i := range insts {
+		insts[i], _ = Decode(binary.LittleEndian.Uint32(code[4*i:]))
+	}
+	return insts
 }
 
 // String disassembles the instruction.

@@ -3,12 +3,16 @@ package remote
 import (
 	"hardsnap/internal/sim"
 	"hardsnap/internal/snapshot"
+	"hardsnap/internal/target"
 )
 
-// The fixed binary bodies of the snapshot frames (kSave, kFetch,
-// kRestore, kPush); the package comment in wire.go has the layouts.
-// The chunk bytes inside them, the append helpers and the
-// bounds-checked cursor are internal/snapshot's.
+// The fixed binary bodies of every frame but kBatch: the snapshot
+// frames (kSave, kFetch, kRestore, kPush) and the session frames
+// (kHello, kAttach, kSpawn, kStats, kViolations); the package comment
+// in wire.go has the layouts. What the server writes and reads is
+// here, what only the client does is in targetclient.go. The chunk
+// bytes inside them, the append helpers and the bounds-checked cursor
+// are internal/snapshot's.
 
 // chunkRef names one peripheral's state by content address.
 type chunkRef struct {
@@ -105,4 +109,69 @@ func decodeRestoreReq(p []byte, push bool) (mode byte, refs []chunkRef, chunks [
 		chunks = readChunks(r)
 	}
 	return mode, refs, chunks, r.End()
+}
+
+// decodeHello reads a kHello or kAttach body, refusing any magic but
+// this protocol's.
+func decodeHello(p []byte) (token uint32, err error) {
+	r := snapshot.NewReader(p)
+	if magic := r.U32(); magic != helloMagic {
+		r.Fail("hello magic %#x", magic)
+	}
+	return r.U32(), r.End()
+}
+
+// helloInfo describes the session's target: the answer to kHello,
+// kAttach and kSpawn.
+type helloInfo struct {
+	Token       uint32
+	Kind        string
+	Name        string
+	StateBits   uint
+	Periphs     []string
+	LastApplied uint32
+	// IRQMask has bit i set iff peripheral i can ever drive its
+	// interrupt line. Clients answer IRQ polls for cleared bits
+	// locally (the line is statically constant-low), with no wire
+	// traffic.
+	IRQMask uint64
+	// HasAssertions reports whether the target carries hardware
+	// assertions; without them it can never produce violations, so
+	// clients answer TakeViolations locally.
+	HasAssertions bool
+}
+
+func appendHelloInfo(b []byte, h helloInfo) []byte {
+	b = snapshot.AppendName(snapshot.AppendName(snapshot.AppendU32(b, int(h.Token)), h.Kind), h.Name)
+	b = snapshot.AppendU32(snapshot.AppendU64(b, uint64(h.StateBits)), len(h.Periphs))
+	for _, name := range h.Periphs {
+		b = snapshot.AppendName(b, name)
+	}
+	b = snapshot.AppendU64(snapshot.AppendU32(b, int(h.LastApplied)), h.IRQMask)
+	if h.HasAssertions {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// appendStats writes a kStats response: the target's seven counters,
+// 8 bytes each, in target.Stats field order.
+func appendStats(b []byte, st target.Stats) []byte {
+	for _, v := range [...]uint64{st.Cycles, st.IOOps, st.Snapshots, st.Restores,
+		uint64(st.SnapshotTime), st.SnapshotBytes, st.DeltaRestores} {
+		b = snapshot.AppendU64(b, v)
+	}
+	return b
+}
+
+// appendViolations writes a kViolations response: a count, then per
+// violation its target, peripheral, assertion name and expression and
+// the cycle(8) it was detected at.
+func appendViolations(b []byte, vs []target.Violation) []byte {
+	b = snapshot.AppendU32(b, len(vs))
+	for _, v := range vs {
+		b = snapshot.AppendName(snapshot.AppendName(snapshot.AppendName(snapshot.AppendName(b, v.Target), v.Periph), v.Name), v.Expr)
+		b = snapshot.AppendU64(b, v.Cycle)
+	}
+	return b
 }

@@ -358,22 +358,20 @@ func TestSnapshotChunkIntegrityTyped(t *testing.T) {
 }
 
 // TestServeConnRefusesOldHello: a peer built before the snapshot
-// bodies left gob ("HSR3"), or before chunks were addressed by the hash
-// of their state bytes ("HS3b"), announces its magic; it is refused at
-// hello — typed error, connection ended, no session, nothing answered —
-// rather than mis-decoded at its first kSave.
+// bodies left gob ("HSR3"), before chunks were addressed by the hash of
+// their state bytes ("HS3b"), or before the session bodies left gob
+// ("HS3c") announces its magic; it is refused at hello — typed error,
+// connection ended, no session, nothing answered — rather than
+// mis-decoded at its first kSave or session body.
 func TestServeConnRefusesOldHello(t *testing.T) {
-	for _, oldMagic := range []uint32{0x48535233, 0x48533362} {
+	for _, oldMagic := range []int{0x48535233, 0x48533362, 0x48533363} {
 		srv := NewServer(newV3Target(t))
-		hello, err := gobEncode(helloReq{Magic: oldMagic})
-		if err != nil {
-			t.Fatal(err)
-		}
+		hello := snapshot.AppendU32(snapshot.AppendU32(nil, oldMagic), 0)
 		var in, out bytes.Buffer
 		if err := writeFrame(&in, kHello, 0, hello); err != nil {
 			t.Fatal(err)
 		}
-		err = srv.ServeConn(struct {
+		err := srv.ServeConn(struct {
 			io.Reader
 			io.Writer
 		}{&in, &out})

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hardsnap/internal/snapshot"
+	"hardsnap/internal/target"
 )
 
 // maxReadReader records the largest buffer the server ever asked it to
@@ -39,11 +40,7 @@ func FuzzServeConn(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	helloPayload, err := gobEncode(helloReq{Magic: helloMagic})
-	if err != nil {
-		f.Fatal(err)
-	}
-	hello := frame(kHello, 0, helloPayload)
+	hello := frame(kHello, 0, appendHello(nil, 0))
 	batch := frame(kBatch, 1, appendBatch(nil, []batchOp{
 		{op: bWrite, offset: 0, value: 0xBEEF},
 		{op: bAdvance, value: 3},
@@ -107,6 +104,55 @@ func FuzzServeConn(f *testing.F) {
 		}
 		if err != nil && !errors.Is(err, errHdrCRC) && !strings.HasPrefix(err.Error(), "remote: ") {
 			t.Fatalf("untyped error from ServeConn: %v (%T)", err, err)
+		}
+	})
+}
+
+// FuzzClientBodies feeds arbitrary bytes to the client's decoders of
+// the session bodies a server answers with: hello info (kHello, kAttach,
+// kSpawn), stats and violations. Each must refuse the bytes or accept
+// exactly one encoding of a value — what it accepts encodes back to the
+// same bytes — without panicking, and no count may size an allocation
+// beyond the bytes behind it.
+func FuzzClientBodies(f *testing.F) {
+	info := appendHelloInfo(nil, helloInfo{Token: 3, Kind: "sim", Name: "dev0", StateBits: 96,
+		Periphs: []string{"gpio0", "uart0"}, LastApplied: 7, IRQMask: 2, HasAssertions: true})
+	stats := appendStats(nil, target.Stats{Cycles: 1 << 40, IOOps: 9, Snapshots: 2, Restores: 3,
+		SnapshotTime: 5000, SnapshotBytes: 512, DeltaRestores: 1})
+	viol := appendViolations(nil, []target.Violation{{Target: "dev0", Periph: "gpio0", Name: "no_bad",
+		Expr: "out != 32'hBAD", Cycle: 41}})
+	for which, body := range [][]byte{info, stats, viol} {
+		f.Add(byte(which), body)
+		f.Add(byte(which), body[:len(body)/2])
+		f.Add(byte(which), append(append([]byte(nil), body...), 0))
+	}
+	f.Add(byte(2), appendViolations(nil, nil))
+	f.Add(byte(2), snapshot.AppendU32(nil, 0xFFFFFFFF))
+	f.Add(byte(0), append(info[:len(info)-1:len(info)-1], 2)) // assertions flag 2
+	f.Fuzz(func(t *testing.T, which byte, body []byte) {
+		var again []byte
+		switch which % 3 {
+		case 0:
+			h, err := decodeHelloInfo(body)
+			if err != nil {
+				return
+			}
+			again = appendHelloInfo(nil, h)
+		case 1:
+			st, err := decodeStats(body)
+			if err != nil {
+				return
+			}
+			again = appendStats(nil, st)
+		case 2:
+			vs, err := decodeViolations(body)
+			if err != nil {
+				return
+			}
+			again = appendViolations(nil, vs)
+		}
+		if !bytes.Equal(again, body) {
+			t.Fatalf("body %d accepted as %x, re-encodes to %x", which%3, body, again)
 		}
 	})
 }

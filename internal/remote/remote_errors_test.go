@@ -44,10 +44,7 @@ func scriptedPeer(t *testing.T, respond func(conn net.Conn, seq uint32)) *Target
 		if err != nil {
 			return
 		}
-		info, err := gobEncode(helloInfo{Token: 1, Kind: "sim", Name: "scripted", Periphs: []string{"gpio0"}})
-		if err != nil {
-			return
-		}
+		info := appendHelloInfo(nil, helloInfo{Token: 1, Kind: "sim", Name: "scripted", Periphs: []string{"gpio0"}})
 		ok := respMeta{status: vstatusOK}
 		if writeFrame(sConn, kResp, seq, respPayload(ok, info)) != nil {
 			return

@@ -1,9 +1,7 @@
 package remote
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -92,19 +90,6 @@ func (s *Server) newSession(tgt *target.Target) (uint32, *session) {
 	return tok, sess
 }
 
-// gobEncode serializes a session-frame body (never a snapshot one).
-func gobEncode(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(p []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(p)).Decode(v)
-}
-
 // meta snapshots the session target's piggyback telemetry. sampleIRQ
 // additionally re-samples every interrupt line (batch responses only;
 // control responses leave the client's IRQ mirror invalidated).
@@ -148,15 +133,6 @@ func (sess *session) errFrame(seq uint32, err error) []byte {
 	return endFrame(append(b, msg...))
 }
 
-// gobFrame answers a session frame with a gob-encoded body.
-func (sess *session) gobFrame(seq uint32, v interface{}) []byte {
-	body, err := gobEncode(v)
-	if err != nil {
-		return sess.errFrame(seq, err)
-	}
-	return endFrame(append(sess.respFrame(seq, vstatusOK, len(body)), body...))
-}
-
 // helloFrame answers kHello/kAttach/kSpawn with session info.
 func (s *Server) helloFrame(seq, tok uint32, sess *session) []byte {
 	var irqMask uint64
@@ -165,7 +141,7 @@ func (s *Server) helloFrame(seq, tok uint32, sess *session) []byte {
 			irqMask |= 1 << uint(i)
 		}
 	}
-	return sess.gobFrame(seq, helloInfo{
+	return endFrame(appendHelloInfo(sess.respFrame(seq, vstatusOK, 128), helloInfo{
 		Token:         tok,
 		Kind:          sess.tgt.Kind(),
 		Name:          sess.tgt.Name(),
@@ -174,7 +150,7 @@ func (s *Server) helloFrame(seq, tok uint32, sess *session) []byte {
 		LastApplied:   sess.lastApplied,
 		IRQMask:       irqMask,
 		HasAssertions: sess.tgt.HasAssertions(),
-	})
+	}))
 }
 
 // apply executes one sequenced v3 frame against the session and
@@ -200,9 +176,9 @@ func (s *Server) apply(sess *session, kind byte, seq uint32, payload []byte) []b
 	case kSpawn:
 		return s.applySpawn(sess, seq, payload)
 	case kStats:
-		return sess.gobFrame(seq, sess.tgt.Stats())
+		return endFrame(appendStats(sess.respFrame(seq, vstatusOK, 7*8), sess.tgt.Stats()))
 	case kViolations:
-		return sess.gobFrame(seq, sess.tgt.TakeViolations())
+		return endFrame(appendViolations(sess.respFrame(seq, vstatusOK, 64), sess.tgt.TakeViolations()))
 	default:
 		return sess.errFrame(seq, fatalErr(fmt.Errorf("unknown v3 frame kind %#x", kind)))
 	}
@@ -373,11 +349,12 @@ func (s *Server) applyRestore(sess *session, seq uint32, mode byte, refs []chunk
 }
 
 func (s *Server) applySpawn(sess *session, seq uint32, payload []byte) []byte {
-	var req spawnReq
-	if err := gobDecode(payload, &req); err != nil {
+	r := snapshot.NewReader(payload)
+	name := r.Name()
+	if err := r.End(); err != nil {
 		return sess.errFrame(seq, fatalErr(err))
 	}
-	nt, err := sess.tgt.Spawn(req.Name, &vtime.Clock{})
+	nt, err := sess.tgt.Spawn(name, &vtime.Clock{})
 	if err != nil {
 		return sess.errFrame(seq, err)
 	}
@@ -428,8 +405,8 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		switch {
 		case resp != nil: // rejected above
 		case kind == kHello || kind == kAttach:
-			var req helloReq
-			if derr := gobDecode(payload, &req); derr != nil || req.Magic != helloMagic {
+			token, derr := decodeHello(payload)
+			if derr != nil {
 				return fmt.Errorf("remote: bad hello frame")
 			}
 			if kind == kHello {
@@ -438,14 +415,14 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 				resp = s.helloFrame(seq, tok, sess)
 			} else {
 				s.mu.Lock()
-				ns, ok := s.sessions[req.Token]
+				ns, ok := s.sessions[token]
 				s.mu.Unlock()
 				if !ok {
-					return fmt.Errorf("remote: attach to unknown session %d", req.Token)
+					return fmt.Errorf("remote: attach to unknown session %d", token)
 				}
 				sess = ns
 				sess.mu.Lock()
-				resp = s.helloFrame(seq, req.Token, sess)
+				resp = s.helloFrame(seq, token, sess)
 				sess.mu.Unlock()
 			}
 		case sess == nil:

@@ -242,11 +242,7 @@ func (c *TargetClient) xmit(f *sentFrame) error {
 func (c *TargetClient) handshake(kind byte, token uint32) (helloInfo, error) {
 	restore := c.setDeadline()
 	defer restore()
-	payload, err := gobEncode(helloReq{Magic: helloMagic, Token: token})
-	if err != nil {
-		return helloInfo{}, err
-	}
-	if err := writeFrame(c.conn, kind, 0, payload); err != nil {
+	if err := writeFrame(c.conn, kind, 0, appendHello(nil, token)); err != nil {
 		return helloInfo{}, &transportError{fmt.Errorf("remote: hello: %w", err)}
 	}
 	c.wire.frames.Add(1)
@@ -267,8 +263,8 @@ func (c *TargetClient) handshake(kind byte, token uint32) (helloInfo, error) {
 		}
 		return helloInfo{}, &transportError{fmt.Errorf("remote: hello rejected (status %d)", m.status)}
 	}
-	var info helloInfo
-	if err := gobDecode(body, &info); err != nil {
+	info, err := decodeHelloInfo(body)
+	if err != nil {
 		return helloInfo{}, &transportError{fmt.Errorf("remote: hello info: %w", err)}
 	}
 	c.consume(m)
@@ -720,8 +716,7 @@ func (c *TargetClient) Stats() target.Stats {
 		c.stashErr(err)
 		return c.statsCache
 	}
-	var st target.Stats
-	if err := gobDecode(body, &st); err == nil {
+	if st, err := decodeStats(body); err == nil {
 		c.statsCache = st
 	}
 	return c.statsCache
@@ -811,8 +806,8 @@ func (c *TargetClient) TakeViolations() []target.Violation {
 		c.stashErr(err)
 		return nil
 	}
-	var vs []target.Violation
-	if err := gobDecode(body, &vs); err != nil {
+	vs, err := decodeViolations(body)
+	if err != nil {
 		c.stashErr(transientErr(err))
 		return nil
 	}
@@ -1020,16 +1015,12 @@ func (c *TargetClient) SpawnWorker(name string, clock *vtime.Clock, _ int) (targ
 	if c.Dial == nil {
 		return nil, fatalErr(errors.New("SpawnWorker requires a Dial function"))
 	}
-	payload, err := gobEncode(spawnReq{Name: name})
+	body, err := c.roundTrip(kSpawn, func(b []byte) []byte { return snapshot.AppendName(b, name) })
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.roundTrip(kSpawn, func(b []byte) []byte { return append(b, payload...) })
+	info, err := decodeHelloInfo(body)
 	if err != nil {
-		return nil, err
-	}
-	var info helloInfo
-	if err := gobDecode(body, &info); err != nil {
 		return nil, transientErr(err)
 	}
 	conn, err := c.Dial()
@@ -1135,4 +1126,33 @@ func decodeRestoreResp(p []byte) (restoreResp, error) {
 	flags := r.U8()
 	resp := restoreResp{Applied: flags&1 != 0, DidDelta: flags&2 != 0, Missing: readDigests(r)}
 	return resp, r.End()
+}
+
+// appendHello writes a kHello or kAttach body: this protocol's magic
+// and, for kAttach, the session to resume.
+func appendHello(b []byte, token uint32) []byte {
+	return snapshot.AppendU32(snapshot.AppendU32(b, helloMagic), int(token))
+}
+
+func decodeHelloInfo(p []byte) (helloInfo, error) {
+	r := snapshot.NewReader(p)
+	h := helloInfo{Token: r.U32(), Kind: r.Name(), Name: r.Name(), StateBits: uint(r.U64()),
+		Periphs: snapshot.List(r, 4, r.Name), LastApplied: r.U32(), IRQMask: r.U64(),
+		HasAssertions: r.Flag("assertions flag")}
+	return h, r.End()
+}
+
+func decodeStats(p []byte) (target.Stats, error) {
+	r := snapshot.NewReader(p)
+	st := target.Stats{Cycles: r.U64(), IOOps: r.U64(), Snapshots: r.U64(), Restores: r.U64(),
+		SnapshotTime: time.Duration(r.U64()), SnapshotBytes: r.U64(), DeltaRestores: r.U64()}
+	return st, r.End()
+}
+
+func decodeViolations(p []byte) ([]target.Violation, error) {
+	r := snapshot.NewReader(p)
+	vs := snapshot.List(r, 4*4+8, func() target.Violation {
+		return target.Violation{Target: r.Name(), Periph: r.Name(), Name: r.Name(), Expr: r.Name(), Cycle: r.U64()}
+	})
+	return vs, r.End()
 }

@@ -56,8 +56,17 @@
 // decoder checks every count against the bytes left before it sizes
 // anything by it, rejects trailing bytes, and checks each chunk's bytes
 // against the digest they travelled under. The frames a session sends
-// once or a handful of times — hello, attach, spawn, stats, violations
-// — carry gob-encoded structs instead.
+// once or a handful of times are written in the same idiom (codec.go);
+// a string is a name, a flag one byte that is 0 or 1:
+//
+//	kHello    request: magic(4) token(4) (token 0)
+//	kAttach   request: magic(4) token(4) (the session to resume)
+//	kSpawn    request: name
+//	          response to all three: token(4) kind name statebits(8)
+//	          nperiphs(4) name* lastApplied(4) irqmask(8) assertions(1)
+//	kStats    response: cycles(8) ioops(8) saves(8) restores(8)
+//	          snaptime(8) snapbytes(8) deltarestores(8)
+//	kViolations response: n(4) (target periph name expr cycle(8))*
 //
 // This is the third wire generation and the only one served. Its
 // predecessor (one blocking 10-byte request / 6-byte response round
@@ -139,13 +148,13 @@ const (
 	batchOpLen = 14
 )
 
-// helloMagic identifies a v3 hello payload ("HS3c": v3 with binary
-// snapshot bodies and chunks addressed by the SHA-256 of their state
-// bytes). The digest function is part of the protocol: a peer built
-// with the earlier one sends "HS3b" (and one from before the snapshot
-// bodies left gob "HSR3"), and is refused at hello, not at its first
-// chunk's digest check.
-const helloMagic = 0x48533363
+// helloMagic identifies a v3 hello body ("HS3d": v3 with every body
+// but kBatch's in the binary codec, chunks addressed by the SHA-256 of
+// their state bytes). A peer built with gob session bodies sends "HS3c",
+// one with the earlier digest function "HS3b", one from before the
+// snapshot bodies left gob "HSR3"; each is refused at hello, not at its
+// first session body or chunk digest check.
+const helloMagic = 0x48533364
 
 // errHdrCRC marks an unrecoverable header corruption: the stream is
 // desynchronized and the connection must be abandoned.
@@ -271,36 +280,3 @@ const (
 	// batchResultLen is the wire size of one result: status(1) value(8).
 	batchResultLen = 9
 )
-
-// --- gob-framed session payloads -----------------------------------
-
-// helloReq opens (kHello) or resumes (kAttach) a session.
-type helloReq struct {
-	Magic uint32
-	Token uint32 // kAttach: the session to resume
-}
-
-// helloInfo describes the session's target.
-type helloInfo struct {
-	Token       uint32
-	Kind        string
-	Name        string
-	StateBits   uint
-	Periphs     []string
-	LastApplied uint32
-	// IRQMask has bit i set iff peripheral i can ever drive its
-	// interrupt line. Clients answer IRQ polls for cleared bits
-	// locally (the line is statically constant-low), with no wire
-	// traffic.
-	IRQMask uint64
-	// HasAssertions reports whether the target carries hardware
-	// assertions; without them it can never produce violations, so
-	// clients answer TakeViolations locally.
-	HasAssertions bool
-}
-
-// spawnReq asks the session's target for a worker clone; the response
-// is a helloInfo for the new session.
-type spawnReq struct {
-	Name string
-}

@@ -26,6 +26,9 @@ func SortedNames[V any](m map[string]V) []string {
 // AppendU32 appends a count or length.
 func AppendU32(b []byte, v int) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
 
+// AppendU64 appends a counter or a 64-bit value.
+func AppendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+
 // AppendName appends a length-prefixed name.
 func AppendName(b []byte, s string) []byte { return append(AppendU32(b, len(s)), s...) }
 
@@ -78,7 +81,9 @@ type Reader struct {
 // NewReader starts a cursor at the head of p.
 func NewReader(p []byte) *Reader { return &Reader{p: p} }
 
-func (r *Reader) fail(format string, args ...any) {
+// Fail records a decoding failure, if none came first, and empties the
+// cursor.
+func (r *Reader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("snapshot: "+format, args...)
 	}
@@ -89,7 +94,7 @@ func (r *Reader) fail(format string, args ...any) {
 // then a fixed field width, since count vets every variable length.
 func (r *Reader) take(n int) []byte {
 	if n > len(r.p) {
-		r.fail("truncated body (%d bytes wanted, %d left)", n, len(r.p))
+		r.Fail("truncated body (%d bytes wanted, %d left)", n, len(r.p))
 		return make([]byte, n)
 	}
 	b := r.p[:n]
@@ -98,44 +103,57 @@ func (r *Reader) take(n int) []byte {
 }
 
 func (r *Reader) U8() byte    { return r.take(1)[0] }
-func (r *Reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
+func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
+func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
 
-// flag reads a byte that may only be 0 or 1.
-func (r *Reader) flag(what string) bool {
+// Uvarint reads a value binary.AppendUvarint wrote, refusing one above
+// limit and an overlong encoding, so every value has one encoding.
+func (r *Reader) Uvarint(limit uint64) uint64 {
+	v, n := binary.Uvarint(r.p)
+	if n <= 0 || n > 1 && r.p[n-1] == 0 || v > limit {
+		r.Fail("bad varint")
+		return 0
+	}
+	r.p = r.p[n:]
+	return v
+}
+
+// Flag reads a byte that may only be 0 or 1.
+func (r *Reader) Flag(what string) bool {
 	v := r.U8()
 	if v > 1 {
-		r.fail("%s %d", what, v)
+		r.Fail("%s %d", what, v)
 	}
 	return v == 1
 }
 
-// count reads an element count and refuses one whose elements, at
+// Count reads an element count and refuses one whose elements, at
 // least min bytes each, cannot fit in the bytes left — before the
 // caller allocates anything sized by it.
-func (r *Reader) count(min int) int {
-	n := binary.LittleEndian.Uint32(r.take(4))
+func (r *Reader) Count(min int) int {
+	n := r.U32()
 	if uint64(n)*uint64(min) > uint64(len(r.p)) {
-		r.fail("count %d exceeds the %d bytes left", n, len(r.p))
+		r.Fail("count %d exceeds the %d bytes left", n, len(r.p))
 		return 0
 	}
 	return int(n)
 }
 
-func (r *Reader) Name() string { return string(r.take(r.count(1))) }
+func (r *Reader) Name() string { return string(r.take(r.Count(1))) }
 
 func (r *Reader) Digest() (d Digest) {
 	copy(d[:], r.take(digestLen))
 	return d
 }
 
-// Chunk reads the len(4) state[len] AppendChunk wrote; the bytes alias
-// the body and are for DecodeChunk.
-func (r *Reader) Chunk() []byte { return r.take(r.count(1)) }
+// Chunk reads a len(4) bytes[len] field, as AppendChunk writes a state
+// and AppendName a name; the bytes alias the body.
+func (r *Reader) Chunk() []byte { return r.take(r.Count(1)) }
 
 // List reads a count and that many elements, each at least min bytes,
 // stopping at the first failure.
 func List[T any](r *Reader, min int, elem func() T) []T {
-	out := make([]T, r.count(min))
+	out := make([]T, r.Count(min))
 	for i := 0; i < len(out) && r.err == nil; i++ {
 		out[i] = elem()
 	}
@@ -145,28 +163,28 @@ func List[T any](r *Reader, min int, elem func() T) []T {
 // End reports the first failure, or bytes left over after the body.
 func (r *Reader) End() error {
 	if r.err == nil && len(r.p) != 0 {
-		r.fail("%d trailing bytes after body", len(r.p))
+		r.Fail("%d trailing bytes after body", len(r.p))
 	}
 	return r.err
 }
 
-// ascending reads the next name of a sorted sequence and refuses one
+// Ascending reads the next name of a sorted sequence and refuses one
 // that does not sort after prev: a state has one encoding, so the
 // bytes that passed the digest check are the bytes it re-encodes to.
-func (r *Reader) ascending(i int, prev string) string {
+func (r *Reader) Ascending(i int, prev string) string {
 	name := r.Name()
 	if i > 0 && name <= prev {
-		r.fail("name %q out of order", name)
+		r.Fail("name %q out of order", name)
 	}
 	return name
 }
 
 // vals reads a section of named values, appending the values to vals.
 func (r *Reader) vals(vals []uint64) ([]string, []uint64) {
-	names := make([]string, r.count(4+8))
+	names := make([]string, r.Count(4+8))
 	for i := 0; i < len(names) && r.err == nil; i++ {
-		names[i] = r.ascending(i, names[max(i-1, 0)])
-		vals = append(vals, r.u64())
+		names[i] = r.Ascending(i, names[max(i-1, 0)])
+		vals = append(vals, r.U64())
 	}
 	return names, vals
 }
@@ -181,13 +199,13 @@ func DecodeChunk(state []byte, want Digest) (*sim.HWState, error) {
 	l := &sim.Layout{}
 	var vals []uint64
 	l.Regs, vals = r.vals(vals)
-	l.Mems = make([]string, r.count(4+4))
+	l.Mems = make([]string, r.Count(4+4))
 	l.Depths = make([]int, len(l.Mems))
 	for i := 0; i < len(l.Mems) && r.err == nil; i++ {
-		l.Mems[i] = r.ascending(i, l.Mems[max(i-1, 0)])
-		l.Depths[i] = r.count(8)
+		l.Mems[i] = r.Ascending(i, l.Mems[max(i-1, 0)])
+		l.Depths[i] = r.Count(8)
 		for range l.Depths[i] {
-			vals = append(vals, r.u64()) // cannot fail: count vetted the total
+			vals = append(vals, r.U64()) // cannot fail: count vetted the total
 		}
 	}
 	l.Inputs, vals = r.vals(vals)
@@ -301,14 +319,14 @@ func Decode(data []byte) (*Record, error) {
 		return nil, integrityErr("checksum mismatch (%#x != %#x)", sum, want)
 	}
 	r := Reader{p: payload}
-	rec := &Record{IRQEdges: List(&r, 1, func() bool { return r.flag("irq edge level") })}
-	n := r.count(4 + digestLen + 1)
+	rec := &Record{IRQEdges: List(&r, 1, func() bool { return r.Flag("irq edge level") })}
+	n := r.Count(4 + digestLen + 1)
 	rec.HW = make(target.State, n)
 	name := ""
 	for i := 0; i < n; i++ {
-		name = r.ascending(i, name)
+		name = r.Ascending(i, name)
 		d := r.Digest()
-		if !r.flag("inline flag") && r.err == nil {
+		if !r.Flag("inline flag") && r.err == nil {
 			return nil, integrityErr("peripheral %q: chunk omitted", name)
 		}
 		state := r.Chunk()

@@ -190,3 +190,30 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestUvarintOneEncoding: Reader.Uvarint reads what
+// binary.AppendUvarint writes, up to its limit, and refuses an overlong
+// encoding of a value, a value above the limit and a truncated one.
+func TestUvarintOneEncoding(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 1 << 32, 1<<64 - 1} {
+		r := NewReader(binary.AppendUvarint(nil, v))
+		if got := r.Uvarint(1<<64 - 1); got != v || r.End() != nil {
+			t.Errorf("%d read back as %d: %v", v, got, r.End())
+		}
+	}
+	for _, c := range []struct {
+		in    []byte
+		limit uint64
+	}{
+		{[]byte{0x80, 0x00}, 1<<64 - 1},       // 0 in two bytes
+		{[]byte{0xff, 0x80, 0x00}, 1<<64 - 1}, // 127 in three
+		{binary.AppendUvarint(nil, 1<<32), 1<<32 - 1},
+		{[]byte{0x80}, 1<<64 - 1},
+		{nil, 1<<64 - 1},
+	} {
+		r := NewReader(c.in)
+		if r.Uvarint(c.limit); r.End() == nil {
+			t.Errorf("% x under limit %d accepted", c.in, c.limit)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -449,19 +448,5 @@ func mustUnsat(t *testing.T, s *Solver, cs []*expr.Term) {
 	}
 	if res != Unsat {
 		t.Fatalf("got %v, want unsat", res)
-	}
-}
-
-// TestStatsAdd: the field-wise merge used by core's parallel report.
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Queries: 1, SatAnswers: 2, UnsatAnswers: 3, CacheHits: 4, Conflicts: 5,
-		Propagations: 6, Sliced: 7, ModelHits: 8, IncrementalReuses: 9, WallNS: 10}
-	b := a
-	b.Add(a)
-	want := fmt.Sprintf("%+v", Stats{Queries: 2, SatAnswers: 4, UnsatAnswers: 6, CacheHits: 8,
-		Conflicts: 10, Propagations: 12, Sliced: 14, ModelHits: 16, IncrementalReuses: 18,
-		WallNS: 20})
-	if got := fmt.Sprintf("%+v", b); got != want {
-		t.Fatalf("Add: got %s, want %s", got, want)
 	}
 }

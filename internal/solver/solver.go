@@ -97,20 +97,6 @@ type Stats struct {
 	WallNS int64
 }
 
-// Add accumulates o into s (used to merge per-worker solver stats).
-func (s *Stats) Add(o Stats) {
-	s.Queries += o.Queries
-	s.SatAnswers += o.SatAnswers
-	s.UnsatAnswers += o.UnsatAnswers
-	s.CacheHits += o.CacheHits
-	s.Conflicts += o.Conflicts
-	s.Propagations += o.Propagations
-	s.Sliced += o.Sliced
-	s.ModelHits += o.ModelHits
-	s.IncrementalReuses += o.IncrementalReuses
-	s.WallNS += o.WallNS
-}
-
 // New returns a Solver for constraints built with b, with the given
 // conflict budget (<= 0 for unlimited).
 func New(b *expr.Builder, maxConflicts int64) *Solver {

@@ -57,15 +57,6 @@ type Stats struct {
 	SolverUnknowns uint64
 }
 
-// Add accumulates o into s (used to merge per-worker executor stats).
-func (s *Stats) Add(o Stats) {
-	s.Instructions += o.Instructions
-	s.Forks += o.Forks
-	s.SolverCalls += o.SolverCalls
-	s.Concretized += o.Concretized
-	s.SolverUnknowns += o.SolverUnknowns
-}
-
 // Executor interprets HS32 instructions symbolically.
 type Executor struct {
 	B      *expr.Builder

@@ -8,7 +8,6 @@
 package symexec
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"hardsnap/internal/expr"
@@ -303,12 +302,7 @@ type codeTable struct {
 
 // decodeCode decodes every whole word of code, which starts at base.
 func decodeCode(base uint32, code []byte) *codeTable {
-	c := &codeTable{base: base, insts: make([]isa.Inst, len(code)/4)}
-	for i := range c.insts {
-		// An illegal word decodes to the zero Inst, whose Op is invalid.
-		c.insts[i], _ = isa.Decode(binary.LittleEndian.Uint32(code[4*i:]))
-	}
-	return c
+	return &codeTable{base: base, insts: isa.DecodeProgram(code)}
 }
 
 // contains reports whether addr lies in a word the table decodes. The
