@@ -43,9 +43,13 @@ reach:
 # copy (a peripheral whose shift scanchain.ProveShift proved) is re-run
 # as the netlist shift on a shadow simulator, and any difference in
 # registers, memories, inputs, outputs or the saved state fails the
-# operation. Default builds compile the check out.
+# operation. The same tag makes every solver query that brings its own
+# cache key (a symbolic path's folded key) recompute the batch key, and
+# every cache hit re-check that its shared model was not mutated; the
+# solver and symexec packages run under it too. Default builds compile
+# the checks out.
 audit:
-	$(GO) test -tags hardsnapaudit ./internal/target ./internal/core ./internal/bench
+	$(GO) test -tags hardsnapaudit ./internal/target ./internal/core ./internal/bench ./internal/solver ./internal/symexec
 
 # The race gate covers every concurrency-sensitive package, including
 # the v3 batching/pipelining layer (internal/remote: client send
@@ -101,8 +105,8 @@ endef
 # body decoders, the client's session-body decoders, the snapshot
 # record decoder (disk, journal and dist results), the journal's frame
 # scanner and the campaign loader behind it (header and subtree
-# results), the solver against its reference,
-# the vm's dirty-page restore against a full copy, the symbolic
+# results), the solver against its reference, the solver cache's
+# folded set key against its batch key, the vm's dirty-page restore against a full copy, the symbolic
 # executor's decoded-table fetch against the word built as terms, the
 # simulator's dirty-list restore against a full Restore, the compiled
 # RTL engine and the symbolic one-clock evaluator (rtl.SymStep) against
@@ -115,6 +119,7 @@ fuzz-smoke:
 	$(call fuzz_run,./internal/journal,FuzzScan)
 	$(call fuzz_run,./internal/core,FuzzLoadCampaign)
 	$(call fuzz_run,./internal/solver,FuzzDifferential)
+	$(call fuzz_run,./internal/solver,FuzzSetKey)
 	$(call fuzz_run,./internal/vm,FuzzDirtyRestore)
 	$(call fuzz_run,./internal/symexec,FuzzFetchMatchesDecode)
 	$(call fuzz_run,./internal/sim,FuzzSimDirtyRestore)

@@ -320,7 +320,7 @@ func BenchmarkSolver32BitEquation(b *testing.B) {
 		x := eb.Var("x", 32)
 		res, _, err := s.Check([]*expr.Term{
 			eb.Eq(eb.Add(eb.Xor(x, eb.Const(0xDEADBEEF, 32)), eb.Const(0x1111, 32)), eb.Const(0xCAFEBABE, 32)),
-		})
+		}, nil)
 		if err != nil || res != solver.Sat {
 			b.Fatalf("res %v err %v", res, err)
 		}

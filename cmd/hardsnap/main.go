@@ -438,7 +438,7 @@ func printResult(res *campaign.Result, opts runOpts, journalPath string) int {
 		for _, w := range rep.Workers {
 			fmt.Printf("  worker %d: %d subtree(s), %d path(s), %v, %d save(s), %d restore(s), %d B moved\n",
 				w.Worker, w.Subtrees, w.Paths, w.VirtualTime.Round(time.Microsecond),
-				w.HWSaves, w.HWRestores, w.BytesMoved)
+				w.Traffic.HWSaves, w.Traffic.HWRestores, w.Traffic.BytesMoved)
 		}
 	}
 	if len(rep.Nodes) > 0 {

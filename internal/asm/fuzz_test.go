@@ -7,10 +7,11 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"hardsnap/internal/testseed"
 )
 
 // firmwareSeeds collects every raw string literal holding a `_start:`
@@ -64,11 +65,10 @@ func FuzzAssemble(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		p, err := Assemble(src, 0)
-		runtime.ReadMemStats(&after)
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*MaxImage+64<<10+256*len(src)); grew > limit {
+		var p *Program
+		var err error
+		grew := testseed.Allocated(func() { p, err = Assemble(src, 0) })
+		if limit := uint64(4*MaxImage + 64<<10 + 256*len(src)); grew > limit {
 			t.Fatalf("assembling %d bytes allocated %d, limit %d", len(src), grew, limit)
 		}
 		if err != nil {

@@ -238,12 +238,10 @@ type WorkerReport struct {
 	Paths int
 	// VirtualTime is the worker's total subtree virtual time.
 	VirtualTime time.Duration
-	// Snapshot traffic that this worker's private target moved.
-	HWSaves       uint64
-	HWRestores    uint64
-	DeltaRestores uint64
-	BytesMoved    uint64
-	SnapshotTime  time.Duration
+	// Traffic is the snapshot traffic of those subtrees: what the
+	// worker's snapshot manager served and its private target moved.
+	// Store, a reading of the run's shared store, stays zero.
+	Traffic SnapshotTraffic
 }
 
 // Tally is the part of a Report that adds: what a run — or one
@@ -277,10 +275,18 @@ type Tally struct {
 // makespan.
 func (t *Tally) Add(o Tally) { t.fold(&o, false) }
 
-// counters lists t's counters in their one fixed order: what Add and
-// Engine.traffic fold pairwise, and what the byte form writes, 8 bytes
-// each. Snapshots.Store is not among them: it is a
-// reading of the run's shared store, which the merge takes once.
+// add folds o's counters into s; Store, a reading, stays as it was.
+func (s *SnapshotTraffic) add(o SnapshotTraffic) {
+	t := Tally{Snapshots: *s}
+	t.fold(&Tally{Snapshots: o}, false)
+	*s = t.Snapshots
+}
+
+// counters lists t's counters in their one fixed order: what Add,
+// Engine.traffic and SnapshotTraffic.add fold pairwise, and what the
+// byte form writes, 8 bytes each. Snapshots.Store is not among them:
+// it is a reading of the run's shared store, which the merge takes
+// once.
 func (t *Tally) counters() []any {
 	s, sn, m, x, q := &t.Stats, &t.Snapshots, &t.Snapshots.Manager, &t.Exec, &t.Solver
 	return []any{

@@ -575,11 +575,7 @@ func (e *Engine) merge(seedVT time.Duration, workers int, results []*SubtreeResu
 		wr.Subtrees++
 		wr.Paths += len(sub.Finished)
 		wr.VirtualTime += sub.VirtualTime
-		wr.HWSaves += sub.Snapshots.HWSaves
-		wr.HWRestores += sub.Snapshots.HWRestores
-		wr.DeltaRestores += sub.Snapshots.DeltaRestores
-		wr.BytesMoved += sub.Snapshots.BytesMoved
-		wr.SnapshotTime += sub.Snapshots.SnapshotTime
+		wr.Traffic.add(sub.Snapshots)
 
 		rep.Add(sub)
 		for id, snap := range res.BugSnaps {

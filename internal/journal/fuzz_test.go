@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
+
+	"hardsnap/internal/testseed"
 )
 
 // FuzzScan feeds the scanner torn tails, bit flips and hostile length
@@ -42,11 +43,10 @@ func FuzzScan(f *testing.F) {
 	f.Add([]byte("HSJ0"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := scan(bytes.NewReader(data), int64(len(data)))
-		runtime.ReadMemStats(&after)
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+8*len(data)); grew > limit {
+		var res *ScanResult
+		var err error
+		grew := testseed.Allocated(func() { res, err = scan(bytes.NewReader(data), int64(len(data))) })
+		if limit := uint64(64<<10 + 8*len(data)); grew > limit {
 			t.Fatalf("scan of %d bytes allocated %d, limit %d", len(data), grew, limit)
 		}
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -115,15 +114,6 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// allocated reports the bytes f allocates.
-func allocated(f func()) uint64 {
-	var a, b runtime.MemStats
-	runtime.ReadMemStats(&a)
-	f()
-	runtime.ReadMemStats(&b)
-	return b.TotalAlloc - a.TotalAlloc
-}
-
 // TestSnapshotBodiesHostileInput feeds every body decoder its own
 // valid encoding truncated at every offset, with 0xFFFFFFFF over every
 // offset (which covers each count and length field), and with trailing
@@ -182,7 +172,7 @@ func TestSnapshotBodiesHostileInput(t *testing.T) {
 			check := func(what string, p []byte, mustFail bool) {
 				t.Helper()
 				var err error
-				if got, bound := allocated(func() { err = tc.decode(p) }), uint64(64*len(p)+4096); got > bound {
+				if got, bound := testseed.Allocated(func() { err = tc.decode(p) }), uint64(64*len(p)+4096); got > bound {
 					t.Fatalf("%s: decoder allocated %d bytes for a %d-byte payload (bound %d)", what, got, len(p), bound)
 				}
 				if mustFail && err == nil {

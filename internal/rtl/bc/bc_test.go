@@ -3,7 +3,6 @@ package bc
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -296,18 +295,17 @@ module m(input wire [31:0] s, output reg [7:0] y);
     endcase
   end
 endmodule`)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p, err := Compile(d)
-	runtime.ReadMemStats(&after)
+	var p *Program
+	var err error
+	grew := testseed.Allocated(func() { p, err = Compile(d) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.caseTables) != 0 || countOps(p, opCaseEq) != 2 {
 		t.Fatalf("%d tables, %d opCaseEq ops, want the 2-compare chain", len(p.caseTables), countOps(p, opCaseEq))
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Fatalf("Compile allocated %d bytes for a two-label case", got)
+	if grew > 1<<20 {
+		t.Fatalf("Compile allocated %d bytes for a two-label case", grew)
 	}
 	st := rtl.NewState(d)
 	e := NewEngine(p, st)

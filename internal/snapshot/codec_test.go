@@ -10,7 +10,6 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -165,11 +164,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		if reseal {
 			data = seal(recVersion, data)
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		rec, err := Decode(data)
-		runtime.ReadMemStats(&m1)
-		if got, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(64*len(data)+4096); got > bound {
+		var rec *Record
+		var err error
+		if got, bound := testseed.Allocated(func() { rec, err = Decode(data) }), uint64(64*len(data)+4096); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(data), got, bound)
 		}
 		if err != nil && target.Classify(err) != target.Integrity {

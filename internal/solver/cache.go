@@ -3,7 +3,9 @@ package solver
 import (
 	"bytes"
 	"crypto/sha256"
-	"sort"
+	"encoding/binary"
+	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,18 +22,54 @@ const cacheShards = 16
 // a few MiB even when full.
 const DefaultCacheCapacity = 1 << 14
 
-// CacheKey is the canonical digest of a path-condition set: the
-// SHA-256 of the sorted, deduplicated structural digests of the
-// constraint terms (constant-true terms removed). Two constraint
-// slices that denote the same set — regardless of order, duplicates,
-// or which Builder interned them — map to the same key.
+// CacheKey is the canonical digest of a constraint set: the SHA-256
+// of its SetKey. Two constraint slices that denote the same set —
+// regardless of order, duplicates, constant-true terms, or which
+// Builder interned them — map to the same key.
 type CacheKey [32]byte
+
+// SetKey is a constraint set's key before its final hash: the
+// lane-wise sum (four little-endian uint64 lanes) of the structural
+// digests of its distinct, non-constant-true terms, and their count.
+// A sum does not depend on order, so a key grows one term at a time
+// (Cache.Fold) and a path condition, which only ever grows by
+// appends, carries its key instead of rehashing the whole list per
+// query. The zero value is the key of the empty set.
+type SetKey struct {
+	sum [4]uint64
+	n   uint64
+}
+
+// Sum returns the CacheKey of the set: the SHA-256 of the 40 bytes of
+// lanes and count.
+func (k SetKey) Sum() CacheKey {
+	var b [40]byte
+	for i, v := range k.sum {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
+	}
+	binary.LittleEndian.PutUint64(b[32:], k.n)
+	return sha256.Sum256(b[:])
+}
+
+func (k *SetKey) add(d *[32]byte) {
+	for i := range k.sum {
+		k.sum[i] += binary.LittleEndian.Uint64(d[8*i:])
+	}
+	k.n++
+}
 
 // Cache memoizes satisfiability verdicts (and models for Sat) across
 // solvers. Sibling states forked from the same branch re-issue
 // identical feasibility queries; with a shared Cache each such query
 // is paid once per exploration run instead of once per state. All
 // methods are safe for concurrent use.
+//
+// A query's key is its SetKey's Sum: a caller that carries the SetKey
+// of a growing constraint list (a symbolic path does) pays one term
+// digest per new constraint and one 40-byte hash per query, however
+// long the list. Models are shared, never copied: Store keeps the map
+// it is given and Lookup returns it, so neither side may mutate it
+// afterwards (the hardsnapaudit build checks this on every hit).
 //
 // A cache lives in one process: the workers of a run share it, and a
 // dist node keeps its own. Sharing cannot change results because a
@@ -61,6 +99,9 @@ type cacheShard struct {
 type cacheEntry struct {
 	res   Result
 	model expr.Assignment
+	// digest is modelDigest(model), so that an audit build can tell
+	// on a hit that a caller mutated the shared model.
+	digest uint64
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
@@ -110,10 +151,17 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// Key computes the canonical digest for a constraint set.
-// Constant-true terms are dropped so that adding a vacuous constraint
-// does not split the cache line for an otherwise identical set.
+// Key computes the canonical digest for a constraint set: terms are
+// deduplicated by digest and constant-true terms are dropped, so
+// adding a vacuous or repeated constraint does not split the cache
+// line for an otherwise identical set. It is the key that folding the
+// set's distinct terms into a zero SetKey gives.
 func (c *Cache) Key(constraints []*expr.Term) CacheKey {
+	return c.set(constraints).Sum()
+}
+
+// set returns the SetKey of constraints, deduplicated by digest.
+func (c *Cache) set(constraints []*expr.Term) SetKey {
 	ds := make([][32]byte, 0, len(constraints))
 	for _, t := range constraints {
 		if v, ok := t.Const(); ok && v != 0 {
@@ -121,21 +169,27 @@ func (c *Cache) Key(constraints []*expr.Term) CacheKey {
 		}
 		ds = append(ds, c.termDigest(t))
 	}
-	sort.Slice(ds, func(i, j int) bool {
-		return bytes.Compare(ds[i][:], ds[j][:]) < 0
-	})
-	h := sha256.New()
-	var prev [32]byte
-	for i, d := range ds {
-		if i > 0 && d == prev {
-			continue
+	slices.SortFunc(ds, func(a, b [32]byte) int { return bytes.Compare(a[:], b[:]) })
+	var k SetKey
+	for i := range ds {
+		if i == 0 || ds[i] != ds[i-1] {
+			k.add(&ds[i])
 		}
-		h.Write(d[:])
-		prev = d
 	}
-	var k CacheKey
-	copy(k[:], h.Sum(nil))
 	return k
+}
+
+// Fold adds t to the set k is the key of, unless t is constant true.
+// The caller must know that t is not in the set yet: a fold does not
+// deduplicate, and a term folded twice yields a key no set has. Within
+// one Builder a pointer scan of the earlier terms is an exact test,
+// since interning makes pointer equality structural equality.
+func (c *Cache) Fold(k *SetKey, t *expr.Term) {
+	if v, ok := t.Const(); ok && v != 0 {
+		return
+	}
+	d := c.termDigest(t)
+	k.add(&d)
 }
 
 // termDigest returns the structural SHA-256 of t, memoized per term.
@@ -168,9 +222,9 @@ func (c *Cache) termDigest(t *expr.Term) [32]byte {
 	return d
 }
 
-// Lookup returns the memoized verdict for key, if any. Sat hits return
-// a fresh copy of the stored model so callers may keep it without
-// aliasing the cache.
+// Lookup returns the memoized verdict for key, if any. A Sat hit
+// returns the stored model itself, not a copy: stored models are
+// immutable, and every caller treats a model as read-only.
 func (c *Cache) Lookup(key CacheKey) (Result, expr.Assignment, bool) {
 	s := &c.shards[int(key[0])%cacheShards]
 	s.mu.Lock()
@@ -181,30 +235,21 @@ func (c *Cache) Lookup(key CacheKey) (Result, expr.Assignment, bool) {
 		return Unknown, nil, false
 	}
 	c.hits.Add(1)
-	var model expr.Assignment
-	if e.model != nil {
-		model = make(expr.Assignment, len(e.model))
-		for k, v := range e.model {
-			model[k] = v
-		}
+	if modelDigest(e.model) != e.digest {
+		panic("solver: a cached model was mutated after it was stored")
 	}
-	return e.res, model, true
+	return e.res, e.model, true
 }
 
 // Store memoizes a definite verdict. Unknown (budget-exhausted)
 // results are never cached: a later query with a larger budget must be
-// allowed to try again. The model is copied on the way in.
+// allowed to try again. The cache keeps model itself: neither the
+// caller nor any later reader may mutate it.
 func (c *Cache) Store(key CacheKey, res Result, model expr.Assignment) {
 	if res != Sat && res != Unsat {
 		return
 	}
-	var stored expr.Assignment
-	if model != nil {
-		stored = make(expr.Assignment, len(model))
-		for k, v := range model {
-			stored[k] = v
-		}
-	}
+	e := cacheEntry{res: res, model: model, digest: modelDigest(model)}
 	s := &c.shards[int(key[0])%cacheShards]
 	perShard := c.capacity / cacheShards
 	if perShard < 1 {
@@ -223,7 +268,23 @@ func (c *Cache) Store(key CacheKey, res Result, model expr.Assignment) {
 			c.evictions.Add(1)
 		}
 	}
-	s.entries[key] = cacheEntry{res: res, model: stored}
+	s.entries[key] = e
 	s.order = append(s.order, key)
 	s.mu.Unlock()
+}
+
+var auditSeed = maphash.MakeSeed()
+
+// modelDigest is an order-independent digest of m's names and values
+// in a hardsnapaudit build, and 0 otherwise.
+func modelDigest(m expr.Assignment) uint64 {
+	if !cacheAudit {
+		return 0
+	}
+	d := uint64(len(m))
+	for name, v := range m {
+		h := maphash.String(auditSeed, name)
+		d += (h^v)*0x9E3779B97F4A7C15 + h
+	}
+	return d
 }

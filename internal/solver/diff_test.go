@@ -149,7 +149,7 @@ func plainCheck(cs []*expr.Term) (Result, expr.Assignment) {
 // query on.
 func diffOne(t errorSink, opt *Solver, cs []*expr.Term) bool {
 	pres, pm := plainCheck(cs)
-	ores, om, err := opt.Check(cs)
+	ores, om, err := opt.Check(cs, nil)
 	if err != nil {
 		t.Errorf("unexpected error: %v", err)
 		return false
@@ -304,14 +304,14 @@ func TestSlicingSharedVariableChains(t *testing.T) {
 	s2 := New(b, 0)
 	res, _, err := s2.Check([]*expr.Term{
 		b.Eq(x, y), b.Eq(y, z), b.Eq(z, c(5)), b.Ne(x, c(5)),
-	})
+	}, nil)
 	if err != nil || res != Unsat {
 		t.Fatalf("chained contradiction: got %v err=%v, want unsat", res, err)
 	}
 	// And the satisfiable version must produce a consistent model
 	// across the chain.
 	m, ok := func() (expr.Assignment, bool) {
-		r, m, err := s2.Check([]*expr.Term{b.Eq(x, y), b.Eq(y, z), b.Eq(z, c(5))})
+		r, m, err := s2.Check([]*expr.Term{b.Eq(x, y), b.Eq(y, z), b.Eq(z, c(5))}, nil)
 		return m, err == nil && r == Sat
 	}()
 	if !ok || m["x"] != 5 || m["y"] != 5 || m["z"] != 5 {
@@ -366,7 +366,7 @@ func TestIncrementalBudget(t *testing.T) {
 	s := New(b, 1)
 	x, y := b.Var("x", 24), b.Var("y", 24)
 	hard := []*expr.Term{b.Eq(b.Mul(x, y), b.Const(0x7FFFFF, 24)), b.Ult(b.Const(1, 24), x), b.Ult(b.Const(1, 24), y)}
-	res, _, err := s.Check(hard)
+	res, _, err := s.Check(hard, nil)
 	if res != Unknown || err != ErrBudget {
 		t.Fatalf("hard query under budget 1: got %v err=%v, want unknown/ErrBudget", res, err)
 	}
@@ -381,11 +381,11 @@ func TestEnumerateVerdicts(t *testing.T) {
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(3, 8))}
 
-	vals, _, final := s.Enumerate(cs, x, 10)
+	vals, _, final := s.Enumerate(cs, nil, x, 10)
 	if len(vals) != 3 || final != Unsat {
 		t.Fatalf("exhaustive enumeration: %d values, final=%v; want 3, unsat", len(vals), final)
 	}
-	vals, _, final = s.Enumerate(cs, x, 2)
+	vals, _, final = s.Enumerate(cs, nil, x, 2)
 	if len(vals) != 2 || final != Sat {
 		t.Fatalf("capped enumeration: %d values, final=%v; want 2, sat", len(vals), final)
 	}
@@ -425,7 +425,7 @@ func TestRewriteEquivalence(t *testing.T) {
 
 func mustSat(t *testing.T, s *Solver, cs []*expr.Term) (Result, expr.Assignment) {
 	t.Helper()
-	res, m, err := s.Check(cs)
+	res, m, err := s.Check(cs, nil)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
@@ -442,7 +442,7 @@ func mustSat(t *testing.T, s *Solver, cs []*expr.Term) (Result, expr.Assignment)
 
 func mustUnsat(t *testing.T, s *Solver, cs []*expr.Term) {
 	t.Helper()
-	res, _, err := s.Check(cs)
+	res, _, err := s.Check(cs, nil)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}

@@ -26,17 +26,13 @@ func (s *Solver) tryRecentModels(cs []*expr.Term) (expr.Assignment, bool) {
 	return nil, false
 }
 
-// rememberModel records a model for future reuse. The model is copied
-// so later caller-side mutation cannot corrupt the ring.
+// rememberModel records a model for future reuse. The ring keeps m
+// itself: models are immutable once a query returns them (see Check).
 func (s *Solver) rememberModel(m expr.Assignment) {
 	if len(m) == 0 {
 		return
 	}
-	cp := make(expr.Assignment, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	s.recent = append(s.recent, cp)
+	s.recent = append(s.recent, m)
 	if len(s.recent) > maxRecentModels {
 		s.recent = s.recent[len(s.recent)-maxRecentModels:]
 	}

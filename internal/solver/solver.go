@@ -2,6 +2,7 @@ package solver
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"hardsnap/internal/expr"
@@ -103,16 +104,23 @@ func New(b *expr.Builder, maxConflicts int64) *Solver {
 	return &Solver{Builder: b, MaxConflicts: maxConflicts}
 }
 
-// Check decides whether the conjunction of the given width-1 terms is
-// satisfiable. On Sat it returns a model assigning every variable that
-// occurs in the constraints. On Unknown it returns ErrBudget.
+// Check decides whether the conjunction of constraints and extra (all
+// width-1 terms) is satisfiable. On Sat it returns a model assigning
+// every variable that occurs in them; the model may be shared with the
+// cache and other queries, so the caller must not mutate it. On
+// Unknown it returns ErrBudget.
+//
+// key, when non-nil, is the SetKey of constraints and extra together,
+// as Cache.Fold builds it; nil means "compute the key from the list".
+// A caller that carries its list's key turns a whole-query memo hit
+// into one 40-byte hash, and the list itself is joined only on a miss.
 //
 // The query runs through the pipeline slice → per-slice cache →
 // recent-model ring → incremental SAT.
-func (s *Solver) Check(constraints []*expr.Term) (Result, expr.Assignment, error) {
+func (s *Solver) Check(constraints []*expr.Term, key *SetKey, extra ...*expr.Term) (Result, expr.Assignment, error) {
 	start := time.Now()
 	s.Stats.Queries++
-	res, model, err := s.check(constraints)
+	res, model, err := s.check(constraints, extra, key)
 	s.Stats.WallNS += time.Since(start).Nanoseconds()
 	switch res {
 	case Sat:
@@ -123,20 +131,30 @@ func (s *Solver) Check(constraints []*expr.Term) (Result, expr.Assignment, error
 	return res, model, err
 }
 
-func (s *Solver) check(constraints []*expr.Term) (Result, expr.Assignment, error) {
+// join returns a followed by b, copying only when b is non-empty.
+func join(a, b []*expr.Term) []*expr.Term {
+	if len(b) == 0 {
+		return a
+	}
+	return append(a[:len(a):len(a)], b...)
+}
+
+func (s *Solver) check(constraints, extra []*expr.Term, key *SetKey) (Result, expr.Assignment, error) {
 	// Fast path: all-constant constraints.
 	allConst := true
-	for _, c := range constraints {
-		if c.Width() != 1 {
-			return Unknown, nil, errNotBoolean
-		}
-		v, ok := c.Const()
-		if !ok {
-			allConst = false
-			continue
-		}
-		if v == 0 {
-			return Unsat, nil, nil
+	for _, part := range [2][]*expr.Term{constraints, extra} {
+		for _, c := range part {
+			if c.Width() != 1 {
+				return Unknown, nil, errNotBoolean
+			}
+			v, ok := c.Const()
+			if !ok {
+				allConst = false
+				continue
+			}
+			if v == 0 {
+				return Unsat, nil, nil
+			}
 		}
 	}
 	if allConst {
@@ -144,24 +162,29 @@ func (s *Solver) check(constraints []*expr.Term) (Result, expr.Assignment, error
 	}
 
 	// Whole-query memo on the original constraint set.
-	var key CacheKey
+	var ck CacheKey
 	haveKey := s.Cache != nil
 	if haveKey {
-		key = s.Cache.Key(constraints)
-		if res, model, ok := s.Cache.Lookup(key); ok {
+		if key == nil {
+			ck = s.Cache.Key(join(constraints, extra))
+		} else {
+			ck = key.Sum()
+			s.auditKey(ck, constraints, extra)
+		}
+		if res, model, ok := s.Cache.Lookup(ck); ok {
 			s.Stats.CacheHits++
 			return res, model, nil
 		}
 	}
 
-	slices := s.partition(constraints)
+	slices := s.partition(join(constraints, extra))
 	s.Stats.Sliced += int64(len(slices) - 1)
 	// Per-slice verdicts are worth caching only when there is more
 	// than one slice: a lone slice's key is the whole-query key, which
 	// already missed.
 	subCache := haveKey && len(slices) > 1
 
-	model := expr.Assignment{}
+	var model expr.Assignment
 	for _, sl := range slices {
 		res, m, err := s.checkSlice(sl, subCache)
 		if err != nil {
@@ -169,21 +192,39 @@ func (s *Solver) check(constraints []*expr.Term) (Result, expr.Assignment, error
 		}
 		if res == Unsat {
 			if haveKey {
-				s.Cache.Store(key, Unsat, nil)
+				s.Cache.Store(ck, Unsat, nil)
 			}
 			return Unsat, nil, nil
 		}
+		if len(slices) == 1 {
+			model = m
+			break
+		}
 		// Slices are variable-disjoint, so merging cannot clobber
 		// (checkSlice restricts each model to its slice's variables).
+		if model == nil {
+			model = make(expr.Assignment)
+		}
 		for k, v := range m {
 			model[k] = v
 		}
 	}
 	if haveKey {
-		s.Cache.Store(key, Sat, model)
+		s.Cache.Store(ck, Sat, model)
 	}
 	s.rememberModel(model)
 	return Sat, model, nil
+}
+
+// auditKey panics, in a hardsnapaudit build, when a caller's key is not
+// the batch key of its constraint list.
+func (s *Solver) auditKey(key CacheKey, constraints, extra []*expr.Term) {
+	if !cacheAudit {
+		return
+	}
+	if want := s.Cache.Key(join(constraints, extra)); key != want {
+		panic(fmt.Sprintf("solver: a query's key %x is not the key %x of its %d+%d constraints", key[:4], want[:4], len(constraints), len(extra)))
+	}
 }
 
 // checkSlice decides one independence slice: per-slice cache, then
@@ -252,14 +293,29 @@ func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assign
 // exists" apart from "the solver gave up". Thanks to the incremental
 // context, each blocking query re-uses all previously blasted
 // constraints and only the newest blocking constraint is new work.
-func (s *Solver) Enumerate(constraints []*expr.Term, t *expr.Term, max int) (vals []uint64, models []expr.Assignment, final Result) {
+//
+// key is the SetKey of constraints, as for Check (nil: computed from
+// the list). Each blocking constraint is folded into a copy of it, so
+// a query that hits the memo joins no list and hashes 40 bytes.
+func (s *Solver) Enumerate(constraints []*expr.Term, key *SetKey, t *expr.Term, max int) (vals []uint64, models []expr.Assignment, final Result) {
 	if v, ok := t.Const(); ok {
 		return []uint64{v}, []expr.Assignment{nil}, Sat
 	}
-	cs := append([]*expr.Term{}, constraints...)
+	// k keys constraints plus every blocking constraint so far. A
+	// blocking t != v is new to the set: the model that produced v
+	// satisfies every earlier constraint and falsifies it.
+	var k SetKey
+	switch {
+	case s.Cache == nil:
+	case key != nil:
+		k = *key
+	default:
+		k = s.Cache.set(constraints)
+	}
+	var blocks []*expr.Term
 	final = Sat
 	for len(vals) < max {
-		res, m, _ := s.Check(cs)
+		res, m, _ := s.Check(constraints, &k, blocks...)
 		if res != Sat {
 			final = res
 			break
@@ -267,7 +323,11 @@ func (s *Solver) Enumerate(constraints []*expr.Term, t *expr.Term, max int) (val
 		v := s.eval.Eval(t, m)
 		vals = append(vals, v)
 		models = append(models, m)
-		cs = append(cs, s.Builder.Ne(t, s.Builder.Const(v, t.Width())))
+		block := s.Builder.Ne(t, s.Builder.Const(v, t.Width()))
+		blocks = append(blocks, block)
+		if s.Cache != nil {
+			s.Cache.Fold(&k, block)
+		}
 	}
 	return vals, models, final
 }

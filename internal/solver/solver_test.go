@@ -11,7 +11,7 @@ import (
 
 func checkSat(t *testing.T, s *Solver, cs []*expr.Term) expr.Assignment {
 	t.Helper()
-	res, m, err := s.Check(cs)
+	res, m, err := s.Check(cs, nil)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
@@ -28,7 +28,7 @@ func checkSat(t *testing.T, s *Solver, cs []*expr.Term) expr.Assignment {
 
 func checkUnsat(t *testing.T, s *Solver, cs []*expr.Term) {
 	t.Helper()
-	res, _, err := s.Check(cs)
+	res, _, err := s.Check(cs, nil)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestBudgetExhaustion(t *testing.T) {
 		b.Ult(b.Const(2, 32), x),
 		b.Ult(b.Const(2, 32), y),
 	}
-	res, _, err := s.Check(cs)
+	res, _, err := s.Check(cs, nil)
 	if res == Unknown && err != ErrBudget {
 		t.Fatalf("unknown result must carry ErrBudget, got %v", err)
 	}
@@ -218,7 +218,7 @@ func TestEnumerateValues(t *testing.T) {
 	s := New(b, 0)
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(3, 8))}
-	vals, models, _ := s.Enumerate(cs, x, 10)
+	vals, models, _ := s.Enumerate(cs, nil, x, 10)
 	if len(vals) != 3 || len(models) != 3 {
 		t.Fatalf("got %d values and %d models, want 3 each: %v", len(vals), len(models), vals)
 	}
@@ -280,7 +280,7 @@ func TestExhaustiveSmallWidth(t *testing.T) {
 				}
 				s := New(b, 0)
 				cs := []*expr.Term{b.Eq(term, b.Const(target, 4))}
-				res, m, err := s.Check(cs)
+				res, m, err := s.Check(cs, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -320,7 +320,7 @@ func TestQuickModelsSatisfy(t *testing.T) {
 			c2 = b.Slt(y, b.Const(uint64(bv), 16))
 		}
 		cs := []*expr.Term{c1, c2}
-		res, m, err := s.Check(cs)
+		res, m, err := s.Check(cs, nil)
 		if err != nil {
 			return false
 		}

@@ -123,7 +123,7 @@ func (res *ConcolicResult) FlipConstraints(b *expr.Builder, i int) []*expr.Term 
 // with ApplyModel.
 func (e *Executor) SolveFlip(res *ConcolicResult, i int) (solver.Result, expr.Assignment) {
 	e.Stats.SolverCalls++
-	r, model, _ := e.Solver.Check(res.FlipConstraints(e.B, i))
+	r, model, _ := e.Solver.Check(res.FlipConstraints(e.B, i), nil)
 	if r == solver.Unknown {
 		e.Stats.SolverUnknowns++
 	}

@@ -3,6 +3,7 @@ package symexec
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"hardsnap/internal/asm"
 	"hardsnap/internal/expr"
@@ -261,14 +262,39 @@ func (e *Executor) setReg(st *State, r uint8, t *expr.Term) {
 // Unsat, or budget-starved paths get silently pruned as infeasible.
 func (e *Executor) check(st *State, extra ...*expr.Term) (solver.Result, expr.Assignment) {
 	e.Stats.SolverCalls++
-	cs := make([]*expr.Term, 0, len(st.Constraints)+len(extra))
-	cs = append(cs, st.Constraints...)
-	cs = append(cs, extra...)
-	res, model, _ := e.Solver.Check(cs)
+	key := e.pathKey(st, extra)
+	res, model, _ := e.Solver.Check(st.Constraints, &key, extra...)
 	if res == solver.Unknown {
 		e.Stats.SolverUnknowns++
 	}
 	return res, model
+}
+
+// pathKey returns the solver cache's SetKey of st's path condition
+// plus extra (the zero key when the solver keeps no cache). The state
+// keeps the key of the constraints it has folded so far and folds in
+// the rest now, once each; extra goes into a copy. A term is folded
+// unless the same pointer came earlier, which is exactly the batch
+// key's dedup by digest: every term of a run comes from one interning
+// Builder (shared by spawned workers), so pointer equality is
+// structural equality.
+func (e *Executor) pathKey(st *State, extra []*expr.Term) solver.SetKey {
+	c := e.Solver.Cache
+	if c == nil {
+		return solver.SetKey{}
+	}
+	for ; st.keyed < len(st.Constraints); st.keyed++ {
+		if t := st.Constraints[st.keyed]; !slices.Contains(st.Constraints[:st.keyed], t) {
+			c.Fold(&st.key, t)
+		}
+	}
+	k := st.key
+	for i, t := range extra {
+		if !slices.Contains(st.Constraints, t) && !slices.Contains(extra[:i], t) {
+			c.Fold(&k, t)
+		}
+	}
+	return k
 }
 
 // decide is check with the state's witness consulted first: when the
@@ -325,7 +351,8 @@ func (e *Executor) concretize(st *State, t *expr.Term, forks *[]*State) (uint32,
 	// incremental context re-blasts nothing between them); count the
 	// queries it actually ran, not a guess from the value count.
 	before := e.Solver.Stats.Queries
-	vals, models, final := e.Solver.Enumerate(st.Constraints, t, max)
+	key := e.pathKey(st, nil)
+	vals, models, final := e.Solver.Enumerate(st.Constraints, &key, t, max)
 	e.Stats.SolverCalls += uint64(e.Solver.Stats.Queries - before)
 	if len(vals) == 0 {
 		if final == solver.Unknown {

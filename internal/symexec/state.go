@@ -12,6 +12,7 @@ import (
 
 	"hardsnap/internal/expr"
 	"hardsnap/internal/isa"
+	"hardsnap/internal/solver"
 	"hardsnap/internal/vm"
 )
 
@@ -76,7 +77,8 @@ type State struct {
 	Mem *Memory
 
 	// Constraints is the path condition (conjunction of width-1
-	// terms).
+	// terms). It only grows, by AddConstraint: the executor keys it for
+	// the solver cache one appended term at a time.
 	Constraints []*expr.Term
 	// Witness is an assignment under which every term in Constraints
 	// evaluates to 1 (unassigned variables read as 0, so an empty path
@@ -109,6 +111,11 @@ type State struct {
 	// SymInputs records every make-symbolic buffer registered on this
 	// path, in program order; used for test-vector extraction.
 	SymInputs []SymInput
+
+	// key is the solver cache's SetKey of Constraints[:keyed]; the
+	// executor folds in the rest before its next query (pathKey).
+	key   solver.SetKey
+	keyed int
 }
 
 // SymInput describes one make-symbolic buffer.
@@ -133,6 +140,8 @@ func (st *State) Fork(newID uint64) *State {
 		Status:     st.Status,
 		Steps:      st.Steps,
 		Witness:    st.Witness,
+		key:        st.key,
+		keyed:      st.keyed,
 	}
 	c.Constraints = make([]*expr.Term, len(st.Constraints), len(st.Constraints)+1)
 	copy(c.Constraints, st.Constraints)

@@ -2,11 +2,13 @@ package symexec
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"hardsnap/internal/asm"
 	"hardsnap/internal/expr"
+	"hardsnap/internal/solver"
 	"hardsnap/internal/testseed"
 )
 
@@ -269,5 +271,48 @@ two:
 	}
 	if e.Stats.Forks != 3 {
 		t.Fatalf("hash rounds: %d forks, want 3", e.Stats.Forks)
+	}
+}
+
+// TestPathKeyMatchesBatchKey: with a solver cache attached, the key a
+// state folds one constraint at a time is the batch key of its whole
+// path condition after every step, on the generated witness programs
+// run twice over. The repeat appends terms a path already holds (a
+// second assume of one condition, a second concretization of one
+// value), which the fold must skip as the batch key's dedup does.
+func TestPathKeyMatchesBatchKey(t *testing.T) {
+	f := func(ops []witnessOp, all bool) bool {
+		if len(ops) > 4 {
+			ops = ops[:4]
+		}
+		cfg := Config{Policy: ConcretizeOne}
+		if all {
+			cfg.Policy = ConcretizeAll
+		}
+		e, err := New(cfg, mustAssemble(t, witnessProgram(append(ops[:len(ops):len(ops)], ops...))), &recordingMMIO{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := solver.NewCache(0)
+		e.Solver.Cache = cache
+		active := []*State{e.InitialState()}
+		for steps := 0; len(active) > 0 && steps < 100000; steps++ {
+			st := active[len(active)-1]
+			forks, err := e.Step(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range append(forks, st) {
+				if k := e.pathKey(s, nil); k.Sum() != cache.Key(s.Constraints) {
+					t.Errorf("state %d: folded key of %d constraints is not their batch key", s.ID, len(s.Constraints))
+					return false
+				}
+			}
+			active = slices.DeleteFunc(append(active, forks...), func(s *State) bool { return s.Status != StatusRunning })
+		}
+		return true
+	}
+	if err := quick.Check(f, testseed.Quick(t, 100)); err != nil {
+		t.Fatal(err)
 	}
 }

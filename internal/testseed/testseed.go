@@ -4,7 +4,8 @@
 // quick.Check in the repo takes its Config from here instead, so a run
 // draws the same cases every time. Randomised search belongs to the
 // native Fuzz* targets. Netlist is the seeded random Verilog generator
-// the RTL engine tests share.
+// the RTL engine tests share, and Allocated is how the decoder tests
+// measure what one call allocates.
 package testseed
 
 import (

@@ -2,10 +2,10 @@ package verilog_test
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 
 	"hardsnap/internal/periph"
+	"hardsnap/internal/testseed"
 	"hardsnap/internal/verilog"
 )
 
@@ -22,11 +22,9 @@ func FuzzParse(f *testing.F) {
 		f.Add(spec.Source())
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := verilog.Parse(src)
-		runtime.ReadMemStats(&after)
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+512*len(src)); grew > limit {
+		var err error
+		grew := testseed.Allocated(func() { _, err = verilog.Parse(src) })
+		if limit := uint64(64<<10 + 512*len(src)); grew > limit {
 			t.Fatalf("parsing %d bytes allocated %d, limit %d", len(src), grew, limit)
 		}
 		if err != nil {
