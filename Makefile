@@ -46,10 +46,13 @@ reach:
 # operation. The same tag makes every solver query that brings its own
 # cache key (a symbolic path's folded key) recompute the batch key, and
 # every cache hit re-check that its shared model was not mutated; the
-# solver and symexec packages run under it too. Default builds compile
-# the checks out.
+# solver and symexec packages run under it too. It also makes every
+# peripheral state the snapshot store names by lookup re-hashed, and a
+# name that differs from HWDigest panic; internal/snapshot runs under
+# it with the core and target packages that drive the store. Default
+# builds compile the checks out.
 audit:
-	$(GO) test -tags hardsnapaudit ./internal/target ./internal/core ./internal/bench ./internal/solver ./internal/symexec
+	$(GO) test -tags hardsnapaudit ./internal/target ./internal/core ./internal/bench ./internal/solver ./internal/symexec ./internal/snapshot
 
 # The race gate covers every concurrency-sensitive package, including
 # the v3 batching/pipelining layer (internal/remote: client send
@@ -103,7 +106,8 @@ endef
 # fuzz-smoke gives each native fuzz target ten seconds beyond its seed
 # corpus (which `go test` already runs): the wire server's frame and
 # body decoders, the client's session-body decoders, the snapshot
-# record decoder (disk, journal and dist results), the journal's frame
+# record decoder (disk, journal and dist results), the snapshot store's
+# naming of a state by lookup against hashing it, the journal's frame
 # scanner and the campaign loader behind it (header and subtree
 # results), the solver against its reference, the solver cache's
 # folded set key against its batch key, the vm's dirty-page restore against a full copy, the symbolic
@@ -116,6 +120,7 @@ fuzz-smoke:
 	$(call fuzz_run,./internal/remote,FuzzServeConn)
 	$(call fuzz_run,./internal/remote,FuzzClientBodies)
 	$(call fuzz_run,./internal/snapshot,FuzzDecodeRecord)
+	$(call fuzz_run,./internal/snapshot,FuzzNameByLookup)
 	$(call fuzz_run,./internal/journal,FuzzScan)
 	$(call fuzz_run,./internal/core,FuzzLoadCampaign)
 	$(call fuzz_run,./internal/solver,FuzzDifferential)
@@ -162,7 +167,7 @@ loc:
 #   make bench-compare A=before.json B=after.json
 # The repo root keeps one report per PR that claims a gain, with an
 # earlier one next to it (BENCH_<pr>.json), so the claim can be re-read:
-#   make bench-compare A=BENCH_42.json B=BENCH_44.json
+#   make bench-compare A=BENCH_46.json B=BENCH_47.json
 bench:
 	$(GO) run ./benchmark -out .bench_build/run.json
 

@@ -97,7 +97,8 @@ type (
 	PeriphConfig = target.PeriphConfig
 	// Target hosts peripherals on one execution vehicle.
 	Target = target.Target
-	// HWState is a whole-target snapshot: one state per peripheral instance name.
+	// HWState is a whole-target snapshot: one state per peripheral
+	// instance, in ascending name order (State.Get finds one by name).
 	HWState = target.State
 	// HWAssertion is a hardware property (Verilog expression over
 	// peripheral signals) checked every cycle on the simulator target.

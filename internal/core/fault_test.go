@@ -44,10 +44,10 @@ func TestCorruptedSnapshotRejected(t *testing.T) {
 		t.Fatalf("corrupted snapshot decode: %v, want integrity error", err)
 	}
 	bad := rec.HW // decoded, so a deep copy of st
-	l := *bad["gpio0"].Layout()
+	l := *bad.Get("gpio0").Layout()
 	l.Regs = append(slices.Clone(l.Regs), "phantom_register")
 	slices.Sort(l.Regs)
-	bad["gpio0"] = sim.NewHWState(&l, nil)
+	*bad.Get("gpio0") = *sim.NewHWState(&l, nil)
 	if err := a.Target.Restore(bad); target.Classify(err) != target.Integrity {
 		t.Fatalf("mismatched snapshot restore: %v, want integrity error", err)
 	}

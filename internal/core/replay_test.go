@@ -282,7 +282,7 @@ ok:
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := rec.HW["gpio0"]
+	hw := rec.HW.Get("gpio0")
 	if out := slices.Index(hw.Layout().Regs, "out"); out < 0 || hw.Vals()[out] != 0x77 {
 		t.Fatalf("hardware snapshot: %v = %#x", hw.Layout().Regs, hw.Vals())
 	}

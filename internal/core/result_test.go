@@ -72,7 +72,7 @@ func genResult(rnd *rand.Rand) *SubtreeResult {
 			r.BugSnaps = make(map[uint64]*snapshot.Record)
 		}
 		r.BugSnaps[rnd.Uint64()] = &snapshot.Record{
-			HW:       target.State{"timer0": hw},
+			HW:       target.State{{Name: "timer0", HW: *hw}},
 			IRQEdges: []bool{rnd.Intn(2) == 0, rnd.Intn(2) == 0},
 		}
 	}

@@ -127,8 +127,7 @@ func (m *SnapshotManager) Capture() (snapshot.ID, error) {
 	if err != nil {
 		return 0, err
 	}
-	id := m.store.Put(rec)
-	d, _ := m.store.DigestOf(id)
+	id, d := m.store.PutDigest(rec)
 	m.setLive(d)
 	return id, nil
 }
@@ -143,24 +142,18 @@ func (m *SnapshotManager) Sync(id snapshot.ID) (snapshot.ID, error) {
 	if id == 0 {
 		return m.Capture()
 	}
-	if m.liveCurrent() {
-		if d, ok := m.store.DigestOf(id); ok && d == m.liveDigest {
-			m.stats.SavesSkipped++
-			return id, nil
-		}
-		if m.store.UpdateToDigest(id, m.liveDigest) {
-			m.stats.SavesSkipped++
-			return id, nil
-		}
+	if m.liveCurrent() && m.store.UpdateToDigest(id, m.liveDigest) {
+		m.stats.SavesSkipped++
+		return id, nil
 	}
 	rec, err := m.snapLive()
 	if err != nil {
 		return 0, err
 	}
-	if err := m.store.Update(id, rec); err != nil {
+	d, err := m.store.Update(id, rec)
+	if err != nil {
 		return 0, err
 	}
-	d, _ := m.store.DigestOf(id)
 	m.setLive(d)
 	return id, nil
 }
@@ -175,21 +168,21 @@ func (m *SnapshotManager) Restore(id snapshot.ID) error {
 	if id == 0 {
 		return nil
 	}
-	d, ok := m.store.DigestOf(id)
+	var have snapshot.Digest // the zero digest names no content
+	if m.liveCurrent() {
+		have = m.liveDigest
+	}
+	rec, d, ok := m.store.Fetch(id, have)
 	if !ok {
 		return fmt.Errorf("core: restore of missing snapshot %d", id)
 	}
-	if m.liveCurrent() && d == m.liveDigest {
+	if rec == nil {
 		// The hardware still holds exactly this content; the router's
 		// edge detectors are stable too (IRQ levels derive from the
 		// unchanged hardware state and the edge levels are part of
 		// the digest).
 		m.stats.RestoresSkipped++
 		return nil
-	}
-	rec, ok := m.store.Get(id)
-	if !ok {
-		return fmt.Errorf("core: restore of missing snapshot %d", id)
 	}
 	restored := false
 	if m.liveValid && d == m.liveDigest && m.tgt.AnchorSeq() == m.anchorSeq {

@@ -60,7 +60,7 @@ func BenchmarkChunkCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hw := st["gpio0"]
+	hw := st.Get("gpio0")
 	d := snapshot.HWDigest(hw)
 	var buf []byte
 	b.Run("encode", func(b *testing.B) {

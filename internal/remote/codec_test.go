@@ -291,7 +291,7 @@ func TestClientChunkCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = snapshot.HWDigest(st["gpio0"])
+			first = snapshot.HWDigest(st.Get("gpio0"))
 		}
 	}
 	if n := c.chunks.resident(); n != 4 {

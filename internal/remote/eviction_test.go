@@ -123,8 +123,8 @@ func TestEvictionRacesNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpioDigest := snapshot.HWDigest(st["gpio0"])
-	timerDigest := snapshot.HWDigest(st["timer0"])
+	gpioDigest := snapshot.HWDigest(st.Get("gpio0"))
+	timerDigest := snapshot.HWDigest(st.Get("timer0"))
 
 	// Pre-race state: the server has already lost timer0 (so the
 	// kRestore reply will list it missing and trigger a push), but

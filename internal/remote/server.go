@@ -269,7 +269,7 @@ func (s *Server) applySave(sess *session, seq uint32) []byte {
 	refs := make([]chunkRef, len(sess.periphs))
 	var fresh []int // indices into refs of the chunks new to the cache
 	for i, name := range sess.periphs {
-		hw := st[name]
+		hw := st.Get(name)
 		refs[i] = chunkRef{Name: name, Digest: snapshot.HWDigest(hw)}
 		if hw != nil && s.chunks.put(refs[i].Digest, hw) {
 			fresh = append(fresh, i)
@@ -278,7 +278,7 @@ func (s *Server) applySave(sess *session, seq uint32) []byte {
 	b := appendRefs(sess.respFrame(seq, vstatusOK, 64*len(refs)+256*len(fresh)), refs)
 	b = snapshot.AppendU32(b, len(fresh))
 	for _, i := range fresh {
-		b, _ = appendChunk(b, refs[i].Digest, st[refs[i].Name])
+		b, _ = appendChunk(b, refs[i].Digest, st.Get(refs[i].Name))
 	}
 	return endFrame(b)
 }
@@ -316,7 +316,7 @@ func (s *Server) applyRestore(sess *session, seq uint32, mode byte, refs []chunk
 	}
 	st := make(target.State, len(refs))
 	var resp restoreResp
-	for _, e := range refs {
+	for i, e := range refs {
 		hw, ok := pinned[e.Digest]
 		if !ok {
 			hw, ok = s.chunks.get(e.Digest)
@@ -325,7 +325,7 @@ func (s *Server) applyRestore(sess *session, seq uint32, mode byte, refs []chunk
 			resp.Missing = append(resp.Missing, e.Digest)
 			continue
 		}
-		st[e.Name] = hw
+		st[i] = target.PeriphState{Name: e.Name, HW: *hw}
 	}
 	if len(resp.Missing) == 0 {
 		resp.Applied = true

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -839,17 +840,22 @@ func (c *TargetClient) Save() (target.State, error) {
 	}
 	st := make(target.State, len(refs))
 	var missing []snapshot.Digest
-	for _, e := range refs {
-		if hw, ok := got[e.Digest]; ok {
-			if hw != nil {
-				st[e.Name] = hw
+	var pending []int // entries of st waiting for a fetched chunk
+	for i, e := range refs {
+		st[i].Name = e.Name
+		hw, ok := got[e.Digest]
+		if !ok {
+			if hw, ok = c.chunks.get(e.Digest); ok {
+				c.wire.chunksSkipped.Add(1)
+			} else {
+				got[e.Digest] = nil
+				missing = append(missing, e.Digest)
 			}
-		} else if hw, ok := c.chunks.get(e.Digest); ok {
-			st[e.Name] = hw
-			c.wire.chunksSkipped.Add(1)
+		}
+		if hw != nil {
+			st[i].HW = *hw
 		} else {
-			got[e.Digest] = nil
-			missing = append(missing, e.Digest)
+			pending = append(pending, i)
 		}
 	}
 	if len(missing) > 0 {
@@ -866,15 +872,17 @@ func (c *TargetClient) Save() (target.State, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range refs {
-			if st[e.Name] != nil {
-				continue
+		for _, i := range pending {
+			hw := got[refs[i].Digest]
+			if hw == nil {
+				return nil, integrityErr("server did not return chunk for %s", refs[i].Name)
 			}
-			if st[e.Name] = got[e.Digest]; st[e.Name] == nil {
-				return nil, integrityErr("server did not return chunk for %s", e.Name)
-			}
+			st[i].HW = *hw
 		}
 	}
+	// The server lists its peripherals in build order; a State holds
+	// them in name order.
+	sort.Slice(st, func(i, j int) bool { return st[i].Name < st[j].Name })
 	return st, nil
 }
 
@@ -882,18 +890,14 @@ func (c *TargetClient) Save() (target.State, error) {
 // deterministic order, caching the chunks locally (the state is about
 // to be live on both ends).
 func (c *TargetClient) stateEntries(s target.State) ([]chunkRef, map[snapshot.Digest]*sim.HWState) {
-	names := snapshot.SortedNames(s)
-	entries := make([]chunkRef, 0, len(names))
-	byDigest := make(map[snapshot.Digest]*sim.HWState, len(names))
-	for _, name := range names {
-		hw := s[name]
-		if hw == nil {
-			hw = &sim.HWState{}
-		}
+	entries := make([]chunkRef, len(s))
+	byDigest := make(map[snapshot.Digest]*sim.HWState, len(s))
+	for i := range s {
+		hw := &s[i].HW
 		d := snapshot.HWDigest(hw)
 		c.chunks.put(d, hw)
 		byDigest[d] = hw
-		entries = append(entries, chunkRef{Name: name, Digest: d})
+		entries[i] = chunkRef{Name: s[i].Name, Digest: d}
 	}
 	return entries, byDigest
 }

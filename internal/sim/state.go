@@ -113,14 +113,22 @@ func (s *Simulator) Layout() *Layout { return s.layout }
 
 // Snapshot captures the full hardware state.
 func (s *Simulator) Snapshot() *HWState {
-	hw := NewHWState(s.layout, nil)
+	hw := &HWState{}
+	s.SnapshotTo(hw)
+	return hw
+}
+
+// SnapshotTo captures the full hardware state into hw, allocating
+// only its vector: a caller that holds states by value pays nothing
+// for the state itself.
+func (s *Simulator) SnapshotTo(hw *HWState) {
+	*hw = HWState{s.layout, make([]uint64, s.layout.Len())}
 	for _, sig := range s.sigs {
 		hw.vals[s.pos[sig.ID]] = s.state.Vals[sig.ID]
 	}
 	for _, m := range s.mems {
 		copy(hw.vals[s.memPos[m.ID]:], s.state.Mems[m.ID])
 	}
-	return hw
 }
 
 // Restore overwrites the hardware state from a snapshot and re-settles

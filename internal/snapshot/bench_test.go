@@ -59,7 +59,7 @@ func BenchmarkRecordDecode(b *testing.B) {
 func BenchmarkHWDigest(b *testing.B) {
 	for _, periph := range benchPeriphs {
 		b.Run(periph, func(b *testing.B) {
-			hw := benchRecord(b, periph).HW["p0"]
+			hw := benchRecord(b, periph).HW.Get("p0")
 			b.ReportAllocs()
 			var d Digest
 			for i := 0; i < b.N; i++ {
@@ -77,7 +77,7 @@ func BenchmarkStorePutMiss(b *testing.B) {
 	for _, periph := range benchPeriphs {
 		b.Run(periph, func(b *testing.B) {
 			rec := benchRecord(b, periph)
-			reg := &rec.HW["p0"].Vals()[0]
+			reg := &rec.HW.Get("p0").Vals()[0]
 			s := NewStore()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

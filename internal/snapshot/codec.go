@@ -228,12 +228,12 @@ const (
 	recHdrLen  = 4 + 1 + 4 + 4
 )
 
-// appendPayload appends rec's payload. have (nil: omit nothing) is
-// asked once per peripheral, in name order, whether to omit its chunk;
-// the chunk is encoded and hashed either way, so the digests have sees
-// are the record's content addresses. Only content addressing omits
-// chunks (address): an encoded record carries every chunk inline.
-func appendPayload(b []byte, rec *Record, have func(Digest) bool) []byte {
+// appendPayload appends rec's payload. With periphs nil every chunk is
+// inline and hashed as it is written (Encode). Otherwise periphs[i] is
+// the HWDigest of rec.HW[i] and every chunk is omitted: the preimage
+// of the record's content address. rec.HW is walked in its own order,
+// which target.State keeps ascending by name.
+func appendPayload(b []byte, rec *Record, periphs []Digest) []byte {
 	b = AppendU32(b, len(rec.IRQEdges))
 	for _, e := range rec.IRQEdges {
 		if e {
@@ -242,47 +242,52 @@ func appendPayload(b []byte, rec *Record, have func(Digest) bool) []byte {
 			b = append(b, 0)
 		}
 	}
-	names := SortedNames(rec.HW)
-	b = AppendU32(b, len(names))
-	for _, name := range names {
-		b = AppendName(b, name)
+	b = AppendU32(b, len(rec.HW))
+	for i := range rec.HW {
+		e := &rec.HW[i]
+		b = AppendName(b, e.Name)
+		if periphs != nil {
+			b = append(append(b, periphs[i][:]...), 0)
+			continue
+		}
 		at := len(b)
 		b = append(b, make([]byte, digestLen+1)...)
-		b = AppendChunk(b, rec.HW[name])
+		b = AppendChunk(b, &e.HW)
 		d := Digest(sha256.Sum256(b[at+digestLen+1+4:]))
 		copy(b[at:], d[:])
-		if have != nil && have(d) {
-			b = b[:at+digestLen+1]
-		} else {
-			b[at+digestLen] = 1
-		}
+		b[at+digestLen] = 1
 	}
 	return b
 }
 
-// address content-addresses rec and each of its peripherals (in name
-// order) in one walk.
-func address(rec *Record) (d Digest, periphs []Digest) {
-	periphs = make([]Digest, 0, len(rec.HW))
-	var stack [2048]byte
-	d = sha256.Sum256(appendPayload(stack[:0], rec, func(pd Digest) bool {
-		periphs = append(periphs, pd)
-		return true
-	}))
-	return d, periphs
+// recordDigest is the content address of rec, whose peripherals'
+// HWDigests are periphs.
+func recordDigest(rec *Record, periphs []Digest) Digest {
+	var stack [512]byte
+	return sha256.Sum256(appendPayload(stack[:0], rec, periphs))
 }
 
 // DigestRecord computes the content address of a record: the SHA-256
 // of its payload with every chunk omitted, that is of the IRQ edge
 // levels and each peripheral's name and HWDigest.
-func DigestRecord(rec *Record) Digest {
-	d, _ := address(rec)
-	return d
+func DigestRecord(rec *Record) Digest { return recordDigest(rec, hwDigests(rec.HW)) }
+
+// hwDigests hashes each of st's peripheral states, in st's order.
+func hwDigests(st target.State) []Digest {
+	periphs := make([]Digest, len(st))
+	for i := range st {
+		periphs[i] = HWDigest(&st[i].HW)
+	}
+	return periphs
 }
 
-// Encode serializes a record, every chunk inline. The error is always
-// nil.
+// Encode serializes a record, every chunk inline. A state out of name
+// order, or naming a peripheral twice, has no byte form: it is refused
+// with an integrity error, so no non-canonical record is ever written.
 func Encode(rec *Record) ([]byte, error) {
+	if err := rec.HW.CheckOrder(); err != nil {
+		return nil, &target.Error{Class: target.Integrity, Op: "snapshot: encode", Err: err}
+	}
 	b := appendPayload(make([]byte, recHdrLen, 1024), rec, nil)
 	p := b[recHdrLen:]
 	binary.LittleEndian.PutUint32(b[0:4], recMagic)
@@ -321,7 +326,7 @@ func Decode(data []byte) (*Record, error) {
 	r := Reader{p: payload}
 	rec := &Record{IRQEdges: List(&r, 1, func() bool { return r.Flag("irq edge level") })}
 	n := r.Count(4 + digestLen + 1)
-	rec.HW = make(target.State, n)
+	rec.HW = make(target.State, 0, n)
 	name := ""
 	for i := 0; i < n; i++ {
 		name = r.Ascending(i, name)
@@ -337,7 +342,7 @@ func Decode(data []byte) (*Record, error) {
 		if err != nil {
 			return nil, integrityErr("peripheral %q: %v", name, err)
 		}
-		rec.HW[name] = hw
+		rec.HW = append(rec.HW, target.PeriphState{Name: name, HW: *hw})
 	}
 	if err := r.End(); err != nil {
 		return nil, integrityErr("%v", err)

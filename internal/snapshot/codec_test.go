@@ -51,6 +51,22 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestEncodeRefusesNonCanonicalState: a state out of name order or
+// naming a peripheral twice has no byte form, so Encode refuses it with
+// an integrity error instead of writing bytes no decoder accepts.
+func TestEncodeRefusesNonCanonicalState(t *testing.T) {
+	p := target.PeriphState{Name: "p", HW: *hwState(map[string]uint64{"r": 1}, nil, nil)}
+	q := target.PeriphState{Name: "q", HW: p.HW}
+	if _, err := Encode(&Record{HW: target.State{p, q}}); err != nil {
+		t.Fatalf("canonical state refused: %v", err)
+	}
+	for _, st := range []target.State{{q, p}, {p, p}, {p, q, q}} {
+		if data, err := Encode(&Record{HW: st}); data != nil || target.Classify(err) != target.Integrity {
+			t.Errorf("Encode of %s/%s...: %d bytes, %v; want an integrity error", st[0].Name, st[1].Name, len(data), err)
+		}
+	}
+}
+
 // TestDecodeRejectsGobVersions: versions 1 (gob record) and 2 (gob
 // delta) are refused by version byte alone — the frames here carry a
 // valid header and a payload version 3 would accept.
@@ -143,7 +159,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		// The payload DigestRecord hashes, every chunk omitted: a
 		// frame the decoder must refuse.
-		addressed := seal(recVersion, appendPayload(nil, &rec, func(Digest) bool { return true }))
+		addressed := seal(recVersion, appendPayload(nil, &rec, hwDigests(rec.HW)))
 		for _, data := range [][]byte{full, addressed} {
 			f.Add(data, false)
 			f.Add(data[recHdrLen:], true)
@@ -179,9 +195,9 @@ func FuzzDecodeRecord(f *testing.F) {
 			if again, _ := Encode(rec); !bytes.Equal(again, data) {
 				t.Fatalf("accepted a non-canonical encoding:\n got %x\nfrom %x", again, data)
 			}
-			for name, hw := range rec.HW {
-				if hw == nil {
-					t.Fatalf("peripheral %q decoded to nil", name)
+			for _, e := range rec.HW {
+				if len(e.HW.Vals()) != e.HW.Layout().Len() {
+					t.Fatalf("peripheral %q decoded to %d values for a layout of %d", e.Name, len(e.HW.Vals()), e.HW.Layout().Len())
 				}
 			}
 		}

@@ -37,7 +37,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 							t.Errorf("goroutine %d: lost snapshot %d", g, id)
 							return
 						}
-						if err := s.Update(id, record(v)); err != nil {
+						if _, err := s.Update(id, record(v)); err != nil {
 							t.Errorf("goroutine %d: update: %v", g, err)
 							return
 						}

@@ -135,7 +135,7 @@ func TestGoldenHWDigests(t *testing.T) {
 					goldenPoke(t, tg, "p0")
 				}
 				key := kind + "/" + host + "/" + phase
-				got := HWDigest(goldenSave(t, tg)["p0"])
+				got := HWDigest(goldenSave(t, tg).Get("p0"))
 				if want := goldenDigests[key]; hex.EncodeToString(got[:]) != want {
 					t.Errorf("%s: HWDigest %x, pinned %s", key, got, want)
 				}
@@ -146,7 +146,7 @@ func TestGoldenHWDigests(t *testing.T) {
 
 func TestGoldenChunk(t *testing.T) {
 	tg := goldenTarget(t, false, target.PeriphConfig{Name: "p0", Periph: "gpio"})
-	if got := hex.EncodeToString(AppendChunk(nil, goldenSave(t, tg)["p0"])); got != goldenGPIOChunk {
+	if got := hex.EncodeToString(AppendChunk(nil, goldenSave(t, tg).Get("p0"))); got != goldenGPIOChunk {
 		t.Errorf("gpio chunk\n got %s\nwant %s", got, goldenGPIOChunk)
 	}
 }

@@ -14,12 +14,18 @@
 // peripheral states are interned in a shared pool keyed by their own
 // digests, so two records that differ in one peripheral share the
 // others structurally (the "delta encoding" of the pipeline: only
-// changed peripherals occupy new memory). Immutability is what makes
-// the sharing safe and removes the defensive clone on Get: callers
-// receive the canonical record and must not mutate it.
+// changed peripherals occupy new memory). The pool is also indexed by
+// content: a state it already holds is named by looking its vector up
+// (confirmed by equal values and Layout.Check), so only a state new to
+// the store is encoded and hashed. Immutability is what makes the
+// sharing safe and removes the defensive clone on Get: callers receive
+// the canonical record and must not mutate it.
 //
-// In memory a peripheral state is a sim.HWState: a value vector in the
-// order of its sim.Layout, whose names are sorted as the byte form
+// In memory a record's hardware is a target.State: one {Name, HW}
+// entry per peripheral in ascending name order, the order the byte
+// form writes, so the encoder walks it without sorting (and refuses a
+// state out of that order). Each HW is a sim.HWState: a value vector in
+// the order of its sim.Layout, whose names are sorted as the byte form
 // writes them, so the encoder walks layout and vector once. The decoder
 // builds each state a layout of its own from the names it reads.
 //
@@ -55,6 +61,7 @@ package snapshot
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,7 +94,11 @@ func hwBytes(hw *sim.HWState) uint64 { return uint64(len(hw.Vals())) * 8 }
 // poolEntry is one interned peripheral state, shared by every record
 // that contains it.
 type poolEntry struct {
-	hw   *sim.HWState
+	hw     *sim.HWState
+	digest Digest // HWDigest(hw), the pool key
+	// next chains the entries whose vectors share one content key in
+	// the store's index.
+	next *poolEntry
 	refs int
 }
 
@@ -142,22 +153,30 @@ type idStripe struct {
 // Store holds snapshots. The zero value is not usable; call NewStore.
 //
 // The store is safe for concurrent use by many exploration workers:
-// the ID table is lock-striped, the content tables (entries + intern
-// pool) sit behind one RWMutex, and all cumulative counters are
-// atomics, so Put/Get/Release from sibling workers contend only when
-// they touch the same stripe or mutate content. Digests are computed
-// outside every lock. Ownership contract: each ID belongs to exactly
+// the ID table is lock-striped, the content tables (entries, intern
+// pool and its index) sit behind one RWMutex, and all cumulative
+// counters are atomics, so Put/Get/Release from sibling workers contend
+// only when they touch the same stripe or mutate content. A state the
+// pool holds is named under the read lock; a new one is hashed outside
+// every lock. Ownership contract: each ID belongs to exactly
 // one state (and therefore one worker at a time); concurrent
 // Update/Release of the *same* ID is a caller bug, as it always was.
 type Store struct {
 	next    atomic.Uint64
 	stripes [idStripeCount]idStripe
 
-	// cmu guards entries, pool, and their refcounts (the two tables
-	// are linked: an entry holds references into the pool).
+	// cmu guards entries, pool, index and their refcounts (the tables
+	// are linked: an entry holds references into the pool, and the
+	// index lists the pool's entries).
 	cmu     sync.RWMutex
 	entries map[Digest]*entry
 	pool    map[Digest]*poolEntry
+	// index finds a pooled state by its vector: key's value, chained
+	// through poolEntry.next. key nil names every state by hashing
+	// it; tests set it so, or to a key that collides, to check that
+	// lookup names exactly what hashing does.
+	index map[uint64]*poolEntry
+	key   func(vals []uint64) uint64
 
 	puts              atomic.Uint64
 	gets              atomic.Uint64
@@ -177,6 +196,8 @@ func NewStore() *Store {
 	s := &Store{
 		entries: make(map[Digest]*entry),
 		pool:    make(map[Digest]*poolEntry),
+		index:   make(map[uint64]*poolEntry),
+		key:     contentKey,
 	}
 	for i := range s.stripes {
 		s.stripes[i].ids = make(map[ID]Digest)
@@ -193,6 +214,7 @@ func (s *Store) drop(ent *entry) {
 			pe.refs--
 			if pe.refs <= 0 {
 				delete(s.pool, pd)
+				s.unindex(pe)
 			}
 		}
 	}
@@ -219,7 +241,13 @@ func (s *Store) bumpLive() {
 // increment, no copy). The caller keeps ownership of rec; the store
 // never aliases caller memory.
 func (s *Store) Put(rec Record) ID {
-	d, periphs := address(&rec)
+	id, _ := s.PutDigest(rec)
+	return id
+}
+
+// PutDigest is Put, also returning the content address it attached.
+func (s *Store) PutDigest(rec Record) (ID, Digest) {
+	d, periphs := s.address(&rec)
 	s.cmu.Lock()
 	s.attach(d, periphs, &rec)
 	s.cmu.Unlock()
@@ -230,24 +258,25 @@ func (s *Store) Put(rec Record) ID {
 	st.mu.Unlock()
 	s.puts.Add(1)
 	s.bumpLive()
-	return id
+	return id, d
 }
 
 // Update re-points an existing ID at new content (UpdateState of
 // Algorithm 1: the new snapshot overrides the one associated with the
-// previous state). Updating the zero ID is an explicit error: 0 is
-// the engine's "no snapshot" sentinel and never names stored content.
-func (s *Store) Update(id ID, rec Record) error {
+// previous state) and returns the content address it now holds.
+// Updating the zero ID is an explicit error: 0 is the engine's "no
+// snapshot" sentinel and never names stored content.
+func (s *Store) Update(id ID, rec Record) (Digest, error) {
 	if id == 0 {
-		return fmt.Errorf("snapshot: update of the zero (no-snapshot) id")
+		return Digest{}, fmt.Errorf("snapshot: update of the zero (no-snapshot) id")
 	}
-	d, periphs := address(&rec)
+	d, periphs := s.address(&rec)
 	st := s.stripe(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	old, ok := st.ids[id]
 	if !ok {
-		return fmt.Errorf("snapshot: update of unknown id %d", id)
+		return Digest{}, fmt.Errorf("snapshot: update of unknown id %d", id)
 	}
 	if d == old {
 		// Content unchanged: the whole update is a no-op.
@@ -256,7 +285,7 @@ func (s *Store) Update(id ID, rec Record) error {
 		s.cmu.RUnlock()
 		s.dedupHits.Add(1)
 		s.bytesShared.Add(bytes)
-		return nil
+		return d, nil
 	}
 	s.cmu.Lock()
 	s.attach(d, periphs, &rec)
@@ -264,14 +293,15 @@ func (s *Store) Update(id ID, rec Record) error {
 	s.cmu.Unlock()
 	st.ids[id] = d
 	s.puts.Add(1)
-	return nil
+	return d, nil
 }
 
 // UpdateToDigest re-points an existing ID at already-stored content,
 // without supplying the state bytes: the caller proved (via a
 // mutation generation) that the content at d is what the ID should
-// hold. Returns false — caller must fall back to Update with real
-// content — when id or d is unknown.
+// hold. An ID already holding d is left as it is and counts nothing.
+// Returns false — caller must fall back to Update with real content —
+// when id or d is unknown.
 func (s *Store) UpdateToDigest(id ID, d Digest) bool {
 	if id == 0 {
 		return false
@@ -283,6 +313,9 @@ func (s *Store) UpdateToDigest(id ID, d Digest) bool {
 	if !ok {
 		return false
 	}
+	if old == d {
+		return true
+	}
 	s.cmu.Lock()
 	ent, ok := s.entries[d]
 	if !ok {
@@ -290,17 +323,11 @@ func (s *Store) UpdateToDigest(id ID, d Digest) bool {
 		return false
 	}
 	bytes := ent.bytes
-	same := old == d
-	if !same {
-		ent.refs++
-		s.detach(old)
-	}
+	ent.refs++
+	s.detach(old)
 	s.cmu.Unlock()
 	s.dedupHits.Add(1)
 	s.bytesShared.Add(bytes)
-	if same {
-		return true
-	}
 	st.ids[id] = d
 	s.puts.Add(1)
 	return true
@@ -311,15 +338,24 @@ func (s *Store) UpdateToDigest(id ID, d Digest) bool {
 // MUST NOT mutate it. Get(0) is an explicit fast-path miss (0 is the
 // "no snapshot" sentinel).
 func (s *Store) Get(id ID) (*Record, bool) {
+	rec, _, ok := s.Fetch(id, Digest{})
+	return rec, ok
+}
+
+// Fetch is Get for a caller that may hold content already: it returns
+// the content address id points at and, unless that address is have,
+// the record. Only a returned record counts as a Get. The zero digest
+// names no content, so Fetch(id, Digest{}) always returns the record.
+func (s *Store) Fetch(id ID, have Digest) (*Record, Digest, bool) {
 	if id == 0 {
-		return nil, false
+		return nil, Digest{}, false
 	}
 	st := s.stripe(id)
 	st.mu.RLock()
 	d, ok := st.ids[id]
 	st.mu.RUnlock()
-	if !ok {
-		return nil, false
+	if !ok || d == have {
+		return nil, d, ok
 	}
 	// The entry cannot die between the two locks: this ID still holds
 	// a reference, and the ID's owner is the only goroutine allowed to
@@ -329,7 +365,7 @@ func (s *Store) Get(id ID) (*Record, bool) {
 	s.cmu.RUnlock()
 	s.gets.Add(1)
 	s.bytesMaterialized.Add(ent.bytes)
-	return ent.rec, true
+	return ent.rec, d, true
 }
 
 // Release drops one ID (terminated state); the underlying record dies
@@ -420,6 +456,80 @@ func (s *Store) Stats() Stats {
 	}
 }
 
+// address content-addresses rec and each of its peripherals, in
+// rec.HW's order. A peripheral state the pool already holds is named
+// by lookup; only one new to the store is encoded and hashed.
+func (s *Store) address(rec *Record) (Digest, []Digest) {
+	periphs := make([]Digest, len(rec.HW))
+	if s.key != nil {
+		s.cmu.RLock()
+		for i := range rec.HW {
+			if pe := s.lookup(&rec.HW[i].HW); pe != nil {
+				periphs[i] = pe.digest
+			}
+		}
+		s.cmu.RUnlock()
+	}
+	for i := range periphs {
+		if periphs[i] == (Digest{}) {
+			periphs[i] = HWDigest(&rec.HW[i].HW)
+		}
+	}
+	return recordDigest(rec, periphs), periphs
+}
+
+// contentKey is a cheap 64-bit key of a value vector. It is not a
+// content address: the index confirms every candidate it finds by
+// comparing vectors and layouts.
+func contentKey(vals []uint64) uint64 {
+	h := uint64(len(vals)) * 0x9E3779B97F4A7C15
+	for _, v := range vals {
+		h = (h ^ v) * 0xBF58476D1CE4E5B9
+		h ^= h >> 31
+	}
+	return h
+}
+
+// lookup returns the pooled state equal to hw, or nil. Equal vectors
+// under equal names and depths are equal state bytes, so the entry's
+// digest is HWDigest(hw); the layouts are compared by value, since
+// every worker's simulator has a layout of its own. Caller holds cmu.
+func (s *Store) lookup(hw *sim.HWState) *poolEntry {
+	vals := hw.Vals()
+	for pe := s.index[s.key(vals)]; pe != nil; pe = pe.next {
+		if slices.Equal(pe.hw.Vals(), vals) && pe.hw.Layout().Check(hw.Layout()) == nil {
+			if nameAudit && HWDigest(hw) != pe.digest {
+				panic(fmt.Sprintf("snapshot: index named a state %x, HWDigest is %x", pe.digest[:8], HWDigest(hw)))
+			}
+			return pe
+		}
+	}
+	return nil
+}
+
+// unindex removes a dead pool entry from the index. Caller holds cmu
+// for writing.
+func (s *Store) unindex(pe *poolEntry) {
+	if s.key == nil {
+		return
+	}
+	k := s.key(pe.hw.Vals())
+	if s.index[k] == pe {
+		if pe.next == nil {
+			delete(s.index, k)
+		} else {
+			s.index[k] = pe.next
+		}
+		return
+	}
+	for p := s.index[k]; p != nil; p = p.next {
+		if p.next == pe {
+			p.next = pe.next
+			return
+		}
+	}
+}
+
 // attach resolves d to a live entry, creating one from rec (with
 // per-peripheral interning) if needed, and takes a reference. d and
 // periphs are address(rec)'s. Caller holds cmu for writing.
@@ -432,7 +542,7 @@ func (s *Store) attach(d Digest, periphs []Digest, rec *Record) {
 	}
 	hw := make(target.State, len(periphs))
 	var total uint64
-	for i, name := range SortedNames(rec.HW) {
+	for i := range rec.HW {
 		pd := periphs[i]
 		pe, ok := s.pool[pd]
 		if ok {
@@ -440,12 +550,17 @@ func (s *Store) attach(d Digest, periphs []Digest, rec *Record) {
 			s.periphShared.Add(1)
 			s.bytesShared.Add(hwBytes(pe.hw))
 		} else {
-			pe = &poolEntry{hw: rec.HW[name].Clone(), refs: 1}
+			pe = &poolEntry{hw: rec.HW[i].HW.Clone(), digest: pd, refs: 1}
 			s.pool[pd] = pe
+			if s.key != nil {
+				k := s.key(pe.hw.Vals())
+				pe.next = s.index[k]
+				s.index[k] = pe
+			}
 			s.periphStored.Add(1)
 			s.bytesStored.Add(hwBytes(pe.hw))
 		}
-		hw[name] = pe.hw
+		hw[i] = target.PeriphState{Name: rec.HW[i].Name, HW: *pe.hw}
 		total += hwBytes(pe.hw)
 	}
 	s.entries[d] = &entry{

@@ -61,11 +61,21 @@ func statePos(l *sim.Layout, name string) int {
 	panic("no state element " + name)
 }
 
+// stateOf lays peripheral states keyed by instance name out as a
+// target.State, in name order.
+func stateOf(m map[string]*sim.HWState) target.State {
+	st := make(target.State, 0, len(m))
+	for _, name := range SortedNames(m) {
+		st = append(st, target.PeriphState{Name: name, HW: *m[name]})
+	}
+	return st
+}
+
 func record(val uint64) Record {
 	return Record{
-		HW: target.State{
+		HW: stateOf(map[string]*sim.HWState{
 			"p0": hwState(map[string]uint64{"r": val}, map[string][]uint64{"m": {1, 2, val}}, map[string]uint64{"clk": 0}),
-		},
+		}),
 		IRQEdges: []bool{true, false},
 	}
 }
@@ -77,7 +87,7 @@ func TestPutGetRelease(t *testing.T) {
 		t.Fatal("id must be nonzero")
 	}
 	rec, ok := s.Get(id)
-	if !ok || *at(rec.HW["p0"], "r", 0) != 42 {
+	if !ok || *at(rec.HW.Get("p0"), "r", 0) != 42 {
 		t.Fatalf("get: %v %v", rec, ok)
 	}
 	if s.live.Load() != 1 {
@@ -101,7 +111,7 @@ func TestZeroIDFastPaths(t *testing.T) {
 		t.Fatalf("Get(0) = %v, %v; want nil, false", rec, ok)
 	}
 	s.Release(0) // must be a no-op, not a panic or a miscount
-	if err := s.Update(0, record(1)); err == nil {
+	if _, err := s.Update(0, record(1)); err == nil {
 		t.Fatal("Update(0) must be an explicit error")
 	}
 	if _, ok := s.DigestOf(0); ok {
@@ -116,14 +126,14 @@ func TestZeroIDFastPaths(t *testing.T) {
 func TestUpdate(t *testing.T) {
 	s := NewStore()
 	id := s.Put(record(1))
-	if err := s.Update(id, record(2)); err != nil {
+	if _, err := s.Update(id, record(2)); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := s.Get(id)
-	if *at(rec.HW["p0"], "r", 0) != 2 {
+	if *at(rec.HW.Get("p0"), "r", 0) != 2 {
 		t.Fatal("update not visible")
 	}
-	if err := s.Update(999, record(3)); err == nil {
+	if _, err := s.Update(999, record(3)); err == nil {
 		t.Fatal("update of unknown id must fail")
 	}
 }
@@ -131,7 +141,7 @@ func TestUpdate(t *testing.T) {
 func TestUpdateSameContentIsDedup(t *testing.T) {
 	s := NewStore()
 	id := s.Put(record(7))
-	if err := s.Update(id, record(7)); err != nil {
+	if _, err := s.Update(id, record(7)); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -148,11 +158,11 @@ func TestPutIsolatesCallerMemory(t *testing.T) {
 	rec := record(5)
 	id := s.Put(rec)
 	// Mutating the caller's record must not affect the stored copy.
-	*at(rec.HW["p0"], "r", 0) = 99
-	*at(rec.HW["p0"], "m", 0) = 77
+	*at(rec.HW.Get("p0"), "r", 0) = 99
+	*at(rec.HW.Get("p0"), "m", 0) = 77
 	rec.IRQEdges[0] = false
 	got, _ := s.Get(id)
-	if *at(got.HW["p0"], "r", 0) != 5 || *at(got.HW["p0"], "m", 0) != 1 || !got.IRQEdges[0] {
+	if *at(got.HW.Get("p0"), "r", 0) != 5 || *at(got.HW.Get("p0"), "m", 0) != 1 || !got.IRQEdges[0] {
 		t.Fatal("store aliases caller memory")
 	}
 }
@@ -190,20 +200,21 @@ func TestPeripheralSharing(t *testing.T) {
 	// Two records that differ in one peripheral must share the
 	// unchanged peripheral's state structurally.
 	mk := func(v uint64) Record {
-		return Record{HW: target.State{
+		return Record{HW: stateOf(map[string]*sim.HWState{
 			"same": hwState(map[string]uint64{"r": 1}, nil, nil),
 			"diff": hwState(map[string]uint64{"r": v}, nil, nil),
-		}}
+		})}
 	}
 	s := NewStore()
 	a := s.Put(mk(1))
 	b := s.Put(mk(2))
 	ra, _ := s.Get(a)
 	rb, _ := s.Get(b)
-	if ra.HW["same"] != rb.HW["same"] {
+	vec := func(rec *Record, name string) *uint64 { return &rec.HW.Get(name).Vals()[0] }
+	if vec(ra, "same") != vec(rb, "same") {
 		t.Fatal("unchanged peripheral state not shared")
 	}
-	if ra.HW["diff"] == rb.HW["diff"] {
+	if vec(ra, "diff") == vec(rb, "diff") {
 		t.Fatal("changed peripheral state wrongly shared")
 	}
 	st := s.Stats()
@@ -225,7 +236,7 @@ func TestAdopt(t *testing.T) {
 	}
 	s.Release(id)
 	rec, ok := s.Get(child)
-	if !ok || *at(rec.HW["p0"], "r", 0) != 3 {
+	if !ok || *at(rec.HW.Get("p0"), "r", 0) != 3 {
 		t.Fatal("adopted reference lost content")
 	}
 	if _, ok := s.Adopt(Digest{}); ok {
@@ -250,7 +261,7 @@ func TestUniqueIDs(t *testing.T) {
 
 // genRecord builds a pseudo-random record from quick's raw values.
 func genRecord(rnd *rand.Rand) Record {
-	hw := target.State{}
+	hw := map[string]*sim.HWState{}
 	for p := 0; p < 1+rnd.Intn(3); p++ {
 		name := string(rune('a' + p))
 		regs, mems, inputs := map[string]uint64{}, map[string][]uint64{}, map[string]uint64{}
@@ -273,7 +284,7 @@ func genRecord(rnd *rand.Rand) Record {
 	for i := range edges {
 		edges[i] = rnd.Intn(2) == 1
 	}
-	return Record{HW: hw, IRQEdges: edges}
+	return Record{HW: stateOf(hw), IRQEdges: edges}
 }
 
 // Property: the digest is deterministic — recomputing it over an
@@ -348,8 +359,8 @@ func TestEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *at(back.HW["p0"], "r", 0) != 123 || *at(back.HW["p0"], "m", 2) != 123 {
-		t.Fatalf("round trip: %+v", back.HW["p0"])
+	if *at(back.HW.Get("p0"), "r", 0) != 123 || *at(back.HW.Get("p0"), "m", 2) != 123 {
+		t.Fatalf("round trip: %+v", back.HW.Get("p0"))
 	}
 	if len(back.IRQEdges) != 2 || !back.IRQEdges[0] {
 		t.Fatalf("irq edges: %v", back.IRQEdges)

@@ -43,7 +43,7 @@ func (t *Target) AdoptState(s State) error {
 		return err
 	}
 	for _, inst := range t.order {
-		if err := inst.sim.Restore(s[inst.cfg.Name]); err != nil {
+		if err := inst.sim.Restore(&s[inst.pos].HW); err != nil {
 			return integrityf("adopt "+inst.cfg.Name, "%v", err)
 		}
 	}

@@ -103,20 +103,20 @@ func resolveScan(d *rtl.Design, l *sim.Layout, refs []scanchain.BitRef) (*scanPo
 	return sc, nil
 }
 
-// scanSave reads a peripheral's state out through its scan chain,
-// charging the rotation's cost. A proven chain's rotation ends where
-// it began, so the state is copied directly.
-func (t *Target) scanSave(inst *periphInst) (*sim.HWState, error) {
+// scanSave reads a peripheral's state out through its scan chain into
+// hw, charging the rotation's cost. A proven chain's rotation ends
+// where it began, so the state is copied directly.
+func (t *Target) scanSave(inst *periphInst, hw *sim.HWState) error {
 	if inst.scan.proof != nil {
-		return t.shiftSave(inst)
+		return t.shiftSave(inst, hw)
 	}
 	t.clock.Advance(t.costs.SnapshotCost(uint(len(inst.scan.chain))))
-	hw := inst.sim.Snapshot()
+	inst.sim.SnapshotTo(hw)
 	// The copy moved no pin, so only the scan pins need driving low.
 	if err := inst.exitScanMode(nil); err != nil {
-		return nil, err
+		return err
 	}
-	return hw, t.audit(inst, hw, hw, nil)
+	return t.audit(inst, hw, hw, nil)
 }
 
 // scanRestore loads a peripheral's state through its scan chain,
@@ -163,8 +163,8 @@ func (t *Target) audit(inst *periphInst, before, saved, restored *sim.HWState) e
 	sh.sim = shadow
 	oracle := &Target{clock: &vtime.Clock{}, costs: t.costs}
 	if restored == nil {
-		got, err := oracle.shiftSave(&sh)
-		if err != nil {
+		got := &sim.HWState{}
+		if err := oracle.shiftSave(&sh, got); err != nil {
 			return err
 		}
 		if !reflect.DeepEqual(got, saved) {
@@ -184,36 +184,33 @@ func (t *Target) audit(inst *periphInst, before, saved, restored *sim.HWState) e
 	return nil
 }
 
-// shiftSave shifts the whole chain out non-destructively: each bit
-// captured at scan_out is fed straight back into scan_in, so after a
-// full rotation the fabric state is unchanged.
-func (t *Target) shiftSave(inst *periphInst) (*sim.HWState, error) {
+// shiftSave shifts the whole chain out into hw non-destructively: each
+// bit captured at scan_out is fed straight back into scan_in, so after
+// a full rotation the fabric state is unchanged.
+func (t *Target) shiftSave(inst *periphInst, hw *sim.HWState) error {
 	s, sc := inst.sim, inst.scan
 	// The debugger drives the pins, so it knows their levels without
 	// fabric visibility; the registers and memory words are cleared
 	// and rebuilt from scan_out.
-	hw := s.Snapshot()
+	s.SnapshotTo(hw)
 	vals := hw.Vals()
 	clear(vals[:len(vals)-len(sc.inputs)])
 
 	t.clock.Advance(t.costs.SnapshotFixed) // scan command setup
 	s.SetInputID(sc.enable, 1)
 	if err := s.EvalComb(); err != nil {
-		return nil, fatalf("scan save "+inst.cfg.Name, "%v", err)
+		return fatalf("scan save "+inst.cfg.Name, "%v", err)
 	}
 	for _, c := range sc.chain {
 		b := s.PeekID(sc.out) & 1
 		s.SetInputID(sc.in, b)
 		if err := s.StepCycle(); err != nil {
-			return nil, fatalf("scan save "+inst.cfg.Name, "%v", err)
+			return fatalf("scan save "+inst.cfg.Name, "%v", err)
 		}
 		t.clock.Advance(t.costs.SnapshotPerBit)
 		vals[c.pos] |= b << c.bit
 	}
-	if err := inst.exitScanMode(nil); err != nil {
-		return nil, err
-	}
-	return hw, nil
+	return inst.exitScanMode(nil)
 }
 
 // shiftRestore shifts a snapshot into the chain, bit for the last

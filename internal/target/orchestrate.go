@@ -16,9 +16,9 @@ func Transfer(from, to *Target) error {
 	if err != nil {
 		return fmt.Errorf("target: transfer save from %s: %w", from.name, err)
 	}
-	for name, hw := range st {
-		if inst, ok := to.periphs[name]; ok {
-			st[name] = remap(hw, inst.sim.Layout().Inputs)
+	for i := range st {
+		if i < len(to.byName) && to.byName[i].cfg.Name == st[i].Name {
+			st[i].HW = remap(&st[i].HW, to.byName[i].sim.Layout().Inputs)
 		}
 	}
 	if err := to.Restore(st); err != nil {
@@ -32,7 +32,7 @@ func Transfer(from, to *Target) error {
 // differs from a plain one by scan_enable and scan_in. A pin hw lacks
 // is driven low, and one inputs lacks is dropped. Registers and memory
 // words keep their positions; the destination's Restore checks them.
-func remap(hw *sim.HWState, inputs []string) *sim.HWState {
+func remap(hw *sim.HWState, inputs []string) sim.HWState {
 	from := hw.Layout()
 	out := sim.NewHWState(&sim.Layout{Regs: from.Regs, Mems: from.Mems, Depths: from.Depths, Inputs: inputs}, nil)
 	src, dst := hw.Vals(), out.Vals()
@@ -42,5 +42,5 @@ func remap(hw *sim.HWState, inputs []string) *sim.HWState {
 			dst[n+i] = src[n+j]
 		}
 	}
-	return out
+	return *out
 }

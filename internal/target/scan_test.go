@@ -99,7 +99,7 @@ func TestQuickScanSaveMatchesFabric(t *testing.T) {
 					}
 					a, b := copied.order[0], netlist.order[0]
 					if ra, rb := copied.snapshotRaw(), netlist.snapshotRaw(); !reflect.DeepEqual(ra, rb) {
-						t.Errorf("after %s the twins' fabrics differ:\ncopied  %v\nnetlist %v", op, ra["p0"], rb["p0"])
+						t.Errorf("after %s the twins' fabrics differ:\ncopied  %v\nnetlist %v", op, ra.Get("p0"), rb.Get("p0"))
 						return false
 					}
 					for _, id := range []int{a.pins.rdata, a.pins.irq, a.scan.out} {
@@ -133,11 +133,11 @@ func TestQuickScanSaveMatchesFabric(t *testing.T) {
 						return false
 					}
 					if !reflect.DeepEqual(saved[0], saved[1]) {
-						t.Errorf("copied save differs from the netlist shift:\ncopied  %v\nnetlist %v", saved[0]["p0"], saved[1]["p0"])
+						t.Errorf("copied save differs from the netlist shift:\ncopied  %v\nnetlist %v", saved[0].Get("p0"), saved[1].Get("p0"))
 						return false
 					}
 					if raw := copied.snapshotRaw(); !reflect.DeepEqual(saved[0], raw) {
-						t.Errorf("scan save differs from the fabric:\nsave %v\nraw  %v", saved[0]["p0"], raw["p0"])
+						t.Errorf("scan save differs from the fabric:\nsave %v\nraw  %v", saved[0].Get("p0"), raw.Get("p0"))
 						return false
 					}
 					if err := drive(after); err != nil {
@@ -155,7 +155,7 @@ func TestQuickScanSaveMatchesFabric(t *testing.T) {
 						return false
 					}
 					if raw := copied.snapshotRaw(); !reflect.DeepEqual(saved[0], raw) {
-						t.Errorf("scan restore left a different fabric:\nsaved %v\nraw   %v", saved[0]["p0"], raw["p0"])
+						t.Errorf("scan restore left a different fabric:\nsaved %v\nraw   %v", saved[0].Get("p0"), raw.Get("p0"))
 						return false
 					}
 					return true

@@ -24,6 +24,8 @@ package target
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"hardsnap/internal/bus"
@@ -93,6 +95,8 @@ type periphInst struct {
 	// genBase is the simulator mutation generation last folded into
 	// the target generation (see Target.Generation).
 	genBase uint64
+	// pos is the instance's position in a State: its rank by name.
+	pos int
 }
 
 // Target hosts a set of peripherals on one execution vehicle.
@@ -105,6 +109,10 @@ type Target struct {
 
 	periphs map[string]*periphInst
 	order   []*periphInst
+	// byName lists the instances in State order (inst.pos).
+	byName []*periphInst
+	// stateBits is the total state across peripherals, fixed at build.
+	stateBits uint
 
 	stats      Stats
 	violations []Violation
@@ -169,6 +177,12 @@ func build(name, kind string, clock *vtime.Clock, periphs []PeriphConfig, costs 
 		}
 		t.periphs[cfg.Name] = inst
 		t.order = append(t.order, inst)
+		t.stateBits += inst.design.StateBits()
+	}
+	t.byName = slices.Clone(t.order)
+	slices.SortFunc(t.byName, func(a, b *periphInst) int { return strings.Compare(a.cfg.Name, b.cfg.Name) })
+	for i, inst := range t.byName {
+		inst.pos = i
 	}
 	t.powerOn = t.snapshotRaw()
 	return t, nil
@@ -294,13 +308,7 @@ func (t *Target) Clock() *vtime.Clock { return t.clock }
 func (t *Target) Stats() Stats { return t.stats }
 
 // StateBits is the total snapshot-relevant state across peripherals.
-func (t *Target) StateBits() uint {
-	var n uint
-	for _, inst := range t.order {
-		n += inst.design.StateBits()
-	}
-	return n
-}
+func (t *Target) StateBits() uint { return t.stateBits }
 
 // Peripherals returns the hosted peripheral instance names in build
 // order: the stable index space the remote protocol's batch frames
@@ -505,7 +513,7 @@ func (t *Target) RestoreDelta(s State) (bool, error) {
 func (t *Target) Reset() error {
 	t.clock.Advance(t.costs.Cycle)
 	for _, inst := range t.order {
-		if err := inst.sim.Restore(t.powerOn[inst.cfg.Name]); err != nil {
+		if err := inst.sim.Restore(&t.powerOn[inst.pos].HW); err != nil {
 			return fatalf("reset", "%s: %v", inst.cfg.Name, err)
 		}
 	}
@@ -538,13 +546,23 @@ func (t *Target) Simulator(periphName string) (*sim.Simulator, error) {
 	return inst.sim, nil
 }
 
+// newState returns a State naming the hosted peripherals, in order,
+// with every HW left for the caller to fill.
+func (t *Target) newState() State {
+	st := make(State, len(t.byName))
+	for i, inst := range t.byName {
+		st[i].Name = inst.cfg.Name
+	}
+	return st
+}
+
 // snapshotRaw copies the full state directly (no cost charged): the
 // full-visibility path of the simulator target and the orchestrator's
 // internal bookkeeping.
 func (t *Target) snapshotRaw() State {
-	st := make(State, len(t.order))
-	for _, inst := range t.order {
-		st[inst.cfg.Name] = inst.sim.Snapshot()
+	st := t.newState()
+	for i, inst := range t.byName {
+		inst.sim.SnapshotTo(&st[i].HW)
 	}
 	return st
 }
@@ -553,13 +571,11 @@ func (t *Target) saveBackend() (State, error) {
 	before := t.clock.Now()
 	var st State
 	if t.scan {
-		st = make(State, len(t.order))
+		st = t.newState()
 		for _, inst := range t.order {
-			hw, err := t.scanSave(inst)
-			if err != nil {
+			if err := t.scanSave(inst, &st[inst.pos].HW); err != nil {
 				return nil, err
 			}
-			st[inst.cfg.Name] = hw
 		}
 	} else {
 		// Simulator: CRIU-like freeze+copy. Readback FPGA: one
@@ -574,19 +590,19 @@ func (t *Target) saveBackend() (State, error) {
 }
 
 // validateState refuses, before any bit moves, a state that does not
-// hold exactly the hosted peripherals, each in its simulator's layout.
+// hold exactly the hosted peripherals, once each and in name order,
+// each in its simulator's layout.
 func (t *Target) validateState(s State) error {
-	for _, inst := range t.order {
-		hw := s[inst.cfg.Name]
-		if hw == nil {
-			return integrityf("restore", "state has no peripheral %q", inst.cfg.Name)
+	for i, inst := range t.byName {
+		if i >= len(s) || s[i].Name != inst.cfg.Name {
+			return integrityf("restore", "state has no peripheral %q at position %d (a state lists its peripherals in name order)", inst.cfg.Name, i)
 		}
-		if err := inst.sim.Layout().Check(hw.Layout()); err != nil {
+		if err := inst.sim.Layout().Check(s[i].HW.Layout()); err != nil {
 			return integrityf("restore", "peripheral %s: %v", inst.cfg.Name, err)
 		}
 	}
-	if len(s) != len(t.order) {
-		return integrityf("restore", "state holds %d peripherals, target hosts %d", len(s), len(t.order))
+	if len(s) != len(t.byName) {
+		return integrityf("restore", "state holds %d peripherals, target hosts %d", len(s), len(t.byName))
 	}
 	return nil
 }
@@ -597,14 +613,14 @@ func (t *Target) applyState(s State) error {
 	before := t.clock.Now()
 	if t.scan {
 		for _, inst := range t.order {
-			if err := t.scanRestore(inst, s[inst.cfg.Name]); err != nil {
+			if err := t.scanRestore(inst, &s[inst.pos].HW); err != nil {
 				return err
 			}
 		}
 	} else {
 		t.clock.Advance(t.costs.SnapshotCost(t.StateBits()))
 		for _, inst := range t.order {
-			if err := inst.sim.Restore(s[inst.cfg.Name]); err != nil {
+			if err := inst.sim.Restore(&s[inst.pos].HW); err != nil {
 				return integrityf("restore "+inst.cfg.Name, "%v", err)
 			}
 		}
@@ -622,7 +638,7 @@ func (t *Target) applyDelta(s State) error {
 	before := t.clock.Now()
 	var bits uint
 	for _, inst := range t.order {
-		n, err := inst.sim.RestoreDirty(s[inst.cfg.Name])
+		n, err := inst.sim.RestoreDirty(&s[inst.pos].HW)
 		if err != nil {
 			return integrityf("restore-delta "+inst.cfg.Name, "%v", err)
 		}

@@ -172,8 +172,9 @@ func TestTransferFPGAToSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range st["p0"].Vals()[:stateWords(st["p0"])] {
-				st["p0"].Vals()[i] = 0x9E3779B97F4A7C15 * uint64(i+1)
+			hw := st.Get("p0")
+			for i := range hw.Vals()[:stateWords(hw)] {
+				hw.Vals()[i] = 0x9E3779B97F4A7C15 * uint64(i+1)
 			}
 			if err := from.Restore(st); err != nil {
 				t.Fatal(err)
@@ -195,7 +196,7 @@ func TestTransferFPGAToSimulator(t *testing.T) {
 			if got := clock.Now() - before; got != want {
 				t.Errorf("%s to %s: transfer took %v of virtual time, want %v", kind, to.Kind(), got, want)
 			}
-			src, dst := from.snapshotRaw()["p0"], to.snapshotRaw()["p0"]
+			src, dst := from.snapshotRaw().Get("p0"), to.snapshotRaw().Get("p0")
 			sl, dl := src.Layout(), dst.Layout()
 			if !slices.Equal(sl.Regs, dl.Regs) || !slices.Equal(sl.Mems, dl.Mems) || !slices.Equal(sl.Depths, dl.Depths) {
 				t.Fatalf("%s: the builds hold different registers or memories", kind)
@@ -279,15 +280,14 @@ func TestRestoreRejectsCorruptedState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	unknown := st.Clone()
-	unknown["bogus"] = &sim.HWState{}
+	unknown := append(st.Clone(), PeriphState{Name: "bogus"})
 	if err := tg.Restore(unknown); Classify(err) != Integrity {
 		t.Fatalf("unknown peripheral: %v, want integrity error", err)
 	}
 
-	l := *st["gpio0"].Layout()
+	l := *st.Get("gpio0").Layout()
 	l.Regs = append(slices.Clone(l.Regs), "no_such_register")
-	badReg := State{"gpio0": sim.NewHWState(&l, nil)}
+	badReg := State{{Name: "gpio0", HW: *sim.NewHWState(&l, nil)}}
 	if err := tg.Restore(badReg); Classify(err) != Integrity {
 		t.Fatalf("unknown register: %v, want integrity error", err)
 	}
@@ -309,8 +309,8 @@ func (s State) Clone() State {
 		return nil
 	}
 	c := make(State, len(s))
-	for name, hw := range s {
-		c[name] = hw.Clone()
+	for i, e := range s {
+		c[i] = PeriphState{e.Name, *e.HW.Clone()}
 	}
 	return c
 }
@@ -321,13 +321,13 @@ func TestStateClone(t *testing.T) {
 	p.WriteReg(0x00, 0x10)
 	st, _ := tg.Save()
 	c := st.Clone()
-	c["gpio0"].Vals()[0] ^= 0xFFFF
-	if slices.Equal(st["gpio0"].Vals(), c["gpio0"].Vals()) {
+	c.Get("gpio0").Vals()[0] ^= 0xFFFF
+	if slices.Equal(st.Get("gpio0").Vals(), c.Get("gpio0").Vals()) {
 		t.Fatal("Clone aliases the original")
 	}
-	// A nil entry clones as the empty state it encodes and hashes as.
-	if hw := (State{"p": nil}).Clone()["p"]; hw == nil || len(hw.Vals()) != 0 || hw.Layout().Len() != 0 {
-		t.Fatalf("nil entry cloned as %+v", hw)
+	// A zero entry clones as the empty state it encodes and hashes as.
+	if hw := (State{{Name: "p"}}).Clone().Get("p"); hw == nil || len(hw.Vals()) != 0 || hw.Layout().Len() != 0 {
+		t.Fatalf("zero entry cloned as %+v", hw)
 	}
 }
 
@@ -355,10 +355,12 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 }
 
 // TestRestoreRefusesPartialState: a state must cover every hosted
-// peripheral. An empty state, or one that leaves a peripheral out or
-// nil, is an integrity error on every restore path, and the hardware
-// keeps its state: nothing is reset to zero (the uart's bauddiv is 8
-// at power-on), and no peripheral the state does hold is written.
+// peripheral, once each, in name order. An empty state, one that
+// leaves a peripheral out or empty, one out of name order and one
+// naming a peripheral twice are integrity errors on every restore
+// path, and the hardware keeps its state: nothing is reset to zero
+// (the uart's bauddiv is 8 at power-on), and no peripheral the state
+// does hold is written.
 func TestRestoreRefusesPartialState(t *testing.T) {
 	tg := newSim(t, &vtime.Clock{}, PeriphConfig{Name: "gpio0", Periph: "gpio"}, PeriphConfig{Name: "uart0", Periph: "uart"})
 	p, _ := tg.Port("gpio0")
@@ -381,7 +383,11 @@ func TestRestoreRefusesPartialState(t *testing.T) {
 		{"RestoreDelta", func(s State) error { _, err := tg.RestoreDelta(s); return err }},
 		{"AdoptState", tg.AdoptState},
 	} {
-		for _, partial := range []State{{}, {"gpio0": st["gpio0"]}, {"uart0": st["uart0"]}, {"gpio0": st["gpio0"], "uart0": nil}} {
+		gpio, uart := st[0], st[1]
+		for _, partial := range []State{
+			{}, {gpio}, {uart}, {gpio, {Name: "uart0"}},
+			{uart, gpio}, {gpio, gpio, uart}, {gpio, uart, uart},
+		} {
 			if err := op.apply(partial); Classify(err) != Integrity {
 				t.Fatalf("%s of a state holding %v: %v, want integrity error", op.name, partial, err)
 			}
@@ -397,8 +403,9 @@ func TestRestoreRefusesPartialState(t *testing.T) {
 
 // TestStateMovesAllocate gates the allocations of the simulator's
 // state moves on every corpus peripheral: a Snapshot allocates the
-// state and its vector, whatever the design, and a Restore or
-// RestoreDirty of a state of the same layout allocates nothing.
+// state and its vector, whatever the design, a Target.Save the State
+// and the vector, and a Restore or RestoreDirty of a state of the same
+// layout allocates nothing.
 func TestStateMovesAllocate(t *testing.T) {
 	var snap float64
 	for i, kind := range corpus {
@@ -409,6 +416,13 @@ func TestStateMovesAllocate(t *testing.T) {
 		}
 		if err := tg.Advance(5); err != nil {
 			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := tg.Save(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 2 {
+			t.Errorf("%s: Target.Save makes %v allocations, want at most 2", kind, n)
 		}
 		hw := s.Snapshot()
 		n := testing.AllocsPerRun(100, func() { hw = s.Snapshot() })
