@@ -110,8 +110,10 @@ endef
 # naming of a state by lookup against hashing it, the journal's frame
 # scanner and the campaign loader behind it (header and subtree
 # results), the solver against its reference, the solver cache's
-# folded set key against its batch key, the vm's dirty-page restore against a full copy, the symbolic
-# executor's decoded-table fetch against the word built as terms, the
+# folded set key against its batch key, the vm's dirty-page restore
+# against a full copy, the symbolic executor's decoded-table fetch
+# against the word built as terms, one instruction on the vm against
+# the symbolic executor with concrete and with symbolic operands, the
 # simulator's dirty-list restore against a full Restore, the compiled
 # RTL engine and the symbolic one-clock evaluator (rtl.SymStep) against
 # the interpreter on generated netlists, and the two readers of user
@@ -127,6 +129,7 @@ fuzz-smoke:
 	$(call fuzz_run,./internal/solver,FuzzSetKey)
 	$(call fuzz_run,./internal/vm,FuzzDirtyRestore)
 	$(call fuzz_run,./internal/symexec,FuzzFetchMatchesDecode)
+	$(call fuzz_run,./internal/symexec,FuzzStepMatchesVM)
 	$(call fuzz_run,./internal/sim,FuzzSimDirtyRestore)
 	$(call fuzz_run,./internal/sim,FuzzCompiledMatchesInterp)
 	$(call fuzz_run,./internal/rtl,FuzzSymStepMatchesInterp)

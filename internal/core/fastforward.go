@@ -5,6 +5,7 @@ import (
 
 	"hardsnap/internal/isa"
 	"hardsnap/internal/vm"
+	"hardsnap/internal/vtime"
 )
 
 // FastForwardResult describes the hand-off point of a fast-forward
@@ -65,7 +66,8 @@ func (a *Analysis) FastForward(maxSteps uint64) (*FastForwardResult, error) {
 		return false
 	}
 
-	steps, _, err := a.Rig.RunConcrete(cpu, maxSteps, func() bool { return stop != 0 })
+	steps, _, err := a.Rig.RunConcrete(cpu, maxSteps, vtime.NativeInstruction,
+		func(uint32) bool { return stop == 0 })
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"hardsnap/internal/snapshot"
 	"hardsnap/internal/symexec"
 	"hardsnap/internal/vm"
+	"hardsnap/internal/vtime"
 )
 
 // ReplayResult is the outcome of concretely re-executing a symbolic
@@ -82,7 +83,7 @@ func (a *Analysis) ReplayVector(st *symexec.State, vector map[uint32][]byte) (*R
 		return true
 	}
 
-	_, irqs, err := rig.RunConcrete(cpu, st.Steps*4+10_000, nil)
+	_, irqs, err := rig.RunConcrete(cpu, st.Steps*4+10_000, vtime.NativeInstruction, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"hardsnap/internal/bus"
 	"hardsnap/internal/snapshot"
@@ -169,34 +170,37 @@ func (r *Rig) Tick(irqs []int) ([]int, []target.Violation, error) {
 	return irqs, r.Target.TakeViolations(), nil
 }
 
-// RunConcrete is the one concrete execution loop (fast-forward and
-// replay): step cpu, charge native instruction time, tick the
-// hardware, deliver rising interrupts, and turn a hardware-property
-// violation into vm.StopAssertFail. It returns when the CPU stops,
-// budget instructions have retired or, checked before each
-// instruction, until reports true (nil: never). irqs counts the
-// interrupts delivered.
-func (r *Rig) RunConcrete(cpu *vm.CPU, budget uint64, until func() bool) (steps uint64, irqs int, err error) {
+// RunConcrete is the one concrete execution loop, shared by the fuzz
+// worker, fast-forward and replay: step cpu, charge cost per retired
+// instruction, tick the hardware, deliver rising interrupts, turn a
+// hardware-property violation into vm.StopAssertFail, then call
+// stepped (nil: never) with the PC the step started from; false from
+// it ends the run. It also returns when the CPU stops or budget
+// instructions have retired. irqs counts the interrupts delivered.
+func (r *Rig) RunConcrete(cpu *vm.CPU, budget uint64, cost time.Duration, stepped func(pc uint32) bool) (steps uint64, irqs int, err error) {
 	var buf [vm.NumIRQs]int
-	for cpu.Stop == vm.StopNone && steps < budget && (until == nil || !until()) {
+	for cpu.Stop == vm.StopNone && steps < budget {
+		pc := cpu.PC
 		if !cpu.Step() {
 			break
 		}
 		steps++
-		r.Clock.Advance(vtime.NativeInstruction)
-		if r.Target == nil {
-			continue
+		r.Clock.Advance(cost)
+		if r.Target != nil {
+			fired, violations, err := r.Tick(buf[:0])
+			if err != nil {
+				return steps, irqs, err
+			}
+			for _, n := range fired {
+				cpu.RaiseIRQ(n)
+			}
+			irqs += len(fired)
+			if len(violations) > 0 {
+				cpu.Stop = vm.StopAssertFail
+			}
 		}
-		fired, violations, err := r.Tick(buf[:0])
-		if err != nil {
-			return steps, irqs, err
-		}
-		for _, n := range fired {
-			cpu.RaiseIRQ(n)
-		}
-		irqs += len(fired)
-		if len(violations) > 0 {
-			cpu.Stop = vm.StopAssertFail
+		if stepped != nil && !stepped(pc) {
+			break
 		}
 	}
 	return steps, irqs, nil

@@ -46,9 +46,9 @@ type branchSite struct {
 const hitListCap = 256
 
 // worker is one parallel fuzzing loop over a private target and CPU.
-// All fields reachable from the per-instruction path are plain data:
-// the hot loop performs no allocations and no dynamic dispatch beyond
-// the unavoidable peripheral port calls at the hardware boundary.
+// Its executions run on the rig's concrete loop (core.Rig.RunConcrete)
+// with afterStep as the per-instruction hook, bound once in stepped;
+// the hot loop performs no allocations.
 type worker struct {
 	id  int
 	c   *campaign
@@ -75,6 +75,9 @@ type worker struct {
 	// (concolic replay can't model async IRQs, so recordings with
 	// interrupts are skipped).
 	irqsThisExec int
+	// stepped is afterStep as a method value, made once: one made per
+	// exec would allocate.
+	stepped func(pc uint32) bool
 
 	// Snapshot-based reset state.
 	cpuSnap *vm.Snapshot
@@ -118,6 +121,7 @@ func newWorker(id int, c *campaign) (*worker, error) {
 		input:   make([]byte, cfg.InputLen),
 		scratch: make([]byte, cfg.InputLen),
 	}
+	w.stepped = w.afterStep
 	if cfg.Hybrid {
 		w.decodeBranchSites()
 	}
@@ -333,51 +337,36 @@ func (w *worker) captureSnapshot() {
 	}
 }
 
-// execOne runs one test case to completion. This is the hot loop: no
-// allocations, no interface calls except the hardware-boundary port
-// operations, per-exec bookkeeping deferred to afterExec.
+// execOne runs one test case to completion on the rig's concrete
+// loop, charging VM instruction time. Per-exec bookkeeping is deferred
+// to afterExec; the per-step hook was bound when the worker was built,
+// so an exec allocates nothing.
 func (w *worker) execOne() (stop vm.StopReason, crashPC uint32, err error) {
 	w.execSeq++
-	w.irqsThisExec = 0
-	cpu, rig, clock := w.cpu, w.rig, w.rig.Clock
-	hw := rig.Target != nil
-	trackBranches := w.branchIdx != nil
-	base := w.cfg.Program.Base
-	progWords := uint32(len(w.branchIdx))
-	var steps uint64
-	var irqBuf [vm.NumIRQs]int
-	for cpu.Stop == vm.StopNone && steps < w.cfg.MaxStepsPerExec {
-		pcBefore := cpu.PC
-		if !cpu.Step() {
-			break
-		}
-		steps++
-		clock.Advance(vtime.VMInstruction)
-		w.cov.Edge(cpu.PC)
-		if trackBranches {
-			if off := (pcBefore - base) >> 2; off < progWords {
-				if si := w.branchIdx[off]; si >= 0 {
-					w.noteBranch(si)
-				}
-			}
-		}
-		if hw {
-			// Fuzz campaigns register no hardware properties, so the
-			// tick's violation list is always empty here.
-			irqs, _, err := rig.Tick(irqBuf[:0])
-			if err != nil {
-				return 0, 0, err
-			}
-			for _, n := range irqs {
-				cpu.RaiseIRQ(n)
-				w.irqsThisExec++
+	steps, irqs, err := w.rig.RunConcrete(w.cpu, w.cfg.MaxStepsPerExec, vtime.VMInstruction, w.stepped)
+	if err != nil {
+		return 0, 0, err
+	}
+	w.irqsThisExec = irqs
+	if steps >= w.cfg.MaxStepsPerExec && w.cpu.Stop == vm.StopNone {
+		w.cpu.Stop = vm.StopBudget
+	}
+	return w.cpu.Stop, w.cpu.PC, nil
+}
+
+// afterStep is the worker's per-instruction hook on the rig loop: it
+// records the edge to the CPU's new PC and, in hybrid mode, notes the
+// branch site the instruction at pc decided. It never ends the run.
+func (w *worker) afterStep(pc uint32) bool {
+	w.cov.Edge(w.cpu.PC)
+	if w.branchIdx != nil {
+		if off := (pc - w.cfg.Program.Base) >> 2; off < uint32(len(w.branchIdx)) {
+			if si := w.branchIdx[off]; si >= 0 {
+				w.noteBranch(si)
 			}
 		}
 	}
-	if steps >= w.cfg.MaxStepsPerExec && cpu.Stop == vm.StopNone {
-		cpu.Stop = vm.StopBudget
-	}
-	return cpu.Stop, cpu.PC, nil
+	return true
 }
 
 // noteBranch updates a branch site after the instruction at its PC

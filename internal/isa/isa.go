@@ -295,3 +295,111 @@ func ExpandLI(rd uint8, v uint32) []Inst {
 		{Op: OpORI, Rd: rd, Rs1: rd, Imm: int32(v & 0x1FFF)},
 	}
 }
+
+// Concrete semantics: the one definition of what an HS32 instruction
+// computes on machine words. The vm executes through these functions;
+// symexec's terms must agree with them (expr folds and evaluates with
+// the same rules).
+
+// ALU returns rd for an R-type or I-type ALU op on x and y; for an
+// I-type op y is the sign-extended immediate. Shift amounts >= 32 give
+// 0, or all sign bits for SRA (Go's own shift rule, and SMT-LIB's).
+// Unsigned division by zero gives all ones, its remainder x. Any other
+// op gives 0.
+func ALU(op Opcode, x, y uint32) uint32 {
+	switch op {
+	case OpADD, OpADDI:
+		return x + y
+	case OpSUB:
+		return x - y
+	case OpAND, OpANDI:
+		return x & y
+	case OpOR, OpORI:
+		return x | y
+	case OpXOR, OpXORI:
+		return x ^ y
+	case OpSLL, OpSLLI:
+		return x << y
+	case OpSRL, OpSRLI:
+		return x >> y
+	case OpSRA, OpSRAI:
+		return uint32(int32(x) >> y)
+	case OpMUL:
+		return x * y
+	case OpDIVU:
+		if y == 0 {
+			return ^uint32(0)
+		}
+		return x / y
+	case OpREMU:
+		if y == 0 {
+			return x
+		}
+		return x % y
+	case OpSLT, OpSLTI:
+		return b2u(int32(x) < int32(y))
+	case OpSLTU, OpSLTIU:
+		return b2u(x < y)
+	}
+	return 0
+}
+
+func b2u(v bool) uint32 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// Taken reports whether the conditional branch op on rs1 = x and
+// rs2 = y goes to its target. Any other op is never taken.
+func Taken(op Opcode, x, y uint32) bool {
+	switch op {
+	case OpBEQ:
+		return x == y
+	case OpBNE:
+		return x != y
+	case OpBLT:
+		return int32(x) < int32(y)
+	case OpBGE:
+		return int32(x) >= int32(y)
+	case OpBLTU:
+		return x < y
+	case OpBGEU:
+		return x >= y
+	}
+	return false
+}
+
+// AccessSize is the number of bytes a load or store op moves (1, 2 or
+// 4); 0 for any other op.
+func AccessSize(op Opcode) int {
+	switch op {
+	case OpLW, OpSW:
+		return 4
+	case OpLH, OpLHU, OpSH:
+		return 2
+	case OpLB, OpLBU, OpSB:
+		return 1
+	}
+	return 0
+}
+
+// LoadSigned reports whether load op sign-extends what it reads.
+func LoadSigned(op Opcode) bool { return op == OpLH || op == OpLB }
+
+// ExtendLoad widens v, the AccessSize(op) bytes load op read (in its
+// low bits), to the 32-bit value the op writes to rd.
+func ExtendLoad(op Opcode, v uint32) uint32 {
+	switch op {
+	case OpLH:
+		return uint32(int32(int16(v)))
+	case OpLB:
+		return uint32(int32(int8(v)))
+	case OpLHU:
+		return uint32(uint16(v))
+	case OpLBU:
+		return uint32(uint8(v))
+	}
+	return v
+}

@@ -206,3 +206,38 @@ func TestDisassembly(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessSizeAndLoadExtension pins each memory op's width and each
+// load's extension. The vm and symexec both take these from isa, so
+// the differential tests between them cannot catch a wrong entry.
+func TestAccessSizeAndLoadExtension(t *testing.T) {
+	sizes := map[Opcode]int{
+		OpLW: 4, OpSW: 4, OpLH: 2, OpLHU: 2, OpSH: 2, OpLB: 1, OpLBU: 1, OpSB: 1,
+		OpADD: 0, OpBEQ: 0, OpJALR: 0,
+	}
+	for op, want := range sizes {
+		if got := AccessSize(op); got != want {
+			t.Errorf("AccessSize(%v) = %d, want %d", op, got, want)
+		}
+	}
+	for _, c := range []struct {
+		op      Opcode
+		in, out uint32
+	}{
+		{OpLW, 0x80808080, 0x80808080},
+		{OpLH, 0x8080, 0xffff8080},
+		{OpLHU, 0x8080, 0x8080},
+		{OpLB, 0x80, 0xffffff80},
+		{OpLBU, 0x80, 0x80},
+		{OpLB, 0x7f, 0x7f},
+	} {
+		if got := ExtendLoad(c.op, c.in); got != c.out {
+			t.Errorf("ExtendLoad(%v, %#x) = %#x, want %#x", c.op, c.in, got, c.out)
+		}
+	}
+	for op := OpLW; op <= OpLBU; op++ {
+		if want := op == OpLH || op == OpLB; LoadSigned(op) != want {
+			t.Errorf("LoadSigned(%v) = %v, want %v", op, !want, want)
+		}
+	}
+}

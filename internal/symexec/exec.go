@@ -379,14 +379,6 @@ func (e *Executor) fault(st *State, format string, args ...any) {
 	st.Err = &vm.FaultError{PC: st.PC, Msg: fmt.Sprintf(format, args...)}
 }
 
-// inMMIO reports whether the address window belongs to hardware. The
-// sum is taken in uint64 so an access past the top of the address
-// space cannot wrap into the window (same rule as vm.CPU).
-func (e *Executor) inMMIO(addr uint32, size uint32) bool {
-	c := e.cfg.VM
-	return addr >= c.MMIOBase && uint64(addr-c.MMIOBase)+uint64(size) <= uint64(c.MMIOSize)
-}
-
 // ServePendingInterrupt dispatches one pending IRQ if the state can
 // take it (Algorithm 1's ServePendingInterrupt). Handlers are atomic:
 // no dispatch while one runs.
@@ -638,8 +630,8 @@ func (e *Executor) execLoad(st *State, in isa.Inst, forks *[]*State) (bool, erro
 	if err != nil || st.Status != StatusRunning {
 		return true, err
 	}
-	size := loadSize(in.Op)
-	if e.inMMIO(addr, uint32(size)) {
+	size := isa.AccessSize(in.Op)
+	if e.cfg.VM.InMMIO(addr, uint32(size)) {
 		if e.mmio == nil {
 			e.fault(st, "MMIO load at %#x with no hardware attached", addr)
 			return true, nil
@@ -663,16 +655,10 @@ func (e *Executor) execLoad(st *State, in isa.Inst, forks *[]*State) (bool, erro
 		st.Err = err
 		return true, nil
 	}
-	switch in.Op {
-	case isa.OpLW:
-	case isa.OpLH:
+	if isa.LoadSigned(in.Op) {
 		t = b.SExt(t, 32)
-	case isa.OpLHU:
-		t = b.ZExt(t, 32)
-	case isa.OpLB:
-		t = b.SExt(t, 32)
-	case isa.OpLBU:
-		t = b.ZExt(t, 32)
+	} else {
+		t = b.ZExt(t, 32) // a word load's term is returned as it is
 	}
 	e.setReg(st, in.Rd, t)
 	return false, nil
@@ -685,9 +671,9 @@ func (e *Executor) execStore(st *State, in isa.Inst, forks *[]*State) (bool, err
 	if err != nil || st.Status != StatusRunning {
 		return true, err
 	}
-	size := storeSize(in.Op)
+	size := isa.AccessSize(in.Op)
 	val := st.Regs[in.Rs2]
-	if e.inMMIO(addr, uint32(size)) {
+	if e.cfg.VM.InMMIO(addr, uint32(size)) {
 		if e.mmio == nil {
 			e.fault(st, "MMIO store at %#x with no hardware attached", addr)
 			return true, nil
@@ -876,26 +862,4 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 	}
 	e.fault(st, "unknown ecall %d", service)
 	return true, nil
-}
-
-func loadSize(op isa.Opcode) int {
-	switch op {
-	case isa.OpLW:
-		return 4
-	case isa.OpLH, isa.OpLHU:
-		return 2
-	default:
-		return 1
-	}
-}
-
-func storeSize(op isa.Opcode) int {
-	switch op {
-	case isa.OpSW:
-		return 4
-	case isa.OpSH:
-		return 2
-	default:
-		return 1
-	}
 }

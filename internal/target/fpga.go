@@ -134,9 +134,12 @@ func (t *Target) scanRestore(inst *periphInst, hw *sim.HWState) error {
 	if err := inst.sim.Restore(hw); err != nil {
 		return fatalf("scan restore "+inst.cfg.Name, "%v", err)
 	}
-	// sim.Restore drove the functional pins already.
-	if err := inst.exitScanMode(nil); err != nil {
-		return err
+	// sim.Restore drove the functional pins and settled the design;
+	// only a scan pin it left high needs driving low and a settle.
+	if s, sc := inst.sim, inst.scan; s.PeekID(sc.enable) != 0 || s.PeekID(sc.in) != 0 {
+		if err := inst.exitScanMode(nil); err != nil {
+			return err
+		}
 	}
 	return t.audit(inst, before, nil, hw)
 }

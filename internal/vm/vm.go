@@ -6,6 +6,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -72,6 +73,18 @@ type Config struct {
 	// VectorBase is the interrupt vector table: the handler for IRQ n
 	// is the address stored at VectorBase + 4n. Default 0x0000_0FC0.
 	VectorBase uint32
+}
+
+// InRAM reports whether the size bytes at addr lie in RAM. The window
+// checks add in uint64: in uint32 an access that runs past the top of
+// the address space wraps to a small offset and passes.
+func (c Config) InRAM(addr, size uint32) bool {
+	return addr >= c.RAMBase && uint64(addr-c.RAMBase)+uint64(size) <= uint64(c.RAMSize)
+}
+
+// InMMIO reports whether the size bytes at addr lie in the MMIO window.
+func (c Config) InMMIO(addr, size uint32) bool {
+	return addr >= c.MMIOBase && uint64(addr-c.MMIOBase)+uint64(size) <= uint64(c.MMIOSize)
 }
 
 // NumIRQs is the number of interrupt lines.
@@ -196,19 +209,9 @@ func (c *CPU) RaiseIRQ(n int) {
 // PendingIRQs returns the pending bitmask (for snapshotting).
 func (c *CPU) PendingIRQs() uint32 { return c.pending }
 
-// The window checks add in uint64: in uint32 an access that runs past
-// the top of the address space wraps to a small offset and passes.
-func (c *CPU) inRAM(addr uint32, size uint32) bool {
-	return addr >= c.cfg.RAMBase && uint64(addr-c.cfg.RAMBase)+uint64(size) <= uint64(c.cfg.RAMSize)
-}
-
-func (c *CPU) inMMIO(addr uint32, size uint32) bool {
-	return addr >= c.cfg.MMIOBase && uint64(addr-c.cfg.MMIOBase)+uint64(size) <= uint64(c.cfg.MMIOSize)
-}
-
 // ReadMem performs a data load of size bytes (1, 2 or 4).
 func (c *CPU) ReadMem(addr uint32, size int) (uint32, error) {
-	if c.inRAM(addr, uint32(size)) {
+	if c.cfg.InRAM(addr, uint32(size)) {
 		off := addr - c.cfg.RAMBase
 		var v uint32
 		for i := 0; i < size; i++ {
@@ -216,7 +219,7 @@ func (c *CPU) ReadMem(addr uint32, size int) (uint32, error) {
 		}
 		return v, nil
 	}
-	if c.inMMIO(addr, uint32(size)) {
+	if c.cfg.InMMIO(addr, uint32(size)) {
 		if c.mmio == nil {
 			return 0, &FaultError{PC: c.PC, Addr: addr, Msg: "MMIO access with no device attached"}
 		}
@@ -227,7 +230,7 @@ func (c *CPU) ReadMem(addr uint32, size int) (uint32, error) {
 
 // WriteMem performs a data store of size bytes (1, 2 or 4).
 func (c *CPU) WriteMem(addr uint32, size int, val uint32) error {
-	if c.inRAM(addr, uint32(size)) {
+	if c.cfg.InRAM(addr, uint32(size)) {
 		off := addr - c.cfg.RAMBase
 		for i := 0; i < size; i++ {
 			c.Mem[off+uint32(i)] = byte(val >> (8 * uint(i)))
@@ -235,7 +238,7 @@ func (c *CPU) WriteMem(addr uint32, size int, val uint32) error {
 		c.markDirty(off, uint32(size))
 		return nil
 	}
-	if c.inMMIO(addr, uint32(size)) {
+	if c.cfg.InMMIO(addr, uint32(size)) {
 		if c.mmio == nil {
 			return &FaultError{PC: c.PC, Addr: addr, Msg: "MMIO access with no device attached"}
 		}
@@ -264,14 +267,10 @@ func (c *CPU) FillInput(input []byte) {
 }
 
 func (c *CPU) fetch() (isa.Inst, error) {
-	if !c.inRAM(c.PC, 4) {
+	if !c.cfg.InRAM(c.PC, 4) {
 		return isa.Inst{}, &FaultError{PC: c.PC, Addr: c.PC, Msg: "instruction fetch outside RAM"}
 	}
-	w, err := c.ReadMem(c.PC, 4)
-	if err != nil {
-		return isa.Inst{}, err
-	}
-	in, err := isa.Decode(w)
+	in, err := isa.Decode(binary.LittleEndian.Uint32(c.Mem[c.PC-c.cfg.RAMBase:]))
 	if err != nil {
 		return isa.Inst{}, &FaultError{PC: c.PC, Addr: c.PC, Msg: err.Error()}
 	}
@@ -335,103 +334,35 @@ func (c *CPU) Step() bool {
 	r := &c.Regs
 
 	switch in.Op {
-	case isa.OpADD:
-		c.setReg(in.Rd, r[in.Rs1]+r[in.Rs2])
-	case isa.OpSUB:
-		c.setReg(in.Rd, r[in.Rs1]-r[in.Rs2])
-	case isa.OpAND:
-		c.setReg(in.Rd, r[in.Rs1]&r[in.Rs2])
-	case isa.OpOR:
-		c.setReg(in.Rd, r[in.Rs1]|r[in.Rs2])
-	case isa.OpXOR:
-		c.setReg(in.Rd, r[in.Rs1]^r[in.Rs2])
-	case isa.OpSLL:
-		c.setReg(in.Rd, shl(r[in.Rs1], r[in.Rs2]))
-	case isa.OpSRL:
-		c.setReg(in.Rd, shr(r[in.Rs1], r[in.Rs2]))
-	case isa.OpSRA:
-		c.setReg(in.Rd, sra(r[in.Rs1], r[in.Rs2]))
-	case isa.OpMUL:
-		c.setReg(in.Rd, r[in.Rs1]*r[in.Rs2])
-	case isa.OpDIVU:
-		c.setReg(in.Rd, divu(r[in.Rs1], r[in.Rs2]))
-	case isa.OpREMU:
-		c.setReg(in.Rd, remu(r[in.Rs1], r[in.Rs2]))
-	case isa.OpSLT:
-		c.setReg(in.Rd, b2u(int32(r[in.Rs1]) < int32(r[in.Rs2])))
-	case isa.OpSLTU:
-		c.setReg(in.Rd, b2u(r[in.Rs1] < r[in.Rs2]))
+	case isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpSLL, isa.OpSRL,
+		isa.OpSRA, isa.OpMUL, isa.OpDIVU, isa.OpREMU, isa.OpSLT, isa.OpSLTU:
+		c.setReg(in.Rd, isa.ALU(in.Op, r[in.Rs1], r[in.Rs2]))
 
-	case isa.OpADDI:
-		c.setReg(in.Rd, r[in.Rs1]+uint32(in.Imm))
-	case isa.OpANDI:
-		c.setReg(in.Rd, r[in.Rs1]&uint32(in.Imm))
-	case isa.OpORI:
-		c.setReg(in.Rd, r[in.Rs1]|uint32(in.Imm))
-	case isa.OpXORI:
-		c.setReg(in.Rd, r[in.Rs1]^uint32(in.Imm))
-	case isa.OpSLLI:
-		c.setReg(in.Rd, shl(r[in.Rs1], uint32(in.Imm)))
-	case isa.OpSRLI:
-		c.setReg(in.Rd, shr(r[in.Rs1], uint32(in.Imm)))
-	case isa.OpSRAI:
-		c.setReg(in.Rd, sra(r[in.Rs1], uint32(in.Imm)))
-	case isa.OpSLTI:
-		c.setReg(in.Rd, b2u(int32(r[in.Rs1]) < in.Imm))
-	case isa.OpSLTIU:
-		c.setReg(in.Rd, b2u(r[in.Rs1] < uint32(in.Imm)))
+	case isa.OpADDI, isa.OpANDI, isa.OpORI, isa.OpXORI, isa.OpSLLI, isa.OpSRLI,
+		isa.OpSRAI, isa.OpSLTI, isa.OpSLTIU:
+		c.setReg(in.Rd, isa.ALU(in.Op, r[in.Rs1], uint32(in.Imm)))
 
 	case isa.OpLUI:
 		c.setReg(in.Rd, isa.LUIValue(in.Imm))
 
 	case isa.OpLW, isa.OpLH, isa.OpLHU, isa.OpLB, isa.OpLBU:
-		addr := r[in.Rs1] + uint32(in.Imm)
-		size := loadSize(in.Op)
-		v, err := c.ReadMem(addr, size)
+		v, err := c.ReadMem(r[in.Rs1]+uint32(in.Imm), isa.AccessSize(in.Op))
 		if err != nil {
 			c.Stop = StopFault
 			c.Fault = err
 			return false
 		}
-		switch in.Op {
-		case isa.OpLH:
-			v = uint32(int32(int16(v)))
-		case isa.OpLB:
-			v = uint32(int32(int8(v)))
-		}
-		c.setReg(in.Rd, v)
+		c.setReg(in.Rd, isa.ExtendLoad(in.Op, v))
 
 	case isa.OpSW, isa.OpSH, isa.OpSB:
-		addr := r[in.Rs1] + uint32(in.Imm)
-		size := storeSize(in.Op)
-		if err := c.WriteMem(addr, size, r[in.Rs2]); err != nil {
+		if err := c.WriteMem(r[in.Rs1]+uint32(in.Imm), isa.AccessSize(in.Op), r[in.Rs2]); err != nil {
 			c.Stop = StopFault
 			c.Fault = err
 			return false
 		}
 
-	case isa.OpBEQ:
-		if r[in.Rs1] == r[in.Rs2] {
-			next = c.PC + uint32(in.Imm)
-		}
-	case isa.OpBNE:
-		if r[in.Rs1] != r[in.Rs2] {
-			next = c.PC + uint32(in.Imm)
-		}
-	case isa.OpBLT:
-		if int32(r[in.Rs1]) < int32(r[in.Rs2]) {
-			next = c.PC + uint32(in.Imm)
-		}
-	case isa.OpBGE:
-		if int32(r[in.Rs1]) >= int32(r[in.Rs2]) {
-			next = c.PC + uint32(in.Imm)
-		}
-	case isa.OpBLTU:
-		if r[in.Rs1] < r[in.Rs2] {
-			next = c.PC + uint32(in.Imm)
-		}
-	case isa.OpBGEU:
-		if r[in.Rs1] >= r[in.Rs2] {
+	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
+		if isa.Taken(in.Op, r[in.Rs1], r[in.Rs2]) {
 			next = c.PC + uint32(in.Imm)
 		}
 
@@ -480,70 +411,4 @@ func (c *CPU) Step() bool {
 
 	c.PC = next
 	return true
-}
-
-// Shift semantics match the symbolic expression layer (and SMT-LIB):
-// amounts >= 32 produce 0 (or all sign bits for arithmetic shifts).
-func shl(v, sh uint32) uint32 {
-	if sh >= 32 {
-		return 0
-	}
-	return v << sh
-}
-
-func shr(v, sh uint32) uint32 {
-	if sh >= 32 {
-		return 0
-	}
-	return v >> sh
-}
-
-func sra(v, sh uint32) uint32 {
-	if sh >= 32 {
-		sh = 31
-	}
-	return uint32(int32(v) >> sh)
-}
-
-func divu(x, y uint32) uint32 {
-	if y == 0 {
-		return ^uint32(0)
-	}
-	return x / y
-}
-
-func remu(x, y uint32) uint32 {
-	if y == 0 {
-		return x
-	}
-	return x % y
-}
-
-func b2u(v bool) uint32 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-func loadSize(op isa.Opcode) int {
-	switch op {
-	case isa.OpLW:
-		return 4
-	case isa.OpLH, isa.OpLHU:
-		return 2
-	default:
-		return 1
-	}
-}
-
-func storeSize(op isa.Opcode) int {
-	switch op {
-	case isa.OpSW:
-		return 4
-	case isa.OpSH:
-		return 2
-	default:
-		return 1
-	}
 }
