@@ -111,7 +111,8 @@ endef
 # scanner and the campaign loader behind it (header and subtree
 # results), the solver against its reference, the solver cache's
 # folded set key against its batch key, the vm's dirty-page restore
-# against a full copy, the symbolic executor's decoded-table fetch
+# against a full copy, the vm's decoded-table fetch against decoding
+# the word in RAM, the symbolic executor's decoded-table fetch
 # against the word built as terms, one instruction on the vm against
 # the symbolic executor with concrete and with symbolic operands, the
 # simulator's dirty-list restore against a full Restore, the compiled
@@ -128,6 +129,7 @@ fuzz-smoke:
 	$(call fuzz_run,./internal/solver,FuzzDifferential)
 	$(call fuzz_run,./internal/solver,FuzzSetKey)
 	$(call fuzz_run,./internal/vm,FuzzDirtyRestore)
+	$(call fuzz_run,./internal/vm,FuzzVMFetchMatchesDecode)
 	$(call fuzz_run,./internal/symexec,FuzzFetchMatchesDecode)
 	$(call fuzz_run,./internal/symexec,FuzzStepMatchesVM)
 	$(call fuzz_run,./internal/sim,FuzzSimDirtyRestore)
@@ -170,7 +172,7 @@ loc:
 #   make bench-compare A=before.json B=after.json
 # The repo root keeps one report per PR that claims a gain, with an
 # earlier one next to it (BENCH_<pr>.json), so the claim can be re-read:
-#   make bench-compare A=BENCH_46.json B=BENCH_47.json
+#   make bench-compare A=BENCH_48.json B=BENCH_49.json
 bench:
 	$(GO) run ./benchmark -out .bench_build/run.json
 

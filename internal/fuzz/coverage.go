@@ -144,7 +144,8 @@ const fnvOffset = 14695981039346656037
 // Signature digests the execution's coverage as an FNV-1a hash over
 // the sorted (edge index, bucket class) pairs: two executions with
 // identical bucketed coverage produce identical signatures, which is
-// the corpus dedup key.
+// the corpus dedup key. It sorts the touched list, so the fuzz loop
+// asks for it only for an input it admits.
 func (b *Bitmap) Signature() uint64 {
 	h := uint64(fnvOffset)
 	b.forEach(func(idx uint32, cls uint8) {
@@ -154,9 +155,10 @@ func (b *Bitmap) Signature() uint64 {
 }
 
 // covStripes is the global-map lock striping factor: 64 stripes of
-// 1 KiB each keep cross-worker merge contention negligible while the
-// per-merge lock count stays tiny (touched lists are sorted, so each
-// stripe is locked at most once per merge).
+// 1 KiB each, and a merge locks each stripe at most once since touched
+// lists are sorted. Workers merge only an exec that lit a bit their
+// seenMap lacks, which is rare once the campaign warms up, so the
+// stripes matter for the early, admission-heavy execs.
 const covStripes = 64
 
 const stripeShift = 10 // MapSize / covStripes = 1024 entries per stripe
@@ -165,7 +167,8 @@ const stripeShift = 10 // MapSize / covStripes = 1024 entries per stripe
 // entry accumulates the bucket-class bits ever observed for that
 // edge. Merging a worker's per-exec bitmap reports whether the
 // execution lit any new bit (the corpus admission signal) and whether
-// it lit a whole new edge.
+// it lit a whole new edge. A worker does not merge every exec: it
+// first checks the exec against its own seenMap, without a lock.
 type Global struct {
 	mu     [covStripes]sync.Mutex
 	virgin [MapSize]uint8
@@ -214,4 +217,44 @@ func (g *Global) Edges() int {
 	g.edgeMu.Lock()
 	defer g.edgeMu.Unlock()
 	return g.edges
+}
+
+// seenMap is one worker's private copy of bits it knows the global map
+// holds: each entry is a subset of the same Global.virgin entry, since
+// a bit enters it only after a Merge put it there (AFL's virgin-map
+// check, kept per worker so that it needs no lock).
+type seenMap [MapSize]uint8
+
+// merge returns what g.Merge(b) returns as newBits, taking the global
+// locks only when b lit a bit s lacks: an exec that lit none lit none
+// new to g either, since s is a subset of g. On news it calls Merge,
+// which stays the authority on new bits and the edge count, and adds
+// b's bits to s.
+func (s *seenMap) merge(g *Global, b *Bitmap) (newBits bool) {
+	if !b.litBeyond(s) {
+		return false
+	}
+	_, newBits = g.Merge(b)
+	b.forEach(func(idx uint32, cls uint8) { s[idx] |= cls })
+	return newBits
+}
+
+// litBeyond reports whether the execution lit any (edge, bucket) bit
+// that s lacks. It walks the touched list unsorted, or the whole map on
+// overflow.
+func (b *Bitmap) litBeyond(s *seenMap) bool {
+	if b.overflow {
+		for i, h := range b.hits {
+			if classLUT[h]&^s[i] != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for _, idx := range b.touched[:b.n] {
+		if classLUT[b.hits[idx]]&^s[idx] != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -3,6 +3,9 @@ package fuzz
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
+
+	"hardsnap/internal/testseed"
 )
 
 func TestBitmapEdgeAndReset(t *testing.T) {
@@ -208,5 +211,55 @@ func BenchmarkBitmapCoverage(b *testing.B) {
 		}
 		g.Merge(&bm)
 		bm.Reset()
+	}
+}
+
+// TestSeenMatchesGlobalMerge: a worker that merges only an exec that
+// lit a bit beyond its seenMap gets the answers of one that merges
+// every exec. One to three workers run interleaved random execs,
+// overflowed bitmaps among them, against a shared Global; a reference
+// Global merges every exec. After each exec newBits, Edges() and the
+// virgin map must match the reference's, and every worker's seenMap
+// must stay a subset of the global map.
+func TestSeenMatchesGlobalMerge(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var g, ref Global
+		seen := make([]seenMap, 1+rng.Intn(3))
+		var b Bitmap
+		for exec := 0; exec < 150; exec++ {
+			w := rng.Intn(len(seen))
+			b.Reset()
+			if rng.Intn(25) == 0 {
+				for pc := uint32(0); pc < 4*(touchedCap+500); pc += 4 {
+					b.Edge(pc)
+				}
+			} else {
+				// Few blocks and loops, so execs repeat edges and move
+				// them between buckets.
+				for i, n := 0, rng.Intn(300); i < n; i++ {
+					b.Edge(uint32(rng.Intn(64)) * 4)
+				}
+			}
+			_, want := ref.Merge(&b)
+			got := seen[w].merge(&g, &b)
+			if got != want || g.Edges() != ref.Edges() || g.virgin != ref.virgin {
+				t.Errorf("seed %d exec %d worker %d: newBits %v edges %d, reference %v edges %d (virgin maps equal: %v)",
+					seed, exec, w, got, g.Edges(), want, ref.Edges(), g.virgin == ref.virgin)
+				return false
+			}
+			for k := range seen {
+				for i, s := range seen[k] {
+					if s&^g.virgin[i] != 0 {
+						t.Errorf("seed %d exec %d: worker %d's seenMap[%d] = %#x is not within the global %#x", seed, exec, k, i, s, g.virgin[i])
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, testseed.Quick(t, 20)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -63,6 +63,9 @@ type worker struct {
 	// cov is the per-exec coverage bitmap (64 KiB, allocated once
 	// with the worker).
 	cov Bitmap
+	// seen holds the global map's bits this worker knows of; afterExec
+	// merges into the global map only an exec that lit a bit beyond it.
+	seen seenMap
 
 	// input is the current test case; scratch is reused by corpus
 	// picks. Both are preallocated at InputLen.
@@ -147,13 +150,14 @@ func newWorker(id int, c *campaign) (*worker, error) {
 // conditional branches, building the pc-indexed side table the hot
 // loop consults without hashing or allocation.
 func (w *worker) decodeBranchSites() {
-	insts := isa.DecodeProgram(w.cfg.Program.Code)
-	w.branchIdx = make([]int32, len(insts))
-	for i, in := range insts {
+	code := isa.DecodeProgram(w.cfg.Program.Base, w.cfg.Program.Code)
+	w.branchIdx = make([]int32, len(code.Entries))
+	for i, e := range code.Entries {
+		in := e.Inst
 		w.branchIdx[i] = -1
 		switch in.Op { // a data word decodes to an invalid Op
 		case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-			pc := w.cfg.Program.Base + uint32(4*i)
+			pc := code.Base + uint32(4*i)
 			w.branchIdx[i] = int32(len(w.sites))
 			w.sites = append(w.sites, branchSite{
 				pc:      pc,
@@ -266,12 +270,10 @@ func (w *worker) afterExec(stop vm.StopReason, pc uint32, seeding bool) {
 		}
 	}
 
-	sig := w.cov.Signature()
-	_, newBits := w.c.global.Merge(&w.cov)
-	if newBits || seeding {
-		// Admission is rare; allocating the corpus copy here is off
-		// the hot path by construction.
-		w.c.corpus.Add(w.input, sig, w.curSolved)
+	if w.seen.merge(w.c.global, &w.cov) || seeding {
+		// Admission is rare; allocating the corpus copy and sorting
+		// for the signature here is off the hot path by construction.
+		w.c.corpus.Add(w.input, w.cov.Signature(), w.curSolved)
 	}
 
 	if w.cfg.Hybrid && !seeding {

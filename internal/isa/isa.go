@@ -214,15 +214,53 @@ func Decode(w uint32) (Inst, error) {
 	return in, nil
 }
 
-// DecodeProgram decodes every whole little-endian word of code: the
-// i-th instruction is the word at byte 4i, the zero Inst (whose Op is
-// invalid) where that word is illegal.
-func DecodeProgram(code []byte) []Inst {
-	insts := make([]Inst, len(code)/4)
-	for i := range insts {
-		insts[i], _ = Decode(binary.LittleEndian.Uint32(code[4*i:]))
+// Decoded is one entry of a Table: a word and the instruction it
+// decodes to (the zero Inst, whose Op is invalid, if it is illegal).
+type Decoded struct {
+	Word uint32
+	Inst Inst
+}
+
+// Table is a code range decoded once: Entries[i] is the word at
+// Base+4i. An entry serves a fetch only while memory still holds the
+// word it was decoded from, so a table is never invalidated: a store
+// into code, a restored snapshot or a reloaded image changes what the
+// entry is compared with, not the entry. It is read-only once built
+// and may be shared.
+type Table struct {
+	Base    uint32
+	Entries []Decoded
+}
+
+// DecodeProgram decodes every whole little-endian word of code, which
+// starts at address base.
+func DecodeProgram(base uint32, code []byte) *Table {
+	t := &Table{Base: base, Entries: make([]Decoded, len(code)/4)}
+	for i := range t.Entries {
+		w := binary.LittleEndian.Uint32(code[4*i:])
+		in, _ := Decode(w)
+		t.Entries[i] = Decoded{Word: w, Inst: in}
 	}
-	return insts
+	return t
+}
+
+// Fetch returns the instruction at pc, given the word memory holds
+// there. ok is false, and the caller decodes word itself, unless pc
+// starts a word of the table, the entry was decoded from word, and
+// word is a legal instruction.
+func (t *Table) Fetch(pc, word uint32) (in Inst, ok bool) {
+	off := pc - t.Base // below Base wraps past every entry
+	if i := off >> 2; off&3 == 0 && i < uint32(len(t.Entries)) {
+		if e := &t.Entries[i]; e.Word == word && e.Inst.Op.Valid() {
+			return e.Inst, true
+		}
+	}
+	return Inst{}, false
+}
+
+// Contains reports whether addr lies in a word of the table.
+func (t *Table) Contains(addr uint32) bool {
+	return uint64(addr-t.Base) < 4*uint64(len(t.Entries))
 }
 
 // String disassembles the instruction.

@@ -1,7 +1,6 @@
 package symexec
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -71,8 +70,8 @@ type Executor struct {
 	symSeq int
 
 	// code is prog's code range decoded once, shared by every state
-	// whose backing is image and by every spawned worker.
-	code *codeTable
+	// and by every spawned worker.
+	code *isa.Table
 
 	// concolic, when non-nil, switches the executor into concolic
 	// replay: every decision that would normally ask the solver is
@@ -112,7 +111,7 @@ func New(cfg Config, prog *asm.Program, mmio MMIOHandler) (*Executor, error) {
 		mmio:   mmio,
 		image:  image,
 		prog:   prog,
-		code:   decodeCode(prog.Base, prog.Code),
+		code:   isa.DecodeProgram(prog.Base, prog.Code),
 	}
 	return e, nil
 }
@@ -211,9 +210,9 @@ func (e *Executor) InitialState() *State {
 // StateFromConcrete builds a symbolic state mirroring a concrete
 // machine (the fast-forwarding hand-off): registers become constant
 // terms and the RAM image becomes the new concrete backing. The mem
-// slice is copied. The state shares the executor's decoded code table
-// only if the image holds the program's code bytes unchanged; otherwise
-// the image's own code range is decoded.
+// slice is copied. The state shares the executor's decoded code table:
+// a word the image changed does not match its entry and is decoded
+// from the image.
 func (e *Executor) StateFromConcrete(pc uint32, regs [isa.NumRegs]uint32, mem []byte,
 	epc uint32, inHandler bool, pending uint32) (*State, error) {
 	if uint32(len(mem)) != e.cfg.VM.RAMSize {
@@ -221,17 +220,11 @@ func (e *Executor) StateFromConcrete(pc uint32, regs [isa.NumRegs]uint32, mem []
 	}
 	image := make([]byte, len(mem))
 	copy(image, mem)
-	off := e.prog.Base - e.cfg.VM.RAMBase
-	code := image[off : off+uint32(len(e.prog.Code))]
-	table := e.code
-	if !bytes.Equal(code, e.prog.Code) {
-		table = decodeCode(e.prog.Base, code)
-	}
 	e.nextID++
 	st := &State{
 		ID:         e.nextID,
 		PC:         pc,
-		Mem:        newMemory(e.cfg.VM.RAMBase, image, table),
+		Mem:        newMemory(e.cfg.VM.RAMBase, image, e.code),
 		Status:     StatusRunning,
 		EPC:        epc,
 		InHandler:  inHandler,

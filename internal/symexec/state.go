@@ -8,6 +8,7 @@
 package symexec
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"hardsnap/internal/expr"
@@ -186,15 +187,17 @@ type Memory struct {
 	base    uint32
 	backing []byte // shared, read-only
 	overlay map[uint32]*expr.Term
-	// code is the backing's program code decoded once (shared,
-	// read-only). codeWritten records that some overlay byte lies in its
-	// range (overlay bytes are never removed); until then, a fetch from
-	// the range reads code instead of building the word as terms.
-	code        *codeTable
-	codeWritten bool
+	// code is the program's code decoded once (shared, read-only).
+	// codeStored holds one bit per word of code that an overlay byte
+	// lies in (overlay bytes are never removed); nil until a store
+	// lands in code. Clones share it, so it is never changed in place.
+	// A fetch of any other word of code reads the table instead of
+	// building the word as terms.
+	code       *isa.Table
+	codeStored []uint64
 }
 
-func newMemory(base uint32, image []byte, code *codeTable) *Memory {
+func newMemory(base uint32, image []byte, code *isa.Table) *Memory {
 	return &Memory{
 		base:    base,
 		backing: image,
@@ -209,7 +212,7 @@ func (m *Memory) Clone() *Memory {
 	for k, v := range m.overlay {
 		o[k] = v
 	}
-	return &Memory{base: m.base, backing: m.backing, overlay: o, code: m.code, codeWritten: m.codeWritten}
+	return &Memory{base: m.base, backing: m.backing, overlay: o, code: m.code, codeStored: m.codeStored}
 }
 
 // InRange reports whether [addr, addr+size) lies inside RAM. The sum
@@ -238,8 +241,12 @@ func (m *Memory) StoreByte(addr uint32, t *expr.Term) error {
 	if t.Width() != 8 {
 		return fmt.Errorf("symexec: StoreByte with width %d", t.Width())
 	}
-	if m.code.contains(addr) {
-		m.codeWritten = true
+	if m.code.Contains(addr) && !m.codeWordStored(addr) {
+		stored := make([]uint64, (len(m.code.Entries)+63)/64)
+		copy(stored, m.codeStored)
+		w := (addr - m.code.Base) / 4
+		stored[w/64] |= 1 << (w % 64)
+		m.codeStored = stored
 	}
 	m.overlay[addr] = t
 	return nil
@@ -289,33 +296,21 @@ func (m *Memory) ConcreteWord(b *expr.Builder, addr uint32) (uint32, error) {
 
 // fetchDecoded returns the instruction at pc from the decoded code
 // table. ok is false, and the caller falls back to ConcreteWord and
-// isa.Decode, unless pc starts a word of the table, that word is a
-// legal instruction, and no overlay byte lies in the table's range.
+// isa.Decode, when an overlay byte lies in pc's word or the table
+// declines the backing's word there (isa.Table.Fetch).
 func (m *Memory) fetchDecoded(pc uint32) (in isa.Inst, ok bool) {
-	c := m.code
-	if m.codeWritten || !c.contains(pc) || (pc-c.base)%4 != 0 {
+	if !m.InRange(pc, 4) || m.codeWordStored(pc) {
 		return isa.Inst{}, false
 	}
-	in = c.insts[(pc-c.base)/4]
-	return in, in.Op.Valid()
+	return m.code.Fetch(pc, binary.LittleEndian.Uint32(m.backing[pc-m.base:]))
 }
 
-// codeTable is a program's code range decoded once: insts[i] is the
-// instruction at base+4i, with a zero (invalid) Op where the word is
-// illegal. It never changes after decodeCode, so every state and
-// worker whose backing holds those bytes shares one.
-type codeTable struct {
-	base  uint32
-	insts []isa.Inst
-}
-
-// decodeCode decodes every whole word of code, which starts at base.
-func decodeCode(base uint32, code []byte) *codeTable {
-	return &codeTable{base: base, insts: isa.DecodeProgram(code)}
-}
-
-// contains reports whether addr lies in a word the table decodes. The
-// bound is checked in uint64, as InRange does.
-func (c *codeTable) contains(addr uint32) bool {
-	return addr >= c.base && uint64(addr-c.base) < 4*uint64(len(c.insts))
+// codeWordStored reports whether an overlay byte lies in the word of
+// code that holds addr.
+func (m *Memory) codeWordStored(addr uint32) bool {
+	if m.codeStored == nil || !m.code.Contains(addr) {
+		return false
+	}
+	w := (addr - m.code.Base) / 4
+	return m.codeStored[w/64]&(1<<(w%64)) != 0
 }

@@ -131,6 +131,12 @@ type CPU struct {
 	dirty   []uint64
 	touched []uint32
 
+	// code is the last loaded program's code decoded once; fetch
+	// serves an entry only while RAM holds the word it was decoded
+	// from. loaded is the program it was built from.
+	code   isa.Table
+	loaded *asm.Program
+
 	pending uint32 // bitmask of pending IRQ lines
 
 	// Cycles counts retired instructions.
@@ -171,10 +177,18 @@ func (c *CPU) Config() Config { return c.cfg }
 func (c *CPU) SetMMIO(m MMIO) { c.mmio = m }
 
 // Load copies an assembled program into RAM and points PC at its entry.
+// It decodes the program's code for fetch, unless p is the program the
+// CPU already holds a table for: then it keeps that table and allocates
+// nothing (the fuzzer's reboot reset reloads the program every exec).
+// A table kept across a change to p.Code is still correct, since its
+// entries are checked against RAM at every fetch.
 func (c *CPU) Load(p *asm.Program) error {
 	off := int64(p.Base) - int64(c.cfg.RAMBase)
 	if off < 0 || off+int64(len(p.Code)) > int64(len(c.Mem)) {
 		return errors.New("vm: program does not fit in RAM")
+	}
+	if c.loaded != p {
+		c.code, c.loaded = *isa.DecodeProgram(p.Base, p.Code), p
 	}
 	copy(c.Mem[off:], p.Code)
 	c.markDirty(uint32(off), uint32(len(p.Code)))
@@ -266,11 +280,20 @@ func (c *CPU) FillInput(input []byte) {
 	}
 }
 
+// fetch returns the instruction at PC: the decoded table's entry when
+// it was decoded from the word RAM holds there, else that word decoded
+// now. The compare is the table's only upkeep: a store into code,
+// FillInput, a restore and Reset change RAM, and an entry whose word
+// RAM no longer holds simply is not served.
 func (c *CPU) fetch() (isa.Inst, error) {
 	if !c.cfg.InRAM(c.PC, 4) {
 		return isa.Inst{}, &FaultError{PC: c.PC, Addr: c.PC, Msg: "instruction fetch outside RAM"}
 	}
-	in, err := isa.Decode(binary.LittleEndian.Uint32(c.Mem[c.PC-c.cfg.RAMBase:]))
+	word := binary.LittleEndian.Uint32(c.Mem[c.PC-c.cfg.RAMBase:])
+	if in, ok := c.code.Fetch(c.PC, word); ok {
+		return in, nil
+	}
+	in, err := isa.Decode(word)
 	if err != nil {
 		return isa.Inst{}, &FaultError{PC: c.PC, Addr: c.PC, Msg: err.Error()}
 	}
