@@ -109,16 +109,18 @@ endef
 # record decoder (disk, journal and dist results), the snapshot store's
 # naming of a state by lookup against hashing it, the journal's frame
 # scanner and the campaign loader behind it (header and subtree
-# results), the solver against its reference, the solver cache's
-# folded set key against its batch key, the vm's dirty-page restore
-# against a full copy, the vm's decoded-table fetch against decoding
-# the word in RAM, the symbolic executor's decoded-table fetch
-# against the word built as terms, one instruction on the vm against
-# the symbolic executor with concrete and with symbolic operands, the
-# simulator's dirty-list restore against a full Restore, the compiled
-# RTL engine and the symbolic one-clock evaluator (rtl.SymStep) against
-# the interpreter on generated netlists, and the two readers of user
-# files: the Verilog parser and the assembler.
+# results), the term builder's constant folding and rewrites against
+# evaluating the op tree it was asked for, the solver against its
+# reference, the solver cache's folded set key against its batch key,
+# the vm's dirty-page restore against a full copy, the vm's
+# decoded-table fetch against decoding the word in RAM, the symbolic
+# executor's decoded-table fetch against the word built as terms, one
+# instruction on the vm against the symbolic executor with concrete and
+# with symbolic operands, the simulator's dirty-list restore against a
+# full Restore, the compiled RTL engine and the symbolic one-clock
+# evaluator (rtl.SymStep) against the interpreter on generated
+# netlists, and the two readers of user files: the Verilog parser and
+# the assembler.
 fuzz-smoke:
 	$(call fuzz_run,./internal/remote,FuzzServeConn)
 	$(call fuzz_run,./internal/remote,FuzzClientBodies)
@@ -126,6 +128,7 @@ fuzz-smoke:
 	$(call fuzz_run,./internal/snapshot,FuzzNameByLookup)
 	$(call fuzz_run,./internal/journal,FuzzScan)
 	$(call fuzz_run,./internal/core,FuzzLoadCampaign)
+	$(call fuzz_run,./internal/expr,FuzzBuilderMatchesEval)
 	$(call fuzz_run,./internal/solver,FuzzDifferential)
 	$(call fuzz_run,./internal/solver,FuzzSetKey)
 	$(call fuzz_run,./internal/vm,FuzzDirtyRestore)

@@ -85,8 +85,18 @@ func (k *termKey) matches(t *Term) bool {
 }
 
 // intern returns the term k names, allocating it only if the table
-// does not hold it yet.
+// does not hold it yet. A node whose operands are all constants comes
+// out as the constant apply computes for it. This is the only constant
+// fold: every constructor ends here and its rewrites preserve values,
+// so a term built from constants is the constant of the same value.
 func (b *Builder) intern(k termKey) *Term {
+	if k.nargs > 0 && k.a0.op == OpConst && (k.nargs < 2 || k.a1.op == OpConst) {
+		var y uint64
+		if k.nargs > 1 {
+			y = k.a1.val
+		}
+		return b.Const(apply(k.op, k.width, k.a0.width, k.lo, k.a0.val, y), uint(k.width))
+	}
 	h := k.hash()
 	s := &b.shards[h%builderShards]
 	s.mu.Lock()
@@ -167,9 +177,6 @@ func (b *Builder) binary(op Op, x, y *Term, w uint8) *Term {
 // Add returns x + y (modular).
 func (b *Builder) Add(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.val+y.val, x.Width())
-	}
 	if x.IsConst() && x.val == 0 {
 		return y
 	}
@@ -190,9 +197,6 @@ func (b *Builder) Add(x, y *Term) *Term {
 // Sub returns x - y (modular).
 func (b *Builder) Sub(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.val-y.val, x.Width())
-	}
 	if y.IsConst() && y.val == 0 {
 		return x
 	}
@@ -209,9 +213,6 @@ func (b *Builder) Sub(x, y *Term) *Term {
 // Mul returns x * y (modular).
 func (b *Builder) Mul(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.val*y.val, x.Width())
-	}
 	if x.IsConst() {
 		x, y = y, x
 	}
@@ -236,12 +237,6 @@ func (b *Builder) Mul(x, y *Term) *Term {
 // following SMT-LIB semantics.
 func (b *Builder) UDiv(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		if y.val == 0 {
-			return b.Const(Mask(x.Width()), x.Width())
-		}
-		return b.Const(x.val/y.val, x.Width())
-	}
 	if y.IsConst() && y.val == 1 {
 		return x
 	}
@@ -256,12 +251,6 @@ func (b *Builder) UDiv(x, y *Term) *Term {
 // URem returns x mod y (unsigned). x mod 0 = x, following SMT-LIB.
 func (b *Builder) URem(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		if y.val == 0 {
-			return x
-		}
-		return b.Const(x.val%y.val, x.Width())
-	}
 	// Strength-reduce modulo by a power of two to a mask.
 	if y.IsConst() && y.val != 0 && y.val&(y.val-1) == 0 {
 		return b.And(x, b.Const(y.val-1, x.Width()))
@@ -272,9 +261,6 @@ func (b *Builder) URem(x, y *Term) *Term {
 // And returns x & y.
 func (b *Builder) And(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.val&y.val, x.Width())
-	}
 	if x.IsConst() {
 		x, y = y, x
 	}
@@ -303,9 +289,6 @@ func (b *Builder) And(x, y *Term) *Term {
 // Or returns x | y.
 func (b *Builder) Or(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.val|y.val, x.Width())
-	}
 	if x.IsConst() {
 		x, y = y, x
 	}
@@ -329,9 +312,6 @@ func (b *Builder) Or(x, y *Term) *Term {
 // Xor returns x ^ y.
 func (b *Builder) Xor(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.val^y.val, x.Width())
-	}
 	if x.IsConst() {
 		x, y = y, x
 	}
@@ -349,9 +329,6 @@ func (b *Builder) Xor(x, y *Term) *Term {
 
 // Not returns ^x (bitwise complement).
 func (b *Builder) Not(x *Term) *Term {
-	if x.IsConst() {
-		return b.Const(^x.val, x.Width())
-	}
 	if x.op == OpNot {
 		return x.args[0]
 	}
@@ -376,12 +353,6 @@ func (b *Builder) Not(x *Term) *Term {
 // Shl returns x << y. Shift amounts >= width yield zero.
 func (b *Builder) Shl(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		if y.val >= uint64(x.Width()) {
-			return b.Const(0, x.Width())
-		}
-		return b.Const(x.val<<y.val, x.Width())
-	}
 	if y.IsConst() && y.val == 0 {
 		return x
 	}
@@ -391,12 +362,6 @@ func (b *Builder) Shl(x, y *Term) *Term {
 // Lshr returns x >> y (logical). Shift amounts >= width yield zero.
 func (b *Builder) Lshr(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		if y.val >= uint64(x.Width()) {
-			return b.Const(0, x.Width())
-		}
-		return b.Const(x.val>>y.val, x.Width())
-	}
 	if y.IsConst() && y.val == 0 {
 		return x
 	}
@@ -406,14 +371,6 @@ func (b *Builder) Lshr(x, y *Term) *Term {
 // Ashr returns x >> y (arithmetic).
 func (b *Builder) Ashr(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		s := int64(SignExtend(x.val, x.Width()))
-		sh := y.val
-		if sh >= uint64(x.Width()) {
-			sh = uint64(x.Width()) - 1
-		}
-		return b.Const(uint64(s>>sh), x.Width())
-	}
 	if y.IsConst() && y.val == 0 {
 		return x
 	}
@@ -423,9 +380,6 @@ func (b *Builder) Ashr(x, y *Term) *Term {
 // Eq returns the width-1 term (x = y).
 func (b *Builder) Eq(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Bool(x.val == y.val)
-	}
 	if x == y {
 		return b.Bool(true)
 	}
@@ -479,9 +433,6 @@ func (b *Builder) Ne(x, y *Term) *Term {
 // Ult returns x < y (unsigned), width 1.
 func (b *Builder) Ult(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Bool(x.val < y.val)
-	}
 	if x == y {
 		return b.Bool(false)
 	}
@@ -518,9 +469,6 @@ func (b *Builder) Ult(x, y *Term) *Term {
 // Ule returns x <= y (unsigned), width 1.
 func (b *Builder) Ule(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Bool(x.val <= y.val)
-	}
 	if x == y {
 		return b.Bool(true)
 	}
@@ -557,9 +505,6 @@ func (b *Builder) Ule(x, y *Term) *Term {
 // Slt returns x < y (signed), width 1.
 func (b *Builder) Slt(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Bool(int64(SignExtend(x.val, x.Width())) < int64(SignExtend(y.val, y.Width())))
-	}
 	if x == y {
 		return b.Bool(false)
 	}
@@ -569,9 +514,6 @@ func (b *Builder) Slt(x, y *Term) *Term {
 // Sle returns x <= y (signed), width 1.
 func (b *Builder) Sle(x, y *Term) *Term {
 	sameWidth(x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Bool(int64(SignExtend(x.val, x.Width())) <= int64(SignExtend(y.val, y.Width())))
-	}
 	if x == y {
 		return b.Bool(true)
 	}
@@ -590,9 +532,6 @@ func (b *Builder) NotBool(x *Term) *Term {
 func (b *Builder) Concat(hi, lo *Term) *Term {
 	w := hi.Width() + lo.Width()
 	cw := checkWidth(w)
-	if hi.IsConst() && lo.IsConst() {
-		return b.Const(hi.val<<lo.Width()|lo.val, w)
-	}
 	return b.intern(termKey{op: OpConcat, width: cw, nargs: 2, a0: hi, a1: lo})
 }
 
@@ -604,9 +543,6 @@ func (b *Builder) Extract(x *Term, lo, w uint) *Term {
 	}
 	if lo == 0 && w == x.Width() {
 		return x
-	}
-	if x.IsConst() {
-		return b.Const(x.val>>lo, w)
 	}
 	// extract of extract
 	if x.op == OpExtract {
@@ -638,9 +574,6 @@ func (b *Builder) ZExt(x *Term, w uint) *Term {
 	if w == x.Width() {
 		return x
 	}
-	if x.IsConst() {
-		return b.Const(x.val, w)
-	}
 	if x.op == OpZExt {
 		return b.ZExt(x.args[0], w)
 	}
@@ -655,9 +588,6 @@ func (b *Builder) SExt(x *Term, w uint) *Term {
 	}
 	if w == x.Width() {
 		return x
-	}
-	if x.IsConst() {
-		return b.Const(SignExtend(x.val, x.Width()), w)
 	}
 	return b.intern(termKey{op: OpSExt, width: cw, nargs: 1, a0: x})
 }

@@ -61,67 +61,7 @@ func (ev *Evaluator) eval(t *Term, a Assignment) uint64 {
 	if len(t.args) > 1 {
 		y = ev.eval(t.args[1], a)
 	}
-	w := t.Width()
-	var v uint64
-	switch t.op {
-	case OpAdd:
-		v = (x + y) & Mask(w)
-	case OpSub:
-		v = (x - y) & Mask(w)
-	case OpMul:
-		v = (x * y) & Mask(w)
-	case OpUDiv:
-		v = Mask(w)
-		if y != 0 {
-			v = x / y
-		}
-	case OpURem:
-		v = x
-		if y != 0 {
-			v = x % y
-		}
-	case OpAnd:
-		v = x & y
-	case OpOr:
-		v = x | y
-	case OpXor:
-		v = x ^ y
-	case OpNot:
-		v = ^x & Mask(w)
-	case OpShl:
-		if y < uint64(w) {
-			v = (x << y) & Mask(w)
-		}
-	case OpLshr:
-		if y < uint64(w) {
-			v = x >> y
-		}
-	case OpAshr:
-		xw := t.args[0].Width()
-		v = uint64(int64(SignExtend(x, xw))>>min(y, uint64(xw)-1)) & Mask(w)
-	case OpEq:
-		v = b2u(x == y)
-	case OpNe:
-		v = b2u(x != y)
-	case OpUlt:
-		v = b2u(x < y)
-	case OpUle:
-		v = b2u(x <= y)
-	case OpSlt:
-		v = b2u(int64(SignExtend(x, t.args[0].Width())) < int64(SignExtend(y, t.args[1].Width())))
-	case OpSle:
-		v = b2u(int64(SignExtend(x, t.args[0].Width())) <= int64(SignExtend(y, t.args[1].Width())))
-	case OpConcat:
-		v = (x<<t.args[1].Width() | y) & Mask(w)
-	case OpExtract:
-		v = (x >> t.lo) & Mask(w)
-	case OpZExt:
-		v = x
-	case OpSExt:
-		v = SignExtend(x, t.args[0].Width()) & Mask(w)
-	default:
-		panic(fmt.Sprintf("expr: eval of unknown op %v", t.op))
-	}
+	v := apply(t.op, t.width, t.args[0].width, t.lo, x, y)
 	if shared {
 		if ev.memo == nil {
 			ev.memo = make(map[*Term]uint64)
@@ -130,6 +70,74 @@ func (ev *Evaluator) eval(t *Term, a Assignment) uint64 {
 		ev.touched = append(ev.touched, t)
 	}
 	return v
+}
+
+// apply is the one definition of what each operator computes: the
+// value of a node of op and width w whose first operand has width xw
+// (the second's, for OpConcat, is w-xw) and value x, whose second
+// operand, if any, has value y, and whose extract offset is lo.
+// Operand values are masked to their widths. Eval calls it for every
+// node, and the Builder folds a node whose operands are all constants
+// through it, so a constant term and an evaluated one cannot disagree.
+func apply(op Op, w, xw, lo uint8, x, y uint64) uint64 {
+	m := Mask(uint(w))
+	switch op {
+	case OpAdd:
+		return (x + y) & m
+	case OpSub:
+		return (x - y) & m
+	case OpMul:
+		return (x * y) & m
+	case OpUDiv:
+		if y == 0 {
+			return m
+		}
+		return x / y
+	case OpURem:
+		if y == 0 {
+			return x
+		}
+		return x % y
+	case OpAnd:
+		return x & y
+	case OpOr:
+		return x | y
+	case OpXor:
+		return x ^ y
+	case OpNot:
+		return ^x & m
+	case OpShl:
+		if y >= uint64(w) {
+			return 0
+		}
+		return (x << y) & m
+	case OpLshr:
+		if y >= uint64(w) {
+			return 0
+		}
+		return x >> y
+	case OpAshr:
+		return uint64(int64(SignExtend(x, uint(xw)))>>min(y, uint64(xw)-1)) & m
+	case OpEq:
+		return b2u(x == y)
+	case OpUlt:
+		return b2u(x < y)
+	case OpUle:
+		return b2u(x <= y)
+	case OpSlt:
+		return b2u(int64(SignExtend(x, uint(xw))) < int64(SignExtend(y, uint(xw))))
+	case OpSle:
+		return b2u(int64(SignExtend(x, uint(xw))) <= int64(SignExtend(y, uint(xw))))
+	case OpConcat:
+		return (x<<(w-xw) | y) & m
+	case OpExtract:
+		return (x >> lo) & m
+	case OpZExt:
+		return x
+	case OpSExt:
+		return SignExtend(x, uint(xw)) & m
+	}
+	panic(fmt.Sprintf("expr: no value for op %v", op))
 }
 
 func b2u(v bool) uint64 {

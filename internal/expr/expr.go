@@ -33,7 +33,7 @@ const (
 	OpLshr
 	OpAshr
 	OpEq
-	OpNe
+	_ // retired, as above
 	OpUlt
 	OpUle
 	OpSlt
@@ -60,7 +60,6 @@ var opNames = map[Op]string{
 	OpLshr:    "bvlshr",
 	OpAshr:    "bvashr",
 	OpEq:      "=",
-	OpNe:      "distinct",
 	OpUlt:     "bvult",
 	OpUle:     "bvule",
 	OpSlt:     "bvslt",

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -526,4 +527,183 @@ func TestVarSetMemo(t *testing.T) {
 	if got := b.VarSet(x); len(got) != 1 || got[0] != x {
 		t.Fatalf("var VarSet = %v, want [x]", got)
 	}
+}
+
+// fuzzBytes hands out a fuzz input a byte at a time, then zeros.
+type fuzzBytes []byte
+
+func (p *fuzzBytes) byte() byte {
+	if len(*p) == 0 {
+		return 0
+	}
+	c := (*p)[0]
+	*p = (*p)[1:]
+	return c
+}
+
+// word reads up to eight bytes, little-endian.
+func (p *fuzzBytes) word() uint64 {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v |= uint64(p.byte()) << (8 * i)
+	}
+	return v
+}
+
+// FuzzBuilderMatchesEval builds a random DAG over every operator and
+// width, from constant and variable leaves, and checks that the built
+// term evaluates, under a random assignment, to the value of the
+// unsimplified op tree computed node by node with apply. It then walks
+// the intern table: no node may have only constant operands, since the
+// Builder folds every such node to a constant.
+func FuzzBuilderMatchesEval(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 32; i++ {
+		seed := make([]byte, 256)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		b := NewBuilder()
+		a := Assignment{}
+		type node struct {
+			t *Term
+			v uint64
+		}
+		// pool[w] holds the nodes built so far of width w, for sharing.
+		var pool [65][]node
+		var gen func(w uint, depth int) node
+		gen = func(w uint, depth int) node {
+			if c := in.byte(); depth == 0 || c < 64 {
+				if len(pool[w]) > 0 && c&1 != 0 {
+					return pool[w][int(c>>1)%len(pool[w])]
+				}
+				if c&2 != 0 {
+					x := b.Var(fmt.Sprintf("v%d_%d", w, c>>2&1), w)
+					if _, ok := a[x.name]; !ok {
+						a[x.name] = in.word()
+					}
+					return node{x, a[x.name] & Mask(w)}
+				}
+				consts := []uint64{0, 1, Mask(w), 1 << (uint64(c>>3) % uint64(w)), in.word()}
+				v := consts[int(c>>2)%len(consts)] & Mask(w)
+				return node{b.Const(v, w), v}
+			}
+			var n node
+			// One past builtOps stands for Builder.Ne, which makes
+			// no op of its own.
+			sel := int(in.byte()) % (len(builtOps) + 1)
+			ne := sel == len(builtOps)
+			op := OpEq
+			if !ne {
+				op = builtOps[sel]
+			}
+			switch op {
+			case OpNot:
+				x := gen(w, depth-1)
+				n = node{b.Not(x.t), apply(op, uint8(w), uint8(w), 0, x.v, 0)}
+			case OpEq, OpUlt, OpUle, OpSlt, OpSle:
+				if w != 1 {
+					return gen(w, 0)
+				}
+				xw := uint(in.byte())%64 + 1
+				x, y := gen(xw, depth-1), gen(xw, depth-1)
+				n = node{build(b, op, x.t, y.t, 1), apply(op, 1, uint8(xw), 0, x.v, y.v)}
+				if ne {
+					n = node{b.Ne(x.t, y.t), apply(OpNot, 1, 1, 0, n.v, 0)}
+				}
+			case OpConcat:
+				if w == 1 {
+					return gen(w, 0)
+				}
+				hw := uint(in.byte())%(w-1) + 1
+				x, y := gen(hw, depth-1), gen(w-hw, depth-1)
+				n = node{b.Concat(x.t, y.t), apply(op, uint8(w), uint8(hw), 0, x.v, y.v)}
+			case OpExtract:
+				xw := w + uint(in.byte())%(65-w)
+				lo := uint(in.byte()) % (xw - w + 1)
+				x := gen(xw, depth-1)
+				n = node{b.Extract(x.t, lo, w), apply(op, uint8(w), uint8(xw), uint8(lo), x.v, 0)}
+			case OpZExt, OpSExt:
+				xw := uint(in.byte())%w + 1
+				x := gen(xw, depth-1)
+				n = node{build(b, op, x.t, nil, w), apply(op, uint8(w), uint8(xw), 0, x.v, 0)}
+			default: // the binary ops over one width
+				x, y := gen(w, depth-1), gen(w, depth-1)
+				n = node{build(b, op, x.t, y.t, w), apply(op, uint8(w), uint8(w), 0, x.v, y.v)}
+			}
+			pool[w] = append(pool[w], n)
+			return n
+		}
+		gen(uint(in.byte())%64+1, 6)
+		var ev Evaluator
+		for _, p := range pool {
+			for _, n := range p {
+				if got := ev.Eval(n.t, a); got != n.v {
+					t.Fatalf("%v = %#x under %v, want %#x", n.t, got, a, n.v)
+				}
+			}
+		}
+		for i := range b.shards {
+			for _, bucket := range b.shards[i].table {
+				for _, tm := range bucket {
+					if len(tm.args) > 0 && tm.args[0].IsConst() && (len(tm.args) < 2 || tm.args[1].IsConst()) {
+						t.Fatalf("interned %v has only constant operands", tm)
+					}
+				}
+			}
+		}
+	})
+}
+
+// builtOps is every operator a Builder makes from operands.
+var builtOps = []Op{
+	OpAdd, OpSub, OpMul, OpUDiv, OpURem, OpAnd, OpOr, OpXor, OpNot,
+	OpShl, OpLshr, OpAshr, OpEq, OpUlt, OpUle, OpSlt, OpSle,
+	OpConcat, OpExtract, OpZExt, OpSExt,
+}
+
+// build calls the Builder constructor of a binary op on x and y, or
+// extends x to width w for OpZExt and OpSExt.
+func build(b *Builder, op Op, x, y *Term, w uint) *Term {
+	switch op {
+	case OpAdd:
+		return b.Add(x, y)
+	case OpSub:
+		return b.Sub(x, y)
+	case OpMul:
+		return b.Mul(x, y)
+	case OpUDiv:
+		return b.UDiv(x, y)
+	case OpURem:
+		return b.URem(x, y)
+	case OpAnd:
+		return b.And(x, y)
+	case OpOr:
+		return b.Or(x, y)
+	case OpXor:
+		return b.Xor(x, y)
+	case OpShl:
+		return b.Shl(x, y)
+	case OpLshr:
+		return b.Lshr(x, y)
+	case OpAshr:
+		return b.Ashr(x, y)
+	case OpEq:
+		return b.Eq(x, y)
+	case OpUlt:
+		return b.Ult(x, y)
+	case OpUle:
+		return b.Ule(x, y)
+	case OpSlt:
+		return b.Slt(x, y)
+	case OpSle:
+		return b.Sle(x, y)
+	case OpZExt:
+		return b.ZExt(x, w)
+	case OpSExt:
+		return b.SExt(x, w)
+	}
+	panic(fmt.Sprintf("build: op %v", op))
 }

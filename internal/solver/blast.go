@@ -373,8 +373,6 @@ func (b *blaster) blastUncached(t *expr.Term) []lit {
 		return b.shifter(b.blast(args[0]), b.blast(args[1]), 2)
 	case expr.OpEq:
 		return []lit{b.eqBits(b.blast(args[0]), b.blast(args[1]))}
-	case expr.OpNe:
-		return []lit{b.eqBits(b.blast(args[0]), b.blast(args[1])).not()}
 	case expr.OpUlt:
 		return []lit{b.ultBits(b.blast(args[0]), b.blast(args[1]))}
 	case expr.OpUle:

@@ -67,7 +67,6 @@ type Executor struct {
 	image  []byte
 	prog   *asm.Program
 	nextID uint64
-	symSeq int
 
 	// code is prog's code range decoded once, shared by every state
 	// and by every spawned worker.
@@ -379,23 +378,21 @@ func (e *Executor) ServePendingInterrupt(st *State) error {
 	if st.Status != StatusRunning || st.InHandler || st.IRQPending == 0 {
 		return nil
 	}
-	for n := 0; n < vm.NumIRQs; n++ {
-		if st.IRQPending&(1<<uint(n)) == 0 {
-			continue
-		}
-		st.IRQPending &^= 1 << uint(n)
-		handler, err := st.Mem.ConcreteWord(e.B, e.cfg.VM.VectorBase+uint32(4*n))
-		if err != nil {
-			return err
-		}
-		if handler == 0 {
-			return nil
-		}
-		st.EPC = st.PC
-		st.InHandler = true
-		st.PC = handler
+	n, vector, ok := e.cfg.VM.NextIRQ(st.IRQPending)
+	if !ok {
 		return nil
 	}
+	st.IRQPending &^= 1 << n
+	handler, err := st.Mem.ConcreteWord(e.B, vector)
+	if err != nil {
+		return err
+	}
+	if handler == 0 {
+		return nil
+	}
+	st.EPC = st.PC
+	st.InHandler = true
+	st.PC = handler
 	return nil
 }
 
@@ -427,60 +424,14 @@ func (e *Executor) Step(st *State) ([]*State, error) {
 	b := e.B
 	r := &st.Regs
 
-	bin := func(f func(x, y *expr.Term) *expr.Term) {
-		e.setReg(st, in.Rd, f(r[in.Rs1], r[in.Rs2]))
-	}
-	binImm := func(f func(x, y *expr.Term) *expr.Term) {
-		e.setReg(st, in.Rd, f(r[in.Rs1], b.Const(uint64(uint32(in.Imm)), 32)))
-	}
-	boolToWord := func(t *expr.Term) *expr.Term { return b.ZExt(t, 32) }
-
 	switch in.Op {
-	case isa.OpADD:
-		bin(b.Add)
-	case isa.OpSUB:
-		bin(b.Sub)
-	case isa.OpAND:
-		bin(b.And)
-	case isa.OpOR:
-		bin(b.Or)
-	case isa.OpXOR:
-		bin(b.Xor)
-	case isa.OpSLL:
-		bin(b.Shl)
-	case isa.OpSRL:
-		bin(b.Lshr)
-	case isa.OpSRA:
-		bin(b.Ashr)
-	case isa.OpMUL:
-		bin(b.Mul)
-	case isa.OpDIVU:
-		bin(b.UDiv)
-	case isa.OpREMU:
-		bin(b.URem)
-	case isa.OpSLT:
-		e.setReg(st, in.Rd, boolToWord(b.Slt(r[in.Rs1], r[in.Rs2])))
-	case isa.OpSLTU:
-		e.setReg(st, in.Rd, boolToWord(b.Ult(r[in.Rs1], r[in.Rs2])))
+	case isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpSLL, isa.OpSRL,
+		isa.OpSRA, isa.OpMUL, isa.OpDIVU, isa.OpREMU, isa.OpSLT, isa.OpSLTU:
+		e.setReg(st, in.Rd, alu(b, in.Op, r[in.Rs1], r[in.Rs2]))
 
-	case isa.OpADDI:
-		binImm(b.Add)
-	case isa.OpANDI:
-		binImm(b.And)
-	case isa.OpORI:
-		binImm(b.Or)
-	case isa.OpXORI:
-		binImm(b.Xor)
-	case isa.OpSLLI:
-		binImm(b.Shl)
-	case isa.OpSRLI:
-		binImm(b.Lshr)
-	case isa.OpSRAI:
-		binImm(b.Ashr)
-	case isa.OpSLTI:
-		e.setReg(st, in.Rd, boolToWord(b.Slt(r[in.Rs1], b.Const(uint64(uint32(in.Imm)), 32))))
-	case isa.OpSLTIU:
-		e.setReg(st, in.Rd, boolToWord(b.Ult(r[in.Rs1], b.Const(uint64(uint32(in.Imm)), 32))))
+	case isa.OpADDI, isa.OpANDI, isa.OpORI, isa.OpXORI, isa.OpSLLI, isa.OpSRLI,
+		isa.OpSRAI, isa.OpSLTI, isa.OpSLTIU:
+		e.setReg(st, in.Rd, alu(b, in.Op, r[in.Rs1], b.Const(uint64(uint32(in.Imm)), 32)))
 
 	case isa.OpLUI:
 		e.setReg(st, in.Rd, b.Const(uint64(isa.LUIValue(in.Imm)), 32))
@@ -496,7 +447,7 @@ func (e *Executor) Step(st *State) ([]*State, error) {
 		}
 
 	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		taken := e.branchCond(in, r)
+		taken := branchCond(b, in.Op, r[in.Rs1], r[in.Rs2])
 		if v, ok := taken.Const(); ok {
 			if v != 0 {
 				next = st.PC + uint32(in.Imm)
@@ -595,10 +546,48 @@ func (e *Executor) Step(st *State) ([]*State, error) {
 	return forks, nil
 }
 
-func (e *Executor) branchCond(in isa.Inst, r *[isa.NumRegs]*expr.Term) *expr.Term {
-	b := e.B
-	x, y := r[in.Rs1], r[in.Rs2]
-	switch in.Op {
+// alu is isa.ALU in the term domain, with the same case groups: rd
+// for an R-type or I-type ALU op on x and y, where y is the
+// sign-extended immediate of an I-type op. The Builder gives each
+// operator isa.ALU's rules for shifts of 32 or more and division by
+// zero, and folds concrete operands to the value isa.ALU computes.
+func alu(b *expr.Builder, op isa.Opcode, x, y *expr.Term) *expr.Term {
+	switch op {
+	case isa.OpADD, isa.OpADDI:
+		return b.Add(x, y)
+	case isa.OpSUB:
+		return b.Sub(x, y)
+	case isa.OpAND, isa.OpANDI:
+		return b.And(x, y)
+	case isa.OpOR, isa.OpORI:
+		return b.Or(x, y)
+	case isa.OpXOR, isa.OpXORI:
+		return b.Xor(x, y)
+	case isa.OpSLL, isa.OpSLLI:
+		return b.Shl(x, y)
+	case isa.OpSRL, isa.OpSRLI:
+		return b.Lshr(x, y)
+	case isa.OpSRA, isa.OpSRAI:
+		return b.Ashr(x, y)
+	case isa.OpMUL:
+		return b.Mul(x, y)
+	case isa.OpDIVU:
+		return b.UDiv(x, y)
+	case isa.OpREMU:
+		return b.URem(x, y)
+	case isa.OpSLT, isa.OpSLTI:
+		return b.ZExt(b.Slt(x, y), 32)
+	case isa.OpSLTU, isa.OpSLTIU:
+		return b.ZExt(b.Ult(x, y), 32)
+	}
+	return b.Const(0, 32)
+}
+
+// branchCond is isa.Taken in the term domain: the width-1 condition
+// under which branch op on rs1 = x and rs2 = y goes to its target. Any
+// other op is never taken.
+func branchCond(b *expr.Builder, op isa.Opcode, x, y *expr.Term) *expr.Term {
+	switch op {
 	case isa.OpBEQ:
 		return b.Eq(x, y)
 	case isa.OpBNE:
@@ -609,9 +598,10 @@ func (e *Executor) branchCond(in isa.Inst, r *[isa.NumRegs]*expr.Term) *expr.Ter
 		return b.NotBool(b.Slt(x, y))
 	case isa.OpBLTU:
 		return b.Ult(x, y)
-	default: // BGEU
+	case isa.OpBGEU:
 		return b.NotBool(b.Ult(x, y))
 	}
+	return b.Bool(false)
 }
 
 // execLoad handles load instructions; done=true means control flow was
@@ -808,17 +798,14 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 		if err != nil || st.Status != StatusRunning {
 			return true, err
 		}
-		if length > 4096 {
-			e.fault(st, "make_symbolic length %d too large", length)
+		if !e.cfg.VM.InputFits(addr, length) {
+			e.fault(st, "make_symbolic buffer of %d bytes at %#x outside RAM or over %d", length, addr, vm.MaxInput)
 			return true, nil
 		}
 		for i := uint32(0); i < length; i++ {
-			e.symSeq++
 			name := fmt.Sprintf("sym%d_%d", tag, i)
 			if err := st.Mem.StoreByte(addr+i, b.Var(name, 8)); err != nil {
-				st.Status = StatusFault
-				st.Err = err
-				return true, nil
+				return true, err
 			}
 			if c := e.concolic; c != nil {
 				// Bind the fresh symbol to the concrete input byte the

@@ -2,6 +2,7 @@ package symexec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -167,5 +168,104 @@ func TestStepMatchesVMQuick(t *testing.T) {
 	}
 	if err := quick.Check(agree, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordMMIO is a bus that counts the accesses forwarded to it.
+type recordMMIO struct{ accesses int }
+
+func (m *recordMMIO) ReadMMIO(uint32, int) (uint32, error) { m.accesses++; return 0, nil }
+func (m *recordMMIO) WriteMMIO(uint32, int, uint32) error  { m.accesses++; return nil }
+
+// TestMakeSymbolicBufferMatchesVM runs a make-symbolic ecall on the vm,
+// filled by CPU.FillInput as the fuzzer and replay fill it, and on
+// symexec. A buffer that straddles the end of RAM, lies in the MMIO
+// window or is longer than vm.MaxInput faults at the ecall on both,
+// before a byte moves; one in RAM holds the same bytes on both
+// (symexec's evaluated with the input as the assignment); an empty
+// one is a no-op wherever it points.
+func TestMakeSymbolicBufferMatchesVM(t *testing.T) {
+	cfg := vm.Config{RAMSize: 2 * 4096}.WithDefaults()
+	word, err := isa.Encode(isa.Inst{Op: isa.OpECALL, Imm: isa.EcallMakeSymbolic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &asm.Program{Code: binary.LittleEndian.AppendUint32(nil, word)}
+	input := []byte("make-symbolic input bytes")
+	const tag = 7
+	cases := []struct {
+		name         string
+		addr, length uint32
+		fault        bool
+	}{
+		{"straddles the end of RAM", cfg.RAMSize - 4, 8, true},
+		{"in the MMIO window", cfg.MMIOBase, 4, true},
+		{"longer than MaxInput", 0x10, vm.MaxInput + 1, true},
+		{"in RAM across a page", 4096 - 8, 16, false},
+		{"empty, in the MMIO window", cfg.MMIOBase, 0, false},
+	}
+	for _, tc := range cases {
+		bus := &recordMMIO{}
+		cpu := vm.New(cfg, bus)
+		if err := cpu.Load(prog); err != nil {
+			t.Fatal(err)
+		}
+		cpu.Regs[1], cpu.Regs[2], cpu.Regs[3] = tc.addr, tc.length, tag
+		cpu.OnEcall = func(c *vm.CPU, service int32) bool {
+			c.FillInput(input)
+			return true
+		}
+		regs, image := cpu.Regs, slices.Clone(cpu.Mem)
+		cpu.Step()
+
+		e, err := New(Config{VM: cfg}, prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := e.StateFromConcrete(0, regs, image, 0, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Step(st); err != nil {
+			t.Fatalf("%s: symexec: %v", tc.name, err)
+		}
+
+		var vmFault, symFault *vm.FaultError
+		errors.As(cpu.Fault, &vmFault)
+		errors.As(st.Err, &symFault)
+		switch {
+		case tc.fault && (cpu.Stop != vm.StopFault || vmFault == nil || vmFault.PC != 0):
+			t.Errorf("%s: vm stopped %v (%v), want a fault at the ecall", tc.name, cpu.Stop, cpu.Fault)
+		case tc.fault && (st.Status != StatusFault || symFault == nil || symFault.PC != 0 || st.PC != 0):
+			t.Errorf("%s: symexec %v at pc %#x (%v), want a fault at the ecall", tc.name, st.Status, st.PC, st.Err)
+		case !tc.fault && (cpu.Stop != vm.StopNone || st.Status != StatusRunning || cpu.PC != 4 || st.PC != 4):
+			t.Errorf("%s: vm %v at pc %#x, symexec %v at pc %#x; want both running at 4", tc.name, cpu.Stop, cpu.PC, st.Status, st.PC)
+		}
+		if bus.accesses != 0 {
+			t.Errorf("%s: vm forwarded %d accesses to the MMIO bus", tc.name, bus.accesses)
+		}
+		assign := expr.Assignment{}
+		for i, b := range input {
+			assign[fmt.Sprintf("sym%d_%d", tag, i)] = uint64(b)
+		}
+		for a := uint32(0); a < cfg.RAMSize; a++ {
+			want := image[a]
+			if !tc.fault && a-tc.addr < tc.length {
+				want = 0
+				if i := a - tc.addr; i < uint32(len(input)) {
+					want = input[i]
+				}
+			}
+			if cpu.Mem[a] != want {
+				t.Fatalf("%s: vm byte %#x is %#x, want %#x", tc.name, a, cpu.Mem[a], want)
+			}
+			bt, err := st.Mem.LoadByte(e.B, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := byte(expr.Eval(bt, assign)); v != want {
+				t.Fatalf("%s: symexec byte %#x is %#x, want %#x", tc.name, a, v, want)
+			}
+		}
 	}
 }

@@ -5,13 +5,12 @@ import "fmt"
 // Snapshot is a complete copy of the CPU's architectural and memory
 // state, used by the fuzzer's snapshot-based reset strategy.
 type Snapshot struct {
-	Regs       [16]uint32
-	PC         uint32
-	EPC        uint32
-	InHandler  bool
-	IRQEnabled bool
-	Pending    uint32
-	Cycles     uint64
+	Regs      [16]uint32
+	PC        uint32
+	EPC       uint32
+	InHandler bool
+	Pending   uint32
+	Cycles    uint64
 	// Mem is immutable once captured: a CPU anchored on this snapshot
 	// restores from it page by page and relies on it not changing.
 	Mem     []byte
@@ -61,15 +60,14 @@ func (c *CPU) markDirty(off, size uint32) {
 // to the campaign's own.
 func (c *CPU) Snapshot() *Snapshot {
 	s := &Snapshot{
-		Regs:       c.Regs,
-		PC:         c.PC,
-		EPC:        c.EPC,
-		InHandler:  c.InHandler,
-		IRQEnabled: c.IRQEnabled,
-		Pending:    c.pending,
-		Cycles:     c.Cycles,
-		Mem:        make([]byte, len(c.Mem)),
-		Console:    append([]byte(nil), c.Console...),
+		Regs:      c.Regs,
+		PC:        c.PC,
+		EPC:       c.EPC,
+		InHandler: c.InHandler,
+		Pending:   c.pending,
+		Cycles:    c.Cycles,
+		Mem:       make([]byte, len(c.Mem)),
+		Console:   append([]byte(nil), c.Console...),
 	}
 	copy(s.Mem, c.Mem)
 	if c.anchor == nil {
@@ -90,7 +88,6 @@ func (c *CPU) RestoreSnapshot(s *Snapshot) {
 	c.PC = s.PC
 	c.EPC = s.EPC
 	c.InHandler = s.InHandler
-	c.IRQEnabled = s.IRQEnabled
 	c.pending = s.Pending
 	c.Cycles = s.Cycles
 	if s == c.anchor {

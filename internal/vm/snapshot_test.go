@@ -115,8 +115,6 @@ func diffCPUs(a, b *CPU) string {
 		return "EPC"
 	case a.InHandler != b.InHandler:
 		return "InHandler"
-	case a.IRQEnabled != b.IRQEnabled:
-		return "IRQEnabled"
 	case a.pending != b.pending:
 		return "pending"
 	case a.Cycles != b.Cycles:
@@ -329,6 +327,56 @@ func FuzzDirtyRestore(f *testing.F) {
 // back, which is exactly what the contract forbids) survives every
 // one of them, where a full copy would wipe it; the pages that were
 // stored to come back.
+// TestFillInputMatchesByteStores: FillInput leaves the RAM, the dirty
+// bits and the touched pages that storing the input byte by byte
+// through WriteMem would, for buffers that cross a page boundary, for
+// inputs shorter (zero-filled) and longer (cut) than the buffer, and
+// for an empty buffer.
+func TestFillInputMatchesByteStores(t *testing.T) {
+	cfg := Config{RAMBase: 0x1000, RAMSize: 3 * pageSize}
+	cases := []struct {
+		addr, length uint32
+		input        string
+	}{
+		{0x1000, 8, "abcdefgh"},
+		{0x1000 + pageSize - 3, 6, "xy"},
+		{0x1000 + 3*pageSize - 1, 1, "longer than the buffer"},
+		{0x1000 + 100, 0, "abc"},
+		{0x1000 + 10, MaxInput, "spans two pages"},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range cases {
+		var cpus [2]*CPU
+		for i := range cpus {
+			cpus[i] = New(cfg, nil)
+		}
+		rng.Read(cpus[0].Mem)
+		copy(cpus[1].Mem, cpus[0].Mem)
+		for _, c := range cpus {
+			c.Snapshot()
+			c.Regs[1], c.Regs[2] = tc.addr, tc.length
+		}
+		cpus[0].FillInput([]byte(tc.input))
+		for i := uint32(0); i < tc.length; i++ {
+			var b byte
+			if int(i) < len(tc.input) {
+				b = tc.input[i]
+			}
+			if err := cpus[1].WriteMem(tc.addr+i, 1, uint32(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		name := fmt.Sprintf("%d bytes at %#x", tc.length, tc.addr)
+		if d := diffCPUs(cpus[0], cpus[1]); d != "" {
+			t.Errorf("%s: FillInput and byte stores differ in %s", name, d)
+		}
+		if fmt.Sprint(cpus[0].touched, cpus[0].dirty) != fmt.Sprint(cpus[1].touched, cpus[1].dirty) {
+			t.Errorf("%s: FillInput touched %v (dirty %x), byte stores %v (dirty %x)",
+				name, cpus[0].touched, cpus[0].dirty, cpus[1].touched, cpus[1].dirty)
+		}
+	}
+}
+
 func TestAnchorRestoreCopiesOnlyDirtyPages(t *testing.T) {
 	cpu := New(Config{RAMSize: 8*pageSize + 10}, nil)
 	snap := cpu.Snapshot()

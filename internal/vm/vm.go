@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"hardsnap/internal/asm"
 	"hardsnap/internal/isa"
@@ -90,6 +91,24 @@ func (c Config) InMMIO(addr, size uint32) bool {
 // NumIRQs is the number of interrupt lines.
 const NumIRQs = 8
 
+// NextIRQ returns the interrupt line a machine with the pending
+// bitmask takes next, the lowest pending one, and the address of its
+// vector-table slot. ok is false when no line is pending.
+func (c Config) NextIRQ(pending uint32) (line uint, vector uint32, ok bool) {
+	line = uint(bits.TrailingZeros32(pending))
+	return line, c.VectorBase + uint32(4*line), line < NumIRQs
+}
+
+// MaxInput is the largest buffer a make-symbolic call may name.
+const MaxInput = 4096
+
+// InputFits reports whether a make-symbolic call may fill the length
+// bytes at addr: none, or at most MaxInput bytes lying wholly in RAM.
+// Both interpreters fault on any other buffer before a byte moves.
+func (c Config) InputFits(addr, length uint32) bool {
+	return length == 0 || length <= MaxInput && c.InRAM(addr, length)
+}
+
 // WithDefaults returns the layout with every zero field replaced by
 // its default.
 func (c Config) WithDefaults() Config {
@@ -114,9 +133,8 @@ type CPU struct {
 	PC   uint32
 
 	// EPC holds the return address while an interrupt is serviced.
-	EPC        uint32
-	InHandler  bool
-	IRQEnabled bool
+	EPC       uint32
+	InHandler bool
 
 	// Mem is RAM. Read it freely; store only through WriteMem, Load and
 	// Reset, which keep the dirty-page tracking below in step.
@@ -160,10 +178,9 @@ type CPU struct {
 func New(cfg Config, mmio MMIO) *CPU {
 	cfg = cfg.WithDefaults()
 	return &CPU{
-		Mem:        make([]byte, cfg.RAMSize),
-		cfg:        cfg,
-		mmio:       mmio,
-		IRQEnabled: true,
+		Mem:  make([]byte, cfg.RAMSize),
+		cfg:  cfg,
+		mmio: mmio,
 	}
 }
 
@@ -205,7 +222,6 @@ func (c *CPU) Reset() {
 	c.PC = 0
 	c.EPC = 0
 	c.InHandler = false
-	c.IRQEnabled = true
 	c.pending = 0
 	c.Cycles = 0
 	c.Stop = StopNone
@@ -262,22 +278,23 @@ func (c *CPU) WriteMem(addr uint32, size int, val uint32) error {
 }
 
 // FillInput serves a make-symbolic ecall concretely: it stores input,
-// zero-padded to the requested length, into the buffer the call names
-// (r1 = address, r2 = length), byte by byte as the firmware's own
-// stores would. A bad address faults the CPU.
+// cut or zero-padded to the requested length, into the buffer the call
+// names (r1 = address, r2 = length). A buffer InputFits refuses faults
+// the CPU and stores nothing.
 func (c *CPU) FillInput(input []byte) {
 	addr, length := c.Regs[1], c.Regs[2]
-	for i := uint32(0); i < length; i++ {
-		var b byte
-		if int(i) < len(input) {
-			b = input[i]
-		}
-		if err := c.WriteMem(addr+i, 1, uint32(b)); err != nil {
-			c.Stop = StopFault
-			c.Fault = err
-			return
-		}
+	if length == 0 {
+		return
 	}
+	if !c.cfg.InputFits(addr, length) {
+		c.Stop = StopFault
+		c.Fault = &FaultError{PC: c.PC, Addr: addr, Msg: fmt.Sprintf("make_symbolic buffer of %d bytes outside RAM or over %d", length, MaxInput)}
+		return
+	}
+	off := addr - c.cfg.RAMBase
+	buf := c.Mem[off : off+length]
+	clear(buf[copy(buf, input):])
+	c.markDirty(off, length)
 }
 
 // fetch returns the instruction at PC: the decoded table's entry when
@@ -311,27 +328,25 @@ func (c *CPU) setReg(r uint8, v uint32) {
 // a handler runs to completion (MRET) before another is dispatched,
 // mirroring INCEPTION's interrupt-atomicity rule.
 func (c *CPU) checkIRQ() error {
-	if !c.IRQEnabled || c.InHandler || c.pending == 0 {
+	if c.InHandler || c.pending == 0 {
 		return nil
 	}
-	for n := 0; n < NumIRQs; n++ {
-		if c.pending&(1<<uint(n)) == 0 {
-			continue
-		}
-		c.pending &^= 1 << uint(n)
-		handler, err := c.ReadMem(c.cfg.VectorBase+uint32(4*n), 4)
-		if err != nil {
-			return err
-		}
-		if handler == 0 {
-			// Unpopulated vector: drop the interrupt.
-			return nil
-		}
-		c.EPC = c.PC
-		c.InHandler = true
-		c.PC = handler
+	n, vector, ok := c.cfg.NextIRQ(c.pending)
+	if !ok {
 		return nil
 	}
+	c.pending &^= 1 << n
+	handler, err := c.ReadMem(vector, 4)
+	if err != nil {
+		return err
+	}
+	if handler == 0 {
+		// Unpopulated vector: drop the interrupt.
+		return nil
+	}
+	c.EPC = c.PC
+	c.InHandler = true
+	c.PC = handler
 	return nil
 }
 
