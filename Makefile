@@ -58,7 +58,7 @@ audit:
 # the v3 batching/pipelining layer (internal/remote: client send
 # window, async flushes and server session live on different
 # goroutines in every test that uses v3Pipe/TCP) and the parallel
-# fuzzer (internal/fuzz: N workers over a lock-striped coverage map
+# fuzzer (internal/fuzz: N workers over a coverage map under one lock
 # and a shared corpus). cmd/hssim rides along because its
 # fault-injection test is the one place a redialing client meets a
 # server whose old connection is still draining; cmd/hardsnap because
@@ -109,7 +109,7 @@ endef
 # record decoder (disk, journal and dist results), the snapshot store's
 # naming of a state by lookup against hashing it, the journal's frame
 # scanner and the campaign loader behind it (header and subtree
-# results), the term builder's constant folding and rewrites against
+# results, every loaded path in a terminal status), the term builder's constant folding and rewrites against
 # evaluating the op tree it was asked for, the solver against its
 # reference, the solver cache's folded set key against its batch key,
 # the vm's dirty-page restore against a full copy, the vm's

@@ -426,10 +426,9 @@ func printResult(res *campaign.Result, opts runOpts, journalPath string) int {
 	fmt.Printf("\npaths: %d  instructions: %d  context switches: %d  virtual time: %v\n",
 		len(rep.Finished), rep.Stats.Instructions, rep.Stats.ContextSwitches,
 		rep.VirtualTime.Round(time.Microsecond))
-	fmt.Printf("solver: %d queries in %v  (sliced %d, model hits %d, incremental reuses %d, unknowns %d)\n",
+	fmt.Printf("solver: %d queries in %v  (sliced %d, model hits %d, incremental reuses %d)\n",
 		rep.Solver.Queries, time.Duration(rep.Solver.WallNS).Round(time.Microsecond),
-		rep.Solver.Sliced, rep.Solver.ModelHits,
-		rep.Solver.IncrementalReuses, rep.Exec.SolverUnknowns)
+		rep.Solver.Sliced, rep.Solver.ModelHits, rep.Solver.IncrementalReuses)
 	if len(rep.Workers) > 0 {
 		fmt.Printf("parallel: %d workers, seed phase %v, solver cache %.0f%% hit (%d/%d)\n",
 			len(rep.Workers), rep.SeedVirtualTime.Round(time.Microsecond),

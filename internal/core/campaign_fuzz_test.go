@@ -14,8 +14,9 @@ import (
 // and loads it: header, one subtree record, the same subtree record
 // again. LoadCampaign must return an error or a campaign whose result
 // encodes back to exactly the subtree payload (one byte form per
-// result); it must not panic, and every count is vetted against the
-// bytes left before anything is sized by it. Seeded from the records of
+// result) and whose every path holds a finished status; it must not
+// panic, and every count is vetted against the bytes left before
+// anything is sized by it. Seeded from the records of
 // a real journaled run with bug snapshots.
 func FuzzLoadCampaign(f *testing.F) {
 	dir := f.TempDir()
@@ -65,6 +66,11 @@ func FuzzLoadCampaign(f *testing.F) {
 		for idx, res := range cam.Results {
 			if res.Index != idx || res.Report == nil {
 				t.Fatalf("result filed under %d: %+v", idx, res)
+			}
+			for _, st := range res.Report.Finished {
+				if st.Status < symexec.StatusHalted || st.Status > symexec.StatusBudget {
+					t.Fatalf("result %d loaded path %d in status %d, not a finished one", idx, st.ID, st.Status)
+				}
 			}
 			if again := res.Encode(); !bytes.Equal(again, sub) {
 				t.Fatalf("loaded result %d encodes to %d other bytes than the %d it was read from", idx, len(again), len(sub))

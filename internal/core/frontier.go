@@ -431,12 +431,16 @@ func appendPath(b []byte, st *symexec.State) []byte {
 }
 
 // readPath reads what appendPath wrote. A model whose names do not
-// strictly ascend is refused, so no two encodings give one path.
+// strictly ascend is refused, so no two encodings give one path, and
+// so is a status a finished path cannot hold.
 func readPath(r *snapshot.Reader) *symexec.State {
 	u64 := func() uint64 { return r.Uvarint(math.MaxUint64) }
 	u32 := func() uint32 { return uint32(r.Uvarint(math.MaxUint32)) }
-	st := &symexec.State{ID: u64(), Parent: u64(), PC: u32(), Status: symexec.Status(r.U8()),
-		Steps: u64(), Console: append([]byte(nil), r.Chunk()...)}
+	st := &symexec.State{ID: u64(), Parent: u64(), PC: u32(), Status: symexec.Status(r.U8())}
+	if st.Status < symexec.StatusHalted || st.Status > symexec.StatusBudget {
+		r.Fail("path %d in status %d, not a finished one", st.ID, st.Status)
+	}
+	st.Steps, st.Console = u64(), append([]byte(nil), r.Chunk()...)
 	if n := r.Count(4 + 1); n > 0 {
 		st.Model = make(expr.Assignment, n)
 		name := ""

@@ -38,7 +38,7 @@ func genResult(rnd *rand.Rand) *SubtreeResult {
 			ID:     rnd.Uint64(),
 			Parent: rnd.Uint64(),
 			PC:     rnd.Uint32(),
-			Status: symexec.Status(1 + rnd.Intn(5)),
+			Status: symexec.StatusHalted + symexec.Status(rnd.Intn(int(symexec.StatusBudget-symexec.StatusHalted)+1)),
 			Steps:  rnd.Uint64(),
 		}
 		if rnd.Intn(2) == 0 {
@@ -117,6 +117,18 @@ func TestSubtreeResultRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, testseed.Quick(t, 200)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeRefusesUnfinishedStatus: a path in a subtree result is a
+// finished one, so its status is one of StatusHalted…StatusBudget. The
+// decoder refuses any other status byte rather than count the path.
+func TestDecodeRefusesUnfinishedStatus(t *testing.T) {
+	for _, status := range []symexec.Status{0, symexec.StatusRunning, 9} {
+		r := &SubtreeResult{Report: &Report{Finished: []*symexec.State{{ID: 7, Status: status}}}}
+		if _, err := DecodeSubtreeResult(r.Encode()); err == nil || !strings.Contains(err.Error(), "status") {
+			t.Errorf("status %d: decode gave %v, want a status error", status, err)
+		}
 	}
 }
 

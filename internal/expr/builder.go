@@ -204,7 +204,8 @@ func (b *Builder) Sub(x, y *Term) *Term {
 		return b.Const(0, x.Width())
 	}
 	// Canonicalize x - c to x + (-c) so constant-offset chains fold.
-	if y.IsConst() {
+	// Two constants fold in intern without making -c.
+	if y.IsConst() && !x.IsConst() {
 		return b.Add(x, b.Const(-y.val, x.Width()))
 	}
 	return b.binary(OpSub, x, y, x.width)
@@ -225,8 +226,8 @@ func (b *Builder) Mul(x, y *Term) *Term {
 		}
 		// Strength-reduce multiplication by a power of two to a
 		// shift; the blaster's shifter is far cheaper than its
-		// shift-and-add multiplier.
-		if y.val&(y.val-1) == 0 {
+		// shift-and-add multiplier. Two constants fold in intern.
+		if y.val&(y.val-1) == 0 && !x.IsConst() {
 			return b.Shl(x, b.Const(uint64(bits.TrailingZeros64(y.val)), x.Width()))
 		}
 	}
@@ -242,7 +243,8 @@ func (b *Builder) UDiv(x, y *Term) *Term {
 	}
 	// Strength-reduce division by a power of two to a logical shift
 	// (zero passes the bit test but is not one: x / 0 stays a UDiv).
-	if y.IsConst() && y.val != 0 && y.val&(y.val-1) == 0 {
+	// Two constants fold in intern.
+	if y.IsConst() && y.val != 0 && y.val&(y.val-1) == 0 && !x.IsConst() {
 		return b.Lshr(x, b.Const(uint64(bits.TrailingZeros64(y.val)), x.Width()))
 	}
 	return b.binary(OpUDiv, x, y, x.width)
@@ -251,8 +253,9 @@ func (b *Builder) UDiv(x, y *Term) *Term {
 // URem returns x mod y (unsigned). x mod 0 = x, following SMT-LIB.
 func (b *Builder) URem(x, y *Term) *Term {
 	sameWidth(x, y)
-	// Strength-reduce modulo by a power of two to a mask.
-	if y.IsConst() && y.val != 0 && y.val&(y.val-1) == 0 {
+	// Strength-reduce modulo by a power of two to a mask. Two
+	// constants fold in intern.
+	if y.IsConst() && y.val != 0 && y.val&(y.val-1) == 0 && !x.IsConst() {
 		return b.And(x, b.Const(y.val-1, x.Width()))
 	}
 	return b.binary(OpURem, x, y, x.width)

@@ -657,6 +657,38 @@ func FuzzBuilderMatchesEval(f *testing.F) {
 	})
 }
 
+// TestConstantOperandsInternOnlyTheResult: Sub, and Mul, UDiv and URem
+// by a power of two, rewrite x op c into another op on a new constant.
+// With x constant too the rewrite is skipped, and the node folds in
+// intern: each call adds one entry to the intern table, its result.
+func TestConstantOperandsInternOnlyTheResult(t *testing.T) {
+	entries := func(b *Builder) (n int) {
+		for i := range b.shards {
+			for _, bucket := range b.shards[i].table {
+				n += len(bucket)
+			}
+		}
+		return n
+	}
+	// Mul puts a constant x on the right, so its power of two goes
+	// first.
+	for _, tc := range []struct {
+		op         Op
+		x, y, want uint64
+	}{{OpSub, 200, 8, 192}, {OpMul, 8, 200, 1600}, {OpUDiv, 200, 8, 25}, {OpURem, 200, 8, 0}} {
+		b := NewBuilder()
+		x, y := b.Const(tc.x, 16), b.Const(tc.y, 16)
+		before := entries(b)
+		got := build(b, tc.op, x, y, 16)
+		if v, ok := got.Const(); !ok || v != tc.want {
+			t.Fatalf("%v of %d and %d = %v, want constant %d", tc.op, tc.x, tc.y, got, tc.want)
+		}
+		if n := entries(b) - before; n != 1 {
+			t.Errorf("%v of two constants added %d intern entries, want 1", tc.op, n)
+		}
+	}
+}
+
 // builtOps is every operator a Builder makes from operands.
 var builtOps = []Op{
 	OpAdd, OpSub, OpMul, OpUDiv, OpURem, OpAnd, OpOr, OpXor, OpNot,

@@ -154,68 +154,41 @@ func (b *Bitmap) Signature() uint64 {
 	return h
 }
 
-// covStripes is the global-map lock striping factor: 64 stripes of
-// 1 KiB each, and a merge locks each stripe at most once since touched
-// lists are sorted. Workers merge only an exec that lit a bit their
-// seenMap lacks, which is rare once the campaign warms up, so the
-// stripes matter for the early, admission-heavy execs.
-const covStripes = 64
-
-const stripeShift = 10 // MapSize / covStripes = 1024 entries per stripe
-
 // Global is the campaign-wide virgin map shared by all workers: each
 // entry accumulates the bucket-class bits ever observed for that
 // edge. Merging a worker's per-exec bitmap reports whether the
-// execution lit any new bit (the corpus admission signal) and whether
-// it lit a whole new edge. A worker does not merge every exec: it
-// first checks the exec against its own seenMap, without a lock.
+// execution lit any new bit (the corpus admission signal). One lock
+// covers the map and its edge count: a worker does not merge every
+// exec, it first checks the exec against its own seenMap without a
+// lock, and merges only one that lit a bit the seenMap lacks.
 type Global struct {
-	mu     [covStripes]sync.Mutex
+	mu     sync.Mutex
 	virgin [MapSize]uint8
 	edges  int
-	edgeMu sync.Mutex
 }
 
-// Merge folds one execution's bitmap into the global map. newEdge
-// reports a previously-unseen edge slot; newBits reports any new
-// (edge, bucket) bit including newEdge cases.
-func (g *Global) Merge(b *Bitmap) (newEdge, newBits bool) {
-	locked := -1
-	newEdges := 0
+// Merge folds one execution's bitmap into the global map and reports
+// whether it lit any new (edge, bucket) bit.
+func (g *Global) Merge(b *Bitmap) (newBits bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	b.forEach(func(idx uint32, cls uint8) {
-		stripe := int(idx >> stripeShift)
-		if stripe != locked {
-			if locked >= 0 {
-				g.mu[locked].Unlock()
-			}
-			g.mu[stripe].Lock()
-			locked = stripe
-		}
 		old := g.virgin[idx]
 		if old|cls != old {
 			newBits = true
 			if old == 0 {
-				newEdge = true
-				newEdges++
+				g.edges++
 			}
 			g.virgin[idx] = old | cls
 		}
 	})
-	if locked >= 0 {
-		g.mu[locked].Unlock()
-	}
-	if newEdges > 0 {
-		g.edgeMu.Lock()
-		g.edges += newEdges
-		g.edgeMu.Unlock()
-	}
-	return newEdge, newBits
+	return newBits
 }
 
 // Edges returns the number of distinct edge slots observed so far.
 func (g *Global) Edges() int {
-	g.edgeMu.Lock()
-	defer g.edgeMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.edges
 }
 
@@ -225,16 +198,16 @@ func (g *Global) Edges() int {
 // check, kept per worker so that it needs no lock).
 type seenMap [MapSize]uint8
 
-// merge returns what g.Merge(b) returns as newBits, taking the global
-// locks only when b lit a bit s lacks: an exec that lit none lit none
-// new to g either, since s is a subset of g. On news it calls Merge,
-// which stays the authority on new bits and the edge count, and adds
-// b's bits to s.
+// merge returns what g.Merge(b) returns, taking the global lock only
+// when b lit a bit s lacks: an exec that lit none lit none new to g
+// either, since s is a subset of g. On news it calls Merge, which
+// stays the authority on new bits and the edge count, and adds b's
+// bits to s.
 func (s *seenMap) merge(g *Global, b *Bitmap) (newBits bool) {
 	if !b.litBeyond(s) {
 		return false
 	}
-	_, newBits = g.Merge(b)
+	newBits = g.Merge(b)
 	b.forEach(func(idx uint32, cls uint8) { s[idx] |= cls })
 	return newBits
 }

@@ -94,8 +94,7 @@ func TestBitmapOverflowFallback(t *testing.T) {
 	}
 	sig := b.Signature()
 	var g Global
-	_, newBits := g.Merge(&b)
-	if !newBits {
+	if !g.Merge(&b) {
 		t.Fatal("merge of fresh bitmap found nothing new")
 	}
 	if g.Edges() == 0 {
@@ -113,32 +112,26 @@ func TestGlobalMergeBuckets(t *testing.T) {
 	var b Bitmap
 
 	b.Edge(0x200)
-	newEdge, newBits := g.Merge(&b)
-	if !newEdge || !newBits {
-		t.Fatalf("first merge: newEdge=%v newBits=%v", newEdge, newBits)
+	if newBits := g.Merge(&b); !newBits || g.Edges() != 1 {
+		t.Fatalf("first merge: newBits=%v edges=%d", newBits, g.Edges())
 	}
 
 	// Same single hit again: nothing new.
 	b.Reset()
 	b.Edge(0x200)
-	newEdge, newBits = g.Merge(&b)
-	if newEdge || newBits {
-		t.Fatalf("identical merge: newEdge=%v newBits=%v", newEdge, newBits)
+	if newBits := g.Merge(&b); newBits || g.Edges() != 1 {
+		t.Fatalf("identical merge: newBits=%v edges=%d", newBits, g.Edges())
 	}
 
 	// Same edge executed twice: same slot, new hit-count bucket.
 	var d Bitmap
 	d.Edge(0x200)
 	d.hits[d.touched[0]] = 2 // bucket class 2 instead of 1
-	newEdge, newBits = g.Merge(&d)
-	if newEdge {
-		t.Fatal("bucket change misreported as new edge")
-	}
-	if !newBits {
+	if !g.Merge(&d) {
 		t.Fatal("new hit-count bucket not detected")
 	}
 	if g.Edges() != 1 {
-		t.Fatalf("edges=%d, want 1", g.Edges())
+		t.Fatalf("edges=%d, want 1: bucket change misreported as new edge", g.Edges())
 	}
 }
 
@@ -241,7 +234,7 @@ func TestSeenMatchesGlobalMerge(t *testing.T) {
 					b.Edge(uint32(rng.Intn(64)) * 4)
 				}
 			}
-			_, want := ref.Merge(&b)
+			want := ref.Merge(&b)
 			got := seen[w].merge(&g, &b)
 			if got != want || g.Edges() != ref.Edges() || g.virgin != ref.virgin {
 				t.Errorf("seed %d exec %d worker %d: newBits %v edges %d, reference %v edges %d (virgin maps equal: %v)",

@@ -8,8 +8,9 @@
 //     scratch buffers, and the per-instruction path does no interface
 //     calls and no allocations (BenchmarkFuzzExec proves 0 allocs/exec).
 //   - N parallel workers fuzz privately spawned targets sharing a
-//     lock-striped global coverage map, a deduplicated corpus, and a
-//     content-addressed snapshot store.
+//     global coverage map under one lock (a worker takes it only for
+//     an exec that lit a bit new to the worker), a deduplicated
+//     corpus, and a content-addressed snapshot store.
 //   - A hybrid concolic mode closes the fuzz<->symexec loop: frontier
 //     branches whose far side stays uncovered after K executions are
 //     replayed concolically (internal/symexec), the uncovered side is

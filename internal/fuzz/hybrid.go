@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"hardsnap/internal/solver"
 	"hardsnap/internal/symexec"
 	"hardsnap/internal/vm"
 	"hardsnap/internal/vtime"
@@ -143,7 +142,7 @@ func (w *worker) concolicAttempt(s *branchSite) error {
 	if err != nil {
 		return err
 	}
-	res, err := w.symex.RunConcolic(st, symexec.ConcolicInput{Default: s.repr}, int(w.cfg.MaxStepsPerExec))
+	res, err := w.symex.RunConcolic(st, s.repr, int(w.cfg.MaxStepsPerExec))
 	if err != nil {
 		return err
 	}
@@ -158,8 +157,8 @@ func (w *worker) concolicAttempt(s *branchSite) error {
 		if br.PC != s.pc || br.Taken == wantTaken {
 			continue
 		}
-		verdict, model := w.symex.SolveFlip(res, i)
-		if verdict != solver.Sat {
+		ok, model := w.symex.SolveFlip(res, i)
+		if !ok {
 			return fmt.Errorf("fuzz: flip query at pc=%#x not sat", s.pc)
 		}
 		if len(res.State.SymInputs) == 0 {

@@ -13,7 +13,7 @@ import (
 // shares, each fail at the next query instead of corrupting verdicts.
 func TestAuditCatchesMisuse(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	s.Cache = NewCache(0)
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(10, 8))}
@@ -30,7 +30,7 @@ func TestAuditCatchesMisuse(t *testing.T) {
 	var wrong SetKey
 	mustPanic("a wrong key", func() { s.Check(cs, &wrong) })
 
-	_, model, _ := s.Check(cs, nil)
+	_, model := s.Check(cs, nil)
 	model["x"] = 0xff
 	mustPanic("a hit on a mutated model", func() { s.Check(cs, nil) })
 }

@@ -232,7 +232,7 @@ func (c *Cache) Lookup(key CacheKey) (Result, expr.Assignment, bool) {
 	s.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
-		return Unknown, nil, false
+		return 0, nil, false
 	}
 	c.hits.Add(1)
 	if modelDigest(e.model) != e.digest {
@@ -241,14 +241,9 @@ func (c *Cache) Lookup(key CacheKey) (Result, expr.Assignment, bool) {
 	return e.res, e.model, true
 }
 
-// Store memoizes a definite verdict. Unknown (budget-exhausted)
-// results are never cached: a later query with a larger budget must be
-// allowed to try again. The cache keeps model itself: neither the
+// Store memoizes a verdict. The cache keeps model itself: neither the
 // caller nor any later reader may mutate it.
 func (c *Cache) Store(key CacheKey, res Result, model expr.Assignment) {
-	if res != Sat && res != Unsat {
-		return
-	}
 	e := cacheEntry{res: res, model: model, digest: modelDigest(model)}
 	s := &c.shards[int(key[0])%cacheShards]
 	perShard := c.capacity / cacheShards

@@ -52,25 +52,25 @@ func TestCacheKeyCanonical(t *testing.T) {
 func TestSolverCacheHit(t *testing.T) {
 	b := expr.NewBuilder()
 	cache := NewCache(0)
-	s1 := New(b, 0)
+	s1 := New(b)
 	s1.Cache = cache
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(10, 8))}
 
-	res, model, err := s1.Check(cs, nil)
-	if err != nil || res != Sat {
-		t.Fatalf("first check: %v %v", res, err)
+	res, model := s1.Check(cs, nil)
+	if res != Sat {
+		t.Fatalf("first check: %v", res)
 	}
 	if cache.Stats().Hits != 0 {
 		t.Fatal("first query must miss")
 	}
 
 	// Second solver sharing the cache gets a hit with the same model.
-	s2 := New(b, 0)
+	s2 := New(b)
 	s2.Cache = cache
-	res2, model2, err := s2.Check(cs, nil)
-	if err != nil || res2 != Sat {
-		t.Fatalf("second check: %v %v", res2, err)
+	res2, model2 := s2.Check(cs, nil)
+	if res2 != Sat {
+		t.Fatalf("second check: %v", res2)
 	}
 	if s2.Stats.CacheHits != 1 || cache.Stats().Hits != 1 {
 		t.Fatalf("expected one hit, stats %+v", cache.Stats())
@@ -80,16 +80,16 @@ func TestSolverCacheHit(t *testing.T) {
 	}
 	// Stored models are immutable and shared: a hit returns a model
 	// equal to the one the miss stored.
-	if _, model3, _ := s2.Check(cs, nil); !maps.Equal(model3, model) {
+	if _, model3 := s2.Check(cs, nil); !maps.Equal(model3, model) {
 		t.Fatalf("hit returned %v, stored %v", model3, model)
 	}
 
 	// Unsat verdicts are cached too.
 	un := []*expr.Term{b.Ult(x, b.Const(10, 8)), b.Eq(x, b.Const(200, 8))}
-	if r, _, _ := s1.Check(un, nil); r != Unsat {
+	if r, _ := s1.Check(un, nil); r != Unsat {
 		t.Fatalf("want unsat, got %v", r)
 	}
-	if r, _, _ := s2.Check(un, nil); r != Unsat {
+	if r, _ := s2.Check(un, nil); r != Unsat {
 		t.Fatalf("want cached unsat, got %v", r)
 	}
 	if cache.Stats().Hits != 3 {
@@ -123,13 +123,13 @@ func TestCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := New(b, 0)
+			s := New(b)
 			s.Cache = cache
 			for i := 0; i < 50; i++ {
 				v := uint64(i % 10)
-				res, model, err := s.Check([]*expr.Term{b.Eq(x, b.Const(v, 16))}, nil)
-				if err != nil || res != Sat || model["x"] != v {
-					t.Errorf("goroutine %d: res=%v model=%v err=%v", g, res, model, err)
+				res, model := s.Check([]*expr.Term{b.Eq(x, b.Const(v, 16))}, nil)
+				if res != Sat || model["x"] != v {
+					t.Errorf("goroutine %d: res=%v model=%v", g, res, model)
 					return
 				}
 			}

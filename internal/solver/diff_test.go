@@ -136,7 +136,7 @@ func plainCheck(cs []*expr.Term) (Result, expr.Assignment) {
 	for _, c := range cs {
 		core.addClause([]lit{bl.blast(c)[0]})
 	}
-	if core.solveAssuming(nil) != satSat {
+	if !core.solveAssuming(nil) {
 		return Unsat, nil
 	}
 	return Sat, bl.model()
@@ -149,11 +149,7 @@ func plainCheck(cs []*expr.Term) (Result, expr.Assignment) {
 // query on.
 func diffOne(t errorSink, opt *Solver, cs []*expr.Term) bool {
 	pres, pm := plainCheck(cs)
-	ores, om, err := opt.Check(cs, nil)
-	if err != nil {
-		t.Errorf("unexpected error: %v", err)
-		return false
-	}
+	ores, om := opt.Check(cs, nil)
 	if pres != ores {
 		t.Errorf("verdict mismatch: plain=%v pipeline=%v on %v", pres, ores, cs)
 		return false
@@ -189,7 +185,7 @@ func TestDifferentialRandom(t *testing.T) {
 			for seed := int64(0); seed < 20; seed++ {
 				b := expr.NewBuilder()
 				vars := varPool(b, 4)
-				opt := New(b, 0)
+				opt := New(b)
 				if cached {
 					opt.Cache = NewCache(0)
 				}
@@ -222,7 +218,7 @@ func TestDifferentialQuick(t *testing.T) {
 	prop := func(seed uint64) bool {
 		b := expr.NewBuilder()
 		vars := varPool(b, 4)
-		opt := New(b, 0)
+		opt := New(b)
 		opt.Cache = NewCache(0)
 		c := randChooser{rand.New(rand.NewSource(int64(seed)))}
 		for q := 0; q < 10; q++ {
@@ -252,7 +248,7 @@ func FuzzDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := expr.NewBuilder()
 		vars := varPool(b, 4)
-		opt := New(b, 0)
+		opt := New(b)
 		opt.Cache = NewCache(0)
 		c := &byteChooser{data: data}
 		for q := 0; q < 4 && c.i < len(data); q++ {
@@ -267,7 +263,7 @@ func FuzzDifferential(f *testing.F) {
 // and genuinely independent groups must split.
 func TestSlicingSharedVariableChains(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x, y, z, w := b.Var("x", 8), b.Var("y", 8), b.Var("z", 8), b.Var("w", 8)
 	c := func(v uint64) *expr.Term { return b.Const(v, 8) }
 
@@ -301,20 +297,17 @@ func TestSlicingSharedVariableChains(t *testing.T) {
 
 	// Verdict-level regression: a chain that is unsatisfiable only
 	// through its shared variable must not be split apart.
-	s2 := New(b, 0)
-	res, _, err := s2.Check([]*expr.Term{
+	s2 := New(b)
+	res, _ := s2.Check([]*expr.Term{
 		b.Eq(x, y), b.Eq(y, z), b.Eq(z, c(5)), b.Ne(x, c(5)),
 	}, nil)
-	if err != nil || res != Unsat {
-		t.Fatalf("chained contradiction: got %v err=%v, want unsat", res, err)
+	if res != Unsat {
+		t.Fatalf("chained contradiction: got %v, want unsat", res)
 	}
 	// And the satisfiable version must produce a consistent model
 	// across the chain.
-	m, ok := func() (expr.Assignment, bool) {
-		r, m, err := s2.Check([]*expr.Term{b.Eq(x, y), b.Eq(y, z), b.Eq(z, c(5))}, nil)
-		return m, err == nil && r == Sat
-	}()
-	if !ok || m["x"] != 5 || m["y"] != 5 || m["z"] != 5 {
+	r, m := s2.Check([]*expr.Term{b.Eq(x, y), b.Eq(y, z), b.Eq(z, c(5))}, nil)
+	if r != Sat || m["x"] != 5 || m["y"] != 5 || m["z"] != 5 {
 		t.Fatalf("chained equality model = %v, want all 5", m)
 	}
 }
@@ -323,7 +316,7 @@ func TestSlicingSharedVariableChains(t *testing.T) {
 // answers it without solving.
 func TestModelReuseHit(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	if _, m := mustSat(t, s, []*expr.Term{b.Eq(x, b.Const(7, 8))}); m["x"] != 7 {
 		t.Fatalf("x=%d, want 7", m["x"])
@@ -343,7 +336,7 @@ func TestModelReuseHit(t *testing.T) {
 // the context must.
 func TestIncrementalReuse(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 16)
 	var cs []*expr.Term
 	for i := 0; i < 6; i++ {
@@ -359,35 +352,25 @@ func TestIncrementalReuse(t *testing.T) {
 	mustSat(t, s, cs)
 }
 
-// TestIncrementalBudget: an exhausted budget reports Unknown and the
-// solver recovers on the next (cheap) query.
-func TestIncrementalBudget(t *testing.T) {
-	b := expr.NewBuilder()
-	s := New(b, 1)
-	x, y := b.Var("x", 24), b.Var("y", 24)
-	hard := []*expr.Term{b.Eq(b.Mul(x, y), b.Const(0x7FFFFF, 24)), b.Ult(b.Const(1, 24), x), b.Ult(b.Const(1, 24), y)}
-	res, _, err := s.Check(hard, nil)
-	if res != Unknown || err != ErrBudget {
-		t.Fatalf("hard query under budget 1: got %v err=%v, want unknown/ErrBudget", res, err)
-	}
-	mustSat(t, s, []*expr.Term{b.Eq(x, b.Const(5, 24))})
-}
-
-// TestEnumerateVerdicts: Enumerate distinguishes exhaustion (Unsat)
-// from stopping at max (Sat) from budget exhaustion (Unknown).
+// TestEnumerateVerdicts: Enumerate stops at the exhausted value space
+// or at max, whichever comes first, and finds no value under
+// unsatisfiable constraints.
 func TestEnumerateVerdicts(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(3, 8))}
 
-	vals, _, final := s.Enumerate(cs, nil, x, 10)
-	if len(vals) != 3 || final != Unsat {
-		t.Fatalf("exhaustive enumeration: %d values, final=%v; want 3, unsat", len(vals), final)
+	if vals, _ := s.Enumerate(append(cs, b.Eq(x, b.Const(7, 8))), nil, x, 10); len(vals) != 0 {
+		t.Fatalf("unsatisfiable enumeration: %d values, want none", len(vals))
 	}
-	vals, _, final = s.Enumerate(cs, nil, x, 2)
-	if len(vals) != 2 || final != Sat {
-		t.Fatalf("capped enumeration: %d values, final=%v; want 2, sat", len(vals), final)
+	vals, _ := s.Enumerate(cs, nil, x, 10)
+	if len(vals) != 3 {
+		t.Fatalf("exhaustive enumeration: %d values, want 3", len(vals))
+	}
+	vals, _ = s.Enumerate(cs, nil, x, 2)
+	if len(vals) != 2 {
+		t.Fatalf("capped enumeration: %d values, want 2", len(vals))
 	}
 	seen := map[uint64]bool{}
 	for _, v := range vals {
@@ -418,17 +401,14 @@ func TestRewriteEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			diffOne(t, New(b, 0), tc.cs)
+			diffOne(t, New(b), tc.cs)
 		})
 	}
 }
 
 func mustSat(t *testing.T, s *Solver, cs []*expr.Term) (Result, expr.Assignment) {
 	t.Helper()
-	res, m, err := s.Check(cs, nil)
-	if err != nil {
-		t.Fatalf("check: %v", err)
-	}
+	res, m := s.Check(cs, nil)
 	if res != Sat {
 		t.Fatalf("got %v, want sat", res)
 	}
@@ -442,10 +422,7 @@ func mustSat(t *testing.T, s *Solver, cs []*expr.Term) (Result, expr.Assignment)
 
 func mustUnsat(t *testing.T, s *Solver, cs []*expr.Term) {
 	t.Helper()
-	res, _, err := s.Check(cs, nil)
-	if err != nil {
-		t.Fatalf("check: %v", err)
-	}
+	res, _ := s.Check(cs, nil)
 	if res != Unsat {
 		t.Fatalf("got %v, want unsat", res)
 	}

@@ -36,17 +36,18 @@ func (s *Solver) context() *incContext {
 	return s.ctx
 }
 
-// solveIncremental decides the conjunction in the persistent context.
-// The returned model (on satSat) covers every variable the context has
-// ever blasted; callers restrict it to the query's variables.
-func (s *Solver) solveIncremental(cs []*expr.Term) (satResult, expr.Assignment) {
+// solveIncremental decides the conjunction in the persistent context:
+// ok reports it satisfiable, and the model then covers every variable
+// the context has ever blasted; callers restrict it to the query's
+// variables.
+func (s *Solver) solveIncremental(cs []*expr.Term) (m expr.Assignment, ok bool) {
 	ctx := s.context()
 	core := ctx.core
 	baseC, baseP := core.conflicts, core.propagations
 	assumps := make([]lit, 0, len(cs))
 	for _, c := range cs {
-		g, ok := ctx.guards[c]
-		if ok {
+		g, known := ctx.guards[c]
+		if known {
 			s.Stats.IncrementalReuses++
 		} else {
 			g = ctx.bl.freshLit()
@@ -56,18 +57,10 @@ func (s *Solver) solveIncremental(cs []*expr.Term) (satResult, expr.Assignment) 
 		}
 		assumps = append(assumps, g)
 	}
-	// The budget is per query: translate it to an absolute conflict
-	// target on the context's cumulative counter.
-	if s.MaxConflicts > 0 {
-		core.maxConflicts = core.conflicts + s.MaxConflicts
-	} else {
-		core.maxConflicts = -1
-	}
-	res := core.solveAssuming(assumps)
+	ok = core.solveAssuming(assumps)
 	s.Stats.Conflicts += core.conflicts - baseC
 	s.Stats.Propagations += core.propagations - baseP
-	var m expr.Assignment
-	if res == satSat {
+	if ok {
 		m = ctx.bl.model()
 	}
 	core.cancelUntil(0)
@@ -76,5 +69,5 @@ func (s *Solver) solveIncremental(cs []*expr.Term) (satResult, expr.Assignment) 
 		// unsatisfiable; if it happened anyway, rebuild next query.
 		s.ctx = nil
 	}
-	return res, m
+	return m, ok
 }

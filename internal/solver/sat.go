@@ -77,7 +77,6 @@ type sat struct {
 	ok       bool
 
 	conflicts    int64
-	maxConflicts int64 // < 0: unbounded
 	propagations int64
 
 	seen       []bool
@@ -86,10 +85,9 @@ type sat struct {
 
 func newSAT() *sat {
 	s := &sat{
-		varInc:       1,
-		claInc:       1,
-		ok:           true,
-		maxConflicts: -1,
+		varInc: 1,
+		claInc: 1,
+		ok:     true,
 	}
 	s.order = &varHeap{s: s}
 	// Reserve var 0 = TRUE.
@@ -420,25 +418,18 @@ func quickSortClauses(cs []*clause, lo, hi int) {
 	}
 }
 
-type satResult int8
-
-const (
-	satSat satResult = iota + 1
-	satUnsat
-	satUnknown
-)
-
 // solveAssuming runs the CDCL loop with the given literals as
-// assumptions: they are forced as the first decisions (MiniSat-style),
-// so satUnsat means "unsatisfiable under the assumptions" while the
+// assumptions and reports whether the formula is satisfiable under
+// them. They are forced as the first decisions (MiniSat-style), so
+// false means "unsatisfiable under the assumptions" while the
 // underlying formula stays intact and reusable. Learned clauses derived
 // under assumptions mention the assumption literals negated and remain
 // globally valid, which is what makes the incremental per-path context
 // sound across queries. The caller must cancelUntil(0) afterwards to
 // retract the assumptions (and should extract any model first).
-func (s *sat) solveAssuming(assumps []lit) satResult {
+func (s *sat) solveAssuming(assumps []lit) bool {
 	if !s.ok {
-		return satUnsat
+		return false
 	}
 	restartLimit := int64(100)
 	conflictsAtRestart := int64(0)
@@ -449,7 +440,7 @@ func (s *sat) solveAssuming(assumps []lit) satResult {
 			conflictsAtRestart++
 			if s.decisionLevel() == 0 {
 				s.ok = false
-				return satUnsat
+				return false
 			}
 			learnt, bt := s.analyze(confl)
 			s.cancelUntil(bt)
@@ -462,9 +453,6 @@ func (s *sat) solveAssuming(assumps []lit) satResult {
 				s.uncheckedEnqueue(learnt[0], c)
 			}
 			s.decayActivities()
-			if s.maxConflicts >= 0 && s.conflicts >= s.maxConflicts {
-				return satUnknown
-			}
 			continue
 		}
 		if conflictsAtRestart >= restartLimit {
@@ -485,7 +473,7 @@ func (s *sat) solveAssuming(assumps []lit) satResult {
 				s.trailLim = append(s.trailLim, int32(len(s.trail)))
 			case lFalse:
 				// Contradicts the formula plus earlier assumptions.
-				return satUnsat
+				return false
 			default:
 				s.trailLim = append(s.trailLim, int32(len(s.trail)))
 				s.uncheckedEnqueue(p, nil)
@@ -494,7 +482,7 @@ func (s *sat) solveAssuming(assumps []lit) satResult {
 		}
 		v := s.pickBranchVar()
 		if v < 0 {
-			return satSat
+			return true
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
 		s.uncheckedEnqueue(mkLit(v, s.polarity[v]), nil)

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -15,7 +14,6 @@ type Result int
 const (
 	Sat Result = iota + 1
 	Unsat
-	Unknown
 )
 
 // String returns the lowercase name of the result.
@@ -25,17 +23,9 @@ func (r Result) String() string {
 		return "sat"
 	case Unsat:
 		return "unsat"
-	case Unknown:
-		return "unknown"
 	}
 	return "invalid"
 }
-
-// ErrBudget is returned when the conflict budget is exhausted before a
-// definite answer is reached.
-var ErrBudget = errors.New("solver: conflict budget exhausted")
-
-var errNotBoolean = errors.New("solver: constraint is not boolean")
 
 // Solver decides conjunctions of width-1 bitvector terms through one
 // fixed pipeline, KLEE's solver chain: independence slicing, a
@@ -43,11 +33,7 @@ var errNotBoolean = errors.New("solver: constraint is not boolean")
 // assumption-based SAT. Every stage preserves verdicts; only effort and
 // the particular model returned depend on the solver's history.
 type Solver struct {
-	// MaxConflicts bounds the CDCL search per query; <= 0 means
-	// unlimited.
-	MaxConflicts int64
-
-	// Cache, when non-nil, memoizes definite verdicts across queries
+	// Cache, when non-nil, memoizes verdicts across queries
 	// (and, when shared, across solvers — see Cache). The Solver
 	// itself remains single-goroutine; only the Cache is safe to
 	// share. The cache is also consulted per slice, so verdicts hit
@@ -98,17 +84,18 @@ type Stats struct {
 	WallNS int64
 }
 
-// New returns a Solver for constraints built with b, with the given
-// conflict budget (<= 0 for unlimited).
-func New(b *expr.Builder, maxConflicts int64) *Solver {
-	return &Solver{Builder: b, MaxConflicts: maxConflicts}
+// New returns a Solver for constraints built with b.
+func New(b *expr.Builder) *Solver {
+	return &Solver{Builder: b}
 }
 
 // Check decides whether the conjunction of constraints and extra (all
 // width-1 terms) is satisfiable. On Sat it returns a model assigning
 // every variable that occurs in them; the model may be shared with the
-// cache and other queries, so the caller must not mutate it. On
-// Unknown it returns ErrBudget.
+// cache and other queries, so the caller must not mutate it. Every
+// query is decided: the search runs until it finds a model or a
+// refutation. A constraint whose width is not 1 is a caller bug, and
+// Check panics on it.
 //
 // key, when non-nil, is the SetKey of constraints and extra together,
 // as Cache.Fold builds it; nil means "compute the key from the list".
@@ -117,10 +104,10 @@ func New(b *expr.Builder, maxConflicts int64) *Solver {
 //
 // The query runs through the pipeline slice → per-slice cache →
 // recent-model ring → incremental SAT.
-func (s *Solver) Check(constraints []*expr.Term, key *SetKey, extra ...*expr.Term) (Result, expr.Assignment, error) {
+func (s *Solver) Check(constraints []*expr.Term, key *SetKey, extra ...*expr.Term) (Result, expr.Assignment) {
 	start := time.Now()
 	s.Stats.Queries++
-	res, model, err := s.check(constraints, extra, key)
+	res, model := s.check(constraints, extra, key)
 	s.Stats.WallNS += time.Since(start).Nanoseconds()
 	switch res {
 	case Sat:
@@ -128,7 +115,7 @@ func (s *Solver) Check(constraints []*expr.Term, key *SetKey, extra ...*expr.Ter
 	case Unsat:
 		s.Stats.UnsatAnswers++
 	}
-	return res, model, err
+	return res, model
 }
 
 // join returns a followed by b, copying only when b is non-empty.
@@ -139,13 +126,13 @@ func join(a, b []*expr.Term) []*expr.Term {
 	return append(a[:len(a):len(a)], b...)
 }
 
-func (s *Solver) check(constraints, extra []*expr.Term, key *SetKey) (Result, expr.Assignment, error) {
+func (s *Solver) check(constraints, extra []*expr.Term, key *SetKey) (Result, expr.Assignment) {
 	// Fast path: all-constant constraints.
 	allConst := true
 	for _, part := range [2][]*expr.Term{constraints, extra} {
 		for _, c := range part {
 			if c.Width() != 1 {
-				return Unknown, nil, errNotBoolean
+				panic(fmt.Sprintf("solver: a constraint of width %d, not 1", c.Width()))
 			}
 			v, ok := c.Const()
 			if !ok {
@@ -153,12 +140,12 @@ func (s *Solver) check(constraints, extra []*expr.Term, key *SetKey) (Result, ex
 				continue
 			}
 			if v == 0 {
-				return Unsat, nil, nil
+				return Unsat, nil
 			}
 		}
 	}
 	if allConst {
-		return Sat, expr.Assignment{}, nil
+		return Sat, expr.Assignment{}
 	}
 
 	// Whole-query memo on the original constraint set.
@@ -173,7 +160,7 @@ func (s *Solver) check(constraints, extra []*expr.Term, key *SetKey) (Result, ex
 		}
 		if res, model, ok := s.Cache.Lookup(ck); ok {
 			s.Stats.CacheHits++
-			return res, model, nil
+			return res, model
 		}
 	}
 
@@ -186,15 +173,12 @@ func (s *Solver) check(constraints, extra []*expr.Term, key *SetKey) (Result, ex
 
 	var model expr.Assignment
 	for _, sl := range slices {
-		res, m, err := s.checkSlice(sl, subCache)
-		if err != nil {
-			return Unknown, nil, err
-		}
+		res, m := s.checkSlice(sl, subCache)
 		if res == Unsat {
 			if haveKey {
 				s.Cache.Store(ck, Unsat, nil)
 			}
-			return Unsat, nil, nil
+			return Unsat, nil
 		}
 		if len(slices) == 1 {
 			model = m
@@ -213,7 +197,7 @@ func (s *Solver) check(constraints, extra []*expr.Term, key *SetKey) (Result, ex
 		s.Cache.Store(ck, Sat, model)
 	}
 	s.rememberModel(model)
-	return Sat, model, nil
+	return Sat, model
 }
 
 // auditKey panics, in a hardsnapaudit build, when a caller's key is not
@@ -230,19 +214,19 @@ func (s *Solver) auditKey(key CacheKey, constraints, extra []*expr.Term) {
 // checkSlice decides one independence slice: per-slice cache, then
 // counterexample reuse, then the incremental SAT context. Sat models
 // are restricted to the slice's variables.
-func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assignment, error) {
+func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assignment) {
 	var live []*expr.Term
 	for _, c := range sl {
 		if v, ok := c.Const(); ok {
 			if v == 0 {
-				return Unsat, nil, nil
+				return Unsat, nil
 			}
 			continue
 		}
 		live = append(live, c)
 	}
 	if len(live) == 0 {
-		return Sat, expr.Assignment{}, nil
+		return Sat, expr.Assignment{}
 	}
 
 	var key CacheKey
@@ -250,7 +234,7 @@ func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assign
 		key = s.Cache.Key(live)
 		if res, model, ok := s.Cache.Lookup(key); ok {
 			s.Stats.CacheHits++
-			return res, model, nil
+			return res, model
 		}
 	}
 
@@ -260,25 +244,22 @@ func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assign
 		if useCache {
 			s.Cache.Store(key, Sat, m)
 		}
-		return Sat, m, nil
+		return Sat, m
 	}
 
-	res, m := s.solveIncremental(live)
-	switch res {
-	case satSat:
-		m = s.restrictModel(live, m)
-		if useCache {
-			s.Cache.Store(key, Sat, m)
-		}
-		s.rememberModel(m)
-		return Sat, m, nil
-	case satUnsat:
+	m, ok := s.solveIncremental(live)
+	if !ok {
 		if useCache {
 			s.Cache.Store(key, Unsat, nil)
 		}
-		return Unsat, nil, nil
+		return Unsat, nil
 	}
-	return Unknown, nil, ErrBudget
+	m = s.restrictModel(live, m)
+	if useCache {
+		s.Cache.Store(key, Sat, m)
+	}
+	s.rememberModel(m)
+	return Sat, m
 }
 
 // Enumerate lists up to max distinct concrete values of t under the
@@ -286,20 +267,17 @@ func (s *Solver) checkSlice(sl []*expr.Term, useCache bool) (Result, expr.Assign
 // completeness-oriented concretization policy from the paper), with
 // models[i] the model of the query that produced vals[i]: it satisfies
 // the constraints and evaluates t to vals[i]. A constant t needs no
-// query; its single value comes with a nil model. The verdict is Unsat
-// when the value space was exhausted (the list is complete), Sat when
-// the enumeration stopped at max (more values may exist), and Unknown
-// when the conflict budget ran out, so callers can tell "no value
-// exists" apart from "the solver gave up". Thanks to the incremental
-// context, each blocking query re-uses all previously blasted
-// constraints and only the newest blocking constraint is new work.
+// query; its single value comes with a nil model. No values means the
+// constraints are unsatisfiable. Thanks to the incremental context,
+// each blocking query re-uses all previously blasted constraints and
+// only the newest blocking constraint is new work.
 //
 // key is the SetKey of constraints, as for Check (nil: computed from
 // the list). Each blocking constraint is folded into a copy of it, so
 // a query that hits the memo joins no list and hashes 40 bytes.
-func (s *Solver) Enumerate(constraints []*expr.Term, key *SetKey, t *expr.Term, max int) (vals []uint64, models []expr.Assignment, final Result) {
+func (s *Solver) Enumerate(constraints []*expr.Term, key *SetKey, t *expr.Term, max int) (vals []uint64, models []expr.Assignment) {
 	if v, ok := t.Const(); ok {
-		return []uint64{v}, []expr.Assignment{nil}, Sat
+		return []uint64{v}, []expr.Assignment{nil}
 	}
 	// k keys constraints plus every blocking constraint so far. A
 	// blocking t != v is new to the set: the model that produced v
@@ -313,11 +291,9 @@ func (s *Solver) Enumerate(constraints []*expr.Term, key *SetKey, t *expr.Term, 
 		k = s.Cache.set(constraints)
 	}
 	var blocks []*expr.Term
-	final = Sat
 	for len(vals) < max {
-		res, m, _ := s.Check(constraints, &k, blocks...)
+		res, m := s.Check(constraints, &k, blocks...)
 		if res != Sat {
-			final = res
 			break
 		}
 		v := s.eval.Eval(t, m)
@@ -329,5 +305,5 @@ func (s *Solver) Enumerate(constraints []*expr.Term, key *SetKey, t *expr.Term, 
 			s.Cache.Fold(&k, block)
 		}
 	}
-	return vals, models, final
+	return vals, models
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,10 +12,7 @@ import (
 
 func checkSat(t *testing.T, s *Solver, cs []*expr.Term) expr.Assignment {
 	t.Helper()
-	res, m, err := s.Check(cs, nil)
-	if err != nil {
-		t.Fatalf("check: %v", err)
-	}
+	res, m := s.Check(cs, nil)
 	if res != Sat {
 		t.Fatalf("expected sat, got %v", res)
 	}
@@ -28,10 +26,7 @@ func checkSat(t *testing.T, s *Solver, cs []*expr.Term) expr.Assignment {
 
 func checkUnsat(t *testing.T, s *Solver, cs []*expr.Term) {
 	t.Helper()
-	res, _, err := s.Check(cs, nil)
-	if err != nil {
-		t.Fatalf("check: %v", err)
-	}
+	res, _ := s.Check(cs, nil)
 	if res != Unsat {
 		t.Fatalf("expected unsat, got %v", res)
 	}
@@ -39,7 +34,7 @@ func checkUnsat(t *testing.T, s *Solver, cs []*expr.Term) {
 
 func TestTrivial(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	checkSat(t, s, nil)
 	checkSat(t, s, []*expr.Term{b.Bool(true)})
 	checkUnsat(t, s, []*expr.Term{b.Bool(false)})
@@ -47,7 +42,7 @@ func TestTrivial(t *testing.T) {
 
 func TestSimpleEquation(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	// x + 3 == 10  ->  x == 7
 	m := checkSat(t, s, []*expr.Term{b.Eq(b.Add(x, b.Const(3, 8)), b.Const(10, 8))})
@@ -58,7 +53,7 @@ func TestSimpleEquation(t *testing.T) {
 
 func TestContradiction(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	checkUnsat(t, s, []*expr.Term{
 		b.Eq(x, b.Const(1, 8)),
@@ -68,7 +63,7 @@ func TestContradiction(t *testing.T) {
 
 func TestUnsignedComparison(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	m := checkSat(t, s, []*expr.Term{
 		b.Ult(b.Const(250, 8), x),
@@ -85,7 +80,7 @@ func TestUnsignedComparison(t *testing.T) {
 
 func TestSignedComparison(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	m := checkSat(t, s, []*expr.Term{
 		b.Slt(x, b.Const(0, 8)),
@@ -99,7 +94,7 @@ func TestSignedComparison(t *testing.T) {
 
 func TestMultiplication(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 	// x * y == 35, x > 1, y > 1 -> {5,7}
@@ -117,7 +112,7 @@ func TestMultiplication(t *testing.T) {
 
 func TestDivision(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	// x / 7 == 5 and x % 7 == 3 -> x == 38
 	m := checkSat(t, s, []*expr.Term{
@@ -131,7 +126,7 @@ func TestDivision(t *testing.T) {
 
 func TestDivisionByZeroSemantics(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 	// y == 0 and x / y == x_div -> x_div must be 0xFF
@@ -148,7 +143,7 @@ func TestDivisionByZeroSemantics(t *testing.T) {
 
 func TestShifts(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	sh := b.Var("sh", 8)
 	m := checkSat(t, s, []*expr.Term{
@@ -168,7 +163,7 @@ func TestShifts(t *testing.T) {
 
 func TestAshrSymbolic(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	// x >> 4 (arith) == 0xFF implies sign bit set.
 	m := checkSat(t, s, []*expr.Term{
@@ -181,7 +176,7 @@ func TestAshrSymbolic(t *testing.T) {
 
 func TestConcatExtract(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	hi := b.Var("hi", 8)
 	lo := b.Var("lo", 8)
 	word := b.Concat(hi, lo)
@@ -193,21 +188,19 @@ func TestConcatExtract(t *testing.T) {
 	}
 }
 
-func TestBudgetExhaustion(t *testing.T) {
+// TestCheckPanicsOnNonBoolean: a constraint must be width 1; any other
+// width is a caller bug, and Check names the width in its panic.
+func TestCheckPanicsOnNonBoolean(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 1) // one conflict allowed
-	// A moderately hard instance: multiplication inversion.
-	x := b.Var("x", 32)
-	y := b.Var("y", 32)
-	cs := []*expr.Term{
-		b.Eq(b.Mul(x, y), b.Const(0x12345677, 32)),
-		b.Ult(b.Const(2, 32), x),
-		b.Ult(b.Const(2, 32), y),
-	}
-	res, _, err := s.Check(cs, nil)
-	if res == Unknown && err != ErrBudget {
-		t.Fatalf("unknown result must carry ErrBudget, got %v", err)
-	}
+	s := New(b)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "width 8") {
+			t.Fatalf("panic %q does not name width 8", msg)
+		}
+	}()
+	s.Check([]*expr.Term{b.Var("x", 8)}, nil)
+	t.Fatal("Check accepted a width-8 constraint")
 }
 
 // TestEnumerateValues: every enumerated value is distinct and in
@@ -215,10 +208,10 @@ func TestBudgetExhaustion(t *testing.T) {
 // evaluates the term to that value.
 func TestEnumerateValues(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	cs := []*expr.Term{b.Ult(x, b.Const(3, 8))}
-	vals, models, _ := s.Enumerate(cs, nil, x, 10)
+	vals, models := s.Enumerate(cs, nil, x, 10)
 	if len(vals) != 3 || len(models) != 3 {
 		t.Fatalf("got %d values and %d models, want 3 each: %v", len(vals), len(models), vals)
 	}
@@ -278,12 +271,9 @@ func TestExhaustiveSmallWidth(t *testing.T) {
 						}
 					}
 				}
-				s := New(b, 0)
+				s := New(b)
 				cs := []*expr.Term{b.Eq(term, b.Const(target, 4))}
-				res, m, err := s.Check(cs, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				res, m := s.Check(cs, nil)
 				if feasible && res != Sat {
 					t.Fatalf("%s == %d feasible but solver says %v", op.name, target, res)
 				}
@@ -301,7 +291,7 @@ func TestExhaustiveSmallWidth(t *testing.T) {
 func TestQuickModelsSatisfy(t *testing.T) {
 	f := func(av, bv uint16, sel uint8) bool {
 		b := expr.NewBuilder()
-		s := New(b, 0)
+		s := New(b)
 		x := b.Var("x", 16)
 		y := b.Var("y", 16)
 		var c1, c2 *expr.Term
@@ -320,10 +310,7 @@ func TestQuickModelsSatisfy(t *testing.T) {
 			c2 = b.Slt(y, b.Const(uint64(bv), 16))
 		}
 		cs := []*expr.Term{c1, c2}
-		res, m, err := s.Check(cs, nil)
-		if err != nil {
-			return false
-		}
+		res, m := s.Check(cs, nil)
 		if res == Sat {
 			return expr.Eval(c1, m) == 1 && expr.Eval(c2, m) == 1
 		}
@@ -336,7 +323,7 @@ func TestQuickModelsSatisfy(t *testing.T) {
 
 func Test32BitArithmetic(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 32)
 	// Classic: find x with (x ^ 0xDEADBEEF) + 0x1111 == 0xCAFEBABE
 	m := checkSat(t, s, []*expr.Term{
@@ -350,7 +337,7 @@ func Test32BitArithmetic(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	b := expr.NewBuilder()
-	s := New(b, 0)
+	s := New(b)
 	x := b.Var("x", 8)
 	checkSat(t, s, []*expr.Term{b.Eq(x, b.Const(5, 8))})
 	checkUnsat(t, s, []*expr.Term{b.Bool(false)})

@@ -31,34 +31,20 @@ type ConcolicResult struct {
 	Steps int
 }
 
-// ConcolicInput supplies the concrete bytes a concolic replay binds
-// to make-symbolic buffers: per-tag overrides in Tags, with Default
-// used for any tag the map does not name (the common fuzzer case —
-// one input buffer, tag chosen by the firmware).
-type ConcolicInput struct {
-	Tags    map[uint32][]byte
-	Default []byte
-}
-
-func (in ConcolicInput) bytesFor(tag uint32) []byte {
-	if b, ok := in.Tags[tag]; ok {
-		return b
-	}
-	return in.Default
-}
-
-// RunConcolic replays st along the path a concrete input takes,
+// RunConcolic replays st along the path the concrete input takes,
 // collecting the path condition and the input-dependent branches
-// along it. Every decision the symbolic executor would normally pose
-// to the solver (branch directions, boundary concretizations,
-// assertions) is instead resolved by evaluating terms under the
-// concrete input assignment. The replay never forks and never calls
-// the solver, so its cost is one interpreted pass over the trace.
+// along it. Every make-symbolic buffer binds to input, whatever its
+// tag, with the bytes past its end 0. Every decision the symbolic
+// executor would normally pose to the solver (branch directions,
+// boundary concretizations, assertions) is instead resolved by
+// evaluating terms under the concrete input assignment. The replay
+// never forks and never calls the solver, so its cost is one
+// interpreted pass over the trace.
 //
 // The hybrid fuzzer uses this as the "concolic" half of the loop:
 // replay a corpus input that keeps hitting a frontier branch, then
 // hand SolveFlip the branch whose far side is still uncovered.
-func (e *Executor) RunConcolic(st *State, in ConcolicInput, maxSteps int) (*ConcolicResult, error) {
+func (e *Executor) RunConcolic(st *State, input []byte, maxSteps int) (*ConcolicResult, error) {
 	if e.concolic != nil {
 		return nil, fmt.Errorf("symexec: concolic replay already in progress")
 	}
@@ -67,7 +53,7 @@ func (e *Executor) RunConcolic(st *State, in ConcolicInput, maxSteps int) (*Conc
 	}
 	ctx := &concolicCtx{
 		assign: make(expr.Assignment),
-		inputs: in,
+		input:  input,
 	}
 	e.concolic = ctx
 	defer func() { e.concolic = nil }()
@@ -94,10 +80,10 @@ func (e *Executor) RunConcolic(st *State, in ConcolicInput, maxSteps int) (*Conc
 
 // concolicCtx is the per-replay mode state: the growing variable
 // assignment (populated as make-symbolic calls bind input bytes), the
-// concrete input bytes per tag, and the branch trace.
+// concrete input bytes, and the branch trace.
 type concolicCtx struct {
 	assign expr.Assignment
-	inputs ConcolicInput
+	input  []byte
 	trace  []ConcolicBranch
 }
 
@@ -118,16 +104,13 @@ func (res *ConcolicResult) FlipConstraints(b *expr.Builder, i int) []*expr.Term 
 
 // SolveFlip asks the solver for an input that takes the opposite side
 // of res.Branches[i] while preserving the path prefix that reaches
-// it. The returned model is partial: only the input bytes the flipped
-// path actually constrains appear — apply it over the original input
-// with ApplyModel.
-func (e *Executor) SolveFlip(res *ConcolicResult, i int) (solver.Result, expr.Assignment) {
+// it; ok is false when no input does. The returned model is partial:
+// only the input bytes the flipped path actually constrains appear —
+// apply it over the original input with ApplyModel.
+func (e *Executor) SolveFlip(res *ConcolicResult, i int) (ok bool, model expr.Assignment) {
 	e.Stats.SolverCalls++
-	r, model, _ := e.Solver.Check(res.FlipConstraints(e.B, i), nil)
-	if r == solver.Unknown {
-		e.Stats.SolverUnknowns++
-	}
-	return r, model
+	r, model := e.Solver.Check(res.FlipConstraints(e.B, i), nil)
+	return r == solver.Sat, model
 }
 
 // ApplyModel overlays a solver model onto a concrete input buffer:

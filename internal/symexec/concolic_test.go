@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hardsnap/internal/asm"
-	"hardsnap/internal/solver"
 )
 
 // concolicProg reads 4 input bytes and branches on a 32-bit magic
@@ -34,7 +33,7 @@ func runConcolic(t *testing.T, src string, input []byte) (*Executor, *ConcolicRe
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunConcolic(e.InitialState(), ConcolicInput{Default: input}, 0)
+	res, err := e.RunConcolic(e.InitialState(), input, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +59,9 @@ func TestConcolicReplayFollowsConcretePath(t *testing.T) {
 
 func TestConcolicFlipSolvesMagic(t *testing.T) {
 	e, res := runConcolic(t, concolicProg, []byte{1, 2, 3, 4})
-	r, model := e.SolveFlip(res, 0)
-	if r != solver.Sat {
-		t.Fatalf("flip query: %v", r)
+	ok, model := e.SolveFlip(res, 0)
+	if !ok {
+		t.Fatal("flip query unsat")
 	}
 	if len(res.State.SymInputs) != 1 {
 		t.Fatalf("%d symbolic inputs", len(res.State.SymInputs))
@@ -99,9 +98,9 @@ _start:
 ok:
 		halt
 	`, []byte{9, 8, 7, 6})
-	r, model := e.SolveFlip(res, 0)
-	if r != solver.Sat {
-		t.Fatalf("flip query: %v", r)
+	ok, model := e.SolveFlip(res, 0)
+	if !ok {
+		t.Fatal("flip query unsat")
 	}
 	seed := ApplyModel(model, res.State.SymInputs[0].Tag, []byte{9, 8, 7, 6})
 	if seed[2] != 77 {

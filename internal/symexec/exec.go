@@ -41,8 +41,6 @@ type Config struct {
 	Policy Policy
 	// MaxValues bounds ConcretizeAll enumeration (default 8).
 	MaxValues int
-	// SolverConflicts bounds each solver query (0 = unlimited).
-	SolverConflicts int64
 }
 
 // Stats counts executor activity.
@@ -51,9 +49,8 @@ type Stats struct {
 	Forks        uint64
 	SolverCalls  uint64
 	Concretized  uint64
-	// SolverUnknowns counts queries the solver gave up on (conflict
-	// budget exhausted); the affected states are parked as
-	// StatusUnknown rather than pruned.
+	// SolverUnknowns is always 0: every solver query is decided. The
+	// field keeps its counter slot in the journal and dist byte forms.
 	SolverUnknowns uint64
 }
 
@@ -105,7 +102,7 @@ func New(cfg Config, prog *asm.Program, mmio MMIOHandler) (*Executor, error) {
 	b := expr.NewBuilder()
 	e := &Executor{
 		B:      b,
-		Solver: solver.New(b, cfg.SolverConflicts),
+		Solver: solver.New(b),
 		cfg:    cfg,
 		mmio:   mmio,
 		image:  image,
@@ -134,7 +131,7 @@ func (e *Executor) NextID() uint64 { return e.nextID }
 func (e *Executor) Spawn(idBase uint64) *Executor {
 	ne := &Executor{
 		B:      e.B,
-		Solver: solver.New(e.B, e.cfg.SolverConflicts),
+		Solver: solver.New(e.B),
 		cfg:    e.cfg,
 		image:  e.image,
 		prog:   e.prog,
@@ -156,11 +153,8 @@ func (e *Executor) ModelFor(st *State) (expr.Assignment, bool) {
 	if st.Model != nil {
 		return st.Model, true
 	}
-	ok, model := e.feasible(st)
-	if !ok {
-		return nil, false
-	}
-	return model, true
+	ok, model := e.check(st)
+	return model, ok
 }
 
 // TestVector materializes concrete input bytes, per make-symbolic tag,
@@ -248,18 +242,13 @@ func (e *Executor) setReg(st *State, r uint8, t *expr.Term) {
 	}
 }
 
-// check decides the state's path condition plus extra constraints,
-// returning the solver's verdict. Unknown (conflict budget exhausted)
-// is a first-class outcome here — callers must not conflate it with
-// Unsat, or budget-starved paths get silently pruned as infeasible.
-func (e *Executor) check(st *State, extra ...*expr.Term) (solver.Result, expr.Assignment) {
+// check decides the state's path condition plus extra constraints: ok
+// reports it satisfiable, with model one of its solutions.
+func (e *Executor) check(st *State, extra ...*expr.Term) (ok bool, model expr.Assignment) {
 	e.Stats.SolverCalls++
 	key := e.pathKey(st, extra)
-	res, model, _ := e.Solver.Check(st.Constraints, &key, extra...)
-	if res == solver.Unknown {
-		e.Stats.SolverUnknowns++
-	}
-	return res, model
+	res, model := e.Solver.Check(st.Constraints, &key, extra...)
+	return res == solver.Sat, model
 }
 
 // pathKey returns the solver cache's SetKey of st's path condition
@@ -290,27 +279,13 @@ func (e *Executor) pathKey(st *State, extra []*expr.Term) solver.SetKey {
 }
 
 // decide is check with the state's witness consulted first: when the
-// witness satisfies cond, the extended path condition is Sat with the
-// witness as its model and no query runs.
-func (e *Executor) decide(st *State, cond *expr.Term) (solver.Result, expr.Assignment) {
+// witness satisfies cond, the extended path condition is satisfiable
+// with the witness as its model and no query runs.
+func (e *Executor) decide(st *State, cond *expr.Term) (ok bool, model expr.Assignment) {
 	if st.Witness != nil && e.eval.Eval(cond, st.Witness) != 0 {
-		return solver.Sat, st.Witness
+		return true, st.Witness
 	}
 	return e.check(st, cond)
-}
-
-// markUnknown parks a state whose path condition the solver could not
-// decide within budget.
-func (e *Executor) markUnknown(st *State) {
-	st.Status = StatusUnknown
-}
-
-// feasible checks satisfiability of the state's path condition plus
-// extra constraints. An undecided query reports infeasible here; use
-// check at decision points where Unknown must be distinguished.
-func (e *Executor) feasible(st *State, extra ...*expr.Term) (bool, expr.Assignment) {
-	res, model := e.check(st, extra...)
-	return res == solver.Sat, model
 }
 
 // concretize reduces a term to concrete value(s) according to the
@@ -344,15 +319,10 @@ func (e *Executor) concretize(st *State, t *expr.Term, forks *[]*State) (uint32,
 	// queries it actually ran, not a guess from the value count.
 	before := e.Solver.Stats.Queries
 	key := e.pathKey(st, nil)
-	vals, models, final := e.Solver.Enumerate(st.Constraints, &key, t, max)
+	vals, models := e.Solver.Enumerate(st.Constraints, &key, t, max)
 	e.Stats.SolverCalls += uint64(e.Solver.Stats.Queries - before)
 	if len(vals) == 0 {
-		if final == solver.Unknown {
-			e.Stats.SolverUnknowns++
-			e.markUnknown(st)
-		} else {
-			st.Status = StatusInfeasible
-		}
+		st.Status = StatusInfeasible
 		return 0, nil
 	}
 	for i := 1; i < len(vals); i++ {
@@ -475,16 +445,8 @@ func (e *Executor) Step(st *State) ([]*State, error) {
 		// Symbolic branch: the fork point of the paper's Algorithm 1.
 		// The witness satisfies exactly one side, so only the other
 		// side is a solver query.
-		resT, modelT := e.decide(st, taken)
-		resF, modelF := e.decide(st, b.NotBool(taken))
-		if resT == solver.Unknown || resF == solver.Unknown {
-			// The budget ran out before the branch was decided; park the
-			// state instead of guessing a side (either guess could both
-			// lose paths and explore infeasible ones).
-			e.markUnknown(st)
-			return forks, nil
-		}
-		satT, satF := resT == solver.Sat, resF == solver.Sat
+		satT, modelT := e.decide(st, taken)
+		satF, modelF := e.decide(st, b.NotBool(taken))
 		switch {
 		case satT && satF:
 			sib := e.fork(st)
@@ -701,7 +663,7 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 			st.Model = c.assign
 			return true, nil
 		}
-		if ok, model := e.feasible(st); ok {
+		if ok, model := e.check(st); ok {
 			st.Model = model
 		}
 		return true, nil
@@ -722,7 +684,7 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 		if v, ok := cond.Const(); ok {
 			if v == 0 {
 				st.Status = StatusAssertFail
-				if ok, model := e.feasible(st); ok {
+				if ok, model := e.check(st); ok {
 					st.Model = model
 				}
 				return true, nil
@@ -731,13 +693,9 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 		}
 		// The failing side's model is reported, so it is always queried;
 		// the passing side may be decided by the witness.
-		resFail, failModel := e.check(st, b.NotBool(cond))
-		resPass, passModel := e.decide(st, cond)
-		if resFail == solver.Unknown || resPass == solver.Unknown {
-			e.markUnknown(st)
-			return true, nil
-		}
-		if resFail == solver.Sat {
+		canFail, failModel := e.check(st, b.NotBool(cond))
+		canPass, passModel := e.decide(st, cond)
+		if canFail {
 			fail := e.fork(st)
 			fail.AddConstraint(b.NotBool(cond))
 			fail.Witness = failModel
@@ -745,7 +703,7 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 			fail.Model = failModel
 			*forks = append(*forks, fail)
 		}
-		if resPass != solver.Sat {
+		if !canPass {
 			st.Status = StatusInfeasible
 			return true, nil
 		}
@@ -772,12 +730,8 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 			}
 			return false, nil
 		}
-		res, model := e.decide(st, cond)
-		switch res {
-		case solver.Unknown:
-			e.markUnknown(st)
-			return true, nil
-		case solver.Unsat:
+		ok, model := e.decide(st, cond)
+		if !ok {
 			st.Status = StatusInfeasible
 			return true, nil
 		}
@@ -808,12 +762,13 @@ func (e *Executor) execEcall(st *State, service int32, forks *[]*State) (bool, e
 				return true, err
 			}
 			if c := e.concolic; c != nil {
-				// Bind the fresh symbol to the concrete input byte the
-				// fuzzer supplied (missing bytes default to zero, same as
-				// the solver's completion of partial models).
+				// Bind the fresh symbol to the concrete input byte: every
+				// buffer binds to the one input, whatever its tag
+				// (missing bytes default to zero, same as the solver's
+				// completion of partial models).
 				var bv uint64
-				if buf := c.inputs.bytesFor(tag); i < uint32(len(buf)) {
-					bv = uint64(buf[i])
+				if i < uint32(len(c.input)) {
+					bv = uint64(c.input[i])
 				}
 				c.assign[name] = bv
 			}

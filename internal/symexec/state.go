@@ -29,11 +29,6 @@ const (
 	StatusFault
 	StatusInfeasible
 	StatusBudget
-	// StatusUnknown marks a state parked because the solver could not
-	// decide its path condition within the conflict budget. Unlike
-	// StatusInfeasible the path may still be feasible; it is reported
-	// separately so budget-starved paths are never silently pruned.
-	StatusUnknown
 )
 
 // String names the status.
@@ -53,8 +48,6 @@ func (s Status) String() string {
 		return "infeasible"
 	case StatusBudget:
 		return "budget"
-	case StatusUnknown:
-		return "unknown"
 	}
 	return "?"
 }
