@@ -111,7 +111,8 @@ endef
 # scanner and the campaign loader behind it (header and subtree
 # results, every loaded path in a terminal status), the term builder's constant folding and rewrites against
 # evaluating the op tree it was asked for, the solver against its
-# reference, the solver cache's folded set key against its batch key,
+# reference, the SAT core's verdicts and models across queries on one
+# instance against brute force, the solver cache's folded set key against its batch key,
 # the vm's dirty-page restore against a full copy, the vm's
 # decoded-table fetch against decoding the word in RAM, the symbolic
 # executor's decoded-table fetch against the word built as terms, one
@@ -130,6 +131,7 @@ fuzz-smoke:
 	$(call fuzz_run,./internal/core,FuzzLoadCampaign)
 	$(call fuzz_run,./internal/expr,FuzzBuilderMatchesEval)
 	$(call fuzz_run,./internal/solver,FuzzDifferential)
+	$(call fuzz_run,./internal/solver,FuzzIncrementalSAT)
 	$(call fuzz_run,./internal/solver,FuzzSetKey)
 	$(call fuzz_run,./internal/vm,FuzzDirtyRestore)
 	$(call fuzz_run,./internal/vm,FuzzVMFetchMatchesDecode)
@@ -175,7 +177,7 @@ loc:
 #   make bench-compare A=before.json B=after.json
 # The repo root keeps one report per PR that claims a gain, with an
 # earlier one next to it (BENCH_<pr>.json), so the claim can be re-read:
-#   make bench-compare A=BENCH_48.json B=BENCH_49.json
+#   make bench-compare A=BENCH_51.json B=BENCH_52.json
 bench:
 	$(GO) run ./benchmark -out .bench_build/run.json
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -309,5 +311,49 @@ func TestRunFarmModeResultlessReply(t *testing.T) {
 	opts.Tenant = "default"
 	if code, err := run(context.Background(), opts); err == nil {
 		t.Fatalf("done reply without a result accepted (exit %d)", code)
+	}
+}
+
+// TestSolverLineCountsSATWork: the summary's solver line reports the
+// SAT core's conflicts and propagations next to the query counts. The
+// firmware branches twice on bits of a product of a symbolic word, so
+// every query bit-blasts a multiplier.
+func TestSolverLineCountsSATWork(t *testing.T) {
+	src := writeFirmware(t, `
+_start:
+	li r1, 0x100
+	addi r2, r0, 4
+	addi r3, r0, 1
+	ecall 1
+	lw r4, 0(r1)
+	li r5, 0x9E3779B1
+	mul r4, r4, r5
+	srli r6, r4, 7
+	andi r6, r6, 1
+	beq r6, r0, skip
+	addi r7, r7, 1
+skip:
+	mul r4, r4, r5
+	srli r6, r4, 13
+	andi r6, r6, 1
+	beq r6, r0, done
+	addi r7, r7, 1
+done:
+	halt
+`)
+	var code int
+	var err error
+	out := captureStdout(t, func() { code, err = run(context.Background(), baseOpts(src)) })
+	if err != nil || code != 0 {
+		t.Fatalf("exit %d, err %v\n%s", code, err, out)
+	}
+	m := regexp.MustCompile(`(?m)^solver: (\d+) queries .*, conflicts (\d+), propagations (\d+)\)$`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("no solver line with conflicts and propagations in:\n%s", out)
+	}
+	queries, _ := strconv.Atoi(string(m[1]))
+	props, _ := strconv.Atoi(string(m[3]))
+	if queries != 3 || props == 0 {
+		t.Fatalf("solver line %q: want 3 queries (4 paths) and some propagations", m[0])
 	}
 }

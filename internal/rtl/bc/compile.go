@@ -796,11 +796,7 @@ func (c *comp) expr(x verilog.Expr) error {
 		if err != nil {
 			return err
 		}
-		// Beyond 64 iterations every earlier term has shifted out of
-		// the 64-bit result (w >= 1), so cap the unrolled count.
-		if n > 64 {
-			n = 64
-		}
+		// Elaboration refuses a repeat wider than 64 bits: n*w <= 64.
 		c.emit(op{code: opRepeat, a: int32(n), b: int32(w), val: maskOf(w)})
 		return nil
 	}

@@ -2,6 +2,7 @@ package rtl
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"hardsnap/internal/verilog"
@@ -16,7 +17,8 @@ func Elaborate(file *verilog.SourceFile, top string, overrides map[string]uint64
 		return nil, fmt.Errorf("rtl: top module %q not found", top)
 	}
 	e := &elaborator{
-		file: file,
+		file:     file,
+		wideFree: make(map[*verilog.Module]bool),
 		d: &Design{
 			Top:       top,
 			byName:    make(map[string]*Signal),
@@ -46,6 +48,9 @@ type elaborator struct {
 	// seqClocks records, per sequential block, the resolved clock signal.
 	seqClocks []*Signal
 	depth     int
+	// wideFree holds the modules whose instance with default
+	// parameters refuseWide passed.
+	wideFree map[*verilog.Module]bool
 }
 
 const maxHierarchyDepth = 64
@@ -215,6 +220,9 @@ func (e *elaborator) instantiate(mod *verilog.Module, prefix string, overrides m
 		}
 	}
 
+	if err := e.refuseWide(mod, scope, len(overrides) == 0); err != nil {
+		return nil, err
+	}
 	// Second pass: behaviour.
 	for _, item := range mod.Items {
 		switch it := item.(type) {
@@ -370,6 +378,119 @@ func (e *elaborator) connectPorts(inst *verilog.Instance, child *verilog.Module,
 		}
 	}
 	return nil
+}
+
+// refuseWide fails elaboration on the first concatenation or repeat
+// wider than 64 bits that an item of mod reads or writes, naming the
+// module and the item's line. Widths depend only on the parameters, so
+// a module instantiated with its defaults is checked once.
+func (e *elaborator) refuseWide(mod *verilog.Module, scope *Scope, defaults bool) error {
+	if defaults && e.wideFree[mod] {
+		return nil
+	}
+	for _, item := range mod.Items {
+		line := 0
+		switch it := item.(type) {
+		case *verilog.NetDecl:
+			line = it.Line
+		case *verilog.Assign:
+			line = it.Line
+		case *verilog.AlwaysComb:
+			line = it.Line
+		case *verilog.AlwaysFF:
+			line = it.Line
+		case *verilog.Instance:
+			line = it.Line
+		}
+		if err := firstWide(item, scope); err != nil {
+			return e.errf(mod.Name, line, "%s", string(err.(wideError)))
+		}
+	}
+	if defaults {
+		e.wideFree[mod] = true
+	}
+	return nil
+}
+
+// firstWide returns the walker's wideError for the first concatenation
+// or repeat wider than 64 bits in n, a module item, a statement or an
+// expression, innermost first; nil if there is none. Every node is
+// sized on its own, so an arm the walker would not size (the untaken
+// arm of a constant ?:) is checked too.
+func firstWide(n any, scope *Scope) (err error) {
+	var sized verilog.Expr
+	walk := func(kids ...any) {
+		for _, k := range kids {
+			if err == nil {
+				err = firstWide(k, scope)
+			}
+		}
+	}
+	switch v := n.(type) {
+	case *verilog.NetDecl:
+		for _, dn := range v.Names {
+			walk(dn.Init)
+		}
+	case *verilog.Assign:
+		walk(v.LHS, v.RHS)
+	case *verilog.AlwaysComb:
+		walk(v.Body)
+	case *verilog.AlwaysFF:
+		walk(v.Body)
+	case *verilog.Instance:
+		ports := make([]string, 0, len(v.Conns))
+		for port := range v.Conns {
+			ports = append(ports, port)
+		}
+		sort.Strings(ports)
+		for _, port := range ports {
+			walk(v.Conns[port])
+		}
+	case *verilog.Block:
+		for _, st := range v.Stmts {
+			walk(st)
+		}
+	case *verilog.If:
+		walk(v.Cond, v.Then, v.Else)
+	case *verilog.Case:
+		walk(v.Subject)
+		for _, item := range v.Items {
+			for _, l := range item.Labels {
+				walk(l)
+			}
+			walk(item.Body)
+		}
+	case *verilog.NonBlocking:
+		walk(v.LHS, v.RHS)
+	case *verilog.Blocking:
+		walk(v.LHS, v.RHS)
+	case *verilog.Unary:
+		walk(v.X)
+	case *verilog.Binary:
+		walk(v.X, v.Y)
+	case *verilog.Ternary:
+		walk(v.Cond, v.Then, v.Else)
+	case *verilog.Index:
+		walk(v.X, v.Idx)
+	case *verilog.RangeSel:
+		walk(v.X)
+	case *verilog.Repeat:
+		walk(v.X)
+		sized = v
+	case *verilog.Concat:
+		for _, p := range v.Parts {
+			walk(p)
+		}
+		sized = v
+	}
+	if sized != nil && err == nil {
+		if _, werr := WidthOf(sized, scope); werr != nil {
+			if we, ok := werr.(wideError); ok {
+				err = we
+			}
+		}
+	}
+	return err
 }
 
 func isLValue(e verilog.Expr) bool {

@@ -66,8 +66,8 @@ func (w *walker[V, D]) truth(c V) (known, nonzero bool) {
 }
 
 // eval returns the value of x and its width: WidthOf(x), or 0 where
-// WidthOf fails but the value does not (an operand the interpreter
-// never sizes, such as a concatenation wider than 64 bits).
+// WidthOf fails but the value does not (an empty concatenation or a
+// repeat of no copies).
 func (w *walker[V, D]) eval(x verilog.Expr) (V, uint, error) {
 	var zero V
 	switch v := x.(type) {
@@ -211,7 +211,7 @@ func (w *walker[V, D]) eval(x verilog.Expr) (V, uint, error) {
 			return w.d.num(0, 1), 0, nil
 		}
 		if total > 64 {
-			total = 0
+			return zero, 0, wideError(fmt.Sprintf("concatenation of %d bits is wider than 64", total))
 		}
 		return out, total, nil
 
@@ -230,19 +230,24 @@ func (w *walker[V, D]) eval(x verilog.Expr) (V, uint, error) {
 		if n == 0 {
 			return w.d.num(0, 1), 0, nil
 		}
-		// Past 64 copies every earlier one has shifted out.
+		if n > 64 || uint(n)*pw > 64 {
+			return zero, 0, wideError(fmt.Sprintf("repeat of %d copies of %d bits is wider than 64", n, pw))
+		}
 		out := w.d.sel(pv, 0, pw)
-		for i := uint64(1); i < min(n, 64) && err == nil; i++ {
+		for i := uint64(1); i < n && err == nil; i++ {
 			out, err = w.d.concat(out, pv, pw)
 		}
-		total := uint(n) * pw
-		if n > 64 || total > 64 {
-			total = 0
-		}
-		return out, total, err
+		return out, uint(n) * pw, err
 	}
 	return zero, 0, fmt.Errorf("rtl: cannot evaluate %T", x)
 }
+
+// wideError refuses a concatenation or repeat wider than 64 bits: no
+// value of the interpreter, of bc or of SymStep holds more, so
+// elaboration refuses the design (refuseWide).
+type wideError string
+
+func (e wideError) Error() string { return "rtl: " + string(e) }
 
 // exec executes a statement; nil is the empty one.
 func (w *walker[V, D]) exec(s verilog.Stmt) error {

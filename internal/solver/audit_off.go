@@ -2,6 +2,7 @@
 
 package solver
 
-// cacheAudit is off: keyed queries trust their key and cache hits
-// trust their model (build with -tags hardsnapaudit to turn it on).
-const cacheAudit = false
+// auditBuild is off: keyed queries trust their key, cache hits trust
+// their model and the SAT core trusts its Sat answers (build with -tags
+// hardsnapaudit to turn the checks on).
+const auditBuild = false

@@ -3,6 +3,8 @@
 package solver
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hardsnap/internal/expr"
@@ -33,4 +35,38 @@ func TestAuditCatchesMisuse(t *testing.T) {
 	_, model := s.Check(cs, nil)
 	model["x"] = 0xff
 	mustPanic("a hit on a mutated model", func() { s.Check(cs, nil) })
+}
+
+// TestAuditRefusesNonModel: in an audit build a Sat answer that leaves
+// a variable unassigned, an assumption false or a clause without a true
+// literal panics, naming which.
+func TestAuditRefusesNonModel(t *testing.T) {
+	solved := func() (*sat, lit) {
+		s := newSAT()
+		x := mkLit(s.newVar(), false)
+		s.addClause([]lit{x, mkLit(s.newVar(), false)})
+		if !s.solveAssuming([]lit{x}) {
+			t.Fatal("x ∨ y is satisfiable under x")
+		}
+		return s, x
+	}
+	mustPanic := func(want string, f func(s *sat, x lit)) {
+		t.Helper()
+		s, x := solved()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Fatalf("got panic %v, want one naming %q", r, want)
+			}
+		}()
+		f(s, x)
+	}
+	mustPanic("unassigned", func(s *sat, x lit) {
+		s.newVar()
+		s.auditModel([]lit{x})
+	})
+	mustPanic("assumption 1 of 2 false", func(s *sat, x lit) { s.auditModel([]lit{x, x.not()}) })
+	mustPanic("learned clause 0 of 1", func(s *sat, x lit) {
+		s.learned = append(s.learned, &clause{lits: []lit{x.not(), litFalse}, learned: true})
+		s.auditModel([]lit{x})
+	})
 }

@@ -273,7 +273,7 @@ var auditSeed = maphash.MakeSeed()
 // modelDigest is an order-independent digest of m's names and values
 // in a hardsnapaudit build, and 0 otherwise.
 func modelDigest(m expr.Assignment) uint64 {
-	if !cacheAudit {
+	if !auditBuild {
 		return 0
 	}
 	d := uint64(len(m))

@@ -1,10 +1,12 @@
 // Package solver implements a bitvector constraint solver for the
 // QF_BV fragment produced by the symbolic executor. Terms are
 // bit-blasted (Tseitin transformation) into CNF and decided by an
-// embedded CDCL SAT solver with two-watched-literal propagation,
-// activity-based decision heuristics, first-UIP clause learning and
-// geometric restarts.
+// embedded CDCL SAT solver with two-watched-literal propagation, a
+// move-to-front decision queue, phase saving, first-UIP clause learning
+// and geometric restarts.
 package solver
+
+import "fmt"
 
 // A literal encodes a variable and sign: lit = 2*var + (1 if negated).
 // Variable 0 is reserved as the constant TRUE (asserted by a unit
@@ -37,16 +39,6 @@ const (
 	lFalse
 )
 
-func (b lbool) neg() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
-
 type clause struct {
 	lits    []lit
 	learned bool
@@ -63,17 +55,15 @@ type sat struct {
 	clauses  []*clause
 	learned  []*clause
 	watches  [][]watcher // indexed by lit
-	assigns  []lbool     // indexed by var
+	vals     []lbool     // indexed by lit: both polarities of every var
 	level    []int32     // decision level per var
 	reason   []*clause   // antecedent clause per var
-	activity []float64
-	polarity []bool // saved phase
+	polarity []bool      // saved phase
 	trail    []lit
 	trailLim []int32
 	qhead    int
-	varInc   float64
 	claInc   float64
-	order    *varHeap
+	queue    vmtf
 	ok       bool
 
 	conflicts    int64
@@ -85,41 +75,29 @@ type sat struct {
 
 func newSAT() *sat {
 	s := &sat{
-		varInc: 1,
 		claInc: 1,
 		ok:     true,
+		queue:  vmtf{last: -1},
 	}
-	s.order = &varHeap{s: s}
 	// Reserve var 0 = TRUE.
-	v := s.newVar()
-	_ = v
+	s.newVar()
 	s.addClause([]lit{litTrue})
 	return s
 }
 
 func (s *sat) newVar() int32 {
-	v := int32(len(s.assigns))
-	s.assigns = append(s.assigns, lUndef)
+	v := int32(len(s.level))
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
-	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, true) // default phase: false
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
-	s.order.insert(v)
+	s.queue.add(v)
 	return v
 }
 
-func (s *sat) value(l lit) lbool {
-	v := s.assigns[l.v()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.sign() {
-		return v.neg()
-	}
-	return v
-}
+func (s *sat) value(l lit) lbool { return s.vals[l] }
 
 func (s *sat) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
@@ -169,11 +147,8 @@ func (s *sat) attach(c *clause) {
 
 func (s *sat) uncheckedEnqueue(l lit, from *clause) {
 	v := l.v()
-	if l.sign() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l.not()] = lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -259,7 +234,7 @@ func (s *sat) analyze(confl *clause) ([]lit, int32) {
 				continue
 			}
 			s.seen[v] = true
-			s.bumpVar(v)
+			s.queue.moveToFront(v)
 			if s.level[v] == s.decisionLevel() {
 				counter++
 			} else {
@@ -302,47 +277,45 @@ func (s *sat) analyze(confl *clause) ([]lit, int32) {
 	return out, bt
 }
 
-func (s *sat) bumpVar(v int32) {
-	s.activity[v] += s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
-		}
-		s.varInc *= 1e-100
-	}
-	s.order.update(v)
-}
-
-func (s *sat) decayActivities() {
-	s.varInc /= 0.95
-	s.claInc /= 0.999
-}
-
+// cancelUntil retracts every assignment above the given level, saving
+// each variable's phase, and points the queue's search at the newest
+// variable it frees.
 func (s *sat) cancelUntil(level int32) {
 	if s.decisionLevel() <= level {
 		return
 	}
+	q := &s.queue
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= int(bound); i-- {
-		v := s.trail[i].v()
-		s.polarity[v] = s.assigns[v] == lFalse
-		s.assigns[v] = lUndef
+		l := s.trail[i]
+		v := l.v()
+		s.polarity[v] = l.sign()
+		s.vals[l] = lUndef
+		s.vals[l.not()] = lUndef
 		s.reason[v] = nil
-		s.order.insert(v)
+		if q.stamp[v] > q.stamp[q.search] {
+			q.search = v
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = len(s.trail)
 }
 
+// pickBranchVar returns the most recently bumped unassigned variable,
+// or -1 if the queue holds none: it walks back from the search pointer,
+// past variables that are assigned, and leaves the pointer where it
+// stopped.
 func (s *sat) pickBranchVar() int32 {
-	for s.order.size() > 0 {
-		v := s.order.removeMax()
-		if s.assigns[v] == lUndef {
-			return v
-		}
+	q := &s.queue
+	v := q.search
+	for v >= 0 && s.vals[mkLit(v, false)] != lUndef {
+		v = q.prev[v]
 	}
-	return -1
+	if v >= 0 {
+		q.search = v
+	}
+	return v
 }
 
 func (s *sat) reduceDB() {
@@ -369,7 +342,7 @@ func (s *sat) reduceDB() {
 }
 
 func (s *sat) isReason(c *clause) bool {
-	return len(c.lits) > 0 && s.assigns[c.lits[0].v()] != lUndef && s.reason[c.lits[0].v()] == c
+	return len(c.lits) > 0 && s.vals[c.lits[0]] != lUndef && s.reason[c.lits[0].v()] == c
 }
 
 func (s *sat) detach(c *clause) {
@@ -452,7 +425,7 @@ func (s *sat) solveAssuming(assumps []lit) bool {
 				s.attach(c)
 				s.uncheckedEnqueue(learnt[0], c)
 			}
-			s.decayActivities()
+			s.claInc /= 0.999 // newer learned clauses outrank older ones in reduceDB
 			continue
 		}
 		if conflictsAtRestart >= restartLimit {
@@ -480,8 +453,14 @@ func (s *sat) solveAssuming(assumps []lit) bool {
 			}
 			continue
 		}
-		v := s.pickBranchVar()
+		// With every variable assigned and no conflict, each clause
+		// holds a true literal: answer without walking the queue.
+		v := int32(-1)
+		if len(s.trail) < len(s.level) {
+			v = s.pickBranchVar()
+		}
 		if v < 0 {
+			s.auditModel(assumps)
 			return true
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
@@ -489,83 +468,85 @@ func (s *sat) solveAssuming(assumps []lit) bool {
 	}
 }
 
-// varHeap is a max-heap over variable activity.
-type varHeap struct {
-	s       *sat
-	heap    []int32
-	indices []int32 // var -> heap position + 1 (0 = absent)
-}
-
-func (h *varHeap) size() int { return len(h.heap) }
-
-func (h *varHeap) less(a, b int32) bool {
-	return h.s.activity[a] > h.s.activity[b]
-}
-
-func (h *varHeap) insert(v int32) {
-	for int(v) >= len(h.indices) {
-		h.indices = append(h.indices, 0)
-	}
-	if h.indices[v] != 0 {
+// auditModel panics, in a hardsnapaudit build, naming the first way a
+// Sat answer is not a model: a variable left unassigned, an assumption
+// that is not true, or a problem or learned clause with no true literal.
+func (s *sat) auditModel(assumps []lit) {
+	if !auditBuild {
 		return
 	}
-	h.heap = append(h.heap, v)
-	h.indices[v] = int32(len(h.heap))
-	h.up(len(h.heap) - 1)
-}
-
-func (h *varHeap) update(v int32) {
-	if int(v) < len(h.indices) && h.indices[v] != 0 {
-		h.up(int(h.indices[v] - 1))
+	for v := range s.level {
+		if s.vals[mkLit(int32(v), false)] == lUndef {
+			panic(fmt.Sprintf("solver: a Sat answer leaves variable %d of %d unassigned", v, len(s.level)))
+		}
+	}
+	for i, a := range assumps {
+		if s.value(a) != lTrue {
+			panic(fmt.Sprintf("solver: a Sat answer makes assumption %d of %d false", i, len(assumps)))
+		}
+	}
+	for _, db := range []struct {
+		kind string
+		cs   []*clause
+	}{{"problem", s.clauses}, {"learned", s.learned}} {
+	next:
+		for i, c := range db.cs {
+			for _, l := range c.lits {
+				if s.value(l) == lTrue {
+					continue next
+				}
+			}
+			panic(fmt.Sprintf("solver: a Sat answer leaves %s clause %d of %d without a true literal", db.kind, i, len(db.cs)))
+		}
 	}
 }
 
-func (h *varHeap) removeMax() int32 {
-	v := h.heap[0]
-	last := len(h.heap) - 1
-	h.heap[0] = h.heap[last]
-	h.indices[h.heap[0]] = 1
-	h.heap = h.heap[:last]
-	h.indices[v] = 0
-	if last > 0 {
-		h.down(0)
-	}
-	return v
+// vmtf is the decision queue (variable move-to-front; Biere and
+// Fröhlich, "Evaluating CDCL Variable Scoring Schemes", SAT 2015): a
+// doubly linked list of the variables in bump order, whose front (last)
+// is the most recently bumped. Each variable carries the stamp of its
+// last move, and search points at a variable behind which no newer one
+// is unassigned, so a decision walks back from it past assigned
+// variables only, and a backjump moves it in O(1) per freed variable
+// instead of re-heaping.
+type vmtf struct {
+	prev, next []int32 // -1 ends the list
+	stamp      []int64
+	last       int32
+	search     int32
+	stamps     int64
 }
 
-func (h *varHeap) up(i int) {
-	v := h.heap[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(v, h.heap[p]) {
-			break
-		}
-		h.heap[i] = h.heap[p]
-		h.indices[h.heap[i]] = int32(i + 1)
-		i = p
-	}
-	h.heap[i] = v
-	h.indices[v] = int32(i + 1)
+// add links a new, unassigned variable in at the front of the queue.
+func (q *vmtf) add(v int32) {
+	q.prev = append(q.prev, -1)
+	q.next = append(q.next, -1)
+	q.stamp = append(q.stamp, 0)
+	q.push(v)
+	q.search = v
 }
 
-func (h *varHeap) down(i int) {
-	v := h.heap[i]
-	n := len(h.heap)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h.less(h.heap[c+1], h.heap[c]) {
-			c++
-		}
-		if !h.less(h.heap[c], v) {
-			break
-		}
-		h.heap[i] = h.heap[c]
-		h.indices[h.heap[i]] = int32(i + 1)
-		i = c
+// moveToFront makes v the most recently bumped variable. Analysis bumps
+// only assigned variables, so search needs no update here.
+func (q *vmtf) moveToFront(v int32) {
+	if v == q.last {
+		return
 	}
-	h.heap[i] = v
-	h.indices[v] = int32(i + 1)
+	p, n := q.prev[v], q.next[v]
+	if p >= 0 {
+		q.next[p] = n
+	}
+	q.prev[n] = p // n >= 0: v is not last
+	q.push(v)
+}
+
+// push links v in at the front with a fresh stamp.
+func (q *vmtf) push(v int32) {
+	q.stamps++
+	q.stamp[v] = q.stamps
+	q.prev[v], q.next[v] = q.last, -1
+	if q.last >= 0 {
+		q.next[q.last] = v
+	}
+	q.last = v
 }

@@ -203,7 +203,7 @@ func (s *Solver) check(constraints, extra []*expr.Term, key *SetKey) (Result, ex
 // auditKey panics, in a hardsnapaudit build, when a caller's key is not
 // the batch key of its constraint list.
 func (s *Solver) auditKey(key CacheKey, constraints, extra []*expr.Term) {
-	if !cacheAudit {
+	if !auditBuild {
 		return
 	}
 	if want := s.Cache.Key(join(constraints, extra)); key != want {

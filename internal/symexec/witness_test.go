@@ -71,13 +71,14 @@ func TestForkAsksOneQuery(t *testing.T) {
 
 // BenchmarkExploreHashBranch explores the hash-branch firmware at k=8
 // depth-first: 256 paths whose every fork bit-blasts the multipliers.
-// queries/op is the number of solver queries per exploration.
+// queries/op is the number of solver queries per exploration;
+// conflicts/op and props/op are what the SAT core did to answer them.
 func BenchmarkExploreHashBranch(b *testing.B) {
 	prog, err := asm.Assemble(hashBranchFirmware(8), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var queries int64
+	var st solver.Stats
 	for i := 0; i < b.N; i++ {
 		e, err := New(Config{}, prog, &recordingMMIO{})
 		if err != nil {
@@ -86,9 +87,13 @@ func BenchmarkExploreHashBranch(b *testing.B) {
 		if n := len(exploreWith(b, e)); n != 256 {
 			b.Fatalf("%d paths, want 256", n)
 		}
-		queries += e.Solver.Stats.Queries
+		st.Queries += e.Solver.Stats.Queries
+		st.Conflicts += e.Solver.Stats.Conflicts
+		st.Propagations += e.Solver.Stats.Propagations
 	}
-	b.ReportMetric(float64(queries)/float64(b.N), "queries/op")
+	b.ReportMetric(float64(st.Queries)/float64(b.N), "queries/op")
+	b.ReportMetric(float64(st.Conflicts)/float64(b.N), "conflicts/op")
+	b.ReportMetric(float64(st.Propagations)/float64(b.N), "props/op")
 }
 
 // witnessOp is one generated instruction group of a witness program.
